@@ -54,6 +54,11 @@ type Ctx struct {
 	// prefix fingerprint the cache keys entries under.
 	SampleCache *SampleCache
 	PrefixFP    uint64
+	// Abort, when non-nil, is closed once the epoch this worker serves is
+	// being torn down (the loader's stall interrupt). A worker parked on
+	// another session's in-flight cache entry selects on it, so a severed
+	// session's Drain never waits out somebody else's computation.
+	Abort <-chan struct{}
 
 	// rngSample and rngOp are per-worker scratch generators reused by OpRNG.
 	// math/rand's source is ~5 KB; building one per sample per op used to be

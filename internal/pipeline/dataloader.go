@@ -288,9 +288,10 @@ type DataLoader struct {
 	// batchCost caches the per-batch work estimates.
 	batchCost []float64
 	// stallAbort is closed by Iterator.Abort: real-clock workers sleeping
-	// out an injected fault stall select against it, so an aborted epoch (a
-	// severed session, a draining server) is not pinned for the remainder of
-	// a long stall it no longer has any reason to honor.
+	// out an injected fault stall, or parked on another session's in-flight
+	// sample-cache entry (Ctx.Abort), select against it, so an aborted epoch
+	// (a severed session, a draining server) is not pinned for the remainder
+	// of a wait it no longer has any reason to honor.
 	stallAbort chan struct{}
 	stallOnce  sync.Once
 
@@ -671,6 +672,7 @@ func (dl *DataLoader) workerLoop(p clock.Proc, workerID int, q *clock.Queue[inde
 		Faults:         dl.cfg.Faults,
 		SampleCache:    dl.cfg.SampleCache,
 		PrefixFP:       dl.cfg.PrefixFP,
+		Abort:          dl.stallAbort,
 	}
 	collate := &Collate{}
 	for {

@@ -1,11 +1,9 @@
 package pipeline
 
 import (
-	"container/list"
-	"sync"
 	"sync/atomic"
-	"time"
 
+	"lotus/internal/cache"
 	"lotus/internal/imaging"
 	"lotus/internal/native"
 	"lotus/internal/store"
@@ -23,32 +21,13 @@ import (
 // all; a batch-cache miss on an augmented spec turns into prefix hits plus a
 // suffix recompute instead of a full decode.
 //
-// The single-flight discipline mirrors serve.BatchCache: the first requester
-// of a key claims it and computes the prefix; concurrent requesters either
-// block on the in-flight entry (blocking mode — real data or emulate-time
-// serving, where procs are goroutines on the wall clock) or bypass the cache
-// and compute the prefix privately (non-blocking mode — simulated clocks,
-// whose procs must never park on channels the clock cannot see). Entries are
-// refcounted so eviction can retire a sample while readers are still copying
-// it out, and the byte budget is a soft bound at one-entry granularity.
+// The single-flight state machine, refcounting and LRU byte budget are
+// cache.SingleFlight's. What is this cache's own: the snapshot / restore pair
+// (readers copy out, never alias), materialize, the rule that simulated
+// clocks never wait on an in-flight prefix, and the snapshot codec between
+// the memory entries and the disk tier.
 type SampleCache struct {
-	mu       sync.Mutex
-	budget   int64
-	used     int64
-	blocking bool
-	// waitTimeout bounds a blocking wait on another worker's in-flight
-	// prefix; on expiry the waiter computes the prefix privately, so
-	// liveness never depends on another session's progress.
-	waitTimeout time.Duration
-	entries     map[SampleKey]*sampleEntry
-	lru         *list.List // of *sampleEntry; only ready entries are listed
-	// disk is the optional persistent tier below this cache: claimed keys
-	// consult it before running the prefix, fulfilled snapshots spill to it
-	// asynchronously, and memory evictions re-spill so a restart (or a
-	// sibling job on the same spec) warm-starts instead of recomputing.
-	disk *store.Store
-
-	hits, misses, waits, evicted, abandoned, bypassed int64
+	sf *cache.SingleFlight[SampleKey, *cachedSample]
 }
 
 // SampleKey identifies one materialized post-prefix sample. PrefixFP pins
@@ -59,28 +38,6 @@ type SampleCache struct {
 type SampleKey struct {
 	PrefixFP uint64
 	Index    int
-}
-
-type sampleEntryState int
-
-const (
-	sampleInFlight sampleEntryState = iota
-	sampleReady
-	sampleAbandoned
-)
-
-// sampleEntry is one key's slot, with the same state machine as
-// serve.BatchCache's cacheEntry: state and payload are written only under
-// SampleCache.mu and only before close(ready), so a waiter that observed
-// the close may read both without the lock.
-type sampleEntry struct {
-	key     SampleKey
-	state   sampleEntryState
-	ready   chan struct{}
-	sample  *cachedSample
-	size    int64
-	waiters int
-	elem    *list.Element
 }
 
 // cachedSample is an immutable snapshot of a post-prefix sample. The meta
@@ -100,7 +57,7 @@ type cachedSample struct {
 
 // snapshotSample clones a just-computed post-prefix sample into pooled
 // buffers. The caller keeps its own working payload. The returned snapshot
-// holds one reference (the cache's own).
+// holds one reference, the caller's.
 func snapshotSample(s Sample) *cachedSample {
 	cs := &cachedSample{meta: s}
 	cs.meta.Image, cs.meta.Volume, cs.meta.Tensor = nil, nil, nil
@@ -125,9 +82,12 @@ func snapshotSample(s Sample) *cachedSample {
 	return cs
 }
 
-func (cs *cachedSample) retain() { cs.refs.Add(1) }
+func (cs *cachedSample) Retain() { cs.refs.Add(1) }
 
-func (cs *cachedSample) release() {
+// Size is the snapshot's charge against the cache's byte budget.
+func (cs *cachedSample) Size() int64 { return cs.size }
+
+func (cs *cachedSample) Release() {
 	if cs.refs.Add(-1) != 0 {
 		return
 	}
@@ -160,296 +120,85 @@ func (cs *cachedSample) restore(ctx *Ctx) Sample {
 }
 
 // NewSampleCache returns a cache bounded to budget bytes of materialized
-// sample payload. blocking selects whether requesters may park on another
-// worker's in-flight computation: true only when the pipeline's procs run on
-// the wall clock (real data or emulate-time serving); a simulated clock's
-// procs must never block on channels the clock cannot see, so they bypass
-// in-flight entries instead.
-func NewSampleCache(budget int64, blocking bool) *SampleCache {
-	return &SampleCache{
-		budget:      budget,
-		blocking:    blocking,
-		waitTimeout: 30 * time.Second,
-		entries:     make(map[SampleKey]*sampleEntry),
-		lru:         list.New(),
+// sample payload, over the persistent store when disk is non-nil (a restart,
+// or a sibling job on the same spec, then warm-starts instead of
+// recomputing). blocking selects whether requesters may park on another
+// worker's in-flight prefix: true only when the pipeline's procs run on the
+// wall clock (real data or emulate-time serving); a simulated clock's procs
+// must never block on channels the clock cannot see, so they compute the
+// prefix privately instead (counted as bypassed).
+func NewSampleCache(budget int64, blocking bool, disk *store.Store) *SampleCache {
+	var tier cache.Tier[SampleKey, *cachedSample]
+	if disk != nil {
+		tier = diskSampleTier{disk}
 	}
+	return &SampleCache{sf: cache.New(budget, blocking, tier)}
 }
-
-// SetDisk attaches the persistent tier. Call before the cache is shared
-// across goroutines (the field is read without synchronization afterwards).
-func (sc *SampleCache) SetDisk(st *store.Store) { sc.disk = st }
 
 // SetBudget retargets the byte budget at runtime (the controller's cache
-// knob). Shrinking evicts LRU-first down to the new bound immediately;
-// victims re-spill to the disk tier, so a budget cut demotes entries
-// instead of destroying them.
-func (sc *SampleCache) SetBudget(budget int64) {
-	if budget <= 0 {
-		return
-	}
-	sc.mu.Lock()
-	sc.budget = budget
-	victims := sc.evictOverLocked()
-	sc.mu.Unlock()
-	for _, v := range victims {
-		if sc.disk != nil && !sc.disk.Contains(diskSampleKey(v.key)) {
-			sc.disk.PutAsync(diskSampleKey(v.key), encodeSnapshot(v.sample))
-		}
-		v.sample.release()
-	}
-}
+// knob).
+func (sc *SampleCache) SetBudget(budget int64) { sc.sf.SetBudget(budget) }
+
+// Stats returns a consistent copy of the counters.
+func (sc *SampleCache) Stats() cache.Stats { return sc.sf.Stats() }
+
+// diskSampleTier keeps sample snapshots in the persistent store through the
+// snapshot codec.
+type diskSampleTier struct{ st *store.Store }
 
 func diskSampleKey(key SampleKey) store.Key {
 	return store.Key{Kind: store.KindSample, FP: key.PrefixFP, A: uint64(key.Index)}
 }
 
-// diskLoad tries to restore a claimed key's snapshot from the persistent
-// tier. An undecodable record (despite the store's checksum, e.g. a codec
-// version skew) is dropped from the disk index so it is recomputed and
-// re-spilled instead of failing forever.
-func (sc *SampleCache) diskLoad(key SampleKey) *cachedSample {
-	if sc.disk == nil {
-		return nil
-	}
-	raw, ok := sc.disk.Get(diskSampleKey(key), nil)
+// Get restores a snapshot from disk. An undecodable record (despite the
+// store's checksum, e.g. a codec version skew) is dropped from the disk
+// index so it is recomputed and re-spilled instead of failing forever.
+func (t diskSampleTier) Get(key SampleKey) (*cachedSample, bool) {
+	raw, ok := t.st.Get(diskSampleKey(key), nil)
 	if !ok {
-		return nil
+		return nil, false
 	}
 	cs, err := decodeSnapshot(raw)
 	if err != nil {
-		sc.disk.Drop(diskSampleKey(key))
-		return nil
+		t.st.Drop(diskSampleKey(key))
+		return nil, false
 	}
-	return cs
+	return cs, true
+}
+
+// Put encodes only what the disk lacks; the store copies the bytes and
+// queues the append without blocking.
+func (t diskSampleTier) Put(key SampleKey, cs *cachedSample) {
+	if !t.st.Contains(diskSampleKey(key)) {
+		t.st.PutAsync(diskSampleKey(key), encodeSnapshot(cs))
+	}
 }
 
 // materialize returns the post-prefix sample for s, from the cache when
-// possible: hit (copy out), claim (consult the disk tier, else run the
-// prefix once, publish), wait (blocking mode), or bypass (non-blocking mode
-// / timed-out wait).
+// possible: a hit, the disk tier's copy, or another worker's in-flight
+// result is copied out; otherwise the prefix runs here — published if this
+// worker won the claim, privately if it may not wait (simulated clock) or
+// the wait timed out. A panic in a claimed prefix (an injected read error
+// surfacing through ReadBlob, a poisoned dataset) abandons the claim before
+// propagating, so waiters wake and retry instead of parking forever.
 func (sc *SampleCache) materialize(ctx *Ctx, c *Compose, pid, batchID, split int, s Sample) Sample {
 	key := SampleKey{PrefixFP: ctx.PrefixFP, Index: s.Index}
-	for {
-		hit, wait, claimed := sc.getOrClaim(key)
-		if hit != nil {
-			out := hit.restore(ctx)
-			hit.release()
-			return out
-		}
-		if claimed {
-			if cs := sc.diskLoad(key); cs != nil {
-				// Publish the disk copy as the memory entry. The extra
-				// retain pays for our own restore; fulfill's spill is
-				// skipped since the bytes are already on disk.
-				cs.retain()
-				sc.fulfill(key, cs, false)
-				out := cs.restore(ctx)
-				cs.release()
-				return out
-			}
-			return sc.computeAndFulfill(ctx, c, pid, batchID, split, key, s)
-		}
-		if !sc.blocking {
-			sc.mu.Lock()
-			sc.bypassed++
-			sc.mu.Unlock()
-			return c.applyRange(ctx, pid, batchID, s, 0, split)
-		}
-		cs, ok := sc.wait(wait)
-		if cs != nil {
-			out := cs.restore(ctx)
-			cs.release()
-			return out
-		}
-		if !ok {
-			// Timed out: compute privately without touching the stuck claim.
-			sc.mu.Lock()
-			sc.bypassed++
-			sc.mu.Unlock()
-			return c.applyRange(ctx, pid, batchID, s, 0, split)
-		}
-		// Owner abandoned: loop and race for the claim.
+	var out Sample
+	computed := false
+	cs, err := sc.sf.Acquire(key, ctx.Abort, func() (*cachedSample, error) {
+		out = c.applyRange(ctx, pid, batchID, s, 0, split)
+		computed = true
+		return snapshotSample(out), nil
+	})
+	if err != nil {
+		// The epoch was aborted while this worker was parked on another
+		// session's prefix: finish the sample privately so the worker gets
+		// back to its queue and the teardown's Drain is not held up.
+		return c.applyRange(ctx, pid, batchID, s, 0, split)
 	}
-}
-
-// computeAndFulfill runs the prefix for a claimed key and publishes the
-// snapshot. A panic in the prefix (an injected read error surfacing through
-// ReadBlob, a poisoned dataset) abandons the claim before propagating, so
-// waiters wake and retry instead of parking forever.
-func (sc *SampleCache) computeAndFulfill(ctx *Ctx, c *Compose, pid, batchID, split int, key SampleKey, s Sample) Sample {
-	done := false
-	defer func() {
-		if !done {
-			sc.abandon(key)
-		}
-	}()
-	out := c.applyRange(ctx, pid, batchID, s, 0, split)
-	sc.fulfill(key, snapshotSample(out), true)
-	done = true
+	if !computed {
+		out = cs.restore(ctx)
+	}
+	cs.Release()
 	return out
-}
-
-// getOrClaim mirrors BatchCache.GetOrClaim: exactly one of hit / wait /
-// claimed is meaningful. A hit carries a reference for the caller; a wait
-// return registers the caller (its reference is pre-paid by fulfill); a
-// claim obligates the caller to fulfill or abandon.
-func (sc *SampleCache) getOrClaim(key SampleKey) (hit *cachedSample, wait *sampleEntry, claimed bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if e, ok := sc.entries[key]; ok {
-		if e.state == sampleReady {
-			sc.hits++
-			sc.lru.MoveToBack(e.elem)
-			e.sample.retain()
-			return e.sample, nil, false
-		}
-		if !sc.blocking {
-			// Bypassers never register; the caller handles the bypass.
-			return nil, e, false
-		}
-		sc.waits++
-		e.waiters++
-		return nil, e, false
-	}
-	sc.misses++
-	sc.entries[key] = &sampleEntry{key: key, ready: make(chan struct{})}
-	return nil, nil, true
-}
-
-// wait parks on an in-flight entry. cs != nil: ready, reference pre-paid.
-// cs == nil, ok == true: abandoned, retry the claim. cs == nil, ok == false:
-// timed out (the waiter was unregistered; compute privately).
-func (sc *SampleCache) wait(e *sampleEntry) (cs *cachedSample, ok bool) {
-	var timeoutCh <-chan time.Time
-	if sc.waitTimeout > 0 {
-		t := time.NewTimer(sc.waitTimeout)
-		defer t.Stop()
-		timeoutCh = t.C
-	}
-	select {
-	case <-e.ready:
-		if e.state == sampleReady {
-			return e.sample, true
-		}
-		return nil, true // abandoned
-	case <-timeoutCh:
-		sc.unregister(e)
-		return nil, false
-	}
-}
-
-// unregister withdraws a waiter that gave up; if the entry resolved
-// concurrently, the pre-paid reference is returned instead.
-func (sc *SampleCache) unregister(e *sampleEntry) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	select {
-	case <-e.ready:
-		if e.state == sampleReady {
-			e.sample.release()
-		}
-	default:
-		e.waiters--
-	}
-}
-
-// fulfill publishes the snapshot for a claimed key: the snapshot arrives
-// holding the cache's reference, one more is pre-paid per registered waiter,
-// the entry joins the LRU, and overflow victims are released outside the
-// lock. spill asks for an async write-through to the disk tier (false when
-// the snapshot itself came from disk); eviction victims re-spill regardless
-// so budget pressure demotes entries instead of destroying them.
-func (sc *SampleCache) fulfill(key SampleKey, cs *cachedSample, spill bool) {
-	sc.mu.Lock()
-	e, ok := sc.entries[key]
-	if !ok || e.state != sampleInFlight {
-		sc.mu.Unlock()
-		panic("pipeline: SampleCache fulfill on a key the caller does not own")
-	}
-	for i := 0; i < e.waiters; i++ {
-		cs.retain()
-	}
-	e.sample = cs
-	e.size = cs.size
-	e.state = sampleReady
-	e.elem = sc.lru.PushBack(e)
-	sc.used += e.size
-	victims := sc.evictOverLocked()
-	close(e.ready)
-	sc.mu.Unlock()
-	if spill && sc.disk != nil {
-		sc.disk.PutAsync(diskSampleKey(key), encodeSnapshot(cs))
-	}
-	for _, v := range victims {
-		if sc.disk != nil && !sc.disk.Contains(diskSampleKey(v.key)) {
-			sc.disk.PutAsync(diskSampleKey(v.key), encodeSnapshot(v.sample))
-		}
-		v.sample.release()
-	}
-}
-
-// abandon resolves a claimed key without data; waiters wake and race to
-// re-claim. Abandoning a key that is not an in-flight claim is a no-op.
-func (sc *SampleCache) abandon(key SampleKey) {
-	sc.mu.Lock()
-	e, ok := sc.entries[key]
-	if !ok || e.state != sampleInFlight {
-		sc.mu.Unlock()
-		return
-	}
-	e.state = sampleAbandoned
-	delete(sc.entries, key)
-	sc.abandoned++
-	close(e.ready)
-	sc.mu.Unlock()
-}
-
-// evictOverLocked pops LRU entries until used fits the budget, returning the
-// victim entries (key + snapshot) so the caller can re-spill them to the
-// disk tier and release the cache references outside the lock. Only ready
-// entries are listed; refcounts keep a victim's pixels alive for readers
-// still copying them out.
-func (sc *SampleCache) evictOverLocked() []*sampleEntry {
-	var victims []*sampleEntry
-	for sc.used > sc.budget && sc.lru.Len() > 0 {
-		e := sc.lru.Remove(sc.lru.Front()).(*sampleEntry)
-		delete(sc.entries, e.key)
-		sc.used -= e.size
-		sc.evicted++
-		victims = append(victims, e)
-	}
-	return victims
-}
-
-// SampleCacheStats is the JSON form of the cache counters for /metrics.
-// Misses count prefix executions that populated the cache; bypassed counts
-// prefix executions that ran privately past an in-flight entry (simulated
-// clocks, timed-out waits).
-type SampleCacheStats struct {
-	Hits             int64 `json:"hits"`
-	Misses           int64 `json:"misses"`
-	SingleflightWait int64 `json:"singleflight_waits"`
-	Bypassed         int64 `json:"bypassed"`
-	Evicted          int64 `json:"evicted"`
-	Abandoned        int64 `json:"abandoned"`
-	Entries          int   `json:"entries"`
-	BytesUsed        int64 `json:"bytes_used"`
-	BytesBudget      int64 `json:"bytes_budget"`
-}
-
-// Stats returns a consistent copy of the counters.
-func (sc *SampleCache) Stats() SampleCacheStats {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return SampleCacheStats{
-		Hits:             sc.hits,
-		Misses:           sc.misses,
-		SingleflightWait: sc.waits,
-		Bypassed:         sc.bypassed,
-		Evicted:          sc.evicted,
-		Abandoned:        sc.abandoned,
-		Entries:          len(sc.entries),
-		BytesUsed:        sc.used,
-		BytesBudget:      sc.budget,
-	}
 }

@@ -3,13 +3,16 @@ package pipeline
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"lotus/internal/clock"
 	"lotus/internal/data"
 	"lotus/internal/imaging"
 	"lotus/internal/native"
 	"lotus/internal/tensor"
+	"lotus/internal/testutil"
 )
 
 // samplesEqual compares two per-batch payload maps element for element.
@@ -38,7 +41,7 @@ func samplesEqual(t *testing.T, label string, want, got map[int][]float32) {
 func TestSampleCacheByteIdentityAcrossEpochs(t *testing.T) {
 	const n = 24
 	ds := fastRealDataset(n, 3)
-	cache := NewSampleCache(64<<20, true)
+	cache := NewSampleCache(64<<20, true, nil)
 	const fp = 0x5eedca11
 	for _, epoch := range []int{0, 1} {
 		want := runRealEpoch(t, ds, 2, epoch, nil, 0)
@@ -69,7 +72,7 @@ func TestSampleCacheByteIdentityAcrossEpochs(t *testing.T) {
 func TestSampleCacheSingleFlight(t *testing.T) {
 	const procs = 8
 	ds := fastRealDataset(2, 3)
-	cache := NewSampleCache(64<<20, true)
+	cache := NewSampleCache(64<<20, true, nil)
 	results := make([][]float32, procs)
 	clk := clock.NewReal()
 	clk.Run("main", func(p clock.Proc) {
@@ -121,7 +124,7 @@ func TestSampleCacheSingleFlight(t *testing.T) {
 func TestSampleCacheEvictionChurn(t *testing.T) {
 	const n = 12
 	ds := fastRealDataset(n, 3)
-	cache := NewSampleCache(1, true)
+	cache := NewSampleCache(1, true, nil)
 	for _, epoch := range []int{0, 1} {
 		want := runRealEpoch(t, ds, 2, epoch, nil, 0)
 		got := runRealEpoch(t, ds, 2, epoch, cache, 0x2)
@@ -163,7 +166,7 @@ func (f *flakyDeterministic) Apply(ctx *Ctx, s Sample) Sample {
 // the claim (so waiters retry instead of parking forever) and leave the cache
 // able to serve the key once the fault clears.
 func TestSampleCacheAbandonOnPanic(t *testing.T) {
-	cache := NewSampleCache(1<<20, true)
+	cache := NewSampleCache(1<<20, true, nil)
 	engine := native.NewEngine(native.Intel, native.DefaultCPU())
 	c := NewCompose(&flakyDeterministic{fails: 1}, &RandomHorizontalFlip{})
 	sim := clock.NewSim()
@@ -197,7 +200,7 @@ func TestSampleCacheAbandonOnPanic(t *testing.T) {
 // computes privately, keeping the sim scheduler's no-foreign-blocking
 // invariant.
 func TestSampleCacheNonBlockingBypass(t *testing.T) {
-	cache := NewSampleCache(1<<20, false)
+	cache := NewSampleCache(1<<20, false, nil)
 	engine := native.NewEngine(native.Intel, native.DefaultCPU())
 	sim := clock.NewSim()
 	sim.Run("main", func(p clock.Proc) {
@@ -224,6 +227,79 @@ func TestSampleCacheNonBlockingBypass(t *testing.T) {
 	}
 }
 
+// stuckOnce is a deterministic prefix op whose first application parks until
+// released — a claim owner that has stopped making progress. Every later
+// application passes straight through.
+type stuckOnce struct {
+	taken   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *stuckOnce) Name() string        { return "StuckOnce" }
+func (g *stuckOnce) Deterministic() bool { return true }
+func (g *stuckOnce) Kernels() []string   { return nil }
+func (g *stuckOnce) Apply(ctx *Ctx, s Sample) Sample {
+	if g.taken.CompareAndSwap(false, true) {
+		close(g.entered)
+		<-g.release
+	}
+	return s
+}
+
+// TestSampleCacheWaiterHonorsEpochAbort: a worker parked on another
+// session's in-flight prefix must leave the wait when its own epoch is
+// aborted, so a severed session's Drain is bounded by its own work and not
+// by the foreign owner's progress (or the 30 s single-flight timeout).
+func TestSampleCacheWaiterHonorsEpochAbort(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	ds := fastRealDataset(4, 3)
+	cache := NewSampleCache(64<<20, true, nil)
+	const fp = 0xab027
+	gate := &stuckOnce{entered: make(chan struct{}), release: make(chan struct{})}
+	compose := NewCompose(gate, &Loader{IO: ds.IO}, &Resize{W: 32, H: 32},
+		&RandomHorizontalFlip{}, &ToTensor{})
+
+	// Session A claims sample 0 and gets stuck inside its prefix.
+	ownerDone := make(chan struct{})
+	go func() {
+		defer close(ownerDone)
+		clock.NewReal().Run("owner", func(p clock.Proc) {
+			ctx := &Ctx{Proc: p, Mode: RealData, Seed: 5, MaterializeDim: 64,
+				SampleCache: cache, PrefixFP: fp}
+			rec := ds.Record(0)
+			compose.Apply(ctx, WorkerPID(0), 0, Sample{Index: 0, FileBytes: rec.FileBytes,
+				Seed: rec.Seed, Width: rec.Width, Height: rec.Height, Channels: 3})
+		})
+	}()
+	<-gate.entered
+
+	// Session B's only worker reaches sample 0 first and parks on A's claim.
+	clk := clock.NewReal()
+	dl := NewDataLoader(clk, NewImageFolder(ds, compose), Config{
+		BatchSize: 4, NumWorkers: 1, Seed: 5, Mode: RealData, MaterializeDim: 64,
+		SampleCache: cache, PrefixFP: fp,
+	})
+	clk.Run("main", func(p clock.Proc) {
+		it := dl.Start(p)
+		for deadline := time.Now().Add(10 * time.Second); cache.Stats().SingleflightWait == 0; {
+			if time.Now().After(deadline) {
+				t.Error("session B never waited on session A's claim; the test exercises nothing")
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		start := time.Now()
+		it.Abort()
+		it.Drain(p)
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("aborted epoch took %v to drain behind a foreign in-flight prefix, want < 2s", d)
+		}
+	})
+	close(gate.release)
+	<-ownerDone
+}
+
 // TestCachedSampleRefcountSurvivesEviction: an evicted entry's pixels must
 // stay valid for a reader that retained it before the eviction, through
 // arbitrary pool churn, and return to the pool only on the final release.
@@ -236,8 +312,8 @@ func TestCachedSampleRefcountSurvivesEviction(t *testing.T) {
 	cs := snapshotSample(s)
 	im.Release()
 
-	cs.retain()  // a reader mid-copy
-	cs.release() // the cache evicts the entry
+	cs.Retain()  // a reader mid-copy
+	cs.Release() // the cache evicts the entry
 
 	// Churn the pool: if the eviction freed the buffer early, one of these
 	// gets handed the reader's pixels.
@@ -253,7 +329,7 @@ func TestCachedSampleRefcountSurvivesEviction(t *testing.T) {
 			t.Fatalf("retained snapshot mutated at %d: eviction released pixels under a live reader", i)
 		}
 	}
-	cs.release() // reader done: now the buffer really retires
+	cs.Release() // reader done: now the buffer really retires
 }
 
 // TestRandomResizedCropDegenerateBufferDiscipline hammers the real-mode

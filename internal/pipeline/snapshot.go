@@ -38,7 +38,11 @@ const (
 // the returned slice is freshly allocated and safe to hand to the store.
 func encodeSnapshot(cs *cachedSample) []byte {
 	m := cs.meta
-	buf := make([]byte, 0, 75+int(cs.size))
+	payload := 0 // a meta-only snapshot's size is modeled, not bytes to write
+	if cs.img != nil || cs.vol != nil || cs.ten != nil {
+		payload = int(cs.size)
+	}
+	buf := make([]byte, 0, 75+payload)
 	buf = append(buf, snapshotVersion)
 	for _, v := range []int64{int64(m.Index), int64(m.Label), int64(m.FileBytes), m.Seed,
 		int64(m.Width), int64(m.Height), int64(m.Depth), int64(m.Channels)} {
@@ -141,7 +145,7 @@ func snapDim(d *snapDecoder) int {
 
 // decodeSnapshot reconstructs a cached sample from its byte form. Payloads
 // land in pooled buffers, exactly as snapshotSample would have produced
-// them; the returned snapshot holds one reference (the cache's own).
+// them; the returned snapshot holds one reference, the caller's.
 func decodeSnapshot(b []byte) (*cachedSample, error) {
 	d := &snapDecoder{b: b}
 	if v := d.u8(); d.err == nil && v != snapshotVersion {
@@ -161,6 +165,9 @@ func decodeSnapshot(b []byte) (*cachedSample, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
+	if m.Dtype != tensor.Uint8 && m.Dtype != tensor.Float32 {
+		return nil, fmt.Errorf("pipeline: snapshot sample dtype %d unsupported", m.Dtype)
+	}
 	cs := &cachedSample{meta: m}
 	fail := func(err error) (*cachedSample, error) {
 		cs.img.Release()
@@ -169,7 +176,9 @@ func decodeSnapshot(b []byte) (*cachedSample, error) {
 	}
 	switch tag {
 	case snapNone:
-		cs.size = int64(m.RawBytes())
+		if cs.size = int64(m.RawBytes()); cs.size < 0 {
+			return nil, fmt.Errorf("pipeline: snapshot models a negative size (%d bytes)", cs.size)
+		}
 	case snapImage:
 		w, h := snapDim(d), snapDim(d)
 		if d.err != nil {
@@ -205,14 +214,21 @@ func decodeSnapshot(b []byte) (*cachedSample, error) {
 		if ndim > 8 {
 			return nil, fmt.Errorf("pipeline: snapshot tensor rank %d out of range", ndim)
 		}
+		// Every element costs at least one input byte, so an element count
+		// past the input's length is damage — caught here, before the
+		// product can overflow or size an allocation.
 		shape := make([]int, ndim)
+		n := 1
 		for i := range shape {
 			shape[i] = snapDim(d)
+			if d.err == nil && n > len(b)/shape[i] {
+				d.err = fmt.Errorf("pipeline: snapshot tensor shape exceeds its %d-byte record", len(b))
+			}
+			n *= shape[i]
 		}
 		if d.err != nil {
 			return nil, d.err
 		}
-		n := tensor.NumElems(shape)
 		t := tensor.Meta(dt, shape...)
 		switch dt {
 		case tensor.Uint8:

@@ -28,22 +28,16 @@ func roundTrip(t *testing.T, cs *cachedSample) *cachedSample {
 	return got
 }
 
-func TestSnapshotRoundTripImage(t *testing.T) {
+func imageSample() Sample {
 	s := snapMeta(3)
 	s.Image = imaging.NewImage(8, 6)
 	for i := range s.Image.Pix {
 		s.Image.Pix[i] = byte(i * 3)
 	}
-	cs := snapshotSample(s)
-	got := roundTrip(t, cs)
-	if got.img == nil || !bytes.Equal(got.img.Pix, s.Image.Pix) {
-		t.Fatal("image pixels did not survive the round trip")
-	}
-	got.release()
-	cs.release()
+	return s
 }
 
-func TestSnapshotRoundTripVolume(t *testing.T) {
+func volumeSample() Sample {
 	s := snapMeta(4)
 	s.Dtype = tensor.Float32
 	s.Depth, s.Channels = 3, 1
@@ -51,6 +45,36 @@ func TestSnapshotRoundTripVolume(t *testing.T) {
 	for i := range s.Volume.Vox {
 		s.Volume.Vox[i] = float32(i) * 0.25
 	}
+	return s
+}
+
+func tensorSample(dt tensor.DType) Sample {
+	s := snapMeta(5)
+	s.Dtype = dt
+	s.Tensor = tensor.Zeros(dt, 2, 3, 4)
+	for i := 0; i < s.Tensor.Len(); i++ {
+		if dt == tensor.Uint8 {
+			s.Tensor.U8[i] = byte(i)
+		} else {
+			s.Tensor.F32[i] = float32(i) * 1.5
+		}
+	}
+	return s
+}
+
+func TestSnapshotRoundTripImage(t *testing.T) {
+	s := imageSample()
+	cs := snapshotSample(s)
+	got := roundTrip(t, cs)
+	if got.img == nil || !bytes.Equal(got.img.Pix, s.Image.Pix) {
+		t.Fatal("image pixels did not survive the round trip")
+	}
+	got.Release()
+	cs.Release()
+}
+
+func TestSnapshotRoundTripVolume(t *testing.T) {
+	s := volumeSample()
 	cs := snapshotSample(s)
 	got := roundTrip(t, cs)
 	if got.vol == nil || got.vol.D != 3 || got.vol.H != 6 || got.vol.W != 8 {
@@ -61,23 +85,14 @@ func TestSnapshotRoundTripVolume(t *testing.T) {
 			t.Fatalf("vox %d: %v != %v", i, v, s.Volume.Vox[i])
 		}
 	}
-	got.release()
-	cs.release()
+	got.Release()
+	cs.Release()
 }
 
 func TestSnapshotRoundTripTensor(t *testing.T) {
 	for _, dt := range []tensor.DType{tensor.Uint8, tensor.Float32} {
-		s := snapMeta(5)
-		s.Dtype = dt
-		tt := tensor.Zeros(dt, 2, 3, 4)
-		for i := 0; i < tt.Len(); i++ {
-			if dt == tensor.Uint8 {
-				tt.U8[i] = byte(i)
-			} else {
-				tt.F32[i] = float32(i) * 1.5
-			}
-		}
-		s.Tensor = tt
+		s := tensorSample(dt)
+		tt := s.Tensor
 		cs := snapshotSample(s)
 		got := roundTrip(t, cs)
 		if got.ten == nil || got.ten.Dtype != dt || got.ten.Len() != tt.Len() {
@@ -93,8 +108,8 @@ func TestSnapshotRoundTripTensor(t *testing.T) {
 				}
 			}
 		}
-		got.release()
-		cs.release()
+		got.Release()
+		cs.Release()
 	}
 }
 
@@ -109,15 +124,15 @@ func TestSnapshotRoundTripSimulatedMeta(t *testing.T) {
 	if got.size != int64(s.RawBytes()) {
 		t.Fatalf("modeled size lost: %d != %d", got.size, s.RawBytes())
 	}
-	got.release()
-	cs.release()
+	got.Release()
+	cs.Release()
 }
 
 func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 	s := snapMeta(7)
 	s.Image = imaging.NewImage(8, 6)
 	cs := snapshotSample(s)
-	defer cs.release()
+	defer cs.Release()
 	enc := encodeSnapshot(cs)
 	cases := map[string][]byte{
 		"empty":      {},
@@ -140,4 +155,35 @@ func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 			t.Fatalf("%s: decode accepted damaged snapshot", name)
 		}
 	}
+}
+
+// FuzzDecodeSnapshot drives arbitrary bytes through the decoder the disk
+// tier feeds. It must never panic; whatever it accepts must re-encode to the
+// very bytes it was given (the codec is canonical, so a record read back from
+// disk is the record that was written), and a payload is never larger than
+// the input that carried it — geometry fields cannot demand an allocation
+// the record does not pay for.
+func FuzzDecodeSnapshot(f *testing.F) {
+	for _, s := range []Sample{imageSample(), volumeSample(),
+		tensorSample(tensor.Uint8), tensorSample(tensor.Float32), snapMeta(6)} {
+		cs := snapshotSample(s)
+		f.Add(encodeSnapshot(cs))
+		cs.Release()
+	}
+	f.Add([]byte{})
+	f.Add([]byte{snapshotVersion})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cs, err := decodeSnapshot(data) // must not panic
+		if err != nil {
+			return
+		}
+		defer cs.Release()
+		if (cs.img != nil || cs.vol != nil || cs.ten != nil) && cs.size > int64(len(data)) {
+			t.Fatalf("decoded a %d-byte payload out of %d input bytes", cs.size, len(data))
+		}
+		if enc := encodeSnapshot(cs); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted snapshot does not re-encode to its input:\n in  %x\n out %x", data, enc)
+		}
+	})
 }

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"container/list"
-	"errors"
-	"sync"
-	"time"
+	"lotus/internal/cache"
+	"lotus/internal/store"
 )
 
 // BatchCache is the server-wide materialized-batch cache: canonical encoded
@@ -16,26 +14,9 @@ import (
 // turns the N-clients serving plateau into fan-out: N ranks, cluster ShardReq
 // routes, and replication fetches share one preprocessing pass per batch.
 //
-// Frames are refcounted (Frame) so an entry can be evicted while sessions
-// are still writing its bytes to their sockets; eviction follows the LRU
-// byte-budget discipline of internal/data.PageCache (container/list, front =
-// least recently used, O(1) everything). The budget is a soft bound at the
-// granularity of one frame: a frame is always published first and evicted
-// by the overflow scan second, so a single frame larger than the whole
-// budget still serves its waiters before leaving.
-type BatchCache struct {
-	mu      sync.Mutex
-	budget  int64
-	used    int64
-	entries map[BatchKey]*cacheEntry
-	lru     *list.List // of *cacheEntry; only ready entries are listed
-	// spill, when set, receives every published frame and every eviction
-	// victim (outside mu, frame reference NOT transferred) so a persistent
-	// tier can write-through asynchronously.
-	spill func(BatchKey, *Frame)
-
-	hits, misses, waits, evicted, abandoned int64
-}
+// The state machine, refcounting and LRU byte budget are cache.SingleFlight's;
+// this file adds only the key and the disk tier underneath.
+type BatchCache = cache.SingleFlight[BatchKey, *Frame]
 
 // BatchKey identifies one materialized batch frame. Fingerprint pins the
 // frame-determining spec parameters (SpecFingerprint), so a reconfigured
@@ -46,312 +27,52 @@ type BatchKey struct {
 	GlobalID    int
 }
 
-type entryState int
-
-const (
-	entryInFlight entryState = iota
-	entryReady
-	entryAbandoned
-)
-
-// cacheEntry is one key's slot: in-flight (owner computing, waiters parked on
-// ready), ready (frame published), or abandoned (owner failed; waiters retry).
-// state and frame are written only while holding BatchCache.mu and only
-// before close(ready), so a waiter that has observed the close may read both
-// without the lock.
-type cacheEntry struct {
-	key     BatchKey
-	state   entryState
-	owner   int
-	ready   chan struct{}
-	frame   *Frame
-	size    int64
-	waiters int
-	elem    *list.Element
+// NewBatchCache returns a cache bounded to budget bytes of frame payload,
+// over the persistent store when disk is non-nil: a restarted (or sibling)
+// server then serves previously produced frames byte-identical without
+// recomputing — the tf.data-service cross-job reuse model over a Seneca-style
+// SSD tier. The sample cache shares the same Store (one budget, one segment
+// sequence, one manifest); the Kind byte in the key keeps the namespaces
+// disjoint.
+func NewBatchCache(budget int64, disk *store.Store) *BatchCache {
+	var tier cache.Tier[BatchKey, *Frame]
+	if disk != nil {
+		tier = diskBatchTier{disk}
+	}
+	return cache.New(budget, true, tier)
 }
 
-// ErrCacheWaitTimeout reports that an in-flight computation outlived the
-// waiter's patience; callers fall back to computing the batch themselves.
-var ErrCacheWaitTimeout = errors.New("serve: batch cache wait timed out")
+// diskBatchTier stores encoded batch frames in the persistent store as they
+// are: the wire bytes are the record.
+type diskBatchTier struct{ st *store.Store }
 
-// NewBatchCache returns a cache bounded to budget bytes of frame payload.
-func NewBatchCache(budget int64) *BatchCache {
-	return &BatchCache{
-		budget:  budget,
-		entries: make(map[BatchKey]*cacheEntry),
-		lru:     list.New(),
-	}
+func diskBatchKey(k BatchKey) store.Key {
+	return store.Key{Kind: store.KindBatch, FP: k.Fingerprint,
+		A: uint64(k.Epoch), B: uint64(k.GlobalID)}
 }
 
-// SetSpill installs the write-through hook for the persistent tier. Call
-// before the cache is shared across goroutines (the field is read without
-// synchronization afterwards). The hook runs outside the cache lock, on the
-// fulfilling goroutine, and must not retain the frame beyond the call
-// unless it takes its own reference.
-func (c *BatchCache) SetSpill(fn func(BatchKey, *Frame)) { c.spill = fn }
-
-// SetBudget retargets the byte budget at runtime (the controller's cache
-// knob). Shrinking evicts LRU-first down to the new bound immediately;
-// victims spill to the disk tier like any other eviction, so a budget cut
-// demotes bytes instead of destroying them.
-func (c *BatchCache) SetBudget(budget int64) {
-	if budget <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.budget = budget
-	victims := c.evictOverLocked()
-	c.mu.Unlock()
-	for _, v := range victims {
-		if c.spill != nil {
-			c.spill(v.key, v.frame)
+// Get reads one frame into a pooled buffer. The store verifies the record
+// checksum; on a miss (or corruption, degraded to a miss) the pooled buffer
+// goes straight back to its pool.
+func (t diskBatchTier) Get(key BatchKey) (*Frame, bool) {
+	var box *[]byte
+	_, ok := t.st.Get(diskBatchKey(key), func(n int) []byte {
+		box = frameBufFor(n)
+		*box = (*box)[:n]
+		return *box
+	})
+	if !ok {
+		if box != nil {
+			*box = (*box)[:0]
+			frameBufPool.Put(box)
 		}
-		v.frame.Release()
+		return nil, false
 	}
+	return newFrame(box), true
 }
 
-// Claim registers owner as the computer of key if and only if no entry
-// exists, without blocking and without touching any frame. Sessions claim
-// their whole shard up front at epoch start, which partitions the epoch's
-// compute across concurrent sessions exactly once; the stream then fills
-// claimed slots from the session's own pipeline and everything else from the
-// cache. A true return obligates the caller to eventually Fulfill or Abandon
-// the key.
-func (c *BatchCache) Claim(key BatchKey, owner int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return false
-	}
-	c.misses++
-	c.entries[key] = &cacheEntry{
-		key:   key,
-		owner: owner,
-		ready: make(chan struct{}),
-	}
-	return true
-}
-
-// TryGet is a non-blocking probe: a ready entry returns a retained frame
-// (counted as a hit and freshened in the LRU); an absent or in-flight entry
-// returns nil without registering the caller as anything. The coalescing
-// write path uses it to keep batching frames that are already materialized
-// without committing to a blocking Wait.
-func (c *BatchCache) TryGet(key BatchKey) *Frame {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok && e.state == entryReady {
-		c.hits++
-		c.lru.MoveToBack(e.elem)
-		return e.frame.Retain()
-	}
-	return nil
-}
-
-// GetOrClaim is the streaming-side lookup. Exactly one of the three results
-// is meaningful:
-//
-//   - hit != nil: ready entry; hit carries a reference for the caller.
-//   - wait != nil: another owner is computing; pass it to Wait. The caller is
-//     registered as a waiter and MUST call Wait (its reference to the
-//     eventual frame is pre-paid).
-//   - claimed == true: the caller owns the key and must Fulfill or Abandon.
-func (c *BatchCache) GetOrClaim(key BatchKey, owner int) (hit *Frame, wait *cacheEntry, claimed bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		if e.state == entryReady {
-			c.hits++
-			c.lru.MoveToBack(e.elem)
-			return e.frame.Retain(), nil, false
-		}
-		c.waits++
-		e.waiters++
-		return nil, e, false
-	}
-	c.misses++
-	c.entries[key] = &cacheEntry{
-		key:   key,
-		owner: owner,
-		ready: make(chan struct{}),
-	}
-	return nil, nil, true
-}
-
-// Wait parks on an in-flight entry until the owner resolves it, the caller's
-// cancel fires, or timeout (0 = no timeout) elapses. On ok=true the returned
-// frame carries a reference for the caller. ok=false with a nil error means
-// the owner abandoned the claim: retry GetOrClaim (the caller typically wins
-// the claim and computes the batch itself).
-func (c *BatchCache) Wait(e *cacheEntry, cancel <-chan struct{}, timeout time.Duration) (*Frame, bool, error) {
-	var timeoutCh <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		timeoutCh = t.C
-	}
-	select {
-	case <-e.ready:
-		if e.state == entryReady {
-			return e.frame, true, nil // reference pre-paid by Fulfill
-		}
-		return nil, false, nil // abandoned
-	case <-cancel:
-		return nil, false, c.unregister(e, errWaitCanceled)
-	case <-timeoutCh:
-		return nil, false, c.unregister(e, ErrCacheWaitTimeout)
-	}
-}
-
-var errWaitCanceled = errors.New("serve: batch cache wait canceled")
-
-// unregister withdraws a waiter that gave up. If the entry resolved
-// concurrently, the pre-paid reference is returned instead.
-func (c *BatchCache) unregister(e *cacheEntry, err error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	select {
-	case <-e.ready:
-		if e.state == entryReady {
-			e.frame.Release()
-		}
-	default:
-		e.waiters--
-	}
-	return err
-}
-
-// Fulfill publishes the frame for a key the caller claimed. The cache takes
-// its own reference and pre-pays one per registered waiter; the caller keeps
-// the reference it arrived with. Entries over budget are evicted LRU-first
-// after the insert.
-func (c *BatchCache) Fulfill(key BatchKey, f *Frame) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok || e.state != entryInFlight {
-		c.mu.Unlock()
-		panic("serve: BatchCache.Fulfill on a key the caller does not own")
-	}
-	for i := 0; i < e.waiters+1; i++ { // waiters + the cache's own reference
-		f.Retain()
-	}
-	e.frame = f
-	e.size = int64(f.Len())
-	e.state = entryReady
-	e.elem = c.lru.PushBack(e)
-	c.used += e.size
-	victims := c.evictOverLocked()
-	close(e.ready)
-	c.mu.Unlock()
-	if c.spill != nil {
-		c.spill(key, f)
-	}
-	for _, v := range victims {
-		if c.spill != nil {
-			c.spill(v.key, v.frame)
-		}
-		v.frame.Release()
-	}
-}
-
-// Abandon resolves a claimed key without data: the entry leaves the cache and
-// every waiter wakes to retry (one of them will claim the key). Owners call
-// it on pipeline failure, epoch abort, or session teardown; abandoning a key
-// that is not an in-flight claim is a no-op, so cleanup paths may call it
-// unconditionally.
-func (c *BatchCache) Abandon(key BatchKey) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok || e.state != entryInFlight {
-		c.mu.Unlock()
-		return
-	}
-	e.state = entryAbandoned
-	delete(c.entries, key)
-	c.abandoned++
-	close(e.ready)
-	c.mu.Unlock()
-}
-
-// Acquire obtains key's frame whatever it takes: cache hit, waiting out
-// another session's in-flight computation (bounded by timeout), or computing
-// it via compute after claiming. The returned frame always carries a
-// reference for the caller. A timed-out wait computes the batch locally
-// without touching the stuck claim — liveness never depends on another
-// session's progress.
-func (c *BatchCache) Acquire(key BatchKey, owner int, cancel <-chan struct{}, timeout time.Duration,
-	compute func() (*Frame, error)) (*Frame, error) {
-	for {
-		hit, wait, claimed := c.GetOrClaim(key, owner)
-		if hit != nil {
-			return hit, nil
-		}
-		if claimed {
-			f, err := compute()
-			if err != nil {
-				c.Abandon(key)
-				return nil, err
-			}
-			c.Fulfill(key, f)
-			return f, nil
-		}
-		f, ok, err := c.Wait(wait, cancel, timeout)
-		if err != nil {
-			if errors.Is(err, ErrCacheWaitTimeout) {
-				return compute()
-			}
-			return nil, err
-		}
-		if ok {
-			return f, nil
-		}
-		// Owner abandoned: loop and race for the claim.
-	}
-}
-
-// evictOverLocked pops LRU entries until used fits the budget, returning the
-// victim entries (key + frame) so the caller can offer them to the spill
-// hook and release the cache references outside the lock. In-flight entries
-// are never listed, so only ready frames are evictable; refcounts keep a
-// victim's bytes alive for any session still streaming them.
-func (c *BatchCache) evictOverLocked() []*cacheEntry {
-	var victims []*cacheEntry
-	for c.used > c.budget && c.lru.Len() > 0 {
-		e := c.lru.Remove(c.lru.Front()).(*cacheEntry)
-		delete(c.entries, e.key)
-		c.used -= e.size
-		c.evicted++
-		victims = append(victims, e)
-	}
-	return victims
-}
-
-// BatchCacheStats is the JSON form of the cache counters for /metrics.
-type BatchCacheStats struct {
-	Hits             int64 `json:"hits"`
-	Misses           int64 `json:"misses"`
-	SingleflightWait int64 `json:"singleflight_waits"`
-	Evicted          int64 `json:"evicted"`
-	Abandoned        int64 `json:"abandoned"`
-	Entries          int   `json:"entries"`
-	BytesUsed        int64 `json:"bytes_used"`
-	BytesBudget      int64 `json:"bytes_budget"`
-}
-
-// Stats returns a consistent copy of the counters. Misses count claims, i.e.
-// pipeline executions started; hits and singleflight waits are requests
-// served without one.
-func (c *BatchCache) Stats() BatchCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return BatchCacheStats{
-		Hits:             c.hits,
-		Misses:           c.misses,
-		SingleflightWait: c.waits,
-		Evicted:          c.evicted,
-		Abandoned:        c.abandoned,
-		Entries:          len(c.entries),
-		BytesUsed:        c.used,
-		BytesBudget:      c.budget,
-	}
+// Put never blocks the serving path: the store dedups keys already on disk
+// and copies the bytes before PutAsync returns.
+func (t diskBatchTier) Put(key BatchKey, f *Frame) {
+	t.st.PutAsync(diskBatchKey(key), f.Bytes())
 }

@@ -93,7 +93,8 @@ func (w *frameWriter) add(f *Frame, cancel <-chan struct{}) error {
 	hdr := &w.hdrs[i]
 	putU32(hdr[:], uint32(len(payload)))
 	w.bufs = append(w.bufs, hdr[:], payload)
-	w.held = append(w.held, f.Retain())
+	f.Retain()
+	w.held = append(w.held, f)
 	w.pend += len(payload) + 4
 	if i == 0 {
 		w.firstAdd = time.Now()

@@ -14,7 +14,7 @@ import (
 // ownership, power-of-two size classes, zero steady-state allocation.
 //
 // Reference rules: every *Frame a caller receives (encodeBatchFrame, cache
-// GetOrClaim hit, cache Wait, cache Acquire) carries one reference owned by
+// TryGet, cache Acquire) carries one reference owned by
 // that caller, released with exactly one Release. Retain adds a reference for
 // a new owner. Bytes must not be mutated or retained past the owner's
 // Release.
@@ -87,12 +87,14 @@ func (f *Frame) Bytes() []byte { return f.b }
 // Len reports the payload length.
 func (f *Frame) Len() int { return len(f.b) }
 
-// Retain adds one reference for a new owner and returns f for chaining.
-func (f *Frame) Retain() *Frame {
+// Size is the frame's charge against the batch cache's byte budget.
+func (f *Frame) Size() int64 { return int64(len(f.b)) }
+
+// Retain adds one reference for a new owner.
+func (f *Frame) Retain() {
 	if f.refs.Add(1) <= 1 {
 		panic("serve: Frame.Retain on a released frame")
 	}
-	return f
 }
 
 // Release drops one reference; the last one recycles the buffer and the

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"lotus/internal/pipeline"
+	"lotus/internal/cache"
 	"lotus/internal/store"
 )
 
@@ -341,10 +341,10 @@ type MetricsSnapshot struct {
 	HeapBytes  int64 `json:"heap_bytes"`
 	// Cache carries the materialized-batch cache counters (hits, misses,
 	// singleflight waits, evictions, bytes); nil when the cache is disabled.
-	Cache *BatchCacheStats `json:"cache,omitempty"`
+	Cache *cache.Stats `json:"cache,omitempty"`
 	// SampleCache carries the split-point sample cache counters; nil when
 	// that cache is disabled.
-	SampleCache *pipeline.SampleCacheStats `json:"sample_cache,omitempty"`
+	SampleCache *cache.Stats `json:"sample_cache,omitempty"`
 	// DiskCache carries the persistent disk tier counters (hits, misses,
 	// spills, bytes, segments, rebuilds); nil when the disk cache is
 	// disabled.

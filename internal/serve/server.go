@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lotus/internal/cache"
 	"lotus/internal/clock"
 	"lotus/internal/control"
 	"lotus/internal/core/trace"
@@ -60,11 +61,6 @@ type Config struct {
 	// 0 disables the cache (every session runs its own pipeline, the
 	// pre-cache behavior).
 	BatchCacheBytes int64
-	// CacheWaitTimeout bounds how long a session blocks on another session's
-	// in-flight computation of a batch before giving up and computing it
-	// locally (default 30s). The fallback keeps every session live even if
-	// the claim's owner stalls indefinitely.
-	CacheWaitTimeout time.Duration
 	// DiskCacheDir, when non-empty, enables the persistent disk tier under
 	// both memory caches: encoded batch frames and sample snapshots are
 	// spilled to a content-addressed segment store in this directory and
@@ -243,9 +239,6 @@ func New(cfg Config) *Server {
 	if cfg.HelloTimeout <= 0 {
 		cfg.HelloTimeout = 10 * time.Second
 	}
-	if cfg.CacheWaitTimeout <= 0 {
-		cfg.CacheWaitTimeout = 30 * time.Second
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -298,19 +291,6 @@ func New(cfg Config) *Server {
 	s.planLen = len(pipeline.BuildBatchPlan(s.datasetLen, cfg.Spec.BatchSize,
 		cfg.Spec.Shuffle, false, cfg.Spec.Seed))
 	s.specFP = SpecFingerprint(cfg.Spec, cfg.Mode, cfg.MaterializeDim)
-	if cfg.BatchCacheBytes > 0 {
-		s.cache = NewBatchCache(cfg.BatchCacheBytes)
-	}
-	if cfg.SampleCacheBytes > 0 {
-		if fp, ok := PrefixFingerprint(cfg.Spec, cfg.Mode, cfg.MaterializeDim); ok {
-			// Blocking single-flight only when pipeline procs run on the wall
-			// clock; pure-sim procs must never park on channels the virtual
-			// clock cannot see, so they bypass in-flight entries instead.
-			blocking := cfg.Mode == pipeline.RealData || cfg.EmulateTime
-			s.sampleCache = pipeline.NewSampleCache(cfg.SampleCacheBytes, blocking)
-			s.prefixFP = fp
-		}
-	}
 	if cfg.AutoTune {
 		s.tuner = newTuner(s, cfg.AutoTuneControl, cfg.AutoTuneLongWait)
 	}
@@ -476,9 +456,9 @@ func (s *Server) releaseSlot() { <-s.admitSem }
 
 // CacheStats reports the materialized-batch cache counters; ok is false when
 // the cache is disabled.
-func (s *Server) CacheStats() (BatchCacheStats, bool) {
+func (s *Server) CacheStats() (cache.Stats, bool) {
 	if s.cache == nil {
-		return BatchCacheStats{}, false
+		return cache.Stats{}, false
 	}
 	return s.cache.Stats(), true
 }
@@ -486,11 +466,29 @@ func (s *Server) CacheStats() (BatchCacheStats, bool) {
 // SampleCacheStats reports the split-point sample cache counters; ok is
 // false when the cache is disabled (or the spec has no deterministic
 // prefix).
-func (s *Server) SampleCacheStats() (pipeline.SampleCacheStats, bool) {
+func (s *Server) SampleCacheStats() (cache.Stats, bool) {
 	if s.sampleCache == nil {
-		return pipeline.SampleCacheStats{}, false
+		return cache.Stats{}, false
 	}
 	return s.sampleCache.Stats(), true
+}
+
+// DiskCacheStats reports the persistent tier's counters; ok is false when
+// the disk cache is disabled.
+func (s *Server) DiskCacheStats() (store.Stats, bool) {
+	if s.disk == nil {
+		return store.Stats{}, false
+	}
+	return s.disk.Stats(), true
+}
+
+// FlushDiskCache drains queued spills and durably writes the store
+// manifest — test and checkpoint hook; the server also flushes on Shutdown.
+func (s *Server) FlushDiskCache() error {
+	if s.disk == nil {
+		return nil
+	}
+	return s.disk.Flush()
 }
 
 // Start listens on addr for the wire protocol and, when httpAddr is
@@ -508,11 +506,21 @@ func (s *Server) Start(addr, httpAddr string) error {
 			return fmt.Errorf("serve: disk cache: %w", err)
 		}
 		s.disk = st
-		if s.cache != nil {
-			s.cache.SetSpill(s.spillBatchFrame)
-		}
-		if s.sampleCache != nil {
-			s.sampleCache.SetDisk(st)
+	}
+	// The memory tiers are built here, not in New, because the disk tier
+	// underneath them is a constructor argument and only exists once the
+	// store is open.
+	if s.cfg.BatchCacheBytes > 0 {
+		s.cache = NewBatchCache(s.cfg.BatchCacheBytes, s.disk)
+	}
+	if s.cfg.SampleCacheBytes > 0 {
+		if fp, ok := PrefixFingerprint(s.cfg.Spec, s.cfg.Mode, s.cfg.MaterializeDim); ok {
+			// Blocking single-flight only when pipeline procs run on the wall
+			// clock; pure-sim procs must never park on channels the virtual
+			// clock cannot see, so they bypass in-flight entries instead.
+			blocking := s.cfg.Mode == pipeline.RealData || s.cfg.EmulateTime
+			s.sampleCache = pipeline.NewSampleCache(s.cfg.SampleCacheBytes, blocking, s.disk)
+			s.prefixFP = fp
 		}
 	}
 	ln, err := net.Listen("tcp", addr)
@@ -1025,21 +1033,13 @@ func (ss *session) streamShard(epoch, planLen int, shard []PlanBatch) error {
 		}
 	} else {
 		for i, pb := range shard {
-			key := ss.cacheKey(epoch, pb.GlobalID)
-			if !cache.Claim(key, ss.id) {
-				continue
+			// A claim the disk tier can satisfy is published straight into
+			// the memory cache (waking any cross-session waiters) and the
+			// write loop picks it up as an ordinary cache hit below.
+			if cache.Claim(ss.cacheKey(epoch, pb.GlobalID)) {
+				mine[i] = true
+				claimed = append(claimed, pb)
 			}
-			// Won the claim: consult the persistent tier before paying for
-			// the pipeline. A disk hit publishes straight into the memory
-			// cache (waking any cross-session waiters) and the write loop
-			// picks it up as an ordinary cache hit below.
-			if f := ss.srv.diskLoadBatch(key); f != nil {
-				cache.Fulfill(key, f)
-				f.Release()
-				continue
-			}
-			mine[i] = true
-			claimed = append(claimed, pb)
 		}
 	}
 	// The trace hooks map positional batch ids through the pipeline's plan,
@@ -1084,14 +1084,14 @@ func (ss *session) streamShard(epoch, planLen int, shard []PlanBatch) error {
 		} else {
 			pb := shard[i]
 			key := ss.cacheKey(epoch, pb.GlobalID)
-			if f = cache.TryGet(key); f == nil {
+			var ok bool
+			if f, ok = cache.TryGet(key); !ok {
 				if werr = fw.flush(ctx.Done()); werr != nil {
 					cancelEpoch()
 					break
 				}
 				var err error
-				f, err = cache.Acquire(key, ss.id,
-					ctx.Done(), ss.srv.cfg.CacheWaitTimeout,
+				f, err = cache.Acquire(key, ctx.Done(),
 					func() (*Frame, error) { return ss.computeBatchFrame(epoch, pb) })
 				if err != nil {
 					werr = fmt.Errorf("batch %d: %w", pb.GlobalID, err)

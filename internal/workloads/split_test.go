@@ -166,7 +166,7 @@ func TestCachedLoaderByteIdenticalAllWorkloads(t *testing.T) {
 			spec.BatchSize = 1
 		}
 		spec.NumWorkers = 2
-		cache := pipeline.NewSampleCache(256<<20, false) // sim clock: non-blocking
+		cache := pipeline.NewSampleCache(256<<20, false, nil) // sim clock: non-blocking
 		fp := uint64(0xF00D) + uint64(len(kind))
 
 		run := func(epoch int, cached bool) map[int][]byte {

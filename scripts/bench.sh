@@ -57,6 +57,58 @@ require_bench() {
     fi
 }
 
+# summarize PATTERN COLUMNS IN_TXT OUT_JSON: fold the benchmark lines matching
+# PATTERN into one JSON object of per-benchmark medians (portable awk, no gawk
+# extensions). ns/op is always reported; COLUMNS lists the further metrics as
+# space-separated unit=json_key pairs in output order. A key with a trailing
+# `?` is left out for a benchmark that never reports the unit; without it the
+# key is always written (0 when absent).
+summarize() {
+    awk -v pat="$1" -v spec="$2" "$(cat <<'AWK'
+BEGIN {
+    n_cols = split(spec, cols, " ")
+    for (c = 1; c <= n_cols; c++) {
+        optional[c] = sub(/\?$/, "", cols[c])
+        split(cols[c], kv, "=")
+        unit[c] = kv[1]
+        key[c] = kv[2]
+    }
+}
+$0 ~ pat {
+    name = $1
+    sub(/-[0-9]+$/, "", name)
+    if (!(name in seen)) { seen[name] = 1; order[++n_names] = name }
+    ns[name] = ns[name] " " $3
+    for (i = 4; i <= NF; i++)
+        for (c = 1; c <= n_cols; c++)
+            if ($(i+1) == unit[c]) val[name, c] = val[name, c] " " $i
+}
+function median(s,   a, n, i, j, t) {
+    n = split(s, a, " ")
+    for (i = 2; i <= n; i++) {
+        t = a[i] + 0
+        for (j = i - 1; j >= 1 && a[j] + 0 > t; j--) a[j+1] = a[j]
+        a[j+1] = t
+    }
+    if (n % 2) return a[(n+1)/2]
+    return (a[n/2] + a[n/2+1]) / 2
+}
+END {
+    printf "{\n"
+    for (i = 1; i <= n_names; i++) {
+        name = order[i]
+        printf "  \"%s\": {\"ns_op\": %s", name, median(ns[name])
+        for (c = 1; c <= n_cols; c++)
+            if (!optional[c] || val[name, c] != "")
+                printf ", \"%s\": %s", key[c], median(val[name, c])
+        printf "}%s\n", (i < n_names ? "," : "")
+    }
+    printf "}\n"
+}
+AWK
+)" "$3" > "$4"
+}
+
 OUT_JSON="${1:-BENCH_PR1.json}"
 OUT_TXT="${OUT_JSON%.json}.txt"
 SERVE_JSON="${2:-BENCH_PR2.json}"
@@ -82,38 +134,7 @@ echo "running: $BENCHES (6 reps, -benchmem) ..."
 go test -run '^$' -bench "$BENCHES" -benchmem -count=6 . | tee "$OUT_TXT"
 require_bench "$OUT_TXT" "stage 1"
 
-# Summarize medians into JSON (portable awk, no gawk extensions).
-awk '
-/^Benchmark/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    if (!(name in seen)) { seen[name] = 1; order[++n_names] = name }
-    ns[name] = ns[name] " " $3
-    for (i = 4; i <= NF; i++) {
-        if ($(i+1) == "B/op")      bop[name]    = bop[name] " " $i
-        if ($(i+1) == "allocs/op") allocs[name] = allocs[name] " " $i
-    }
-}
-function median(s,   a, n, i, j, t) {
-    n = split(s, a, " ")
-    for (i = 2; i <= n; i++) {
-        t = a[i] + 0
-        for (j = i - 1; j >= 1 && a[j] + 0 > t; j--) a[j+1] = a[j]
-        a[j+1] = t
-    }
-    if (n % 2) return a[(n+1)/2]
-    return (a[n/2] + a[n/2+1]) / 2
-}
-END {
-    printf "{\n"
-    for (i = 1; i <= n_names; i++) {
-        name = order[i]
-        printf "  \"%s\": {\"ns_op\": %s, \"B_op\": %s, \"allocs_op\": %s}%s\n", \
-            name, median(ns[name]), median(bop[name]), median(allocs[name]), \
-            (i < n_names ? "," : "")
-    }
-    printf "}\n"
-}' "$OUT_TXT" > "$OUT_JSON"
+summarize '^Benchmark' 'B/op=B_op allocs/op=allocs_op' "$OUT_TXT" "$OUT_JSON"
 
 echo "summary written to $OUT_JSON (raw benchstat input: $OUT_TXT)"
 
@@ -123,36 +144,7 @@ echo "running: BenchmarkServiceThroughput (6 reps) ..."
 go test -run '^$' -bench '^BenchmarkServiceThroughput$' -count=6 ./internal/serve | tee "$SERVE_TXT"
 require_bench "$SERVE_TXT" "stage 2"
 
-awk '
-/^BenchmarkServiceThroughput\// {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    if (!(name in seen)) { seen[name] = 1; order[++n_names] = name }
-    ns[name] = ns[name] " " $3
-    for (i = 4; i <= NF; i++) {
-        if ($(i+1) == "batches/sec") bps[name] = bps[name] " " $i
-    }
-}
-function median(s,   a, n, i, j, t) {
-    n = split(s, a, " ")
-    for (i = 2; i <= n; i++) {
-        t = a[i] + 0
-        for (j = i - 1; j >= 1 && a[j] + 0 > t; j--) a[j+1] = a[j]
-        a[j+1] = t
-    }
-    if (n % 2) return a[(n+1)/2]
-    return (a[n/2] + a[n/2+1]) / 2
-}
-END {
-    printf "{\n"
-    for (i = 1; i <= n_names; i++) {
-        name = order[i]
-        printf "  \"%s\": {\"ns_op\": %s, \"batches_per_sec\": %s}%s\n", \
-            name, median(ns[name]), median(bps[name]), \
-            (i < n_names ? "," : "")
-    }
-    printf "}\n"
-}' "$SERVE_TXT" > "$SERVE_JSON"
+summarize '^BenchmarkServiceThroughput/' 'batches/sec=batches_per_sec' "$SERVE_TXT" "$SERVE_JSON"
 
 echo "summary written to $SERVE_JSON (raw benchstat input: $SERVE_TXT)"
 
@@ -160,36 +152,7 @@ echo "running: BenchmarkClusterThroughput (3 reps) ..."
 go test -run '^$' -bench 'BenchmarkClusterThroughput' -count=3 ./internal/cluster | tee "$CLUSTER_TXT"
 require_bench "$CLUSTER_TXT" "stage 3"
 
-awk '
-/^BenchmarkClusterThroughput/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    if (!(name in seen)) { seen[name] = 1; order[++n_names] = name }
-    ns[name] = ns[name] " " $3
-    for (i = 4; i <= NF; i++) {
-        if ($(i+1) == "batches/sec") bps[name] = bps[name] " " $i
-    }
-}
-function median(s,   a, n, i, j, t) {
-    n = split(s, a, " ")
-    for (i = 2; i <= n; i++) {
-        t = a[i] + 0
-        for (j = i - 1; j >= 1 && a[j] + 0 > t; j--) a[j+1] = a[j]
-        a[j+1] = t
-    }
-    if (n % 2) return a[(n+1)/2]
-    return (a[n/2] + a[n/2+1]) / 2
-}
-END {
-    printf "{\n"
-    for (i = 1; i <= n_names; i++) {
-        name = order[i]
-        printf "  \"%s\": {\"ns_op\": %s, \"batches_per_sec\": %s}%s\n", \
-            name, median(ns[name]), median(bps[name]), \
-            (i < n_names ? "," : "")
-    }
-    printf "}\n"
-}' "$CLUSTER_TXT" > "$CLUSTER_JSON"
+summarize '^BenchmarkClusterThroughput' 'batches/sec=batches_per_sec' "$CLUSTER_TXT" "$CLUSTER_JSON"
 
 echo "summary written to $CLUSTER_JSON (raw benchstat input: $CLUSTER_TXT)"
 
@@ -207,38 +170,7 @@ go test -run '^$' -bench '^(BenchmarkServiceThroughput|BenchmarkServiceThroughpu
     -benchmem -count=6 ./internal/serve | tee "$CACHE_TXT"
 require_bench "$CACHE_TXT" "stage 4"
 
-awk '
-/^Benchmark(ServiceThroughput|EncodeBatch)/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    if (!(name in seen)) { seen[name] = 1; order[++n_names] = name }
-    ns[name] = ns[name] " " $3
-    for (i = 4; i <= NF; i++) {
-        if ($(i+1) == "batches/sec") bps[name] = bps[name] " " $i
-        if ($(i+1) == "allocs/op")   allocs[name] = allocs[name] " " $i
-    }
-}
-function median(s,   a, n, i, j, t) {
-    n = split(s, a, " ")
-    for (i = 2; i <= n; i++) {
-        t = a[i] + 0
-        for (j = i - 1; j >= 1 && a[j] + 0 > t; j--) a[j+1] = a[j]
-        a[j+1] = t
-    }
-    if (n % 2) return a[(n+1)/2]
-    return (a[n/2] + a[n/2+1]) / 2
-}
-END {
-    printf "{\n"
-    for (i = 1; i <= n_names; i++) {
-        name = order[i]
-        printf "  \"%s\": {\"ns_op\": %s", name, median(ns[name])
-        if (bps[name] != "")    printf ", \"batches_per_sec\": %s", median(bps[name])
-        if (allocs[name] != "") printf ", \"allocs_op\": %s", median(allocs[name])
-        printf "}%s\n", (i < n_names ? "," : "")
-    }
-    printf "}\n"
-}' "$CACHE_TXT" > "$CACHE_JSON"
+summarize '^Benchmark(ServiceThroughput|EncodeBatch)' 'batches/sec=batches_per_sec? allocs/op=allocs_op?' "$CACHE_TXT" "$CACHE_JSON"
 
 echo "summary written to $CACHE_JSON (raw benchstat input: $CACHE_TXT)"
 
@@ -259,36 +191,7 @@ echo "running: BenchmarkServiceThroughputAugmented (6 reps) ..."
 go test -run '^$' -bench '^BenchmarkServiceThroughputAugmented$' -count=6 ./internal/serve | tee "$SCACHE_TXT"
 require_bench "$SCACHE_TXT" "stage 5"
 
-awk '
-/^BenchmarkServiceThroughputAugmented\// {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    if (!(name in seen)) { seen[name] = 1; order[++n_names] = name }
-    ns[name] = ns[name] " " $3
-    for (i = 4; i <= NF; i++) {
-        if ($(i+1) == "batches/sec") bps[name] = bps[name] " " $i
-    }
-}
-function median(s,   a, n, i, j, t) {
-    n = split(s, a, " ")
-    for (i = 2; i <= n; i++) {
-        t = a[i] + 0
-        for (j = i - 1; j >= 1 && a[j] + 0 > t; j--) a[j+1] = a[j]
-        a[j+1] = t
-    }
-    if (n % 2) return a[(n+1)/2]
-    return (a[n/2] + a[n/2+1]) / 2
-}
-END {
-    printf "{\n"
-    for (i = 1; i <= n_names; i++) {
-        name = order[i]
-        printf "  \"%s\": {\"ns_op\": %s, \"batches_per_sec\": %s}%s\n", \
-            name, median(ns[name]), median(bps[name]), \
-            (i < n_names ? "," : "")
-    }
-    printf "}\n"
-}' "$SCACHE_TXT" > "$SCACHE_JSON"
+summarize '^BenchmarkServiceThroughputAugmented/' 'batches/sec=batches_per_sec' "$SCACHE_TXT" "$SCACHE_JSON"
 
 echo "summary written to $SCACHE_JSON (raw benchstat input: $SCACHE_TXT)"
 
@@ -306,36 +209,7 @@ echo "running: BenchmarkServiceWarmRestart (6 reps) ..."
 go test -run '^$' -bench '^BenchmarkServiceWarmRestart$' -count=6 ./internal/serve | tee "$DISK_TXT"
 require_bench "$DISK_TXT" "stage 6"
 
-awk '
-/^BenchmarkServiceWarmRestart\// {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    if (!(name in seen)) { seen[name] = 1; order[++n_names] = name }
-    ns[name] = ns[name] " " $3
-    for (i = 4; i <= NF; i++) {
-        if ($(i+1) == "batches/sec") bps[name] = bps[name] " " $i
-    }
-}
-function median(s,   a, n, i, j, t) {
-    n = split(s, a, " ")
-    for (i = 2; i <= n; i++) {
-        t = a[i] + 0
-        for (j = i - 1; j >= 1 && a[j] + 0 > t; j--) a[j+1] = a[j]
-        a[j+1] = t
-    }
-    if (n % 2) return a[(n+1)/2]
-    return (a[n/2] + a[n/2+1]) / 2
-}
-END {
-    printf "{\n"
-    for (i = 1; i <= n_names; i++) {
-        name = order[i]
-        printf "  \"%s\": {\"ns_op\": %s, \"batches_per_sec\": %s}%s\n", \
-            name, median(ns[name]), median(bps[name]), \
-            (i < n_names ? "," : "")
-    }
-    printf "}\n"
-}' "$DISK_TXT" > "$DISK_JSON"
+summarize '^BenchmarkServiceWarmRestart/' 'batches/sec=batches_per_sec' "$DISK_TXT" "$DISK_JSON"
 
 echo "summary written to $DISK_JSON (raw benchstat input: $DISK_TXT)"
 
@@ -356,37 +230,7 @@ echo "running: BenchmarkStragglerTail (3 reps) ..."
 go test -run '^$' -bench '^BenchmarkStragglerTail$' -benchtime 4x -count=3 -timeout 30m ./internal/cluster | tee "$STRAG_TXT"
 require_bench "$STRAG_TXT" "stage 7"
 
-awk '
-/^BenchmarkStragglerTail\// {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    if (!(name in seen)) { seen[name] = 1; order[++n_names] = name }
-    ns[name] = ns[name] " " $3
-    for (i = 4; i <= NF; i++) {
-        if ($(i+1) == "p99-epoch-ms") p99[name] = p99[name] " " $i
-        if ($(i+1) == "batches/sec")  bps[name] = bps[name] " " $i
-    }
-}
-function median(s,   a, n, i, j, t) {
-    n = split(s, a, " ")
-    for (i = 2; i <= n; i++) {
-        t = a[i] + 0
-        for (j = i - 1; j >= 1 && a[j] + 0 > t; j--) a[j+1] = a[j]
-        a[j+1] = t
-    }
-    if (n % 2) return a[(n+1)/2]
-    return (a[n/2] + a[n/2+1]) / 2
-}
-END {
-    printf "{\n"
-    for (i = 1; i <= n_names; i++) {
-        name = order[i]
-        printf "  \"%s\": {\"ns_op\": %s, \"p99_epoch_ms\": %s, \"batches_per_sec\": %s}%s\n", \
-            name, median(ns[name]), median(p99[name]), median(bps[name]), \
-            (i < n_names ? "," : "")
-    }
-    printf "}\n"
-}' "$STRAG_TXT" > "$STRAG_JSON"
+summarize '^BenchmarkStragglerTail/' 'p99-epoch-ms=p99_epoch_ms batches/sec=batches_per_sec' "$STRAG_TXT" "$STRAG_JSON"
 
 echo "summary written to $STRAG_JSON (raw benchstat input: $STRAG_TXT)"
 
@@ -410,46 +254,15 @@ echo "running: BenchmarkAutotuneImbalanced (3 reps) ..."
 go test -run '^$' -bench '^BenchmarkAutotuneImbalanced$' -benchtime 4x -count=3 -timeout 30m ./internal/cluster | tee "$TUNE_TXT"
 require_bench "$TUNE_TXT" "stage 8"
 
-awk '
-/^BenchmarkAutotuneImbalanced\// {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    if (!(name in seen)) { seen[name] = 1; order[++n_names] = name }
-    ns[name] = ns[name] " " $3
-    for (i = 4; i <= NF; i++) {
-        if ($(i+1) == "batches/sec")   bps[name] = bps[name] " " $i
-        if ($(i+1) == "victim-weight") vw[name]  = vw[name] " " $i
-    }
-}
-function median(s,   a, n, i, j, t) {
-    n = split(s, a, " ")
-    for (i = 2; i <= n; i++) {
-        t = a[i] + 0
-        for (j = i - 1; j >= 1 && a[j] + 0 > t; j--) a[j+1] = a[j]
-        a[j+1] = t
-    }
-    if (n % 2) return a[(n+1)/2]
-    return (a[n/2] + a[n/2+1]) / 2
-}
-END {
-    printf "{\n"
-    for (i = 1; i <= n_names; i++) {
-        name = order[i]
-        printf "  \"%s\": {\"ns_op\": %s, \"batches_per_sec\": %s", \
-            name, median(ns[name]), median(bps[name])
-        if (vw[name] != "") printf ", \"victim_weight\": %s", median(vw[name])
-        printf "}%s\n", (i < n_names ? "," : "")
-    }
-    printf "}\n"
-}' "$TUNE_TXT" > "$TUNE_JSON"
+summarize '^BenchmarkAutotuneImbalanced/' 'batches/sec=batches_per_sec victim-weight=victim_weight?' "$TUNE_TXT" "$TUNE_JSON"
 
 echo "summary written to $TUNE_JSON (raw benchstat input: $TUNE_TXT)"
 
 # Acceptance check: the closed-loop balancer must lift the imbalanced
-# cluster'"'"'s aggregate throughput at least 1.5x — the PR-9 headline claim.
+# cluster's aggregate throughput at least 1.5x — the PR-9 headline claim.
 # Output bytes are verified inside the benchmark itself (every epoch is
 # compared to ground truth).
-awk -F'"'"'[:,}]'"'"' '
+awk -F'[:,}]' '
 /"BenchmarkAutotuneImbalanced\/autotune=false"/ { for (i = 1; i <= NF; i++) if ($i ~ /batches_per_sec/) off = $(i+1) + 0 }
 /"BenchmarkAutotuneImbalanced\/autotune=true"/  { for (i = 1; i <= NF; i++) if ($i ~ /batches_per_sec/) on = $(i+1) + 0 }
 END {
@@ -468,44 +281,8 @@ go test -run '^$' -bench 'BenchmarkSessionFootprint|BenchmarkSessionScaling|Benc
     -benchtime 3x -count=3 -timeout 30m ./internal/serve | tee "$MT_TXT"
 require_bench "$MT_TXT" "stage 9"
 
-awk '
-/^Benchmark/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    if (!(name in seen)) { seen[name] = 1; order[++n_names] = name }
-    ns[name] = ns[name] " " $3
-    for (i = 4; i <= NF; i++) {
-        if ($(i+1) == "batches/sec")        bps[name]  = bps[name] " " $i
-        if ($(i+1) == "bytes/session")      bpsn[name] = bpsn[name] " " $i
-        if ($(i+1) == "goroutines/session") gpsn[name] = gpsn[name] " " $i
-        if ($(i+1) == "jain")               jain[name] = jain[name] " " $i
-        if ($(i+1) == "p99-us")             p99[name]  = p99[name] " " $i
-    }
-}
-function median(s,   a, n, i, j, t) {
-    n = split(s, a, " ")
-    for (i = 2; i <= n; i++) {
-        t = a[i] + 0
-        for (j = i - 1; j >= 1 && a[j] + 0 > t; j--) a[j+1] = a[j]
-        a[j+1] = t
-    }
-    if (n % 2) return a[(n+1)/2]
-    return (a[n/2] + a[n/2+1]) / 2
-}
-END {
-    printf "{\n"
-    for (i = 1; i <= n_names; i++) {
-        name = order[i]
-        printf "  \"%s\": {\"ns_op\": %s", name, median(ns[name])
-        if (bps[name]  != "") printf ", \"batches_per_sec\": %s", median(bps[name])
-        if (bpsn[name] != "") printf ", \"bytes_per_session\": %s", median(bpsn[name])
-        if (gpsn[name] != "") printf ", \"goroutines_per_session\": %s", median(gpsn[name])
-        if (jain[name] != "") printf ", \"jain\": %s", median(jain[name])
-        if (p99[name]  != "") printf ", \"p99_us\": %s", median(p99[name])
-        printf "}%s\n", (i < n_names ? "," : "")
-    }
-    printf "}\n"
-}' "$MT_TXT" > "$MT_JSON"
+summarize '^Benchmark' \
+    'batches/sec=batches_per_sec? bytes/session=bytes_per_session? goroutines/session=goroutines_per_session? jain=jain? p99-us=p99_us?' "$MT_TXT" "$MT_JSON"
 
 echo "summary written to $MT_JSON (raw benchstat input: $MT_TXT)"
 
