@@ -84,11 +84,9 @@ func main() {
 		workload = flag.String("workload", "IC", "pipeline: IC, ICA, IS, or OD")
 		samples  = flag.Int("samples", 5120, "dataset size")
 		batch    = flag.Int("batch", 0, "batch size (0 = workload default)")
-		workers  = flag.Int("workers", 0, "DataLoader workers (0 = workload default)")
-		prefetch = flag.Int("prefetch", 0, "DataLoader prefetch factor (0 = default)")
-		queue    = flag.Int("queue", 4, "per-session server prefetch queue depth in batches")
+		workers  = flag.Int("workers", 0, "size of the server-wide preprocessing worker pool every session shares (0 = workload default)")
+		queue    = flag.Int("queue", 4, "per-session prefetch window: batches that may be outstanding ahead of the one being written")
 		mode     = flag.String("mode", "sim", "preprocessing mode: sim (meta tensors), real (pixel payloads), or emulate (sim pipeline paced on the wall clock)")
-		dispatch = flag.String("dispatch", "producer", "DataLoader index-dispatch policy: producer (static round-robin), leastwork (lightest backlog), or steal (work-stealing: idle workers drain the most-backlogged peer)")
 		seed     = flag.Int64("seed", 1, "randomness root")
 		arch     = flag.String("arch", "intel", "simulated CPU vendor: intel or amd")
 		matDim   = flag.Int("materialize-dim", 96, "real mode: synthesized image resolution cap")
@@ -101,19 +99,13 @@ func main() {
 		nodeID   = flag.String("node", "", "this node's cluster identity (default: -addr)")
 		join     = flag.String("join", "", "cluster member list ([id=]wire[/http] per entry, comma-separated); serves the membership view on /cluster")
 		interval = flag.Duration("heartbeat", 500*time.Millisecond, "peer heartbeat interval in cluster mode")
-		autotune = flag.Bool("autotune", false, "closed-loop controller: observe wait/queue/cache signals at every completed epoch and retune workers, prefetch, and cache budgets at runtime")
+		autotune = flag.Bool("autotune", false, "closed-loop controller: observe wait/queue/cache signals at every completed epoch and retune the worker pool, the prefetch window, and cache budgets at runtime")
 		longWait = flag.Duration("autotune-long-wait", 0, "wait duration the controller counts as a stall (0 = 500ms default)")
 
 		maxSessions = flag.Int("max-sessions", 0, "admission control: concurrent session cap (0 = unlimited); excess connections queue briefly, then get a retryable busy reply")
 		admitQueue  = flag.Int("admit-queue", 16, "admission control: connections allowed to wait for a session slot before busy-rejection (negative = reject immediately when full)")
 		admitWait   = flag.Duration("admit-wait", 2*time.Second, "admission control: how long a queued connection waits for a slot before busy-rejection")
 		qos         = flag.Bool("qos", false, "enable per-tenant QoS (fair scheduling + rate limits) even with no -tenant-limit entries")
-		qosLeadKB   = flag.Int("qos-lead-kb", 0, "max weighted KiB a tenant may run ahead of the slowest active tenant (0 = 1024; negative disables lead pacing)")
-		pidStride   = flag.Int("pid-stride", 0, "trace-pid stride between streaming sessions (0 = 1000); raised automatically if the worker count needs more pid space")
-		coalesceN   = flag.Int("coalesce-frames", 0, "max batch frames folded into one vectored write (0 = 8; negative = one write per frame)")
-		coalesceKB  = flag.Int("coalesce-kb", 0, "max pending KiB before a coalesced write flushes (0 = 64)")
-		coalesceWin = flag.Duration("coalesce-window", 0, "max latency a frame may wait in the coalescing buffer (0 = 1ms)")
-		logRate     = flag.Float64("log-rate", 0, "per-session server log lines per second before suppression (0 = 50; negative = unlimited)")
 		pprofOn     = flag.Bool("pprof", false, "expose /debug/pprof on the observability sidecar")
 	)
 	tenants := map[string]serve.TenantLimit{}
@@ -173,23 +165,9 @@ func main() {
 	if *workers > 0 {
 		spec.NumWorkers = *workers
 	}
-	if *prefetch > 0 {
-		spec.Prefetch = *prefetch
-	}
 	if *arch == "amd" {
 		spec.Arch = native.AMD
 	}
-	switch *dispatch {
-	case "producer":
-	case "leastwork":
-		spec.Dispatch = pipeline.DispatchLeastWork
-	case "steal":
-		spec.Dispatch = pipeline.DispatchWorkStealing
-	default:
-		fmt.Fprintf(os.Stderr, "lotus-serve: unknown dispatch %q (want producer, leastwork, or steal)\n", *dispatch)
-		os.Exit(2)
-	}
-
 	pmode := pipeline.Simulated
 	emulate := false
 	switch *mode {
@@ -244,13 +222,7 @@ func main() {
 		AdmitQueue:       *admitQueue,
 		AdmitWait:        *admitWait,
 		QoS:              *qos,
-		QoSLeadBytes:     int64(*qosLeadKB) << 10,
 		Tenants:          tenants,
-		TracePIDStride:   *pidStride,
-		CoalesceFrames:   *coalesceN,
-		CoalesceBytes:    *coalesceKB << 10,
-		CoalesceWindow:   *coalesceWin,
-		LogLinesPerSec:   *logRate,
 		Pprof:            *pprofOn,
 		ClusterInfo:      clusterInfo,
 		Logf:             log.Printf,

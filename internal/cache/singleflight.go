@@ -126,62 +126,6 @@ func (c *SingleFlight[K, V]) SetBudget(budget int64) {
 	c.retire(victims)
 }
 
-// Claim registers the caller as the computer of key if and only if no entry
-// exists, without waiting on anyone. Sessions claim their whole shard up
-// front at epoch start, which partitions the epoch's compute across
-// concurrent sessions exactly once. A claim the lower tier can satisfy is
-// published on the spot and reported as false; a true return obligates the
-// caller to eventually Fulfill or Abandon the key.
-func (c *SingleFlight[K, V]) Claim(key K) bool {
-	c.mu.Lock()
-	_, exists := c.entries[key]
-	if !exists {
-		c.claimLocked(key)
-	}
-	c.mu.Unlock()
-	if exists {
-		return false
-	}
-	if v, ok := c.loadClaimed(key); ok {
-		v.Release()
-		return false
-	}
-	return true
-}
-
-func (c *SingleFlight[K, V]) claimLocked(key K) {
-	c.misses++
-	c.entries[key] = &entry[K, V]{key: key, ready: make(chan struct{})}
-}
-
-// loadClaimed is the step every claim winner takes before computing: ask the
-// lower tier, and publish its copy as the memory entry (waking any waiters)
-// without writing it back to where it came from. The returned value carries
-// a reference for the caller.
-func (c *SingleFlight[K, V]) loadClaimed(key K) (v V, ok bool) {
-	if c.tier == nil {
-		return v, false
-	}
-	if v, ok = c.tier.Get(key); ok {
-		c.publish(key, v, false)
-	}
-	return v, ok
-}
-
-// TryGet is a non-blocking probe: a ready entry returns a retained value
-// (counted as a hit and freshened in the LRU); an absent or in-flight entry
-// returns false without registering the caller as anything. The coalescing
-// write path uses it to keep batching frames that are already materialized
-// without committing to a blocking wait.
-func (c *SingleFlight[K, V]) TryGet(key K) (v V, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, found := c.entries[key]; found && e.state == ready {
-		return c.hitLocked(e), true
-	}
-	return v, false
-}
-
 func (c *SingleFlight[K, V]) hitLocked(e *entry[K, V]) V {
 	c.hits++
 	c.lru.MoveToBack(e.elem)
@@ -198,7 +142,7 @@ func (c *SingleFlight[K, V]) hitLocked(e *entry[K, V]) V {
 //     caller is registered as a waiter and MUST call wait (its reference to
 //     the eventual value is pre-paid); on a non-blocking cache it is not
 //     registered and must not.
-//   - claimed: the caller owns the key and must Fulfill or Abandon.
+//   - claimed: the caller owns the key and must publish or abandon it.
 func (c *SingleFlight[K, V]) getOrClaim(key K) (hit V, wait *entry[K, V], claimed bool) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -212,10 +156,17 @@ func (c *SingleFlight[K, V]) getOrClaim(key K) (hit V, wait *entry[K, V], claime
 		}
 		return hit, e, false
 	}
-	c.claimLocked(key)
+	c.misses++
+	c.entries[key] = &entry[K, V]{key: key, ready: make(chan struct{})}
 	c.mu.Unlock()
-	if v, ok := c.loadClaimed(key); ok {
-		return v, nil, false
+	// Every claim winner asks the lower tier before computing; its copy is
+	// published as the memory entry (waking any waiters) without being
+	// written back to where it came from.
+	if c.tier != nil {
+		if v, ok := c.tier.Get(key); ok {
+			c.publish(key, v, false)
+			return v, nil, false
+		}
 	}
 	return hit, nil, true
 }
@@ -256,18 +207,17 @@ func (c *SingleFlight[K, V]) unregister(e *entry[K, V], err error) error {
 	return err
 }
 
-// Fulfill publishes the value for a key the caller claimed. The cache takes
+// publish installs the value for a key the caller claimed. The cache takes
 // its own reference and pre-pays one per registered waiter; the caller keeps
-// the reference it arrived with. The value is offered to the lower tier, and
-// entries over budget are evicted LRU-first after the insert.
-func (c *SingleFlight[K, V]) Fulfill(key K, v V) { c.publish(key, v, true) }
-
+// the reference it arrived with. With offer set the value is offered to the
+// lower tier (a value that came from there is not written back), and entries
+// over budget are evicted LRU-first after the insert.
 func (c *SingleFlight[K, V]) publish(key K, v V, offer bool) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok || e.state != inFlight {
 		c.mu.Unlock()
-		panic("cache: Fulfill on a key the caller does not own")
+		panic("cache: publish on a key the caller does not own")
 	}
 	for i := 0; i < e.waiters+1; i++ { // waiters + the cache's own reference
 		v.Retain()
@@ -286,12 +236,10 @@ func (c *SingleFlight[K, V]) publish(key K, v V, offer bool) {
 	c.retire(victims)
 }
 
-// Abandon resolves a claimed key without data: the entry leaves the cache and
-// every waiter wakes to retry (one of them will claim the key). Owners call
-// it on pipeline failure, epoch abort, or session teardown; abandoning a key
-// that is not an in-flight claim is a no-op, so cleanup paths may call it
-// unconditionally.
-func (c *SingleFlight[K, V]) Abandon(key K) {
+// abandon resolves a claimed key without data: the entry leaves the cache and
+// every waiter wakes to retry (one of them will claim the key). Abandoning a
+// key that is not an in-flight claim is a no-op.
+func (c *SingleFlight[K, V]) abandon(key K) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
@@ -338,12 +286,12 @@ func (c *SingleFlight[K, V]) computeClaimed(key K, compute func() (V, error)) (V
 	fulfilled := false
 	defer func() {
 		if !fulfilled {
-			c.Abandon(key)
+			c.abandon(key)
 		}
 	}()
 	v, err := compute()
 	if err == nil {
-		c.Fulfill(key, v)
+		c.publish(key, v, true)
 		fulfilled = true
 	}
 	return v, err

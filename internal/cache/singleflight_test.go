@@ -53,21 +53,48 @@ func newCache(budget int64) *SingleFlight[int, *blob] {
 	return New[int, *blob](budget, true, nil)
 }
 
+// The owner's half of Acquire taken apart, so a test can hold a claim open
+// while waiters park on it: claim wins a key that nobody holds (false when
+// the lower tier had it), fulfill publishes it.
+func (c *SingleFlight[K, V]) claim(key K) bool {
+	hit, wait, claimed := c.getOrClaim(key)
+	if wait != nil {
+		panic("test claim on a key already in flight")
+	}
+	if !claimed {
+		hit.Release()
+	}
+	return claimed
+}
+
+func (c *SingleFlight[K, V]) fulfill(key K, v V) { c.publish(key, v, true) }
+
+// tryGet is a non-blocking probe: a ready entry is returned retained (a hit,
+// freshened in the LRU), anything else is left untouched.
+func (c *SingleFlight[K, V]) tryGet(key K) (v V, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, found := c.entries[key]; found && e.state == ready {
+		return c.hitLocked(e), true
+	}
+	return v, false
+}
+
 // put claims and fulfills key with an n-byte value, dropping the fulfiller's
 // own reference.
 func put(t *testing.T, c *SingleFlight[int, *blob], key, n int) {
 	t.Helper()
-	if !c.Claim(key) {
+	if !c.claim(key) {
 		t.Fatalf("claim %d failed", key)
 	}
 	v := newBlob(n, byte(key))
-	c.Fulfill(key, v)
+	c.fulfill(key, v)
 	v.Release()
 }
 
 // cached probes key without claiming it.
 func cached(c *SingleFlight[int, *blob], key int) bool {
-	v, ok := c.TryGet(key)
+	v, ok := c.tryGet(key)
 	if ok {
 		v.Release()
 	}
@@ -119,7 +146,7 @@ func TestSingleFlight(t *testing.T) {
 	waitFor(t, "K registered waiters", func() bool { return c.Stats().SingleflightWait == K })
 
 	v := newBlob(64, 0x42)
-	c.Fulfill(0, v)
+	c.fulfill(0, v)
 	v.Release() // claimer's own reference
 	wg.Wait()
 
@@ -150,8 +177,8 @@ func TestSingleFlight(t *testing.T) {
 // but an in-flight claim is a no-op.
 func TestAbandonWakesWaiters(t *testing.T) {
 	c := newCache(1 << 20)
-	c.Abandon(1) // absent key: no-op
-	if !c.Claim(1) {
+	c.abandon(1) // absent key: no-op
+	if !c.claim(1) {
 		t.Fatal("setup claim failed")
 	}
 
@@ -172,7 +199,7 @@ func TestAbandonWakesWaiters(t *testing.T) {
 	}()
 
 	waitFor(t, "the waiter to park", func() bool { return c.Stats().SingleflightWait == 1 })
-	c.Abandon(1)
+	c.abandon(1)
 
 	select {
 	case ok := <-done:
@@ -185,7 +212,7 @@ func TestAbandonWakesWaiters(t *testing.T) {
 	if computes != 1 {
 		t.Fatalf("computes %d, want 1", computes)
 	}
-	c.Abandon(1) // ready entry: no-op
+	c.abandon(1) // ready entry: no-op
 	if st := c.Stats(); st.Abandoned != 1 || st.Misses != 2 || !cached(c, 1) {
 		t.Fatalf("stats %+v, want abandoned=1, misses=2 (claim, re-claim) and the re-claimed entry cached", st)
 	}
@@ -210,7 +237,7 @@ func TestComputeFailureAbandons(t *testing.T) {
 	if st := c.Stats(); st.Abandoned != 2 || st.Entries != 0 {
 		t.Fatalf("stats %+v, want both failed claims abandoned", st)
 	}
-	if !c.Claim(3) {
+	if !c.claim(3) {
 		t.Fatal("key not claimable after its owners failed")
 	}
 }
@@ -221,7 +248,7 @@ func TestComputeFailureAbandons(t *testing.T) {
 func TestWaitTimeout(t *testing.T) {
 	c := newCache(1 << 20)
 	c.timeout = 20 * time.Millisecond
-	if !c.Claim(2) {
+	if !c.claim(2) {
 		t.Fatal("setup claim failed")
 	}
 
@@ -243,12 +270,12 @@ func TestWaitTimeout(t *testing.T) {
 	// The stuck claim is untouched: fulfilling it later still works, pre-pays
 	// nobody (the waiter unregistered), and serves subsequent lookups.
 	owner := newBlob(8, 0xa)
-	c.Fulfill(2, owner)
+	c.fulfill(2, owner)
 	if n := owner.refs.Load(); n != 2 {
 		t.Fatalf("%d references after Fulfill, want 2 (owner + cache): timed-out waiter still registered", n)
 	}
 	owner.Release()
-	h, ok := c.TryGet(2)
+	h, ok := c.tryGet(2)
 	if !ok || !h.intact(8, 0xa) {
 		t.Fatal("original claim unusable after a waiter timed out")
 	}
@@ -262,7 +289,7 @@ func TestWaitTimeout(t *testing.T) {
 func TestWaitCancel(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		c := newCache(1 << 20)
-		if !c.Claim(0) {
+		if !c.claim(0) {
 			t.Fatal("setup claim failed")
 		}
 		cancel := make(chan struct{})
@@ -284,10 +311,10 @@ func TestWaitCancel(t *testing.T) {
 			if err := <-done; !errors.Is(err, ErrWaitCanceled) {
 				t.Fatalf("canceled wait returned %v", err)
 			}
-			c.Fulfill(0, v)
+			c.fulfill(0, v)
 		} else {
 			go close(cancel) // race the Fulfill
-			c.Fulfill(0, v)
+			c.fulfill(0, v)
 			if err := <-done; err != nil && !errors.Is(err, ErrWaitCanceled) {
 				t.Fatalf("racing wait returned %v", err)
 			}
@@ -305,7 +332,7 @@ func TestWaitCancel(t *testing.T) {
 // privately and is counted as bypassed.
 func TestNonBlockingBypass(t *testing.T) {
 	c := New[int, *blob](1<<20, false, nil)
-	if !c.Claim(0) {
+	if !c.claim(0) {
 		t.Fatal("setup claim failed")
 	}
 	v, err := c.Acquire(0, nil, func() (*blob, error) { return newBlob(4, 5), nil })
@@ -318,7 +345,7 @@ func TestNonBlockingBypass(t *testing.T) {
 		t.Fatalf("stats %+v, want misses=1 bypassed=1 waits=0", st)
 	}
 	owner := newBlob(4, 6)
-	c.Fulfill(0, owner)
+	c.fulfill(0, owner)
 	if n := owner.refs.Load(); n != 2 {
 		t.Fatalf("%d references after Fulfill, want 2: the bypasser registered as a waiter", n)
 	}
@@ -369,7 +396,7 @@ func TestEvictionOrder(t *testing.T) {
 // its own Release.
 func TestSoftBudget(t *testing.T) {
 	c := newCache(250)
-	if !c.Claim(99) {
+	if !c.claim(99) {
 		t.Fatal("oversize claim failed")
 	}
 	got := make(chan *blob, 1)
@@ -385,7 +412,7 @@ func TestSoftBudget(t *testing.T) {
 	waitFor(t, "the waiter to park", func() bool { return c.Stats().SingleflightWait == 1 })
 
 	big := newBlob(1000, 0xee)
-	c.Fulfill(99, big)
+	c.fulfill(99, big)
 	big.Release()
 	if st := c.Stats(); st.BytesUsed != 0 || st.Evicted != 1 || cached(c, 99) {
 		t.Fatalf("oversize entry stayed resident: %+v", st)
@@ -446,13 +473,13 @@ func TestTier(t *testing.T) {
 	t.Run("hit on claim publishes without write-back", func(t *testing.T) {
 		ft := &fakeTier{held: map[int]*blob{7: newBlob(size, 7), 8: newBlob(size, 8)}}
 		c := New[int, *blob](10*size, true, ft)
-		if c.Claim(7) { // the up-front claim loop
-			t.Fatal("Claim left a tier-resident key for the caller to compute")
+		if c.claim(7) {
+			t.Fatal("claim left a tier-resident key for the caller to compute")
 		}
 		if !cached(c, 7) {
 			t.Fatal("tier hit was not published into memory")
 		}
-		v, err := c.Acquire(8, nil, noCompute) // the acquire loop
+		v, err := c.Acquire(8, nil, noCompute)
 		if err != nil || !v.intact(size, 8) {
 			t.Fatalf("Acquire of a tier-resident key: %v", err)
 		}
@@ -492,10 +519,10 @@ func TestTier(t *testing.T) {
 	t.Run("failing Get falls through to compute", func(t *testing.T) {
 		ft := &fakeTier{held: map[int]*blob{5: newBlob(size, 5)}, broken: true}
 		c := New[int, *blob](10*size, true, ft)
-		if !c.Claim(5) {
+		if !c.claim(5) {
 			t.Fatal("Claim did not hand the key to the caller after the tier failed")
 		}
-		c.Abandon(5)
+		c.abandon(5)
 		computes := 0
 		v, err := c.Acquire(5, nil, func() (*blob, error) {
 			computes++

@@ -754,9 +754,16 @@ func servePanicCell(seed int64) Result {
 	if err := testutil.WaitNoLeaks(baseline, 5*time.Second); err != nil {
 		res.Failures = append(res.Failures, err.Error())
 	}
-	res.Injected = inj.Counts().Panics
-	if res.Injected == 0 {
+	// How many more batches reach their panic before the failed epoch is torn
+	// down depends on how far the session's window had run ahead on the shared
+	// pool — schedule, not seed — so the cell counts the one thing that is
+	// fixed: the epoch the panics failed.
+	panics := inj.Counts().Panics
+	res.Notes = append(res.Notes, fmt.Sprintf("panics=%d", panics))
+	if panics == 0 {
 		res.Failures = append(res.Failures, "fault class injected nothing")
+	} else {
+		res.Injected = 1
 	}
 	return res
 }

@@ -3,14 +3,12 @@ package pipeline
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lotus/internal/clock"
 	"lotus/internal/faultinject"
 	"lotus/internal/native"
 	"lotus/internal/rng"
-	"lotus/internal/tensor"
 )
 
 // DispatchPolicy selects how the main process assigns the next index batch
@@ -101,9 +99,10 @@ func EpochSeed(seed int64, epoch int) int64 {
 	return seed + int64(epoch)*1_000_003
 }
 
-// DefaultAutoWorkers is the worker count an auto-managed loader starts with
-// when Config.NumWorkers is zero. The controller (internal/control) resizes
-// from there; without a controller it is simply a sane small default.
+// DefaultAutoWorkers is the worker count a loader — or the serving layer's
+// shared pool — starts with when NumWorkers is zero. The serving controller
+// (internal/control) resizes the pool from there; without a controller it is
+// simply a sane small default.
 const DefaultAutoWorkers = 2
 
 func (c Config) validate() Config {
@@ -114,8 +113,7 @@ func (c Config) validate() Config {
 		panic("pipeline: NumWorkers must not be negative")
 	}
 	if c.NumWorkers == 0 {
-		// Zero means "auto": start at the default and let a controller grow
-		// or shrink the pool at runtime via RequestResize.
+		// Zero means "auto".
 		c.NumWorkers = DefaultAutoWorkers
 	}
 	if c.PrefetchFactor <= 0 {
@@ -169,14 +167,10 @@ type stealBoard struct {
 	lanes  [][]indexTask
 	closed bool
 	steals int
-	// retired marks lanes whose worker is shrinking away: the worker drains
-	// its own lane (peers may still steal from it) and then exits instead of
-	// stealing more work.
-	retired []bool
 }
 
 func newStealBoard(clk clock.Clock, workers int) *stealBoard {
-	return &stealBoard{cond: clk.NewCond(), lanes: make([][]indexTask, workers), retired: make([]bool, workers)}
+	return &stealBoard{cond: clk.NewCond(), lanes: make([][]indexTask, workers)}
 }
 
 // Put appends t to worker w's lane. Lanes are unbounded, so Put never blocks.
@@ -190,26 +184,8 @@ func (sb *stealBoard) Put(w int, t indexTask) {
 	sb.cond.Broadcast()
 }
 
-// AddLane appends an empty lane for a newly grown worker and returns its id.
-func (sb *stealBoard) AddLane() int {
-	sb.cond.Lock()
-	defer sb.cond.Unlock()
-	sb.lanes = append(sb.lanes, nil)
-	sb.retired = append(sb.retired, false)
-	return len(sb.lanes) - 1
-}
-
-// Retire marks worker w's lane as shrinking away (see the retired field).
-func (sb *stealBoard) Retire(w int) {
-	sb.cond.Lock()
-	defer sb.cond.Unlock()
-	sb.retired[w] = true
-	sb.cond.Broadcast()
-}
-
 // Get returns the next task for worker w and the lane it came from
-// (from != w is a steal). ok is false once the board is closed and drained,
-// or — for a retired worker — once its own lane is empty.
+// (from != w is a steal). ok is false once the board is closed and drained.
 func (sb *stealBoard) Get(p clock.Proc, w int) (t indexTask, from int, ok bool) {
 	sb.cond.Lock()
 	defer sb.cond.Unlock()
@@ -217,9 +193,6 @@ func (sb *stealBoard) Get(p clock.Proc, w int) (t indexTask, from int, ok bool) 
 		if len(sb.lanes[w]) > 0 {
 			t, sb.lanes[w] = sb.lanes[w][0], sb.lanes[w][1:]
 			return t, w, true
-		}
-		if sb.retired[w] {
-			return t, -1, false
 		}
 		victim, depth := -1, 0
 		for i, lane := range sb.lanes {
@@ -294,22 +267,6 @@ type DataLoader struct {
 	// of a wait it no longer has any reason to honor.
 	stallAbort chan struct{}
 	stallOnce  sync.Once
-
-	// workerTarget is the requested live worker count. RequestResize stores
-	// it from any goroutine; the main proc applies it at the next dispatch
-	// point — the one place where forking new worker procs and retiring lanes
-	// cannot race the scheduler.
-	workerTarget atomic.Int64
-	// active lists the live (non-retired) worker ids in ascending order;
-	// retired marks ids shrunk away. Guarded by mu (reads on the dispatch
-	// path share the lock the outstanding ledger already takes).
-	active  []int
-	retired []bool
-	// totalWorkers is the high-water worker id count: retired ids are never
-	// reused, grown workers get fresh ids. Main proc only after Start.
-	totalWorkers int
-	// grown/shrunk count applied resize events (under mu).
-	grown, shrunk int
 }
 
 // creditEpsilon separates real accounting drift from float64 rounding noise
@@ -320,7 +277,6 @@ const creditEpsilon = 1e-6
 func NewDataLoader(clk clock.Clock, ds Dataset, cfg Config) *DataLoader {
 	cfg = cfg.validate()
 	dl := &DataLoader{cfg: cfg, dataset: ds, clk: clk, stallAbort: make(chan struct{})}
-	dl.workerTarget.Store(int64(cfg.NumWorkers))
 	dl.buildBatches()
 	return dl
 }
@@ -393,19 +349,8 @@ func (dl *DataLoader) Start(p clock.Proc) *Iterator {
 		panic("pipeline: DataLoader.Start called twice (one epoch per loader)")
 	}
 	dl.started = true
-	// A RequestResize issued before Start simply adjusts the construction
-	// count — no fork-then-retire churn.
-	n := int(dl.workerTarget.Load())
-	if n < 1 {
-		n = 1
-	}
-	dl.totalWorkers = n
-	dl.retired = make([]bool, n)
+	n := dl.cfg.NumWorkers
 	dl.outstanding = make([]float64, n)
-	dl.active = make([]int, n)
-	for w := range dl.active {
-		dl.active[w] = w
-	}
 	if dl.cfg.Dispatch == DispatchWorkStealing {
 		dl.board = newStealBoard(dl.clk, n)
 	} else {
@@ -417,7 +362,9 @@ func (dl *DataLoader) Start(p clock.Proc) *Iterator {
 	dl.dataQ = clock.NewQueue[workerResult](dl.clk, 0)
 
 	for w := 0; w < n; w++ {
-		dl.forkWorker(p, w)
+		p.Go(fmt.Sprintf("dataloader-worker-%d", w), func(wp clock.Proc) {
+			dl.workerLoop(wp, w)
+		})
 	}
 
 	// Initial prefetch: prefetch_factor batches per worker, round-robin by
@@ -434,42 +381,19 @@ func (dl *DataLoader) Start(p clock.Proc) *Iterator {
 	return &Iterator{dl: dl, cached: make(map[int]*Batch), cachedWorker: make(map[int]int), cachedErr: make(map[int]error)}
 }
 
-// forkWorker starts worker w's proc, capturing its index queue at fork time
-// (the indexQs slice may be appended to by a later grow, so the worker must
-// not chase the slice header).
-func (dl *DataLoader) forkWorker(p clock.Proc, w int) {
-	var q *clock.Queue[indexTask]
-	if dl.board == nil {
-		q = dl.indexQs[w]
-	}
-	p.Go(fmt.Sprintf("dataloader-worker-%d", w), func(wp clock.Proc) {
-		dl.workerLoop(wp, w, q)
-	})
-}
-
-// dispatch applies any pending resize, then sends the next undistributed
-// batch to a worker — the hinted one under DispatchProducer /
-// DispatchWorkStealing, or the least-loaded one under DispatchLeastWork —
-// and closes the index structure once everything is dispatched.
-func (dl *DataLoader) dispatch(p clock.Proc, hint int) {
-	dl.applyResize(p)
-	dl.enqueueNext(p, hint)
-}
-
-// enqueueNext is the dispatch body without the resize check. A hint naming a
-// retired worker is remapped deterministically onto the active set.
+// enqueueNext sends the next undistributed batch to a worker — the hinted
+// one under DispatchProducer / DispatchWorkStealing, or the least-loaded one
+// under DispatchLeastWork — and closes the index structure once everything is
+// dispatched.
 func (dl *DataLoader) enqueueNext(p clock.Proc, hint int) {
 	if dl.sendIdx >= len(dl.batches) {
 		return
 	}
 	w := hint
 	dl.mu.Lock()
-	if w >= len(dl.retired) || dl.retired[w] {
-		w = dl.active[w%len(dl.active)]
-	}
 	if dl.cfg.Dispatch == DispatchLeastWork {
-		w = dl.active[0]
-		for _, i := range dl.active[1:] {
+		w = 0
+		for i := range dl.outstanding {
 			if dl.outstanding[i] < dl.outstanding[w] {
 				w = i
 			}
@@ -486,97 +410,6 @@ func (dl *DataLoader) enqueueNext(p clock.Proc, hint int) {
 	}
 	if dl.sendIdx == len(dl.batches) {
 		dl.closeIndex()
-	}
-}
-
-// RequestResize asks the loader to grow or shrink to n live workers. Safe
-// from any goroutine and any clock: the target is only applied by the main
-// proc at its next dispatch point, so worker forking and lane retirement
-// never race the scheduler. Growing workers get fresh ids (and a prefetch
-// top-up so they have work immediately); shrinking retires the highest
-// active ids, which drain their queued backlog and exit. The live count
-// never drops below 1. Changing the worker count never changes batch bytes —
-// the schedule-independence contract the loader already holds across worker
-// counts.
-func (dl *DataLoader) RequestResize(n int) {
-	if n < 1 {
-		n = 1
-	}
-	dl.workerTarget.Store(int64(n))
-}
-
-// Workers reports the current live (non-retired) worker count.
-func (dl *DataLoader) Workers() int {
-	dl.mu.Lock()
-	defer dl.mu.Unlock()
-	if dl.active == nil {
-		return int(dl.workerTarget.Load())
-	}
-	return len(dl.active)
-}
-
-// Resizes reports how many workers were grown and retired at runtime.
-func (dl *DataLoader) Resizes() (grown, shrunk int) {
-	dl.mu.Lock()
-	defer dl.mu.Unlock()
-	return dl.grown, dl.shrunk
-}
-
-// applyResize reconciles the live worker set with the requested target. Main
-// proc only. Once every batch is dispatched the epoch is draining and a
-// resize would be pure churn, so it is skipped.
-func (dl *DataLoader) applyResize(p clock.Proc) {
-	target := int(dl.workerTarget.Load())
-	if dl.sendIdx >= len(dl.batches) {
-		return
-	}
-	dl.mu.Lock()
-	cur := len(dl.active)
-	dl.mu.Unlock()
-	if target == cur {
-		return
-	}
-	if target > cur {
-		fresh := make([]int, 0, target-cur)
-		for i := cur; i < target; i++ {
-			w := dl.totalWorkers
-			dl.totalWorkers++
-			dl.retired = append(dl.retired, false)
-			if dl.board != nil {
-				dl.board.AddLane()
-			} else {
-				dl.indexQs = append(dl.indexQs, clock.NewQueue[indexTask](dl.clk, 0))
-			}
-			dl.mu.Lock()
-			dl.outstanding = append(dl.outstanding, 0)
-			dl.active = append(dl.active, w)
-			dl.grown++
-			dl.mu.Unlock()
-			dl.forkWorker(p, w)
-			fresh = append(fresh, w)
-		}
-		// Top up the prefetch window so the new workers have work now rather
-		// than after the next PrefetchFactor consumption rounds.
-		for i := 0; i < dl.cfg.PrefetchFactor; i++ {
-			for _, w := range fresh {
-				dl.enqueueNext(p, w)
-			}
-		}
-		return
-	}
-	for cur > target && cur > 1 {
-		dl.mu.Lock()
-		w := dl.active[len(dl.active)-1]
-		dl.active = dl.active[:len(dl.active)-1]
-		dl.shrunk++
-		cur = len(dl.active)
-		dl.mu.Unlock()
-		dl.retired[w] = true
-		if dl.board != nil {
-			dl.board.Retire(w)
-		} else {
-			dl.indexQs[w].Close()
-		}
 	}
 }
 
@@ -655,26 +488,11 @@ func (dl *DataLoader) CreditDrift() int {
 }
 
 // workerLoop is the DataLoader worker body (_utils.worker._worker_loop): it
-// creates a fetcher and serves index tasks until its queue closes (or, for a
-// retired worker, until its backlog drains). q is the worker's own index
-// queue, nil under DispatchWorkStealing.
-func (dl *DataLoader) workerLoop(p clock.Proc, workerID int, q *clock.Queue[indexTask]) {
-	pid := WorkerPID(workerID)
-	ctx := &Ctx{
-		Proc:           p,
-		Engine:         dl.cfg.Engine,
-		Thread:         &native.Thread{ID: pid},
-		Mode:           dl.cfg.Mode,
-		Seed:           dl.cfg.Seed,
-		Epoch:          dl.cfg.Epoch,
-		WorkScale:      dl.cfg.WorkScale,
-		MaterializeDim: dl.cfg.MaterializeDim,
-		Faults:         dl.cfg.Faults,
-		SampleCache:    dl.cfg.SampleCache,
-		PrefixFP:       dl.cfg.PrefixFP,
-		Abort:          dl.stallAbort,
-	}
-	collate := &Collate{}
+// creates a fetcher (the BatchWorker) and serves index tasks until its queue
+// closes.
+func (dl *DataLoader) workerLoop(p clock.Proc, workerID int) {
+	bw := NewBatchWorker(workerID, dl.dataset, dl.cfg)
+	bw.Ctx.Abort = dl.stallAbort
 	for {
 		var task indexTask
 		var ok bool
@@ -685,113 +503,21 @@ func (dl *DataLoader) workerLoop(p clock.Proc, workerID int, q *clock.Queue[inde
 				dl.stealCharge(from, workerID, task.batchID)
 			}
 		} else {
-			task, ok = q.Get(p)
+			task, ok = dl.indexQs[workerID].Get(p)
 		}
 		if !ok {
 			return
 		}
-		start := p.Now()
-		if dl.cfg.Engine != nil {
-			dl.cfg.Engine.BeginWork()
-		}
-		// fetch: per-sample preprocessing then collation, with panics from
-		// dataset/transform code captured and forwarded to the main process
-		// (PyTorch pickles the worker exception and re-raises it there).
-		var samples []Sample
-		var collated *tensor.Tensor
-		err := func() (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("pipeline: worker %d failed on batch %d: %v",
-						workerID, task.batchID+dl.cfg.BatchIDOffset, r)
-				}
-			}()
-			samples = make([]Sample, len(task.indices))
-			for i, idx := range task.indices {
-				if dl.cfg.Faults.SamplePanic(idx) {
-					panic(fmt.Sprintf("faultinject: worker panic on sample %d", idx))
-				}
-				samples[i] = dl.dataset.GetItem(ctx, pid, task.batchID+dl.cfg.BatchIDOffset, idx)
-			}
-			collateStart := p.Now()
-			collated = collate.Run(ctx, samples)
-			if dl.cfg.Hooks != nil && dl.cfg.Hooks.OnOp != nil {
-				dl.cfg.Hooks.OnOp(pid, task.batchID+dl.cfg.BatchIDOffset, -1, "Collate", collateStart, p.Now().Sub(collateStart))
-				if dl.cfg.Hooks.PerLogCost > 0 {
-					p.Sleep(dl.cfg.Hooks.PerLogCost)
-				}
-			}
-			return nil
-		}()
-		if dl.cfg.Engine != nil {
-			dl.cfg.Engine.EndWork()
-		}
-		// Injected engine stall: the worker pauses after the batch's work
-		// (GC pause / CPU contention), delaying its arrival on the data
-		// queue without changing the batch's preprocessing span.
-		if stall := dl.cfg.Faults.BatchStall(task.batchID + dl.cfg.BatchIDOffset); stall > 0 {
-			dl.faultSleep(p, stall)
-		}
-		if stall := dl.cfg.Faults.WorkerSlowdown(workerID); stall > 0 {
-			dl.faultSleep(p, stall)
-		}
-		if err != nil {
-			dl.dataQ.Put(p, workerResult{batchID: task.batchID, worker: workerID, err: err})
-			continue
-		}
-		end := p.Now()
-
-		labels := make([]int, len(samples))
-		for i, s := range samples {
-			labels[i] = s.Label
-		}
-		batch := &Batch{
-			ID:             task.batchID + dl.cfg.BatchIDOffset,
-			WorkerID:       workerID,
-			Indices:        append([]int(nil), task.indices...),
-			Labels:         labels,
-			Data:           collated,
-			PreprocessedAt: end,
-		}
-		if dl.cfg.Hooks != nil && dl.cfg.Hooks.OnBatchPreprocessed != nil {
-			dl.cfg.Hooks.OnBatchPreprocessed(pid, task.batchID+dl.cfg.BatchIDOffset, start, end.Sub(start))
-			if dl.cfg.Hooks.PerLogCost > 0 {
-				p.Sleep(dl.cfg.Hooks.PerLogCost)
-			}
-		}
-		dl.dataQ.Put(p, workerResult{batchID: task.batchID, batch: batch, worker: workerID})
+		batch, err := bw.Run(p, task.batchID+dl.cfg.BatchIDOffset, task.indices)
+		dl.dataQ.Put(p, workerResult{batchID: task.batchID, batch: batch, worker: workerID, err: err})
 	}
 }
 
-// InterruptStalls releases every worker currently sleeping out an injected
-// real-clock fault stall, and makes all future fault stalls on this loader
-// return immediately. Unlike Iterator.Abort it touches no iterator state, so
-// it is safe to call from any goroutine — the serving layer calls it from a
-// connection watcher when a session's socket dies mid-epoch, where the main
-// proc is itself blocked waiting on the stalled worker and cannot run Abort.
-func (dl *DataLoader) InterruptStalls() {
+// interruptStalls releases every worker currently sleeping out an injected
+// real-clock fault stall (or parked on a foreign sample-cache entry), and
+// makes all future such waits on this loader return immediately.
+func (dl *DataLoader) interruptStalls() {
 	dl.stallOnce.Do(func() { close(dl.stallAbort) })
-}
-
-// faultSleep pauses a worker for an injected fault stall. Simulated-clock
-// stalls are virtual — they cost teardown nothing and must stay on the
-// deterministic scheduler — so they sleep normally. Real-clock stalls race
-// the epoch abort: a node degraded enough to get its session severed (a
-// hedged straggler, a disconnecting client) must not keep the worker
-// goroutine — and the Drain waiting behind it — pinned for the remainder of
-// a stall nobody will consume.
-func (dl *DataLoader) faultSleep(p clock.Proc, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if !clock.IsReal(p) {
-		p.Sleep(d)
-		return
-	}
-	select {
-	case <-time.After(d):
-	case <-dl.stallAbort:
-	}
 }
 
 // Iterator consumes batches strictly in order from the shared data queue,
@@ -890,7 +616,7 @@ restart:
 	it.rcvdIdx++
 	// Replenish: hand the next index batch to the worker that produced the
 	// batch we just consumed (§ II-B).
-	dl.dispatch(p, fromWorker)
+	dl.enqueueNext(p, fromWorker)
 	if it.rcvdIdx == len(dl.batches) && it.seen == dl.sendIdx {
 		// Natural epoch end with every dispatched batch credited: the
 		// outstanding ledger must be back to zero.
@@ -921,7 +647,7 @@ func (it *Iterator) handleError(p clock.Proc, batchID, worker int, err error) bo
 	it.rcvdIdx++
 	if dl.cfg.OnError == SkipBatch {
 		it.skipped = append(it.skipped, batchID+dl.cfg.BatchIDOffset)
-		dl.dispatch(p, worker)
+		dl.enqueueNext(p, worker)
 		return true
 	}
 	it.err = err
@@ -950,7 +676,7 @@ func (it *Iterator) logWait(p clock.Proc, batchID int, start time.Time, dur time
 // client disconnects or the server drains mid-epoch.
 func (it *Iterator) Abort() {
 	it.rcvdIdx = len(it.dl.batches)
-	it.dl.InterruptStalls()
+	it.dl.interruptStalls()
 	it.dl.closeIndex()
 }
 

@@ -422,10 +422,9 @@ func TestConfigValidation(t *testing.T) {
 			NewDataLoader(sim, NewImageFolder(ds, icCompose(nil)), cfg)
 		}()
 	}
-	// Zero workers means "auto" (controller-managed), not a panic: the loader
-	// starts at the default and can be resized from there.
+	// Zero workers means "auto", not a panic: the loader runs the default.
 	dl := NewDataLoader(sim, NewImageFolder(ds, icCompose(nil)), Config{BatchSize: 2})
-	if got := dl.Workers(); got != DefaultAutoWorkers {
+	if got := dl.cfg.NumWorkers; got != DefaultAutoWorkers {
 		t.Fatalf("NumWorkers=0 should mean auto (%d workers), got %d", DefaultAutoWorkers, got)
 	}
 }

@@ -82,7 +82,7 @@ func TestEncodeBatchFramePooledAllocs(t *testing.T) {
 	}
 }
 
-// The single-flight state machine (claim / wait / fulfill / abandon, LRU
+// The single-flight state machine (claim / wait / publish / abandon, LRU
 // order, timeouts, the tier seam) is tested once, in internal/cache. The two
 // tests below run pooled Frames through it: a frame recycled while the cache
 // or a reader still counts on it shows up here as wrong bytes.
@@ -93,14 +93,15 @@ func TestEncodeBatchFramePooledAllocs(t *testing.T) {
 func TestBatchCacheByteBudget(t *testing.T) {
 	c := NewBatchCache(250, nil)
 	for gid := 0; gid < 10; gid++ {
-		if !c.Claim(cacheKeyN(gid)) {
-			t.Fatalf("claim %d failed", gid)
+		f, err := c.Acquire(cacheKeyN(gid), nil, func() (*Frame, error) {
+			return cacheFrame(100, byte(gid)), nil
+		})
+		if err != nil {
+			t.Fatalf("acquire %d: %v", gid, err)
 		}
-		f := cacheFrame(100, byte(gid))
-		c.Fulfill(cacheKeyN(gid), f)
-		// The fulfiller's reference outlives eviction: bytes stay valid.
+		// The computer's reference outlives eviction: bytes stay valid.
 		if f.Bytes()[0] != byte(gid) {
-			t.Fatalf("frame %d corrupted after fulfill", gid)
+			t.Fatalf("frame %d corrupted after publish", gid)
 		}
 		f.Release()
 		if st := c.Stats(); st.BytesUsed > 250 {
@@ -110,8 +111,22 @@ func TestBatchCacheByteBudget(t *testing.T) {
 
 	// Oversize frame: published (waiter served), then immediately evicted.
 	key := cacheKeyN(99)
-	if !c.Claim(key) {
-		t.Fatal("oversize claim failed")
+	waiterParked := make(chan struct{})
+	ownerDone := make(chan struct{})
+	go func() {
+		defer close(ownerDone)
+		big, err := c.Acquire(key, nil, func() (*Frame, error) {
+			<-waiterParked
+			return cacheFrame(1000, 0xee), nil
+		})
+		if err != nil {
+			t.Errorf("oversize owner: %v", err)
+			return
+		}
+		big.Release()
+	}()
+	for c.Stats().Misses < 11 { // let the owner claim the key
+		time.Sleep(time.Millisecond)
 	}
 	waiterGot := make(chan int, 1)
 	go func() {
@@ -129,18 +144,25 @@ func TestBatchCacheByteBudget(t *testing.T) {
 	for c.Stats().SingleflightWait == 0 { // let the waiter park
 		time.Sleep(time.Millisecond)
 	}
-	big := cacheFrame(1000, 0xee)
-	c.Fulfill(key, big)
-	big.Release()
+	close(waiterParked)
 	if n := <-waiterGot; n != 1000 {
 		t.Fatalf("waiter on oversize frame got %d bytes, want 1000", n)
 	}
+	<-ownerDone
 	st := c.Stats()
 	if st.BytesUsed > 250 {
 		t.Fatalf("oversize frame stayed resident: %d bytes", st.BytesUsed)
 	}
-	if h, ok := c.TryGet(key); ok {
-		h.Release()
+	recomputed := false
+	f, err := c.Acquire(key, nil, func() (*Frame, error) {
+		recomputed = true
+		return cacheFrame(1000, 0xee), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Release()
+	if !recomputed {
 		t.Fatal("oversize entry still cached")
 	}
 }

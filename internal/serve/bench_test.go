@@ -248,8 +248,7 @@ func BenchmarkEncodeBatchPooled(b *testing.B) {
 
 // BenchmarkSessionFootprint reports the marginal per-session cost of the
 // serving tier: heap bytes and goroutines per connected-but-idle session and
-// per session that has streamed (and therefore owns lazily-built pipeline
-// state: hooks, engine, dataset view, trace-pid base). scripts/bench.sh
+// per session that has streamed one epoch. scripts/bench.sh
 // captures both series into BENCH_PR10.json — the session-slimming
 // regression gauge for O(1000)-session serving.
 func BenchmarkSessionFootprint(b *testing.B) {
@@ -374,6 +373,92 @@ func benchSessionScaling(b *testing.B, clients int) {
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(totalBatches.Load())/sec, "batches/sec")
 	}
+}
+
+// BenchmarkSessionScalingCold is the compute-side twin of
+// BenchmarkSessionScaling: every client is an independent full-plan session
+// fetching an epoch nobody else wants, with every cache off, so aggregate
+// samples/sec is what the host's cores deliver when N cold trainers share
+// them. It must be RealData: in emulate mode "work" is a sleep, and however
+// many workers run they overlap sleeps for free, so the comparison would
+// measure the cost model, not the host. The worker count is twice the cores
+// — the usual loader sizing, leaving room to overlap the modeled storage
+// reads — whatever the session count. Peak goroutines and heap over the timed
+// region ride along. scripts/bench.sh gates clients=256 at >= 0.8x clients=8.
+func BenchmarkSessionScalingCold(b *testing.B) {
+	for _, clients := range []int{8, 64, 256} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			benchSessionScalingCold(b, clients)
+		})
+	}
+}
+
+func benchSessionScalingCold(b *testing.B, clients int) {
+	spec := workloads.ICSpec(16, 7)
+	spec.BatchSize = 4 // 4 batches per full plan, 2.4 MB of float32 each
+	spec.NumWorkers = 2 * runtime.GOMAXPROCS(0)
+	srv := New(Config{Spec: spec, Mode: pipeline.RealData, MaterializeDim: 64,
+		Prefetch: 4, MaxSessions: 2048})
+	if err := srv.Start("127.0.0.1:0", ""); err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+
+	conns := make([]*Client, clients)
+	for i := range conns {
+		conns[i] = NewClient(ClientConfig{Addr: srv.Addr(),
+			Name: fmt.Sprintf("cold-%d", i)})
+		if err := conns[i].Connect(); err != nil {
+			b.Fatal(err)
+		}
+		defer conns[i].Close()
+	}
+
+	var peakGoroutines, peakHeap atomic.Int64
+	stopSampling := make(chan struct{})
+	var sampler sync.WaitGroup
+	sampler.Add(1)
+	go func() {
+		defer sampler.Done()
+		var ms runtime.MemStats
+		for {
+			select {
+			case <-stopSampling:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+			runtime.ReadMemStats(&ms)
+			peakGoroutines.Store(max(peakGoroutines.Load(), int64(runtime.NumGoroutine())))
+			peakHeap.Store(max(peakHeap.Load(), int64(ms.HeapAlloc)))
+		}
+	}()
+
+	var totalSamples atomic.Int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for ci, c := range conns {
+			wg.Add(1)
+			go func(c *Client, epoch int) {
+				defer wg.Done()
+				var st FetchStats
+				if err := c.fetchEpoch(epoch, nil, &st); err != nil {
+					b.Error(err)
+					return
+				}
+				totalSamples.Add(int64(st.Batches * spec.BatchSize))
+			}(c, i*clients+ci)
+		}
+		wg.Wait()
+	}
+	b.StopTimer()
+	close(stopSampling)
+	sampler.Wait()
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(totalSamples.Load())/sec, "samples/sec")
+	}
+	b.ReportMetric(float64(peakGoroutines.Load()), "peak-goroutines")
+	b.ReportMetric(float64(peakHeap.Load())/(1<<20), "peak-heap-MB")
 }
 
 // BenchmarkTenantFairness is bench stage 9's fairness axis: four equal-weight

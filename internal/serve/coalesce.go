@@ -13,21 +13,19 @@ import (
 // frameWriter batches consecutive frames of one connection into a single
 // vectored write, bounded three ways:
 //
-//   - coalesceBytes of pending payload (default 64 KiB),
-//   - coalesceFrames pending frames (default 8, the writev iovec budget),
-//   - a latency window since the first pending frame (default 1ms).
+//   - coalesceBytes of pending payload,
+//   - coalesceFrames pending frames,
+//   - coalesceWindow of latency since the first pending frame.
 //
 // The session's write loop additionally flushes whenever the *next* frame is
 // not already available, so coalescing only ever batches frames that were
-// ready anyway — it trades syscalls, not first-frame latency. With
-// maxFrames=1 the writer degenerates to exactly the old one-writev-per-frame
-// behavior; the server forces that mode when a fault injector is active so
-// the wire-fault seams keep their per-frame semantics.
+// ready anyway — it trades syscalls, not first-frame latency. In immediate
+// mode the writer degenerates to one writev per frame; the server selects it
+// when a fault injector is active so the wire-fault seams keep their
+// per-frame semantics.
 type frameWriter struct {
 	conn      net.Conn
-	maxBytes  int
-	maxFrames int
-	window    time.Duration
+	maxFrames int // coalesceFrames, or 1 in immediate mode
 
 	// QoS: when gate is non-nil every flush holds one write slot, charged
 	// the flushed byte total against the tenant's deficit.
@@ -46,34 +44,29 @@ type frameWriter struct {
 	firstAdd time.Time
 }
 
+// The coalescing bounds: 8 frames is the writev iovec budget, and 1ms is the
+// hard latency bound on a pending partial batch.
 const (
-	defaultCoalesceBytes  = 64 << 10
-	defaultCoalesceFrames = 8
-	defaultCoalesceWindow = time.Millisecond
+	coalesceBytes  = 64 << 10
+	coalesceFrames = 8
+	coalesceWindow = time.Millisecond
 )
 
 var frameWriterPool sync.Pool
 
-// newFrameWriter returns a pooled writer for one connection. maxFrames <= 1
-// selects immediate mode (every add writes through).
-func newFrameWriter(conn net.Conn, maxBytes, maxFrames int, window time.Duration) *frameWriter {
-	if maxBytes <= 0 {
-		maxBytes = defaultCoalesceBytes
-	}
-	if maxFrames <= 0 {
-		maxFrames = defaultCoalesceFrames
-	}
-	if window <= 0 {
-		window = defaultCoalesceWindow
+// newFrameWriter returns a pooled writer for one connection. immediate makes
+// every add write through (one vectored write per frame).
+func newFrameWriter(conn net.Conn, immediate bool) *frameWriter {
+	maxFrames := coalesceFrames
+	if immediate {
+		maxFrames = 1
 	}
 	w, _ := frameWriterPool.Get().(*frameWriter)
 	if w == nil {
 		w = &frameWriter{}
 	}
 	w.conn = conn
-	w.maxBytes = maxBytes
 	w.maxFrames = maxFrames
-	w.window = window
 	if cap(w.hdrs) < maxFrames {
 		w.hdrs = make([][4]byte, maxFrames)
 		w.bufs = make(net.Buffers, 0, 2*maxFrames)
@@ -99,8 +92,8 @@ func (w *frameWriter) add(f *Frame, cancel <-chan struct{}) error {
 	if i == 0 {
 		w.firstAdd = time.Now()
 	}
-	if len(w.held) >= w.maxFrames || w.pend >= w.maxBytes ||
-		time.Since(w.firstAdd) >= w.window {
+	if len(w.held) >= w.maxFrames || w.pend >= coalesceBytes ||
+		time.Since(w.firstAdd) >= coalesceWindow {
 		return w.flush(cancel)
 	}
 	return nil

@@ -1,99 +1,54 @@
 package serve
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"lotus/internal/control"
 	"lotus/internal/core/trace"
-	"lotus/internal/pipeline"
 )
 
 // This file is the server-side driver of the internal/control loop: it
 // assembles Signals from counters the server already exports (the trace
 // ring's T2 wait records, the per-session prefetch-queue gauges, the three
 // cache tiers' stats) and applies the controller's Actions to the live
-// knobs — pipeline worker count and prefetch factor for epochs in flight
-// and epochs to come, and the byte budgets of the batch, sample, and disk
-// caches.
+// knobs — the compute plane's worker count, the per-session prefetch window,
+// and the byte budgets of the batch, sample, and disk caches.
 //
 // The tick point is epoch completion (after Metrics.AddEpoch), and the
-// controller keys every decision off the epochs-served counter, so in sim
-// mode the loop is deterministic: the same workload history produces the
-// same action sequence, and no goroutine samples the wall clock to decide
-// anything.
+// controller keys every decision off the epochs-served counter: the same
+// signal history produces the same action sequence, and no goroutine samples
+// a timer to decide anything. (The wait signal itself is wall-clock — it is
+// what each session's write loop measured waiting for the plane.)
 
-// controlPID is the trace PID actuation records are filed under; it sits
-// below every session's private pid range (session pids are
-// pipeline.MainPID + streamSeq*Config.TracePIDStride, so never below
-// pipeline.MainPID = 4000) and controller spans can never collide with
-// pipeline spans regardless of the configured stride.
-const controlPID = 999
+// The ring's three pid ranges are disjoint by construction: controller
+// actions at controlPID, the plane's workers at pipeline.WorkerPID(slot)
+// (4001 and up, one per pool slot), and a session's wait/consume records at
+// sessionPIDBase + session id — far above any worker count the pool can
+// reach.
+const (
+	controlPID     = 999
+	sessionPIDBase = 1 << 20
+)
 
 // tuner binds one Server to one control.Controller.
 type tuner struct {
 	srv      *Server
 	ctrl     *control.Controller
 	longWait time.Duration
-
-	// workers/prefetch mirror the controller's pipeline knobs for lock-free
-	// reads on the epoch-start path (produceClaimed).
-	workers  atomic.Int64
-	prefetch atomic.Int64
-
-	// loaders is the registry of DataLoaders currently running an epoch;
-	// a worker-count action resizes them mid-epoch via RequestResize.
-	mu      sync.Mutex
-	loaders map[*pipeline.DataLoader]struct{}
 }
 
 func newTuner(s *Server, cfg control.Config, longWait time.Duration) *tuner {
-	spec := s.cfg.Spec
 	initial := control.Knobs{
-		Workers:     spec.NumWorkers,
-		Prefetch:    spec.Prefetch,
+		Workers:     s.plane.gate.slots,
+		Prefetch:    s.cfg.Prefetch,
 		BatchBytes:  s.cfg.BatchCacheBytes,
 		SampleBytes: s.cfg.SampleCacheBytes,
 		DiskBytes:   s.cfg.DiskCacheBytes,
 	}
-	if initial.Workers <= 0 {
-		initial.Workers = pipeline.DefaultAutoWorkers
-	}
-	if initial.Prefetch <= 0 {
-		initial.Prefetch = 2
-	}
 	if longWait <= 0 {
 		longWait = 500 * time.Millisecond
 	}
-	t := &tuner{
-		srv:      s,
-		ctrl:     control.NewController(cfg, initial),
-		longWait: longWait,
-		loaders:  make(map[*pipeline.DataLoader]struct{}),
-	}
-	knobs := t.ctrl.Knobs()
-	t.workers.Store(int64(knobs.Workers))
-	t.prefetch.Store(int64(knobs.Prefetch))
-	return t
-}
-
-// pipelineKnobs reads the current worker/prefetch targets for a starting
-// epoch pipeline.
-func (t *tuner) pipelineKnobs() (workers, prefetch int) {
-	return int(t.workers.Load()), int(t.prefetch.Load())
-}
-
-func (t *tuner) register(dl *pipeline.DataLoader) {
-	t.mu.Lock()
-	t.loaders[dl] = struct{}{}
-	t.mu.Unlock()
-}
-
-func (t *tuner) unregister(dl *pipeline.DataLoader) {
-	t.mu.Lock()
-	delete(t.loaders, dl)
-	t.mu.Unlock()
+	return &tuner{srv: s, ctrl: control.NewController(cfg, initial), longWait: longWait}
 }
 
 // observe is the control tick: called by whichever session goroutine just
@@ -127,7 +82,7 @@ func (t *tuner) signals() control.Signals {
 		sig.LongWaitFrac = float64(long) / float64(sig.WaitCount)
 		sig.MeanWait = waitSum / time.Duration(sig.WaitCount)
 	}
-	sig.QueueFill = s.metrics.QueueFill(s.cfg.Prefetch)
+	sig.QueueFill = s.metrics.QueueFill(int(s.window.Load()))
 
 	if st, ok := s.CacheStats(); ok {
 		sig.Batch = control.CacheSignals{Enabled: true, Hits: st.Hits, Misses: st.Misses,
@@ -145,22 +100,18 @@ func (t *tuner) signals() control.Signals {
 	return sig
 }
 
-// apply actuates one controller action: worker actions resize every live
-// loader and retarget future epochs, prefetch actions take effect at the
-// next epoch, cache actions retarget the tier's byte budget immediately.
+// apply actuates one controller action: worker actions resize the compute
+// plane (growth at once, shrinkage as running batches finish), prefetch
+// actions set the window the next streamed epoch opens, cache actions
+// retarget the tier's byte budget immediately.
 // Every action lands in the trace ring as a `control` op so a /trace
 // export shows exactly when the loop intervened.
 func (t *tuner) apply(a control.Action) {
 	switch a.Knob {
 	case "workers":
-		t.workers.Store(a.To)
-		t.mu.Lock()
-		for dl := range t.loaders {
-			dl.RequestResize(int(a.To))
-		}
-		t.mu.Unlock()
+		t.srv.plane.gate.resize(int(a.To))
 	case "prefetch":
-		t.prefetch.Store(a.To)
+		t.srv.window.Store(a.To)
 	case "cache.batch":
 		if t.srv.cache != nil {
 			t.srv.cache.SetBudget(a.To)

@@ -123,8 +123,8 @@ func TestAutoTuneLoopActsAndStaysByteIdentical(t *testing.T) {
 			controlOps, len(st.Actions))
 	}
 
-	// Close the session before draining so Shutdown sees an idle server.
-	c.Close()
+	// The client is still connected, idle: the drain drops it and returns.
+	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

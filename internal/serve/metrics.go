@@ -131,7 +131,7 @@ func (m *Metrics) QueueFill(capacity int) float64 {
 }
 
 // AddEpochAbort counts one epoch stream that ended in an error (client gone,
-// write failure, or producer failure) instead of a clean EpochEnd. Paired
+// write failure, or compute failure) instead of a clean EpochEnd. Paired
 // with the reconnect counter, a rising abort rate is the server-side
 // signature of clients stuck in retry loops.
 func (m *Metrics) AddEpochAbort() {
@@ -186,7 +186,7 @@ type HedgeStats struct {
 }
 
 // SessionMetrics tracks one session's live counters. The queue gauge reads
-// the session's current prefetch channel depth.
+// how many fetched frames of the session's window await the write loop.
 type SessionMetrics struct {
 	mu          sync.Mutex
 	id          int

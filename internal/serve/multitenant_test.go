@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"lotus/internal/core/trace"
 	"lotus/internal/pipeline"
 	"lotus/internal/testutil"
 	"lotus/internal/workloads"
@@ -171,41 +172,14 @@ func TestAdmissionQueueAdmits(t *testing.T) {
 	}
 }
 
-// TestTracePIDStrideValidation: a stride too small for the worker count is
-// raised, never trusted — the regression case for session pid ranges
-// aliasing each other (or crowding controlPID) once a pipeline uses more
-// pids than the stride.
-func TestTracePIDStrideValidation(t *testing.T) {
-	spec := loopbackSpec()
-	spec.NumWorkers = 500
-	srv := New(Config{Spec: spec, Mode: pipeline.Simulated, TracePIDStride: 100})
-	if got, want := srv.cfg.TracePIDStride, 502; got != want {
-		t.Fatalf("stride %d, want raised to %d (workers+2)", got, want)
-	}
-	// Default is preserved when it already clears the worker span.
-	srv = New(Config{Spec: loopbackSpec(), Mode: pipeline.Simulated})
-	if srv.cfg.TracePIDStride != 1000 {
-		t.Fatalf("default stride %d, want 1000", srv.cfg.TracePIDStride)
-	}
-	// The autotuner's worker bound counts too: it can raise workers above
-	// the spec mid-epoch.
-	spec = loopbackSpec()
-	spec.NumWorkers = 2
-	srv = New(Config{Spec: spec, Mode: pipeline.Simulated, AutoTune: true, TracePIDStride: 4})
-	if srv.cfg.TracePIDStride < 18 { // controller default MaxWorkers 16 + 2
-		t.Fatalf("autotune stride %d, want >= 18", srv.cfg.TracePIDStride)
-	}
-}
-
-// TestTracePIDRangesDisjoint streams two concurrent sessions with a tight
-// (but valid) stride and asserts every pipeline trace pid stays inside its
-// session's private window: offsets within a stride never exceed the worker
-// span, so adjacent sessions cannot alias, and nothing lands on controlPID.
+// TestTracePIDRangesDisjoint streams two concurrent sessions and asserts the
+// ring's pid ranges stay disjoint by construction: pipeline records (ops,
+// preprocessed spans) sit on the plane's worker pids WorkerPID(0..n-1),
+// session records (waits, consumes) at sessionPIDBase + session id, and
+// nothing lands on controlPID.
 func TestTracePIDRangesDisjoint(t *testing.T) {
 	spec := loopbackSpec() // 2 workers
-	const stride = 8
-	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
-		TracePIDStride: stride})
+	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2})
 
 	var wg sync.WaitGroup
 	for rank := 0; rank < 2; rank++ {
@@ -222,24 +196,24 @@ func TestTracePIDRangesDisjoint(t *testing.T) {
 	}
 	wg.Wait()
 
-	bases := map[int]bool{}
+	workers, sessions := map[int]bool{}, map[int]bool{}
 	for _, rec := range srv.ring.Snapshot() {
-		if rec.PID == controlPID {
-			t.Fatalf("pipeline record landed on controlPID: %+v", rec)
+		switch rec.Kind {
+		case trace.KindOp, trace.KindBatchPreprocessed:
+			if rec.PID < pipeline.WorkerPID(0) || rec.PID >= pipeline.WorkerPID(spec.NumWorkers) {
+				t.Fatalf("pipeline record on pid %d, outside WorkerPID(0..%d): %+v",
+					rec.PID, spec.NumWorkers-1, rec)
+			}
+			workers[rec.PID] = true
+		case trace.KindBatchWait, trace.KindBatchConsumed:
+			if rec.PID <= sessionPIDBase {
+				t.Fatalf("session record on pid %d, below the session range: %+v", rec.PID, rec)
+			}
+			sessions[rec.PID] = true
 		}
-		if rec.PID < pipeline.MainPID {
-			continue
-		}
-		off := (rec.PID - pipeline.MainPID) % stride
-		// Valid offsets: main (0) plus workers (1..NumWorkers).
-		if off > spec.NumWorkers {
-			t.Fatalf("pid %d offset %d spills past the %d-worker span — aliases the next session",
-				rec.PID, off, spec.NumWorkers)
-		}
-		bases[(rec.PID-pipeline.MainPID)/stride] = true
 	}
-	if len(bases) != 2 {
-		t.Fatalf("trace shows %d session pid windows, want 2 disjoint", len(bases))
+	if len(workers) == 0 || len(sessions) != 2 {
+		t.Fatalf("trace shows %d worker pids and %d session pids, want >=1 and 2", len(workers), len(sessions))
 	}
 }
 

@@ -17,11 +17,11 @@ import (
 //     tenant owns, so the cap holds across however many connections the
 //     tenant opens.
 //   - A deficit-weighted-fair gate (fairGate) arbitrates the shared
-//     contention points — concurrent producing pipelines and in-flight batch
-//     writes — so that when demand exceeds capacity, tenants progress in
-//     proportion to their weights regardless of how many sessions each one
-//     runs. This is the tf.data-service multi-consumer model: one greedy
-//     trainer cannot starve the rest.
+//     contention points — the compute plane's batch workers (plane.go) and
+//     in-flight batch writes — so that when demand exceeds capacity, tenants
+//     progress in proportion to their weights regardless of how many
+//     sessions each one runs. This is the tf.data-service multi-consumer
+//     model: one greedy trainer cannot starve the rest.
 //   - A fair-share pacer (fairPacer) bounds relative progress on the wire:
 //     no tenant's weighted served bytes may run more than a fixed lead ahead
 //     of the slowest *active* tenant. The gates arbitrate only when their
@@ -107,7 +107,7 @@ func (b *tokenBucket) take(n float64, now time.Time) time.Duration {
 // Deficit-weighted-fair gate
 // ---------------------------------------------------------------------------
 
-// fairGate arbitrates a fixed pool of concurrency slots between tenants with
+// fairGate arbitrates a pool of concurrency slots between tenants with
 // deficit round robin: each queued tenant accumulates quantum*weight of
 // byte-denominated credit per scheduling round and its head waiter is granted
 // a slot once the credit covers the waiter's cost. When the gate is
@@ -115,7 +115,8 @@ func (b *tokenBucket) take(n float64, now time.Time) time.Duration {
 // the fair scheduler costs nothing until it is needed (work conserving).
 type fairGate struct {
 	mu      sync.Mutex
-	free    int
+	slots   int // pool size; resize retargets it
+	free    int // slots - held; negative while a shrink waits for releases
 	quantum int64
 	queues  map[string]*gateQueue
 	ring    []*gateQueue // round-robin order over queues with waiters
@@ -153,7 +154,21 @@ func newFairGate(slots int, quantum int64) *fairGate {
 	if quantum < 1 {
 		quantum = 256 << 10
 	}
-	return &fairGate{free: slots, quantum: quantum, queues: make(map[string]*gateQueue)}
+	return &fairGate{slots: slots, free: slots, quantum: quantum, queues: make(map[string]*gateQueue)}
+}
+
+// resize retargets the pool to n slots (never below 1). Growing grants
+// queued waiters at once; shrinking never interrupts a holder — the pool
+// narrows as slots are released.
+func (g *fairGate) resize(n int) {
+	if n < 1 {
+		n = 1
+	}
+	g.mu.Lock()
+	g.free += n - g.slots
+	g.slots = n
+	g.dispatchLocked()
+	g.mu.Unlock()
 }
 
 // acquire blocks until the caller holds one slot, charged cost units of the
@@ -426,36 +441,36 @@ func (t *tenantState) addBatch(bytes int) {
 	t.mu.Unlock()
 }
 
-// qosState is the server's QoS root: the tenant registry plus the two shared
-// fair gates. now and sleep are injectable for deterministic tests.
+// qosState is the server's QoS root: the tenant registry, the write gate and
+// the pacer (compute fairness is the plane's own gate, keyed by the same
+// tenants). now and sleep are injectable for deterministic tests.
 type qosState struct {
 	mu      sync.Mutex
 	limits  map[string]TenantLimit
-	def     TenantLimit
 	tenants map[string]*tenantState
 
-	write   *fairGate  // in-flight batch writes, cost = frame bytes
-	compute *fairGate  // producing pipelines, cost = claimed batches
-	pacer   *fairPacer // bounded-lead byte pacing, nil when disabled
+	write *fairGate  // in-flight batch writes, cost = frame bytes
+	pacer *fairPacer // bounded-lead byte pacing
 
 	now   func() time.Time
 	sleep func(d time.Duration, cancel <-chan struct{}) bool
 }
 
-func newQoSState(limits map[string]TenantLimit, def TenantLimit, writeSlots, computeSlots int, leadBytes int64) *qosState {
-	qs := &qosState{
+// qosLeadBytes bounds how many weighted wire bytes any tenant may run ahead
+// of the slowest active tenant before its writes are paced — what keeps
+// tenants fair when the bottleneck is CPU or cache rather than the gated
+// slots, since extra sessions cannot buy service past the lead bound.
+const qosLeadBytes = 1 << 20
+
+func newQoSState(limits map[string]TenantLimit, writeSlots int) *qosState {
+	return &qosState{
 		limits:  limits,
-		def:     def,
 		tenants: make(map[string]*tenantState),
 		write:   newFairGate(writeSlots, 256<<10),
-		compute: newFairGate(computeSlots, 1),
+		pacer:   newFairPacer(qosLeadBytes, 0, 0),
 		now:     time.Now,
 		sleep:   sleepInterruptible,
 	}
-	if leadBytes >= 0 {
-		qs.pacer = newFairPacer(leadBytes, 0, 0)
-	}
-	return qs
 }
 
 func sleepInterruptible(d time.Duration, cancel <-chan struct{}) bool {
@@ -470,7 +485,7 @@ func sleepInterruptible(d time.Duration, cancel <-chan struct{}) bool {
 }
 
 // tenant interns the named tenant's state, creating it with the configured
-// (or default) limits on first sight.
+// limits (unlisted tenants: unlimited rate, weight 1) on first sight.
 func (qs *qosState) tenant(name string) *tenantState {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
@@ -478,10 +493,7 @@ func (qs *qosState) tenant(name string) *tenantState {
 	if t != nil {
 		return t
 	}
-	limit, ok := qs.limits[name]
-	if !ok {
-		limit = qs.def
-	}
+	limit := qs.limits[name]
 	t = &tenantState{name: name, limit: limit}
 	now := qs.now()
 	if limit.BytesPerSec > 0 {
@@ -527,7 +539,7 @@ func (qs *qosState) throttle(t *tenantState, wireBytes int, cancel <-chan struct
 // lead bound, sleeping in pacer steps until the charge is admitted. It
 // returns errQoSCanceled if cancel fires mid-pause.
 func (qs *qosState) pace(t *tenantState, wireBytes int, cancel <-chan struct{}) error {
-	if qs.pacer == nil || t == nil {
+	if t == nil {
 		return nil
 	}
 	for {

@@ -9,17 +9,14 @@ import (
 	"hash/fnv"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"lotus/internal/cache"
-	"lotus/internal/clock"
 	"lotus/internal/control"
 	"lotus/internal/core/trace"
 	"lotus/internal/faultinject"
-	"lotus/internal/native"
 	"lotus/internal/pipeline"
 	"lotus/internal/store"
 	"lotus/internal/workloads"
@@ -39,10 +36,11 @@ type Config struct {
 	// benchmarks use it to measure routing throughput without the pixel
 	// work (and its single-machine CPU ceiling) of real mode.
 	EmulateTime bool
-	// Prefetch is the per-session server-side prefetch queue depth in
-	// batches; the producer stalls once this many encoded batches are
-	// waiting for the network, which is the service's backpressure bound
-	// (default 4).
+	// Prefetch is the per-session window: how many batches of a streaming
+	// shard may be outstanding — queued for the compute plane, computing, or
+	// ready and waiting for the network — ahead of the one being written. It
+	// is the service's backpressure bound (default 4); with AutoTune on it is
+	// the controller's prefetch knob.
 	Prefetch int
 	// MaterializeDim caps synthesized image resolution in real mode.
 	MaterializeDim int
@@ -58,8 +56,7 @@ type Config struct {
 	// once, whatever the number of concurrent sessions, ShardReq routes, or
 	// replication fetches asking for it, and the canonical bytes are served
 	// to everyone out of an LRU cache bounded to this many payload bytes.
-	// 0 disables the cache (every session runs its own pipeline, the
-	// pre-cache behavior).
+	// 0 disables the cache (every request for a batch computes it).
 	BatchCacheBytes int64
 	// DiskCacheDir, when non-empty, enables the persistent disk tier under
 	// both memory caches: encoded batch frames and sample snapshots are
@@ -87,8 +84,8 @@ type Config struct {
 	// prefix hits.
 	SampleCacheBytes int64
 	// Faults, when non-nil, is the deterministic fault-injection layer: it is
-	// threaded into every session's pipeline (read errors / stalls / panics)
-	// and consulted per outgoing batch frame for wire faults (drop, truncate,
+	// threaded into the compute plane (read errors / stalls / panics) and
+	// consulted per outgoing batch frame for wire faults (drop, truncate,
 	// corrupt). Production servers leave it nil.
 	Faults *faultinject.Injector
 	// MaxSessions bounds concurrently admitted sessions (0 = unlimited).
@@ -104,63 +101,27 @@ type Config struct {
 	// it is turned away busy (default 2s).
 	AdmitWait time.Duration
 	// Tenants maps tenant names (Hello.Tenant) to explicit QoS limits;
-	// TenantDefault applies to tenants not listed (its zero value means
-	// unlimited rate, weight 1). A non-empty Tenants map — or QoS — enables
-	// the per-tenant scheduler.
-	Tenants       map[string]TenantLimit
-	TenantDefault TenantLimit
+	// tenants not listed get unlimited rate and weight 1. A non-empty Tenants
+	// map — or QoS — enables the per-tenant scheduler.
+	Tenants map[string]TenantLimit
 	// QoS force-enables per-tenant fair scheduling even with no explicit
-	// limits configured: tenants then share the write and compute gates by
-	// deficit-weighted round robin with equal weights.
+	// limits configured: tenants then share the write gate and the compute
+	// plane by deficit-weighted round robin with equal weights.
 	QoS bool
 	// QoSWriteSlots bounds concurrently in-flight batch writes across all
 	// sessions when QoS is on (default 16); the slots are granted in
 	// deficit-weighted-fair order, costed by frame bytes.
 	QoSWriteSlots int
-	// QoSComputeSlots bounds concurrently producing pipelines when QoS is on
-	// (default max(4, 2×GOMAXPROCS)), granted fairly, costed by claimed
-	// batch count.
-	QoSComputeSlots int
-	// QoSLeadBytes bounds how many weighted wire bytes any tenant may run
-	// ahead of the slowest active tenant before its writes are paced — the
-	// mechanism that keeps tenants fair when the bottleneck is CPU or cache
-	// rather than the gated slots, since extra sessions cannot buy service
-	// past the lead bound. Default 1 MiB; < 0 disables lead pacing.
-	QoSLeadBytes int64
-	// CoalesceBytes / CoalesceFrames / CoalesceWindow bound connection-level
-	// write coalescing: consecutive already-ready frames of one session are
-	// batched into a single vectored write up to CoalesceBytes pending
-	// payload (default 64 KiB) or CoalesceFrames frames (default 8), with
-	// CoalesceWindow (default 1ms) as the hard latency bound on a pending
-	// partial batch. CoalesceFrames < 0 disables coalescing (one vectored
-	// write per frame, the pre-coalescing behavior); the server forces that
-	// mode while a fault injector is active so wire-fault seams stay
-	// frame-granular.
-	CoalesceBytes  int
-	CoalesceFrames int
-	CoalesceWindow time.Duration
-	// TracePIDStride spaces the private trace-pid ranges of streaming
-	// sessions (default 1000). It is validated against the widest pid span a
-	// session pipeline can use — main proc plus every worker the spec or the
-	// autotuner's bound allows — and silently raised when too small, so two
-	// sessions' pipelines can never alias in the shared trace ring.
-	TracePIDStride int
-	// LogLinesPerSec rate-limits per-session log lines (handshake rejects,
-	// epoch errors, session opens) so a 1000-session churn storm cannot
-	// serialize every connection goroutine on the logger (default 50 lines/s
-	// with a 2s burst; < 0 disables limiting). Suppressed lines are counted
-	// on /metrics.
-	LogLinesPerSec float64
 	// Pprof registers net/http/pprof handlers on the HTTP sidecar under
 	// /debug/pprof/, so goroutine and heap footprint at high session counts
 	// is diagnosable in production.
 	Pprof bool
 	// AutoTune enables the closed-loop controller: at every completed epoch
 	// the server observes its own T2 wait records, prefetch-queue fill, and
-	// cache counters, and actuates the pipeline worker count (including live
-	// resizes of epochs in flight), the prefetch factor, and the three cache
-	// byte budgets. Decisions are keyed off the epochs-served counter, so a
-	// sim-mode server tunes deterministically.
+	// cache counters, and actuates the compute plane's worker count, the
+	// per-session prefetch window, and the three cache byte budgets.
+	// Decisions are taken only at epoch completions, keyed off the
+	// epochs-served counter; no goroutine samples a timer.
 	AutoTune bool
 	// AutoTuneLongWait classifies a main-process batch wait as a stall for
 	// the controller's wait-fraction signal (default 500ms, the advisor's
@@ -197,6 +158,10 @@ type Server struct {
 	prefixFP    uint64
 	disk        *store.Store // nil when Config.DiskCacheDir == ""
 	tuner       *tuner       // nil when Config.AutoTune is false
+	plane       *plane
+	// window is the live per-session prefetch window (Config.Prefetch until
+	// the autotuner moves it); a streaming shard reads it once, at its start.
+	window atomic.Int64
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -212,11 +177,13 @@ type Server struct {
 	slog  *logLimiter
 	plans planCache // shared epoch plans (spec-fingerprint identical by construction)
 
-	wg         sync.WaitGroup
-	mu         sync.Mutex
-	conns      map[net.Conn]struct{}
+	wg sync.WaitGroup
+	mu sync.Mutex
+	// conns maps every live connection to whether it is streaming an epoch
+	// (false: handshaking, or idle between requests). A drain closes the idle
+	// ones at once and lets the streaming ones finish.
+	conns      map[net.Conn]bool
 	sessionSeq int
-	streamSeq  int // sessions that have streamed; allocates trace-pid bases lazily
 }
 
 // httpCloser is the slice of *http.Server the Server needs; an interface so
@@ -248,35 +215,6 @@ func New(cfg Config) *Server {
 	if cfg.AdmitWait <= 0 {
 		cfg.AdmitWait = 2 * time.Second
 	}
-	// The trace-pid stride must clear the widest pid span one session's
-	// pipeline can occupy: MainPID..MainPID+workers, where workers may be
-	// raised to the autotuner's bound while an epoch streams. A stride that
-	// small would alias the next session's range in the shared ring, so it
-	// is raised, never trusted.
-	maxWorkers := cfg.Spec.NumWorkers
-	if maxWorkers <= 0 {
-		maxWorkers = pipeline.DefaultAutoWorkers
-	}
-	if cfg.AutoTune {
-		tunerMax := cfg.AutoTuneControl.MaxWorkers
-		if tunerMax <= 0 {
-			tunerMax = 16 // control.Config's default bound
-		}
-		if tunerMax > maxWorkers {
-			maxWorkers = tunerMax
-		}
-	}
-	if cfg.TracePIDStride <= 0 {
-		cfg.TracePIDStride = 1000
-	}
-	if min := maxWorkers + 2; cfg.TracePIDStride < min {
-		cfg.Logf("lotus-serve: trace-pid stride %d cannot hold %d workers; raised to %d",
-			cfg.TracePIDStride, maxWorkers, min)
-		cfg.TracePIDStride = min
-	}
-	if cfg.LogLinesPerSec == 0 {
-		cfg.LogLinesPerSec = 50
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
@@ -285,12 +223,14 @@ func New(cfg Config) *Server {
 		ring:       trace.NewRing(cfg.RingSize),
 		ctx:        ctx,
 		cancel:     cancel,
-		conns:      make(map[net.Conn]struct{}),
+		conns:      make(map[net.Conn]bool),
 	}
+	s.window.Store(int64(cfg.Prefetch))
 	s.ring.SetPerLogCost(cfg.Spec.PerLogCost)
 	s.planLen = len(pipeline.BuildBatchPlan(s.datasetLen, cfg.Spec.BatchSize,
 		cfg.Spec.Shuffle, false, cfg.Spec.Seed))
 	s.specFP = SpecFingerprint(cfg.Spec, cfg.Mode, cfg.MaterializeDim)
+	s.plane = newPlane(s)
 	if cfg.AutoTune {
 		s.tuner = newTuner(s, cfg.AutoTuneControl, cfg.AutoTuneLongWait)
 	}
@@ -302,22 +242,20 @@ func New(cfg Config) *Server {
 		if writeSlots <= 0 {
 			writeSlots = 16
 		}
-		computeSlots := cfg.QoSComputeSlots
-		if computeSlots <= 0 {
-			computeSlots = 2 * runtime.GOMAXPROCS(0)
-			if computeSlots < 4 {
-				computeSlots = 4
-			}
-		}
-		s.qos = newQoSState(cfg.Tenants, cfg.TenantDefault, writeSlots, computeSlots, cfg.QoSLeadBytes)
+		s.qos = newQoSState(cfg.Tenants, writeSlots)
 	}
-	s.slog = newLogLimiter(cfg.LogLinesPerSec, cfg.Logf)
+	s.slog = newLogLimiter(logLinesPerSec, cfg.Logf)
 	return s
 }
 
 // slogf is the rate-limited log path for per-session lines; lifecycle lines
 // (start, drain) keep the unthrottled cfg.Logf.
 func (s *Server) slogf(format string, args ...any) { s.slog.Logf(format, args...) }
+
+// logLinesPerSec is the per-session log line rate (handshake rejects, epoch
+// errors, session opens), with a 2s burst; suppressed lines are counted on
+// /metrics.
+const logLinesPerSec = 50
 
 // logLimiter throttles high-cardinality log lines behind a token bucket so
 // a session churn storm cannot serialize a thousand connection goroutines on
@@ -518,8 +456,7 @@ func (s *Server) Start(addr, httpAddr string) error {
 			// Blocking single-flight only when pipeline procs run on the wall
 			// clock; pure-sim procs must never park on channels the virtual
 			// clock cannot see, so they bypass in-flight entries instead.
-			blocking := s.cfg.Mode == pipeline.RealData || s.cfg.EmulateTime
-			s.sampleCache = pipeline.NewSampleCache(s.cfg.SampleCacheBytes, blocking, s.disk)
+			s.sampleCache = pipeline.NewSampleCache(s.cfg.SampleCacheBytes, s.wallClock(), s.disk)
 			s.prefixFP = fp
 		}
 	}
@@ -583,11 +520,24 @@ func (s *Server) Ring() *trace.Ring { return s.ring }
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Shutdown drains the server: new sessions and new epoch requests are
-// refused immediately, epochs already streaming run to completion until ctx
-// expires, at which point in-flight epochs are aborted and connections
-// closed. It returns ctx.Err() if the deadline forced the teardown.
+// refused immediately, idle sessions are disconnected at once, and epochs
+// already streaming run to completion (their sessions leave as they finish)
+// until ctx expires, at which point in-flight epochs are aborted and
+// connections closed. It returns ctx.Err() if the deadline forced the
+// teardown.
 func (s *Server) Shutdown(ctx context.Context) error {
+	// Flag and sweep under one lock, so no session slips from idle to
+	// streaming unseen: setStreaming either ran before (the epoch finishes)
+	// or runs after and sees the drain. An idle session is parked in a read
+	// only its client could end; closing the socket ends it now.
+	s.mu.Lock()
 	s.draining.Store(true)
+	for c, streaming := range s.conns {
+		if !streaming {
+			c.Close()
+		}
+	}
+	s.mu.Unlock()
 	if s.ln != nil {
 		s.ln.Close()
 	}
@@ -640,21 +590,27 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed (drain or Close)
 		}
-		if s.draining.Load() {
+		if !s.setStreaming(conn, false) {
 			s.sendError(conn, "server draining")
 			conn.Close()
 			continue
 		}
-		s.track(conn)
 		s.wg.Add(1)
 		go s.handleConn(conn)
 	}
 }
 
-func (s *Server) track(conn net.Conn) {
+// setStreaming records whether conn is streaming an epoch or idle (tracking
+// it on first sight). It reports false, recording nothing, once the server
+// is draining: the caller must not begin what it was about to.
+func (s *Server) setStreaming(conn net.Conn, streaming bool) bool {
 	s.mu.Lock()
-	s.conns[conn] = struct{}{}
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.conns[conn] = streaming
+	return true
 }
 
 func (s *Server) untrack(conn net.Conn) {
@@ -728,6 +684,9 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	for {
+		if !s.setStreaming(conn, false) {
+			return // the drain let this session's epoch finish; it leaves now
+		}
 		payload, err := ReadFrame(conn, s.cfg.MaxFrame)
 		if err != nil {
 			if err == io.EOF {
@@ -749,7 +708,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				s.sendError(conn, fmt.Sprintf("invalid epoch %d", m.Epoch))
 				return
 			}
-			if s.draining.Load() {
+			if !s.setStreaming(conn, true) {
 				s.sendError(conn, "server draining")
 				return
 			}
@@ -764,7 +723,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				s.sendError(conn, fmt.Sprintf("invalid epoch %d", m.Epoch))
 				return
 			}
-			if s.draining.Load() {
+			if !s.setStreaming(conn, true) {
 				s.sendError(conn, "server draining")
 				return
 			}
@@ -808,12 +767,10 @@ func (s *Server) readHello(conn net.Conn) (Hello, error) {
 	return hello, nil
 }
 
-// session is one connected client's server-side state. An idle session —
-// connected, handshaken, not yet streaming — holds only this struct, its
-// connection goroutine, and a metrics row; the pipeline-facing state
-// (engine, hooks, dataset view, trace-pid range) is materialized lazily by
-// ensurePipeline on the first epoch request, which is what keeps O(1000)
-// mostly-idle sessions cheap.
+// session is one connected client's server-side state: this struct, its
+// connection goroutine, and a metrics row. It owns no pipeline — batches come
+// from the server's compute plane — which is what keeps O(1000) mostly-idle
+// sessions cheap.
 type session struct {
 	srv         *Server
 	id          int
@@ -821,20 +778,6 @@ type session struct {
 	rank, world int
 	tenant      *tenantState // nil when QoS is disabled
 	sm          *SessionMetrics
-	engine      *native.Engine
-	ds          pipeline.Dataset
-	hks         *pipeline.Hooks
-	pidBase     int // private trace-pid range base; 0 until first stream
-
-	// Epoch-scoped state read by the trace hooks: the current shard maps the
-	// DataLoader's positional batch ids back to epoch-global ids, preEnd
-	// remembers preprocess end times for the delay metric. Guarded by mu
-	// because real-mode workers fire hooks concurrently.
-	mu      sync.Mutex
-	epoch   int
-	planLen int
-	shard   []PlanBatch
-	preEnd  map[int]time.Time
 }
 
 func (s *Server) newSession(conn net.Conn, hello Hello) *session {
@@ -869,107 +812,9 @@ func (ss *session) close() {
 	}
 }
 
-// ensurePipeline lazily materializes the session's streaming state on the
-// first epoch request: the native engine, the trace hooks, the session's
-// dataset view, and the private trace-pid base. Idle sessions never pay for
-// any of it.
-func (ss *session) ensurePipeline() {
-	if ss.hks != nil {
-		return
-	}
-	s := ss.srv
-	s.mu.Lock()
-	s.streamSeq++
-	ss.pidBase = s.streamSeq * s.cfg.TracePIDStride
-	s.mu.Unlock()
-	if s.cfg.Mode != pipeline.RealData {
-		ss.engine = native.NewEngine(s.cfg.Spec.Arch, native.DefaultCPU())
-	}
-	ss.preEnd = make(map[int]time.Time)
-	ss.hks = ss.hooks()
-	// Each session materializes its own dataset view so its Compose chain
-	// carries the session's hooks; the synthetic records are deterministic,
-	// so every session sees identical data, and a shared PageCache (if the
-	// spec sets one) still deduplicates I/O across sessions.
-	ss.ds = s.cfg.Spec.Dataset(ss.hks)
-}
-
-// pid offsets a pipeline pid into this session's private pid range so
-// concurrent sessions stay distinguishable in the shared trace ring. Bases
-// are multiples of the validated TracePIDStride (> the pipeline's worker
-// span), assigned in streaming order, and pipeline pids start at
-// pipeline.MainPID — far above the reserved controlPID — so ranges never
-// alias each other or the controller's records.
-func (ss *session) pid(pid int) int { return pid + ss.pidBase }
-
-// traceBatchID maps a DataLoader positional batch id to a globally unique
-// trace id: epoch * planLen + the batch's epoch-global plan position.
-func (ss *session) traceBatchID(pos int) int {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if pos < 0 || pos >= len(ss.shard) {
-		return pos
-	}
-	return ss.epoch*ss.planLen + ss.shard[pos].GlobalID
-}
-
-func (ss *session) setEpoch(epoch, planLen int, shard []PlanBatch) {
-	ss.mu.Lock()
-	ss.epoch = epoch
-	ss.planLen = planLen
-	ss.shard = shard
-	ss.preEnd = make(map[int]time.Time)
-	ss.mu.Unlock()
-}
-
-// hooks adapts the pipeline instrumentation into the server's ring and
-// metrics: pids and batch ids are remapped into session-unique ranges, wait
-// records feed the wait metric, and preprocess/consume pairs feed the delay
-// metric — the same wait/delay decomposition the paper's analysis uses.
-func (ss *session) hooks() *pipeline.Hooks {
-	ring := ss.srv.ring
-	return &pipeline.Hooks{
-		OnOp: func(pid, batchID, sampleIndex int, op string, start time.Time, dur time.Duration) {
-			ring.Add(trace.Record{Kind: trace.KindOp, PID: ss.pid(pid),
-				BatchID: ss.traceBatchID(batchID), SampleIndex: sampleIndex,
-				Op: op, Start: start, Dur: dur})
-		},
-		OnBatchPreprocessed: func(pid, batchID int, start time.Time, dur time.Duration) {
-			gid := ss.traceBatchID(batchID)
-			ring.Add(trace.Record{Kind: trace.KindBatchPreprocessed, PID: ss.pid(pid),
-				BatchID: gid, SampleIndex: -1, Start: start, Dur: dur})
-			ss.mu.Lock()
-			ss.preEnd[gid] = start.Add(dur)
-			ss.mu.Unlock()
-		},
-		OnBatchWait: func(pid, batchID int, start time.Time, dur time.Duration) {
-			ring.Add(trace.Record{Kind: trace.KindBatchWait, PID: ss.pid(pid),
-				BatchID: ss.traceBatchID(batchID), SampleIndex: -1, Start: start, Dur: dur})
-			ss.sm.AddWait(dur)
-		},
-		OnBatchConsumed: func(pid, batchID int, start time.Time, dur time.Duration) {
-			gid := ss.traceBatchID(batchID)
-			ring.Add(trace.Record{Kind: trace.KindBatchConsumed, PID: ss.pid(pid),
-				BatchID: gid, SampleIndex: -1, Start: start, Dur: dur})
-			ss.mu.Lock()
-			end, ok := ss.preEnd[gid]
-			delete(ss.preEnd, gid)
-			ss.mu.Unlock()
-			if ok {
-				ss.sm.AddDelay(start.Sub(end))
-			}
-		},
-		// Served runs charge the same modeled per-record cost a streamed
-		// Tracer run would — the Ring/Tracer overhead parity satellite.
-		PerLogCost: ss.srv.cfg.Spec.PerLogCost,
-	}
-}
-
-// streamEpoch runs the session's rank/world shard of one epoch through a
-// DataLoader and streams the batches.
+// streamEpoch streams the session's rank/world shard of one epoch.
 func (ss *session) streamEpoch(epoch int) error {
-	plan := ss.srv.epochPlan(epoch)
-	return ss.streamShard(epoch, len(plan), Shard(plan, ss.rank, ss.world))
+	return ss.streamShard(epoch, Shard(ss.srv.epochPlan(epoch), ss.rank, ss.world))
 }
 
 // streamShardReq validates an explicit batch-ID request against the epoch
@@ -994,143 +839,212 @@ func (ss *session) streamShardReq(req ShardReq) error {
 		seen[id] = true
 		shard[i] = plan[id]
 	}
-	return ss.streamShard(req.Epoch, len(plan), shard)
+	return ss.streamShard(req.Epoch, shard)
 }
 
-// cacheKey builds this server's cache key for one batch of one epoch.
-func (ss *session) cacheKey(epoch, globalID int) BatchKey {
-	return BatchKey{Fingerprint: ss.srv.specFP, Epoch: epoch, GlobalID: globalID}
+// fetched is one slot of a streaming shard's window, handed from the fetcher
+// that obtained it to the write loop.
+type fetched struct {
+	f   *Frame
+	err error
+	// computedAt is when this session's own compute finished the frame; zero
+	// for a frame the cache, the disk tier or another session supplied.
+	computedAt time.Time
 }
 
-// streamShard streams one shard of one epoch. The producer (pipeline) and
-// the writer (network) are decoupled by a bounded channel of encoded frames:
-// when the client or the network is slow, the channel fills and the pipeline
-// stalls — bounded backpressure instead of unbounded buffering.
-//
-// With the batch cache enabled the session first claims, for its entire
-// shard, every batch no other session is already producing; its pipeline
-// then runs over exactly the claimed subset, and every other slot is
-// acquired from the cache at write time (hit, or a single-flight wait on the
-// producing session). The deterministic plan makes the claimed-subset
-// pipeline byte-identical to a full-shard one — batch bytes depend only on
-// the epoch seed and the plan's indices, not on which session or worker
-// produced them — so N concurrent ranks cost one preprocessing pass, not N.
-func (ss *session) streamShard(epoch, planLen int, shard []PlanBatch) error {
-	ss.ensurePipeline()
-	cache := ss.srv.cache
+// shardWindow is the bounded run-ahead of one streaming shard: at most
+// len(slots) batches are outstanding — being fetched, or fetched and not yet
+// taken by the write loop — and slot i is delivered through slots[i%len].
+type shardWindow struct {
+	slots  []chan fetched // one-slot futures, reused every len(slots) batches
+	tokens chan struct{}  // one per outstanding slot; the write loop returns them
+	next   atomic.Int64   // the next slot to fetch
 
+	fetchers atomic.Int64 // fetchers asked for; at most len(slots) are started
+	wg       sync.WaitGroup
+}
+
+// startFetcher adds a fetcher to the window, up to one per slot. A stream
+// starts with one, and each compute a fetcher is about to block in starts
+// the next: over a cached shard a single goroutine streaks through the hits
+// (a second would only take turns with it), while a cold shard has its whole
+// window computing within a few batches.
+func (ss *session) startFetcher(ctx context.Context, epoch int, shard []PlanBatch, w *shardWindow) {
+	if w.fetchers.Add(1) > int64(len(w.slots)) {
+		return
+	}
+	w.wg.Add(1) // never from zero during Wait: the caller is the stream or a live fetcher
+	go func() {
+		defer w.wg.Done()
+		ss.fetch(ctx, epoch, shard, w)
+	}()
+}
+
+// fetch is one of the window's fetchers: take a token, take the next slot of
+// the shard, obtain its frame, deliver it. Every frame is one Acquire —
+// memory hit, disk-tier load, single-flight wait on whichever session is
+// already computing it, or a compute on the shared plane after winning the
+// claim (published to the cache before Acquire returns, so a slow client
+// never delays another session's waiters) — or a direct plane compute when
+// the batch cache is off.
+func (ss *session) fetch(ctx context.Context, epoch int, shard []PlanBatch, w *shardWindow) {
+	s := ss.srv
+	var pb PlanBatch
+	var r fetched
+	compute := func() (*Frame, error) {
+		ss.startFetcher(ctx, epoch, shard, w)
+		f, err := s.plane.compute(ctx, ss.tenant, epoch, pb)
+		r.computedAt = time.Now()
+		return f, err
+	}
+	for {
+		select {
+		case w.tokens <- struct{}{}:
+		case <-ctx.Done():
+			return
+		}
+		i := int(w.next.Add(1)) - 1
+		if i >= len(shard) {
+			return
+		}
+		pb, r = shard[i], fetched{}
+		if s.cache == nil {
+			r.f, r.err = compute()
+		} else {
+			key := BatchKey{Fingerprint: s.specFP, Epoch: epoch, GlobalID: pb.GlobalID}
+			r.f, r.err = s.cache.Acquire(key, ctx.Done(), compute)
+		}
+		if r.err != nil {
+			r.err = fmt.Errorf("batch %d: %w", pb.GlobalID, r.err)
+		}
+		// Never blocks: holding a token means slot i-len(slots), the previous
+		// user of this future, has been taken.
+		w.slots[i%len(w.slots)] <- r
+		if r.err != nil {
+			return
+		}
+	}
+}
+
+// streamShard streams one shard of one epoch: a bounded window of fetches
+// runs ahead of the write loop, which delivers their frames strictly in
+// shard order. When the client or the network is slow the window fills and
+// the fetchers park — bounded backpressure instead of unbounded buffering —
+// and since every frame is a pure function of (spec, epoch, batch), which
+// session or worker produced it never shows in the bytes.
+func (ss *session) streamShard(epoch int, shard []PlanBatch) error {
+	s := ss.srv
 	sum := fnv.New64a()
 	if len(shard) == 0 {
 		return WriteFrame(ss.conn, EncodeEpochEnd(EpochEnd{Epoch: epoch, Checksum: sum.Sum64()}))
 	}
 
-	mine := make([]bool, len(shard))
-	var claimed []PlanBatch
-	if cache == nil {
-		claimed = shard
-		for i := range mine {
-			mine[i] = true
-		}
-	} else {
-		for i, pb := range shard {
-			// A claim the disk tier can satisfy is published straight into
-			// the memory cache (waking any cross-session waiters) and the
-			// write loop picks it up as an ordinary cache hit below.
-			if cache.Claim(ss.cacheKey(epoch, pb.GlobalID)) {
-				mine[i] = true
-				claimed = append(claimed, pb)
-			}
-		}
-	}
-	// The trace hooks map positional batch ids through the pipeline's plan,
-	// which is now the claimed subset, not the full shard.
-	ss.setEpoch(epoch, planLen, claimed)
-
-	ctx, cancelEpoch := context.WithCancel(ss.srv.ctx)
-	defer cancelEpoch()
+	ctx, cancelEpoch := context.WithCancel(s.ctx)
 	unwatch := ss.watchConn(cancelEpoch)
 	defer unwatch()
-	frames := make(chan *Frame, ss.srv.cfg.Prefetch)
-	ss.sm.SetQueueGauge(func() int { return len(frames) })
-	defer ss.sm.SetQueueGauge(nil)
 	fw := ss.newFrameWriter()
 	defer fw.close()
 
-	prodErr := make(chan error, 1)
-	go ss.produceClaimed(ctx, epoch, claimed, frames, prodErr)
+	window := min(int(s.window.Load()), len(shard))
+	w := &shardWindow{slots: make([]chan fetched, window), tokens: make(chan struct{}, window)}
+	for k := range w.slots {
+		w.slots[k] = make(chan fetched, 1)
+	}
+	ss.startFetcher(ctx, epoch, shard, w)
+	// Whatever ends the stream, no fetcher outlives it — cancel releases the
+	// ones parked on a token, the plane's queue, a cache wait or a stall —
+	// and no frame is left in a future nobody will take.
+	defer func() {
+		cancelEpoch()
+		w.wg.Wait()
+		for _, slot := range w.slots {
+			select {
+			case r := <-slot:
+				if r.f != nil {
+					r.f.Release()
+				}
+			default:
+			}
+		}
+	}()
+	ss.sm.SetQueueGauge(func() (ready int) {
+		for _, slot := range w.slots {
+			ready += len(slot)
+		}
+		return ready
+	})
+	defer ss.sm.SetQueueGauge(nil)
+	pid := sessionPIDBase + ss.id
 
 	// The write loop coalesces only frames that are already available: before
-	// any wait that could block — the producer's channel empty, or a foreign
-	// slot not ready in the cache — pending frames are flushed, so batching
+	// any wait that could block, pending frames are flushed, so batching
 	// trades syscalls, never adds first-frame latency.
-	var werr error
+	var werr, ferr error
 	sent := 0
-	for i := 0; i < len(shard) && werr == nil; i++ {
-		var f *Frame
-		if mine[i] {
-			var ok bool
+stream:
+	for i := range shard {
+		var r fetched
+		// An arrival that beat the write loop logs the paper's 1µs marker
+		// for "no waiting".
+		waitStart, wait := time.Time{}, time.Microsecond
+		select {
+		case r = <-w.slots[i%window]:
+		default:
+			if werr = fw.flush(ctx.Done()); werr != nil {
+				break stream
+			}
+			waitStart = time.Now()
 			select {
-			case f, ok = <-frames:
-			default:
-				if werr = fw.flush(ctx.Done()); werr != nil {
-					cancelEpoch()
-					break
-				}
-				f, ok = <-frames
-			}
-			if !ok {
-				break // producer ended early; prodErr explains why
-			}
-		} else {
-			pb := shard[i]
-			key := ss.cacheKey(epoch, pb.GlobalID)
-			var ok bool
-			if f, ok = cache.TryGet(key); !ok {
-				if werr = fw.flush(ctx.Done()); werr != nil {
-					cancelEpoch()
-					break
-				}
-				var err error
-				f, err = cache.Acquire(key, ctx.Done(),
-					func() (*Frame, error) { return ss.computeBatchFrame(epoch, pb) })
-				if err != nil {
-					werr = fmt.Errorf("batch %d: %w", pb.GlobalID, err)
-					cancelEpoch()
-					break
-				}
+			case r = <-w.slots[i%window]:
+				wait = time.Since(waitStart)
+			case <-ctx.Done():
+				ferr = ctx.Err()
+				break stream
 			}
 		}
-		if werr = ss.writeBatchFrame(fw, f, sum, ctx.Done()); werr == nil {
-			sent++
-		} else {
-			cancelEpoch()
+		<-w.tokens
+		if ferr = r.err; ferr != nil {
+			break
 		}
-		f.Release()
-	}
-	if werr == nil {
-		if werr = fw.flush(ctx.Done()); werr != nil {
-			cancelEpoch()
+		werr = ss.writeBatchFrame(fw, r.f, sum, ctx.Done())
+		r.f.Release()
+		if werr != nil {
+			break
+		}
+		sent++
+		if !r.computedAt.IsZero() {
+			// The loader's main-process view, for batches this session's own
+			// computes produced: [T2], the wait for the batch, and the delay
+			// from preprocessed to handed on.
+			now := time.Now()
+			if waitStart.IsZero() {
+				waitStart = now
+			}
+			gid := epoch*s.planLen + shard[i].GlobalID
+			s.ring.Add(trace.Record{Kind: trace.KindBatchWait, PID: pid, BatchID: gid,
+				SampleIndex: -1, Start: waitStart, Dur: wait})
+			s.ring.Add(trace.Record{Kind: trace.KindBatchConsumed, PID: pid, BatchID: gid,
+				SampleIndex: -1, Start: now})
+			ss.sm.AddWait(wait)
+			ss.sm.AddDelay(now.Sub(r.computedAt))
 		}
 	}
-	// Whatever ended the loop, release everything the producer still emits so
-	// it never blocks forever, then collect its verdict.
-	for f := range frames {
-		f.Release()
+	if werr == nil && ferr == nil {
+		werr = fw.flush(ctx.Done())
 	}
-	perr := <-prodErr
 	if werr != nil {
 		return fmt.Errorf("write: %w", werr)
 	}
-	if perr != nil {
-		if errors.Is(perr, context.Canceled) {
-			perr = errors.New("server draining")
+	if ferr != nil {
+		if ctx.Err() != nil {
+			ferr = errors.New("server draining")
 		}
-		ss.srv.sendError(ss.conn, fmt.Sprintf("epoch %d: %v", epoch, perr))
-		return fmt.Errorf("epoch %d: %w", epoch, perr)
+		s.sendError(ss.conn, fmt.Sprintf("epoch %d: %v", epoch, ferr))
+		return fmt.Errorf("epoch %d: %w", epoch, ferr)
 	}
 	ss.sm.AddEpoch()
-	ss.srv.metrics.AddEpoch()
-	if t := ss.srv.tuner; t != nil {
+	s.metrics.AddEpoch()
+	if t := s.tuner; t != nil {
 		t.observe()
 	}
 	// The watcher must be off the socket before EpochEnd goes out: once the
@@ -1145,10 +1059,10 @@ func (ss *session) streamShard(epoch, planLen int, shard []PlanBatch) error {
 // between its request and the EpochEnd reply — so any read activity
 // mid-stream means the peer hung up, was severed (a hedged straggler kicked
 // by the cluster client), or broke protocol; all of those cancel the epoch
-// so the pipeline aborts instead of computing — or sleeping out an injected
+// so its fetches abort instead of computing — or sleeping out an injected
 // stall — for a socket nobody is reading. Without it, a dead connection is
 // only discovered at the next write, which can be arbitrarily far away when
-// the producer is stuck behind a degraded worker.
+// the next batch is stuck behind a degraded worker.
 //
 // The returned stop function is idempotent; it forces the watcher off the
 // socket via a read deadline and must be called before the connection is
@@ -1176,148 +1090,12 @@ func (ss *session) watchConn(cancel context.CancelFunc) (stop func()) {
 	}
 }
 
-// produceClaimed runs the session's pipeline over exactly the batches it
-// claimed, publishing each frame to the cache first (so cross-session
-// waiters are served at compute speed) and then to the bounded frames
-// channel (so the session's own socket still backpressures the pipeline).
-// On any exit — completion, failure, panic, abort — unfulfilled claims are
-// abandoned so waiters elsewhere wake up and recompute instead of hanging.
-func (ss *session) produceClaimed(ctx context.Context, epoch int, claimed []PlanBatch,
-	frames chan<- *Frame, prodErr chan<- error) {
-	cache := ss.srv.cache
-	spec := ss.srv.cfg.Spec
-	fulfilled := 0
-	var perr error
-	defer func() {
-		if r := recover(); r != nil {
-			perr = fmt.Errorf("serve: epoch producer panicked: %v", r)
-		}
-		if cache != nil {
-			for _, pb := range claimed[fulfilled:] {
-				cache.Abandon(ss.cacheKey(epoch, pb.GlobalID))
-			}
-		}
-		prodErr <- perr
-		close(frames)
-	}()
-	if len(claimed) == 0 {
-		return // fully cached shard: nothing to produce
-	}
-
-	// QoS compute gate: each producer run holds one compute slot, charged
-	// the number of claimed batches against the tenant's deficit, so a
-	// tenant fanning out many sessions cannot monopolize the pipeline
-	// dispatch tier. Scheduling only — once granted, the run produces its
-	// exact claimed set, so bytes are untouched.
-	if q := ss.srv.qos; q != nil && ss.tenant != nil {
-		if err := q.compute.acquire(ss.tenant.name, ss.tenant.weight(),
-			int64(len(claimed)), ctx.Done()); err != nil {
-			perr = err
-			return // defer abandons every claim
-		}
-		defer q.compute.release()
-	}
-
-	batchPlan := make([][]int, len(claimed))
-	for i, pb := range claimed {
-		batchPlan[i] = pb.Indices
-	}
-	numWorkers, prefetch := spec.NumWorkers, spec.Prefetch
-	if t := ss.srv.tuner; t != nil {
-		numWorkers, prefetch = t.pipelineKnobs()
-	}
-	cfg := pipeline.Config{
-		BatchSize:      spec.BatchSize,
-		NumWorkers:     numWorkers,
-		PrefetchFactor: prefetch,
-		PinMemory:      spec.PinMemory,
-		Seed:           spec.Seed,
-		Epoch:          epoch,
-		BatchPlan:      batchPlan,
-		Hooks:          ss.hks,
-		Mode:           ss.srv.cfg.Mode,
-		Engine:         ss.engine,
-		WorkScale:      spec.WorkScale,
-		MaterializeDim: ss.srv.cfg.MaterializeDim,
-		Dispatch:       spec.Dispatch,
-		Faults:         ss.srv.cfg.Faults,
-		SampleCache:    ss.srv.sampleCache,
-		PrefixFP:       ss.srv.prefixFP,
-	}
-	var clk clock.Clock
-	if ss.srv.cfg.Mode == pipeline.RealData || ss.srv.cfg.EmulateTime {
-		clk = clock.NewReal()
-	} else {
-		clk = clock.NewSim()
-	}
-	clk.Run("serve-producer", func(p clock.Proc) {
-		dl := pipeline.NewDataLoader(clk, ss.ds, cfg)
-		// A worker-count action taken while this epoch streams resizes the
-		// loader through the registry; the loader applies it at its next
-		// dispatch point.
-		if t := ss.srv.tuner; t != nil {
-			t.register(dl)
-			defer t.unregister(dl)
-		}
-		// The ctx.Done branch below only runs between batches, but a
-		// worker can be mid-way through a long injected stall when the
-		// epoch is cancelled — and the main proc is then blocked in
-		// it.Next waiting on that very worker. Bridge the cancellation to
-		// the loader's stall interrupt from a plain goroutine so the
-		// sleeping worker wakes, its result lands, and the abort path
-		// gets to run.
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-ctx.Done():
-				dl.InterruptStalls()
-			case <-watchDone:
-			}
-		}()
-		it := dl.Start(p)
-		// Whatever ends the epoch — completion, failure, or abort —
-		// consume every in-flight worker result so no batch is left
-		// uncredited on the data queue and the clock winds down clean.
-		defer it.Drain(p)
-		for i := 0; ; i++ {
-			b, ok := it.Next(p)
-			if !ok {
-				perr = it.Err()
-				return
-			}
-			f := encodeBatchFrame(batchToWire(epoch, claimed[i].GlobalID, b))
-			if cache != nil {
-				cache.Fulfill(ss.cacheKey(epoch, claimed[i].GlobalID), f)
-				fulfilled = i + 1
-			}
-			select {
-			case frames <- f:
-			case <-ctx.Done():
-				// Client gone or server draining: close the index
-				// queues so the workers finish what was dispatched
-				// and exit. The frame stays valid in the cache (if
-				// fulfilled); only this session's reference drops.
-				f.Release()
-				it.Abort()
-				perr = ctx.Err()
-				return
-			}
-		}
-	})
-}
-
 // newFrameWriter builds the session's pooled write coalescer, wired to the
 // tenant's fair write gate (when QoS is on) and the coalescing metrics. An
 // active fault injector forces immediate mode so the wire-fault seams keep
 // their one-write-per-frame semantics.
 func (ss *session) newFrameWriter() *frameWriter {
-	cfg := &ss.srv.cfg
-	maxFrames := cfg.CoalesceFrames
-	if cfg.Faults != nil || maxFrames < 0 {
-		maxFrames = 1
-	}
-	fw := newFrameWriter(ss.conn, cfg.CoalesceBytes, maxFrames, cfg.CoalesceWindow)
+	fw := newFrameWriter(ss.conn, ss.srv.cfg.Faults != nil)
 	if q := ss.srv.qos; q != nil && ss.tenant != nil {
 		fw.gate = q.write
 		fw.tenant = ss.tenant.name
@@ -1378,61 +1156,6 @@ func (ss *session) writeBatchFrame(fw *frameWriter, f *Frame, sum hash.Hash64, c
 		ss.tenant.addBatch(wireBytes)
 	}
 	return nil
-}
-
-// computeBatchFrame materializes one batch outside the session's streaming
-// pipeline: the fallback when a cache claim was abandoned by a failing owner
-// or a single-flight wait timed out. The epoch plan fully determines batch
-// content — bytes depend only on the epoch seed and the batch's indices,
-// never on which pipeline or worker produced them — so a one-batch plan
-// yields a frame byte-identical to the one the original owner would have
-// cached. It runs untraced (nil hooks, fresh dataset view) so the session's
-// positional trace-id mapping is undisturbed.
-func (ss *session) computeBatchFrame(epoch int, pb PlanBatch) (f *Frame, err error) {
-	spec := ss.srv.cfg.Spec
-	cfg := pipeline.Config{
-		BatchSize:      spec.BatchSize,
-		NumWorkers:     1,
-		PinMemory:      spec.PinMemory,
-		Seed:           spec.Seed,
-		Epoch:          epoch,
-		BatchPlan:      [][]int{pb.Indices},
-		Mode:           ss.srv.cfg.Mode,
-		WorkScale:      spec.WorkScale,
-		MaterializeDim: ss.srv.cfg.MaterializeDim,
-		Dispatch:       spec.Dispatch,
-		Faults:         ss.srv.cfg.Faults,
-		SampleCache:    ss.srv.sampleCache,
-		PrefixFP:       ss.srv.prefixFP,
-	}
-	if ss.srv.cfg.Mode != pipeline.RealData {
-		cfg.Engine = native.NewEngine(spec.Arch, native.DefaultCPU())
-	}
-	var clk clock.Clock
-	if ss.srv.cfg.Mode == pipeline.RealData || ss.srv.cfg.EmulateTime {
-		clk = clock.NewReal()
-	} else {
-		clk = clock.NewSim()
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("serve: fallback pipeline for batch %d panicked: %v", pb.GlobalID, r)
-		}
-	}()
-	clk.Run("serve-fallback", func(p clock.Proc) {
-		dl := pipeline.NewDataLoader(clk, spec.Dataset(nil), cfg)
-		it := dl.Start(p)
-		defer it.Drain(p)
-		b, ok := it.Next(p)
-		if !ok {
-			if err = it.Err(); err == nil {
-				err = fmt.Errorf("serve: fallback pipeline produced no batch %d", pb.GlobalID)
-			}
-			return
-		}
-		f = encodeBatchFrame(batchToWire(epoch, pb.GlobalID, b))
-	})
-	return f, err
 }
 
 // batchToWire converts a pipeline batch to its wire form.

@@ -29,10 +29,12 @@
 # balancer lifts throughput at least 1.5x.
 # Stage 9: the PR-10 multi-tenancy scalability suite -> BENCH_PR10.json:
 # per-session footprint (bytes and goroutines, idle and streaming), aggregate
-# cache-served throughput at 8/64/256/1024 concurrent sessions, and tenant
+# cache-served throughput at 8/64/256/1024 concurrent sessions, aggregate
+# cold RealData throughput at 8/64/256 sessions each computing its own epoch
+# on the shared worker pool (with peak goroutines and heap), and tenant
 # fairness with one adversarial greedy tenant (Jain index, worst per-tenant
-# p99). Gates: clients=256 aggregate >= 0.8x the clients=8 baseline, and
-# Jain >= 0.9 under the greedy tenant.
+# p99). Gates: clients=256 aggregate >= 0.8x the clients=8 baseline on both
+# the cached and the cold series, and Jain >= 0.9 under the greedy tenant.
 # The raw `go test -bench` output (6 repetitions, suitable for feeding to
 # benchstat old.txt new.txt) is written next to each JSON as <outfile>.txt.
 set -euo pipefail
@@ -274,7 +276,8 @@ echo "running: session-scalability suite (3 reps) ..."
 # Footprint: 128 idle (or streaming) sessions per iteration, reporting heap
 # bytes and goroutines per session. Scaling: every client holds a live
 # session and re-fetches a cache-served epoch concurrently; clients=1024 is
-# the O(1000)-session headline. Fairness: three polite tenants at 4 sessions
+# the O(1000)-session headline. Cold scaling: every client fetches an epoch
+# nobody else wants, caches off, real pixels. Fairness: three polite tenants at 4 sessions
 # each against one greedy tenant at 12; the worst per-iteration Jain index
 # over per-tenant served batches is the fairness claim.
 go test -run '^$' -bench 'BenchmarkSessionFootprint|BenchmarkSessionScaling|BenchmarkTenantFairness' \
@@ -282,23 +285,29 @@ go test -run '^$' -bench 'BenchmarkSessionFootprint|BenchmarkSessionScaling|Benc
 require_bench "$MT_TXT" "stage 9"
 
 summarize '^Benchmark' \
-    'batches/sec=batches_per_sec? bytes/session=bytes_per_session? goroutines/session=goroutines_per_session? jain=jain? p99-us=p99_us?' "$MT_TXT" "$MT_JSON"
+    'batches/sec=batches_per_sec? samples/sec=samples_per_sec? peak-goroutines=peak_goroutines? peak-heap-MB=peak_heap_mb? bytes/session=bytes_per_session? goroutines/session=goroutines_per_session? jain=jain? p99-us=p99_us?' "$MT_TXT" "$MT_JSON"
 
 echo "summary written to $MT_JSON (raw benchstat input: $MT_TXT)"
 
 # Acceptance checks: the PR-10 headline claims. Scaling must be flat — the
 # 256-session aggregate holds at least 0.8x the 8-session baseline (and the
 # 1024-session series must exist: the benchmark fails internally if sessions
-# die). Fairness: Jain >= 0.9 with the greedy tenant over-subscribed 3x.
+# die) — cached and cold alike: 256 cold sessions share the one worker pool,
+# so they must not fall behind 8. Fairness: Jain >= 0.9 with the greedy
+# tenant over-subscribed 3x.
 # Byte-identity under concurrency is asserted inside the soak/chaos tests.
 awk -F'[:,}]' '
 /"BenchmarkSessionScaling\/clients=8"/    { for (i = 1; i <= NF; i++) if ($i ~ /batches_per_sec/)  base = $(i+1) + 0 }
 /"BenchmarkSessionScaling\/clients=256"/  { for (i = 1; i <= NF; i++) if ($i ~ /batches_per_sec/)  mid  = $(i+1) + 0 }
 /"BenchmarkSessionScaling\/clients=1024"/ { for (i = 1; i <= NF; i++) if ($i ~ /batches_per_sec/)  big  = $(i+1) + 0 }
+/"BenchmarkSessionScalingCold\/clients=8"/   { for (i = 1; i <= NF; i++) if ($i ~ /samples_per_sec/) cbase = $(i+1) + 0 }
+/"BenchmarkSessionScalingCold\/clients=256"/ { for (i = 1; i <= NF; i++) if ($i ~ /samples_per_sec/) cmid  = $(i+1) + 0 }
 /"BenchmarkTenantFairness"/               { for (i = 1; i <= NF; i++) if ($i ~ /"jain"/)           j    = $(i+1) + 0 }
 END {
     printf "session scaling: clients=8 %.0f, clients=256 %.0f (%.2fx), clients=1024 %.0f batches/sec; jain %.3f\n", \
         base, mid, mid / base, big, j
+    printf "cold session scaling: clients=8 %.0f, clients=256 %.0f samples/sec (%.2fx)\n", cbase, cmid, cmid / cbase
+    if (!(cmid >= 0.8 * cbase)) { print "FAIL: 256 cold sessions fell below 0.8x the 8-session cold baseline" > "/dev/stderr"; exit 1 }
     if (big <= 0)            { print "FAIL: the 1024-session series produced no throughput" > "/dev/stderr"; exit 1 }
     if (!(mid >= 0.8 * base)) { print "FAIL: 256-session aggregate fell below 0.8x the 8-session baseline" > "/dev/stderr"; exit 1 }
     if (!(j >= 0.9))          { print "FAIL: Jain fairness below 0.9 under the greedy tenant" > "/dev/stderr"; exit 1 }
