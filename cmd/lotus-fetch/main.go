@@ -6,9 +6,10 @@
 //
 //	lotus-fetch -addr localhost:9317 -epochs 2 -rank 0 -world 2
 //
-// Transient failures (refused connections, resets, mid-stream EOF) are
-// retried with exponential backoff by reconnecting and re-requesting the
-// failed epoch; fatal server errors abort.
+// Transient failures (refused connections, resets, mid-stream EOF) and a
+// busy reply from the server's admission control are retried on a jittered,
+// capped exponential backoff — the first connect included — by reconnecting
+// and re-requesting the failed epoch; fatal server errors abort.
 //
 // Replicated serving: -addrs takes a comma-separated endpoint list and the
 // client falls back across the replicas — a dead endpoint costs one dial,
@@ -33,7 +34,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -96,10 +96,10 @@ func main() {
 	})
 	defer client.Close()
 
-	// The initial connect honors the same busy-retry contract as Run: a
-	// CodeBusy refusal is the server's admission control asking this client
-	// to come back, not a fatal error.
-	if err := connectRetryingBusy(client, *retries, *backoff); err != nil {
+	// The initial connect honors the same retry contract as Run: a CodeBusy
+	// refusal is the server's admission control asking this client to come
+	// back on its jittered backoff, not a fatal error.
+	if err := client.ConnectRetrying(); err != nil {
 		fmt.Fprintf(os.Stderr, "lotus-fetch: connect %s: %v\n", strings.Join(endpoints, ","), err)
 		os.Exit(1)
 	}
@@ -139,26 +139,6 @@ func main() {
 
 // runCluster consumes epochs through the consistent-hash cluster router
 // instead of a single rank/world session.
-// connectRetryingBusy dials with up to retries extra attempts when the
-// server answers the handshake with a retryable CodeBusy refusal, backing
-// off exponentially from base. Every other error — including fatal server
-// refusals — surfaces immediately.
-func connectRetryingBusy(c *serve.Client, retries int, base time.Duration) error {
-	for attempt := 0; ; attempt++ {
-		err := c.Connect()
-		if err == nil {
-			return nil
-		}
-		var se *serve.ServerError
-		if !errors.As(err, &se) || se.Code != serve.CodeBusy || attempt >= retries {
-			return err
-		}
-		d := base << attempt
-		log.Printf("lotus-fetch: server busy, retrying in %v (attempt %d/%d)", d, attempt+1, retries)
-		time.Sleep(d)
-	}
-}
-
 func runCluster(endpoints []string, epochs, replication int, heartbeat time.Duration, hedgeQuantile float64, name, tenant string, quiet, autotune bool) {
 	nodes := make([]cluster.Node, len(endpoints))
 	for i, a := range endpoints {

@@ -103,8 +103,7 @@ func main() {
 		longWait = flag.Duration("autotune-long-wait", 0, "wait duration the controller counts as a stall (0 = 500ms default)")
 
 		maxSessions = flag.Int("max-sessions", 0, "admission control: concurrent session cap (0 = unlimited); excess connections queue briefly, then get a retryable busy reply")
-		admitQueue  = flag.Int("admit-queue", 16, "admission control: connections allowed to wait for a session slot before busy-rejection (negative = reject immediately when full)")
-		admitWait   = flag.Duration("admit-wait", 2*time.Second, "admission control: how long a queued connection waits for a slot before busy-rejection")
+		admitWait   = flag.Duration("admit-wait", 2*time.Second, "admission control: how long an excess connection waits for a slot before busy-rejection (negative = reject immediately when full)")
 		qos         = flag.Bool("qos", false, "enable per-tenant QoS (fair scheduling + rate limits) even with no -tenant-limit entries")
 		pprofOn     = flag.Bool("pprof", false, "expose /debug/pprof on the observability sidecar")
 	)
@@ -219,7 +218,6 @@ func main() {
 		AutoTune:         *autotune,
 		AutoTuneLongWait: *longWait,
 		MaxSessions:      *maxSessions,
-		AdmitQueue:       *admitQueue,
 		AdmitWait:        *admitWait,
 		QoS:              *qos,
 		Tenants:          tenants,

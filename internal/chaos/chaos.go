@@ -14,11 +14,9 @@
 //   - a clustered epoch (three loopback nodes) delivers its plan exactly
 //     once and byte-identically whatever the membership does mid-epoch:
 //     node killed, node slowed, heartbeat flapping (cluster.go);
-//   - straggler mitigation never changes bytes: work-stealing drains a
-//     stalled worker's backlog byte-identically with the outstanding-work
-//     ledger balanced, and hedged fetches around a degraded node deliver
-//     exactly once with every duplicate attributed to a hedge loser
-//     (straggler.go).
+//   - straggler mitigation never changes bytes: hedged fetches around a
+//     degraded node deliver exactly once with every duplicate attributed to
+//     a hedge loser (straggler.go).
 //
 // Every decision the sweep injects is a pure function of the seed, so a
 // failing cell reproduces by rerunning with the same seed.
@@ -146,9 +144,8 @@ func Sweep(opts Options) []Result {
 	run(diskTornManifestCell(opts.Seed))
 	run(diskCorruptSegmentCell(opts.Seed))
 
-	// Straggler-mitigation cells (straggler.go): work-stealing dispatch under
-	// injected stalls, and hedged fetches around a degraded cluster node.
-	run(slowReadStealCell(opts.Seed))
+	// Straggler mitigation (straggler.go): hedged fetches around a degraded
+	// cluster node.
 	run(clusterHedgeSlowNodeCell(opts.Seed))
 
 	// Cluster failover plane over three loopback nodes (cluster.go).

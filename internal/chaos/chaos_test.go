@@ -26,7 +26,7 @@ func TestSweepAllInvariantsHold(t *testing.T) {
 		"disk-rewarm", "disk-torn-manifest", "disk-corrupt-segment",
 		"cluster-node-kill", "cluster-node-slow", "cluster-heartbeat-flap",
 		"cluster-node-kill-rewarm",
-		"slow-read-steal", "cluster-hedge-slow-node",
+		"cluster-hedge-slow-node",
 		"cluster-autotune-slow-node",
 	} {
 		if injectedByClass[class] == 0 {

@@ -1,122 +1,20 @@
 package chaos
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
-	"lotus/internal/clock"
 	"lotus/internal/cluster"
 	"lotus/internal/faultinject"
-	"lotus/internal/native"
 	"lotus/internal/pipeline"
-	"lotus/internal/serve"
 	"lotus/internal/testutil"
-	"lotus/internal/workloads"
 )
 
-// The straggler cells exercise the two mitigation layers from PR 8: worker
-// work-stealing under the virtual clock, and hedged cluster fetches over
-// loopback TCP. Both mitigations are pure scheduling moves — batch bytes
-// depend only on (spec, seed, epoch, plan), so a stolen or hedged batch must
-// be byte-identical to the unmitigated run, and every duplicate a hedge
-// produces must be absorbed by the exactly-once ledger.
-
-// stealFrames runs one real-mode epoch through a DataLoader with the given
-// dispatch policy and injector, returning the encoded frames plus the
-// loader's steal and credit-drift counters.
-func stealFrames(spec workloads.Spec, dispatch pipeline.DispatchPolicy, inj *faultinject.Injector) (frames [][]byte, steals, drift int, err error) {
-	plan := serve.BuildEpochPlan(spec.NumSamples, spec.BatchSize, spec.Shuffle, false, spec.Seed, 0)
-	batchPlan := make([][]int, len(plan))
-	for i, pb := range plan {
-		batchPlan[i] = pb.Indices
-	}
-	frames = make([][]byte, 0, len(plan))
-	sim := clock.NewSim()
-	sim.Run("chaos-steal", func(p clock.Proc) {
-		dl := pipeline.NewDataLoader(sim, spec.Dataset(nil), pipeline.Config{
-			BatchSize:      spec.BatchSize,
-			NumWorkers:     spec.NumWorkers,
-			PinMemory:      spec.PinMemory,
-			Seed:           spec.Seed,
-			BatchPlan:      batchPlan,
-			Dispatch:       dispatch,
-			Mode:           pipeline.RealData,
-			MaterializeDim: chaosMaterializeDim,
-			Engine:         native.NewEngine(spec.Arch, native.DefaultCPU()),
-			Faults:         inj,
-		})
-		it := dl.Start(p)
-		for i := 0; ; i++ {
-			b, ok := it.Next(p)
-			if !ok {
-				err = it.Err()
-				steals, drift = dl.Steals(), dl.CreditDrift()
-				return
-			}
-			wb := &serve.Batch{Epoch: 0, GlobalID: i, Indices: b.Indices, Labels: b.Labels}
-			if b.Data != nil {
-				wb.Dtype = b.Data.Dtype
-				wb.Shape = b.Data.Shape
-				wb.U8 = b.Data.U8
-				wb.F32 = b.Data.F32
-			}
-			frames = append(frames, serve.EncodeBatch(wb))
-		}
-	})
-	return frames, steals, drift, err
-}
-
-// slowReadStealCell degrades worker 0 persistently (it stalls after every
-// batch it handles) and asserts work-stealing drains its backlog without
-// changing a byte: the stealing run must match the static-dispatch no-fault
-// run frame for frame, steal at least once, and close the epoch with the
-// outstanding-work ledger balanced to zero (the PR 8 credit-drift fix).
-func slowReadStealCell(seed int64) Result {
-	res := Result{Class: "slow-read-steal", Workload: "IC"}
-	spec := serveSpec(seed)
-
-	baseline := testutil.Baseline()
-	expected, _, _, err := stealFrames(spec, pipeline.DispatchProducer, nil)
-	if err != nil {
-		res.Failures = append(res.Failures, fmt.Sprintf("ground truth: %v", err))
-		return res
-	}
-
-	// The stall is virtual time (sim clock) and worker-keyed, so the healthy
-	// worker always finds a backlog to steal — the window is guaranteed, not
-	// seed-lucky like a batch-keyed StallNth.
-	inj := faultinject.New(faultinject.Spec{Seed: seed, SlowWorkerID: 1, SlowWorkerStall: 500 * time.Millisecond})
-	got, steals, drift, err := stealFrames(spec, pipeline.DispatchWorkStealing, inj)
-	if err != nil {
-		res.Failures = append(res.Failures, fmt.Sprintf("stealing run: %v", err))
-	}
-	if len(got) != len(expected) {
-		res.Failures = append(res.Failures, fmt.Sprintf("delivered %d frames, want %d", len(got), len(expected)))
-	} else {
-		for i := range got {
-			if !bytes.Equal(got[i], expected[i]) {
-				res.Failures = append(res.Failures, fmt.Sprintf("frame %d not byte-identical under stealing", i))
-				break
-			}
-		}
-	}
-	if steals == 0 {
-		res.Failures = append(res.Failures, "stalled workers never had work stolen")
-	}
-	if drift != 0 {
-		res.Failures = append(res.Failures, fmt.Sprintf("outstanding-work ledger drifted %d times", drift))
-	}
-	if err := testutil.WaitNoLeaks(baseline, 5*time.Second); err != nil {
-		res.Failures = append(res.Failures, err.Error())
-	}
-	res.Injected = inj.Counts().WorkerStalls
-	if res.Injected == 0 {
-		res.Failures = append(res.Failures, "fault class injected nothing")
-	}
-	res.Notes = append(res.Notes, fmt.Sprintf("steals=%d batches=%d", steals, len(got)))
-	return res
-}
+// The straggler cell exercises hedged cluster fetches over loopback TCP. A
+// hedge is a pure scheduling move — batch bytes depend only on (spec, seed,
+// epoch, plan), so a hedged batch must be byte-identical to the unmitigated
+// run, and every duplicate a hedge produces must be absorbed by the
+// exactly-once ledger.
 
 // clusterHedgeSlowNodeCell degrades the busiest node with a real wall-clock
 // stall on every batch it produces (RealData servers, so the stall actually

@@ -22,9 +22,6 @@ type Config struct {
 	// ring (default 1). Larger values keep a batch's failover targets
 	// ring-determined and its server-side caches warm on R nodes.
 	Replication int
-	// VNodes is the ring's virtual-node count per node (default
-	// DefaultVNodes).
-	VNodes int
 	// Name labels this consumer's sessions in node metrics.
 	Name string
 	// Tenant is the QoS accounting bucket every node session (primary and
@@ -32,27 +29,18 @@ type Config struct {
 	// passthrough — quotas live server-side, so a router cannot exempt
 	// itself by misconfiguration.
 	Tenant string
-	// NodeRetries is how many extra same-node attempts a failed shard fetch
-	// gets before the node is declared dead and its unserved batches are
-	// rerouted (default 1). Only the still-unserved IDs are re-requested, so
-	// a retry never re-delivers a batch.
-	NodeRetries int
 	// BackoffBase/BackoffMax shape the jittered sleep before a same-node
 	// retry (defaults 50ms / 1s).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// JitterSeed seeds the retry jitter (0 derives one from Name).
 	JitterSeed int64
-	// MaxFrame / DialTimeout are passed to each node's serve.Client.
-	MaxFrame    int
+	// DialTimeout is passed to each node's serve.Client.
 	DialTimeout time.Duration
 	// Membership, when non-nil, is an externally-owned (typically actively
 	// probing) membership view; nil builds an internal passive one that only
 	// the router's own failure reports update.
 	Membership *Membership
-	// MaxRounds caps routing rounds per epoch (default 4 + 2*len(Nodes)) —
-	// the brake against a node flapping alive-but-broken forever.
-	MaxRounds int
 	// HedgeQuantile, when > 0, enables hedged fetches — the consumer-side
 	// straggler mitigation: a node whose in-flight shard has made no
 	// progress for longer than this quantile of the cluster's recent batch
@@ -216,19 +204,11 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Replication < 1 {
 		cfg.Replication = 1
 	}
-	if cfg.NodeRetries < 0 {
-		cfg.NodeRetries = 0
-	} else if cfg.NodeRetries == 0 {
-		cfg.NodeRetries = 1
-	}
 	if cfg.BackoffBase <= 0 {
 		cfg.BackoffBase = 50 * time.Millisecond
 	}
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = time.Second
-	}
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = 4 + 2*len(cfg.Nodes)
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
@@ -251,7 +231,7 @@ func New(cfg Config) (*Client, error) {
 	}
 	c := &Client{
 		cfg:        cfg,
-		ring:       NewRing(cfg.VNodes),
+		ring:       NewRing(DefaultVNodes),
 		clients:    make(map[string]*serve.Client),
 		addrOf:     make(map[string]string),
 		hists:      make(map[string]*serve.LatencyHist),
@@ -276,7 +256,6 @@ func New(cfg Config) (*Client, error) {
 			Addr:        cfg.Nodes[i].Addr,
 			Name:        cfg.Name + "@" + id,
 			Tenant:      cfg.Tenant,
-			MaxFrame:    cfg.MaxFrame,
 			DialTimeout: cfg.DialTimeout,
 			JitterSeed:  seed + int64(i) + 1,
 		})
@@ -715,7 +694,9 @@ func (c *Client) RunEpoch(epoch int, onBatch func(node string, b *serve.Batch, p
 		// balancer or SetNodeWeight) land on the ring before Assign partitions
 		// the remaining work.
 		c.applyPendingWeights()
-		if round >= c.cfg.MaxRounds {
+		// The round cap is the brake against a node flapping
+		// alive-but-broken forever.
+		if round >= 4+2*len(c.cfg.Nodes) {
 			return stats, fmt.Errorf("cluster: epoch %d: %d batches still unserved after %d routing rounds",
 				epoch, len(remaining), round)
 		}
@@ -835,8 +816,14 @@ func (c *Client) observe(rc *roundCtl, node string) {
 	c.histMu.Unlock()
 }
 
+// nodeRetries is how many extra same-node attempts a failed shard fetch gets
+// before the node is declared dead and its unserved batches are rerouted.
+// Only the still-unserved IDs are re-requested, so a retry never re-delivers
+// a batch.
+const nodeRetries = 1
+
 // fetchNode streams one node's assigned IDs, retrying the node itself (with
-// only the still-unserved IDs) NodeRetries times before giving it up. The
+// only the still-unserved IDs) nodeRetries times before giving it up. The
 // serve.Client is owned by this goroutine for the duration of the round —
 // Assign hands each node to exactly one fetchNode call per round; hedges use
 // fresh clients. A fetch severed by the hedge monitor (abortIfRunning+Kick)
@@ -845,7 +832,7 @@ func (c *Client) observe(rc *roundCtl, node string) {
 func (c *Client) fetchNode(epoch int, node string, ids []int, st *epochState, rc *roundCtl, onBatch func(string, *serve.Batch, []byte)) error {
 	sc := c.clients[node]
 	var lastErr error
-	for attempt := 0; attempt <= c.cfg.NodeRetries; attempt++ {
+	for attempt := 0; attempt <= nodeRetries; attempt++ {
 		need := st.unserved(ids)
 		if len(need) == 0 {
 			return nil
@@ -978,7 +965,6 @@ func (c *Client) hedgeFetch(epoch int, slow, succ string, ids []int, rc *roundCt
 		Addr:        c.addrOf[succ],
 		Name:        c.cfg.Name + "@" + succ + "/hedge",
 		Tenant:      c.cfg.Tenant,
-		MaxFrame:    c.cfg.MaxFrame,
 		DialTimeout: c.cfg.DialTimeout,
 	})
 	defer hc.Close()

@@ -26,14 +26,6 @@ const (
 	// outstanding work reduces completion-order inversions and hence
 	// out-of-order stalls.
 	DispatchLeastWork
-	// DispatchWorkStealing places index batches like DispatchProducer but
-	// lets a worker that drains its own lane steal the oldest undispatched
-	// batch from the most-backlogged peer (ties break to the lowest worker
-	// id, so sim runs stay deterministic). This kills the head-of-line shape
-	// MinatoLoader targets — one slow sample no longer stalls every batch
-	// queued behind its worker — while the Iterator's reorder buffer keeps
-	// delivery order, and hence bytes, identical to the other policies.
-	DispatchWorkStealing
 )
 
 // Config parameterizes a DataLoader, mirroring torch.utils.data.DataLoader's
@@ -78,8 +70,8 @@ type Config struct {
 	// BatchPlan, when non-nil, is an explicit epoch batch plan: each entry is
 	// one batch's dataset indices, consumed in order. Shuffle, DropLast, and
 	// the plan-building half of Seed are ignored (Seed still drives per-sample
-	// randomness). The serving layer (internal/serve) uses it to run a loader
-	// over one session's shard of a shared epoch plan.
+	// randomness). It runs a loader over a shard of a shared epoch plan, the
+	// local equivalent of one served session's batches.
 	BatchPlan [][]int
 	// Faults, when non-nil, is the deterministic fault-injection layer: it
 	// can fail or stall blob reads inside the loader transforms, panic the
@@ -157,76 +149,6 @@ type workerResult struct {
 	err     error
 }
 
-// stealBoard is the index-dispatch structure behind DispatchWorkStealing:
-// per-worker FIFO lanes under one condition variable. A worker takes from its
-// own lane first; when that lane is empty it steals the oldest task from the
-// deepest peer lane. Like clock.Queue, Close drains — Get keeps returning
-// tasks until every lane is empty, then reports ok=false.
-type stealBoard struct {
-	cond   clock.Cond
-	lanes  [][]indexTask
-	closed bool
-	steals int
-}
-
-func newStealBoard(clk clock.Clock, workers int) *stealBoard {
-	return &stealBoard{cond: clk.NewCond(), lanes: make([][]indexTask, workers)}
-}
-
-// Put appends t to worker w's lane. Lanes are unbounded, so Put never blocks.
-func (sb *stealBoard) Put(w int, t indexTask) {
-	sb.cond.Lock()
-	defer sb.cond.Unlock()
-	if sb.closed {
-		panic("pipeline: Put on closed steal board")
-	}
-	sb.lanes[w] = append(sb.lanes[w], t)
-	sb.cond.Broadcast()
-}
-
-// Get returns the next task for worker w and the lane it came from
-// (from != w is a steal). ok is false once the board is closed and drained.
-func (sb *stealBoard) Get(p clock.Proc, w int) (t indexTask, from int, ok bool) {
-	sb.cond.Lock()
-	defer sb.cond.Unlock()
-	for {
-		if len(sb.lanes[w]) > 0 {
-			t, sb.lanes[w] = sb.lanes[w][0], sb.lanes[w][1:]
-			return t, w, true
-		}
-		victim, depth := -1, 0
-		for i, lane := range sb.lanes {
-			if len(lane) > depth {
-				victim, depth = i, len(lane)
-			}
-		}
-		if victim >= 0 {
-			t, sb.lanes[victim] = sb.lanes[victim][0], sb.lanes[victim][1:]
-			sb.steals++
-			return t, victim, true
-		}
-		if sb.closed {
-			return t, -1, false
-		}
-		sb.cond.Wait(p)
-	}
-}
-
-// Close marks the board closed; idle workers drain remaining lanes and exit.
-func (sb *stealBoard) Close() {
-	sb.cond.Lock()
-	defer sb.cond.Unlock()
-	sb.closed = true
-	sb.cond.Broadcast()
-}
-
-// Steals reports how many tasks were taken from a peer's lane.
-func (sb *stealBoard) Steals() int {
-	sb.cond.Lock()
-	defer sb.cond.Unlock()
-	return sb.steals
-}
-
 // DataLoader reproduces the multi-worker PyTorch loader: the main process
 // dispatches index batches to per-worker index queues; workers fetch,
 // preprocess, collate, and put completed batches on a shared data queue; the
@@ -239,24 +161,17 @@ type DataLoader struct {
 
 	batches [][]int
 	indexQs []*clock.Queue[indexTask]
-	// board replaces indexQs under DispatchWorkStealing.
-	board   *stealBoard
 	dataQ   *clock.Queue[workerResult]
 	started bool
 	sendIdx int
-	// mu guards outstanding and creditDrift: under DispatchWorkStealing the
-	// worker procs move charges at steal time, concurrently with the main
-	// proc's dispatch/credit path in real mode. The critical sections never
-	// block, so the mutex is also safe under the cooperative sim clock.
-	mu sync.Mutex
 	// outstanding tracks estimated queued work per worker for
-	// DispatchLeastWork and steal accounting.
+	// DispatchLeastWork. Only the main proc touches it and creditDrift.
 	outstanding []float64
 	// creditDrift counts accounting violations in the outstanding ledger:
 	// credits that would drive a worker's estimate below zero (a double
 	// credit), and nonzero residue left after every dispatched batch has been
 	// credited. Always zero in a correct loader; a nonzero value means the
-	// load estimates steering DispatchLeastWork and stealing are corrupt.
+	// load estimates steering DispatchLeastWork are corrupt.
 	creditDrift int
 	// batchCost caches the per-batch work estimates.
 	batchCost []float64
@@ -351,13 +266,9 @@ func (dl *DataLoader) Start(p clock.Proc) *Iterator {
 	dl.started = true
 	n := dl.cfg.NumWorkers
 	dl.outstanding = make([]float64, n)
-	if dl.cfg.Dispatch == DispatchWorkStealing {
-		dl.board = newStealBoard(dl.clk, n)
-	} else {
-		dl.indexQs = make([]*clock.Queue[indexTask], n)
-		for w := range dl.indexQs {
-			dl.indexQs[w] = clock.NewQueue[indexTask](dl.clk, 0)
-		}
+	dl.indexQs = make([]*clock.Queue[indexTask], n)
+	for w := range dl.indexQs {
+		dl.indexQs[w] = clock.NewQueue[indexTask](dl.clk, 0)
 	}
 	dl.dataQ = clock.NewQueue[workerResult](dl.clk, 0)
 
@@ -382,15 +293,13 @@ func (dl *DataLoader) Start(p clock.Proc) *Iterator {
 }
 
 // enqueueNext sends the next undistributed batch to a worker — the hinted
-// one under DispatchProducer / DispatchWorkStealing, or the least-loaded one
-// under DispatchLeastWork — and closes the index structure once everything is
-// dispatched.
+// one under DispatchProducer, or the least-loaded one under DispatchLeastWork
+// — and closes the index queues once everything is dispatched.
 func (dl *DataLoader) enqueueNext(p clock.Proc, hint int) {
 	if dl.sendIdx >= len(dl.batches) {
 		return
 	}
 	w := hint
-	dl.mu.Lock()
 	if dl.cfg.Dispatch == DispatchLeastWork {
 		w = 0
 		for i := range dl.outstanding {
@@ -400,26 +309,17 @@ func (dl *DataLoader) enqueueNext(p clock.Proc, hint int) {
 		}
 	}
 	dl.outstanding[w] += dl.batchCost[dl.sendIdx]
-	dl.mu.Unlock()
 	task := indexTask{batchID: dl.sendIdx, indices: dl.batches[dl.sendIdx]}
 	dl.sendIdx++
-	if dl.board != nil {
-		dl.board.Put(w, task)
-	} else {
-		dl.indexQs[w].Put(p, task)
-	}
+	dl.indexQs[w].Put(p, task)
 	if dl.sendIdx == len(dl.batches) {
 		dl.closeIndex()
 	}
 }
 
-// closeIndex closes the index-dispatch structure (queues or steal board) so
-// workers drain what was already dispatched and exit.
+// closeIndex closes the index queues so workers drain what was already
+// dispatched and exit.
 func (dl *DataLoader) closeIndex() {
-	if dl.board != nil {
-		dl.board.Close()
-		return
-	}
 	for _, q := range dl.indexQs {
 		q.Close()
 	}
@@ -428,10 +328,9 @@ func (dl *DataLoader) closeIndex() {
 // completed credits a finished batch back against its worker's outstanding
 // work estimate. A credit that would drive the estimate below zero is a
 // double credit — a real accounting bug that would corrupt every
-// DispatchLeastWork and stealing decision afterwards — so it is counted in
-// creditDrift rather than silently clamped away.
+// DispatchLeastWork decision afterwards — so it is counted in creditDrift
+// rather than silently clamped away.
 func (dl *DataLoader) completed(batchID, worker int) {
-	dl.mu.Lock()
 	dl.outstanding[worker] -= dl.batchCost[batchID]
 	if dl.outstanding[worker] < -creditEpsilon {
 		dl.creditDrift++
@@ -439,53 +338,22 @@ func (dl *DataLoader) completed(batchID, worker int) {
 	if dl.outstanding[worker] < 0 {
 		dl.outstanding[worker] = 0
 	}
-	dl.mu.Unlock()
-}
-
-// stealCharge moves a batch's outstanding charge from the lane it was queued
-// on to the worker that stole it, so completed() credits the right ledger
-// entry when the thief's result arrives.
-func (dl *DataLoader) stealCharge(from, to, batchID int) {
-	dl.mu.Lock()
-	dl.outstanding[from] -= dl.batchCost[batchID]
-	if dl.outstanding[from] < -creditEpsilon {
-		dl.creditDrift++
-	}
-	if dl.outstanding[from] < 0 {
-		dl.outstanding[from] = 0
-	}
-	dl.outstanding[to] += dl.batchCost[batchID]
-	dl.mu.Unlock()
 }
 
 // noteResidual audits the outstanding ledger once every dispatched batch has
 // been credited: residue beyond float rounding at that point is drift.
 func (dl *DataLoader) noteResidual() {
-	dl.mu.Lock()
 	for _, o := range dl.outstanding {
 		if o > creditEpsilon || o < -creditEpsilon {
 			dl.creditDrift++
 		}
 	}
-	dl.mu.Unlock()
-}
-
-// Steals reports how many batches were taken from a peer's lane under
-// DispatchWorkStealing (always zero for the other policies).
-func (dl *DataLoader) Steals() int {
-	if dl.board == nil {
-		return 0
-	}
-	return dl.board.Steals()
 }
 
 // CreditDrift reports outstanding-ledger accounting violations observed so
-// far (see the field doc). Zero in a correct loader.
-func (dl *DataLoader) CreditDrift() int {
-	dl.mu.Lock()
-	defer dl.mu.Unlock()
-	return dl.creditDrift
-}
+// far (see the field doc). Zero in a correct loader. Call it from the main
+// proc or after the epoch's clock has returned.
+func (dl *DataLoader) CreditDrift() int { return dl.creditDrift }
 
 // workerLoop is the DataLoader worker body (_utils.worker._worker_loop): it
 // creates a fetcher (the BatchWorker) and serves index tasks until its queue
@@ -494,17 +362,7 @@ func (dl *DataLoader) workerLoop(p clock.Proc, workerID int) {
 	bw := NewBatchWorker(workerID, dl.dataset, dl.cfg)
 	bw.Ctx.Abort = dl.stallAbort
 	for {
-		var task indexTask
-		var ok bool
-		if dl.board != nil {
-			var from int
-			task, from, ok = dl.board.Get(p, workerID)
-			if ok && from != workerID {
-				dl.stealCharge(from, workerID, task.batchID)
-			}
-		} else {
-			task, ok = dl.indexQs[workerID].Get(p)
-		}
+		task, ok := dl.indexQs[workerID].Get(p)
 		if !ok {
 			return
 		}
@@ -672,8 +530,7 @@ func (it *Iterator) logWait(p clock.Proc, batchID int, start time.Time, dur time
 // queued tasks (Queue.Close drains remaining items first), so each worker
 // still processes everything already dispatched to it and puts one result
 // per task on the data queue before exiting. Call Drain afterwards to
-// consume those in-flight results. The serving layer uses Abort when a
-// client disconnects or the server drains mid-epoch.
+// consume those in-flight results.
 func (it *Iterator) Abort() {
 	it.rcvdIdx = len(it.dl.batches)
 	it.dl.interruptStalls()

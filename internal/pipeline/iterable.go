@@ -146,9 +146,11 @@ func (il *IterableLoader) workerLoop(p clock.Proc, workerID int) {
 			il.dataQ.Put(p, iterResult{batchID: batchID, worker: workerID})
 			return
 		}
+		collateStart := p.Now()
 		collated := collate.Run(ctx, samples)
 		if il.cfg.Hooks != nil && il.cfg.Hooks.OnOp != nil {
-			il.cfg.Hooks.OnOp(pid, batchID, -1, "Collate", p.Now(), 0)
+			il.cfg.Hooks.OnOp(pid, batchID, -1, "Collate", collateStart, p.Now().Sub(collateStart))
+			il.logged(p)
 		}
 		if il.cfg.Engine != nil {
 			il.cfg.Engine.EndWork()
@@ -166,6 +168,7 @@ func (il *IterableLoader) workerLoop(p clock.Proc, workerID int) {
 		}
 		if il.cfg.Hooks != nil && il.cfg.Hooks.OnBatchPreprocessed != nil {
 			il.cfg.Hooks.OnBatchPreprocessed(pid, batchID, start, end.Sub(start))
+			il.logged(p)
 		}
 		il.dataQ.Put(p, iterResult{batchID: batchID, batch: batch, worker: workerID})
 		if exhausted {
@@ -205,9 +208,11 @@ func (it *IterableIterator) Next(p clock.Proc) (*Batch, bool) {
 			il.dispatch(p, b.WorkerID)
 			if il.cfg.Hooks != nil && il.cfg.Hooks.OnBatchWait != nil {
 				il.cfg.Hooks.OnBatchWait(MainPID, b.ID, p.Now(), time.Microsecond)
+				il.logged(p)
 			}
 			if il.cfg.Hooks != nil && il.cfg.Hooks.OnBatchConsumed != nil {
 				il.cfg.Hooks.OnBatchConsumed(MainPID, b.ID, p.Now(), 0)
+				il.logged(p)
 			}
 			return b, true
 		}
@@ -238,16 +243,26 @@ func (it *IterableIterator) Next(p clock.Proc) (*Batch, bool) {
 				dur = time.Microsecond
 			}
 			il.cfg.Hooks.OnBatchWait(MainPID, res.batchID, startWait, dur)
+			il.logged(p)
 		}
 		if res.batchID == want {
 			it.rcvdIdx++
 			il.dispatch(p, res.worker)
 			if il.cfg.Hooks != nil && il.cfg.Hooks.OnBatchConsumed != nil {
 				il.cfg.Hooks.OnBatchConsumed(MainPID, res.batchID, p.Now(), 0)
+				il.logged(p)
 			}
 			return res.batch, true
 		}
 		it.cached[res.batchID] = res.batch
+	}
+}
+
+// logged charges p the modeled cost of the trace record a hook just emitted,
+// as the map-style loader does after each of its hooks.
+func (il *IterableLoader) logged(p clock.Proc) {
+	if c := il.cfg.Hooks.PerLogCost; c > 0 {
+		p.Sleep(c)
 	}
 }
 

@@ -191,3 +191,57 @@ func TestIterableStartTwicePanics(t *testing.T) {
 		t.Fatal("expected second Start to panic")
 	}
 }
+
+// batchSpans records, per batch id, the Collate span and the [T1] span a
+// loader logs.
+type batchSpans struct {
+	collate, t1 map[int]time.Duration
+}
+
+func (s *batchSpans) hooks(perLogCost time.Duration) *Hooks {
+	s.collate, s.t1 = map[int]time.Duration{}, map[int]time.Duration{}
+	return &Hooks{
+		OnOp: func(pid, batchID, sample int, op string, start time.Time, dur time.Duration) {
+			if op == "Collate" {
+				s.collate[batchID] = dur
+			}
+		},
+		OnBatchPreprocessed: func(pid, batchID int, start time.Time, dur time.Duration) { s.t1[batchID] = dur },
+		PerLogCost:          perLogCost,
+	}
+}
+
+// TestIterableCollateSpanMatchesMapStyle is the regression test for the
+// stream loader's [T3] collate record: it used to be logged after the fact
+// with a zero duration and without the per-record log cost, so collate time
+// vanished from every stream-dataset trace. One worker, unshuffled, the
+// stream's batch b holds the same samples as the map-style loader's batch b,
+// and under the sim clock both must log the same Collate and [T1] spans —
+// the [T1] span covers the log cost of every record inside it.
+func TestIterableCollateSpanMatchesMapStyle(t *testing.T) {
+	const n, batch, logCost = 40, 5, 30 * time.Microsecond
+	var stream, mapStyle, free batchSpans
+	runIterableEpoch(t, n, batch, 1, stream.hooks(logCost))
+	runIterableEpoch(t, n, batch, 1, free.hooks(0))
+	sim, dl := simLoader(t, n, batch, 1, mapStyle.hooks(logCost))
+	runEpoch(sim, dl)
+
+	if len(stream.collate) != n/batch {
+		t.Fatalf("stream loader logged %d Collate spans, want %d", len(stream.collate), n/batch)
+	}
+	for b := 0; b < n/batch; b++ {
+		if stream.collate[b] <= 0 {
+			t.Fatalf("batch %d: Collate span has duration %v, want > 0", b, stream.collate[b])
+		}
+		if stream.collate[b] != mapStyle.collate[b] {
+			t.Fatalf("batch %d: Collate span %v, map-style loader logs %v", b, stream.collate[b], mapStyle.collate[b])
+		}
+		if stream.t1[b] != mapStyle.t1[b] {
+			t.Fatalf("batch %d: [T1] span %v, map-style loader logs %v", b, stream.t1[b], mapStyle.t1[b])
+		}
+		// 5 transforms per sample plus the collate record.
+		if got, want := stream.t1[b]-free.t1[b], (batch*5+1)*logCost; got != want {
+			t.Fatalf("batch %d: PerLogCost added %v to [T1], want %v", b, got, want)
+		}
+	}
+}

@@ -286,33 +286,54 @@ func (c *Client) Run(epochs int, onBatch func(b *Batch, payload []byte)) (*Fetch
 	start := time.Now()
 	defer func() { stats.Elapsed = time.Since(start) }()
 	for e := 0; e < epochs; e++ {
-		attempt := 0
-		for {
-			err := c.fetchEpoch(e, onBatch, stats)
-			if err == nil {
-				stats.Epochs++
-				break
-			}
-			var se *ServerError
-			if errors.As(err, &se) && se.Code != CodeBusy {
-				return stats, err
-			}
-			// CodeBusy falls through: admission control asked this client to
-			// come back later, and the jittered backoff below is exactly the
-			// desynchronized retry the server is counting on.
-			c.drop()
-			if attempt >= c.cfg.Retries {
-				return stats, fmt.Errorf("serve: epoch %d failed after %d attempts: %w", e, attempt+1, err)
-			}
-			attempt++
-			stats.Retries++
-			if c.cfg.OnRetry != nil {
-				c.cfg.OnRetry(e, attempt, err)
-			}
-			c.cfg.Sleep(c.backoff(attempt))
+		err := c.retry(e, fmt.Sprintf("epoch %d", e), stats, func() error {
+			return c.fetchEpoch(e, onBatch, stats)
+		})
+		if err != nil {
+			return stats, err
 		}
+		stats.Epochs++
 	}
 	return stats, nil
+}
+
+// ConnectRetrying is Connect under Run's retry contract: a CodeBusy refusal
+// (admission control asking this client to come back) and transient dial
+// failures are retried up to Retries times on the client's jittered backoff;
+// a fatal ServerError surfaces at once. Callers that need the handshake Ack
+// before the first epoch use it in place of a bare Connect.
+func (c *Client) ConnectRetrying() error {
+	return c.retry(0, "connect", &FetchStats{}, c.Connect)
+}
+
+// retry runs op until it succeeds, the server refuses fatally, or Retries
+// extra attempts are spent, dropping the connection and sleeping the
+// jittered backoff between attempts. what names the operation in the final
+// error; epoch is what OnRetry is told.
+func (c *Client) retry(epoch int, what string, stats *FetchStats, op func() error) error {
+	for attempt := 0; ; {
+		err := op()
+		if err == nil {
+			return nil
+		}
+		var se *ServerError
+		if errors.As(err, &se) && se.Code != CodeBusy {
+			return err
+		}
+		// CodeBusy falls through: admission control asked this client to
+		// come back later, and the jittered backoff below is exactly the
+		// desynchronized retry the server is counting on.
+		c.drop()
+		if attempt >= c.cfg.Retries {
+			return fmt.Errorf("serve: %s failed after %d attempts: %w", what, attempt+1, err)
+		}
+		attempt++
+		stats.Retries++
+		if c.cfg.OnRetry != nil {
+			c.cfg.OnRetry(epoch, attempt, err)
+		}
+		c.cfg.Sleep(c.backoff(attempt))
+	}
 }
 
 // backoff returns the sleep before retry attempt k (1-based): exponential

@@ -27,12 +27,6 @@ type frameWriter struct {
 	conn      net.Conn
 	maxFrames int // coalesceFrames, or 1 in immediate mode
 
-	// QoS: when gate is non-nil every flush holds one write slot, charged
-	// the flushed byte total against the tenant's deficit.
-	gate   *fairGate
-	tenant string
-	weight int
-
 	// onFlush observes each vectored write (frame count) for the coalescing
 	// metrics; nil = uncounted.
 	onFlush func(frames int)
@@ -80,7 +74,7 @@ func (w *frameWriter) pending() int { return len(w.held) }
 
 // add enqueues one frame (taking its own reference) and flushes when a bound
 // trips. The caller keeps its reference to f.
-func (w *frameWriter) add(f *Frame, cancel <-chan struct{}) error {
+func (w *frameWriter) add(f *Frame) error {
 	payload := f.Bytes()
 	i := len(w.held)
 	hdr := &w.hdrs[i]
@@ -94,7 +88,7 @@ func (w *frameWriter) add(f *Frame, cancel <-chan struct{}) error {
 	}
 	if len(w.held) >= w.maxFrames || w.pend >= coalesceBytes ||
 		time.Since(w.firstAdd) >= coalesceWindow {
-		return w.flush(cancel)
+		return w.flush()
 	}
 	return nil
 }
@@ -102,22 +96,13 @@ func (w *frameWriter) add(f *Frame, cancel <-chan struct{}) error {
 // flush writes every pending frame as one vectored write. Pending frames are
 // released whether or not the write succeeds (the connection is dead on
 // error and the stream aborts).
-func (w *frameWriter) flush(cancel <-chan struct{}) error {
+func (w *frameWriter) flush() error {
 	n := len(w.held)
 	if n == 0 {
 		return nil
 	}
-	if w.gate != nil {
-		if err := w.gate.acquire(w.tenant, w.weight, int64(w.pend), cancel); err != nil {
-			w.reset()
-			return err
-		}
-	}
 	bufs := w.bufs // WriteTo consumes its receiver; w.bufs is reset below
 	_, err := bufs.WriteTo(w.conn)
-	if w.gate != nil {
-		w.gate.release()
-	}
 	if w.onFlush != nil {
 		w.onFlush(n)
 	}
@@ -143,7 +128,6 @@ func (w *frameWriter) reset() {
 func (w *frameWriter) close() {
 	w.reset()
 	w.conn = nil
-	w.gate = nil
 	w.onFlush = nil
 	frameWriterPool.Put(w)
 }

@@ -26,7 +26,7 @@ type Metrics struct {
 	hedgeRequests  int64
 	hedgeBatches   int64
 	busyRejections int64
-	admitQueued    int64
+	admitWaited    int64
 	writevCalls    int64
 	writevFrames   int64
 	opensByName    map[string]int
@@ -160,11 +160,11 @@ func (m *Metrics) AddBusy() {
 	m.mu.Unlock()
 }
 
-// AddAdmitQueued counts one connection that waited in the bounded admission
+// AddAdmitWaited counts one connection that waited in the bounded admission
 // queue for a session slot (whether or not it was eventually admitted).
-func (m *Metrics) AddAdmitQueued() {
+func (m *Metrics) AddAdmitWaited() {
 	m.mu.Lock()
-	m.admitQueued++
+	m.admitWaited++
 	m.mu.Unlock()
 }
 
@@ -325,7 +325,7 @@ type MetricsSnapshot struct {
 	// Admission-control counters: connections turned away busy and
 	// connections that waited in the bounded admission queue.
 	BusyRejections int64 `json:"busy_rejections"`
-	AdmitQueued    int64 `json:"admit_queued"`
+	AdmitWaited    int64 `json:"admit_queued"`
 	// Write-coalescing counters: vectored writes issued and batch frames
 	// they covered (frames/calls = coalescing factor).
 	WritevCalls  int64 `json:"writev_calls"`
@@ -376,7 +376,7 @@ func (m *Metrics) Snapshot(now time.Time, traceRecords int64) MetricsSnapshot {
 		BytesSent:      m.bytesSent,
 		TraceRecords:   traceRecords,
 		BusyRejections: m.busyRejections,
-		AdmitQueued:    m.admitQueued,
+		AdmitWaited:    m.admitWaited,
 		WritevCalls:    m.writevCalls,
 		WritevFrames:   m.writevFrames,
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -52,13 +53,13 @@ func holdSession(t *testing.T, srv *Server, name string) net.Conn {
 	return conn
 }
 
-// TestAdmissionBusyReply: with the session table full and queueing disabled,
+// TestAdmissionBusyReply: with the session table full and waiting disabled,
 // a new connection is answered with a clean Error frame carrying CodeBusy —
 // the retryable overload signal — not a hang or a raw close.
 func TestAdmissionBusyReply(t *testing.T) {
 	spec := loopbackSpec()
 	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated,
-		MaxSessions: 1, AdmitQueue: -1})
+		MaxSessions: 1, AdmitWait: -1})
 
 	holder := holdSession(t, srv, "holder")
 	defer holder.Close()
@@ -97,7 +98,7 @@ func TestAdmissionBusyReply(t *testing.T) {
 func TestClientRetriesBusy(t *testing.T) {
 	spec := loopbackSpec()
 	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
-		MaxSessions: 1, AdmitQueue: -1})
+		MaxSessions: 1, AdmitWait: -1})
 
 	holder := holdSession(t, srv, "holder")
 	released := false
@@ -127,13 +128,69 @@ func TestClientRetriesBusy(t *testing.T) {
 	}
 }
 
+// TestConnectRetryingBusyIsJittered is the regression test for lotus-fetch's
+// initial connect, which used to retry a busy server on its own un-jittered,
+// uncapped `base << attempt` schedule: a fleet turned away together came back
+// in synchronized waves. Through ConnectRetrying the first connect rides the
+// client's seeded [d/2, d) backoff — two clients with different names wait
+// different delays — and a busy-then-free server is reached without error.
+func TestConnectRetryingBusyIsJittered(t *testing.T) {
+	spec := loopbackSpec()
+	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated,
+		MaxSessions: 1, AdmitWait: -1})
+	const base = 20 * time.Millisecond
+
+	// connectBehind dials while holder owns the only slot; the slot frees
+	// during the client's first backoff sleep.
+	connectBehind := func(name string, holder io.Closer) (*Client, time.Duration) {
+		var sleeps []time.Duration
+		c := NewClient(ClientConfig{
+			Addr: srv.Addr(), Name: name, Retries: 8, BackoffBase: base,
+			Sleep: func(d time.Duration) {
+				if sleeps = append(sleeps, d); len(sleeps) == 1 {
+					holder.Close()
+				}
+				time.Sleep(d)
+			},
+		})
+		if err := c.ConnectRetrying(); err != nil {
+			t.Fatalf("%s: connect to a busy-then-free server: %v", name, err)
+		}
+		if _, ok := c.Ack(); !ok {
+			t.Fatalf("%s: connected without a handshake ack", name)
+		}
+		if len(sleeps) == 0 {
+			t.Fatalf("%s: busy refusal was not retried", name)
+		}
+		if sleeps[0] < base/2 || sleeps[0] >= base {
+			t.Fatalf("%s: first busy-retry delay %v, want in [%v, %v)", name, sleeps[0], base/2, base)
+		}
+		return c, sleeps[0]
+	}
+	a, da := connectBehind("fleet-a", holdSession(t, srv, "holder"))
+	b, db := connectBehind("fleet-b", a)
+	defer b.Close()
+	if da == db {
+		t.Fatalf("clients with different names both waited %v: busy retries are in lockstep", da)
+	}
+
+	// A fatal refusal is still not retried.
+	bad := NewClient(ClientConfig{Addr: srv.Addr(), Name: "bad", Rank: 3, World: 2,
+		Sleep: func(time.Duration) { t.Error("fatal server error was retried") }})
+	defer bad.Close()
+	var se *ServerError
+	if err := bad.ConnectRetrying(); !errors.As(err, &se) || se.Code == CodeBusy {
+		t.Fatalf("rank >= world: got %v, want a fatal ServerError", err)
+	}
+}
+
 // TestAdmissionQueueAdmits: a connection arriving while the table is full
 // parks in the bounded admission queue and is admitted — not rejected — as
 // soon as a slot frees within the wait budget.
 func TestAdmissionQueueAdmits(t *testing.T) {
 	spec := loopbackSpec()
 	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
-		MaxSessions: 1, AdmitQueue: 4, AdmitWait: 30 * time.Second})
+		MaxSessions: 1, AdmitWait: 30 * time.Second})
 
 	holder := holdSession(t, srv, "holder")
 
@@ -166,9 +223,9 @@ func TestAdmissionQueueAdmits(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("queued client never completed")
 	}
-	if snap := srv.Snapshot(time.Now()); snap.AdmitQueued != 1 || snap.BusyRejections != 0 {
+	if snap := srv.Snapshot(time.Now()); snap.AdmitWaited != 1 || snap.BusyRejections != 0 {
 		t.Fatalf("admit_queued=%d busy=%d, want 1 queued and 0 rejected",
-			snap.AdmitQueued, snap.BusyRejections)
+			snap.AdmitWaited, snap.BusyRejections)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // the batch cache's Acquire when that is on), so the number of batches being
 // preprocessed at once is the pool size whatever the session count.
 //
-// The pool is a fairGate: its slots bound concurrency and its deficit round
+// The pool is a fairGate: its slots bound concurrency and its weighted round
 // robin is the queue discipline, so with QoS on tenants share the workers by
 // weight however many sessions each one opens, and with QoS off everybody
 // queues as one anonymous tenant (plain FIFO). The autotuner's workers
@@ -45,7 +45,7 @@ func newPlane(s *Server) *plane {
 	if n <= 0 {
 		n = pipeline.DefaultAutoWorkers
 	}
-	return &plane{srv: s, gate: newFairGate(n, 1)}
+	return &plane{srv: s, gate: newFairGate(n)}
 }
 
 // wallClock reports whether batches run on the wall clock (real pixels, or
@@ -109,15 +109,15 @@ func (pl *plane) park(w *pipeline.BatchWorker) {
 
 // compute preprocesses and encodes one batch of one epoch on the pool. It
 // queues for a worker under the tenant's name and weight (nil: the anonymous
-// tenant), charged one unit per batch; ctx cancels the queueing, any injected
-// stall and any sample-cache wait inside the batch. The frame's bytes depend
-// only on (spec, epoch, pb) — never on which worker or session asked.
+// tenant); ctx cancels the queueing, any injected stall and any sample-cache
+// wait inside the batch. The frame's bytes depend only on (spec, epoch, pb) —
+// never on which worker or session asked.
 func (pl *plane) compute(ctx context.Context, tenant *tenantState, epoch int, pb PlanBatch) (*Frame, error) {
 	name, weight := "", 1
 	if tenant != nil {
 		name, weight = tenant.name, tenant.weight()
 	}
-	if err := pl.gate.acquire(name, weight, 1, ctx.Done()); err != nil {
+	if err := pl.gate.acquire(name, weight, ctx.Done()); err != nil {
 		return nil, err
 	}
 	defer pl.gate.release()
@@ -146,4 +146,145 @@ func (pl *plane) compute(ctx context.Context, tenant *tenantState, epoch int, pb
 		return nil, err
 	}
 	return encodeBatchFrame(batchToWire(epoch, pb.GlobalID, b)), nil
+}
+
+// fairGate is the plane's queue: a pool of worker slots arbitrated between
+// tenants by weighted round robin, one unit per batch. Each round-robin visit
+// grants a tenant's queue up to weight waiters, so when demand exceeds the
+// pool tenants progress in proportion to their weights however many sessions
+// each one runs (the tf.data-service multi-consumer model: one greedy trainer
+// cannot starve the rest). When nothing is queued, acquisition is a
+// lock-plus-decrement fast path (work conserving).
+type fairGate struct {
+	mu      sync.Mutex
+	slots   int // pool size; resize retargets it
+	free    int // slots - held; negative while a shrink waits for releases
+	queues  map[string]*gateQueue
+	ring    []*gateQueue // round-robin order over queues with waiters
+	idx     int
+	waiting int // live (non-canceled) queued waiters
+}
+
+type gateQueue struct {
+	weight int
+	// credit is how many more waiters the current round-robin visit may
+	// grant; 0 means no visit is in progress and the next one starts with
+	// weight. Dispatch runs incrementally — it returns whenever slots run
+	// out and resumes on the next release — so a visit's remainder is kept
+	// here rather than re-issued: crediting the queue it left off on again
+	// at every resume would inflate that tenant's share.
+	credit int
+	q      []*gateWaiter
+}
+
+type gateWaiter struct {
+	ready    chan struct{}
+	granted  bool
+	canceled bool
+}
+
+func newFairGate(slots int) *fairGate {
+	slots = max(slots, 1)
+	return &fairGate{slots: slots, free: slots, queues: make(map[string]*gateQueue)}
+}
+
+// resize retargets the pool to n slots (never below 1). Growing grants
+// queued waiters at once; shrinking never interrupts a holder — the pool
+// narrows as slots are released.
+func (g *fairGate) resize(n int) {
+	n = max(n, 1)
+	g.mu.Lock()
+	g.free += n - g.slots
+	g.slots = n
+	g.dispatchLocked()
+	g.mu.Unlock()
+}
+
+// acquire blocks until the caller holds one slot or cancel fires. Every
+// successful acquire must be paired with exactly one release.
+func (g *fairGate) acquire(tenant string, weight int, cancel <-chan struct{}) error {
+	g.mu.Lock()
+	if g.waiting == 0 && g.free > 0 {
+		g.free--
+		g.mu.Unlock()
+		return nil
+	}
+	q := g.queues[tenant]
+	if q == nil {
+		q = &gateQueue{weight: max(weight, 1)}
+		g.queues[tenant] = q
+	}
+	if len(q.q) == 0 {
+		g.ring = append(g.ring, q)
+	}
+	w := &gateWaiter{ready: make(chan struct{})}
+	q.q = append(q.q, w)
+	g.waiting++
+	g.dispatchLocked()
+	g.mu.Unlock()
+
+	select {
+	case <-w.ready:
+		return nil
+	case <-cancel:
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		if w.granted {
+			// The grant raced the cancel; the caller owns the slot and its
+			// normal release path runs.
+			return nil
+		}
+		w.canceled = true
+		g.waiting--
+		return errQoSCanceled
+	}
+}
+
+// release returns one slot and wakes whatever the scheduler grants next.
+func (g *fairGate) release() {
+	g.mu.Lock()
+	g.free++
+	g.dispatchLocked()
+	g.mu.Unlock()
+}
+
+// dispatchLocked grants slots round robin until slots or live waiters run
+// out. It terminates because every ring cycle either grants (each queue with
+// a live waiter is good for at least one) or drops a queue of canceled
+// waiters. When slots run out mid-visit, dispatch returns with the ring
+// pointer parked on the current queue and its remaining credit intact, so the
+// next release resumes that visit instead of starting a fresh one — without
+// this, sequential single-slot operation would collapse weighted shares to
+// plain round robin.
+func (g *fairGate) dispatchLocked() {
+	for g.free > 0 && g.waiting > 0 {
+		if g.idx >= len(g.ring) {
+			g.idx = 0
+		}
+		q := g.ring[g.idx]
+		if q.credit == 0 {
+			q.credit = q.weight
+		}
+		for g.free > 0 && q.credit > 0 && len(q.q) > 0 {
+			w := q.q[0]
+			q.q = q.q[1:]
+			if w.canceled {
+				continue
+			}
+			q.credit--
+			g.free--
+			g.waiting--
+			w.granted = true
+			close(w.ready)
+		}
+		switch {
+		case len(q.q) == 0:
+			// An idle queue forfeits its credit and leaves the ring, so a
+			// tenant cannot bank share during quiet periods.
+			q.credit = 0
+			g.ring = append(g.ring[:g.idx], g.ring[g.idx+1:]...)
+		case q.credit == 0:
+			g.idx++ // visit spent: move on, the next visit re-credits
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"lotus/internal/core/trace"
 	"lotus/internal/faultinject"
 	"lotus/internal/pipeline"
 	"lotus/internal/testutil"
@@ -74,7 +75,7 @@ func holdPool(t *testing.T, srv *Server) (release func()) {
 	g := srv.plane.gate
 	n := g.slots
 	for i := 0; i < n; i++ {
-		if err := g.acquire("holder", 1, 1, nil); err != nil {
+		if err := g.acquire("holder", 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,8 +87,8 @@ func holdPool(t *testing.T, srv *Server) (release func()) {
 }
 
 // TestPlaneWeightedOrder: with one worker and two tenants queued, the plane
-// serves batches in deficit-round-robin order by weight — the fair gate is
-// the queue discipline, not a wrapper around it.
+// serves batches in weighted-round-robin order — the fair gate is the queue
+// discipline, not a wrapper around it.
 func TestPlaneWeightedOrder(t *testing.T) {
 	spec := loopbackSpec()
 	spec.NumWorkers = 1
@@ -133,6 +134,59 @@ func TestPlaneWeightedOrder(t *testing.T) {
 	}
 }
 
+// TestPlaneSlowWorkerHoldsBackOnlyItsBatch: one pool slot that stalls after
+// every batch it runs (a persistently degraded worker) delays the batch it
+// is holding and nothing else — the shared queue hands everything behind it
+// to the healthy slot, which is the straggler absorption a per-worker index
+// queue needed work stealing for. One cold epoch stays byte-identical to the
+// local run, and the trace ring shows the stalled slot computed a small
+// minority of it.
+func TestPlaneSlowWorkerHoldsBackOnlyItsBatch(t *testing.T) {
+	t.Cleanup(testutil.CheckGoroutines(t))
+	spec := workloads.ICSpec(256, 7)
+	spec.BatchSize = 8 // 32 batches
+	spec.NumWorkers = 2
+	spec.WorkScale = 0.05 // the modeled latencies only pace the test
+	inj := faultinject.New(faultinject.Spec{Seed: 1, SlowWorkerID: 1, SlowWorkerStall: 200 * time.Millisecond})
+	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated, EmulateTime: true,
+		Prefetch: 8, Faults: inj})
+
+	expected := localEpochFrames(t, spec, 0)
+	c := NewClient(ClientConfig{Addr: srv.Addr(), Name: "cold"})
+	defer c.Close()
+	if err := c.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	err := c.fetchEpoch(0, func(b *Batch, payload []byte) {
+		got++
+		if !bytes.Equal(payload, expected[b.GlobalID]) {
+			t.Errorf("batch %d differs from the local run", b.GlobalID)
+		}
+	}, nil)
+	if err != nil || got != len(expected) {
+		t.Fatalf("%d of %d batches, err %v", got, len(expected), err)
+	}
+
+	byPID := map[int]int{}
+	for _, r := range srv.ring.Snapshot() {
+		if r.Kind == trace.KindBatchPreprocessed {
+			byPID[r.PID]++
+		}
+	}
+	slow, healthy := byPID[pipeline.WorkerPID(0)], byPID[pipeline.WorkerPID(1)]
+	if slow+healthy != len(expected) {
+		t.Fatalf("ring tallies %d+%d batches over pids %v, want %d", slow, healthy, byPID, len(expected))
+	}
+	t.Logf("stalled slot ran %d batches, healthy slot %d", slow, healthy)
+	if slow == 0 || inj.Counts().WorkerStalls == 0 {
+		t.Fatal("the stalled slot never ran a batch; the test exercises nothing")
+	}
+	if slow*4 > len(expected) {
+		t.Fatalf("stalled slot computed %d of %d batches, want at most a quarter: work queued behind it", slow, len(expected))
+	}
+}
+
 // TestPlaneCancelWhileQueued: a compute whose session goes away while it
 // queues for a worker returns the cancellation and leaks no slot.
 func TestPlaneCancelWhileQueued(t *testing.T) {
@@ -158,7 +212,7 @@ func TestPlaneCancelWhileQueued(t *testing.T) {
 	// Every slot is back: as many computes as the pool has workers run
 	// without anybody releasing anything.
 	for i := 0; i < pl.gate.slots; i++ {
-		if err := pl.gate.acquire("probe", 1, 1, nil); err != nil {
+		if err := pl.gate.acquire("probe", 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,14 +228,14 @@ func TestPlaneCancelWhileQueued(t *testing.T) {
 // interrupts a holder, takes effect as slots come back, and never goes below
 // one slot.
 func TestFairGateResize(t *testing.T) {
-	g := newFairGate(1, 1)
-	if err := g.acquire("a", 1, 1, nil); err != nil {
+	g := newFairGate(1)
+	if err := g.acquire("a", 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	granted := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			if err := g.acquire("a", 1, 1, nil); err == nil {
+			if err := g.acquire("a", 1, nil); err == nil {
 				granted <- struct{}{}
 			}
 		}()
@@ -203,7 +257,7 @@ func TestFairGateResize(t *testing.T) {
 		t.Fatalf("resize(0) left %d slots, want the floor of 1", g.slots)
 	}
 	go func() {
-		if err := g.acquire("b", 1, 1, nil); err == nil {
+		if err := g.acquire("b", 1, nil); err == nil {
 			granted <- struct{}{}
 		}
 	}()

@@ -10,26 +10,29 @@ import (
 // Per-tenant quality of service. A tenant (Hello.Tenant) is the paying
 // principal behind some set of sessions — one trainer job, one team, one
 // product — and the unit of fairness once O(1000) sessions contend for the
-// shared preprocessing tiers. Two mechanisms compose:
+// shared preprocessing tiers. Three mechanisms compose, each with one job:
 //
 //   - Token buckets (TenantLimit.BytesPerSec / BatchesPerSec) cap a tenant's
 //     absolute service rate. They pace the write loop of every session the
 //     tenant owns, so the cap holds across however many connections the
 //     tenant opens.
-//   - A deficit-weighted-fair gate (fairGate) arbitrates the shared
-//     contention points — the compute plane's batch workers (plane.go) and
-//     in-flight batch writes — so that when demand exceeds capacity, tenants
-//     progress in proportion to their weights regardless of how many
-//     sessions each one runs. This is the tf.data-service multi-consumer
-//     model: one greedy trainer cannot starve the rest.
+//   - The compute plane's gate (fairGate, plane.go) orders batch
+//     computations: when demand exceeds the worker pool, tenants are granted
+//     workers in proportion to their weights regardless of how many sessions
+//     each one runs.
 //   - A fair-share pacer (fairPacer) bounds relative progress on the wire:
 //     no tenant's weighted served bytes may run more than a fixed lead ahead
-//     of the slowest *active* tenant. The gates arbitrate only when their
+//     of the slowest *active* tenant. The gate arbitrates only when its
 //     slots saturate; the pacer is what keeps tenants fair when the true
 //     bottleneck is elsewhere (CPU, the shared cache, the kernel), because a
 //     tenant that buys extra throughput with extra sessions runs straight
 //     into its lead bound and is paced until its peers catch up. Idle
 //     tenants age out of the active set, so the pacer is work conserving.
+//
+// There is deliberately no gate around the socket write itself: a
+// work-conserving gate with free slots shapes nothing, and measured on
+// BenchmarkTenantFairness one moved neither Jain, throughput nor p99
+// (DESIGN §16).
 //
 // QoS is pure schedule, never content: it delays or reorders work *across*
 // sessions, but within a session frames still stream in plan order and the
@@ -49,9 +52,10 @@ type TenantLimit struct {
 	// second's worth of the corresponding rate.
 	BurstBytes   int64
 	BurstBatches int64
-	// Weight is the tenant's share under deficit-weighted-fair contention
-	// (default 1). A weight-2 tenant drains twice the bytes per scheduling
-	// round of a weight-1 tenant when both have work queued.
+	// Weight is the tenant's share under contention (default 1): a weight-2
+	// tenant is granted twice the plane's workers per scheduling round, and
+	// paced to twice the wire bytes, of a weight-1 tenant when both have
+	// work queued.
 	Weight int
 }
 
@@ -101,205 +105,6 @@ func (b *tokenBucket) take(n float64, now time.Time) time.Duration {
 		return 0
 	}
 	return time.Duration(-b.tokens / b.rate * float64(time.Second))
-}
-
-// ---------------------------------------------------------------------------
-// Deficit-weighted-fair gate
-// ---------------------------------------------------------------------------
-
-// fairGate arbitrates a pool of concurrency slots between tenants with
-// deficit round robin: each queued tenant accumulates quantum*weight of
-// byte-denominated credit per scheduling round and its head waiter is granted
-// a slot once the credit covers the waiter's cost. When the gate is
-// uncontended (no queue), acquisition is a lock-plus-decrement fast path, so
-// the fair scheduler costs nothing until it is needed (work conserving).
-type fairGate struct {
-	mu      sync.Mutex
-	slots   int // pool size; resize retargets it
-	free    int // slots - held; negative while a shrink waits for releases
-	quantum int64
-	queues  map[string]*gateQueue
-	ring    []*gateQueue // round-robin order over queues with waiters
-	idx     int
-	waiting int // live (non-canceled) queued waiters
-
-	grants int64
-	queued int64
-}
-
-type gateQueue struct {
-	name    string
-	weight  int64
-	deficit int64
-	// credited marks that this queue already received its quantum for the
-	// current round-robin visit. Dispatch runs incrementally — it returns
-	// whenever slots run out and resumes on the next release — so without
-	// the flag every resume would re-credit the queue it left off on,
-	// inflating that tenant's share.
-	credited bool
-	q        []*gateWaiter
-}
-
-type gateWaiter struct {
-	cost     int64
-	ready    chan struct{}
-	granted  bool
-	canceled bool
-}
-
-func newFairGate(slots int, quantum int64) *fairGate {
-	if slots < 1 {
-		slots = 1
-	}
-	if quantum < 1 {
-		quantum = 256 << 10
-	}
-	return &fairGate{slots: slots, free: slots, quantum: quantum, queues: make(map[string]*gateQueue)}
-}
-
-// resize retargets the pool to n slots (never below 1). Growing grants
-// queued waiters at once; shrinking never interrupts a holder — the pool
-// narrows as slots are released.
-func (g *fairGate) resize(n int) {
-	if n < 1 {
-		n = 1
-	}
-	g.mu.Lock()
-	g.free += n - g.slots
-	g.slots = n
-	g.dispatchLocked()
-	g.mu.Unlock()
-}
-
-// acquire blocks until the caller holds one slot, charged cost units of the
-// tenant's deficit, or cancel fires. Every successful acquire must be paired
-// with exactly one release.
-func (g *fairGate) acquire(tenant string, weight int, cost int64, cancel <-chan struct{}) error {
-	if cost < 1 {
-		cost = 1
-	}
-	g.mu.Lock()
-	if g.waiting == 0 && g.free > 0 {
-		g.free--
-		g.grants++
-		g.mu.Unlock()
-		return nil
-	}
-	q := g.queues[tenant]
-	if q == nil {
-		w := int64(weight)
-		if w < 1 {
-			w = 1
-		}
-		q = &gateQueue{name: tenant, weight: w}
-		g.queues[tenant] = q
-	}
-	if len(q.q) == 0 {
-		g.ring = append(g.ring, q)
-	}
-	w := &gateWaiter{cost: cost, ready: make(chan struct{})}
-	q.q = append(q.q, w)
-	g.waiting++
-	g.queued++
-	g.dispatchLocked()
-	g.mu.Unlock()
-
-	select {
-	case <-w.ready:
-		return nil
-	case <-cancel:
-		g.mu.Lock()
-		if w.granted {
-			// The grant raced the cancel; the caller owns the slot and its
-			// normal release path runs.
-			g.mu.Unlock()
-			return nil
-		}
-		w.canceled = true
-		g.waiting--
-		g.mu.Unlock()
-		return errQoSCanceled
-	}
-}
-
-// release returns one slot and wakes whatever the scheduler grants next.
-func (g *fairGate) release() {
-	g.mu.Lock()
-	g.free++
-	g.dispatchLocked()
-	g.mu.Unlock()
-}
-
-// dispatchLocked runs deficit round robin until slots or waiters run out.
-// Each round-robin visit credits the queue exactly once; the loop terminates
-// because every full ring cycle grows each queue's deficit by at least
-// quantum while head costs are finite, so a grant (which shrinks waiting) is
-// always a bounded number of cycles away while free > 0. When slots run out
-// mid-service, dispatch returns with the ring pointer parked on the current
-// queue (its visit credit already spent, not re-issued), so the next release
-// resumes that queue's remaining deficit instead of starting a fresh visit —
-// without this, sequential single-slot operation would collapse weighted
-// shares to plain round robin.
-func (g *fairGate) dispatchLocked() {
-	for g.free > 0 && g.waiting > 0 {
-		if len(g.ring) == 0 {
-			return
-		}
-		if g.idx >= len(g.ring) {
-			g.idx = 0
-		}
-		q := g.ring[g.idx]
-		for len(q.q) > 0 && q.q[0].canceled {
-			q.q = q.q[1:]
-		}
-		if len(q.q) == 0 {
-			// Idle queues forfeit banked credit (standard DRR), so a tenant
-			// cannot save up during quiet periods and burst past its share.
-			q.deficit = 0
-			q.credited = false
-			g.ring = append(g.ring[:g.idx], g.ring[g.idx+1:]...)
-			continue
-		}
-		if !q.credited {
-			q.deficit += g.quantum * q.weight
-			q.credited = true
-		}
-		for g.free > 0 && len(q.q) > 0 {
-			w := q.q[0]
-			if w.canceled {
-				q.q = q.q[1:]
-				continue
-			}
-			if q.deficit < w.cost {
-				break
-			}
-			q.deficit -= w.cost
-			q.q = q.q[1:]
-			g.free--
-			g.waiting--
-			g.grants++
-			w.granted = true
-			close(w.ready)
-		}
-		if len(q.q) == 0 {
-			q.deficit = 0
-			q.credited = false
-			g.ring = append(g.ring[:g.idx], g.ring[g.idx+1:]...)
-			continue
-		}
-		if g.free == 0 {
-			return // resume this queue's visit on the next release
-		}
-		// Deficit exhausted for this visit: move on, next visit re-credits.
-		q.credited = false
-		g.idx++
-	}
-}
-
-func (g *fairGate) stats() (grants, queued int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.grants, g.queued
 }
 
 // ---------------------------------------------------------------------------
@@ -441,15 +246,14 @@ func (t *tenantState) addBatch(bytes int) {
 	t.mu.Unlock()
 }
 
-// qosState is the server's QoS root: the tenant registry, the write gate and
-// the pacer (compute fairness is the plane's own gate, keyed by the same
-// tenants). now and sleep are injectable for deterministic tests.
+// qosState is the server's QoS root: the tenant registry and the pacer
+// (compute fairness is the plane's own gate, keyed by the same tenants). now
+// and sleep are injectable for deterministic tests.
 type qosState struct {
 	mu      sync.Mutex
 	limits  map[string]TenantLimit
 	tenants map[string]*tenantState
 
-	write *fairGate  // in-flight batch writes, cost = frame bytes
 	pacer *fairPacer // bounded-lead byte pacing
 
 	now   func() time.Time
@@ -458,15 +262,14 @@ type qosState struct {
 
 // qosLeadBytes bounds how many weighted wire bytes any tenant may run ahead
 // of the slowest active tenant before its writes are paced — what keeps
-// tenants fair when the bottleneck is CPU or cache rather than the gated
+// tenants fair when the bottleneck is CPU or cache rather than the plane's
 // slots, since extra sessions cannot buy service past the lead bound.
 const qosLeadBytes = 1 << 20
 
-func newQoSState(limits map[string]TenantLimit, writeSlots int) *qosState {
+func newQoSState(limits map[string]TenantLimit) *qosState {
 	return &qosState{
 		limits:  limits,
 		tenants: make(map[string]*tenantState),
-		write:   newFairGate(writeSlots, 256<<10),
 		pacer:   newFairPacer(qosLeadBytes, 0, 0),
 		now:     time.Now,
 		sleep:   sleepInterruptible,

@@ -34,30 +34,26 @@ func TestTokenBucketPacing(t *testing.T) {
 
 // TestFairGateFastPath: an uncontended gate is a decrement, no queues built.
 func TestFairGateFastPath(t *testing.T) {
-	g := newFairGate(2, 0)
+	g := newFairGate(2)
 	for i := 0; i < 10; i++ {
-		if err := g.acquire("a", 1, 100, nil); err != nil {
+		if err := g.acquire("a", 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		g.release()
-	}
-	grants, queued := g.stats()
-	if grants != 10 || queued != 0 {
-		t.Fatalf("grants=%d queued=%d, want 10 grants with nothing queued", grants, queued)
 	}
 	if len(g.queues) != 0 {
 		t.Fatalf("fast path built %d tenant queues", len(g.queues))
 	}
 }
 
-// drainGrantOrder queues `per` equal-cost waiters for each tenant (in slice
+// drainGrantOrder queues `per` waiters for each tenant (in slice
 // order) against a gate whose single slot is held, then releases the slot
 // and records the order in which tenants are granted. Each grantee reports
 // itself before releasing, so with one slot the channel order is exactly the
 // scheduler's grant order.
-func drainGrantOrder(t *testing.T, g *fairGate, tenants []string, weights []int, cost int64, per int) []string {
+func drainGrantOrder(t *testing.T, g *fairGate, tenants []string, weights []int, per int) []string {
 	t.Helper()
-	if err := g.acquire("holder", 1, 1, nil); err != nil { // pin the slot
+	if err := g.acquire("holder", 1, nil); err != nil { // pin the slot
 		t.Fatal(err)
 	}
 	order := make(chan string, len(tenants)*per)
@@ -67,7 +63,7 @@ func drainGrantOrder(t *testing.T, g *fairGate, tenants []string, weights []int,
 			wg.Add(1)
 			go func(name string, w int) {
 				defer wg.Done()
-				if err := g.acquire(name, w, cost, nil); err != nil {
+				if err := g.acquire(name, w, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -105,14 +101,14 @@ func waitForQueued(t *testing.T, g *fairGate, n int) {
 	}
 }
 
-// TestFairGateWeightedOrder pins deficit-weighted fairness under the
-// sequential single-slot regime: with quantum == cost, a weight-2 tenant
-// must receive exactly two grants per scheduling round to the weight-1
-// tenant's one — the regression case for re-crediting a queue on dispatch
-// resume, which would collapse weights to plain round robin.
+// TestFairGateWeightedOrder pins weighted fairness under the sequential
+// single-slot regime: a weight-2 tenant must receive exactly two grants per
+// scheduling round to the weight-1 tenant's one — the regression case for
+// re-crediting a queue on dispatch resume, which would collapse weights to
+// plain round robin.
 func TestFairGateWeightedOrder(t *testing.T) {
-	g := newFairGate(1, 100)
-	got := drainGrantOrder(t, g, []string{"heavy", "light"}, []int{2, 1}, 100, 6)
+	g := newFairGate(1)
+	got := drainGrantOrder(t, g, []string{"heavy", "light"}, []int{2, 1}, 6)
 	want := []string{"heavy", "heavy", "light", "heavy", "heavy", "light",
 		"heavy", "heavy", "light", "light", "light", "light"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -123,8 +119,8 @@ func TestFairGateWeightedOrder(t *testing.T) {
 // TestFairGateEqualWeightsInterleave: equal weights alternate regardless of
 // how many waiters each tenant has queued.
 func TestFairGateEqualWeightsInterleave(t *testing.T) {
-	g := newFairGate(1, 100)
-	got := drainGrantOrder(t, g, []string{"a", "b"}, []int{1, 1}, 100, 4)
+	g := newFairGate(1)
+	got := drainGrantOrder(t, g, []string{"a", "b"}, []int{1, 1}, 4)
 	want := []string{"a", "b", "a", "b", "a", "b", "a", "b"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("grant order %v, want %v", got, want)
@@ -134,13 +130,13 @@ func TestFairGateEqualWeightsInterleave(t *testing.T) {
 // TestFairGateCancel: a canceled waiter returns errQoSCanceled, does not
 // leak a slot, and does not block later waiters.
 func TestFairGateCancel(t *testing.T) {
-	g := newFairGate(1, 0)
-	if err := g.acquire("holder", 1, 1, nil); err != nil {
+	g := newFairGate(1)
+	if err := g.acquire("holder", 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	cancel := make(chan struct{})
 	errCh := make(chan error, 1)
-	go func() { errCh <- g.acquire("victim", 1, 1, cancel) }()
+	go func() { errCh <- g.acquire("victim", 1, cancel) }()
 	waitForQueued(t, g, 1)
 	close(cancel)
 	if err := <-errCh; err != errQoSCanceled {
@@ -150,7 +146,7 @@ func TestFairGateCancel(t *testing.T) {
 	// The slot must be immediately acquirable: the canceled waiter left no
 	// phantom claim behind.
 	done := make(chan error, 1)
-	go func() { done <- g.acquire("next", 1, 1, nil) }()
+	go func() { done <- g.acquire("next", 1, nil) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -167,7 +163,7 @@ func TestFairGateCancel(t *testing.T) {
 func TestThrottleDeterministic(t *testing.T) {
 	qs := newQoSState(map[string]TenantLimit{
 		"capped": {BytesPerSec: 1000, BurstBytes: 1000},
-	}, 1)
+	})
 	now := time.Unix(2000, 0)
 	var slept []time.Duration
 	qs.now = func() time.Time { return now }
@@ -275,7 +271,7 @@ func TestFairPacerWeights(t *testing.T) {
 // paced tenant sleeps in steps until the laggard ages out, and a canceled
 // pace returns errQoSCanceled.
 func TestPaceCancelAndClock(t *testing.T) {
-	qs := newQoSState(nil, 1)
+	qs := newQoSState(nil)
 	qs.pacer = newFairPacer(1000, 0, 0)
 	now := time.Unix(5000, 0)
 	var slept time.Duration

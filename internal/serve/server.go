@@ -89,29 +89,23 @@ type Config struct {
 	// corrupt). Production servers leave it nil.
 	Faults *faultinject.Injector
 	// MaxSessions bounds concurrently admitted sessions (0 = unlimited).
-	// Over-limit handshakes wait in a bounded admission queue for a slot and
+	// Over-limit handshakes wait (at most admitQueue of them) for a slot and
 	// are otherwise turned away with a retryable ErrServerBusy Error frame
 	// (CodeBusy), so overload degrades to fast rejection plus client backoff
 	// instead of unbounded goroutine and buffer growth.
 	MaxSessions int
-	// AdmitQueue is how many over-limit handshakes may wait for a session
-	// slot (default 16; < 0 disables queueing, rejecting immediately).
-	AdmitQueue int
-	// AdmitWait bounds how long a queued handshake waits for a slot before
-	// it is turned away busy (default 2s).
+	// AdmitWait bounds how long an over-limit handshake waits for a slot
+	// before it is turned away busy (default 2s; < 0 never waits, answering
+	// busy at once).
 	AdmitWait time.Duration
 	// Tenants maps tenant names (Hello.Tenant) to explicit QoS limits;
 	// tenants not listed get unlimited rate and weight 1. A non-empty Tenants
 	// map — or QoS — enables the per-tenant scheduler.
 	Tenants map[string]TenantLimit
 	// QoS force-enables per-tenant fair scheduling even with no explicit
-	// limits configured: tenants then share the write gate and the compute
-	// plane by deficit-weighted round robin with equal weights.
+	// limits configured: tenants then share the compute plane round robin
+	// and the wire under the bounded-lead pacer, with equal weights.
 	QoS bool
-	// QoSWriteSlots bounds concurrently in-flight batch writes across all
-	// sessions when QoS is on (default 16); the slots are granted in
-	// deficit-weighted-fair order, costed by frame bytes.
-	QoSWriteSlots int
 	// Pprof registers net/http/pprof handlers on the HTTP sidecar under
 	// /debug/pprof/, so goroutine and heap footprint at high session counts
 	// is diagnosable in production.
@@ -209,10 +203,7 @@ func New(cfg Config) *Server {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.AdmitQueue == 0 {
-		cfg.AdmitQueue = 16
-	}
-	if cfg.AdmitWait <= 0 {
+	if cfg.AdmitWait == 0 {
 		cfg.AdmitWait = 2 * time.Second
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -238,11 +229,7 @@ func New(cfg Config) *Server {
 		s.admitSem = make(chan struct{}, cfg.MaxSessions)
 	}
 	if cfg.QoS || len(cfg.Tenants) > 0 {
-		writeSlots := cfg.QoSWriteSlots
-		if writeSlots <= 0 {
-			writeSlots = 16
-		}
-		s.qos = newQoSState(cfg.Tenants, writeSlots)
+		s.qos = newQoSState(cfg.Tenants)
 	}
 	s.slog = newLogLimiter(logLinesPerSec, cfg.Logf)
 	return s
@@ -359,6 +346,10 @@ func (pc *planCache) stats() (builds, hits int64) {
 // retry with their jittered backoff.
 var ErrServerBusy = errors.New("server busy: session limit reached")
 
+// admitQueue bounds how many over-limit handshakes may wait for a session
+// slot at once; the rest are turned away busy immediately.
+const admitQueue = 16
+
 // admit reserves one session slot, waiting in the bounded admission queue
 // when the server is full. The returned release function frees the slot.
 func (s *Server) admit() (release func(), err error) {
@@ -370,13 +361,17 @@ func (s *Server) admit() (release func(), err error) {
 		return s.releaseSlot, nil
 	default:
 	}
-	if n := s.admitWaiters.Add(1); int(n) > s.cfg.AdmitQueue {
+	if s.cfg.AdmitWait < 0 {
+		s.metrics.AddBusy()
+		return nil, ErrServerBusy
+	}
+	if n := s.admitWaiters.Add(1); n > admitQueue {
 		s.admitWaiters.Add(-1)
 		s.metrics.AddBusy()
 		return nil, ErrServerBusy
 	}
 	defer s.admitWaiters.Add(-1)
-	s.metrics.AddAdmitQueued()
+	s.metrics.AddAdmitWaited()
 	t := time.NewTimer(s.cfg.AdmitWait)
 	defer t.Stop()
 	select {
@@ -990,7 +985,7 @@ stream:
 		select {
 		case r = <-w.slots[i%window]:
 		default:
-			if werr = fw.flush(ctx.Done()); werr != nil {
+			if werr = fw.flush(); werr != nil {
 				break stream
 			}
 			waitStart = time.Now()
@@ -1030,7 +1025,7 @@ stream:
 		}
 	}
 	if werr == nil && ferr == nil {
-		werr = fw.flush(ctx.Done())
+		werr = fw.flush()
 	}
 	if werr != nil {
 		return fmt.Errorf("write: %w", werr)
@@ -1091,16 +1086,10 @@ func (ss *session) watchConn(cancel context.CancelFunc) (stop func()) {
 }
 
 // newFrameWriter builds the session's pooled write coalescer, wired to the
-// tenant's fair write gate (when QoS is on) and the coalescing metrics. An
-// active fault injector forces immediate mode so the wire-fault seams keep
-// their one-write-per-frame semantics.
+// coalescing metrics. An active fault injector forces immediate mode so the
+// wire-fault seams keep their one-write-per-frame semantics.
 func (ss *session) newFrameWriter() *frameWriter {
 	fw := newFrameWriter(ss.conn, ss.srv.cfg.Faults != nil)
-	if q := ss.srv.qos; q != nil && ss.tenant != nil {
-		fw.gate = q.write
-		fw.tenant = ss.tenant.name
-		fw.weight = ss.tenant.weight()
-	}
 	m := ss.srv.metrics
 	fw.onFlush = func(frames int) { m.AddWritev(frames) }
 	return fw
@@ -1113,9 +1102,8 @@ func (ss *session) newFrameWriter() *frameWriter {
 // produced them correctly — and the corrupt fault copies the payload before
 // flipping a bit, so a cached frame other sessions are concurrently
 // streaming is never damaged: faults land per-connection, not in shared
-// cache bytes. QoS is schedule only: throttling delays the write and the
-// fair gate orders flushes across tenants, but bytes and per-session order
-// are untouched.
+// cache bytes. QoS is schedule only: the token bucket and the pacer delay the
+// write, but bytes and per-session order are untouched.
 func (ss *session) writeBatchFrame(fw *frameWriter, f *Frame, sum hash.Hash64, cancel <-chan struct{}) error {
 	payload := f.Bytes()
 	wireBytes := len(payload) + 4
@@ -1145,7 +1133,7 @@ func (ss *session) writeBatchFrame(fw *frameWriter, f *Frame, sum hash.Hash64, c
 			return err
 		}
 	default:
-		if err := fw.add(f, cancel); err != nil {
+		if err := fw.add(f); err != nil {
 			return err
 		}
 	}

@@ -468,9 +468,8 @@ func NewIterableLoader(clk Clock, ds IterableDataset, cfg LoaderConfig) *Iterabl
 
 // Dispatch policies for LoaderConfig.Dispatch.
 const (
-	DispatchProducer     = pipeline.DispatchProducer
-	DispatchLeastWork    = pipeline.DispatchLeastWork
-	DispatchWorkStealing = pipeline.DispatchWorkStealing
+	DispatchProducer  = pipeline.DispatchProducer
+	DispatchLeastWork = pipeline.DispatchLeastWork
 )
 
 // Refined attribution (per-function mix weighting) and its validation

@@ -34,7 +34,8 @@
 # on the shared worker pool (with peak goroutines and heap), and tenant
 # fairness with one adversarial greedy tenant (Jain index, worst per-tenant
 # p99). Gates: clients=256 aggregate >= 0.8x the clients=8 baseline on both
-# the cached and the cold series, and Jain >= 0.9 under the greedy tenant.
+# the cached and the cold series; BenchmarkTenantFairness fails itself when
+# Jain < 0.9 under the greedy tenant.
 # The raw `go test -bench` output (6 repetitions, suitable for feeding to
 # benchstat old.txt new.txt) is written next to each JSON as <outfile>.txt.
 set -euo pipefail
@@ -293,8 +294,8 @@ echo "summary written to $MT_JSON (raw benchstat input: $MT_TXT)"
 # 256-session aggregate holds at least 0.8x the 8-session baseline (and the
 # 1024-session series must exist: the benchmark fails internally if sessions
 # die) — cached and cold alike: 256 cold sessions share the one worker pool,
-# so they must not fall behind 8. Fairness: Jain >= 0.9 with the greedy
-# tenant over-subscribed 3x.
+# so they must not fall behind 8. Fairness needs no check here: the
+# benchmark fails the go test run above when Jain < 0.9.
 # Byte-identity under concurrency is asserted inside the soak/chaos tests.
 awk -F'[:,}]' '
 /"BenchmarkSessionScaling\/clients=8"/    { for (i = 1; i <= NF; i++) if ($i ~ /batches_per_sec/)  base = $(i+1) + 0 }
@@ -310,5 +311,4 @@ END {
     if (!(cmid >= 0.8 * cbase)) { print "FAIL: 256 cold sessions fell below 0.8x the 8-session cold baseline" > "/dev/stderr"; exit 1 }
     if (big <= 0)            { print "FAIL: the 1024-session series produced no throughput" > "/dev/stderr"; exit 1 }
     if (!(mid >= 0.8 * base)) { print "FAIL: 256-session aggregate fell below 0.8x the 8-session baseline" > "/dev/stderr"; exit 1 }
-    if (!(j >= 0.9))          { print "FAIL: Jain fairness below 0.9 under the greedy tenant" > "/dev/stderr"; exit 1 }
 }' "$MT_JSON"
