@@ -52,11 +52,12 @@ func diskBatchKey(k BatchKey) store.Key {
 }
 
 // Get reads one frame into a pooled buffer. The store verifies the record
-// checksum; on a miss (or corruption, degraded to a miss) the pooled buffer
-// goes straight back to its pool.
+// against its CRC32C — the frame's Digest, which the frame adopts instead of
+// hashing the bytes again; on a miss (or corruption, degraded to a miss) the
+// pooled buffer goes straight back to its pool.
 func (t diskBatchTier) Get(key BatchKey) (*Frame, bool) {
 	var box *[]byte
-	_, ok := t.st.Get(diskBatchKey(key), func(n int) []byte {
+	_, digest, ok := t.st.GetDigest(diskBatchKey(key), func(n int) []byte {
 		box = frameBufFor(n)
 		*box = (*box)[:n]
 		return *box
@@ -68,7 +69,7 @@ func (t diskBatchTier) Get(key BatchKey) (*Frame, bool) {
 		}
 		return nil, false
 	}
-	return newFrame(box), true
+	return newFrame(box, digest), true
 }
 
 // Put never blocks the serving path: the store dedups keys already on disk

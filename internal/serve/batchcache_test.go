@@ -20,7 +20,7 @@ func cacheFrame(n int, fill byte) *Frame {
 	for i := 0; i < n; i++ {
 		*box = append(*box, fill)
 	}
-	return newFrame(box)
+	return newFrame(box, Digest(*box))
 }
 
 func TestFrameRefcountLifecycle(t *testing.T) {

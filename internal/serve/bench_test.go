@@ -578,3 +578,23 @@ func BenchmarkTenantFairness(b *testing.B) {
 		b.Fatalf("worst-window Jain index %.4f < %.1f: the greedy tenant's extra sessions bought it service", worstJain, minJain)
 	}
 }
+
+// BenchmarkStreamSum is the client's whole integrity cost for one real-mode
+// frame: one hardware CRC32C pass plus the eight-byte fold (the server's
+// cost on a cache hit is the fold alone). It must not allocate.
+func BenchmarkStreamSum(b *testing.B) {
+	payload := make([]byte, 19<<20)
+	for i := range payload {
+		payload[i] = byte(i * 131)
+	}
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	sum := NewStreamSum()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum.AddPayload(payload)
+	}
+	if sum.Sum64() == 0 {
+		b.Fatal("unreachable: keeps the fold live")
+	}
+}

@@ -407,10 +407,11 @@ func (c *Client) fetchEpoch(epoch int, onBatch func(*Batch, []byte), stats *Fetc
 
 // consumeEpoch reads one epoch's batch stream until EpochEnd, verifying the
 // batch count (against wantBatches when >= 0, and always against the
-// server's EpochEnd count) and the FNV-1a stream checksum. stats, when
-// non-nil, is credited only on success.
+// server's EpochEnd count) and the stream checksum (one Digest pass per
+// received payload, folded into a StreamSum). stats, when non-nil, is
+// credited only on success.
 func (c *Client) consumeEpoch(epoch, wantBatches int, onBatch func(*Batch, []byte), stats *FetchStats) error {
-	sum := fnv.New64a()
+	sum := NewStreamSum()
 	batches := 0
 	var bytes int64
 	var hist LatencyHist
@@ -432,7 +433,7 @@ func (c *Client) consumeEpoch(epoch, wantBatches int, onBatch func(*Batch, []byt
 			now := time.Now()
 			hist.Record(now.Sub(last))
 			last = now
-			sum.Write(payload)
+			sum.AddPayload(payload)
 			batches++
 			bytes += int64(len(payload)) + 4
 			if onBatch != nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -11,7 +12,12 @@ import (
 // the batch cache, and every session that hits the cache. The last Release
 // returns both the buffer and the Frame header to their sync.Pools, which is
 // the PR 1 imaging-pool discipline applied to the wire layer: explicit
-// ownership, power-of-two size classes, zero steady-state allocation.
+// ownership, a handful of size classes, zero steady-state allocation.
+//
+// A Frame also carries the Digest of its bytes, computed once by whoever made
+// the bytes: the encoder, or the disk tier's verify pass. Every session that
+// streams the frame folds that digest into its StreamSum, so serving a cached
+// frame hashes nothing.
 //
 // Reference rules: every *Frame a caller receives (encodeBatchFrame, cache
 // TryGet, cache Acquire) carries one reference owned by
@@ -19,14 +25,15 @@ import (
 // a new owner. Bytes must not be mutated or retained past the owner's
 // Release.
 type Frame struct {
-	b    []byte
-	box  *[]byte // pooled backing-buffer box; recycled with the frame
-	refs atomic.Int32
+	b      []byte
+	digest uint32  // Digest(b)
+	box    *[]byte // pooled backing-buffer box; recycled with the frame
+	refs   atomic.Int32
 }
 
 var (
 	framePool    sync.Pool // *Frame headers
-	frameBufPool sync.Pool // *[]byte payload buffers, pow2 capacities
+	frameBufPool sync.Pool // *[]byte payload buffers, frameBufClass capacities
 )
 
 // frameBufFor returns a boxed zero-length buffer with capacity >= n, reusing
@@ -40,32 +47,34 @@ func frameBufFor(n int) *[]byte {
 	// Pool miss or undersized buffer: drop the small one (re-pooling it would
 	// just hand it back on the next Get, thrashing forever once frame sizes
 	// grow) and let the pool converge on the serving spec's frame class.
-	b := make([]byte, 0, roundUpPow2(n))
+	b := make([]byte, 0, frameBufClass(n))
 	return &b
 }
 
-// roundUpPow2 rounds n up to the next power of two so pooled buffers fall
-// into a handful of size classes instead of one class per batch geometry.
-func roundUpPow2(n int) int {
-	if n <= 0 {
-		return 1
+// frameBufClass rounds n up to the next sixteenth of its enclosing power of
+// two, so pooled buffers fall into a handful of size classes (eight per
+// octave) instead of one per batch geometry, and a buffer is never more than
+// 12.5% larger than the frame in it. Rounding to the power of two itself made
+// a 19 MB frame cost a 32 MiB buffer, every byte of the slack zeroed,
+// resident, and counted into the GC's heap goal.
+func frameBufClass(n int) int {
+	if n <= 16 {
+		return 16
 	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
+	step := 1 << (bits.Len(uint(n-1)) - 4)
+	return (n + step - 1) &^ (step - 1)
 }
 
 // newFrame wraps an already-encoded boxed buffer in a pooled Frame with one
 // reference owned by the caller. The Frame takes ownership of the box, which
-// must have come from frameBufFor.
-func newFrame(box *[]byte) *Frame {
+// must have come from frameBufFor; digest must be Digest(*box).
+func newFrame(box *[]byte, digest uint32) *Frame {
 	f, _ := framePool.Get().(*Frame)
 	if f == nil {
 		f = &Frame{}
 	}
 	f.b = *box
+	f.digest = digest
 	f.box = box
 	f.refs.Store(1)
 	return f
@@ -73,11 +82,12 @@ func newFrame(box *[]byte) *Frame {
 
 // encodeBatchFrame encodes m into a pooled Frame — the zero-allocation
 // (steady state) form of EncodeBatch, byte-identical by construction because
-// both call AppendBatch.
+// both call AppendBatch — and digests the bytes, the one hash pass they get
+// on this server.
 func encodeBatchFrame(m *Batch) *Frame {
 	box := frameBufFor(batchWireSize(m))
 	*box = AppendBatch(*box, m)
-	return newFrame(box)
+	return newFrame(box, Digest(*box))
 }
 
 // Bytes exposes the encoded payload. Valid only while the caller holds a
@@ -86,6 +96,9 @@ func (f *Frame) Bytes() []byte { return f.b }
 
 // Len reports the payload length.
 func (f *Frame) Len() int { return len(f.b) }
+
+// Digest reports the payload's Digest, computed when the frame was made.
+func (f *Frame) Digest() uint32 { return f.digest }
 
 // Size is the frame's charge against the batch cache's byte budget.
 func (f *Frame) Size() int64 { return int64(len(f.b)) }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
@@ -344,16 +343,16 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 				if _, err := ReadFrame(conn, 0); err != nil { // EpochReq
 					return
 				}
-				sum := fnv.New64a()
+				sum := NewStreamSum()
 				p0 := mkBatch(0)
 				WriteFrame(conn, p0)
-				sum.Write(p0)
+				sum.AddPayload(p0)
 				if attempt == 1 {
 					return // abrupt mid-epoch disconnect
 				}
 				p1 := mkBatch(1)
 				WriteFrame(conn, p1)
-				sum.Write(p1)
+				sum.AddPayload(p1)
 				WriteFrame(conn, EncodeEpochEnd(EpochEnd{Epoch: 0, Batches: 2, Checksum: sum.Sum64()}))
 				ReadFrame(conn, 0) // Bye or close
 			}()

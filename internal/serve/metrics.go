@@ -29,6 +29,8 @@ type Metrics struct {
 	admitWaited    int64
 	writevCalls    int64
 	writevFrames   int64
+	framesDigested int64
+	digestBytes    int64
 	opensByName    map[string]int
 	sessions       map[int]*SessionMetrics
 }
@@ -175,6 +177,17 @@ func (m *Metrics) AddWritev(frames int) {
 	m.mu.Lock()
 	m.writevCalls++
 	m.writevFrames += int64(frames)
+	m.mu.Unlock()
+}
+
+// AddDigest observes one payload digest pass the server made over a frame of
+// the given size. One per frame it encodes; cache hits reuse the frame's
+// digest and disk-tier loads adopt the one the store verified, so on a warm
+// cache this counter stands still while batches_sent runs.
+func (m *Metrics) AddDigest(bytes int) {
+	m.mu.Lock()
+	m.framesDigested++
+	m.digestBytes += int64(bytes)
 	m.mu.Unlock()
 }
 
@@ -330,6 +343,10 @@ type MetricsSnapshot struct {
 	// they covered (frames/calls = coalescing factor).
 	WritevCalls  int64 `json:"writev_calls"`
 	WritevFrames int64 `json:"writev_frames"`
+	// Payload digest passes the server made (one per frame it encoded) and
+	// the bytes they covered; a cache hit adds nothing here.
+	FramesDigested int64 `json:"frames_digested"`
+	DigestBytes    int64 `json:"digest_bytes"`
 	// LogSuppressed counts per-session log lines dropped by the server's
 	// log rate limiter (filled by the server, not this registry).
 	LogSuppressed int64 `json:"log_suppressed"`
@@ -379,6 +396,8 @@ func (m *Metrics) Snapshot(now time.Time, traceRecords int64) MetricsSnapshot {
 		AdmitWaited:    m.admitWaited,
 		WritevCalls:    m.writevCalls,
 		WritevFrames:   m.writevFrames,
+		FramesDigested: m.framesDigested,
+		DigestBytes:    m.digestBytes,
 	}
 	if m.hedgeRequests > 0 {
 		out.Hedge = &HedgeStats{Requests: m.hedgeRequests, Batches: m.hedgeBatches}

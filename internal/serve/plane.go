@@ -145,7 +145,9 @@ func (pl *plane) compute(ctx context.Context, tenant *tenantState, epoch int, pb
 	if err != nil {
 		return nil, err
 	}
-	return encodeBatchFrame(batchToWire(epoch, pb.GlobalID, b)), nil
+	f := encodeBatchFrame(batchToWire(epoch, pb.GlobalID, b))
+	pl.srv.metrics.AddDigest(f.Len())
+	return f, nil
 }
 
 // fairGate is the plane's queue: a pool of worker slots arbitrated between

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"io"
 	"net"
 	"sync"
@@ -929,7 +927,7 @@ func (ss *session) fetch(ctx context.Context, epoch int, shard []PlanBatch, w *s
 // session or worker produced it never shows in the bytes.
 func (ss *session) streamShard(epoch int, shard []PlanBatch) error {
 	s := ss.srv
-	sum := fnv.New64a()
+	sum := NewStreamSum()
 	if len(shard) == 0 {
 		return WriteFrame(ss.conn, EncodeEpochEnd(EpochEnd{Epoch: epoch, Checksum: sum.Sum64()}))
 	}
@@ -1001,7 +999,7 @@ stream:
 		if ferr = r.err; ferr != nil {
 			break
 		}
-		werr = ss.writeBatchFrame(fw, r.f, sum, ctx.Done())
+		werr = ss.writeBatchFrame(fw, r.f, &sum, ctx.Done())
 		r.f.Release()
 		if werr != nil {
 			break
@@ -1097,14 +1095,15 @@ func (ss *session) newFrameWriter() *frameWriter {
 
 // writeBatchFrame pushes one encoded batch frame through the tenant rate
 // limiter, the wire-fault seam, and the coalescing writer, folding the
-// stream checksum and crediting metrics. The checksum always folds the CLEAN
-// payload — wire faults model the network mangling bytes after the server
-// produced them correctly — and the corrupt fault copies the payload before
+// stream checksum and crediting metrics. The checksum folds the digest the
+// frame already carries — no pass over the bytes — which is always the CLEAN
+// payload's: wire faults model the network mangling bytes after the server
+// produced them correctly, and the corrupt fault copies the payload before
 // flipping a bit, so a cached frame other sessions are concurrently
 // streaming is never damaged: faults land per-connection, not in shared
 // cache bytes. QoS is schedule only: the token bucket and the pacer delay the
 // write, but bytes and per-session order are untouched.
-func (ss *session) writeBatchFrame(fw *frameWriter, f *Frame, sum hash.Hash64, cancel <-chan struct{}) error {
+func (ss *session) writeBatchFrame(fw *frameWriter, f *Frame, sum *StreamSum, cancel <-chan struct{}) error {
 	payload := f.Bytes()
 	wireBytes := len(payload) + 4
 	if q := ss.srv.qos; q != nil {
@@ -1137,7 +1136,7 @@ func (ss *session) writeBatchFrame(fw *frameWriter, f *Frame, sum hash.Hash64, c
 			return err
 		}
 	}
-	sum.Write(payload)
+	sum.Add(len(payload), f.Digest())
 	ss.sm.AddBatch(wireBytes)
 	ss.srv.metrics.AddBatch(wireBytes)
 	if ss.tenant != nil {

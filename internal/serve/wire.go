@@ -24,15 +24,39 @@
 //	client -> server: EpochReq{epoch}            (rank/world shard of the epoch)
 //	client -> server: ShardReq{epoch, ids}       (explicit batch-ID subset — cluster routing)
 //	server -> client: Batch{epoch, globalID, indices, labels, dtype, shape, payload}...
-//	server -> client: EpochEnd{epoch, batches, fnv1a checksum of batch payloads}
+//	server -> client: EpochEnd{epoch, batches, stream checksum}
 //	client -> server: Bye{} (or just closes)
 //	server -> client: Error{message} before closing on any failure
+//
+// # Stream checksum (protocol version 2)
+//
+// Every Batch frame payload has one digest: its CRC32C (Digest). The server
+// computes it once, when the frame is encoded — or adopts the one the disk
+// tier verified on read — and the Frame carries it for as long as the bytes
+// live, so a cache hit hashes nothing. EpochEnd.Checksum is StreamSum: an
+// FNV-1a-64 fold over each frame's (payload length u32, CRC32C u32), in
+// stream order. The client computes one CRC32C per payload it receives, folds
+// the same eight bytes per frame, and compares at EpochEnd.
+//
+// What that detects: per frame, CRC32C catches every 1-, 2- and 3-bit error
+// and every burst up to 32 bits (the polynomial keeps Hamming distance 4 out
+// to 2^31 - 1 bits, 256 MiB; DefaultMaxFrame is 64 MiB), and any other
+// damage with probability 1 - 2^-32; a reordered, dropped, duplicated or
+// truncated frame changes the order-sensitive 64-bit fold, and
+// EpochEnd.Batches carries the count besides.
+//
+// Version 1 folded FNV-1a over every payload byte instead. That hash chains
+// its state through each byte, so it can be neither memoised per frame nor
+// vectorised — 655 MB/s on the reference host, paid per frame per session on
+// both ends even on a cache hit — which is why the definition changed rather
+// than the loop. A v1 peer is refused at Hello.
 package serve
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"net"
@@ -42,8 +66,10 @@ import (
 
 // Protocol constants.
 const (
-	// ProtocolVersion is bumped on incompatible wire changes.
-	ProtocolVersion = 1
+	// ProtocolVersion is bumped on incompatible wire changes. Version 2
+	// redefined EpochEnd.Checksum (StreamSum); the server refuses any other
+	// version at Hello, so the two definitions never meet mid-stream.
+	ProtocolVersion = 2
 	// DefaultMaxFrame bounds one frame's payload; larger frames are
 	// malformed. Large enough for a real-mode collated batch.
 	DefaultMaxFrame = 64 << 20
@@ -174,10 +200,49 @@ func (b *Batch) Tensor() *tensor.Tensor {
 type EpochEnd struct {
 	Epoch   int
 	Batches int
-	// Checksum is FNV-1a 64 folded over every batch frame payload of the
-	// epoch, in order, so the client can verify stream integrity.
+	// Checksum is the StreamSum of the epoch's batch frame payloads, in
+	// order, so the client can verify stream integrity.
 	Checksum uint64
 }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Digest is the per-frame payload digest: CRC32C, which hash/crc32 computes
+// with SSE4.2 / ARMv8 CRC instructions where the CPU has them and slicing-8
+// tables elsewhere — the same value either way.
+func Digest(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
+
+// StreamSum is the per-epoch stream checksum EpochEnd carries: FNV-1a 64
+// folded over the big-endian (payload length u32, payload CRC32C u32) of
+// every batch frame, in stream order. It is the one definition the server,
+// the client and the test fakes share. Build it with NewStreamSum.
+type StreamSum struct{ h uint64 }
+
+// FNV-1a 64 parameters (hash/fnv's; inlined because the fold is eight bytes).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// NewStreamSum returns the checksum of the empty stream.
+func NewStreamSum() StreamSum { return StreamSum{h: fnvOffset64} }
+
+// Add folds one frame, given its payload length and Digest.
+func (s *StreamSum) Add(payloadLen int, digest uint32) {
+	v := uint64(uint32(payloadLen))<<32 | uint64(digest)
+	h := s.h
+	for shift := 56; shift >= 0; shift -= 8 {
+		h ^= v >> shift & 0xff
+		h *= fnvPrime64
+	}
+	s.h = h
+}
+
+// AddPayload folds one frame from its bytes: one Digest pass plus Add.
+func (s *StreamSum) AddPayload(payload []byte) { s.Add(len(payload), Digest(payload)) }
+
+// Sum64 returns the checksum of the frames folded so far.
+func (s StreamSum) Sum64() uint64 { return s.h }
 
 // Error codes carried by ErrorMsg.Code. CodeFatal is the zero value every
 // pre-existing error site uses; CodeBusy marks an admission-control rejection

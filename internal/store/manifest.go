@@ -10,32 +10,37 @@ import (
 	"strings"
 )
 
-// On-disk formats. All integers are big-endian.
+// On-disk formats, version 2. All integers are big-endian.
 //
 // Record (in a segment file):
 //
-//	u32 magic "LREC" | u8 kind | u64 fp | u64 a | u64 b |
-//	u32 payloadLen   | u64 payloadSum(FNV-1a) | payload...
+//	u32 magic "LRC2" | u8 kind | u64 fp | u64 a | u64 b |
+//	u32 payloadLen   | u32 payloadSum(CRC32C) | payload...
 //
 // Manifest (MANIFEST, written tmp+fsync+rename):
 //
 //	u32 magic "LMAN" | u32 version |
 //	u32 segCount   | segCount  x (u32 id | u64 durableSize) |
 //	u32 entryCount | entryCount x (u8 kind | u64 fp | u64 a | u64 b |
-//	                               u32 seg | u64 off | u32 len | u64 sum) |
-//	u64 selfSum(FNV-1a of all preceding bytes)
+//	                               u32 seg | u64 off | u32 len | u32 sum) |
+//	u32 selfSum(CRC32C of all preceding bytes)
+//
+// Version 1 ("LREC" records, u64 FNV-1a sums) is recognised only to be
+// refused: its manifest fails the version check and its records the magic
+// check, so a rebuild over a version 1 directory indexes nothing.
 const (
-	recordMagic      = uint32(0x4C524543) // "LREC"
-	manifestMagic    = uint32(0x4C4D414E) // "LMAN"
-	manifestVersion  = uint32(1)
-	recordHeaderSize = 4 + 1 + 8 + 8 + 8 + 4 + 8
-	manifestName     = "MANIFEST"
+	recordMagic       = uint32(0x4C524332) // "LRC2"
+	manifestMagic     = uint32(0x4C4D414E) // "LMAN"
+	manifestVersion   = uint32(2)
+	recordHeaderSize  = 4 + 1 + 8 + 8 + 8 + 4 + 4
+	manifestEntrySize = 1 + 8 + 8 + 8 + 4 + 8 + 4 + 4
+	manifestName      = "MANIFEST"
 	// maxPayload bounds payload lengths accepted during recovery scans so a
 	// corrupt length field cannot trigger a huge allocation.
 	maxPayload = 1 << 30
 )
 
-func encodeRecordHeader(key Key, payloadLen uint32, sum uint64) [recordHeaderSize]byte {
+func encodeRecordHeader(key Key, payloadLen, sum uint32) [recordHeaderSize]byte {
 	var h [recordHeaderSize]byte
 	binary.BigEndian.PutUint32(h[0:], recordMagic)
 	h[4] = byte(key.Kind)
@@ -43,7 +48,7 @@ func encodeRecordHeader(key Key, payloadLen uint32, sum uint64) [recordHeaderSiz
 	binary.BigEndian.PutUint64(h[13:], key.A)
 	binary.BigEndian.PutUint64(h[21:], key.B)
 	binary.BigEndian.PutUint32(h[29:], payloadLen)
-	binary.BigEndian.PutUint64(h[33:], sum)
+	binary.BigEndian.PutUint32(h[33:], sum)
 	return h
 }
 
@@ -108,7 +113,7 @@ func (s *Store) encodeManifestLocked() []byte {
 		return a.B < b.B
 	})
 
-	buf := make([]byte, 0, 12+len(segIDs)*12+len(keys)*49+8)
+	buf := make([]byte, 0, 12+len(segIDs)*12+4+len(keys)*manifestEntrySize+4)
 	buf = binary.BigEndian.AppendUint32(buf, manifestMagic)
 	buf = binary.BigEndian.AppendUint32(buf, manifestVersion)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(segIDs)))
@@ -126,10 +131,9 @@ func (s *Store) encodeManifestLocked() []byte {
 		buf = binary.BigEndian.AppendUint32(buf, l.seg)
 		buf = binary.BigEndian.AppendUint64(buf, uint64(l.off))
 		buf = binary.BigEndian.AppendUint32(buf, l.len)
-		buf = binary.BigEndian.AppendUint64(buf, l.sum)
+		buf = binary.BigEndian.AppendUint32(buf, l.sum)
 	}
-	buf = binary.BigEndian.AppendUint64(buf, fnv1a(buf))
-	return buf
+	return binary.BigEndian.AppendUint32(buf, crc32c(buf))
 }
 
 type manifestEntry struct {
@@ -143,21 +147,23 @@ type manifest struct {
 }
 
 // decodeManifest parses and self-checks a manifest image. Any structural
-// damage — short file, bad magic, counts past EOF, checksum mismatch —
-// returns an error; the caller falls back to a full rebuild.
+// damage — short file, bad magic, another format version, counts past EOF,
+// checksum mismatch — returns an error; the caller falls back to a full
+// rebuild. Magic and version are checked before the checksum because the
+// checksum's own width and algorithm depend on the version.
 func decodeManifest(buf []byte) (*manifest, error) {
-	if len(buf) < 12+8 {
+	if len(buf) < 12+4 {
 		return nil, fmt.Errorf("store: manifest too short (%d bytes)", len(buf))
 	}
-	body, tail := buf[:len(buf)-8], buf[len(buf)-8:]
-	if fnv1a(body) != binary.BigEndian.Uint64(tail) {
-		return nil, fmt.Errorf("store: manifest checksum mismatch")
-	}
-	if binary.BigEndian.Uint32(body[0:]) != manifestMagic {
+	if binary.BigEndian.Uint32(buf[0:]) != manifestMagic {
 		return nil, fmt.Errorf("store: bad manifest magic")
 	}
-	if v := binary.BigEndian.Uint32(body[4:]); v != manifestVersion {
+	if v := binary.BigEndian.Uint32(buf[4:]); v != manifestVersion {
 		return nil, fmt.Errorf("store: unsupported manifest version %d", v)
+	}
+	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]
+	if crc32c(body) != binary.BigEndian.Uint32(tail) {
+		return nil, fmt.Errorf("store: manifest checksum mismatch")
 	}
 	p := 8
 	need := func(n int) error {
@@ -190,7 +196,7 @@ func decodeManifest(buf []byte) (*manifest, error) {
 	entryCount := int(binary.BigEndian.Uint32(body[p:]))
 	p += 4
 	for i := 0; i < entryCount; i++ {
-		if err := need(49); err != nil {
+		if err := need(manifestEntrySize); err != nil {
 			return nil, err
 		}
 		e := manifestEntry{
@@ -204,7 +210,7 @@ func decodeManifest(buf []byte) (*manifest, error) {
 				seg: binary.BigEndian.Uint32(body[p+25:]),
 				off: int64(binary.BigEndian.Uint64(body[p+29:])),
 				len: binary.BigEndian.Uint32(body[p+37:]),
-				sum: binary.BigEndian.Uint64(body[p+41:]),
+				sum: binary.BigEndian.Uint32(body[p+41:]),
 			},
 		}
 		if e.key.Kind != KindBatch && e.key.Kind != KindSample {
@@ -214,7 +220,7 @@ func decodeManifest(buf []byte) (*manifest, error) {
 			return nil, fmt.Errorf("store: manifest entry %d bad location", i)
 		}
 		m.entries = append(m.entries, e)
-		p += 49
+		p += manifestEntrySize
 	}
 	if p != len(body) {
 		return nil, fmt.Errorf("store: manifest has %d trailing bytes", len(body)-p)
@@ -338,13 +344,13 @@ func (s *Store) scanSegment(seg *segment, off int64) {
 			A:    binary.BigEndian.Uint64(hdr[13:]),
 			B:    binary.BigEndian.Uint64(hdr[21:]),
 		}
-		sum := binary.BigEndian.Uint64(hdr[33:])
+		sum := binary.BigEndian.Uint32(hdr[33:])
 		payload := make([]byte, plen)
 		if _, err := io.ReadFull(io.NewSectionReader(seg.f, off+recordHeaderSize, int64(plen)), payload); err != nil {
 			s.logf("store: scan seg %d off %d: %v", seg.id, off, err)
 			return
 		}
-		if fnv1a(payload) == sum {
+		if crc32c(payload) == sum {
 			s.idx[key] = loc{seg: seg.id, off: off, len: plen, sum: sum}
 		} else {
 			s.corruptDropped++

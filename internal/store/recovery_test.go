@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
@@ -326,4 +328,92 @@ func FuzzOpenWithArbitraryManifest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// writeV1Directory lays down a format version 1 store by hand — "LREC"
+// records and a version 1 MANIFEST, both summed with FNV-1a 64, every sum
+// valid — holding payloadFor(k, 200) for each key in one sealed segment.
+func writeV1Directory(t *testing.T, dir string, keys []Key) {
+	t.Helper()
+	fnv64 := func(b []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(b)
+		return h.Sum64()
+	}
+	be := binary.BigEndian
+	appendKey := func(b []byte, k Key) []byte {
+		b = append(b, byte(k.Kind))
+		b = be.AppendUint64(b, k.FP)
+		b = be.AppendUint64(b, k.A)
+		return be.AppendUint64(b, k.B)
+	}
+	var seg, entries []byte
+	for _, k := range keys {
+		p := payloadFor(k, 200)
+		off := len(seg)
+		seg = be.AppendUint32(seg, 0x4C524543) // "LREC"
+		seg = appendKey(seg, k)
+		seg = be.AppendUint32(seg, uint32(len(p)))
+		seg = be.AppendUint64(seg, fnv64(p))
+		seg = append(seg, p...)
+		entries = appendKey(entries, k)
+		entries = be.AppendUint32(entries, 0) // segment id
+		entries = be.AppendUint64(entries, uint64(off))
+		entries = be.AppendUint32(entries, uint32(len(p)))
+		entries = be.AppendUint64(entries, fnv64(p))
+	}
+	man := be.AppendUint32(nil, manifestMagic)
+	man = be.AppendUint32(man, 1) // version
+	man = be.AppendUint32(man, 1) // one segment
+	man = be.AppendUint32(man, 0)
+	man = be.AppendUint64(man, uint64(len(seg)))
+	man = be.AppendUint32(man, uint32(len(keys)))
+	man = append(man, entries...)
+	man = be.AppendUint64(man, fnv64(man))
+	for name, b := range map[string][]byte{segmentName(0): seg, manifestName: man} {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOpenV1DirectoryServesNothing: a directory written at manifest version 1
+// opens without error as an empty store — its manifest is refused on the
+// version, the rebuild that follows refuses its records on the magic, so not
+// one FNV-summed record is trusted as a CRC-summed one — and then refills and
+// reopens warm like any other.
+func TestOpenV1DirectoryServesNothing(t *testing.T) {
+	dir := t.TempDir()
+	keys := []Key{batchKey(0), batchKey(1), sampleKey(0), sampleKey(1)}
+	writeV1Directory(t, dir, keys)
+
+	s := mustOpen(t, dir, Options{})
+	for _, k := range keys {
+		if _, ok := s.Get(k, nil); ok {
+			t.Fatalf("served version 1 record %+v", k)
+		}
+	}
+	st := s.Stats()
+	if st.Rebuilds != 1 || st.Entries != 0 || st.BatchHits+st.SampleHits != 0 || st.CorruptDropped != 0 {
+		t.Fatalf("after opening a version 1 directory: %+v", st)
+	}
+	for _, k := range keys {
+		if err := s.Put(k, payloadFor(k, 300)); err != nil {
+			t.Fatalf("refill %+v: %v", k, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s = mustOpen(t, dir, Options{})
+	defer s.Close()
+	for _, k := range keys {
+		if got, ok := s.Get(k, nil); !ok || !bytes.Equal(got, payloadFor(k, 300)) {
+			t.Fatalf("refilled record %+v not served after reopen", k)
+		}
+	}
+	if st := s.Stats(); st.Rebuilds != 0 || st.Entries != len(keys) {
+		t.Fatalf("reopen after refill: %+v", st)
+	}
 }

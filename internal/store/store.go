@@ -4,18 +4,25 @@
 //
 // Layout: records (encoded batch frames and split-point sample snapshots)
 // are appended to segment files (seg-NNNNNN.seg) with a fixed header and a
-// per-record FNV-1a payload checksum — the same hash the wire protocol uses
-// for its stream checksums. A MANIFEST file indexes the records; it is
-// written via write-temp + fsync + atomic rename and carries its own
-// trailing checksum, so a torn or truncated manifest is detected on open
-// and the index is rebuilt by scanning the segments, dropping any record
-// that fails its checksum.
+// per-record CRC32C payload digest — the per-frame digest of the wire
+// protocol (serve.Digest), so a batch frame read back from disk enters the
+// serving path with its digest already known. A MANIFEST file indexes the
+// records; it is written via write-temp + fsync + atomic rename and carries
+// its own trailing CRC32C, so a torn or truncated manifest is detected on
+// open and the index is rebuilt by scanning the segments, dropping any record
+// that fails its digest.
 //
 // Crash-safety contract: after any sequence of kills the store reopens to a
-// consistent index containing only checksum-clean records. Get re-verifies
-// the payload checksum on every read, so corrupt or stale bytes are never
+// consistent index containing only digest-clean records. Get re-verifies
+// the payload digest on every read, so corrupt or stale bytes are never
 // served — corruption degrades to a miss (and recompute upstream), never to
-// wrong data.
+// wrong data. CRC32C detects every 1-3-bit error and every burst up to 32
+// bits in a record, anything else with probability 1 - 2^-32.
+//
+// Format version 2. Version 1 records and manifests carried FNV-1a-64 sums;
+// they are told apart by the record magic and the manifest version, never
+// read as version 2: a version 1 directory opens as an empty store (one
+// rebuild that indexes nothing) and refills.
 //
 // Eviction is segment-granular: when the byte budget is exceeded the
 // least-recently-used sealed segment is deleted whole, together with its
@@ -24,6 +31,7 @@ package store
 
 import (
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -98,7 +106,7 @@ type loc struct {
 	seg uint32
 	off int64
 	len uint32
-	sum uint64
+	sum uint32
 }
 
 type segment struct {
@@ -130,9 +138,10 @@ type Store struct {
 	queue  chan putReq
 	wg     sync.WaitGroup
 
-	// mu guards everything below, including reads of segment files: record
-	// payloads are small and local, so holding mu across ReadAt keeps the
-	// eviction/read race trivially correct.
+	// mu guards everything below — the index, not the segment files' bytes:
+	// Get reads and verifies a record with mu released, which is safe because
+	// an indexed record is never rewritten and a read that loses the race
+	// with its segment's eviction fails cleanly (see Get).
 	mu      sync.Mutex
 	idx     map[Key]loc
 	segs    map[uint32]*segment
@@ -194,50 +203,72 @@ func (s *Store) logf(format string, args ...any) {
 	}
 }
 
-// Get reads the record for key, verifying its checksum. alloc, when
+// Get reads the record for key, verifying its digest. alloc, when
 // non-nil, provides the destination buffer (e.g. a pooled frame box) and
 // must return a slice of at least the requested length; on a miss after
 // alloc was called the caller's buffer is simply not returned, so callers
 // that pool should allocate lazily via the callback. Corrupt records are
 // dropped from the index and reported as misses — never served.
 func (s *Store) Get(key Key, alloc func(n int) []byte) ([]byte, bool) {
+	buf, _, ok := s.GetDigest(key, alloc)
+	return buf, ok
+}
+
+// GetDigest is Get that also returns the CRC32C it verified, so a caller
+// that needs the payload's digest (a batch frame) does not hash it again.
+//
+// Only the index lookup and the outcome are under the store lock; alloc, the
+// read and the verify pass — tens of milliseconds for a 19 MB frame — run
+// with it released, so concurrent Gets, spills and Stats do not queue behind
+// one another. A sealed segment can be evicted meanwhile: closing its file
+// waits out a read already in flight and fails one that starts later, and
+// either way the record is gone from the index, which is a miss, not
+// corruption.
+func (s *Store) GetDigest(key Key, alloc func(n int) []byte) ([]byte, uint32, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	l, ok := s.idx[key]
-	if !ok {
-		s.missLocked(key.Kind)
-		return nil, false
+	var seg *segment
+	if ok {
+		if seg = s.segs[l.seg]; seg == nil {
+			delete(s.idx, key)
+			ok = false
+		}
 	}
-	seg, ok := s.segs[l.seg]
 	if !ok {
-		delete(s.idx, key)
 		s.missLocked(key.Kind)
-		return nil, false
+		s.mu.Unlock()
+		return nil, 0, false
 	}
 	s.tick++
 	seg.lastUse = s.tick
+	s.mu.Unlock()
+
 	var buf []byte
 	if alloc != nil {
 		buf = alloc(int(l.len))[:l.len]
 	} else {
 		buf = make([]byte, l.len)
 	}
-	if _, err := seg.f.ReadAt(buf, l.off+recordHeaderSize); err != nil {
-		s.logf("store: read seg %d off %d: %v", l.seg, l.off, err)
+	_, err := seg.f.ReadAt(buf, l.off+recordHeaderSize)
+	clean := err == nil && crc32c(buf) == l.sum
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if clean {
+		s.hitLocked(key.Kind)
+		return buf, l.sum, true
+	}
+	if s.idx[key] == l && s.segs[l.seg] == seg {
+		if err != nil {
+			s.logf("store: read seg %d off %d: %v", l.seg, l.off, err)
+		} else {
+			s.logf("store: checksum mismatch seg %d off %d, dropping record", l.seg, l.off)
+		}
 		delete(s.idx, key)
 		s.corruptDropped++
-		s.missLocked(key.Kind)
-		return nil, false
 	}
-	if fnv1a(buf) != l.sum {
-		s.logf("store: checksum mismatch seg %d off %d, dropping record", l.seg, l.off)
-		delete(s.idx, key)
-		s.corruptDropped++
-		s.missLocked(key.Kind)
-		return nil, false
-	}
-	s.hitLocked(key.Kind)
-	return buf, true
+	s.missLocked(key.Kind)
+	return nil, 0, false
 }
 
 func (s *Store) hitLocked(k Kind) {
@@ -420,7 +451,7 @@ func (s *Store) append(key Key, payload []byte) error {
 	off := seg.size
 	s.mu.Unlock()
 
-	sum := fnv1a(payload)
+	sum := crc32c(payload)
 	hdr := encodeRecordHeader(key, uint32(len(payload)), sum)
 	if s.opts.Faults.NextDiskAppendCorrupt() && len(payload) > 0 {
 		// Bit rot after checksumming: the record lands structurally valid
@@ -531,14 +562,9 @@ func (s *Store) evictLocked() {
 
 func segmentName(id uint32) string { return fmt.Sprintf("seg-%06d.seg", id) }
 
-// fnv1a is the FNV-1a 64 hash — the same checksum family the wire protocol
-// uses for its per-epoch stream checksums.
-func fnv1a(b []byte) uint64 {
-	const offset64, prime64 = uint64(14695981039346656037), uint64(1099511628211)
-	h := offset64
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
-}
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// crc32c is the record and manifest digest: CRC32C, hardware-accelerated by
+// hash/crc32 where the CPU allows. serve.Digest is the same function, which
+// is what lets a frame adopt the digest its record was verified against.
+func crc32c(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }

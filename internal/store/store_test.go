@@ -441,3 +441,82 @@ func TestStableAcrossManyReopens(t *testing.T) {
 		t.Fatalf("each reopen should start one fresh segment, got %d files", segs)
 	}
 }
+
+// TestConcurrentGetsOverlap: a Get holds the store lock only for the index
+// lookup and the outcome, so a second Get — and Stats, and a spill — complete
+// while the first is still in its read-and-verify section. The first Get's
+// alloc callback is the gate: it returns only once the others are done, which
+// deadlocks (and times this test out) if alloc runs under the lock.
+func TestConcurrentGetsOverlap(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{})
+	defer s.Close()
+	k1, k2 := batchKey(1), batchKey(2)
+	p1, p2 := payloadFor(k1, 4096), payloadFor(k2, 4096)
+	for k, p := range map[Key][]byte{k1: p1, k2: p2} {
+		if err := s.Put(k, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	entered, others := make(chan struct{}), make(chan struct{})
+	type result struct {
+		buf []byte
+		sum uint32
+		ok  bool
+	}
+	first := make(chan result, 1)
+	go func() {
+		var r result
+		r.buf, r.sum, r.ok = s.GetDigest(k1, func(n int) []byte {
+			close(entered)
+			<-others
+			return make([]byte, n)
+		})
+		first <- r
+	}()
+	<-entered
+	got2, ok := s.Get(k2, nil)
+	if !ok || !bytes.Equal(got2, p2) {
+		t.Fatal("second Get failed while the first was in flight")
+	}
+	if err := s.Put(batchKey(3), payloadFor(batchKey(3), 64)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.BatchHits != 1 || st.Spills != 3 {
+		t.Fatalf("stats while the first Get is in flight: %+v", st)
+	}
+	close(others)
+	r := <-first
+	if !r.ok || !bytes.Equal(r.buf, p1) {
+		t.Fatal("first Get failed")
+	}
+	if r.sum != crc32c(p1) {
+		t.Fatalf("GetDigest returned %#x, want the payload's CRC32C %#x", r.sum, crc32c(p1))
+	}
+	if st := s.Stats(); st.BatchHits != 2 || st.CorruptDropped != 0 {
+		t.Fatalf("final stats: %+v", st)
+	}
+}
+
+// TestGetLosingToEvictionIsAMiss: a Get reads outside the store lock, so its
+// segment can be evicted between the lookup and the read. That is a miss —
+// the record left the index with its segment — not a corrupt record.
+func TestGetLosingToEvictionIsAMiss(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{SegmentBytes: 1 << 10})
+	defer s.Close()
+	k := batchKey(0)
+	if err := s.Put(k, payloadFor(k, 2<<10)); err != nil { // fills and seals segment 0
+		t.Fatal(err)
+	}
+	_, ok := s.Get(k, func(n int) []byte {
+		s.SetBudget(1) // evicts every sealed segment, segment 0 included
+		return make([]byte, n)
+	})
+	if ok {
+		t.Fatal("Get served a record whose segment was evicted before the read")
+	}
+	st := s.Stats()
+	if st.SegmentsEvicted != 1 || st.CorruptDropped != 0 || st.BatchMisses != 1 || st.BatchHits != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
