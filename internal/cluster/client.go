@@ -673,6 +673,12 @@ func (rc *roundCtl) stalled(now time.Time, threshold func(node string, seen bool
 // exactly once (node names which member served it), or an error is returned
 // once no routing round can make progress. The concatenation of payloads in
 // global-ID order is byte-identical to a single-node epoch stream.
+//
+// onBatch runs on the goroutine of whichever node stream delivered the batch
+// (several may call it at once), and b and payload are lent, not given: they
+// point into that stream's receive buffer and are valid only until onBatch
+// returns (serve.Client.Run). Keep a batch with b.Clone(), frame bytes with a
+// copy.
 func (c *Client) RunEpoch(epoch int, onBatch func(node string, b *serve.Batch, payload []byte)) (*EpochStats, error) {
 	stats := &EpochStats{Epoch: epoch, PerNode: make(map[string]int)}
 	if err := c.ensurePlan(); err != nil {
@@ -988,7 +994,8 @@ func (c *Client) hedgeFetch(epoch int, slow, succ string, ids []int, rc *roundCt
 	}
 }
 
-// Run routes epochs 0..epochs-1 and aggregates their stats.
+// Run routes epochs 0..epochs-1 and aggregates their stats. onBatch is under
+// RunEpoch's contract: b and payload are valid only until it returns.
 func (c *Client) Run(epochs int, onBatch func(node string, b *serve.Batch, payload []byte)) (*Stats, error) {
 	out := &Stats{PerNode: make(map[string]int)}
 	start := time.Now()

@@ -366,7 +366,7 @@ func (dl *DataLoader) workerLoop(p clock.Proc, workerID int) {
 		if !ok {
 			return
 		}
-		batch, err := bw.Run(p, task.batchID+dl.cfg.BatchIDOffset, task.indices)
+		batch, err := bw.Run(p, task.batchID+dl.cfg.BatchIDOffset, task.indices, nil)
 		dl.dataQ.Put(p, workerResult{batchID: task.batchID, batch: batch, worker: workerID, err: err})
 	}
 }

@@ -581,9 +581,22 @@ func (t *Collate) Name() string { return "Collate" }
 
 func (t *Collate) Kernels() []string { return []string{"cat_serial_kernel", "memcpy"} }
 
+// CollateDst chooses where a real-data collate writes the batch tensor: it
+// is asked once, with the batch's dtype and shape, for a materialized tensor
+// of that geometry (tensor.StackInto's contract). Nil, or a nil result, means
+// a freshly allocated tensor.
+type CollateDst func(dtype tensor.DType, shape []int) *tensor.Tensor
+
 // Run collates samples into the batch payload. Collation is a batch-level
 // op, so it does not implement Transform.Apply.
 func (t *Collate) Run(ctx *Ctx, samples []Sample) *tensor.Tensor {
+	return t.RunInto(ctx, samples, nil)
+}
+
+// RunInto is Run with the output placed by dst, so a caller that already
+// owns the batch's final resting place (a wire frame) has the samples copied
+// there once. Simulated collation moves no data and ignores dst.
+func (t *Collate) RunInto(ctx *Ctx, samples []Sample, dst CollateDst) *tensor.Tensor {
 	if len(samples) == 0 {
 		panic("pipeline: collate of empty batch")
 	}
@@ -592,7 +605,7 @@ func (t *Collate) Run(ctx *Ctx, samples []Sample) *tensor.Tensor {
 		for i, s := range samples {
 			ts[i] = s.Tensor
 		}
-		return tensor.Stack(ts)
+		return tensor.StackInto(dst, ts)
 	}
 	total := 0
 	for _, s := range samples {

@@ -51,10 +51,13 @@ func NewBatchWorker(id int, ds Dataset, cfg Config) *BatchWorker {
 }
 
 // Run preprocesses one batch under proc p. batchID is the id every trace
-// record, fault decision and the returned Batch carry. Panics from dataset
-// or transform code are captured and returned as the error (PyTorch pickles
-// the worker exception and re-raises it in the main process).
-func (w *BatchWorker) Run(p clock.Proc, batchID int, indices []int) (*Batch, error) {
+// record, fault decision and the returned Batch carry. dst places the
+// collated tensor (nil: allocate it); when Run fails after dst was asked, the
+// buffer it handed out holds garbage and stays the caller's to reclaim.
+// Panics from dataset or transform code are captured and returned as the
+// error (PyTorch pickles the worker exception and re-raises it in the main
+// process).
+func (w *BatchWorker) Run(p clock.Proc, batchID int, indices []int, dst CollateDst) (*Batch, error) {
 	ctx := &w.Ctx
 	ctx.Proc = p
 	pid := WorkerPID(w.id)
@@ -78,7 +81,7 @@ func (w *BatchWorker) Run(p clock.Proc, batchID int, indices []int) (*Batch, err
 			samples[i] = w.dataset.GetItem(ctx, pid, batchID, idx)
 		}
 		collateStart := p.Now()
-		collated = w.collate.Run(ctx, samples)
+		collated = w.collate.RunInto(ctx, samples, dst)
 		if w.hooks != nil && w.hooks.OnOp != nil {
 			w.hooks.OnOp(pid, batchID, -1, "Collate", collateStart, p.Now().Sub(collateStart))
 			if w.hooks.PerLogCost > 0 {

@@ -64,8 +64,7 @@ func (t diskBatchTier) Get(key BatchKey) (*Frame, bool) {
 	})
 	if !ok {
 		if box != nil {
-			*box = (*box)[:0]
-			frameBufPool.Put(box)
+			frameBufPut(box)
 		}
 		return nil, false
 	}

@@ -246,6 +246,49 @@ func BenchmarkEncodeBatchPooled(b *testing.B) {
 	}
 }
 
+// hotFrameBatch is the perf harness's frame — 32 x 3 x 224 x 224 float32,
+// 19 MB — so the two benchmarks below are the in-package form of its
+// serve.encode_MBps and serve.decode_MBps rungs.
+func hotFrameBatch() *Batch {
+	m := &Batch{GlobalID: 3, Indices: make([]int, 32), Labels: make([]int, 32),
+		Dtype: tensor.Float32, Shape: []int{32, 3, 224, 224}, F32: make([]float32, 32*3*224*224)}
+	for i := range m.F32 {
+		m.F32[i] = float32(i%251) - 125
+	}
+	return m
+}
+
+// BenchmarkAppendBatch is the reference encoder into a reused buffer: one
+// bulk copy of the tensor on a little-endian host.
+func BenchmarkAppendBatch(b *testing.B) {
+	m := hotFrameBatch()
+	buf := make([]byte, 0, batchWireSize(m))
+	b.SetBytes(int64(batchWireSize(m)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = AppendBatch(buf[:0], m)
+	}
+}
+
+// BenchmarkDecodeBatch is DecodeMessage on a 19 MB frame: a view when the
+// payload is aligned (what a Client's receive buffer is), the copy-convert
+// loop when it is not.
+func BenchmarkDecodeBatch(b *testing.B) {
+	enc := EncodeBatch(hotFrameBatch())
+	for name, payload := range map[string][]byte{"aligned": enc, "misaligned": misaligned(enc)} {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeMessage(payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSessionFootprint reports the marginal per-session cost of the
 // serving tier: heap bytes and goroutines per connected-but-idle session and
 // per session that has streamed one epoch. scripts/bench.sh

@@ -59,7 +59,7 @@ func TestCachedServingByteIdentity(t *testing.T) {
 				Name: fmt.Sprintf("cached-%d", rank)})
 			defer c.Close()
 			_, errs[rank] = c.Run(epochs, func(b *Batch, payload []byte) {
-				got[rank] = append(got[rank], received{b.Epoch, b.GlobalID, payload})
+				got[rank] = append(got[rank], received{b.Epoch, b.GlobalID, append([]byte(nil), payload...)})
 			})
 		}(rank)
 	}

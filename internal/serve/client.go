@@ -84,6 +84,11 @@ type Client struct {
 	ack     HelloAck
 	haveAck bool
 	jitter  *rng.Stream
+	// buf is the one buffer every frame of an epoch stream is read into: it
+	// is what the Batch views handed to onBatch alias, and what makes a
+	// received frame cost no allocation. Taken from frameBufPool on first
+	// need (or when a larger frame arrives), returned by Close and drop.
+	buf *[]byte
 }
 
 // NewClient returns an unconnected client; the first Run or Connect dials.
@@ -216,8 +221,36 @@ func (c *Client) Kick() {
 	}
 }
 
-// Close says goodbye and closes the connection.
+// readStreamFrame reads the next frame of an epoch stream into the client's
+// reused buffer. The returned payload is overwritten by the next call.
+func (c *Client) readStreamFrame() ([]byte, error) {
+	n, err := readFrameLen(c.conn, c.cfg.MaxFrame)
+	if err != nil {
+		return nil, err
+	}
+	if c.buf == nil || cap(*c.buf) < n {
+		c.releaseBuf()
+		c.buf = frameBufFor(n)
+	}
+	payload := (*c.buf)[:n]
+	if err := readFramePayload(c.conn, payload); err != nil {
+		return nil, err
+	}
+	return payload, nil
+}
+
+// releaseBuf returns the stream buffer to the pool. Only the owner goroutine
+// calls it, and only between frames: no Batch view is live then.
+func (c *Client) releaseBuf() {
+	if c.buf != nil {
+		frameBufPut(c.buf)
+		c.buf = nil
+	}
+}
+
+// Close says goodbye, closes the connection and gives up the stream buffer.
 func (c *Client) Close() error {
+	c.releaseBuf()
 	if c.conn == nil {
 		return nil
 	}
@@ -232,6 +265,7 @@ func (c *Client) Close() error {
 // broken) and advances the endpoint rotation so the next Connect leads with
 // a different replica.
 func (c *Client) drop() {
+	c.releaseBuf()
 	if c.conn != nil {
 		c.conn.Close()
 		c.setConn(nil)
@@ -281,6 +315,12 @@ func (s *FetchStats) BatchesPerSec() float64 {
 // failures — connection refused, resets, mid-stream EOF — are retried with
 // exponential backoff by reconnecting and re-requesting the failed epoch.
 // Fatal ServerErrors abort immediately.
+//
+// Callback lifetime: b and payload are valid only until onBatch returns. Both
+// point into the client's one receive buffer, which the next frame
+// overwrites — b.U8 / b.F32 are views over payload, not copies. A consumer
+// that keeps a batch calls b.Clone(); one that keeps the frame bytes copies
+// payload. The same holds for FetchShard and FetchShardHedged.
 func (c *Client) Run(epochs int, onBatch func(b *Batch, payload []byte)) (*FetchStats, error) {
 	stats := &FetchStats{}
 	start := time.Now()
@@ -362,14 +402,16 @@ func (c *Client) backoff(attempt int) time.Duration {
 // failure (dial, mid-stream EOF, checksum mismatch) is returned without
 // retrying, because the caller — a cluster router — must recompute which IDs
 // are still unserved before re-requesting, possibly from a different node.
-// The connection is dropped on error so the next call redials.
+// The connection is dropped on error so the next call redials. b and payload
+// are valid only until onBatch returns (see Run).
 func (c *Client) FetchShard(epoch int, ids []int, onBatch func(b *Batch, payload []byte)) error {
 	return c.fetchShard(epoch, ids, false, onBatch)
 }
 
 // FetchShardHedged is FetchShard with the request marked speculative, so the
 // serving node accounts hedge traffic separately on /metrics. The stream
-// itself is identical — hedged batches are byte-identical to primaries.
+// itself is identical — hedged batches are byte-identical to primaries. b and
+// payload are valid only until onBatch returns (see Run).
 func (c *Client) FetchShardHedged(epoch int, ids []int, onBatch func(b *Batch, payload []byte)) error {
 	return c.fetchShard(epoch, ids, true, onBatch)
 }
@@ -409,7 +451,9 @@ func (c *Client) fetchEpoch(epoch int, onBatch func(*Batch, []byte), stats *Fetc
 // batch count (against wantBatches when >= 0, and always against the
 // server's EpochEnd count) and the stream checksum (one Digest pass per
 // received payload, folded into a StreamSum). stats, when non-nil, is
-// credited only on success.
+// credited only on success. Every frame lands in the client's one reused
+// buffer and is digested before onBatch sees it, so whatever the callback
+// does to the bytes it is lent cannot disturb the check.
 func (c *Client) consumeEpoch(epoch, wantBatches int, onBatch func(*Batch, []byte), stats *FetchStats) error {
 	sum := NewStreamSum()
 	batches := 0
@@ -417,7 +461,7 @@ func (c *Client) consumeEpoch(epoch, wantBatches int, onBatch func(*Batch, []byt
 	var hist LatencyHist
 	last := time.Now()
 	for {
-		payload, err := ReadFrame(c.conn, c.cfg.MaxFrame)
+		payload, err := c.readStreamFrame()
 		if err != nil {
 			return err
 		}

@@ -53,7 +53,7 @@ func TestAutoTuneLoopActsAndStaysByteIdentical(t *testing.T) {
 	}
 	var got []received
 	stats, err := c.Run(epochs, func(b *Batch, payload []byte) {
-		got = append(got, received{b.Epoch, b.GlobalID, payload})
+		got = append(got, received{b.Epoch, b.GlobalID, append([]byte(nil), payload...)})
 	})
 	if err != nil {
 		t.Fatal(err)

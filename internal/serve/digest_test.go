@@ -202,18 +202,17 @@ func TestHotServeHashesNothing(t *testing.T) {
 	}
 }
 
-// TestHelloV1RefusedAtHandshake: a peer that still speaks protocol version 1
-// — whose stream checksum is the other definition — is told so in a fatal
-// Error frame at Hello, which a client never retries; it does not get to
-// stream an epoch and fail its checksum four retries later.
-func TestHelloV1RefusedAtHandshake(t *testing.T) {
-	srv := startTestServer(t, loopbackSpec(), false)
+// expectHelloRefused dials srv as a peer speaking an old protocol version and
+// requires the clean refusal: one fatal Error frame naming both versions,
+// then a closed connection — no session, not one batch byte.
+func expectHelloRefused(t *testing.T, srv *Server, version int) {
+	t.Helper()
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteFrame(conn, EncodeHello(Hello{Version: 1, Rank: 0, World: 1, Name: "v1-peer"})); err != nil {
+	if err := WriteFrame(conn, EncodeHello(Hello{Version: version, Rank: 0, World: 1, Name: "old-peer"})); err != nil {
 		t.Fatal(err)
 	}
 	payload, err := ReadFrame(conn, 0)
@@ -226,15 +225,31 @@ func TestHelloV1RefusedAtHandshake(t *testing.T) {
 	}
 	e, ok := msg.(ErrorMsg)
 	if !ok {
-		t.Fatalf("server answered Hello{Version: 1} with %T, want ErrorMsg", msg)
+		t.Fatalf("server answered Hello{Version: %d} with %T, want ErrorMsg", version, msg)
 	}
-	if e.Code != CodeFatal || !strings.Contains(e.Message, "protocol version 1, server speaks 2") {
+	want := fmt.Sprintf("protocol version %d, server speaks %d", version, ProtocolVersion)
+	if e.Code != CodeFatal || !strings.Contains(e.Message, want) {
 		t.Fatalf("refusal %+v, want a fatal version error naming both versions", e)
 	}
 	if _, err := ReadFrame(conn, 0); err == nil {
-		t.Fatal("server kept the v1 session open after refusing it")
+		t.Fatalf("server kept the v%d session open after refusing it", version)
 	}
 	if snap := srv.Metrics().Snapshot(time.Now(), 0); snap.SessionsTotal != 0 || snap.BatchesSent != 0 {
-		t.Fatalf("v1 peer opened %d sessions and was sent %d batches, want 0 and 0", snap.SessionsTotal, snap.BatchesSent)
+		t.Fatalf("v%d peer opened %d sessions and was sent %d batches, want 0 and 0", version, snap.SessionsTotal, snap.BatchesSent)
 	}
+}
+
+// TestHelloV1RefusedAtHandshake: a peer that still speaks protocol version 1
+// — whose stream checksum is the other definition — is told so in a fatal
+// Error frame at Hello, which a client never retries; it does not get to
+// stream an epoch and fail its checksum four retries later.
+func TestHelloV1RefusedAtHandshake(t *testing.T) {
+	expectHelloRefused(t, startTestServer(t, loopbackSpec(), false), 1)
+}
+
+// TestV2HelloRefused: a version 2 peer would parse a version 3 Batch frame's
+// alignment padding as tensor bytes, and its big-endian floats are not this
+// server's; it is refused the same way, before any frame.
+func TestV2HelloRefused(t *testing.T) {
+	expectHelloRefused(t, startTestServer(t, loopbackSpec(), false), 2)
 }

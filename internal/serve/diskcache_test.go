@@ -3,12 +3,16 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
 	"lotus/internal/pipeline"
+	"lotus/internal/store"
 	"lotus/internal/testutil"
 	"lotus/internal/workloads"
 )
@@ -343,4 +347,102 @@ func TestDiskCacheFingerprintIsolation(t *testing.T) {
 		t.Fatalf("different fingerprint must never hit: %+v", st)
 	}
 	b.Close()
+}
+
+// encodeBatchV2 is the protocol version 2 Batch layout, kept here as the
+// stale bytes an old disk tier holds: the tensor follows its byte count
+// directly, unpadded, floats big-endian.
+func encodeBatchV2(m *Batch) []byte {
+	b := appendBatchHeader(nil, &Batch{Epoch: m.Epoch, GlobalID: m.GlobalID, Indices: m.Indices,
+		Labels: m.Labels, Dtype: m.Dtype, Shape: m.Shape})
+	b[len(b)-1] = 1
+	b = appendU32(b, uint32(4*len(m.F32)))
+	for _, v := range m.F32 {
+		b = appendU32(b, math.Float32bits(v))
+	}
+	return b
+}
+
+// TestDiskCacheOldLayoutIsAMiss is the stale-bytes hazard closed: the disk
+// tier serves stored frames verbatim, so a directory a version 2 server
+// filled — same spec, same keys but for the fingerprint's layout term — must
+// read as empty to this build. Every batch is a disk miss, is recomputed and
+// re-spilled in the current layout, and a restart then runs warm; at no point
+// does a client see a version 2 frame.
+func TestDiskCacheOldLayoutIsAMiss(t *testing.T) {
+	t.Cleanup(testutil.CheckGoroutines(t))
+	spec := workloads.ICSpec(96, 7)
+	spec.BatchSize = 32
+	spec.NumWorkers = 2
+	const dim = 48
+	dir := t.TempDir()
+	expected := localEpochFramesMode(t, spec, 0, pipeline.RealData, dim)
+
+	// What a version 2 server left behind: SpecFingerprint as it was (no
+	// layout term), version 2 frames.
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s|%d|%d|%d|%t|%d|%g|%t|%d|%d",
+		spec.Kind, spec.NumSamples, spec.BatchSize, spec.Seed, spec.Shuffle,
+		spec.Arch, spec.WorkScale, spec.OfflineDecode, pipeline.RealData, dim)
+	oldFP := h.Sum64()
+	if oldFP == SpecFingerprint(spec, pipeline.RealData, dim) {
+		t.Fatal("SpecFingerprint does not depend on the frame layout")
+	}
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := make([][]byte, len(expected))
+	for gid, frame := range expected {
+		msg, err := DecodeMessage(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale[gid] = encodeBatchV2(msg.(*Batch))
+		if bytes.Equal(stale[gid], frame) {
+			t.Fatal("the version 2 encoding of a float batch equals the version 3 one: the test proves nothing")
+		}
+		if err := st.Put(diskBatchKey(BatchKey{Fingerprint: oldFP, GlobalID: gid}), stale[gid]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(name string) store.Stats {
+		srv := startDiskCachedServer(t, spec, dir, 64<<20, 0, pipeline.RealData, dim, false)
+		c := NewClient(ClientConfig{Addr: srv.Addr(), Name: name})
+		defer c.Close()
+		frames := 0
+		if _, err := c.Run(1, func(b *Batch, payload []byte) {
+			frames++
+			if bytes.Equal(payload, stale[b.GlobalID]) {
+				t.Fatalf("%s: batch %d was served in the version 2 layout", name, b.GlobalID)
+			}
+			if !bytes.Equal(payload, expected[b.GlobalID]) {
+				t.Fatalf("%s: batch %d differs from the local run", name, b.GlobalID)
+			}
+		}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if frames != len(expected) {
+			t.Fatalf("%s: %d frames, want %d", name, frames, len(expected))
+		}
+		if err := srv.FlushDiskCache(); err != nil {
+			t.Fatal(err)
+		}
+		stats, _ := srv.DiskCacheStats()
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return stats
+	}
+	n := int64(len(expected))
+	if s := run("over-v2-dir"); s.BatchHits != 0 || s.BatchMisses != n || s.Spills != n {
+		t.Fatalf("first run over a version 2 directory: %+v; want 0 hits, %d misses, %d spills", s, n, n)
+	}
+	if s := run("reopened"); s.BatchHits != n || s.BatchMisses != 0 {
+		t.Fatalf("reopened after the refill: %+v; want %d hits, 0 misses", s, n)
+	}
 }

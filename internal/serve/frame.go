@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+
+	"lotus/internal/tensor"
 )
 
 // Frame is one encoded Batch payload in a refcounted, pool-backed buffer.
@@ -51,6 +53,13 @@ func frameBufFor(n int) *[]byte {
 	return &b
 }
 
+// frameBufPut returns a buffer from frameBufFor to the pool. The caller must
+// hold the only reference to its bytes.
+func frameBufPut(box *[]byte) {
+	*box = (*box)[:0]
+	frameBufPool.Put(box)
+}
+
 // frameBufClass rounds n up to the next sixteenth of its enclosing power of
 // two, so pooled buffers fall into a handful of size classes (eight per
 // octave) instead of one per batch geometry, and a buffer is never more than
@@ -90,6 +99,64 @@ func encodeBatchFrame(m *Batch) *Frame {
 	return newFrame(box, Digest(*box))
 }
 
+// frameCollate builds one batch's frame around its tensor instead of after
+// it: dst, given to the batch worker as its collate destination, takes a
+// pooled frame buffer and hands out the tensor region of the frame-to-be, so
+// the collate's one copy per sample is also the encode. frame then writes the
+// header in front of the tensor it finds there. The bytes are AppendBatch's,
+// which the tests hold it to.
+type frameCollate struct {
+	samples int     // batch size: with the tensor's rank, it fixes the header length
+	box     *[]byte // the frame buffer, from the moment dst hands out a piece of it
+}
+
+// dst is the pipeline.CollateDst. It returns nil — collate into a fresh
+// tensor, encode afterwards — where the host's float32 is not the wire's.
+func (fc *frameCollate) dst(dtype tensor.DType, shape []int) *tensor.Tensor {
+	off := batchTensorOffset(fc.samples, len(shape))
+	size := off + tensor.NumElems(shape)*dtype.Size()
+	box := frameBufFor(size)
+	region := (*box)[off:size]
+	var data *tensor.Tensor
+	switch dtype {
+	case tensor.Uint8:
+		data = tensor.FromU8(region, shape...)
+	case tensor.Float32:
+		view, ok := f32View(region)
+		if !ok {
+			frameBufPut(box)
+			return nil
+		}
+		data = tensor.FromF32(view, shape...)
+	}
+	*box = (*box)[:size]
+	fc.box = box
+	return data
+}
+
+// frame returns m's encoded, digested frame. m must be the batch the worker
+// dst was given to produced; when dst was never asked (a meta batch) or
+// declined, this is encodeBatchFrame.
+func (fc *frameCollate) frame(m *Batch) *Frame {
+	box := fc.box
+	if box == nil {
+		return encodeBatchFrame(m)
+	}
+	fc.box = nil
+	if hdr := appendBatchHeader((*box)[:0], m); len(hdr)+len(m.U8)+4*len(m.F32) != len(*box) {
+		panic("serve: frame header does not end where the collated tensor starts")
+	}
+	return newFrame(box, Digest(*box))
+}
+
+// discard reclaims the buffer of a batch whose worker failed.
+func (fc *frameCollate) discard() {
+	if fc.box != nil {
+		frameBufPut(fc.box)
+		fc.box = nil
+	}
+}
+
 // Bytes exposes the encoded payload. Valid only while the caller holds a
 // reference; never mutate it.
 func (f *Frame) Bytes() []byte { return f.b }
@@ -123,8 +190,7 @@ func (f *Frame) Release() {
 	box := f.box
 	f.b, f.box = nil, nil
 	if box != nil {
-		*box = (*box)[:0]
-		frameBufPool.Put(box)
+		frameBufPut(box)
 	}
 	framePool.Put(f)
 }

@@ -47,6 +47,15 @@ func startTestServer(t *testing.T, spec workloads.Spec, withHTTP bool) *Server {
 // the byte-identical serving assertion.
 func localEpochFrames(t *testing.T, spec workloads.Spec, epoch int) [][]byte {
 	t.Helper()
+	return localEpochFramesMode(t, spec, epoch, pipeline.Simulated, 0)
+}
+
+// localEpochFramesMode is localEpochFrames in an explicit pipeline mode: in
+// RealData the loader collates into tensors of its own and EncodeBatch, the
+// reference encoder, copies them — the two-copy path the server's
+// collate-into-frame is held equal to.
+func localEpochFramesMode(t *testing.T, spec workloads.Spec, epoch int, mode pipeline.Mode, materializeDim int) [][]byte {
+	t.Helper()
 	plan := BuildEpochPlan(spec.NumSamples, spec.BatchSize, spec.Shuffle, false, spec.Seed, epoch)
 	batchPlan := make([][]int, len(plan))
 	for i, pb := range plan {
@@ -60,7 +69,8 @@ func localEpochFrames(t *testing.T, spec workloads.Spec, epoch int) [][]byte {
 		Seed:           spec.Seed,
 		Epoch:          epoch,
 		BatchPlan:      batchPlan,
-		Mode:           pipeline.Simulated,
+		Mode:           mode,
+		MaterializeDim: materializeDim,
 		Engine:         native.NewEngine(spec.Arch, native.DefaultCPU()),
 	}
 	ds := spec.Dataset(nil)
@@ -124,7 +134,7 @@ func TestLoopbackTwoClientsTwoEpochs(t *testing.T) {
 			defer c.Close()
 			stats[rank], clientErr[rank] = c.Run(epochs, func(b *Batch, payload []byte) {
 				once.Do(func() { close(firstBatch) })
-				got[rank] = append(got[rank], received{b.Epoch, b.GlobalID, payload})
+				got[rank] = append(got[rank], received{b.Epoch, b.GlobalID, append([]byte(nil), payload...)})
 			})
 		}(rank)
 	}

@@ -61,11 +61,16 @@ func Shard(plan []PlanBatch, rank, world int) []PlanBatch {
 // change only scheduling (worker count, prefetch, dispatch policy) are
 // deliberately excluded: the deterministic plan makes batch content
 // independent of them, which the byte-identity tests assert.
+//
+// The fingerprint also covers frameLayoutVersion, how a batch is laid out as
+// frame bytes: the disk tier stores encoded frames under this key and serves
+// them verbatim, so a directory written under an older layout must read as
+// empty, not as frames this build's peers would misparse.
 func SpecFingerprint(spec workloads.Spec, mode pipeline.Mode, materializeDim int) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%d|%d|%t|%d|%g|%t|%d|%d",
+	fmt.Fprintf(h, "%s|%d|%d|%d|%t|%d|%g|%t|%d|%d|layout%d",
 		spec.Kind, spec.NumSamples, spec.BatchSize, spec.Seed, spec.Shuffle,
-		spec.Arch, spec.WorkScale, spec.OfflineDecode, mode, materializeDim)
+		spec.Arch, spec.WorkScale, spec.OfflineDecode, mode, materializeDim, frameLayoutVersion)
 	return h.Sum64()
 }
 

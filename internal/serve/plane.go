@@ -137,15 +137,19 @@ func (pl *plane) compute(ctx context.Context, tenant *tenantState, epoch int, pb
 	}
 	var b *pipeline.Batch
 	var err error
+	// The worker collates straight into the frame: the tensor is written
+	// once, at the offset it is sent from.
+	fc := frameCollate{samples: len(pb.Indices)}
 	clk.Run("serve-worker", func(p clock.Proc) {
 		// The trace batch id is unique across epochs: epoch * plan length +
 		// the batch's position in the epoch plan.
-		b, err = w.Run(p, epoch*pl.srv.planLen+pb.GlobalID, pb.Indices)
+		b, err = w.Run(p, epoch*pl.srv.planLen+pb.GlobalID, pb.Indices, fc.dst)
 	})
 	if err != nil {
+		fc.discard()
 		return nil, err
 	}
-	f := encodeBatchFrame(batchToWire(epoch, pb.GlobalID, b))
+	f := fc.frame(batchToWire(epoch, pb.GlobalID, b))
 	pl.srv.metrics.AddDigest(f.Len())
 	return f, nil
 }

@@ -28,7 +28,7 @@
 //	client -> server: Bye{} (or just closes)
 //	server -> client: Error{message} before closing on any failure
 //
-// # Stream checksum (protocol version 2)
+// # Stream checksum (since protocol version 2)
 //
 // Every Batch frame payload has one digest: its CRC32C (Digest). The server
 // computes it once, when the frame is encoded — or adopts the one the disk
@@ -50,6 +50,59 @@
 // vectorised — 655 MB/s on the reference host, paid per frame per session on
 // both ends even on a cache hit — which is why the definition changed rather
 // than the loop. A v1 peer is refused at Hello.
+//
+// # Batch payload layout (protocol version 3)
+//
+// Offsets are from the start of the frame payload (the type byte is offset
+// 0); n is the batch's sample count, r the tensor's rank.
+//
+//	offset            size   field
+//	0                 1      type (MsgBatch)
+//	1                 4      epoch
+//	5                 4      global batch id
+//	9                 4      n
+//	13                4n     sample indices
+//	13+4n             4n     labels (two's complement)
+//	13+8n             1      dtype (0 uint8, 1 float32)
+//	14+8n             1      r (<= 8)
+//	15+8n             4r     shape
+//	15+8n+4r          1      materialized flag (0: meta tensor, the frame ends here)
+//	16+8n+4r          4      nbytes = product(shape) * dtype size
+//	20+8n+4r          p      zero padding, p = the 0..63 bytes that reach the next multiple of 64
+//	T = 20+8n+4r+p    nbytes tensor: uint8 as is; float32 as IEEE-754 bits, little-endian
+//
+// Alignment rule: T is a multiple of 64, so in a receive buffer aligned to 64
+// (or to 4) bytes the tensor is too, and can be used where it landed. The
+// padding is part of the canonical encoding — it must be zero, a nonzero
+// padding byte is ErrMalformed, and it is covered by the frame's Digest like
+// every other byte — so a batch still has exactly one encoding. Every field
+// outside the tensor stays big-endian.
+//
+// Why the definition changed: version 2 wrote float32s big-endian directly
+// after nbytes, at an odd offset. Producing that took a second pass over the
+// collated tensor on the server (one AppendUint32 per element, 4.5 GB/s), and
+// consuming it took a fresh 19 MB []float32 on the client filled one
+// BigEndian.Uint32 at a time (1.5 GB/s against a 12.8 GB/s memcpy): half the
+// served hot path's CPU was copying and converting bytes the worker had
+// already laid out. On a little-endian host — every host this has run on —
+// the version 3 tensor is the in-memory tensor: the server's workers collate
+// straight into the frame buffer (plane.go, frame.go), AppendBatch is one
+// bulk copy, and the client decodes to a view. Big-endian hosts, and payloads
+// that are not 4-byte aligned in memory, take the portable element loops in
+// f32.go and see the same values. A v2 peer is refused at Hello exactly as a
+// v1 peer is, and the layout is hashed into SpecFingerprint so frames a v2
+// server spilled to a disk tier read as misses.
+//
+// Lifetime of views: DecodeMessage does not copy the tensor. A decoded
+// Batch's U8 / F32 alias the payload they were decoded from, and a Client
+// reads every frame of a stream into one reused buffer — so the *Batch and
+// payload a Client callback receives are valid only until the callback
+// returns. Batch.Clone is the copy for consumers that keep one.
+//
+// What did not change: the client computes one CRC32C per received payload
+// and folds it into its StreamSum before the callback sees the frame, and
+// checks the sum and the batch count at EpochEnd; lengths, shapes and dtypes
+// are validated before a view is formed.
 package serve
 
 import (
@@ -67,9 +120,22 @@ import (
 // Protocol constants.
 const (
 	// ProtocolVersion is bumped on incompatible wire changes. Version 2
-	// redefined EpochEnd.Checksum (StreamSum); the server refuses any other
-	// version at Hello, so the two definitions never meet mid-stream.
-	ProtocolVersion = 2
+	// redefined EpochEnd.Checksum (StreamSum); version 3 redefined the Batch
+	// tensor payload (little-endian, at an aligned offset). The server
+	// refuses any other version at Hello, so two definitions never meet
+	// mid-stream.
+	ProtocolVersion = 3
+	// frameLayoutVersion names the byte layout of an encoded Batch frame. It
+	// is hashed into SpecFingerprint because encoded frames outlive the
+	// process in the disk tier: bump it whenever AppendBatch's output changes
+	// for the same batch, so frames persisted under the old layout become
+	// misses instead of being streamed to peers that parse the new one.
+	frameLayoutVersion = 3
+	// tensorAlign is the alignment, relative to the start of the frame
+	// payload, of a Batch frame's tensor bytes: a cache line, so a receiver
+	// that reads the payload into an aligned buffer can use the tensor in
+	// place as []float32 (or hand it to SIMD / DMA) without moving it.
+	tensorAlign = 64
 	// DefaultMaxFrame bounds one frame's payload; larger frames are
 	// malformed. Large enough for a real-mode collated batch.
 	DefaultMaxFrame = 64 << 20
@@ -177,6 +243,12 @@ type ShardReq struct {
 
 // Batch is the wire form of one collated batch. U8/F32 mirror
 // tensor.Tensor: both nil for a meta (shape-only) tensor.
+//
+// A decoded Batch does not own its tensor: U8 and F32 are views over the
+// frame payload it was decoded from wherever the host allows (see "Batch
+// payload layout" in the package doc), so they are valid only as long as
+// that payload is — for a Client callback, until the callback returns. Clone
+// makes a Batch that owns its memory.
 type Batch struct {
 	Epoch    int
 	GlobalID int
@@ -194,6 +266,23 @@ func (b *Batch) Tensor() *tensor.Tensor {
 	t.U8 = b.U8
 	t.F32 = b.F32
 	return t
+}
+
+// Clone returns a deep copy that shares no memory with b or with the frame
+// payload b was decoded from: what a consumer keeps when it needs a batch
+// past the callback that delivered it.
+func (b *Batch) Clone() *Batch {
+	c := *b
+	c.Indices = append([]int(nil), b.Indices...)
+	c.Labels = append([]int(nil), b.Labels...)
+	c.Shape = append([]int(nil), b.Shape...)
+	if b.U8 != nil {
+		c.U8 = append([]uint8{}, b.U8...)
+	}
+	if b.F32 != nil {
+		c.F32 = append([]float32{}, b.F32...)
+	}
+	return &c
 }
 
 // EpochEnd terminates an epoch stream.
@@ -282,32 +371,52 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame's payload, enforcing maxFrame (0 means
-// DefaultMaxFrame). It returns io.EOF on a clean connection close at a frame
-// boundary and ErrMalformed-wrapped errors on protocol violations.
+// ReadFrame reads one frame's payload into a fresh buffer, enforcing maxFrame
+// (0 means DefaultMaxFrame). It returns io.EOF on a clean connection close at
+// a frame boundary and ErrMalformed-wrapped errors on protocol violations.
 func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
+	n, err := readFrameLen(r, maxFrame)
+	if err != nil {
+		return nil, err
+	}
+	payload := make([]byte, n)
+	if err := readFramePayload(r, payload); err != nil {
+		return nil, err
+	}
+	return payload, nil
+}
+
+// readFrameLen reads a frame's length prefix and checks it against maxFrame.
+// The two halves of ReadFrame are separate so a reader that owns a reusable
+// buffer (Client) can size it between them.
+func readFrameLen(r io.Reader, maxFrame int) (int, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n == 0 {
-		return nil, fmt.Errorf("%w: empty payload", ErrMalformed)
+		return 0, fmt.Errorf("%w: empty payload", ErrMalformed)
 	}
 	if int64(n) > int64(maxFrame) {
-		return nil, fmt.Errorf("%w: frame length %d exceeds limit %d", ErrMalformed, n, maxFrame)
+		return 0, fmt.Errorf("%w: frame length %d exceeds limit %d", ErrMalformed, n, maxFrame)
 	}
-	payload := make([]byte, n)
+	return int(n), nil
+}
+
+// readFramePayload fills payload with the frame body that follows a length
+// prefix.
+func readFramePayload(r io.Reader, payload []byte) error {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return err
 	}
-	return payload, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -373,29 +482,55 @@ func EncodeShardReq(r ShardReq) []byte {
 	return append(b, hedge)
 }
 
+// batchHeaderSize is the encoded length of a Batch frame payload up to and
+// including the materialized flag, for a batch of n samples and a tensor of
+// the given rank.
+func batchHeaderSize(n, rank int) int { return 1 + 4 + 4 + 4 + 8*n + 1 + 1 + 4*rank + 1 }
+
+// batchTensorOffset is where a materialized batch's tensor bytes start in the
+// frame payload: past the header and the nbytes field, rounded up to
+// tensorAlign.
+func batchTensorOffset(n, rank int) int {
+	return (batchHeaderSize(n, rank) + 4 + tensorAlign - 1) &^ (tensorAlign - 1)
+}
+
 // batchWireSize returns the exact encoded length of a Batch frame payload,
 // so encode buffers can be sized without growth reallocations.
 func batchWireSize(m *Batch) int {
-	size := 1 + 4 + 4 + 4 + 8*len(m.Indices) + 1 + 1 + 4*len(m.Shape) + 1
-	if m.U8 != nil || m.F32 != nil {
-		size += 4 + len(m.U8) + 4*len(m.F32)
+	if m.U8 == nil && m.F32 == nil {
+		return batchHeaderSize(len(m.Indices), len(m.Shape))
 	}
-	return size
+	return batchTensorOffset(len(m.Indices), len(m.Shape)) + len(m.U8) + 4*len(m.F32)
 }
 
 // EncodeBatch renders a Batch frame payload. The encoding is deterministic,
 // so two batches with identical content encode to identical bytes — the
 // property the byte-identical serving test asserts. The serving hot path
-// avoids this allocation via encodeBatchFrame (pooled buffers); EncodeBatch
+// avoids this allocation via pooled frame buffers (frame.go); EncodeBatch
 // stays as the allocate-per-call form for clients and tests.
 func EncodeBatch(m *Batch) []byte {
 	return AppendBatch(make([]byte, 0, batchWireSize(m)), m)
 }
 
 // AppendBatch appends the canonical Batch frame encoding to dst and returns
-// the extended slice. It is the single encoder behind EncodeBatch and the
-// pooled frame path, so both produce byte-identical output by construction.
+// the extended slice. It is the reference encoder: EncodeBatch and the pooled
+// frame path call it, and the plane's collate-into-frame path is tested
+// byte-equal to it.
 func AppendBatch(dst []byte, m *Batch) []byte {
+	b := appendBatchHeader(dst, m)
+	switch {
+	case m.U8 != nil:
+		b = append(b, m.U8...)
+	case m.F32 != nil:
+		b = appendF32(b, m.F32)
+	}
+	return b
+}
+
+// appendBatchHeader appends everything of m's frame that precedes the tensor
+// bytes: the fields, the materialized flag and, for a materialized tensor,
+// its byte count and the zero padding that aligns what follows.
+func appendBatchHeader(dst []byte, m *Batch) []byte {
 	b := dst
 	b = append(b, byte(MsgBatch))
 	b = appendU32(b, uint32(m.Epoch))
@@ -412,21 +547,13 @@ func AppendBatch(dst []byte, m *Batch) []byte {
 	for _, d := range m.Shape {
 		b = appendU32(b, uint32(d))
 	}
-	switch {
-	case m.U8 != nil:
-		b = append(b, 1)
-		b = appendU32(b, uint32(len(m.U8)))
-		b = append(b, m.U8...)
-	case m.F32 != nil:
-		b = append(b, 1)
-		b = appendU32(b, uint32(4*len(m.F32)))
-		for _, v := range m.F32 {
-			b = appendU32(b, math.Float32bits(v))
-		}
-	default:
-		b = append(b, 0)
+	if m.U8 == nil && m.F32 == nil {
+		return append(b, 0)
 	}
-	return b
+	b = append(b, 1)
+	b = appendU32(b, uint32(len(m.U8)+4*len(m.F32)))
+	pad := -(len(b) - len(dst)) & (tensorAlign - 1)
+	return append(b, make([]byte, pad)...) // the compiler extends in place: no allocation
 }
 
 // EncodeEpochEnd renders an EpochEnd frame payload.
@@ -586,7 +713,9 @@ func (d *dec) done() error {
 }
 
 // DecodeMessage parses a frame payload into its typed message. It never
-// panics on malformed input; failures wrap ErrMalformed.
+// panics on malformed input; failures wrap ErrMalformed. A decoded *Batch
+// aliases payload (see Batch): the caller must keep payload unchanged for as
+// long as it uses the batch's tensor, or Clone it.
 func DecodeMessage(payload []byte) (any, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("%w: empty payload", ErrMalformed)
@@ -719,19 +848,21 @@ func decodeBatch(d *dec) (*Batch, error) {
 					nbytes, m.Shape, m.Dtype, want)
 			}
 		}
+		for _, p := range d.bytes(-d.off & (tensorAlign - 1)) {
+			if p != 0 {
+				d.fail("nonzero padding before the tensor")
+				break
+			}
+		}
 		raw := d.bytes(nbytes)
 		if d.err == nil {
+			// Views, not copies (a zero-length one is still non-nil, so an
+			// empty materialized payload round-trips).
 			switch m.Dtype {
 			case tensor.Uint8:
-				// make (not append on a nil slice) so a zero-length
-				// materialized payload still round-trips as non-nil.
-				m.U8 = make([]uint8, nbytes)
-				copy(m.U8, raw)
+				m.U8 = raw
 			case tensor.Float32:
-				m.F32 = make([]float32, nbytes/4)
-				for i := range m.F32 {
-					m.F32[i] = math.Float32frombits(binary.BigEndian.Uint32(raw[4*i:]))
-				}
+				m.F32 = decodeF32(raw)
 			}
 		}
 	} else if d.err == nil && mat != 0 {

@@ -2,15 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"lotus/internal/tensor"
 )
 
 // FuzzFrameRoundTrip drives arbitrary bytes through the decoder. The decoder
-// must never panic; anything it accepts must re-encode and decode to a fixed
-// point (encode∘decode is idempotent), which pins the wire format as
-// canonical: the server and client can compare streams byte-for-byte.
+// must never panic, and it accepts only canonical encodings: whatever it
+// decodes re-encodes to exactly the bytes it was given, alignment padding
+// included. That is what lets the server and client compare streams
+// byte-for-byte and the disk tier serve stored frames verbatim.
 func FuzzFrameRoundTrip(f *testing.F) {
 	seeds := []any{
 		Hello{Version: 1, Rank: 1, World: 4, Name: "fuzz"},
@@ -20,6 +22,13 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			Dtype: tensor.Uint8, Shape: []int{2, 2}, U8: []uint8{9, 8, 7, 6}},
 		&Batch{Epoch: 0, GlobalID: 1, Indices: []int{5}, Labels: []int{-2},
 			Dtype: tensor.Float32, Shape: []int{1, 2}, F32: []float32{1.5, -0.25}},
+		// A header that ends one byte short of the alignment (13 samples,
+		// rank 3: 131 + 4 = 135 bytes, 57 of padding) and one that needs none.
+		&Batch{Epoch: 2, GlobalID: 3, Indices: make([]int, 13), Labels: make([]int, 13),
+			Dtype: tensor.Uint8, Shape: []int{13, 1, 1}, U8: make([]uint8, 13)},
+		&Batch{Epoch: 2, GlobalID: 4, Indices: make([]int, 5), Labels: make([]int, 5),
+			Dtype: tensor.Float32, Shape: []int{5, 0}, F32: []float32{}},
+		&Batch{Epoch: 4, GlobalID: 0, Indices: []int{1}, Labels: []int{1}, Dtype: tensor.Float32, Shape: []int{1, 3, 8, 8}},
 		EpochEnd{Epoch: 1, Batches: 7, Checksum: 12345},
 		ErrorMsg{Message: "boom"},
 		Bye{},
@@ -30,6 +39,15 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			f.Fatalf("seed encode %T: %v", msg, err)
 		}
 		f.Add(enc)
+		if b, ok := msg.(*Batch); ok && (b.U8 != nil || b.F32 != nil) {
+			// The same frame with a dirty padding byte: must be rejected, or
+			// two byte strings would decode to one batch.
+			if pad := batchHeaderSize(len(b.Indices), len(b.Shape)) + 4; pad < batchTensorOffset(len(b.Indices), len(b.Shape)) {
+				dirty := append([]byte(nil), enc...)
+				dirty[pad] = 1
+				f.Add(dirty)
+			}
+		}
 	}
 	f.Add([]byte{0xff})
 	f.Add([]byte{byte(MsgBatch), 0, 0, 0, 1})
@@ -43,16 +61,67 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded %T does not re-encode: %v", msg, err)
 		}
-		msg2, err := DecodeMessage(enc)
-		if err != nil {
-			t.Fatalf("re-encoded %T does not decode: %v\npayload: %x", msg, err, enc)
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("decoder accepted a non-canonical %T:\n   input: %x\nre-encoded: %x", msg, data, enc)
 		}
-		enc2, err := EncodeMessage(msg2)
+	})
+}
+
+// FuzzControlMessages is the fuzzer for the three control decoders a remote
+// peer reaches before (Hello), instead of (ShardReq) and after (Error) the
+// batch stream, which FuzzFrameRoundTrip's corpus barely touches: bytes are
+// forced onto each message type in turn, the decoder must not panic, and
+// what it accepts satisfies the invariants the server relies on without
+// re-checking and re-encodes to the input.
+func FuzzControlMessages(f *testing.F) {
+	for _, msg := range []any{
+		Hello{Version: ProtocolVersion, Rank: 3, World: MaxWorld, Name: "trainer", Tenant: "team-vision"},
+		Hello{Version: 2, World: 1},
+		ShardReq{Epoch: 4, IDs: []int{7, 0, 3}},
+		ShardReq{Epoch: 0, IDs: []int{}, Hedge: true},
+		ErrorMsg{Message: "server busy: session limit reached", Code: CodeBusy},
+		ErrorMsg{},
+	} {
+		enc, err := EncodeMessage(msg)
 		if err != nil {
-			t.Fatalf("second re-encode of %T: %v", msg2, err)
+			f.Fatal(err)
 		}
-		if !bytes.Equal(enc, enc2) {
-			t.Fatalf("encoding not canonical for %T:\n first: %x\nsecond: %x", msg, enc, enc2)
+		f.Add(enc[1:])
+	}
+	f.Add([]byte{0, 3, 0, 0, 0, 9, 0, 0, 0, 2, 0, 0, 0, 0}) // rank 9 of world 2
+	f.Add([]byte{0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff, 0})    // forged id count
+	f.Add([]byte{0xff, 0xff, 'x', 0})                       // string length past the end
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, typ := range []MsgType{MsgHello, MsgShardReq, MsgError} {
+			data := append([]byte{byte(typ)}, body...)
+			msg, err := DecodeMessage(data) // must not panic
+			if err != nil {
+				if !errors.Is(err, ErrMalformed) {
+					t.Fatalf("%s: rejection %v does not wrap ErrMalformed", typ, err)
+				}
+				continue
+			}
+			switch m := msg.(type) {
+			case Hello:
+				if m.World < 1 || m.World > MaxWorld || m.Rank < 0 || m.Rank >= m.World {
+					t.Fatalf("accepted Hello with rank %d of world %d", m.Rank, m.World)
+				}
+			case ShardReq:
+				if len(m.IDs) > len(body)/4 {
+					t.Fatalf("accepted ShardReq with %d ids from a %d-byte body", len(m.IDs), len(body))
+				}
+			case ErrorMsg:
+			default:
+				t.Fatalf("%s body decoded to %T", typ, msg)
+			}
+			enc, err := EncodeMessage(msg)
+			if err != nil {
+				t.Fatalf("decoded %T does not re-encode: %v", msg, err)
+			}
+			if !bytes.Equal(enc, data) {
+				t.Fatalf("decoder accepted a non-canonical %T:\n   input: %x\nre-encoded: %x", msg, data, enc)
+			}
 		}
 	})
 }

@@ -231,6 +231,16 @@ func (t *Tensor) FlipLastDim() *Tensor {
 // This is the DataLoader's default collate function. Meta inputs produce a
 // meta output.
 func Stack(ts []*Tensor) *Tensor {
+	return StackInto(nil, ts)
+}
+
+// StackInto is Stack with the output buffer chosen by the caller: alloc is
+// asked once, with the output dtype and shape, for a materialized tensor of
+// exactly that geometry, and the inputs are copied straight into it — which
+// is how the serving layer collates into a wire frame instead of into a
+// tensor it would then copy. A nil alloc, or one that returns nil, means a
+// fresh Zeros tensor. Meta inputs produce a meta output and never call alloc.
+func StackInto(alloc func(dtype DType, shape []int) *Tensor, ts []*Tensor) *Tensor {
 	if len(ts) == 0 {
 		panic("tensor: Stack of zero tensors")
 	}
@@ -241,19 +251,26 @@ func Stack(ts []*Tensor) *Tensor {
 		}
 	}
 	outShape := append([]int{len(ts)}, first.Shape...)
-	out := Meta(first.Dtype, outShape...)
 	if first.IsMeta() {
-		return out
+		return Meta(first.Dtype, outShape...)
+	}
+	var out *Tensor
+	if alloc != nil {
+		out = alloc(first.Dtype, outShape)
 	}
 	n := first.Len()
+	switch {
+	case out == nil:
+		out = Zeros(first.Dtype, outShape...)
+	case out.IsMeta() || out.Dtype != first.Dtype || !sameShape(out.Shape, outShape):
+		panic(fmt.Sprintf("tensor: StackInto destination %v does not fit %d x %v", out, len(ts), first))
+	}
 	switch first.Dtype {
 	case Uint8:
-		out.U8 = make([]uint8, n*len(ts))
 		for i, t := range ts {
 			copy(out.U8[i*n:], t.U8)
 		}
 	case Float32:
-		out.F32 = make([]float32, n*len(ts))
 		for i, t := range ts {
 			copy(out.F32[i*n:], t.F32)
 		}

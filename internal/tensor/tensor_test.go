@@ -147,6 +147,42 @@ func TestStackRejectsMismatchedShapes(t *testing.T) {
 	Stack([]*Tensor{Meta(Uint8, 2), Meta(Uint8, 3)})
 }
 
+// TestStackIntoWritesTheCallersBuffer: the destination the allocator hands
+// out is the tensor returned, filled in place and equal to Stack's; a nil
+// allocator result falls back to allocating; meta inputs never ask; a
+// destination of the wrong geometry panics before anything is written.
+func TestStackIntoWritesTheCallersBuffer(t *testing.T) {
+	ts := []*Tensor{FromF32([]float32{1, 2, 3}, 3), FromF32([]float32{4, 5, 6}, 3)}
+	buf := make([]float32, 6)
+	out := StackInto(func(dtype DType, shape []int) *Tensor {
+		if dtype != Float32 || !sameShape(shape, []int{2, 3}) {
+			t.Fatalf("allocator asked for %s %v, want float32 [2 3]", dtype, shape)
+		}
+		return FromF32(buf, shape...)
+	}, ts)
+	if &out.F32[0] != &buf[0] {
+		t.Fatal("StackInto did not write into the destination it was given")
+	}
+	for i, v := range Stack(ts).F32 {
+		if buf[i] != v {
+			t.Fatalf("StackInto wrote %v, Stack returns %v", buf, Stack(ts).F32)
+		}
+	}
+	if got := StackInto(func(DType, []int) *Tensor { return nil }, ts); got.F32[5] != 6 {
+		t.Fatalf("nil destination: got %v", got.F32)
+	}
+	StackInto(func(DType, []int) *Tensor {
+		t.Fatal("allocator called for meta inputs")
+		return nil
+	}, []*Tensor{Meta(Uint8, 2), Meta(Uint8, 2)})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a destination of the wrong shape")
+		}
+	}()
+	StackInto(func(DType, []int) *Tensor { return Zeros(Float32, 3, 2) }, ts)
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	a := FromF32([]float32{1, 2}, 2)
 	b := a.Clone()
