@@ -31,9 +31,11 @@ type Tier[K comparable, V Value] interface {
 	// caller. A record the tier cannot verify or decode is dropped from the
 	// tier and reported as a miss, never served.
 	Get(key K) (V, bool)
-	// Put offers v for key. It must not block — callers are on the serving
-	// path — and must not keep v past the call without its own reference.
-	// A key the tier already holds is a no-op, decided before any encoding.
+	// Put offers v for key. Callers are on the serving path (holding no cache
+	// lock, their waiters already woken): it may make them wait for a bounded
+	// backlog to drain, never for more, and must not keep v past the call
+	// without its own reference. A key the tier already holds is a no-op,
+	// decided before any encoding.
 	Put(key K, v V)
 }
 

@@ -70,6 +70,9 @@ type ImageDataset struct {
 	Records []ImageRecord
 	IO      IOModel
 	Classes int
+
+	// corpus holds the files rendered so far (see Blob).
+	corpus corpus
 }
 
 // ImageConfig parameterizes synthesis of an image dataset.
@@ -160,19 +163,73 @@ func (ds *ImageDataset) Len() int { return len(ds.Records) }
 // Record returns the i-th image's metadata.
 func (ds *ImageDataset) Record(i int) ImageRecord { return ds.Records[i] }
 
-// Materialize synthesizes and encodes the i-th image as a real SJPG payload
-// (used by the real-time examples; the virtual-time pipeline never calls it).
-// Images are rendered at a reduced resolution cap to keep example runtime
-// reasonable while preserving the record's nominal dimensions for costing.
-func (ds *ImageDataset) Materialize(i int, maxDim int) []byte {
-	rec := ds.Records[i]
-	w, h := rec.Width, rec.Height
+// DefaultMaterializeDim is the resolution cap real payloads are rendered at
+// when the caller names none.
+const DefaultMaterializeDim = 256
+
+// CappedDims returns the geometry a w x h record is rendered at under the
+// maxDim cap (<= 0: DefaultMaterializeDim): halved until both sides fit,
+// never below 32. Real payloads are rendered at a reduced resolution to keep
+// run time reasonable while the record keeps its nominal dimensions for
+// costing.
+func CappedDims(w, h, maxDim int) (int, int) {
+	if maxDim <= 0 {
+		maxDim = DefaultMaterializeDim
+	}
 	for (w > maxDim || h > maxDim) && w > 32 && h > 32 {
 		w /= 2
 		h /= 2
 	}
-	im := imaging.SynthesizeImage(w, h, rec.Seed)
-	return imaging.EncodeSJPG(im, 85)
+	return w, h
+}
+
+// Materialize renders the record's file: the image synthesized from its seed
+// at the capped geometry, encoded as quality-85 SJPG with 4:2:0 chroma
+// (photographic JPEGs typically are, so decoding it exercises the chroma
+// upsampling path, sep_upsample). The bytes are a pure function of (Width,
+// Height, Seed, maxDim). This is the one definition of "the file of sample
+// i"; the virtual-time pipeline never calls it.
+func (r ImageRecord) Materialize(maxDim int) []byte {
+	w, h := CappedDims(r.Width, r.Height, maxDim)
+	im := imaging.SynthesizeImage(w, h, r.Seed)
+	blob := imaging.EncodeSJPGSubsampled(im, 85, imaging.Sub420)
+	im.Release()
+	return blob
+}
+
+// Materialize renders the i-th image's file.
+func (ds *ImageDataset) Materialize(i int, maxDim int) []byte {
+	return ds.Records[i].Materialize(maxDim)
+}
+
+// Blob returns the file of rec under the maxDim cap: Materialize's bytes,
+// rendered once per dataset. The first touch of a record renders it and
+// stores the blob in the dataset's corpus; every later touch reads it back
+// into buf, which the result then aliases (a larger buffer is allocated when
+// buf is too small). A nil dataset, a record that is not this dataset's, and
+// every failure of the corpus render inline — same bytes, no memo.
+func (ds *ImageDataset) Blob(rec ImageRecord, maxDim int, buf []byte) []byte {
+	if ds == nil || rec.Index < 0 || rec.Index >= len(ds.Records) || !ds.Records[rec.Index].sameFile(rec) {
+		return rec.Materialize(maxDim)
+	}
+	if blob, ok := ds.corpus.read(rec.Index, maxDim, buf); ok {
+		return blob
+	}
+	blob := rec.Materialize(maxDim)
+	ds.corpus.append(rec.Index, maxDim, len(ds.Records), blob)
+	return blob
+}
+
+// sameFile reports whether two records render the same bytes.
+func (r ImageRecord) sameFile(o ImageRecord) bool {
+	return r.Width == o.Width && r.Height == o.Height && r.Seed == o.Seed
+}
+
+// CorpusStats reports the counters of the dataset's corpus.
+func (ds *ImageDataset) CorpusStats() CorpusStats {
+	ds.corpus.mu.Lock()
+	defer ds.corpus.mu.Unlock()
+	return ds.corpus.stats
 }
 
 // FileSizeStats returns the mean and standard deviation of encoded file

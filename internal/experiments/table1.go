@@ -22,16 +22,19 @@ type Table1Result struct {
 }
 
 // paperTable1 lists the functions the paper's Table I names for the two ops
-// it shows, so Render can report which were recovered.
-var paperTable1 = map[string][]string{
-	"Loader": {
+// it shows, in the order Render reports which were recovered.
+var paperTable1 = []struct {
+	op   string
+	want []string
+}{
+	{"Loader", []string{
 		"decompress_onepass", "jpeg_idct_islow", "jpeg_idct_16x16",
 		"ycc_rgb_convert", "decode_mcu", "ImagingUnpackRGB",
 		"jpeg_fill_bit_buffer",
-	},
-	"RandomResizedCrop": {
+	}},
+	{"RandomResizedCrop", []string{
 		"ImagingResampleHorizontal_8bpc", "ImagingResampleVertical_8bpc",
-	},
+	}},
 }
 
 // RunTable1 reconstructs the IC mapping on Intel (VTune-like, 10 ms) and AMD
@@ -80,21 +83,21 @@ func (r *Table1Result) Render() string {
 		fmt.Fprintf(&b, "--- %s ---\n", v.name)
 		b.WriteString(v.m.String())
 		b.WriteString("paper-listed functions recovered:\n")
-		for op, want := range paperTable1 {
+		for _, row := range paperTable1 {
 			got := map[string]bool{}
-			for _, f := range v.m.Ops[op] {
+			for _, f := range v.m.Ops[row.op] {
 				got[f.Symbol] = true
 			}
 			hits := 0
 			var missing []string
-			for _, sym := range want {
+			for _, sym := range row.want {
 				if got[sym] {
 					hits++
 				} else {
 					missing = append(missing, sym)
 				}
 			}
-			fmt.Fprintf(&b, "  %-20s %d/%d", op, hits, len(want))
+			fmt.Fprintf(&b, "  %-20s %d/%d", row.op, hits, len(row.want))
 			if len(missing) > 0 {
 				fmt.Fprintf(&b, " (missing: %s)", strings.Join(missing, ", "))
 			}

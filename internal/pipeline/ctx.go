@@ -67,6 +67,9 @@ type Ctx struct {
 	rngOp     *rng.Stream
 	// callScratch is the reusable kernel-call buffer handed out by Calls.
 	callScratch []native.Call
+	// blobScratch is the reusable buffer the Loader reads a sample's encoded
+	// file into; it holds one blob, valid until the worker's next read.
+	blobScratch []byte
 }
 
 // Real reports whether transforms should manipulate actual payloads.

@@ -21,8 +21,14 @@ type ImageFolder struct {
 	Transform *Compose
 }
 
-// NewImageFolder builds the dataset.
+// NewImageFolder builds the dataset and hands ds to the chain's Loader, so
+// real reads go through the dataset's corpus.
 func NewImageFolder(ds *data.ImageDataset, tf *Compose) *ImageFolder {
+	for _, t := range tf.Transforms {
+		if l, ok := t.(*Loader); ok {
+			l.Data = ds
+		}
+	}
 	return &ImageFolder{Data: ds, Transform: tf}
 }
 

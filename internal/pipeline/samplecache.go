@@ -167,7 +167,7 @@ func (t diskSampleTier) Get(key SampleKey) (*cachedSample, bool) {
 }
 
 // Put encodes only what the disk lacks; the store copies the bytes and
-// queues the append without blocking.
+// queues the append, waiting only while its backlog is at its byte bound.
 func (t diskSampleTier) Put(key SampleKey, cs *cachedSample) {
 	if !t.st.Contains(diskSampleKey(key)) {
 		t.st.PutAsync(diskSampleKey(key), encodeSnapshot(cs))

@@ -144,6 +144,10 @@ type Loader struct {
 	IO data.IOModel
 	// Cache, when non-nil, models the OS page cache in front of the mount.
 	Cache *data.PageCache
+	// Data, when non-nil, is the dataset whose samples the op loads; its
+	// corpus then holds each file after the first touch (NewImageFolder sets
+	// it). A bare Loader renders every file inline — same bytes.
+	Data *data.ImageDataset
 }
 
 func (l *Loader) Name() string { return "Loader" }
@@ -167,21 +171,13 @@ func (l *Loader) Apply(ctx *Ctx, s Sample) Sample {
 
 	raw := s.Width * s.Height * 3
 	if ctx.Real() {
-		// Decode a real SJPG payload synthesized at a capped resolution.
-		w, h := s.Width, s.Height
-		cap := ctx.MaterializeDim
-		if cap <= 0 {
-			cap = 256
+		// Decode the sample's real SJPG file. DecodeSJPG keeps nothing of
+		// the blob, so the worker's scratch buffer is free for the next one.
+		rec := data.ImageRecord{Index: s.Index, Width: s.Width, Height: s.Height, Seed: s.Seed}
+		blob := l.Data.Blob(rec, ctx.MaterializeDim, ctx.blobScratch)
+		if cap(blob) > cap(ctx.blobScratch) {
+			ctx.blobScratch = blob[:0]
 		}
-		for (w > cap || h > cap) && w > 32 && h > 32 {
-			w /= 2
-			h /= 2
-		}
-		// Photographic JPEGs are typically 4:2:0; decode exercises the
-		// chroma upsampling path (sep_upsample).
-		src := imaging.SynthesizeImage(w, h, s.Seed)
-		blob := imaging.EncodeSJPGSubsampled(src, 85, imaging.Sub420)
-		src.Release()
 		im, err := imaging.DecodeSJPG(blob)
 		if err != nil {
 			panic(fmt.Sprintf("pipeline: synthesized blob failed to decode: %v", err))
@@ -251,15 +247,7 @@ func (l *RawLoader) Apply(ctx *Ctx, s Sample) Sample {
 	r := ctx.OpRNG(s.Index, "rawload")
 	ctx.ReadBlob(s.Index, l.Cache.Delay(s.Index, raw, l.IO, r))
 	if ctx.Real() {
-		cap := ctx.MaterializeDim
-		if cap <= 0 {
-			cap = 256
-		}
-		w, h := s.Width, s.Height
-		for (w > cap || h > cap) && w > 32 && h > 32 {
-			w /= 2
-			h /= 2
-		}
+		w, h := data.CappedDims(s.Width, s.Height, ctx.MaterializeDim)
 		s.Image = imaging.SynthesizeImage(w, h, s.Seed)
 		s.Width, s.Height = w, h
 	} else {

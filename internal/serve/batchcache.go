@@ -71,8 +71,8 @@ func (t diskBatchTier) Get(key BatchKey) (*Frame, bool) {
 	return newFrame(box, digest), true
 }
 
-// Put never blocks the serving path: the store dedups keys already on disk
-// and copies the bytes before PutAsync returns.
+// Put dedups keys already on disk and copies the bytes before PutAsync
+// returns; it waits only while the store's spill backlog is at its byte bound.
 func (t diskBatchTier) Put(key BatchKey, f *Frame) {
 	t.st.PutAsync(diskBatchKey(key), f.Bytes())
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lotus/internal/cache"
+	"lotus/internal/data"
 	"lotus/internal/store"
 )
 
@@ -366,6 +367,12 @@ type MetricsSnapshot struct {
 	// spills, bytes, segments, rebuilds); nil when the disk cache is
 	// disabled.
 	DiskCache *store.Stats `json:"disk_cache,omitempty"`
+	// Corpus carries the counters of the dataset's on-disk corpus of
+	// rendered sample files: rendered climbs to the number of distinct
+	// samples touched and then stands still while reads runs — fabricating
+	// the input is a one-time cost. Nil until the first real-pixel batch of
+	// an image workload is computed.
+	Corpus *data.CorpusStats `json:"corpus,omitempty"`
 	// Hedge carries the speculative-fetch counters; nil until the first
 	// hedged ShardReq arrives.
 	Hedge *HedgeStats `json:"hedge,omitempty"`

@@ -77,6 +77,9 @@ func (s *Server) Snapshot(now time.Time) MetricsSnapshot {
 	if st, ok := s.DiskCacheStats(); ok {
 		snap.DiskCache = &st
 	}
+	if st, ok := s.plane.corpusStats(); ok {
+		snap.Corpus = &st
+	}
 	if st, ok := s.ControlStats(); ok {
 		snap.Control = &st
 	}

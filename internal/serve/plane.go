@@ -7,6 +7,7 @@ import (
 
 	"lotus/internal/clock"
 	"lotus/internal/core/trace"
+	"lotus/internal/data"
 	"lotus/internal/native"
 	"lotus/internal/pipeline"
 )
@@ -27,7 +28,8 @@ type plane struct {
 	gate *fairGate
 
 	// The pipeline the workers run is built on first use, so a server that
-	// only ever serves cache hits never materializes a dataset.
+	// only ever serves cache hits never materializes a dataset. init writes
+	// ds and cfg under mu, for readers that have not been through once.
 	once sync.Once
 	ds   pipeline.Dataset
 	cfg  pipeline.Config
@@ -71,6 +73,8 @@ func (pl *plane) init() {
 		// Tracer run would — the Ring/Tracer overhead parity satellite.
 		PerLogCost: spec.PerLogCost,
 	}
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
 	pl.ds = spec.Dataset(hooks)
 	pl.cfg = pipeline.Config{
 		Seed:           spec.Seed,
@@ -85,6 +89,19 @@ func (pl *plane) init() {
 	if s.cfg.Mode != pipeline.RealData {
 		pl.cfg.Engine = native.NewEngine(spec.Arch, native.DefaultCPU())
 	}
+}
+
+// corpusStats reports the counters of the dataset's corpus — where the
+// one-time cost of rendering each sample's file shows. ok is false until the
+// first real-pixel batch of an image workload has been computed.
+func (pl *plane) corpusStats() (st data.CorpusStats, ok bool) {
+	pl.mu.Lock()
+	folder, _ := pl.ds.(*pipeline.ImageFolder)
+	pl.mu.Unlock()
+	if folder == nil || pl.srv.cfg.Mode != pipeline.RealData {
+		return st, false
+	}
+	return folder.Data.CorpusStats(), true
 }
 
 // worker hands out a parked batch worker, building the next one (and with

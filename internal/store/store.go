@@ -71,10 +71,12 @@ type Options struct {
 	// SegmentBytes is the roll-over threshold for the active segment
 	// (default 4 MiB).
 	SegmentBytes int64
-	// QueueDepth bounds the async spill queue (default 256); PutAsync drops
-	// (and counts) spills when the queue is full rather than blocking the
-	// serving path.
-	QueueDepth int
+	// QueueBytes bounds the payload bytes PutAsync may have queued for the
+	// writer (default 32 MiB). A producer that would exceed it waits for the
+	// writer — backpressure, not loss — so the backlog of copies is a constant
+	// however much faster than the disk the producers are. A payload larger
+	// than the bound is admitted once the queue is empty.
+	QueueBytes int64
 	// Faults injects torn-manifest and corrupt-append failures in chaos
 	// runs. Nil injects nothing.
 	Faults *faultinject.Injector
@@ -90,7 +92,7 @@ type Stats struct {
 	SampleMisses    int64 `json:"sample_misses"`
 	Spills          int64 `json:"spills"`           // records appended
 	SpillsDeduped   int64 `json:"spills_deduped"`   // already on disk
-	SpillsDropped   int64 `json:"spills_dropped"`   // queue full or I/O error
+	SpillsDropped   int64 `json:"spills_dropped"`   // I/O error
 	CorruptDropped  int64 `json:"corrupt_dropped"`  // checksum-failing records dropped
 	Rebuilds        int64 `json:"rebuilds"`         // full index rebuilds from segment scans
 	Segments        int   `json:"segments"`         // live segment files
@@ -121,12 +123,14 @@ type putReq struct {
 	key     Key
 	payload []byte // store-owned copy; nil means flush
 	flush   bool
+	async   bool // PutAsync: payload is counted in Store.queued until appended
 	done    chan error
 }
 
 // Store is a persistent cache tier. All methods are safe for concurrent
-// use. Appends are serialized through one writer goroutine so the serving
-// path never blocks on disk I/O (PutAsync) unless it asks to (Put/Flush).
+// use. Appends are serialized through one writer goroutine, so the serving
+// path waits on disk I/O only when it asks to (Put/Flush) or when PutAsync's
+// backlog is at its byte bound.
 type Store struct {
 	dir  string
 	opts Options
@@ -149,6 +153,11 @@ type Store struct {
 	nextSeg uint32
 	tick    int64
 	bytes   int64
+	// queued is the payload bytes PutAsync has handed the writer and the
+	// writer has not appended yet; room wakes producers waiting for it to
+	// fall under opts.QueueBytes.
+	queued int64
+	room   *sync.Cond
 
 	batchHits      int64
 	batchMisses    int64
@@ -162,7 +171,13 @@ type Store struct {
 	segsEvicted    int64
 }
 
-const defaultSegmentBytes = 4 << 20
+const (
+	defaultSegmentBytes = 4 << 20
+	defaultQueueBytes   = 32 << 20
+	// queueSlots is the writer channel's capacity; a full channel makes its
+	// sender wait like the byte bound does.
+	queueSlots = 256
+)
 
 // Open opens (or creates) the store at dir, recovering the index from the
 // manifest plus a scan of any bytes appended after the last manifest write.
@@ -176,16 +191,17 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
 	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 256
+	if opts.QueueBytes <= 0 {
+		opts.QueueBytes = defaultQueueBytes
 	}
 	s := &Store{
 		dir:   dir,
 		opts:  opts,
-		queue: make(chan putReq, opts.QueueDepth),
+		queue: make(chan putReq, queueSlots),
 		idx:   make(map[Key]loc),
 		segs:  make(map[uint32]*segment),
 	}
+	s.room = sync.NewCond(&s.mu)
 	if err := s.recover(); err != nil {
 		for _, seg := range s.segs {
 			seg.f.Close()
@@ -307,30 +323,33 @@ func (s *Store) Drop(key Key) {
 	}
 }
 
-// PutAsync enqueues payload for appending without blocking: if the spill
-// queue is full the record is dropped and counted. The payload is copied
-// before PutAsync returns; the caller keeps ownership of its slice.
+// PutAsync queues payload for appending and returns without waiting for the
+// write — unless the queue already holds Options.QueueBytes, in which case it
+// first waits for the writer to make room (or for the key to land on disk,
+// which makes the call a no-op). The payload is copied, after room has been
+// reserved, before PutAsync returns; the caller keeps ownership of its slice.
 func (s *Store) PutAsync(key Key, payload []byte) {
 	s.life.RLock()
 	defer s.life.RUnlock()
 	if s.closed {
 		return
 	}
+	n := int64(len(payload))
 	s.mu.Lock()
-	if _, ok := s.idx[key]; ok {
-		s.spillsDeduped++
-		s.mu.Unlock()
-		return
+	for {
+		if _, ok := s.idx[key]; ok {
+			s.spillsDeduped++
+			s.mu.Unlock()
+			return
+		}
+		if s.queued == 0 || s.queued+n <= s.opts.QueueBytes {
+			break
+		}
+		s.room.Wait()
 	}
+	s.queued += n
 	s.mu.Unlock()
-	cp := append([]byte(nil), payload...)
-	select {
-	case s.queue <- putReq{key: key, payload: cp}:
-	default:
-		s.mu.Lock()
-		s.spillsDropped++
-		s.mu.Unlock()
-	}
+	s.queue <- putReq{key: key, payload: append([]byte(nil), payload...), async: true}
 }
 
 // Put appends payload synchronously (waits for the write, not for fsync).
@@ -422,6 +441,12 @@ func (s *Store) writer() {
 			continue
 		}
 		err := s.append(req.key, req.payload)
+		if req.async {
+			s.mu.Lock()
+			s.queued -= int64(len(req.payload))
+			s.mu.Unlock()
+			s.room.Broadcast()
+		}
 		if req.done != nil {
 			req.done <- err
 		}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"lotus/internal/faultinject"
@@ -121,6 +123,68 @@ func TestPutAsyncAndFlush(t *testing.T) {
 	got, ok := s.Get(k, nil)
 	if !ok || !bytes.Equal(got, p) {
 		t.Fatal("PutAsync record not readable after Flush")
+	}
+}
+
+// Producers faster than the writer wait at the byte bound instead of growing
+// the backlog or losing records: the queued bytes never exceed QueueBytes,
+// every record lands, and a payload larger than the bound still gets through.
+func TestPutAsyncBacklogBoundedInBytes(t *testing.T) {
+	const bound, size, perProducer, producers = 4 << 10, 1 << 10, 100, 4
+	s := mustOpen(t, t.TempDir(), Options{QueueBytes: bound, SegmentBytes: 8 << 10})
+	defer s.Close()
+
+	stop, watched := make(chan struct{}), make(chan int64)
+	go func() {
+		var high int64
+		for {
+			s.mu.Lock()
+			high = max(high, s.queued)
+			s.mu.Unlock()
+			select {
+			case <-stop:
+				watched <- high
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				k := batchKey(p*perProducer + i)
+				s.PutAsync(k, payloadFor(k, size))
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if high := <-watched; high > bound {
+		t.Fatalf("backlog reached %d bytes, bound %d", high, bound)
+	}
+	big := sampleKey(1)
+	s.PutAsync(big, payloadFor(big, 3*bound))
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	left := s.queued
+	s.mu.Unlock()
+	if st := s.Stats(); left != 0 || st.Spills != producers*perProducer+1 || st.SpillsDropped != 0 {
+		t.Fatalf("after flush: %d bytes still counted queued, stats %+v", left, st)
+	}
+	for i := 0; i < producers*perProducer; i++ {
+		k := batchKey(i)
+		if got, ok := s.Get(k, nil); !ok || !bytes.Equal(got, payloadFor(k, size)) {
+			t.Fatalf("record %d lost or wrong", i)
+		}
+	}
+	if got, ok := s.Get(big, nil); !ok || !bytes.Equal(got, payloadFor(big, 3*bound)) {
+		t.Fatal("oversize record lost or wrong")
 	}
 }
 
