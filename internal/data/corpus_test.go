@@ -168,14 +168,7 @@ func TestCorpusDamageFallsBackToRender(t *testing.T) {
 	for i := 0; i < ds.Len(); i++ {
 		ds.Blob(ds.Record(i), dim, nil)
 	}
-	c := &ds.corpus
-	ref := c.index[dim][3]
-	flip := []byte{0}
-	if _, err := c.f.ReadAt(flip, ref.off+int64(ref.n)/2); err != nil {
-		t.Fatal(err)
-	}
-	flip[0] ^= 0x10
-	if _, err := c.f.WriteAt(flip, ref.off+int64(ref.n)/2); err != nil {
+	if err := ds.DamageStoredBlob(3, dim, false); err != nil {
 		t.Fatal(err)
 	}
 	for touch := 0; touch < 2; touch++ {
@@ -185,9 +178,9 @@ func TestCorpusDamageFallsBackToRender(t *testing.T) {
 		t.Fatalf("after one flipped byte and two touches: %+v, want read_errors 1, rendered 9 (the blob replaced), reads 1", st)
 	}
 
-	// Short read: cut the file in the middle of the last blob.
-	last := c.index[dim][3] // the replacement sits at the end
-	if err := c.f.Truncate(last.off + int64(last.n)/2); err != nil {
+	// Short read: cut the file in the middle of the last blob — the
+	// replacement sits at the end.
+	if err := ds.DamageStoredBlob(3, dim, true); err != nil {
 		t.Fatal(err)
 	}
 	samePixels(t, ds.Blob(ds.Record(3), dim, nil), ds.Materialize(3, dim))

@@ -1,6 +1,8 @@
 package imaging
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -91,11 +93,59 @@ func TestSJPGNonMultipleOf8(t *testing.T) {
 	}
 }
 
+// TestSJPGDims: SJPGDims and the decoders read the header through one
+// function, so a header one refuses the others refuse.
 func TestSJPGDims(t *testing.T) {
-	data := EncodeSJPG(SynthesizeImage(40, 30, 1), 80)
-	w, h, err := SJPGDims(data)
-	if err != nil || w != 40 || h != 30 {
-		t.Fatalf("SJPGDims = (%d, %d, %v)", w, h, err)
+	header := func(fields ...uint64) []byte {
+		b := []byte(sjpgMagic)
+		for _, f := range fields {
+			b = binary.AppendUvarint(b, f)
+		}
+		return b
+	}
+	good := EncodeSJPG(SynthesizeImage(40, 30, 1), 80)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		w, h int // 0: must be refused
+	}{
+		{"valid 4:4:4", good, 40, 30},
+		{"valid 4:2:0", EncodeSJPGSubsampled(SynthesizeImage(17, 9, 2), 60, Sub420), 17, 9},
+		{"header only", header(40, 30, 80, 0), 40, 30}, // dimensions parse; the decode fails on the body
+		{"empty", nil, 0, 0},
+		{"bad magic", []byte("NOPE\x28\x1e\x50\x00"), 0, 0},
+		{"magic only", []byte(sjpgMagic), 0, 0},
+		{"truncated after width", header(40), 0, 0},
+		{"truncated after height", header(40, 30), 0, 0},
+		{"truncated after quality", header(40, 30, 80), 0, 0},
+		{"zero width", header(0, 30, 80, 0), 0, 0},
+		{"zero height", header(40, 0, 80, 0), 0, 0},
+		{"zero by zero", header(0, 0, 80, 0), 0, 0},
+		{"width negative after an int cast", header(1<<63, 30, 80, 0), 0, 0},
+		{"height negative after an int cast", header(40, 1<<64-1, 80, 0), 0, 0},
+		{"2^63-sized", header(1<<63-1, 1<<63-1, 80, 0), 0, 0},
+		{"product wraps to small", header(1<<32, 1<<32, 80, 0), 0, 0},
+		{"side over 65536", header(1<<16+1, 1, 80, 0), 0, 0},
+		{"over the pixel limit", header(1<<16, 1<<16, 80, 0), 0, 0},
+		{"unknown subsampling", header(40, 30, 80, 2), 0, 0},
+		{"overlong varint", append([]byte(sjpgMagic), bytes.Repeat([]byte{0x80}, 11)...), 0, 0},
+	} {
+		w, h, err := SJPGDims(tc.data)
+		if tc.w == 0 {
+			if err == nil {
+				t.Errorf("%s: SJPGDims = %dx%d, want an error", tc.name, w, h)
+			}
+			if _, derr := DecodeSJPG(tc.data); derr == nil {
+				t.Errorf("%s: DecodeSJPG accepted it", tc.name)
+			}
+			if _, derr := DecodeSJPGRegion(tc.data, 0, 0, 1, 1); derr == nil {
+				t.Errorf("%s: DecodeSJPGRegion accepted it", tc.name)
+			}
+			continue
+		}
+		if err != nil || w != tc.w || h != tc.h {
+			t.Errorf("%s: SJPGDims = (%d, %d, %v), want %dx%d", tc.name, w, h, err, tc.w, tc.h)
+		}
 	}
 }
 

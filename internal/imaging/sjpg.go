@@ -123,12 +123,17 @@ func rgbToYCbCr(r, g, b uint8) (y, cb, cr int32) {
 
 // yCbCrToRGB is the inverse conversion (libjpeg's ycc_rgb_convert).
 func yCbCrToRGB(y, cb, cr int32) (uint8, uint8, uint8) {
-	cb -= 128
-	cr -= 128
-	r := y + ((91881*cr + fixHalf) >> fixBits)
-	g := y - ((22554*cb + 46802*cr + fixHalf) >> fixBits)
-	b := y + ((116130*cb + fixHalf) >> fixBits)
+	r, g, b := yccToRGB(y, cb-128, cr-128)
 	return clampU8(r), clampU8(g), clampU8(b)
+}
+
+// yccToRGB is the conversion's arithmetic on zero-centred chroma, before
+// the clamp to a byte — small enough to inline into the row loops.
+func yccToRGB(y, cb, cr int32) (r, g, b int32) {
+	r = y + ((91881*cr + fixHalf) >> fixBits)
+	g = y - ((22554*cb + 46802*cr + fixHalf) >> fixBits)
+	b = y + ((116130*cb + fixHalf) >> fixBits)
+	return
 }
 
 func clampU8(v int32) uint8 {
@@ -354,6 +359,18 @@ func (r *byteReader) readUvarint() (uint64, error) {
 	return v, nil
 }
 
+// oneByte takes the next varint if it is a one-byte encoding — nearly every
+// run and most coefficients of a photographic stream — small enough to
+// inline into the block loops. Anything longer, and every error, is
+// readUvarint's or readVarint's.
+func (r *byteReader) oneByte() (byte, bool) {
+	if p := r.pos; p < len(r.buf) && r.buf[p] < 0x80 {
+		r.pos = p + 1
+		return r.buf[p], true
+	}
+	return 0, false
+}
+
 func (r *byteReader) readVarint() (int64, error) {
 	v, n := binary.Varint(r.buf[r.pos:])
 	if n <= 0 {
@@ -470,170 +487,240 @@ func downsample2x(plane []int32, w, h int) ([]int32, int, int) {
 	return out, ow, oh
 }
 
-// upsample2x doubles a plane in both axes by separable linear interpolation
-// (libjpeg's sep_upsample "fancy upsampling") with 2-bit fractional
-// positions: samples sit at quarter offsets, so the four bilinear weights
-// are sixteenths. The result is pooled; the caller releases it.
-func upsample2x(plane []int32, pw, ph, w, h int) []int32 {
-	out := getI32(w * h)
-	for y := 0; y < h; y++ {
-		sy4 := 2*y - 1 // source y in quarter units: y/2 - 0.25
-		y0 := sy4 >> 2
-		fy := int32(sy4 - y0*4)
-		y1 := y0 + 1
-		if y0 < 0 {
-			y0 = 0
-		}
-		if y1 > ph-1 {
-			y1 = ph - 1
-		}
-		if y0 > ph-1 {
-			y0 = ph - 1
-		}
-		row0 := plane[y0*pw : (y0+1)*pw]
-		row1 := plane[y1*pw : (y1+1)*pw]
-		orow := out[y*w : (y+1)*w]
-		for x := 0; x < w; x++ {
-			sx4 := 2*x - 1
-			x0 := sx4 >> 2
-			fx := int32(sx4 - x0*4)
-			x1 := x0 + 1
-			if x0 < 0 {
-				x0 = 0
-			}
-			if x1 > pw-1 {
-				x1 = pw - 1
-			}
-			if x0 > pw-1 {
-				x0 = pw - 1
-			}
-			top := (4-fx)*row0[x0] + fx*row0[x1]
-			bot := (4-fx)*row1[x0] + fx*row1[x1]
-			orow[x] = ((4-fy)*top + fy*bot + 8) >> 4
-		}
+// chromaTap returns the two source samples and the quarter-unit weight that
+// output position i of a 2x "fancy" upsample (libjpeg's sep_upsample) reads
+// along one axis of an n-sample chroma plane: output i sits at i/2 - 1/4 in
+// chroma units, so it blends samples i0 and i1 with weights (4-f, f), both
+// clamped into the plane. The bilinear weights of the two axes multiply to
+// sixteenths.
+func chromaTap(i, n int) (i0, i1 int, f int32) {
+	s4 := 2*i - 1
+	i0 = s4 >> 2
+	f = int32(s4 - i0*4)
+	i1 = i0 + 1
+	if i0 < 0 {
+		i0 = 0
 	}
-	return out
+	if i1 > n-1 {
+		i1 = n - 1
+	}
+	if i0 > n-1 {
+		i0 = n - 1
+	}
+	return i0, i1, f
 }
 
 // ---------------------------------------------------------------------------
 // Decoder
 // ---------------------------------------------------------------------------
 
-// SJPGDims parses just the header, returning the encoded dimensions.
-func SJPGDims(data []byte) (w, h int, err error) {
-	if len(data) < 4 || string(data[:4]) != sjpgMagic {
-		return 0, 0, errors.New("sjpg: bad magic")
-	}
-	r := &byteReader{buf: data, pos: 4}
-	wu, err := r.readUvarint()
-	if err != nil {
-		return 0, 0, err
-	}
-	hu, err := r.readUvarint()
-	if err != nil {
-		return 0, 0, err
-	}
-	return int(wu), int(hu), nil
+// sjpgHeader is a parsed and validated SJPG header.
+type sjpgHeader struct {
+	w, h, quality int
+	sub           Subsampling
+	body          int // offset of the first plane's entropy data
 }
 
-// DecodeSJPG decompresses an SJPG payload. The decode path mirrors libjpeg's
-// stages: entropy decode (decode_mcu), dequantize + inverse DCT
-// (jpeg_idct_islow), color conversion (ycc_rgb_convert), assembled by the
-// decompress_onepass driver. The returned image is pooled; callers may
-// Release it when finished with the pixels.
-func DecodeSJPG(data []byte) (*Image, error) {
+// parseSJPGHeader is the one reader of the header: whatever it accepts the
+// decoder will size buffers from, so every limit lives here.
+func parseSJPGHeader(data []byte) (sjpgHeader, error) {
 	if len(data) < 4 || string(data[:4]) != sjpgMagic {
-		return nil, errors.New("sjpg: bad magic")
+		return sjpgHeader{}, errors.New("sjpg: bad magic")
 	}
 	r := &byteReader{buf: data, pos: 4}
-	wu, err := r.readUvarint()
-	if err != nil {
-		return nil, err
+	var f [4]uint64 // width, height, quality, subsampling
+	for i := range f {
+		v, err := r.readUvarint()
+		if err != nil {
+			return sjpgHeader{}, err
+		}
+		f[i] = v
 	}
-	hu, err := r.readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	qu, err := r.readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	su, err := r.readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	width, height, quality := int(wu), int(hu), int(qu)
-	sub := Subsampling(su)
-	if width <= 0 || height <= 0 || width > 1<<16 || height > 1<<16 {
-		return nil, fmt.Errorf("sjpg: implausible dimensions %dx%d", width, height)
+	if f[0] == 0 || f[1] == 0 || f[0] > 1<<16 || f[1] > 1<<16 {
+		return sjpgHeader{}, fmt.Errorf("sjpg: implausible dimensions %dx%d", f[0], f[1])
 	}
 	// Cap the total pixel count: a hostile header must not make the decoder
 	// allocate tens of gigabytes before the payload is even validated.
 	const maxPixels = 1 << 26 // 64 Mpix, ~8x a full-frame photo
-	if width*height > maxPixels {
-		return nil, fmt.Errorf("sjpg: image %dx%d exceeds the %d-pixel decode limit", width, height, maxPixels)
+	if f[0]*f[1] > maxPixels {
+		return sjpgHeader{}, fmt.Errorf("sjpg: image %dx%d exceeds the %d-pixel decode limit", f[0], f[1], maxPixels)
 	}
-	if sub != Sub444 && sub != Sub420 {
-		return nil, fmt.Errorf("sjpg: unknown subsampling %d", int(sub))
+	if f[3] != uint64(Sub444) && f[3] != uint64(Sub420) {
+		return sjpgHeader{}, fmt.Errorf("sjpg: unknown subsampling %d", f[3])
 	}
+	// A quality past int range lands wherever the cast puts it; scaledQuant
+	// clamps it into [1, 100] either way.
+	return sjpgHeader{w: int(f[0]), h: int(f[1]), quality: int(f[2]), sub: Subsampling(f[3]), body: r.pos}, nil
+}
 
-	quants := [3][64]int32{
-		scaledQuant(&lumaQuant, quality),
-		scaledQuant(&chromaQuant, quality),
-		scaledQuant(&chromaQuant, quality),
+// SJPGDims parses just the header, returning the encoded dimensions. It
+// accepts exactly the headers DecodeSJPG accepts.
+func SJPGDims(data []byte) (w, h int, err error) {
+	hd, err := parseSJPGHeader(data)
+	return hd.w, hd.h, err
+}
+
+// DecodeSJPG decompresses an SJPG payload: DecodeSJPGRegion over the whole
+// image. The returned image is pooled; callers may Release it when finished
+// with the pixels.
+func DecodeSJPG(data []byte) (*Image, error) {
+	hd, err := parseSJPGHeader(data)
+	if err != nil {
+		return nil, err
 	}
-	var planes [3][]int32
-	release := func() {
-		for _, p := range planes {
-			if p != nil {
-				putI32(p)
-			}
-		}
+	return decodeRegion(data, hd, 0, 0, hd.w, hd.h)
+}
+
+// DecodeSJPGRegion decompresses the rectangle [x0, x0+w) x [y0, y0+h) of an
+// SJPG payload: byte for byte Crop(DecodeSJPG(data), x0, y0, w, h), without
+// reconstructing what the crop would drop. It fails when DecodeSJPG would —
+// blocks outside the window are still entropy-walked with every check — or
+// when the rectangle is empty or not inside the image. The decode path
+// mirrors libjpeg's stages: entropy decode (decode_mcu), dequantize +
+// inverse DCT (jpeg_idct_islow), chroma upsampling (sep_upsample) and color
+// conversion (ycc_rgb_convert), assembled by the decompress_onepass driver.
+// Nothing of data is retained. The returned image is pooled.
+func DecodeSJPGRegion(data []byte, x0, y0, w, h int) (*Image, error) {
+	hd, err := parseSJPGHeader(data)
+	if err != nil {
+		return nil, err
 	}
-	for ch := 0; ch < 3; ch++ {
-		pw, ph := width, height
-		if sub == Sub420 && ch > 0 {
-			pw, ph = (width+1)/2, (height+1)/2
-		}
-		plane := getI32(pw * ph)
-		if err := decodePlane(r, plane, pw, ph, &quants[ch]); err != nil {
-			putI32(plane)
-			release()
+	return decodeRegion(data, hd, x0, y0, w, h)
+}
+
+// planeWindow is the part of one plane a region decode reconstructs: the
+// whole 8x8 blocks bx0..bx1 x by0..by1 (inclusive), stored without partial
+// blocks at a stride of whole blocks, so a store needs no edge tests. The
+// samples a partial edge block holds past the plane's edge are stored and
+// never read.
+type planeWindow struct {
+	bw, bh             int // the plane in blocks
+	bx0, bx1, by0, by1 int
+	stride             int
+	pix                []int32
+}
+
+// newPlaneWindow covers samples [x0, x1] x [y0, y1] (inclusive) of a
+// pw x ph plane.
+func newPlaneWindow(pw, ph, x0, x1, y0, y1 int) planeWindow {
+	p := planeWindow{
+		bw: (pw + 7) / 8, bh: (ph + 7) / 8,
+		bx0: x0 / 8, bx1: x1 / 8, by0: y0 / 8, by1: y1 / 8,
+	}
+	p.stride = (p.bx1 - p.bx0 + 1) * 8
+	return p
+}
+
+// size is the number of samples the window stores.
+func (p *planeWindow) size() int { return p.stride * (p.by1 - p.by0 + 1) * 8 }
+
+// row returns stored row y of the plane from sample x on.
+func (p *planeWindow) row(x, y int) []int32 {
+	return p.pix[(y-p.by0*8)*p.stride+x-p.bx0*8:]
+}
+
+func decodeRegion(data []byte, hd sjpgHeader, x0, y0, w, h int) (*Image, error) {
+	if w <= 0 || h <= 0 || x0 < 0 || y0 < 0 || w > hd.w || h > hd.h || x0 > hd.w-w || y0 > hd.h-h {
+		return nil, fmt.Errorf("sjpg: region (%d,%d,%d,%d) outside the %dx%d image", x0, y0, w, h, hd.w, hd.h)
+	}
+	// The luma window is the rectangle; a 4:2:0 chroma window is what the
+	// upsample reads to fill it — the rectangle in chroma coordinates plus
+	// the neighbour each edge tap blends in, clamped as the taps clamp.
+	var win [3]planeWindow
+	win[0] = newPlaneWindow(hd.w, hd.h, x0, x0+w-1, y0, y0+h-1)
+	win[1] = win[0]
+	cw, ch := (hd.w+1)/2, (hd.h+1)/2
+	rowBuf := 0
+	if hd.sub == Sub420 {
+		cx0, _, _ := chromaTap(x0, cw)
+		_, cx1, _ := chromaTap(x0+w-1, cw)
+		cy0, _, _ := chromaTap(y0, ch)
+		_, cy1, _ := chromaTap(y0+h-1, ch)
+		win[1] = newPlaneWindow(cw, ch, cx0, cx1, cy0, cy1)
+		rowBuf = 4 * w // two horizontally upsampled rows per chroma plane
+	}
+	win[2] = win[1]
+
+	// One pooled buffer holds the three plane windows and the row buffers.
+	scratch := getI32(win[0].size() + 2*win[1].size() + rowBuf)
+	defer putI32(scratch)
+	quants := [3][64]int32{scaledQuant(&lumaQuant, hd.quality), scaledQuant(&chromaQuant, hd.quality)}
+	quants[2] = quants[1]
+	r := &byteReader{buf: data, pos: hd.body}
+	rest := scratch
+	for i := range win {
+		win[i].pix, rest = rest[:win[i].size()], rest[win[i].size():]
+		if err := decodePlane(r, &win[i], &quants[i]); err != nil {
 			return nil, err
 		}
-		if sub == Sub420 && ch > 0 {
-			full := upsample2x(plane, pw, ph, width, height)
-			putI32(plane)
-			plane = full
-		}
-		planes[ch] = plane
 	}
-	im := colorConvertInverse(&planes, width, height)
-	release()
+
+	im := GetImage(w, h)
+	if hd.sub == Sub444 {
+		for y := 0; y < h; y++ {
+			convertRow(im.Pix[y*w*3:(y+1)*w*3],
+				win[0].row(x0, y0+y), win[1].row(x0, y0+y), win[2].row(x0, y0+y))
+		}
+		return im, nil
+	}
+	// Upsample and convert one output row at a time. An output row blends two
+	// chroma rows, and a chroma row feeds up to four output rows: its
+	// horizontal pass runs once, into the slot of its parity, and stays there
+	// until the rows that read it are done.
+	var hcb, hcr [2][]int32
+	for i := range hcb {
+		hcb[i], rest = rest[:w], rest[w:]
+		hcr[i], rest = rest[:w], rest[w:]
+	}
+	held := [2]int{-1, -1}
+	ox := win[1].bx0 * 8
+	for y := 0; y < h; y++ {
+		c0, c1, fy := chromaTap(y0+y, ch)
+		for _, c := range [2]int{c0, c1} {
+			if held[c&1] != c {
+				upsampleRow(hcb[c&1], win[1].row(ox, c), x0, cw, ox)
+				upsampleRow(hcr[c&1], win[2].row(ox, c), x0, cw, ox)
+				held[c&1] = c
+			}
+		}
+		convertRow420(im.Pix[y*w*3:(y+1)*w*3], win[0].row(x0, y0+y),
+			hcb[c0&1], hcb[c1&1], hcr[c0&1], hcr[c1&1], fy)
+	}
 	return im, nil
 }
 
-// decodePlane reads one plane's blocks (the decompress_onepass inner loop:
-// entropy decode, dequantize, inverse DCT).
-func decodePlane(r *byteReader, plane []int32, pw, ph int, quant *[64]int32) error {
-	bw, bh := (pw+7)/8, (ph+7)/8
+// decodePlane walks one plane's blocks (the decompress_onepass inner loop).
+// Blocks of the window are entropy-decoded, dequantized, inverse-transformed
+// and stored; every other block is only walked, which keeps the DC chain and
+// rejects exactly the streams a full decode rejects.
+func decodePlane(r *byteReader, p *planeWindow, quant *[64]int32) error {
 	prevDC := int64(0)
 	var blk [64]int32
-	for by := 0; by < bh; by++ {
-		for bx := 0; bx < bw; bx++ {
+	for by := 0; by < p.bh; by++ {
+		inRows := by >= p.by0 && by <= p.by1
+		for bx := 0; bx < p.bw; bx++ {
+			if !inRows || bx < p.bx0 || bx > p.bx1 {
+				dc, err := skipMCU(r, prevDC)
+				if err != nil {
+					return err
+				}
+				prevDC = dc
+				continue
+			}
 			nz, dc, err := decodeMCU(&blk, r, prevDC, quant)
 			if err != nil {
 				return err
 			}
 			prevDC = dc
+			dst := p.pix[(by-p.by0)*8*p.stride+(bx-p.bx0)*8:]
 			if nz <= 1 {
 				// DC-only block: the IDCT of a lone DC coefficient is a
 				// flat block at dc/8 (libjpeg's dcval shortcut).
-				storeBlockConst((blk[0]+4)>>3, plane, pw, ph, bx, by)
+				storeBlockConst((blk[0]+4)>>3, dst, p.stride)
 				continue
 			}
 			idct8x8(&blk)
-			storeBlock(&blk, plane, pw, ph, bx, by)
+			storeBlock(&blk, dst, p.stride)
 		}
 	}
 	return nil
@@ -652,6 +739,11 @@ func dequant(v int64, q int32) int32 {
 	return int32(v)
 }
 
+var (
+	errRunOverflow = errors.New("sjpg: AC run overflows block")
+	errMissingEOB  = errors.New("sjpg: missing EOB")
+)
+
 // decodeMCU entropy-decodes and dequantizes one 8x8 block into blk in
 // natural order (the hottest decode function in the paper's Table I). It
 // returns the number of nonzero coefficients so DC-only blocks can skip
@@ -667,8 +759,10 @@ func decodeMCU(blk *[64]int32, r *byteReader, prevDC int64, quant *[64]int32) (n
 	nz = 1
 	i := 1
 	for i < 64 {
-		run, err := r.readUvarint()
-		if err != nil {
+		var run uint64
+		if b, ok := r.oneByte(); ok {
+			run = uint64(b)
+		} else if run, err = r.readUvarint(); err != nil {
 			return 0, 0, err
 		}
 		if run == eobRun {
@@ -677,14 +771,16 @@ func decodeMCU(blk *[64]int32, r *byteReader, prevDC int64, quant *[64]int32) (n
 		// Bound the run before any arithmetic: a hostile varint can exceed
 		// int range and wrap negative.
 		if run > 63 {
-			return 0, 0, errors.New("sjpg: AC run overflows block")
+			return 0, 0, errRunOverflow
 		}
 		i += int(run)
 		if i >= 64 {
-			return 0, 0, errors.New("sjpg: AC run overflows block")
+			return 0, 0, errRunOverflow
 		}
-		v, err := r.readVarint()
-		if err != nil {
+		var v int64
+		if b, ok := r.oneByte(); ok {
+			v = int64(b>>1) ^ -int64(b&1) // zigzag, as binary.Varint
+		} else if v, err = r.readVarint(); err != nil {
 			return 0, 0, err
 		}
 		zz := zigzag[i]
@@ -698,9 +794,110 @@ func decodeMCU(blk *[64]int32, r *byteReader, prevDC int64, quant *[64]int32) (n
 		return 0, 0, err
 	}
 	if run != eobRun {
-		return 0, 0, errors.New("sjpg: missing EOB")
+		return 0, 0, errMissingEOB
 	}
 	return nz, dc, nil
+}
+
+// skipMCU walks one block exactly as decodeMCU does — the same reads in the
+// same order, the same checks, the same DC chain — and reconstructs
+// nothing. It fails on precisely the inputs decodeMCU fails on, which is
+// what lets a region decode reject every stream a full decode rejects. A
+// value's bytes are stepped over without being assembled: a varint is
+// well-formed or not whatever its sign.
+func skipMCU(r *byteReader, prevDC int64) (dc int64, err error) {
+	delta, err := r.readVarint()
+	if err != nil {
+		return 0, err
+	}
+	i := 1
+	for i < 64 {
+		var run uint64
+		if b, ok := r.oneByte(); ok {
+			run = uint64(b)
+		} else if run, err = r.readUvarint(); err != nil {
+			return 0, err
+		}
+		if run == eobRun {
+			return prevDC + delta, nil
+		}
+		if run > 63 {
+			return 0, errRunOverflow
+		}
+		i += int(run)
+		if i >= 64 {
+			return 0, errRunOverflow
+		}
+		if _, ok := r.oneByte(); !ok {
+			if _, err = r.readVarint(); err != nil {
+				return 0, err
+			}
+		}
+		i++
+	}
+	run, err := r.readUvarint()
+	if err != nil {
+		return 0, err
+	}
+	if run != eobRun {
+		return 0, errMissingEOB
+	}
+	return prevDC + delta, nil
+}
+
+// upsampleRow runs the horizontal pass of the 2x chroma upsample for output
+// columns [x0, x0+len(dst)): dst[i] is the 4x-scaled blend of the two chroma
+// samples column x0+i reads. src is one row of a pw-sample chroma plane
+// starting at sample ox. An odd column and the even one after it read the
+// same two samples with weights (3, 1) and (1, 3); only column 0 and the
+// columns from 2*pw-1 on clamp a tap to the plane.
+func upsampleRow(dst, src []int32, x0, pw, ox int) {
+	tap := func(i int) {
+		c0, c1, f := chromaTap(x0+i, pw)
+		dst[i] = (4-f)*src[c0-ox] + f*src[c1-ox]
+	}
+	i := 0
+	if x0&1 == 0 {
+		tap(0)
+		i = 1
+	}
+	for end := min(len(dst), 2*pw-1-x0); i+1 < end; i += 2 {
+		k := (x0+i)>>1 - ox
+		a, b := src[k], src[k+1]
+		dst[i], dst[i+1] = 3*a+b, a+3*b
+	}
+	for ; i < len(dst); i++ {
+		tap(i)
+	}
+}
+
+// convertRow420 finishes one output row of a 4:2:0 image: the vertical pass
+// of the chroma upsample over two horizontally upsampled rows (weights
+// (4-fy, fy), rounded from sixteenths) fused with ycc_rgb_convert. Planes are
+// level-shifted: luma gets its 128 back, chroma stays zero-centred.
+func convertRow420(out []uint8, y, cb0, cb1, cr0, cr1 []int32, fy int32) {
+	n := len(out) / 3
+	y, cb0, cb1, cr0, cr1 = y[:n], cb0[:n], cb1[:n], cr0[:n], cr1[:n]
+	gy := 4 - fy
+	for i := range y {
+		cb := (gy*cb0[i] + fy*cb1[i] + 8) >> 4
+		cr := (gy*cr0[i] + fy*cr1[i] + 8) >> 4
+		r, g, b := yccToRGB(y[i]+128, cb, cr)
+		o := out[i*3 : i*3+3 : i*3+3]
+		o[0], o[1], o[2] = clampU8(r), clampU8(g), clampU8(b)
+	}
+}
+
+// convertRow is ycc_rgb_convert over one output row of level-shifted
+// full-resolution planes.
+func convertRow(out []uint8, y, cb, cr []int32) {
+	n := len(out) / 3
+	y, cb, cr = y[:n], cb[:n], cr[:n]
+	for i := range y {
+		r, g, b := yccToRGB(y[i]+128, cb[i], cr[i])
+		o := out[i*3 : i*3+3 : i*3+3]
+		o[0], o[1], o[2] = clampU8(r), clampU8(g), clampU8(b)
+	}
 }
 
 // colorConvertForward produces the three YCbCr planes, level-shifted to be
@@ -721,17 +918,6 @@ func colorConvertForward(im *Image) [3][]int32 {
 		pcr[i] = cr - 128
 	}
 	return planes
-}
-
-func colorConvertInverse(planes *[3][]int32, w, h int) *Image {
-	im := GetImage(w, h)
-	py, pcb, pcr := planes[0], planes[1], planes[2]
-	pix := im.Pix
-	for i := 0; i < w*h; i++ {
-		r, g, b := yCbCrToRGB(py[i]+128, pcb[i]+128, pcr[i]+128)
-		pix[i*3], pix[i*3+1], pix[i*3+2] = r, g, b
-	}
-	return im
 }
 
 // storeClamp bounds reconstructed samples: valid streams stay within
@@ -765,35 +951,22 @@ func loadBlock(blk *[64]int32, plane []int32, w, h, bx, by int) {
 	}
 }
 
-func storeBlock(blk *[64]int32, plane []int32, w, h, bx, by int) {
+// storeBlock writes a reconstructed block into a plane window at dst.
+func storeBlock(blk *[64]int32, dst []int32, stride int) {
 	for y := 0; y < 8; y++ {
-		sy := by*8 + y
-		if sy >= h {
-			continue
-		}
-		for x := 0; x < 8; x++ {
-			sx := bx*8 + x
-			if sx >= w {
-				continue
-			}
-			plane[sy*w+sx] = storeClamp(blk[y*8+x])
+		row := dst[y*stride : y*stride+8 : y*stride+8]
+		for x, v := range blk[y*8 : y*8+8 : y*8+8] {
+			row[x] = storeClamp(v)
 		}
 	}
 }
 
-func storeBlockConst(v int32, plane []int32, w, h, bx, by int) {
+func storeBlockConst(v int32, dst []int32, stride int) {
 	v = storeClamp(v)
 	for y := 0; y < 8; y++ {
-		sy := by*8 + y
-		if sy >= h {
-			continue
-		}
-		for x := 0; x < 8; x++ {
-			sx := bx*8 + x
-			if sx >= w {
-				continue
-			}
-			plane[sy*w+sx] = v
+		row := dst[y*stride : y*stride+8 : y*stride+8]
+		for x := range row {
+			row[x] = v
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"lotus/internal/clock"
 	"lotus/internal/data"
 	"lotus/internal/imaging"
+	"lotus/internal/tensor"
 )
 
 // onRealCtx runs fn on a wall-clock proc with a worker-like real-mode Ctx.
@@ -24,39 +25,66 @@ func loaderFolder(ds *data.ImageDataset, l *Loader) *ImageFolder {
 	return &ImageFolder{Data: ds, Transform: NewCompose(l)}
 }
 
+// recordSample is the sample ImageFolder.GetItem builds for record i.
+func recordSample(ds *data.ImageDataset, i int) Sample {
+	rec := ds.Record(i)
+	return Sample{Index: i, Label: rec.Label, FileBytes: rec.FileBytes, Seed: rec.Seed,
+		Width: rec.Width, Height: rec.Height, Channels: 3, Dtype: tensor.Uint8}
+}
+
 // TestLoaderScratchReuseIsSafe: the decoded image must keep nothing of the
 // blob it was decoded from, because the worker's scratch buffer is overwritten
-// by the next read. Poison the scratch after each decode and compare.
+// by the next read. Poison the scratch right after each decode — of the full
+// frame, and of the window the crop→decode rewrite takes — and compare.
 func TestLoaderScratchReuseIsSafe(t *testing.T) {
-	ds := fastRealDataset(4, 9)
-	l := &Loader{IO: ds.IO}
-	folder := NewImageFolder(ds, NewCompose(l))
-	if l.Data != ds {
-		t.Fatal("NewImageFolder did not hand the dataset to the chain's Loader")
-	}
-	bare := loaderFolder(ds, &Loader{IO: ds.IO})
-	onRealCtx(64, func(ctx *Ctx) {
-		for touch := 0; touch < 3; touch++ { // render, then two reads
-			for i := 0; i < ds.Len(); i++ {
-				got := folder.GetItem(ctx, 0, 0, i).Image
-				scratch := ctx.blobScratch[:cap(ctx.blobScratch)]
-				if len(scratch) == 0 {
-					t.Fatal("the Loader kept no scratch buffer")
-				}
-				for j := range scratch {
-					scratch[j] = 0xA5
-				}
-				want := bare.GetItem(ctx, 0, 0, i).Image
-				if got.W != want.W || got.H != want.H || !bytes.Equal(got.Pix, want.Pix) {
-					t.Fatalf("touch %d sample %d: pixels changed when the scratch buffer was overwritten", touch, i)
-				}
-				got.Release()
-				want.Release()
+	for _, windowed := range []bool{false, true} {
+		ds := fastRealDataset(4, 9)
+		l := &Loader{IO: ds.IO}
+		crop := &RandomResizedCrop{Size: 24}
+		folder := NewImageFolder(ds, NewCompose(l, crop))
+		if l.Data != ds {
+			t.Fatal("NewImageFolder did not hand the dataset to the chain's Loader")
+		}
+		load := Transform(l)
+		if windowed {
+			ops, rewrites := folder.Transform.plan(RealData, false)
+			if load = ops[0]; rewrites != "crop→decode" {
+				t.Fatalf("the chain is not rewritten: %s", rewrites)
 			}
 		}
-	})
-	if st := ds.CorpusStats(); st.Rendered != 4 || st.Reads != 8 || st.ReadErrors != 0 {
-		t.Fatalf("three passes over 4 samples: %+v, want rendered 4 reads 8", st)
+		bare := &Loader{IO: ds.IO}
+		onRealCtx(64, func(ctx *Ctx) {
+			for touch := 0; touch < 3; touch++ { // render, then two reads
+				for i := 0; i < ds.Len(); i++ {
+					got := load.Apply(ctx, recordSample(ds, i)).Image
+					scratch := ctx.blobScratch[:cap(ctx.blobScratch)]
+					if len(scratch) == 0 {
+						t.Fatal("the Loader kept no scratch buffer")
+					}
+					for j := range scratch {
+						scratch[j] = 0xA5
+					}
+					want := bare.Apply(ctx, recordSample(ds, i)).Image
+					if windowed {
+						x0, y0, cw, ch := crop.window(ctx, i, want.W, want.H)
+						full := want
+						want = imaging.Crop(full, x0, y0, cw, ch)
+						full.Release()
+					}
+					if got.W != want.W || got.H != want.H || !bytes.Equal(got.Pix, want.Pix) {
+						t.Fatalf("windowed %v touch %d sample %d: pixels changed when the scratch buffer was overwritten", windowed, touch, i)
+					}
+					got.Release()
+					want.Release()
+				}
+			}
+		})
+		if st := ds.CorpusStats(); st.Rendered != 4 || st.Reads != 8 || st.ReadErrors != 0 {
+			t.Fatalf("three passes over 4 samples: %+v, want rendered 4 reads 8", st)
+		}
+		if st := l.DecodeStats(); (st.Windowed == 12) != windowed || (st.Full == 12) == windowed {
+			t.Fatalf("windowed %v: decode counters %+v", windowed, st)
+		}
 	}
 }
 
@@ -143,8 +171,9 @@ func BenchmarkLoaderFirstTouch(b *testing.B) {
 // BenchmarkLoaderSteady fails itself when a steady touch is not what the
 // corpus promises: no blob- or image-sized allocation per op (the read lands
 // in the worker's scratch buffer and the image comes from the pool; what is
-// left, 144 B in 6 allocations, is the boxes DecodeSJPG's pools put their
-// slices back in — a bare decode + Release allocates the same six), and at
+// left, 48 B in 2 allocations, is the boxes the decoder's pools put its plane
+// scratch and the image's pixels back in — a bare decode + Release allocates
+// the same two), and at
 // least 1.8x the throughput of a first touch — the modeled I/O wait is in
 // both, so the kernels' own ratio is higher.
 func BenchmarkLoaderSteady(b *testing.B) {

@@ -62,9 +62,12 @@ type Ctx struct {
 
 	// rngSample and rngOp are per-worker scratch generators reused by OpRNG.
 	// math/rand's source is ~5 KB; building one per sample per op used to be
-	// the largest heap cost of a simulated epoch.
-	rngSample *rng.Stream
-	rngOp     *rng.Stream
+	// the largest heap cost of a simulated epoch. opRoot is the one value
+	// OpRNG ever draws from the sample stream seeded with opRootSeed.
+	rngSample  *rng.Stream
+	rngOp      *rng.Stream
+	opRootSeed int64
+	opRoot     int64
 	// callScratch is the reusable kernel-call buffer handed out by Calls.
 	callScratch []native.Call
 	// blobScratch is the reusable buffer the Loader reads a sample's encoded
@@ -105,17 +108,26 @@ func (c *Ctx) BatchRNG(batchID int) *rng.Stream {
 
 // OpRNG returns the stream SampleRNG(index).Derive(name) would — the same
 // seed derivation, so every historical random sequence is preserved —
-// without allocating either generator. The returned stream aliases worker
-// scratch state: it is valid until the next OpRNG call on this Ctx, which
-// matches how transforms use it (draw parameters, then discard). A Ctx is
-// per-worker and workers are single-threaded, so there is no sharing.
+// without allocating either generator. Derive consumes only the first value
+// of the freshly seeded sample stream, so that value is kept per sample seed
+// and the sample stream (607 words of state) is reseeded once per sample, not
+// once per op. The returned stream aliases worker scratch state: it is valid
+// until the next OpRNG call on this Ctx, which matches how transforms use it
+// (draw parameters, then discard). A Ctx is per-worker and workers are
+// single-threaded, so there is no sharing.
 func (c *Ctx) OpRNG(index int, name string) *rng.Stream {
+	seed := c.Seed ^ epochSalt(c.Epoch) ^ int64(index)*2654435761
 	if c.rngSample == nil {
 		c.rngSample = rng.NewFromSeed(0)
 		c.rngOp = rng.NewFromSeed(0)
+		c.opRootSeed = ^seed // nothing kept yet
 	}
-	c.rngSample.Reseed(c.Seed^epochSalt(c.Epoch)^int64(index)*2654435761, "sample")
-	return c.rngSample.DeriveInto(c.rngOp, name)
+	if seed != c.opRootSeed {
+		c.rngSample.Reseed(seed, "sample")
+		c.opRootSeed, c.opRoot = seed, c.rngSample.Int63()
+	}
+	c.rngOp.Reseed(c.opRoot, name)
+	return c.rngOp
 }
 
 // Calls returns the worker's reusable kernel-call scratch buffer, emptied.

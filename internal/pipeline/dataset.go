@@ -19,17 +19,29 @@ type Dataset interface {
 type ImageFolder struct {
 	Data      *data.ImageDataset
 	Transform *Compose
+	loader    *Loader // the chain's Loader, when NewImageFolder found one
 }
 
 // NewImageFolder builds the dataset and hands ds to the chain's Loader, so
 // real reads go through the dataset's corpus.
 func NewImageFolder(ds *data.ImageDataset, tf *Compose) *ImageFolder {
+	f := &ImageFolder{Data: ds, Transform: tf}
 	for _, t := range tf.Transforms {
 		if l, ok := t.(*Loader); ok {
 			l.Data = ds
+			f.loader = l
 		}
 	}
-	return &ImageFolder{Data: ds, Transform: tf}
+	return f
+}
+
+// DecodeStats reports the decode counters of the chain's Loader (zero when
+// the chain has none).
+func (f *ImageFolder) DecodeStats() DecodeStats {
+	if f.loader == nil {
+		return DecodeStats{}
+	}
+	return f.loader.DecodeStats()
 }
 
 func (f *ImageFolder) Len() int { return f.Data.Len() }

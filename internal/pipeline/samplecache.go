@@ -186,7 +186,7 @@ func (sc *SampleCache) materialize(ctx *Ctx, c *Compose, pid, batchID, split int
 	var out Sample
 	computed := false
 	cs, err := sc.sf.Acquire(key, ctx.Abort, func() (*cachedSample, error) {
-		out = c.applyRange(ctx, pid, batchID, s, 0, split)
+		out = c.applyOps(ctx, pid, batchID, s, c.Transforms[:split])
 		computed = true
 		return snapshotSample(out), nil
 	})
@@ -194,7 +194,7 @@ func (sc *SampleCache) materialize(ctx *Ctx, c *Compose, pid, batchID, split int
 		// The epoch was aborted while this worker was parked on another
 		// session's prefix: finish the sample privately so the worker gets
 		// back to its queue and the teardown's Drain is not held up.
-		return c.applyRange(ctx, pid, batchID, s, 0, split)
+		return c.applyOps(ctx, pid, batchID, s, c.Transforms[:split])
 	}
 	if !computed {
 		out = cs.restore(ctx)

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"lotus/internal/data"
@@ -32,7 +34,8 @@ type Transform interface {
 }
 
 // Compose chains transforms, timing each application — the torchvision
-// Compose.__call__ instrumentation of Listing 3 ([T3]).
+// Compose.__call__ instrumentation of Listing 3 ([T3]). Transforms must not
+// change once the first sample has been applied.
 type Compose struct {
 	Transforms []Transform
 	// Hooks receives per-op timing records; nil disables instrumentation.
@@ -43,6 +46,11 @@ type Compose struct {
 	// transforms (which must all be deterministic — SplitPoint panics
 	// otherwise, since caching past a random op would freeze its draws).
 	SplitOverride int
+
+	// pushdown is the crop→decode rewrite of Transforms (rewrite.go), built
+	// on first use; nil when the plan has no decode followed by a crop.
+	pushdownOnce sync.Once
+	pushdown     []Transform
 }
 
 // NewCompose chains the given transforms without instrumentation.
@@ -78,29 +86,33 @@ func (c *Compose) SplitPoint() int {
 // records so the analysis can associate operations with batches and worker
 // processes. When the Ctx carries a sample cache and the pipeline has a
 // deterministic prefix, the prefix is served from (or materialized into)
-// the cache and only the random suffix runs inline.
+// the cache and only the random suffix runs inline. Otherwise the plan's
+// rewrites are in force (rewrite.go): same ops, same records, same bytes.
 func (c *Compose) Apply(ctx *Ctx, pid, batchID int, s Sample) Sample {
+	split := 0
 	if ctx.SampleCache != nil {
-		if split := c.SplitPoint(); split > 0 {
-			s = ctx.SampleCache.materialize(ctx, c, pid, batchID, split, s)
-			return c.applyRange(ctx, pid, batchID, s, split, len(c.Transforms))
-		}
+		split = c.SplitPoint()
 	}
-	return c.applyRange(ctx, pid, batchID, s, 0, len(c.Transforms))
+	ops, _ := c.plan(ctx.Mode, split > 0)
+	if split > 0 {
+		s = ctx.SampleCache.materialize(ctx, c, pid, batchID, split, s)
+	}
+	return c.applyOps(ctx, pid, batchID, s, ops[split:])
 }
 
-// ApplyPrefix runs only the deterministic prefix (never through the cache).
+// ApplyPrefix runs only the deterministic prefix (never through the cache,
+// never rewritten).
 func (c *Compose) ApplyPrefix(ctx *Ctx, pid, batchID int, s Sample) Sample {
-	return c.applyRange(ctx, pid, batchID, s, 0, c.SplitPoint())
+	return c.applyOps(ctx, pid, batchID, s, c.Transforms[:c.SplitPoint()])
 }
 
 // ApplySuffix runs only the random suffix on a post-prefix sample.
 func (c *Compose) ApplySuffix(ctx *Ctx, pid, batchID int, s Sample) Sample {
-	return c.applyRange(ctx, pid, batchID, s, c.SplitPoint(), len(c.Transforms))
+	return c.applyOps(ctx, pid, batchID, s, c.Transforms[c.SplitPoint():])
 }
 
-func (c *Compose) applyRange(ctx *Ctx, pid, batchID int, s Sample, from, to int) Sample {
-	for _, t := range c.Transforms[from:to] {
+func (c *Compose) applyOps(ctx *Ctx, pid, batchID int, s Sample, ops []Transform) Sample {
+	for _, t := range ops {
 		start := ctx.Proc.Now()
 		s = t.Apply(ctx, s)
 		if c.Hooks != nil && c.Hooks.OnOp != nil {
@@ -148,6 +160,29 @@ type Loader struct {
 	// corpus then holds each file after the first touch (NewImageFolder sets
 	// it). A bare Loader renders every file inline — same bytes.
 	Data *data.ImageDataset
+
+	// Counters of real decodes (DecodeStats).
+	windowed, full, pxDecoded, pxSkipped atomic.Int64
+}
+
+// DecodeStats counts a Loader's real decodes: how many reconstructed only the
+// window the following crop keeps and how many the full frame, and the pixels
+// of the images that were and were not reconstructed.
+type DecodeStats struct {
+	Windowed  int64 `json:"windowed"`
+	Full      int64 `json:"full"`
+	PxDecoded int64 `json:"px_decoded"`
+	PxSkipped int64 `json:"px_skipped"`
+}
+
+// DecodeStats reports the op's decode counters.
+func (l *Loader) DecodeStats() DecodeStats {
+	return DecodeStats{
+		Windowed:  l.windowed.Load(),
+		Full:      l.full.Load(),
+		PxDecoded: l.pxDecoded.Load(),
+		PxSkipped: l.pxSkipped.Load(),
+	}
 }
 
 func (l *Loader) Name() string { return "Loader" }
@@ -165,20 +200,24 @@ func (l *Loader) Kernels() []string {
 	}
 }
 
-func (l *Loader) Apply(ctx *Ctx, s Sample) Sample {
+func (l *Loader) Apply(ctx *Ctx, s Sample) Sample { return l.load(ctx, s, nil) }
+
+// load is Apply; with crop non-nil (the crop→decode rewrite, real pixels
+// only) it decodes just the rectangle crop will keep.
+func (l *Loader) load(ctx *Ctx, s Sample, crop *RandomResizedCrop) Sample {
 	r := ctx.OpRNG(s.Index, "loader")
 	ctx.ReadBlob(s.Index, l.Cache.Delay(s.Index, s.FileBytes, l.IO, r))
 
 	raw := s.Width * s.Height * 3
 	if ctx.Real() {
-		// Decode the sample's real SJPG file. DecodeSJPG keeps nothing of
+		// Decode the sample's real SJPG file. The decoder keeps nothing of
 		// the blob, so the worker's scratch buffer is free for the next one.
 		rec := data.ImageRecord{Index: s.Index, Width: s.Width, Height: s.Height, Seed: s.Seed}
 		blob := l.Data.Blob(rec, ctx.MaterializeDim, ctx.blobScratch)
 		if cap(blob) > cap(ctx.blobScratch) {
 			ctx.blobScratch = blob[:0]
 		}
-		im, err := imaging.DecodeSJPG(blob)
+		im, err := l.decode(ctx, s.Index, blob, crop)
 		if err != nil {
 			panic(fmt.Sprintf("pipeline: synthesized blob failed to decode: %v", err))
 		}
@@ -224,6 +263,26 @@ func (l *Loader) Apply(ctx *Ctx, s Sample) Sample {
 	ctx.WorkCalls(calls)
 	s.Channels, s.Dtype = 3, tensor.Uint8
 	return s
+}
+
+// decode decodes sample index's file and counts it: all of it, or with crop
+// non-nil only the rectangle crop keeps. The rectangle depends on the file's
+// dimensions alone, never its pixels, so it can be drawn before they exist.
+func (l *Loader) decode(ctx *Ctx, index int, blob []byte, crop *RandomResizedCrop) (*imaging.Image, error) {
+	w, h, err := imaging.SJPGDims(blob)
+	if err != nil {
+		return nil, err
+	}
+	x0, y0, cw, ch := 0, 0, w, h
+	if crop != nil {
+		x0, y0, cw, ch = crop.window(ctx, index, w, h)
+		l.windowed.Add(1)
+	} else {
+		l.full.Add(1)
+	}
+	l.pxDecoded.Add(int64(cw * ch))
+	l.pxSkipped.Add(int64(w*h - cw*ch))
+	return imaging.DecodeSJPGRegion(blob, x0, y0, cw, ch)
 }
 
 // RawLoader loads a pre-decoded image from storage — the offline
@@ -277,9 +336,15 @@ func (t *RandomResizedCrop) Kernels() []string {
 	}
 }
 
+// window draws the rectangle the op keeps of sample index's w x h input.
+// The draw is a pure function of (seed, epoch, index) and the dimensions, so
+// whoever asks, whenever, gets the same rectangle.
+func (t *RandomResizedCrop) window(ctx *Ctx, index, w, h int) (x0, y0, cw, ch int) {
+	return imaging.RandomResizedCropParams(w, h, ctx.OpRNG(index, "rrc"))
+}
+
 func (t *RandomResizedCrop) Apply(ctx *Ctx, s Sample) Sample {
-	r := ctx.OpRNG(s.Index, "rrc")
-	x0, y0, cw, ch := imaging.RandomResizedCropParams(s.Width, s.Height, r)
+	x0, y0, cw, ch := t.window(ctx, s.Index, s.Width, s.Height)
 	if ctx.Real() {
 		// Exactly-once release discipline: a full-frame region skips the
 		// copy and aliases the source, so the alias must not be released a

@@ -56,13 +56,6 @@ func (s *Stream) Reseed(seed int64, name string) {
 	s.r.Seed(seed ^ nameHash(name))
 }
 
-// DeriveInto reseeds child to the state Derive(name) would return, consuming
-// one value from s exactly as Derive does.
-func (s *Stream) DeriveInto(child *Stream, name string) *Stream {
-	child.Reseed(s.r.Int63(), name)
-	return child
-}
-
 // Float64 returns a uniform value in [0, 1).
 func (s *Stream) Float64() float64 { return s.r.Float64() }
 

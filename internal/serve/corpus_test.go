@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"lotus/internal/core/trace"
 	"lotus/internal/data"
 	"lotus/internal/pipeline"
 	"lotus/internal/testutil"
@@ -13,24 +15,24 @@ import (
 
 const corpusTestSamples = 32
 
-// fetchColdEpochs serves epochs 0..epochs-1 of a cache-less real-pixel IC
-// server one at a time, holds every frame equal to the local run, and hands
-// the /metrics corpus block after each epoch to check.
-func fetchColdEpochs(t *testing.T, epochs int, check func(epoch int, st *data.CorpusStats)) {
+// fetchEpochs serves epochs 0..epochs-1 of a real-pixel server with no batch
+// cache one at a time, holds every frame equal to the local run, and hands
+// the /metrics document after each epoch to check.
+func fetchEpochs(t *testing.T, spec workloads.Spec, sampleCacheBytes int64, epochs int, check func(epoch int, snap *MetricsSnapshot)) {
 	t.Helper()
-	spec := workloads.ICSpec(corpusTestSamples, 7)
 	spec.BatchSize = 8
 	spec.NumWorkers = 2
 	const dim = 48
-	srv := New(Config{Spec: spec, Mode: pipeline.RealData, MaterializeDim: dim, Prefetch: 2, Logf: t.Logf})
+	srv := New(Config{Spec: spec, Mode: pipeline.RealData, MaterializeDim: dim,
+		SampleCacheBytes: sampleCacheBytes, Prefetch: 2, Logf: t.Logf})
 	if err := srv.Start("127.0.0.1:0", "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
 	var snap MetricsSnapshot
 	getJSON(t, "http://"+srv.HTTPAddr()+"/metrics", &snap)
-	if snap.Corpus != nil {
-		t.Fatalf("corpus block before any batch was computed: %+v", snap.Corpus)
+	if snap.Corpus != nil || snap.Decode != nil {
+		t.Fatalf("corpus %+v and decode %+v blocks before any batch was computed", snap.Corpus, snap.Decode)
 	}
 	c := NewClient(ClientConfig{Addr: srv.Addr(), Name: "corpus-test"})
 	defer c.Close()
@@ -50,22 +52,105 @@ func fetchColdEpochs(t *testing.T, epochs int, check func(epoch int, st *data.Co
 		}
 		snap = MetricsSnapshot{}
 		getJSON(t, "http://"+srv.HTTPAddr()+"/metrics", &snap)
-		if snap.Corpus == nil {
-			t.Fatalf("epoch %d: /metrics has no corpus block on a real-pixel image server", epoch)
+		if snap.Corpus == nil || snap.Decode == nil {
+			t.Fatalf("epoch %d: /metrics lacks the corpus or decode block on a real-pixel image server", epoch)
 		}
-		check(epoch, snap.Corpus)
+		check(epoch, &snap)
+	}
+	// Rewritten or not, the plan leaves the trace its shape: a valid served
+	// trace, and per sample one record per op, under the op's own name, in
+	// plan order.
+	recs := srv.Ring().Snapshot()
+	if issues := trace.Validate(recs); len(issues) > 0 {
+		t.Fatalf("served trace does not validate: %v", issues)
+	}
+	type sampleKey struct{ batch, index int }
+	ops := map[sampleKey][]string{}
+	for _, r := range recs {
+		if r.Kind == trace.KindOp && r.SampleIndex >= 0 {
+			k := sampleKey{r.BatchID, r.SampleIndex}
+			ops[k] = append(ops[k], r.Op)
+		}
+	}
+	if sampleCacheBytes > 0 {
+		return // a prefix hit runs, and records, only the suffix
+	}
+	want := spec.OpOrder()
+	want = want[:len(want)-1] // Collate is per batch
+	if len(ops) != epochs*spec.NumSamples {
+		t.Fatalf("op records for %d (batch, sample) pairs, want %d", len(ops), epochs*spec.NumSamples)
+	}
+	for k, got := range ops {
+		if !slices.Equal(got, want) {
+			t.Fatalf("batch %d sample %d: op records %v, want %v", k.batch, k.index, got, want)
+		}
 	}
 }
 
 // TestServedCorpusCounters: fabricating the input happens once and is seen
-// to. After epoch 0 of an N-sample cold run rendered is N and stands still;
-// every further cold epoch is N reads.
+// to, and so is what the decoder skips. After epoch 0 of an N-sample cold run
+// rendered is N and stands still; every further cold epoch is N reads. Every
+// cold IC decode takes the crop's window; no ICA decode does.
 func TestServedCorpusCounters(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
-	fetchColdEpochs(t, 3, func(epoch int, st *data.CorpusStats) {
-		want := data.CorpusStats{Rendered: corpusTestSamples, Reads: int64(corpusTestSamples * epoch), Bytes: st.Bytes}
+	const n = corpusTestSamples
+	var filePx int64
+	fetchEpochs(t, workloads.ICSpec(n, 7), 0, 3, func(epoch int, snap *MetricsSnapshot) {
+		st := snap.Corpus
+		want := data.CorpusStats{Rendered: n, Reads: int64(n * epoch), Bytes: st.Bytes}
 		if *st != want || st.Bytes == 0 {
 			t.Fatalf("after epoch %d: corpus %+v, want %+v with bytes > 0", epoch, *st, want)
+		}
+		d := snap.Decode
+		if d.Windowed != int64(n*(epoch+1)) || d.Full != 0 || d.PxSkipped <= 0 || d.PxDecoded <= 0 {
+			t.Fatalf("after epoch %d: decode %+v, want windowed %d, full 0, pixels on both sides", epoch, *d, n*(epoch+1))
+		}
+		// Decoded + skipped is the files' area, the same every epoch.
+		if epoch == 0 {
+			filePx = d.PxDecoded + d.PxSkipped
+		} else if got := d.PxDecoded + d.PxSkipped; got != filePx*int64(epoch+1) {
+			t.Fatalf("after epoch %d: decoded + skipped = %d px, want %d x %d", epoch, got, epoch+1, filePx)
+		}
+		if snap.Plan != "IC: crop→decode" {
+			t.Fatalf("plan %q, want %q", snap.Plan, "IC: crop→decode")
+		}
+	})
+	fetchEpochs(t, workloads.ICASpec(n, 7), 0, 2, func(epoch int, snap *MetricsSnapshot) {
+		d := snap.Decode
+		if d.Windowed != 0 || d.Full != int64(n*(epoch+1)) || d.PxSkipped != 0 {
+			t.Fatalf("ICA after epoch %d: decode %+v, want full %d and nothing windowed or skipped", epoch, *d, n*(epoch+1))
+		}
+		if snap.Plan != "ICA: none (no crop follows the decode)" {
+			t.Fatalf("plan %q", snap.Plan)
+		}
+	})
+}
+
+// TestServedSampleCacheKeepsFullDecodes: with the sample cache on, IC's cached
+// prefix is the Loader's output, so the rewrite must stay off — the server
+// says so, no decode takes a window, each sample is decoded once, in full
+// (the cache is charged exactly the files' W x H x 3), and the frames still
+// equal the local run's, which has no cache and does rewrite.
+func TestServedSampleCacheKeepsFullDecodes(t *testing.T) {
+	t.Cleanup(testutil.CheckGoroutines(t))
+	const n, dim = corpusTestSamples, 48
+	spec := workloads.ICSpec(n, 7)
+	var fileBytes int64
+	ds := data.NewImageDataset(data.ImageNetConfig(n, spec.Seed))
+	for i := 0; i < n; i++ {
+		w, h := data.CappedDims(ds.Record(i).Width, ds.Record(i).Height, dim)
+		fileBytes += int64(w * h * 3)
+	}
+	fetchEpochs(t, spec, 64<<20, 3, func(epoch int, snap *MetricsSnapshot) {
+		if snap.Plan != "IC: none (sample cache holds the full decode)" {
+			t.Fatalf("plan %q", snap.Plan)
+		}
+		if d := snap.Decode; d.Windowed != 0 || d.Full != n || d.PxSkipped != 0 || d.PxDecoded*3 != fileBytes {
+			t.Fatalf("after epoch %d: decode %+v, want %d full decodes of %d px in all, none windowed", epoch, *d, n, fileBytes/3)
+		}
+		sc := snap.SampleCache
+		if sc == nil || sc.Entries != n || sc.BytesUsed != fileBytes || sc.Misses != n || sc.Hits != int64(n*epoch) {
+			t.Fatalf("after epoch %d: sample cache %+v, want %d entries of %d bytes in all (full decodes)", epoch, sc, n, fileBytes)
 		}
 	})
 }
@@ -76,9 +161,9 @@ func TestServedCorpusCounters(t *testing.T) {
 func TestServedCorpusWithoutTempDir(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
 	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
-	fetchColdEpochs(t, 2, func(epoch int, st *data.CorpusStats) {
-		if want := (data.CorpusStats{Disabled: true}); *st != want {
-			t.Fatalf("after epoch %d: corpus %+v, want %+v", epoch, *st, want)
+	fetchEpochs(t, workloads.ICSpec(corpusTestSamples, 7), 0, 2, func(epoch int, snap *MetricsSnapshot) {
+		if want := (data.CorpusStats{Disabled: true}); *snap.Corpus != want {
+			t.Fatalf("after epoch %d: corpus %+v, want %+v", epoch, *snap.Corpus, want)
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 
 	"lotus/internal/cache"
 	"lotus/internal/data"
+	"lotus/internal/pipeline"
 	"lotus/internal/store"
 )
 
@@ -373,6 +374,15 @@ type MetricsSnapshot struct {
 	// the input is a one-time cost. Nil until the first real-pixel batch of
 	// an image workload is computed.
 	Corpus *data.CorpusStats `json:"corpus,omitempty"`
+	// Decode carries the Loader's decode counters beside the corpus it reads:
+	// how many decodes reconstructed only the window the next op keeps, how
+	// many the full frame, and the pixels that were and were not
+	// reconstructed. Nil exactly when Corpus is.
+	Decode *pipeline.DecodeStats `json:"decode,omitempty"`
+	// Plan names the pipeline plan rewrites in force for this server's
+	// workload, mode and cache tiers, or why there are none — e.g.
+	// "IC: crop→decode", "IC: none (sample cache holds the full decode)".
+	Plan string `json:"plan,omitempty"`
 	// Hedge carries the speculative-fetch counters; nil until the first
 	// hedged ShardReq arrives.
 	Hedge *HedgeStats `json:"hedge,omitempty"`

@@ -77,9 +77,10 @@ func (s *Server) Snapshot(now time.Time) MetricsSnapshot {
 	if st, ok := s.DiskCacheStats(); ok {
 		snap.DiskCache = &st
 	}
-	if st, ok := s.plane.corpusStats(); ok {
-		snap.Corpus = &st
+	if corpus, decode, ok := s.plane.loaderStats(); ok {
+		snap.Corpus, snap.Decode = &corpus, &decode
 	}
+	snap.Plan = s.plan
 	if st, ok := s.ControlStats(); ok {
 		snap.Control = &st
 	}

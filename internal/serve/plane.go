@@ -91,17 +91,19 @@ func (pl *plane) init() {
 	}
 }
 
-// corpusStats reports the counters of the dataset's corpus — where the
-// one-time cost of rendering each sample's file shows. ok is false until the
-// first real-pixel batch of an image workload has been computed.
-func (pl *plane) corpusStats() (st data.CorpusStats, ok bool) {
+// loaderStats reports where an image workload's input comes from and what the
+// Loader does with it: the counters of the dataset's corpus — where the
+// one-time cost of rendering each sample's file shows — and of the decodes.
+// ok is false until the first real-pixel batch of an image workload has been
+// computed.
+func (pl *plane) loaderStats() (corpus data.CorpusStats, decode pipeline.DecodeStats, ok bool) {
 	pl.mu.Lock()
 	folder, _ := pl.ds.(*pipeline.ImageFolder)
 	pl.mu.Unlock()
 	if folder == nil || pl.srv.cfg.Mode != pipeline.RealData {
-		return st, false
+		return corpus, decode, false
 	}
-	return folder.Data.CorpusStats(), true
+	return folder.Data.CorpusStats(), folder.DecodeStats(), true
 }
 
 // worker hands out a parked batch worker, building the next one (and with

@@ -151,6 +151,9 @@ type Server struct {
 	disk        *store.Store // nil when Config.DiskCacheDir == ""
 	tuner       *tuner       // nil when Config.AutoTune is false
 	plane       *plane
+	// plan names the pipeline plan rewrites in force (pipeline.Compose.Rewrites)
+	// given the workload, the mode and whether the sample cache is on.
+	plan string
 	// window is the live per-session prefetch window (Config.Prefetch until
 	// the autotuner moves it); a streaming shard reads it once, at its start.
 	window atomic.Int64
@@ -453,6 +456,8 @@ func (s *Server) Start(addr, httpAddr string) error {
 			s.prefixFP = fp
 		}
 	}
+	s.plan = fmt.Sprintf("%s: %s", s.cfg.Spec.Kind,
+		s.cfg.Spec.Compose(nil).Rewrites(s.cfg.Mode, s.sampleCache != nil))
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		if s.disk != nil {
@@ -477,6 +482,7 @@ func (s *Server) Start(addr, httpAddr string) error {
 	s.cfg.Logf("lotus-serve: serving %s (%d samples, batch %d, %d workers, mode %s) on %s",
 		s.cfg.Spec.Kind, s.datasetLen, s.cfg.Spec.BatchSize, s.cfg.Spec.NumWorkers,
 		s.modeName(), ln.Addr())
+	s.cfg.Logf("lotus-serve: plan %s", s.plan)
 	return nil
 }
 

@@ -82,3 +82,75 @@ func TestLoaderCorpusPixelsMatchInline(t *testing.T) {
 		}
 	}
 }
+
+// passThrough is an op that does nothing. Between IC's Loader and its crop it
+// keeps the plan as written: nothing is rewritten around an op the plan
+// knows nothing about.
+type passThrough struct{}
+
+func (passThrough) Name() string                                             { return "PassThrough" }
+func (passThrough) Kernels() []string                                        { return nil }
+func (passThrough) Deterministic() bool                                      { return true }
+func (passThrough) Apply(_ *pipeline.Ctx, s pipeline.Sample) pipeline.Sample { return s }
+
+// TestCropPushdownPixelsMatchPlanAsWritten: IC's Loader and RandomResizedCrop
+// run rewritten (the decode takes the crop's window, the crop only resizes)
+// hand on the pixels they hand on as written (full decode, crop, resize) —
+// one worker or four, epochs 0 to 2, first touch or corpus read.
+func TestCropPushdownPixelsMatchPlanAsWritten(t *testing.T) {
+	const n, dim = 16, 64
+	spec := ICSpec(n, 5)
+	folder := spec.Dataset(nil).(*pipeline.ImageFolder)
+	ops := folder.Transform.Transforms
+	loader, crop := ops[0].(*pipeline.Loader), ops[1].(*pipeline.RandomResizedCrop)
+	run := func(l *pipeline.Loader, rewritten bool, workers, epoch int) map[int][]byte {
+		tap := &pixTap{pix: make(map[int][]byte)}
+		chain := pipeline.NewCompose(l, crop, tap, &pipeline.Resize{W: 8, H: 8}, &pipeline.ToTensor{})
+		want := "crop→decode"
+		if !rewritten {
+			chain = pipeline.NewCompose(l, passThrough{}, crop, tap, &pipeline.Resize{W: 8, H: 8}, &pipeline.ToTensor{})
+			want = "none (no crop follows the decode)"
+		}
+		if got := chain.Rewrites(pipeline.RealData, false); got != want {
+			t.Fatalf("rewritten %v: the chain's rewrites are %q, want %q", rewritten, got, want)
+		}
+		clk := clock.NewReal()
+		dl := pipeline.NewDataLoader(clk, &pipeline.ImageFolder{Data: folder.Data, Transform: chain}, pipeline.Config{
+			BatchSize: 4, NumWorkers: workers, Shuffle: true, Seed: spec.Seed, Epoch: epoch,
+			Mode: pipeline.RealData, MaterializeDim: dim,
+		})
+		clk.Run("main", func(p clock.Proc) {
+			it := dl.Start(p)
+			for {
+				if _, ok := it.Next(p); !ok {
+					if err := it.Err(); err != nil {
+						t.Errorf("loader: %v", err)
+					}
+					return
+				}
+			}
+		})
+		return tap.pix
+	}
+	inline := &pipeline.Loader{IO: data.IOModel{}} // renders every file, reads no corpus
+	for epoch := 0; epoch < 3; epoch++ {
+		want := run(inline, false, 1, epoch)
+		if len(want) != n {
+			t.Fatalf("epoch %d: the as-written run cropped %d of %d samples", epoch, len(want), n)
+		}
+		for _, workers := range []int{1, 4} {
+			got := run(loader, true, workers, epoch)
+			for i := 0; i < n; i++ {
+				if len(got[i]) != 224*224*3 || !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("workers %d epoch %d: sample %d differs from the plan as written", workers, epoch, i)
+				}
+			}
+		}
+	}
+	if st := loader.DecodeStats(); st.Windowed != 6*n || st.Full != 0 || st.PxSkipped <= 0 {
+		t.Fatalf("six rewritten passes over %d samples: %+v", n, st)
+	}
+	if st := inline.DecodeStats(); st.Windowed != 0 || st.Full != 3*n || st.PxSkipped != 0 {
+		t.Fatalf("three as-written passes over %d samples: %+v", n, st)
+	}
+}
