@@ -77,6 +77,7 @@ func main() {
 	for op, st := range analysis.OpStats() {
 		fmt.Printf("  %-22s n=%-4d mean=%-12v p90=%v\n", op, st.Count, st.Mean.Round(time.Microsecond), st.P90.Round(time.Microsecond))
 	}
+	fmt.Println("  (real pixels: ToTensor and Normalize read ~0 because the loader's Collate runs them, in its one pass from pixels to batch)")
 
 	viz, err := lotus.ExportChrome(analysis.Records, lotus.Fine)
 	if err != nil {

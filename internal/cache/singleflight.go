@@ -312,13 +312,18 @@ func (c *SingleFlight[K, V]) bypass(compute func() (V, error)) (V, error) {
 func (c *SingleFlight[K, V]) evictOverLocked() []*entry[K, V] {
 	var victims []*entry[K, V]
 	for c.used > c.budget && c.lru.Len() > 0 {
-		e := c.lru.Remove(c.lru.Front()).(*entry[K, V])
-		delete(c.entries, e.key)
-		c.used -= e.size
 		c.evicted++
-		victims = append(victims, e)
+		victims = append(victims, c.popLRULocked())
 	}
 	return victims
+}
+
+// popLRULocked unlists the least recently used ready entry.
+func (c *SingleFlight[K, V]) popLRULocked() *entry[K, V] {
+	e := c.lru.Remove(c.lru.Front()).(*entry[K, V])
+	delete(c.entries, e.key)
+	c.used -= e.size
+	return e
 }
 
 // retire offers eviction victims to the lower tier and drops the cache's
@@ -329,6 +334,22 @@ func (c *SingleFlight[K, V]) retire(victims []*entry[K, V]) {
 		if c.tier != nil {
 			c.tier.Put(e.key, e.val)
 		}
+		e.val.Release()
+	}
+}
+
+// Purge drops every ready entry and the cache's reference to its value — the
+// owner's teardown, for values whose memory no collector reclaims. Nothing is
+// offered to the lower tier: it was offered each value when the value was
+// made. In-flight entries are their claimants' to finish; the counters stand.
+func (c *SingleFlight[K, V]) Purge() {
+	c.mu.Lock()
+	var victims []*entry[K, V]
+	for c.lru.Len() > 0 {
+		victims = append(victims, c.popLRULocked())
+	}
+	c.mu.Unlock()
+	for _, e := range victims {
 		e.val.Release()
 	}
 }

@@ -516,6 +516,40 @@ func TestTier(t *testing.T) {
 		}
 	})
 
+	t.Run("Purge releases every entry and offers none", func(t *testing.T) {
+		ft := &fakeTier{held: map[int]*blob{}}
+		c := New[int, *blob](10*size, true, ft)
+		put(t, c, 1, size)
+		put(t, c, 2, size)
+		reader, err := c.Acquire(2, nil, noCompute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.claim(3) {
+			t.Fatal("claim 3 failed")
+		}
+		c.Purge()
+		if st := c.Stats(); st.Entries != 1 || st.BytesUsed != 0 {
+			t.Fatalf("after Purge: %+v, want only the in-flight claim left", st)
+		}
+		if got := ft.offered(); len(got) != 2 {
+			t.Fatalf("offers %v, want the two made at publish and none at Purge", got)
+		}
+		if n := ft.held[1].refs.Load(); n != 1 {
+			t.Fatalf("value 1 holds %d references after Purge, want only the tier's", n)
+		}
+		if !reader.intact(size, 2) {
+			t.Fatal("Purge took a value out from under its reader")
+		}
+		reader.Release()
+		v := newBlob(size, 3)
+		c.fulfill(3, v) // the claimant finishes into the purged cache
+		v.Release()
+		if !cached(c, 3) {
+			t.Fatal("a claim open across Purge could not be fulfilled")
+		}
+	})
+
 	t.Run("failing Get falls through to compute", func(t *testing.T) {
 		ft := &fakeTier{held: map[int]*blob{5: newBlob(size, 5)}, broken: true}
 		c := New[int, *blob](10*size, true, ft)

@@ -97,8 +97,15 @@ func Sweep(opts Options) []Result {
 		kinds = []workloads.Kind{workloads.IC}
 	}
 
+	// Cells run one after another and shut down every server they start, so
+	// after each one no frame buffer may be out that was not before the
+	// sweep: frame memory is freed by Release alone, a leak is for good.
+	var leaks failures
+	framesBack := testutil.CheckFrames(&leaks, serve.FramesInUse)
 	var out []Result
 	run := func(r Result) {
+		framesBack()
+		r.Failures, leaks = append(r.Failures, leaks...), nil
 		logf("chaos: %s", r)
 		out = append(out, r)
 	}
@@ -159,6 +166,15 @@ func Sweep(opts Options) []Result {
 	// weight until throughput converges, with byte-identity every epoch.
 	run(clusterAutotuneSlowNodeCell(opts.Seed))
 	return out
+}
+
+// failures collects what a testutil check reports outside a test.
+type failures []string
+
+func (f *failures) Helper() {}
+
+func (f *failures) Errorf(format string, args ...any) {
+	*f = append(*f, fmt.Sprintf(format, args...))
 }
 
 // chaosCacheBytes is the batch-cache budget for the cache-enabled cells:

@@ -127,6 +127,7 @@ func (fs *frameSink) verifyEpoch(t *testing.T, epoch int, want [][]byte) {
 // run, with the shards landing exactly where the ring says they should.
 func TestClusterThreeNodeLoopback(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
+	t.Cleanup(testutil.CheckFrames(t, serve.FramesInUse))
 	spec := clusterSpec()
 	const epochs = 2
 	want := groundTruth(t, spec, epochs)
@@ -222,6 +223,7 @@ func victimWithLargestShard(nodes []Node, planLen int) (string, int) {
 // epoch routes around the corpse without any failover work.
 func TestClusterNodeDeathMidEpoch(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
+	t.Cleanup(testutil.CheckFrames(t, serve.FramesInUse))
 	spec := clusterSpec()
 	want := groundTruth(t, spec, 2)
 	planLen := len(want[0])
@@ -421,6 +423,7 @@ func TestClusterNoAliveNodes(t *testing.T) {
 // not grow; every serving node reports hits).
 func TestClusterCachedNodesReuse(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
+	t.Cleanup(testutil.CheckFrames(t, serve.FramesInUse))
 	spec := clusterSpec()
 	want := groundTruth(t, spec, 1)
 	planLen := len(want[0])
@@ -518,6 +521,7 @@ func startRealNode(t *testing.T, spec workloads.Spec, inj *faultinject.Injector)
 // holds, nothing is reported dead, and Ignored == HedgeWasted.
 func TestClusterHedgedFetchSlowNode(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
+	t.Cleanup(testutil.CheckFrames(t, serve.FramesInUse))
 	spec := hedgeSpec()
 
 	srv := startRealNode(t, spec, nil)

@@ -96,6 +96,26 @@ func (im *Image) ToFloat32Tensor() *tensor.Tensor {
 	return t
 }
 
+// MapInto writes the image as [3, H, W] float32 planes into dst, sending
+// byte v of channel c to lut[c][v]: ToFloat32Tensor and any per-channel,
+// per-element map after it (Normalize) in one pass over the pixels, for a
+// caller that owns the destination. len(dst) must be 3*W*H.
+func (im *Image) MapInto(dst []float32, lut *[3][256]float32) {
+	plane := im.H * im.W
+	if len(dst) != 3*plane {
+		panic(fmt.Sprintf("imaging: MapInto destination holds %d floats, a %dx%d image needs %d", len(dst), im.W, im.H, 3*plane))
+	}
+	r, g, b := dst[:plane], dst[plane:2*plane:2*plane], dst[2*plane:]
+	g, b = g[:len(r)], b[:len(r)]
+	p := im.Pix[:3*len(r)]
+	for j := range r {
+		px := p[3*j : 3*j+3 : 3*j+3]
+		r[j] = lut[0][px[0]]
+		g[j] = lut[1][px[1]]
+		b[j] = lut[2][px[2]]
+	}
+}
+
 // FromTensor converts a [3, H, W] uint8 tensor back to an interleaved image.
 func FromTensor(t *tensor.Tensor) *Image {
 	if len(t.Shape) != 3 || t.Shape[0] != 3 || t.Dtype != tensor.Uint8 {

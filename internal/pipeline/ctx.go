@@ -60,6 +60,11 @@ type Ctx struct {
 	// session's Drain never waits out somebody else's computation.
 	Abort <-chan struct{}
 
+	// collates is set by the one kind of caller that runs Collate.RunInto
+	// over every sample this Ctx produces, a BatchWorker: only for it may a
+	// plan leave its tensor tail to the collate (rewrite.go).
+	collates bool
+
 	// rngSample and rngOp are per-worker scratch generators reused by OpRNG.
 	// math/rand's source is ~5 KB; building one per sample per op used to be
 	// the largest heap cost of a simulated epoch. opRoot is the one value

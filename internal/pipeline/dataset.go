@@ -8,7 +8,11 @@ import (
 // Dataset is a map-style dataset: GetItem loads and preprocesses one sample
 // (the torch.utils.data.Dataset __getitem__ contract; transforms run inside
 // it, which is why the paper instruments Compose rather than the loader
-// loop).
+// loop). What GetItem returns from a Compose goes to the caller's collate as
+// it is: on a BatchWorker's Ctx, a real-pixel plan that ends in ToTensor,
+// Normalize returns the sample with its Image still to be converted
+// (rewrite.go), so a dataset that works on the finished Tensor itself does
+// so in a transform, before the plan's end.
 type Dataset interface {
 	Len() int
 	GetItem(ctx *Ctx, pid, batchID, index int) Sample

@@ -1,61 +1,162 @@
 package pipeline
 
+import (
+	"slices"
+	"strings"
+
+	"lotus/internal/imaging"
+	"lotus/internal/tensor"
+)
+
 // Plan rewrites. A rewrite runs some ops of a Compose in a form that yields
 // the same bytes for less work. Which rewrites are in force is a property of
-// the plan — the op list, the mode, whether a sample cache splits it —
-// decided once per Compose and mode, never per sample and never by a knob
-// (tf.data's static optimizations). A rewritten op keeps its name, its place
-// and its one trace record per sample; only the time inside the records
-// moves. Names, Kernels, GroundTruth, SplitPoint, ApplyPrefix and ApplySuffix
-// see the plan as written.
+// the plan — the op list, the mode, where a sample cache splits it, whether
+// the caller collates — decided once per Compose and mode, never per sample
+// and never by a knob (tf.data's static optimizations). A rewritten op keeps
+// its name, its place and its one trace record per sample; only the time
+// inside the records moves. Names, Kernels, GroundTruth, SplitPoint,
+// ApplyPrefix and ApplySuffix see the plan as written.
 //
-// There is one rewrite, crop→decode: a Loader immediately followed by a
-// RandomResizedCrop decodes only the rectangle the crop will keep, and the
-// crop, handed exactly its rectangle, only resizes. The rectangle is drawn
-// from ctx.OpRNG(index, "rrc") — a pure function of (seed, epoch, index) —
-// and the file's dimensions, so drawing it before the decode yields the
-// rectangle the crop would have drawn after it, and
-// imaging.DecodeSJPGRegion is Crop(DecodeSJPG) byte for byte. It is off when
-// the sample cache holds the Loader's output: the cached prefix is the full
-// decode, shared by every epoch's different rectangle.
+// crop→decode: a Loader immediately followed by a RandomResizedCrop decodes
+// only the rectangle the crop will keep, and the crop, handed exactly its
+// rectangle, only resizes. The rectangle is drawn from ctx.OpRNG(index,
+// "rrc") — a pure function of (seed, epoch, index) — and the file's
+// dimensions, so drawing it before the decode yields the rectangle the crop
+// would have drawn after it, and imaging.DecodeSJPGRegion is
+// Crop(DecodeSJPG) byte for byte. It is off when the sample cache holds the
+// Loader's output: the cached prefix is the full decode, shared by every
+// epoch's different rectangle.
+//
+// tensor tail→collate (tf.data's map_and_batch): a plan that ends in
+// ToTensor, Normalize leaves the uint8 image on the sample, and the Collate
+// that batches the samples makes the one pass from those pixels to the
+// batch tensor (finishTails). Both ops map each byte of a channel to one
+// float32, so their composition is a 3×256 table, and the table is made by
+// running the two ops as written over the 256 byte values: whatever they
+// compute, the fused pass stores. A sample with its tail deferred is not a
+// finished sample — it has no Tensor — so the rewrite is in force only for a
+// caller that is certain to collate what it gets, which is a BatchWorker
+// (Ctx.collates) and nobody else, and only when both ops lie outside the
+// sample cache's prefix, whose snapshots hold what the plan as written
+// produces.
 
-// plan returns the ops Apply runs in mode — cached telling whether a sample
-// cache serves the plan's prefix — and names the rewrites in force, or why
-// there are none.
-func (c *Compose) plan(mode Mode, cached bool) (ops []Transform, rewrites string) {
-	c.pushdownOnce.Do(c.buildPushdown)
+// The plans of a Compose, indexed by the rewrites in force.
+const (
+	planCrop = 1 << iota
+	planTail
+	numPlans = 1 << iota
+)
+
+// cropOff says why the crop→decode rewrite is not in force for a plan whose
+// first split ops are served by a sample cache; "" when it is.
+func (c *Compose) cropOff(mode Mode, split int) string {
 	switch {
-	case c.pushdown == nil:
-		return c.Transforms, "none (no crop follows the decode)"
+	case c.cropAt < 0:
+		return "no crop follows the decode"
 	case mode != RealData:
-		return c.Transforms, "none (nothing is decoded in simulated mode)"
-	case cached:
-		return c.Transforms, "none (sample cache holds the full decode)"
+		return "nothing is decoded in simulated mode"
+	case split > c.cropAt:
+		return "sample cache holds the full decode"
 	}
-	return c.pushdown, "crop→decode"
+	return ""
 }
 
-// Rewrites names the plan rewrites Apply puts in force in mode, with or
-// without a sample cache — or says why there are none.
+// tailOff is cropOff for the tensor tail→collate rewrite; collates tells
+// whether the caller batches the samples it is given.
+func (c *Compose) tailOff(mode Mode, split int, collates bool) string {
+	switch {
+	case c.tailAt < 0:
+		return "the plan does not end in ToTensor, Normalize"
+	case mode != RealData:
+		return "nothing is converted in simulated mode"
+	case split > c.tailAt:
+		return "sample cache holds the tensor"
+	case !collates:
+		return "the caller does not collate"
+	}
+	return ""
+}
+
+// plan returns the ops Apply runs in mode when a sample cache serves the
+// plan's first split ops (0: none) and the caller does or does not collate.
+func (c *Compose) plan(mode Mode, split int, collates bool) []Transform {
+	c.plansOnce.Do(c.buildPlans)
+	which := 0
+	if c.cropOff(mode, split) == "" {
+		which |= planCrop
+	}
+	if c.tailOff(mode, split, collates) == "" {
+		which |= planTail
+	}
+	return c.plans[which]
+}
+
+// Rewrites names the plan rewrites in force when a BatchWorker — a DataLoader
+// worker, a serving plane slot — runs the plan in mode, with or without a
+// sample cache, and says why the others are not: "crop→decode, tensor
+// tail→collate", "tensor tail→collate (no crop follows the decode)", "none
+// (...; ...)". Any other caller of Apply gets crop→decode alone.
 func (c *Compose) Rewrites(mode Mode, sampleCache bool) string {
-	_, rewrites := c.plan(mode, sampleCache && c.SplitPoint() > 0)
-	return rewrites
+	c.plansOnce.Do(c.buildPlans)
+	split := 0
+	if sampleCache {
+		split = c.SplitPoint()
+	}
+	var on, off []string
+	for _, r := range []struct{ name, off string }{
+		{"crop→decode", c.cropOff(mode, split)},
+		{"tensor tail→collate", c.tailOff(mode, split, true)},
+	} {
+		if r.off == "" {
+			on = append(on, r.name)
+		} else {
+			off = append(off, r.off)
+		}
+	}
+	s := "none"
+	if len(on) > 0 {
+		s = strings.Join(on, ", ")
+	}
+	if len(off) > 0 {
+		s += " (" + strings.Join(off, "; ") + ")"
+	}
+	return s
 }
 
-func (c *Compose) buildPushdown() {
-	for i := 0; i+1 < len(c.Transforms); i++ {
-		l, ok := c.Transforms[i].(*Loader)
-		if !ok {
-			continue
+func (c *Compose) buildPlans() {
+	ts := c.Transforms
+	c.cropAt, c.tailAt = -1, -1
+	var crop, tail [2]Transform
+	for i := 0; i+1 < len(ts); i++ {
+		if l, ok := ts[i].(*Loader); ok {
+			if rrc, ok := ts[i+1].(*RandomResizedCrop); ok {
+				c.cropAt, crop = i, [2]Transform{windowLoader{l, rrc}, croppedResize{rrc}}
+				break
+			}
 		}
-		crop, ok := c.Transforms[i+1].(*RandomResizedCrop)
-		if !ok {
-			continue
+	}
+	if n := len(ts); n >= 2 {
+		tt, _ := ts[n-2].(*ToTensor)
+		norm, _ := ts[n-1].(*Normalize)
+		// A Normalize that does not fit an RGB image panics per sample; it
+		// keeps doing so.
+		if tt != nil && norm != nil && len(norm.Mean) == 3 && len(norm.Std) == 3 {
+			t := newTensorTail(tt, norm)
+			c.tailAt, tail = n-2, [2]Transform{deferredToTensor{tt}, deferredNormalize{norm, t}}
 		}
-		c.pushdown = append([]Transform(nil), c.Transforms...)
-		c.pushdown[i] = windowLoader{l, crop}
-		c.pushdown[i+1] = croppedResize{crop}
-		return
+	}
+	for which := range c.plans {
+		ops := ts
+		if which != 0 {
+			ops = slices.Clone(ts)
+		}
+		if which&planCrop != 0 && c.cropAt >= 0 {
+			copy(ops[c.cropAt:], crop[:])
+		}
+		if which&planTail != 0 && c.tailAt >= 0 {
+			copy(ops[c.tailAt:], tail[:])
+		}
+		c.plans[which] = ops
 	}
 }
 
@@ -73,4 +174,81 @@ type croppedResize struct{ *RandomResizedCrop }
 
 func (t croppedResize) Apply(ctx *Ctx, s Sample) Sample {
 	return (&Resize{W: t.Size, H: t.Size}).Apply(ctx, s)
+}
+
+// tensorTail is a plan's trailing ToTensor, Normalize in the two forms the
+// collate can run them: the ops, and lut, what they make of every byte
+// value of every channel.
+type tensorTail struct {
+	toTensor *ToTensor
+	norm     *Normalize
+	lut      [3][256]float32
+}
+
+// newTensorTail builds the table by running the ops' own kernels over a
+// 256-pixel image whose pixel v is (v, v, v).
+func newTensorTail(tt *ToTensor, norm *Normalize) *tensorTail {
+	ramp := imaging.NewImage(256, 1)
+	for v := 0; v < 256; v++ {
+		ramp.Set(v, 0, uint8(v), uint8(v), uint8(v))
+	}
+	table := ramp.ToFloat32Tensor().Normalize(norm.Mean, norm.Std).F32
+	t := &tensorTail{toTensor: tt, norm: norm}
+	for c := range t.lut {
+		copy(t.lut[c][:], table[c*256:])
+	}
+	return t
+}
+
+// deferredToTensor is a ToTensor that leaves the conversion to the collate:
+// the sample keeps its image and is from here on described as the float32
+// tensor it will be.
+type deferredToTensor struct{ *ToTensor }
+
+func (deferredToTensor) Apply(_ *Ctx, s Sample) Sample {
+	s.Dtype = tensor.Float32
+	return s
+}
+
+// deferredNormalize is a Normalize that hands the collate the tail to finish.
+type deferredNormalize struct {
+	*Normalize
+	tail *tensorTail
+}
+
+func (t deferredNormalize) Apply(_ *Ctx, s Sample) Sample {
+	s.tail = t.tail
+	return s
+}
+
+// finishTails is the collate's half of tensor tail→collate. When every
+// sample carries the same deferred tail over images of one size, it makes
+// the batch tensor — dst's, or a fresh one — in one pass per sample from the
+// uint8 pixels, and releases them. Otherwise it returns nil, having finished
+// whatever tails there are the way the plan wrote them, so that the caller's
+// tensor.StackInto sees the tensors — and reports the mismatched shapes — it
+// always has.
+func finishTails(ctx *Ctx, samples []Sample, dst CollateDst) *tensor.Tensor {
+	tail, im := samples[0].tail, samples[0].Image
+	fused := tail != nil
+	for _, s := range samples[1:] {
+		fused = fused && s.tail == tail && s.Image.W == im.W && s.Image.H == im.H
+	}
+	if !fused {
+		for i, s := range samples {
+			if t := s.tail; t != nil {
+				s.tail = nil
+				samples[i] = t.norm.Apply(ctx, t.toTensor.Apply(ctx, s))
+			}
+		}
+		return nil
+	}
+	out := tensor.NewStacked(dst, tensor.Float32, []int{len(samples), 3, im.H, im.W})
+	n := 3 * im.H * im.W
+	for i, s := range samples {
+		s.Image.MapInto(out.F32[i*n:(i+1)*n], &tail.lut)
+		s.Image.Release()
+		samples[i].Image, samples[i].tail = nil, nil
+	}
+	return out
 }

@@ -2,13 +2,19 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"lotus/internal/clock"
 	"lotus/internal/data"
 	"lotus/internal/imaging"
+	"lotus/internal/native"
+	"lotus/internal/tensor"
 )
 
 // TestOpRNGEqualsSampleRNGDerive: OpRNG keeps the one value Derive draws from
@@ -69,6 +75,9 @@ func (noop) Apply(_ *Ctx, s Sample) Sample { return s }
 // caches, and that ApplyPrefix/ApplySuffix never are.
 func TestPlanRewriteRule(t *testing.T) {
 	ic := func() *Compose { return icCompose(nil) }
+	norm := func() *Normalize {
+		return &Normalize{Mean: []float32{0.5, 0.5, 0.5}, Std: []float32{0.25, 0.25, 0.25}}
+	}
 	for _, tc := range []struct {
 		name  string
 		c     *Compose
@@ -76,13 +85,20 @@ func TestPlanRewriteRule(t *testing.T) {
 		cache bool
 		want  string
 	}{
-		{"IC real", ic(), RealData, false, "crop→decode"},
-		{"IC real, sample cache", ic(), RealData, true, "none (sample cache holds the full decode)"},
-		{"IC real, sample cache, split disabled", &Compose{Transforms: ic().Transforms, SplitOverride: -1}, RealData, true, "crop→decode"},
-		{"IC simulated", ic(), Simulated, false, "none (nothing is decoded in simulated mode)"},
-		{"ICA real", augmentedTestCompose(data.IOModel{}), RealData, false, "none (no crop follows the decode)"},
-		{"op between decode and crop", NewCompose(&Loader{}, noop{}, &RandomResizedCrop{Size: 8}), RealData, false, "none (no crop follows the decode)"},
-		{"offline decode", NewCompose(&RawLoader{}, &RandomResizedCrop{Size: 8}), RealData, false, "none (no crop follows the decode)"},
+		{"IC real", ic(), RealData, false, "crop→decode, tensor tail→collate"},
+		{"IC real, sample cache", ic(), RealData, true, "tensor tail→collate (sample cache holds the full decode)"},
+		{"IC real, sample cache, split disabled", &Compose{Transforms: ic().Transforms, SplitOverride: -1}, RealData, true, "crop→decode, tensor tail→collate"},
+		{"IC simulated", ic(), Simulated, false, "none (nothing is decoded in simulated mode; nothing is converted in simulated mode)"},
+		{"ICA real", augmentedTestCompose(data.IOModel{}), RealData, false, "tensor tail→collate (no crop follows the decode)"},
+		{"ICA real, sample cache", augmentedTestCompose(data.IOModel{}), RealData, true, "tensor tail→collate (no crop follows the decode)"},
+		{"op between decode and crop", NewCompose(&Loader{}, noop{}, &RandomResizedCrop{Size: 8}), RealData, false, "none (no crop follows the decode; the plan does not end in ToTensor, Normalize)"},
+		{"offline decode", NewCompose(&RawLoader{}, &RandomResizedCrop{Size: 8}), RealData, false, "none (no crop follows the decode; the plan does not end in ToTensor, Normalize)"},
+		{"ends in ToTensor only", NewCompose(&Loader{}, &RandomResizedCrop{Size: 8}, &ToTensor{}), RealData, false, "crop→decode (the plan does not end in ToTensor, Normalize)"},
+		{"Normalize not last", NewCompose(&Loader{}, &ToTensor{}, norm(), noop{}), RealData, false, "none (no crop follows the decode; the plan does not end in ToTensor, Normalize)"},
+		{"Normalize over two channels", NewCompose(&Loader{}, &ToTensor{}, &Normalize{Mean: []float32{0, 0}, Std: []float32{1, 1}}), RealData, false, "none (no crop follows the decode; the plan does not end in ToTensor, Normalize)"},
+		{"all deterministic, sample cache holds the whole plan", NewCompose(&Loader{}, &Resize{W: 8, H: 8}, &ToTensor{}, norm()), RealData, true, "none (no crop follows the decode; sample cache holds the tensor)"},
+		{"all deterministic, split forced between the tail's ops", &Compose{Transforms: []Transform{&Loader{}, &Resize{W: 8, H: 8}, &ToTensor{}, norm()}, SplitOverride: 3}, RealData, true, "none (no crop follows the decode; sample cache holds the tensor)"},
+		{"all deterministic, split forced before the tail", &Compose{Transforms: []Transform{&Loader{}, &Resize{W: 8, H: 8}, &ToTensor{}, norm()}, SplitOverride: 2}, RealData, true, "tensor tail→collate (no crop follows the decode)"},
 	} {
 		if got := tc.c.Rewrites(tc.mode, tc.cache); got != tc.want {
 			t.Errorf("%s: Rewrites = %q, want %q", tc.name, got, tc.want)
@@ -167,4 +183,353 @@ func TestSampleCacheHoldsFullDecodes(t *testing.T) {
 		}
 		cs.Release()
 	}
+}
+
+// TestTensorTailTable: the table the fused pass reads is, entry for entry and
+// bit for bit, (float32(v)/255 - mean) * (1/std) — ToTensor's and Normalize's
+// arithmetic — including a zero std (an infinite or NaN entry) and negative
+// means.
+func TestTensorTailTable(t *testing.T) {
+	for _, norm := range []*Normalize{
+		{Mean: []float32{0.485, 0.456, 0.406}, Std: []float32{0.229, 0.224, 0.225}},
+		{Mean: []float32{-0.5, 0, -127.25}, Std: []float32{0, 1, -3}},
+		{Mean: []float32{0.2, 1, 0.4}, Std: []float32{0, 0, 1e-30}},
+	} {
+		tail := newTensorTail(&ToTensor{}, norm)
+		for c := 0; c < 3; c++ {
+			mean, inv := norm.Mean[c], float32(1)/norm.Std[c]
+			for v := 0; v < 256; v++ {
+				want := (float32(uint8(v))/255 - mean) * inv
+				if got := tail.lut[c][v]; math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("mean %v std %v: lut[%d][%d] = %v (%#x), want %v (%#x)", norm.Mean, norm.Std,
+						c, v, got, math.Float32bits(got), want, math.Float32bits(want))
+				}
+			}
+		}
+	}
+}
+
+// tailChains are the three image plans at test scale, each ending in
+// ToTensor, Normalize: IC (decode, random resized crop, flip), ICA (a cached
+// deterministic prefix and a random suffix) and OD (decode, resize, flip).
+func tailChains(ds *data.ImageDataset) map[string]func() *Compose {
+	norm := func() *Normalize {
+		return &Normalize{Mean: []float32{0.485, 0.456, 0.406}, Std: []float32{0.229, 0.224, 0.225}}
+	}
+	return map[string]func() *Compose{
+		"IC": func() *Compose {
+			return NewCompose(&Loader{IO: ds.IO}, &RandomResizedCrop{Size: 32}, &RandomHorizontalFlip{}, &ToTensor{}, norm())
+		},
+		"ICA": func() *Compose { return augmentedTestCompose(ds.IO) },
+		"OD": func() *Compose {
+			return NewCompose(&Loader{IO: ds.IO}, &Resize{W: 40, H: 24}, &RandomHorizontalFlip{}, &ToTensor{}, norm())
+		},
+	}
+}
+
+// asWritten runs one batch the way every caller but a BatchWorker does: each
+// sample through GetItem on a Ctx that does not collate, then Collate.Run.
+func asWritten(p clock.Proc, ds Dataset, cfg Config, indices []int) *tensor.Tensor {
+	ctx := &Ctx{Proc: p, Mode: cfg.Mode, Seed: cfg.Seed, Epoch: cfg.Epoch, MaterializeDim: cfg.MaterializeDim}
+	samples := make([]Sample, len(indices))
+	for i, idx := range indices {
+		samples[i] = ds.GetItem(ctx, 0, 0, idx)
+		if samples[i].Tensor == nil || samples[i].Image != nil {
+			panic("a direct GetItem returned an unfinished sample")
+		}
+	}
+	return (&Collate{}).Run(ctx, samples)
+}
+
+// TestTensorTailFusedEqualsAsWritten: for IC, ICA and OD, over one worker and
+// four, epochs 0 to 2, into a fresh tensor and into a region of a caller's
+// buffer, the batch a BatchWorker makes — tensor tail left to its collate —
+// holds the float32 bit patterns of the plan run as written.
+func TestTensorTailFusedEqualsAsWritten(t *testing.T) {
+	const n, dim, off = 16, 64, 16
+	ds := fastRealDataset(n, 3)
+	batches := BuildBatchPlan(n, 4, true, false, 11)
+	for name, chain := range tailChains(ds) {
+		for _, workers := range []int{1, 4} {
+			for epoch := 0; epoch < 3; epoch++ {
+				for _, intoFrame := range []bool{false, true} {
+					cfg := Config{Mode: RealData, Seed: 5, Epoch: epoch, MaterializeDim: dim}
+					folder, ref := NewImageFolder(ds, chain()), NewImageFolder(ds, chain())
+					if got := folder.Transform.Rewrites(RealData, false); !strings.Contains(got, "tensor tail→collate") {
+						t.Fatalf("%s: rewrites %q", name, got)
+					}
+					pool := make([]*BatchWorker, workers)
+					for i := range pool {
+						pool[i] = NewBatchWorker(i, folder, cfg)
+					}
+					clock.NewReal().Run("tail-test", func(p clock.Proc) {
+						for b, indices := range batches {
+							var frame []float32
+							var dst CollateDst
+							if intoFrame {
+								dst = func(_ tensor.DType, shape []int) *tensor.Tensor {
+									frame = make([]float32, off+tensor.NumElems(shape)+1)
+									return tensor.FromF32(frame[off:len(frame)-1], shape...)
+								}
+							}
+							batch, err := pool[b%workers].Run(p, b, indices, dst)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got, want := batch.Data, asWritten(p, ref, cfg, indices)
+							label := fmt.Sprintf("%s workers %d epoch %d frame %v batch %d", name, workers, epoch, intoFrame, b)
+							if fmt.Sprint(got.Shape) != fmt.Sprint(want.Shape) || got.Dtype != want.Dtype {
+								t.Fatalf("%s: %v, as written %v", label, got, want)
+							}
+							for i := range want.F32 {
+								if math.Float32bits(got.F32[i]) != math.Float32bits(want.F32[i]) {
+									t.Fatalf("%s: element %d is %v, as written %v", label, i, got.F32[i], want.F32[i])
+								}
+							}
+							if intoFrame {
+								if &got.F32[0] != &frame[off] {
+									t.Fatalf("%s: the batch is not in the caller's buffer", label)
+								}
+								if frame[off-1] != 0 || frame[len(frame)-1] != 0 {
+									t.Fatalf("%s: the collate wrote outside the region it was given", label)
+								}
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// pixTap sits where a plan reaches its tensor tail and notes each sample's
+// image as it passes.
+type pixTap struct {
+	noop
+	images []*imaging.Image
+	pix    [][]uint8
+}
+
+func (tap *pixTap) Apply(_ *Ctx, s Sample) Sample {
+	tap.images = append(tap.images, s.Image)
+	tap.pix = append(tap.pix, s.Image.Pix)
+	return s
+}
+
+// TestTensorTailReleasesEachImageOnce: with the tail deferred a batch's
+// images stay live, k at a time, until the collate. They are k distinct
+// pooled buffers (a buffer released twice would be handed to two owners),
+// every one is back in the pool when Run returns, and nothing of the batch
+// depends on them from then on: poisoned at that moment, they change neither
+// this batch nor — re-issued to the next one's decodes — any later batch.
+func TestTensorTailReleasesEachImageOnce(t *testing.T) {
+	const n, dim = 24, 64
+	ds := fastRealDataset(n, 3)
+	tap := &pixTap{}
+	norm := &Normalize{Mean: []float32{0.485, 0.456, 0.406}, Std: []float32{0.229, 0.224, 0.225}}
+	chain := func(tap Transform) *Compose {
+		return NewCompose(&Loader{IO: ds.IO}, &RandomResizedCrop{Size: 32}, &RandomHorizontalFlip{}, tap, &ToTensor{}, norm)
+	}
+	cfg := Config{Mode: RealData, Seed: 5, MaterializeDim: dim}
+	w := NewBatchWorker(0, NewImageFolder(ds, chain(tap)), cfg)
+	ref := NewImageFolder(ds, chain(noop{}))
+	clock.NewReal().Run("release-test", func(p clock.Proc) {
+		for b, indices := range BuildBatchPlan(n, 8, true, false, 11) {
+			tap.images, tap.pix = nil, nil
+			batch, err := w.Run(p, b, indices, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := make(map[*uint8]bool)
+			for i, im := range tap.images {
+				if first := &tap.pix[i][0]; seen[first] {
+					t.Fatalf("batch %d: two live samples share one pixel buffer", b)
+				} else {
+					seen[first] = true
+				}
+				if im.Pix != nil {
+					t.Fatalf("batch %d sample %d: image still holds its pixels after the collate", b, i)
+				}
+				for j := range tap.pix[i] {
+					tap.pix[i][j] = 0xA5
+				}
+			}
+			if len(seen) != len(indices) {
+				t.Fatalf("batch %d: %d images passed the tap, want %d", b, len(seen), len(indices))
+			}
+			if want := asWritten(p, ref, cfg, indices); !slices.Equal(batch.Data.F32, want.F32) {
+				t.Fatalf("batch %d differs from the plan as written once its released images are poisoned", b)
+			}
+		}
+	})
+}
+
+// TestTensorTailRecordsAndFailures: whatever a plan's rewrites, a batch emits
+// one op record per op per sample, in plan order, and then the collate's; and
+// a batch whose images differ in size fails with the message it always has.
+func TestTensorTailRecordsAndFailures(t *testing.T) {
+	const n, dim = 8, 64
+	ds := fastRealDataset(n, 3)
+	norm := &Normalize{Mean: []float32{0.5, 0.5, 0.5}, Std: []float32{0.25, 0.25, 0.25}}
+	indices := []int{5, 2, 7, 0}
+	for _, tc := range []struct {
+		name   string
+		chain  *Compose
+		mode   Mode
+		cached bool
+	}{
+		{"IC fused", NewCompose(&Loader{IO: ds.IO}, &RandomResizedCrop{Size: 16}, &RandomHorizontalFlip{}, &ToTensor{}, norm), RealData, false},
+		{"IC fused behind a sample cache", NewCompose(&Loader{IO: ds.IO}, &RandomResizedCrop{Size: 16}, &RandomHorizontalFlip{}, &ToTensor{}, norm), RealData, true},
+		{"whole plan cached", NewCompose(&Loader{IO: ds.IO}, &Resize{W: 16, H: 16}, &ToTensor{}, norm), RealData, true},
+		{"split forced before the tail", &Compose{Transforms: []Transform{&Loader{IO: ds.IO}, &Resize{W: 16, H: 16}, &ToTensor{}, norm}, SplitOverride: 2}, RealData, true},
+		{"ToTensor only", NewCompose(&Loader{IO: ds.IO}, &Resize{W: 16, H: 16}, &ToTensor{}), RealData, false},
+		{"Normalize not last", NewCompose(&Loader{IO: ds.IO}, &Resize{W: 16, H: 16}, &ToTensor{}, norm, noop{}), RealData, false},
+		{"simulated", icCompose(nil), Simulated, false},
+	} {
+		var got []string
+		hooks := &Hooks{OnOp: func(_, _, sample int, op string, _ time.Time, _ time.Duration) {
+			got = append(got, fmt.Sprintf("%d:%s", sample, op))
+		}}
+		tc.chain.Hooks = hooks
+		cfg := Config{Mode: tc.mode, Seed: 5, MaterializeDim: dim, Hooks: hooks}
+		if tc.cached {
+			cfg.SampleCache, cfg.PrefixFP = NewSampleCache(1<<20, true, nil), 1
+		}
+		if tc.mode == Simulated {
+			cfg.Engine = native.NewEngine(native.Intel, native.DefaultCPU())
+		}
+		w := NewBatchWorker(0, NewImageFolder(ds, tc.chain), cfg)
+		// The second pass finds the plan's prefix in the sample cache, where
+		// there is one, and a cached prefix's ops do not run.
+		want := func(pass int) []string {
+			ops := tc.chain.Names()
+			if tc.cached && pass > 0 {
+				ops = ops[tc.chain.SplitPoint():]
+			}
+			var recs []string
+			for _, idx := range indices {
+				for _, op := range ops {
+					recs = append(recs, fmt.Sprintf("%d:%s", idx, op))
+				}
+			}
+			return append(recs, "-1:Collate")
+		}
+		run := func(p clock.Proc) {
+			for pass := 0; pass < 2; pass++ {
+				got = nil
+				if _, err := w.Run(p, pass, indices, nil); err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				if !slices.Equal(got, want(pass)) {
+					t.Fatalf("%s pass %d: op records\n%v\nwant\n%v", tc.name, pass, got, want(pass))
+				}
+			}
+		}
+		if tc.mode == Simulated {
+			clock.NewSim().Run("records-test", run)
+		} else {
+			clock.NewReal().Run("records-test", run)
+		}
+	}
+
+	// No resize: the batch's images keep their files' different sizes.
+	mixed := func() *ImageFolder { return NewImageFolder(ds, NewCompose(&Loader{IO: ds.IO}, &ToTensor{}, norm)) }
+	cfg := Config{Mode: RealData, Seed: 5, MaterializeDim: dim}
+	clock.NewReal().Run("mixed-test", func(p clock.Proc) {
+		var want string
+		func() {
+			defer func() { want = fmt.Sprint(recover()) }()
+			asWritten(p, mixed(), cfg, indices)
+		}()
+		if !strings.HasPrefix(want, "tensor: Stack shape mismatch") {
+			t.Fatalf("the plan as written fails with %q", want)
+		}
+		_, err := NewBatchWorker(0, mixed(), cfg).Run(p, 0, indices, nil)
+		if err == nil || err.Error() != "pipeline: worker 0 failed on batch 0: "+want {
+			t.Fatalf("mixed sizes with the tail deferred: %v\nas written: %s", err, want)
+		}
+	})
+}
+
+// tailBatch returns k samples at the point a plan reaches its tensor tail:
+// each a pooled size x size image of its own, filled from src.
+func tailBatch(src *imaging.Image, k int) []Sample {
+	samples := make([]Sample, k)
+	for i := range samples {
+		im := imaging.GetImage(src.W, src.H)
+		copy(im.Pix, src.Pix)
+		samples[i] = Sample{Index: i, Width: src.W, Height: src.H, Channels: 3, Dtype: tensor.Uint8, Image: im}
+	}
+	return samples
+}
+
+var tailSink *tensor.Tensor
+
+// BenchmarkTensorTail fails itself unless the fused tensor tail — ToTensor
+// and Normalize deferred, one pass per sample inside the collate — costs at
+// most 0.5x the tail as written (ToTensor, Normalize, then the collate's
+// copy) for a batch of 32 samples of 224x224 collated into a caller's buffer,
+// and allocates under 1 KiB per batch doing so. Both are timed in this
+// process, interleaved, so the shared runner's speed cancels out of the
+// ratio.
+func BenchmarkTensorTail(b *testing.B) {
+	const k, size = 32, 224
+	src := imaging.SynthesizeImage(size, size, 7)
+	chain := NewCompose(&ToTensor{}, &Normalize{Mean: []float32{0.485, 0.456, 0.406}, Std: []float32{0.229, 0.224, 0.225}})
+	frame := make([]float32, 16+k*3*size*size)
+	dst := func(_ tensor.DType, shape []int) *tensor.Tensor { return tensor.FromF32(frame[16:], shape...) }
+	clock.NewReal().Run("bench", func(p clock.Proc) {
+		var mem runtime.MemStats
+		run := func(fused bool) (d time.Duration, allocated uint64) {
+			ctx := &Ctx{Proc: p, Mode: RealData, collates: fused}
+			samples := tailBatch(src, k)
+			runtime.ReadMemStats(&mem)
+			allocated = -mem.TotalAlloc
+			start := time.Now()
+			for i, s := range samples {
+				samples[i] = chain.Apply(ctx, 0, 0, s)
+			}
+			tailSink = (&Collate{}).RunInto(ctx, samples, dst)
+			d = time.Since(start)
+			runtime.ReadMemStats(&mem)
+			return d, allocated + mem.TotalAlloc
+		}
+		for i := 0; i < 3; i++ { // warm the pools and fault the frame in
+			run(false)
+			run(true)
+		}
+		var written, fused time.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < 5; j++ {
+				d, _ := run(false)
+				written += d
+				d, _ = run(true)
+				fused += d
+			}
+		}
+		b.StopTimer()
+		// What a fused batch allocates, as the median of a few run on their
+		// own: a collection empties the image pools (next to the tail as
+		// written, every few batches) and the batch after it pays the refill.
+		var allocated []uint64
+		for i := 0; i < 11; i++ {
+			_, n := run(true)
+			allocated = append(allocated, n)
+		}
+		slices.Sort(allocated)
+		perBatch := float64(allocated[len(allocated)/2])
+		n := float64(b.N * 5 * k)
+		ratio := float64(fused) / float64(written)
+		b.ReportMetric(float64(written.Microseconds())/n, "written-µs/sample")
+		b.ReportMetric(float64(fused.Microseconds())/n, "fused-µs/sample")
+		b.ReportMetric(ratio, "fused/written")
+		b.ReportMetric(perBatch, "fused-B/batch")
+		if ratio > 0.5 {
+			b.Fatalf("the fused tensor tail costs %.2fx the tail as written, want <= 0.5x", ratio)
+		}
+		if perBatch >= 1024 {
+			b.Fatalf("the fused tensor tail allocates %.0f B per batch into a caller's buffer, want < 1 KiB", perBatch)
+		}
+	})
 }

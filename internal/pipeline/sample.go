@@ -43,6 +43,11 @@ type Sample struct {
 	Image  *imaging.Image
 	Volume *imaging.Volume
 	Tensor *tensor.Tensor
+
+	// tail, when non-nil, is the plan's ToTensor, Normalize still to be run
+	// on Image: the tensor tail→collate rewrite (rewrite.go) leaves them to
+	// the Collate of the BatchWorker the sample was made for.
+	tail *tensorTail
 }
 
 // elems returns the element count of the sample's current representation.

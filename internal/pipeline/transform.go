@@ -47,10 +47,12 @@ type Compose struct {
 	// otherwise, since caching past a random op would freeze its draws).
 	SplitOverride int
 
-	// pushdown is the crop→decode rewrite of Transforms (rewrite.go), built
-	// on first use; nil when the plan has no decode followed by a crop.
-	pushdownOnce sync.Once
-	pushdown     []Transform
+	// plans holds Transforms under every combination of the plan rewrites
+	// (rewrite.go), built on first use. cropAt and tailAt are where the ops a
+	// rewrite replaces start, -1 when the plan has no such ops.
+	plansOnce      sync.Once
+	plans          [numPlans][]Transform
+	cropAt, tailAt int
 }
 
 // NewCompose chains the given transforms without instrumentation.
@@ -86,14 +88,15 @@ func (c *Compose) SplitPoint() int {
 // records so the analysis can associate operations with batches and worker
 // processes. When the Ctx carries a sample cache and the pipeline has a
 // deterministic prefix, the prefix is served from (or materialized into)
-// the cache and only the random suffix runs inline. Otherwise the plan's
-// rewrites are in force (rewrite.go): same ops, same records, same bytes.
+// the cache and only the random suffix runs inline. Whatever runs inline
+// runs under the plan's rewrites (rewrite.go): same ops, same records, same
+// bytes.
 func (c *Compose) Apply(ctx *Ctx, pid, batchID int, s Sample) Sample {
 	split := 0
 	if ctx.SampleCache != nil {
 		split = c.SplitPoint()
 	}
-	ops, _ := c.plan(ctx.Mode, split > 0)
+	ops := c.plan(ctx.Mode, split, ctx.collates)
 	if split > 0 {
 		s = ctx.SampleCache.materialize(ctx, c, pid, batchID, split, s)
 	}
@@ -648,12 +651,17 @@ func (t *Collate) Run(ctx *Ctx, samples []Sample) *tensor.Tensor {
 
 // RunInto is Run with the output placed by dst, so a caller that already
 // owns the batch's final resting place (a wire frame) has the samples copied
-// there once. Simulated collation moves no data and ignores dst.
+// there once — or, where the plan left its tensor tail to the collate
+// (rewrite.go), converted there once. Simulated collation moves no data and
+// ignores dst.
 func (t *Collate) RunInto(ctx *Ctx, samples []Sample, dst CollateDst) *tensor.Tensor {
 	if len(samples) == 0 {
 		panic("pipeline: collate of empty batch")
 	}
 	if ctx.Real() {
+		if out := finishTails(ctx, samples, dst); out != nil {
+			return out
+		}
 		ts := make([]*tensor.Tensor, len(samples))
 		for i, s := range samples {
 			ts[i] = s.Tensor

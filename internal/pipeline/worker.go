@@ -43,6 +43,7 @@ func NewBatchWorker(id int, ds Dataset, cfg Config) *BatchWorker {
 			Faults:         cfg.Faults,
 			SampleCache:    cfg.SampleCache,
 			PrefixFP:       cfg.PrefixFP,
+			collates:       true,
 		},
 		id:      id,
 		dataset: ds,

@@ -33,6 +33,7 @@ func startCachedTestServer(t *testing.T, spec workloads.Spec, cacheBytes int64, 
 // DataLoader run — and the epoch must have been preprocessed exactly once.
 func TestCachedServingByteIdentity(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
+	t.Cleanup(testutil.CheckFrames(t, FramesInUse))
 	spec := loopbackSpec()
 	srv := startCachedTestServer(t, spec, 64<<20, true)
 	const world, epochs = 2, 2
@@ -152,6 +153,7 @@ func TestCachedServingByteIdentity(t *testing.T) {
 // streams.
 func TestCachedServingSingleFlight(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
+	t.Cleanup(testutil.CheckFrames(t, FramesInUse))
 	spec := loopbackSpec()
 	srv := startCachedTestServer(t, spec, 64<<20, false)
 	expected := localEpochFrames(t, spec, 0)
@@ -205,6 +207,7 @@ func TestCachedServingSingleFlight(t *testing.T) {
 // trading CPU for memory, never correctness.
 func TestCachedServingTinyBudgetRecomputes(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
+	t.Cleanup(testutil.CheckFrames(t, FramesInUse))
 	spec := loopbackSpec()
 	srv := startCachedTestServer(t, spec, 1024, false) // ~1-2 frames resident
 	expected := localEpochFrames(t, spec, 0)

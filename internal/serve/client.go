@@ -86,9 +86,12 @@ type Client struct {
 	jitter  *rng.Stream
 	// buf is the one buffer every frame of an epoch stream is read into: it
 	// is what the Batch views handed to onBatch alias, and what makes a
-	// received frame cost no allocation. Taken from frameBufPool on first
-	// need (or when a larger frame arrives), returned by Close and drop.
-	buf *[]byte
+	// received frame cost no allocation. It is Go heap the client owns — made
+	// on first need, remade a size class up when a larger frame arrives —
+	// never server frame memory: a Client dropped without Close leaks
+	// nothing, and a consumer that reads a view too late reads a later
+	// frame's bytes, not an unmapped page.
+	buf []byte
 }
 
 // NewClient returns an unconnected client; the first Run or Connect dials.
@@ -228,29 +231,19 @@ func (c *Client) readStreamFrame() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.buf == nil || cap(*c.buf) < n {
-		c.releaseBuf()
-		c.buf = frameBufFor(n)
+	if cap(c.buf) < n {
+		c.buf = make([]byte, frameBufClass(n))
 	}
-	payload := (*c.buf)[:n]
+	payload := c.buf[:n]
 	if err := readFramePayload(c.conn, payload); err != nil {
 		return nil, err
 	}
 	return payload, nil
 }
 
-// releaseBuf returns the stream buffer to the pool. Only the owner goroutine
-// calls it, and only between frames: no Batch view is live then.
-func (c *Client) releaseBuf() {
-	if c.buf != nil {
-		frameBufPut(c.buf)
-		c.buf = nil
-	}
-}
-
 // Close says goodbye, closes the connection and gives up the stream buffer.
 func (c *Client) Close() error {
-	c.releaseBuf()
+	c.buf = nil
 	if c.conn == nil {
 		return nil
 	}
@@ -265,7 +258,6 @@ func (c *Client) Close() error {
 // broken) and advances the endpoint rotation so the next Connect leads with
 // a different replica.
 func (c *Client) drop() {
-	c.releaseBuf()
 	if c.conn != nil {
 		c.conn.Close()
 		c.setConn(nil)
@@ -317,8 +309,9 @@ func (s *FetchStats) BatchesPerSec() float64 {
 // Fatal ServerErrors abort immediately.
 //
 // Callback lifetime: b and payload are valid only until onBatch returns. Both
-// point into the client's one receive buffer, which the next frame
-// overwrites — b.U8 / b.F32 are views over payload, not copies. A consumer
+// point into the client's one receive buffer — heap memory of this Client,
+// never the server's frame memory, in-process or not — which the next frame
+// overwrites: b.U8 / b.F32 are views over payload, not copies. A consumer
 // that keeps a batch calls b.Clone(); one that keeps the frame bytes copies
 // payload. The same holds for FetchShard and FetchShardHedged.
 func (c *Client) Run(epochs int, onBatch func(b *Batch, payload []byte)) (*FetchStats, error) {

@@ -111,8 +111,8 @@ func TestServedCorpusCounters(t *testing.T) {
 		} else if got := d.PxDecoded + d.PxSkipped; got != filePx*int64(epoch+1) {
 			t.Fatalf("after epoch %d: decoded + skipped = %d px, want %d x %d", epoch, got, epoch+1, filePx)
 		}
-		if snap.Plan != "IC: crop→decode" {
-			t.Fatalf("plan %q, want %q", snap.Plan, "IC: crop→decode")
+		if want := "IC: crop→decode, tensor tail→collate"; snap.Plan != want {
+			t.Fatalf("plan %q, want %q", snap.Plan, want)
 		}
 	})
 	fetchEpochs(t, workloads.ICASpec(n, 7), 0, 2, func(epoch int, snap *MetricsSnapshot) {
@@ -120,7 +120,7 @@ func TestServedCorpusCounters(t *testing.T) {
 		if d.Windowed != 0 || d.Full != int64(n*(epoch+1)) || d.PxSkipped != 0 {
 			t.Fatalf("ICA after epoch %d: decode %+v, want full %d and nothing windowed or skipped", epoch, *d, n*(epoch+1))
 		}
-		if snap.Plan != "ICA: none (no crop follows the decode)" {
+		if snap.Plan != "ICA: tensor tail→collate (no crop follows the decode)" {
 			t.Fatalf("plan %q", snap.Plan)
 		}
 	})
@@ -142,7 +142,7 @@ func TestServedSampleCacheKeepsFullDecodes(t *testing.T) {
 		fileBytes += int64(w * h * 3)
 	}
 	fetchEpochs(t, spec, 64<<20, 3, func(epoch int, snap *MetricsSnapshot) {
-		if snap.Plan != "IC: none (sample cache holds the full decode)" {
+		if snap.Plan != "IC: tensor tail→collate (sample cache holds the full decode)" {
 			t.Fatalf("plan %q", snap.Plan)
 		}
 		if d := snap.Decode; d.Windowed != 0 || d.Full != n || d.PxSkipped != 0 || d.PxDecoded*3 != fileBytes {

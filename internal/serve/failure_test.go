@@ -17,6 +17,7 @@ import (
 // close, and stay fully functional for well-formed clients.
 func TestHelloDeadlineCutsStalledHandshake(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
+	defer testutil.CheckFrames(t, FramesInUse)()
 
 	spec := loopbackSpec()
 	srv := New(Config{
@@ -101,6 +102,7 @@ func TestHelloDeadlineCutsStalledHandshake(t *testing.T) {
 // epoch requests is allowed.
 func TestHelloDeadlineDoesNotClipSlowButValidHandshake(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
+	defer testutil.CheckFrames(t, FramesInUse)()
 
 	spec := loopbackSpec()
 	srv := New(Config{
@@ -157,6 +159,7 @@ func TestHelloDeadlineDoesNotClipSlowButValidHandshake(t *testing.T) {
 // fault injector dictates.
 func TestSeveredSessionInterruptsInjectedStall(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
+	defer testutil.CheckFrames(t, FramesInUse)()
 
 	spec := loopbackSpec()
 	inj := faultinject.New(faultinject.Spec{Seed: 1, StallNth: 1, WorkerStall: 30 * time.Second})

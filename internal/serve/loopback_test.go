@@ -102,6 +102,7 @@ func TestLoopbackTwoClientsTwoEpochs(t *testing.T) {
 	// Registered before startTestServer's Close cleanup so it runs after the
 	// server has shut down (t.Cleanup is LIFO).
 	t.Cleanup(testutil.CheckGoroutines(t))
+	t.Cleanup(testutil.CheckFrames(t, FramesInUse))
 	spec := loopbackSpec()
 	srv := startTestServer(t, spec, true)
 	const world, epochs = 2, 2
@@ -497,6 +498,7 @@ func TestBackoffSchedulesDiverge(t *testing.T) {
 // the budget, with all connections gone.
 func TestShutdownForcesIdleSessions(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
+	t.Cleanup(testutil.CheckFrames(t, FramesInUse))
 	spec := loopbackSpec()
 	srv := startTestServer(t, spec, false)
 

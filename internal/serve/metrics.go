@@ -358,6 +358,9 @@ type MetricsSnapshot struct {
 	// Runtime footprint gauges from runtime/metrics (filled by the server).
 	Goroutines int64 `json:"goroutines"`
 	HeapBytes  int64 `json:"heap_bytes"`
+	// Frames is the process's frame memory, which HeapBytes does not see
+	// (filled by the server).
+	Frames FrameStats `json:"frames"`
 	// Cache carries the materialized-batch cache counters (hits, misses,
 	// singleflight waits, evictions, bytes); nil when the cache is disabled.
 	Cache *cache.Stats `json:"cache,omitempty"`
@@ -380,8 +383,9 @@ type MetricsSnapshot struct {
 	// reconstructed. Nil exactly when Corpus is.
 	Decode *pipeline.DecodeStats `json:"decode,omitempty"`
 	// Plan names the pipeline plan rewrites in force for this server's
-	// workload, mode and cache tiers, or why there are none — e.g.
-	// "IC: crop→decode", "IC: none (sample cache holds the full decode)".
+	// workload, mode and cache tiers, and why the others are not — e.g.
+	// "IC: crop→decode, tensor tail→collate", "IC: tensor tail→collate
+	// (sample cache holds the full decode)".
 	Plan string `json:"plan,omitempty"`
 	// Hedge carries the speculative-fetch counters; nil until the first
 	// hedged ShardReq arrives.

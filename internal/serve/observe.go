@@ -92,6 +92,7 @@ func (s *Server) Snapshot(now time.Time) MetricsSnapshot {
 	}
 	snap.PlanBuilds, snap.PlanHits = s.plans.stats()
 	snap.Goroutines, snap.HeapBytes = runtimeGauges()
+	snap.Frames = frameStats()
 	return snap
 }
 

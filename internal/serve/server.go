@@ -558,6 +558,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.httpSrv != nil {
 		s.httpSrv.Close()
 	}
+	if s.cache != nil {
+		// Sessions are gone and frame memory is not the collector's to
+		// reclaim: the cache's frames go back now, or never.
+		s.cache.Purge()
+	}
 	if s.disk != nil {
 		// Sessions are gone; drain queued spills and land the manifest so
 		// the next open warm-starts without a rebuild. (Store.Close is

@@ -254,17 +254,8 @@ func StackInto(alloc func(dtype DType, shape []int) *Tensor, ts []*Tensor) *Tens
 	if first.IsMeta() {
 		return Meta(first.Dtype, outShape...)
 	}
-	var out *Tensor
-	if alloc != nil {
-		out = alloc(first.Dtype, outShape)
-	}
+	out := NewStacked(alloc, first.Dtype, outShape)
 	n := first.Len()
-	switch {
-	case out == nil:
-		out = Zeros(first.Dtype, outShape...)
-	case out.IsMeta() || out.Dtype != first.Dtype || !sameShape(out.Shape, outShape):
-		panic(fmt.Sprintf("tensor: StackInto destination %v does not fit %d x %v", out, len(ts), first))
-	}
 	switch first.Dtype {
 	case Uint8:
 		for i, t := range ts {
@@ -274,6 +265,24 @@ func StackInto(alloc func(dtype DType, shape []int) *Tensor, ts []*Tensor) *Tens
 		for i, t := range ts {
 			copy(out.F32[i*n:], t.F32)
 		}
+	}
+	return out
+}
+
+// NewStacked returns the materialized tensor a stack of geometry shape is
+// written into: alloc's, held to StackInto's contract, or fresh zeros when
+// alloc is nil or declines. It is StackInto's allocation step on its own, for
+// a caller that fills the stack itself.
+func NewStacked(alloc func(dtype DType, shape []int) *Tensor, dtype DType, shape []int) *Tensor {
+	var out *Tensor
+	if alloc != nil {
+		out = alloc(dtype, shape)
+	}
+	switch {
+	case out == nil:
+		out = Zeros(dtype, shape...)
+	case out.IsMeta() || out.Dtype != dtype || !sameShape(out.Shape, shape):
+		panic(fmt.Sprintf("tensor: StackInto destination %v does not fit %v %v", out, dtype, shape))
 	}
 	return out
 }

@@ -130,3 +130,30 @@ func Baseline() int {
 	n, _ := countInteresting()
 	return n
 }
+
+// CheckFrames is CheckGoroutines for frame memory, which lives outside the Go
+// heap and is freed by nobody's collector: it snapshots inUse — pass
+// serve.FramesInUse; this package imports nothing of the repository — and the
+// returned function fails the test if, after a grace period, more frame
+// buffers are out than were then. Register it before the test's servers
+// start so that it runs after they have shut down:
+//
+//	t.Cleanup(testutil.CheckFrames(t, serve.FramesInUse))
+//
+// A server's Shutdown gives back every frame it holds, cache included, and a
+// client holds none, so anything left is a Frame somebody never Released.
+func CheckFrames(t failer, inUse func() int64) func() {
+	before := inUse()
+	return func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		after := inUse()
+		for after > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+			after = inUse()
+		}
+		if after > before {
+			t.Errorf("frame leak: %d frame buffers in use before, %d after", before, after)
+		}
+	}
+}

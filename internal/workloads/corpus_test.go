@@ -106,10 +106,10 @@ func TestCropPushdownPixelsMatchPlanAsWritten(t *testing.T) {
 	run := func(l *pipeline.Loader, rewritten bool, workers, epoch int) map[int][]byte {
 		tap := &pixTap{pix: make(map[int][]byte)}
 		chain := pipeline.NewCompose(l, crop, tap, &pipeline.Resize{W: 8, H: 8}, &pipeline.ToTensor{})
-		want := "crop→decode"
+		want := "crop→decode (the plan does not end in ToTensor, Normalize)"
 		if !rewritten {
 			chain = pipeline.NewCompose(l, passThrough{}, crop, tap, &pipeline.Resize{W: 8, H: 8}, &pipeline.ToTensor{})
-			want = "none (no crop follows the decode)"
+			want = "none (no crop follows the decode; the plan does not end in ToTensor, Normalize)"
 		}
 		if got := chain.Rewrites(pipeline.RealData, false); got != want {
 			t.Fatalf("rewritten %v: the chain's rewrites are %q, want %q", rewritten, got, want)
