@@ -11,17 +11,17 @@
 // capped exponential backoff — the first connect included — by reconnecting
 // and re-requesting the failed epoch; fatal server errors abort.
 //
-// Replicated serving: -addrs takes a comma-separated endpoint list and the
+// Replicated serving: -addr takes a comma-separated endpoint list and the
 // client falls back across the replicas — a dead endpoint costs one dial,
 // and a mid-run death rotates to the next replica (every endpoint must serve
 // the same workload spec, so the stream stays byte-identical).
 //
 // Cluster mode: -cluster partitions every epoch's full batch plan across
-// the -addrs nodes with a consistent-hash ring and streams the shards
+// the -addr nodes with a consistent-hash ring and streams the shards
 // concurrently; a node death mid-epoch re-routes its unserved batches to
 // survivors, preserving exactly-once delivery:
 //
-//	lotus-fetch -cluster -addrs host1:9317,host2:9317,host3:9317 -epochs 2
+//	lotus-fetch -cluster -addr host1:9317,host2:9317,host3:9317 -epochs 2
 //
 // -rank/-world are ignored in cluster mode (the router consumes whole
 // plans).
@@ -48,9 +48,8 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", "localhost:9317", "server wire address")
-		addrs       = flag.String("addrs", "", "comma-separated endpoint list (replaces -addr; ordered fallback, or the member set with -cluster)")
-		clustered   = flag.Bool("cluster", false, "consistent-hash route whole epoch plans across the -addrs nodes with mid-epoch failover")
+		addr        = flag.String("addr", "localhost:9317", "server wire address, or a comma-separated endpoint list (ordered fallback, or the member set with -cluster)")
+		clustered   = flag.Bool("cluster", false, "consistent-hash route whole epoch plans across the -addr nodes with mid-epoch failover")
 		replication = flag.Int("replication", 1, "cluster mode: preferred replica-set size per batch on the hash ring")
 		heartbeat   = flag.Duration("heartbeat", 500*time.Millisecond, "cluster mode: node heartbeat interval")
 		hedgeQ      = flag.Float64("hedge-quantile", 0, "cluster mode: hedge a node's unserved batches to its ring successor once it lags past this latency quantile (e.g. 0.95; 0 disables)")
@@ -67,13 +66,14 @@ func main() {
 	flag.Parse()
 
 	var endpoints []string
-	for _, a := range strings.Split(*addrs, ",") {
+	for _, a := range strings.Split(*addr, ",") {
 		if a = strings.TrimSpace(a); a != "" {
 			endpoints = append(endpoints, a)
 		}
 	}
 	if len(endpoints) == 0 {
-		endpoints = []string{*addr}
+		fmt.Fprintln(os.Stderr, "lotus-fetch: -addr names no endpoint")
+		os.Exit(2)
 	}
 
 	if *clustered {
@@ -82,7 +82,6 @@ func main() {
 	}
 
 	client := serve.NewClient(serve.ClientConfig{
-		Addr:        endpoints[0],
 		Addrs:       endpoints,
 		Rank:        *rank,
 		World:       *world,

@@ -86,11 +86,10 @@ func main() {
 		batch    = flag.Int("batch", 0, "batch size (0 = workload default)")
 		workers  = flag.Int("workers", 0, "size of the server-wide preprocessing worker pool every session shares (0 = workload default)")
 		queue    = flag.Int("queue", 4, "per-session prefetch window: batches that may be outstanding ahead of the one being written")
-		mode     = flag.String("mode", "sim", "preprocessing mode: sim (meta tensors), real (pixel payloads), or emulate (sim pipeline paced on the wall clock)")
+		mode     = flag.String("mode", "sim", "preprocessing mode: sim (meta tensors on the virtual clock) or real (pixel payloads)")
 		seed     = flag.Int64("seed", 1, "randomness root")
 		arch     = flag.String("arch", "intel", "simulated CPU vendor: intel or amd")
 		matDim   = flag.Int("materialize-dim", 96, "real mode: synthesized image resolution cap")
-		ring     = flag.Int("ring", 16384, "live trace ring capacity in records")
 		cacheMB  = flag.Int64("cache-mb", 256, "materialized-batch cache budget in MiB (0 = disabled); cached epochs are served without re-running the pipeline")
 		scacheMB = flag.Int64("sample-cache-mb", 0, "split-point sample cache budget in MiB (0 = disabled); materializes each sample's deterministic prefix once so augmented epochs skip decode work")
 		diskDir  = flag.String("disk-cache-dir", "", "persistent cache directory (empty = disabled); spilled frames and sample snapshots survive restarts and are shared across jobs pointing at the same directory")
@@ -100,7 +99,6 @@ func main() {
 		join     = flag.String("join", "", "cluster member list ([id=]wire[/http] per entry, comma-separated); serves the membership view on /cluster")
 		interval = flag.Duration("heartbeat", 500*time.Millisecond, "peer heartbeat interval in cluster mode")
 		autotune = flag.Bool("autotune", false, "closed-loop controller: observe wait/queue/cache signals at every completed epoch and retune the worker pool, the prefetch window, and cache budgets at runtime")
-		longWait = flag.Duration("autotune-long-wait", 0, "wait duration the controller counts as a stall (0 = 500ms default)")
 
 		maxSessions = flag.Int("max-sessions", 0, "admission control: concurrent session cap (0 = unlimited); excess connections queue briefly, then get a retryable busy reply")
 		admitWait   = flag.Duration("admit-wait", 2*time.Second, "admission control: how long an excess connection waits for a slot before busy-rejection (negative = reject immediately when full)")
@@ -168,17 +166,12 @@ func main() {
 		spec.Arch = native.AMD
 	}
 	pmode := pipeline.Simulated
-	emulate := false
 	switch *mode {
 	case "sim":
 	case "real":
 		pmode = pipeline.RealData
-	case "emulate":
-		// Simulated pipeline on the wall clock: modeled latencies pace the
-		// stream in real time (load generation, cluster scaling runs).
-		emulate = true
 	default:
-		fmt.Fprintf(os.Stderr, "lotus-serve: unknown mode %q (want sim, real, or emulate)\n", *mode)
+		fmt.Fprintf(os.Stderr, "lotus-serve: unknown mode %q (want sim or real)\n", *mode)
 		os.Exit(2)
 	}
 
@@ -207,16 +200,13 @@ func main() {
 	srv := serve.New(serve.Config{
 		Spec:             spec,
 		Mode:             pmode,
-		EmulateTime:      emulate,
 		Prefetch:         *queue,
 		MaterializeDim:   *matDim,
-		RingSize:         *ring,
 		BatchCacheBytes:  *cacheMB << 20,
 		SampleCacheBytes: *scacheMB << 20,
 		DiskCacheDir:     *diskDir,
 		DiskCacheBytes:   int64(*diskGB * float64(1<<30)),
 		AutoTune:         *autotune,
-		AutoTuneLongWait: *longWait,
 		MaxSessions:      *maxSessions,
 		AdmitWait:        *admitWait,
 		QoS:              *qos,

@@ -47,7 +47,6 @@ func clusterHedgeSlowNodeCell(seed int64) Result {
 		Name:            "chaos-hedge",
 		HedgeQuantile:   0.95,
 		HedgeMinSamples: 2,
-		HedgeInterval:   2 * time.Millisecond,
 		// High enough that a healthy peer's scheduling hiccup rarely draws
 		// a noise hedge (wasted recompute steals CPU from the real one on
 		// this host), far below the 2s stall train.

@@ -20,8 +20,8 @@ import (
 // storage time in real time and the epoch is paced by pipeline latency, not
 // by this machine's core count. Each iteration routes one full epoch plan
 // through the consistent-hash router; with N nodes the per-node shards
-// stream concurrently, so aggregate throughput grows with N.
-// scripts/bench.sh captures the batches/sec metric into BENCH_PR4.json.
+// stream concurrently, so aggregate throughput grows with N. The rates are
+// model output (Simulated/emulate), not throughput.
 func BenchmarkClusterThroughput(b *testing.B) {
 	for _, n := range []int{1, 2, 3} {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
@@ -72,8 +72,8 @@ func BenchmarkClusterThroughput(b *testing.B) {
 // epoch; hedge=on re-issues the laggard's unserved batches to ring
 // successors and takes the first byte-identical answer. Every iteration's
 // frames are compared against a healthy node's ground truth, so the speedup
-// is proven on identical output. scripts/bench.sh captures the p99-epoch-ms
-// metric into BENCH_PR8.json and gates the 2x ratio.
+// is proven on identical output. The benchmark fails itself unless the
+// hedge=off p99 is at least 2x the hedge=on p99, whenever both series run.
 func BenchmarkStragglerTail(b *testing.B) {
 	spec := workloads.ICSpec(128, 7)
 	spec.BatchSize = 16 // 8 batches per epoch
@@ -131,6 +131,7 @@ func BenchmarkStragglerTail(b *testing.B) {
 		}
 	}
 
+	p99s := make(map[string]float64)
 	for _, hedged := range []bool{false, true} {
 		name := "hedge=off"
 		if hedged {
@@ -151,17 +152,16 @@ func BenchmarkStragglerTail(b *testing.B) {
 			cfg := Config{Nodes: nodes, Name: "bench-straggler-" + name}
 			if hedged {
 				cfg.HedgeQuantile = 0.95
-				// MinSamples 2 arms the monitor inside the first epoch, as
+				// MinSamples 2 arms hedging inside the first epoch, as
 				// soon as both healthy peers deliver their first frame. The
 				// 400ms floor sits above warm-up jitter (every healthy first
 				// frame lands well before it, even time-sharing one core with
 				// two other servers) but far below the victim's stall train,
 				// so only a genuinely degraded node can still be quiet when
-				// the monitor is allowed to flag it. On a loaded box a noise
+				// a hedge pass is allowed to flag it. On a loaded box a noise
 				// hedge is not merely wasted bytes: its recompute steals CPU
 				// from the true hedge's critical path.
 				cfg.HedgeMinSamples = 2
-				cfg.HedgeInterval = 2 * time.Millisecond
 				cfg.HedgeMinDelay = 400 * time.Millisecond
 			}
 			c, err := New(cfg)
@@ -201,6 +201,7 @@ func BenchmarkStragglerTail(b *testing.B) {
 			sort.Float64s(epochSecs)
 			p99 := epochSecs[(len(epochSecs)*99+99)/100-1]
 			b.ReportMetric(p99*1000, "p99-epoch-ms")
+			p99s[name] = p99 * 1000
 			if sec := b.Elapsed().Seconds(); sec > 0 {
 				b.ReportMetric(float64(totalBatches)/sec, "batches/sec")
 			}
@@ -209,6 +210,7 @@ func BenchmarkStragglerTail(b *testing.B) {
 			}
 		})
 	}
+	ratioGate(b, p99s, "hedge=off", "hedge=on", 2)
 }
 
 // BenchmarkAutotuneImbalanced quantifies the PR 9 claim: on a 3-node cluster
@@ -222,8 +224,8 @@ func BenchmarkStragglerTail(b *testing.B) {
 // autotune=on series sheds ring weight from the slow node across epochs and
 // settles with the cluster throughput-bound, not victim-bound. Both series
 // get the same untimed warm-up epochs, so convergence happens inside the
-// measured region for the "on" series too. scripts/bench.sh captures the
-// batches/sec metric into BENCH_PR9.json and gates the 1.5x ratio.
+// measured region for the "on" series too. The benchmark fails itself unless
+// autotune=true reaches at least 1.5x autotune=false, whenever both run.
 func BenchmarkAutotuneImbalanced(b *testing.B) {
 	spec := workloads.ICSpec(256, 7)
 	spec.BatchSize = 8 // 32 batches per epoch
@@ -268,8 +270,10 @@ func BenchmarkAutotuneImbalanced(b *testing.B) {
 		}
 	}
 
+	rates := make(map[string]float64)
 	for _, tune := range []bool{false, true} {
-		b.Run(fmt.Sprintf("autotune=%v", tune), func(b *testing.B) {
+		name := fmt.Sprintf("autotune=%v", tune)
+		b.Run(name, func(b *testing.B) {
 			nodes := make([]Node, 3)
 			for i := range nodes {
 				id := fmt.Sprintf("node%d", i)
@@ -332,10 +336,29 @@ func BenchmarkAutotuneImbalanced(b *testing.B) {
 			b.StopTimer()
 			if sec := b.Elapsed().Seconds(); sec > 0 {
 				b.ReportMetric(float64(total)/sec, "batches/sec")
+				rates[name] = float64(total) / sec
 			}
 			if tune {
 				b.ReportMetric(c.Weights()[victim], "victim-weight")
 			}
 		})
+	}
+	ratioGate(b, rates, "autotune=true", "autotune=false", 1.5)
+}
+
+// ratioGate is a self-failing behaviour gate over two series of one
+// benchmark: got maps series name to the metric each reported, and b fails
+// unless got[num] >= min*got[den]. It judges only when both series ran in
+// this invocation (a -bench pattern can select one; a failed series reports
+// nothing). Call it from the parent after the b.Run calls that fill got.
+func ratioGate(b *testing.B, got map[string]float64, num, den string, min float64) {
+	n, okN := got[num]
+	d, okD := got[den]
+	if !okN || !okD {
+		return
+	}
+	b.Logf("%s %.1f vs %s %.1f: %.2fx (gate >= %.2fx)", num, n, den, d, n/d, min)
+	if n < min*d {
+		b.Fatalf("%s is %.2fx %s, below the %.2fx gate", num, n/d, den, min)
 	}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -22,29 +21,24 @@ type Config struct {
 	// ring (default 1). Larger values keep a batch's failover targets
 	// ring-determined and its server-side caches warm on R nodes.
 	Replication int
-	// Name labels this consumer's sessions in node metrics.
+	// Name labels this consumer's sessions in node metrics and seeds the
+	// retry jitter.
 	Name string
 	// Tenant is the QoS accounting bucket every node session (primary and
 	// hedge) bills to; empty means each node's default tenant. Pure
 	// passthrough — quotas live server-side, so a router cannot exempt
 	// itself by misconfiguration.
 	Tenant string
-	// BackoffBase/BackoffMax shape the jittered sleep before a same-node
-	// retry (defaults 50ms / 1s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// JitterSeed seeds the retry jitter (0 derives one from Name).
-	JitterSeed int64
 	// DialTimeout is passed to each node's serve.Client.
 	DialTimeout time.Duration
 	// Membership, when non-nil, is an externally-owned (typically actively
 	// probing) membership view; nil builds an internal passive one that only
 	// the router's own failure reports update.
 	Membership *Membership
-	// HedgeQuantile, when > 0, enables hedged fetches — the consumer-side
-	// straggler mitigation: a node whose in-flight shard has made no
-	// progress for longer than this quantile of the cluster's recent batch
-	// inter-arrival latency gets its still-unserved IDs speculatively
+	// HedgeQuantile, when > 0, enables hedged fetches (hedge.go) — the
+	// consumer-side straggler mitigation: a node whose in-flight shard has
+	// made no progress for longer than this quantile of its peers' recent
+	// batch inter-arrival latency gets its still-unserved IDs speculatively
 	// re-issued to each batch's ring successor. The exactly-once ledger
 	// deduplicates, so the first byte-identical answer wins; the loser's
 	// frames land in Ignored/HedgeWasted. A primary whose remaining work a
@@ -56,21 +50,19 @@ type Config struct {
 	// round, steady inter-arrivals otherwise) before hedging arms (default
 	// 8): hedging off a cold histogram would fire on noise.
 	HedgeMinSamples int
-	// HedgeInterval is the hedge monitor's poll period (default 2ms).
-	HedgeInterval time.Duration
 	// HedgeMinDelay floors the hedge threshold (default 1ms) so a uniformly
 	// fast cluster never hedges on microsecond jitter.
 	HedgeMinDelay time.Duration
-	// AutoTune enables the router-side ring balancer: at every epoch end the
-	// per-node steady frame cadence (the same histograms the hedge monitor
-	// judges stragglers by) is folded into an EWMA service-time model, and
-	// each node's vnode weight on the ring is retargeted to
-	// fastest/service_time — so shard sizes converge to be proportional to
-	// service rate and a slowed-but-alive node sheds load until every node
-	// finishes its shard at about the same time. Weight changes are queued
-	// and applied only at round/epoch boundaries on the router goroutine;
-	// the exactly-once ledger makes a mid-epoch re-weight safe by
-	// construction (only still-unserved IDs are ever re-requested).
+	// AutoTune enables the router-side ring balancer (balance.go): at every
+	// epoch end each node's steady frame cadence over the epoch (the same
+	// histograms hedging judges stragglers by) is folded into an EWMA
+	// service-time model, and each node's vnode weight on the ring is
+	// retargeted to fastest/service_time — so shard sizes converge to be
+	// proportional to service rate and a slowed-but-alive node sheds load
+	// until every node finishes its shard at about the same time. Weight
+	// changes are queued and applied only at round starts, when no fetch
+	// goroutine is live; the exactly-once ledger makes a mid-epoch re-weight
+	// safe by construction (only still-unserved IDs are ever re-requested).
 	AutoTune bool
 	// Balancer overrides the balancer's smoothing, dead-band, and pacing
 	// (zero values take control.BalancerConfig defaults).
@@ -86,9 +78,9 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// EpochStats summarizes one routed epoch.
-type EpochStats struct {
-	Epoch int
+// Counters are the routing counts of one epoch (EpochStats) or their
+// field-wise sum over a Run (Stats).
+type Counters struct {
 	// Batches/Bytes count delivered (deduplicated) batches.
 	Batches int
 	Bytes   int64
@@ -115,19 +107,34 @@ type EpochStats struct {
 	PerNode map[string]int
 }
 
-// Stats aggregates a multi-epoch Run.
+// add folds o into c, field by field.
+func (c *Counters) add(o *Counters) {
+	c.Batches += o.Batches
+	c.Bytes += o.Bytes
+	c.Rounds += o.Rounds
+	c.NodeFailures += o.NodeFailures
+	c.Rerouted += o.Rerouted
+	c.Spilled += o.Spilled
+	c.Ignored += o.Ignored
+	c.Hedged += o.Hedged
+	c.HedgeWon += o.HedgeWon
+	c.HedgeWasted += o.HedgeWasted
+	for n, b := range o.PerNode {
+		c.PerNode[n] += b
+	}
+}
+
+// EpochStats summarizes one routed epoch.
+type EpochStats struct {
+	Epoch int
+	Counters
+}
+
+// Stats aggregates a multi-epoch Run: Counters is the sum of its epochs'.
 type Stats struct {
-	Epochs       int
-	Batches      int
-	Bytes        int64
-	NodeFailures int
-	Rerouted     int
-	Ignored      int
-	Hedged       int
-	HedgeWon     int
-	HedgeWasted  int
-	Elapsed      time.Duration
-	PerNode      map[string]int
+	Epochs  int
+	Elapsed time.Duration
+	Counters
 }
 
 // BatchesPerSec is the aggregate delivered-batch throughput.
@@ -138,62 +145,51 @@ func (s *Stats) BatchesPerSec() float64 {
 	return float64(s.Batches) / s.Elapsed.Seconds()
 }
 
-// Client consumes epochs from a preprocessing cluster: it partitions each
-// epoch's batch plan across alive nodes with the consistent-hash ring,
-// streams the per-node shards concurrently, and on node death re-routes that
-// node's unserved batches to survivors mid-epoch. Exactly-once delivery
-// holds by construction — the router only ever requests IDs it has not
-// received — and a received-set filter enforces it against misbehaving
-// nodes. Not safe for concurrent use; run one Client per goroutine.
+// Retry and hedge pacing. None of these has a caller that wants another
+// value, so they are constants, not Config fields.
+const (
+	// nodeRetries is how many extra same-node attempts a failed shard fetch
+	// gets before the node is declared dead and its unserved batches are
+	// rerouted. Only the still-unserved IDs are re-requested, so a retry
+	// never re-delivers a batch.
+	nodeRetries = 1
+	// retryBackoffBase / retryBackoffMax shape the jittered sleep before a
+	// same-node retry (serve.Backoff).
+	retryBackoffBase = 50 * time.Millisecond
+	retryBackoffMax  = time.Second
+	// hedgeInterval is the period of a round's hedge pass. It runs on the
+	// real clock: the stalls it exists to catch are wall-clock stalls.
+	hedgeInterval = 2 * time.Millisecond
+)
+
+// Client consumes epochs from a preprocessing cluster. Every epoch is one
+// loop of routing rounds: assign the unserved IDs across alive nodes on the
+// consistent-hash ring, fetch each node's shard concurrently, deduplicate
+// every frame through the epoch's exactly-once ledger, and re-route whatever
+// is still unserved (a dead node's shard) in the next round. Hedging
+// (hedge.go) runs inside a round; re-weighting (balance.go) runs between
+// rounds. Exactly-once delivery holds by construction — the router only ever
+// requests IDs it has not received — and the ledger enforces it against
+// misbehaving nodes. Not safe for concurrent use; run one Client per
+// goroutine.
 type Client struct {
 	cfg     Config
 	ring    *Ring
 	mem     *Membership
 	clients map[string]*serve.Client
 	addrOf  map[string]string
-	jitter  *rng.Stream
+
+	// jitterMu guards jitter: concurrent fetches of one round may retry at
+	// once.
+	jitterMu sync.Mutex
+	jitter   *rng.Stream
 
 	planLen int
 	ack     serve.HelloAck
 	haveAck bool
 
-	// histMu guards the per-node latency histograms the hedge monitor
-	// derives its thresholds from. They accumulate across rounds and epochs:
-	// recent latency, not per-round latency, defines "abnormally slow". Two
-	// populations are kept apart because they differ by an order of
-	// magnitude: firstHists holds each round's start-to-first-frame gap
-	// (dial, handshake, pipeline spin-up, first batch), hists holds the
-	// steady mid-stream inter-arrival cadence. A node that has not produced
-	// its first frame yet is judged against peers' first-frame quantile —
-	// folding warm-up gaps into the steady histogram would either inflate
-	// the mid-stream threshold to warm-up scale or, kept apart but applied
-	// uniformly, flag every node as stalled during round start. The
-	// threshold for judging a node is always computed from its PEERS' merged
-	// histograms — a consistent straggler must not be able to normalize its
-	// own cadence into the quantile and dodge hedging.
-	histMu     sync.Mutex
-	hists      map[string]*serve.LatencyHist
-	firstHists map[string]*serve.LatencyHist
-
-	// balancer, when Config.AutoTune is set, converts per-epoch windows of
-	// the steady histograms into ring vnode weights. balSnap remembers each
-	// histogram's (sum, total) at the last epoch boundary so the window is a
-	// delta, not the lifetime aggregate.
-	balancer *control.Balancer
-	balSnap  map[string]histSnap
-
-	// pendMu guards weight changes queued for the next safe point — a round
-	// or epoch boundary on the router goroutine, when no fetch or hedge
-	// goroutine can be walking the ring — plus the applied-move counter.
-	pendMu      sync.Mutex
-	pending     map[string]float64
-	weightMoves int
-}
-
-// histSnap is one histogram's cumulative (sum, total) at a window boundary.
-type histSnap struct {
-	sum   time.Duration
-	total int64
+	lat latency // per-node batch-arrival histograms both policies read
+	bal balance // ring re-weighting state
 }
 
 // New builds a cluster client. No connections are made until the first run.
@@ -204,20 +200,11 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Replication < 1 {
 		cfg.Replication = 1
 	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 50 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = time.Second
-	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
 	if cfg.HedgeMinSamples <= 0 {
 		cfg.HedgeMinSamples = 8
-	}
-	if cfg.HedgeInterval <= 0 {
-		cfg.HedgeInterval = 2 * time.Millisecond
 	}
 	if cfg.HedgeMinDelay <= 0 {
 		cfg.HedgeMinDelay = time.Millisecond
@@ -225,22 +212,18 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	seed := cfg.JitterSeed
-	if seed == 0 {
-		seed = int64(fnv1a(cfg.Name)) ^ 0x636c7573746572 // "cluster"
-	}
+	seed := int64(fnv1a(cfg.Name)) ^ 0x636c7573746572 // "cluster"
 	c := &Client{
-		cfg:        cfg,
-		ring:       NewRing(DefaultVNodes),
-		clients:    make(map[string]*serve.Client),
-		addrOf:     make(map[string]string),
-		hists:      make(map[string]*serve.LatencyHist),
-		firstHists: make(map[string]*serve.LatencyHist),
-		jitter:     rng.New(seed, "cluster/retry"),
+		cfg:     cfg,
+		ring:    NewRing(DefaultVNodes),
+		clients: make(map[string]*serve.Client),
+		addrOf:  make(map[string]string),
+		jitter:  rng.New(seed, "cluster/retry"),
+		lat:     newLatency(),
 	}
 	if cfg.AutoTune {
-		c.balancer = control.NewBalancer(cfg.Balancer)
-		c.balSnap = make(map[string]histSnap)
+		c.bal.balancer = control.NewBalancer(cfg.Balancer)
+		c.bal.snap = make(map[string]histSnap)
 	}
 	for i := range cfg.Nodes {
 		if cfg.Nodes[i].ID == "" {
@@ -315,123 +298,8 @@ func (c *Client) ensurePlan() error {
 	return fmt.Errorf("cluster: handshake failed on every node: %w", lastErr)
 }
 
-// backoff returns the jittered sleep before same-node retry attempt k
-// (1-based): exponential with a cap, jittered into [d/2, d).
-func (c *Client) backoff(attempt int) time.Duration {
-	d := c.cfg.BackoffBase
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if d >= c.cfg.BackoffMax {
-			d = c.cfg.BackoffMax
-			break
-		}
-	}
-	if d > c.cfg.BackoffMax {
-		d = c.cfg.BackoffMax
-	}
-	half := d / 2
-	return half + time.Duration(c.jitter.Float64()*float64(half))
-}
-
-// SetNodeWeight queues a ring weight override for node (w in [0, 1] of full
-// vnode weight), applied at the next round or epoch boundary. Safe to call
-// from any goroutine — including mid-epoch from an onBatch callback or an
-// operator control surface — because the ring itself is only ever touched at
-// safe points on the router goroutine; the exactly-once ledger guarantees a
-// re-weighted reroute never re-delivers a batch. Returns false for a node
-// the client does not know.
-func (c *Client) SetNodeWeight(node string, w float64) bool {
-	if _, ok := c.clients[node]; !ok {
-		return false
-	}
-	c.pendMu.Lock()
-	if c.pending == nil {
-		c.pending = make(map[string]float64)
-	}
-	c.pending[node] = w
-	c.pendMu.Unlock()
-	return true
-}
-
-// applyPendingWeights drains the queued weight changes into the ring. Called
-// only from the router goroutine at round/epoch boundaries, while no fetch,
-// hedge, or monitor goroutine is live to walk the ring concurrently.
-func (c *Client) applyPendingWeights() {
-	c.pendMu.Lock()
-	pending := c.pending
-	c.pending = nil
-	c.pendMu.Unlock()
-	if len(pending) == 0 {
-		return
-	}
-	nodes := make([]string, 0, len(pending))
-	for n := range pending {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	for _, n := range nodes {
-		if c.ring.SetWeight(n, pending[n]) {
-			c.pendMu.Lock()
-			c.weightMoves++
-			c.pendMu.Unlock()
-			c.cfg.Logf("cluster: ring weight %s -> %.2f", n, pending[n])
-		}
-	}
-}
-
-// Weights reports the ring's current per-node weights. Call it from the
-// router's goroutine (between runs); it reads the ring unlocked.
-func (c *Client) Weights() map[string]float64 {
-	out := make(map[string]float64, len(c.clients))
-	for _, n := range c.ring.Nodes() {
-		out[n] = c.ring.Weight(n)
-	}
-	return out
-}
-
-// WeightMoves reports how many applied weight changes actually moved ring
-// points.
-func (c *Client) WeightMoves() int {
-	c.pendMu.Lock()
-	defer c.pendMu.Unlock()
-	return c.weightMoves
-}
-
-// observeBalance is the balancer's epoch tick: it windows each node's steady
-// histogram since the last boundary, feeds the window to the balancer, and
-// queues any proposed re-weight for the next epoch's first round.
-func (c *Client) observeBalance() {
-	if c.balancer == nil {
-		return
-	}
-	c.histMu.Lock()
-	nodes := make([]string, 0, len(c.hists))
-	for n := range c.hists {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	samples := make([]control.NodeSample, 0, len(nodes))
-	for _, node := range nodes {
-		h := c.hists[node]
-		prev := c.balSnap[node]
-		dTotal := h.Total - prev.total
-		dSum := h.Sum - prev.sum
-		c.balSnap[node] = histSnap{sum: h.Sum, total: h.Total}
-		if dTotal > 0 {
-			samples = append(samples, control.NodeSample{
-				Node: node, Batches: dTotal, PerBatch: dSum / time.Duration(dTotal)})
-		}
-	}
-	c.histMu.Unlock()
-	if weights := c.balancer.Observe(samples); weights != nil {
-		for node, w := range weights {
-			c.SetNodeWeight(node, w)
-		}
-		c.cfg.Logf("cluster: autotune re-weight: %s", c.balancer)
-	}
-}
-
-// epochState is the shared exactly-once ledger for one routed epoch.
+// epochState is the exactly-once ledger for one routed epoch, and the
+// epoch's counters under the same lock.
 type epochState struct {
 	mu       sync.Mutex
 	received map[int]bool
@@ -455,218 +323,81 @@ func (st *epochState) unserved(ids []int) []int {
 	return out
 }
 
-// allReceived reports whether every id has been delivered.
-func (st *epochState) allReceived(ids []int) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, id := range ids {
-		if !st.received[id] {
-			return false
-		}
-	}
-	return true
+// nodeFetch is one node's record in a routing round.
+type nodeFetch struct {
+	ids     []int     // assigned this round; never changes once the round starts
+	last    time.Time // last progress: a fetch attempt's start or a frame's arrival
+	seen    bool      // a frame arrived this round: the node's warm-up is over
+	done    bool      // the primary fetch returned
+	flagged bool      // judged stalled and hedged this round (until retracted)
+	aborted bool      // severed on purpose once hedges delivered its IDs
 }
 
-// addHedged marks ids as speculatively re-issued and counts them once each.
-func (st *epochState) addHedged(ids []int) {
-	st.mu.Lock()
-	for _, id := range ids {
-		if !st.hedged[id] {
-			st.hedged[id] = true
-			st.stats.Hedged++
-		}
-	}
-	st.mu.Unlock()
+// round is one routing round: a record per assigned node, and the hedge
+// streams to sever at its end. mu guards everything but the records' ids.
+type round struct {
+	mu     sync.Mutex
+	nodes  map[string]*nodeFetch
+	hedges []*serve.Client
+	closed bool
 }
 
-// roundCtl tracks one routing round's in-flight node fetches for the hedge
-// monitor: per-node progress timestamps, completion, and deliberate aborts.
-type roundCtl struct {
-	mu      sync.Mutex
-	byNode  map[string][]int
-	last    map[string]time.Time
-	seen    map[string]bool
-	done    map[string]bool
-	hedged  map[string]bool
-	aborted map[string]bool
-	hedges  []*serve.Client
-	closed  bool
+func newRound(byNode map[string][]int, now time.Time) *round {
+	rd := &round{nodes: make(map[string]*nodeFetch, len(byNode))}
+	for node, ids := range byNode {
+		rd.nodes[node] = &nodeFetch{ids: ids, last: now}
+	}
+	return rd
 }
 
-func newRoundCtl(byNode map[string][]int, now time.Time) *roundCtl {
-	rc := &roundCtl{
-		byNode:  byNode,
-		last:    make(map[string]time.Time, len(byNode)),
-		seen:    make(map[string]bool, len(byNode)),
-		done:    make(map[string]bool, len(byNode)),
-		hedged:  make(map[string]bool, len(byNode)),
-		aborted: make(map[string]bool, len(byNode)),
-	}
-	for node := range byNode {
-		rc.last[node] = now
-	}
-	return rc
-}
-
-// touch stamps progress on node and returns the previous stamp.
-func (rc *roundCtl) touch(node string) (prev time.Time) {
+// stamp records progress on node and returns the previous stamp. frame marks
+// a frame arrival; first reports whether it was the node's first this round,
+// which ends its warm-up (dial, handshake, pipeline spin-up, first batch).
+func (rd *round) stamp(node string, frame bool) (prev time.Time, first bool) {
 	now := time.Now()
-	rc.mu.Lock()
-	prev = rc.last[node]
-	rc.last[node] = now
-	rc.mu.Unlock()
-	return prev
-}
-
-// frameTouch stamps a frame arrival on node, returning the previous stamp
-// and whether this was the node's first frame of the round (which marks the
-// end of its warm-up: dial, handshake, pipeline spin-up, first batch).
-func (rc *roundCtl) frameTouch(node string) (prev time.Time, first bool) {
-	now := time.Now()
-	rc.mu.Lock()
-	prev = rc.last[node]
-	rc.last[node] = now
-	first = !rc.seen[node]
-	rc.seen[node] = true
-	rc.mu.Unlock()
+	rd.mu.Lock()
+	defer rd.mu.Unlock()
+	nf := rd.nodes[node]
+	prev, nf.last = nf.last, now
+	if frame {
+		first, nf.seen = !nf.seen, true
+	}
 	return prev, first
 }
 
-func (rc *roundCtl) markDone(node string) {
-	rc.mu.Lock()
-	rc.done[node] = true
-	rc.mu.Unlock()
+func (rd *round) finish(node string) {
+	rd.mu.Lock()
+	rd.nodes[node].done = true
+	rd.mu.Unlock()
 }
 
-func (rc *roundCtl) isAborted(node string) bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.aborted[node]
+func (rd *round) aborted(node string) bool {
+	rd.mu.Lock()
+	defer rd.mu.Unlock()
+	return rd.nodes[node].aborted
 }
 
-// abortIfRunning marks node's primary as deliberately severed unless it
-// already finished; the caller Kicks only on true, so a completed fetch's
-// idle connection is (almost) never closed under it.
-func (rc *roundCtl) abortIfRunning(node string) bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.done[node] {
-		return false
-	}
-	rc.aborted[node] = true
-	return true
+func (rd *round) isClosed() bool {
+	rd.mu.Lock()
+	defer rd.mu.Unlock()
+	return rd.closed
 }
 
-// registerHedge records a hedge stream's client so the round can sever it at
-// teardown. False means the round is already over: the hedge must not start.
-func (rc *roundCtl) registerHedge(hc *serve.Client) bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.closed {
-		return false
-	}
-	rc.hedges = append(rc.hedges, hc)
-	return true
-}
-
-// unflag retracts a stall flag that produced no hedge (every candidate
-// successor was itself flagged, dead, or the slow node). Without retraction,
-// a monitor pass that flags several warming-up nodes at once deadlocks: each
-// node's target walk excludes the others and nobody gets hedged for the rest
-// of the round. Retracted nodes are re-judged on the next poll, by which
-// time false positives have delivered frames and dropped out of the set.
-func (rc *roundCtl) unflag(node string) {
-	rc.mu.Lock()
-	rc.hedged[node] = false
-	rc.mu.Unlock()
-}
-
-// flaggedNodes snapshots the set of nodes this round has flagged as stalled.
-func (rc *roundCtl) flaggedNodes() map[string]bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	out := make(map[string]bool, len(rc.hedged))
-	for node, f := range rc.hedged {
-		if f {
-			out[node] = true
-		}
-	}
-	return out
-}
-
-func (rc *roundCtl) isClosed() bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.closed
-}
-
-// closeRound severs every in-flight hedge stream. Once the primaries are
-// done the round's outcome is decided — anything still unserved goes to the
-// next routing round — and waiting for a speculative stream to drain would
-// add the successor's recompute tail to the epoch's critical path (a hedged
+// close severs every in-flight hedge stream. Once the primaries are done the
+// round's outcome is decided — anything still unserved goes to the next
+// routing round — and waiting for a speculative stream to drain would add
+// the successor's recompute tail to the epoch's critical path (a hedged
 // epoch must never be slower than an unhedged one because of its own
 // insurance).
-func (rc *roundCtl) closeRound() {
-	rc.mu.Lock()
-	hedges := rc.hedges
-	rc.hedges = nil
-	rc.closed = true
-	rc.mu.Unlock()
+func (rd *round) close() {
+	rd.mu.Lock()
+	hedges := rd.hedges
+	rd.hedges = nil
+	rd.closed = true
+	rd.mu.Unlock()
 	for _, hc := range hedges {
 		hc.Kick()
 	}
-}
-
-// laggard is one stalled node and the threshold it was judged against.
-type laggard struct {
-	node      string
-	threshold time.Duration
-}
-
-// stalled returns the nodes that are still running, have not been hedged
-// yet, and have made no progress for longer than their threshold (false from
-// threshold means the node cannot be judged yet). The threshold callback
-// receives whether the node has delivered a frame this round, so warm-up
-// quiet and mid-stream quiet are judged against different populations.
-//
-// A node is only a straggler RELATIVE to peers that are making progress: if
-// every node in the round is quiet past its threshold, the slowness is
-// correlated — a loaded box, a consumer-side pause, round-start warm-up —
-// and hedging would only add load to whatever is already saturated (worse,
-// simultaneous flags used to exclude each other as hedge targets, so the
-// one genuinely degraded node could end up with nowhere to hedge to). So a
-// quiet node is flagged only while at least one other node is current:
-// finished, or heard from within its own threshold.
-func (rc *roundCtl) stalled(now time.Time, threshold func(node string, seen bool) (time.Duration, bool)) []laggard {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	current := 0
-	var candidates []laggard
-	for node := range rc.byNode {
-		if rc.done[node] {
-			current++
-			continue
-		}
-		th, ok := threshold(node, rc.seen[node])
-		if !ok {
-			continue
-		}
-		if now.Sub(rc.last[node]) <= th {
-			current++
-			continue
-		}
-		if rc.hedged[node] || rc.aborted[node] {
-			continue
-		}
-		candidates = append(candidates, laggard{node: node, threshold: th})
-	}
-	if current == 0 {
-		return nil
-	}
-	for _, lag := range candidates {
-		rc.hedged[lag.node] = true
-	}
-	return candidates
 }
 
 // RunEpoch routes one epoch: every batch of the plan is delivered to onBatch
@@ -680,7 +411,7 @@ func (rc *roundCtl) stalled(now time.Time, threshold func(node string, seen bool
 // returns (serve.Client.Run). Keep a batch with b.Clone(), frame bytes with a
 // copy.
 func (c *Client) RunEpoch(epoch int, onBatch func(node string, b *serve.Batch, payload []byte)) (*EpochStats, error) {
-	stats := &EpochStats{Epoch: epoch, PerNode: make(map[string]int)}
+	stats := &EpochStats{Epoch: epoch, Counters: Counters{PerNode: make(map[string]int)}}
 	if err := c.ensurePlan(); err != nil {
 		return stats, err
 	}
@@ -688,17 +419,12 @@ func (c *Client) RunEpoch(epoch int, onBatch func(node string, b *serve.Batch, p
 	for i := range remaining {
 		remaining[i] = i
 	}
-	st := &epochState{
-		received: make(map[int]bool, c.planLen),
-		hedged:   make(map[int]bool),
-		stats:    stats,
-	}
+	st := &epochState{received: make(map[int]bool), hedged: make(map[int]bool), stats: stats}
 
 	for round := 0; len(remaining) > 0; round++ {
-		// Round start is a safe point: the previous round's fetch, hedge, and
-		// monitor goroutines are fully joined, so queued re-weights (from the
-		// balancer or SetNodeWeight) land on the ring before Assign partitions
-		// the remaining work.
+		// Round start is the balance policy's safe point: the previous
+		// round's fetch and hedge goroutines are joined, so queued re-weights
+		// land on the ring before Assign partitions the remaining work.
 		c.applyPendingWeights()
 		// The round cap is the brake against a node flapping
 		// alive-but-broken forever.
@@ -722,55 +448,50 @@ func (c *Client) RunEpoch(epoch int, onBatch func(node string, b *serve.Batch, p
 		asn := c.ring.Assign(remaining, alive, c.cfg.Replication)
 		stats.Spilled += asn.Spilled
 		stats.Rounds = round + 1
-
-		rc := newRoundCtl(asn.ByNode, time.Now())
-		var wg sync.WaitGroup
-		for node, ids := range asn.ByNode {
-			wg.Add(1)
-			go func(node string, ids []int) {
-				defer wg.Done()
-				defer rc.markDone(node)
-				if err := c.fetchNode(epoch, node, ids, st, rc, onBatch); err != nil {
-					st.mu.Lock()
-					stats.NodeFailures++
-					st.mu.Unlock()
-					c.mem.ReportFailure(node, err)
-				}
-			}(node, ids)
-		}
-		// The hedge monitor breaks the wg.Wait barrier's head-of-line
-		// blocking: while primaries stream, it watches per-node progress and
-		// speculatively re-issues a stalled node's unserved IDs to ring
-		// successors, severing the stalled primary once its work is covered.
-		// A single-node round has no successor to hedge to.
-		var monDone chan struct{}
-		stop := make(chan struct{})
-		if c.cfg.HedgeQuantile > 0 && len(asn.ByNode) > 1 {
-			monDone = make(chan struct{})
-			go func() {
-				defer close(monDone)
-				c.hedgeMonitor(epoch, rc, st, onBatch, stop)
-			}()
-		}
-		wg.Wait()
-		close(stop)
-		rc.closeRound()
-		if monDone != nil {
-			<-monDone
-		}
-
-		next := remaining[:0]
-		st.mu.Lock()
-		for _, id := range remaining {
-			if !st.received[id] {
-				next = append(next, id)
-			}
-		}
-		st.mu.Unlock()
-		remaining = next
+		c.runRound(epoch, asn.ByNode, st, onBatch)
+		remaining = st.unserved(remaining)
 	}
 	c.observeBalance()
 	return stats, nil
+}
+
+// runRound fetches one round's assignment: a primary fetch per node, and —
+// with hedging on and a peer to hedge to — a hedge pass every hedgeInterval
+// on this goroutine, between fetch completions, until the last primary
+// returns. Hedge streams still open then are severed and joined before
+// runRound returns, so no goroutine of this round outlives it.
+func (c *Client) runRound(epoch int, byNode map[string][]int, st *epochState, onBatch func(string, *serve.Batch, []byte)) {
+	rd := newRound(byNode, time.Now())
+	done := make(chan struct{}, len(byNode))
+	for node, ids := range byNode {
+		go func() {
+			if err := c.fetchNode(epoch, node, ids, st, rd, onBatch); err != nil {
+				st.mu.Lock()
+				st.stats.NodeFailures++
+				st.mu.Unlock()
+				c.mem.ReportFailure(node, err)
+			}
+			rd.finish(node)
+			done <- struct{}{}
+		}()
+	}
+	var hedges sync.WaitGroup
+	var tick <-chan time.Time
+	if c.cfg.HedgeQuantile > 0 && len(byNode) > 1 {
+		t := time.NewTicker(hedgeInterval)
+		defer t.Stop()
+		tick = t.C
+	}
+	for running := len(byNode); running > 0; {
+		select {
+		case <-done:
+			running--
+		case <-tick:
+			c.hedgePass(epoch, rd, st, &hedges, onBatch)
+		}
+	}
+	rd.close()
+	hedges.Wait()
 }
 
 // deliver runs a received frame through the exactly-once filter and credits
@@ -800,42 +521,22 @@ func (c *Client) deliver(st *epochState, node string, b *serve.Batch, payload []
 	}
 }
 
-// observe stamps progress on node and feeds the frame gap into the right
-// latency histogram: the round's first frame measures warm-up (firstHists),
-// every later frame measures steady inter-arrival cadence (hists).
-func (c *Client) observe(rc *roundCtl, node string) {
-	prev, first := rc.frameTouch(node)
-	if prev.IsZero() {
-		return
-	}
-	c.histMu.Lock()
-	m := c.hists
-	if first {
-		m = c.firstHists
-	}
-	h := m[node]
-	if h == nil {
-		h = &serve.LatencyHist{}
-		m[node] = h
-	}
-	h.Record(time.Since(prev))
-	c.histMu.Unlock()
+// observe stamps a frame arrival on node and feeds the gap since its
+// previous progress into the right latency population: the round's first
+// frame measures warm-up, every later frame steady inter-arrival cadence.
+func (c *Client) observe(rd *round, node string) {
+	prev, first := rd.stamp(node, true)
+	c.lat.record(node, first, time.Since(prev))
 }
-
-// nodeRetries is how many extra same-node attempts a failed shard fetch gets
-// before the node is declared dead and its unserved batches are rerouted.
-// Only the still-unserved IDs are re-requested, so a retry never re-delivers
-// a batch.
-const nodeRetries = 1
 
 // fetchNode streams one node's assigned IDs, retrying the node itself (with
 // only the still-unserved IDs) nodeRetries times before giving it up. The
 // serve.Client is owned by this goroutine for the duration of the round —
 // Assign hands each node to exactly one fetchNode call per round; hedges use
-// fresh clients. A fetch severed by the hedge monitor (abortIfRunning+Kick)
+// fresh clients. A fetch severed by the hedge policy (abortIfRunning+Kick)
 // is not a node failure: its work was delivered elsewhere, and reporting it
 // would wrongly push a merely-degraded node toward dead.
-func (c *Client) fetchNode(epoch int, node string, ids []int, st *epochState, rc *roundCtl, onBatch func(string, *serve.Batch, []byte)) error {
+func (c *Client) fetchNode(epoch int, node string, ids []int, st *epochState, rd *round, onBatch func(string, *serve.Batch, []byte)) error {
 	sc := c.clients[node]
 	var lastErr error
 	for attempt := 0; attempt <= nodeRetries; attempt++ {
@@ -844,17 +545,20 @@ func (c *Client) fetchNode(epoch int, node string, ids []int, st *epochState, rc
 			return nil
 		}
 		if attempt > 0 {
-			c.cfg.Sleep(c.backoff(attempt))
+			c.jitterMu.Lock()
+			d := serve.Backoff(retryBackoffBase, retryBackoffMax, attempt, c.jitter)
+			c.jitterMu.Unlock()
+			c.cfg.Sleep(d)
 		}
-		rc.touch(node)
+		rd.stamp(node, false)
 		err := sc.FetchShard(epoch, need, func(b *serve.Batch, payload []byte) {
-			c.observe(rc, node)
+			c.observe(rd, node)
 			c.deliver(st, node, b, payload, false, onBatch)
 		})
 		if err == nil {
 			return nil
 		}
-		if rc.isAborted(node) {
+		if rd.aborted(node) {
 			return nil
 		}
 		lastErr = err
@@ -866,153 +570,16 @@ func (c *Client) fetchNode(epoch int, node string, ids []int, st *epochState, rc
 	return lastErr
 }
 
-// hedgeThreshold returns the no-progress bound for judging node, or false
-// while its peers' histograms are too cold to trust. The quantile is taken
-// over the merged latencies of every OTHER node: a straggler is a node slow
-// relative to its peers. Folding the judged node's own cadence in would let
-// a consistently degraded node drag the quantile up to its own pace and
-// never look stalled. seen selects the population: a node still in warm-up
-// (no frame this round) is compared against peers' warm-up gaps, a
-// mid-stream node against peers' steady inter-arrival cadence — so hedging
-// fires at tens of milliseconds mid-stream without storming at round start,
-// when every node is legitimately quiet for a warm-up's worth of time.
-func (c *Client) hedgeThreshold(node string, seen bool) (time.Duration, bool) {
-	c.histMu.Lock()
-	defer c.histMu.Unlock()
-	m := c.hists
-	if !seen {
-		m = c.firstHists
-	}
-	var peers serve.LatencyHist
-	for id, h := range m {
-		if id != node {
-			peers.Merge(h)
-		}
-	}
-	if peers.Total < int64(c.cfg.HedgeMinSamples) {
-		return 0, false
-	}
-	th := peers.Quantile(c.cfg.HedgeQuantile)
-	if th < c.cfg.HedgeMinDelay {
-		th = c.cfg.HedgeMinDelay
-	}
-	return th, true
-}
-
-// hedgeTargets groups a slow node's unserved IDs by ring successor: for each
-// batch, the first alive node on its ownership walk that is not the slow
-// node and is not itself flagged as stalled this round — insurance bought
-// from a node already known to be struggling is worthless. Batches with no
-// such successor are left to the normal reroute path.
-func (c *Client) hedgeTargets(rc *roundCtl, slow string, ids []int) map[string][]int {
-	alive := c.mem.Alive()
-	flagged := rc.flaggedNodes()
-	out := make(map[string][]int)
-	for _, id := range ids {
-		for _, n := range c.ring.Owners(BatchKey(id), 0) {
-			if n != slow && alive[n] && !flagged[n] {
-				out[n] = append(out[n], id)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// hedgeMonitor watches a round's in-flight fetches and speculatively
-// re-issues a stalled node's unserved IDs. It polls on the real clock —
-// stalls it exists to catch are wall-clock stalls.
-func (c *Client) hedgeMonitor(epoch int, rc *roundCtl, st *epochState, onBatch func(string, *serve.Batch, []byte), stop <-chan struct{}) {
-	var hwg sync.WaitGroup
-	defer hwg.Wait()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-time.After(c.cfg.HedgeInterval):
-		}
-		for _, lag := range rc.stalled(time.Now(), c.hedgeThreshold) {
-			slow := lag.node
-			unserved := st.unserved(rc.byNode[slow])
-			if len(unserved) == 0 {
-				continue
-			}
-			targets := c.hedgeTargets(rc, slow, unserved)
-			hedging := make([]int, 0, len(unserved))
-			for _, ids := range targets {
-				hedging = append(hedging, ids...)
-			}
-			if len(hedging) == 0 {
-				rc.unflag(slow)
-				continue
-			}
-			st.addHedged(hedging)
-			c.cfg.Logf("cluster: epoch %d: node %s stalled past %v; hedging %d batches to %d successors",
-				epoch, slow, lag.threshold, len(hedging), len(targets))
-			for succ, ids := range targets {
-				hwg.Add(1)
-				go func(succ string, ids []int) {
-					defer hwg.Done()
-					c.hedgeFetch(epoch, slow, succ, ids, rc, st, onBatch)
-				}(succ, ids)
-			}
-		}
-	}
-}
-
-// hedgeFetch streams a slow node's unserved IDs from one ring successor on a
-// fresh connection (the successor's primary client is busy with its own
-// shard). On success, if nothing assigned to the slow node remains unserved,
-// the slow primary is severed so the round stops waiting for it. Hedge
-// failures are advisory — the primary and the normal reroute path still
-// stand — so they are never reported to membership.
-func (c *Client) hedgeFetch(epoch int, slow, succ string, ids []int, rc *roundCtl, st *epochState, onBatch func(string, *serve.Batch, []byte)) {
-	hc := serve.NewClient(serve.ClientConfig{
-		Addr:        c.addrOf[succ],
-		Name:        c.cfg.Name + "@" + succ + "/hedge",
-		Tenant:      c.cfg.Tenant,
-		DialTimeout: c.cfg.DialTimeout,
-	})
-	defer hc.Close()
-	if !rc.registerHedge(hc) {
-		return
-	}
-	err := hc.FetchShardHedged(epoch, ids, func(b *serve.Batch, payload []byte) {
-		c.deliver(st, succ, b, payload, true, onBatch)
-	})
-	if err != nil {
-		// A round-teardown kick is the expected end of a hedge that lost the
-		// race; only a hedge that died on its own is worth a log line.
-		if !rc.isClosed() {
-			c.cfg.Logf("cluster: epoch %d: hedge to %s for %s failed: %v", epoch, succ, slow, err)
-		}
-		return
-	}
-	if st.allReceived(rc.byNode[slow]) && rc.abortIfRunning(slow) {
-		c.cfg.Logf("cluster: epoch %d: hedges covered node %s; severing its in-flight fetch", epoch, slow)
-		c.clients[slow].Kick()
-	}
-}
-
-// Run routes epochs 0..epochs-1 and aggregates their stats. onBatch is under
-// RunEpoch's contract: b and payload are valid only until it returns.
+// Run routes epochs 0..epochs-1; its Stats are the field-wise sum of their
+// EpochStats. onBatch is under RunEpoch's contract: b and payload are valid
+// only until it returns.
 func (c *Client) Run(epochs int, onBatch func(node string, b *serve.Batch, payload []byte)) (*Stats, error) {
-	out := &Stats{PerNode: make(map[string]int)}
+	out := &Stats{Counters: Counters{PerNode: make(map[string]int)}}
 	start := time.Now()
 	defer func() { out.Elapsed = time.Since(start) }()
 	for e := 0; e < epochs; e++ {
 		es, err := c.RunEpoch(e, onBatch)
-		out.Batches += es.Batches
-		out.Bytes += es.Bytes
-		out.NodeFailures += es.NodeFailures
-		out.Rerouted += es.Rerouted
-		out.Ignored += es.Ignored
-		out.Hedged += es.Hedged
-		out.HedgeWon += es.HedgeWon
-		out.HedgeWasted += es.HedgeWasted
-		for n, b := range es.PerNode {
-			out.PerNode[n] += b
-		}
+		out.add(&es.Counters)
 		if err != nil {
 			return out, fmt.Errorf("cluster: epoch %d: %w", e, err)
 		}

@@ -561,7 +561,6 @@ func TestClusterHedgedFetchSlowNode(t *testing.T) {
 		Name:            "hedge-test",
 		HedgeQuantile:   0.95,
 		HedgeMinSamples: 2,
-		HedgeInterval:   2 * time.Millisecond,
 		HedgeMinDelay:   5 * time.Millisecond,
 		Logf:            t.Logf,
 	})

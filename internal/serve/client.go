@@ -32,8 +32,6 @@ type ClientConfig struct {
 	// Tenant identifies the QoS accounting bucket this session bills to.
 	// Empty means the server's default tenant; servers without QoS ignore it.
 	Tenant string
-	// MaxFrame bounds accepted frames (default DefaultMaxFrame).
-	MaxFrame int
 	// DialTimeout bounds each connection attempt (default 5s).
 	DialTimeout time.Duration
 	// Retries is how many reconnect-and-retry attempts each epoch gets after
@@ -96,9 +94,6 @@ type Client struct {
 
 // NewClient returns an unconnected client; the first Run or Connect dials.
 func NewClient(cfg ClientConfig) *Client {
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = DefaultMaxFrame
-	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
@@ -227,7 +222,7 @@ func (c *Client) Kick() {
 // readStreamFrame reads the next frame of an epoch stream into the client's
 // reused buffer. The returned payload is overwritten by the next call.
 func (c *Client) readStreamFrame() ([]byte, error) {
-	n, err := readFrameLen(c.conn, c.cfg.MaxFrame)
+	n, err := readFrameLen(c.conn, DefaultMaxFrame)
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +263,7 @@ func (c *Client) drop() {
 }
 
 func (c *Client) readMessage(conn net.Conn) (any, error) {
-	payload, err := ReadFrame(conn, c.cfg.MaxFrame)
+	payload, err := ReadFrame(conn, DefaultMaxFrame)
 	if err != nil {
 		return nil, err
 	}
@@ -369,25 +364,26 @@ func (c *Client) retry(epoch int, what string, stats *FetchStats, op func() erro
 	}
 }
 
-// backoff returns the sleep before retry attempt k (1-based): exponential
-// with a cap, then jittered into [d/2, d) by the client's seeded stream.
-// Without jitter, every client a server restart disconnects computes the
-// identical schedule and the whole fleet reconnects in synchronized waves
-// that re-overload the server in lockstep.
+// backoff returns the sleep before retry attempt k (1-based) on the client's
+// seeded jitter stream.
 func (c *Client) backoff(attempt int) time.Duration {
-	d := c.cfg.BackoffBase
-	for i := 1; i < attempt; i++ {
+	return Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, attempt, c.jitter)
+}
+
+// Backoff is the jittered sleep before retry attempt k (1-based):
+// exponential from base, capped at ceil, then jittered into [d/2, d) by one
+// draw from jitter. Without jitter, every client a server restart disconnects
+// computes the identical schedule and the whole fleet reconnects in
+// synchronized waves that re-overload the server in lockstep. serve.Client
+// and cluster.Client both retry on it.
+func Backoff(base, ceil time.Duration, attempt int, jitter *rng.Stream) time.Duration {
+	d := base
+	for i := 1; i < attempt && d < ceil; i++ {
 		d *= 2
-		if d >= c.cfg.BackoffMax {
-			d = c.cfg.BackoffMax
-			break
-		}
 	}
-	if d > c.cfg.BackoffMax {
-		d = c.cfg.BackoffMax
-	}
+	d = min(d, ceil)
 	half := d / 2
-	return half + time.Duration(c.jitter.Float64()*float64(half))
+	return half + time.Duration(jitter.Float64()*float64(half))
 }
 
 // FetchShard requests exactly the given global batch IDs of one epoch and

@@ -281,8 +281,7 @@ func TestDiskCacheBudgetEviction(t *testing.T) {
 		expected[e] = localEpochFrames(t, spec, e)
 	}
 	srv := New(Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
-		BatchCacheBytes: 64 << 20, DiskCacheDir: dir, DiskCacheBytes: 8 << 10,
-		DiskSegmentBytes: 4 << 10, Logf: t.Logf})
+		BatchCacheBytes: 64 << 20, DiskCacheDir: dir, DiskCacheBytes: 8 << 10, Logf: t.Logf})
 	if err := srv.Start("127.0.0.1:0", ""); err != nil {
 		t.Fatal(err)
 	}

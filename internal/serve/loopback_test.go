@@ -3,12 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -320,6 +322,54 @@ func TestMalformedFramesGetErrorNotPanic(t *testing.T) {
 	}
 	if stats.Batches != 10 {
 		t.Fatalf("clean client got %d batches, want 10", stats.Batches)
+	}
+}
+
+// TestRequestFrameBound: a connection that sends only a length prefix — one
+// byte over the largest request a client may legitimately send, then the
+// largest frame the wire allows — gets an Error frame and an immediate
+// close, and the server allocates nothing for the claimed payload. The
+// prefix arrives before any Hello, so admission control cannot bound it;
+// unbounded, each such handshake made the server allocate what the prefix
+// claimed (up to 64 MiB) and wait HelloTimeout (10 s) for the bytes.
+func TestRequestFrameBound(t *testing.T) {
+	srv := startTestServer(t, loopbackSpec(), false)
+	bound := 131085 // a Hello with both strings at 65535 bytes
+	if got := maxRequestFrame(srv.planLen); got != bound {
+		t.Fatalf("request bound for a %d-batch plan: %d, want %d", srv.planLen, got, bound)
+	}
+	if got := maxRequestFrame(1 << 16); got != 10+4<<16 {
+		t.Fatalf("request bound for a 65536-batch plan: %d, want the full ShardReq %d", got, 10+4<<16)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, claim := range []uint32{uint32(bound) + 1, DefaultMaxFrame} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], claim)
+		conn.Write(hdr[:])
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		payload, err := ReadFrame(conn, 0)
+		if err != nil {
+			t.Fatalf("claim %d: no Error frame within 2s: %v", claim, err)
+		}
+		if msg, err := DecodeMessage(payload); err != nil {
+			t.Fatalf("claim %d: %v", claim, err)
+		} else if _, ok := msg.(ErrorMsg); !ok {
+			t.Fatalf("claim %d: server replied %T, want ErrorMsg", claim, msg)
+		}
+		if _, err := ReadFrame(conn, 0); err != io.EOF {
+			t.Fatalf("claim %d: connection not closed after the Error frame: %v", claim, err)
+		}
+		conn.Close()
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("refusing two oversized prefixes allocated %d bytes", grew)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -42,10 +43,6 @@ type Config struct {
 	Prefetch int
 	// MaterializeDim caps synthesized image resolution in real mode.
 	MaterializeDim int
-	// MaxFrame bounds wire frames (default DefaultMaxFrame).
-	MaxFrame int
-	// RingSize is the live trace ring capacity in records (default 16384).
-	RingSize int
 	// HelloTimeout bounds how long a fresh connection may take to present a
 	// valid Hello before the server gives up on it (default 10s).
 	HelloTimeout time.Duration
@@ -68,10 +65,8 @@ type Config struct {
 	// > 0.
 	DiskCacheDir string
 	// DiskCacheBytes is the disk tier's soft byte budget (segment-granular
-	// LRU eviction); <= 0 means unlimited.
+	// LRU eviction, segments sized to fit it); <= 0 means unlimited.
 	DiskCacheBytes int64
-	// DiskSegmentBytes overrides the store's segment roll size (tests).
-	DiskSegmentBytes int64
 	// SampleCacheBytes, when > 0, enables the server-wide split-point sample
 	// cache: each sample's deterministic prefix (storage read + decode +
 	// deterministic resize) is materialized once and shared across epochs,
@@ -137,6 +132,9 @@ type Server struct {
 	cfg        Config
 	datasetLen int
 	planLen    int
+	// maxRequest bounds every frame the server reads: the largest message a
+	// client may legitimately send (maxRequestFrame).
+	maxRequest int
 
 	ln      net.Listener
 	httpLn  net.Listener
@@ -192,12 +190,6 @@ func New(cfg Config) *Server {
 	if cfg.Prefetch <= 0 {
 		cfg.Prefetch = 4
 	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = DefaultMaxFrame
-	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 16384
-	}
 	if cfg.HelloTimeout <= 0 {
 		cfg.HelloTimeout = 10 * time.Second
 	}
@@ -212,7 +204,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		datasetLen: cfg.Spec.NumSamples,
 		metrics:    NewMetrics(time.Now()),
-		ring:       trace.NewRing(cfg.RingSize),
+		ring:       trace.NewRing(traceRingRecords),
 		ctx:        ctx,
 		cancel:     cancel,
 		conns:      make(map[net.Conn]bool),
@@ -221,6 +213,7 @@ func New(cfg Config) *Server {
 	s.ring.SetPerLogCost(cfg.Spec.PerLogCost)
 	s.planLen = len(pipeline.BuildBatchPlan(s.datasetLen, cfg.Spec.BatchSize,
 		cfg.Spec.Shuffle, false, cfg.Spec.Seed))
+	s.maxRequest = maxRequestFrame(s.planLen)
 	s.specFP = SpecFingerprint(cfg.Spec, cfg.Mode, cfg.MaterializeDim)
 	s.plane = newPlane(s)
 	if cfg.AutoTune {
@@ -234,6 +227,21 @@ func New(cfg Config) *Server {
 	}
 	s.slog = newLogLimiter(logLinesPerSec, cfg.Logf)
 	return s
+}
+
+// traceRingRecords is the live trace ring's capacity in records.
+const traceRingRecords = 16384
+
+// maxRequestFrame is the largest frame a client may legitimately send a
+// server whose epoch plan has planLen batches: a Hello with both strings at
+// their 65535-byte cap, or a ShardReq naming every plan ID. Requests are read
+// before admission control, so a length prefix above this bound is refused
+// before anything is allocated for it — else one handshake could make the
+// server allocate DefaultMaxFrame (64 MiB) and wait HelloTimeout for it.
+func maxRequestFrame(planLen int) int {
+	const hello = 1 + 2 + 4 + 4 + 2*(2+math.MaxUint16) // type, version, rank, world, name, tenant
+	shardReq := 1 + 4 + 4 + 4*planLen + 1              // type, epoch, count, ids, hedge
+	return max(hello, shardReq)
 }
 
 // slogf is the rate-limited log path for per-session lines; lifecycle lines
@@ -431,10 +439,9 @@ func (s *Server) FlushDiskCache() error {
 func (s *Server) Start(addr, httpAddr string) error {
 	if s.cfg.DiskCacheDir != "" {
 		st, err := store.Open(s.cfg.DiskCacheDir, store.Options{
-			Budget:       s.cfg.DiskCacheBytes,
-			SegmentBytes: s.cfg.DiskSegmentBytes,
-			Faults:       s.cfg.Faults,
-			Logf:         s.cfg.Logf,
+			Budget: s.cfg.DiskCacheBytes,
+			Faults: s.cfg.Faults,
+			Logf:   s.cfg.Logf,
 		})
 		if err != nil {
 			return fmt.Errorf("serve: disk cache: %w", err)
@@ -691,7 +698,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		if !s.setStreaming(conn, false) {
 			return // the drain let this session's epoch finish; it leaves now
 		}
-		payload, err := ReadFrame(conn, s.cfg.MaxFrame)
+		payload, err := ReadFrame(conn, s.maxRequest)
 		if err != nil {
 			if err == io.EOF {
 				return // client hung up cleanly between requests
@@ -752,7 +759,7 @@ func (s *Server) handleConn(conn net.Conn) {
 func (s *Server) readHello(conn net.Conn) (Hello, error) {
 	conn.SetReadDeadline(time.Now().Add(s.cfg.HelloTimeout))
 	defer conn.SetReadDeadline(time.Time{})
-	payload, err := ReadFrame(conn, s.cfg.MaxFrame)
+	payload, err := ReadFrame(conn, s.maxRequest)
 	if err != nil {
 		return Hello{}, fmt.Errorf("handshake: %w", err)
 	}

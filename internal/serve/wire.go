@@ -15,9 +15,11 @@
 // Every frame is a 4-byte big-endian payload length followed by the payload;
 // the payload's first byte is the message type. Integers are big-endian;
 // strings are a u16 length plus UTF-8 bytes. A frame longer than the
-// negotiated maximum, an unknown type, or a payload that does not parse
+// receiver's bound, an unknown type, or a payload that does not parse
 // exactly is malformed: the server answers with an Error frame and closes
-// the session (it never panics on remote input).
+// the session (it never panics on remote input). A server bounds what it
+// reads by the largest request a client may send (a Hello with both strings
+// full, or a ShardReq naming the whole plan), a client by DefaultMaxFrame.
 //
 //	client -> server: Hello{version, rank, world, name}
 //	server -> client: HelloAck{version, datasetLen, batchSize, planBatches, shardBatches, mode, workload}

@@ -69,7 +69,9 @@ type Options struct {
 	// unlimited. Exceeding it evicts whole LRU sealed segments.
 	Budget int64
 	// SegmentBytes is the roll-over threshold for the active segment
-	// (default 4 MiB).
+	// (default 4 MiB, or a quarter of a Budget under 16 MiB: eviction frees
+	// whole sealed segments, so a segment as large as the budget could never
+	// be evicted back under it).
 	SegmentBytes int64
 	// QueueBytes bounds the payload bytes PutAsync may have queued for the
 	// writer (default 32 MiB). A producer that would exceed it waits for the
@@ -190,6 +192,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
+		if opts.Budget > 0 {
+			opts.SegmentBytes = min(opts.SegmentBytes, max(opts.Budget/4, 1))
+		}
 	}
 	if opts.QueueBytes <= 0 {
 		opts.QueueBytes = defaultQueueBytes

@@ -584,3 +584,27 @@ func TestGetLosingToEvictionIsAMiss(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 }
+
+// TestSegmentBytesFitBudget: with no explicit SegmentBytes, a budget smaller
+// than four default segments gets segments of a quarter of it — eviction
+// works in whole sealed segments — and every other budget keeps 4 MiB.
+func TestSegmentBytesFitBudget(t *testing.T) {
+	for _, c := range []struct{ budget, want int64 }{
+		{0, defaultSegmentBytes},
+		{8 << 10, 2 << 10},
+		{3, 1},
+		{16 << 20, defaultSegmentBytes},
+		{4 << 30, defaultSegmentBytes},
+	} {
+		s := mustOpen(t, t.TempDir(), Options{Budget: c.budget})
+		if s.opts.SegmentBytes != c.want {
+			t.Errorf("budget %d: segment %d bytes, want %d", c.budget, s.opts.SegmentBytes, c.want)
+		}
+		s.Close()
+	}
+	s := mustOpen(t, t.TempDir(), Options{Budget: 8 << 10, SegmentBytes: 4 << 10})
+	defer s.Close()
+	if s.opts.SegmentBytes != 4<<10 {
+		t.Fatalf("explicit SegmentBytes overridden to %d", s.opts.SegmentBytes)
+	}
+}
