@@ -1,40 +1,34 @@
 package chaos
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"lotus/internal/faultinject"
+	"lotus/internal/serve"
+	"lotus/internal/store"
 	"lotus/internal/workloads"
 )
 
-// TestSweepAllInvariantsHold is the chaos acceptance test: every cell of the
-// fault-class × workload matrix passes its invariants, and every fault class
-// has at least one run where faults actually fired. Short mode (-short, the
-// CI configuration) trims workloads but keeps every class.
+// TestSweepAllInvariantsHold is the chaos acceptance test: every row of the
+// table passes its invariants, each as its own subtest, so that
+// -run 'TestSweepAllInvariantsHold/cluster-autotune-slow-node' runs one row.
+// Every non-baseline row fails itself if its faults never fired; the
+// baselines must inject nothing. Short mode (-short) trims the loader rows to
+// one workload but keeps every class.
 func TestSweepAllInvariantsHold(t *testing.T) {
-	results := Sweep(Options{Seed: 1, Short: testing.Short(), Logf: t.Logf})
-	injectedByClass := map[string]int64{}
-	for _, r := range results {
-		if !r.OK() {
-			t.Errorf("chaos cell failed: %s", r)
-		}
-		injectedByClass[r.Class] += r.Injected
-	}
-	for _, class := range []string{
-		"read-error", "read-stall", "worker-panic", "worker-stall",
-		"wire-drop", "wire-truncate", "wire-corrupt", "server-panic", "client-disconnect",
-		"disk-rewarm", "disk-torn-manifest", "disk-corrupt-segment",
-		"cluster-node-kill", "cluster-node-slow", "cluster-heartbeat-flap",
-		"cluster-node-kill-rewarm",
-		"cluster-hedge-slow-node",
-		"cluster-autotune-slow-node",
-	} {
-		if injectedByClass[class] == 0 {
-			t.Errorf("fault class %q never injected a fault", class)
-		}
-	}
-	if n, ok := injectedByClass["baseline"]; !ok || n != 0 {
-		t.Errorf("baseline cells missing or injected faults: %d", n)
+	for _, c := range cells(Options{Seed: 1, Short: testing.Short()}) {
+		t.Run(c.class+"/"+c.workload, func(t *testing.T) {
+			r := c.exec()
+			if !r.OK() {
+				t.Errorf("chaos cell failed: %s", r)
+			}
+			if c.class == "baseline" && r.Injected != 0 {
+				t.Errorf("baseline injected %d faults", r.Injected)
+			}
+			t.Logf("chaos: %s", r)
+		})
 	}
 }
 
@@ -65,9 +59,9 @@ func TestPredictionIndependentOfWorkerCount(t *testing.T) {
 	fspec := faultinject.Spec{Seed: 3, ReadErrorNth: 5}
 	var first []string
 	for _, workers := range []int{1, 2, 4} {
-		spec := chaosSpec(workloads.IC, 1)
+		spec := chaosSpec(workloads.IC, 0, 1)
 		spec.NumWorkers = workers
-		res := pipelineCellWithSpec("read-error", spec, fspec)
+		res := loaderCell("read-error", spec, fspec).exec()
 		if !res.OK() {
 			t.Fatalf("workers=%d: %s", workers, res)
 		}
@@ -79,12 +73,74 @@ func TestPredictionIndependentOfWorkerCount(t *testing.T) {
 	}
 }
 
-// TestClusterAutotuneSlowNodeCell runs the balancer-convergence cell on its
-// own so CI can gate it (and a failure reproduces) without a full sweep.
-func TestClusterAutotuneSlowNodeCell(t *testing.T) {
-	r := clusterAutotuneSlowNodeCell(1)
-	if !r.OK() {
-		t.Fatalf("chaos cell failed: %s", r)
+// TestRunnerCatchesFaults feeds the served runner one row per kind of
+// violation it exists to catch and asserts the row reports it: a check that
+// cannot fail proves nothing.
+func TestRunnerCatchesFaults(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	var held *serve.Frame
+	defer func() {
+		if held != nil {
+			held.Release()
+		}
+	}()
+	// fetch streams shards of epoch 0 from the row's server into one sink: a
+	// client that asks for the wrong IDs.
+	fetch := func(shards ...[]int) client {
+		return func(e *env) {
+			c := serve.NewClient(serve.ClientConfig{Addr: e.srvs[0].Addr(), Name: "chaos-faulty"})
+			defer c.Close()
+			s := e.newSink("faulty")
+			for _, ids := range shards {
+				e.outcome("faulty client", c.FetchShard(0, ids, s.deliver))
+			}
+		}
 	}
-	t.Logf("chaos: %s", r)
+	var holdErr error
+	for _, tc := range []struct {
+		name, want string
+		row        row
+	}{
+		{"flipped oracle byte", "batch 2 not byte-identical", row{
+			before: func(e *env, _ int) { e.oracle[0][2][len(e.oracle[0][2])/2] ^= 1 }}},
+		{"duplicate delivery", "1 duplicate deliveries", row{client: fetch([]int{0, 1, 2, 3, 4, 5, 6, 7}, []int{3})}},
+		{"missing batch", "delivered 7 of 8 batches", row{client: fetch([]int{0, 1, 2, 3, 4, 5, 7})}},
+		{"leaked goroutine", "goroutine leak", row{check: func(*env) { go func() { <-release }() }}},
+		{"unreleased frame", "frame leak", row{check: func(*env) { held, holdErr = holdFrame(t.TempDir()) }}},
+		{"fault that fires nothing", "fault class injected nothing", row{faults: faultinject.Spec{DropFrame: 1000}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			class := "baseline"
+			if tc.row.faults != (faultinject.Spec{}) {
+				class = "wire-drop"
+			}
+			tc.row.class = class
+			res := servedCell(1, tc.row).exec()
+			if holdErr != nil {
+				t.Fatal(holdErr)
+			}
+			if !strings.Contains(strings.Join(res.Failures, "\n"), tc.want) {
+				t.Errorf("row failures %q, want one containing %q", res.Failures, tc.want)
+			}
+		})
+	}
+}
+
+// holdFrame takes a Frame from a batch cache over a disk tier in dir and keeps
+// it: the one way to hold frame memory from outside the serve package.
+func holdFrame(dir string) (*serve.Frame, error) {
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	if err := st.Put(store.Key{Kind: store.KindBatch, FP: 1}, []byte("frame")); err != nil {
+		return nil, err
+	}
+	bc := serve.NewBatchCache(1<<20, st)
+	defer bc.Purge()
+	return bc.Acquire(serve.BatchKey{Fingerprint: 1}, nil, func() (*serve.Frame, error) {
+		return nil, errors.New("not on disk")
+	})
 }

@@ -88,6 +88,10 @@ type Spec struct {
 	// The manifest's self-checksum must catch it on the next open and force
 	// a rebuild from segment scans.
 	TornManifest int
+	// DiskStall: the disk-cache writer blocks before its Nth append until the
+	// store closes — a hung disk. Spills queue behind it up to the backlog
+	// bound and are then dropped; serving must go on without them.
+	DiskStall int
 }
 
 // WireAction is the fault applied to one outgoing wire frame.
@@ -137,6 +141,7 @@ type Injector struct {
 
 	frames       atomic.Int64 // outgoing wire frames observed
 	appends      atomic.Int64 // disk-cache records appended
+	writerTurns  atomic.Int64 // disk-cache appends the writer started
 	manifests    atomic.Int64 // disk-cache manifest writes observed
 	readErrors   atomic.Int64
 	readStalls   atomic.Int64
@@ -311,30 +316,31 @@ func (in *Injector) NextWireAction() WireAction {
 // this record's payload should be bit-flipped after checksumming. Fires
 // exactly once, on the configured 1-based append number.
 func (in *Injector) NextDiskAppendCorrupt() bool {
-	if in == nil {
-		return false
-	}
-	n := in.appends.Add(1)
-	if in.spec.CorruptDiskAppend > 0 && n == int64(in.spec.CorruptDiskAppend) {
-		in.diskFaults.Add(1)
-		return true
-	}
-	return false
+	return in != nil && in.nextDiskFault(&in.appends, in.spec.CorruptDiskAppend)
 }
 
 // NextManifestTorn advances the manifest-write counter and reports whether
 // this manifest write should be torn (truncated mid-file before the rename).
 // Fires exactly once, on the configured 1-based write number.
 func (in *Injector) NextManifestTorn() bool {
-	if in == nil {
+	return in != nil && in.nextDiskFault(&in.manifests, in.spec.TornManifest)
+}
+
+// NextDiskStall advances the writer's append counter and reports whether the
+// writer should block before this append until its store closes. Fires
+// exactly once, on the configured 1-based append number.
+func (in *Injector) NextDiskStall() bool {
+	return in != nil && in.nextDiskFault(&in.writerTurns, in.spec.DiskStall)
+}
+
+// nextDiskFault advances counter and reports (and counts) whether this is the
+// nth event; nth 0 disables the class.
+func (in *Injector) nextDiskFault(counter *atomic.Int64, nth int) bool {
+	if n := counter.Add(1); nth <= 0 || n != int64(nth) {
 		return false
 	}
-	n := in.manifests.Add(1)
-	if in.spec.TornManifest > 0 && n == int64(in.spec.TornManifest) {
-		in.diskFaults.Add(1)
-		return true
-	}
-	return false
+	in.diskFaults.Add(1)
+	return true
 }
 
 // FailingBatches returns the positions (in plan order) of batches containing

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -143,52 +141,6 @@ func TestDiskCacheCrossJobSharing(t *testing.T) {
 	}
 	if err := jobB.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestDiskCacheKillRewarm is the SIGKILL-equivalent restart: the manifest
-// never made it to disk, so the restarted server rebuilds the index from
-// segment scans — and still serves byte-identical frames with zero
-// recomputation.
-func TestDiskCacheKillRewarm(t *testing.T) {
-	t.Cleanup(testutil.CheckGoroutines(t))
-	spec := loopbackSpec()
-	dir := t.TempDir()
-	expected := localEpochFrames(t, spec, 0)
-
-	fetch := func(srv *Server, name string) {
-		c := NewClient(ClientConfig{Addr: srv.Addr(), Name: name})
-		defer c.Close()
-		if _, err := c.Run(1, func(b *Batch, payload []byte) {
-			if !bytes.Equal(payload, expected[b.GlobalID]) {
-				t.Fatalf("%s: batch %d differs from ground truth", name, b.GlobalID)
-			}
-		}); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-
-	warm := startDiskCachedServer(t, spec, dir, 64<<20, 0, pipeline.Simulated, 0, false)
-	fetch(warm, "warm")
-	if err := warm.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// SIGKILL-equivalent: the manifest write never happened.
-	if err := os.Remove(filepath.Join(dir, "MANIFEST")); err != nil {
-		t.Fatal(err)
-	}
-
-	restarted := startDiskCachedServer(t, spec, dir, 64<<20, 0, pipeline.Simulated, 0, false)
-	fetch(restarted, "restarted")
-	st, _ := restarted.DiskCacheStats()
-	if st.Rebuilds != 1 {
-		t.Fatalf("restart without manifest must rebuild once: %+v", st)
-	}
-	if st.BatchMisses != 0 {
-		t.Fatalf("restart recomputed warm entries: %+v", st)
-	}
-	if st.BatchHits != int64(len(expected)) {
-		t.Fatalf("restart should serve all %d batches from disk: %+v", len(expected), st)
 	}
 }
 

@@ -274,55 +274,6 @@ func TestTracePIDRangesDisjoint(t *testing.T) {
 	}
 }
 
-// TestGreedyTenantThrottled: a rate-limited tenant observes throttle time
-// while an unlimited tenant on the same server does not, and both streams
-// stay byte-perfect (the client checksum enforces it) — QoS is schedule,
-// never content.
-func TestGreedyTenantThrottled(t *testing.T) {
-	spec := loopbackSpec()
-	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
-		BatchCacheBytes: 64 << 20,
-		Tenants: map[string]TenantLimit{
-			// 20 batches/sec with a one-batch burst: a 5-batch cached shard
-			// streams in well under 250ms, so debt — and therefore observed
-			// throttle time — is guaranteed even on a slow, instrumented run.
-			"greedy": {BatchesPerSec: 20, BurstBatches: 1},
-		}})
-
-	var wg sync.WaitGroup
-	for i, tenant := range []string{"greedy", "polite"} {
-		wg.Add(1)
-		go func(rank int, tenant string) {
-			defer wg.Done()
-			c := NewClient(ClientConfig{Addr: srv.Addr(), Rank: rank, World: 2,
-				Name: tenant + "-sess", Tenant: tenant})
-			defer c.Close()
-			if _, err := c.Run(2, nil); err != nil {
-				t.Errorf("%s: %v", tenant, err)
-			}
-		}(i, tenant)
-	}
-	wg.Wait()
-
-	snap := srv.Snapshot(time.Now())
-	if len(snap.Tenants) != 2 {
-		t.Fatalf("tenant rows %d, want 2: %+v", len(snap.Tenants), snap.Tenants)
-	}
-	greedy, polite := snap.Tenants[0], snap.Tenants[1]
-	if greedy.Tenant != "greedy" || polite.Tenant != "polite" {
-		t.Fatalf("tenant rows %+v", snap.Tenants)
-	}
-	if greedy.ThrottledMs <= 0 {
-		t.Fatalf("rate-limited tenant shows no throttle time: %+v", greedy)
-	}
-	if polite.ThrottledMs != 0 {
-		t.Fatalf("unlimited tenant was throttled: %+v", polite)
-	}
-	if greedy.Batches == 0 || polite.Batches == 0 {
-		t.Fatalf("tenant accounting missing batches: %+v", snap.Tenants)
-	}
-}
-
 // TestSoak256Sessions is the scale soak: 256 concurrent loopback sessions
 // (64 QoS tenants, admission control armed well above the load) each stream
 // their one-batch shard of a 256-batch epoch. Every frame must be

@@ -35,6 +35,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"lotus/internal/faultinject"
 )
@@ -77,10 +78,11 @@ type Options struct {
 	// writer (default 32 MiB). A producer that would exceed it waits for the
 	// writer — backpressure, not loss — so the backlog of copies is a constant
 	// however much faster than the disk the producers are. A payload larger
-	// than the bound is admitted once the queue is empty.
+	// than the bound is admitted once the queue is empty. A writer that makes
+	// no room within spillWait is stalled, and the spill is dropped instead.
 	QueueBytes int64
-	// Faults injects torn-manifest and corrupt-append failures in chaos
-	// runs. Nil injects nothing.
+	// Faults injects torn-manifest, corrupt-append and writer-stall failures
+	// in chaos runs. Nil injects nothing.
 	Faults *faultinject.Injector
 	// Logf receives recovery and I/O-error diagnostics. Nil discards.
 	Logf func(format string, args ...any)
@@ -94,7 +96,7 @@ type Stats struct {
 	SampleMisses    int64 `json:"sample_misses"`
 	Spills          int64 `json:"spills"`           // records appended
 	SpillsDeduped   int64 `json:"spills_deduped"`   // already on disk
-	SpillsDropped   int64 `json:"spills_dropped"`   // I/O error
+	SpillsDropped   int64 `json:"spills_dropped"`   // I/O error or stalled writer
 	CorruptDropped  int64 `json:"corrupt_dropped"`  // checksum-failing records dropped
 	Rebuilds        int64 `json:"rebuilds"`         // full index rebuilds from segment scans
 	Segments        int   `json:"segments"`         // live segment files
@@ -131,8 +133,8 @@ type putReq struct {
 
 // Store is a persistent cache tier. All methods are safe for concurrent
 // use. Appends are serialized through one writer goroutine, so the serving
-// path waits on disk I/O only when it asks to (Put/Flush) or when PutAsync's
-// backlog is at its byte bound.
+// path waits on disk I/O only when it asks to (Put/Flush) or, for at most
+// spillWait, when PutAsync's backlog is at its byte bound.
 type Store struct {
 	dir  string
 	opts Options
@@ -143,6 +145,10 @@ type Store struct {
 	closed bool
 	queue  chan putReq
 	wg     sync.WaitGroup
+	// stop is closed when Close begins; it releases a writer stalled by
+	// faultinject.Spec.DiskStall.
+	stop     chan struct{}
+	stopOnce sync.Once
 
 	// mu guards everything below — the index, not the segment files' bytes:
 	// Get reads and verifies a record with mu released, which is safe because
@@ -179,6 +185,13 @@ const (
 	// queueSlots is the writer channel's capacity; a full channel makes its
 	// sender wait like the byte bound does.
 	queueSlots = 256
+	// spillWait bounds how long PutAsync waits for the writer to make room.
+	// Producers spill on the compute path, so a writer stuck on a hung disk
+	// must not stop them: past the bound the spill is dropped and counted,
+	// and serving goes on at the no-disk rate. A healthy writer frees room
+	// within one append: spilling 19 MB frames to a 2-vCPU host's virtual
+	// disk, no producer waited longer than 0.17 s.
+	spillWait = time.Second
 )
 
 // Open opens (or creates) the store at dir, recovering the index from the
@@ -203,6 +216,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:   dir,
 		opts:  opts,
 		queue: make(chan putReq, queueSlots),
+		stop:  make(chan struct{}),
 		idx:   make(map[Key]loc),
 		segs:  make(map[uint32]*segment),
 	}
@@ -331,8 +345,10 @@ func (s *Store) Drop(key Key) {
 // PutAsync queues payload for appending and returns without waiting for the
 // write — unless the queue already holds Options.QueueBytes, in which case it
 // first waits for the writer to make room (or for the key to land on disk,
-// which makes the call a no-op). The payload is copied, after room has been
-// reserved, before PutAsync returns; the caller keeps ownership of its slice.
+// which makes the call a no-op). A writer that makes no room within spillWait
+// is stalled: the spill is dropped and counted in SpillsDropped. The payload
+// is copied, after room has been reserved, before PutAsync returns; the
+// caller keeps ownership of its slice.
 func (s *Store) PutAsync(key Key, payload []byte) {
 	s.life.RLock()
 	defer s.life.RUnlock()
@@ -340,6 +356,7 @@ func (s *Store) PutAsync(key Key, payload []byte) {
 		return
 	}
 	n := int64(len(payload))
+	deadline := time.Now().Add(spillWait)
 	s.mu.Lock()
 	for {
 		if _, ok := s.idx[key]; ok {
@@ -350,11 +367,44 @@ func (s *Store) PutAsync(key Key, payload []byte) {
 		if s.queued == 0 || s.queued+n <= s.opts.QueueBytes {
 			break
 		}
-		s.room.Wait()
+		if !s.waitRoomLocked(deadline) {
+			s.spillsDropped++
+			s.mu.Unlock()
+			return
+		}
 	}
 	s.queued += n
 	s.mu.Unlock()
-	s.queue <- putReq{key: key, payload: append([]byte(nil), payload...), async: true}
+	timeout := time.NewTimer(time.Until(deadline))
+	defer timeout.Stop()
+	select {
+	case s.queue <- putReq{key: key, payload: append([]byte(nil), payload...), async: true}:
+	case <-timeout.C: // every slot taken by spills the writer is not taking
+		s.mu.Lock()
+		s.queued -= n
+		s.spillsDropped++
+		s.mu.Unlock()
+		s.room.Broadcast()
+	}
+}
+
+// waitRoomLocked waits on room until the writer signals or deadline passes,
+// reporting false if the deadline had already passed. Called with mu held.
+func (s *Store) waitRoomLocked(deadline time.Time) bool {
+	d := time.Until(deadline)
+	if d <= 0 {
+		return false
+	}
+	// The wake-up takes mu, so it cannot fall between the caller's check and
+	// its Wait.
+	wake := time.AfterFunc(d, func() {
+		s.mu.Lock()
+		s.mu.Unlock()
+		s.room.Broadcast()
+	})
+	s.room.Wait()
+	wake.Stop()
+	return true
 }
 
 // Put appends payload synchronously (waits for the write, not for fsync).
@@ -386,6 +436,7 @@ func (s *Store) Flush() error {
 // Close drains the spill queue, writes a final manifest, and closes every
 // segment file. Safe to call twice.
 func (s *Store) Close() error {
+	s.stopOnce.Do(func() { close(s.stop) })
 	s.life.Lock()
 	if s.closed {
 		s.life.Unlock()
@@ -444,6 +495,9 @@ func (s *Store) writer() {
 			s.mu.Unlock()
 			req.done <- err
 			continue
+		}
+		if s.opts.Faults.NextDiskStall() {
+			<-s.stop
 		}
 		err := s.append(req.key, req.payload)
 		if req.async {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"lotus/internal/faultinject"
 )
@@ -185,6 +186,45 @@ func TestPutAsyncBacklogBoundedInBytes(t *testing.T) {
 	}
 	if got, ok := s.Get(big, nil); !ok || !bytes.Equal(got, payloadFor(big, 3*bound)) {
 		t.Fatal("oversize record lost or wrong")
+	}
+}
+
+// A writer stuck on a hung disk must not stop the producers behind it: with
+// the backlog full — its bytes, or its slots — PutAsync gives up after
+// spillWait and counts the spill dropped, and Close releases the writer and
+// lands what was queued.
+func TestPutAsyncStalledWriterDropsAfterBound(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		queueBytes int64
+		size, fill int // payload bytes; spills queued (the first stalls the writer) before one must drop
+	}{
+		{"bytes", 4 << 10, 1 << 10, 4},
+		{"slots", 0, 1, queueSlots + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj := faultinject.New(faultinject.Spec{DiskStall: 1})
+			s := mustOpen(t, t.TempDir(), Options{QueueBytes: tc.queueBytes, Faults: inj})
+			defer s.Close()
+			for i := 0; i <= tc.fill; i++ {
+				k := batchKey(i)
+				start := time.Now()
+				s.PutAsync(k, payloadFor(k, tc.size))
+				if waited := time.Since(start); waited > 2*spillWait {
+					t.Fatalf("PutAsync %d behind a stalled writer returned after %v, bound %v", i, waited, spillWait)
+				}
+			}
+			if st := s.Stats(); st.SpillsDropped != 1 || st.Spills != 0 {
+				t.Fatalf("behind a stalled writer: %+v, want 1 dropped and nothing appended", st)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); st.Spills != int64(tc.fill) || inj.Counts().DiskFaults != 1 {
+				t.Fatalf("after Close: %+v (stalls %d), want the %d queued spills appended",
+					st, inj.Counts().DiskFaults, tc.fill)
+			}
+		})
 	}
 }
 
