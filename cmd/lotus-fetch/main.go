@@ -59,7 +59,6 @@ func main() {
 		name        = flag.String("name", "", "session label in server metrics")
 		tenant      = flag.String("tenant", "", "QoS tenant this session bills to (empty = server default tenant)")
 		retries     = flag.Int("retries", 4, "reconnect attempts per epoch on transient failures")
-		backoff     = flag.Duration("backoff", 50*time.Millisecond, "retry backoff base (doubles per attempt)")
 		quiet       = flag.Bool("quiet", false, "suppress per-epoch progress lines")
 		autotune    = flag.Bool("autotune", false, "cluster mode: re-weight each node's hash-ring share from its observed per-batch cadence so slow nodes shed load until throughput converges")
 	)
@@ -82,13 +81,12 @@ func main() {
 	}
 
 	client := serve.NewClient(serve.ClientConfig{
-		Addrs:       endpoints,
-		Rank:        *rank,
-		World:       *world,
-		Name:        *name,
-		Tenant:      *tenant,
-		Retries:     *retries,
-		BackoffBase: *backoff,
+		Addrs:   endpoints,
+		Rank:    *rank,
+		World:   *world,
+		Name:    *name,
+		Tenant:  *tenant,
+		Retries: *retries,
 		OnRetry: func(epoch, attempt int, err error) {
 			log.Printf("lotus-fetch: epoch %d attempt %d failed (%v), retrying", epoch, attempt, err)
 		},

@@ -98,7 +98,7 @@ func main() {
 		nodeID   = flag.String("node", "", "this node's cluster identity (default: -addr)")
 		join     = flag.String("join", "", "cluster member list ([id=]wire[/http] per entry, comma-separated); serves the membership view on /cluster")
 		interval = flag.Duration("heartbeat", 500*time.Millisecond, "peer heartbeat interval in cluster mode")
-		autotune = flag.Bool("autotune", false, "closed-loop controller: observe wait/queue/cache signals at every completed epoch and retune the worker pool, the prefetch window, and cache budgets at runtime")
+		autotune = flag.Bool("autotune", false, "closed-loop controller: observe wait and queue signals at every completed epoch and retune the worker pool and the prefetch window at runtime")
 
 		maxSessions = flag.Int("max-sessions", 0, "admission control: concurrent session cap (0 = unlimited); excess connections queue briefly, then get a retryable busy reply")
 		admitWait   = flag.Duration("admit-wait", 2*time.Second, "admission control: how long an excess connection waits for a slot before busy-rejection (negative = reject immediately when full)")

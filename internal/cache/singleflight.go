@@ -113,21 +113,6 @@ func New[K comparable, V Value](budget int64, blocking bool, tier Tier[K, V]) *S
 	}
 }
 
-// SetBudget retargets the byte budget at runtime (the controller's cache
-// knob). Shrinking evicts LRU-first down to the new bound immediately;
-// victims are offered to the lower tier like any other eviction, so a budget
-// cut demotes bytes instead of destroying them.
-func (c *SingleFlight[K, V]) SetBudget(budget int64) {
-	if budget <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.budget = budget
-	victims := c.evictOverLocked()
-	c.mu.Unlock()
-	c.retire(victims)
-}
-
 func (c *SingleFlight[K, V]) hitLocked(e *entry[K, V]) V {
 	c.hits++
 	c.lru.MoveToBack(e.elem)

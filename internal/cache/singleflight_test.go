@@ -319,7 +319,7 @@ func TestWaitCancel(t *testing.T) {
 				t.Fatalf("racing wait returned %v", err)
 			}
 		}
-		c.SetBudget(1) // evict: drops the cache's reference
+		c.Purge() // drops the cache's reference
 		if n := v.refs.Load(); n != 1 {
 			t.Fatalf("round %d: %d references left besides the owner's", round, n-1)
 		}
@@ -382,11 +382,6 @@ func TestEvictionOrder(t *testing.T) {
 	st := c.Stats()
 	if st.Evicted != 2 || st.BytesUsed != 3*size || st.Entries != 3 {
 		t.Fatalf("stats %+v, want evicted=2 used=%d entries=3", st, 3*size)
-	}
-
-	c.SetBudget(size) // shrinking evicts down to the new bound at once
-	if st := c.Stats(); st.Entries != 1 || st.BytesUsed != size || st.BytesBudget != size || !cached(c, 4) {
-		t.Fatalf("after SetBudget: %+v, want only the MRU entry resident", st)
 	}
 }
 
@@ -573,8 +568,8 @@ func TestTier(t *testing.T) {
 }
 
 // TestConcurrentChurn hammers one small cache over a tier from many
-// goroutines mixing claims, fulfills, hits, waits, evictions, tier loads and
-// budget changes — the -race workout for the state machine.
+// goroutines mixing claims, fulfills, hits, waits, evictions and tier loads
+// — the -race workout for the state machine.
 func TestConcurrentChurn(t *testing.T) {
 	ft := &fakeTier{held: map[int]*blob{}}
 	c := New[int, *blob](400, true, ft) // 4 values of 100: constant eviction pressure
@@ -601,9 +596,6 @@ func TestConcurrentChurn(t *testing.T) {
 					t.Errorf("worker %d round %d: wrong bytes for key %d", w, r, key)
 				}
 				v.Release()
-				if r%50 == 0 {
-					c.SetBudget(int64(300 + 100*(w%3)))
-				}
 			}
 		}(w)
 	}
@@ -615,9 +607,9 @@ func TestConcurrentChurn(t *testing.T) {
 	if total := st.Hits + st.Misses + st.SingleflightWait; total < workers*rounds {
 		t.Fatalf("counters %+v do not cover %d acquires", st, workers*rounds)
 	}
-	// Every value that left memory was offered to the tier first; after a
-	// full eviction only the tier's references remain.
-	c.SetBudget(1)
+	// Every value was offered to the tier when it was made; once memory
+	// lets go of everything, only the tier's references remain.
+	c.Purge()
 	for key, v := range ft.held {
 		if n := v.refs.Load(); n != 1 || !v.intact(100, byte(key)) {
 			t.Fatalf("key %d: %d references at rest, want 1 (the tier's)", key, n)

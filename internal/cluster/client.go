@@ -240,7 +240,6 @@ func New(cfg Config) (*Client, error) {
 			Name:        cfg.Name + "@" + id,
 			Tenant:      cfg.Tenant,
 			DialTimeout: cfg.DialTimeout,
-			JitterSeed:  seed + int64(i) + 1,
 		})
 	}
 	c.mem = cfg.Membership

@@ -50,7 +50,7 @@ func TestSelectCheapest(t *testing.T) {
 
 // boundSig builds a preprocessing-bound observation at the given tick.
 func boundSig(tick int64) Signals {
-	return Signals{Counter: tick, WaitCount: 100, LongWaitFrac: 0.6, MeanWait: 50 * time.Millisecond}
+	return Signals{Counter: tick, WaitCount: 100, LongWaitFrac: 0.6}
 }
 
 // idleSig builds a consumer-bound observation (no stalls, full queue).
@@ -59,7 +59,7 @@ func idleSig(tick int64) Signals {
 }
 
 func TestControllerGrowsWorkersUnderStalls(t *testing.T) {
-	c := NewController(Config{Cooldown: 1}, Knobs{Workers: 2, Prefetch: 2})
+	c := NewController(Knobs{Workers: 2, Prefetch: 2})
 	if acts := c.Observe(boundSig(1)); acts != nil {
 		t.Fatalf("first observation must only set the baseline, got %v", acts)
 	}
@@ -73,7 +73,7 @@ func TestControllerGrowsWorkersUnderStalls(t *testing.T) {
 }
 
 func TestControllerCooldownAndRepeatedTicks(t *testing.T) {
-	c := NewController(Config{Cooldown: 3}, Knobs{Workers: 2, Prefetch: 2})
+	c := NewController(Knobs{Workers: 2, Prefetch: 2})
 	c.Observe(boundSig(1))
 	if acts := c.Observe(boundSig(2)); len(acts) != 1 {
 		t.Fatalf("expected one action, got %v", acts)
@@ -86,13 +86,13 @@ func TestControllerCooldownAndRepeatedTicks(t *testing.T) {
 	if acts := c.Observe(boundSig(3)); acts != nil {
 		t.Fatalf("cooldown must hold the knob, got %v", acts)
 	}
-	if acts := c.Observe(boundSig(5)); len(acts) != 1 || acts[0].To != 4 {
+	if acts := c.Observe(boundSig(4)); len(acts) != 1 || acts[0].To != 4 {
 		t.Fatalf("expected workers 3->4 after cooldown, got %v", acts)
 	}
 }
 
 func TestControllerPrefetchAtWorkerCap(t *testing.T) {
-	c := NewController(Config{MaxWorkers: 2, Cooldown: 1}, Knobs{Workers: 2, Prefetch: 2})
+	c := NewController(Knobs{Workers: maxWorkers, Prefetch: 2})
 	c.Observe(boundSig(1))
 	acts := c.Observe(boundSig(2))
 	if len(acts) != 1 || acts[0].Knob != "prefetch" || acts[0].To != 3 {
@@ -101,7 +101,7 @@ func TestControllerPrefetchAtWorkerCap(t *testing.T) {
 }
 
 func TestControllerShrinkNeedsStreak(t *testing.T) {
-	c := NewController(Config{Cooldown: 1, ShrinkStreak: 2}, Knobs{Workers: 4, Prefetch: 2})
+	c := NewController(Knobs{Workers: 4, Prefetch: 2})
 	c.Observe(idleSig(1))
 	if acts := c.Observe(idleSig(2)); acts != nil {
 		t.Fatalf("one idle window must not shrink, got %v", acts)
@@ -111,7 +111,7 @@ func TestControllerShrinkNeedsStreak(t *testing.T) {
 		t.Fatalf("expected workers 4->3 after streak, got %v", acts)
 	}
 	// A bound window resets the streak.
-	c2 := NewController(Config{Cooldown: 1, ShrinkStreak: 2}, Knobs{Workers: 4, Prefetch: 2})
+	c2 := NewController(Knobs{Workers: 4, Prefetch: 2})
 	c2.Observe(idleSig(1))
 	c2.Observe(idleSig(2))
 	c2.Observe(boundSig(3)) // grows workers, resets streak
@@ -121,9 +121,9 @@ func TestControllerShrinkNeedsStreak(t *testing.T) {
 }
 
 func TestControllerUntrustedWaitSignal(t *testing.T) {
-	c := NewController(Config{Cooldown: 1, MinWaitSamples: 50}, Knobs{Workers: 2, Prefetch: 2})
+	c := NewController(Knobs{Workers: 2, Prefetch: 2})
 	sig := boundSig(1)
-	sig.WaitCount = 10 // below MinWaitSamples
+	sig.WaitCount = minWaitSamples - 1
 	c.Observe(sig)
 	sig.Counter = 2
 	if acts := c.Observe(sig); acts != nil {
@@ -131,43 +131,11 @@ func TestControllerUntrustedWaitSignal(t *testing.T) {
 	}
 }
 
-func TestControllerCacheGrowAndReclaim(t *testing.T) {
-	c := NewController(Config{Cooldown: 1, MaxCacheGrowth: 4},
-		Knobs{Workers: 2, Prefetch: 2, BatchBytes: 1000})
-	cacheSig := func(tick, hits, misses, evicts, used int64) Signals {
-		return Signals{Counter: tick,
-			Batch: CacheSignals{Enabled: true, Hits: hits, Misses: misses, Evictions: evicts, BytesUsed: used}}
-	}
-	c.Observe(cacheSig(1, 0, 0, 0, 900))
-	// Window: 5 hits / 45 misses with evictions -> capacity-starved, grow 1.5x.
-	acts := c.Observe(cacheSig(2, 5, 45, 10, 1000))
-	if len(acts) != 1 || acts[0].Knob != "cache.batch" || acts[0].To != 1500 {
-		t.Fatalf("expected cache.batch 1000->1500, got %v", acts)
-	}
-	// Growth is capped at MaxCacheGrowth * initial.
-	acts = c.Observe(cacheSig(4, 10, 90, 20, 1500))
-	if len(acts) != 1 || acts[0].To != 2250 {
-		t.Fatalf("expected cache.batch 1500->2250, got %v", acts)
-	}
-	// Reclaim path: near-perfect hit rate with half the budget idle, twice.
-	c.Observe(cacheSig(6, 110, 91, 20, 300))
-	acts = c.Observe(cacheSig(8, 210, 92, 20, 300))
-	if len(acts) != 1 || acts[0].Knob != "cache.batch" || acts[0].To >= 2250 {
-		t.Fatalf("expected cache.batch reclaim below 2250, got %v", acts)
-	}
-	// Budgets never fall below the operator's initial value.
-	if k := c.Knobs(); k.BatchBytes < 1000 {
-		t.Fatalf("budget shrank below initial: %d", k.BatchBytes)
-	}
-}
-
 func TestControllerDeterministic(t *testing.T) {
 	run := func() []Action {
-		c := NewController(Config{Cooldown: 1}, Knobs{Workers: 1, Prefetch: 2, BatchBytes: 1 << 20})
+		c := NewController(Knobs{Workers: 1, Prefetch: 2})
 		for tick := int64(1); tick <= 10; tick++ {
-			sig := boundSig(tick)
-			sig.Batch = CacheSignals{Enabled: true, Hits: tick * 10, Misses: tick * 30, Evictions: tick, BytesUsed: 1 << 20}
-			c.Observe(sig)
+			c.Observe(boundSig(tick))
 		}
 		return c.History()
 	}
@@ -177,6 +145,104 @@ func TestControllerDeterministic(t *testing.T) {
 	}
 	if len(a) == 0 {
 		t.Fatal("expected at least one action")
+	}
+}
+
+// goldenActions is what the controller returned for goldenSignals when it
+// still owned the three cache budgets as well. Dropping the cache half must
+// not move a single workers/prefetch decision, tick or reason string.
+var goldenActions = []Action{
+	{Tick: 2, Knob: "workers", From: 14, To: 15, Reason: "preprocessing-bound: 60% long waits"},
+	{Tick: 4, Knob: "workers", From: 15, To: 16, Reason: "preprocessing-bound: 26% long waits"},
+	{Tick: 5, Knob: "prefetch", From: 2, To: 3, Reason: "preprocessing-bound at worker cap: 90% long waits"},
+	{Tick: 7, Knob: "prefetch", From: 3, To: 4, Reason: "preprocessing-bound at worker cap: 90% long waits"},
+	{Tick: 11, Knob: "workers", From: 16, To: 15, Reason: "consumer-bound: queue 90% full, 1.0% long waits"},
+	{Tick: 13, Knob: "workers", From: 15, To: 16, Reason: "preprocessing-bound: 60% long waits"},
+	{Tick: 19, Knob: "workers", From: 16, To: 15, Reason: "consumer-bound: queue 100% full, 1.0% long waits"},
+	{Tick: 21, Knob: "workers", From: 15, To: 14, Reason: "consumer-bound: queue 100% full, 1.0% long waits"},
+	{Tick: 24, Knob: "workers", From: 14, To: 13, Reason: "consumer-bound: queue 100% full, 1.0% long waits"},
+	{Tick: 26, Knob: "workers", From: 13, To: 14, Reason: "preprocessing-bound: 70% long waits"},
+	{Tick: 28, Knob: "workers", From: 14, To: 15, Reason: "preprocessing-bound: 70% long waits"},
+	{Tick: 30, Knob: "workers", From: 15, To: 16, Reason: "preprocessing-bound: 70% long waits"},
+	{Tick: 32, Knob: "prefetch", From: 4, To: 5, Reason: "preprocessing-bound at worker cap: 70% long waits"},
+	{Tick: 34, Knob: "prefetch", From: 5, To: 6, Reason: "preprocessing-bound at worker cap: 70% long waits"},
+	{Tick: 36, Knob: "prefetch", From: 6, To: 7, Reason: "preprocessing-bound at worker cap: 70% long waits"},
+	{Tick: 38, Knob: "prefetch", From: 7, To: 8, Reason: "preprocessing-bound at worker cap: 70% long waits"},
+	// A second controller started from zero knobs.
+	{Tick: 9, Knob: "workers", From: 1, To: 2, Reason: "preprocessing-bound: 50% long waits"},
+	{Tick: 11, Knob: "workers", From: 2, To: 3, Reason: "preprocessing-bound: 50% long waits"},
+}
+
+// TestControllerGoldenActions replays a fixed synthetic observation sequence
+// through default-configured controllers and compares every returned action
+// against goldenActions.
+func TestControllerGoldenActions(t *testing.T) {
+	bound := func(tick int64, frac float64) Signals {
+		return Signals{Counter: tick, WaitCount: 100, LongWaitFrac: frac, QueueFill: 0.2}
+	}
+	idle := func(tick int64, fill float64) Signals {
+		return Signals{Counter: tick, WaitCount: 100, LongWaitFrac: 0.01, QueueFill: fill}
+	}
+	untrusted := func(tick int64) Signals {
+		return Signals{Counter: tick, WaitCount: 7, LongWaitFrac: 0.9, QueueFill: 1}
+	}
+	seq := []Signals{
+		bound(1, 0.6), // baseline only
+		bound(2, 0.6), // workers 14->15
+		bound(3, 0.6), // cooldown
+		bound(4, 0.26),
+		bound(4, 0.9), // repeated tick: ignored
+		bound(5, 0.9), // at the worker cap: prefetch
+		bound(3, 0.9), // counter went back: ignored
+		bound(6, 0.9),
+		bound(7, 0.9),
+		untrusted(8),
+		untrusted(9),
+		idle(10, 0.75),
+		idle(11, 0.9), // streak of two: shrink
+		idle(12, 0.9),
+		bound(13, 0.6), // resets the streak, grows workers
+		idle(14, 1),
+		bound(15, 0.15), // hysteresis band: neither, resets the streak
+		idle(16, 1),
+		idle(17, 0.74), // queue under 75 %: not consumer-bound
+		idle(18, 1),
+		idle(19, 1),
+		idle(20, 1),
+		idle(21, 1),
+		untrusted(22),
+		idle(23, 1),
+		idle(24, 1),
+		bound(25, 0.25), // exactly the high mark: not bound
+	}
+	for tick := int64(26); tick <= 44; tick += 2 {
+		seq = append(seq, bound(tick, 0.7)) // up to the worker cap, then the prefetch cap
+	}
+	var got []Action
+	c := NewController(Knobs{Workers: 14, Prefetch: 2})
+	for _, s := range seq {
+		got = append(got, c.Observe(s)...)
+	}
+	if k := c.Knobs(); k != (Knobs{Workers: maxWorkers, Prefetch: maxPrefetch}) {
+		t.Fatalf("final knobs %+v, want both at their caps", k)
+	}
+	// From zero knobs: clamped to one worker and the default prefetch, and
+	// never shrunk below the floor.
+	z := NewController(Knobs{})
+	for tick := int64(1); tick <= 8; tick++ {
+		got = append(got, z.Observe(idle(tick, 1))...)
+	}
+	for tick := int64(9); tick <= 12; tick++ {
+		got = append(got, z.Observe(bound(tick, 0.5))...)
+	}
+	if k := z.Knobs(); k != (Knobs{Workers: 3, Prefetch: 2}) {
+		t.Fatalf("zero-start knobs %+v, want {3 2}", k)
+	}
+	if !reflect.DeepEqual(got, goldenActions) {
+		t.Fatalf("action sequence drifted from the golden:\n got %v\nwant %v", got, goldenActions)
+	}
+	if h := append(c.History(), z.History()...); !reflect.DeepEqual(h, goldenActions) {
+		t.Fatalf("History disagrees with the returned actions:\n%v", h)
 	}
 }
 

@@ -3,14 +3,11 @@ package control
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
-// Signals is one observation of a serving node's live counters. The wait
-// fields describe a recent window (the driver hands over whatever its trace
-// ring currently buffers); the cache counters are cumulative — the
-// controller windows those itself by differencing against the previous
-// observation, so drivers can pass raw /metrics values without bookkeeping.
+// Signals is one observation of a serving node's live counters, describing
+// a recent window (the driver hands over whatever its trace ring currently
+// buffers).
 type Signals struct {
 	// Counter is the observation key: a monotonically increasing count of
 	// completed work (the server uses epochs served). The controller acts at
@@ -20,39 +17,21 @@ type Signals struct {
 	Counter int64
 
 	// T2 wait signal (trace.Ring KindBatchWait records currently buffered):
-	// how often and how long the consumer-facing main process waited on
-	// preprocessing.
+	// how often the consumer-facing main process waited on preprocessing,
+	// and what fraction of those waits were long.
 	WaitCount    int64
 	LongWaitFrac float64
-	MeanWait     time.Duration
 
 	// QueueFill is the mean prefetch-queue fill fraction (0..1) across live
 	// epoch streams. A full queue with no waits means the consumer is the
 	// bottleneck; an empty queue with waits means preprocessing is.
 	QueueFill float64
-
-	// Cache tier counters.
-	Batch, Sample, Disk CacheSignals
-}
-
-// CacheSignals is one cache tier's cumulative counters.
-type CacheSignals struct {
-	Enabled     bool
-	Hits        int64
-	Misses      int64
-	Evictions   int64
-	BytesUsed   int64
-	BytesBudget int64
 }
 
 // Knobs is the controller's view of the actuatable configuration.
 type Knobs struct {
 	Workers  int
 	Prefetch int
-	// Byte budgets per cache tier; 0 = tier disabled (never actuated).
-	BatchBytes  int64
-	SampleBytes int64
-	DiskBytes   int64
 }
 
 // Action records one actuation: knob moved from From to To at observation
@@ -69,106 +48,52 @@ func (a Action) String() string {
 	return fmt.Sprintf("tick %d: %s %d -> %d (%s)", a.Tick, a.Knob, a.From, a.To, a.Reason)
 }
 
-// Config bounds and paces the controller. Zero values take defaults.
-type Config struct {
-	MinWorkers, MaxWorkers   int
-	MinPrefetch, MaxPrefetch int
-	// MaxCacheGrowth caps each cache budget at this multiple of its initial
-	// value (default 2.0). Budgets never shrink below the initial value.
-	MaxCacheGrowth float64
-	// Cooldown is the number of observations a knob rests after moving
-	// (default 2). Cooldown plus the hysteresis band in the thresholds is
-	// what prevents oscillation: a knob cannot reverse course until the
-	// effect of its last move has been observed at least Cooldown times.
-	Cooldown int64
-	// ShrinkStreak is how many consecutive consumer-bound observations are
-	// required before shrinking workers (default 2) — a single idle window
-	// must not throw capacity away.
-	ShrinkStreak int
-	// MinWaitSamples is the minimum number of windowed wait observations
-	// before the wait signal is trusted (default 8).
-	MinWaitSamples int64
-	// CacheHitTarget is the windowed hit rate below which an evicting cache
-	// is considered capacity-starved (default 0.7).
-	CacheHitTarget float64
-	// MinCacheLookups is the minimum windowed lookups before the hit rate is
-	// trusted (default 16).
-	MinCacheLookups int64
-}
-
-func (c Config) defaults() Config {
-	if c.MinWorkers <= 0 {
-		c.MinWorkers = 1
-	}
-	if c.MaxWorkers <= 0 {
-		c.MaxWorkers = 16
-	}
-	if c.MinPrefetch <= 0 {
-		c.MinPrefetch = 1
-	}
-	if c.MaxPrefetch <= 0 {
-		c.MaxPrefetch = 8
-	}
-	if c.MaxCacheGrowth <= 1 {
-		c.MaxCacheGrowth = 2.0
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2
-	}
-	if c.ShrinkStreak <= 0 {
-		c.ShrinkStreak = 2
-	}
-	if c.MinWaitSamples <= 0 {
-		c.MinWaitSamples = 8
-	}
-	if c.CacheHitTarget <= 0 {
-		c.CacheHitTarget = 0.7
-	}
-	if c.MinCacheLookups <= 0 {
-		c.MinCacheLookups = 16
-	}
-	return c
-}
+// The controller's bounds and pacing. No caller has wanted other values, so
+// they are constants; ROADMAP item 10 replaces the rules they pace with a
+// model.
+const (
+	minWorkers, maxWorkers = 1, 16
+	maxPrefetch            = 8
+	// cooldown is the number of observations a knob rests after moving.
+	// Cooldown plus the hysteresis band in the thresholds is what prevents
+	// oscillation: a knob cannot reverse course until the effect of its
+	// last move has been observed at least cooldown times.
+	cooldown = 2
+	// shrinkStreak is how many consecutive consumer-bound observations are
+	// required before shrinking workers — a single idle window must not
+	// throw capacity away.
+	shrinkStreak = 2
+	// minWaitSamples is the minimum number of windowed wait observations
+	// before the wait signal is trusted.
+	minWaitSamples = 8
+	// consumerBoundFill is the prefetch-queue fill at or above which a
+	// stall-free window counts as consumer-bound.
+	consumerBoundFill = 0.75
+)
 
 // Controller is the node-local control loop. Observe feeds it one Signals
 // snapshot; it returns the actions the driver should apply. Safe for
 // concurrent use (the server observes from whichever session goroutine
 // finishes an epoch).
 type Controller struct {
-	mu      sync.Mutex
-	cfg     Config
-	knobs   Knobs
-	initial Knobs
+	mu    sync.Mutex
+	knobs Knobs
 	// lastActed maps knob name to the observation tick it last moved.
 	lastActed map[string]int64
 	// consumerStreak counts consecutive consumer-bound observations.
 	consumerStreak int
-	// lazyStreak counts consecutive over-provisioned cache observations.
-	lazyStreak map[string]int
-	prev       Signals
-	hasPrev    bool
-	lastTick   int64
-	history    []Action
+	hasPrev        bool
+	lastTick       int64
+	history        []Action
 }
 
 // NewController returns a controller starting from the given knob settings.
-func NewController(cfg Config, initial Knobs) *Controller {
-	cfg = cfg.defaults()
-	if initial.Workers < cfg.MinWorkers {
-		initial.Workers = cfg.MinWorkers
-	}
+func NewController(initial Knobs) *Controller {
+	initial.Workers = max(initial.Workers, minWorkers)
 	if initial.Prefetch <= 0 {
 		initial.Prefetch = 2
 	}
-	return &Controller{
-		cfg:       cfg,
-		knobs:     initial,
-		initial:   initial,
-		lastActed: make(map[string]int64),
-		lazyStreak: map[string]int{
-			"cache.batch": 0, "cache.sample": 0, "cache.disk": 0,
-		},
-	}
+	return &Controller{knobs: initial, lastActed: make(map[string]int64)}
 }
 
 // Knobs returns the current knob settings.
@@ -188,7 +113,7 @@ func (c *Controller) History() []Action {
 // Observe feeds one signals snapshot and returns the actions to apply. A
 // snapshot whose Counter has not advanced past the previous observation is
 // ignored — the controller only acts on progress, so repeated scrapes of an
-// idle server decide nothing.
+// idle server decide nothing. The first snapshot only sets the baseline.
 func (c *Controller) Observe(sig Signals) []Action {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -196,28 +121,28 @@ func (c *Controller) Observe(sig Signals) []Action {
 		return nil
 	}
 	tick := sig.Counter
-	prev, hadPrev := c.prev, c.hasPrev
-	c.prev, c.hasPrev, c.lastTick = sig, true, tick
+	hadPrev := c.hasPrev
+	c.hasPrev, c.lastTick = true, tick
 	if !hadPrev {
 		return nil
 	}
 
 	var out []Action
-	act := func(knob string, from, to int64, reason string) {
-		a := Action{Tick: tick, Knob: knob, From: from, To: to, Reason: reason}
+	act := func(knob string, from, to int, reason string) {
+		a := Action{Tick: tick, Knob: knob, From: int64(from), To: int64(to), Reason: reason}
 		c.history = append(c.history, a)
 		c.lastActed[knob] = tick
 		out = append(out, a)
 	}
 	ready := func(knob string) bool {
 		last, moved := c.lastActed[knob]
-		return !moved || tick-last >= c.cfg.Cooldown
+		return !moved || tick-last >= cooldown
 	}
 
-	// --- Workers / prefetch: steer toward BottleneckBalanced. ---
-	waitTrusted := sig.WaitCount >= c.cfg.MinWaitSamples
+	// Steer toward BottleneckBalanced.
+	waitTrusted := sig.WaitCount >= minWaitSamples
 	preprocessingBound := waitTrusted && sig.LongWaitFrac > HighWaitFrac
-	consumerBound := waitTrusted && sig.LongWaitFrac < StallFreeWaitFrac && sig.QueueFill >= 0.75
+	consumerBound := waitTrusted && sig.LongWaitFrac < StallFreeWaitFrac && sig.QueueFill >= consumerBoundFill
 
 	if consumerBound {
 		c.consumerStreak++
@@ -225,82 +150,23 @@ func (c *Controller) Observe(sig Signals) []Action {
 		c.consumerStreak = 0
 	}
 
+	k := &c.knobs
 	switch {
-	case preprocessingBound && c.knobs.Workers < c.cfg.MaxWorkers && ready("workers"):
-		from := c.knobs.Workers
-		c.knobs.Workers++
-		act("workers", int64(from), int64(c.knobs.Workers),
+	case preprocessingBound && k.Workers < maxWorkers && ready("workers"):
+		k.Workers++
+		act("workers", k.Workers-1, k.Workers,
 			fmt.Sprintf("preprocessing-bound: %.0f%% long waits", 100*sig.LongWaitFrac))
-	case preprocessingBound && c.knobs.Workers >= c.cfg.MaxWorkers &&
-		c.knobs.Prefetch < c.cfg.MaxPrefetch && ready("prefetch"):
+	case preprocessingBound && k.Workers >= maxWorkers && k.Prefetch < maxPrefetch && ready("prefetch"):
 		// Workers are capped; deepen the prefetch window instead so arrival
 		// jitter stops surfacing as consumer waits.
-		from := c.knobs.Prefetch
-		c.knobs.Prefetch++
-		act("prefetch", int64(from), int64(c.knobs.Prefetch),
+		k.Prefetch++
+		act("prefetch", k.Prefetch-1, k.Prefetch,
 			fmt.Sprintf("preprocessing-bound at worker cap: %.0f%% long waits", 100*sig.LongWaitFrac))
-	case c.consumerStreak >= c.cfg.ShrinkStreak && c.knobs.Workers > c.cfg.MinWorkers && ready("workers"):
-		from := c.knobs.Workers
-		c.knobs.Workers--
+	case c.consumerStreak >= shrinkStreak && k.Workers > minWorkers && ready("workers"):
+		k.Workers--
 		c.consumerStreak = 0
-		act("workers", int64(from), int64(c.knobs.Workers),
+		act("workers", k.Workers+1, k.Workers,
 			fmt.Sprintf("consumer-bound: queue %.0f%% full, %.1f%% long waits", 100*sig.QueueFill, 100*sig.LongWaitFrac))
-	}
-
-	// --- Cache budgets: grow a tier that evicts while missing; reclaim a
-	// tier that hits without pressure. ---
-	type tier struct {
-		name      string
-		cur, init int64
-		now, was  CacheSignals
-		set       func(int64)
-	}
-	tiers := []tier{
-		{"cache.batch", c.knobs.BatchBytes, c.initial.BatchBytes, sig.Batch, prev.Batch, func(v int64) { c.knobs.BatchBytes = v }},
-		{"cache.sample", c.knobs.SampleBytes, c.initial.SampleBytes, sig.Sample, prev.Sample, func(v int64) { c.knobs.SampleBytes = v }},
-		{"cache.disk", c.knobs.DiskBytes, c.initial.DiskBytes, sig.Disk, prev.Disk, func(v int64) { c.knobs.DiskBytes = v }},
-	}
-	for _, t := range tiers {
-		if !t.now.Enabled || t.cur <= 0 || t.init <= 0 || !ready(t.name) {
-			continue
-		}
-		maxBytes := int64(float64(t.init) * c.cfg.MaxCacheGrowth)
-		dHits := t.now.Hits - t.was.Hits
-		dMiss := t.now.Misses - t.was.Misses
-		dEvict := t.now.Evictions - t.was.Evictions
-		lookups := dHits + dMiss
-		if lookups < c.cfg.MinCacheLookups {
-			c.lazyStreak[t.name] = 0
-			continue
-		}
-		hitRate := float64(dHits) / float64(lookups)
-		switch {
-		case hitRate < c.cfg.CacheHitTarget && dEvict > 0 && t.cur < maxBytes:
-			to := t.cur + t.cur/2
-			if to > maxBytes {
-				to = maxBytes
-			}
-			t.set(to)
-			c.lazyStreak[t.name] = 0
-			act(t.name, t.cur, to,
-				fmt.Sprintf("capacity-starved: %.0f%% hit rate with %d evictions", 100*hitRate, dEvict))
-		case hitRate >= 0.95 && t.now.BytesUsed*2 < t.cur && t.cur > t.init:
-			// Over-provisioned twice in a row: give memory back, but never
-			// below the operator-configured initial budget.
-			c.lazyStreak[t.name]++
-			if c.lazyStreak[t.name] >= 2 {
-				to := t.cur / 2
-				if to < t.init {
-					to = t.init
-				}
-				t.set(to)
-				c.lazyStreak[t.name] = 0
-				act(t.name, t.cur, to,
-					fmt.Sprintf("over-provisioned: %.0f%% hit rate using %d of %d bytes", 100*hitRate, t.now.BytesUsed, t.cur))
-			}
-		default:
-			c.lazyStreak[t.name] = 0
-		}
 	}
 	return out
 }

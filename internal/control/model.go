@@ -1,9 +1,8 @@
 // Package control is the closed-loop autotuner: it turns the structured
-// signals the system already emits (T2 batch waits and queue depths, cache
-// hit/miss/eviction counters, per-node service latencies from the cluster
-// router's hedge histograms) into runtime actuations of four knobs —
-// DataLoader worker count, PrefetchFactor, the three cache byte budgets, and
-// per-node vnode weights on the consistent-hash ring.
+// signals the system already emits (T2 batch waits and queue depths,
+// per-node service latencies from the cluster router's hedge histograms)
+// into runtime actuations of three knobs — DataLoader worker count,
+// PrefetchFactor, and per-node vnode weights on the consistent-hash ring.
 //
 // The package deliberately contains no sampling and no actuation of its own:
 // drivers (internal/serve for the node-local knobs, internal/cluster for ring

@@ -135,10 +135,6 @@ func NewSampleCache(budget int64, blocking bool, disk *store.Store) *SampleCache
 	return &SampleCache{sf: cache.New(budget, blocking, tier)}
 }
 
-// SetBudget retargets the byte budget at runtime (the controller's cache
-// knob).
-func (sc *SampleCache) SetBudget(budget int64) { sc.sf.SetBudget(budget) }
-
 // Stats returns a consistent copy of the counters.
 func (sc *SampleCache) Stats() cache.Stats { return sc.sf.Stats() }
 

@@ -36,23 +36,23 @@ type ClientConfig struct {
 	DialTimeout time.Duration
 	// Retries is how many reconnect-and-retry attempts each epoch gets after
 	// a transient failure (default 4). Fatal server errors are never retried.
-	Retries int
-	// BackoffBase/BackoffMax shape the exponential backoff between retries
-	// (defaults 50ms and 2s); attempt k sleeps a jittered duration in
-	// [min(base<<(k-1), max)/2, min(base<<(k-1), max)).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// JitterSeed seeds the deterministic backoff jitter that desynchronizes
-	// reconnect waves. 0 derives a per-client seed from Rank and Name, so
-	// distinct clients diverge by default while any one client's schedule
+	// Attempt k sleeps a jittered duration in [d/2, d), where d is 50ms
+	// doubled k-1 times and capped at 2s; the jitter is seeded from Name and
+	// Rank, so distinct clients diverge while any one client's schedule
 	// stays reproducible.
-	JitterSeed int64
+	Retries int
 	// OnRetry, when set, observes every retry decision.
 	OnRetry func(epoch, attempt int, err error)
 	// Sleep replaces time.Sleep for the backoff wait (tests inject a virtual
 	// sleeper; nil = time.Sleep).
 	Sleep func(time.Duration)
 }
+
+// The retry backoff: 50ms doubling per attempt, capped at 2s.
+const (
+	backoffBase = 50 * time.Millisecond
+	backoffMax  = 2 * time.Second
+)
 
 // ServerError is an error the server reported in an Error frame. Code
 // distinguishes deliberate refusals (CodeFatal — never retried: the server is
@@ -100,24 +100,15 @@ func NewClient(cfg ClientConfig) *Client {
 	if cfg.Retries == 0 {
 		cfg.Retries = 4
 	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 50 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 2 * time.Second
-	}
 	if cfg.World < 1 {
 		cfg.World = 1
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
-	seed := cfg.JitterSeed
-	if seed == 0 {
-		h := fnv.New64a()
-		h.Write([]byte(cfg.Name))
-		seed = int64(h.Sum64()) ^ int64(cfg.Rank+1)*2654435761
-	}
+	h := fnv.New64a()
+	h.Write([]byte(cfg.Name))
+	seed := int64(h.Sum64()) ^ int64(cfg.Rank+1)*2654435761
 	addrs := make([]string, 0, len(cfg.Addrs)+1)
 	if cfg.Addr != "" {
 		addrs = append(addrs, cfg.Addr)
@@ -367,7 +358,7 @@ func (c *Client) retry(epoch int, what string, stats *FetchStats, op func() erro
 // backoff returns the sleep before retry attempt k (1-based) on the client's
 // seeded jitter stream.
 func (c *Client) backoff(attempt int) time.Duration {
-	return Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, attempt, c.jitter)
+	return Backoff(backoffBase, backoffMax, attempt, c.jitter)
 }
 
 // Backoff is the jittered sleep before retry attempt k (1-based):

@@ -138,7 +138,7 @@ func TestClientAddrsFallback(t *testing.T) {
 	// the retry path must rotate to B and re-fetch cleanly.
 	c2 := NewClient(ClientConfig{
 		Addrs: []string{srvA.Addr(), srvB.Addr()},
-		Name:  "failover", BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
+		Name:  "failover", Sleep: func(time.Duration) {},
 	})
 	defer c2.Close()
 	if err := c2.Connect(); err != nil {

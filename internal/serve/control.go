@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"sync"
 	"time"
 
 	"lotus/internal/control"
@@ -9,10 +10,9 @@ import (
 
 // This file is the server-side driver of the internal/control loop: it
 // assembles Signals from counters the server already exports (the trace
-// ring's T2 wait records, the per-session prefetch-queue gauges, the three
-// cache tiers' stats) and applies the controller's Actions to the live
-// knobs — the compute plane's worker count, the per-session prefetch window,
-// and the byte budgets of the batch, sample, and disk caches.
+// ring's T2 wait records, the per-session prefetch-queue gauges) and applies
+// the controller's Actions to the live knobs — the compute plane's worker
+// count and the per-session prefetch window.
 //
 // The tick point is epoch completion (after Metrics.AddEpoch), and the
 // controller keys every decision off the epochs-served counter: the same
@@ -30,105 +30,86 @@ const (
 	sessionPIDBase = 1 << 20
 )
 
+// longWait classifies a main-process batch wait as a stall for the
+// controller's wait-fraction signal (the advisor's threshold).
+const longWait = 500 * time.Millisecond
+
 // tuner binds one Server to one control.Controller.
 type tuner struct {
-	srv      *Server
-	ctrl     *control.Controller
+	srv  *Server
+	ctrl *control.Controller
+	// longWait is the stall threshold (the longWait constant; in-package
+	// tests lower it to make every wait a stall).
 	longWait time.Duration
+
+	// mu makes a tick atomic: whichever session finishes an epoch observes,
+	// and an action applied after a later one would leave the plane's gate
+	// or window disagreeing with the controller's knobs.
+	mu sync.Mutex
+	// beforeApply, when set, runs between Observe and apply (tests inject an
+	// interleaving there).
+	beforeApply func()
 }
 
-func newTuner(s *Server, cfg control.Config, longWait time.Duration) *tuner {
-	initial := control.Knobs{
-		Workers:     s.plane.gate.slots,
-		Prefetch:    s.cfg.Prefetch,
-		BatchBytes:  s.cfg.BatchCacheBytes,
-		SampleBytes: s.cfg.SampleCacheBytes,
-		DiskBytes:   s.cfg.DiskCacheBytes,
-	}
-	if longWait <= 0 {
-		longWait = 500 * time.Millisecond
-	}
-	return &tuner{srv: s, ctrl: control.NewController(cfg, initial), longWait: longWait}
+func newTuner(s *Server) *tuner {
+	initial := control.Knobs{Workers: s.plane.gate.slots, Prefetch: s.cfg.Prefetch}
+	return &tuner{srv: s, ctrl: control.NewController(initial), longWait: longWait}
 }
 
 // observe is the control tick: called by whichever session goroutine just
 // completed an epoch. It snapshots the signals, runs the controller, and
-// applies every returned action.
+// applies every returned action. Every action lands in the trace ring as a
+// `control` op so a /trace export shows exactly when the loop intervened.
 func (t *tuner) observe() {
-	for _, a := range t.ctrl.Observe(t.signals()) {
+	t.mu.Lock()
+	acts := t.ctrl.Observe(t.signals())
+	if len(acts) > 0 && t.beforeApply != nil {
+		t.beforeApply()
+	}
+	for _, a := range acts {
 		t.apply(a)
+	}
+	t.mu.Unlock()
+	for _, a := range acts {
+		t.srv.ring.Add(trace.Record{Kind: trace.KindOp, PID: controlPID,
+			BatchID: int(a.Tick), SampleIndex: -1, Op: "control:" + a.Knob,
+			Start: time.Now()})
+		t.srv.cfg.Logf("lotus-serve: autotune: %s", a)
 	}
 }
 
 // signals assembles one observation from the server's live counters.
 func (t *tuner) signals() control.Signals {
 	s := t.srv
-	sig := control.Signals{Counter: s.metrics.EpochsServed()}
+	sig := control.Signals{Counter: s.metrics.EpochsServed(), QueueFill: s.metrics.QueueFill()}
 
 	// T2 wait window: every KindBatchWait record still in the ring.
-	var waitSum time.Duration
 	var long int64
 	for _, r := range s.ring.Snapshot() {
 		if r.Kind != trace.KindBatchWait {
 			continue
 		}
 		sig.WaitCount++
-		waitSum += r.Dur
 		if r.Dur >= t.longWait {
 			long++
 		}
 	}
 	if sig.WaitCount > 0 {
 		sig.LongWaitFrac = float64(long) / float64(sig.WaitCount)
-		sig.MeanWait = waitSum / time.Duration(sig.WaitCount)
-	}
-	sig.QueueFill = s.metrics.QueueFill(int(s.window.Load()))
-
-	if st, ok := s.CacheStats(); ok {
-		sig.Batch = control.CacheSignals{Enabled: true, Hits: st.Hits, Misses: st.Misses,
-			Evictions: st.Evicted, BytesUsed: st.BytesUsed, BytesBudget: st.BytesBudget}
-	}
-	if st, ok := s.SampleCacheStats(); ok {
-		sig.Sample = control.CacheSignals{Enabled: true, Hits: st.Hits, Misses: st.Misses,
-			Evictions: st.Evicted, BytesUsed: st.BytesUsed, BytesBudget: st.BytesBudget}
-	}
-	if st, ok := s.DiskCacheStats(); ok {
-		sig.Disk = control.CacheSignals{Enabled: true,
-			Hits: st.BatchHits + st.SampleHits, Misses: st.BatchMisses + st.SampleMisses,
-			Evictions: st.SegmentsEvicted, BytesUsed: st.BytesUsed, BytesBudget: st.BytesBudget}
 	}
 	return sig
 }
 
 // apply actuates one controller action: worker actions resize the compute
 // plane (growth at once, shrinkage as running batches finish), prefetch
-// actions set the window the next streamed epoch opens, cache actions
-// retarget the tier's byte budget immediately.
-// Every action lands in the trace ring as a `control` op so a /trace
-// export shows exactly when the loop intervened.
+// actions set the window the next streamed epoch opens.
 func (t *tuner) apply(a control.Action) {
 	switch a.Knob {
 	case "workers":
 		t.srv.plane.gate.resize(int(a.To))
 	case "prefetch":
 		t.srv.window.Store(a.To)
-	case "cache.batch":
-		if t.srv.cache != nil {
-			t.srv.cache.SetBudget(a.To)
-		}
-	case "cache.sample":
-		if t.srv.sampleCache != nil {
-			t.srv.sampleCache.SetBudget(a.To)
-		}
-	case "cache.disk":
-		if t.srv.disk != nil {
-			t.srv.disk.SetBudget(a.To)
-		}
 	}
-	t.srv.ring.Add(trace.Record{Kind: trace.KindOp, PID: controlPID,
-		BatchID: int(a.Tick), SampleIndex: -1, Op: "control:" + a.Knob,
-		Start: time.Now()})
-	t.srv.cfg.Logf("lotus-serve: autotune: %s", a)
 }
 
 // ControlStats is the /metrics `control` block: current knob settings plus

@@ -13,17 +13,15 @@ import (
 // TestHelloDeadlineCutsStalledHandshake pins the handshake-timeout fix: a
 // connection that dials but never completes a Hello frame (half a header,
 // then silence) used to pin its handler goroutine on a blocking read. The
-// server must now cut the session at HelloTimeout with an Error frame or a
+// server must now cut the session at helloTimeout with an Error frame or a
 // close, and stay fully functional for well-formed clients.
 func TestHelloDeadlineCutsStalledHandshake(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	defer testutil.CheckFrames(t, FramesInUse)()
 
 	spec := loopbackSpec()
-	srv := New(Config{
-		Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
-		HelloTimeout: 150 * time.Millisecond, Logf: t.Logf,
-	})
+	srv := New(Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2, Logf: t.Logf})
+	srv.helloTimeout = 150 * time.Millisecond
 	if err := srv.Start("127.0.0.1:0", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +95,7 @@ func TestHelloDeadlineCutsStalledHandshake(t *testing.T) {
 }
 
 // TestHelloDeadlineDoesNotClipSlowButValidHandshake: a client that takes a
-// beat (but less than HelloTimeout) to send Hello must not be rejected, and
+// beat (but less than helloTimeout) to send Hello must not be rejected, and
 // the deadline must be cleared afterwards so mid-session idleness between
 // epoch requests is allowed.
 func TestHelloDeadlineDoesNotClipSlowButValidHandshake(t *testing.T) {
@@ -105,10 +103,8 @@ func TestHelloDeadlineDoesNotClipSlowButValidHandshake(t *testing.T) {
 	defer testutil.CheckFrames(t, FramesInUse)()
 
 	spec := loopbackSpec()
-	srv := New(Config{
-		Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
-		HelloTimeout: 500 * time.Millisecond, Logf: t.Logf,
-	})
+	srv := New(Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2, Logf: t.Logf})
+	srv.helloTimeout = 500 * time.Millisecond
 	if err := srv.Start("127.0.0.1:0", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +132,7 @@ func TestHelloDeadlineDoesNotClipSlowButValidHandshake(t *testing.T) {
 		t.Fatalf("server replied %T, want HelloAck", msg)
 	}
 
-	// Idle past HelloTimeout mid-session: the handshake deadline must not
+	// Idle past helloTimeout mid-session: the handshake deadline must not
 	// leak into the request loop.
 	time.Sleep(700 * time.Millisecond)
 	if err := WriteFrame(conn, EncodeEpochReq(EpochReq{Epoch: 0})); err != nil {

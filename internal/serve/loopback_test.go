@@ -331,7 +331,7 @@ func TestMalformedFramesGetErrorNotPanic(t *testing.T) {
 // close, and the server allocates nothing for the claimed payload. The
 // prefix arrives before any Hello, so admission control cannot bound it;
 // unbounded, each such handshake made the server allocate what the prefix
-// claimed (up to 64 MiB) and wait HelloTimeout (10 s) for the bytes.
+// claimed (up to 64 MiB) and wait helloTimeout (10 s) for the bytes.
 func TestRequestFrameBound(t *testing.T) {
 	srv := startTestServer(t, loopbackSpec(), false)
 	bound := 131085 // a Hello with both strings at 65535 bytes
@@ -423,7 +423,6 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	var sleeps []time.Duration
 	c := NewClient(ClientConfig{
 		Addr: ln.Addr().String(), Retries: 3,
-		BackoffBase: 10 * time.Millisecond, BackoffMax: 40 * time.Millisecond,
 		Sleep: func(d time.Duration) { sleeps = append(sleeps, d) },
 	})
 	defer c.Close()
@@ -439,8 +438,8 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 		t.Fatalf("batches %d, want 2", stats.Batches)
 	}
 	// One jittered backoff sleep in [base/2, base).
-	if len(sleeps) != 1 || sleeps[0] < 5*time.Millisecond || sleeps[0] >= 10*time.Millisecond {
-		t.Fatalf("backoff sleeps %v, want one sleep in [5ms, 10ms)", sleeps)
+	if len(sleeps) != 1 || sleeps[0] < backoffBase/2 || sleeps[0] >= backoffBase {
+		t.Fatalf("backoff sleeps %v, want one sleep in [%v, %v)", sleeps, backoffBase/2, backoffBase)
 	}
 }
 
@@ -489,10 +488,10 @@ func TestServerErrorIsFatal(t *testing.T) {
 }
 
 // TestBackoffSchedule: each attempt's sleep lands in the jittered window
-// [cap/2, cap) of the exponential schedule 10, 20, 40, 80, 80, 80 ms.
+// [cap/2, cap) of the exponential schedule 50, 100, ..., 1600, 2000, 2000 ms.
 func TestBackoffSchedule(t *testing.T) {
-	c := NewClient(ClientConfig{BackoffBase: 10 * time.Millisecond, BackoffMax: 80 * time.Millisecond})
-	want := []time.Duration{10, 20, 40, 80, 80, 80}
+	c := NewClient(ClientConfig{})
+	want := []time.Duration{50, 100, 200, 400, 800, 1600, 2000, 2000}
 	for i, w := range want {
 		lo, hi := w*time.Millisecond/2, w*time.Millisecond
 		if got := c.backoff(i + 1); got < lo || got >= hi {
@@ -507,8 +506,7 @@ func TestBackoffSchedule(t *testing.T) {
 // same identity must still be reproducible run to run.
 func TestBackoffSchedulesDiverge(t *testing.T) {
 	mk := func(name string, rank int) []time.Duration {
-		c := NewClient(ClientConfig{Name: name, Rank: rank, World: 4,
-			BackoffBase: 10 * time.Millisecond, BackoffMax: 80 * time.Millisecond})
+		c := NewClient(ClientConfig{Name: name, Rank: rank, World: 4})
 		out := make([]time.Duration, 6)
 		for i := range out {
 			out[i] = c.backoff(i + 1)
@@ -530,14 +528,6 @@ func TestBackoffSchedulesDiverge(t *testing.T) {
 	for i := range a {
 		if a[i] != a2[i] {
 			t.Fatalf("same identity diverged between runs: %v vs %v", a, a2)
-		}
-	}
-	// An explicit JitterSeed overrides the identity-derived one.
-	c1 := NewClient(ClientConfig{JitterSeed: 7, BackoffBase: 10 * time.Millisecond, BackoffMax: 80 * time.Millisecond})
-	c2 := NewClient(ClientConfig{JitterSeed: 7, Name: "other", BackoffBase: 10 * time.Millisecond, BackoffMax: 80 * time.Millisecond})
-	for i := 0; i < 6; i++ {
-		if d1, d2 := c1.backoff(i+1), c2.backoff(i+1); d1 != d2 {
-			t.Fatalf("same JitterSeed produced different schedules at attempt %d: %v vs %v", i+1, d1, d2)
 		}
 	}
 }

@@ -103,13 +103,12 @@ func (m *Metrics) EpochsServed() int64 {
 }
 
 // QueueFill reports the mean prefetch-queue fill fraction (0..1) across
-// sessions with a stream in flight, given the per-session queue capacity.
-// Sessions between epochs (no gauge installed) are skipped; 0 means no
-// stream is live.
-func (m *Metrics) QueueFill(capacity int) float64 {
-	if capacity <= 0 {
-		return 0
-	}
+// sessions with a stream in flight, each measured against its own stream's
+// slot count: a stream's window is fixed at its start and never exceeds its
+// shard, so a short ShardReq or a stream opened before a prefetch action
+// fills at its own size. Sessions between epochs (no gauge installed) are
+// skipped; 0 means no stream is live.
+func (m *Metrics) QueueFill() float64 {
 	m.mu.Lock()
 	live := make([]*SessionMetrics, 0, len(m.sessions))
 	for _, sm := range m.sessions {
@@ -120,12 +119,12 @@ func (m *Metrics) QueueFill(capacity int) float64 {
 	n := 0
 	for _, sm := range live {
 		sm.mu.Lock()
-		gauge := sm.queueDepth
+		gauge, slots := sm.queueDepth, sm.queueSlots
 		sm.mu.Unlock()
-		if gauge == nil {
+		if gauge == nil || slots <= 0 {
 			continue
 		}
-		sum += float64(gauge()) / float64(capacity)
+		sum += float64(gauge()) / float64(slots)
 		n++
 	}
 	if n == 0 {
@@ -216,6 +215,7 @@ type SessionMetrics struct {
 	batchesSent   int64
 	bytesSent     int64
 	queueDepth    func() int
+	queueSlots    int // the streaming window's slot count: queueDepth's capacity
 
 	// Tracer-derived timings: wait is the main-proc wait for each batch
 	// ([T2]); delay is preprocess-end to consumption, the paper's delay
@@ -227,10 +227,10 @@ type SessionMetrics struct {
 }
 
 // SetQueueGauge installs the live queue-depth reader for the epoch currently
-// streaming (nil between epochs).
-func (s *SessionMetrics) SetQueueGauge(fn func() int) {
+// streaming and the window's slot count it fills (nil, 0 between epochs).
+func (s *SessionMetrics) SetQueueGauge(fn func() int, slots int) {
 	s.mu.Lock()
-	s.queueDepth = fn
+	s.queueDepth, s.queueSlots = fn, slots
 	s.mu.Unlock()
 }
 

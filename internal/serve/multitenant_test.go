@@ -105,7 +105,6 @@ func TestClientRetriesBusy(t *testing.T) {
 	var sleeps []time.Duration
 	c := NewClient(ClientConfig{
 		Addr: srv.Addr(), Name: "patient", Retries: 8,
-		BackoffBase: 20 * time.Millisecond,
 		Sleep: func(d time.Duration) {
 			sleeps = append(sleeps, d)
 			if !released {
@@ -138,14 +137,14 @@ func TestConnectRetryingBusyIsJittered(t *testing.T) {
 	spec := loopbackSpec()
 	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated,
 		MaxSessions: 1, AdmitWait: -1})
-	const base = 20 * time.Millisecond
+	const base = backoffBase
 
 	// connectBehind dials while holder owns the only slot; the slot frees
 	// during the client's first backoff sleep.
 	connectBehind := func(name string, holder io.Closer) (*Client, time.Duration) {
 		var sleeps []time.Duration
 		c := NewClient(ClientConfig{
-			Addr: srv.Addr(), Name: name, Retries: 8, BackoffBase: base,
+			Addr: srv.Addr(), Name: name, Retries: 8,
 			Sleep: func(d time.Duration) {
 				if sleeps = append(sleeps, d); len(sleeps) == 1 {
 					holder.Close()

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"lotus/internal/cache"
-	"lotus/internal/control"
 	"lotus/internal/core/trace"
 	"lotus/internal/faultinject"
 	"lotus/internal/pipeline"
@@ -43,9 +42,6 @@ type Config struct {
 	Prefetch int
 	// MaterializeDim caps synthesized image resolution in real mode.
 	MaterializeDim int
-	// HelloTimeout bounds how long a fresh connection may take to present a
-	// valid Hello before the server gives up on it (default 10s).
-	HelloTimeout time.Duration
 	// BatchCacheBytes, when > 0, enables the server-wide materialized-batch
 	// cache: each (epoch, global batch ID) frame is preprocessed and encoded
 	// once, whatever the number of concurrent sessions, ShardReq routes, or
@@ -104,19 +100,11 @@ type Config struct {
 	// is diagnosable in production.
 	Pprof bool
 	// AutoTune enables the closed-loop controller: at every completed epoch
-	// the server observes its own T2 wait records, prefetch-queue fill, and
-	// cache counters, and actuates the compute plane's worker count, the
-	// per-session prefetch window, and the three cache byte budgets.
-	// Decisions are taken only at epoch completions, keyed off the
-	// epochs-served counter; no goroutine samples a timer.
+	// the server observes its own T2 wait records and prefetch-queue fill,
+	// and actuates the compute plane's worker count and the per-session
+	// prefetch window. Decisions are taken only at epoch completions, keyed
+	// off the epochs-served counter; no goroutine samples a timer.
 	AutoTune bool
-	// AutoTuneLongWait classifies a main-process batch wait as a stall for
-	// the controller's wait-fraction signal (default 500ms, the advisor's
-	// threshold).
-	AutoTuneLongWait time.Duration
-	// AutoTuneControl overrides the controller's bounds and pacing (zero
-	// values take control.Config defaults). Tests tighten the cooldowns.
-	AutoTuneControl control.Config
 	// ClusterInfo, when non-nil, is served as JSON on the sidecar's /cluster
 	// endpoint — a func (not a value) so cluster membership state stays live.
 	// It keeps internal/serve free of a cluster dependency: the cluster layer
@@ -135,6 +123,9 @@ type Server struct {
 	// maxRequest bounds every frame the server reads: the largest message a
 	// client may legitimately send (maxRequestFrame).
 	maxRequest int
+	// helloTimeout bounds how long a fresh connection may take to present a
+	// valid Hello (the helloTimeout constant; in-package tests shorten it).
+	helloTimeout time.Duration
 
 	ln      net.Listener
 	httpLn  net.Listener
@@ -190,9 +181,6 @@ func New(cfg Config) *Server {
 	if cfg.Prefetch <= 0 {
 		cfg.Prefetch = 4
 	}
-	if cfg.HelloTimeout <= 0 {
-		cfg.HelloTimeout = 10 * time.Second
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -201,13 +189,14 @@ func New(cfg Config) *Server {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
-		datasetLen: cfg.Spec.NumSamples,
-		metrics:    NewMetrics(time.Now()),
-		ring:       trace.NewRing(traceRingRecords),
-		ctx:        ctx,
-		cancel:     cancel,
-		conns:      make(map[net.Conn]bool),
+		cfg:          cfg,
+		datasetLen:   cfg.Spec.NumSamples,
+		helloTimeout: helloTimeout,
+		metrics:      NewMetrics(time.Now()),
+		ring:         trace.NewRing(traceRingRecords),
+		ctx:          ctx,
+		cancel:       cancel,
+		conns:        make(map[net.Conn]bool),
 	}
 	s.window.Store(int64(cfg.Prefetch))
 	s.ring.SetPerLogCost(cfg.Spec.PerLogCost)
@@ -217,7 +206,7 @@ func New(cfg Config) *Server {
 	s.specFP = SpecFingerprint(cfg.Spec, cfg.Mode, cfg.MaterializeDim)
 	s.plane = newPlane(s)
 	if cfg.AutoTune {
-		s.tuner = newTuner(s, cfg.AutoTuneControl, cfg.AutoTuneLongWait)
+		s.tuner = newTuner(s)
 	}
 	if cfg.MaxSessions > 0 {
 		s.admitSem = make(chan struct{}, cfg.MaxSessions)
@@ -232,12 +221,16 @@ func New(cfg Config) *Server {
 // traceRingRecords is the live trace ring's capacity in records.
 const traceRingRecords = 16384
 
+// helloTimeout bounds how long a fresh connection may take to present a
+// valid Hello before the server gives up on it.
+const helloTimeout = 10 * time.Second
+
 // maxRequestFrame is the largest frame a client may legitimately send a
 // server whose epoch plan has planLen batches: a Hello with both strings at
 // their 65535-byte cap, or a ShardReq naming every plan ID. Requests are read
 // before admission control, so a length prefix above this bound is refused
 // before anything is allocated for it — else one handshake could make the
-// server allocate DefaultMaxFrame (64 MiB) and wait HelloTimeout for it.
+// server allocate DefaultMaxFrame (64 MiB) and wait helloTimeout for it.
 func maxRequestFrame(planLen int) int {
 	const hello = 1 + 2 + 4 + 4 + 2*(2+math.MaxUint16) // type, version, rank, world, name, tenant
 	shardReq := 1 + 4 + 4 + 4*planLen + 1              // type, epoch, count, ids, hedge
@@ -713,39 +706,18 @@ func (s *Server) handleConn(conn net.Conn) {
 			s.sendError(conn, err.Error())
 			return
 		}
+		// DecodeMessage has bounded the epoch; the plan checks a ShardReq's IDs.
+		var epoch int
+		var stream func() error
 		switch m := msg.(type) {
 		case EpochReq:
-			if m.Epoch < 0 || m.Epoch > 1<<30 {
-				s.sendError(conn, fmt.Sprintf("invalid epoch %d", m.Epoch))
-				return
-			}
-			if !s.setStreaming(conn, true) {
-				s.sendError(conn, "server draining")
-				return
-			}
-			if err := sess.streamEpoch(m.Epoch); err != nil {
-				sess.sm.AddEpochAbort()
-				s.metrics.AddEpochAbort()
-				s.slogf("lotus-serve: session %d: epoch %d: %v", sess.id, m.Epoch, err)
-				return
-			}
+			epoch, stream = m.Epoch, func() error { return sess.streamEpoch(m.Epoch) }
 		case ShardReq:
-			if m.Epoch < 0 || m.Epoch > 1<<30 {
-				s.sendError(conn, fmt.Sprintf("invalid epoch %d", m.Epoch))
-				return
-			}
-			if !s.setStreaming(conn, true) {
-				s.sendError(conn, "server draining")
-				return
-			}
-			if m.Hedge {
-				s.metrics.AddHedge(len(m.IDs))
-			}
-			if err := sess.streamShardReq(m); err != nil {
-				sess.sm.AddEpochAbort()
-				s.metrics.AddEpochAbort()
-				s.slogf("lotus-serve: session %d: epoch %d shard: %v", sess.id, m.Epoch, err)
-				return
+			epoch, stream = m.Epoch, func() error {
+				if m.Hedge {
+					s.metrics.AddHedge(len(m.IDs))
+				}
+				return sess.streamShardReq(m)
 			}
 		case Bye:
 			return
@@ -753,11 +725,21 @@ func (s *Server) handleConn(conn net.Conn) {
 			s.sendError(conn, fmt.Sprintf("unexpected %T mid-session", msg))
 			return
 		}
+		if !s.setStreaming(conn, true) {
+			s.sendError(conn, "server draining")
+			return
+		}
+		if err := stream(); err != nil {
+			sess.sm.AddEpochAbort()
+			s.metrics.AddEpochAbort()
+			s.slogf("lotus-serve: session %d: epoch %d: %v", sess.id, epoch, err)
+			return
+		}
 	}
 }
 
 func (s *Server) readHello(conn net.Conn) (Hello, error) {
-	conn.SetReadDeadline(time.Now().Add(s.cfg.HelloTimeout))
+	conn.SetReadDeadline(time.Now().Add(s.helloTimeout))
 	defer conn.SetReadDeadline(time.Time{})
 	payload, err := ReadFrame(conn, s.maxRequest)
 	if err != nil {
@@ -983,8 +965,8 @@ func (ss *session) streamShard(epoch int, shard []PlanBatch) error {
 			ready += len(slot)
 		}
 		return ready
-	})
-	defer ss.sm.SetQueueGauge(nil)
+	}, window)
+	defer ss.sm.SetQueueGauge(nil, 0)
 	pid := sessionPIDBase + ss.id
 
 	// The write loop coalesces only frames that are already available: before

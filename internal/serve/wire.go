@@ -685,6 +685,20 @@ func (d *dec) bytes(n int) []byte {
 	return v
 }
 
+// MaxEpoch is the largest epoch a client may request; the decoder refuses
+// an EpochReq or ShardReq naming a later one.
+const MaxEpoch = 1 << 30
+
+// epoch reads a requested epoch number and enforces 0 <= epoch <= MaxEpoch.
+func (d *dec) epoch() int {
+	e := int64(d.u32())
+	if e > MaxEpoch {
+		d.fail("epoch %d out of range [0,%d]", e, MaxEpoch)
+		return 0
+	}
+	return int(e)
+}
+
 func (d *dec) str() string {
 	n := int(d.u16())
 	return string(d.bytes(n))
@@ -752,13 +766,13 @@ func DecodeMessage(payload []byte) (any, error) {
 		}
 		return a, nil
 	case MsgEpochReq:
-		r := EpochReq{Epoch: int(d.u32())}
+		r := EpochReq{Epoch: d.epoch()}
 		if err := d.done(); err != nil {
 			return nil, err
 		}
 		return r, nil
 	case MsgShardReq:
-		r := ShardReq{Epoch: int(d.u32())}
+		r := ShardReq{Epoch: d.epoch()}
 		n := d.count(4)
 		if d.err == nil {
 			r.IDs = make([]int, n)

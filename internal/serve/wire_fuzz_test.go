@@ -18,6 +18,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		Hello{Version: 1, Rank: 1, World: 4, Name: "fuzz"},
 		HelloAck{Version: 1, DatasetLen: 100, BatchSize: 8, PlanBatches: 13, ShardBatches: 7, Mode: 1, Workload: "OD"},
 		EpochReq{Epoch: 9},
+		EpochReq{Epoch: MaxEpoch + 1}, // out of range: refused
 		&Batch{Epoch: 1, GlobalID: 2, Indices: []int{3, 1}, Labels: []int{0, 4},
 			Dtype: tensor.Uint8, Shape: []int{2, 2}, U8: []uint8{9, 8, 7, 6}},
 		&Batch{Epoch: 0, GlobalID: 1, Indices: []int{5}, Labels: []int{-2},
@@ -79,6 +80,7 @@ func FuzzControlMessages(f *testing.F) {
 		Hello{Version: 2, World: 1},
 		ShardReq{Epoch: 4, IDs: []int{7, 0, 3}},
 		ShardReq{Epoch: 0, IDs: []int{}, Hedge: true},
+		ShardReq{Epoch: MaxEpoch + 1, IDs: []int{2}}, // out of range: refused
 		ErrorMsg{Message: "server busy: session limit reached", Code: CodeBusy},
 		ErrorMsg{},
 	} {
@@ -108,6 +110,9 @@ func FuzzControlMessages(f *testing.F) {
 					t.Fatalf("accepted Hello with rank %d of world %d", m.Rank, m.World)
 				}
 			case ShardReq:
+				if m.Epoch < 0 || m.Epoch > MaxEpoch {
+					t.Fatalf("accepted ShardReq for epoch %d", m.Epoch)
+				}
 				if len(m.IDs) > len(body)/4 {
 					t.Fatalf("accepted ShardReq with %d ids from a %d-byte body", len(m.IDs), len(body))
 				}

@@ -41,7 +41,9 @@ func TestMessageRoundTrips(t *testing.T) {
 		Hello{Version: 1, Rank: 1, World: 4, Name: "trainer-b", Tenant: "team-vision"},
 		HelloAck{Version: 1, DatasetLen: 5120, BatchSize: 128, PlanBatches: 40, ShardBatches: 20, Mode: 1, Workload: "IC"},
 		EpochReq{Epoch: 3},
+		EpochReq{Epoch: MaxEpoch},
 		ShardReq{Epoch: 4, IDs: []int{7, 0, 3}},
+		ShardReq{Epoch: MaxEpoch, IDs: []int{1}},
 		ShardReq{Epoch: 0, IDs: []int{}},
 		ShardReq{Epoch: 2, IDs: []int{5, 1}, Hedge: true},
 		&Batch{Epoch: 1, GlobalID: 7, Indices: []int{4, 9, 1}, Labels: []int{0, -1, 2},
@@ -82,6 +84,9 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			return b
 		}()},
 		{"trailing garbage", append(EncodeEpochReq(EpochReq{Epoch: 1}), 0)},
+		{"epochreq epoch past MaxEpoch", EncodeEpochReq(EpochReq{Epoch: MaxEpoch + 1})},
+		{"epochreq epoch -1 on the wire", []byte{byte(MsgEpochReq), 0xff, 0xff, 0xff, 0xff}},
+		{"shardreq epoch past MaxEpoch", EncodeShardReq(ShardReq{Epoch: MaxEpoch + 1, IDs: []int{1}})},
 		{"truncated shardreq ids", EncodeShardReq(ShardReq{Epoch: 1, IDs: []int{1, 2, 3}})[:11]},
 		{"shardreq forged count", func() []byte {
 			b := EncodeShardReq(ShardReq{Epoch: 1, IDs: []int{1}})

@@ -599,19 +599,6 @@ func (s *Store) newSegmentLocked() (*segment, error) {
 	return seg, nil
 }
 
-// SetBudget retargets the soft byte budget at runtime (the controller's
-// disk-tier knob); <= 0 is ignored (a controller cannot un-bound the store).
-// Shrinking evicts LRU sealed segments down to the new bound immediately.
-func (s *Store) SetBudget(budget int64) {
-	if budget <= 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.opts.Budget = budget
-	s.evictLocked()
-}
-
 // evictLocked deletes LRU sealed segments until the byte budget holds. The
 // active segment is never evicted.
 func (s *Store) evictLocked() {

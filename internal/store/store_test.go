@@ -606,14 +606,19 @@ func TestConcurrentGetsOverlap(t *testing.T) {
 // segment can be evicted between the lookup and the read. That is a miss —
 // the record left the index with its segment — not a corrupt record.
 func TestGetLosingToEvictionIsAMiss(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), Options{SegmentBytes: 1 << 10})
+	s := mustOpen(t, t.TempDir(), Options{SegmentBytes: 1 << 10, Budget: 3 << 10})
 	defer s.Close()
 	k := batchKey(0)
 	if err := s.Put(k, payloadFor(k, 2<<10)); err != nil { // fills and seals segment 0
 		t.Fatal(err)
 	}
 	_, ok := s.Get(k, func(n int) []byte {
-		s.SetBudget(1) // evicts every sealed segment, segment 0 included
+		// A second sealed segment takes the store over budget: segment 0,
+		// the older one, is evicted.
+		k1 := batchKey(1)
+		if err := s.Put(k1, payloadFor(k1, 2<<10)); err != nil {
+			t.Fatal(err)
+		}
 		return make([]byte, n)
 	})
 	if ok {
