@@ -2,6 +2,7 @@ package imaging
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -28,12 +29,16 @@ const (
 // buffer (KSize-strided, zero-padded) rather than a jagged [][]float64 so
 // a whole axis's coefficients live in two contiguous allocations.
 type ResampleCoeffs struct {
-	// KSize is the tap stride: the maximum taps any output sample uses.
+	// KSize is the tap stride: the widest floor/ceil window of the filter's
+	// support. Every output's taps start at a multiple of it.
 	KSize int
-	// Bounds[i] is the first source index contributing to output i.
+	// Bounds[i] is the first source index contributing to output i: its
+	// window's leading zero taps are trimmed off.
 	Bounds []int32
-	// Counts[i] is the number of taps output i actually uses (edge windows
-	// are narrower than KSize).
+	// Counts[i] is the number of taps output i uses, at least 1: trailing
+	// zero taps are trimmed off too, and edge windows are clipped to the
+	// source, so most outputs use fewer than KSize (a bilinear upscale's
+	// window is two taps, not three).
 	Counts []int32
 	// Taps holds KSize fixed-point taps per output, scaled by coeffOne.
 	Taps []int32
@@ -104,6 +109,14 @@ func PrecomputeCoeffs(srcLen, dstLen int) *ResampleCoeffs {
 // callers should prefer CachedCoeffs: training pipelines resize every
 // sample to the same output geometry, so the table is almost always
 // already built.
+//
+// Each window is bounded with floor/ceil of center ± support, which can
+// take in a source sample at exactly the support's edge, whose weight is 0,
+// and quantization can round a tiny edge weight to 0 as well. Those zero
+// taps are trimmed from both ends of the window (Pillow's precompute_coeffs
+// rounds its bounds and builds only the taps that carry weight). Every
+// kernel sums integer tap × pixel products, so a dropped zero term changes
+// no byte.
 func PrecomputeCoeffsFilter(srcLen, dstLen int, f Filter) *ResampleCoeffs {
 	if srcLen <= 0 || dstLen <= 0 {
 		panic(fmt.Sprintf("imaging: invalid resample %d -> %d", srcLen, dstLen))
@@ -152,8 +165,19 @@ func PrecomputeCoeffsFilter(srcLen, dstLen int, f Filter) *ResampleCoeffs {
 		} else {
 			taps[0] = coeffOne
 		}
-		rc.Bounds[i] = int32(lo)
-		rc.Counts[i] = int32(n)
+		first, last := 0, n-1
+		for first < last && taps[first] == 0 {
+			first++
+		}
+		for last > first && taps[last] == 0 {
+			last--
+		}
+		if first > 0 {
+			copy(taps, taps[first:last+1])
+			clear(taps[last+1-first:])
+		}
+		rc.Bounds[i] = int32(lo + first)
+		rc.Counts[i] = int32(last + 1 - first)
 	}
 	if rc.NonNeg {
 		rc.TapsP = make([]uint64, len(rc.Taps)*3)
@@ -195,7 +219,16 @@ type coeffLRU struct {
 	hits, misses uint64
 }
 
-var coeffCache = &coeffLRU{cap: 128, m: make(map[coeffKey]*list.Element), ll: list.New()}
+// coeffCacheEntries holds a table for every window side up to the 256-px
+// materialize cap (data.DefaultMaterializeDim), twice over. A
+// RandomResizedCrop window's sides are any of 1..256 and each table serves
+// both axes, so one IC run draws ~220 distinct keys; an LRU smaller than
+// that thrashes (at 128 entries a quarter of the lookups miss, half a table
+// build of ~20 µs and 23 KB per sample). The second 256 leave room for
+// another output geometry or filter in the same process.
+const coeffCacheEntries = 2 * 256
+
+var coeffCache = &coeffLRU{cap: coeffCacheEntries, m: make(map[coeffKey]*list.Element), ll: list.New()}
 
 func (c *coeffLRU) get(k coeffKey) *ResampleCoeffs {
 	c.mu.Lock()
@@ -376,29 +409,42 @@ func resampleHorizontalPacked(dst, src *Image, rc *ResampleCoeffs) {
 			m := int(rc.Counts[x]) * 3
 			base3 := x * rc.KSize * 3
 			j := int(rc.Bounds[x]) * 3
-			ps := pp[j : j+m]
-			qs := pq[j : j+m]
-			tx := rc.TapsP[base3 : base3+m]
 			ra, ga, ba := packedHalf, packedHalf, packedHalf
 			rb, gb, bb := packedHalf, packedHalf, packedHalf
-			jj := 0
-			for ; jj+5 < m; jj += 6 {
-				ut0, ut1 := tx[jj], tx[jj+3]
-				ra += ut0*ps[jj] + ut1*ps[jj+3]
-				ga += ut0*ps[jj+1] + ut1*ps[jj+4]
-				ba += ut0*ps[jj+2] + ut1*ps[jj+5]
-				rb += ut0*qs[jj] + ut1*qs[jj+3]
-				gb += ut0*qs[jj+1] + ut1*qs[jj+4]
-				bb += ut0*qs[jj+2] + ut1*qs[jj+5]
-			}
-			if jj < m {
-				ut := tx[jj]
-				ra += ut * ps[jj]
-				ga += ut * ps[jj+1]
-				ba += ut * ps[jj+2]
-				rb += ut * qs[jj]
-				gb += ut * qs[jj+1]
-				bb += ut * qs[jj+2]
+			if m == 6 {
+				// Two taps, a bilinear upscale's whole window: constant-length
+				// slices, no tap loop and no remainder.
+				ps, qs := pp[j:j+6], pq[j:j+6]
+				ut0, ut1 := rc.TapsP[base3], rc.TapsP[base3+3]
+				ra += ut0*ps[0] + ut1*ps[3]
+				ga += ut0*ps[1] + ut1*ps[4]
+				ba += ut0*ps[2] + ut1*ps[5]
+				rb += ut0*qs[0] + ut1*qs[3]
+				gb += ut0*qs[1] + ut1*qs[4]
+				bb += ut0*qs[2] + ut1*qs[5]
+			} else {
+				ps := pp[j : j+m]
+				qs := pq[j : j+m]
+				tx := rc.TapsP[base3 : base3+m]
+				jj := 0
+				for ; jj+5 < m; jj += 6 {
+					ut0, ut1 := tx[jj], tx[jj+3]
+					ra += ut0*ps[jj] + ut1*ps[jj+3]
+					ga += ut0*ps[jj+1] + ut1*ps[jj+4]
+					ba += ut0*ps[jj+2] + ut1*ps[jj+5]
+					rb += ut0*qs[jj] + ut1*qs[jj+3]
+					gb += ut0*qs[jj+1] + ut1*qs[jj+4]
+					bb += ut0*qs[jj+2] + ut1*qs[jj+5]
+				}
+				if jj < m {
+					ut := tx[jj]
+					ra += ut * ps[jj]
+					ga += ut * ps[jj+1]
+					ba += ut * ps[jj+2]
+					rb += ut * qs[jj]
+					gb += ut * qs[jj+1]
+					bb += ut * qs[jj+2]
+				}
 			}
 			o := x * 3
 			oA[o] = uint8(ra >> coeffPrecision)
@@ -525,7 +571,8 @@ const vertRegTaps = 32
 // columns), and four columns are accumulated in registers while walking the
 // tap rows in lockstep, so there is no accumulator array to read-modify-
 // write and the store is clamp-free for the same tap-sum reason as the
-// horizontal path.
+// horizontal path. A row whose window has two taps — every interior row
+// of a bilinear upscale — takes vertical2 instead.
 func resampleVerticalPacked(dst, src *Image, rc *ResampleCoeffs) {
 	if rc.KSize > vertRegTaps {
 		resampleVerticalAccum(dst, src, rc)
@@ -538,11 +585,16 @@ func resampleVerticalPacked(dst, src *Image, rc *ResampleCoeffs) {
 		base := y * rc.KSize
 		n := int(rc.Counts[y])
 		lo := int(rc.Bounds[y])
+		orow := dst.Pix[y*w3 : (y+1)*w3]
+		if n == 2 {
+			vertical2(orow, src.Pix[lo*w3:(lo+1)*w3], src.Pix[(lo+1)*w3:(lo+2)*w3],
+				uint64(uint32(rc.Taps[base])), uint64(uint32(rc.Taps[base+1])))
+			continue
+		}
 		for k := 0; k < n; k++ {
 			rows[k] = src.Pix[(lo+k)*w3 : (lo+k+1)*w3]
 			uts[k] = uint64(uint32(rc.Taps[base+k]))
 		}
-		orow := dst.Pix[y*w3 : (y+1)*w3]
 		j := 0
 		for ; j+3 < w3; j += 4 {
 			a0, a1 := packedHalf, packedHalf
@@ -564,6 +616,38 @@ func resampleVerticalPacked(dst, src *Image, rc *ResampleCoeffs) {
 			}
 			orow[j] = uint8(a >> coeffPrecision)
 		}
+	}
+}
+
+// lanePair masks bytes j and j+4 of a little-endian 64-bit word into the
+// low and high 32-bit lanes of a packed accumulator.
+const lanePair = 0x000000ff000000ff
+
+// vertical2 computes one output row from two source rows and their taps,
+// eight bytes at a time: one 64-bit load per source row, whose bytes
+// (j, j+4), (j+1, j+5), (j+2, j+6), (j+3, j+7) ride the two lanes of four
+// accumulators, four multiplies per source row, and one 64-bit store of
+// the shifted lanes. Each lane ends in 0..255 (DESIGN §7), so masking the
+// shifted accumulator with lanePair extracts both output bytes exactly.
+func vertical2(orow, r0, r1 []uint8, t0, t1 uint64) {
+	n := len(orow)
+	r0, r1 = r0[:n], r1[:n]
+	j := 0
+	for ; j+8 <= n; j += 8 {
+		x0 := binary.LittleEndian.Uint64(r0[j:])
+		x1 := binary.LittleEndian.Uint64(r1[j:])
+		a0 := packedHalf + t0*(x0&lanePair) + t1*(x1&lanePair)
+		a1 := packedHalf + t0*(x0>>8&lanePair) + t1*(x1>>8&lanePair)
+		a2 := packedHalf + t0*(x0>>16&lanePair) + t1*(x1>>16&lanePair)
+		a3 := packedHalf + t0*(x0>>24&lanePair) + t1*(x1>>24&lanePair)
+		binary.LittleEndian.PutUint64(orow[j:],
+			a0>>coeffPrecision&lanePair|
+				(a1>>coeffPrecision&lanePair)<<8|
+				(a2>>coeffPrecision&lanePair)<<16|
+				(a3>>coeffPrecision&lanePair)<<24)
+	}
+	for ; j < n; j++ {
+		orow[j] = uint8((uint64(coeffHalf) + t0*uint64(r0[j]) + t1*uint64(r1[j])) >> coeffPrecision)
 	}
 }
 

@@ -95,7 +95,17 @@ func TestServedCorpusCounters(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
 	const n = corpusTestSamples
 	var filePx int64
+	var lookups uint64
 	fetchEpochs(t, workloads.ICSpec(n, 7), 0, 3, func(epoch int, snap *MetricsSnapshot) {
+		// Every RandomResizedCrop resamples both axes of its window: two
+		// coefficient lookups per sample served (the counters are the
+		// process's, so the local reference run adds its own).
+		r := snap.Resize
+		if got := r.CoeffHits + r.CoeffMisses; got < lookups+2*n {
+			t.Fatalf("after epoch %d: resize %+v, want at least %d more lookups than %d", epoch, r, 2*n, lookups)
+		} else {
+			lookups = got
+		}
 		st := snap.Corpus
 		want := data.CorpusStats{Rendered: n, Reads: int64(n * epoch), Bytes: st.Bytes}
 		if *st != want || st.Bytes == 0 {

@@ -382,6 +382,9 @@ type MetricsSnapshot struct {
 	// many the full frame, and the pixels that were and were not
 	// reconstructed. Nil exactly when Corpus is.
 	Decode *pipeline.DecodeStats `json:"decode,omitempty"`
+	// Resize carries the process's resampling-coefficient cache counters:
+	// misses are filter tables built, hits are resizes that reused one.
+	Resize ResizeStats `json:"resize"`
 	// Plan names the pipeline plan rewrites in force for this server's
 	// workload, mode and cache tiers, and why the others are not — e.g.
 	// "IC: crop→decode, tensor tail→collate", "IC: tensor tail→collate
@@ -397,6 +400,13 @@ type MetricsSnapshot struct {
 	// when QoS is disabled.
 	Tenants  []TenantSnapshot  `json:"tenants,omitempty"`
 	Sessions []SessionSnapshot `json:"sessions"`
+}
+
+// ResizeStats is imaging.CoeffCacheStats on /metrics. Once every window
+// side a workload draws has a table, misses stand still while hits run.
+type ResizeStats struct {
+	CoeffHits   uint64 `json:"coeff_hits"`
+	CoeffMisses uint64 `json:"coeff_misses"`
 }
 
 // Snapshot returns a consistent copy of every counter. traceRecords is

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lotus/internal/core/trace"
+	"lotus/internal/imaging"
 )
 
 // startHTTP brings up the observability sidecar:
@@ -80,6 +81,7 @@ func (s *Server) Snapshot(now time.Time) MetricsSnapshot {
 	if corpus, decode, ok := s.plane.loaderStats(); ok {
 		snap.Corpus, snap.Decode = &corpus, &decode
 	}
+	snap.Resize.CoeffHits, snap.Resize.CoeffMisses = imaging.CoeffCacheStats()
 	snap.Plan = s.plan
 	if st, ok := s.ControlStats(); ok {
 		snap.Control = &st
