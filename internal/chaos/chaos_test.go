@@ -103,7 +103,7 @@ func TestRunnerCatchesFaults(t *testing.T) {
 		row        row
 	}{
 		{"flipped oracle byte", "batch 2 not byte-identical", row{
-			before: func(e *env, _ int) { e.oracle[0][2][len(e.oracle[0][2])/2] ^= 1 }}},
+			before: func(e *env, _ int) { e.oracle[0][2].Labels[0] ^= 1 }}},
 		{"duplicate delivery", "1 duplicate deliveries", row{client: fetch([]int{0, 1, 2, 3, 4, 5, 6, 7}, []int{3})}},
 		{"missing batch", "delivered 7 of 8 batches", row{client: fetch([]int{0, 1, 2, 3, 4, 5, 7})}},
 		{"leaked goroutine", "goroutine leak", row{check: func(*env) { go func() { <-release }() }}},

@@ -90,13 +90,17 @@ func servedRows() []row {
 			check: converged},
 
 		// A hung disk: the spill backlog fills behind the stalled writer, and
-		// the epoch completes without waiting for it.
-		{class: "disk-stall", mode: pipeline.RealData, batchCache: chaosCacheBytes, disk: true,
+		// the epoch completes without waiting for it. 30 frames of 1.2 MB
+		// pixels overrun the store's 32 MiB backlog.
+		{class: "disk-stall", mode: pipeline.RealData, samples: 240, batchCache: chaosCacheBytes, disk: true,
 			faults: faultinject.Spec{DiskStall: 1}, check: stalled},
 		// A failed sample read reaches neither the sample cache nor the disk
 		// tier: the second life serves the first's spills byte-identically.
 		{class: "read-error-tiers", workload: workloads.ICA, mode: pipeline.RealData, sampleCache: chaosCacheBytes, disk: true, lives: 2,
 			faults: faultinject.Spec{ReadErrorNth: 6}, wantErr: true, check: tiersClean},
+		// A frame corrupted on its way to a router fails its digest before
+		// delivery, so its ID stays unserved and the node's retry fetches it.
+		{class: "cluster-wire-corrupt", nodes: 3, faults: faultinject.Spec{CorruptFrame: 2}, client: routed(nil)},
 	}
 }
 

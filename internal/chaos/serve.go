@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -58,7 +60,7 @@ type env struct {
 	row    *row
 	res    *Result
 	spec   workloads.Spec
-	oracle [][][]byte // [epoch][global batch ID]: the frames a local run encodes
+	oracle [][]*serve.Batch // [epoch][global batch ID]: the batches a local run makes
 	inj    *faultinject.Injector
 	dirs   []string // one disk directory per node
 	life   int      // 1, or 2 on the first life's directories
@@ -89,12 +91,12 @@ func servedCell(seed int64, rw row) cell {
 	return cell{class: rw.class, workload: string(rw.workload), run: func(res *Result) {
 		e := &env{row: &rw, res: res, spec: chaosSpec(rw.workload, rw.samples, seed)}
 		for epoch := range max(rw.epochs, 1) {
-			frames, err := groundTruth(e.spec, epoch, rw.mode)
+			batches, err := groundTruth(e.spec, epoch, rw.mode)
 			if err != nil {
 				e.fail("ground truth epoch %d: %v", epoch, err)
 				return
 			}
-			e.oracle = append(e.oracle, frames)
+			e.oracle = append(e.oracle, batches)
 		}
 		nodes := max(rw.nodes, 1)
 		e.victim = victimOf(nodes, len(e.oracle[0]))
@@ -295,12 +297,14 @@ func routed(cfg func(e *env) cluster.Config) client {
 }
 
 // sink is one stream's record of what it was delivered. Each batch is
-// compared with the oracle as it arrives and then overwritten: a batch and
-// its payload are lent only until the callback returns, so a library that
-// reads them later reads the pattern, and the row fails identity.
+// compared with the oracle as it arrives — as its consumer sees it: tensor,
+// indices, labels — and then overwritten, the frame bytes and the tensor
+// alike: a batch and its payload are lent only until the callback returns,
+// so a library that reads either later reads the pattern, and the row fails
+// identity.
 type sink struct {
 	name   string
-	oracle [][][]byte
+	oracle [][]*serve.Batch
 	mu     sync.Mutex // routed clients deliver from one goroutine per node
 	epochs []delivered
 	stray  int // batches of epochs never requested
@@ -330,6 +334,12 @@ func (s *sink) deliver(b *serve.Batch, payload []byte) {
 		for i := range payload {
 			payload[i] = 0xA5
 		}
+		for i := range b.U8 {
+			b.U8[i] = 0xA5
+		}
+		for i := range b.F32 {
+			b.F32[i] = math.Float32frombits(0xA5A5A5A5)
+		}
 	}()
 	if b.Epoch < 0 || b.Epoch >= len(s.oracle) {
 		s.stray++
@@ -343,16 +353,35 @@ func (s *sink) deliver(b *serve.Batch, payload []byte) {
 		d.dups++
 	default:
 		d.seen[id] = true
-		if !bytes.Equal(payload, want[id]) {
-			d.wrong = append(d.wrong, fmt.Sprintf("batch %d not byte-identical to ground truth", id))
+		if what := differs(b, want[id]); what != "" {
+			d.wrong = append(d.wrong, fmt.Sprintf("batch %d not byte-identical to ground truth: %s", id, what))
 		}
 	}
 }
 
-// reset forgets an epoch the client is about to fetch again.
+// differs names the first part of a delivered batch that is not the
+// oracle's, as the consumer sees it; "" when none is.
+func differs(got, want *serve.Batch) string {
+	switch {
+	case !slices.Equal(got.Indices, want.Indices):
+		return "indices"
+	case !slices.Equal(got.Labels, want.Labels):
+		return "labels"
+	case got.Dtype != want.Dtype || !slices.Equal(got.Shape, want.Shape):
+		return fmt.Sprintf("%s %v, want %s %v", got.Dtype, got.Shape, want.Dtype, want.Shape)
+	case !bytes.Equal(got.U8, want.U8) || (got.U8 == nil) != (want.U8 == nil) || (got.F32 == nil) != (want.F32 == nil) ||
+		!slices.EqualFunc(got.F32, want.F32, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }):
+		return "tensor"
+	}
+	return ""
+}
+
+// reset forgets which batches of an epoch were delivered, because the client
+// is about to fetch it again. It keeps what was wrong and every duplicate: a
+// retry never excuses a bad delivery.
 func (s *sink) reset(epoch int) {
 	s.mu.Lock()
-	s.epochs[epoch] = delivered{seen: map[int]bool{}}
+	s.epochs[epoch].seen = map[int]bool{}
 	s.mu.Unlock()
 }
 
@@ -375,17 +404,18 @@ func (s *sink) verify(e *env, complete bool) {
 	}
 }
 
-// groundTruth encodes every batch of one epoch exactly as a server must send
-// it, from a local DataLoader over the full plan. In RealData the frames
-// carry the pipeline's pixels, so identity against them proves cached,
-// spilled or rerouted bytes are the true output.
-func groundTruth(spec workloads.Spec, epoch int, mode pipeline.Mode) ([][]byte, error) {
+// groundTruth makes every batch of one epoch as a consumer of the served
+// epoch must be handed it, from a local DataLoader over the full plan. In
+// RealData the batches carry the pipeline's float32 tensors, so identity
+// against them proves cached, spilled, rerouted or client-finished bytes are
+// the true output.
+func groundTruth(spec workloads.Spec, epoch int, mode pipeline.Mode) ([]*serve.Batch, error) {
 	plan := serve.BuildEpochPlan(spec.NumSamples, spec.BatchSize, spec.Shuffle, false, spec.Seed, epoch)
 	batchPlan := make([][]int, len(plan))
 	for i, pb := range plan {
 		batchPlan[i] = pb.Indices
 	}
-	out := make([][]byte, len(plan))
+	out := make([]*serve.Batch, len(plan))
 	var runErr error
 	sim := clock.NewSim()
 	sim.Run("chaos-local", func(p clock.Proc) {
@@ -414,7 +444,7 @@ func groundTruth(spec workloads.Spec, epoch int, mode pipeline.Mode) ([][]byte, 
 				wb.U8 = b.Data.U8
 				wb.F32 = b.Data.F32
 			}
-			out[i] = serve.EncodeBatch(wb)
+			out[i] = wb.Clone()
 		}
 	})
 	return out, runErr

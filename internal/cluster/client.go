@@ -512,7 +512,7 @@ func (c *Client) deliver(st *epochState, node string, b *serve.Batch, payload []
 		st.stats.HedgeWon++
 	}
 	st.stats.Batches++
-	st.stats.Bytes += int64(len(payload)) + 4
+	st.stats.Bytes += int64(len(payload)) + serve.FrameHeaderSize
 	st.stats.PerNode[node]++
 	st.mu.Unlock()
 	if onBatch != nil {

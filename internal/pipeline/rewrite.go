@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 
@@ -38,7 +39,10 @@ import (
 // caller that is certain to collate what it gets, which is a BatchWorker
 // (Ctx.collates) and nobody else, and only when both ops lie outside the
 // sample cache's prefix, whose snapshots hold what the plan as written
-// produces.
+// produces. A caller that carries the batch somewhere else before using it
+// (a serving plane, whose CollateDst takes the offer) may stop one pass short
+// and ship the pixels: the table is the last pass, and TailTable hands it out
+// for whoever runs it on the far side.
 
 // The plans of a Compose, indexed by the rewrites in force.
 const (
@@ -221,13 +225,35 @@ func (t deferredNormalize) Apply(_ *Ctx, s Sample) Sample {
 	return s
 }
 
+// TailTable returns the 3×256 table the tensor tail→collate rewrite finishes
+// a batch with when a BatchWorker runs the plan in mode, with or without a
+// sample cache: lut[c][v] is what ToTensor, Normalize make of byte v of
+// channel c. It is nil when the rewrite is not in force. A caller whose
+// CollateDst takes the batch one pass short (finishTails) finishes it with
+// this table; the table is the Compose's and must not be written to.
+func (c *Compose) TailTable(mode Mode, sampleCache bool) *[3][256]float32 {
+	c.plansOnce.Do(c.buildPlans)
+	split := 0
+	if sampleCache {
+		split = c.SplitPoint()
+	}
+	if c.tailOff(mode, split, true) != "" {
+		return nil
+	}
+	return &c.plans[planTail][c.tailAt+1].(deferredNormalize).tail.lut
+}
+
 // finishTails is the collate's half of tensor tail→collate. When every
-// sample carries the same deferred tail over images of one size, it makes
-// the batch tensor — dst's, or a fresh one — in one pass per sample from the
-// uint8 pixels, and releases them. Otherwise it returns nil, having finished
-// whatever tails there are the way the plan wrote them, so that the caller's
-// tensor.StackInto sees the tensors — and reports the mismatched shapes — it
-// always has.
+// sample carries the same deferred tail over images of one size, it first
+// offers dst the batch one pass short — a uint8 [N, H, W, 3] tensor, each
+// sample's interleaved pixels as they are — and, when dst takes it, copies
+// the pixels there and leaves the last pass to whoever holds TailTable (a
+// serving client, on the far side of the wire). Otherwise it makes the float32
+// batch tensor — dst's, or a fresh one — in one pass per sample from the
+// pixels. Either way it releases the images. When the samples do not share
+// a tail and a size it returns nil, having finished whatever tails there are
+// the way the plan wrote them, so that the caller's tensor.StackInto sees the
+// tensors — and reports the mismatched shapes — it always has.
 func finishTails(ctx *Ctx, samples []Sample, dst CollateDst) *tensor.Tensor {
 	tail, im := samples[0].tail, samples[0].Image
 	fused := tail != nil
@@ -243,10 +269,25 @@ func finishTails(ctx *Ctx, samples []Sample, dst CollateDst) *tensor.Tensor {
 		}
 		return nil
 	}
-	out := tensor.NewStacked(dst, tensor.Float32, []int{len(samples), 3, im.H, im.W})
 	n := 3 * im.H * im.W
+	var out *tensor.Tensor
+	if dst != nil {
+		out = dst(tensor.Uint8, []int{len(samples), im.H, im.W, 3})
+	}
+	if out != nil {
+		if out.Dtype != tensor.Uint8 || len(out.U8) != len(samples)*n {
+			panic(fmt.Sprintf("pipeline: collate destination %v does not fit %d %dx%d pixel images", out, len(samples), im.W, im.H))
+		}
+		for i, s := range samples {
+			copy(out.U8[i*n:(i+1)*n], s.Image.Pix)
+		}
+	} else {
+		out = tensor.NewStacked(dst, tensor.Float32, []int{len(samples), 3, im.H, im.W})
+		for i, s := range samples {
+			s.Image.MapInto(out.F32[i*n:(i+1)*n], &tail.lut)
+		}
+	}
 	for i, s := range samples {
-		s.Image.MapInto(out.F32[i*n:(i+1)*n], &tail.lut)
 		s.Image.Release()
 		samples[i].Image, samples[i].tail = nil, nil
 	}

@@ -242,9 +242,10 @@ func asWritten(p clock.Proc, ds Dataset, cfg Config, indices []int) *tensor.Tens
 }
 
 // TestTensorTailFusedEqualsAsWritten: for IC, ICA and OD, over one worker and
-// four, epochs 0 to 2, into a fresh tensor and into a region of a caller's
-// buffer, the batch a BatchWorker makes — tensor tail left to its collate —
-// holds the float32 bit patterns of the plan run as written.
+// four, epochs 0 to 2, into a fresh tensor, into a region of a caller's
+// buffer, and as pixels into a buffer that takes the offer and is finished
+// with TailTable afterwards, the batch a BatchWorker makes — tensor tail left
+// to its collate — holds the float32 bit patterns of the plan run as written.
 func TestTensorTailFusedEqualsAsWritten(t *testing.T) {
 	const n, dim, off = 16, 64, 16
 	ds := fastRealDataset(n, 3)
@@ -252,7 +253,8 @@ func TestTensorTailFusedEqualsAsWritten(t *testing.T) {
 	for name, chain := range tailChains(ds) {
 		for _, workers := range []int{1, 4} {
 			for epoch := 0; epoch < 3; epoch++ {
-				for _, intoFrame := range []bool{false, true} {
+				for _, into := range []string{"fresh", "frame", "pixels"} {
+					intoFrame := into != "fresh"
 					cfg := Config{Mode: RealData, Seed: 5, Epoch: epoch, MaterializeDim: dim}
 					folder, ref := NewImageFolder(ds, chain()), NewImageFolder(ds, chain())
 					if got := folder.Transform.Rewrites(RealData, false); !strings.Contains(got, "tensor tail→collate") {
@@ -265,9 +267,17 @@ func TestTensorTailFusedEqualsAsWritten(t *testing.T) {
 					clock.NewReal().Run("tail-test", func(p clock.Proc) {
 						for b, indices := range batches {
 							var frame []float32
+							var pixels []uint8
 							var dst CollateDst
 							if intoFrame {
-								dst = func(_ tensor.DType, shape []int) *tensor.Tensor {
+								dst = func(dtype tensor.DType, shape []int) *tensor.Tensor {
+									if dtype == tensor.Uint8 {
+										if into != "pixels" {
+											return nil // decline the pixels: the float32 batch follows
+										}
+										pixels = make([]uint8, off+tensor.NumElems(shape)+1)
+										return tensor.FromU8(pixels[off:len(pixels)-1], shape...)
+									}
 									frame = make([]float32, off+tensor.NumElems(shape)+1)
 									return tensor.FromF32(frame[off:len(frame)-1], shape...)
 								}
@@ -277,7 +287,13 @@ func TestTensorTailFusedEqualsAsWritten(t *testing.T) {
 								t.Fatal(err)
 							}
 							got, want := batch.Data, asWritten(p, ref, cfg, indices)
-							label := fmt.Sprintf("%s workers %d epoch %d frame %v batch %d", name, workers, epoch, intoFrame, b)
+							label := fmt.Sprintf("%s workers %d epoch %d into %s batch %d", name, workers, epoch, into, b)
+							if into == "pixels" {
+								if got.U8 == nil || frame != nil || &got.U8[0] != &pixels[off] || pixels[off-1] != 0 || pixels[len(pixels)-1] != 0 {
+									t.Fatalf("%s: the pixels are not exactly the region the caller gave", label)
+								}
+								got = finishPixels(got, folder.Transform.TailTable(RealData, false))
+							}
 							if fmt.Sprint(got.Shape) != fmt.Sprint(want.Shape) || got.Dtype != want.Dtype {
 								t.Fatalf("%s: %v, as written %v", label, got, want)
 							}
@@ -286,7 +302,7 @@ func TestTensorTailFusedEqualsAsWritten(t *testing.T) {
 									t.Fatalf("%s: element %d is %v, as written %v", label, i, got.F32[i], want.F32[i])
 								}
 							}
-							if intoFrame {
+							if into == "frame" {
 								if &got.F32[0] != &frame[off] {
 									t.Fatalf("%s: the batch is not in the caller's buffer", label)
 								}
@@ -300,6 +316,19 @@ func TestTensorTailFusedEqualsAsWritten(t *testing.T) {
 			}
 		}
 	}
+}
+
+// finishPixels is the far side of the wire point: a uint8 [N, H, W, 3]
+// batch through the tail's table into float32 [N, 3, H, W].
+func finishPixels(px *tensor.Tensor, lut *[3][256]float32) *tensor.Tensor {
+	n, h, w := px.Shape[0], px.Shape[1], px.Shape[2]
+	out := tensor.Zeros(tensor.Float32, n, 3, h, w)
+	per := 3 * h * w
+	for i := range n {
+		im := imaging.Image{W: w, H: h, Pix: px.U8[i*per : (i+1)*per]}
+		im.MapInto(out.F32[i*per:(i+1)*per], lut)
+	}
+	return out
 }
 
 // pixTap sits where a plan reaches its tensor tail and notes each sample's
@@ -477,7 +506,12 @@ func BenchmarkTensorTail(b *testing.B) {
 	src := imaging.SynthesizeImage(size, size, 7)
 	chain := NewCompose(&ToTensor{}, &Normalize{Mean: []float32{0.485, 0.456, 0.406}, Std: []float32{0.229, 0.224, 0.225}})
 	frame := make([]float32, 16+k*3*size*size)
-	dst := func(_ tensor.DType, shape []int) *tensor.Tensor { return tensor.FromF32(frame[16:], shape...) }
+	dst := func(dtype tensor.DType, shape []int) *tensor.Tensor {
+		if dtype != tensor.Float32 {
+			return nil // the local path: the float32 batch, not the pixels
+		}
+		return tensor.FromF32(frame[16:], shape...)
+	}
 	clock.NewReal().Run("bench", func(p clock.Proc) {
 		var mem runtime.MemStats
 		run := func(fused bool) (d time.Duration, allocated uint64) {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -556,24 +557,67 @@ func (t *RandomPixelNoise) Apply(ctx *Ctx, s Sample) Sample {
 		amp = 8
 	}
 	if ctx.Real() {
-		state := uint64(r.Int63())
-		span := uint64(2*amp + 1)
-		pix := s.Image.Pix
-		for i := range pix {
-			state = state*6364136223846793005 + 1442695040888963407
-			v := int(pix[i]) + int((state>>33)%span) - amp
-			if v < 0 {
-				v = 0
-			} else if v > 255 {
-				v = 255
-			}
-			pix[i] = uint8(v)
-		}
+		addPixelNoise(s.Image.Pix, uint64(r.Int63()), amp)
 	} else {
 		ctx.WorkCalls(append(ctx.Calls(),
 			native.Call{Kernel: "pixel_noise_u8", Bytes: s.Width * s.Height * 3}))
 	}
 	return s
+}
+
+// The pixel-noise LCG, and the same generator stepped four times at once.
+const (
+	noiseMul  = 6364136223846793005
+	noiseAdd  = 1442695040888963407
+	noiseMul4 = noiseMul * noiseMul * noiseMul * noiseMul % (1 << 64)
+	noiseAdd4 = noiseAdd * (noiseMul*noiseMul*noiseMul + noiseMul*noiseMul + noiseMul + 1) % (1 << 64)
+)
+
+// addPixelNoise steps the LCG once per byte of pix and moves the byte by
+// (state>>33) % (2*amp+1) - amp, saturating at 0 and 255. The remainder is
+// Lemire's fastmod — a multiply-high by ceil(2^64/span), exact for a 32-bit
+// dividend and divisor — not a 64-bit divide per byte. Four lanes carry the
+// states of four consecutive bytes, each stepped four times at once, so no
+// byte waits on the multiply before it; the clamp is a table lookup.
+func addPixelNoise(pix []uint8, state uint64, amp int) {
+	span := uint64(2*amp + 1)
+	if span > 512 { // noise past ±255 saturates; a table that size is not worth building
+		for i := range pix {
+			state = state*noiseMul + noiseAdd
+			pix[i] = uint8(min(max(int(pix[i])+int((state>>33)%span)-amp, 0), 255))
+		}
+		return
+	}
+	m := ^uint64(0)/span + 1
+	var clamp [256 + 512]uint8
+	for i := range 256 + int(span) - 1 {
+		clamp[i] = uint8(min(max(i-amp, 0), 255))
+	}
+	mod := func(s uint64) uint64 {
+		hi, _ := bits.Mul64(m*(s>>33), span)
+		return hi
+	}
+	s0 := state*noiseMul + noiseAdd
+	s1 := s0*noiseMul + noiseAdd
+	s2 := s1*noiseMul + noiseAdd
+	s3 := s2*noiseMul + noiseAdd
+	i := 0
+	for ; i+4 <= len(pix); i += 4 {
+		p := pix[i : i+4 : i+4]
+		p[0] = clamp[uint64(p[0])+mod(s0)]
+		p[1] = clamp[uint64(p[1])+mod(s1)]
+		p[2] = clamp[uint64(p[2])+mod(s2)]
+		p[3] = clamp[uint64(p[3])+mod(s3)]
+		s0 = s0*noiseMul4 + noiseAdd4
+		s1 = s1*noiseMul4 + noiseAdd4
+		s2 = s2*noiseMul4 + noiseAdd4
+		s3 = s3*noiseMul4 + noiseAdd4
+	}
+	rest := [3]uint64{s0, s1, s2}
+	for _, s := range rest[:len(pix)-i] {
+		pix[i] = clamp[uint64(pix[i])+mod(s)]
+		i++
+	}
 }
 
 // ToTensor converts the PIL-style image to a [3,H,W] float32 tensor scaled
@@ -638,9 +682,12 @@ func (t *Collate) Name() string { return "Collate" }
 func (t *Collate) Kernels() []string { return []string{"cat_serial_kernel", "memcpy"} }
 
 // CollateDst chooses where a real-data collate writes the batch tensor: it
-// is asked once, with the batch's dtype and shape, for a materialized tensor
-// of that geometry (tensor.StackInto's contract). Nil, or a nil result, means
-// a freshly allocated tensor.
+// is asked, with the batch's dtype and shape, for a materialized tensor of
+// that geometry (tensor.StackInto's contract). Nil, or a nil result, means
+// a freshly allocated tensor. Under the tensor tail→collate rewrite a dst is
+// first offered the batch one pass short — uint8 [N, H, W, 3], the samples'
+// pixels — which a dst that takes it finishes later with Compose.TailTable;
+// a nil answer declines, and the dst is asked for the float32 batch.
 type CollateDst func(dtype tensor.DType, shape []int) *tensor.Tensor
 
 // Run collates samples into the batch payload. Collation is a batch-level

@@ -258,6 +258,18 @@ func hotFrameBatch() *Batch {
 	return m
 }
 
+// hotPixelBatch is the frame the perf harness's IC workloads are served in
+// since the wire point moved to the client: the same 32 samples one pass
+// short, 32 x 224 x 224 x 3 uint8, 4.8 MB.
+func hotPixelBatch() *Batch {
+	m := &Batch{GlobalID: 3, Indices: make([]int, 32), Labels: make([]int, 32),
+		Dtype: tensor.Uint8, Shape: []int{32, 224, 224, 3}, U8: make([]uint8, 32*224*224*3)}
+	for i := range m.U8 {
+		m.U8[i] = uint8(i % 251)
+	}
+	return m
+}
+
 // BenchmarkAppendBatch is the reference encoder into a reused buffer: one
 // bulk copy of the tensor on a little-endian host.
 func BenchmarkAppendBatch(b *testing.B) {

@@ -9,7 +9,9 @@ import (
 	"sync"
 	"time"
 
+	"lotus/internal/imaging"
 	"lotus/internal/rng"
+	"lotus/internal/tensor"
 )
 
 // ClientConfig parameterizes a fetch client.
@@ -90,6 +92,11 @@ type Client struct {
 	// nothing, and a consumer that reads a view too late reads a later
 	// frame's bytes, not an unmapped page.
 	buf []byte
+	// fin is where a session whose HelloAck carries a tensor tail table
+	// finishes each batch (finish): the float32 tensor onBatch's b.F32 views.
+	// It lives exactly like buf — reused for every batch, remade larger when
+	// a batch needs more — so the same callback lifetime covers both.
+	fin []float32
 }
 
 // NewClient returns an unconnected client; the first Run or Connect dials.
@@ -211,25 +218,57 @@ func (c *Client) Kick() {
 }
 
 // readStreamFrame reads the next frame of an epoch stream into the client's
-// reused buffer. The returned payload is overwritten by the next call.
-func (c *Client) readStreamFrame() ([]byte, error) {
-	n, err := readFrameLen(c.conn, DefaultMaxFrame)
+// reused buffer and checks it against the digest in its header, which it
+// returns. The returned payload is overwritten by the next call.
+func (c *Client) readStreamFrame() ([]byte, uint32, error) {
+	n, digest, err := readFrameHeader(c.conn, DefaultMaxFrame)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if cap(c.buf) < n {
 		c.buf = make([]byte, frameBufClass(n))
 	}
 	payload := c.buf[:n]
 	if err := readFramePayload(c.conn, payload); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return payload, nil
+	if err := checkDigest(payload, digest); err != nil {
+		return nil, 0, err
+	}
+	return payload, digest, nil
 }
 
-// Close says goodbye, closes the connection and gives up the stream buffer.
+// finish runs the served plan's last pass on a batch that arrived one pass
+// short (package doc, "The wire point"): every sample's uint8 H×W×3 pixels
+// become [3, H, W] float32 planes through the HelloAck's table, in c.fin, and
+// m becomes the float32 [N, 3, H, W] batch the plan as written makes, with
+// F32 a view of c.fin. Without a table m is left as it came.
+func (c *Client) finish(m *Batch) error {
+	lut := c.ack.Table
+	if lut == nil {
+		return nil
+	}
+	if m.Dtype != tensor.Uint8 || m.U8 == nil || len(m.Shape) != 4 || m.Shape[0] != len(m.Indices) || m.Shape[3] != 3 {
+		return fmt.Errorf("%w: batch %d is %s %v, a session with a tensor tail table takes uint8 [N,H,W,3]",
+			ErrMalformed, m.GlobalID, m.Dtype, m.Shape)
+	}
+	n, h, w := m.Shape[0], m.Shape[1], m.Shape[2]
+	per := 3 * h * w
+	if cap(c.fin) < n*per {
+		c.fin = make([]float32, n*per)
+	}
+	out := c.fin[:n*per]
+	for i := range n {
+		im := imaging.Image{W: w, H: h, Pix: m.U8[i*per : (i+1)*per]}
+		im.MapInto(out[i*per:(i+1)*per], lut)
+	}
+	m.Dtype, m.Shape, m.U8, m.F32 = tensor.Float32, []int{n, 3, h, w}, nil, out
+	return nil
+}
+
+// Close says goodbye, closes the connection and gives up the stream buffers.
 func (c *Client) Close() error {
-	c.buf = nil
+	c.buf, c.fin = nil, nil
 	if c.conn == nil {
 		return nil
 	}
@@ -294,12 +333,14 @@ func (s *FetchStats) BatchesPerSec() float64 {
 // exponential backoff by reconnecting and re-requesting the failed epoch.
 // Fatal ServerErrors abort immediately.
 //
-// Callback lifetime: b and payload are valid only until onBatch returns. Both
-// point into the client's one receive buffer — heap memory of this Client,
+// Callback lifetime: b and payload are valid only until onBatch returns.
+// Both point into buffers of this Client — heap memory the Client owns,
 // never the server's frame memory, in-process or not — which the next frame
-// overwrites: b.U8 / b.F32 are views over payload, not copies. A consumer
-// that keeps a batch calls b.Clone(); one that keeps the frame bytes copies
-// payload. The same holds for FetchShard and FetchShardHedged.
+// overwrites: payload and b.U8 into the one receive buffer, b.F32 into the
+// one buffer batches are finished in (or the receive buffer, for a plan with
+// no table), views, not copies. A consumer that keeps a batch calls
+// b.Clone(); one that keeps the frame bytes copies payload. The same holds
+// for FetchShard and FetchShardHedged.
 func (c *Client) Run(epochs int, onBatch func(b *Batch, payload []byte)) (*FetchStats, error) {
 	stats := &FetchStats{}
 	start := time.Now()
@@ -427,13 +468,15 @@ func (c *Client) fetchEpoch(epoch int, onBatch func(*Batch, []byte), stats *Fetc
 	return c.consumeEpoch(epoch, -1, onBatch, stats)
 }
 
-// consumeEpoch reads one epoch's batch stream until EpochEnd, verifying the
-// batch count (against wantBatches when >= 0, and always against the
-// server's EpochEnd count) and the stream checksum (one Digest pass per
-// received payload, folded into a StreamSum). stats, when non-nil, is
-// credited only on success. Every frame lands in the client's one reused
-// buffer and is digested before onBatch sees it, so whatever the callback
-// does to the bytes it is lent cannot disturb the check.
+// consumeEpoch reads one epoch's batch stream until EpochEnd, verifying
+// each frame against the digest in its header before anything decodes it
+// (one Digest pass per received payload), the batch count (against
+// wantBatches when >= 0, and always against the server's EpochEnd count) and
+// the stream checksum (the digests folded into a StreamSum). stats, when
+// non-nil, is credited only on success. Every frame lands in the client's
+// one reused buffer and is checked and finished before onBatch sees it, so a
+// callback never sees a corrupt batch, and whatever it does to the bytes it
+// is lent cannot disturb the checks.
 func (c *Client) consumeEpoch(epoch, wantBatches int, onBatch func(*Batch, []byte), stats *FetchStats) error {
 	sum := NewStreamSum()
 	batches := 0
@@ -441,7 +484,7 @@ func (c *Client) consumeEpoch(epoch, wantBatches int, onBatch func(*Batch, []byt
 	var hist LatencyHist
 	last := time.Now()
 	for {
-		payload, err := c.readStreamFrame()
+		payload, digest, err := c.readStreamFrame()
 		if err != nil {
 			return err
 		}
@@ -454,12 +497,15 @@ func (c *Client) consumeEpoch(epoch, wantBatches int, onBatch func(*Batch, []byt
 			if m.Epoch != epoch {
 				return fmt.Errorf("serve: batch for epoch %d during epoch %d", m.Epoch, epoch)
 			}
+			if err := c.finish(m); err != nil {
+				return err
+			}
 			now := time.Now()
 			hist.Record(now.Sub(last))
 			last = now
-			sum.AddPayload(payload)
+			sum.Add(len(payload), digest)
 			batches++
-			bytes += int64(len(payload)) + 4
+			bytes += int64(len(payload)) + FrameHeaderSize
 			if onBatch != nil {
 				onBatch(m, payload)
 			}

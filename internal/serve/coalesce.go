@@ -31,7 +31,7 @@ type frameWriter struct {
 	// metrics; nil = uncounted.
 	onFlush func(frames int)
 
-	hdrs     [][4]byte // preallocated to maxFrames; entries referenced by bufs
+	hdrs     [][FrameHeaderSize]byte // preallocated to maxFrames; entries referenced by bufs
 	bufs     net.Buffers
 	held     []*Frame
 	pend     int // pending payload+header bytes
@@ -62,7 +62,7 @@ func newFrameWriter(conn net.Conn, immediate bool) *frameWriter {
 	w.conn = conn
 	w.maxFrames = maxFrames
 	if cap(w.hdrs) < maxFrames {
-		w.hdrs = make([][4]byte, maxFrames)
+		w.hdrs = make([][FrameHeaderSize]byte, maxFrames)
 		w.bufs = make(net.Buffers, 0, 2*maxFrames)
 		w.held = make([]*Frame, 0, maxFrames)
 	}
@@ -78,11 +78,11 @@ func (w *frameWriter) add(f *Frame) error {
 	payload := f.Bytes()
 	i := len(w.held)
 	hdr := &w.hdrs[i]
-	putU32(hdr[:], uint32(len(payload)))
+	putFrameHeader(hdr[:], len(payload), f.Digest())
 	w.bufs = append(w.bufs, hdr[:], payload)
 	f.Retain()
 	w.held = append(w.held, f)
-	w.pend += len(payload) + 4
+	w.pend += len(payload) + FrameHeaderSize
 	if i == 0 {
 		w.firstAdd = time.Now()
 	}
@@ -130,11 +130,4 @@ func (w *frameWriter) close() {
 	w.conn = nil
 	w.onFlush = nil
 	frameWriterPool.Put(w)
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
 }

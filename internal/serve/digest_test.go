@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -186,8 +188,8 @@ func TestHotServeHashesNothing(t *testing.T) {
 	if cold.FramesDigested != 16 || cold.BatchesSent != 16 {
 		t.Fatalf("cold pass: %d frames digested, %d sent; want 16 and 16", cold.FramesDigested, cold.BatchesSent)
 	}
-	if cold.DigestBytes != cold.BytesSent-4*cold.BatchesSent {
-		t.Fatalf("cold pass: digest_bytes %d, want the %d payload bytes sent", cold.DigestBytes, cold.BytesSent-4*cold.BatchesSent)
+	if cold.DigestBytes != cold.BytesSent-FrameHeaderSize*cold.BatchesSent {
+		t.Fatalf("cold pass: digest_bytes %d, want the %d payload bytes sent", cold.DigestBytes, cold.BytesSent-FrameHeaderSize*cold.BatchesSent)
 	}
 	pass(1)
 	hot := srv.Metrics().Snapshot(time.Now(), 0)
@@ -204,7 +206,9 @@ func TestHotServeHashesNothing(t *testing.T) {
 
 // expectHelloRefused dials srv as a peer speaking an old protocol version and
 // requires the clean refusal: one fatal Error frame naming both versions,
-// then a closed connection — no session, not one batch byte.
+// then a closed connection — no session, not one batch byte. Every version
+// before 4 framed without the digest word, and the peer is spoken to in its
+// own framing: that is what lets an old binary read the refusal.
 func expectHelloRefused(t *testing.T, srv *Server, version int) {
 	t.Helper()
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -212,10 +216,20 @@ func expectHelloRefused(t *testing.T, srv *Server, version int) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteFrame(conn, EncodeHello(Hello{Version: version, Rank: 0, World: 1, Name: "old-peer"})); err != nil {
+	hello := EncodeHello(Hello{Version: version, Rank: 0, World: 1, Name: "old-peer"})
+	if _, err := conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(hello))), hello...)); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := ReadFrame(conn, 0)
+	readLegacy := func() ([]byte, error) {
+		var hdr [4]byte
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			return nil, err
+		}
+		payload := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+		_, err := io.ReadFull(conn, payload)
+		return payload, err
+	}
+	payload, err := readLegacy()
 	if err != nil {
 		t.Fatalf("reading the refusal: %v", err)
 	}
@@ -231,7 +245,7 @@ func expectHelloRefused(t *testing.T, srv *Server, version int) {
 	if e.Code != CodeFatal || !strings.Contains(e.Message, want) {
 		t.Fatalf("refusal %+v, want a fatal version error naming both versions", e)
 	}
-	if _, err := ReadFrame(conn, 0); err == nil {
+	if _, err := readLegacy(); err == nil {
 		t.Fatalf("server kept the v%d session open after refusing it", version)
 	}
 	if snap := srv.Metrics().Snapshot(time.Now(), 0); snap.SessionsTotal != 0 || snap.BatchesSent != 0 {
@@ -249,7 +263,34 @@ func TestHelloV1RefusedAtHandshake(t *testing.T) {
 
 // TestV2HelloRefused: a version 2 peer would parse a version 3 Batch frame's
 // alignment padding as tensor bytes, and its big-endian floats are not this
-// server's; it is refused the same way, before any frame.
+// server's; a version 3 peer would read every frame header's digest word as
+// payload, and a pixel frame as the float32 tensor it expects. Both are
+// refused the same way, before any frame.
 func TestV2HelloRefused(t *testing.T) {
-	expectHelloRefused(t, startTestServer(t, loopbackSpec(), false), 2)
+	srv := startTestServer(t, loopbackSpec(), false)
+	expectHelloRefused(t, srv, 2)
+	expectHelloRefused(t, srv, 3)
+}
+
+// TestCurrentHelloWithBadDigestRefused: a version 4 Hello whose payload does
+// not match its header's digest is corrupt, not old — the server refuses it
+// with a clean Error in the current framing.
+func TestCurrentHelloWithBadDigestRefused(t *testing.T) {
+	srv := startTestServer(t, loopbackSpec(), false)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := EncodeHello(Hello{Version: ProtocolVersion, World: 1, Name: "bent"})
+	if err := writeFrame(conn, hello, Digest(hello)^1); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := ReadFrame(conn, 0)
+	if err != nil {
+		t.Fatalf("reading the refusal: %v", err)
+	}
+	if msg, err := DecodeMessage(payload); err != nil || !strings.Contains(fmt.Sprint(msg), "digest") {
+		t.Fatalf("server answered a corrupt Hello with %v (%v), want an Error naming the digest", msg, err)
+	}
 }

@@ -315,11 +315,11 @@ func encodeBatchV2(m *Batch) []byte {
 }
 
 // TestDiskCacheOldLayoutIsAMiss is the stale-bytes hazard closed: the disk
-// tier serves stored frames verbatim, so a directory a version 2 server
-// filled — same spec, same keys but for the fingerprint's layout term — must
-// read as empty to this build. Every batch is a disk miss, is recomputed and
-// re-spilled in the current layout, and a restart then runs warm; at no point
-// does a client see a version 2 frame.
+// tier serves stored frames verbatim, so a directory a version 2 or version
+// 3 server filled — same spec, same keys but for the fingerprint's layout
+// term — must read as empty to this build. Every batch is a disk miss, is
+// recomputed and re-spilled in the current layout, and a restart then runs
+// warm; at no point does a client see an old frame.
 func TestDiskCacheOldLayoutIsAMiss(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
 	spec := workloads.ICSpec(96, 7)
@@ -327,33 +327,37 @@ func TestDiskCacheOldLayoutIsAMiss(t *testing.T) {
 	spec.NumWorkers = 2
 	const dim = 48
 	dir := t.TempDir()
-	expected := localEpochFramesMode(t, spec, 0, pipeline.RealData, dim)
+	expected := localEpochBatches(t, spec, 0, pipeline.RealData, dim)
 
-	// What a version 2 server left behind: SpecFingerprint as it was (no
-	// layout term), version 2 frames.
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%d|%d|%t|%d|%g|%t|%d|%d",
-		spec.Kind, spec.NumSamples, spec.BatchSize, spec.Seed, spec.Shuffle,
-		spec.Arch, spec.WorkScale, spec.OfflineDecode, pipeline.RealData, dim)
-	oldFP := h.Sum64()
-	if oldFP == SpecFingerprint(spec, pipeline.RealData, dim) {
+	// What old servers left behind: version 2 frames under SpecFingerprint
+	// as it was (no layout term), and version 3 frames — the float32 tensor
+	// the client now makes itself — under layout 3.
+	oldFP := func(layout string) uint64 {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%s|%d|%d|%d|%t|%d|%g|%t|%d|%d"+layout,
+			spec.Kind, spec.NumSamples, spec.BatchSize, spec.Seed, spec.Shuffle,
+			spec.Arch, spec.WorkScale, spec.OfflineDecode, pipeline.RealData, dim)
+		return h.Sum64()
+	}
+	v2FP, v3FP := oldFP(""), oldFP("|layout3")
+	if v2FP == SpecFingerprint(spec, pipeline.RealData, dim) || v3FP == SpecFingerprint(spec, pipeline.RealData, dim) {
 		t.Fatal("SpecFingerprint does not depend on the frame layout")
 	}
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := make([][]byte, len(expected))
-	for gid, frame := range expected {
-		msg, err := DecodeMessage(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stale[gid] = encodeBatchV2(msg.(*Batch))
-		if bytes.Equal(stale[gid], frame) {
+	var stale [][]byte
+	for gid, b := range expected {
+		v2, v3 := encodeBatchV2(b), EncodeBatch(b)
+		if bytes.Equal(v2, v3) {
 			t.Fatal("the version 2 encoding of a float batch equals the version 3 one: the test proves nothing")
 		}
-		if err := st.Put(diskBatchKey(BatchKey{Fingerprint: oldFP, GlobalID: gid}), stale[gid]); err != nil {
+		stale = append(stale, v2, v3)
+		if err := st.Put(diskBatchKey(BatchKey{Fingerprint: v2FP, GlobalID: gid}), v2); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(diskBatchKey(BatchKey{Fingerprint: v3FP, GlobalID: gid}), v3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -368,10 +372,12 @@ func TestDiskCacheOldLayoutIsAMiss(t *testing.T) {
 		frames := 0
 		if _, err := c.Run(1, func(b *Batch, payload []byte) {
 			frames++
-			if bytes.Equal(payload, stale[b.GlobalID]) {
-				t.Fatalf("%s: batch %d was served in the version 2 layout", name, b.GlobalID)
+			for _, old := range stale {
+				if bytes.Equal(payload, old) {
+					t.Fatalf("%s: batch %d was served in an old layout", name, b.GlobalID)
+				}
 			}
-			if !bytes.Equal(payload, expected[b.GlobalID]) {
+			if !sameBatch(b, expected[b.GlobalID]) {
 				t.Fatalf("%s: batch %d differs from the local run", name, b.GlobalID)
 			}
 		}); err != nil {
@@ -390,8 +396,8 @@ func TestDiskCacheOldLayoutIsAMiss(t *testing.T) {
 		return stats
 	}
 	n := int64(len(expected))
-	if s := run("over-v2-dir"); s.BatchHits != 0 || s.BatchMisses != n || s.Spills != n {
-		t.Fatalf("first run over a version 2 directory: %+v; want 0 hits, %d misses, %d spills", s, n, n)
+	if s := run("over-old-dir"); s.BatchHits != 0 || s.BatchMisses != n || s.Spills != n {
+		t.Fatalf("first run over a version 2 and 3 directory: %+v; want 0 hits, %d misses, %d spills", s, n, n)
 	}
 	if s := run("reopened"); s.BatchHits != n || s.BatchMisses != 0 {
 		t.Fatalf("reopened after the refill: %+v; want %d hits, 0 misses", s, n)

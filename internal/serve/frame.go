@@ -291,8 +291,11 @@ type frameCollate struct {
 	box     *[]byte // the frame buffer, from the moment dst hands out a piece of it
 }
 
-// dst is the pipeline.CollateDst. It returns nil — collate into a fresh
-// tensor, encode afterwards — where the host's float32 is not the wire's.
+// dst is the pipeline.CollateDst. It takes every uint8 tensor, the tensor
+// tail's pixel offer included — so a plan with a tail ships its batch one
+// pass short, which is the wire point (wire.go) — and returns nil for a
+// float32 one — collate into a fresh tensor, encode afterwards — where the
+// host's float32 is not the wire's.
 func (fc *frameCollate) dst(dtype tensor.DType, shape []int) *tensor.Tensor {
 	off := batchTensorOffset(fc.samples, len(shape))
 	size := off + tensor.NumElems(shape)*dtype.Size()

@@ -44,8 +44,10 @@ func runBatchWorker(t *testing.T, spec workloads.Spec, mode pipeline.Mode, dim i
 // a batch whose worker collated straight into a pooled frame buffer
 // (frameCollate, what plane.compute does) is, byte for byte and digest for
 // digest, AppendBatch of the same batch collated into a tensor of its own —
-// for a float32 tensor (IC), a uint8 one (IS) and a meta one (simulated),
-// on a recycled buffer as on a fresh one.
+// for a uint8 tensor (IS) and a meta one (simulated), on a recycled buffer as
+// on a fresh one. A plan with a tensor tail (IC) stops one pass short in the
+// frame: its frame is the pixels', and finishing it as a Client does gives
+// the float32 batch the worker makes without a frame.
 func TestCollateIntoFrameEqualsAppendBatch(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -54,7 +56,7 @@ func TestCollateIntoFrameEqualsAppendBatch(t *testing.T) {
 		dim     int
 		indices []int
 	}{
-		{"float32", workloads.ICSpec(64, 7), pipeline.RealData, 48, []int{5, 0, 3}},
+		{"pixels", workloads.ICSpec(64, 7), pipeline.RealData, 48, []int{5, 0, 3}},
 		// IS crops differ in shape from volume to volume at this size: a batch of one.
 		{"uint8", workloads.ISSpec(8, 7), pipeline.RealData, 24, []int{5}},
 		{"meta", workloads.ICSpec(64, 7), pipeline.Simulated, 0, []int{5, 0, 3}},
@@ -62,6 +64,10 @@ func TestCollateIntoFrameEqualsAppendBatch(t *testing.T) {
 	for _, tc := range cases {
 		indices := tc.indices
 		ref := batchToWire(2, 9, runBatchWorker(t, tc.spec, tc.mode, tc.dim, indices, nil))
+		table := tc.spec.Compose(nil).TailTable(tc.mode, false)
+		if (table != nil) != (tc.name == "pixels") {
+			t.Fatalf("%s: tensor tail table %v", tc.name, table != nil)
+		}
 		want := AppendBatch(nil, ref)
 		for round := 0; round < 3; round++ {
 			fc := frameCollate{samples: len(indices)}
@@ -72,6 +78,25 @@ func TestCollateIntoFrameEqualsAppendBatch(t *testing.T) {
 				tensorAt = unsafe.Pointer(&(*fc.box)[batchTensorOffset(len(indices), len(b.Data.Shape))])
 			}
 			f := fc.frame(batchToWire(2, 9, b))
+			if table != nil {
+				// The frame is the batch in its pixel form; the client's
+				// finish must turn it into ref.
+				if b.Data.Dtype != tensor.Uint8 || len(b.Data.Shape) != 4 || b.Data.Shape[3] != 3 {
+					t.Fatalf("%s round %d: collated %v into the frame, want uint8 [N,H,W,3]", tc.name, round, b.Data)
+				}
+				m, err := DecodeMessage(f.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := &Client{ack: HelloAck{Table: table}}
+				if err := c.finish(m.(*Batch)); err != nil {
+					t.Fatal(err)
+				}
+				if !sameBatch(m.(*Batch), ref) {
+					t.Fatalf("%s round %d: the finished frame differs from the batch collated without one", tc.name, round)
+				}
+				want = AppendBatch(nil, batchToWire(2, 9, b))
+			}
 			if !bytes.Equal(f.Bytes(), want) {
 				t.Fatalf("%s round %d: collate-into-frame differs from AppendBatch (%d vs %d bytes)", tc.name, round, f.Len(), len(want))
 			}
@@ -119,17 +144,18 @@ func totalAlloc() uint64 {
 }
 
 // TestHotPathBytesPerFrame pins the allocation budget of a served frame at
-// both ends. Server: a warm batch cache streams 19 MB frames to a reader that
-// itself allocates nothing, and the process allocates under 1 KiB per frame.
-// Client: consumeEpoch reads the same frames from a feeder that allocates
-// nothing, digests and decodes each, and allocates under 1 KiB per frame —
-// the Batch header and its index slices, never a payload-sized buffer.
+// both ends. Server: a warm batch cache streams 4.8 MB pixel frames to a
+// reader that itself allocates nothing, and the process allocates under 1 KiB
+// per frame. Client: consumeEpoch reads the same frames from a feeder that
+// allocates nothing, digests, decodes and finishes each into a 19 MB float32
+// batch, and allocates under 1 KiB per frame — the Batch header and its index
+// slices, never a payload- or tensor-sized buffer.
 func TestHotPathBytesPerFrame(t *testing.T) {
 	spec := hotFrameSpec(512) // 16 frames per epoch, as in the benchmark
 	srv := startCachedTestServer(t, spec, 1<<30, false)
 	// The cache is warmed by hand with the frame the benchmark serves: the
 	// hot path never looks inside a frame, so every key can share one.
-	m := hotFrameBatch()
+	m := hotPixelBatch()
 	f := encodeBatchFrame(m)
 	for _, pb := range srv.epochPlan(0) {
 		f.Retain()
@@ -155,7 +181,7 @@ func TestHotPathBytesPerFrame(t *testing.T) {
 	if _, err := ReadFrame(conn, 0); err != nil {
 		t.Fatal(err)
 	}
-	hdr, body := make([]byte, 4), make([]byte, 20<<20)
+	hdr, body := make([]byte, FrameHeaderSize), make([]byte, 5<<20)
 	req := EncodeEpochReq(EpochReq{Epoch: 0})
 	var frame []byte // a copy of the first batch frame read (during the warm-up epoch)
 	readEpoch := func() (frames int) {
@@ -166,7 +192,7 @@ func TestHotPathBytesPerFrame(t *testing.T) {
 			if _, err := io.ReadFull(conn, hdr); err != nil {
 				t.Fatal(err)
 			}
-			p := body[:binary.BigEndian.Uint32(hdr)]
+			p := body[:binary.BigEndian.Uint32(hdr[:4])]
 			if _, err := io.ReadFull(conn, p); err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +237,12 @@ func TestHotPathBytesPerFrame(t *testing.T) {
 	c := NewClient(ClientConfig{Addr: addr, Name: "hot-client"})
 	defer c.Close()
 	var tensorSum float64
-	onBatch := func(b *Batch, p []byte) { tensorSum += float64(b.F32[len(b.F32)/2]) + float64(len(p)) }
+	onBatch := func(b *Batch, p []byte) {
+		if len(b.F32) != 32*3*224*224 {
+			t.Fatalf("the client handed on %s %v, want the finished float32 batch", b.Dtype, b.Shape)
+		}
+		tensorSum += float64(b.F32[len(b.F32)/2]) + float64(len(p))
+	}
 	if err := c.fetchEpoch(0, onBatch, nil); err != nil { // warm-up: dial, buffer
 		t.Fatal(err)
 	}
@@ -229,11 +260,12 @@ func TestHotPathBytesPerFrame(t *testing.T) {
 }
 
 // feedFrames serves the client side of the protocol from canned bytes: after
-// the handshake, every request is answered with payload n times and then end.
-// Its loop allocates nothing, so a measurement around the client sees the
-// client.
+// a handshake that hands over IC's tensor tail table, every request is
+// answered with payload n times and then end. Its loop allocates nothing, so
+// a measurement around the client sees the client.
 func feedFrames(t *testing.T, payload []byte, n int, end []byte) string {
 	t.Helper()
+	table := hotFrameSpec(32).Compose(nil).TailTable(pipeline.RealData, false)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -248,12 +280,12 @@ func feedFrames(t *testing.T, payload []byte, n int, end []byte) string {
 		if _, err := ReadFrame(conn, 0); err != nil {
 			return
 		}
-		WriteFrame(conn, EncodeHelloAck(HelloAck{Version: ProtocolVersion, Mode: 1}))
-		hdr, endHdr, req := make([]byte, 4), make([]byte, 4), make([]byte, 64)
-		binary.BigEndian.PutUint32(hdr, uint32(len(payload)))
-		binary.BigEndian.PutUint32(endHdr, uint32(len(end)))
+		WriteFrame(conn, EncodeHelloAck(HelloAck{Version: ProtocolVersion, Mode: 1, Table: table}))
+		hdr, endHdr, req := make([]byte, FrameHeaderSize), make([]byte, FrameHeaderSize), make([]byte, 64)
+		putFrameHeader(hdr, len(payload), Digest(payload))
+		putFrameHeader(endHdr, len(end), Digest(end))
 		for {
-			if _, err := io.ReadFull(conn, req[:4]); err != nil {
+			if _, err := io.ReadFull(conn, req[:FrameHeaderSize]); err != nil {
 				return
 			}
 			if _, err := io.ReadFull(conn, req[:binary.BigEndian.Uint32(req)]); err != nil {
@@ -272,9 +304,9 @@ func feedFrames(t *testing.T, payload []byte, n int, end []byte) string {
 
 // TestClientViewsAliasAndCloneSurvives pins the callback lifetime contract
 // from both sides: consecutive batches handed to onBatch are views over the
-// same receive buffer (so a consumer that stored one would see it change),
-// and a Clone taken inside the callback still holds its frame's values after
-// every later frame has arrived.
+// same receive and finish buffers (so a consumer that stored one would see it
+// change), and a Clone taken inside the callback still holds its batch's
+// values — the local run's — after every later frame has arrived.
 func TestClientViewsAliasAndCloneSurvives(t *testing.T) {
 	spec := hotFrameSpec(96)
 	// Small frames: the contract does not depend on size.
@@ -286,14 +318,13 @@ func TestClientViewsAliasAndCloneSurvives(t *testing.T) {
 	c := NewClient(ClientConfig{Addr: srv.Addr(), Name: "views"})
 	defer c.Close()
 
+	want := localEpochBatches(t, spec, 0, pipeline.RealData, 48)
 	var views []*Batch // what the contract forbids keeping
 	var clones []*Batch
-	var frames [][]byte
 	var payloadAt, tensorAt []unsafe.Pointer
 	if _, err := c.Run(1, func(b *Batch, payload []byte) {
 		views = append(views, b)
 		clones = append(clones, b.Clone())
-		frames = append(frames, append([]byte(nil), payload...))
 		payloadAt = append(payloadAt, unsafe.Pointer(&payload[0]))
 		tensorAt = append(tensorAt, unsafe.Pointer(&b.F32[0]))
 	}); err != nil {
@@ -303,9 +334,9 @@ func TestClientViewsAliasAndCloneSurvives(t *testing.T) {
 		t.Fatalf("got %d batches, want 3", len(views))
 	}
 	for i := range views {
-		// Every Clone still decodes from — and re-encodes to — its own frame.
-		if !bytes.Equal(EncodeBatch(clones[i]), frames[i]) {
-			t.Fatalf("batch %d: the Clone taken in the callback no longer matches its frame", i)
+		// Every Clone still holds its own batch.
+		if !sameBatch(clones[i], want[clones[i].GlobalID]) {
+			t.Fatalf("batch %d: the Clone taken in the callback no longer matches the local run", i)
 		}
 		if i == 0 {
 			continue
@@ -313,13 +344,13 @@ func TestClientViewsAliasAndCloneSurvives(t *testing.T) {
 		if payloadAt[i] != payloadAt[0] {
 			t.Fatalf("frame %d was read into a different buffer than frame 0: the client is not reusing one", i)
 		}
-		if hostLittleEndian && tensorAt[i] != tensorAt[0] {
-			t.Fatalf("batch %d's F32 does not alias batch 0's: views are being copied", i)
+		if tensorAt[i] != tensorAt[0] {
+			t.Fatalf("batch %d's F32 does not alias batch 0's: the client is not finishing into one buffer", i)
 		}
 	}
 	// What the contract forbids, shown: the first batch's view, kept past its
 	// callback, now reads as the last frame's tensor.
-	if hostLittleEndian && !reflect.DeepEqual(views[0].F32, clones[2].F32) {
+	if !reflect.DeepEqual(views[0].F32, clones[2].F32) {
 		t.Fatal("a retained view of batch 0 does not show the last frame's tensor: it is not aliasing the buffer")
 	}
 }

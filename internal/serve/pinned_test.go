@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"hash/crc32"
 	"testing"
 
@@ -31,14 +32,16 @@ func TestPinnedTensorCRCs(t *testing.T) {
 		spec  workloads.Spec
 		epoch int
 		want  uint32
+		batch int // 0: 32
 	}{
-		{"IC seed 7", workloads.ICSpec(512, 7), 0, 0xaa619e99},
-		{"IC seed 7", workloads.ICSpec(512, 7), 1, 0x469c905f},
-		{"IC seed 11", workloads.ICSpec(512, 11), 1, 0x267cb3ef},
-		{"ICA seed 7", workloads.ICASpec(512, 7), 1, 0xec892521},
+		{"IC seed 7", workloads.ICSpec(512, 7), 0, 0xaa619e99, 0},
+		{"IC seed 7", workloads.ICSpec(512, 7), 1, 0x469c905f, 0},
+		{"IC seed 11", workloads.ICSpec(512, 11), 1, 0x267cb3ef, 0},
+		{"ICA seed 7", workloads.ICASpec(512, 7), 1, 0xec892521, 0},
+		{"OD seed 7", workloads.ODSpec(512, 7), 1, 0x6b77be6f, 2},
 	} {
 		spec := g.spec
-		spec.BatchSize = 32
+		spec.BatchSize = cmp.Or(g.batch, 32)
 		spec.NumWorkers = 2
 		pb := BuildEpochPlan(spec.NumSamples, spec.BatchSize, spec.Shuffle, false, spec.Seed, g.epoch)[0]
 

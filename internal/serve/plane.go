@@ -157,7 +157,8 @@ func (pl *plane) compute(ctx context.Context, tenant *tenantState, epoch int, pb
 	var b *pipeline.Batch
 	var err error
 	// The worker collates straight into the frame: the tensor is written
-	// once, at the offset it is sent from.
+	// once, at the offset it is sent from — for a plan with a tensor tail, as
+	// the pixels the client finishes.
 	fc := frameCollate{samples: len(pb.Indices)}
 	clk.Run("serve-worker", func(p clock.Proc) {
 		// The trace batch id is unique across epochs: epoch * plan length +

@@ -143,6 +143,10 @@ type Server struct {
 	// plan names the pipeline plan rewrites in force (pipeline.Compose.Rewrites)
 	// given the workload, the mode and whether the sample cache is on.
 	plan string
+	// table is the plan's tensor tail table when the tail→collate rewrite is
+	// in force (pipeline.Compose.TailTable): the plane's collate then stops one
+	// pass short, and every HelloAck hands clients the table that finishes it.
+	table *[3][256]float32
 	// window is the live per-session prefetch window (Config.Prefetch until
 	// the autotuner moves it); a streaming shard reads it once, at its start.
 	window atomic.Int64
@@ -456,8 +460,9 @@ func (s *Server) Start(addr, httpAddr string) error {
 			s.prefixFP = fp
 		}
 	}
-	s.plan = fmt.Sprintf("%s: %s", s.cfg.Spec.Kind,
-		s.cfg.Spec.Compose(nil).Rewrites(s.cfg.Mode, s.sampleCache != nil))
+	compose := s.cfg.Spec.Compose(nil)
+	s.plan = fmt.Sprintf("%s: %s", s.cfg.Spec.Kind, compose.Rewrites(s.cfg.Mode, s.sampleCache != nil))
+	s.table = compose.TailTable(s.cfg.Mode, s.sampleCache != nil)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		if s.disk != nil {
@@ -654,9 +659,17 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
 
-	hello, err := s.readHello(conn)
+	hello, legacy, err := s.readHello(conn)
 	if err != nil {
 		s.slogf("lotus-serve: %s: rejected: %v", conn.RemoteAddr(), err)
+		if legacy {
+			// The peer reads frames without a digest word; answer in its
+			// framing so the refusal reaches it as a clean Error.
+			conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
+			p := EncodeError(ErrorMsg{Message: err.Error()})
+			conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(p))), p...))
+			return
+		}
 		s.sendError(conn, err.Error())
 		return
 	}
@@ -679,6 +692,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		PlanBatches:  s.planLen,
 		ShardBatches: ShardSize(s.planLen, hello.Rank, hello.World),
 		Workload:     string(s.cfg.Spec.Kind),
+		Table:        s.table,
 	}
 	if s.cfg.Mode == pipeline.RealData {
 		ack.Mode = 1
@@ -696,7 +710,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			if err == io.EOF {
 				return // client hung up cleanly between requests
 			}
-			if errors.Is(err, ErrMalformed) {
+			if errors.Is(err, ErrMalformed) || errors.Is(err, ErrCorruptFrame) {
 				s.sendError(conn, err.Error())
 			}
 			return
@@ -738,26 +752,59 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-func (s *Server) readHello(conn net.Conn) (Hello, error) {
+// readHello reads and checks a connection's Hello. legacy reports a peer
+// older than protocol version 4, which frames without the digest word.
+func (s *Server) readHello(conn net.Conn) (hello Hello, legacy bool, err error) {
 	conn.SetReadDeadline(time.Now().Add(s.helloTimeout))
 	defer conn.SetReadDeadline(time.Time{})
-	payload, err := ReadFrame(conn, s.maxRequest)
+	payload, legacy, err := readHelloFrame(conn, s.maxRequest)
 	if err != nil {
-		return Hello{}, fmt.Errorf("handshake: %w", err)
+		return Hello{}, false, fmt.Errorf("handshake: %w", err)
 	}
 	msg, err := DecodeMessage(payload)
 	if err != nil {
-		return Hello{}, fmt.Errorf("handshake: %w", err)
+		return Hello{}, false, fmt.Errorf("handshake: %w", err)
 	}
 	hello, ok := msg.(Hello)
 	if !ok {
-		return Hello{}, fmt.Errorf("handshake: expected Hello, got %T", msg)
+		return Hello{}, false, fmt.Errorf("handshake: expected Hello, got %T", msg)
 	}
 	if hello.Version != ProtocolVersion {
-		return Hello{}, fmt.Errorf("handshake: protocol version %d, server speaks %d",
+		return Hello{}, legacy, fmt.Errorf("handshake: protocol version %d, server speaks %d",
 			hello.Version, ProtocolVersion)
 	}
-	return hello, nil
+	return hello, false, nil
+}
+
+// readHelloFrame reads a connection's first frame. A peer older than
+// protocol version 4 sends a length and then the payload; a version 4 frame
+// has the digest word between them. So the length's worth of bytes is read
+// first: if it is a Hello of an older version, that was the whole frame.
+// Otherwise four more bytes complete a version 4 frame, checked against its
+// digest.
+func readHelloFrame(r io.Reader, maxFrame int) (payload []byte, legacy bool, err error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, false, err
+	}
+	n, err := checkFrameLen(binary.BigEndian.Uint32(hdr[:]), maxFrame)
+	if err != nil {
+		return nil, false, err
+	}
+	buf := make([]byte, n+4)
+	if err := readFramePayload(r, buf[:n]); err != nil {
+		return nil, false, err
+	}
+	if msg, err := DecodeMessage(buf[:n]); err == nil {
+		if h, ok := msg.(Hello); ok && h.Version < ProtocolVersion {
+			return buf[:n], true, nil
+		}
+	}
+	if err := readFramePayload(r, buf[n:]); err != nil {
+		return nil, false, err
+	}
+	payload = buf[4:]
+	return payload, false, checkDigest(payload, binary.BigEndian.Uint32(buf[:4]))
 }
 
 // session is one connected client's server-side state: this struct, its
@@ -1105,7 +1152,7 @@ func (ss *session) newFrameWriter() *frameWriter {
 // write, but bytes and per-session order are untouched.
 func (ss *session) writeBatchFrame(fw *frameWriter, f *Frame, sum *StreamSum, cancel <-chan struct{}) error {
 	payload := f.Bytes()
-	wireBytes := len(payload) + 4
+	wireBytes := len(payload) + FrameHeaderSize
 	if q := ss.srv.qos; q != nil {
 		if err := q.throttle(ss.tenant, wireBytes, cancel); err != nil {
 			return err
@@ -1119,16 +1166,17 @@ func (ss *session) writeBatchFrame(fw *frameWriter, f *Frame, sum *StreamSum, ca
 		ss.conn.Close()
 		return errors.New("faultinject: connection dropped before frame")
 	case faultinject.WireTruncate:
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
+		var hdr [FrameHeaderSize]byte
+		putFrameHeader(hdr[:], len(payload), f.Digest())
 		ss.conn.Write(hdr[:])
 		ss.conn.Write(payload[:len(payload)/2])
 		ss.conn.Close()
 		return errors.New("faultinject: frame truncated mid-payload")
 	case faultinject.WireCorrupt:
+		// The header keeps the clean digest: the damage is the network's.
 		corrupted := append([]byte(nil), payload...)
 		corrupted[len(corrupted)/2] ^= 0xa5
-		if err := WriteFrame(ss.conn, corrupted); err != nil {
+		if err := writeFrame(ss.conn, corrupted, f.Digest()); err != nil {
 			return err
 		}
 	default:

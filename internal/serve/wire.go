@@ -10,19 +10,23 @@
 // of preprocessing workers, caches, and the LotusTrace instrumentation the
 // repository already has.
 //
-// # Wire format
+// # Wire format (protocol version 4)
 //
-// Every frame is a 4-byte big-endian payload length followed by the payload;
-// the payload's first byte is the message type. Integers are big-endian;
+// Every frame is an 8-byte header — the payload length and the payload's
+// Digest (CRC32C), both u32 big-endian — followed by the payload; the
+// payload's first byte is the message type. Integers are big-endian;
 // strings are a u16 length plus UTF-8 bytes. A frame longer than the
 // receiver's bound, an unknown type, or a payload that does not parse
 // exactly is malformed: the server answers with an Error frame and closes
-// the session (it never panics on remote input). A server bounds what it
-// reads by the largest request a client may send (a Hello with both strings
-// full, or a ShardReq naming the whole plan), a client by DefaultMaxFrame.
+// the session (it never panics on remote input). A payload whose bytes do
+// not match the digest in its header is corrupt (ErrCorruptFrame): nothing
+// decodes it, and a client retries it like a dropped connection. A server
+// bounds what it reads by the largest request a client may send (a Hello
+// with both strings full, or a ShardReq naming the whole plan), a client by
+// DefaultMaxFrame.
 //
 //	client -> server: Hello{version, rank, world, name}
-//	server -> client: HelloAck{version, datasetLen, batchSize, planBatches, shardBatches, mode, workload}
+//	server -> client: HelloAck{version, datasetLen, batchSize, planBatches, shardBatches, mode, workload, table}
 //	client -> server: EpochReq{epoch}            (rank/world shard of the epoch)
 //	client -> server: ShardReq{epoch, ids}       (explicit batch-ID subset — cluster routing)
 //	server -> client: Batch{epoch, globalID, indices, labels, dtype, shape, payload}...
@@ -30,30 +34,34 @@
 //	client -> server: Bye{} (or just closes)
 //	server -> client: Error{message} before closing on any failure
 //
-// # Stream checksum (since protocol version 2)
+// # Digests (since protocol version 2; in the frame header since version 4)
 //
-// Every Batch frame payload has one digest: its CRC32C (Digest). The server
-// computes it once, when the frame is encoded — or adopts the one the disk
-// tier verified on read — and the Frame carries it for as long as the bytes
-// live, so a cache hit hashes nothing. EpochEnd.Checksum is StreamSum: an
-// FNV-1a-64 fold over each frame's (payload length u32, CRC32C u32), in
-// stream order. The client computes one CRC32C per payload it receives, folds
-// the same eight bytes per frame, and compares at EpochEnd.
+// Every frame payload has one digest: its CRC32C (Digest). For a Batch the
+// server computes it once, when the frame is encoded — or adopts the one the
+// disk tier verified on read — and the Frame carries it for as long as the
+// bytes live, so a cache hit hashes nothing; the header carries it to the
+// client, which computes one CRC32C per payload it receives and compares the
+// two before it decodes the frame or shows it to a callback. A consumer
+// therefore never sees a corrupted batch: it sees the error instead.
 //
-// What that detects: per frame, CRC32C catches every 1-, 2- and 3-bit error
-// and every burst up to 32 bits (the polynomial keeps Hamming distance 4 out
-// to 2^31 - 1 bits, 256 MiB; DefaultMaxFrame is 64 MiB), and any other
-// damage with probability 1 - 2^-32; a reordered, dropped, duplicated or
-// truncated frame changes the order-sensitive 64-bit fold, and
-// EpochEnd.Batches carries the count besides.
+// EpochEnd.Checksum is StreamSum, an FNV-1a-64 fold over each batch frame's
+// (payload length u32, CRC32C u32) in stream order, which the client checks
+// at EpochEnd. With every frame checked on arrival, what the fold still
+// catches is the stream's shape: a reordered, dropped or duplicated frame
+// changes the order-sensitive fold, and EpochEnd.Batches carries the count.
 //
-// Version 1 folded FNV-1a over every payload byte instead. That hash chains
-// its state through each byte, so it can be neither memoised per frame nor
-// vectorised — 655 MB/s on the reference host, paid per frame per session on
-// both ends even on a cache hit — which is why the definition changed rather
-// than the loop. A v1 peer is refused at Hello.
+// What CRC32C detects: every 1-, 2- and 3-bit error and every burst up to 32
+// bits (the polynomial keeps Hamming distance 4 out to 2^31 - 1 bits, 256
+// MiB; DefaultMaxFrame is 64 MiB), and any other damage with probability
+// 1 - 2^-32.
 //
-// # Batch payload layout (protocol version 3)
+// Version 1 folded FNV-1a over every payload byte instead, which can be
+// neither memoised per frame nor vectorised. Version 3 sent the digest only
+// inside that fold, at EpochEnd — after every callback of the epoch had run
+// on the frames it was meant to vouch for. A peer older than version 4 is
+// refused at Hello (answered in its own framing, so it reads a clean Error).
+//
+// # Batch payload layout (protocol version 3 and later)
 //
 // Offsets are from the start of the frame payload (the type byte is offset
 // 0); n is the batch's sample count, r the tensor's rank.
@@ -78,33 +86,39 @@
 // padding is part of the canonical encoding — it must be zero, a nonzero
 // padding byte is ErrMalformed, and it is covered by the frame's Digest like
 // every other byte — so a batch still has exactly one encoding. Every field
-// outside the tensor stays big-endian.
+// outside the tensor stays big-endian. Version 3 put the tensor there because
+// the version 2 form (big-endian floats at an odd offset) cost a conversion
+// pass on each side of the wire; on a little-endian host the version 3 tensor
+// is the in-memory tensor. Big-endian hosts, and payloads that are not 4-byte
+// aligned in memory, take the portable element loops in f32.go and see the
+// same values.
 //
-// Why the definition changed: version 2 wrote float32s big-endian directly
-// after nbytes, at an odd offset. Producing that took a second pass over the
-// collated tensor on the server (one AppendUint32 per element, 4.5 GB/s), and
-// consuming it took a fresh 19 MB []float32 on the client filled one
-// BigEndian.Uint32 at a time (1.5 GB/s against a 12.8 GB/s memcpy): half the
-// served hot path's CPU was copying and converting bytes the worker had
-// already laid out. On a little-endian host — every host this has run on —
-// the version 3 tensor is the in-memory tensor: the server's workers collate
-// straight into the frame buffer (plane.go, frame.go), AppendBatch is one
-// bulk copy, and the client decodes to a view. Big-endian hosts, and payloads
-// that are not 4-byte aligned in memory, take the portable element loops in
-// f32.go and see the same values. A v2 peer is refused at Hello exactly as a
-// v1 peer is, and the layout is hashed into SpecFingerprint so frames a v2
-// server spilled to a disk tier read as misses.
+// # The wire point (protocol version 4)
+//
+// A RealData plan that ends in ToTensor, Normalize has those two ops run by
+// its collate, as one 3×256 table lookup per byte (pipeline's tensor
+// tail→collate rewrite). On a server that pass is the last thing done to a
+// batch, and it quadruples it: 4.8 MB of uint8 pixels become 19.3 MB of
+// float32 for an IC batch. So the server stops one pass short. Its collate
+// writes the samples' interleaved pixels into the frame as a uint8
+// [N, H, W, 3] tensor, and HelloAck carries the table (Table: 768 float32s,
+// channel-major, big-endian; present exactly when the served plan has this
+// wire point, and only in RealData). The Client runs the last pass: per
+// sample, imaging.(*Image).MapInto from the received pixels into a float32
+// buffer the Client owns, and the callback gets a float32 [N, 3, H, W] Batch
+// whose F32 is a view of that buffer — the tensor the local DataLoader makes,
+// bit for bit. A session with a table that receives any other batch shape
+// fails with ErrMalformed. Everything between the collate and the callback —
+// batch cache, disk tier, cluster and hedge traffic, both digests and both
+// socket copies — carries a quarter of the bytes, and no option chooses it:
+// the plan does.
 //
 // Lifetime of views: DecodeMessage does not copy the tensor. A decoded
-// Batch's U8 / F32 alias the payload they were decoded from, and a Client
-// reads every frame of a stream into one reused buffer — so the *Batch and
-// payload a Client callback receives are valid only until the callback
-// returns. Batch.Clone is the copy for consumers that keep one.
-//
-// What did not change: the client computes one CRC32C per received payload
-// and folds it into its StreamSum before the callback sees the frame, and
-// checks the sum and the batch count at EpochEnd; lengths, shapes and dtypes
-// are validated before a view is formed.
+// Batch's U8 / F32 alias the payload they were decoded from. A Client reads
+// every frame of a stream into one reused buffer and finishes every batch
+// into a second one, so the *Batch and payload a Client callback receives —
+// b.F32 and b.U8 included — are valid only until the callback returns.
+// Batch.Clone is the copy for consumers that keep one.
 package serve
 
 import (
@@ -123,16 +137,22 @@ import (
 const (
 	// ProtocolVersion is bumped on incompatible wire changes. Version 2
 	// redefined EpochEnd.Checksum (StreamSum); version 3 redefined the Batch
-	// tensor payload (little-endian, at an aligned offset). The server
-	// refuses any other version at Hello, so two definitions never meet
-	// mid-stream.
-	ProtocolVersion = 3
+	// tensor payload (little-endian, at an aligned offset); version 4 put the
+	// payload digest in the frame header, the tensor tail's table in HelloAck,
+	// and the tail's last pass on the client. The server refuses any other
+	// version at Hello, so two definitions never meet mid-stream.
+	ProtocolVersion = 4
 	// frameLayoutVersion names the byte layout of an encoded Batch frame. It
 	// is hashed into SpecFingerprint because encoded frames outlive the
 	// process in the disk tier: bump it whenever AppendBatch's output changes
-	// for the same batch, so frames persisted under the old layout become
-	// misses instead of being streamed to peers that parse the new one.
-	frameLayoutVersion = 3
+	// for the same batch — or, as in version 4, what a batch's frame holds
+	// (pixels, where version 3 held float32s) — so frames persisted under the
+	// old layout become misses instead of being streamed to peers that parse
+	// the new one.
+	frameLayoutVersion = 4
+	// FrameHeaderSize is the length of a frame's header: payload length and
+	// payload digest.
+	FrameHeaderSize = 8
 	// tensorAlign is the alignment, relative to the start of the frame
 	// payload, of a Batch frame's tensor bytes: a cache line, so a receiver
 	// that reads the payload into an aligned buffer can use the tensor in
@@ -190,6 +210,11 @@ func (t MsgType) String() string {
 // distinguishes protocol violations from I/O errors.
 var ErrMalformed = errors.New("serve: malformed frame")
 
+// ErrCorruptFrame tags a frame whose payload does not match the digest in
+// its header: the bytes were damaged in transit, so the frame is dropped
+// undecoded. A Client retries it like a dropped connection.
+var ErrCorruptFrame = errors.New("serve: frame digest mismatch")
+
 // Hello is the client's session request.
 type Hello struct {
 	Version int
@@ -221,7 +246,16 @@ type HelloAck struct {
 	Mode byte
 	// Workload names the served pipeline (IC, IS, OD).
 	Workload string
+	// Table, when non-nil, is the served plan's tensor tail (ToTensor,
+	// Normalize) as a table — Table[c][v] is what byte v of channel c
+	// becomes — and says every Batch of the session arrives one pass short,
+	// as uint8 [N, H, W, 3] pixels the client finishes with it (package doc,
+	// "The wire point"). Only a RealData server sends one.
+	Table *[3][256]float32
 }
+
+// tableLen is the number of float32s in an encoded HelloAck.Table.
+const tableLen = 3 * 256
 
 // EpochReq asks the server to stream the session's shard of one epoch.
 type EpochReq struct {
@@ -359,25 +393,37 @@ type Bye struct{}
 // Frame I/O
 // ---------------------------------------------------------------------------
 
-// WriteFrame writes one length-prefixed frame. payload must already start
-// with the message type byte. Header and payload go out as one vectored
-// write (writev on a TCP conn): a single syscall per frame and no risk of a
-// header-only packet when Nagle is off. The payload is not copied, which is
-// what lets cached sessions stream one shared immutable frame buffer to many
-// connections.
+// WriteFrame writes one frame: the header, with the payload's Digest, and
+// the payload. payload must already start with the message type byte.
 func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
+	return writeFrame(w, payload, Digest(payload))
+}
+
+// writeFrame is WriteFrame for a payload whose digest the caller already
+// holds. Header and payload go out as one vectored write (writev on a TCP
+// conn): a single syscall per frame and no risk of a header-only packet when
+// Nagle is off. The payload is not copied, which is what lets cached
+// sessions stream one shared immutable frame buffer to many connections.
+func writeFrame(w io.Writer, payload []byte, digest uint32) error {
+	var hdr [FrameHeaderSize]byte
+	putFrameHeader(hdr[:], len(payload), digest)
 	bufs := net.Buffers{hdr[:], payload}
 	_, err := bufs.WriteTo(w)
 	return err
 }
 
+// putFrameHeader writes a frame header into hdr.
+func putFrameHeader(hdr []byte, n int, digest uint32) {
+	binary.BigEndian.PutUint32(hdr[:4], uint32(n))
+	binary.BigEndian.PutUint32(hdr[4:8], digest)
+}
+
 // ReadFrame reads one frame's payload into a fresh buffer, enforcing maxFrame
-// (0 means DefaultMaxFrame). It returns io.EOF on a clean connection close at
-// a frame boundary and ErrMalformed-wrapped errors on protocol violations.
+// (0 means DefaultMaxFrame) and the header's digest. It returns io.EOF on a
+// clean connection close at a frame boundary, ErrMalformed-wrapped errors on
+// protocol violations and ErrCorruptFrame-wrapped ones on damaged bytes.
 func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
-	n, err := readFrameLen(r, maxFrame)
+	n, digest, err := readFrameHeader(r, maxFrame)
 	if err != nil {
 		return nil, err
 	}
@@ -385,21 +431,30 @@ func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
 	if err := readFramePayload(r, payload); err != nil {
 		return nil, err
 	}
+	if err := checkDigest(payload, digest); err != nil {
+		return nil, err
+	}
 	return payload, nil
 }
 
-// readFrameLen reads a frame's length prefix and checks it against maxFrame.
-// The two halves of ReadFrame are separate so a reader that owns a reusable
-// buffer (Client) can size it between them.
-func readFrameLen(r io.Reader, maxFrame int) (int, error) {
+// readFrameHeader reads a frame's header and checks the length against
+// maxFrame. The halves of ReadFrame are separate so a reader that owns a
+// reusable buffer (Client) can size it between them.
+func readFrameHeader(r io.Reader, maxFrame int) (n int, digest uint32, err error) {
+	var hdr [FrameHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, err
+	}
+	n, err = checkFrameLen(binary.BigEndian.Uint32(hdr[:4]), maxFrame)
+	return n, binary.BigEndian.Uint32(hdr[4:]), err
+}
+
+// checkFrameLen refuses an empty payload and one longer than maxFrame (0
+// means DefaultMaxFrame).
+func checkFrameLen(n uint32, maxFrame int) (int, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
 	if n == 0 {
 		return 0, fmt.Errorf("%w: empty payload", ErrMalformed)
 	}
@@ -409,8 +464,16 @@ func readFrameLen(r io.Reader, maxFrame int) (int, error) {
 	return int(n), nil
 }
 
-// readFramePayload fills payload with the frame body that follows a length
-// prefix.
+// checkDigest compares a received payload with the digest its header
+// carried.
+func checkDigest(payload []byte, digest uint32) error {
+	if got := Digest(payload); got != digest {
+		return fmt.Errorf("%w: payload of %d bytes has CRC32C %#08x, header says %#08x", ErrCorruptFrame, len(payload), got, digest)
+	}
+	return nil
+}
+
+// readFramePayload fills payload with the frame body that follows a header.
 func readFramePayload(r io.Reader, payload []byte) error {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF {
@@ -456,7 +519,17 @@ func EncodeHelloAck(a HelloAck) []byte {
 	b = appendU32(b, uint32(a.PlanBatches))
 	b = appendU32(b, uint32(a.ShardBatches))
 	b = append(b, a.Mode)
-	return appendStr(b, a.Workload)
+	b = appendStr(b, a.Workload)
+	if a.Table == nil {
+		return appendU16(b, 0)
+	}
+	b = appendU16(b, tableLen)
+	for c := range a.Table {
+		for _, v := range a.Table[c] {
+			b = appendU32(b, math.Float32bits(v))
+		}
+	}
+	return b
 }
 
 // EncodeEpochReq renders an EpochReq frame payload.
@@ -761,6 +834,7 @@ func DecodeMessage(payload []byte) (any, error) {
 		a.ShardBatches = int(d.u32())
 		a.Mode = d.u8()
 		a.Workload = d.str()
+		a.Table = d.table(a.Mode)
 		if err := d.done(); err != nil {
 			return nil, err
 		}
@@ -816,6 +890,36 @@ func DecodeMessage(payload []byte) (any, error) {
 		return Bye{}, nil
 	}
 	return nil, fmt.Errorf("%w: unknown message type 0x%02x", ErrMalformed, payload[0])
+}
+
+// table reads HelloAck's tensor tail table: a u16 count that is 0 (no
+// table) or tableLen, then that many finite float32s — present only when
+// mode is 1 (RealData), the one mode with pixels to finish.
+func (d *dec) table(mode byte) *[3][256]float32 {
+	switch n := d.u16(); {
+	case d.err != nil || n == 0:
+		return nil
+	case n != tableLen:
+		d.fail("tensor tail table of %d values, want %d", n, tableLen)
+		return nil
+	case mode != 1:
+		d.fail("tensor tail table in mode %d", mode)
+		return nil
+	}
+	t := new([3][256]float32)
+	for c := range t {
+		for v := range t[c] {
+			f := math.Float32frombits(d.u32())
+			if math.IsNaN(float64(f)) || math.IsInf(float64(f), 0) {
+				d.fail("tensor tail table value [%d][%d] is %v", c, v, f)
+			}
+			t[c][v] = f
+		}
+	}
+	if d.err != nil {
+		return nil
+	}
+	return t
 }
 
 func decodeBatch(d *dec) (*Batch, error) {

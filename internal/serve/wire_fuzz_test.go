@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 
 	"lotus/internal/tensor"
@@ -17,6 +19,10 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	seeds := []any{
 		Hello{Version: 1, Rank: 1, World: 4, Name: "fuzz"},
 		HelloAck{Version: 1, DatasetLen: 100, BatchSize: 8, PlanBatches: 13, ShardBatches: 7, Mode: 1, Workload: "OD"},
+		HelloAck{Version: ProtocolVersion, DatasetLen: 64, BatchSize: 32, PlanBatches: 2, ShardBatches: 1, Mode: 1, Workload: "IC", Table: fuzzTable()},
+		// A pixel batch, as a session with a table receives it.
+		&Batch{Epoch: 1, GlobalID: 0, Indices: []int{3, 1}, Labels: []int{0, 4},
+			Dtype: tensor.Uint8, Shape: []int{2, 1, 2, 3}, U8: make([]uint8, 12)},
 		EpochReq{Epoch: 9},
 		EpochReq{Epoch: MaxEpoch + 1}, // out of range: refused
 		&Batch{Epoch: 1, GlobalID: 2, Indices: []int{3, 1}, Labels: []int{0, 4},
@@ -52,6 +58,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{0xff})
 	f.Add([]byte{byte(MsgBatch), 0, 0, 0, 1})
+	for _, bad := range badTableAcks() {
+		f.Add(bad)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := DecodeMessage(data) // must not panic
@@ -68,9 +77,35 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzControlMessages is the fuzzer for the three control decoders a remote
-// peer reaches before (Hello), instead of (ShardReq) and after (Error) the
-// batch stream, which FuzzFrameRoundTrip's corpus barely touches: bytes are
+// fuzzTable is a tensor tail table as a server sends it: IC's.
+func fuzzTable() *[3][256]float32 {
+	t := new([3][256]float32)
+	for c := range t {
+		for v := range t[c] {
+			t[c][v] = (float32(v)/255 - 0.45) / (0.22 + float32(c)/100)
+		}
+	}
+	return t
+}
+
+// badTableAcks are HelloAck payloads whose table the decoder must refuse: in
+// simulated mode, one value short, one NaN, and a count that is not 768.
+func badTableAcks() [][]byte {
+	ack := HelloAck{Version: ProtocolVersion, Mode: 1, Workload: "IC", Table: fuzzTable()}
+	good := EncodeHelloAck(ack)
+	ack.Mode = 0
+	sim := EncodeHelloAck(ack)
+	short := good[:len(good)-4]
+	nan := bytes.Clone(good)
+	binary.BigEndian.PutUint32(nan[len(nan)-4:], math.Float32bits(float32(math.NaN())))
+	count := bytes.Clone(good)
+	binary.BigEndian.PutUint16(count[len(count)-4*tableLen-2:], tableLen-1)
+	return [][]byte{sim, short, nan, count}
+}
+
+// FuzzControlMessages is the fuzzer for the four control decoders a remote
+// peer reaches before (Hello, HelloAck), instead of (ShardReq) and after
+// (Error) the batch stream, which FuzzFrameRoundTrip's corpus barely touches: bytes are
 // forced onto each message type in turn, the decoder must not panic, and
 // what it accepts satisfies the invariants the server relies on without
 // re-checking and re-encodes to the input.
@@ -90,12 +125,15 @@ func FuzzControlMessages(f *testing.F) {
 		}
 		f.Add(enc[1:])
 	}
+	for _, ack := range append(badTableAcks(), EncodeHelloAck(HelloAck{Version: ProtocolVersion, Mode: 1, Workload: "ICA", Table: fuzzTable()})) {
+		f.Add(ack[1:])
+	}
 	f.Add([]byte{0, 3, 0, 0, 0, 9, 0, 0, 0, 2, 0, 0, 0, 0}) // rank 9 of world 2
 	f.Add([]byte{0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff, 0})    // forged id count
 	f.Add([]byte{0xff, 0xff, 'x', 0})                       // string length past the end
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, typ := range []MsgType{MsgHello, MsgShardReq, MsgError} {
+		for _, typ := range []MsgType{MsgHello, MsgHelloAck, MsgShardReq, MsgError} {
 			data := append([]byte{byte(typ)}, body...)
 			msg, err := DecodeMessage(data) // must not panic
 			if err != nil {
@@ -115,6 +153,19 @@ func FuzzControlMessages(f *testing.F) {
 				}
 				if len(m.IDs) > len(body)/4 {
 					t.Fatalf("accepted ShardReq with %d ids from a %d-byte body", len(m.IDs), len(body))
+				}
+			case HelloAck:
+				if m.Table != nil {
+					if m.Mode != 1 {
+						t.Fatalf("accepted a tensor tail table in mode %d", m.Mode)
+					}
+					for c := range m.Table {
+						for _, v := range m.Table[c] {
+							if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+								t.Fatalf("accepted a tensor tail table holding %v", v)
+							}
+						}
+					}
 				}
 			case ErrorMsg:
 			default:

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -125,17 +126,23 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: error %v does not wrap ErrMalformed", tc.name, err)
 		}
 	}
+	// A HelloAck's table is 768 finite float32s, and only in RealData.
+	for i, payload := range badTableAcks() {
+		if msg, err := DecodeMessage(payload); !errors.Is(err, ErrMalformed) {
+			t.Errorf("bad table %d: decoded to %#v (%v), want ErrMalformed", i, msg, err)
+		}
+	}
 }
 
 func TestReadFrameLimits(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff}) // 4 GiB frame
+	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // 4 GiB frame
 	if _, err := ReadFrame(&buf, 1<<20); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("oversized frame: got %v, want ErrMalformed", err)
 	}
 
 	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 0}) // empty payload
+	buf.Write([]byte{0, 0, 0, 0, 0, 0, 0, 0}) // empty payload
 	if _, err := ReadFrame(&buf, 0); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("empty frame: got %v, want ErrMalformed", err)
 	}
@@ -146,9 +153,42 @@ func TestReadFrameLimits(t *testing.T) {
 	}
 
 	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 8, 1, 2}) // header promises 8, delivers 2
+	buf.Write([]byte{0, 0, 0, 8, 1, 2}) // a header cut short
+	if _, err := ReadFrame(&buf, 0); err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated header: got %v, want ErrUnexpectedEOF", err)
+	}
+
+	buf.Reset()
+	buf.Write([]byte{0, 0, 0, 8, 0, 0, 0, 0, 1, 2}) // header promises 8, delivers 2
 	if _, err := ReadFrame(&buf, 0); err != io.ErrUnexpectedEOF {
 		t.Fatalf("truncated frame: got %v, want ErrUnexpectedEOF", err)
+	}
+
+	buf.Reset()
+	WriteFrame(&buf, EncodeEpochReq(EpochReq{Epoch: 3}))
+	buf.Bytes()[FrameHeaderSize+2] ^= 0x10 // one bit of the payload flips in transit
+	if _, err := ReadFrame(&buf, 0); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("corrupt payload: got %v, want ErrCorruptFrame", err)
+	}
+}
+
+// TestFrameHeaderGolden pins the version 4 frame header of one batch frame:
+// the payload length and its CRC32C, both big-endian. Every frame crosses
+// the wire behind these eight bytes, so a change to either word's order or
+// to the digest definition is a protocol change; CI also runs this with the
+// CRC32C hardware path off.
+func TestFrameHeaderGolden(t *testing.T) {
+	m := &Batch{Epoch: 1, GlobalID: 2, Indices: []int{3, 1}, Labels: []int{0, 4},
+		Dtype: tensor.Uint8, Shape: []int{2, 1, 2, 3}, U8: []uint8{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, EncodeBatch(m)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%x", buf.Bytes()[:FrameHeaderSize]), "0000004cc0e2bae2"; got != want {
+		t.Fatalf("batch frame header %s, pinned %s", got, want)
+	}
+	if got := buf.Bytes()[FrameHeaderSize:]; !bytes.Equal(got, EncodeBatch(m)) {
+		t.Fatalf("payload after the header is not the batch's encoding")
 	}
 }
 
