@@ -23,6 +23,10 @@
 //
 //	lotus-fetch -cluster -addr host1:9317,host2:9317,host3:9317 -epochs 2
 //
+// A node whose fetch fails stays down until the next epoch's start, when the
+// router dials it once more; the closing per-node lines say which nodes were
+// up at the end.
+//
 // -rank/-world are ignored in cluster mode (the router consumes whole
 // plans).
 //
@@ -38,7 +42,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -51,7 +54,6 @@ func main() {
 		addr        = flag.String("addr", "localhost:9317", "server wire address, or a comma-separated endpoint list (ordered fallback, or the member set with -cluster)")
 		clustered   = flag.Bool("cluster", false, "consistent-hash route whole epoch plans across the -addr nodes with mid-epoch failover")
 		replication = flag.Int("replication", 1, "cluster mode: preferred replica-set size per batch on the hash ring")
-		heartbeat   = flag.Duration("heartbeat", 500*time.Millisecond, "cluster mode: node heartbeat interval")
 		hedgeQ      = flag.Float64("hedge-quantile", 0, "cluster mode: hedge a node's unserved batches to its ring successor once it lags past this latency quantile (e.g. 0.95; 0 disables)")
 		epochs      = flag.Int("epochs", 2, "epochs to stream")
 		rank        = flag.Int("rank", 0, "this client's shard rank")
@@ -76,7 +78,7 @@ func main() {
 	}
 
 	if *clustered {
-		runCluster(endpoints, *epochs, *replication, *heartbeat, *hedgeQ, *name, *tenant, *quiet, *autotune)
+		runCluster(endpoints, *epochs, *replication, *hedgeQ, *name, *tenant, *quiet, *autotune)
 		return
 	}
 
@@ -136,19 +138,11 @@ func main() {
 
 // runCluster consumes epochs through the consistent-hash cluster router
 // instead of a single rank/world session.
-func runCluster(endpoints []string, epochs, replication int, heartbeat time.Duration, hedgeQuantile float64, name, tenant string, quiet, autotune bool) {
+func runCluster(endpoints []string, epochs, replication int, hedgeQuantile float64, name, tenant string, quiet, autotune bool) {
 	nodes := make([]cluster.Node, len(endpoints))
 	for i, a := range endpoints {
 		nodes[i] = cluster.Node{ID: a, Addr: a}
 	}
-	mem := cluster.NewMembership(cluster.MembershipConfig{
-		Nodes:    nodes,
-		Interval: heartbeat,
-		Logf:     log.Printf,
-	})
-	mem.Start()
-	defer mem.Stop()
-
 	if name == "" {
 		name = "lotus-fetch"
 	}
@@ -157,7 +151,6 @@ func runCluster(endpoints []string, epochs, replication int, heartbeat time.Dura
 		Replication:   replication,
 		Name:          name,
 		Tenant:        tenant,
-		Membership:    mem,
 		HedgeQuantile: hedgeQuantile,
 		AutoTune:      autotune,
 		Logf:          log.Printf,
@@ -194,16 +187,15 @@ func runCluster(endpoints []string, epochs, replication int, heartbeat time.Dura
 		fmt.Printf("lotus-fetch: hedged=%d won=%d wasted=%d\n",
 			stats.Hedged, stats.HedgeWon, stats.HedgeWasted)
 	}
-	ids := make([]string, 0, len(stats.PerNode))
-	for id := range stats.PerNode {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	weights := c.Weights()
-	for _, id := range ids {
-		line := fmt.Sprintf("lotus-fetch:   %-24s %6d batches (%s)", id, stats.PerNode[id], mem.State(id))
+	alive, weights := c.Alive(), c.Weights()
+	for _, n := range nodes {
+		state := "down"
+		if alive[n.ID] {
+			state = "alive"
+		}
+		line := fmt.Sprintf("lotus-fetch:   %-24s %6d batches (%s)", n.ID, stats.PerNode[n.ID], state)
 		if autotune {
-			line += fmt.Sprintf(" weight %.2f", weights[id])
+			line += fmt.Sprintf(" weight %.2f", weights[n.ID])
 		}
 		fmt.Println(line)
 	}

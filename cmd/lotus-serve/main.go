@@ -11,16 +11,11 @@
 // Chrome-Trace view of the serving pipeline while it runs. SIGINT/SIGTERM
 // starts a graceful drain (in-flight epochs finish, bounded by -drain).
 //
-// Cluster mode: pass -join with every member's endpoints (including this
-// node's) and the server heartbeats its peers' /healthz sidecars, serving
-// the live membership view on the sidecar's /cluster endpoint:
-//
-//	lotus-serve -addr :9317 -http :9318 -node n0 \
-//	    -join n0=localhost:9317/localhost:9318,n1=localhost:9417/localhost:9418
-//
-// Nodes never coordinate work — the deterministic epoch plan plus the
-// consumer-side consistent-hash router (internal/cluster) partition it — so
-// joining is purely an observability concern here.
+// Cluster mode needs nothing here: start the same workload on every node and
+// point lotus-fetch -cluster at them. Nodes never coordinate work — the
+// deterministic epoch plan plus the consumer-side consistent-hash router
+// (internal/cluster) partition it — and the router learns which nodes are up
+// from its own fetches.
 //
 // Persistent cache: -disk-cache-dir roots a content-addressed disk tier
 // under the in-memory caches. Frames and sample snapshots spill there as
@@ -44,38 +39,11 @@ import (
 	"syscall"
 	"time"
 
-	"lotus/internal/cluster"
 	"lotus/internal/native"
 	"lotus/internal/pipeline"
 	"lotus/internal/serve"
 	"lotus/internal/workloads"
 )
-
-// parseJoin parses the -join list: comma-separated members, each
-// [id=]wireAddr[/httpAddr].
-func parseJoin(join string) ([]cluster.Node, error) {
-	var nodes []cluster.Node
-	for _, entry := range strings.Split(join, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		n := cluster.Node{}
-		if id, rest, ok := strings.Cut(entry, "="); ok {
-			n.ID, entry = id, rest
-		}
-		addr, httpAddr, _ := strings.Cut(entry, "/")
-		if addr == "" {
-			return nil, fmt.Errorf("member %q has no wire address", entry)
-		}
-		n.Addr, n.HTTPAddr = addr, httpAddr
-		nodes = append(nodes, n)
-	}
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("-join given but no members parsed")
-	}
-	return nodes, nil
-}
 
 func main() {
 	var (
@@ -95,9 +63,6 @@ func main() {
 		diskDir  = flag.String("disk-cache-dir", "", "persistent cache directory (empty = disabled); spilled frames and sample snapshots survive restarts and are shared across jobs pointing at the same directory")
 		diskGB   = flag.Float64("disk-cache-gb", 4, "persistent cache budget in GiB (segment-granularity LRU eviction above it)")
 		drain    = flag.Duration("drain", 15*time.Second, "graceful drain budget on SIGINT/SIGTERM")
-		nodeID   = flag.String("node", "", "this node's cluster identity (default: -addr)")
-		join     = flag.String("join", "", "cluster member list ([id=]wire[/http] per entry, comma-separated); serves the membership view on /cluster")
-		interval = flag.Duration("heartbeat", 500*time.Millisecond, "peer heartbeat interval in cluster mode")
 		autotune = flag.Bool("autotune", false, "closed-loop controller: observe wait and queue signals at every completed epoch and retune the worker pool and the prefetch window at runtime")
 
 		maxSessions = flag.Int("max-sessions", 0, "admission control: concurrent session cap (0 = unlimited); excess connections queue briefly, then get a retryable busy reply")
@@ -175,28 +140,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	var mem *cluster.Membership
-	self := *nodeID
-	if self == "" {
-		self = *addr
-	}
-	var clusterInfo func() any
-	if *join != "" {
-		nodes, err := parseJoin(*join)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lotus-serve: -join: %v\n", err)
-			os.Exit(2)
-		}
-		mem = cluster.NewMembership(cluster.MembershipConfig{
-			Nodes:    nodes,
-			Interval: *interval,
-			Logf:     log.Printf,
-		})
-		clusterInfo = func() any {
-			return map[string]any{"node": self, "members": mem.Snapshot()}
-		}
-	}
-
 	srv := serve.New(serve.Config{
 		Spec:             spec,
 		Mode:             pmode,
@@ -212,7 +155,6 @@ func main() {
 		QoS:              *qos,
 		Tenants:          tenants,
 		Pprof:            *pprofOn,
-		ClusterInfo:      clusterInfo,
 		Logf:             log.Printf,
 	})
 	if err := srv.Start(*addr, *httpAddr); err != nil {
@@ -220,16 +162,7 @@ func main() {
 		os.Exit(1)
 	}
 	if h := srv.HTTPAddr(); h != "" {
-		endpoints := "/healthz /metrics /trace"
-		if mem != nil {
-			endpoints += " /cluster"
-		}
-		log.Printf("lotus-serve: observability on http://%s (%s)", h, endpoints)
-	}
-	if mem != nil {
-		mem.Start()
-		defer mem.Stop()
-		log.Printf("lotus-serve: node %s probing %d cluster members every %v", self, len(mem.Snapshot()), *interval)
+		log.Printf("lotus-serve: observability on http://%s (/healthz /metrics /trace)", h)
 	}
 
 	sig := make(chan os.Signal, 1)

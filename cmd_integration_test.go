@@ -1,17 +1,22 @@
 package lotus_test
 
-// End-to-end integration test of the command-line tools: build the real
+// End-to-end integration tests of the command-line tools: build the real
 // binaries and push a trace through the whole flow —
 // lotus-run → lotus-viz (JSON + ascii) → lotus-advise → lotus-diff →
-// lotus-map. Skipped with -short.
+// lotus-map — and route a lotus-fetch cluster around a dead lotus-serve
+// node. Skipped with -short.
 
 import (
 	"encoding/json"
+	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // buildTool compiles one command into dir and returns the binary path.
@@ -119,5 +124,82 @@ func TestCLIMapProducesLoadableMapping(t *testing.T) {
 	}
 	if m.Arch != "amd" || len(m.Ops["Loader"]) == 0 {
 		t.Fatalf("mapping content wrong: arch=%s loader=%d", m.Arch, len(m.Ops["Loader"]))
+	}
+}
+
+// TestCLIClusterNodeDown: three lotus-serve nodes, one killed before the
+// run; lotus-fetch -cluster delivers every batch of both epochs exactly once
+// from the survivors and reports the dead node down with 0 batches.
+func TestCLIClusterNodeDown(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped with -short")
+	}
+	dir := t.TempDir()
+	lotusServe := buildTool(t, dir, "lotus-serve")
+	lotusFetch := buildTool(t, dir, "lotus-fetch")
+
+	var addrs []string
+	var nodes []*exec.Cmd
+	for range 3 {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		ln.Close()
+		cmd := exec.Command(lotusServe, "-mode", "sim", "-workload", "IC", "-samples", "640", "-batch", "32",
+			"-addr", addr, "-http", "")
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			cmd.Process.Kill()
+			cmd.Wait()
+		})
+		addrs, nodes = append(addrs, addr), append(nodes, cmd)
+	}
+	for _, addr := range addrs {
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			conn, err := net.Dial("tcp", addr)
+			if err == nil {
+				conn.Close()
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("lotus-serve on %s never listened: %v", addr, err)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	dead := addrs[1]
+	nodes[1].Process.Kill()
+	nodes[1].Wait()
+
+	out := run(t, lotusFetch, "-cluster", "-addr", strings.Join(addrs, ","), "-epochs", "2", "-quiet")
+	const perEpoch = 640 / 32
+	if !strings.Contains(out, fmt.Sprintf("2 epochs, %d batches,", 2*perEpoch)) {
+		t.Fatalf("lotus-fetch did not deliver %d batches:\n%s", 2*perEpoch, out)
+	}
+	// The per-node lines: "lotus-fetch:   <addr>   <n> batches (<state>)".
+	total, seen := 0, map[string]bool{}
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 5 || f[0] != "lotus-fetch:" || f[3] != "batches" {
+			continue
+		}
+		n, err := strconv.Atoi(f[2])
+		if err != nil {
+			t.Fatalf("per-node line %q: %v", line, err)
+		}
+		if down := f[4] == "(down)"; down != (f[1] == dead) || down && n != 0 {
+			t.Fatalf("node %s: %d batches %s; the killed node is %s\n%s", f[1], n, f[4], dead, out)
+		}
+		total += n
+		seen[f[1]] = true
+	}
+	if len(seen) != len(addrs) || total != 2*perEpoch {
+		t.Fatalf("%d per-node lines summing to %d batches, want %d lines and each of the %d batches once\n%s",
+			len(seen), total, len(addrs), 2*perEpoch, out)
 	}
 }

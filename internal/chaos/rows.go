@@ -1,11 +1,9 @@
 package chaos
 
 import (
-	"fmt"
 	"net"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"time"
 
 	"lotus/internal/cluster"
@@ -73,7 +71,7 @@ func servedRows() []row {
 		// A slow-but-correct node keeps its shard.
 		{class: "cluster-node-slow", nodes: 3, faults: faultinject.Spec{StallNth: 1, WorkerStall: 500 * time.Millisecond},
 			client: routed(nil), check: victimServed},
-		heartbeatFlap(),
+		nodeRejoin(),
 		// The whole cluster killed and restarted on its directories: every
 		// node serves its shard from disk.
 		{class: "cluster-node-kill-rewarm", nodes: 3, batchCache: chaosCacheBytes, disk: true, lives: 2,
@@ -283,57 +281,39 @@ func victimServed(e *env) {
 	}
 }
 
-// heartbeatFlap fails the victim's probe on every other heartbeat with
-// FailThreshold 1, so each verdict flips its state. An epoch routed while it
-// is marked dead completes without it; after a good heartbeat it rejoins and
-// serves its shard again.
-func heartbeatFlap() row {
-	var lost, flips atomic.Int64
-	return row{class: "cluster-heartbeat-flap", nodes: 3, epochs: 2,
-		client: routed(func(e *env) cluster.Config {
-			victim, probes := nodeID(e.victim), 0
-			return cluster.Config{Membership: cluster.NewMembership(cluster.MembershipConfig{
-				Nodes:         e.members,
-				FailThreshold: 1,
-				Probe: func(n cluster.Node, _ time.Duration) error {
-					if n.ID != victim {
-						return nil
-					}
-					if probes++; probes%2 == 1 {
-						lost.Add(1)
-						return fmt.Errorf("chaos: injected heartbeat loss %d", probes)
-					}
-					return nil
-				},
-				// OnChange also fires from router goroutines via ReportFailure.
-				OnChange: func(string, cluster.NodeState) { flips.Add(1) },
-			})}
-		}),
+// nodeRejoin closes node0's server before epoch 0 and starts a fresh one on
+// its address before epoch 1. A node the router has not dialled yet is
+// presumed up, and its plan handshake dials nodes in ring order, so node0 —
+// not the runner's victim — is the node it finds down before round 0: epoch 0
+// routes it nothing. Epoch 1's start dials it again, and it serves its shard
+// in one round.
+func nodeRejoin() row {
+	const dead = 0
+	return row{class: "cluster-node-rejoin", nodes: 3, epochs: 2, client: routed(nil),
 		before: func(e *env, epoch int) {
-			mem, victim := e.router.Membership(), nodeID(e.victim)
-			if epoch == 0 { // dead, alive, dead: a flapping corpse to the router
-				for range 3 {
-					mem.ProbeOnce()
-				}
-				if flips.Load() < 3 || mem.State(victim) != cluster.StateDead {
-					e.fail("after 3 flapping probes: %d transitions, victim %v; want 3 and dead", flips.Load(), mem.State(victim))
-				}
+			if epoch == 0 {
+				e.srvs[dead].Close()
+				e.res.Injected++ // the node death is the fault
 				return
 			}
-			if mem.ProbeOnce(); mem.State(victim) != cluster.StateAlive {
-				e.fail("victim did not rejoin on a good heartbeat")
+			if e.router.Alive()[nodeID(dead)] {
+				e.fail("the closed node is still up after epoch 0")
 			}
+			srv := serve.New(e.nodeConfig(dead))
+			if err := srv.Start(e.members[dead].Addr, ""); err != nil {
+				e.fail("restart %s: %v", nodeID(dead), err)
+				return
+			}
+			e.srvs[dead] = srv // torn down and leak-checked with the rest
 		},
 		check: func(e *env) {
-			victim := nodeID(e.victim)
-			if e.stats[0].PerNode[victim] != 0 {
-				e.fail("a node marked dead was routed work")
+			if e.stats[0].PerNode[nodeID(dead)] != 0 {
+				e.fail("a closed node was routed work")
 			}
-			if e.stats[1].PerNode[victim] == 0 {
-				e.fail("the rejoined node was never routed work")
+			if n := e.stats[1].PerNode[nodeID(dead)]; n == 0 || e.stats[1].Rounds != 1 {
+				e.fail("the restarted node served %d batches in %d rounds; want its shard in one", n, e.stats[1].Rounds)
 			}
-			e.res.Injected = lost.Load()
-			e.note("flips=%d rejoined_served=%d", flips.Load(), e.stats[1].PerNode[victim])
+			e.note("rejoined_served=%d", e.stats[1].PerNode[nodeID(dead)])
 		}}
 }
 

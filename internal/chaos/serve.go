@@ -134,17 +134,7 @@ func (e *env) live(nodes int) {
 		e.srvs, e.members, e.router, e.stats, e.sinks = nil, nil, nil, nil, nil
 	}()
 	for i := range nodes {
-		cfg := serve.Config{Spec: e.spec, Mode: e.row.mode, EmulateTime: e.row.emulate,
-			MaterializeDim: chaosMaterializeDim, Prefetch: 2,
-			BatchCacheBytes: e.row.batchCache, SampleCacheBytes: e.row.sampleCache,
-			QoS: e.row.qos, Tenants: e.row.tenants}
-		if e.dirs != nil {
-			cfg.DiskCacheDir = e.dirs[i]
-		}
-		if i == e.victim && e.life == 1 {
-			cfg.Faults = e.inj
-		}
-		srv := serve.New(cfg)
+		srv := serve.New(e.nodeConfig(i))
 		if err := srv.Start("127.0.0.1:0", ""); err != nil {
 			e.fail("node%d: %v", i, err)
 			return
@@ -173,6 +163,21 @@ func (e *env) live(nodes int) {
 			e.row.check(e)
 		}
 	}
+}
+
+// nodeConfig is node i's server configuration in this life.
+func (e *env) nodeConfig(i int) serve.Config {
+	cfg := serve.Config{Spec: e.spec, Mode: e.row.mode, EmulateTime: e.row.emulate,
+		MaterializeDim: chaosMaterializeDim, Prefetch: 2,
+		BatchCacheBytes: e.row.batchCache, SampleCacheBytes: e.row.sampleCache,
+		QoS: e.row.qos, Tenants: e.row.tenants}
+	if e.dirs != nil {
+		cfg.DiskCacheDir = e.dirs[i]
+	}
+	if i == e.victim && e.life == 1 {
+		cfg.Faults = e.inj
+	}
+	return cfg
 }
 
 func (e *env) wantErr() bool { return e.row.wantErr && e.life == 1 }

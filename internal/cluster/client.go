@@ -11,6 +11,14 @@ import (
 	"lotus/internal/serve"
 )
 
+// Node identifies one lotus-serve member of the cluster.
+type Node struct {
+	// ID is the node's stable identity on the hash ring. Defaults to Addr.
+	ID string
+	// Addr is the wire-protocol endpoint (host:port).
+	Addr string
+}
+
 // Config parameterizes a cluster client.
 type Config struct {
 	// Nodes is the cluster's member list. Every node must serve the same
@@ -29,12 +37,10 @@ type Config struct {
 	// passthrough — quotas live server-side, so a router cannot exempt
 	// itself by misconfiguration.
 	Tenant string
-	// DialTimeout is passed to each node's serve.Client.
+	// DialTimeout is passed to each node's serve.Client: it bounds a dial
+	// and its handshake, so it is also how long a black-holed node costs the
+	// epoch start that dials it.
 	DialTimeout time.Duration
-	// Membership, when non-nil, is an externally-owned (typically actively
-	// probing) membership view; nil builds an internal passive one that only
-	// the router's own failure reports update.
-	Membership *Membership
 	// HedgeQuantile, when > 0, enables hedged fetches (hedge.go) — the
 	// consumer-side straggler mitigation: a node whose in-flight shard has
 	// made no progress for longer than this quantile of its peers' recent
@@ -86,7 +92,8 @@ type Counters struct {
 	Bytes   int64
 	// Rounds is how many routing rounds the epoch took (1 = no failover).
 	Rounds int
-	// NodeFailures counts nodes declared dead during the epoch.
+	// NodeFailures counts nodes marked down by a failed fetch during the
+	// epoch. A failed dial at the epoch's start is not one: it moves no batch.
 	NodeFailures int
 	// Rerouted counts batches that were re-assigned away from a dead node.
 	Rerouted int
@@ -172,12 +179,21 @@ const (
 // requests IDs it has not received — and the ledger enforces it against
 // misbehaving nodes. Not safe for concurrent use; run one Client per
 // goroutine.
+//
+// Liveness comes from the router's own traffic: a node goes down when its
+// fetch fails after the same-node retry (or its plan handshake fails), and
+// comes back only at the start of an epoch, when every down node is dialled
+// once (revive).
 type Client struct {
 	cfg     Config
 	ring    *Ring
-	mem     *Membership
 	clients map[string]*serve.Client
 	addrOf  map[string]string
+
+	// downMu guards down: a round's fetch goroutines mark nodes down while
+	// the hedge pass reads the set.
+	downMu sync.Mutex
+	down   map[string]bool
 
 	// jitterMu guards jitter: concurrent fetches of one round may retry at
 	// once.
@@ -218,6 +234,7 @@ func New(cfg Config) (*Client, error) {
 		ring:    NewRing(DefaultVNodes),
 		clients: make(map[string]*serve.Client),
 		addrOf:  make(map[string]string),
+		down:    make(map[string]bool),
 		jitter:  rng.New(seed, "cluster/retry"),
 		lat:     newLatency(),
 	}
@@ -242,16 +259,32 @@ func New(cfg Config) (*Client, error) {
 			DialTimeout: cfg.DialTimeout,
 		})
 	}
-	c.mem = cfg.Membership
-	if c.mem == nil {
-		c.mem = NewMembership(MembershipConfig{Nodes: cfg.Nodes, JitterSeed: seed})
-	}
 	return c, nil
 }
 
-// Membership exposes the client's liveness view (for /cluster-style
-// introspection and tests).
-func (c *Client) Membership() *Membership { return c.mem }
+// Alive returns the IDs of the nodes not in the down-set. Before the first
+// epoch every node is alive.
+func (c *Client) Alive() map[string]bool {
+	c.downMu.Lock()
+	defer c.downMu.Unlock()
+	out := make(map[string]bool, len(c.clients))
+	for id := range c.clients {
+		if !c.down[id] {
+			out[id] = true
+		}
+	}
+	return out
+}
+
+func (c *Client) setDown(id string, down bool) {
+	c.downMu.Lock()
+	defer c.downMu.Unlock()
+	if down {
+		c.down[id] = true
+	} else {
+		delete(c.down, id)
+	}
+}
 
 // Ack returns a node's handshake response once any node has answered.
 func (c *Client) Ack() (serve.HelloAck, bool) { return c.ack, c.haveAck }
@@ -268,13 +301,14 @@ func (c *Client) Close() error {
 }
 
 // ensurePlan learns the epoch plan length from the first alive node's
-// handshake. Every node serves the same spec, so any ack is authoritative.
+// handshake, in ring order. Every node serves the same spec, so any ack is
+// authoritative. A node that fails it is marked down.
 func (c *Client) ensurePlan() error {
 	if c.haveAck {
 		return nil
 	}
 	var lastErr error
-	alive := c.mem.Alive()
+	alive := c.Alive()
 	for _, id := range c.ring.Nodes() {
 		if !alive[id] {
 			continue
@@ -282,19 +316,42 @@ func (c *Client) ensurePlan() error {
 		sc := c.clients[id]
 		if err := sc.Connect(); err != nil {
 			lastErr = err
-			c.mem.ReportFailure(id, err)
+			c.setDown(id, true)
 			continue
 		}
-		ack, _ := sc.Ack()
-		c.ack = ack
-		c.haveAck = true
-		c.planLen = ack.PlanBatches
+		c.ack, c.haveAck = sc.Ack()
+		c.planLen = c.ack.PlanBatches
 		return nil
 	}
 	if lastErr == nil {
 		lastErr = errors.New("cluster: no alive nodes")
 	}
 	return fmt.Errorf("cluster: handshake failed on every node: %w", lastErr)
+}
+
+// revive runs at the start of every epoch and is the only way back into
+// the routing set: each down node gets one Connect, all at once, joined
+// before round 0, and a node that completes the handshake is up for the
+// epoch. A node never rejoins mid-epoch, so one that accepts dials but
+// breaks every stream costs one failover per epoch, not one per round.
+func (c *Client) revive() {
+	c.downMu.Lock()
+	var dial []string
+	for id := range c.down {
+		dial = append(dial, id)
+	}
+	c.downMu.Unlock()
+	var wg sync.WaitGroup
+	for _, id := range dial {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := c.clients[id].Connect(); err == nil {
+				c.setDown(id, false)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // epochState is the exactly-once ledger for one routed epoch, and the
@@ -411,6 +468,7 @@ func (rd *round) close() {
 // copy.
 func (c *Client) RunEpoch(epoch int, onBatch func(node string, b *serve.Batch, payload []byte)) (*EpochStats, error) {
 	stats := &EpochStats{Epoch: epoch, Counters: Counters{PerNode: make(map[string]int)}}
+	c.revive()
 	if err := c.ensurePlan(); err != nil {
 		return stats, err
 	}
@@ -425,13 +483,13 @@ func (c *Client) RunEpoch(epoch int, onBatch func(node string, b *serve.Batch, p
 		// round's fetch and hedge goroutines are joined, so queued re-weights
 		// land on the ring before Assign partitions the remaining work.
 		c.applyPendingWeights()
-		// The round cap is the brake against a node flapping
-		// alive-but-broken forever.
+		// Every round that leaves work unserved marks a node down, and none
+		// comes back before the next epoch, so the cap only brakes a bug.
 		if round >= 4+2*len(c.cfg.Nodes) {
 			return stats, fmt.Errorf("cluster: epoch %d: %d batches still unserved after %d routing rounds",
 				epoch, len(remaining), round)
 		}
-		alive := c.mem.Alive()
+		alive := c.Alive()
 		if len(alive) == 0 {
 			return stats, fmt.Errorf("cluster: epoch %d: no alive nodes with %d batches unserved",
 				epoch, len(remaining))
@@ -468,7 +526,7 @@ func (c *Client) runRound(epoch int, byNode map[string][]int, st *epochState, on
 				st.mu.Lock()
 				st.stats.NodeFailures++
 				st.mu.Unlock()
-				c.mem.ReportFailure(node, err)
+				c.setDown(node, true)
 			}
 			rd.finish(node)
 			done <- struct{}{}

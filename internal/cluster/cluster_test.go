@@ -279,7 +279,7 @@ func TestClusterNodeDeathMidEpoch(t *testing.T) {
 	if stats.Rerouted != victimShard-1 {
 		t.Fatalf("rerouted %d batches, want the victim's %d unserved", stats.Rerouted, victimShard-1)
 	}
-	if c.Membership().State(victimID) != StateDead {
+	if c.Alive()[victimID] {
 		t.Fatal("victim not marked dead after failover")
 	}
 
@@ -410,7 +410,7 @@ func TestClusterNoAliveNodes(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("dead cluster hung instead of failing")
 	}
-	if alive := c.Membership().Alive(); len(alive) != 0 {
+	if alive := c.Alive(); len(alive) != 0 {
 		t.Fatalf("dead endpoints still marked alive: %v", alive)
 	}
 }

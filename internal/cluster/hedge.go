@@ -218,7 +218,7 @@ func (c *Client) hedgePlan(rd *round, st *epochState, now time.Time) []hedgeOrde
 // from a node already known to be struggling is worthless. Batches with no
 // such successor are left to the normal reroute path.
 func (c *Client) hedgeTargets(rd *round, slow string, ids []int) map[string][]int {
-	alive := c.mem.Alive()
+	alive := c.Alive()
 	rd.mu.Lock()
 	defer rd.mu.Unlock()
 	out := make(map[string][]int)
@@ -255,7 +255,7 @@ func (c *Client) hedgePass(epoch int, rd *round, st *epochState, hedges *sync.Wa
 // shard). On success, if nothing assigned to the slow node remains unserved,
 // the slow primary is severed so the round stops waiting for it. Hedge
 // failures are advisory — the primary and the normal reroute path still
-// stand — so they are never reported to membership.
+// stand — so they never mark the successor down.
 func (c *Client) hedgeFetch(epoch int, slow, succ string, ids []int, rd *round, st *epochState, onBatch func(string, *serve.Batch, []byte)) {
 	hc := serve.NewClient(serve.ClientConfig{
 		Addr:        c.addrOf[succ],

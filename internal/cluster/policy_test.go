@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"reflect"
@@ -48,7 +47,7 @@ func policyRound(t *testing.T, c *Client, t0 time.Time) *round {
 	for i := range ids {
 		ids[i] = i
 	}
-	asn := c.ring.Assign(ids, c.mem.Alive(), 1)
+	asn := c.ring.Assign(ids, c.Alive(), 1)
 	rd := newRound(asn.ByNode, t0)
 	for _, n := range []string{"a", "b", "c"} {
 		if rd.nodes[n] == nil || len(rd.nodes[n].ids) == 0 {
@@ -138,7 +137,7 @@ func TestHedgeFlagRetraction(t *testing.T) {
 	rd := policyRound(t, c, t0)
 	for _, n := range []string{"b", "c"} {
 		rd.nodes[n].done = true
-		c.mem.ReportFailure(n, errors.New("dead"))
+		c.setDown(n, true)
 	}
 	st := newLedger()
 	now := t0.Add(time.Second)
@@ -153,7 +152,7 @@ func TestHedgeFlagRetraction(t *testing.T) {
 		t.Fatalf("ledger marked hedges that never started: %d", st.stats.Hedged)
 	}
 
-	c.mem.MarkAlive("c")
+	c.setDown("c", false)
 	orders := c.hedgePlan(rd, st, now.Add(time.Millisecond))
 	if len(orders) != 1 || orders[0].slow != "a" {
 		t.Fatalf("second pass: %+v, want one order for a", orders)

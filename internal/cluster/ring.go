@@ -10,13 +10,13 @@
 // preserves exactly-once delivery and byte-identity with single-node ground
 // truth.
 //
-// The package has three parts:
+// The package has two parts:
 //
 //   - Ring: the consistent-hash partitioner (this file);
-//   - Membership: heartbeat probing of node /healthz sidecars with
-//     deterministic jittered intervals (membership.go);
 //   - Client: the epoch router wrapping one serve.Client per node
-//     (client.go).
+//     (client.go). Its own fetches are the liveness signal: a failed fetch
+//     marks a node down, and a dial at the next epoch's start brings it
+//     back.
 package cluster
 
 import (

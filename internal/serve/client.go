@@ -34,7 +34,11 @@ type ClientConfig struct {
 	// Tenant identifies the QoS accounting bucket this session bills to.
 	// Empty means the server's default tenant; servers without QoS ignore it.
 	Tenant string
-	// DialTimeout bounds each connection attempt (default 5s).
+	// DialTimeout bounds each connection attempt, dial and handshake
+	// together (default 5s). A server at its session cap holds the HelloAck
+	// for up to its admission wait (serve.Config.AdmitWait, 2s by default),
+	// so that wait must fit under this bound or a queued client gives up
+	// before it is admitted.
 	DialTimeout time.Duration
 	// Retries is how many reconnect-and-retry attempts each epoch gets after
 	// a transient failure (default 4). Fatal server errors are never retried.
@@ -167,12 +171,15 @@ func (c *Client) Connect() error {
 	return lastErr
 }
 
-// connectTo dials and handshakes one endpoint.
+// connectTo dials and handshakes one endpoint, both within DialTimeout: a
+// listener that accepts and never answers is a dead node, not a hang.
 func (c *Client) connectTo(addr string) error {
+	deadline := time.Now().Add(c.cfg.DialTimeout)
 	conn, err := net.DialTimeout("tcp", addr, c.cfg.DialTimeout)
 	if err != nil {
 		return err
 	}
+	conn.SetDeadline(deadline)
 	hello := Hello{Version: ProtocolVersion, Rank: c.cfg.Rank, World: c.cfg.World,
 		Name: c.cfg.Name, Tenant: c.cfg.Tenant}
 	if err := WriteFrame(conn, EncodeHello(hello)); err != nil {
@@ -189,6 +196,7 @@ func (c *Client) connectTo(addr string) error {
 		conn.Close()
 		return fmt.Errorf("serve: handshake: expected HelloAck, got %T", msg)
 	}
+	conn.SetDeadline(time.Time{})
 	c.setConn(conn)
 	c.ack = ack
 	c.haveAck = true

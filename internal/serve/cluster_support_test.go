@@ -220,3 +220,32 @@ func TestReconnectMetrics(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestConnectSilentListenerTimesOut: a listener that accepts and never
+// answers — a black-holed node — fails Connect within the dial timeout. The
+// kernel completes the TCP handshake on the listener's backlog, so the dial
+// succeeds and only the handshake's deadline ends the wait for a HelloAck.
+func TestConnectSilentListenerTimesOut(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	const timeout = 200 * time.Millisecond
+	c := NewClient(ClientConfig{Addr: ln.Addr().String(), Name: "silent", DialTimeout: timeout})
+	defer c.Close()
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() { done <- c.Connect() }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Connect to a silent listener succeeded")
+		}
+		if d := time.Since(start); d > 2*timeout {
+			t.Fatalf("Connect gave up after %v, want within %v", d, 2*timeout)
+		}
+	case <-time.After(10 * timeout):
+		t.Fatal("Connect to a silent listener still blocked: the handshake has no deadline")
+	}
+}

@@ -31,11 +31,6 @@ func (s *Server) startHTTP(addr string) error {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/trace", s.handleTrace)
-	if s.cfg.ClusterInfo != nil {
-		mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, s.cfg.ClusterInfo())
-		})
-	}
 	if s.cfg.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -105,11 +105,6 @@ type Config struct {
 	// prefetch window. Decisions are taken only at epoch completions, keyed
 	// off the epochs-served counter; no goroutine samples a timer.
 	AutoTune bool
-	// ClusterInfo, when non-nil, is served as JSON on the sidecar's /cluster
-	// endpoint — a func (not a value) so cluster membership state stays live.
-	// It keeps internal/serve free of a cluster dependency: the cluster layer
-	// sits above the server and injects its view here.
-	ClusterInfo func() any
 	// Logf receives server lifecycle logs (nil = silent).
 	Logf func(format string, args ...any)
 }

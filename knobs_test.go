@@ -19,9 +19,9 @@ func TestKnobRatchet(t *testing.T) {
 		v    any
 		want int
 	}{
-		{serve.Config{}, 18},
+		{serve.Config{}, 17},
 		{serve.ClientConfig{}, 10},
-		{cluster.Config{}, 15},
+		{cluster.Config{}, 14},
 		{control.Knobs{}, 2},
 	} {
 		typ := reflect.TypeOf(c.v)
