@@ -11,10 +11,10 @@
 // capped exponential backoff — the first connect included — by reconnecting
 // and re-requesting the failed epoch; fatal server errors abort.
 //
-// Replicated serving: -addr takes a comma-separated endpoint list and the
-// client falls back across the replicas — a dead endpoint costs one dial,
-// and a mid-run death rotates to the next replica (every endpoint must serve
-// the same workload spec, so the stream stays byte-identical).
+// Each epoch is one request naming the rank's shard of the plan (batches
+// rank, rank+world, ...), and the stream is checked frame by frame against
+// it. Several -addr endpoints need -cluster: failover across servers is the
+// cluster router's.
 //
 // Cluster mode: -cluster partitions every epoch's full batch plan across
 // the -addr nodes with a consistent-hash ring and streams the shards
@@ -51,7 +51,7 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", "localhost:9317", "server wire address, or a comma-separated endpoint list (ordered fallback, or the member set with -cluster)")
+		addr        = flag.String("addr", "localhost:9317", "server wire address, or with -cluster a comma-separated member list")
 		clustered   = flag.Bool("cluster", false, "consistent-hash route whole epoch plans across the -addr nodes with mid-epoch failover")
 		replication = flag.Int("replication", 1, "cluster mode: preferred replica-set size per batch on the hash ring")
 		hedgeQ      = flag.Float64("hedge-quantile", 0, "cluster mode: hedge a node's unserved batches to its ring successor once it lags past this latency quantile (e.g. 0.95; 0 disables)")
@@ -81,9 +81,13 @@ func main() {
 		runCluster(endpoints, *epochs, *replication, *hedgeQ, *name, *tenant, *quiet, *autotune)
 		return
 	}
+	if len(endpoints) > 1 {
+		fmt.Fprintln(os.Stderr, "lotus-fetch: several -addr endpoints need -cluster (a plain fetch talks to one server)")
+		os.Exit(2)
+	}
 
 	client := serve.NewClient(serve.ClientConfig{
-		Addrs:   endpoints,
+		Addr:    endpoints[0],
 		Rank:    *rank,
 		World:   *world,
 		Name:    *name,
@@ -99,7 +103,7 @@ func main() {
 	// refusal is the server's admission control asking this client to come
 	// back on its jittered backoff, not a fatal error.
 	if err := client.ConnectRetrying(); err != nil {
-		fmt.Fprintf(os.Stderr, "lotus-fetch: connect %s: %v\n", strings.Join(endpoints, ","), err)
+		fmt.Fprintf(os.Stderr, "lotus-fetch: connect %s: %v\n", endpoints[0], err)
 		os.Exit(1)
 	}
 	ack, _ := client.Ack()
@@ -108,8 +112,8 @@ func main() {
 		modeName = "real"
 	}
 	fmt.Printf("lotus-fetch: %s workload %s (%s): %d samples, batch %d; shard %d/%d -> %d of %d batches/epoch\n",
-		client.Addr(), ack.Workload, modeName, ack.DatasetLen, ack.BatchSize,
-		*rank, *world, ack.ShardBatches, ack.PlanBatches)
+		endpoints[0], ack.Workload, modeName, ack.DatasetLen, ack.BatchSize,
+		*rank, *world, serve.ShardSize(ack.PlanBatches, *rank, *world), ack.PlanBatches)
 
 	epochBatches := 0
 	curEpoch := -1

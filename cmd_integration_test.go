@@ -203,3 +203,18 @@ func TestCLIClusterNodeDown(t *testing.T) {
 			len(seen), total, len(addrs), 2*perEpoch, out)
 	}
 }
+
+// TestCLIFetchSeveralAddrsNeedCluster: a plain lotus-fetch talks to one
+// server, so several -addr endpoints without -cluster are a usage error
+// (exit 2) that points at -cluster, before anything is dialled.
+func TestCLIFetchSeveralAddrsNeedCluster(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped with -short")
+	}
+	lotusFetch := buildTool(t, t.TempDir(), "lotus-fetch")
+	out, err := exec.Command(lotusFetch, "-addr", "127.0.0.1:1,127.0.0.1:2").CombinedOutput()
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "-cluster") {
+		t.Fatalf("lotus-fetch with two endpoints and no -cluster: %v\n%s\nwant exit 2 naming -cluster", err, out)
+	}
+}

@@ -106,7 +106,8 @@ func servedRows() []row {
 // or hedged stream is torn down is schedule, not seed.
 func fired(e *env) { e.res.Injected = min(e.res.Injected, 1) }
 
-// rudeClient handshakes, requests an epoch, reads two frames and vanishes.
+// rudeClient handshakes, requests the whole of epoch 0, reads two frames and
+// vanishes.
 func rudeClient(e *env, _ int) {
 	conn, err := net.Dial("tcp", e.srvs[0].Addr())
 	if err != nil {
@@ -116,11 +117,22 @@ func rudeClient(e *env, _ int) {
 	defer conn.Close()
 	e.res.Injected++ // the disconnect is the fault
 	serve.WriteFrame(conn, serve.EncodeHello(serve.Hello{Version: serve.ProtocolVersion, World: 1, Name: "chaos-rude"}))
-	if _, err := serve.ReadFrame(conn, 0); err != nil {
+	payload, err := serve.ReadFrame(conn, 0)
+	if err != nil {
 		e.fail("rude client handshake: %v", err)
 		return
 	}
-	serve.WriteFrame(conn, serve.EncodeEpochReq(serve.EpochReq{Epoch: 0}))
+	msg, err := serve.DecodeMessage(payload)
+	ack, ok := msg.(serve.HelloAck)
+	if !ok {
+		e.fail("rude client handshake: %T (%v), want HelloAck", msg, err)
+		return
+	}
+	ids := make([]int, ack.PlanBatches)
+	for i := range ids {
+		ids[i] = i
+	}
+	serve.WriteFrame(conn, serve.EncodeShardReq(serve.ShardReq{Epoch: 0, IDs: ids}))
 	for i := range 2 {
 		if _, err := serve.ReadFrame(conn, 0); err != nil {
 			e.fail("rude client frame %d: %v", i, err)

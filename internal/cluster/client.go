@@ -29,8 +29,9 @@ type Config struct {
 	// ring (default 1). Larger values keep a batch's failover targets
 	// ring-determined and its server-side caches warm on R nodes.
 	Replication int
-	// Name labels this consumer's sessions in node metrics and seeds the
-	// retry jitter.
+	// Name labels this consumer's sessions in node metrics, as
+	// Name@nodeID cut to serve.MaxHelloString bytes, and seeds the retry
+	// jitter.
 	Name string
 	// Tenant is the QoS accounting bucket every node session (primary and
 	// hedge) bills to; empty means each node's default tenant. Pure
@@ -254,13 +255,17 @@ func New(cfg Config) (*Client, error) {
 		c.addrOf[id] = cfg.Nodes[i].Addr
 		c.clients[id] = serve.NewClient(serve.ClientConfig{
 			Addr:        cfg.Nodes[i].Addr,
-			Name:        cfg.Name + "@" + id,
+			Name:        sessionName(cfg.Name + "@" + id),
 			Tenant:      cfg.Tenant,
 			DialTimeout: cfg.DialTimeout,
 		})
 	}
 	return c, nil
 }
+
+// sessionName cuts a node session's label to the bytes a Hello name may
+// carry: a long Name or node ID must not get every handshake refused.
+func sessionName(s string) string { return s[:min(len(s), serve.MaxHelloString)] }
 
 // Alive returns the IDs of the nodes not in the down-set. Before the first
 // epoch every node is alive.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -689,5 +690,23 @@ func TestWeightShiftProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestClusterLongSessionNames: a node session's label is the router's Name
+// and the node's ID, which together can pass the 64 bytes a Hello name may
+// carry; the router cuts the label to fit, so the node still serves.
+func TestClusterLongSessionNames(t *testing.T) {
+	srv := startNode(t, clusterSpec(), nil)
+	c, err := New(Config{Nodes: []Node{{ID: strings.Repeat("n", 40), Addr: srv.Addr()}},
+		Name: strings.Repeat("r", serve.MaxHelloString), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stats, err := c.Run(1, newFrameSink().onBatch)
+	if err != nil || stats.NodeFailures != 0 || stats.Batches == 0 {
+		t.Fatalf("run with a %d-byte label: %v (%d batches, %d node failures)",
+			serve.MaxHelloString+41, err, stats.Batches, stats.NodeFailures)
 	}
 }

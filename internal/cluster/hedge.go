@@ -259,7 +259,7 @@ func (c *Client) hedgePass(epoch int, rd *round, st *epochState, hedges *sync.Wa
 func (c *Client) hedgeFetch(epoch int, slow, succ string, ids []int, rd *round, st *epochState, onBatch func(string, *serve.Batch, []byte)) {
 	hc := serve.NewClient(serve.ClientConfig{
 		Addr:        c.addrOf[succ],
-		Name:        c.cfg.Name + "@" + succ + "/hedge",
+		Name:        sessionName(c.cfg.Name + "@" + succ + "/hedge"),
 		Tenant:      c.cfg.Tenant,
 		DialTimeout: c.cfg.DialTimeout,
 	})

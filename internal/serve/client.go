@@ -16,20 +16,14 @@ import (
 
 // ClientConfig parameterizes a fetch client.
 type ClientConfig struct {
-	// Addr is the server's wire address (host:port).
+	// Addr is the server's wire address (host:port). A Client talks to one
+	// server; failing over across several is cluster.Client's job.
 	Addr string
-	// Addrs, when non-empty, is an ordered endpoint list the client falls
-	// back across: each Connect tries the current endpoint first and then the
-	// rest in rotation, and a dropped connection advances the rotation so the
-	// next reconnect starts on a different endpoint. Addr, when also set, is
-	// treated as the first entry. Every endpoint must serve the same workload
-	// spec — epoch streams are byte-identical across such replicas, so
-	// failing over mid-run preserves the client's integrity checks.
-	Addrs []string
-	// Rank/World select this client's shard of every epoch plan. World <= 1
-	// means the full plan.
+	// Rank/World select this client's shard of every epoch plan, the plan
+	// batches rank, rank+world, ... (Shard). World <= 1 means the full plan.
 	Rank, World int
-	// Name labels the session in server metrics.
+	// Name labels the session in server metrics: at most 64 bytes of
+	// printable ASCII, like Tenant, or the server refuses the Hello.
 	Name string
 	// Tenant identifies the QoS accounting bucket this session bills to.
 	// Empty means the server's default tenant; servers without QoS ignore it.
@@ -77,9 +71,7 @@ func (e *ServerError) Error() string { return "serve: server error: " + e.Messag
 // concurrency is Kick, which may be called from any goroutine to sever the
 // live connection and unblock the owner.
 type Client struct {
-	cfg     ClientConfig
-	addrs   []string
-	addrIdx int
+	cfg ClientConfig
 	// connMu guards the conn pointer itself (not the stream): the owner
 	// goroutine reads and writes it freely between operations, while Kick
 	// snapshots it from outside.
@@ -120,62 +112,21 @@ func NewClient(cfg ClientConfig) *Client {
 	h := fnv.New64a()
 	h.Write([]byte(cfg.Name))
 	seed := int64(h.Sum64()) ^ int64(cfg.Rank+1)*2654435761
-	addrs := make([]string, 0, len(cfg.Addrs)+1)
-	if cfg.Addr != "" {
-		addrs = append(addrs, cfg.Addr)
-	}
-	for _, a := range cfg.Addrs {
-		if a != "" && a != cfg.Addr {
-			addrs = append(addrs, a)
-		}
-	}
-	return &Client{cfg: cfg, addrs: addrs, jitter: rng.New(seed, "serve/backoff")}
+	return &Client{cfg: cfg, jitter: rng.New(seed, "serve/backoff")}
 }
 
 // Ack returns the server's handshake response once connected.
 func (c *Client) Ack() (HelloAck, bool) { return c.ack, c.haveAck }
 
-// Addr reports the endpoint the next Connect will try first (the connected
-// endpoint while a connection is live).
-func (c *Client) Addr() string {
-	if len(c.addrs) == 0 {
-		return c.cfg.Addr
-	}
-	return c.addrs[c.addrIdx]
-}
-
-// Connect dials and handshakes if not already connected. With a multi-entry
-// endpoint list it tries each endpoint once, starting from the rotation
-// cursor, and sticks with the first that completes a handshake — a dead
-// endpoint costs one dial timeout, not the whole retry budget.
+// Connect dials and handshakes if not already connected, both within
+// DialTimeout: a listener that accepts and never answers is a dead node, not
+// a hang.
 func (c *Client) Connect() error {
 	if c.conn != nil {
 		return nil
 	}
-	if len(c.addrs) == 0 {
-		return errors.New("serve: client has no endpoints configured")
-	}
-	var lastErr error
-	for i := 0; i < len(c.addrs); i++ {
-		idx := (c.addrIdx + i) % len(c.addrs)
-		if err := c.connectTo(c.addrs[idx]); err != nil {
-			// A refused handshake (e.g. "server draining") falls through to
-			// the next replica like a dead socket would; it only surfaces —
-			// as a fatal ServerError — when every endpoint refused.
-			lastErr = err
-			continue
-		}
-		c.addrIdx = idx
-		return nil
-	}
-	return lastErr
-}
-
-// connectTo dials and handshakes one endpoint, both within DialTimeout: a
-// listener that accepts and never answers is a dead node, not a hang.
-func (c *Client) connectTo(addr string) error {
 	deadline := time.Now().Add(c.cfg.DialTimeout)
-	conn, err := net.DialTimeout("tcp", addr, c.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
 	if err != nil {
 		return err
 	}
@@ -226,24 +177,21 @@ func (c *Client) Kick() {
 }
 
 // readStreamFrame reads the next frame of an epoch stream into the client's
-// reused buffer and checks it against the digest in its header, which it
-// returns. The returned payload is overwritten by the next call.
-func (c *Client) readStreamFrame() ([]byte, uint32, error) {
+// reused buffer and checks it against the digest in its header. The returned
+// payload is overwritten by the next call.
+func (c *Client) readStreamFrame() ([]byte, error) {
 	n, digest, err := readFrameHeader(c.conn, DefaultMaxFrame)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if cap(c.buf) < n {
 		c.buf = make([]byte, frameBufClass(n))
 	}
 	payload := c.buf[:n]
 	if err := readFramePayload(c.conn, payload); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if err := checkDigest(payload, digest); err != nil {
-		return nil, 0, err
-	}
-	return payload, digest, nil
+	return payload, checkDigest(payload, digest)
 }
 
 // finish runs the served plan's last pass on a batch that arrived one pass
@@ -288,15 +236,11 @@ func (c *Client) Close() error {
 }
 
 // drop abandons the connection without protocol niceties (it is presumed
-// broken) and advances the endpoint rotation so the next Connect leads with
-// a different replica.
+// broken), so the next call redials.
 func (c *Client) drop() {
 	if c.conn != nil {
 		c.conn.Close()
 		c.setConn(nil)
-	}
-	if len(c.addrs) > 1 {
-		c.addrIdx = (c.addrIdx + 1) % len(c.addrs)
 	}
 }
 
@@ -336,10 +280,12 @@ func (s *FetchStats) BatchesPerSec() float64 {
 }
 
 // Run streams epochs 0..epochs-1 of this client's shard, invoking onBatch
-// (may be nil) for every decoded batch with its raw frame payload. Transient
-// failures — connection refused, resets, mid-stream EOF — are retried with
-// exponential backoff by reconnecting and re-requesting the failed epoch.
-// Fatal ServerErrors abort immediately.
+// (may be nil) for every decoded batch with its raw frame payload. Each epoch
+// is one ShardReq naming the shard's IDs (shardIDs). Transient failures —
+// connection refused, resets, mid-stream EOF, a frame that is not the one
+// requested at its position — are retried with exponential backoff by
+// reconnecting and re-requesting the failed epoch. Fatal ServerErrors abort
+// immediately.
 //
 // Callback lifetime: b and payload are valid only until onBatch returns.
 // Both point into buffers of this Client — heap memory the Client owns,
@@ -355,7 +301,10 @@ func (c *Client) Run(epochs int, onBatch func(b *Batch, payload []byte)) (*Fetch
 	defer func() { stats.Elapsed = time.Since(start) }()
 	for e := 0; e < epochs; e++ {
 		err := c.retry(e, fmt.Sprintf("epoch %d", e), stats, func() error {
-			return c.fetchEpoch(e, onBatch, stats)
+			if err := c.Connect(); err != nil {
+				return err
+			}
+			return c.fetch(e, c.shardIDs(), false, onBatch, stats)
 		})
 		if err != nil {
 			return stats, err
@@ -426,15 +375,26 @@ func Backoff(base, ceil time.Duration, attempt int, jitter *rng.Stream) time.Dur
 	return half + time.Duration(jitter.Float64()*float64(half))
 }
 
+// shardIDs is this client's rank/world shard of the plan its HelloAck
+// announced: IDs rank, rank+world, ... (Shard), in plan order.
+func (c *Client) shardIDs() []int {
+	ids := make([]int, ShardSize(c.ack.PlanBatches, c.cfg.Rank, c.cfg.World))
+	for k := range ids {
+		ids[k] = c.cfg.Rank + k*c.cfg.World
+	}
+	return ids
+}
+
 // FetchShard requests exactly the given global batch IDs of one epoch and
 // streams them, invoking onBatch per decoded batch. It is single-shot: any
-// failure (dial, mid-stream EOF, checksum mismatch) is returned without
-// retrying, because the caller — a cluster router — must recompute which IDs
-// are still unserved before re-requesting, possibly from a different node.
-// The connection is dropped on error so the next call redials. b and payload
-// are valid only until onBatch returns (see Run).
+// failure (dial, mid-stream EOF, a digest or stream-shape mismatch) is
+// returned without retrying, because the caller — a cluster router — must
+// recompute which IDs are still unserved before re-requesting, possibly from
+// a different node. The connection is dropped on error so the next call
+// redials. An empty ids costs no round trip. b and payload are valid only
+// until onBatch returns (see Run).
 func (c *Client) FetchShard(epoch int, ids []int, onBatch func(b *Batch, payload []byte)) error {
-	return c.fetchShard(epoch, ids, false, onBatch)
+	return c.fetch(epoch, ids, false, onBatch, nil)
 }
 
 // FetchShardHedged is FetchShard with the request marked speculative, so the
@@ -442,57 +402,47 @@ func (c *Client) FetchShard(epoch int, ids []int, onBatch func(b *Batch, payload
 // itself is identical — hedged batches are byte-identical to primaries. b and
 // payload are valid only until onBatch returns (see Run).
 func (c *Client) FetchShardHedged(epoch int, ids []int, onBatch func(b *Batch, payload []byte)) error {
-	return c.fetchShard(epoch, ids, true, onBatch)
+	return c.fetch(epoch, ids, true, onBatch, nil)
 }
 
-func (c *Client) fetchShard(epoch int, ids []int, hedge bool, onBatch func(b *Batch, payload []byte)) error {
-	if err := c.Connect(); err != nil {
-		return err
+// fetch sends one ShardReq for ids and consumes its stream. On any failure
+// the connection is dropped — a ServerError leaves the socket as dead as an
+// I/O failure, since the server closes after an Error frame — so the next
+// call redials.
+func (c *Client) fetch(epoch int, ids []int, hedge bool, onBatch func(*Batch, []byte), stats *FetchStats) error {
+	if len(ids) == 0 {
+		return nil
 	}
-	if err := WriteFrame(c.conn, EncodeShardReq(ShardReq{Epoch: epoch, IDs: ids, Hedge: hedge})); err != nil {
+	err := c.Connect()
+	if err == nil {
+		err = WriteFrame(c.conn, EncodeShardReq(ShardReq{Epoch: epoch, IDs: ids, Hedge: hedge}))
+	}
+	if err == nil {
+		err = c.consumeEpoch(epoch, ids, onBatch, stats)
+	}
+	if err != nil {
 		c.drop()
-		return err
 	}
-	if err := c.consumeEpoch(epoch, len(ids), onBatch, nil); err != nil {
-		// A ServerError leaves the socket just as dead as an I/O failure —
-		// the server closes the connection after an Error frame — so drop
-		// unconditionally and let the next call redial.
-		c.drop()
-		return err
-	}
-	return nil
+	return err
 }
 
-// fetchEpoch requests one epoch and consumes its batch stream. Counters are
-// only credited for epochs that complete (partial streams are re-fetched
-// whole, so crediting partial progress would double-count).
-func (c *Client) fetchEpoch(epoch int, onBatch func(*Batch, []byte), stats *FetchStats) error {
-	if err := c.Connect(); err != nil {
-		return err
-	}
-	if err := WriteFrame(c.conn, EncodeEpochReq(EpochReq{Epoch: epoch})); err != nil {
-		return err
-	}
-	return c.consumeEpoch(epoch, -1, onBatch, stats)
-}
-
-// consumeEpoch reads one epoch's batch stream until EpochEnd, verifying
-// each frame against the digest in its header before anything decodes it
-// (one Digest pass per received payload), the batch count (against
-// wantBatches when >= 0, and always against the server's EpochEnd count) and
-// the stream checksum (the digests folded into a StreamSum). stats, when
-// non-nil, is credited only on success. Every frame lands in the client's
-// one reused buffer and is checked and finished before onBatch sees it, so a
-// callback never sees a corrupt batch, and whatever it does to the bytes it
-// is lent cannot disturb the checks.
-func (c *Client) consumeEpoch(epoch, wantBatches int, onBatch func(*Batch, []byte), stats *FetchStats) error {
-	sum := NewStreamSum()
-	batches := 0
+// consumeEpoch reads the stream a ShardReq for ids asks for: exactly
+// len(ids) Batch frames, the k-th of them batch ids[k] of epoch, or an Error
+// in place of any of them. Each frame is checked against the digest in its
+// header before anything decodes it, and against its request position before
+// it is finished and handed to onBatch, so a swapped, dropped, duplicated,
+// foreign-epoch or unrequested frame fails the stream before any callback
+// sees it, and a callback never sees a corrupt batch. stats, when non-nil, is
+// credited only when the whole stream arrived (a failed one is re-fetched
+// whole, so crediting partial progress would double-count). Every frame lands
+// in the client's one reused buffer, so whatever a callback does to the bytes
+// it is lent cannot disturb the checks.
+func (c *Client) consumeEpoch(epoch int, ids []int, onBatch func(*Batch, []byte), stats *FetchStats) error {
 	var bytes int64
 	var hist LatencyHist
 	last := time.Now()
-	for {
-		payload, digest, err := c.readStreamFrame()
+	for k, id := range ids {
+		payload, err := c.readStreamFrame()
 		if err != nil {
 			return err
 		}
@@ -500,48 +450,34 @@ func (c *Client) consumeEpoch(epoch, wantBatches int, onBatch func(*Batch, []byt
 		if err != nil {
 			return err
 		}
-		switch m := msg.(type) {
-		case *Batch:
-			if m.Epoch != epoch {
-				return fmt.Errorf("serve: batch for epoch %d during epoch %d", m.Epoch, epoch)
+		m, ok := msg.(*Batch)
+		if !ok {
+			if e, isErr := msg.(ErrorMsg); isErr {
+				return &ServerError{Message: e.Message, Code: e.Code}
 			}
-			if err := c.finish(m); err != nil {
-				return err
-			}
-			now := time.Now()
-			hist.Record(now.Sub(last))
-			last = now
-			sum.Add(len(payload), digest)
-			batches++
-			bytes += int64(len(payload)) + FrameHeaderSize
-			if onBatch != nil {
-				onBatch(m, payload)
-			}
-		case EpochEnd:
-			if m.Epoch != epoch {
-				return fmt.Errorf("serve: end of epoch %d during epoch %d", m.Epoch, epoch)
-			}
-			if m.Batches != batches {
-				return fmt.Errorf("serve: epoch %d: got %d batches, server sent %d", epoch, batches, m.Batches)
-			}
-			if wantBatches >= 0 && batches != wantBatches {
-				return fmt.Errorf("serve: epoch %d: got %d batches, requested %d", epoch, batches, wantBatches)
-			}
-			if m.Checksum != sum.Sum64() {
-				return fmt.Errorf("serve: epoch %d: stream checksum mismatch", epoch)
-			}
-			if stats != nil {
-				stats.Batches += batches
-				stats.Bytes += bytes
-				stats.Hist.Merge(&hist)
-			}
-			return nil
-		case ErrorMsg:
-			return &ServerError{Message: m.Message, Code: m.Code}
-		default:
 			return fmt.Errorf("serve: unexpected %T in epoch stream", msg)
 		}
+		if m.Epoch != epoch || m.GlobalID != id {
+			return fmt.Errorf("serve: stream position %d holds batch %d of epoch %d, requested batch %d of epoch %d",
+				k, m.GlobalID, m.Epoch, id, epoch)
+		}
+		if err := c.finish(m); err != nil {
+			return err
+		}
+		now := time.Now()
+		hist.Record(now.Sub(last))
+		last = now
+		bytes += int64(len(payload)) + FrameHeaderSize
+		if onBatch != nil {
+			onBatch(m, payload)
+		}
 	}
+	if stats != nil {
+		stats.Batches += len(ids)
+		stats.Bytes += bytes
+		stats.Hist.Merge(&hist)
+	}
+	return nil
 }
 
 // LatencyHist is a fixed power-of-two histogram of batch arrival latencies,

@@ -14,10 +14,10 @@ import (
 
 const corpusTestSamples = 32
 
-// fetchEpochs serves epochs 0..epochs-1 of a real-pixel server with no batch
+// serveEpochs serves epochs 0..epochs-1 of a real-pixel server with no batch
 // cache one at a time, holds every frame equal to the local run, and hands
 // the /metrics document after each epoch to check.
-func fetchEpochs(t *testing.T, spec workloads.Spec, sampleCacheBytes int64, epochs int, check func(epoch int, snap *MetricsSnapshot)) {
+func serveEpochs(t *testing.T, spec workloads.Spec, sampleCacheBytes int64, epochs int, check func(epoch int, snap *MetricsSnapshot)) {
 	t.Helper()
 	spec.BatchSize = 8
 	spec.NumWorkers = 2
@@ -38,7 +38,7 @@ func fetchEpochs(t *testing.T, spec workloads.Spec, sampleCacheBytes int64, epoc
 	for epoch := 0; epoch < epochs; epoch++ {
 		want := localEpochBatches(t, spec, epoch, pipeline.RealData, dim)
 		frames := 0
-		if err := c.fetchEpoch(epoch, func(b *Batch, _ []byte) {
+		if err := fetchOnce(c, epoch, func(b *Batch, _ []byte) {
 			frames++
 			if !sameBatch(b, want[b.GlobalID]) {
 				t.Errorf("epoch %d batch %d differs from the local run", epoch, b.GlobalID)
@@ -95,7 +95,7 @@ func TestServedCorpusCounters(t *testing.T) {
 	const n = corpusTestSamples
 	var filePx int64
 	var lookups uint64
-	fetchEpochs(t, workloads.ICSpec(n, 7), 0, 3, func(epoch int, snap *MetricsSnapshot) {
+	serveEpochs(t, workloads.ICSpec(n, 7), 0, 3, func(epoch int, snap *MetricsSnapshot) {
 		// Every RandomResizedCrop resamples both axes of its window: two
 		// coefficient lookups per sample served (the counters are the
 		// process's, so the local reference run adds its own).
@@ -124,7 +124,7 @@ func TestServedCorpusCounters(t *testing.T) {
 			t.Fatalf("plan %q, want %q", snap.Plan, want)
 		}
 	})
-	fetchEpochs(t, workloads.ICASpec(n, 7), 0, 2, func(epoch int, snap *MetricsSnapshot) {
+	serveEpochs(t, workloads.ICASpec(n, 7), 0, 2, func(epoch int, snap *MetricsSnapshot) {
 		d := snap.Decode
 		if d.Windowed != 0 || d.Full != int64(n*(epoch+1)) || d.PxSkipped != 0 {
 			t.Fatalf("ICA after epoch %d: decode %+v, want full %d and nothing windowed or skipped", epoch, *d, n*(epoch+1))
@@ -150,7 +150,7 @@ func TestServedSampleCacheKeepsFullDecodes(t *testing.T) {
 		w, h := data.CappedDims(ds.Record(i).Width, ds.Record(i).Height, dim)
 		fileBytes += int64(w * h * 3)
 	}
-	fetchEpochs(t, spec, 64<<20, 3, func(epoch int, snap *MetricsSnapshot) {
+	serveEpochs(t, spec, 64<<20, 3, func(epoch int, snap *MetricsSnapshot) {
 		if snap.Plan != "IC: tensor tail→collate (sample cache holds the full decode)" {
 			t.Fatalf("plan %q", snap.Plan)
 		}
@@ -170,7 +170,7 @@ func TestServedSampleCacheKeepsFullDecodes(t *testing.T) {
 func TestServedCorpusWithoutTempDir(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
 	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
-	fetchEpochs(t, workloads.ICSpec(corpusTestSamples, 7), 0, 2, func(epoch int, snap *MetricsSnapshot) {
+	serveEpochs(t, workloads.ICSpec(corpusTestSamples, 7), 0, 2, func(epoch int, snap *MetricsSnapshot) {
 		if want := (data.CorpusStats{Disabled: true}); *snap.Corpus != want {
 			t.Fatalf("after epoch %d: corpus %+v, want %+v", epoch, *snap.Corpus, want)
 		}

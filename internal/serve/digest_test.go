@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"strings"
@@ -11,113 +10,9 @@ import (
 	"testing"
 	"time"
 
-	"lotus/internal/rng"
 	"lotus/internal/testutil"
 	"lotus/internal/workloads"
 )
-
-// goldenStream is the fixed three-frame stream TestStreamSumGolden pins.
-func goldenStream() [][]byte {
-	b, c := make([]byte, 1000), make([]byte, 70001)
-	for i := range b {
-		b[i] = byte(i)
-	}
-	for i := range c {
-		c[i] = byte(i*31 + 7)
-	}
-	return [][]byte{[]byte("lotus"), b, c}
-}
-
-func streamSumOf(frames [][]byte) uint64 {
-	sum := NewStreamSum()
-	for _, p := range frames {
-		sum.AddPayload(p)
-	}
-	return sum.Sum64()
-}
-
-// TestStreamSumGolden pins the one definition of the stream checksum. The
-// constants were computed outside Go (bitwise reflected CRC, polynomial
-// 0x82F63B78; byte-serial FNV-1a), so they hold whatever CRC path hash/crc32
-// picks on the machine running the test; CI also runs this test with the
-// SSE4.2 path switched off. Changing any of them is a protocol change:
-// bump ProtocolVersion.
-func TestStreamSumGolden(t *testing.T) {
-	frames := goldenStream()
-	// A copy of the Castagnoli table is not the table hash/crc32 recognises
-	// by address, so Checksum over it takes the portable byte-at-a-time loop.
-	generic := *crc32.MakeTable(crc32.Castagnoli)
-	for i, want := range []uint32{0x978aa425, 0x1a318e30, 0x59e9e781} {
-		if got := Digest(frames[i]); got != want {
-			t.Errorf("Digest(frame %d) = %#x, want %#x", i, got, want)
-		}
-		if got := crc32.Checksum(frames[i], &generic); got != want {
-			t.Errorf("portable CRC32C(frame %d) = %#x, want %#x", i, got, want)
-		}
-	}
-	if got, want := NewStreamSum().Sum64(), uint64(14695981039346656037); got != want {
-		t.Errorf("empty stream sums to %#x, want the FNV-1a offset basis %#x", got, want)
-	}
-	if got, want := streamSumOf(frames), uint64(0x316851cbd97333cb); got != want {
-		t.Errorf("StreamSum(golden stream) = %#x, want %#x", got, want)
-	}
-	// Add from a carried digest is the same fold as AddPayload from bytes:
-	// the server's memoised path and the client's hashing path agree.
-	sum := NewStreamSum()
-	for _, p := range frames {
-		sum.Add(len(p), Digest(p))
-	}
-	if sum.Sum64() != streamSumOf(frames) {
-		t.Error("Add(len, Digest) and AddPayload disagree")
-	}
-}
-
-// TestStreamSumDetectsDamage: every way a stream can differ from the one the
-// server sent — one flipped byte anywhere, two frames swapped, a frame
-// dropped, duplicated or truncated — changes the sum.
-func TestStreamSumDetectsDamage(t *testing.T) {
-	r := rng.New(15, "serve/streamsum")
-	for trial := 0; trial < 200; trial++ {
-		frames := make([][]byte, 2+r.Intn(6))
-		for i := range frames {
-			frames[i] = make([]byte, 1+r.Intn(4096))
-			for j := range frames[i] {
-				frames[i][j] = byte(r.Intn(256))
-			}
-		}
-		clean := streamSumOf(frames)
-		clone := func() [][]byte {
-			out := make([][]byte, len(frames))
-			for i, p := range frames {
-				out[i] = append([]byte(nil), p...)
-			}
-			return out
-		}
-		i, j := r.Intn(len(frames)), r.Intn(len(frames)-1)
-		if j >= i {
-			j++ // a different frame
-		}
-
-		flipped := clone()
-		flipped[i][r.Intn(len(flipped[i]))] ^= byte(1 + r.Intn(255))
-		swapped := clone()
-		swapped[i], swapped[j] = swapped[j], swapped[i]
-		dropped := append(clone()[:i], clone()[i+1:]...)
-		duplicated := append(clone()[:i+1], clone()[i:]...)
-		truncated := clone()
-		truncated[i] = truncated[i][:r.Intn(len(truncated[i]))]
-
-		for name, damaged := range map[string][][]byte{"flipped byte": flipped, "swapped frames": swapped,
-			"dropped frame": dropped, "duplicated frame": duplicated, "truncated frame": truncated} {
-			if name == "swapped frames" && string(frames[i]) == string(frames[j]) {
-				continue
-			}
-			if streamSumOf(damaged) == clean {
-				t.Fatalf("trial %d: %s (frame %d of %d) left the stream sum unchanged", trial, name, i, len(frames))
-			}
-		}
-	}
-}
 
 // TestFrameBufSlack: a pooled frame buffer is at most 12.5% larger than the
 // frame in it, at every size a frame can have, and a released buffer is the
@@ -208,7 +103,8 @@ func TestHotServeHashesNothing(t *testing.T) {
 // requires the clean refusal: one fatal Error frame naming both versions,
 // then a closed connection — no session, not one batch byte. Every version
 // before 4 framed without the digest word, and the peer is spoken to in its
-// own framing: that is what lets an old binary read the refusal.
+// own framing: that is what lets an old binary read the refusal. A version 4
+// peer frames like this one.
 func expectHelloRefused(t *testing.T, srv *Server, version int) {
 	t.Helper()
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -217,19 +113,25 @@ func expectHelloRefused(t *testing.T, srv *Server, version int) {
 	}
 	defer conn.Close()
 	hello := EncodeHello(Hello{Version: version, Rank: 0, World: 1, Name: "old-peer"})
-	if _, err := conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(hello))), hello...)); err != nil {
+	readFrame := func() ([]byte, error) { return ReadFrame(conn, 0) }
+	if version >= 4 {
+		err = WriteFrame(conn, hello)
+	} else {
+		_, err = conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(hello))), hello...))
+		readFrame = func() ([]byte, error) {
+			var hdr [4]byte
+			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+				return nil, err
+			}
+			payload := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+			_, err := io.ReadFull(conn, payload)
+			return payload, err
+		}
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	readLegacy := func() ([]byte, error) {
-		var hdr [4]byte
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return nil, err
-		}
-		payload := make([]byte, binary.BigEndian.Uint32(hdr[:]))
-		_, err := io.ReadFull(conn, payload)
-		return payload, err
-	}
-	payload, err := readLegacy()
+	payload, err := readFrame()
 	if err != nil {
 		t.Fatalf("reading the refusal: %v", err)
 	}
@@ -245,7 +147,7 @@ func expectHelloRefused(t *testing.T, srv *Server, version int) {
 	if e.Code != CodeFatal || !strings.Contains(e.Message, want) {
 		t.Fatalf("refusal %+v, want a fatal version error naming both versions", e)
 	}
-	if _, err := readLegacy(); err == nil {
+	if _, err := readFrame(); err == nil {
 		t.Fatalf("server kept the v%d session open after refusing it", version)
 	}
 	if snap := srv.Metrics().Snapshot(time.Now(), 0); snap.SessionsTotal != 0 || snap.BatchesSent != 0 {
@@ -264,15 +166,19 @@ func TestHelloV1RefusedAtHandshake(t *testing.T) {
 // TestV2HelloRefused: a version 2 peer would parse a version 3 Batch frame's
 // alignment padding as tensor bytes, and its big-endian floats are not this
 // server's; a version 3 peer would read every frame header's digest word as
-// payload, and a pixel frame as the float32 tensor it expects. Both are
-// refused the same way, before any frame.
+// payload, and a pixel frame as the float32 tensor it expects; a version 4
+// peer would ask for its rank's shard without naming it and wait for an
+// end-of-epoch frame that never comes. All three are refused the same way,
+// before any frame: the first two in their own framing, the third in the
+// framing it shares with version 5.
 func TestV2HelloRefused(t *testing.T) {
 	srv := startTestServer(t, loopbackSpec(), false)
 	expectHelloRefused(t, srv, 2)
 	expectHelloRefused(t, srv, 3)
+	expectHelloRefused(t, srv, 4)
 }
 
-// TestCurrentHelloWithBadDigestRefused: a version 4 Hello whose payload does
+// TestCurrentHelloWithBadDigestRefused: a current Hello whose payload does
 // not match its header's digest is corrupt, not old — the server refuses it
 // with a clean Error in the current framing.
 func TestCurrentHelloWithBadDigestRefused(t *testing.T) {

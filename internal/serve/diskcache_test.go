@@ -155,14 +155,14 @@ func TestDiskSampleTierCrossJobSharing(t *testing.T) {
 	spec.NumWorkers = 2
 	dir := t.TempDir()
 
-	fetchEpochFrames := func(srv *Server, epoch int, name string) map[int][]byte {
+	framesOf := func(srv *Server, epoch int, name string) map[int][]byte {
 		c := NewClient(ClientConfig{Addr: srv.Addr(), Name: name})
 		defer c.Close()
 		if err := c.Connect(); err != nil {
 			t.Fatal(err)
 		}
 		got := make(map[int][]byte)
-		if err := c.fetchEpoch(epoch, func(b *Batch, payload []byte) {
+		if err := fetchOnce(c, epoch, func(b *Batch, payload []byte) {
 			got[b.GlobalID] = append([]byte(nil), payload...)
 		}, nil); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -176,12 +176,12 @@ func TestDiskSampleTierCrossJobSharing(t *testing.T) {
 	if err := plain.Start("127.0.0.1:0", ""); err != nil {
 		t.Fatal(err)
 	}
-	want := fetchEpochFrames(plain, 1, "plain")
+	want := framesOf(plain, 1, "plain")
 	plain.Close()
 
 	// Job A warms the sample tier with epoch 0.
 	jobA := startDiskCachedServer(t, spec, dir, 0, 256<<20, pipeline.RealData, 48, false)
-	fetchEpochFrames(jobA, 0, "job-a")
+	framesOf(jobA, 0, "job-a")
 	stA, _ := jobA.DiskCacheStats()
 	if stA.SampleMisses != int64(spec.NumSamples) {
 		t.Fatalf("job A should miss disk once per sample: %+v", stA)
@@ -193,7 +193,7 @@ func TestDiskSampleTierCrossJobSharing(t *testing.T) {
 	// Job B runs a different epoch: the batch tier could never help, but
 	// every deterministic prefix comes back from disk.
 	jobB := startDiskCachedServer(t, spec, dir, 0, 256<<20, pipeline.RealData, 48, false)
-	got := fetchEpochFrames(jobB, 1, "job-b")
+	got := framesOf(jobB, 1, "job-b")
 	if len(got) != len(want) || len(got) == 0 {
 		t.Fatalf("frame counts diverge: %d vs %d", len(got), len(want))
 	}

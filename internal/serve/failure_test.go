@@ -135,7 +135,7 @@ func TestHelloDeadlineDoesNotClipSlowButValidHandshake(t *testing.T) {
 	// Idle past helloTimeout mid-session: the handshake deadline must not
 	// leak into the request loop.
 	time.Sleep(700 * time.Millisecond)
-	if err := WriteFrame(conn, EncodeEpochReq(EpochReq{Epoch: 0})); err != nil {
+	if err := WriteFrame(conn, EncodeShardReq(ShardReq{Epoch: 0, IDs: []int{0}})); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -183,7 +183,7 @@ func TestSeveredSessionInterruptsInjectedStall(t *testing.T) {
 	} else if _, ok := msg.(HelloAck); !ok {
 		t.Fatalf("server replied %T, want HelloAck", msg)
 	}
-	if err := WriteFrame(conn, EncodeEpochReq(EpochReq{Epoch: 0})); err != nil {
+	if err := WriteFrame(conn, EncodeShardReq(ShardReq{Epoch: 0, IDs: planIDs(srv.planLen)})); err != nil {
 		t.Fatal(err)
 	}
 	// Give the epoch time to dispatch: by now every worker is asleep inside

@@ -21,8 +21,8 @@ import (
 //
 // A Frame also carries the Digest of its bytes, computed once by whoever made
 // the bytes: the encoder, or the disk tier's verify pass. Every session that
-// streams the frame folds that digest into its StreamSum, so serving a cached
-// frame hashes nothing.
+// streams the frame puts that digest in the frame's header, so serving a
+// cached frame hashes nothing.
 //
 // Reference rules: every *Frame a caller receives (encodeBatchFrame, cache
 // TryGet, cache Acquire) carries one reference owned by

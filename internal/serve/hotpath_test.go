@@ -182,13 +182,13 @@ func TestHotPathBytesPerFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	hdr, body := make([]byte, FrameHeaderSize), make([]byte, 5<<20)
-	req := EncodeEpochReq(EpochReq{Epoch: 0})
+	req := EncodeShardReq(ShardReq{Epoch: 0, IDs: planIDs(srv.planLen)})
 	var frame []byte // a copy of the first batch frame read (during the warm-up epoch)
 	readEpoch := func() (frames int) {
 		if err := WriteFrame(conn, req); err != nil {
 			t.Fatal(err)
 		}
-		for {
+		for ; frames < srv.planLen; frames++ {
 			if _, err := io.ReadFull(conn, hdr); err != nil {
 				t.Fatal(err)
 			}
@@ -196,18 +196,14 @@ func TestHotPathBytesPerFrame(t *testing.T) {
 			if _, err := io.ReadFull(conn, p); err != nil {
 				t.Fatal(err)
 			}
-			switch MsgType(p[0]) {
-			case MsgBatch:
-				frames++
-				if frame == nil {
-					frame = append([]byte(nil), p...)
-				}
-			case MsgEpochEnd:
-				return frames
-			default:
+			if MsgType(p[0]) != MsgBatch {
 				t.Fatalf("unexpected %s frame in the stream", MsgType(p[0]))
 			}
+			if frame == nil {
+				frame = append([]byte(nil), p...)
+			}
 		}
+		return frames
 	}
 	readEpoch() // warm-up: pools and per-session state settle
 	before := totalAlloc()
@@ -228,13 +224,8 @@ func TestHotPathBytesPerFrame(t *testing.T) {
 	// Client consuming them through the real consumeEpoch.
 	payload := frame
 	const perEpoch = 8
-	sum := NewStreamSum()
-	for i := 0; i < perEpoch; i++ {
-		sum.AddPayload(payload)
-	}
-	end := EncodeEpochEnd(EpochEnd{Epoch: 0, Batches: perEpoch, Checksum: sum.Sum64()})
-	addr := feedFrames(t, payload, perEpoch, end)
-	c := NewClient(ClientConfig{Addr: addr, Name: "hot-client"})
+	ids := planIDs(perEpoch)
+	c := NewClient(ClientConfig{Addr: feedFrames(t, payload, perEpoch), Name: "hot-client"})
 	defer c.Close()
 	var tensorSum float64
 	onBatch := func(b *Batch, p []byte) {
@@ -243,12 +234,12 @@ func TestHotPathBytesPerFrame(t *testing.T) {
 		}
 		tensorSum += float64(b.F32[len(b.F32)/2]) + float64(len(p))
 	}
-	if err := c.fetchEpoch(0, onBatch, nil); err != nil { // warm-up: dial, buffer
+	if err := c.FetchShard(0, ids, onBatch); err != nil { // warm-up: dial, buffer
 		t.Fatal(err)
 	}
 	before = totalAlloc()
 	for i := 0; i < 2; i++ {
-		if err := c.fetchEpoch(0, onBatch, nil); err != nil {
+		if err := c.FetchShard(0, ids, onBatch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -261,10 +252,13 @@ func TestHotPathBytesPerFrame(t *testing.T) {
 
 // feedFrames serves the client side of the protocol from canned bytes: after
 // a handshake that hands over IC's tensor tail table, every request is
-// answered with payload n times and then end. Its loop allocates nothing, so
-// a measurement around the client sees the client.
-func feedFrames(t *testing.T, payload []byte, n int, end []byte) string {
+// answered with n copies of the batch frame payload, the k-th relabelled as
+// global batch k — what a request for IDs 0..n-1 of payload's epoch asks
+// for. Its loop allocates nothing, so a measurement around the client sees
+// the client.
+func feedFrames(t *testing.T, payload []byte, n int) string {
 	t.Helper()
+	payload = bytes.Clone(payload)
 	table := hotFrameSpec(32).Compose(nil).TailTable(pipeline.RealData, false)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -281,9 +275,7 @@ func feedFrames(t *testing.T, payload []byte, n int, end []byte) string {
 			return
 		}
 		WriteFrame(conn, EncodeHelloAck(HelloAck{Version: ProtocolVersion, Mode: 1, Table: table}))
-		hdr, endHdr, req := make([]byte, FrameHeaderSize), make([]byte, FrameHeaderSize), make([]byte, 64)
-		putFrameHeader(hdr, len(payload), Digest(payload))
-		putFrameHeader(endHdr, len(end), Digest(end))
+		hdr, req := make([]byte, FrameHeaderSize), make([]byte, 64)
 		for {
 			if _, err := io.ReadFull(conn, req[:FrameHeaderSize]); err != nil {
 				return
@@ -291,12 +283,12 @@ func feedFrames(t *testing.T, payload []byte, n int, end []byte) string {
 			if _, err := io.ReadFull(conn, req[:binary.BigEndian.Uint32(req)]); err != nil {
 				return
 			}
-			for i := 0; i < n; i++ {
+			for k := range n {
+				binary.BigEndian.PutUint32(payload[5:9], uint32(k)) // the global batch id
+				putFrameHeader(hdr, len(payload), Digest(payload))
 				conn.Write(hdr)
 				conn.Write(payload)
 			}
-			conn.Write(endHdr)
-			conn.Write(end)
 		}
 	}()
 	return ln.Addr().String()

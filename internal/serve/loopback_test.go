@@ -115,6 +115,24 @@ func sameBatch(got, want *Batch) bool {
 		slices.EqualFunc(got.F32, want.F32, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) })
 }
 
+// fetchOnce fetches c's rank/world shard of one epoch once: one step of Run
+// without its retries, crediting st when non-nil.
+func fetchOnce(c *Client, epoch int, onBatch func(*Batch, []byte), st *FetchStats) error {
+	if err := c.Connect(); err != nil {
+		return err
+	}
+	return c.fetch(epoch, c.shardIDs(), false, onBatch, st)
+}
+
+// planIDs is 0..n-1: a request for a whole n-batch epoch plan.
+func planIDs(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
 // TestLoopbackTwoClientsTwoEpochs is the end-to-end acceptance test: two
 // concurrent sessions shard two epochs, their shards are disjoint and
 // exhaustive, every streamed frame is byte-identical to a local DataLoader
@@ -142,7 +160,9 @@ func TestLoopbackTwoClientsTwoEpochs(t *testing.T) {
 	got := make([][]received, world)
 	stats := make([]*FetchStats, world)
 	clientErr := make([]error, world)
-	firstBatch := make(chan struct{})
+	// The first batch's callback holds its client until the mid-run checks
+	// are done, so they see a session that is still streaming.
+	firstBatch, midRun := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 
 	var wg sync.WaitGroup
@@ -156,7 +176,7 @@ func TestLoopbackTwoClientsTwoEpochs(t *testing.T) {
 			})
 			defer c.Close()
 			stats[rank], clientErr[rank] = c.Run(epochs, func(b *Batch, payload []byte) {
-				once.Do(func() { close(firstBatch) })
+				once.Do(func() { close(firstBatch); <-midRun })
 				got[rank] = append(got[rank], received{b.Epoch, b.GlobalID, append([]byte(nil), payload...)})
 			})
 		}(rank)
@@ -171,25 +191,28 @@ func TestLoopbackTwoClientsTwoEpochs(t *testing.T) {
 		t.Fatal("no batch arrived within 30s")
 	}
 	base := "http://" + srv.HTTPAddr()
-	var health struct {
-		Status string `json:"status"`
-	}
-	getJSON(t, base+"/healthz", &health)
-	if health.Status != "ok" {
-		t.Fatalf("healthz mid-run: %q", health.Status)
-	}
 	var snap MetricsSnapshot
-	getJSON(t, base+"/metrics", &snap)
-	if snap.SessionsActive < 1 || snap.BatchesSent < 1 {
-		t.Fatalf("metrics mid-run not live: %+v", snap)
-	}
-	var chrome struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	getJSON(t, base+"/trace?granularity=fine", &chrome)
-	if len(chrome.TraceEvents) == 0 {
-		t.Fatal("trace mid-run has no events")
-	}
+	func() {
+		defer close(midRun)
+		var health struct {
+			Status string `json:"status"`
+		}
+		getJSON(t, base+"/healthz", &health)
+		if health.Status != "ok" {
+			t.Fatalf("healthz mid-run: %q", health.Status)
+		}
+		getJSON(t, base+"/metrics", &snap)
+		if snap.SessionsActive < 1 || snap.BatchesSent < 1 {
+			t.Fatalf("metrics mid-run not live: %+v", snap)
+		}
+		var chrome struct {
+			TraceEvents []map[string]any `json:"traceEvents"`
+		}
+		getJSON(t, base+"/trace?granularity=fine", &chrome)
+		if len(chrome.TraceEvents) == 0 {
+			t.Fatal("trace mid-run has no events")
+		}
+	}()
 
 	wg.Wait()
 	for rank := 0; rank < world; rank++ {
@@ -311,14 +334,30 @@ func TestMalformedFramesGetErrorNotPanic(t *testing.T) {
 	expectErrorFrame(conn, "unknown type")
 	conn.Close()
 
-	// Valid handshake, then a truncated EpochReq.
+	// Valid handshake, then a truncated ShardReq.
 	conn = dial()
 	WriteFrame(conn, EncodeHello(Hello{Version: ProtocolVersion, Rank: 0, World: 1}))
 	if _, err := ReadFrame(conn, 0); err != nil {
 		t.Fatalf("handshake ack: %v", err)
 	}
-	WriteFrame(conn, []byte{byte(MsgEpochReq), 0x00})
-	expectErrorFrame(conn, "truncated EpochReq")
+	WriteFrame(conn, []byte{byte(MsgShardReq), 0x00})
+	expectErrorFrame(conn, "truncated ShardReq")
+	conn.Close()
+
+	// Valid handshake, then a ShardReq naming no batch.
+	conn = dial()
+	WriteFrame(conn, EncodeHello(Hello{Version: ProtocolVersion, Rank: 0, World: 1}))
+	if _, err := ReadFrame(conn, 0); err != nil {
+		t.Fatalf("handshake ack: %v", err)
+	}
+	WriteFrame(conn, EncodeShardReq(ShardReq{Epoch: 0}))
+	expectErrorFrame(conn, "empty ShardReq")
+	conn.Close()
+
+	// A Hello whose name is not printable ASCII is refused before admission.
+	conn = dial()
+	WriteFrame(conn, EncodeHello(Hello{Version: ProtocolVersion, Rank: 0, World: 1, Name: "bell\a"}))
+	expectErrorFrame(conn, "unprintable name")
 	conn.Close()
 
 	// Oversized frame header straight away.
@@ -354,7 +393,7 @@ func TestMalformedFramesGetErrorNotPanic(t *testing.T) {
 // claimed (up to 64 MiB) and wait helloTimeout (10 s) for the bytes.
 func TestRequestFrameBound(t *testing.T) {
 	srv := startTestServer(t, loopbackSpec(), false)
-	bound := 131085 // a Hello with both strings at 65535 bytes
+	bound := 143 // a Hello with both strings at 64 bytes
 	if got := maxRequestFrame(srv.planLen); got != bound {
 		t.Fatalf("request bound for a %d-batch plan: %d, want %d", srv.planLen, got, bound)
 	}
@@ -420,21 +459,15 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 				if _, err := ReadFrame(conn, 0); err != nil { // Hello
 					return
 				}
-				WriteFrame(conn, EncodeHelloAck(HelloAck{Version: ProtocolVersion, DatasetLen: 2, BatchSize: 1, PlanBatches: 2, ShardBatches: 2}))
-				if _, err := ReadFrame(conn, 0); err != nil { // EpochReq
+				WriteFrame(conn, EncodeHelloAck(HelloAck{Version: ProtocolVersion, DatasetLen: 2, BatchSize: 1, PlanBatches: 2}))
+				if _, err := ReadFrame(conn, 0); err != nil { // ShardReq{0, [0 1]}
 					return
 				}
-				sum := NewStreamSum()
-				p0 := mkBatch(0)
-				WriteFrame(conn, p0)
-				sum.AddPayload(p0)
+				WriteFrame(conn, mkBatch(0))
 				if attempt == 1 {
 					return // abrupt mid-epoch disconnect
 				}
-				p1 := mkBatch(1)
-				WriteFrame(conn, p1)
-				sum.AddPayload(p1)
-				WriteFrame(conn, EncodeEpochEnd(EpochEnd{Epoch: 0, Batches: 2, Checksum: sum.Sum64()}))
+				WriteFrame(conn, mkBatch(1))
 				ReadFrame(conn, 0) // Bye or close
 			}()
 		}
@@ -482,7 +515,7 @@ func TestServerErrorIsFatal(t *testing.T) {
 				if _, err := ReadFrame(conn, 0); err != nil {
 					return
 				}
-				WriteFrame(conn, EncodeHelloAck(HelloAck{Version: ProtocolVersion}))
+				WriteFrame(conn, EncodeHelloAck(HelloAck{Version: ProtocolVersion, PlanBatches: 2}))
 				if _, err := ReadFrame(conn, 0); err != nil {
 					return
 				}
@@ -571,16 +604,10 @@ func TestShutdownForcesIdleSessions(t *testing.T) {
 	if _, err := ReadFrame(conn, 0); err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
-	WriteFrame(conn, EncodeEpochReq(EpochReq{Epoch: 0}))
-	for {
-		payload, err := ReadFrame(conn, 0)
-		if err != nil {
+	WriteFrame(conn, EncodeShardReq(ShardReq{Epoch: 0, IDs: planIDs(srv.planLen)}))
+	for range srv.planLen {
+		if _, err := ReadFrame(conn, 0); err != nil {
 			t.Fatalf("epoch 0: %v", err)
-		}
-		if msg, _ := DecodeMessage(payload); msg != nil {
-			if _, end := msg.(EpochEnd); end {
-				break
-			}
 		}
 	}
 

@@ -134,7 +134,7 @@ func (m *Metrics) QueueFill() float64 {
 }
 
 // AddEpochAbort counts one epoch stream that ended in an error (client gone,
-// write failure, or compute failure) instead of a clean EpochEnd. Paired
+// write failure, or compute failure) instead of its last frame. Paired
 // with the reconnect counter, a rising abort rate is the server-side
 // signature of clients stuck in retry loops.
 func (m *Metrics) AddEpochAbort() {

@@ -43,7 +43,7 @@ func TestColdSessionsShareOnePool(t *testing.T) {
 				return
 			}
 			got := 0
-			err := c.fetchEpoch(e, func(b *Batch, payload []byte) {
+			err := fetchOnce(c, e, func(b *Batch, payload []byte) {
 				got++
 				if !bytes.Equal(payload, expected[b.GlobalID]) {
 					t.Errorf("epoch %d batch %d differs from the local run", e, b.GlobalID)
@@ -158,7 +158,7 @@ func TestPlaneSlowWorkerHoldsBackOnlyItsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := 0
-	err := c.fetchEpoch(0, func(b *Batch, payload []byte) {
+	err := fetchOnce(c, 0, func(b *Batch, payload []byte) {
 		got++
 		if !bytes.Equal(payload, expected[b.GlobalID]) {
 			t.Errorf("batch %d differs from the local run", b.GlobalID)
@@ -296,7 +296,7 @@ func TestSpillReadsEachFrameOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range []int{0, 1} { // compute both epochs once, spill them
-		if err := c.fetchEpoch(e, nil, nil); err != nil {
+		if err := fetchOnce(c, e, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,7 +308,7 @@ func TestSpillReadsEachFrameOnce(t *testing.T) {
 	served := 0
 	for i := 0; i < 6; i++ {
 		var st FetchStats
-		if err := c.fetchEpoch(i%2, nil, &st); err != nil {
+		if err := fetchOnce(c, i%2, nil, &st); err != nil {
 			t.Fatal(err)
 		}
 		served += st.Batches
@@ -326,7 +326,7 @@ func TestSpillReadsEachFrameOnce(t *testing.T) {
 // TestShutdownKicksIdleKeepsStreaming: a graceful drain disconnects a
 // connected-but-idle client at once instead of sitting out its whole budget
 // on a read only that client could end, while a session that is mid-epoch
-// still receives every batch and its EpochEnd.
+// still receives every batch.
 func TestShutdownKicksIdleKeepsStreaming(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
 	spec := workloads.ICSpec(80, 7)
@@ -343,7 +343,7 @@ func TestShutdownKicksIdleKeepsStreaming(t *testing.T) {
 	if err := idle.Connect(); err != nil {
 		t.Fatal(err)
 	}
-	if err := idle.fetchEpoch(0, nil, nil); err != nil { // one epoch, then stay connected
+	if err := fetchOnce(idle, 0, nil, nil); err != nil { // one epoch, then stay connected
 		t.Fatal(err)
 	}
 
@@ -357,7 +357,7 @@ func TestShutdownKicksIdleKeepsStreaming(t *testing.T) {
 	var st FetchStats
 	busyDone := make(chan error, 1)
 	go func() {
-		busyDone <- busy.fetchEpoch(1, func(*Batch, []byte) { once.Do(func() { close(first) }) }, &st)
+		busyDone <- fetchOnce(busy, 1, func(*Batch, []byte) { once.Do(func() { close(first) }) }, &st)
 	}()
 	<-first
 
@@ -388,7 +388,7 @@ func TestShutdownIdleClientReturnsAtOnce(t *testing.T) {
 	if err := c.Connect(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.fetchEpoch(0, nil, nil); err != nil {
+	if err := fetchOnce(c, 0, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -416,7 +416,7 @@ func TestShutdownDeadlineAbortsStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- c.fetchEpoch(0, nil, nil) }()
+	go func() { done <- fetchOnce(c, 0, nil, nil) }()
 	for srv.plane.peak() == 0 { // the epoch is streaming once a batch is running
 		time.Sleep(time.Millisecond)
 	}

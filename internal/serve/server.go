@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -226,12 +225,13 @@ const helloTimeout = 10 * time.Second
 
 // maxRequestFrame is the largest frame a client may legitimately send a
 // server whose epoch plan has planLen batches: a Hello with both strings at
-// their 65535-byte cap, or a ShardReq naming every plan ID. Requests are read
-// before admission control, so a length prefix above this bound is refused
-// before anything is allocated for it — else one handshake could make the
-// server allocate DefaultMaxFrame (64 MiB) and wait helloTimeout for it.
+// their MaxHelloString cap, or a ShardReq naming every plan ID. Requests are
+// read before admission control, so a length prefix above this bound is
+// refused before anything is allocated for it — else one handshake could
+// make the server allocate DefaultMaxFrame (64 MiB) and wait helloTimeout for
+// it.
 func maxRequestFrame(planLen int) int {
-	const hello = 1 + 2 + 4 + 4 + 2*(2+math.MaxUint16) // type, version, rank, world, name, tenant
+	const hello = 1 + 2 + 4 + 4 + 2*(2+MaxHelloString) // type, version, rank, world, name, tenant
 	shardReq := 1 + 4 + 4 + 4*planLen + 1              // type, epoch, count, ids, hedge
 	return max(hello, shardReq)
 }
@@ -681,13 +681,12 @@ func (s *Server) handleConn(conn net.Conn) {
 		sess.id, conn.RemoteAddr(), hello.Rank, hello.World, hello.Name, hello.Tenant)
 
 	ack := HelloAck{
-		Version:      ProtocolVersion,
-		DatasetLen:   s.datasetLen,
-		BatchSize:    s.cfg.Spec.BatchSize,
-		PlanBatches:  s.planLen,
-		ShardBatches: ShardSize(s.planLen, hello.Rank, hello.World),
-		Workload:     string(s.cfg.Spec.Kind),
-		Table:        s.table,
+		Version:     ProtocolVersion,
+		DatasetLen:  s.datasetLen,
+		BatchSize:   s.cfg.Spec.BatchSize,
+		PlanBatches: s.planLen,
+		Workload:    string(s.cfg.Spec.Kind),
+		Table:       s.table,
 	}
 	if s.cfg.Mode == pipeline.RealData {
 		ack.Mode = 1
@@ -716,39 +715,32 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		}
 		// DecodeMessage has bounded the epoch; the plan checks a ShardReq's IDs.
-		var epoch int
-		var stream func() error
-		switch m := msg.(type) {
-		case EpochReq:
-			epoch, stream = m.Epoch, func() error { return sess.streamEpoch(m.Epoch) }
-		case ShardReq:
-			epoch, stream = m.Epoch, func() error {
-				if m.Hedge {
-					s.metrics.AddHedge(len(m.IDs))
-				}
-				return sess.streamShardReq(m)
+		req, ok := msg.(ShardReq)
+		if !ok {
+			if _, bye := msg.(Bye); !bye {
+				s.sendError(conn, fmt.Sprintf("unexpected %T mid-session", msg))
 			}
-		case Bye:
-			return
-		default:
-			s.sendError(conn, fmt.Sprintf("unexpected %T mid-session", msg))
 			return
 		}
 		if !s.setStreaming(conn, true) {
 			s.sendError(conn, "server draining")
 			return
 		}
-		if err := stream(); err != nil {
+		if req.Hedge {
+			s.metrics.AddHedge(len(req.IDs))
+		}
+		if err := sess.streamShardReq(req); err != nil {
 			sess.sm.AddEpochAbort()
 			s.metrics.AddEpochAbort()
-			s.slogf("lotus-serve: session %d: epoch %d: %v", sess.id, epoch, err)
+			s.slogf("lotus-serve: session %d: epoch %d: %v", sess.id, req.Epoch, err)
 			return
 		}
 	}
 }
 
 // readHello reads and checks a connection's Hello. legacy reports a peer
-// older than protocol version 4, which frames without the digest word.
+// older than protocol version 4, which frames without the digest word; a
+// version 4 peer frames like this one and is refused in the current framing.
 func (s *Server) readHello(conn net.Conn) (hello Hello, legacy bool, err error) {
 	conn.SetReadDeadline(time.Now().Add(s.helloTimeout))
 	defer conn.SetReadDeadline(time.Time{})
@@ -772,10 +764,10 @@ func (s *Server) readHello(conn net.Conn) (hello Hello, legacy bool, err error) 
 }
 
 // readHelloFrame reads a connection's first frame. A peer older than
-// protocol version 4 sends a length and then the payload; a version 4 frame
-// has the digest word between them. So the length's worth of bytes is read
-// first: if it is a Hello of an older version, that was the whole frame.
-// Otherwise four more bytes complete a version 4 frame, checked against its
+// protocol version 4 sends a length and then the payload; since version 4 a
+// frame has the digest word between them. So the length's worth of bytes is
+// read first: if it is a Hello of a version before 4, that was the whole
+// frame. Otherwise four more bytes complete the frame, checked against its
 // digest.
 func readHelloFrame(r io.Reader, maxFrame int) (payload []byte, legacy bool, err error) {
 	var hdr [4]byte
@@ -791,7 +783,7 @@ func readHelloFrame(r io.Reader, maxFrame int) (payload []byte, legacy bool, err
 		return nil, false, err
 	}
 	if msg, err := DecodeMessage(buf[:n]); err == nil {
-		if h, ok := msg.(Hello); ok && h.Version < ProtocolVersion {
+		if h, ok := msg.(Hello); ok && h.Version < 4 {
 			return buf[:n], true, nil
 		}
 	}
@@ -807,12 +799,11 @@ func readHelloFrame(r io.Reader, maxFrame int) (payload []byte, legacy bool, err
 // from the server's compute plane — which is what keeps O(1000) mostly-idle
 // sessions cheap.
 type session struct {
-	srv         *Server
-	id          int
-	conn        net.Conn
-	rank, world int
-	tenant      *tenantState // nil when QoS is disabled
-	sm          *SessionMetrics
+	srv    *Server
+	id     int
+	conn   net.Conn
+	tenant *tenantState // nil when QoS is disabled
+	sm     *SessionMetrics
 }
 
 func (s *Server) newSession(conn net.Conn, hello Hello) *session {
@@ -821,12 +812,10 @@ func (s *Server) newSession(conn net.Conn, hello Hello) *session {
 	id := s.sessionSeq
 	s.mu.Unlock()
 	ss := &session{
-		srv:   s,
-		id:    id,
-		conn:  conn,
-		rank:  hello.Rank,
-		world: hello.World,
-		sm:    s.metrics.OpenSession(id, hello.Name, hello.Tenant, hello.Rank, hello.World, time.Now()),
+		srv:  s,
+		id:   id,
+		conn: conn,
+		sm:   s.metrics.OpenSession(id, hello.Name, hello.Tenant, hello.Rank, hello.World, time.Now()),
 	}
 	if s.qos != nil {
 		ss.tenant = s.qos.tenant(hello.Tenant)
@@ -847,15 +836,10 @@ func (ss *session) close() {
 	}
 }
 
-// streamEpoch streams the session's rank/world shard of one epoch.
-func (ss *session) streamEpoch(epoch int) error {
-	return ss.streamShard(epoch, Shard(ss.srv.epochPlan(epoch), ss.rank, ss.world))
-}
-
-// streamShardReq validates an explicit batch-ID request against the epoch
-// plan and streams exactly those batches, in request order. The plan — not
-// the session — defines the work, so a cluster router can hand any subset to
-// any node and still get frames byte-identical to a rank/world session's.
+// streamShardReq validates a batch-ID request against the epoch plan and
+// streams exactly those batches, in request order. The plan — not the
+// session — defines the work, so a trainer rank and a cluster router asking
+// for the same ID get byte-identical frames.
 func (ss *session) streamShardReq(req ShardReq) error {
 	plan := ss.srv.epochPlan(req.Epoch)
 	shard := make([]PlanBatch, len(req.IDs))
@@ -961,19 +945,15 @@ func (ss *session) fetch(ctx context.Context, epoch int, shard []PlanBatch, w *s
 	}
 }
 
-// streamShard streams one shard of one epoch: a bounded window of fetches
-// runs ahead of the write loop, which delivers their frames strictly in
-// shard order. When the client or the network is slow the window fills and
-// the fetchers park — bounded backpressure instead of unbounded buffering —
-// and since every frame is a pure function of (spec, epoch, batch), which
-// session or worker produced it never shows in the bytes.
+// streamShard streams one non-empty shard of one epoch: a bounded window of
+// fetches runs ahead of the write loop, which delivers their frames strictly
+// in shard order. When the client or the network is slow the window fills
+// and the fetchers park — bounded backpressure instead of unbounded
+// buffering — and since every frame is a pure function of (spec, epoch,
+// batch), which session or worker produced it never shows in the bytes. The
+// stream ends with the shard's last frame: the client counts them.
 func (ss *session) streamShard(epoch int, shard []PlanBatch) error {
 	s := ss.srv
-	sum := NewStreamSum()
-	if len(shard) == 0 {
-		return WriteFrame(ss.conn, EncodeEpochEnd(EpochEnd{Epoch: epoch, Checksum: sum.Sum64()}))
-	}
-
 	ctx, cancelEpoch := context.WithCancel(s.ctx)
 	unwatch := ss.watchConn(cancelEpoch)
 	defer unwatch()
@@ -1015,7 +995,6 @@ func (ss *session) streamShard(epoch int, shard []PlanBatch) error {
 	// any wait that could block, pending frames are flushed, so batching
 	// trades syscalls, never adds first-frame latency.
 	var werr, ferr error
-	sent := 0
 stream:
 	for i := range shard {
 		var r fetched
@@ -1041,12 +1020,26 @@ stream:
 		if ferr = r.err; ferr != nil {
 			break
 		}
-		werr = ss.writeBatchFrame(fw, r.f, &sum, ctx.Done())
+		if i == len(shard)-1 {
+			// The last frame ends the stream, so the watcher must be off the
+			// socket before it is handed to fw: add may flush it at once, and
+			// the client may send its next request the moment it lands — bytes
+			// that belong to the session loop's reader. Nothing is lost:
+			// every fetch of the shard has delivered by now. The epoch counts
+			// here too, so a client holding its whole stream finds it on
+			// /metrics.
+			unwatch()
+			ss.sm.AddEpoch()
+			s.metrics.AddEpoch()
+			if t := s.tuner; t != nil {
+				t.observe()
+			}
+		}
+		werr = ss.writeBatchFrame(fw, r.f, ctx.Done())
 		r.f.Release()
 		if werr != nil {
 			break
 		}
-		sent++
 		if !r.computedAt.IsZero() {
 			// The loader's main-process view, for batches this session's own
 			// computes produced: [T2], the wait for the batch, and the delay
@@ -1077,21 +1070,12 @@ stream:
 		s.sendError(ss.conn, fmt.Sprintf("epoch %d: %v", epoch, ferr))
 		return fmt.Errorf("epoch %d: %w", epoch, ferr)
 	}
-	ss.sm.AddEpoch()
-	s.metrics.AddEpoch()
-	if t := s.tuner; t != nil {
-		t.observe()
-	}
-	// The watcher must be off the socket before EpochEnd goes out: once the
-	// client sees it, the very next bytes on this connection are its next
-	// request, and those belong to the session loop's reader.
-	unwatch()
-	return WriteFrame(ss.conn, EncodeEpochEnd(EpochEnd{Epoch: epoch, Batches: sent, Checksum: sum.Sum64()}))
+	return nil
 }
 
 // watchConn watches the session's socket for death while a stream is in
 // flight. The protocol is strictly half-duplex — the client sends nothing
-// between its request and the EpochEnd reply — so any read activity
+// between its request and the stream's last frame — so any read activity
 // mid-stream means the peer hung up, was severed (a hedged straggler kicked
 // by the cluster client), or broke protocol; all of those cancel the epoch
 // so its fetches abort instead of computing — or sleeping out an injected
@@ -1136,16 +1120,16 @@ func (ss *session) newFrameWriter() *frameWriter {
 }
 
 // writeBatchFrame pushes one encoded batch frame through the tenant rate
-// limiter, the wire-fault seam, and the coalescing writer, folding the
-// stream checksum and crediting metrics. The checksum folds the digest the
-// frame already carries — no pass over the bytes — which is always the CLEAN
-// payload's: wire faults model the network mangling bytes after the server
-// produced them correctly, and the corrupt fault copies the payload before
-// flipping a bit, so a cached frame other sessions are concurrently
-// streaming is never damaged: faults land per-connection, not in shared
-// cache bytes. QoS is schedule only: the token bucket and the pacer delay the
-// write, but bytes and per-session order are untouched.
-func (ss *session) writeBatchFrame(fw *frameWriter, f *Frame, sum *StreamSum, cancel <-chan struct{}) error {
+// limiter, the wire-fault seam, and the coalescing writer, crediting
+// metrics. The header carries the digest the frame already holds — no pass
+// over the bytes — which is always the CLEAN payload's: wire faults model the
+// network mangling bytes after the server produced them correctly, and the
+// corrupt fault copies the payload before flipping a bit, so a cached frame
+// other sessions are concurrently streaming is never damaged: faults land
+// per-connection, not in shared cache bytes. QoS is schedule only: the token
+// bucket and the pacer delay the write, but bytes and per-session order are
+// untouched.
+func (ss *session) writeBatchFrame(fw *frameWriter, f *Frame, cancel <-chan struct{}) error {
 	payload := f.Bytes()
 	wireBytes := len(payload) + FrameHeaderSize
 	if q := ss.srv.qos; q != nil {
@@ -1179,7 +1163,6 @@ func (ss *session) writeBatchFrame(fw *frameWriter, f *Frame, sum *StreamSum, ca
 			return err
 		}
 	}
-	sum.Add(len(payload), f.Digest())
 	ss.sm.AddBatch(wireBytes)
 	ss.srv.metrics.AddBatch(wireBytes)
 	if ss.tenant != nil {

@@ -10,7 +10,7 @@
 // of preprocessing workers, caches, and the LotusTrace instrumentation the
 // repository already has.
 //
-// # Wire format (protocol version 4)
+// # Wire format (protocol version 5)
 //
 // Every frame is an 8-byte header — the payload length and the payload's
 // Digest (CRC32C), both u32 big-endian — followed by the payload; the
@@ -25,14 +25,17 @@
 // with both strings full, or a ShardReq naming the whole plan), a client by
 // DefaultMaxFrame.
 //
-//	client -> server: Hello{version, rank, world, name}
-//	server -> client: HelloAck{version, datasetLen, batchSize, planBatches, shardBatches, mode, workload, table}
-//	client -> server: EpochReq{epoch}            (rank/world shard of the epoch)
-//	client -> server: ShardReq{epoch, ids}       (explicit batch-ID subset — cluster routing)
-//	server -> client: Batch{epoch, globalID, indices, labels, dtype, shape, payload}...
-//	server -> client: EpochEnd{epoch, batches, stream checksum}
+//	client -> server: Hello{version, rank, world, name, tenant}
+//	server -> client: HelloAck{version, datasetLen, batchSize, planBatches, mode, workload, table}
+//	client -> server: ShardReq{epoch, ids, hedge}   (one or more plan batch IDs)
+//	server -> client: Batch{epoch, globalID, ...}   (exactly len(ids) of them, in request order)
 //	client -> server: Bye{} (or just closes)
 //	server -> client: Error{message} before closing on any failure
+//
+// There is one way to ask for batches: the client names them. A rank/world
+// trainer computes its strided shard (Shard) from HelloAck.PlanBatches; a
+// cluster router names whatever its ring assigns. Rank and World stay in
+// Hello as the session's labels on /metrics.
 //
 // # Digests (since protocol version 2; in the frame header since version 4)
 //
@@ -44,11 +47,15 @@
 // two before it decodes the frame or shows it to a callback. A consumer
 // therefore never sees a corrupted batch: it sees the error instead.
 //
-// EpochEnd.Checksum is StreamSum, an FNV-1a-64 fold over each batch frame's
-// (payload length u32, CRC32C u32) in stream order, which the client checks
-// at EpochEnd. With every frame checked on arrival, what the fold still
-// catches is the stream's shape: a reordered, dropped or duplicated frame
-// changes the order-sensitive fold, and EpochEnd.Batches carries the count.
+// The stream's shape is checked against the request, not against the
+// server's account of what it sent: the client knows the IDs it named, so
+// the k-th frame must be batch ids[k] of the requested epoch, and the
+// stream ends at the len(ids)-th. A swapped, dropped, duplicated,
+// foreign-epoch or unrequested frame fails the stream at that position,
+// before any callback sees it. (Versions 2 to 4 closed each stream with an
+// end-of-epoch frame, whose FNV-1a fold over the frames sent was checked only
+// after every callback had run, and which a server that swapped or skipped a
+// batch folded just as faithfully.)
 //
 // What CRC32C detects: every 1-, 2- and 3-bit error and every burst up to 32
 // bits (the polynomial keeps Hamming distance 4 out to 2^31 - 1 bits, 256
@@ -56,10 +63,9 @@
 // 1 - 2^-32.
 //
 // Version 1 folded FNV-1a over every payload byte instead, which can be
-// neither memoised per frame nor vectorised. Version 3 sent the digest only
-// inside that fold, at EpochEnd — after every callback of the epoch had run
-// on the frames it was meant to vouch for. A peer older than version 4 is
-// refused at Hello (answered in its own framing, so it reads a clean Error).
+// neither memoised per frame nor vectorised. A peer older than version 4 is
+// refused at Hello in its own framing, a version 4 peer in the current one:
+// either reads a clean Error.
 //
 // # Batch payload layout (protocol version 3 and later)
 //
@@ -129,6 +135,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"strings"
 
 	"lotus/internal/tensor"
 )
@@ -136,12 +143,13 @@ import (
 // Protocol constants.
 const (
 	// ProtocolVersion is bumped on incompatible wire changes. Version 2
-	// redefined EpochEnd.Checksum (StreamSum); version 3 redefined the Batch
-	// tensor payload (little-endian, at an aligned offset); version 4 put the
-	// payload digest in the frame header, the tensor tail's table in HelloAck,
-	// and the tail's last pass on the client. The server refuses any other
-	// version at Hello, so two definitions never meet mid-stream.
-	ProtocolVersion = 4
+	// redefined the stream checksum; version 3 redefined the Batch tensor
+	// payload (little-endian, at an aligned offset); version 4 put the payload
+	// digest in the frame header, the tensor tail's table in HelloAck, and the
+	// tail's last pass on the client; version 5 made ShardReq the only stream
+	// request and dropped the end-of-epoch frame. The server refuses any
+	// other version at Hello, so two definitions never meet mid-stream.
+	ProtocolVersion = 5
 	// frameLayoutVersion names the byte layout of an encoded Batch frame. It
 	// is hashed into SpecFingerprint because encoded frames outlive the
 	// process in the disk tier: bump it whenever AppendBatch's output changes
@@ -163,6 +171,9 @@ const (
 	DefaultMaxFrame = 64 << 20
 	// MaxWorld bounds the shard count a Hello may request.
 	MaxWorld = 4096
+	// MaxHelloString bounds Hello.Name and Hello.Tenant, which must be
+	// printable ASCII: they become /metrics labels and log fields.
+	MaxHelloString = 64
 	// maxTensorRank bounds a batch tensor's rank on the wire.
 	maxTensorRank = 8
 )
@@ -173,14 +184,9 @@ type MsgType byte
 const (
 	MsgHello    MsgType = 0x01
 	MsgHelloAck MsgType = 0x02
-	MsgEpochReq MsgType = 0x03
 	MsgBatch    MsgType = 0x04
-	MsgEpochEnd MsgType = 0x05
 	MsgError    MsgType = 0x06
 	MsgBye      MsgType = 0x07
-	// MsgShardReq is additive (protocol version unchanged): servers that
-	// predate it answer with a clean Error frame, which a cluster router
-	// treats like any other node failure.
 	MsgShardReq MsgType = 0x08
 )
 
@@ -190,12 +196,8 @@ func (t MsgType) String() string {
 		return "Hello"
 	case MsgHelloAck:
 		return "HelloAck"
-	case MsgEpochReq:
-		return "EpochReq"
 	case MsgBatch:
 		return "Batch"
-	case MsgEpochEnd:
-		return "EpochEnd"
 	case MsgError:
 		return "Error"
 	case MsgBye:
@@ -218,16 +220,15 @@ var ErrCorruptFrame = errors.New("serve: frame digest mismatch")
 // Hello is the client's session request.
 type Hello struct {
 	Version int
-	// Rank / World select the session's static shard: the session receives
-	// epoch plan batches i with i % World == Rank.
+	// Rank / World label the session (its /metrics row and its reconnect
+	// identity); the batches it streams are the ones its ShardReqs name.
 	Rank, World int
-	// Name labels the session in metrics.
+	// Name labels the session in metrics. At most MaxHelloString bytes of
+	// printable ASCII, like Tenant.
 	Name string
 	// Tenant identifies the paying principal the session belongs to, for
 	// per-tenant QoS (rate limits and weighted-fair scheduling). Empty means
-	// the default tenant. Like the ShardReq hedge byte, the field is an
-	// additive trailing string inside the same message (every Hello peer in
-	// this codebase emits and expects it).
+	// the default tenant.
 	Tenant string
 }
 
@@ -238,10 +239,9 @@ type HelloAck struct {
 	DatasetLen int
 	// BatchSize is the serving batch size.
 	BatchSize int
-	// PlanBatches is the full per-epoch plan length; ShardBatches is this
-	// session's share of it.
-	PlanBatches  int
-	ShardBatches int
+	// PlanBatches is the full per-epoch plan length: the IDs a ShardReq may
+	// name are 0..PlanBatches-1.
+	PlanBatches int
 	// Mode is 0 for simulated (meta tensors) and 1 for real payloads.
 	Mode byte
 	// Workload names the served pipeline (IC, IS, OD).
@@ -257,17 +257,11 @@ type HelloAck struct {
 // tableLen is the number of float32s in an encoded HelloAck.Table.
 const tableLen = 3 * 256
 
-// EpochReq asks the server to stream the session's shard of one epoch.
-type EpochReq struct {
-	Epoch int
-}
-
-// ShardReq asks the server to stream an explicit subset of one epoch's batch
-// plan, identified by global batch IDs, in the order given. This is the
-// cluster routing primitive: the batch plan — not the rank/world pair —
-// defines the work, so a router can re-issue exactly the unserved IDs of a
-// dead node to a survivor. IDs must be in-range, duplicate-free plan
-// positions.
+// ShardReq asks the server to stream a subset of one epoch's batch plan,
+// identified by global batch IDs, in the order given: the only stream
+// request. The batch plan — not the rank/world pair — defines the work, so a
+// router can re-issue exactly the unserved IDs of a dead node to a survivor.
+// IDs must be a non-empty list of in-range, duplicate-free plan positions.
 type ShardReq struct {
 	Epoch int
 	IDs   []int
@@ -321,53 +315,12 @@ func (b *Batch) Clone() *Batch {
 	return &c
 }
 
-// EpochEnd terminates an epoch stream.
-type EpochEnd struct {
-	Epoch   int
-	Batches int
-	// Checksum is the StreamSum of the epoch's batch frame payloads, in
-	// order, so the client can verify stream integrity.
-	Checksum uint64
-}
-
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Digest is the per-frame payload digest: CRC32C, which hash/crc32 computes
 // with SSE4.2 / ARMv8 CRC instructions where the CPU has them and slicing-8
 // tables elsewhere — the same value either way.
 func Digest(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
-
-// StreamSum is the per-epoch stream checksum EpochEnd carries: FNV-1a 64
-// folded over the big-endian (payload length u32, payload CRC32C u32) of
-// every batch frame, in stream order. It is the one definition the server,
-// the client and the test fakes share. Build it with NewStreamSum.
-type StreamSum struct{ h uint64 }
-
-// FNV-1a 64 parameters (hash/fnv's; inlined because the fold is eight bytes).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// NewStreamSum returns the checksum of the empty stream.
-func NewStreamSum() StreamSum { return StreamSum{h: fnvOffset64} }
-
-// Add folds one frame, given its payload length and Digest.
-func (s *StreamSum) Add(payloadLen int, digest uint32) {
-	v := uint64(uint32(payloadLen))<<32 | uint64(digest)
-	h := s.h
-	for shift := 56; shift >= 0; shift -= 8 {
-		h ^= v >> shift & 0xff
-		h *= fnvPrime64
-	}
-	s.h = h
-}
-
-// AddPayload folds one frame from its bytes: one Digest pass plus Add.
-func (s *StreamSum) AddPayload(payload []byte) { s.Add(len(payload), Digest(payload)) }
-
-// Sum64 returns the checksum of the frames folded so far.
-func (s StreamSum) Sum64() uint64 { return s.h }
 
 // Error codes carried by ErrorMsg.Code. CodeFatal is the zero value every
 // pre-existing error site uses; CodeBusy marks an admission-control rejection
@@ -490,7 +443,6 @@ func readFramePayload(r io.Reader, payload []byte) error {
 
 func appendU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
 func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
 
 func appendStr(b []byte, s string) []byte {
 	if len(s) > math.MaxUint16 {
@@ -517,7 +469,6 @@ func EncodeHelloAck(a HelloAck) []byte {
 	b = appendU32(b, uint32(a.DatasetLen))
 	b = appendU32(b, uint32(a.BatchSize))
 	b = appendU32(b, uint32(a.PlanBatches))
-	b = appendU32(b, uint32(a.ShardBatches))
 	b = append(b, a.Mode)
 	b = appendStr(b, a.Workload)
 	if a.Table == nil {
@@ -532,16 +483,7 @@ func EncodeHelloAck(a HelloAck) []byte {
 	return b
 }
 
-// EncodeEpochReq renders an EpochReq frame payload.
-func EncodeEpochReq(r EpochReq) []byte {
-	b := []byte{byte(MsgEpochReq)}
-	return appendU32(b, uint32(r.Epoch))
-}
-
-// EncodeShardReq renders a ShardReq frame payload. The trailing hedge byte
-// rides inside the same additive message (every ShardReq peer in this
-// codebase emits and expects it; a strict pre-hedge decoder would reject the
-// frame with a clean Error, which a router treats as a node failure).
+// EncodeShardReq renders a ShardReq frame payload.
 func EncodeShardReq(r ShardReq) []byte {
 	b := make([]byte, 0, 1+4+4+4*len(r.IDs)+1)
 	b = append(b, byte(MsgShardReq))
@@ -631,14 +573,6 @@ func appendBatchHeader(dst []byte, m *Batch) []byte {
 	return append(b, make([]byte, pad)...) // the compiler extends in place: no allocation
 }
 
-// EncodeEpochEnd renders an EpochEnd frame payload.
-func EncodeEpochEnd(e EpochEnd) []byte {
-	b := []byte{byte(MsgEpochEnd)}
-	b = appendU32(b, uint32(e.Epoch))
-	b = appendU32(b, uint32(e.Batches))
-	return appendU64(b, e.Checksum)
-}
-
 // EncodeError renders an Error frame payload.
 func EncodeError(e ErrorMsg) []byte {
 	b := []byte{byte(MsgError)}
@@ -656,14 +590,10 @@ func EncodeMessage(msg any) ([]byte, error) {
 		return EncodeHello(m), nil
 	case HelloAck:
 		return EncodeHelloAck(m), nil
-	case EpochReq:
-		return EncodeEpochReq(m), nil
 	case ShardReq:
 		return EncodeShardReq(m), nil
 	case *Batch:
 		return EncodeBatch(m), nil
-	case EpochEnd:
-		return EncodeEpochEnd(m), nil
 	case ErrorMsg:
 		return EncodeError(m), nil
 	case Bye:
@@ -732,19 +662,6 @@ func (d *dec) u32() uint32 {
 	return v
 }
 
-func (d *dec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.remaining() < 8 {
-		d.fail("truncated u64 at offset %d", d.off)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
 func (d *dec) bytes(n int) []byte {
 	if d.err != nil {
 		return nil
@@ -759,7 +676,7 @@ func (d *dec) bytes(n int) []byte {
 }
 
 // MaxEpoch is the largest epoch a client may request; the decoder refuses
-// an EpochReq or ShardReq naming a later one.
+// a ShardReq naming a later one.
 const MaxEpoch = 1 << 30
 
 // epoch reads a requested epoch number and enforces 0 <= epoch <= MaxEpoch.
@@ -775,6 +692,17 @@ func (d *dec) epoch() int {
 func (d *dec) str() string {
 	n := int(d.u16())
 	return string(d.bytes(n))
+}
+
+// helloStr reads a Hello string and enforces its door: at most
+// MaxHelloString bytes, every one printable ASCII.
+func (d *dec) helloStr() string {
+	s := d.str()
+	if len(s) > MaxHelloString || strings.ContainsFunc(s, func(r rune) bool { return r < ' ' || r > '~' }) {
+		d.fail("hello string %.80q: want at most %d bytes of printable ASCII", s, MaxHelloString)
+		return ""
+	}
+	return s
 }
 
 // count validates an element count against the bytes still available, so a
@@ -816,8 +744,8 @@ func DecodeMessage(payload []byte) (any, error) {
 		h.Version = int(d.u16())
 		h.Rank = int(d.u32())
 		h.World = int(d.u32())
-		h.Name = d.str()
-		h.Tenant = d.str()
+		h.Name = d.helloStr()
+		h.Tenant = d.helloStr()
 		if err := d.done(); err != nil {
 			return nil, err
 		}
@@ -831,7 +759,6 @@ func DecodeMessage(payload []byte) (any, error) {
 		a.DatasetLen = int(d.u32())
 		a.BatchSize = int(d.u32())
 		a.PlanBatches = int(d.u32())
-		a.ShardBatches = int(d.u32())
 		a.Mode = d.u8()
 		a.Workload = d.str()
 		a.Table = d.table(a.Mode)
@@ -839,15 +766,12 @@ func DecodeMessage(payload []byte) (any, error) {
 			return nil, err
 		}
 		return a, nil
-	case MsgEpochReq:
-		r := EpochReq{Epoch: d.epoch()}
-		if err := d.done(); err != nil {
-			return nil, err
-		}
-		return r, nil
 	case MsgShardReq:
 		r := ShardReq{Epoch: d.epoch()}
 		n := d.count(4)
+		if d.err == nil && n == 0 {
+			d.fail("shardreq names no batch")
+		}
 		if d.err == nil {
 			r.IDs = make([]int, n)
 			for i := range r.IDs {
@@ -867,15 +791,6 @@ func DecodeMessage(payload []byte) (any, error) {
 		return r, nil
 	case MsgBatch:
 		return decodeBatch(d)
-	case MsgEpochEnd:
-		e := EpochEnd{}
-		e.Epoch = int(d.u32())
-		e.Batches = int(d.u32())
-		e.Checksum = d.u64()
-		if err := d.done(); err != nil {
-			return nil, err
-		}
-		return e, nil
 	case MsgError:
 		e := ErrorMsg{Message: d.str()}
 		e.Code = d.u8()

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"lotus/internal/tensor"
@@ -18,13 +19,13 @@ import (
 func FuzzFrameRoundTrip(f *testing.F) {
 	seeds := []any{
 		Hello{Version: 1, Rank: 1, World: 4, Name: "fuzz"},
-		HelloAck{Version: 1, DatasetLen: 100, BatchSize: 8, PlanBatches: 13, ShardBatches: 7, Mode: 1, Workload: "OD"},
-		HelloAck{Version: ProtocolVersion, DatasetLen: 64, BatchSize: 32, PlanBatches: 2, ShardBatches: 1, Mode: 1, Workload: "IC", Table: fuzzTable()},
+		HelloAck{Version: 1, DatasetLen: 100, BatchSize: 8, PlanBatches: 13, Mode: 1, Workload: "OD"},
+		HelloAck{Version: ProtocolVersion, DatasetLen: 64, BatchSize: 32, PlanBatches: 2, Mode: 1, Workload: "IC", Table: fuzzTable()},
 		// A pixel batch, as a session with a table receives it.
 		&Batch{Epoch: 1, GlobalID: 0, Indices: []int{3, 1}, Labels: []int{0, 4},
 			Dtype: tensor.Uint8, Shape: []int{2, 1, 2, 3}, U8: make([]uint8, 12)},
-		EpochReq{Epoch: 9},
-		EpochReq{Epoch: MaxEpoch + 1}, // out of range: refused
+		ShardReq{Epoch: 9, IDs: []int{2, 0}},
+		ShardReq{Epoch: MaxEpoch + 1, IDs: []int{0}}, // out of range: refused
 		&Batch{Epoch: 1, GlobalID: 2, Indices: []int{3, 1}, Labels: []int{0, 4},
 			Dtype: tensor.Uint8, Shape: []int{2, 2}, U8: []uint8{9, 8, 7, 6}},
 		&Batch{Epoch: 0, GlobalID: 1, Indices: []int{5}, Labels: []int{-2},
@@ -36,7 +37,6 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		&Batch{Epoch: 2, GlobalID: 4, Indices: make([]int, 5), Labels: make([]int, 5),
 			Dtype: tensor.Float32, Shape: []int{5, 0}, F32: []float32{}},
 		&Batch{Epoch: 4, GlobalID: 0, Indices: []int{1}, Labels: []int{1}, Dtype: tensor.Float32, Shape: []int{1, 3, 8, 8}},
-		EpochEnd{Epoch: 1, Batches: 7, Checksum: 12345},
 		ErrorMsg{Message: "boom"},
 		Bye{},
 	}
@@ -114,8 +114,9 @@ func FuzzControlMessages(f *testing.F) {
 		Hello{Version: ProtocolVersion, Rank: 3, World: MaxWorld, Name: "trainer", Tenant: "team-vision"},
 		Hello{Version: 2, World: 1},
 		ShardReq{Epoch: 4, IDs: []int{7, 0, 3}},
-		ShardReq{Epoch: 0, IDs: []int{}, Hedge: true},
-		ShardReq{Epoch: MaxEpoch + 1, IDs: []int{2}}, // out of range: refused
+		ShardReq{Epoch: 0, IDs: []int{}, Hedge: true},             // names no batch: refused
+		Hello{Version: ProtocolVersion, World: 1, Name: "bell\a"}, // unprintable: refused
+		ShardReq{Epoch: MaxEpoch + 1, IDs: []int{2}},              // out of range: refused
 		ErrorMsg{Message: "server busy: session limit reached", Code: CodeBusy},
 		ErrorMsg{},
 	} {
@@ -147,9 +148,17 @@ func FuzzControlMessages(f *testing.F) {
 				if m.World < 1 || m.World > MaxWorld || m.Rank < 0 || m.Rank >= m.World {
 					t.Fatalf("accepted Hello with rank %d of world %d", m.Rank, m.World)
 				}
+				for _, s := range []string{m.Name, m.Tenant} {
+					if len(s) > MaxHelloString || strings.ContainsFunc(s, func(r rune) bool { return r < ' ' || r > '~' }) {
+						t.Fatalf("accepted Hello string %q", s)
+					}
+				}
 			case ShardReq:
 				if m.Epoch < 0 || m.Epoch > MaxEpoch {
 					t.Fatalf("accepted ShardReq for epoch %d", m.Epoch)
+				}
+				if len(m.IDs) == 0 {
+					t.Fatal("accepted a ShardReq naming no batch")
 				}
 				if len(m.IDs) > len(body)/4 {
 					t.Fatalf("accepted ShardReq with %d ids from a %d-byte body", len(m.IDs), len(body))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lotus/internal/tensor"
@@ -40,12 +41,10 @@ func TestMessageRoundTrips(t *testing.T) {
 		Hello{Version: 1, Rank: 2, World: 5, Name: "trainer-a"},
 		Hello{Version: 1, Rank: 0, World: 1, Name: ""},
 		Hello{Version: 1, Rank: 1, World: 4, Name: "trainer-b", Tenant: "team-vision"},
-		HelloAck{Version: 1, DatasetLen: 5120, BatchSize: 128, PlanBatches: 40, ShardBatches: 20, Mode: 1, Workload: "IC"},
-		EpochReq{Epoch: 3},
-		EpochReq{Epoch: MaxEpoch},
+		Hello{Version: 1, Rank: 0, World: 1, Name: strings.Repeat("~", MaxHelloString), Tenant: " !az09"},
+		HelloAck{Version: 1, DatasetLen: 5120, BatchSize: 128, PlanBatches: 40, Mode: 1, Workload: "IC"},
 		ShardReq{Epoch: 4, IDs: []int{7, 0, 3}},
 		ShardReq{Epoch: MaxEpoch, IDs: []int{1}},
-		ShardReq{Epoch: 0, IDs: []int{}},
 		ShardReq{Epoch: 2, IDs: []int{5, 1}, Hedge: true},
 		&Batch{Epoch: 1, GlobalID: 7, Indices: []int{4, 9, 1}, Labels: []int{0, -1, 2},
 			Dtype: tensor.Float32, Shape: []int{3, 3, 224, 224}},
@@ -53,7 +52,6 @@ func TestMessageRoundTrips(t *testing.T) {
 			Dtype: tensor.Uint8, Shape: []int{1, 4}, U8: []uint8{1, 2, 3, 4}},
 		&Batch{Epoch: 2, GlobalID: 3, Indices: []int{2, 6}, Labels: []int{1, 1},
 			Dtype: tensor.Float32, Shape: []int{2, 2}, F32: []float32{0.5, -1.25, 3e8, 0}},
-		EpochEnd{Epoch: 2, Batches: 20, Checksum: 0xdeadbeefcafef00d},
 		ErrorMsg{Message: "server draining"},
 		ErrorMsg{Message: "server busy: session limit reached", Code: CodeBusy},
 		Bye{},
@@ -84,10 +82,18 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			b[7+3] = 0
 			return b
 		}()},
-		{"trailing garbage", append(EncodeEpochReq(EpochReq{Epoch: 1}), 0)},
-		{"epochreq epoch past MaxEpoch", EncodeEpochReq(EpochReq{Epoch: MaxEpoch + 1})},
-		{"epochreq epoch -1 on the wire", []byte{byte(MsgEpochReq), 0xff, 0xff, 0xff, 0xff}},
+		{"hello name past 64 bytes", EncodeHello(Hello{Version: 1, World: 1, Name: strings.Repeat("n", MaxHelloString+1)})},
+		{"hello tenant past 64 bytes", EncodeHello(Hello{Version: 1, World: 1, Tenant: strings.Repeat("t", MaxHelloString+1)})},
+		{"hello name with a control byte", EncodeHello(Hello{Version: 1, World: 1, Name: "tab\there"})},
+		{"hello name with DEL", EncodeHello(Hello{Version: 1, World: 1, Name: "del\x7f"})},
+		{"hello tenant not ASCII", EncodeHello(Hello{Version: 1, World: 1, Tenant: "équipe"})},
+		{"hello tenant not UTF-8", EncodeHello(Hello{Version: 1, World: 1, Tenant: "\xff"})},
+		{"trailing garbage", append(EncodeShardReq(ShardReq{Epoch: 1, IDs: []int{1}}), 0)},
 		{"shardreq epoch past MaxEpoch", EncodeShardReq(ShardReq{Epoch: MaxEpoch + 1, IDs: []int{1}})},
+		{"shardreq epoch -1 on the wire", []byte{byte(MsgShardReq), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1, 0, 0, 0, 1, 0}},
+		{"shardreq naming no batch", EncodeShardReq(ShardReq{Epoch: 1})},
+		{"retired type 0x03 (version 4's epoch request)", []byte{0x03, 0, 0, 0, 1}},
+		{"retired type 0x05 (version 4's end of epoch)", []byte{0x05, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
 		{"truncated shardreq ids", EncodeShardReq(ShardReq{Epoch: 1, IDs: []int{1, 2, 3}})[:11]},
 		{"shardreq forged count", func() []byte {
 			b := EncodeShardReq(ShardReq{Epoch: 1, IDs: []int{1}})
@@ -165,7 +171,7 @@ func TestReadFrameLimits(t *testing.T) {
 	}
 
 	buf.Reset()
-	WriteFrame(&buf, EncodeEpochReq(EpochReq{Epoch: 3}))
+	WriteFrame(&buf, EncodeShardReq(ShardReq{Epoch: 3, IDs: []int{1}}))
 	buf.Bytes()[FrameHeaderSize+2] ^= 0x10 // one bit of the payload flips in transit
 	if _, err := ReadFrame(&buf, 0); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("corrupt payload: got %v, want ErrCorruptFrame", err)
