@@ -58,6 +58,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{0xff})
 	f.Add([]byte{byte(MsgBatch), 0, 0, 0, 1})
+	// A protocol v4 EpochEnd frame (type 0x05, epoch 1, 7 batches, a
+	// checksum): the type is retired, so the decoder must refuse it.
+	f.Add([]byte{0x05, 0, 0, 0, 1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0x30, 0x39})
 	for _, bad := range badTableAcks() {
 		f.Add(bad)
 	}
