@@ -20,6 +20,7 @@
 package clock
 
 import (
+	"runtime"
 	"sync"
 	"time"
 )
@@ -154,6 +155,24 @@ func (p *realProc) Sleep(d time.Duration) {
 	if p.debt < -sleepForgiveness {
 		p.debt = -sleepForgiveness
 	}
+}
+
+// SleepUntil blocks p until t. Unlike Sleep it bypasses the real proc's
+// pacing debt and sleeps to t itself, so a caller whose deadlines all count
+// from one origin absorbs each oversleep into its next wait rather than
+// paying it again. A t already reached still yields once — on the sim clock
+// as a zero Sleep does, on the real clock through runtime.Gosched — so a
+// proc that would have blocked here lets the ones queued behind it run.
+func SleepUntil(p Proc, t time.Time) {
+	if !IsReal(p) {
+		p.Sleep(t.Sub(p.Now()))
+		return
+	}
+	if d := time.Until(t); d > 0 {
+		time.Sleep(d)
+		return
+	}
+	runtime.Gosched()
 }
 
 // IsReal reports whether p executes on the real clock (an ordinary

@@ -37,6 +37,36 @@ func TestSimZeroSleepYields(t *testing.T) {
 	}
 }
 
+// TestSleepUntil: the wait is to an absolute time on either clock, and a
+// time already past costs a yield, not a sleep.
+func TestSleepUntil(t *testing.T) {
+	sim := NewSim()
+	var woke []time.Duration
+	sim.Run("root", func(p Proc) {
+		due := p.Now().Add(3 * time.Millisecond)
+		SleepUntil(p, due)
+		woke = append(woke, p.Now().Sub(Epoch))
+		SleepUntil(p, due) // already past
+		woke = append(woke, p.Now().Sub(Epoch))
+	})
+	if woke[0] != 3*time.Millisecond || woke[1] != 3*time.Millisecond {
+		t.Fatalf("sim woke at %v, want [3ms 3ms]", woke)
+	}
+	NewReal().Run("root", func(p Proc) {
+		start := p.Now()
+		due := start.Add(400 * time.Microsecond)
+		SleepUntil(p, due)
+		if now := p.Now(); now.Before(due) {
+			t.Errorf("real clock woke %v before its due time", due.Sub(now))
+		}
+		before := p.Now()
+		SleepUntil(p, start)
+		if d := p.Now().Sub(before); d > 50*time.Millisecond {
+			t.Errorf("a past due time blocked for %v", d)
+		}
+	})
+}
+
 func TestSimParallelSleepersOverlap(t *testing.T) {
 	// Two procs each sleeping 10s concurrently should finish at t=10s, not
 	// t=20s: virtual time models true parallelism.

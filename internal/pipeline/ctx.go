@@ -78,6 +78,11 @@ type Ctx struct {
 	// blobScratch is the reusable buffer the Loader reads a sample's encoded
 	// file into; it holds one blob, valid until the worker's next read.
 	blobScratch []byte
+	// readFree is when the worker's modeled storage device finishes the
+	// reads issued so far in the current batch (ReadBlob). BatchWorker.Run
+	// sets it to the batch's start and clears it at the end; zero means no
+	// batch is running and a read is issued when asked.
+	readFree time.Time
 }
 
 // Real reports whether transforms should manipulate actual payloads.
@@ -174,21 +179,46 @@ func (c *Ctx) WorkCalls(calls []native.Call) {
 }
 
 // ReadBlob advances time for the blob-store read of one sample, consulting
-// the fault injector first: an injected slow-read stall lengthens the wait,
+// the fault injector first: an injected slow-read stall lengthens the read,
 // and an injected read error panics after it — surfacing through the
 // worker's recover as a dataset exception, the way PyTorch re-raises a
-// worker's IOError in the main process.
-func (c *Ctx) ReadBlob(index int, d time.Duration) {
+// worker's IOError in the main process. It returns the read's modeled
+// latency (d plus any stall) and the part of it the worker waited out: what
+// remained of the read when the worker asked for it. A late wake-up (timer
+// oversleep, a busy core) is not counted; it is not the device's.
+//
+// In RealData mode a batch's reads are issued together when the batch
+// starts (BatchWorker.Run), on a per-worker serial device: the device is
+// free from readFree on, so a read of latency m is due at readFree + m, and
+// the worker waits only for whatever of it remains. A file's modeled
+// latency thus elapses while earlier samples decode, and the batch still
+// cannot finish before its start plus the sum of its reads. On a simulated
+// clock real kernels take no virtual time, so every wait there is the whole
+// latency (less any hook log cost charged since the previous read), as when
+// reads were issued one at a time. Outside a batch (a direct GetItem, the
+// IterableLoader) and in Simulated mode a read is issued when asked and
+// waited in full (IO).
+func (c *Ctx) ReadBlob(index int, d time.Duration) (modeled, waited time.Duration) {
 	stall, err := c.Faults.ReadFault(index)
-	c.IO(d + stall)
+	modeled = d + stall
+	if c.Mode == RealData && !c.readFree.IsZero() {
+		due := c.readFree.Add(modeled)
+		c.readFree = due
+		waited = max(due.Sub(c.Proc.Now()), 0)
+		clock.SleepUntil(c.Proc, due)
+	} else {
+		c.IO(modeled)
+		waited = modeled
+	}
 	if err != nil {
 		panic(err)
 	}
+	return modeled, waited
 }
 
-// IO advances time for a storage read. I/O wait is off-CPU, so it is not
-// recorded on the native timeline (a hardware profiler would not attribute
-// it to a user-space function).
+// IO advances time for a storage read issued when asked. I/O wait is
+// off-CPU, so it is not recorded on the native timeline (a hardware profiler
+// would not attribute it to a user-space function).
 func (c *Ctx) IO(d time.Duration) {
 	if c.Mode == RealData {
 		// Real mode still models storage latency: the synthetic blobs live

@@ -165,27 +165,36 @@ type Loader struct {
 	// it). A bare Loader renders every file inline — same bytes.
 	Data *data.ImageDataset
 
-	// Counters of real decodes (DecodeStats).
+	// Counters of real decodes and of the reads behind them, in
+	// nanoseconds (DecodeStats).
 	windowed, full, pxDecoded, pxSkipped atomic.Int64
+	readModeled, readWaited              atomic.Int64
 }
 
 // DecodeStats counts a Loader's real decodes: how many reconstructed only the
 // window the following crop keeps and how many the full frame, and the pixels
-// of the images that were and were not reconstructed.
+// of the images that were and were not reconstructed. ReadModeledMS is the
+// modeled latency of their files' reads (IOModel delay plus injected
+// stalls) and ReadWaitedMS the part of it the workers waited out: less, by
+// what a batch's read-ahead overlapped with decoding (Ctx.ReadBlob).
 type DecodeStats struct {
-	Windowed  int64 `json:"windowed"`
-	Full      int64 `json:"full"`
-	PxDecoded int64 `json:"px_decoded"`
-	PxSkipped int64 `json:"px_skipped"`
+	Windowed      int64   `json:"windowed"`
+	Full          int64   `json:"full"`
+	PxDecoded     int64   `json:"px_decoded"`
+	PxSkipped     int64   `json:"px_skipped"`
+	ReadModeledMS float64 `json:"read_modeled_ms"`
+	ReadWaitedMS  float64 `json:"read_waited_ms"`
 }
 
 // DecodeStats reports the op's decode counters.
 func (l *Loader) DecodeStats() DecodeStats {
 	return DecodeStats{
-		Windowed:  l.windowed.Load(),
-		Full:      l.full.Load(),
-		PxDecoded: l.pxDecoded.Load(),
-		PxSkipped: l.pxSkipped.Load(),
+		Windowed:      l.windowed.Load(),
+		Full:          l.full.Load(),
+		PxDecoded:     l.pxDecoded.Load(),
+		PxSkipped:     l.pxSkipped.Load(),
+		ReadModeledMS: float64(l.readModeled.Load()) / 1e6,
+		ReadWaitedMS:  float64(l.readWaited.Load()) / 1e6,
 	}
 }
 
@@ -210,10 +219,12 @@ func (l *Loader) Apply(ctx *Ctx, s Sample) Sample { return l.load(ctx, s, nil) }
 // only) it decodes just the rectangle crop will keep.
 func (l *Loader) load(ctx *Ctx, s Sample, crop *RandomResizedCrop) Sample {
 	r := ctx.OpRNG(s.Index, "loader")
-	ctx.ReadBlob(s.Index, l.Cache.Delay(s.Index, s.FileBytes, l.IO, r))
+	modeled, waited := ctx.ReadBlob(s.Index, l.Cache.Delay(s.Index, s.FileBytes, l.IO, r))
 
 	raw := s.Width * s.Height * 3
 	if ctx.Real() {
+		l.readModeled.Add(int64(modeled))
+		l.readWaited.Add(int64(waited))
 		// Decode the sample's real SJPG file. The decoder keeps nothing of
 		// the blob, so the worker's scratch buffer is free for the next one.
 		rec := data.ImageRecord{Index: s.Index, Width: s.Width, Height: s.Height, Seed: s.Seed}

@@ -63,6 +63,8 @@ func (w *BatchWorker) Run(p clock.Proc, batchID int, indices []int, dst CollateD
 	ctx.Proc = p
 	pid := WorkerPID(w.id)
 	start := p.Now()
+	// The batch's reads are issued now, on the worker's device (ReadBlob).
+	ctx.readFree = start
 	if ctx.Engine != nil {
 		ctx.Engine.BeginWork()
 	}
@@ -91,6 +93,7 @@ func (w *BatchWorker) Run(p clock.Proc, batchID int, indices []int, dst CollateD
 		}
 		return nil
 	}()
+	ctx.readFree = time.Time{}
 	if ctx.Engine != nil {
 		ctx.Engine.EndWork()
 	}

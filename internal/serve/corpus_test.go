@@ -135,6 +135,37 @@ func TestServedCorpusCounters(t *testing.T) {
 	})
 }
 
+// TestServedReadCounters: /metrics shows what the modeled reads of served
+// samples cost and how long the workers waited for them. On a cold epoch the
+// wait never exceeds the model; at the served cap, where a sample's decode
+// outlasts its read, the batch's read-ahead hides most of it.
+func TestServedReadCounters(t *testing.T) {
+	t.Cleanup(testutil.CheckGoroutines(t))
+	serveEpochs(t, workloads.ICSpec(corpusTestSamples, 7), 0, 1, func(_ int, snap *MetricsSnapshot) {
+		if d := snap.Decode; d.ReadModeledMS <= 0 || d.ReadWaitedMS > d.ReadModeledMS {
+			t.Fatalf("decode %+v: want 0 < read_waited_ms <= read_modeled_ms", *d)
+		}
+	})
+
+	spec := workloads.ICSpec(64, 7)
+	spec.BatchSize, spec.NumWorkers = 32, 2
+	srv := New(Config{Spec: spec, Mode: pipeline.RealData, MaterializeDim: 256, Logf: t.Logf})
+	if err := srv.Start("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c := NewClient(ClientConfig{Addr: srv.Addr(), Name: "read-test"})
+	defer c.Close()
+	if err := fetchOnce(c, 0, func(*Batch, []byte) {}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var snap MetricsSnapshot
+	getJSON(t, "http://"+srv.HTTPAddr()+"/metrics", &snap)
+	if d := snap.Decode; d == nil || d.ReadModeledMS <= 0 || d.ReadWaitedMS >= d.ReadModeledMS/2 {
+		t.Fatalf("decode %+v at cap 256: want the workers to wait out less than half the modeled reads", d)
+	}
+}
+
 // TestServedSampleCacheKeepsFullDecodes: with the sample cache on, IC's cached
 // prefix is the Loader's output, so the rewrite must stay off — the server
 // says so, no decode takes a window, each sample is decoded once, in full
