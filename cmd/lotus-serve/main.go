@@ -19,9 +19,10 @@
 //
 // Persistent cache: -disk-cache-dir roots a content-addressed disk tier
 // under the in-memory caches. Frames and sample snapshots spill there as
-// they are produced, survive restarts (even SIGKILL — the index rebuilds
-// from checksummed segment scans), and are shared by any job pointed at the
-// same directory:
+// they are produced, survive restarts (even SIGKILL — the segments are the
+// index: a restart reads every record header, checksummed, and a record a
+// kill tore is dropped and recomputed), and are shared by any job pointed at
+// the same directory:
 //
 //	lotus-serve -workload ICA -cache-mb 256 -sample-cache-mb 256 \
 //	    -disk-cache-dir /var/cache/lotus -disk-cache-gb 8

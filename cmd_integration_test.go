@@ -3,13 +3,15 @@ package lotus_test
 // End-to-end integration tests of the command-line tools: build the real
 // binaries and push a trace through the whole flow —
 // lotus-run → lotus-viz (JSON + ascii) → lotus-advise → lotus-diff →
-// lotus-map — and route a lotus-fetch cluster around a dead lotus-serve
-// node. Skipped with -short.
+// lotus-map — route a lotus-fetch cluster around a dead lotus-serve node,
+// and restart a lotus-serve killed with SIGKILL on its disk cache. Skipped
+// with -short.
 
 import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -216,5 +218,96 @@ func TestCLIFetchSeveralAddrsNeedCluster(t *testing.T) {
 	ee, ok := err.(*exec.ExitError)
 	if !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "-cluster") {
 		t.Fatalf("lotus-fetch with two endpoints and no -cluster: %v\n%s\nwant exit 2 naming -cluster", err, out)
+	}
+}
+
+// TestCLIDiskCacheSurvivesKill: a lotus-serve killed with SIGKILL, once its
+// spills reached the disk tier, leaves a -disk-cache-dir that a restarted
+// server serves the whole plan from — no Close, no Flush, nothing but the
+// segments to recover from.
+func TestCLIDiskCacheSurvivesKill(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped with -short")
+	}
+	dir := t.TempDir()
+	lotusServe := buildTool(t, dir, "lotus-serve")
+	lotusFetch := buildTool(t, dir, "lotus-fetch")
+	cacheDir := filepath.Join(dir, "disk")
+	const plan = 2 * 640 / 64 // two epochs of 10 batches
+
+	freeAddr := func() string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		return ln.Addr().String()
+	}
+	type diskCache struct {
+		Spills      int64 `json:"spills"`
+		BatchHits   int64 `json:"batch_hits"`
+		BatchMisses int64 `json:"batch_misses"`
+	}
+	metrics := func(httpAddr string) diskCache {
+		resp, err := http.Get("http://" + httpAddr + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap struct {
+			DiskCache *diskCache `json:"disk_cache"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil || snap.DiskCache == nil {
+			t.Fatalf("/metrics disk_cache: %+v, %v", snap.DiskCache, err)
+		}
+		return *snap.DiskCache
+	}
+	// life starts a server on cacheDir, fetches the plan through it, and
+	// returns the server and its sidecar address.
+	life := func() (*exec.Cmd, string) {
+		addr, httpAddr := freeAddr(), freeAddr()
+		cmd := exec.Command(lotusServe, "-mode", "sim", "-workload", "IC", "-samples", "640", "-batch", "64",
+			"-addr", addr, "-http", httpAddr, "-disk-cache-dir", cacheDir)
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			cmd.Process.Kill()
+			cmd.Wait()
+		})
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			conn, err := net.Dial("tcp", addr)
+			if err == nil {
+				conn.Close()
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("lotus-serve on %s never listened: %v", addr, err)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+		if out := run(t, lotusFetch, "-addr", addr, "-epochs", "2", "-quiet"); !strings.Contains(out, fmt.Sprintf("2 epochs, %d batches,", plan)) {
+			t.Fatalf("lotus-fetch did not deliver %d batches:\n%s", plan, out)
+		}
+		return cmd, httpAddr
+	}
+
+	first, httpAddr := life()
+	deadline := time.Now().Add(30 * time.Second)
+	for st := metrics(httpAddr); st.Spills != plan; st = metrics(httpAddr) {
+		if time.Now().After(deadline) {
+			t.Fatalf("first life spilled %d of %d batches", st.Spills, plan)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err := first.Process.Kill(); err != nil { // SIGKILL: no Close, no Flush
+		t.Fatal(err)
+	}
+	first.Wait()
+
+	_, httpAddr = life()
+	if st := metrics(httpAddr); st.BatchMisses != 0 || st.BatchHits != plan {
+		t.Fatalf("after SIGKILL and restart: disk_cache %+v, want %d hits and no miss", st, plan)
 	}
 }

@@ -3,7 +3,6 @@ package chaos
 import (
 	"net"
 	"os"
-	"path/filepath"
 	"time"
 
 	"lotus/internal/cluster"
@@ -43,14 +42,15 @@ func servedRows() []row {
 			tenants: map[string]serve.TenantLimit{"greedy": {BatchesPerSec: 100, BurstBatches: 4}},
 			client:  sessions(map[string]int{"greedy": 3, "polite": 1}), check: throttled},
 
-		// Crashes of the disk tier: the restart rebuilds its index and serves
-		// warm bytes; rotten records degrade to a clean recompute.
+		// Crashes of the disk tier: the restart indexes its segments and
+		// serves warm bytes; a torn or rotten record degrades to a clean
+		// recompute.
 		{class: "disk-rewarm", batchCache: chaosCacheBytes, disk: true, lives: 2,
-			between: killManifests, check: rewarmed},
-		{class: "disk-torn-manifest", batchCache: chaosCacheBytes, disk: true, lives: 2,
-			faults: faultinject.Spec{TornManifest: 1}, check: rewarmed},
+			between: tearTails, check: rewarmed},
+		{class: "disk-header-rot", batchCache: chaosCacheBytes, disk: true, lives: 2,
+			between: rotHeaderKey, check: rewarmed},
 		{class: "disk-corrupt-segment", batchCache: chaosCacheBytes, disk: true, lives: 2,
-			faults: faultinject.Spec{CorruptDiskAppend: 3}, check: corruptDropped},
+			faults: faultinject.Spec{CorruptDiskAppend: 3}, check: rewarmed},
 
 		// Hedging around a node stalling 2 s on every batch; RealData, so the
 		// stall blocks its stream.
@@ -75,7 +75,7 @@ func servedRows() []row {
 		// The whole cluster killed and restarted on its directories: every
 		// node serves its shard from disk.
 		{class: "cluster-node-kill-rewarm", nodes: 3, batchCache: chaosCacheBytes, disk: true, lives: 2,
-			between: killManifests, client: routed(nil), check: rewarmed},
+			between: tearTails, client: routed(nil), check: rewarmed},
 		// The balancer sheds ring weight off a node stalling 60 ms per batch.
 		// Emulate mode paces each node on its own modeled rate: three RealData
 		// servers on one host are CPU-coupled, which would invert the signal.
@@ -187,15 +187,42 @@ func throttled(e *env) {
 	e.note("greedy throttled=%.0fms polite=%.0fms", greedy.ThrottledMs, polite.ThrottledMs)
 }
 
-// killManifests deletes every node's MANIFEST after its server closed: the
-// on-disk state a SIGKILL leaves.
-func killManifests(e *env) {
+// tearTails cuts every node's newest segment in the middle of its last
+// record after its server closed: the state a SIGKILL mid-append leaves.
+func tearTails(e *env) {
 	for _, dir := range e.dirs {
-		if err := os.Remove(filepath.Join(dir, "MANIFEST")); err != nil {
-			e.fail("remove manifest: %v", err)
+		path, off, err := store.LastRecord(dir)
+		if err == nil {
+			var st os.FileInfo
+			if st, err = os.Stat(path); err == nil {
+				err = os.Truncate(path, (off+st.Size())/2)
+			}
+		}
+		if err != nil {
+			e.fail("tear %s: %v", dir, err)
 		}
 		e.res.Injected++
 	}
+}
+
+// rotHeaderKey flips the low bit of the batch ID in the header of node0's
+// last record — bit rot that, unchecked, would serve that batch's bytes as
+// its neighbour's. The key's B field (the global batch ID) is header bytes
+// 21–28 (DESIGN §13).
+func rotHeaderKey(e *env) {
+	path, off, err := store.LastRecord(e.dirs[0])
+	var seg []byte
+	if err == nil {
+		seg, err = os.ReadFile(path)
+	}
+	if err == nil {
+		seg[off+28] ^= 1
+		err = os.WriteFile(path, seg, 0o644)
+	}
+	if err != nil {
+		e.fail("rot a header in %s: %v", e.dirs[0], err)
+	}
+	e.res.Injected++
 }
 
 func diskStats(e *env, i int) store.Stats {
@@ -206,26 +233,19 @@ func diskStats(e *env, i int) store.Stats {
 	return st
 }
 
-// rewarmed: each restarted node rebuilt its index from segment scans and
-// served its whole shard from disk, recomputing nothing.
+// rewarmed: each restarted node lost exactly the one record its row damaged
+// — torn, a rotten header or a rotten payload — dropped it once, at Open or
+// at its first read, recomputed that batch, and served every other batch of
+// its shard from disk.
 func rewarmed(e *env) {
 	var hits int64
 	for i := range e.srvs {
 		st := diskStats(e, i)
-		want(e, nodeID(i)+" rebuilds", st.Rebuilds, 1)
-		want(e, nodeID(i)+" disk misses", st.BatchMisses, 0)
+		want(e, nodeID(i)+" records dropped", st.CorruptDropped, 1)
+		want(e, nodeID(i)+" disk misses", st.BatchMisses, 1)
 		hits += st.BatchHits
 	}
-	want(e, "disk hits", hits, int64(len(e.oracle[0])))
-}
-
-// corruptDropped: the one rotten record was dropped at read time and
-// recomputed; every other batch came from disk.
-func corruptDropped(e *env) {
-	st := diskStats(e, 0)
-	want(e, "corrupt records dropped", st.CorruptDropped, 1)
-	want(e, "disk misses", st.BatchMisses, 1)
-	want(e, "disk hits", st.BatchHits, int64(len(e.oracle[0])-1))
+	want(e, "disk hits", hits, int64(len(e.oracle[0])-len(e.srvs)))
 }
 
 // hedged: batches were hedged off the stalled node, and the successors'

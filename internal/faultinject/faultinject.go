@@ -82,12 +82,6 @@ type Spec struct {
 	// rot that the store must catch at read time (checksum mismatch → clean
 	// miss and recompute, never stale bytes served).
 	CorruptDiskAppend int
-	// TornManifest: the Nth disk-cache manifest write is torn — only the
-	// first half of the manifest bytes land before the atomic rename, as if
-	// the machine died mid-write on a filesystem that reordered the rename.
-	// The manifest's self-checksum must catch it on the next open and force
-	// a rebuild from segment scans.
-	TornManifest int
 	// DiskStall: the disk-cache writer blocks before its Nth append until the
 	// store closes — a hung disk. Spills queue behind it up to the backlog
 	// bound and are then dropped; serving must go on without them.
@@ -142,7 +136,6 @@ type Injector struct {
 	frames       atomic.Int64 // outgoing wire frames observed
 	appends      atomic.Int64 // disk-cache records appended
 	writerTurns  atomic.Int64 // disk-cache appends the writer started
-	manifests    atomic.Int64 // disk-cache manifest writes observed
 	readErrors   atomic.Int64
 	readStalls   atomic.Int64
 	panics       atomic.Int64
@@ -317,13 +310,6 @@ func (in *Injector) NextWireAction() WireAction {
 // exactly once, on the configured 1-based append number.
 func (in *Injector) NextDiskAppendCorrupt() bool {
 	return in != nil && in.nextDiskFault(&in.appends, in.spec.CorruptDiskAppend)
-}
-
-// NextManifestTorn advances the manifest-write counter and reports whether
-// this manifest write should be torn (truncated mid-file before the rename).
-// Fires exactly once, on the configured 1-based write number.
-func (in *Injector) NextManifestTorn() bool {
-	return in != nil && in.nextDiskFault(&in.manifests, in.spec.TornManifest)
 }
 
 // NextDiskStall advances the writer's append counter and reports whether the

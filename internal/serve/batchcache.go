@@ -32,8 +32,7 @@ type BatchKey struct {
 // server then serves previously produced frames byte-identical without
 // recomputing — the tf.data-service cross-job reuse model over a Seneca-style
 // SSD tier. The sample cache shares the same Store (one budget, one segment
-// sequence, one manifest); the Kind byte in the key keeps the namespaces
-// disjoint.
+// sequence); the Kind byte in the key keeps the namespaces disjoint.
 func NewBatchCache(budget int64, disk *store.Store) *BatchCache {
 	var tier cache.Tier[BatchKey, *Frame]
 	if disk != nil {

@@ -50,7 +50,7 @@ func TestMetricsCacheBlocksKeySet(t *testing.T) {
 		"cache":        memory,
 		"sample_cache": memory,
 		"disk_cache": {"batch_hits", "batch_misses", "bytes_budget", "bytes_used",
-			"corrupt_dropped", "entries", "rebuilds", "sample_hits", "sample_misses",
+			"corrupt_dropped", "entries", "sample_hits", "sample_misses",
 			"segments", "segments_evicted", "spills", "spills_deduped", "spills_dropped"},
 	} {
 		var fields map[string]json.Number
@@ -136,8 +136,8 @@ func TestDiskCacheCrossJobSharing(t *testing.T) {
 	if stB.BatchHits != int64(epochs*planLen) {
 		t.Fatalf("job B should have hit disk %d times: %+v", epochs*planLen, stB)
 	}
-	if stB.Rebuilds != 0 {
-		t.Fatalf("clean handoff must not rebuild: %+v", stB)
+	if stB.CorruptDropped != 0 {
+		t.Fatalf("clean handoff must drop nothing: %+v", stB)
 	}
 	if err := jobB.Close(); err != nil {
 		t.Fatal(err)

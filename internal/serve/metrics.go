@@ -46,11 +46,18 @@ func NewMetrics(now time.Time) *Metrics {
 	}
 }
 
+// maxIdentities bounds the (name, rank) identities OpenSession remembers:
+// both are the client's to choose. A job of up to 1024 ranks under one name
+// keeps its reconnect count.
+const maxIdentities = 1024
+
 // OpenSession registers a new session and returns its metrics handle. A
 // session whose (name, rank) identity was seen before counts as a reconnect:
 // the server-side observable of a client retry loop. Client-side OnRetry
 // callbacks see each retry decision, but only this counter lets an operator
-// spot a reconnect storm from the serving side.
+// spot a reconnect storm from the serving side. An identity first seen once
+// maxIdentities are remembered is not remembered, so its reconnects are not
+// counted.
 func (m *Metrics) OpenSession(id int, name, tenant string, rank, world int, now time.Time) *SessionMetrics {
 	sm := &SessionMetrics{id: id, name: name, tenant: tenant, rank: rank, world: world, connectedAt: now}
 	identity := fmt.Sprintf("%s/%d", name, rank)
@@ -58,7 +65,9 @@ func (m *Metrics) OpenSession(id int, name, tenant string, rank, world int, now 
 	m.sessionsTotal++
 	m.sessionsActive++
 	sm.reconnects = m.opensByName[identity]
-	m.opensByName[identity]++
+	if sm.reconnects > 0 || len(m.opensByName) < maxIdentities {
+		m.opensByName[identity]++
+	}
 	if sm.reconnects > 0 {
 		m.reconnects++
 	}
@@ -368,7 +377,7 @@ type MetricsSnapshot struct {
 	// that cache is disabled.
 	SampleCache *cache.Stats `json:"sample_cache,omitempty"`
 	// DiskCache carries the persistent disk tier counters (hits, misses,
-	// spills, bytes, segments, rebuilds); nil when the disk cache is
+	// spills, bytes, segments, dropped records); nil when the disk cache is
 	// disabled.
 	DiskCache *store.Stats `json:"disk_cache,omitempty"`
 	// Corpus carries the counters of the dataset's on-disk corpus of

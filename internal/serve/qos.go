@@ -287,14 +287,29 @@ func sleepInterruptible(d time.Duration, cancel <-chan struct{}) bool {
 	}
 }
 
+// maxTenantRows is the tenant table's size past which it takes no new
+// unconfigured tenant; with it, it bounds the fair gate's queues and the
+// pacer's entries, which are keyed by the same names. Hello.Tenant is the
+// client's to choose, so without a bound a client cycling names grows all
+// three, and /metrics, forever.
+const maxTenantRows = 256
+
 // tenant interns the named tenant's state, creating it with the configured
-// limits (unlisted tenants: unlimited rate, weight 1) on first sight.
+// limits (unlisted tenants: unlimited rate, weight 1) on first sight. A
+// configured tenant always gets its own row; an unconfigured name first seen
+// once the table holds maxTenantRows rows bills to the default tenant "".
 func (qs *qosState) tenant(name string) *tenantState {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
 	t := qs.tenants[name]
 	if t != nil {
 		return t
+	}
+	if _, configured := qs.limits[name]; !configured && len(qs.tenants) >= maxTenantRows {
+		name = ""
+		if t = qs.tenants[name]; t != nil {
+			return t
+		}
 	}
 	limit := qs.limits[name]
 	t = &tenantState{name: name, limit: limit}

@@ -5,6 +5,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lotus/internal/pipeline"
+	"lotus/internal/workloads"
 )
 
 // TestTokenBucketPacing pins the debt-model arithmetic: take always
@@ -360,5 +363,90 @@ func TestLogLimiter(t *testing.T) {
 	}
 	if logged != 50 || l.suppressed.Load() != 0 {
 		t.Fatalf("unlimited limiter logged %d, suppressed %d", logged, l.suppressed.Load())
+	}
+}
+
+// TestClientStringTablesBounded: 2,000 sessions, each with its own Name and
+// Tenant and each computing one batch on a one-worker pool, leave the tenant
+// rows, the fair gate's queues, the pacer's entries and the reconnect
+// identities within their caps — names past the tenant cap bill to the
+// default tenant — while each configured tenant keeps its own row and limits.
+func TestClientStringTablesBounded(t *testing.T) {
+	const sessions, concurrent = 2000, 16
+	spec := workloads.ICSpec(160, 7)
+	spec.BatchSize = 10 // 16 batches: one per rank
+	spec.NumWorkers = 1
+	limits := map[string]TenantLimit{
+		"gold":   {Weight: 4, BatchesPerSec: 1e6, BurstBatches: 1e6},
+		"silver": {Weight: 2, BytesPerSec: 1 << 40, BurstBytes: 1 << 40},
+	}
+	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
+		QoS: true, Tenants: limits, Logf: func(string, ...any) {}})
+
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for range concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				tenant := fmt.Sprintf("tenant-%d", i)
+				if i%100 == 0 {
+					tenant = []string{"gold", "silver"}[i/100%2]
+				}
+				c := NewClient(ClientConfig{Addr: srv.Addr(), Rank: i % concurrent, World: concurrent,
+					Name: fmt.Sprintf("door-%d", i), Tenant: tenant})
+				if _, err := c.Run(1, nil); err != nil {
+					t.Errorf("session %d: %v", i, err)
+				}
+				c.Close()
+			}
+		}()
+	}
+	for i := range sessions {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+
+	qs, gate := srv.qos, srv.plane.gate
+	qs.mu.Lock()
+	rows := len(qs.tenants)
+	gold, silver := qs.tenants["gold"], qs.tenants["silver"]
+	qs.mu.Unlock()
+	gate.mu.Lock()
+	queues := len(gate.queues)
+	gate.mu.Unlock()
+	qs.pacer.mu.Lock()
+	entries := len(qs.pacer.entries)
+	qs.pacer.mu.Unlock()
+	srv.metrics.mu.Lock()
+	identities := len(srv.metrics.opensByName)
+	srv.metrics.mu.Unlock()
+
+	// The unconfigured rows, the configured ones, and the default tenant.
+	bound := maxTenantRows + len(limits) + 1
+	if rows < maxTenantRows || rows > bound {
+		t.Errorf("tenant rows %d, want the cap reached and held: %d..%d", rows, maxTenantRows, bound)
+	}
+	if queues > bound || entries > bound {
+		t.Errorf("gate queues %d, pacer entries %d: want each at most %d", queues, entries, bound)
+	}
+	if queues == 0 {
+		t.Error("no session ever queued at the fair gate: the test exercised nothing there")
+	}
+	if identities != maxIdentities {
+		t.Errorf("reconnect identities %d, want the cap %d", identities, maxIdentities)
+	}
+	for name, tenant := range map[string]*tenantState{"gold": gold, "silver": silver} {
+		if tenant == nil || tenant.limit != limits[name] {
+			t.Errorf("configured tenant %s lost its row or its limits: %+v", name, tenant)
+			continue
+		}
+		tenant.mu.Lock()
+		if tenant.batchesSrv == 0 {
+			t.Errorf("configured tenant %s was never served", name)
+		}
+		tenant.mu.Unlock()
 	}
 }

@@ -416,8 +416,8 @@ func (s *Server) DiskCacheStats() (store.Stats, bool) {
 	return s.disk.Stats(), true
 }
 
-// FlushDiskCache drains queued spills and durably writes the store
-// manifest — test and checkpoint hook; the server also flushes on Shutdown.
+// FlushDiskCache drains queued spills and fsyncs them to the store's
+// segments — test and checkpoint hook; the server also flushes on Shutdown.
 func (s *Server) FlushDiskCache() error {
 	if s.disk == nil {
 		return nil
@@ -564,8 +564,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.cache.Purge()
 	}
 	if s.disk != nil {
-		// Sessions are gone; drain queued spills and land the manifest so
-		// the next open warm-starts without a rebuild. (Store.Close is
+		// Sessions are gone; drain queued spills and fsync them, so the
+		// next open finds every frame this server spilled. (Store.Close is
 		// idempotent, so a second Shutdown is harmless.)
 		if derr := s.disk.Close(); derr != nil {
 			s.cfg.Logf("lotus-serve: disk cache close: %v", derr)

@@ -9,11 +9,11 @@ import (
 	"testing"
 )
 
-// These are the manifest crash-safety property tests: whatever we do to the
-// manifest bytes — truncate at any offset, flip any byte, leave a
-// half-renamed tmp behind — Open must recover to a consistent index holding
-// only checksum-clean records, and Get must return either the exact
-// original bytes or a miss. Never a panic, never stale bytes.
+// These are the crash-safety property tests of the one recovery path: Open
+// indexes the segments' record headers, and whatever was done to the bytes —
+// a cut at any offset, a flipped bit in any header or payload, stray files an
+// older build left — every Get returns either the exact bytes Put under its
+// key or a miss. Never a panic, never stale bytes.
 
 // buildStore populates dir with a mix of batch and sample records across
 // several segments and returns the ground-truth payload map.
@@ -34,6 +34,34 @@ func buildStore(t *testing.T, dir string) map[Key][]byte {
 		t.Fatal(err)
 	}
 	return want
+}
+
+// record is one record of a segment file, as its header places it.
+type record struct {
+	seg string // segment file name
+	off int64  // header offset
+	end int64  // offset past the payload
+	key Key
+}
+
+// segmentRecords lists the records Open would index in the segments of dir,
+// oldest segment first.
+func segmentRecords(t *testing.T, dir string) []record {
+	t.Helper()
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	var out []record
+	for _, path := range segs {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := walkRecords(bytes.NewReader(b), int64(len(b)), func(off int64, key Key, plen, _ uint32) {
+			out = append(out, record{filepath.Base(path), off, off + recordHeaderSize + int64(plen), key})
+		}); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+	return out
 }
 
 // copyDir clones the store directory so each property-test iteration
@@ -58,15 +86,21 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
-// checkRecovery opens dir and asserts the core invariant: every Get is
-// either the exact original payload or a clean miss. Returns the hit count.
-func checkRecovery(t *testing.T, dir string, want map[Key][]byte) int {
+// checkRecovery opens dir and asserts the core invariant: every Get of a key
+// in want, or in probe, is either the exact original payload or a clean
+// miss (a probe key not in want must miss). Returns the hits among want.
+func checkRecovery(t *testing.T, dir string, want map[Key][]byte, probe ...Key) int {
 	t.Helper()
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open must recover, got error: %v", err)
 	}
 	defer s.Close()
+	for _, k := range probe {
+		if got, ok := s.Get(k, nil); ok && !bytes.Equal(got, want[k]) {
+			t.Fatalf("STALE BYTES served for %+v", k)
+		}
+	}
 	hits := 0
 	for k, p := range want {
 		got, ok := s.Get(k, nil)
@@ -81,77 +115,139 @@ func checkRecovery(t *testing.T, dir string, want map[Key][]byte) int {
 	return hits
 }
 
+// rewrite applies mutate to the bytes of the file at path.
+func rewrite(t *testing.T, path string, mutate func([]byte) []byte) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, mutate(b), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestManifestTruncationAlwaysRecovers cuts the newest segment at a spread of
+// points — every header boundary and the bytes either side of it, mid-header,
+// mid-payload — and checks that the reopened store holds exactly the records
+// lying wholly before the cut, and counts a cut record once as dropped.
 func TestManifestTruncationAlwaysRecovers(t *testing.T) {
 	base := t.TempDir()
 	want := buildStore(t, base)
-	man, err := os.ReadFile(filepath.Join(base, "MANIFEST"))
-	if err != nil {
-		t.Fatal(err)
+	recs := segmentRecords(t, base)
+	newest := recs[len(recs)-1].seg
+	var inNewest []record
+	for _, r := range recs {
+		if r.seg == newest {
+			inNewest = append(inNewest, r)
+		}
 	}
-	// Every truncation point would be O(len^2) file copies; step through a
-	// spread of cut points including the structural boundaries.
-	cuts := []int{0, 1, 4, 8, 11, 12, len(man) / 4, len(man) / 2, len(man) - 9, len(man) - 8, len(man) - 1}
-	for step := 13; step < len(man); step += 13 {
-		cuts = append(cuts, step)
+	size := inNewest[len(inNewest)-1].end
+	var cuts []int64
+	for _, r := range inNewest {
+		cuts = append(cuts, r.off, r.off+1, r.off+recordHeaderSize/2, r.off+recordHeaderSize-1,
+			r.off+recordHeaderSize, (r.off+recordHeaderSize+r.end)/2, r.end-1)
+	}
+	for c := int64(0); c < size; c += 13 {
+		cuts = append(cuts, c)
 	}
 	for _, cut := range cuts {
-		if cut < 0 || cut >= len(man) {
-			continue
-		}
 		dir := t.TempDir()
 		copyDir(t, base, dir)
-		if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), man[:cut], 0o644); err != nil {
+		if err := os.Truncate(filepath.Join(dir, newest), cut); err != nil {
 			t.Fatal(err)
 		}
-		// A truncated manifest fails its self-checksum, so recovery must
-		// fall back to a full segment scan and find everything.
-		if hits := checkRecovery(t, dir, want); hits != len(want) {
-			t.Fatalf("cut=%d: rebuild recovered %d/%d records", cut, hits, len(want))
+		whole, boundary := len(want)-len(inNewest), cut == 0
+		for _, r := range inNewest {
+			if r.end <= cut {
+				whole++
+			}
+			boundary = boundary || r.end == cut
+		}
+		if hits := checkRecovery(t, dir, want); hits != whole {
+			t.Fatalf("cut=%d: recovered %d records, want the %d wholly before it", cut, hits, whole)
+		}
+		s := mustOpen(t, dir, Options{})
+		dropped := s.Stats().CorruptDropped
+		s.Close()
+		if boundary && dropped != 0 || !boundary && dropped != 1 {
+			t.Fatalf("cut=%d: corrupt_dropped %d; a cut at a record boundary drops nothing, any other one record", cut, dropped)
 		}
 	}
 }
 
+// TestManifestBitFlipsAlwaysRecover flips one bit at a spread of offsets in
+// every record header — magic, kind, each key field, length, both sums — with
+// no MANIFEST present (the test removes any, which a version 2 store needed
+// to take its scan path). A flipped record is never returned under any key,
+// its original or the one its rotten header now names; the records before it
+// in its segment and every other segment recover.
 func TestManifestBitFlipsAlwaysRecover(t *testing.T) {
 	base := t.TempDir()
 	want := buildStore(t, base)
-	man, err := os.ReadFile(filepath.Join(base, "MANIFEST"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pos := 0; pos < len(man); pos += 7 {
-		dir := t.TempDir()
-		copyDir(t, base, dir)
-		flipped := append([]byte(nil), man...)
-		flipped[pos] ^= 0x20
-		if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), flipped, 0o644); err != nil {
-			t.Fatal(err)
+	os.Remove(filepath.Join(base, "MANIFEST"))
+	recs := segmentRecords(t, base)
+	// Byte offsets in the header: magic, kind, the low byte of fp, a and b
+	// (where a flip names another plausible key), length, payload sum,
+	// header sum.
+	positions := []int64{0, 3, 4, 5, 12, 20, 28, 29, 32, 36, 40}
+	for i, r := range recs {
+		lost := 0
+		for _, o := range recs[i:] {
+			if o.seg == r.seg {
+				lost++
+			}
 		}
-		// Any single bit flip breaks the self-checksum → full rebuild →
-		// every record recovered from the (intact) segments.
-		if hits := checkRecovery(t, dir, want); hits != len(want) {
-			t.Fatalf("flip@%d: recovered %d/%d records", pos, hits, len(want))
+		for _, pos := range positions {
+			for _, bit := range []byte{0x01, 0x04} {
+				dir := t.TempDir()
+				copyDir(t, base, dir)
+				var rotten Key
+				rewrite(t, filepath.Join(dir, r.seg), func(b []byte) []byte {
+					h := b[r.off : r.off+recordHeaderSize]
+					h[pos] ^= bit
+					rotten = Key{Kind: Kind(h[4]), FP: binary.BigEndian.Uint64(h[5:]),
+						A: binary.BigEndian.Uint64(h[13:]), B: binary.BigEndian.Uint64(h[21:])}
+					return b
+				})
+				if hits := checkRecovery(t, dir, want, rotten); hits != len(want)-lost {
+					t.Fatalf("record %d flip@%d^%#x: recovered %d/%d records, want all but the %d from it to its segment's end",
+						i, pos, bit, hits, len(want), lost)
+				}
+			}
 		}
 	}
 }
 
+// TestHalfRenamedManifestUsesDurableCopy: the MANIFEST and MANIFEST.tmp files
+// a version 2 build left beside its segments are ignored — not read, not
+// removed — and do not stop the segments from recovering fully.
 func TestHalfRenamedManifestUsesDurableCopy(t *testing.T) {
 	base := t.TempDir()
 	want := buildStore(t, base)
 	dir := t.TempDir()
 	copyDir(t, base, dir)
-	// Crash mid-manifest-write: a garbage MANIFEST.tmp sits next to the
-	// last durable MANIFEST. The tmp must be ignored and discarded.
-	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.tmp"), []byte("garbage half-write"), 0o644); err != nil {
-		t.Fatal(err)
+	stray := map[string][]byte{
+		"MANIFEST":     []byte("LMAN\x00\x00\x00\x02 a manifest a version 2 build wrote"),
+		"MANIFEST.tmp": []byte("garbage half-write"),
+	}
+	for name, b := range stray {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if hits := checkRecovery(t, dir, want); hits != len(want) {
 		t.Fatalf("recovered %d/%d records", hits, len(want))
 	}
-	if _, err := os.Stat(filepath.Join(dir, "MANIFEST.tmp")); !os.IsNotExist(err) {
-		t.Fatal("leftover MANIFEST.tmp not cleaned up")
+	for name, b := range stray {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, b) {
+			t.Fatalf("stray %s changed: %q, %v", name, got, err)
+		}
 	}
 }
 
+// TestSegmentCorruptionDropsOnlyDamagedRecords: a flipped payload byte leaves
+// the header clean, so Open indexes the record and its first Get drops it.
 func TestSegmentCorruptionDropsOnlyDamagedRecords(t *testing.T) {
 	base := t.TempDir()
 	want := buildStore(t, base)
@@ -160,36 +256,32 @@ func TestSegmentCorruptionDropsOnlyDamagedRecords(t *testing.T) {
 		t.Fatalf("expected multiple segments, got %d", len(segs))
 	}
 
-	// With the manifest intact: a flipped payload byte is caught by Get's
-	// read-time checksum; the rest of the store is untouched.
+	// The store as Close left it: Get's read-time checksum catches the one
+	// rotten record, and the rest of the store is untouched.
 	t.Run("manifest-intact", func(t *testing.T) {
 		dir := t.TempDir()
 		copyDir(t, base, dir)
 		corruptOneByte(t, filepath.Join(dir, filepath.Base(segs[0])))
-		hits := checkRecovery(t, dir, want)
-		if hits == len(want) {
-			t.Fatal("corruption went undetected")
-		}
-		if hits < len(want)-4 {
-			t.Fatalf("one flipped byte dropped too much: %d/%d", hits, len(want))
+		if hits := checkRecovery(t, dir, want); hits != len(want)-1 {
+			t.Fatalf("one flipped payload byte: %d/%d records served, want all but one", hits, len(want))
 		}
 	})
 
-	// Without the manifest: the rebuild scan itself must skip the damaged
-	// record and keep everything behind it in the same segment.
+	// Reopened after the drop: the record is indexed again, from its clean
+	// header, and dropped again at its first read — never served.
 	t.Run("rebuild", func(t *testing.T) {
 		dir := t.TempDir()
 		copyDir(t, base, dir)
 		corruptOneByte(t, filepath.Join(dir, filepath.Base(segs[0])))
-		if err := os.Remove(filepath.Join(dir, "MANIFEST")); err != nil {
-			t.Fatal(err)
-		}
-		hits := checkRecovery(t, dir, want)
-		if hits == len(want) {
-			t.Fatal("corruption went undetected")
-		}
-		if hits < len(want)-4 {
-			t.Fatalf("rebuild dropped too much: %d/%d", hits, len(want))
+		for round := range 2 {
+			s := mustOpen(t, dir, Options{})
+			if st := s.Stats(); st.Entries != len(want) || st.CorruptDropped != 0 {
+				t.Fatalf("round %d: Open indexes every header-clean record, read none: %+v", round, st)
+			}
+			s.Close()
+			if hits := checkRecovery(t, dir, want); hits != len(want)-1 {
+				t.Fatalf("round %d: %d/%d records served, want all but one", round, hits, len(want))
+			}
 		}
 	})
 }
@@ -197,17 +289,13 @@ func TestSegmentCorruptionDropsOnlyDamagedRecords(t *testing.T) {
 // corruptOneByte flips a byte inside the first record's payload region.
 func corruptOneByte(t *testing.T, path string) {
 	t.Helper()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) <= recordHeaderSize+10 {
-		t.Fatalf("segment too short to corrupt: %d bytes", len(b))
-	}
-	b[recordHeaderSize+10] ^= 0x01
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewrite(t, path, func(b []byte) []byte {
+		if len(b) <= recordHeaderSize+10 {
+			t.Fatalf("segment too short to corrupt: %d bytes", len(b))
+		}
+		b[recordHeaderSize+10] ^= 0x01
+		return b
+	})
 }
 
 func TestTruncatedSegmentAbandonsTailOnly(t *testing.T) {
@@ -216,8 +304,8 @@ func TestTruncatedSegmentAbandonsTailOnly(t *testing.T) {
 	dir := t.TempDir()
 	copyDir(t, base, dir)
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
-	// Chop the last segment mid-record and drop the manifest: the rebuild
-	// must keep every complete record and abandon only the torn tail.
+	// Chop the last segment mid-record: Open keeps every complete record and
+	// abandons only the torn tail.
 	last := segs[len(segs)-1]
 	st, err := os.Stat(last)
 	if err != nil {
@@ -226,60 +314,53 @@ func TestTruncatedSegmentAbandonsTailOnly(t *testing.T) {
 	if err := os.Truncate(last, st.Size()-20); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "MANIFEST")); err != nil {
-		t.Fatal(err)
-	}
-	hits := checkRecovery(t, dir, want)
-	if hits == len(want) {
-		t.Fatal("truncation went undetected")
-	}
-	if hits < len(want)-2 {
-		t.Fatalf("segment truncation dropped too much: %d/%d", hits, len(want))
+	if hits := checkRecovery(t, dir, want); hits != len(want)-1 {
+		t.Fatalf("segment truncation: %d/%d records served, want all but the torn one", hits, len(want))
 	}
 }
 
-// FuzzDecodeManifest throws arbitrary bytes at the manifest decoder: it
-// must never panic, and whatever it accepts must be structurally bounded.
+// FuzzDecodeManifest throws arbitrary bytes at the record-header decoder: it
+// must never panic, and a header it accepts is bounded and canonical — it is
+// exactly what encodeRecordHeader writes for the fields it decoded.
 func FuzzDecodeManifest(f *testing.F) {
-	dir := f.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		k := batchKey(i)
-		s.Put(k, payloadFor(k, 64))
-	}
-	s.Close()
-	valid, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
+	k := batchKey(3)
+	p := payloadFor(k, 64)
+	h := encodeRecordHeader(k, uint32(len(p)), crc32c(p))
+	flipped := h
+	flipped[28] ^= 0x04 // batchKey(3) would read as batchKey(7)
+	f.Add(append(h[:], p...))
+	f.Add(h[:20])
 	f.Add([]byte{})
-	f.Add([]byte("LMAN"))
+	f.Add(flipped[:])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeManifest(data)
+		key, plen, sum, err := decodeRecordHeader(data)
 		if err != nil {
 			return
 		}
-		for _, e := range m.entries {
-			if e.key.Kind != KindBatch && e.key.Kind != KindSample {
-				t.Fatal("decoder accepted invalid kind")
-			}
-			if e.loc.len > maxPayload || e.loc.off < 0 {
-				t.Fatal("decoder accepted unbounded location")
-			}
+		if key.Kind != KindBatch && key.Kind != KindSample {
+			t.Fatal("decoder accepted invalid kind")
+		}
+		if plen > maxPayload {
+			t.Fatal("decoder accepted unbounded length")
+		}
+		if enc := encodeRecordHeader(key, plen, sum); !bytes.Equal(enc[:], data[:recordHeaderSize]) {
+			t.Fatalf("accepted header %x re-encodes as %x", data[:recordHeaderSize], enc)
 		}
 	})
 }
 
-// FuzzOpenWithArbitraryManifest plants fuzzer-chosen bytes as the MANIFEST
-// over a real segment directory: Open must always succeed without panicking
-// and must never serve bytes that differ from the originals.
+// FuzzOpenWithArbitraryManifest plants fuzzer bytes as a segment older than a
+// real store's, or appended to the tail of its newest segment: Open must
+// always succeed without panicking, and every Get hit must return exactly
+// the bytes Put under that key. (A planted tail is newer than the store, so
+// a record in it with a clean header and payload is a Put like any other.)
 func FuzzOpenWithArbitraryManifest(f *testing.F) {
 	base := f.TempDir()
+	// An empty segment 0 makes the store's own segments start at 1, so a
+	// planted segment 0 is older than every one of them.
+	if err := os.WriteFile(filepath.Join(base, segmentName(0)), nil, 0o644); err != nil {
+		f.Fatal(err)
+	}
 	s, err := Open(base, Options{SegmentBytes: 1 << 10})
 	if err != nil {
 		f.Fatal(err)
@@ -292,37 +373,42 @@ func FuzzOpenWithArbitraryManifest(f *testing.F) {
 		s.Put(k, p)
 	}
 	s.Close()
-	valid, err := os.ReadFile(filepath.Join(base, "MANIFEST"))
+	valid, err := os.ReadFile(filepath.Join(base, segmentName(1)))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3])
-	f.Add([]byte("LMANgarbage"))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	newestPath, _, err := LastRecord(base)
+	if err != nil {
+		f.Fatal(err)
+	}
+	newest := filepath.Base(newestPath)
+	f.Add(valid, false)
+	f.Add(valid[:len(valid)-3], true)
+	f.Add([]byte("LRC3garbage"), true)
+	f.Fuzz(func(t *testing.T, data []byte, asTail bool) {
 		dir := t.TempDir()
-		entries, err := os.ReadDir(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, de := range entries {
-			b, err := os.ReadFile(filepath.Join(base, de.Name()))
-			if err != nil {
-				t.Fatal(err)
+		copyDir(t, base, dir)
+		expect := want
+		if asTail {
+			rewrite(t, filepath.Join(dir, newest), func(b []byte) []byte { return append(b, data...) })
+			expect = map[Key][]byte{}
+			for k, p := range want {
+				expect[k] = p
 			}
-			if err := os.WriteFile(filepath.Join(dir, de.Name()), b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), data, 0o644); err != nil {
+			walkRecords(bytes.NewReader(data), int64(len(data)), func(off int64, key Key, plen, sum uint32) {
+				if p := data[off+recordHeaderSize : off+recordHeaderSize+int64(plen)]; crc32c(p) == sum {
+					expect[key] = p
+				}
+			})
+		} else if err := os.WriteFile(filepath.Join(dir, segmentName(0)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		st, err := Open(dir, Options{})
 		if err != nil {
-			t.Fatalf("Open must recover from arbitrary manifests: %v", err)
+			t.Fatalf("Open must recover from arbitrary segment bytes: %v", err)
 		}
 		defer st.Close()
-		for k, p := range want {
+		for k, p := range expect {
 			if got, ok := st.Get(k, nil); ok && !bytes.Equal(got, p) {
 				t.Fatalf("stale bytes served for %+v", k)
 			}
@@ -330,90 +416,120 @@ func FuzzOpenWithArbitraryManifest(f *testing.F) {
 	})
 }
 
-// writeV1Directory lays down a format version 1 store by hand — "LREC"
-// records and a version 1 MANIFEST, both summed with FNV-1a 64, every sum
-// valid — holding payloadFor(k, 200) for each key in one sealed segment.
-func writeV1Directory(t *testing.T, dir string, keys []Key) {
+// writeOldDirectory lays down a store of an older record format by hand, one
+// sealed segment with every sum valid holding payloadFor(k, 200) for each
+// key: version 1 ("LREC" records, FNV-1a 64 sums) or version 2 ("LRC2", 37-byte
+// headers, CRC32C payload sums, no header sum). Both builds kept a MANIFEST,
+// which is planted as well.
+func writeOldDirectory(t *testing.T, dir string, version int, keys []Key) {
 	t.Helper()
-	fnv64 := func(b []byte) uint64 {
-		h := fnv.New64a()
-		h.Write(b)
-		return h.Sum64()
-	}
 	be := binary.BigEndian
-	appendKey := func(b []byte, k Key) []byte {
-		b = append(b, byte(k.Kind))
-		b = be.AppendUint64(b, k.FP)
-		b = be.AppendUint64(b, k.A)
-		return be.AppendUint64(b, k.B)
-	}
-	var seg, entries []byte
+	var seg []byte
 	for _, k := range keys {
 		p := payloadFor(k, 200)
-		off := len(seg)
-		seg = be.AppendUint32(seg, 0x4C524543) // "LREC"
-		seg = appendKey(seg, k)
+		magic := uint32(0x4C524332) // "LRC2"
+		if version == 1 {
+			magic = 0x4C524543 // "LREC"
+		}
+		seg = be.AppendUint32(seg, magic)
+		seg = append(seg, byte(k.Kind))
+		seg = be.AppendUint64(seg, k.FP)
+		seg = be.AppendUint64(seg, k.A)
+		seg = be.AppendUint64(seg, k.B)
 		seg = be.AppendUint32(seg, uint32(len(p)))
-		seg = be.AppendUint64(seg, fnv64(p))
+		if version == 1 {
+			h := fnv.New64a()
+			h.Write(p)
+			seg = be.AppendUint64(seg, h.Sum64())
+		} else {
+			seg = be.AppendUint32(seg, crc32c(p))
+		}
 		seg = append(seg, p...)
-		entries = appendKey(entries, k)
-		entries = be.AppendUint32(entries, 0) // segment id
-		entries = be.AppendUint64(entries, uint64(off))
-		entries = be.AppendUint32(entries, uint32(len(p)))
-		entries = be.AppendUint64(entries, fnv64(p))
 	}
-	man := be.AppendUint32(nil, manifestMagic)
-	man = be.AppendUint32(man, 1) // version
-	man = be.AppendUint32(man, 1) // one segment
-	man = be.AppendUint32(man, 0)
-	man = be.AppendUint64(man, uint64(len(seg)))
-	man = be.AppendUint32(man, uint32(len(keys)))
-	man = append(man, entries...)
-	man = be.AppendUint64(man, fnv64(man))
-	for name, b := range map[string][]byte{segmentName(0): seg, manifestName: man} {
+	man := be.AppendUint32(nil, 0x4C4D414E) // "LMAN"
+	man = be.AppendUint32(man, uint32(version))
+	for name, b := range map[string][]byte{segmentName(0): seg, "MANIFEST": man} {
 		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestOpenV1DirectoryServesNothing: a directory written at manifest version 1
-// opens without error as an empty store — its manifest is refused on the
-// version, the rebuild that follows refuses its records on the magic, so not
-// one FNV-summed record is trusted as a CRC-summed one — and then refills and
-// reopens warm like any other.
+// TestOpenV1DirectoryServesNothing: a directory written at format version 1
+// or 2 opens without error as an empty store — each record fails the magic
+// check, so its old segment is abandoned at its first header (one
+// corrupt_dropped) and not one record is trusted as a version 3 one — and
+// then refills and reopens warm like any other.
 func TestOpenV1DirectoryServesNothing(t *testing.T) {
-	dir := t.TempDir()
-	keys := []Key{batchKey(0), batchKey(1), sampleKey(0), sampleKey(1)}
-	writeV1Directory(t, dir, keys)
+	for _, version := range []int{1, 2} {
+		dir := t.TempDir()
+		keys := []Key{batchKey(0), batchKey(1), sampleKey(0), sampleKey(1)}
+		writeOldDirectory(t, dir, version, keys)
 
-	s := mustOpen(t, dir, Options{})
-	for _, k := range keys {
-		if _, ok := s.Get(k, nil); ok {
-			t.Fatalf("served version 1 record %+v", k)
+		s := mustOpen(t, dir, Options{})
+		for _, k := range keys {
+			if _, ok := s.Get(k, nil); ok {
+				t.Fatalf("served version %d record %+v", version, k)
+			}
 		}
+		st := s.Stats()
+		if st.Entries != 0 || st.BatchHits+st.SampleHits != 0 || st.CorruptDropped != 1 {
+			t.Fatalf("after opening a version %d directory: %+v", version, st)
+		}
+		for _, k := range keys {
+			if err := s.Put(k, payloadFor(k, 300)); err != nil {
+				t.Fatalf("refill %+v: %v", k, err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		s = mustOpen(t, dir, Options{})
+		for _, k := range keys {
+			if got, ok := s.Get(k, nil); !ok || !bytes.Equal(got, payloadFor(k, 300)) {
+				t.Fatalf("version %d: refilled record %+v not served after reopen", version, k)
+			}
+		}
+		if st := s.Stats(); st.Entries != len(keys) {
+			t.Fatalf("version %d: reopen after refill: %+v", version, st)
+		}
+		s.Close()
 	}
-	st := s.Stats()
-	if st.Rebuilds != 1 || st.Entries != 0 || st.BatchHits+st.SampleHits != 0 || st.CorruptDropped != 0 {
-		t.Fatalf("after opening a version 1 directory: %+v", st)
+}
+
+// TestSegmentIDsPastSixDigits: segment ids only grow, and past
+// seg-999999.seg the names gain a digit. A store whose segments straddle
+// that point recovers every one of them, in id order — so where a key was
+// re-put after a drop, the newer record wins — and LastRecord finds the
+// newest by id, not by name.
+func TestSegmentIDsPastSixDigits(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segmentName(999_998)), nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, k := range keys {
-		if err := s.Put(k, payloadFor(k, 300)); err != nil {
-			t.Fatalf("refill %+v: %v", k, err)
+	s := mustOpen(t, dir, Options{SegmentBytes: 1})
+	k := sampleKey(0)
+	if err := s.Put(k, payloadFor(k, 50)); err != nil { // seg-999999.seg
+		t.Fatal(err)
+	}
+	s.Drop(k)
+	want := map[Key][]byte{k: payloadFor(k, 60)}
+	for i := 1; i < 4; i++ {
+		want[sampleKey(i)] = payloadFor(sampleKey(i), 60)
+	}
+	for _, key := range []Key{k, sampleKey(1), sampleKey(2), sampleKey(3)} { // seg-1000000.seg on
+		if err := s.Put(key, want[key]); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	s = mustOpen(t, dir, Options{})
-	defer s.Close()
-	for _, k := range keys {
-		if got, ok := s.Get(k, nil); !ok || !bytes.Equal(got, payloadFor(k, 300)) {
-			t.Fatalf("refilled record %+v not served after reopen", k)
-		}
+	if hits := checkRecovery(t, dir, want); hits != len(want) {
+		t.Fatalf("recovered %d/%d records across seg-999999 → seg-1000000", hits, len(want))
 	}
-	if st := s.Stats(); st.Rebuilds != 0 || st.Entries != len(keys) {
-		t.Fatalf("reopen after refill: %+v", st)
+	if path, _, err := LastRecord(dir); err != nil || filepath.Base(path) != segmentName(1_000_003) {
+		t.Fatalf("LastRecord: %s, %v; want %s", path, err, segmentName(1_000_003))
 	}
 }

@@ -3,26 +3,26 @@
 // restarts and is shared across jobs with the same pipeline spec.
 //
 // Layout: records (encoded batch frames and split-point sample snapshots)
-// are appended to segment files (seg-NNNNNN.seg) with a fixed header and a
-// per-record CRC32C payload digest — the per-frame digest of the wire
+// are appended to segment files (seg-NNNNNN.seg). Each record's header names
+// its key, its payload's length and CRC32C — the per-frame digest of the wire
 // protocol (serve.Digest), so a batch frame read back from disk enters the
-// serving path with its digest already known. A MANIFEST file indexes the
-// records; it is written via write-temp + fsync + atomic rename and carries
-// its own trailing CRC32C, so a torn or truncated manifest is detected on
-// open and the index is rebuilt by scanning the segments, dropping any record
-// that fails its digest.
+// serving path with its digest already known — and carries a CRC32C of its
+// own. The segments are the only index on disk: Open lists them and indexes
+// every header-clean record, reading no payload, so a store recovers the same
+// way whether it was closed, killed mid-append or crashed mid-roll.
 //
-// Crash-safety contract: after any sequence of kills the store reopens to a
-// consistent index containing only digest-clean records. Get re-verifies
-// the payload digest on every read, so corrupt or stale bytes are never
-// served — corruption degrades to a miss (and recompute upstream), never to
-// wrong data. CRC32C detects every 1-3-bit error and every burst up to 32
-// bits in a record, anything else with probability 1 - 2^-32.
+// Crash-safety contract: the index holds header-clean records; a payload that
+// fails its digest is dropped at its first read and never served. A header
+// that fails its checks ends the scan of its segment, since the length it
+// gives cannot be trusted. Corruption therefore degrades to a miss (and a
+// recompute upstream), never to wrong data. CRC32C detects every 1-3-bit
+// error and every burst up to 32 bits in a header or payload, anything else
+// with probability 1 - 2^-32.
 //
-// Format version 2. Version 1 records and manifests carried FNV-1a-64 sums;
-// they are told apart by the record magic and the manifest version, never
-// read as version 2: a version 1 directory opens as an empty store (one
-// rebuild that indexes nothing) and refills.
+// Format version 3. Version 1 ("LREC", FNV-1a-64 sums) and version 2
+// ("LRC2", no header sum) records fail the magic check: a directory written
+// by either opens as an empty store and refills. A MANIFEST file left by a
+// version 2 build is ignored.
 //
 // Eviction is segment-granular: when the byte budget is exceeded the
 // least-recently-used sealed segment is deleted whole, together with its
@@ -81,8 +81,8 @@ type Options struct {
 	// than the bound is admitted once the queue is empty. A writer that makes
 	// no room within spillWait is stalled, and the spill is dropped instead.
 	QueueBytes int64
-	// Faults injects torn-manifest, corrupt-append and writer-stall failures
-	// in chaos runs. Nil injects nothing.
+	// Faults injects corrupt-append and writer-stall failures in chaos runs.
+	// Nil injects nothing.
 	Faults *faultinject.Injector
 	// Logf receives recovery and I/O-error diagnostics. Nil discards.
 	Logf func(format string, args ...any)
@@ -97,8 +97,7 @@ type Stats struct {
 	Spills          int64 `json:"spills"`           // records appended
 	SpillsDeduped   int64 `json:"spills_deduped"`   // already on disk
 	SpillsDropped   int64 `json:"spills_dropped"`   // I/O error or stalled writer
-	CorruptDropped  int64 `json:"corrupt_dropped"`  // checksum-failing records dropped
-	Rebuilds        int64 `json:"rebuilds"`         // full index rebuilds from segment scans
+	CorruptDropped  int64 `json:"corrupt_dropped"`  // checksum-failing records and segment tails dropped
 	Segments        int   `json:"segments"`         // live segment files
 	SegmentsEvicted int64 `json:"segments_evicted"` // segments deleted for budget
 	Entries         int   `json:"entries"`          // indexed records
@@ -175,7 +174,6 @@ type Store struct {
 	spillsDeduped  int64
 	spillsDropped  int64
 	corruptDropped int64
-	rebuilds       int64
 	segsEvicted    int64
 }
 
@@ -194,11 +192,9 @@ const (
 	spillWait = time.Second
 )
 
-// Open opens (or creates) the store at dir, recovering the index from the
-// manifest plus a scan of any bytes appended after the last manifest write.
-// A missing or corrupt manifest triggers a full rebuild from segment scans.
-// All recovered segments are sealed; appends always go to a fresh segment,
-// so recovery never overwrites bytes it just indexed.
+// Open opens (or creates) the store at dir, indexing the record headers of
+// every segment in it. All recovered segments are sealed; appends always go
+// to a fresh segment, so recovery never overwrites bytes it just indexed.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: mkdir %s: %w", dir, err)
@@ -420,7 +416,7 @@ func (s *Store) Put(key Key, payload []byte) error {
 	return <-done
 }
 
-// Flush drains queued spills and durably writes the manifest.
+// Flush drains queued spills and makes every record appended so far durable.
 func (s *Store) Flush() error {
 	s.life.RLock()
 	if s.closed {
@@ -433,8 +429,8 @@ func (s *Store) Flush() error {
 	return <-done
 }
 
-// Close drains the spill queue, writes a final manifest, and closes every
-// segment file. Safe to call twice.
+// Close drains the spill queue, makes it durable as Flush does, and closes
+// every segment file. Safe to call twice.
 func (s *Store) Close() error {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.life.Lock()
@@ -447,14 +443,13 @@ func (s *Store) Close() error {
 	s.life.Unlock()
 	s.wg.Wait()
 
+	err := s.sync()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.active != nil {
-		s.active.f.Sync()
 		s.active.sealed = true
 		s.active = nil
 	}
-	err := s.writeManifestLocked()
 	for _, seg := range s.segs {
 		seg.f.Close()
 	}
@@ -474,7 +469,6 @@ func (s *Store) Stats() Stats {
 		SpillsDeduped:   s.spillsDeduped,
 		SpillsDropped:   s.spillsDropped,
 		CorruptDropped:  s.corruptDropped,
-		Rebuilds:        s.rebuilds,
 		Segments:        len(s.segs),
 		SegmentsEvicted: s.segsEvicted,
 		Entries:         len(s.idx),
@@ -483,17 +477,13 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// writer is the single appender: it serializes segment writes, manifest
-// writes, roll-over, and eviction, so the serving path never contends on
-// disk I/O.
+// writer is the single appender: it serializes segment writes, syncs,
+// roll-over, and eviction, so the serving path never contends on disk I/O.
 func (s *Store) writer() {
 	defer s.wg.Done()
 	for req := range s.queue {
 		if req.flush {
-			s.mu.Lock()
-			err := s.writeManifestLocked()
-			s.mu.Unlock()
-			req.done <- err
+			req.done <- s.sync()
 			continue
 		}
 		if s.opts.Faults.NextDiskStall() {
@@ -568,14 +558,32 @@ func (s *Store) append(key Key, payload []byte) error {
 	s.mu.Unlock()
 
 	if roll {
-		seg.f.Sync()
-		s.mu.Lock()
-		err := s.writeManifestLocked()
-		s.mu.Unlock()
-		if err != nil {
-			s.logf("store: manifest write: %v", err)
+		if err := seg.f.Sync(); err != nil {
+			s.logf("store: sync seg %d: %v", seg.id, err)
 		}
 	}
+	return nil
+}
+
+// sync fsyncs the active segment, then the directory, which holds the names
+// of the segments created since the last sync; a rolled segment was fsynced
+// as it rolled. Runs on the writer goroutine, or in Close once it has exited.
+func (s *Store) sync() error {
+	s.mu.Lock()
+	active := s.active
+	s.mu.Unlock()
+	if active != nil {
+		if err := active.f.Sync(); err != nil {
+			return fmt.Errorf("store: sync seg %d: %w", active.id, err)
+		}
+	}
+	d, err := os.Open(s.dir)
+	if err != nil {
+		return fmt.Errorf("store: sync %s: %w", s.dir, err)
+	}
+	defer d.Close()
+	// Best effort: not every platform can fsync a directory.
+	d.Sync()
 	return nil
 }
 
@@ -635,7 +643,7 @@ func segmentName(id uint32) string { return fmt.Sprintf("seg-%06d.seg", id) }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// crc32c is the record and manifest digest: CRC32C, hardware-accelerated by
+// crc32c is the record header and payload digest: CRC32C, hardware-accelerated by
 // hash/crc32 where the CPU allows. serve.Digest is the same function, which
 // is what lets a frame adopt the digest its record was verified against.
 func crc32c(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
