@@ -18,10 +18,11 @@ import (
 // rows go at the end, so a seed's earlier output stays comparable.
 func servedRows() []row {
 	return []row{
-		// Wire faults: the session's retries mask them.
-		{class: "wire-drop", faults: faultinject.Spec{DropFrame: 3}, epochs: 2},
-		{class: "wire-truncate", faults: faultinject.Spec{TruncateFrame: 5}, epochs: 2},
-		{class: "wire-corrupt", faults: faultinject.Spec{CorruptFrame: 4}, epochs: 2},
+		// Wire faults: the session's retries mask them. Real frames, so the
+		// faults land on the frames production writes.
+		{class: "wire-drop", mode: pipeline.RealData, faults: faultinject.Spec{DropFrame: 3}, epochs: 2},
+		{class: "wire-truncate", mode: pipeline.RealData, faults: faultinject.Spec{TruncateFrame: 5}, epochs: 2},
+		{class: "wire-corrupt", mode: pipeline.RealData, faults: faultinject.Spec{CorruptFrame: 4}, epochs: 2},
 		// Worker panics end the epoch in a clean Error frame.
 		{class: "server-panic", faults: faultinject.Spec{PanicNth: 6}, wantErr: true, check: fired},
 		// A client that vanishes mid-epoch leaves the server serving the next.
@@ -29,9 +30,9 @@ func servedRows() []row {
 
 		// The retried fetch is served from the cache: wire faults land on the
 		// connection, never in the shared cache bytes or the cached prefixes.
-		{class: "wire-drop-cached", faults: faultinject.Spec{DropFrame: 3}, epochs: 2,
+		{class: "wire-drop-cached", mode: pipeline.RealData, faults: faultinject.Spec{DropFrame: 3}, epochs: 2,
 			batchCache: chaosCacheBytes, check: batchCacheHit},
-		{class: "wire-corrupt-cached", faults: faultinject.Spec{CorruptFrame: 4}, epochs: 2,
+		{class: "wire-corrupt-cached", mode: pipeline.RealData, faults: faultinject.Spec{CorruptFrame: 4}, epochs: 2,
 			batchCache: chaosCacheBytes, check: batchCacheHit},
 		{class: "wire-corrupt-scache", workload: workloads.ICA, mode: pipeline.RealData, faults: faultinject.Spec{CorruptFrame: 4},
 			epochs: 2, sampleCache: chaosCacheBytes, check: sampleCacheHit},
@@ -98,7 +99,7 @@ func servedRows() []row {
 			faults: faultinject.Spec{ReadErrorNth: 6}, wantErr: true, check: tiersClean},
 		// A frame corrupted on its way to a router fails its digest before
 		// delivery, so its ID stays unserved and the node's retry fetches it.
-		{class: "cluster-wire-corrupt", nodes: 3, faults: faultinject.Spec{CorruptFrame: 2}, client: routed(nil)},
+		{class: "cluster-wire-corrupt", nodes: 3, mode: pipeline.RealData, faults: faultinject.Spec{CorruptFrame: 2}, client: routed(nil)},
 	}
 }
 

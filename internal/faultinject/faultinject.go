@@ -72,9 +72,9 @@ type Spec struct {
 	// TruncateFrame: the Nth outgoing batch frame is cut mid-payload and the
 	// connection failed, so the client sees an unexpected EOF.
 	TruncateFrame int
-	// CorruptFrame: the Nth outgoing batch frame has one byte flipped after
-	// the stream checksum is taken — the wire delivers garbage that the
-	// client must catch by decode failure or checksum mismatch.
+	// CorruptFrame: the Nth outgoing batch frame has one payload byte
+	// flipped on the wire while its header keeps the clean payload's CRC32C,
+	// so the client drops the frame as ErrCorruptFrame before decoding it.
 	CorruptFrame int
 
 	// CorruptDiskAppend: the Nth record appended to the persistent disk

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"lotus/internal/pipeline"
 	"lotus/internal/testutil"
@@ -150,15 +151,17 @@ func TestCachedServingByteIdentity(t *testing.T) {
 // same epoch and proves the single-flight property end to end: the pipeline
 // executed each batch exactly once (misses == planLen), every other request
 // was a hit or a single-flight wait, and all K clients got byte-identical
-// streams.
+// streams. Each of those frames left the server as its own vectored write,
+// which is what /metrics' writev counters (and perf's frames-per-call rung)
+// report.
 func TestCachedServingSingleFlight(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
 	t.Cleanup(testutil.CheckFrames(t, FramesInUse))
 	spec := loopbackSpec()
-	srv := startCachedTestServer(t, spec, 64<<20, false)
+	srv := startCachedTestServer(t, spec, 64<<20, true)
 	expected := localEpochFrames(t, spec, 0)
 	planLen := len(expected)
-	const K = 4
+	const K = 8
 
 	frames := make([][][]byte, K)
 	errs := make([]error, K)
@@ -199,6 +202,21 @@ func TestCachedServingSingleFlight(t *testing.T) {
 	}
 	if st.Abandoned != 0 {
 		t.Fatalf("abandoned %d on a healthy run", st.Abandoned)
+	}
+
+	// A frame is credited after its write returns, which may be after the
+	// client has read it: wait for the last credits to land.
+	want := int64(K * planLen)
+	var snap MetricsSnapshot
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		getJSON(t, "http://"+srv.HTTPAddr()+"/metrics", &snap)
+		if snap.BatchesSent >= want || time.Now().After(deadline) {
+			break
+		}
+	}
+	if snap.BatchesSent != want || snap.WritevCalls != want || snap.WritevFrames != want {
+		t.Fatalf("batches_sent %d, writev_calls %d, writev_frames %d: want all %d (one vectored write per frame)",
+			snap.BatchesSent, snap.WritevCalls, snap.WritevFrames, want)
 	}
 }
 

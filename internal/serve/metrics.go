@@ -29,8 +29,6 @@ type Metrics struct {
 	hedgeBatches   int64
 	busyRejections int64
 	admitWaited    int64
-	writevCalls    int64
-	writevFrames   int64
 	framesDigested int64
 	digestBytes    int64
 	opensByName    map[string]int
@@ -177,16 +175,6 @@ func (m *Metrics) AddBusy() {
 func (m *Metrics) AddAdmitWaited() {
 	m.mu.Lock()
 	m.admitWaited++
-	m.mu.Unlock()
-}
-
-// AddWritev observes one coalesced vectored write covering the given number
-// of batch frames. frames/calls is the live coalescing factor: 1.0 means
-// every frame paid its own syscall.
-func (m *Metrics) AddWritev(frames int) {
-	m.mu.Lock()
-	m.writevCalls++
-	m.writevFrames += int64(frames)
 	m.mu.Unlock()
 }
 
@@ -350,8 +338,8 @@ type MetricsSnapshot struct {
 	// connections that waited in the bounded admission queue.
 	BusyRejections int64 `json:"busy_rejections"`
 	AdmitWaited    int64 `json:"admit_queued"`
-	// Write-coalescing counters: vectored writes issued and batch frames
-	// they covered (frames/calls = coalescing factor).
+	// Vectored writes issued and the batch frames they covered: one vectored
+	// write per frame (header + payload), so both equal BatchesSent.
 	WritevCalls  int64 `json:"writev_calls"`
 	WritevFrames int64 `json:"writev_frames"`
 	// Payload digest passes the server made (one per frame it encoded) and
@@ -434,8 +422,8 @@ func (m *Metrics) Snapshot(now time.Time, traceRecords int64) MetricsSnapshot {
 		TraceRecords:   traceRecords,
 		BusyRejections: m.busyRejections,
 		AdmitWaited:    m.admitWaited,
-		WritevCalls:    m.writevCalls,
-		WritevFrames:   m.writevFrames,
+		WritevCalls:    m.batchesSent,
+		WritevFrames:   m.batchesSent,
 		FramesDigested: m.framesDigested,
 		DigestBytes:    m.digestBytes,
 	}

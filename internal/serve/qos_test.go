@@ -354,16 +354,6 @@ func TestLogLimiter(t *testing.T) {
 	if sup < 35 {
 		t.Fatalf("suppressed %d, want the bulk of the storm", sup)
 	}
-
-	// Negative rate = unlimited, nothing suppressed.
-	logged = 0
-	l = newLogLimiter(-1, func(string, ...any) { logged++ })
-	for i := 0; i < 50; i++ {
-		l.Logf("x")
-	}
-	if logged != 50 || l.suppressed.Load() != 0 {
-		t.Fatalf("unlimited limiter logged %d, suppressed %d", logged, l.suppressed.Load())
-	}
 }
 
 // TestClientStringTablesBounded: 2,000 sessions, each with its own Name and

@@ -250,7 +250,7 @@ const logLinesPerSec = 50
 // the logger. Suppressed lines are counted, not silently lost.
 type logLimiter struct {
 	mu         sync.Mutex
-	rate       float64 // lines per second; <= 0 means unlimited
+	rate       float64 // lines per second
 	burst      float64
 	tokens     float64
 	last       time.Time
@@ -259,17 +259,10 @@ type logLimiter struct {
 }
 
 func newLogLimiter(rate float64, logf func(string, ...any)) *logLimiter {
-	if rate < 0 {
-		rate = 0 // unlimited
-	}
 	return &logLimiter{rate: rate, burst: 2 * rate, tokens: 2 * rate, last: time.Now(), logf: logf}
 }
 
 func (l *logLimiter) Logf(format string, args ...any) {
-	if l.rate <= 0 {
-		l.logf(format, args...)
-		return
-	}
 	now := time.Now()
 	l.mu.Lock()
 	l.tokens += now.Sub(l.last).Seconds() * l.rate
@@ -957,8 +950,6 @@ func (ss *session) streamShard(epoch int, shard []PlanBatch) error {
 	ctx, cancelEpoch := context.WithCancel(s.ctx)
 	unwatch := ss.watchConn(cancelEpoch)
 	defer unwatch()
-	fw := ss.newFrameWriter()
-	defer fw.close()
 
 	window := min(int(s.window.Load()), len(shard))
 	w := &shardWindow{slots: make([]chan fetched, window), tokens: make(chan struct{}, window)}
@@ -991,9 +982,6 @@ func (ss *session) streamShard(epoch int, shard []PlanBatch) error {
 	defer ss.sm.SetQueueGauge(nil, 0)
 	pid := sessionPIDBase + ss.id
 
-	// The write loop coalesces only frames that are already available: before
-	// any wait that could block, pending frames are flushed, so batching
-	// trades syscalls, never adds first-frame latency.
 	var werr, ferr error
 stream:
 	for i := range shard {
@@ -1004,9 +992,6 @@ stream:
 		select {
 		case r = <-w.slots[i%window]:
 		default:
-			if werr = fw.flush(); werr != nil {
-				break stream
-			}
 			waitStart = time.Now()
 			select {
 			case r = <-w.slots[i%window]:
@@ -1022,12 +1007,11 @@ stream:
 		}
 		if i == len(shard)-1 {
 			// The last frame ends the stream, so the watcher must be off the
-			// socket before it is handed to fw: add may flush it at once, and
-			// the client may send its next request the moment it lands — bytes
-			// that belong to the session loop's reader. Nothing is lost:
-			// every fetch of the shard has delivered by now. The epoch counts
-			// here too, so a client holding its whole stream finds it on
-			// /metrics.
+			// socket before it is written: the client may send its next
+			// request the moment it lands — bytes that belong to the session
+			// loop's reader. Nothing is lost: every fetch of the shard has
+			// delivered by now. The epoch counts here too, so a client holding
+			// its whole stream finds it on /metrics.
 			unwatch()
 			ss.sm.AddEpoch()
 			s.metrics.AddEpoch()
@@ -1035,7 +1019,7 @@ stream:
 				t.observe()
 			}
 		}
-		werr = ss.writeBatchFrame(fw, r.f, ctx.Done())
+		werr = ss.writeBatchFrame(r.f, ctx.Done())
 		r.f.Release()
 		if werr != nil {
 			break
@@ -1056,9 +1040,6 @@ stream:
 			ss.sm.AddWait(wait)
 			ss.sm.AddDelay(now.Sub(r.computedAt))
 		}
-	}
-	if werr == nil && ferr == nil {
-		werr = fw.flush()
 	}
 	if werr != nil {
 		return fmt.Errorf("write: %w", werr)
@@ -1109,27 +1090,19 @@ func (ss *session) watchConn(cancel context.CancelFunc) (stop func()) {
 	}
 }
 
-// newFrameWriter builds the session's pooled write coalescer, wired to the
-// coalescing metrics. An active fault injector forces immediate mode so the
-// wire-fault seams keep their one-write-per-frame semantics.
-func (ss *session) newFrameWriter() *frameWriter {
-	fw := newFrameWriter(ss.conn, ss.srv.cfg.Faults != nil)
-	m := ss.srv.metrics
-	fw.onFlush = func(frames int) { m.AddWritev(frames) }
-	return fw
-}
-
 // writeBatchFrame pushes one encoded batch frame through the tenant rate
-// limiter, the wire-fault seam, and the coalescing writer, crediting
-// metrics. The header carries the digest the frame already holds — no pass
-// over the bytes — which is always the CLEAN payload's: wire faults model the
-// network mangling bytes after the server produced them correctly, and the
-// corrupt fault copies the payload before flipping a bit, so a cached frame
-// other sessions are concurrently streaming is never damaged: faults land
-// per-connection, not in shared cache bytes. QoS is schedule only: the token
-// bucket and the pacer delay the write, but bytes and per-session order are
-// untouched.
-func (ss *session) writeBatchFrame(fw *frameWriter, f *Frame, cancel <-chan struct{}) error {
+// limiter and the wire-fault seam as one vectored write (header + payload),
+// crediting metrics. The caller holds its reference to f until this returns.
+// The header carries the digest the frame already holds — no pass over the
+// bytes — which is always the CLEAN payload's: wire faults model the network
+// mangling bytes after the server produced them correctly, and the corrupt
+// fault copies the payload before flipping a byte, so a cached frame other
+// sessions are concurrently streaming is never damaged: faults land
+// per-connection, not in shared cache bytes. The fault seam only chooses
+// which bytes the write carries; with or without an injector it is the same
+// write. QoS is schedule only: the token bucket and the pacer delay the
+// write, but bytes and per-session order are untouched.
+func (ss *session) writeBatchFrame(f *Frame, cancel <-chan struct{}) error {
 	payload := f.Bytes()
 	wireBytes := len(payload) + FrameHeaderSize
 	if q := ss.srv.qos; q != nil {
@@ -1153,15 +1126,11 @@ func (ss *session) writeBatchFrame(fw *frameWriter, f *Frame, cancel <-chan stru
 		return errors.New("faultinject: frame truncated mid-payload")
 	case faultinject.WireCorrupt:
 		// The header keeps the clean digest: the damage is the network's.
-		corrupted := append([]byte(nil), payload...)
-		corrupted[len(corrupted)/2] ^= 0xa5
-		if err := writeFrame(ss.conn, corrupted, f.Digest()); err != nil {
-			return err
-		}
-	default:
-		if err := fw.add(f); err != nil {
-			return err
-		}
+		payload = append([]byte(nil), payload...)
+		payload[len(payload)/2] ^= 0xa5
+	}
+	if err := writeFrame(ss.conn, payload, f.Digest()); err != nil {
+		return err
 	}
 	ss.sm.AddBatch(wireBytes)
 	ss.srv.metrics.AddBatch(wireBytes)

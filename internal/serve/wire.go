@@ -1,7 +1,8 @@
 // Package serve implements the disaggregated preprocessing service: a
-// long-running TCP server that wraps the internal/pipeline DataLoader behind
-// a length-prefixed binary wire protocol, serving collated tensor batches to
-// multiple concurrent client sessions with per-session epoch sharding,
+// long-running TCP server whose one compute plane — a pool of
+// internal/pipeline batch workers shared by every session — serves collated
+// tensor batches over a length-prefixed binary wire protocol to multiple
+// concurrent client sessions with per-session epoch sharding,
 // bounded server-side prefetch (backpressure), graceful drain, and live
 // observability over an HTTP sidecar (/healthz, /metrics, /trace).
 //
