@@ -17,9 +17,9 @@
 // cluster router's.
 //
 // Cluster mode: -cluster partitions every epoch's full batch plan across
-// the -addr nodes with a consistent-hash ring and streams the shards
-// concurrently; a node death mid-epoch re-routes its unserved batches to
-// survivors, preserving exactly-once delivery:
+// the -addr nodes by weighted rendezvous hashing on the batch ID and streams
+// the shards concurrently; a node death mid-epoch re-routes its unserved
+// batches to survivors, preserving exactly-once delivery:
 //
 //	lotus-fetch -cluster -addr host1:9317,host2:9317,host3:9317 -epochs 2
 //
@@ -32,9 +32,9 @@
 //
 // -hedge-quantile arms straggler hedging in cluster mode: when a node goes
 // quiet past that quantile of the observed batch-arrival latency, its
-// unserved batches are speculatively re-requested from their ring successors
-// and the first byte-identical answer wins (duplicates are absorbed by the
-// exactly-once ledger and reported as wasted hedges).
+// unserved batches are speculatively re-requested from their next-best
+// nodes and the first byte-identical answer wins (duplicates are absorbed by
+// the exactly-once ledger and reported as wasted hedges).
 package main
 
 import (
@@ -51,18 +51,17 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", "localhost:9317", "server wire address, or with -cluster a comma-separated member list")
-		clustered   = flag.Bool("cluster", false, "consistent-hash route whole epoch plans across the -addr nodes with mid-epoch failover")
-		replication = flag.Int("replication", 1, "cluster mode: preferred replica-set size per batch on the hash ring")
-		hedgeQ      = flag.Float64("hedge-quantile", 0, "cluster mode: hedge a node's unserved batches to its ring successor once it lags past this latency quantile (e.g. 0.95; 0 disables)")
-		epochs      = flag.Int("epochs", 2, "epochs to stream")
-		rank        = flag.Int("rank", 0, "this client's shard rank")
-		world       = flag.Int("world", 1, "total shard count")
-		name        = flag.String("name", "", "session label in server metrics")
-		tenant      = flag.String("tenant", "", "QoS tenant this session bills to (empty = server default tenant)")
-		retries     = flag.Int("retries", 4, "reconnect attempts per epoch on transient failures")
-		quiet       = flag.Bool("quiet", false, "suppress per-epoch progress lines")
-		autotune    = flag.Bool("autotune", false, "cluster mode: re-weight each node's hash-ring share from its observed per-batch cadence so slow nodes shed load until throughput converges")
+		addr      = flag.String("addr", "localhost:9317", "server wire address, or with -cluster a comma-separated member list")
+		clustered = flag.Bool("cluster", false, "route whole epoch plans across the -addr nodes by rendezvous hashing on the batch ID, with mid-epoch failover")
+		hedgeQ    = flag.Float64("hedge-quantile", 0, "cluster mode: hedge a node's unserved batches to their next-best nodes once it lags past this latency quantile (e.g. 0.95; 0 disables)")
+		epochs    = flag.Int("epochs", 2, "epochs to stream")
+		rank      = flag.Int("rank", 0, "this client's shard rank")
+		world     = flag.Int("world", 1, "total shard count")
+		name      = flag.String("name", "", "session label in server metrics")
+		tenant    = flag.String("tenant", "", "QoS tenant this session bills to (empty = server default tenant)")
+		retries   = flag.Int("retries", 4, "reconnect attempts per epoch on transient failures")
+		quiet     = flag.Bool("quiet", false, "suppress per-epoch progress lines")
+		autotune  = flag.Bool("autotune", false, "cluster mode: re-weight each node's ring share from its observed per-batch cadence so slow nodes shed load until throughput converges")
 	)
 	flag.Parse()
 
@@ -78,7 +77,7 @@ func main() {
 	}
 
 	if *clustered {
-		runCluster(endpoints, *epochs, *replication, *hedgeQ, *name, *tenant, *quiet, *autotune)
+		runCluster(endpoints, *epochs, *hedgeQ, *name, *tenant, *quiet, *autotune)
 		return
 	}
 	if len(endpoints) > 1 {
@@ -140,9 +139,9 @@ func main() {
 	fmt.Println(stats.Hist.String())
 }
 
-// runCluster consumes epochs through the consistent-hash cluster router
-// instead of a single rank/world session.
-func runCluster(endpoints []string, epochs, replication int, hedgeQuantile float64, name, tenant string, quiet, autotune bool) {
+// runCluster consumes epochs through the cluster router instead of a single
+// rank/world session.
+func runCluster(endpoints []string, epochs int, hedgeQuantile float64, name, tenant string, quiet, autotune bool) {
 	nodes := make([]cluster.Node, len(endpoints))
 	for i, a := range endpoints {
 		nodes[i] = cluster.Node{ID: a, Addr: a}
@@ -152,7 +151,6 @@ func runCluster(endpoints []string, epochs, replication int, hedgeQuantile float
 	}
 	c, err := cluster.New(cluster.Config{
 		Nodes:         nodes,
-		Replication:   replication,
 		Name:          name,
 		Tenant:        tenant,
 		HedgeQuantile: hedgeQuantile,

@@ -13,7 +13,7 @@
 //
 // Cluster mode needs nothing here: start the same workload on every node and
 // point lotus-fetch -cluster at them. Nodes never coordinate work — the
-// deterministic epoch plan plus the consumer-side consistent-hash router
+// deterministic epoch plan plus the consumer-side rendezvous-hash router
 // (internal/cluster) partition it — and the router learns which nodes are up
 // from its own fetches.
 //

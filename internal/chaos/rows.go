@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"lotus/internal/cluster"
-	"lotus/internal/control"
 	"lotus/internal/faultinject"
 	"lotus/internal/pipeline"
 	"lotus/internal/serve"
@@ -82,11 +81,8 @@ func servedRows() []row {
 		// servers on one host are CPU-coupled, which would invert the signal.
 		{class: "cluster-autotune-slow-node", nodes: 3, samples: 256, emulate: true, epochs: 4,
 			faults: faultinject.Spec{StallNth: 1, WorkerStall: 60 * time.Millisecond},
-			client: routed(func(*env) cluster.Config {
-				// Trust two steady frames, allow a re-weight every epoch.
-				return cluster.Config{AutoTune: true, Balancer: control.BalancerConfig{MinSamples: 2, Cooldown: 1}}
-			}),
-			check: converged},
+			client: routed(func(*env) cluster.Config { return cluster.Config{AutoTune: true} }),
+			check:  converged},
 
 		// A hung disk: the spill backlog fills behind the stalled writer, and
 		// the epoch completes without waiting for it. 30 frames of 1.2 MB
@@ -316,10 +312,9 @@ func victimServed(e *env) {
 
 // nodeRejoin closes node0's server before epoch 0 and starts a fresh one on
 // its address before epoch 1. A node the router has not dialled yet is
-// presumed up, and its plan handshake dials nodes in ring order, so node0 —
-// not the runner's victim — is the node it finds down before round 0: epoch 0
-// routes it nothing. Epoch 1's start dials it again, and it serves its shard
-// in one round.
+// presumed up, and its plan handshake dials nodes in member-ID order, so
+// node0 is the node it finds down before round 0: epoch 0 routes it nothing.
+// Epoch 1's start dials it again, and it serves its shard in one round.
 func nodeRejoin() row {
 	const dead = 0
 	return row{class: "cluster-node-rejoin", nodes: 3, epochs: 2, client: routed(nil),

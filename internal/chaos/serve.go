@@ -458,7 +458,7 @@ func groundTruth(spec workloads.Spec, epoch int, mode pipeline.Mode) ([]*serve.B
 // victimOf returns the node with the largest ring shard of a planLen-batch
 // epoch, so a fault there strands the most work.
 func victimOf(nodes, planLen int) int {
-	ring := cluster.NewRing(0)
+	ring := cluster.NewRing()
 	alive := map[string]bool{}
 	for i := range nodes {
 		ring.Add(nodeID(i))
@@ -468,7 +468,7 @@ func victimOf(nodes, planLen int) int {
 	for i := range ids {
 		ids[i] = i
 	}
-	asn := ring.Assign(ids, alive, 1)
+	asn := ring.Assign(ids, alive)
 	victim := 0
 	for i := 1; i < nodes; i++ {
 		if len(asn.ByNode[nodeID(i)]) > len(asn.ByNode[nodeID(victim)]) {

@@ -17,9 +17,9 @@ import (
 // balance is the client's re-weighting state.
 type balance struct {
 	// balancer, when Config.AutoTune is set, converts per-epoch windows of
-	// the steady latency histograms into ring vnode weights. snap remembers
-	// each histogram's (sum, total) at the last epoch boundary, so the window
-	// is a delta, not the lifetime aggregate.
+	// the steady latency histograms into ring weights. snap remembers each
+	// histogram's (sum, total) at the last epoch boundary, so the window is
+	// a delta, not the lifetime aggregate.
 	balancer *control.Balancer
 	snap     map[string]histSnap
 
@@ -78,7 +78,7 @@ func (c *Client) observeBalance() {
 }
 
 // SetNodeWeight queues a ring weight override for node (w in [0, 1] of full
-// vnode weight), applied at the next round start. Safe to call from any
+// weight), applied at the next round start. Safe to call from any
 // goroutine — including mid-epoch from an onBatch callback or an operator
 // control surface — because the ring itself is only ever touched at round
 // starts on the router goroutine; the exactly-once ledger guarantees a
@@ -132,8 +132,8 @@ func (c *Client) Weights() map[string]float64 {
 	return out
 }
 
-// WeightMoves reports how many applied weight changes actually moved ring
-// points.
+// WeightMoves reports how many applied weight changes actually changed a
+// ring weight.
 func (c *Client) WeightMoves() int {
 	c.bal.mu.Lock()
 	defer c.bal.mu.Unlock()

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
-	"lotus/internal/control"
 	"lotus/internal/faultinject"
 	"lotus/internal/pipeline"
 	"lotus/internal/serve"
@@ -69,8 +69,8 @@ func BenchmarkClusterThroughput(b *testing.B) {
 // without changing a served byte. Three RealData nodes serve pixel payloads;
 // the ring's busiest node stalls on the wall clock after every batch it
 // preprocesses. The hedge=off series eats the straggler's stall train every
-// epoch; hedge=on re-issues the laggard's unserved batches to ring
-// successors and takes the first byte-identical answer. Every iteration's
+// epoch; hedge=on re-issues the laggard's unserved batches to their
+// next-best nodes and takes the first byte-identical answer. Every iteration's
 // frames are compared against a healthy node's ground truth, so the speedup
 // is proven on identical output. The benchmark fails itself unless the
 // hedge=off p99 is at least 2x the hedge=on p99, whenever both series run.
@@ -111,7 +111,7 @@ func BenchmarkStragglerTail(b *testing.B) {
 	gtSrv.Close()
 
 	// The ring decides the victim the same way regardless of hedging config.
-	ring := NewRing(0)
+	ring := NewRing()
 	alive := map[string]bool{}
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("node%d", i)
@@ -122,7 +122,7 @@ func BenchmarkStragglerTail(b *testing.B) {
 	for i := range ids {
 		ids[i] = i
 	}
-	asn := ring.Assign(ids, alive, 1)
+	asn := ring.Assign(ids, alive)
 	victim, best := "", -1
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("node%d", i)
@@ -175,9 +175,12 @@ func BenchmarkStragglerTail(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				got := make(map[int][]byte, len(want))
+				var gotMu sync.Mutex // node streams deliver concurrently
 				start := time.Now()
 				stats, err := c.RunEpoch(0, func(node string, batch *serve.Batch, payload []byte) {
+					gotMu.Lock()
 					got[batch.GlobalID] = append([]byte(nil), payload...)
+					gotMu.Unlock()
 				})
 				epochSecs = append(epochSecs, time.Since(start).Seconds())
 				if err != nil {
@@ -215,8 +218,8 @@ func BenchmarkStragglerTail(b *testing.B) {
 
 // BenchmarkAutotuneImbalanced quantifies the PR 9 claim: on a 3-node cluster
 // whose busiest node pays ~3x the per-batch cost, the closed-loop balancer
-// lifts aggregate routed throughput at least 1.5x over the static ring, with
-// every served byte unchanged. The nodes run in emulate-time mode (the
+// lifts aggregate routed throughput at least 1.5x over the static partition,
+// with every served byte unchanged. The nodes run in emulate-time mode (the
 // Simulated pipeline paced on the wall clock) so each node's cadence is its
 // own modeled service rate, not this host's core count; the victim's extra
 // cost is a virtual stall per preprocessed batch, which emulate mode pays in
@@ -225,7 +228,11 @@ func BenchmarkStragglerTail(b *testing.B) {
 // settles with the cluster throughput-bound, not victim-bound. Both series
 // get the same untimed warm-up epochs, so convergence happens inside the
 // measured region for the "on" series too. The benchmark fails itself unless
-// autotune=true reaches at least 1.5x autotune=false, whenever both run.
+// autotune=true reaches at least 1.5x autotune=false, whenever both run. The
+// margin is thin (1.53x on a 2-vCPU host) because the static partition is
+// already near fair: the victim owns 12 of the 32 batches against a fair
+// 10.7, so the autotune=false series does not also pay for an oversized
+// shard, and only the stall is left for the balancer to shed.
 func BenchmarkAutotuneImbalanced(b *testing.B) {
 	spec := workloads.ICSpec(256, 7)
 	spec.BatchSize = 8 // 32 batches per epoch
@@ -250,7 +257,7 @@ func BenchmarkAutotuneImbalanced(b *testing.B) {
 	gtSrv.Close()
 
 	// The ring decides the victim the same way regardless of tuning config.
-	ring := NewRing(0)
+	ring := NewRing()
 	alive := map[string]bool{}
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("node%d", i)
@@ -261,7 +268,7 @@ func BenchmarkAutotuneImbalanced(b *testing.B) {
 	for i := range ids {
 		ids[i] = i
 	}
-	asn := ring.Assign(ids, alive, 1)
+	asn := ring.Assign(ids, alive)
 	victim, best := "", -1
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("node%d", i)
@@ -294,7 +301,6 @@ func BenchmarkAutotuneImbalanced(b *testing.B) {
 				Nodes:    nodes,
 				Name:     fmt.Sprintf("bench-autotune-%v", tune),
 				AutoTune: tune,
-				Balancer: control.BalancerConfig{MinSamples: 2, Cooldown: 1},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -314,8 +320,11 @@ func BenchmarkAutotuneImbalanced(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				got := make(map[int][]byte, len(want))
+				var gotMu sync.Mutex // node streams deliver concurrently
 				stats, err := c.RunEpoch(0, func(node string, batch *serve.Batch, payload []byte) {
+					gotMu.Lock()
 					got[batch.GlobalID] = append([]byte(nil), payload...)
+					gotMu.Unlock()
 				})
 				if err != nil {
 					b.Fatal(err)

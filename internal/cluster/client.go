@@ -25,10 +25,6 @@ type Config struct {
 	// workload spec: the epoch plan is derived from (spec, seed, epoch), so
 	// any node can produce any batch, byte-identically.
 	Nodes []Node
-	// Replication is the preferred replica-set size per batch on the hash
-	// ring (default 1). Larger values keep a batch's failover targets
-	// ring-determined and its server-side caches warm on R nodes.
-	Replication int
 	// Name labels this consumer's sessions in node metrics, as
 	// Name@nodeID cut to serve.MaxHelloString bytes, and seeds the retry
 	// jitter.
@@ -46,11 +42,12 @@ type Config struct {
 	// consumer-side straggler mitigation: a node whose in-flight shard has
 	// made no progress for longer than this quantile of its peers' recent
 	// batch inter-arrival latency gets its still-unserved IDs speculatively
-	// re-issued to each batch's ring successor. The exactly-once ledger
-	// deduplicates, so the first byte-identical answer wins; the loser's
-	// frames land in Ignored/HedgeWasted. A primary whose remaining work a
-	// hedge fully delivered is severed (Kick) so the round does not wait out
-	// its stall. 0.95 is the conventional choice. 0 disables hedging.
+	// re-issued to each batch's next-best ring member. The exactly-once
+	// ledger deduplicates, so the first byte-identical answer wins; the
+	// loser's frames land in Ignored/HedgeWasted. A primary whose remaining
+	// work a hedge fully delivered is severed (Kick) so the round does not
+	// wait out its stall. 0.95 is the conventional choice. 0 disables
+	// hedging.
 	HedgeQuantile float64
 	// HedgeMinSamples is how many peer latency observations must exist in
 	// the judging population (warm-up gaps for a node with no frame yet this
@@ -63,17 +60,14 @@ type Config struct {
 	// AutoTune enables the router-side ring balancer (balance.go): at every
 	// epoch end each node's steady frame cadence over the epoch (the same
 	// histograms hedging judges stragglers by) is folded into an EWMA
-	// service-time model, and each node's vnode weight on the ring is
-	// retargeted to fastest/service_time — so shard sizes converge to be
-	// proportional to service rate and a slowed-but-alive node sheds load
-	// until every node finishes its shard at about the same time. Weight
-	// changes are queued and applied only at round starts, when no fetch
-	// goroutine is live; the exactly-once ledger makes a mid-epoch re-weight
-	// safe by construction (only still-unserved IDs are ever re-requested).
+	// service-time model, and each node's weight on the ring is retargeted
+	// to fastest/service_time — so shard sizes converge to be proportional
+	// to service rate and a slowed-but-alive node sheds load until every
+	// node finishes its shard at about the same time. Weight changes are
+	// queued and applied only at round starts, when no fetch goroutine is
+	// live; the exactly-once ledger makes a mid-epoch re-weight safe by
+	// construction (only still-unserved IDs are ever re-requested).
 	AutoTune bool
-	// Balancer overrides the balancer's smoothing, dead-band, and pacing
-	// (zero values take control.BalancerConfig defaults).
-	Balancer control.BalancerConfig
 	// OnFetchError observes every failed shard fetch attempt.
 	OnFetchError func(node string, epoch, attempt int, err error)
 	// OnReroute observes each failover: the batch IDs being moved away from
@@ -98,15 +92,13 @@ type Counters struct {
 	NodeFailures int
 	// Rerouted counts batches that were re-assigned away from a dead node.
 	Rerouted int
-	// Spilled counts batches served outside their preferred replica set.
-	Spilled int
 	// Ignored counts frames dropped by the exactly-once filter (duplicate or
 	// out-of-plan global IDs). Zero in a correct cluster without hedging:
 	// the router only ever re-requests unserved IDs. With hedging, a
 	// primary and its hedge can race the same ID, so Ignored equals
 	// HedgeWasted — anything beyond that is a protocol violation.
 	Ignored int
-	// Hedged counts batches speculatively re-issued to a ring successor
+	// Hedged counts batches speculatively re-issued to another ring member
 	// while their primary was still in flight. HedgeWon counts hedged
 	// batches whose speculative copy arrived first; HedgeWasted counts the
 	// duplicate frames hedging caused (every one is also Ignored).
@@ -122,7 +114,6 @@ func (c *Counters) add(o *Counters) {
 	c.Rounds += o.Rounds
 	c.NodeFailures += o.NodeFailures
 	c.Rerouted += o.Rerouted
-	c.Spilled += o.Spilled
 	c.Ignored += o.Ignored
 	c.Hedged += o.Hedged
 	c.HedgeWon += o.HedgeWon
@@ -172,14 +163,13 @@ const (
 
 // Client consumes epochs from a preprocessing cluster. Every epoch is one
 // loop of routing rounds: assign the unserved IDs across alive nodes on the
-// consistent-hash ring, fetch each node's shard concurrently, deduplicate
-// every frame through the epoch's exactly-once ledger, and re-route whatever
-// is still unserved (a dead node's shard) in the next round. Hedging
-// (hedge.go) runs inside a round; re-weighting (balance.go) runs between
-// rounds. Exactly-once delivery holds by construction — the router only ever
-// requests IDs it has not received — and the ledger enforces it against
-// misbehaving nodes. Not safe for concurrent use; run one Client per
-// goroutine.
+// ring, fetch each node's shard concurrently, deduplicate every frame
+// through the epoch's exactly-once ledger, and re-route whatever is still
+// unserved (a dead node's shard) in the next round. Hedging (hedge.go) runs
+// inside a round; re-weighting (balance.go) runs between rounds. Exactly-once
+// delivery holds by construction — the router only ever requests IDs it has
+// not received — and the ledger enforces it against misbehaving nodes. Not
+// safe for concurrent use; run one Client per goroutine.
 //
 // Liveness comes from the router's own traffic: a node goes down when its
 // fetch fails after the same-node retry (or its plan handshake fails), and
@@ -214,9 +204,6 @@ func New(cfg Config) (*Client, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("cluster: no nodes configured")
 	}
-	if cfg.Replication < 1 {
-		cfg.Replication = 1
-	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
@@ -232,7 +219,7 @@ func New(cfg Config) (*Client, error) {
 	seed := int64(fnv1a(cfg.Name)) ^ 0x636c7573746572 // "cluster"
 	c := &Client{
 		cfg:     cfg,
-		ring:    NewRing(DefaultVNodes),
+		ring:    NewRing(),
 		clients: make(map[string]*serve.Client),
 		addrOf:  make(map[string]string),
 		down:    make(map[string]bool),
@@ -240,7 +227,7 @@ func New(cfg Config) (*Client, error) {
 		lat:     newLatency(),
 	}
 	if cfg.AutoTune {
-		c.bal.balancer = control.NewBalancer(cfg.Balancer)
+		c.bal.balancer = control.NewBalancer()
 		c.bal.snap = make(map[string]histSnap)
 	}
 	for i := range cfg.Nodes {
@@ -306,8 +293,8 @@ func (c *Client) Close() error {
 }
 
 // ensurePlan learns the epoch plan length from the first alive node's
-// handshake, in ring order. Every node serves the same spec, so any ack is
-// authoritative. A node that fails it is marked down.
+// handshake, in member-ID order. Every node serves the same spec, so any ack
+// is authoritative. A node that fails it is marked down.
 func (c *Client) ensurePlan() error {
 	if c.haveAck {
 		return nil
@@ -507,8 +494,7 @@ func (c *Client) RunEpoch(epoch int, onBatch func(node string, b *serve.Batch, p
 			c.cfg.Logf("cluster: epoch %d round %d: rerouting %d batches across %d nodes",
 				epoch, round, len(remaining), len(alive))
 		}
-		asn := c.ring.Assign(remaining, alive, c.cfg.Replication)
-		stats.Spilled += asn.Spilled
+		asn := c.ring.Assign(remaining, alive)
 		stats.Rounds = round + 1
 		c.runRound(epoch, asn.ByNode, st, onBatch)
 		remaining = st.unserved(remaining)

@@ -160,7 +160,7 @@ func TestClusterThreeNodeLoopback(t *testing.T) {
 
 	// Placement must match the ring's deterministic assignment exactly:
 	// batch keys are epoch-independent, so each node serves its shard twice.
-	ring := NewRing(0)
+	ring := NewRing()
 	alive := map[string]bool{}
 	for _, n := range nodes {
 		ring.Add(n.ID)
@@ -170,7 +170,7 @@ func TestClusterThreeNodeLoopback(t *testing.T) {
 	for i := range ids {
 		ids[i] = i
 	}
-	asn := ring.Assign(ids, alive, 1)
+	asn := ring.Assign(ids, alive)
 	for _, n := range nodes {
 		if got, wantN := stats.PerNode[n.ID], epochs*len(asn.ByNode[n.ID]); got != wantN {
 			t.Fatalf("node %s served %d batches, ring assigns %d", n.ID, got, wantN)
@@ -197,7 +197,7 @@ func (k *killSwitch) onFetchError(node string, epoch, attempt int, err error) {
 // victimWithLargestShard picks the node the ring gives the most batches, so
 // a mid-stream kill always leaves unserved work behind.
 func victimWithLargestShard(nodes []Node, planLen int) (string, int) {
-	ring := NewRing(0)
+	ring := NewRing()
 	alive := map[string]bool{}
 	for _, n := range nodes {
 		ring.Add(n.ID)
@@ -207,7 +207,7 @@ func victimWithLargestShard(nodes []Node, planLen int) (string, int) {
 	for i := range ids {
 		ids[i] = i
 	}
-	asn := ring.Assign(ids, alive, 1)
+	asn := ring.Assign(ids, alive)
 	best, bestLen := "", -1
 	for _, n := range nodes {
 		if l := len(asn.ByNode[n.ID]); l > bestLen {
@@ -516,7 +516,7 @@ func startRealNode(t *testing.T, spec workloads.Spec, inj *faultinject.Injector)
 // even under -race, so it is unambiguously a straggler relative to its
 // peers) but never dies. Without hedging the epoch would wait out the stall
 // train; with hedging the router re-issues the laggard's unserved IDs to
-// ring successors, takes the first byte-identical answer, severs the
+// their next-best nodes, takes the first byte-identical answer, severs the
 // satisfied primary (which bounds this test's runtime: the victim never
 // delivers a frame on its own), and accounts every duplicate: exactly-once
 // holds, nothing is reported dead, and Ignored == HedgeWasted.
@@ -596,7 +596,7 @@ func TestClusterHedgedFetchSlowNode(t *testing.T) {
 }
 
 // TestWeightShiftProperty is the weighted-ring mirror of
-// TestRebalanceProperty: shifting a node's vnode weight mid-epoch — alone
+// TestRebalanceProperty: shifting a node's ring weight mid-epoch — alone
 // and combined with a mid-epoch node death — preserves exactly-once
 // delivery and byte-identity with single-node ground truth, and the shifted
 // weight governs the next epoch's partition. Run under -race in CI.
@@ -675,9 +675,8 @@ func TestWeightShiftProperty(t *testing.T) {
 				t.Fatalf("trial %d epoch 1: %v", trial, err)
 			}
 			sink2.verifyEpoch(t, 1, want[1])
-			wantW := float64(quantizeWeight(w, DefaultVNodes)) / DefaultVNodes
-			if got := c.Weights()[victimID]; got != wantW {
-				t.Fatalf("trial %d: victim weight %.4f after shift, want %.4f", trial, got, wantW)
+			if got := c.Weights()[victimID]; got != w {
+				t.Fatalf("trial %d: victim weight %v after shift, want %v", trial, got, w)
 			}
 			if w == 0 && stats2.PerNode[victimID] != 0 {
 				t.Fatalf("trial %d: weight-0 node still served %d batches", trial, stats2.PerNode[victimID])

@@ -9,9 +9,9 @@ import (
 
 // Hedging is a policy over one routing round (runRound): a pass every
 // hedgeInterval judges each node's progress against its peers' latency,
-// re-issues a stalled node's unserved IDs to ring successors, and severs the
-// stalled primary once hedges delivered all it was assigned. Each rule below
-// fixes a deadlock or a hedge storm; its comment says which.
+// re-issues a stalled node's unserved IDs to other ring members, and severs
+// the stalled primary once hedges delivered all it was assigned. Each rule
+// below fixes a deadlock or a hedge storm; its comment says which.
 
 // latency is the per-node batch-arrival record both policies read: hedging
 // derives its stall thresholds from it, balancing windows it into service
@@ -212,22 +212,23 @@ func (c *Client) hedgePlan(rd *round, st *epochState, now time.Time) []hedgeOrde
 	return orders
 }
 
-// hedgeTargets groups a slow node's unserved IDs by ring successor: for each
-// batch, the first alive node on its ownership walk that is not the slow
-// node and is not itself flagged as stalled this round — insurance bought
-// from a node already known to be struggling is worthless. Batches with no
-// such successor are left to the normal reroute path.
+// hedgeTargets groups a slow node's unserved IDs by successor: for each
+// batch, its Pick among the alive nodes that are not the slow node and are
+// not themselves flagged as stalled this round — insurance bought from a
+// node already known to be struggling is worthless. Batches with no such
+// successor are left to the normal reroute path.
 func (c *Client) hedgeTargets(rd *round, slow string, ids []int) map[string][]int {
 	alive := c.Alive()
 	rd.mu.Lock()
 	defer rd.mu.Unlock()
+	accept := func(n string) bool {
+		nf := rd.nodes[n]
+		return n != slow && alive[n] && (nf == nil || !nf.flagged)
+	}
 	out := make(map[string][]int)
 	for _, id := range ids {
-		for _, n := range c.ring.Owners(BatchKey(id), 0) {
-			if nf := rd.nodes[n]; n != slow && alive[n] && (nf == nil || !nf.flagged) {
-				out[n] = append(out[n], id)
-				break
-			}
+		if n, ok := c.ring.Pick(BatchKey(id), accept); ok {
+			out[n] = append(out[n], id)
 		}
 	}
 	return out
@@ -250,7 +251,7 @@ func (c *Client) hedgePass(epoch int, rd *round, st *epochState, hedges *sync.Wa
 	}
 }
 
-// hedgeFetch streams a slow node's unserved IDs from one ring successor on a
+// hedgeFetch streams a slow node's unserved IDs from one successor on a
 // fresh connection (the successor's primary client is busy with its own
 // shard). On success, if nothing assigned to the slow node remains unserved,
 // the slow primary is severed so the round stops waiting for it. Hedge

@@ -24,8 +24,8 @@ import (
 // answers — a black-holed address that only a timeout discovers — is marked
 // down within the dial timeout, and the epochs finish on the other two nodes,
 // exactly once and byte-identical to ground truth. The silent member sits
-// first in ring order (the plan handshake dials it) or last (a round-0 fetch
-// dials it).
+// first in member-ID order (the plan handshake dials it) or last (a round-0
+// fetch dials it).
 func TestClusterSilentMember(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
 	t.Cleanup(testutil.CheckFrames(t, serve.FramesInUse))

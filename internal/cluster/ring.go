@@ -2,17 +2,17 @@
 // fault-tolerant preprocessing service. It is control-plane-light: there is
 // no coordinator process and the nodes never talk to each other about work.
 // The epoch batch plan — deterministic from (spec, seed, epoch) and therefore
-// identical on every node — defines the work; a consistent-hash ring keyed on
-// global batch ID partitions it across whichever nodes are alive; and the
-// router in each consumer re-issues exactly the unserved batch IDs of a dead
-// node to survivors mid-epoch. Because every node streams byte-identical
-// frames for the same batch ID (the PR-2 determinism contract), failover
-// preserves exactly-once delivery and byte-identity with single-node ground
-// truth.
+// identical on every node — defines the work; weighted rendezvous hashing
+// keyed on global batch ID partitions it across whichever nodes are alive;
+// and the router in each consumer re-issues exactly the unserved batch IDs
+// of a dead node to survivors mid-epoch. Because every node streams
+// byte-identical frames for the same batch ID (the serving layer's
+// determinism contract), failover preserves exactly-once delivery and
+// byte-identity with single-node ground truth.
 //
 // The package has two parts:
 //
-//   - Ring: the consistent-hash partitioner (this file);
+//   - Ring: the weighted rendezvous partitioner (this file);
 //   - Client: the epoch router wrapping one serve.Client per node
 //     (client.go). Its own fetches are the liveness signal: a failed fetch
 //     marks a node down, and a dial at the next epoch's start brings it
@@ -21,44 +21,37 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node count per physical node. 64 points per
-// node keeps the max/mean shard imbalance under ~20% for small clusters
-// while the ring stays tiny (a few KB).
-const DefaultVNodes = 64
-
-// ringPoint is one virtual node's position on the hash circle.
-type ringPoint struct {
-	hash uint64
-	node string
+// member is one node of the ring: its identity hash, fixed at Add, and its
+// current weight in [0, 1].
+type member struct {
+	id     string
+	hash   uint64
+	weight float64
 }
 
-// Ring is a consistent-hash ring over node IDs. It is deterministic: two
-// rings built from the same node set place every key identically, no matter
-// the insertion order — so every consumer and every test computes the same
-// partition without coordination. Not safe for concurrent mutation; the
-// router guards it with its own lock.
+// Ring is a weighted rendezvous (highest-random-weight) partitioner over
+// node IDs. Every member scores every key, and a key goes to the accepted
+// member with the highest score w / −ln(u), u uniform in (0, 1) from the
+// member's hash and the key. A member's expected share of the keys is
+// therefore exactly its weight over the summed weights, and lowering one
+// member's weight lowers only its own scores, so only keys it owned move.
+//
+// It is deterministic: the same members, weights and key pick the same
+// member no matter the insertion order or weight history, and a score tie
+// goes to the smaller member ID — so every consumer and every test computes
+// the same partition without coordination. Across architectures only a tie
+// within one ulp of math.Log could differ (amd64 has an assembly Log). Not
+// safe for concurrent mutation; the router guards it with its own lock.
 type Ring struct {
-	vnodes int
-	points []ringPoint
-	nodes  map[string]bool
-	// vcount is each member's current virtual-node count. Full weight is
-	// r.vnodes points; a degraded member keeps a prefix of its point set
-	// (node#0..node#k-1), so re-weighting moves only the keys on the dropped
-	// arcs — the same minimal-disruption property Remove has.
-	vcount map[string]int
+	members []member // sorted by id
 }
 
-// NewRing returns an empty ring with the given virtual-node count per node
-// (<= 0 selects DefaultVNodes).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	return &Ring{vnodes: vnodes, nodes: make(map[string]bool), vcount: make(map[string]int)}
-}
+// NewRing returns an empty ring.
+func NewRing() *Ring { return &Ring{} }
 
 // fnv1a is FNV-1a 64 over a byte string — the same mix every deterministic
 // decision in this repository uses.
@@ -72,12 +65,11 @@ func fnv1a(data string) uint64 {
 	return h
 }
 
-// mix64 is the 64-bit murmur3 finalizer. FNV-1a alone is too weak for ring
+// mix64 is the 64-bit murmur3 finalizer. FNV-1a alone is too weak for
 // placement: sequential keys like "batch/0".."batch/19" differ only in the
 // last bytes, and one FNV multiply leaves their hashes within ~2^44 of each
-// other — a band so narrow the whole epoch plan lands inside a single vnode
-// arc (arcs average 2^64/points). The finalizer's shift-xor-multiply cascade
-// avalanches those low-byte differences across all 64 bits.
+// other. The finalizer's shift-xor-multiply cascade avalanches those
+// low-byte differences across all 64 bits.
 func mix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
@@ -94,150 +86,81 @@ func BatchKey(globalID int) uint64 {
 	return mix64(fnv1a(fmt.Sprintf("batch/%d", globalID)))
 }
 
-// Add inserts a node's virtual points at full weight. Adding a present node
-// is a no-op.
+// find returns the index of node in the sorted member list, or where it
+// would be inserted, and whether it is present.
+func (r *Ring) find(node string) (int, bool) {
+	i := sort.Search(len(r.members), func(i int) bool { return r.members[i].id >= node })
+	return i, i < len(r.members) && r.members[i].id == node
+}
+
+// Add makes node a member at full weight. Adding a present node is a no-op.
 func (r *Ring) Add(node string) {
-	if r.nodes[node] {
+	i, ok := r.find(node)
+	if ok {
 		return
 	}
-	r.nodes[node] = true
-	r.vcount[node] = r.vnodes
-	for v := 0; v < r.vnodes; v++ {
-		r.points = append(r.points, ringPoint{hash: mix64(fnv1a(fmt.Sprintf("%s#%d", node, v))), node: node})
-	}
-	r.sortPoints()
+	r.members = append(r.members, member{})
+	copy(r.members[i+1:], r.members[i:])
+	r.members[i] = member{id: node, hash: mix64(fnv1a(node)), weight: 1}
 }
 
-func (r *Ring) sortPoints() {
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
-		}
-		return r.points[i].node < r.points[j].node
-	})
-}
-
-// Remove deletes a node's virtual points. Removing an absent node is a
-// no-op. Only keys owned by the removed node move — the minimal-disruption
-// property that keeps a node death from reshuffling the whole epoch.
-func (r *Ring) Remove(node string) {
-	if !r.nodes[node] {
-		return
-	}
-	delete(r.nodes, node)
-	delete(r.vcount, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// SetWeight scales a member's share of the keyspace to w in [0, 1] of full
-// weight. The weight is quantized to a virtual-node count so every consumer
-// that applies the same weight computes the same partition (no float drift).
-// A nonzero weight always keeps at least one point, so a degraded-but-alive
-// node still owns a sliver and keeps its caches warm; weight 0 removes the
-// member from key walks entirely while leaving it in the member set (it can
-// still serve spilled or hedged work addressed to it explicitly). Returns
-// true when the point set changed.
+// SetWeight sets a member's weight, clamped to [0, 1] of full weight (NaN
+// counts as 0). A nonzero weight keeps a share of the keys, so a
+// degraded-but-alive node keeps its caches warm; weight 0 takes the member
+// out of every Pick while leaving it in the member set. Returns true when
+// the weight changed.
 func (r *Ring) SetWeight(node string, w float64) bool {
-	if !r.nodes[node] {
+	i, ok := r.find(node)
+	if !(w > 0) {
+		w = 0
+	}
+	w = min(w, 1)
+	if !ok || r.members[i].weight == w {
 		return false
 	}
-	count := quantizeWeight(w, r.vnodes)
-	if count == r.vcount[node] {
-		return false
-	}
-	r.vcount[node] = count
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-	for v := 0; v < count; v++ {
-		r.points = append(r.points, ringPoint{hash: mix64(fnv1a(fmt.Sprintf("%s#%d", node, v))), node: node})
-	}
-	r.sortPoints()
+	r.members[i].weight = w
 	return true
 }
 
-// Weight reports a member's current weight in [0, 1] (quantized). Absent
-// members report 0.
+// Weight reports a member's current weight in [0, 1]. Absent members
+// report 0.
 func (r *Ring) Weight(node string) float64 {
-	if !r.nodes[node] {
-		return 0
+	if i, ok := r.find(node); ok {
+		return r.members[i].weight
 	}
-	return float64(r.vcount[node]) / float64(r.vnodes)
-}
-
-// quantizeWeight maps a weight in [0, 1] to a vnode count in [0, vnodes],
-// rounding to nearest but never rounding a positive weight down to zero.
-func quantizeWeight(w float64, vnodes int) int {
-	if w <= 0 {
-		return 0
-	}
-	if w >= 1 {
-		return vnodes
-	}
-	count := int(w*float64(vnodes) + 0.5)
-	if count < 1 {
-		count = 1
-	}
-	if count > vnodes {
-		count = vnodes
-	}
-	return count
+	return 0
 }
 
 // Nodes returns the member IDs in sorted order.
 func (r *Ring) Nodes() []string {
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
+	out := make([]string, len(r.members))
+	for i, m := range r.members {
+		out[i] = m.id
 	}
-	sort.Strings(out)
 	return out
 }
 
-// Len reports the member count.
-func (r *Ring) Len() int { return len(r.nodes) }
-
-// Owners returns up to n distinct nodes clockwise from key — the replica set
-// for the key, primary first. n <= 0 returns every member in ring order.
-func (r *Ring) Owners(key uint64, n int) []string {
-	if len(r.points) == 0 {
-		return nil
-	}
-	if n <= 0 || n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
+// Pick returns the member with the highest score for key among those with a
+// positive weight that accept admits, or false when there is none.
+func (r *Ring) Pick(key uint64, accept func(node string) bool) (string, bool) {
+	best, bestScore := -1, 0.0
+	for i, m := range r.members {
+		if m.weight <= 0 || !accept(m.id) {
+			continue
+		}
+		// u is the top 53 bits of the pair's hash, centred in its bucket so
+		// it lies strictly inside (0, 1) and −ln(u) is positive and finite.
+		u := (float64(mix64(m.hash^key)>>11) + 0.5) / (1 << 53)
+		// Members are in id order and only a strictly higher score wins, so
+		// a tie goes to the smaller id.
+		if score := m.weight / -math.Log(u); best < 0 || score > bestScore {
+			best, bestScore = i, score
 		}
 	}
-	return out
-}
-
-// Replicas returns a batch's preferred replica set: the first r distinct
-// nodes clockwise from its key. With r > 1 a hot shard survives its primary:
-// the batch's failover target is decided by the ring, not by which node
-// happens to answer first.
-func (r *Ring) Replicas(globalID, replication int) []string {
-	if replication < 1 {
-		replication = 1
+	if best < 0 {
+		return "", false
 	}
-	return r.Owners(BatchKey(globalID), replication)
+	return r.members[best].id, true
 }
 
 // Assignment is one routing round's partition of batch IDs across nodes.
@@ -247,36 +170,19 @@ type Assignment struct {
 	ByNode map[string][]int
 	// Unassigned lists IDs no alive node can serve (empty alive set).
 	Unassigned []int
-	// Spilled counts batches assigned outside their preferred replica set —
-	// every replica dead, so the walk continued clockwise. A nonzero spill
-	// with replication R means more than R ring-adjacent nodes are down;
-	// those batches lose cache affinity but not availability.
-	Spilled int
 }
 
 // Assign partitions the given global batch IDs across the alive subset of
-// the ring's members: each batch goes to the first alive node of its replica
-// walk, and when every preferred replica is dead the walk continues
-// clockwise so the batch is still served as long as any member is alive.
-func (r *Ring) Assign(ids []int, alive map[string]bool, replication int) Assignment {
-	if replication < 1 {
-		replication = 1
-	}
+// the ring's members: each batch goes to its Pick among the alive members,
+// so a dead node's batches spread over the survivors in proportion to their
+// weights while every other batch keeps its owner.
+func (r *Ring) Assign(ids []int, alive map[string]bool) Assignment {
 	out := Assignment{ByNode: make(map[string][]int)}
+	isAlive := func(node string) bool { return alive[node] }
 	for _, id := range ids {
-		owners := r.Owners(BatchKey(id), 0)
-		placed := false
-		for i, node := range owners {
-			if alive[node] {
-				out.ByNode[node] = append(out.ByNode[node], id)
-				if i >= replication {
-					out.Spilled++
-				}
-				placed = true
-				break
-			}
-		}
-		if !placed {
+		if node, ok := r.Pick(BatchKey(id), isAlive); ok {
+			out.ByNode[node] = append(out.ByNode[node], id)
+		} else {
 			out.Unassigned = append(out.Unassigned, id)
 		}
 	}

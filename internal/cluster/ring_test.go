@@ -1,33 +1,59 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
+
+// owners returns up to n members in descending score order for key — the
+// order successive Picks visit them when each excludes the ones before it.
+// n <= 0 returns every member with a positive weight.
+func owners(r *Ring, key uint64, n int) []string {
+	var out []string
+	taken := map[string]bool{}
+	for n <= 0 || len(out) < n {
+		m, ok := r.Pick(key, func(m string) bool { return !taken[m] })
+		if !ok {
+			break
+		}
+		taken[m] = true
+		out = append(out, m)
+	}
+	return out
+}
+
+// owner returns the member that owns batch id with every member accepted.
+func owner(r *Ring, id int) string {
+	m, _ := r.Pick(BatchKey(id), func(string) bool { return true })
+	return m
+}
 
 // TestRingInsertionOrderInvariant: two rings over the same node set place
 // every key identically regardless of Add order — consumers compute the same
 // partition without coordination.
 func TestRingInsertionOrderInvariant(t *testing.T) {
-	a := NewRing(0)
+	a := NewRing()
 	for _, n := range []string{"n1", "n2", "n3", "n4"} {
 		a.Add(n)
 	}
-	b := NewRing(0)
+	b := NewRing()
 	for _, n := range []string{"n3", "n1", "n4", "n2"} {
 		b.Add(n)
 	}
 	for id := 0; id < 500; id++ {
-		if ao, bo := a.Owners(BatchKey(id), 2), b.Owners(BatchKey(id), 2); !reflect.DeepEqual(ao, bo) {
+		if ao, bo := owners(a, BatchKey(id), 2), owners(b, BatchKey(id), 2); !reflect.DeepEqual(ao, bo) {
 			t.Fatalf("batch %d: owners %v vs %v across insertion orders", id, ao, bo)
 		}
 	}
 }
 
-// TestRingMinimalDisruption: removing one node moves only the keys that node
-// owned; every other key keeps its owner.
+// TestRingMinimalDisruption: excluding one node (a death: it leaves the
+// alive set) moves only the keys that node owned; every other key keeps its
+// owner.
 func TestRingMinimalDisruption(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	nodes := []string{"n1", "n2", "n3", "n4", "n5"}
 	for _, n := range nodes {
 		r.Add(n)
@@ -35,20 +61,20 @@ func TestRingMinimalDisruption(t *testing.T) {
 	const keys = 1000
 	before := make([]string, keys)
 	for id := 0; id < keys; id++ {
-		before[id] = r.Owners(BatchKey(id), 1)[0]
+		before[id] = owner(r, id)
 	}
 	const victim = "n3"
-	r.Remove(victim)
+	survivor := func(n string) bool { return n != victim }
 	moved := 0
 	for id := 0; id < keys; id++ {
-		after := r.Owners(BatchKey(id), 1)[0]
+		after, _ := r.Pick(BatchKey(id), survivor)
 		if before[id] == victim {
 			moved++
 			if after == victim {
-				t.Fatalf("batch %d still owned by removed node", id)
+				t.Fatalf("batch %d still owned by excluded node", id)
 			}
 		} else if after != before[id] {
-			t.Fatalf("batch %d moved %s -> %s though %s was removed", id, before[id], after, victim)
+			t.Fatalf("batch %d moved %s -> %s though %s was excluded", id, before[id], after, victim)
 		}
 	}
 	if moved == 0 {
@@ -56,53 +82,62 @@ func TestRingMinimalDisruption(t *testing.T) {
 	}
 }
 
-// TestRingOwnersDistinct: a replica set never repeats a node, is capped at
-// the member count, and leads with the primary.
-func TestRingOwnersDistinct(t *testing.T) {
-	r := NewRing(0)
-	for _, n := range []string{"n1", "n2", "n3"} {
-		r.Add(n)
-	}
-	for id := 0; id < 200; id++ {
-		owners := r.Owners(BatchKey(id), 99)
-		if len(owners) != 3 {
-			t.Fatalf("batch %d: %d owners, want all 3", id, len(owners))
-		}
-		seen := map[string]bool{}
-		for _, o := range owners {
-			if seen[o] {
-				t.Fatalf("batch %d: duplicate owner %s in %v", id, o, owners)
-			}
-			seen[o] = true
-		}
-		if primary := r.Owners(BatchKey(id), 1); primary[0] != owners[0] {
-			t.Fatalf("batch %d: primary %s vs replica head %s", id, primary[0], owners[0])
-		}
-	}
-}
-
-// TestRingBalance: with the default virtual-node count no member of a
-// 3-node ring is starved or grossly overloaded.
+// TestRingBalance: over a long run of sequential batch IDs every member's
+// share is within 5% of its fair share, whatever the member names, and a
+// down-weighted member's share lands within 8% of w/Σw — the balancer can
+// only equalise finish times if the partition follows its weights.
 func TestRingBalance(t *testing.T) {
-	r := NewRing(0)
-	for _, n := range []string{"n1", "n2", "n3"} {
-		r.Add(n)
+	const keys = 64000
+	keyOf := make([]uint64, keys)
+	for id := range keyOf {
+		keyOf[id] = BatchKey(id)
 	}
-	counts := map[string]int{}
-	const keys = 3000
-	for id := 0; id < keys; id++ {
-		counts[r.Owners(BatchKey(id), 1)[0]]++
-	}
-	for n, c := range counts {
-		if c == 0 {
-			t.Fatalf("node %s owns nothing", n)
+	all := func(string) bool { return true }
+	shares := func(r *Ring) map[string]float64 {
+		counts := map[string]int{}
+		for _, k := range keyOf {
+			m, _ := r.Pick(k, all)
+			counts[m]++
 		}
-		if c > keys*2/3 {
-			t.Fatalf("node %s owns %d of %d keys — ring badly imbalanced %v", n, c, keys, counts)
+		out := map[string]float64{}
+		for _, m := range r.Nodes() {
+			out[m] = float64(counts[m]) / keys
+		}
+		return out
+	}
+	ringOf := func(members []string) *Ring {
+		r := NewRing()
+		for _, m := range members {
+			r.Add(m)
+		}
+		return r
+	}
+
+	addrs := make([]string, 5)
+	for k := range addrs {
+		addrs[k] = fmt.Sprintf("10.0.0.%d:9317", k+1)
+	}
+	for _, members := range [][]string{
+		{"n0", "n1", "n2"},
+		{"a", "b", "c"},
+		{"node0", "node1", "node2"},
+		addrs,
+	} {
+		fair := 1 / float64(len(members))
+		for m, share := range shares(ringOf(members)) {
+			if share > 1.05*fair || share < fair/1.05 {
+				t.Errorf("members %v: %s owns %.4f of %d keys, fair share %.4f", members, m, share, keys, fair)
+			}
 		}
 	}
-	if len(counts) != 3 {
-		t.Fatalf("only %d of 3 nodes own keys: %v", len(counts), counts)
+
+	for _, w := range []float64{1.0 / 16, 1.0 / 4, 1.0 / 2} {
+		r := ringOf([]string{"node0", "node1", "node2"})
+		r.SetWeight("node0", w)
+		want := w / (w + 2)
+		if got := shares(r)["node0"]; math.Abs(got-want) > 0.08*want {
+			t.Errorf("node0 at weight %v owns %.4f of the keys, want %.4f ± 8%%", w, got, want)
+		}
 	}
 }
 
@@ -124,7 +159,7 @@ func assignUnion(a Assignment) map[int]int {
 // node's shard (or Unassigned when nothing is alive) — the static half of
 // the exactly-once invariant.
 func TestAssignPartitionsExactlyOnce(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for _, n := range []string{"n1", "n2", "n3"} {
 		r.Add(n)
 	}
@@ -140,7 +175,7 @@ func TestAssignPartitionsExactlyOnce(t *testing.T) {
 		{},
 	}
 	for _, alive := range aliveSets {
-		asn := r.Assign(ids, alive, 1)
+		asn := r.Assign(ids, alive)
 		seen := assignUnion(asn)
 		if len(seen) != len(ids) {
 			t.Fatalf("alive=%v: %d distinct ids placed, want %d", alive, len(seen), len(ids))
@@ -164,70 +199,13 @@ func TestAssignPartitionsExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestAssignSpillAccounting: with R=1, killing one node spills exactly its
-// formerly-owned batches (they are served outside their replica set); with
-// everyone alive nothing spills.
-func TestAssignSpillAccounting(t *testing.T) {
-	r := NewRing(0)
-	all := map[string]bool{"n1": true, "n2": true, "n3": true}
-	for n := range all {
-		r.Add(n)
-	}
-	ids := make([]int, 60)
-	for i := range ids {
-		ids[i] = i
-	}
-	if asn := r.Assign(ids, all, 1); asn.Spilled != 0 {
-		t.Fatalf("all alive: %d spilled, want 0", asn.Spilled)
-	}
-
-	const victim = "n2"
-	victimOwned := 0
-	for _, id := range ids {
-		if r.Owners(BatchKey(id), 1)[0] == victim {
-			victimOwned++
-		}
-	}
-	survivors := map[string]bool{"n1": true, "n3": true}
-	asn := r.Assign(ids, survivors, 1)
-	if asn.Spilled != victimOwned {
-		t.Fatalf("victim owned %d batches but %d spilled", victimOwned, asn.Spilled)
-	}
-	// With R=2 the same death spills nothing: the secondary replica absorbs.
-	if asn2 := r.Assign(ids, survivors, 2); asn2.Spilled != 0 {
-		t.Fatalf("R=2 one death: %d spilled, want 0", asn2.Spilled)
-	}
-}
-
-// TestAssignReplicaAffinity: an ID's assignment under R=2 is always a member
-// of its 2-replica set while either replica lives.
-func TestAssignReplicaAffinity(t *testing.T) {
-	r := NewRing(0)
-	for _, n := range []string{"n1", "n2", "n3", "n4"} {
-		r.Add(n)
-	}
-	alive := map[string]bool{"n1": true, "n2": true, "n3": true, "n4": true}
-	delete(alive, "n1")
-	asn := r.Assign([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, alive, 2)
-	for node, ids := range asn.ByNode {
-		for _, id := range ids {
-			reps := r.Replicas(id, 2)
-			inSet := reps[0] == node || reps[1] == node
-			aliveRep := alive[reps[0]] || alive[reps[1]]
-			if aliveRep && !inSet {
-				t.Fatalf("id %d assigned to %s outside live replica set %v", id, node, reps)
-			}
-		}
-	}
-}
-
 // TestRingSequentialKeysDisperse is the regression test for the mix64
 // finalizer: epoch plans are *sequential* batch IDs, and raw FNV-1a leaves
-// "batch/0".."batch/N" hashed into a band narrower than one vnode arc — an
-// entire epoch collapsing onto one node. A real plan-sized run of sequential
-// keys must touch every member of a three-node ring.
+// "batch/0".."batch/N" hashed into a band only ~2^44 wide, so their keys
+// differ in few bits and could all favour one member. A real plan-sized run
+// of sequential keys must touch every member of a three-node ring.
 func TestRingSequentialKeysDisperse(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	members := []string{"node0", "node1", "node2"}
 	for _, n := range members {
 		r.Add(n)
@@ -235,7 +213,7 @@ func TestRingSequentialKeysDisperse(t *testing.T) {
 	for _, plan := range []int{16, 20, 64} {
 		counts := map[string]int{}
 		for id := 0; id < plan; id++ {
-			counts[r.Owners(BatchKey(id), 1)[0]]++
+			counts[owner(r, id)]++
 		}
 		for _, n := range members {
 			if counts[n] == 0 {
@@ -249,11 +227,12 @@ func TestRingSequentialKeysDisperse(t *testing.T) {
 }
 
 // TestRingSetWeightMinimalDisruption: shrinking one node's weight moves only
-// keys that node owned (its dropped arcs); every key owned by another node
+// keys that node owned (its scores drop, no other's rise); every key owned
+// by another node
 // keeps its owner. This is the property that makes a live re-weight cheap —
 // the rest of the epoch's cache affinity survives.
 func TestRingSetWeightMinimalDisruption(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	nodes := []string{"n1", "n2", "n3"}
 	for _, n := range nodes {
 		r.Add(n)
@@ -261,7 +240,7 @@ func TestRingSetWeightMinimalDisruption(t *testing.T) {
 	const keys = 1000
 	before := make([]string, keys)
 	for id := 0; id < keys; id++ {
-		before[id] = r.Owners(BatchKey(id), 1)[0]
+		before[id] = owner(r, id)
 	}
 	const victim = "n2"
 	if !r.SetWeight(victim, 1.0/3) {
@@ -269,7 +248,7 @@ func TestRingSetWeightMinimalDisruption(t *testing.T) {
 	}
 	moved, kept := 0, 0
 	for id := 0; id < keys; id++ {
-		after := r.Owners(BatchKey(id), 1)[0]
+		after := owner(r, id)
 		if before[id] != victim {
 			if after != before[id] {
 				t.Fatalf("batch %d moved %s -> %s though only %s was re-weighted",
@@ -295,8 +274,8 @@ func TestRingSetWeightMinimalDisruption(t *testing.T) {
 // state through different histories partition identically — the property
 // that lets any consumer replay a weight log and agree on ownership.
 func TestRingSetWeightDeterministic(t *testing.T) {
-	a := NewRing(0)
-	b := NewRing(0)
+	a := NewRing()
+	b := NewRing()
 	for _, n := range []string{"n1", "n2", "n3"} {
 		a.Add(n)
 		b.Add(n)
@@ -305,25 +284,29 @@ func TestRingSetWeightDeterministic(t *testing.T) {
 	a.SetWeight("n2", 0.25) // via an intermediate step
 	b.SetWeight("n2", 0.25) // directly
 	for id := 0; id < 500; id++ {
-		ao, bo := a.Owners(BatchKey(id), 2), b.Owners(BatchKey(id), 2)
+		ao, bo := owners(a, BatchKey(id), 2), owners(b, BatchKey(id), 2)
 		if !reflect.DeepEqual(ao, bo) {
 			t.Fatalf("batch %d: owners %v vs %v across weight histories", id, ao, bo)
 		}
 	}
 }
 
-// TestRingWeightZeroAndRestore: weight 0 removes a member from every key
-// walk while keeping it in the member set; restoring full weight reproduces
-// the original partition exactly (the vnode prefix scheme has no memory).
+// TestRingWeightZeroAndRestore: weight 0 removes a member from every Pick
+// while keeping it in the member set; restoring full weight reproduces the
+// original partition exactly (a score depends only on the current weight).
 func TestRingWeightZeroAndRestore(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for _, n := range []string{"n1", "n2", "n3"} {
 		r.Add(n)
 	}
 	const keys = 500
 	before := make([][]string, keys)
 	for id := 0; id < keys; id++ {
-		before[id] = r.Owners(BatchKey(id), 0)
+		before[id] = owners(r, BatchKey(id), 0)
+	}
+	r.SetWeight("n2", math.NaN())
+	if r.Weight("n2") != 0 {
+		t.Fatalf("Weight(n2) = %v after SetWeight NaN, want 0", r.Weight("n2"))
 	}
 	r.SetWeight("n2", 0)
 	if r.Weight("n2") != 0 {
@@ -333,39 +316,16 @@ func TestRingWeightZeroAndRestore(t *testing.T) {
 		t.Fatalf("weight 0 must not remove membership, Nodes() = %v", got)
 	}
 	for id := 0; id < keys; id++ {
-		for _, owner := range r.Owners(BatchKey(id), 0) {
-			if owner == "n2" {
+		for _, m := range owners(r, BatchKey(id), 0) {
+			if m == "n2" {
 				t.Fatalf("batch %d walk still visits a weight-0 member", id)
 			}
 		}
 	}
 	r.SetWeight("n2", 1)
 	for id := 0; id < keys; id++ {
-		if got := r.Owners(BatchKey(id), 0); !reflect.DeepEqual(got, before[id]) {
+		if got := owners(r, BatchKey(id), 0); !reflect.DeepEqual(got, before[id]) {
 			t.Fatalf("batch %d: owners %v after restore, want %v", id, got, before[id])
-		}
-	}
-}
-
-// TestQuantizeWeight pins the quantization contract: nearest vnode count,
-// positive weights never round to zero, and everything clamps to [0, vnodes].
-func TestQuantizeWeight(t *testing.T) {
-	cases := []struct {
-		w      float64
-		vnodes int
-		want   int
-	}{
-		{0, 64, 0},
-		{-1, 64, 0},
-		{1, 64, 64},
-		{2, 64, 64},
-		{0.5, 64, 32},
-		{0.001, 64, 1}, // tiny but positive keeps a sliver
-		{1.0 / 3, 64, 21},
-	}
-	for _, c := range cases {
-		if got := quantizeWeight(c.w, c.vnodes); got != c.want {
-			t.Errorf("quantizeWeight(%v, %d) = %d, want %d", c.w, c.vnodes, got, c.want)
 		}
 	}
 }

@@ -22,56 +22,39 @@ type NodeSample struct {
 	PerBatch time.Duration
 }
 
-// BalancerConfig tunes the ring re-weighter. Zero values take defaults.
-type BalancerConfig struct {
-	// Alpha is the EWMA smoothing factor on per-batch service time
-	// (default 0.5): high enough to track a node that degrades mid-run,
-	// low enough that one noisy window cannot swing the ring.
-	Alpha float64
-	// DeadBand suppresses re-weights smaller than this relative change
-	// (default 0.15) — the hysteresis that stops the ring thrashing when
-	// nodes are roughly balanced.
-	DeadBand float64
-	// MinWeight floors every alive node's weight (default 1/16): a degraded
-	// node keeps a sliver of the keyspace so its recovery is observable
-	// (weight 0 would starve it of work and freeze its service estimate).
-	MinWeight float64
-	// MinSamples is the minimum steady-frame observations in a window before
-	// a node's estimate updates (default 3).
-	MinSamples int64
-	// Cooldown is the number of observations the ring rests after a
-	// re-weight (default 1).
-	Cooldown int
-}
+// The balancer's smoothing, dead band, floor and pacing. They are the values
+// the autotune gates (BenchmarkAutotuneImbalanced, the
+// cluster-autotune-slow-node chaos row) run, so they are constants, not
+// configuration.
+const (
+	// balanceAlpha is the EWMA smoothing factor on per-batch service time:
+	// high enough to track a node that degrades mid-run, low enough that one
+	// noisy window cannot swing the ring.
+	balanceAlpha = 0.5
+	// balanceDeadBand suppresses re-weights smaller than this relative
+	// change — the hysteresis that stops the ring thrashing when nodes are
+	// roughly balanced.
+	balanceDeadBand = 0.15
+	// balanceMinWeight floors every alive node's weight: a degraded node
+	// keeps a sliver of the keyspace so its recovery is observable (weight 0
+	// would starve it of work and freeze its service estimate).
+	balanceMinWeight = 1.0 / 16
+	// balanceMinSamples is the minimum steady-frame observations in a window
+	// before a node's estimate updates.
+	balanceMinSamples = 2
+	// balanceCooldown is the number of observations the ring rests after a
+	// re-weight.
+	balanceCooldown = 1
+)
 
-func (c BalancerConfig) defaults() BalancerConfig {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.5
-	}
-	if c.DeadBand <= 0 {
-		c.DeadBand = 0.15
-	}
-	if c.MinWeight <= 0 {
-		c.MinWeight = 1.0 / 16
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 3
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 1
-	}
-	return c
-}
-
-// Balancer converts per-node service-time observations into consistent-hash
-// vnode weights: each node's weight is the ratio of the fastest node's
-// per-batch time to its own, so shard sizes converge to be proportional to
-// service rate and every node finishes its shard at the same time — the
-// minimum-makespan partition for heterogeneous nodes. Deterministic: the
+// Balancer converts per-node service-time observations into ring weights:
+// each node's weight is the ratio of the fastest node's per-batch time to its
+// own, so shard sizes converge to be proportional to service rate and every
+// node finishes its shard at the same time — the minimum-makespan partition
+// for heterogeneous nodes. Deterministic: the
 // same observation sequence always produces the same weights.
 type Balancer struct {
-	mu  sync.Mutex
-	cfg BalancerConfig
+	mu sync.Mutex
 	// svc is the EWMA per-batch service time per node, in seconds.
 	svc map[string]float64
 	// weights is the currently applied weight per node (default 1).
@@ -82,9 +65,8 @@ type Balancer struct {
 }
 
 // NewBalancer returns a balancer with every node at full weight.
-func NewBalancer(cfg BalancerConfig) *Balancer {
+func NewBalancer() *Balancer {
 	return &Balancer{
-		cfg:     cfg.defaults(),
 		svc:     make(map[string]float64),
 		weights: make(map[string]float64),
 	}
@@ -98,17 +80,17 @@ func (b *Balancer) Observe(samples []NodeSample) map[string]float64 {
 	defer b.mu.Unlock()
 	b.tick++
 	for _, s := range samples {
-		if s.Batches < b.cfg.MinSamples || s.PerBatch <= 0 {
+		if s.Batches < balanceMinSamples || s.PerBatch <= 0 {
 			continue
 		}
 		obs := s.PerBatch.Seconds()
 		if old, ok := b.svc[s.Node]; ok {
-			b.svc[s.Node] = (1-b.cfg.Alpha)*old + b.cfg.Alpha*obs
+			b.svc[s.Node] = (1-balanceAlpha)*old + balanceAlpha*obs
 		} else {
 			b.svc[s.Node] = obs
 		}
 	}
-	if len(b.svc) < 2 || b.tick-b.lastMove < b.cfg.Cooldown {
+	if len(b.svc) < 2 || b.tick-b.lastMove < balanceCooldown {
 		return nil
 	}
 
@@ -125,19 +107,13 @@ func (b *Balancer) Observe(samples []NodeSample) map[string]float64 {
 	proposed := make(map[string]float64, len(nodes))
 	changed := false
 	for _, n := range nodes {
-		w := fastest / b.svc[n]
-		if w < b.cfg.MinWeight {
-			w = b.cfg.MinWeight
-		}
-		if w > 1 {
-			w = 1
-		}
+		w := min(max(fastest/b.svc[n], balanceMinWeight), 1)
 		proposed[n] = w
 		cur, ok := b.weights[n]
 		if !ok {
 			cur = 1
 		}
-		if diff := w - cur; diff > b.cfg.DeadBand*cur || -diff > b.cfg.DeadBand*cur {
+		if diff := w - cur; diff > balanceDeadBand*cur || -diff > balanceDeadBand*cur {
 			changed = true
 		}
 	}

@@ -247,7 +247,7 @@ func TestControllerGoldenActions(t *testing.T) {
 }
 
 func TestBalancerConvergesOnSlowNode(t *testing.T) {
-	b := NewBalancer(BalancerConfig{})
+	b := NewBalancer()
 	sample := func(ms map[string]int) []NodeSample {
 		out := make([]NodeSample, 0, len(ms))
 		for n, m := range ms {
@@ -274,7 +274,7 @@ func TestBalancerConvergesOnSlowNode(t *testing.T) {
 }
 
 func TestBalancerDeadBandSuppressesNoise(t *testing.T) {
-	b := NewBalancer(BalancerConfig{})
+	b := NewBalancer()
 	moves := 0
 	for i := 0; i < 10; i++ {
 		// +-5% jitter around a balanced cluster: inside the dead band.
@@ -292,7 +292,7 @@ func TestBalancerDeadBandSuppressesNoise(t *testing.T) {
 }
 
 func TestBalancerMinWeightFloor(t *testing.T) {
-	b := NewBalancer(BalancerConfig{})
+	b := NewBalancer()
 	var weights map[string]float64
 	for i := 0; i < 4; i++ {
 		if w := b.Observe([]NodeSample{
@@ -311,10 +311,10 @@ func TestBalancerMinWeightFloor(t *testing.T) {
 }
 
 func TestBalancerNeedsMinSamples(t *testing.T) {
-	b := NewBalancer(BalancerConfig{})
+	b := NewBalancer()
 	for i := 0; i < 5; i++ {
 		if w := b.Observe([]NodeSample{
-			{Node: "a", Batches: 1, PerBatch: time.Millisecond}, // below MinSamples
+			{Node: "a", Batches: 1, PerBatch: time.Millisecond}, // below balanceMinSamples
 			{Node: "b", Batches: 1, PerBatch: 30 * time.Millisecond},
 		}); w != nil {
 			t.Fatalf("cold windows must not re-weight, got %v", w)

@@ -2,7 +2,7 @@
 // signals the system already emits (T2 batch waits and queue depths,
 // per-node service latencies from the cluster router's hedge histograms)
 // into runtime actuations of three knobs — DataLoader worker count,
-// PrefetchFactor, and per-node vnode weights on the consistent-hash ring.
+// PrefetchFactor, and per-node weights on the cluster's rendezvous ring.
 //
 // The package deliberately contains no sampling and no actuation of its own:
 // drivers (internal/serve for the node-local knobs, internal/cluster for ring

@@ -78,8 +78,20 @@ func TestHotServeHashesNothing(t *testing.T) {
 		}
 	}
 
+	// A frame is credited after its write returns, which may be after the
+	// client has read it: wait for the last credits to land.
+	settled := func(sent int64) MetricsSnapshot {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			snap := srv.Metrics().Snapshot(time.Now(), 0)
+			if snap.BatchesSent >= sent || time.Now().After(deadline) {
+				return snap
+			}
+		}
+	}
+
 	pass(2)
-	cold := srv.Metrics().Snapshot(time.Now(), 0)
+	cold := settled(16)
 	if cold.FramesDigested != 16 || cold.BatchesSent != 16 {
 		t.Fatalf("cold pass: %d frames digested, %d sent; want 16 and 16", cold.FramesDigested, cold.BatchesSent)
 	}
@@ -87,7 +99,7 @@ func TestHotServeHashesNothing(t *testing.T) {
 		t.Fatalf("cold pass: digest_bytes %d, want the %d payload bytes sent", cold.DigestBytes, cold.BytesSent-FrameHeaderSize*cold.BatchesSent)
 	}
 	pass(1)
-	hot := srv.Metrics().Snapshot(time.Now(), 0)
+	hot := settled(16 + 32)
 	if d := hot.FramesDigested - cold.FramesDigested; d != 0 {
 		t.Fatalf("hot pass digested %d frames, want 0", d)
 	}

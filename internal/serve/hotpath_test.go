@@ -354,6 +354,9 @@ func TestClientViewsAliasAndCloneSurvives(t *testing.T) {
 // second buffer for the encode — and the frame itself is a mapping, not an
 // allocation (under the race detector, an allocation inside mapFrameMem).
 // Every allocation is sampled (MemProfileRate 1) and the large ones are named.
+// The profile is the process's and cumulative, so only what a stack allocated
+// after the snapshot taken before this test's server starts is judged: an
+// earlier test's plane.compute is not this one's.
 func TestColdComputeAllocatesNoFrameSizedBuffer(t *testing.T) {
 	if !hostLittleEndian {
 		t.Skip("big-endian hosts collate into a tensor and convert")
@@ -361,6 +364,7 @@ func TestColdComputeAllocatesNoFrameSizedBuffer(t *testing.T) {
 	old := runtime.MemProfileRate
 	runtime.MemProfileRate = 1
 	defer func() { runtime.MemProfileRate = old }()
+	before := memProfile()
 
 	spec := hotFrameSpec(64)
 	srv := New(Config{Spec: spec, Mode: pipeline.RealData, MaterializeDim: 256, Prefetch: 2, Logf: t.Logf})
@@ -374,18 +378,10 @@ func TestColdComputeAllocatesNoFrameSizedBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The profile lags the allocator by up to two collections.
-	runtime.GC()
-	runtime.GC()
-	recs := make([]runtime.MemProfileRecord, 4096)
-	n, ok := runtime.MemProfile(recs, true)
-	for !ok {
-		recs = make([]runtime.MemProfileRecord, 2*n)
-		n, ok = runtime.MemProfile(recs, true)
-	}
 	const sampleBytes = 3 * 224 * 224 * 4
-	for _, r := range recs[:n] {
-		if r.AllocObjects == 0 || r.AllocBytes/r.AllocObjects < sampleBytes/2 {
+	for k, r := range memProfile() {
+		objs := r.AllocObjects - before[k].AllocObjects
+		if objs == 0 || k.size < sampleBytes/2 {
 			continue
 		}
 		var stack strings.Builder
@@ -394,8 +390,8 @@ func TestColdComputeAllocatesNoFrameSizedBuffer(t *testing.T) {
 		for {
 			fr, more := frames.Next()
 			fmt.Fprintf(&stack, "\n\t%s", fr.Function)
-			// The profile is the process's: other tests' clients and
-			// reference encoders are in it, and are not the claim.
+			// This test's client and any concurrent test's reference
+			// encoders are in the profile too, and are not the claim.
 			inCompute = inCompute || strings.Contains(fr.Function, "serve.(*plane).compute")
 			inSource = inSource || strings.HasSuffix(fr.Function, "serve.mapFrameMem")
 			if !more {
@@ -404,10 +400,40 @@ func TestColdComputeAllocatesNoFrameSizedBuffer(t *testing.T) {
 		}
 		if inCompute && !inSource {
 			t.Errorf("plane.compute made %d allocation(s) of ~%d bytes:%s",
-				r.AllocObjects, r.AllocBytes/r.AllocObjects, stack.String())
+				objs, k.size, stack.String())
 		}
 	}
 	if st := frameStats(); st.Maps < 1 {
 		t.Fatalf("no frame buffer was ever mapped: %+v", st)
 	}
+}
+
+// profileKey identifies one heap-profile bucket: the runtime keeps one per
+// allocation stack and object size.
+type profileKey struct {
+	stack [32]uintptr
+	size  int64
+}
+
+// memProfile returns the process's cumulative heap profile by bucket. The
+// profile lags the allocator by up to two collections, so it collects twice
+// first.
+func memProfile() map[profileKey]runtime.MemProfileRecord {
+	runtime.GC()
+	runtime.GC()
+	recs := make([]runtime.MemProfileRecord, 4096)
+	n, ok := runtime.MemProfile(recs, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, 2*n)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	out := make(map[profileKey]runtime.MemProfileRecord, n)
+	for _, r := range recs[:n] {
+		k := profileKey{stack: r.Stack0}
+		if r.AllocObjects > 0 {
+			k.size = r.AllocBytes / r.AllocObjects
+		}
+		out[k] = r
+	}
+	return out
 }
