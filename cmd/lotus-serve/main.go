@@ -6,6 +6,10 @@
 //
 //	lotus-serve -workload IC -samples 5120 -addr :9317 -http :9318
 //
+// By default it serves real pixels at a 256-px cap (-mode real
+// -materialize-dim 256), what the perf benchmark measures; -mode sim serves
+// metadata tensors on the virtual clock instead.
+//
 // Clients handshake with a rank/world pair and receive disjoint shards of
 // every epoch's batch plan; /metrics and /trace expose live throughput and a
 // Chrome-Trace view of the serving pipeline while it runs. SIGINT/SIGTERM
@@ -55,10 +59,10 @@ func main() {
 		batch    = flag.Int("batch", 0, "batch size (0 = workload default)")
 		workers  = flag.Int("workers", 0, "size of the server-wide preprocessing worker pool every session shares (0 = workload default)")
 		queue    = flag.Int("queue", 4, "per-session prefetch window: batches that may be outstanding ahead of the one being written")
-		mode     = flag.String("mode", "sim", "preprocessing mode: sim (meta tensors on the virtual clock) or real (pixel payloads)")
+		mode     = flag.String("mode", "real", "preprocessing mode: real (pixel payloads) or sim (meta tensors on the virtual clock)")
 		seed     = flag.Int64("seed", 1, "randomness root")
 		arch     = flag.String("arch", "intel", "simulated CPU vendor: intel or amd")
-		matDim   = flag.Int("materialize-dim", 96, "real mode: synthesized image resolution cap")
+		matDim   = flag.Int("materialize-dim", 256, "real mode: synthesized image resolution cap")
 		cacheMB  = flag.Int64("cache-mb", 256, "materialized-batch cache budget in MiB (0 = disabled); cached epochs are served without re-running the pipeline")
 		scacheMB = flag.Int64("sample-cache-mb", 0, "split-point sample cache budget in MiB (0 = disabled); materializes each sample's deterministic prefix once so augmented epochs skip decode work")
 		diskDir  = flag.String("disk-cache-dir", "", "persistent cache directory (empty = disabled); spilled frames and sample snapshots survive restarts and are shared across jobs pointing at the same directory")
@@ -131,11 +135,11 @@ func main() {
 	if *arch == "amd" {
 		spec.Arch = native.AMD
 	}
-	pmode := pipeline.Simulated
+	pmode := pipeline.RealData
 	switch *mode {
-	case "sim":
 	case "real":
-		pmode = pipeline.RealData
+	case "sim":
+		pmode = pipeline.Simulated
 	default:
 		fmt.Fprintf(os.Stderr, "lotus-serve: unknown mode %q (want sim or real)\n", *mode)
 		os.Exit(2)

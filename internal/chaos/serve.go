@@ -213,8 +213,9 @@ func (e *env) outcome(who string, err error) {
 }
 
 // sessions is the client of k concurrent sessions per tenant (nil: one
-// session) on the row's one server. A retried epoch is re-fetched whole, so
-// its sink forgets the failed attempt.
+// session) on the row's one server. A retried epoch resumes at its first
+// undelivered batch, so each sink holds its session to exactly-once delivery
+// as the routed sink holds the router.
 func sessions(tenants map[string]int) client {
 	return func(e *env) {
 		if e.row.before != nil {
@@ -233,7 +234,7 @@ func sessions(tenants map[string]int) client {
 				go func() {
 					defer wg.Done()
 					c := serve.NewClient(serve.ClientConfig{Addr: e.srvs[0].Addr(), Name: "chaos-" + e.row.class,
-						Tenant: tenant, OnRetry: func(epoch, _ int, _ error) { s.reset(epoch) }})
+						Tenant: tenant})
 					defer c.Close()
 					st, err := c.Run(len(e.oracle), s.deliver)
 					e.outcome(s.name, err)
@@ -324,7 +325,7 @@ type delivered struct {
 func (e *env) newSink(name string) *sink {
 	s := &sink{name: name, oracle: e.oracle, epochs: make([]delivered, len(e.oracle))}
 	for epoch := range s.epochs {
-		s.reset(epoch)
+		s.epochs[epoch].seen = map[int]bool{}
 	}
 	e.mu.Lock()
 	e.sinks = append(e.sinks, s)
@@ -379,15 +380,6 @@ func differs(got, want *serve.Batch) string {
 		return "tensor"
 	}
 	return ""
-}
-
-// reset forgets which batches of an epoch were delivered, because the client
-// is about to fetch it again. It keeps what was wrong and every duplicate: a
-// retry never excuses a bad delivery.
-func (s *sink) reset(epoch int) {
-	s.mu.Lock()
-	s.epochs[epoch].seen = map[int]bool{}
-	s.mu.Unlock()
 }
 
 // verify reports the sink's record: byte identity and exactly-once delivery,

@@ -19,7 +19,7 @@ import (
 // runs on the wall clock, so each batch costs its modeled preprocessing and
 // storage time in real time and the epoch is paced by pipeline latency, not
 // by this machine's core count. Each iteration routes one full epoch plan
-// through the consistent-hash router; with N nodes the per-node shards
+// through the rendezvous-hash router; with N nodes the per-node shards
 // stream concurrently, so aggregate throughput grows with N. The rates are
 // model output (Simulated/emulate), not throughput.
 func BenchmarkClusterThroughput(b *testing.B) {
@@ -152,8 +152,8 @@ func BenchmarkStragglerTail(b *testing.B) {
 			cfg := Config{Nodes: nodes, Name: "bench-straggler-" + name}
 			if hedged {
 				cfg.HedgeQuantile = 0.95
-				// MinSamples 2 arms hedging inside the first epoch, as
-				// soon as both healthy peers deliver their first frame. The
+				// hedgeMinSamples (2) arms hedging inside the first epoch,
+				// as soon as both healthy peers deliver their first frame. The
 				// 400ms floor sits above warm-up jitter (every healthy first
 				// frame lands well before it, even time-sharing one core with
 				// two other servers) but far below the victim's stall train,
@@ -161,7 +161,6 @@ func BenchmarkStragglerTail(b *testing.B) {
 				// a hedge pass is allowed to flag it. On a loaded box a noise
 				// hedge is not merely wasted bytes: its recompute steals CPU
 				// from the true hedge's critical path.
-				cfg.HedgeMinSamples = 2
 				cfg.HedgeMinDelay = 400 * time.Millisecond
 			}
 			c, err := New(cfg)

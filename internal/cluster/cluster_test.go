@@ -558,12 +558,11 @@ func TestClusterHedgedFetchSlowNode(t *testing.T) {
 		srvs[i] = startRealNode(t, spec, inj)
 	}
 	c, err := New(Config{
-		Nodes:           testNodes(srvs),
-		Name:            "hedge-test",
-		HedgeQuantile:   0.95,
-		HedgeMinSamples: 2,
-		HedgeMinDelay:   5 * time.Millisecond,
-		Logf:            t.Logf,
+		Nodes:         testNodes(srvs),
+		Name:          "hedge-test",
+		HedgeQuantile: 0.95,
+		HedgeMinDelay: 5 * time.Millisecond,
+		Logf:          t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -73,7 +73,7 @@ func (c *Client) hedgeThreshold(node string, seen bool) (time.Duration, bool) {
 			peers.Merge(h)
 		}
 	}
-	if peers.Total < int64(c.cfg.HedgeMinSamples) {
+	if peers.Total < hedgeMinSamples {
 		return 0, false
 	}
 	return max(peers.Quantile(c.cfg.HedgeQuantile), c.cfg.HedgeMinDelay), true

@@ -19,11 +19,10 @@ import (
 func policyClient(t *testing.T) *Client {
 	t.Helper()
 	c, err := New(Config{
-		Nodes:           []Node{{ID: "a", Addr: "a:1"}, {ID: "b", Addr: "b:1"}, {ID: "c", Addr: "c:1"}},
-		Name:            "policy",
-		HedgeQuantile:   0.95,
-		HedgeMinSamples: 2,
-		HedgeMinDelay:   time.Millisecond,
+		Nodes:         []Node{{ID: "a", Addr: "a:1"}, {ID: "b", Addr: "b:1"}, {ID: "c", Addr: "c:1"}},
+		Name:          "policy",
+		HedgeQuantile: 0.95,
+		HedgeMinDelay: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +201,7 @@ func TestHedgeThresholdFromPeersOnly(t *testing.T) {
 	c := policyClient(t)
 	record(c, "b", false, 1, 10*time.Millisecond)
 	if _, ok := c.hedgeThreshold("a", true); ok {
-		t.Fatal("hedging armed on one peer observation (HedgeMinSamples 2)")
+		t.Fatal("hedging armed on one peer observation (hedgeMinSamples 2)")
 	}
 	record(c, "a", false, 50, 5*time.Second)
 	record(c, "b", false, 3, 10*time.Millisecond)

@@ -284,8 +284,9 @@ func (s *FetchStats) BatchesPerSec() float64 {
 // is one ShardReq naming the shard's IDs (shardIDs). Transient failures —
 // connection refused, resets, mid-stream EOF, a frame that is not the one
 // requested at its position — are retried with exponential backoff by
-// reconnecting and re-requesting the failed epoch. Fatal ServerErrors abort
-// immediately.
+// reconnecting and requesting the epoch's IDs from the first one not yet
+// delivered, so onBatch sees each batch of the shard once. Fatal
+// ServerErrors abort immediately.
 //
 // Callback lifetime: b and payload are valid only until onBatch returns.
 // Both point into buffers of this Client — heap memory the Client owns,
@@ -300,11 +301,17 @@ func (c *Client) Run(epochs int, onBatch func(b *Batch, payload []byte)) (*Fetch
 	start := time.Now()
 	defer func() { stats.Elapsed = time.Since(start) }()
 	for e := 0; e < epochs; e++ {
+		var ids []int // the shard's IDs not yet delivered, once the HelloAck names the plan
 		err := c.retry(e, fmt.Sprintf("epoch %d", e), stats, func() error {
 			if err := c.Connect(); err != nil {
 				return err
 			}
-			return c.fetch(e, c.shardIDs(), false, onBatch, stats)
+			if ids == nil {
+				ids = c.shardIDs()
+			}
+			k, err := c.fetch(e, ids, false, onBatch, stats)
+			ids = ids[k:]
+			return err
 		})
 		if err != nil {
 			return stats, err
@@ -394,7 +401,8 @@ func (c *Client) shardIDs() []int {
 // redials. An empty ids costs no round trip. b and payload are valid only
 // until onBatch returns (see Run).
 func (c *Client) FetchShard(epoch int, ids []int, onBatch func(b *Batch, payload []byte)) error {
-	return c.fetch(epoch, ids, false, onBatch, nil)
+	_, err := c.fetch(epoch, ids, false, onBatch, nil)
+	return err
 }
 
 // FetchShardHedged is FetchShard with the request marked speculative, so the
@@ -402,28 +410,29 @@ func (c *Client) FetchShard(epoch int, ids []int, onBatch func(b *Batch, payload
 // itself is identical — hedged batches are byte-identical to primaries. b and
 // payload are valid only until onBatch returns (see Run).
 func (c *Client) FetchShardHedged(epoch int, ids []int, onBatch func(b *Batch, payload []byte)) error {
-	return c.fetch(epoch, ids, true, onBatch, nil)
+	_, err := c.fetch(epoch, ids, true, onBatch, nil)
+	return err
 }
 
-// fetch sends one ShardReq for ids and consumes its stream. On any failure
-// the connection is dropped — a ServerError leaves the socket as dead as an
-// I/O failure, since the server closes after an Error frame — so the next
-// call redials.
-func (c *Client) fetch(epoch int, ids []int, hedge bool, onBatch func(*Batch, []byte), stats *FetchStats) error {
+// fetch sends one ShardReq for ids and consumes its stream, returning how
+// many of ids were delivered. On any failure the connection is dropped — a
+// ServerError leaves the socket as dead as an I/O failure, since the server
+// closes after an Error frame — so the next call redials.
+func (c *Client) fetch(epoch int, ids []int, hedge bool, onBatch func(*Batch, []byte), stats *FetchStats) (delivered int, err error) {
 	if len(ids) == 0 {
-		return nil
+		return 0, nil
 	}
-	err := c.Connect()
+	err = c.Connect()
 	if err == nil {
 		err = WriteFrame(c.conn, EncodeShardReq(ShardReq{Epoch: epoch, IDs: ids, Hedge: hedge}))
 	}
 	if err == nil {
-		err = c.consumeEpoch(epoch, ids, onBatch, stats)
+		delivered, err = c.consumeEpoch(epoch, ids, onBatch, stats)
 	}
 	if err != nil {
 		c.drop()
 	}
-	return err
+	return delivered, err
 }
 
 // consumeEpoch reads the stream a ShardReq for ids asks for: exactly
@@ -432,52 +441,48 @@ func (c *Client) fetch(epoch int, ids []int, hedge bool, onBatch func(*Batch, []
 // header before anything decodes it, and against its request position before
 // it is finished and handed to onBatch, so a swapped, dropped, duplicated,
 // foreign-epoch or unrequested frame fails the stream before any callback
-// sees it, and a callback never sees a corrupt batch. stats, when non-nil, is
-// credited only when the whole stream arrived (a failed one is re-fetched
-// whole, so crediting partial progress would double-count). Every frame lands
-// in the client's one reused buffer, so whatever a callback does to the bytes
-// it is lent cannot disturb the checks.
-func (c *Client) consumeEpoch(epoch int, ids []int, onBatch func(*Batch, []byte), stats *FetchStats) error {
-	var bytes int64
-	var hist LatencyHist
+// sees it, and a callback never sees a corrupt batch. It returns how many
+// frames it handed on, the stream's delivered prefix, and credits stats (when
+// non-nil) with each of them: a retry asks only for the rest. Every frame
+// lands in the client's one reused buffer, so whatever a callback does to the
+// bytes it is lent cannot disturb the checks.
+func (c *Client) consumeEpoch(epoch int, ids []int, onBatch func(*Batch, []byte), stats *FetchStats) (int, error) {
 	last := time.Now()
 	for k, id := range ids {
 		payload, err := c.readStreamFrame()
 		if err != nil {
-			return err
+			return k, err
 		}
 		msg, err := DecodeMessage(payload)
 		if err != nil {
-			return err
+			return k, err
 		}
 		m, ok := msg.(*Batch)
 		if !ok {
 			if e, isErr := msg.(ErrorMsg); isErr {
-				return &ServerError{Message: e.Message, Code: e.Code}
+				return k, &ServerError{Message: e.Message, Code: e.Code}
 			}
-			return fmt.Errorf("serve: unexpected %T in epoch stream", msg)
+			return k, fmt.Errorf("serve: unexpected %T in epoch stream", msg)
 		}
 		if m.Epoch != epoch || m.GlobalID != id {
-			return fmt.Errorf("serve: stream position %d holds batch %d of epoch %d, requested batch %d of epoch %d",
+			return k, fmt.Errorf("serve: stream position %d holds batch %d of epoch %d, requested batch %d of epoch %d",
 				k, m.GlobalID, m.Epoch, id, epoch)
 		}
 		if err := c.finish(m); err != nil {
-			return err
+			return k, err
 		}
-		now := time.Now()
-		hist.Record(now.Sub(last))
-		last = now
-		bytes += int64(len(payload)) + FrameHeaderSize
+		if stats != nil {
+			now := time.Now()
+			stats.Hist.Record(now.Sub(last))
+			last = now
+			stats.Batches++
+			stats.Bytes += int64(len(payload)) + FrameHeaderSize
+		}
 		if onBatch != nil {
 			onBatch(m, payload)
 		}
 	}
-	if stats != nil {
-		stats.Batches += len(ids)
-		stats.Bytes += bytes
-		stats.Hist.Merge(&hist)
-	}
-	return nil
+	return len(ids), nil
 }
 
 // LatencyHist is a fixed power-of-two histogram of batch arrival latencies,

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"lotus/internal/clock"
+	"lotus/internal/faultinject"
 	"lotus/internal/native"
 	"lotus/internal/pipeline"
 	"lotus/internal/tensor"
@@ -121,7 +122,8 @@ func fetchOnce(c *Client, epoch int, onBatch func(*Batch, []byte), st *FetchStat
 	if err := c.Connect(); err != nil {
 		return err
 	}
-	return c.fetch(epoch, c.shardIDs(), false, onBatch, st)
+	_, err := c.fetch(epoch, c.shardIDs(), false, onBatch, st)
+	return err
 }
 
 // planIDs is 0..n-1: a request for a whole n-batch epoch plan.
@@ -434,8 +436,8 @@ func TestRequestFrameBound(t *testing.T) {
 
 // TestClientRetriesTransientFailures fronts the client with a flaky fake
 // server that drops the connection mid-epoch on the first attempt. The
-// client must back off, reconnect, re-request the epoch, and end with
-// exactly one epoch's worth of batches counted.
+// client must back off, reconnect, request only the batch it has not been
+// delivered, and end with exactly one epoch's worth of batches counted.
 func TestClientRetriesTransientFailures(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -460,14 +462,18 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 					return
 				}
 				WriteFrame(conn, EncodeHelloAck(HelloAck{Version: ProtocolVersion, DatasetLen: 2, BatchSize: 1, PlanBatches: 2}))
-				if _, err := ReadFrame(conn, 0); err != nil { // ShardReq{0, [0 1]}
+				payload, err := ReadFrame(conn, 0) // ShardReq{0, [0 1]}, then ShardReq{0, [1]}
+				if err != nil {
 					return
 				}
-				WriteFrame(conn, mkBatch(0))
-				if attempt == 1 {
-					return // abrupt mid-epoch disconnect
+				msg, _ := DecodeMessage(payload)
+				req, _ := msg.(ShardReq)
+				for _, id := range req.IDs {
+					WriteFrame(conn, mkBatch(id))
+					if attempt == 1 {
+						return // abrupt mid-epoch disconnect
+					}
 				}
-				WriteFrame(conn, mkBatch(1))
 				ReadFrame(conn, 0) // Bye or close
 			}()
 		}
@@ -479,20 +485,60 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 		Sleep: func(d time.Duration) { sleeps = append(sleeps, d) },
 	})
 	defer c.Close()
-	stats, err := c.Run(1, nil)
+	var got []int
+	stats, err := c.Run(1, func(b *Batch, _ []byte) { got = append(got, b.GlobalID) })
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if stats.Retries != 1 {
 		t.Fatalf("retries %d, want 1", stats.Retries)
 	}
-	// The aborted first attempt's partial batch must not be double-counted.
-	if stats.Batches != 2 {
-		t.Fatalf("batches %d, want 2", stats.Batches)
+	// The first attempt's delivered batch is neither fetched nor counted twice.
+	if stats.Batches != 2 || !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("batches %d delivered as %v, want 2 as [0 1]", stats.Batches, got)
 	}
 	// One jittered backoff sleep in [base/2, base).
 	if len(sleeps) != 1 || sleeps[0] < backoffBase/2 || sleeps[0] >= backoffBase {
 		t.Fatalf("backoff sleeps %v, want one sleep in [%v, %v)", sleeps, backoffBase/2, backoffBase)
+	}
+}
+
+// TestRunDeliversEachBatchOnce: a plain session whose stream the server
+// drops, truncates or corrupts mid-epoch resumes at the first batch it has
+// not delivered, so its callback sees each (epoch, id) of the shard exactly
+// once and FetchStats counts each once.
+func TestRunDeliversEachBatchOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		faults faultinject.Spec
+	}{
+		{"drop", faultinject.Spec{DropFrame: 4}},
+		{"truncate", faultinject.Spec{TruncateFrame: 4}},
+		{"corrupt", faultinject.Spec{CorruptFrame: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const epochs = 2
+			spec := loopbackSpec() // 10 batches per epoch
+			srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
+				Faults: faultinject.New(tc.faults)})
+			c := NewClient(ClientConfig{Addr: srv.Addr(), Name: "once-" + tc.name, Sleep: func(time.Duration) {}})
+			defer c.Close()
+			seen := make(map[[2]int]int)
+			st, err := c.Run(epochs, func(b *Batch, _ []byte) { seen[[2]int{b.Epoch, b.GlobalID}]++ })
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := epochs * 10
+			if st.Retries != 1 || st.Batches != want || len(seen) != want {
+				t.Fatalf("%d retries, %d batches credited, %d distinct delivered; want 1, %d and %d",
+					st.Retries, st.Batches, len(seen), want, want)
+			}
+			for key, n := range seen {
+				if n != 1 {
+					t.Fatalf("batch %d of epoch %d delivered %d times", key[1], key[0], n)
+				}
+			}
+		})
 	}
 }
 

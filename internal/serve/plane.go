@@ -15,7 +15,7 @@ import (
 // plane is the server's one compute plane: a fixed pool of batch workers
 // shared by every session, tf.data service's shared-worker model. A session
 // never owns a pipeline; it asks the plane for one batch at a time (through
-// the batch cache's Acquire when that is on), so the number of batches being
+// the batch cache's Acquire), so the number of batches being
 // preprocessed at once is the pool size whatever the session count.
 //
 // The pool is a fairGate: its slots bound concurrency and its weighted round
@@ -172,6 +172,23 @@ func (pl *plane) compute(ctx context.Context, tenant *tenantState, epoch int, pb
 	f := fc.frame(batchToWire(epoch, pb.GlobalID, b))
 	pl.srv.metrics.AddDigest(f.Len())
 	return f, nil
+}
+
+// batchToWire converts a pipeline batch to its wire form.
+func batchToWire(epoch, globalID int, b *pipeline.Batch) *Batch {
+	wb := &Batch{
+		Epoch:    epoch,
+		GlobalID: globalID,
+		Indices:  b.Indices,
+		Labels:   b.Labels,
+	}
+	if b.Data != nil {
+		wb.Dtype = b.Data.Dtype
+		wb.Shape = b.Data.Shape
+		wb.U8 = b.Data.U8
+		wb.F32 = b.Data.F32
+	}
+	return wb
 }
 
 // fairGate is the plane's queue: a pool of worker slots arbitrated between

@@ -67,9 +67,10 @@ var errQoSCanceled = errors.New("serve: qos wait canceled")
 // Token bucket
 // ---------------------------------------------------------------------------
 
-// tokenBucket is a standard leaky token bucket with debt: take always
-// succeeds and returns how long the caller must pace before proceeding, which
-// keeps the arithmetic deterministic for an injected clock.
+// tokenBucket is a standard leaky token bucket on an injected clock, so its
+// arithmetic is deterministic. take runs it with debt: it always succeeds and
+// returns how long the caller must pace before proceeding. allow runs it
+// without: a call that finds no whole token is refused and costs nothing.
 type tokenBucket struct {
 	mu     sync.Mutex
 	rate   float64 // tokens per second
@@ -93,18 +94,34 @@ func newTokenBucket(rate, burst float64, now time.Time) *tokenBucket {
 func (b *tokenBucket) take(n float64, now time.Time) time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if now.After(b.last) {
-		b.tokens += now.Sub(b.last).Seconds() * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-		b.last = now
-	}
+	b.refillLocked(now)
 	b.tokens -= n
 	if b.tokens >= 0 {
 		return 0
 	}
 	return time.Duration(-b.tokens / b.rate * float64(time.Second))
+}
+
+// allow removes one token if a whole one is there and reports whether it
+// did. A refused call leaves the balance alone, so no storm of refusals
+// delays the next call the refill allows.
+func (b *tokenBucket) allow(now time.Time) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.refillLocked(now)
+	if b.tokens < 1 {
+		return false
+	}
+	b.tokens--
+	return true
+}
+
+// refillLocked credits the tokens earned since the last call, up to burst.
+func (b *tokenBucket) refillLocked(now time.Time) {
+	if now.After(b.last) {
+		b.tokens = min(b.tokens+now.Sub(b.last).Seconds()*b.rate, b.burst)
+		b.last = now
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -356,6 +356,48 @@ func TestLogLimiter(t *testing.T) {
 	}
 }
 
+// TestTokenBucketAllow drives the log limiter's bucket on injected time:
+// the burst is exactly twice the rate, the refill is exactly rate tokens a
+// second, and allow runs no debt — a storm of 1,000 refused calls still
+// allows a line 1/rate seconds later, where take's balance would be 1,000
+// tokens in the red.
+func TestTokenBucketAllow(t *testing.T) {
+	b := newLogLimiter(logLinesPerSec, nil).bucket
+	t0 := b.last
+	for i := range 2 * logLinesPerSec {
+		if !b.allow(t0) {
+			t.Fatalf("call %d refused inside the %d-line burst", i, 2*logLinesPerSec)
+		}
+	}
+	if b.allow(t0) {
+		t.Fatal("a call past the burst was allowed")
+	}
+	step := time.Second / logLinesPerSec
+	if b.allow(t0.Add(step / 2)) {
+		t.Fatal("half a refill interval allowed a call")
+	}
+	t1 := t0.Add(step)
+	if !b.allow(t1) || b.allow(t1) {
+		t.Fatal("one refill interval did not allow exactly one call")
+	}
+	for range 1000 {
+		if b.allow(t1) {
+			t.Fatal("a call was allowed with the bucket empty")
+		}
+	}
+	if !b.allow(t1.Add(step)) {
+		t.Fatal("1,000 refused calls left debt: the next refill interval allowed nothing")
+	}
+
+	debt := newTokenBucket(logLinesPerSec, 2*logLinesPerSec, t0)
+	for range 2*logLinesPerSec + 1000 {
+		debt.take(1, t0)
+	}
+	if debt.take(1, t0.Add(step)) == 0 {
+		t.Fatal("take ran no debt through the same storm")
+	}
+}
+
 // TestClientStringTablesBounded: 2,000 sessions, each with its own Name and
 // Tenant and each computing one batch on a one-worker pool, leave the tenant
 // rows, the fair gate's queues, the pacer's entries and the reconnect

@@ -2,11 +2,10 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,7 +45,8 @@ type Config struct {
 	// once, whatever the number of concurrent sessions, ShardReq routes, or
 	// replication fetches asking for it, and the canonical bytes are served
 	// to everyone out of an LRU cache bounded to this many payload bytes.
-	// 0 disables the cache (every request for a batch computes it).
+	// 0 disables the cache: nothing is kept, and a batch is computed for
+	// every request that does not find it already in flight.
 	BatchCacheBytes int64
 	// DiskCacheDir, when non-empty, enables the persistent disk tier under
 	// both memory caches: encoded batch frames and sample snapshots are
@@ -111,9 +111,8 @@ type Config struct {
 // Server is the long-running preprocessing service. One Server owns one
 // workload spec; every client session shards the same epoch plans.
 type Server struct {
-	cfg        Config
-	datasetLen int
-	planLen    int
+	cfg     Config
+	planLen int
 	// maxRequest bounds every frame the server reads: the largest message a
 	// client may legitimately send (maxRequestFrame).
 	maxRequest int
@@ -123,11 +122,11 @@ type Server struct {
 
 	ln      net.Listener
 	httpLn  net.Listener
-	httpSrv httpCloser
+	httpSrv *http.Server
 
 	metrics     *Metrics
 	ring        *trace.Ring
-	cache       *BatchCache // nil when Config.BatchCacheBytes == 0
+	cache       *BatchCache // budget 0, keeping nothing, unless Config.BatchCacheBytes > 0
 	specFP      uint64
 	sampleCache *pipeline.SampleCache // nil when Config.SampleCacheBytes == 0
 	prefixFP    uint64
@@ -168,12 +167,6 @@ type Server struct {
 	sessionSeq int
 }
 
-// httpCloser is the slice of *http.Server the Server needs; an interface so
-// server.go does not import net/http (observe.go does).
-type httpCloser interface {
-	Close() error
-}
-
 // New builds a Server. Call Start to begin listening.
 func New(cfg Config) *Server {
 	if cfg.Prefetch <= 0 {
@@ -188,9 +181,9 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:          cfg,
-		datasetLen:   cfg.Spec.NumSamples,
 		helloTimeout: helloTimeout,
 		metrics:      NewMetrics(time.Now()),
+		cache:        NewBatchCache(0, nil),
 		ring:         trace.NewRing(traceRingRecords),
 		ctx:          ctx,
 		cancel:       cancel,
@@ -198,7 +191,7 @@ func New(cfg Config) *Server {
 	}
 	s.window.Store(int64(cfg.Prefetch))
 	s.ring.SetPerLogCost(cfg.Spec.PerLogCost)
-	s.planLen = len(pipeline.BuildBatchPlan(s.datasetLen, cfg.Spec.BatchSize,
+	s.planLen = len(pipeline.BuildBatchPlan(cfg.Spec.NumSamples, cfg.Spec.BatchSize,
 		cfg.Spec.Shuffle, false, cfg.Spec.Seed))
 	s.maxRequest = maxRequestFrame(s.planLen)
 	s.specFP = SpecFingerprint(cfg.Spec, cfg.Mode, cfg.MaterializeDim)
@@ -218,67 +211,6 @@ func New(cfg Config) *Server {
 
 // traceRingRecords is the live trace ring's capacity in records.
 const traceRingRecords = 16384
-
-// helloTimeout bounds how long a fresh connection may take to present a
-// valid Hello before the server gives up on it.
-const helloTimeout = 10 * time.Second
-
-// maxRequestFrame is the largest frame a client may legitimately send a
-// server whose epoch plan has planLen batches: a Hello with both strings at
-// their MaxHelloString cap, or a ShardReq naming every plan ID. Requests are
-// read before admission control, so a length prefix above this bound is
-// refused before anything is allocated for it — else one handshake could
-// make the server allocate DefaultMaxFrame (64 MiB) and wait helloTimeout for
-// it.
-func maxRequestFrame(planLen int) int {
-	const hello = 1 + 2 + 4 + 4 + 2*(2+MaxHelloString) // type, version, rank, world, name, tenant
-	shardReq := 1 + 4 + 4 + 4*planLen + 1              // type, epoch, count, ids, hedge
-	return max(hello, shardReq)
-}
-
-// slogf is the rate-limited log path for per-session lines; lifecycle lines
-// (start, drain) keep the unthrottled cfg.Logf.
-func (s *Server) slogf(format string, args ...any) { s.slog.Logf(format, args...) }
-
-// logLinesPerSec is the per-session log line rate (handshake rejects, epoch
-// errors, session opens), with a 2s burst; suppressed lines are counted on
-// /metrics.
-const logLinesPerSec = 50
-
-// logLimiter throttles high-cardinality log lines behind a token bucket so
-// a session churn storm cannot serialize a thousand connection goroutines on
-// the logger. Suppressed lines are counted, not silently lost.
-type logLimiter struct {
-	mu         sync.Mutex
-	rate       float64 // lines per second
-	burst      float64
-	tokens     float64
-	last       time.Time
-	logf       func(string, ...any)
-	suppressed atomic.Int64
-}
-
-func newLogLimiter(rate float64, logf func(string, ...any)) *logLimiter {
-	return &logLimiter{rate: rate, burst: 2 * rate, tokens: 2 * rate, last: time.Now(), logf: logf}
-}
-
-func (l *logLimiter) Logf(format string, args ...any) {
-	now := time.Now()
-	l.mu.Lock()
-	l.tokens += now.Sub(l.last).Seconds() * l.rate
-	if l.tokens > l.burst {
-		l.tokens = l.burst
-	}
-	l.last = now
-	if l.tokens < 1 {
-		l.mu.Unlock()
-		l.suppressed.Add(1)
-		return
-	}
-	l.tokens--
-	l.mu.Unlock()
-	l.logf(format, args...)
-}
 
 // planCache shares built epoch plans across every session of the server. The
 // spec fingerprint is identical for all sessions by construction (one Server
@@ -308,7 +240,7 @@ func (s *Server) epochPlan(epoch int) []PlanBatch {
 	}
 	pc.mu.Unlock()
 	spec := s.cfg.Spec
-	plan := BuildEpochPlan(s.datasetLen, spec.BatchSize, spec.Shuffle, false, spec.Seed, epoch)
+	plan := BuildEpochPlan(spec.NumSamples, spec.BatchSize, spec.Shuffle, false, spec.Seed, epoch)
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if p, ok := pc.epochs[epoch]; ok { // raced another builder; identical plan
@@ -334,57 +266,10 @@ func (pc *planCache) stats() (builds, hits int64) {
 	return pc.builds, pc.hits
 }
 
-// ErrServerBusy is the admission-control rejection: the server is at
-// MaxSessions and the bounded queue is full (or timed out). It travels the
-// wire as an Error frame with CodeBusy, which clients treat as transient and
-// retry with their jittered backoff.
-var ErrServerBusy = errors.New("server busy: session limit reached")
-
-// admitQueue bounds how many over-limit handshakes may wait for a session
-// slot at once; the rest are turned away busy immediately.
-const admitQueue = 16
-
-// admit reserves one session slot, waiting in the bounded admission queue
-// when the server is full. The returned release function frees the slot.
-func (s *Server) admit() (release func(), err error) {
-	if s.admitSem == nil {
-		return func() {}, nil
-	}
-	select {
-	case s.admitSem <- struct{}{}:
-		return s.releaseSlot, nil
-	default:
-	}
-	if s.cfg.AdmitWait < 0 {
-		s.metrics.AddBusy()
-		return nil, ErrServerBusy
-	}
-	if n := s.admitWaiters.Add(1); n > admitQueue {
-		s.admitWaiters.Add(-1)
-		s.metrics.AddBusy()
-		return nil, ErrServerBusy
-	}
-	defer s.admitWaiters.Add(-1)
-	s.metrics.AddAdmitWaited()
-	t := time.NewTimer(s.cfg.AdmitWait)
-	defer t.Stop()
-	select {
-	case s.admitSem <- struct{}{}:
-		return s.releaseSlot, nil
-	case <-t.C:
-		s.metrics.AddBusy()
-		return nil, ErrServerBusy
-	case <-s.ctx.Done():
-		return nil, ErrServerBusy
-	}
-}
-
-func (s *Server) releaseSlot() { <-s.admitSem }
-
 // CacheStats reports the materialized-batch cache counters; ok is false when
 // the cache is disabled.
 func (s *Server) CacheStats() (cache.Stats, bool) {
-	if s.cache == nil {
+	if s.cfg.BatchCacheBytes <= 0 {
 		return cache.Stats{}, false
 	}
 	return s.cache.Stats(), true
@@ -473,7 +358,7 @@ func (s *Server) Start(addr, httpAddr string) error {
 	s.wg.Add(1)
 	go s.acceptLoop()
 	s.cfg.Logf("lotus-serve: serving %s (%d samples, batch %d, %d workers, mode %s) on %s",
-		s.cfg.Spec.Kind, s.datasetLen, s.cfg.Spec.BatchSize, s.cfg.Spec.NumWorkers,
+		s.cfg.Spec.Kind, s.cfg.Spec.NumSamples, s.cfg.Spec.BatchSize, s.cfg.Spec.NumWorkers,
 		s.modeName(), ln.Addr())
 	s.cfg.Logf("lotus-serve: plan %s", s.plan)
 	return nil
@@ -551,11 +436,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.httpSrv != nil {
 		s.httpSrv.Close()
 	}
-	if s.cache != nil {
-		// Sessions are gone and frame memory is not the collector's to
-		// reclaim: the cache's frames go back now, or never.
-		s.cache.Purge()
-	}
+	// Sessions are gone and frame memory is not the collector's to reclaim:
+	// the cache's frames go back now, or never.
+	s.cache.Purge()
 	if s.disk != nil {
 		// Sessions are gone; drain queued spills and fsync them, so the
 		// next open finds every frame this server spilled. (Store.Close is
@@ -588,7 +471,7 @@ func (s *Server) acceptLoop() {
 			return // listener closed (drain or Close)
 		}
 		if !s.setStreaming(conn, false) {
-			s.sendError(conn, "server draining")
+			sendError(conn, "server draining", CodeFatal)
 			conn.Close()
 			continue
 		}
@@ -622,537 +505,4 @@ func (s *Server) closeConns() {
 		c.Close()
 	}
 	s.mu.Unlock()
-}
-
-// sendError writes a best-effort fatal Error frame before the caller closes
-// the connection.
-func (s *Server) sendError(conn net.Conn, msg string) {
-	s.sendErrorCode(conn, msg, CodeFatal)
-}
-
-// sendErrorCode is sendError with an explicit error code (CodeBusy for
-// retryable admission rejections).
-func (s *Server) sendErrorCode(conn net.Conn, msg string, code byte) {
-	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	WriteFrame(conn, EncodeError(ErrorMsg{Message: msg, Code: code}))
-	conn.SetWriteDeadline(time.Time{})
-}
-
-// handleConn owns one client session: handshake, then a request loop until
-// the client says Bye, disconnects, or violates the protocol. Every failure
-// path answers with an Error frame and closes — malformed remote input must
-// never panic the server.
-func (s *Server) handleConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer s.untrack(conn)
-	defer conn.Close()
-
-	hello, legacy, err := s.readHello(conn)
-	if err != nil {
-		s.slogf("lotus-serve: %s: rejected: %v", conn.RemoteAddr(), err)
-		if legacy {
-			// The peer reads frames without a digest word; answer in its
-			// framing so the refusal reaches it as a clean Error.
-			conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-			p := EncodeError(ErrorMsg{Message: err.Error()})
-			conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(p))), p...))
-			return
-		}
-		s.sendError(conn, err.Error())
-		return
-	}
-	release, err := s.admit()
-	if err != nil {
-		s.slogf("lotus-serve: %s: turned away: %v", conn.RemoteAddr(), err)
-		s.sendErrorCode(conn, err.Error(), CodeBusy)
-		return
-	}
-	defer release()
-	sess := s.newSession(conn, hello)
-	defer sess.close()
-	s.slogf("lotus-serve: session %d: %s rank %d/%d (%q tenant %q)",
-		sess.id, conn.RemoteAddr(), hello.Rank, hello.World, hello.Name, hello.Tenant)
-
-	ack := HelloAck{
-		Version:     ProtocolVersion,
-		DatasetLen:  s.datasetLen,
-		BatchSize:   s.cfg.Spec.BatchSize,
-		PlanBatches: s.planLen,
-		Workload:    string(s.cfg.Spec.Kind),
-		Table:       s.table,
-	}
-	if s.cfg.Mode == pipeline.RealData {
-		ack.Mode = 1
-	}
-	if err := WriteFrame(conn, EncodeHelloAck(ack)); err != nil {
-		return
-	}
-
-	for {
-		if !s.setStreaming(conn, false) {
-			return // the drain let this session's epoch finish; it leaves now
-		}
-		payload, err := ReadFrame(conn, s.maxRequest)
-		if err != nil {
-			if err == io.EOF {
-				return // client hung up cleanly between requests
-			}
-			if errors.Is(err, ErrMalformed) || errors.Is(err, ErrCorruptFrame) {
-				s.sendError(conn, err.Error())
-			}
-			return
-		}
-		msg, err := DecodeMessage(payload)
-		if err != nil {
-			s.sendError(conn, err.Error())
-			return
-		}
-		// DecodeMessage has bounded the epoch; the plan checks a ShardReq's IDs.
-		req, ok := msg.(ShardReq)
-		if !ok {
-			if _, bye := msg.(Bye); !bye {
-				s.sendError(conn, fmt.Sprintf("unexpected %T mid-session", msg))
-			}
-			return
-		}
-		if !s.setStreaming(conn, true) {
-			s.sendError(conn, "server draining")
-			return
-		}
-		if req.Hedge {
-			s.metrics.AddHedge(len(req.IDs))
-		}
-		if err := sess.streamShardReq(req); err != nil {
-			sess.sm.AddEpochAbort()
-			s.metrics.AddEpochAbort()
-			s.slogf("lotus-serve: session %d: epoch %d: %v", sess.id, req.Epoch, err)
-			return
-		}
-	}
-}
-
-// readHello reads and checks a connection's Hello. legacy reports a peer
-// older than protocol version 4, which frames without the digest word; a
-// version 4 peer frames like this one and is refused in the current framing.
-func (s *Server) readHello(conn net.Conn) (hello Hello, legacy bool, err error) {
-	conn.SetReadDeadline(time.Now().Add(s.helloTimeout))
-	defer conn.SetReadDeadline(time.Time{})
-	payload, legacy, err := readHelloFrame(conn, s.maxRequest)
-	if err != nil {
-		return Hello{}, false, fmt.Errorf("handshake: %w", err)
-	}
-	msg, err := DecodeMessage(payload)
-	if err != nil {
-		return Hello{}, false, fmt.Errorf("handshake: %w", err)
-	}
-	hello, ok := msg.(Hello)
-	if !ok {
-		return Hello{}, false, fmt.Errorf("handshake: expected Hello, got %T", msg)
-	}
-	if hello.Version != ProtocolVersion {
-		return Hello{}, legacy, fmt.Errorf("handshake: protocol version %d, server speaks %d",
-			hello.Version, ProtocolVersion)
-	}
-	return hello, false, nil
-}
-
-// readHelloFrame reads a connection's first frame. A peer older than
-// protocol version 4 sends a length and then the payload; since version 4 a
-// frame has the digest word between them. So the length's worth of bytes is
-// read first: if it is a Hello of a version before 4, that was the whole
-// frame. Otherwise four more bytes complete the frame, checked against its
-// digest.
-func readHelloFrame(r io.Reader, maxFrame int) (payload []byte, legacy bool, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, false, err
-	}
-	n, err := checkFrameLen(binary.BigEndian.Uint32(hdr[:]), maxFrame)
-	if err != nil {
-		return nil, false, err
-	}
-	buf := make([]byte, n+4)
-	if err := readFramePayload(r, buf[:n]); err != nil {
-		return nil, false, err
-	}
-	if msg, err := DecodeMessage(buf[:n]); err == nil {
-		if h, ok := msg.(Hello); ok && h.Version < 4 {
-			return buf[:n], true, nil
-		}
-	}
-	if err := readFramePayload(r, buf[n:]); err != nil {
-		return nil, false, err
-	}
-	payload = buf[4:]
-	return payload, false, checkDigest(payload, binary.BigEndian.Uint32(buf[:4]))
-}
-
-// session is one connected client's server-side state: this struct, its
-// connection goroutine, and a metrics row. It owns no pipeline — batches come
-// from the server's compute plane — which is what keeps O(1000) mostly-idle
-// sessions cheap.
-type session struct {
-	srv    *Server
-	id     int
-	conn   net.Conn
-	tenant *tenantState // nil when QoS is disabled
-	sm     *SessionMetrics
-}
-
-func (s *Server) newSession(conn net.Conn, hello Hello) *session {
-	s.mu.Lock()
-	s.sessionSeq++
-	id := s.sessionSeq
-	s.mu.Unlock()
-	ss := &session{
-		srv:  s,
-		id:   id,
-		conn: conn,
-		sm:   s.metrics.OpenSession(id, hello.Name, hello.Tenant, hello.Rank, hello.World, time.Now()),
-	}
-	if s.qos != nil {
-		ss.tenant = s.qos.tenant(hello.Tenant)
-		ss.tenant.mu.Lock()
-		ss.tenant.sessions++
-		ss.tenant.mu.Unlock()
-	}
-	return ss
-}
-
-// close releases the session's registry state (metrics row, tenant count).
-func (ss *session) close() {
-	ss.srv.metrics.CloseSession(ss.id)
-	if ss.tenant != nil {
-		ss.tenant.mu.Lock()
-		ss.tenant.sessions--
-		ss.tenant.mu.Unlock()
-	}
-}
-
-// streamShardReq validates a batch-ID request against the epoch plan and
-// streams exactly those batches, in request order. The plan — not the
-// session — defines the work, so a trainer rank and a cluster router asking
-// for the same ID get byte-identical frames.
-func (ss *session) streamShardReq(req ShardReq) error {
-	plan := ss.srv.epochPlan(req.Epoch)
-	shard := make([]PlanBatch, len(req.IDs))
-	seen := make(map[int]bool, len(req.IDs))
-	for i, id := range req.IDs {
-		if id < 0 || id >= len(plan) {
-			msg := fmt.Sprintf("shard request: batch id %d out of plan [0,%d)", id, len(plan))
-			ss.srv.sendError(ss.conn, msg)
-			return errors.New(msg)
-		}
-		if seen[id] {
-			msg := fmt.Sprintf("shard request: duplicate batch id %d", id)
-			ss.srv.sendError(ss.conn, msg)
-			return errors.New(msg)
-		}
-		seen[id] = true
-		shard[i] = plan[id]
-	}
-	return ss.streamShard(req.Epoch, shard)
-}
-
-// fetched is one slot of a streaming shard's window, handed from the fetcher
-// that obtained it to the write loop.
-type fetched struct {
-	f   *Frame
-	err error
-	// computedAt is when this session's own compute finished the frame; zero
-	// for a frame the cache, the disk tier or another session supplied.
-	computedAt time.Time
-}
-
-// shardWindow is the bounded run-ahead of one streaming shard: at most
-// len(slots) batches are outstanding — being fetched, or fetched and not yet
-// taken by the write loop — and slot i is delivered through slots[i%len].
-type shardWindow struct {
-	slots  []chan fetched // one-slot futures, reused every len(slots) batches
-	tokens chan struct{}  // one per outstanding slot; the write loop returns them
-	next   atomic.Int64   // the next slot to fetch
-
-	fetchers atomic.Int64 // fetchers asked for; at most len(slots) are started
-	wg       sync.WaitGroup
-}
-
-// startFetcher adds a fetcher to the window, up to one per slot. A stream
-// starts with one, and each compute a fetcher is about to block in starts
-// the next: over a cached shard a single goroutine streaks through the hits
-// (a second would only take turns with it), while a cold shard has its whole
-// window computing within a few batches.
-func (ss *session) startFetcher(ctx context.Context, epoch int, shard []PlanBatch, w *shardWindow) {
-	if w.fetchers.Add(1) > int64(len(w.slots)) {
-		return
-	}
-	w.wg.Add(1) // never from zero during Wait: the caller is the stream or a live fetcher
-	go func() {
-		defer w.wg.Done()
-		ss.fetch(ctx, epoch, shard, w)
-	}()
-}
-
-// fetch is one of the window's fetchers: take a token, take the next slot of
-// the shard, obtain its frame, deliver it. Every frame is one Acquire —
-// memory hit, disk-tier load, single-flight wait on whichever session is
-// already computing it, or a compute on the shared plane after winning the
-// claim (published to the cache before Acquire returns, so a slow client
-// never delays another session's waiters) — or a direct plane compute when
-// the batch cache is off.
-func (ss *session) fetch(ctx context.Context, epoch int, shard []PlanBatch, w *shardWindow) {
-	s := ss.srv
-	var pb PlanBatch
-	var r fetched
-	compute := func() (*Frame, error) {
-		ss.startFetcher(ctx, epoch, shard, w)
-		f, err := s.plane.compute(ctx, ss.tenant, epoch, pb)
-		r.computedAt = time.Now()
-		return f, err
-	}
-	for {
-		select {
-		case w.tokens <- struct{}{}:
-		case <-ctx.Done():
-			return
-		}
-		i := int(w.next.Add(1)) - 1
-		if i >= len(shard) {
-			return
-		}
-		pb, r = shard[i], fetched{}
-		if s.cache == nil {
-			r.f, r.err = compute()
-		} else {
-			key := BatchKey{Fingerprint: s.specFP, Epoch: epoch, GlobalID: pb.GlobalID}
-			r.f, r.err = s.cache.Acquire(key, ctx.Done(), compute)
-		}
-		if r.err != nil {
-			r.err = fmt.Errorf("batch %d: %w", pb.GlobalID, r.err)
-		}
-		// Never blocks: holding a token means slot i-len(slots), the previous
-		// user of this future, has been taken.
-		w.slots[i%len(w.slots)] <- r
-		if r.err != nil {
-			return
-		}
-	}
-}
-
-// streamShard streams one non-empty shard of one epoch: a bounded window of
-// fetches runs ahead of the write loop, which delivers their frames strictly
-// in shard order. When the client or the network is slow the window fills
-// and the fetchers park — bounded backpressure instead of unbounded
-// buffering — and since every frame is a pure function of (spec, epoch,
-// batch), which session or worker produced it never shows in the bytes. The
-// stream ends with the shard's last frame: the client counts them.
-func (ss *session) streamShard(epoch int, shard []PlanBatch) error {
-	s := ss.srv
-	ctx, cancelEpoch := context.WithCancel(s.ctx)
-	unwatch := ss.watchConn(cancelEpoch)
-	defer unwatch()
-
-	window := min(int(s.window.Load()), len(shard))
-	w := &shardWindow{slots: make([]chan fetched, window), tokens: make(chan struct{}, window)}
-	for k := range w.slots {
-		w.slots[k] = make(chan fetched, 1)
-	}
-	ss.startFetcher(ctx, epoch, shard, w)
-	// Whatever ends the stream, no fetcher outlives it — cancel releases the
-	// ones parked on a token, the plane's queue, a cache wait or a stall —
-	// and no frame is left in a future nobody will take.
-	defer func() {
-		cancelEpoch()
-		w.wg.Wait()
-		for _, slot := range w.slots {
-			select {
-			case r := <-slot:
-				if r.f != nil {
-					r.f.Release()
-				}
-			default:
-			}
-		}
-	}()
-	ss.sm.SetQueueGauge(func() (ready int) {
-		for _, slot := range w.slots {
-			ready += len(slot)
-		}
-		return ready
-	}, window)
-	defer ss.sm.SetQueueGauge(nil, 0)
-	pid := sessionPIDBase + ss.id
-
-	var werr, ferr error
-stream:
-	for i := range shard {
-		var r fetched
-		// An arrival that beat the write loop logs the paper's 1µs marker
-		// for "no waiting".
-		waitStart, wait := time.Time{}, time.Microsecond
-		select {
-		case r = <-w.slots[i%window]:
-		default:
-			waitStart = time.Now()
-			select {
-			case r = <-w.slots[i%window]:
-				wait = time.Since(waitStart)
-			case <-ctx.Done():
-				ferr = ctx.Err()
-				break stream
-			}
-		}
-		<-w.tokens
-		if ferr = r.err; ferr != nil {
-			break
-		}
-		if i == len(shard)-1 {
-			// The last frame ends the stream, so the watcher must be off the
-			// socket before it is written: the client may send its next
-			// request the moment it lands — bytes that belong to the session
-			// loop's reader. Nothing is lost: every fetch of the shard has
-			// delivered by now. The epoch counts here too, so a client holding
-			// its whole stream finds it on /metrics.
-			unwatch()
-			ss.sm.AddEpoch()
-			s.metrics.AddEpoch()
-			if t := s.tuner; t != nil {
-				t.observe()
-			}
-		}
-		werr = ss.writeBatchFrame(r.f, ctx.Done())
-		r.f.Release()
-		if werr != nil {
-			break
-		}
-		if !r.computedAt.IsZero() {
-			// The loader's main-process view, for batches this session's own
-			// computes produced: [T2], the wait for the batch, and the delay
-			// from preprocessed to handed on.
-			now := time.Now()
-			if waitStart.IsZero() {
-				waitStart = now
-			}
-			gid := epoch*s.planLen + shard[i].GlobalID
-			s.ring.Add(trace.Record{Kind: trace.KindBatchWait, PID: pid, BatchID: gid,
-				SampleIndex: -1, Start: waitStart, Dur: wait})
-			s.ring.Add(trace.Record{Kind: trace.KindBatchConsumed, PID: pid, BatchID: gid,
-				SampleIndex: -1, Start: now})
-			ss.sm.AddWait(wait)
-			ss.sm.AddDelay(now.Sub(r.computedAt))
-		}
-	}
-	if werr != nil {
-		return fmt.Errorf("write: %w", werr)
-	}
-	if ferr != nil {
-		if ctx.Err() != nil {
-			ferr = errors.New("server draining")
-		}
-		s.sendError(ss.conn, fmt.Sprintf("epoch %d: %v", epoch, ferr))
-		return fmt.Errorf("epoch %d: %w", epoch, ferr)
-	}
-	return nil
-}
-
-// watchConn watches the session's socket for death while a stream is in
-// flight. The protocol is strictly half-duplex — the client sends nothing
-// between its request and the stream's last frame — so any read activity
-// mid-stream means the peer hung up, was severed (a hedged straggler kicked
-// by the cluster client), or broke protocol; all of those cancel the epoch
-// so its fetches abort instead of computing — or sleeping out an injected
-// stall — for a socket nobody is reading. Without it, a dead connection is
-// only discovered at the next write, which can be arbitrarily far away when
-// the next batch is stuck behind a degraded worker.
-//
-// The returned stop function is idempotent; it forces the watcher off the
-// socket via a read deadline and must be called before the connection is
-// next used for a request/response exchange.
-func (ss *session) watchConn(cancel context.CancelFunc) (stop func()) {
-	done := make(chan struct{})
-	var stopping atomic.Bool
-	go func() {
-		defer close(done)
-		var buf [1]byte
-		_, err := ss.conn.Read(buf[:])
-		if ne, ok := err.(net.Error); ok && ne.Timeout() && stopping.Load() {
-			return // kicked off the socket by stop(), stream still healthy
-		}
-		cancel()
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			stopping.Store(true)
-			ss.conn.SetReadDeadline(time.Now())
-			<-done
-			ss.conn.SetReadDeadline(time.Time{})
-		})
-	}
-}
-
-// writeBatchFrame pushes one encoded batch frame through the tenant rate
-// limiter and the wire-fault seam as one vectored write (header + payload),
-// crediting metrics. The caller holds its reference to f until this returns.
-// The header carries the digest the frame already holds — no pass over the
-// bytes — which is always the CLEAN payload's: wire faults model the network
-// mangling bytes after the server produced them correctly, and the corrupt
-// fault copies the payload before flipping a byte, so a cached frame other
-// sessions are concurrently streaming is never damaged: faults land
-// per-connection, not in shared cache bytes. The fault seam only chooses
-// which bytes the write carries; with or without an injector it is the same
-// write. QoS is schedule only: the token bucket and the pacer delay the
-// write, but bytes and per-session order are untouched.
-func (ss *session) writeBatchFrame(f *Frame, cancel <-chan struct{}) error {
-	payload := f.Bytes()
-	wireBytes := len(payload) + FrameHeaderSize
-	if q := ss.srv.qos; q != nil {
-		if err := q.throttle(ss.tenant, wireBytes, cancel); err != nil {
-			return err
-		}
-		if err := q.pace(ss.tenant, wireBytes, cancel); err != nil {
-			return err
-		}
-	}
-	switch ss.srv.cfg.Faults.NextWireAction() {
-	case faultinject.WireDrop:
-		ss.conn.Close()
-		return errors.New("faultinject: connection dropped before frame")
-	case faultinject.WireTruncate:
-		var hdr [FrameHeaderSize]byte
-		putFrameHeader(hdr[:], len(payload), f.Digest())
-		ss.conn.Write(hdr[:])
-		ss.conn.Write(payload[:len(payload)/2])
-		ss.conn.Close()
-		return errors.New("faultinject: frame truncated mid-payload")
-	case faultinject.WireCorrupt:
-		// The header keeps the clean digest: the damage is the network's.
-		payload = append([]byte(nil), payload...)
-		payload[len(payload)/2] ^= 0xa5
-	}
-	if err := writeFrame(ss.conn, payload, f.Digest()); err != nil {
-		return err
-	}
-	ss.sm.AddBatch(wireBytes)
-	ss.srv.metrics.AddBatch(wireBytes)
-	if ss.tenant != nil {
-		ss.tenant.addBatch(wireBytes)
-	}
-	return nil
-}
-
-// batchToWire converts a pipeline batch to its wire form.
-func batchToWire(epoch, globalID int, b *pipeline.Batch) *Batch {
-	wb := &Batch{
-		Epoch:    epoch,
-		GlobalID: globalID,
-		Indices:  b.Indices,
-		Labels:   b.Labels,
-	}
-	if b.Data != nil {
-		wb.Dtype = b.Data.Dtype
-		wb.Shape = b.Data.Shape
-		wb.U8 = b.Data.U8
-		wb.F32 = b.Data.F32
-	}
-	return wb
 }

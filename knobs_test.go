@@ -21,7 +21,7 @@ func TestKnobRatchet(t *testing.T) {
 	}{
 		{serve.Config{}, 17},
 		{serve.ClientConfig{}, 9}, // Addrs went: failover across servers is cluster.Client's
-		{cluster.Config{}, 12},    // Replication routed nothing; Balancer's five knobs are constants
+		{cluster.Config{}, 11},    // Replication routed nothing; Balancer's five knobs and HedgeMinSamples are constants
 		{control.Knobs{}, 2},
 	} {
 		typ := reflect.TypeOf(c.v)
