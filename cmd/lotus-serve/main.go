@@ -6,9 +6,8 @@
 //
 //	lotus-serve -workload IC -samples 5120 -addr :9317 -http :9318
 //
-// By default it serves real pixels at a 256-px cap (-mode real
-// -materialize-dim 256), what the perf benchmark measures; -mode sim serves
-// metadata tensors on the virtual clock instead.
+// It serves real pixels, synthesized at up to -materialize-dim px (256 by
+// default, what the perf benchmark measures).
 //
 // Clients handshake with a rank/world pair and receive disjoint shards of
 // every epoch's batch plan; /metrics and /trace expose live throughput and a
@@ -44,7 +43,6 @@ import (
 	"syscall"
 	"time"
 
-	"lotus/internal/native"
 	"lotus/internal/pipeline"
 	"lotus/internal/serve"
 	"lotus/internal/workloads"
@@ -59,10 +57,8 @@ func main() {
 		batch    = flag.Int("batch", 0, "batch size (0 = workload default)")
 		workers  = flag.Int("workers", 0, "size of the server-wide preprocessing worker pool every session shares (0 = workload default)")
 		queue    = flag.Int("queue", 4, "per-session prefetch window: batches that may be outstanding ahead of the one being written")
-		mode     = flag.String("mode", "real", "preprocessing mode: real (pixel payloads) or sim (meta tensors on the virtual clock)")
 		seed     = flag.Int64("seed", 1, "randomness root")
-		arch     = flag.String("arch", "intel", "simulated CPU vendor: intel or amd")
-		matDim   = flag.Int("materialize-dim", 256, "real mode: synthesized image resolution cap")
+		matDim   = flag.Int("materialize-dim", 256, "synthesized image resolution cap")
 		cacheMB  = flag.Int64("cache-mb", 256, "materialized-batch cache budget in MiB (0 = disabled); cached epochs are served without re-running the pipeline")
 		scacheMB = flag.Int64("sample-cache-mb", 0, "split-point sample cache budget in MiB (0 = disabled); materializes each sample's deterministic prefix once so augmented epochs skip decode work")
 		diskDir  = flag.String("disk-cache-dir", "", "persistent cache directory (empty = disabled); spilled frames and sample snapshots survive restarts and are shared across jobs pointing at the same directory")
@@ -112,6 +108,10 @@ func main() {
 		})
 	flag.Parse()
 
+	if *samples < 1 {
+		fmt.Fprintf(os.Stderr, "lotus-serve: -samples %d: the dataset needs at least one sample\n", *samples)
+		os.Exit(2)
+	}
 	var spec workloads.Spec
 	switch workloads.Kind(*workload) {
 	case workloads.IC:
@@ -132,22 +132,10 @@ func main() {
 	if *workers > 0 {
 		spec.NumWorkers = *workers
 	}
-	if *arch == "amd" {
-		spec.Arch = native.AMD
-	}
-	pmode := pipeline.RealData
-	switch *mode {
-	case "real":
-	case "sim":
-		pmode = pipeline.Simulated
-	default:
-		fmt.Fprintf(os.Stderr, "lotus-serve: unknown mode %q (want sim or real)\n", *mode)
-		os.Exit(2)
-	}
 
 	srv := serve.New(serve.Config{
 		Spec:             spec,
-		Mode:             pmode,
+		Mode:             pipeline.RealData,
 		Prefetch:         *queue,
 		MaterializeDim:   *matDim,
 		BatchCacheBytes:  *cacheMB << 20,

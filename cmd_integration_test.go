@@ -8,6 +8,7 @@ package lotus_test
 // with -short.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -149,7 +150,7 @@ func TestCLIClusterNodeDown(t *testing.T) {
 		}
 		addr := ln.Addr().String()
 		ln.Close()
-		cmd := exec.Command(lotusServe, "-mode", "sim", "-workload", "IC", "-samples", "640", "-batch", "32",
+		cmd := exec.Command(lotusServe, "-materialize-dim", "32", "-workload", "IC", "-samples", "640", "-batch", "32",
 			"-addr", addr, "-http", "")
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
@@ -221,6 +222,25 @@ func TestCLIFetchSeveralAddrsNeedCluster(t *testing.T) {
 	}
 }
 
+// TestCLIServeNeedsSamples: a dataset of fewer than one sample is a usage
+// error (exit 2) naming -samples, before anything is built or listened on.
+func TestCLIServeNeedsSamples(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped with -short")
+	}
+	lotusServe := buildTool(t, t.TempDir(), "lotus-serve")
+	for _, n := range []string{"0", "-5"} {
+		// A server that starts anyway would never exit on its own.
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		out, err := exec.CommandContext(ctx, lotusServe, "-samples", n, "-addr", "127.0.0.1:0", "-http", "").CombinedOutput()
+		cancel()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "-samples "+n+": ") || strings.Contains(string(out), "panic") {
+			t.Fatalf("lotus-serve -samples %s: %v\n%s\nwant a usage error naming -samples, exit 2", n, err, out)
+		}
+	}
+}
+
 // TestCLIDiskCacheSurvivesKill: a lotus-serve killed with SIGKILL, once its
 // spills reached the disk tier, leaves a -disk-cache-dir that a restarted
 // server serves the whole plan from — no Close, no Flush, nothing but the
@@ -266,7 +286,7 @@ func TestCLIDiskCacheSurvivesKill(t *testing.T) {
 	// returns the server and its sidecar address.
 	life := func() (*exec.Cmd, string) {
 		addr, httpAddr := freeAddr(), freeAddr()
-		cmd := exec.Command(lotusServe, "-mode", "sim", "-workload", "IC", "-samples", "640", "-batch", "64",
+		cmd := exec.Command(lotusServe, "-materialize-dim", "32", "-workload", "IC", "-samples", "640", "-batch", "64",
 			"-addr", addr, "-http", httpAddr, "-disk-cache-dir", cacheDir)
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)

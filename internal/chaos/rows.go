@@ -7,21 +7,21 @@ import (
 
 	"lotus/internal/cluster"
 	"lotus/internal/faultinject"
-	"lotus/internal/pipeline"
 	"lotus/internal/serve"
 	"lotus/internal/store"
 	"lotus/internal/workloads"
 )
 
 // servedRows is the served half of the sweep's table, in sweep order. New
-// rows go at the end, so a seed's earlier output stays comparable.
+// rows go at the end, so a seed's earlier output stays comparable. Every row
+// serves real pixels, so its faults land on the frames production writes;
+// only an emulate row runs the cost model.
 func servedRows() []row {
 	return []row{
-		// Wire faults: the session's retries mask them. Real frames, so the
-		// faults land on the frames production writes.
-		{class: "wire-drop", mode: pipeline.RealData, faults: faultinject.Spec{DropFrame: 3}, epochs: 2},
-		{class: "wire-truncate", mode: pipeline.RealData, faults: faultinject.Spec{TruncateFrame: 5}, epochs: 2},
-		{class: "wire-corrupt", mode: pipeline.RealData, faults: faultinject.Spec{CorruptFrame: 4}, epochs: 2},
+		// Wire faults: the session's retries mask them.
+		{class: "wire-drop", faults: faultinject.Spec{DropFrame: 3}, epochs: 2},
+		{class: "wire-truncate", faults: faultinject.Spec{TruncateFrame: 5}, epochs: 2},
+		{class: "wire-corrupt", faults: faultinject.Spec{CorruptFrame: 4}, epochs: 2},
 		// Worker panics end the epoch in a clean Error frame.
 		{class: "server-panic", faults: faultinject.Spec{PanicNth: 6}, wantErr: true, check: fired},
 		// A client that vanishes mid-epoch leaves the server serving the next.
@@ -29,14 +29,14 @@ func servedRows() []row {
 
 		// The retried fetch is served from the cache: wire faults land on the
 		// connection, never in the shared cache bytes or the cached prefixes.
-		{class: "wire-drop-cached", mode: pipeline.RealData, faults: faultinject.Spec{DropFrame: 3}, epochs: 2,
+		{class: "wire-drop-cached", faults: faultinject.Spec{DropFrame: 3}, epochs: 2,
 			batchCache: chaosCacheBytes, check: batchCacheHit},
-		{class: "wire-corrupt-cached", mode: pipeline.RealData, faults: faultinject.Spec{CorruptFrame: 4}, epochs: 2,
+		{class: "wire-corrupt-cached", faults: faultinject.Spec{CorruptFrame: 4}, epochs: 2,
 			batchCache: chaosCacheBytes, check: batchCacheHit},
-		{class: "wire-corrupt-scache", workload: workloads.ICA, mode: pipeline.RealData, faults: faultinject.Spec{CorruptFrame: 4},
+		{class: "wire-corrupt-scache", workload: workloads.ICA, faults: faultinject.Spec{CorruptFrame: 4},
 			epochs: 2, sampleCache: chaosCacheBytes, check: sampleCacheHit},
 		// 1 KiB holds no 48×48 prefix: every entry is evicted on insert.
-		{class: "scache-churn", workload: workloads.ICA, mode: pipeline.RealData, sampleCache: 1 << 10, epochs: 2, check: churned},
+		{class: "scache-churn", workload: workloads.ICA, sampleCache: 1 << 10, epochs: 2, check: churned},
 		// A rate-capped tenant floods from three sessions beside a polite one.
 		{class: "tenant-greedy", batchCache: chaosCacheBytes, qos: true, epochs: 2,
 			tenants: map[string]serve.TenantLimit{"greedy": {BatchesPerSec: 100, BurstBatches: 4}},
@@ -52,9 +52,9 @@ func servedRows() []row {
 		{class: "disk-corrupt-segment", batchCache: chaosCacheBytes, disk: true, lives: 2,
 			faults: faultinject.Spec{CorruptDiskAppend: 3}, check: rewarmed},
 
-		// Hedging around a node stalling 2 s on every batch; RealData, so the
-		// stall blocks its stream.
-		{class: "cluster-hedge-slow-node", nodes: 3, mode: pipeline.RealData,
+		// Hedging around a node stalling 2 s on every batch: the stall blocks
+		// its stream.
+		{class: "cluster-hedge-slow-node", nodes: 3,
 			faults: faultinject.Spec{StallNth: 1, WorkerStall: 2 * time.Second},
 			client: routed(func(*env) cluster.Config {
 				// The default 250 ms delay floor keeps a healthy peer's
@@ -67,7 +67,7 @@ func servedRows() []row {
 		{class: "cluster-node-kill", nodes: 3, faults: faultinject.Spec{DropFrame: 2}, kill: true, client: routed(nil)},
 		{class: "cluster-node-kill-cached", nodes: 3, faults: faultinject.Spec{DropFrame: 2}, kill: true,
 			batchCache: chaosCacheBytes, client: routed(nil), check: survivorsCached},
-		{class: "cluster-node-kill-scache", workload: workloads.ICA, mode: pipeline.RealData, nodes: 3, faults: faultinject.Spec{DropFrame: 2},
+		{class: "cluster-node-kill-scache", workload: workloads.ICA, nodes: 3, faults: faultinject.Spec{DropFrame: 2},
 			kill: true, sampleCache: chaosCacheBytes, client: routed(nil), before: warmSurvivors, check: survivorsWarm},
 		// A slow-but-correct node keeps its shard.
 		{class: "cluster-node-slow", nodes: 3, faults: faultinject.Spec{StallNth: 1, WorkerStall: 500 * time.Millisecond},
@@ -79,7 +79,9 @@ func servedRows() []row {
 			between: tearTails, client: routed(nil), check: rewarmed},
 		// The balancer sheds ring weight off a node stalling 60 ms per batch.
 		// Emulate mode paces each node on its own modeled rate: three RealData
-		// servers on one host are CPU-coupled, which would invert the signal.
+		// servers on one host are CPU-coupled. On RealData the row converges
+		// in a plain run but never re-weights under -race (weight 1.00,
+		// shares [12 12 12 12], 0 moves), so it stays on the cost model.
 		{class: "cluster-autotune-slow-node", nodes: 3, samples: 256, emulate: true, epochs: 4,
 			faults: faultinject.Spec{StallNth: 1, WorkerStall: 60 * time.Millisecond},
 			client: routed(func(*env) cluster.Config { return cluster.Config{AutoTune: true} }),
@@ -88,15 +90,15 @@ func servedRows() []row {
 		// A hung disk: the spill backlog fills behind the stalled writer, and
 		// the epoch completes without waiting for it. 30 frames of 1.2 MB
 		// pixels overrun the store's 32 MiB backlog.
-		{class: "disk-stall", mode: pipeline.RealData, samples: 240, batchCache: chaosCacheBytes, disk: true,
+		{class: "disk-stall", samples: 240, batchCache: chaosCacheBytes, disk: true,
 			faults: faultinject.Spec{DiskStall: 1}, check: stalled},
 		// A failed sample read reaches neither the sample cache nor the disk
 		// tier: the second life serves the first's spills byte-identically.
-		{class: "read-error-tiers", workload: workloads.ICA, mode: pipeline.RealData, sampleCache: chaosCacheBytes, disk: true, lives: 2,
+		{class: "read-error-tiers", workload: workloads.ICA, sampleCache: chaosCacheBytes, disk: true, lives: 2,
 			faults: faultinject.Spec{ReadErrorNth: 6}, wantErr: true, check: tiersClean},
 		// A frame corrupted on its way to a router fails its digest before
 		// delivery, so its ID stays unserved and the node's retry fetches it.
-		{class: "cluster-wire-corrupt", nodes: 3, mode: pipeline.RealData, faults: faultinject.Spec{CorruptFrame: 2}, client: routed(nil)},
+		{class: "cluster-wire-corrupt", nodes: 3, faults: faultinject.Spec{CorruptFrame: 2}, client: routed(nil)},
 	}
 }
 

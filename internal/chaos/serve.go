@@ -27,8 +27,7 @@ type row struct {
 	class    string
 	workload workloads.Kind // IC (the zero value) or ICA
 	samples  int            // 0: chaosSpec's default
-	mode     pipeline.Mode
-	emulate  bool // the Simulated pipeline paced on the wall clock
+	emulate  bool           // the Simulated pipeline paced on the wall clock; false: RealData
 
 	// Server features, the same on every node.
 	batchCache, sampleCache int64
@@ -91,7 +90,7 @@ func servedCell(seed int64, rw row) cell {
 	return cell{class: rw.class, workload: string(rw.workload), run: func(res *Result) {
 		e := &env{row: &rw, res: res, spec: chaosSpec(rw.workload, rw.samples, seed)}
 		for epoch := range max(rw.epochs, 1) {
-			batches, err := groundTruth(e.spec, epoch, rw.mode)
+			batches, err := groundTruth(e.spec, epoch, rw.mode())
 			if err != nil {
 				e.fail("ground truth epoch %d: %v", epoch, err)
 				return
@@ -167,7 +166,7 @@ func (e *env) live(nodes int) {
 
 // nodeConfig is node i's server configuration in this life.
 func (e *env) nodeConfig(i int) serve.Config {
-	cfg := serve.Config{Spec: e.spec, Mode: e.row.mode, EmulateTime: e.row.emulate,
+	cfg := serve.Config{Spec: e.spec, Mode: e.row.mode(), EmulateTime: e.row.emulate,
 		MaterializeDim: chaosMaterializeDim, Prefetch: 2,
 		BatchCacheBytes: e.row.batchCache, SampleCacheBytes: e.row.sampleCache,
 		QoS: e.row.qos, Tenants: e.row.tenants}
@@ -178,6 +177,14 @@ func (e *env) nodeConfig(i int) serve.Config {
 		cfg.Faults = e.inj
 	}
 	return cfg
+}
+
+// mode is the pipeline mode the row serves and its ground truth runs.
+func (rw *row) mode() pipeline.Mode {
+	if rw.emulate {
+		return pipeline.Simulated
+	}
+	return pipeline.RealData
 }
 
 func (e *env) wantErr() bool { return e.row.wantErr && e.life == 1 }

@@ -14,56 +14,6 @@ import (
 	"lotus/internal/workloads"
 )
 
-// BenchmarkClusterThroughput measures routed batches per second as the node
-// count scales. The nodes serve in emulate-time mode: the Simulated pipeline
-// runs on the wall clock, so each batch costs its modeled preprocessing and
-// storage time in real time and the epoch is paced by pipeline latency, not
-// by this machine's core count. Each iteration routes one full epoch plan
-// through the rendezvous-hash router; with N nodes the per-node shards
-// stream concurrently, so aggregate throughput grows with N. The rates are
-// model output (Simulated/emulate), not throughput.
-func BenchmarkClusterThroughput(b *testing.B) {
-	for _, n := range []int{1, 2, 3} {
-		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
-			spec := workloads.ICSpec(256, 7)
-			spec.BatchSize = 16 // 16 batches per epoch
-			spec.NumWorkers = 2
-
-			nodes := make([]Node, n)
-			for i := range nodes {
-				srv := serve.New(serve.Config{Spec: spec, Mode: pipeline.Simulated, EmulateTime: true, Prefetch: 4})
-				if err := srv.Start("127.0.0.1:0", ""); err != nil {
-					b.Fatal(err)
-				}
-				defer srv.Close()
-				nodes[i] = Node{ID: fmt.Sprintf("node%d", i), Addr: srv.Addr()}
-			}
-			c, err := New(Config{Nodes: nodes, Name: "bench"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-
-			total := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				stats, err := c.RunEpoch(0, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if stats.NodeFailures > 0 || stats.Ignored > 0 {
-					b.Fatalf("benchmark epoch saw failures: %+v", stats)
-				}
-				total += stats.Batches
-			}
-			b.StopTimer()
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(float64(total)/sec, "batches/sec")
-			}
-		})
-	}
-}
-
 // BenchmarkStragglerTail quantifies the PR 8 claim: hedged fetches cut the
 // p99 epoch latency of a cluster with one degraded node by at least 2x
 // without changing a served byte. Three RealData nodes serve pixel payloads;

@@ -13,193 +13,6 @@ import (
 	"lotus/internal/workloads"
 )
 
-// BenchmarkServiceThroughput measures served batches per second end to end
-// (pipeline -> wire encode -> loopback TCP -> decode -> checksum) as the
-// client count scales. Each iteration streams one full epoch sharded across
-// the clients. Simulated frames: the rate is model output, not throughput
-// (perf's ic_cold is the served real-pixel number).
-func BenchmarkServiceThroughput(b *testing.B) {
-	for _, clients := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			benchServiceThroughput(b, clients, 0)
-		})
-	}
-}
-
-// BenchmarkServiceThroughputCached is the same workload with the
-// materialized-batch cache enabled: every client re-fetches epoch 0, so after
-// the first iteration the server streams cached frames instead of re-running
-// the pipeline. Model output like the uncached series (perf's ic_hot is the
-// served real-pixel number).
-func BenchmarkServiceThroughputCached(b *testing.B) {
-	for _, clients := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			benchServiceThroughput(b, clients, 256<<20)
-		})
-	}
-}
-
-func benchServiceThroughput(b *testing.B, clients int, cacheBytes int64) {
-	spec := workloads.ICSpec(1280, 7)
-	spec.BatchSize = 64 // 20 batches per epoch
-	spec.NumWorkers = 2
-	srv := New(Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 4,
-		BatchCacheBytes: cacheBytes})
-	if err := srv.Start("127.0.0.1:0", ""); err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-
-	conns := make([]*Client, clients)
-	for rank := range conns {
-		conns[rank] = NewClient(ClientConfig{Addr: srv.Addr(), Rank: rank, World: clients})
-		if err := conns[rank].Connect(); err != nil {
-			b.Fatal(err)
-		}
-		defer conns[rank].Close()
-	}
-
-	totalBatches := 0
-	var mu sync.Mutex
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for _, c := range conns {
-			wg.Add(1)
-			go func(c *Client) {
-				defer wg.Done()
-				stats, err := c.Run(1, nil)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				mu.Lock()
-				totalBatches += stats.Batches
-				mu.Unlock()
-			}(c)
-		}
-		wg.Wait()
-	}
-	b.StopTimer()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(totalBatches)/sec, "batches/sec")
-	}
-}
-
-// BenchmarkServiceThroughputAugmented measures the split-point sample cache's
-// effect on an augmented workload: the ICA pipeline in emulate mode (modeled
-// preprocessing latencies paced on the wall clock), batch cache off so every
-// epoch re-runs the pipeline. Each iteration streams a *fresh* epoch — the
-// augmented regime, where the batch cache can never hit — so the cold series
-// pays the full decode+resize prefix every epoch, while the sampleCached
-// series replays the materialized prefixes and pays only the random suffix.
-// Model output: the ratio is the cost model's decode share (perf's ica_warm
-// is the served real-pixel number).
-func BenchmarkServiceThroughputAugmented(b *testing.B) {
-	b.Run("cold", func(b *testing.B) { benchServiceAugmented(b, 0) })
-	b.Run("sampleCached", func(b *testing.B) { benchServiceAugmented(b, 512<<20) })
-}
-
-func benchServiceAugmented(b *testing.B, sampleCacheBytes int64) {
-	spec := workloads.ICASpec(256, 7)
-	spec.BatchSize = 16 // 16 batches per epoch
-	spec.NumWorkers = 4
-	srv := New(Config{Spec: spec, Mode: pipeline.Simulated, EmulateTime: true,
-		Prefetch: 4, BatchCacheBytes: 0, SampleCacheBytes: sampleCacheBytes})
-	if err := srv.Start("127.0.0.1:0", ""); err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-
-	c := NewClient(ClientConfig{Addr: srv.Addr()})
-	if err := c.Connect(); err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-
-	// Epoch 0 pays the one-time materialization cost outside the timed
-	// region, so the cached series measures the steady state every later
-	// epoch of a training run sees.
-	if err := fetchOnce(c, 0, nil, nil); err != nil {
-		b.Fatal(err)
-	}
-
-	totalBatches := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var st FetchStats
-		if err := fetchOnce(c, i+1, nil, &st); err != nil {
-			b.Fatal(err)
-		}
-		totalBatches += st.Batches
-	}
-	b.StopTimer()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(totalBatches)/sec, "batches/sec")
-	}
-}
-
-// BenchmarkServiceWarmRestart measures restart warming from the persistent
-// tier: both series bring up a FRESH server per iteration and stream epoch 0
-// of the augmented ICA workload in emulate mode. The cold series has no disk
-// directory, so every restart re-runs the paced pipeline from scratch; the
-// warmRestart series points each fresh server at a directory warmed once
-// outside the timer, so restarts serve every frame from the disk tier and
-// skip the pipeline (and its pacing) entirely. Model output (perf's
-// serve.disk_warm_samples_per_s rung is the real-pixel warm restart).
-func BenchmarkServiceWarmRestart(b *testing.B) {
-	b.Run("cold", func(b *testing.B) { benchServiceRestart(b, false) })
-	b.Run("warmRestart", func(b *testing.B) { benchServiceRestart(b, true) })
-}
-
-func benchServiceRestart(b *testing.B, warm bool) {
-	spec := workloads.ICASpec(256, 7)
-	spec.BatchSize = 16 // 16 batches per epoch
-	spec.NumWorkers = 4
-	start := func(dir string) *Server {
-		srv := New(Config{Spec: spec, Mode: pipeline.Simulated, EmulateTime: true,
-			Prefetch: 4, BatchCacheBytes: 256 << 20, DiskCacheDir: dir})
-		if err := srv.Start("127.0.0.1:0", ""); err != nil {
-			b.Fatal(err)
-		}
-		return srv
-	}
-	fetch := func(srv *Server, st *FetchStats) {
-		c := NewClient(ClientConfig{Addr: srv.Addr()})
-		defer c.Close()
-		if err := fetchOnce(c, 0, nil, st); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	dir := ""
-	if warm {
-		// Warm the directory once, outside the timed region: the one-time
-		// cost every long-running job has already paid before it restarts.
-		dir = b.TempDir()
-		srv := start(dir)
-		fetch(srv, nil)
-		if err := srv.FlushDiskCache(); err != nil {
-			b.Fatal(err)
-		}
-		srv.Close()
-	}
-
-	totalBatches := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srv := start(dir)
-		var st FetchStats
-		fetch(srv, &st)
-		totalBatches += st.Batches
-		srv.Close()
-	}
-	b.StopTimer()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(totalBatches)/sec, "batches/sec")
-	}
-}
-
 // benchBatch builds a materialize-sized wire batch (the shape the serving hot
 // path encodes): 64 samples, one 64x3x32x32 u8 tensor payload.
 func benchBatch() *Batch {
