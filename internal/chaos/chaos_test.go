@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -143,4 +144,31 @@ func holdFrame(dir string) (*serve.Frame, error) {
 	return bc.Acquire(serve.BatchKey{Fingerprint: 1}, nil, func() (*serve.Frame, error) {
 		return nil, errors.New("not on disk")
 	})
+}
+
+// TestDiffersComparesFloatBits pins the sink's tensor comparison to the
+// floats' bits: -0 is not +0, NaN payloads are told apart, and a NaN equals
+// the same NaN.
+func TestDiffersComparesFloatBits(t *testing.T) {
+	batch := func(bits ...uint32) *serve.Batch {
+		b := &serve.Batch{F32: make([]float32, len(bits))}
+		for i, v := range bits {
+			b.F32[i] = math.Float32frombits(v)
+		}
+		return b
+	}
+	for _, c := range []struct {
+		got, want *serve.Batch
+		differ    bool
+	}{
+		{batch(0x7fc00001, 0x3f800000), batch(0x7fc00001, 0x3f800000), false},
+		{batch(0x7fc00001, 0x3f800000), batch(0x7fc00002, 0x3f800000), true},
+		{batch(0, 0x3f800000), batch(0x80000000, 0x3f800000), true},
+		{batch(0x3f800000), batch(0x3f800000, 0x3f800000), true},
+		{batch(), &serve.Batch{}, true},
+	} {
+		if d := differs(c.got, c.want); (d != "") != c.differ {
+			t.Errorf("differs(%x, %x) = %q", c.got.F32, c.want.F32, d)
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"lotus/internal/clock"
 	"lotus/internal/cluster"
@@ -383,10 +384,16 @@ func differs(got, want *serve.Batch) string {
 	case got.Dtype != want.Dtype || !slices.Equal(got.Shape, want.Shape):
 		return fmt.Sprintf("%s %v, want %s %v", got.Dtype, got.Shape, want.Dtype, want.Shape)
 	case !bytes.Equal(got.U8, want.U8) || (got.U8 == nil) != (want.U8 == nil) || (got.F32 == nil) != (want.F32 == nil) ||
-		!slices.EqualFunc(got.F32, want.F32, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }):
+		!bytes.Equal(f32Bytes(got.F32), f32Bytes(want.F32)):
 		return "tensor"
 	}
 	return ""
+}
+
+// f32Bytes is v's memory as bytes: two tensors compare bit for bit (NaN
+// payloads and -0 told apart) in one bulk pass, not one float at a time.
+func f32Bytes(v []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
 }
 
 // verify reports the sink's record: byte identity and exactly-once delivery,

@@ -68,14 +68,16 @@ func (im *Image) ToTensor() *tensor.Tensor {
 	return t
 }
 
-// u8ToF32 is the uint8 -> [0,1] float32 conversion table. Indexing it is
-// what keeps ToFloat32Tensor bit-identical to ToTensor().ToFloat32(): both
-// compute float32(v)/255 — one ahead of time, one per pixel.
-var u8ToF32 [256]float32
+// toTensorLUT sends byte v of every channel to float32(v)/255, the uint8 ->
+// [0,1] conversion. Mapping through it is what keeps ToFloat32Tensor
+// bit-identical to ToTensor().ToFloat32(): both compute float32(v)/255 — one
+// ahead of time, one per pixel.
+var toTensorLUT [3][256]float32
 
 func init() {
-	for i := range u8ToF32 {
-		u8ToF32[i] = float32(i) / 255
+	for i := range toTensorLUT[0] {
+		v := float32(i) / 255
+		toTensorLUT[0][i], toTensorLUT[1][i], toTensorLUT[2][i] = v, v, v
 	}
 }
 
@@ -85,29 +87,30 @@ func init() {
 // ToTensor transform runs per sample.
 func (im *Image) ToFloat32Tensor() *tensor.Tensor {
 	t := tensor.Zeros(tensor.Float32, 3, im.H, im.W)
-	plane := im.H * im.W
-	r, g, b := t.F32[:plane], t.F32[plane:2*plane], t.F32[2*plane:]
-	p := im.Pix
-	for j := 0; j < plane; j++ {
-		r[j] = u8ToF32[p[j*3]]
-		g[j] = u8ToF32[p[j*3+1]]
-		b[j] = u8ToF32[p[j*3+2]]
-	}
+	im.MapInto(t.F32, &toTensorLUT)
 	return t
 }
 
 // MapInto writes the image as [3, H, W] float32 planes into dst, sending
 // byte v of channel c to lut[c][v]: ToFloat32Tensor and any per-channel,
 // per-element map after it (Normalize) in one pass over the pixels, for a
-// caller that owns the destination. len(dst) must be 3*W*H.
+// caller that owns the destination. len(dst) must be 3*W*H. Where the CPU
+// has AVX2 a gather kernel does the work (mapinto_amd64.s); its result is
+// mapScalar's, bit for bit.
 func (im *Image) MapInto(dst []float32, lut *[3][256]float32) {
 	plane := im.H * im.W
 	if len(dst) != 3*plane {
 		panic(fmt.Sprintf("imaging: MapInto destination holds %d floats, a %dx%d image needs %d", len(dst), im.W, im.H, 3*plane))
 	}
-	r, g, b := dst[:plane], dst[plane:2*plane:2*plane], dst[2*plane:]
+	mapPixels(dst[:plane], dst[plane:2*plane:2*plane], dst[2*plane:], im.Pix[:3*plane], lut)
+}
+
+// mapScalar is the definition of MapInto: r[j], g[j] and b[j] are pixel j's
+// three bytes of p, each looked up in its channel's table. len(p) must be
+// 3*len(r), and g and b at least len(r) long.
+func mapScalar(r, g, b []float32, p []uint8, lut *[3][256]float32) {
 	g, b = g[:len(r)], b[:len(r)]
-	p := im.Pix[:3*len(r)]
+	p = p[:3*len(r)]
 	for j := range r {
 		px := p[3*j : 3*j+3 : 3*j+3]
 		r[j] = lut[0][px[0]]
