@@ -1,0 +1,333 @@
+package imaging
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"testing"
+	"time"
+	"unsafe"
+)
+
+// The differential harness. Every vectorized kernel in the package is one
+// row of kernels: its scalar reference (the definition it must match bit
+// for bit), the entry point that selects it, an input generator, and the
+// sizes the tests run. Three tests range over the table — the identity
+// test, the fuzzer and the guard-page test — and keep the names they had
+// when MapInto was the only row. A kernel's invariant is two clauses: the
+// entry point writes exactly the reference's bytes, and it reads and writes
+// nothing outside its buffers.
+
+// A kernelFunc is an entry point or a reference over byte buffers: it reads
+// in, writes out and takes its scalar arguments in args.
+type kernelFunc func(out []byte, in [][]byte, args []uint64)
+
+// A kernelInput is one drawn call: the buffers it reads, its scalar
+// arguments, and the length of the buffer it writes.
+type kernelInput struct {
+	in     [][]byte
+	args   []uint64
+	outLen int
+}
+
+type kernelCase struct {
+	name string
+	// bufs names the buffers a call touches: its inputs, then its output.
+	bufs       []string
+	ref, entry kernelFunc
+	// gen draws a call of size n from r. Pixel bytes repeat pat when it is
+	// not empty.
+	gen func(r *rand.Rand, n int, pat []byte) kernelInput
+	// sizes are the sizes the identity test runs, guard those the
+	// guard-page test runs, and the fuzzer draws sizes 1..fuzzMax.
+	sizes, guard []int
+	fuzzMax      int
+}
+
+var kernels = []kernelCase{
+	{
+		// Size n is n pixels: Pix holds 3n bytes, dst 3n floats.
+		name: "MapInto",
+		bufs: []string{"Pix", "lut", "dst"},
+		ref: func(out []byte, in [][]byte, _ []uint64) {
+			dst, plane := asFloats(out), len(in[0])/3
+			mapScalar(dst[:plane], dst[plane:2*plane], dst[2*plane:], in[0], asLUT(in[1]))
+		},
+		entry: func(out []byte, in [][]byte, _ []uint64) {
+			(&Image{W: len(in[0]) / 3, H: 1, Pix: in[0]}).MapInto(asFloats(out), asLUT(in[1]))
+		},
+		gen: func(r *rand.Rand, n int, pat []byte) kernelInput {
+			lut := mapLUT(r)
+			table := unsafe.Slice((*byte)(unsafe.Pointer(lut)), unsafe.Sizeof(*lut))
+			return kernelInput{in: [][]byte{kernelPixels(r, 3*n, pat), table}, outLen: 12 * n}
+		},
+		sizes:   append(sizeRange(1, 280), 224*224, 256*256),
+		guard:   append(sizeRange(1, 136), 224*224, 256*256),
+		fuzzMax: 512,
+	},
+	{
+		// Size n is a row of n bytes; 672 is a served 224-px row. Half the
+		// tap pairs sum to coeffOne, as resize makes them; the other half are
+		// random taps below 2^23 each, whose sums run far enough past
+		// coeffOne that the shifted lane exceeds 255 and only the truncation
+		// to 8 bits keeps the SWAR loop's bytes.
+		name:  "vertical2",
+		bufs:  []string{"r0", "r1", "orow"},
+		ref:   func(out []byte, in [][]byte, t []uint64) { vertical2SWAR(out, in[0], in[1], t[0], t[1]) },
+		entry: func(out []byte, in [][]byte, t []uint64) { vertical2(out, in[0], in[1], t[0], t[1]) },
+		gen: func(r *rand.Rand, n int, pat []byte) kernelInput {
+			t0, t1 := r.Uint64N(1<<23), r.Uint64N(1<<23)
+			if r.IntN(2) == 0 {
+				t0 = r.Uint64N(coeffOne + 1)
+				t1 = coeffOne - t0
+			}
+			return kernelInput{
+				in:     [][]byte{kernelPixels(r, n, pat), kernelPixels(r, n, pat)},
+				args:   []uint64{t0, t1},
+				outLen: n,
+			}
+		},
+		sizes:   sizeRange(1, 800),
+		guard:   append(sizeRange(1, 200), 672),
+		fuzzMax: 1024,
+	},
+}
+
+func sizeRange(lo, hi int) []int {
+	s := make([]int, 0, hi-lo+1)
+	for n := lo; n <= hi; n++ {
+		s = append(s, n)
+	}
+	return s
+}
+
+// kernelPixels returns n bytes: pat repeated from a random start when pat is
+// not empty, else runs of 0, of 255, of random bytes and of a ramp through
+// every byte value, each run 1..64 long.
+func kernelPixels(r *rand.Rand, n int, pat []byte) []byte {
+	b := make([]byte, n)
+	if len(pat) > 0 {
+		start := r.IntN(len(pat))
+		for i := range b {
+			b[i] = pat[(start+i)%len(pat)]
+		}
+		return b
+	}
+	for i := 0; i < n; {
+		run := min(n-i, 1+r.IntN(64))
+		kind, ramp := r.IntN(4), byte(r.Uint32())
+		for j := range run {
+			switch kind {
+			case 0:
+				b[i+j] = 0
+			case 1:
+				b[i+j] = 255
+			case 2:
+				b[i+j] = byte(r.Uint32())
+			default:
+				b[i+j] = ramp + byte(j)
+			}
+		}
+		i += run
+	}
+	return b
+}
+
+// mapLUT returns tables of random bit patterns with the values a float move
+// or compare could disturb planted in every channel: NaN payloads (quiet and
+// signalling, both signs), -0 and ±Inf.
+func mapLUT(r *rand.Rand) *[3][256]float32 {
+	special := []uint32{0x7fc00001, 0xffc12345, 0x7f800001, 0xff812345, 0x80000000, 0x7f800000, 0xff800000}
+	var lut [3][256]float32
+	for c := range lut {
+		for v := range lut[c] {
+			lut[c][v] = math.Float32frombits(r.Uint32())
+		}
+		for i, bits := range special {
+			lut[c][(37*i+11*c)%256] = math.Float32frombits(bits)
+		}
+	}
+	return &lut
+}
+
+// asFloats and asLUT view a buffer's bytes as MapInto's destination and
+// table; the harness compares and places every buffer as bytes.
+func asFloats(b []byte) []float32 {
+	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4)
+}
+
+func asLUT(b []byte) *[3][256]float32 {
+	return (*[3][256]float32)(unsafe.Pointer(&b[0]))
+}
+
+// check runs k's entry point over in into out and requires the bytes its
+// reference writes over the same input in buffers of its own.
+func (k *kernelCase) check(t *testing.T, what string, c kernelInput, in [][]byte, out []byte) {
+	t.Helper()
+	want := make([]byte, c.outLen)
+	k.ref(want, c.in, c.args)
+	k.entry(out, in, c.args)
+	if !bytes.Equal(out, want) {
+		i := 0
+		for out[i] == want[i] {
+			i++
+		}
+		t.Fatalf("%s %s: output byte %d of %d is %#02x, the reference writes %#02x (args %v)",
+			k.name, what, i, c.outLen, out[i], want[i], c.args)
+	}
+}
+
+// checkPadded is check into an output with canary bytes on both sides,
+// which the entry point must leave as they are.
+func (k *kernelCase) checkPadded(t *testing.T, what string, c kernelInput) {
+	t.Helper()
+	const pad, canary = 64, 0xad
+	buf := bytes.Repeat([]byte{canary}, pad+c.outLen+pad)
+	k.check(t, what, c, c.in, buf[pad:pad+c.outLen:pad+c.outLen])
+	edge := bytes.Repeat([]byte{canary}, pad)
+	if !bytes.Equal(buf[:pad], edge) || !bytes.Equal(buf[pad+c.outLen:], edge) {
+		t.Fatalf("%s %s: wrote outside its output", k.name, what)
+	}
+}
+
+// TestMapIntoMatchesScalar is the harness's identity test: every kernel's
+// entry point writes its reference's bytes at every size in its row.
+func TestMapIntoMatchesScalar(t *testing.T) {
+	if !haveAVX2 {
+		t.Log("no AVX2 on this CPU: every entry point is its reference")
+	}
+	for i := range kernels {
+		k := &kernels[i]
+		t.Run(k.name, func(t *testing.T) {
+			r := rand.New(rand.NewPCG(7, uint64(i)))
+			for _, n := range k.sizes {
+				k.checkPadded(t, fmt.Sprintf("size %d", n), k.gen(r, n, nil))
+			}
+		})
+	}
+}
+
+// FuzzMapInto is the harness's fuzzer: each input runs every kernel, at a
+// size of n folded into its row's range, with pixels repeating pat.
+func FuzzMapInto(f *testing.F) {
+	f.Add(uint16(21), uint64(1), []byte{0, 255, 128})
+	f.Add(uint16(234), uint64(2), []byte("gather kernel"))
+	f.Add(uint16(9), uint64(3), []byte{})
+	f.Add(uint16(671), uint64(4), []byte{255})
+	f.Fuzz(func(t *testing.T, n uint16, seed uint64, pat []byte) {
+		for i := range kernels {
+			k := &kernels[i]
+			size := int(n)%k.fuzzMax + 1
+			k.checkPadded(t, fmt.Sprintf("size %d", size), k.gen(rand.New(rand.NewPCG(seed, 40)), size, pat))
+		}
+	})
+}
+
+// interleave times pass through a kernel and through its reference, rounds
+// of each per benchmark iteration in alternating order, after three of each
+// that fault the buffers in and warm the caches, and returns both totals.
+func interleave(b *testing.B, rounds int, pass func(kernel bool) time.Duration) (kernel, ref time.Duration) {
+	for i := 0; i < 3; i++ {
+		pass(true)
+		pass(false)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < rounds; k++ {
+			if k%2 == 0 {
+				kernel += pass(true)
+				ref += pass(false)
+			} else {
+				ref += pass(false)
+				kernel += pass(true)
+			}
+		}
+	}
+	return kernel, ref
+}
+
+// BenchmarkMapInto times the finish of one served batch, 32 synthesized 256²
+// samples into one batch-sized destination, through MapInto and through the
+// scalar loop, interleaved in one process. Where the CPU has AVX2 it fails
+// itself unless MapInto costs <= 0.7x the scalar loop.
+func BenchmarkMapInto(b *testing.B) {
+	const n, side = 32, 256
+	const plane, per = side * side, 3 * side * side
+	ims := make([]*Image, n)
+	for i := range ims {
+		ims[i] = SynthesizeImage(side, side, int64(i))
+	}
+	dst := make([]float32, n*per)
+	lut := new([3][256]float32)
+	for c, ms := range [3][2]float32{{0.485, 0.229}, {0.456, 0.224}, {0.406, 0.225}} {
+		for v := range lut[c] {
+			lut[c][v] = (float32(v)/255 - ms[0]) / ms[1]
+		}
+	}
+	finish := func(kernel bool) time.Duration {
+		start := time.Now()
+		for i, im := range ims {
+			out := dst[i*per : (i+1)*per]
+			if kernel {
+				im.MapInto(out, lut)
+			} else {
+				mapScalar(out[:plane], out[plane:2*plane], out[2*plane:], im.Pix, lut)
+			}
+		}
+		return time.Since(start)
+	}
+	kernel, scalar := interleave(b, 10, finish)
+	px := float64(b.N * 10 * n * plane)
+	ratio := float64(kernel) / float64(scalar)
+	b.ReportMetric(float64(kernel.Nanoseconds())/px, "kernel-ns/px")
+	b.ReportMetric(float64(scalar.Nanoseconds())/px, "scalar-ns/px")
+	b.ReportMetric(ratio, "kernel/scalar")
+	if !haveAVX2 {
+		b.Logf("no AVX2 on this CPU: MapInto is the scalar loop (%.2fx), nothing to gate", ratio)
+		return
+	}
+	if ratio > 0.7 {
+		b.Fatalf("MapInto costs %.2fx the scalar loop, want <= 0.7x", ratio)
+	}
+}
+
+// BenchmarkVertical2 times the two-tap vertical pass of a 2x upscale to
+// 224², row by row as resampleVerticalPacked calls it: 224 calls, each one
+// 672-byte output row from two source rows, through vertical2 and through
+// vertical2SWAR, interleaved in one process. Where the CPU has AVX2 it fails
+// itself unless vertical2 costs <= 0.4x the SWAR loop per call.
+func BenchmarkVertical2(b *testing.B) {
+	const rows, w3 = 224, 3 * 224
+	src := SynthesizeImage(224, rows/2+1, 1).Pix
+	dst := make([]byte, rows*w3)
+	pass := func(kernel bool) time.Duration {
+		start := time.Now()
+		for y := range rows {
+			lo := y / 2 * w3
+			orow, r0, r1 := dst[y*w3:(y+1)*w3], src[lo:lo+w3], src[lo+w3:lo+2*w3]
+			t0 := uint64(coeffOne/4 + y%2*coeffOne/2)
+			if kernel {
+				vertical2(orow, r0, r1, t0, coeffOne-t0)
+			} else {
+				vertical2SWAR(orow, r0, r1, t0, coeffOne-t0)
+			}
+		}
+		return time.Since(start)
+	}
+	// A pair of passes is ~0.2 ms: 50 keep one preemption from deciding the
+	// ratio.
+	kernel, swar := interleave(b, 50, pass)
+	calls := float64(b.N * 50 * rows)
+	ratio := float64(kernel) / float64(swar)
+	b.ReportMetric(float64(kernel.Nanoseconds())/calls, "kernel-ns/call")
+	b.ReportMetric(float64(swar.Nanoseconds())/calls, "swar-ns/call")
+	b.ReportMetric(ratio, "kernel/swar")
+	if !haveAVX2 {
+		b.Logf("no AVX2 on this CPU: vertical2 is the SWAR loop (%.2fx), nothing to gate", ratio)
+		return
+	}
+	if ratio > 0.4 {
+		b.Fatalf("vertical2 costs %.2fx the SWAR loop per call, want <= 0.4x", ratio)
+	}
+}

@@ -1,30 +1,5 @@
 package imaging
 
-// haveAVX2 reports whether this CPU and OS run AVX2 code: set once, from
-// CPUID and XCR0, never by configuration.
-var haveAVX2 = detectAVX2()
-
-func detectAVX2() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	// The OS must save and restore the XMM (bit 1) and YMM (bit 2) state.
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
-}
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
-
 // mapGather maps 8*groups pixels, 24 bytes of p each, into the planes at
 // dstR, dstG and dstB. It loads 32 bytes per group, so p must hold
 // 24*groups+8 bytes.

@@ -6,6 +6,3 @@ package imaging
 func mapPixels(r, g, b []float32, p []uint8, lut *[3][256]float32) {
 	mapScalar(r, g, b, p, lut)
 }
-
-// haveAVX2 is false off amd64: there is no kernel to select.
-const haveAVX2 = false

@@ -623,13 +623,15 @@ func resampleVerticalPacked(dst, src *Image, rc *ResampleCoeffs) {
 // low and high 32-bit lanes of a packed accumulator.
 const lanePair = 0x000000ff000000ff
 
-// vertical2 computes one output row from two source rows and their taps,
-// eight bytes at a time: one 64-bit load per source row, whose bytes
+// vertical2SWAR is the definition of vertical2: output byte j is
+// (coeffHalf + t0*r0[j] + t1*r1[j]) >> coeffPrecision, truncated to 8 bits.
+// It goes eight bytes at a time: one 64-bit load per source row, whose bytes
 // (j, j+4), (j+1, j+5), (j+2, j+6), (j+3, j+7) ride the two lanes of four
 // accumulators, four multiplies per source row, and one 64-bit store of
 // the shifted lanes. Each lane ends in 0..255 (DESIGN §7), so masking the
-// shifted accumulator with lanePair extracts both output bytes exactly.
-func vertical2(orow, r0, r1 []uint8, t0, t1 uint64) {
+// shifted accumulator with lanePair extracts both output bytes exactly;
+// taps below 2^23 each keep a lane from carrying into the next.
+func vertical2SWAR(orow, r0, r1 []uint8, t0, t1 uint64) {
 	n := len(orow)
 	r0, r1 = r0[:n], r1[:n]
 	j := 0

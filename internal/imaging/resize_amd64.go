@@ -1,0 +1,22 @@
+package imaging
+
+// vertical2Kernel computes 32*blocks bytes of vertical2's output at orow
+// from as many bytes at r0 and r1; it reads and writes nothing past them.
+//
+//go:noescape
+func vertical2Kernel(orow, r0, r1 *uint8, t0, t1 uint64, blocks int)
+
+// vertical2 computes one output row from two source rows and their taps:
+// vertical2SWAR, with the 32-byte blocks that fit inside the row done by
+// vertical2Kernel where the CPU has AVX2. The SWAR loop finishes the tail.
+func vertical2(orow, r0, r1 []uint8, t0, t1 uint64) {
+	n := len(orow)
+	r0, r1 = r0[:n], r1[:n]
+	if haveAVX2 && n >= 32 {
+		blocks := n / 32
+		vertical2Kernel(&orow[0], &r0[0], &r1[0], t0, t1, blocks)
+		n = 32 * blocks
+		orow, r0, r1 = orow[n:], r0[n:], r1[n:]
+	}
+	vertical2SWAR(orow, r0, r1, t0, t1)
+}

@@ -165,8 +165,19 @@ func servedWindow(r *rng.Stream) (srcW, srcH, cw, ch int) {
 // reference's over random geometries of every shape the kernels branch on —
 // served windows, identity, one axis only, 1-px sides, odd widths (the
 // two-tap vertical kernel's byte tail) and windows wider than vertRegTaps
-// (the accumulator variant) — for both filters.
+// (the accumulator variant) — for both filters. Where the CPU has AVX2 it
+// runs once with the kernels and once, as subtest swar, without.
 func TestResizeMatchesUntrimmedReference(t *testing.T) {
+	checkUntrimmed(t)
+	t.Run("swar", func(t *testing.T) {
+		if !withoutAVX2(t) {
+			t.Skip("no AVX2 on this CPU: the pass above ran the SWAR loop")
+		}
+		checkUntrimmed(t)
+	})
+}
+
+func checkUntrimmed(t *testing.T) {
 	r := rng.NewFromSeed(29)
 	side := func(lo, hi int) int { return lo + r.Intn(hi-lo+1) }
 	const trials = 2400
@@ -226,7 +237,19 @@ func TestResizeMatchesUntrimmedReference(t *testing.T) {
 // values recorded before windows were trimmed: served RRC windows (upscaled
 // on both axes), one-axis resizes, the 512 -> 224 downscale the perf rung
 // times, a window wider than vertRegTaps, and OD's 800² bicubic target.
+// Where the CPU has AVX2 it runs once with the kernels and once, as subtest
+// swar, without, so both paths are pinned to the same bytes.
 func TestResizePinnedCRCs(t *testing.T) {
+	checkPinnedCRCs(t)
+	t.Run("swar", func(t *testing.T) {
+		if !withoutAVX2(t) {
+			t.Skip("no AVX2 on this CPU: the pass above ran the SWAR loop")
+		}
+		checkPinnedCRCs(t)
+	})
+}
+
+func checkPinnedCRCs(t *testing.T) {
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	for i, c := range []struct {
 		srcW, srcH, w, h int
