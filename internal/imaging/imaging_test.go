@@ -258,17 +258,39 @@ func TestCropOutOfRangePanics(t *testing.T) {
 	Crop(SynthesizeImage(10, 10, 1), 5, 5, 10, 10)
 }
 
+// TestFlipHorizontal: FlipHorizontal mirrors every pixel and
+// FlipHorizontalInPlace writes the same bytes, at widths below, around and
+// above the kernel's 16-byte load and the in-place stack buffer. Where the
+// CPU has AVX2 it runs once with the kernel and once, as subtest swar,
+// without.
 func TestFlipHorizontal(t *testing.T) {
-	im := SynthesizeImage(11, 5, 3)
-	f := FlipHorizontal(im)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			r0, g0, b0 := im.At(x, y)
-			r1, g1, b1 := f.At(im.W-1-x, y)
-			if r0 != r1 || g0 != g1 || b0 != b1 {
-				t.Fatalf("flip mismatch at (%d,%d)", x, y)
+	checkFlip(t)
+	t.Run("swar", func(t *testing.T) {
+		if !withoutAVX2(t) {
+			t.Skip("no AVX2 on this CPU: the pass above ran the scalar loop")
+		}
+		checkFlip(t)
+	})
+}
+
+func checkFlip(t *testing.T) {
+	for i, w := range []int{1, 2, 5, 6, 11, 224, flipStack/3 + 1} {
+		im := SynthesizeImage(w, 5, int64(i+3))
+		f := FlipHorizontal(im)
+		for y := 0; y < im.H; y++ {
+			for x := 0; x < im.W; x++ {
+				r0, g0, b0 := im.At(x, y)
+				r1, g1, b1 := f.At(im.W-1-x, y)
+				if r0 != r1 || g0 != g1 || b0 != b1 {
+					t.Fatalf("width %d: flip mismatch at (%d,%d)", w, x, y)
+				}
 			}
 		}
+		if !bytes.Equal(FlipHorizontalInPlace(im).Pix, f.Pix) {
+			t.Fatalf("width %d: FlipHorizontalInPlace differs from FlipHorizontal", w)
+		}
+		f.Release()
+		im.Release()
 	}
 }
 

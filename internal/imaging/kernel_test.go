@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"lotus/internal/rng"
 )
 
 // The differential harness. Every vectorized kernel in the package is one
@@ -92,6 +94,107 @@ var kernels = []kernelCase{
 		guard:   append(sizeRange(1, 200), 672),
 		fuzzMax: 1024,
 	},
+	{
+		// Size n is a geometry (h2Geometry): n <= 225 is a served window side
+		// n resized to 224, n above is a source of n-224 pixels to any output
+		// width whose windows have at most two taps. Args are the source and
+		// output widths and a tap seed: 0 keeps the table's taps, anything
+		// else draws random taps below 2^23 each, which only the truncation
+		// to 8 bits keeps equal to the packed pass.
+		name: "horizontal2",
+		bufs: []string{"row", "off", "t0", "t1", "orow"},
+		ref: func(out []byte, in [][]byte, a []uint64) {
+			src, dst := int(a[0]), int(a[1])
+			// Four copies of the row: the packed pass's main loop, the one a
+			// served resize runs, computes the reference.
+			rows := &Image{W: src, H: 4, Pix: bytes.Repeat(in[0], 4)}
+			o := &Image{W: dst, H: 4, Pix: make([]byte, 4*len(out))}
+			resampleHorizontalPacked(o, rows, h2Table(src, dst, a[2]))
+			copy(out, o.Pix)
+		},
+		entry: func(out []byte, in [][]byte, _ []uint64) {
+			horizontal2(out, in[0], &tapPairs{asInt32s(in[1]), asInt32s(in[2]), asInt32s(in[3])})
+		},
+		gen: func(r *rand.Rand, n int, pat []byte) kernelInput {
+			src, dst := h2Geometry(r, n)
+			seed := uint64(0)
+			if r.IntN(2) == 0 {
+				seed = 1 + r.Uint64N(1<<32)
+			}
+			p := h2Table(src, dst, seed).twoTapPairs(src)
+			return kernelInput{
+				in:     [][]byte{kernelPixels(r, 3*src, pat), asBytes(p.off), asBytes(p.t0), asBytes(p.t1)},
+				args:   []uint64{uint64(src), uint64(dst), seed},
+				outLen: 3 * dst,
+			}
+		},
+		sizes:   sizeRange(2, 224+300),
+		guard:   append(sizeRange(2, 64), 100, 150, 200, 224, 225, 226, 227, 228, 250, 300, 350),
+		fuzzMax: 224 + 300,
+	},
+	{
+		// Size n is a row of n pixels.
+		name:  "flip",
+		bufs:  []string{"src", "dst"},
+		ref:   func(out []byte, in [][]byte, _ []uint64) { flipScalar(out, in[0]) },
+		entry: func(out []byte, in [][]byte, _ []uint64) { flipRow(out, in[0]) },
+		gen: func(r *rand.Rand, n int, pat []byte) kernelInput {
+			return kernelInput{in: [][]byte{kernelPixels(r, 3*n, pat)}, outLen: 3 * n}
+		},
+		sizes:   append(sizeRange(1, 400), 1365, 1366),
+		guard:   append(sizeRange(1, 120), 224, 256),
+		fuzzMax: 512,
+	},
+}
+
+// h2Geometry maps horizontal2's size n to a source and output width whose
+// table has an expansion. n <= 225 is a served window: side max(n, 2) to 224.
+// Above, the source is n-224 pixels: 2 pixels go to 1, the only 1-px output
+// with two taps, and wider sources to an output drawn from a downscale to
+// 1..src, src-1, src itself (every window one tap) and upscales, odd and
+// even; a draw whose windows exceed two taps becomes an upscale.
+func h2Geometry(r *rand.Rand, n int) (src, dst int) {
+	if n <= 225 {
+		return max(n, 2), 224
+	}
+	src = n - 224
+	if src == 2 {
+		return 2, 1
+	}
+	switch r.IntN(4) {
+	case 0:
+		dst = 1 + r.IntN(src)
+	case 1:
+		dst = max(src-1, 1)
+	case 2:
+		dst = src
+	default:
+		dst = src + 1 + r.IntN(2*src)
+	}
+	if PrecomputeCoeffs(src, dst).twoTapPairs(src) == nil {
+		dst = src + r.IntN(src+1)
+	}
+	return src, dst
+}
+
+// h2Table is the bilinear table from src to dst pixels, with its live taps
+// replaced by random ones below 2^23 drawn from seed unless seed is 0.
+func h2Table(src, dst int, seed uint64) *ResampleCoeffs {
+	rc := PrecomputeCoeffs(src, dst)
+	if seed == 0 {
+		return rc
+	}
+	r := rand.New(rand.NewPCG(seed, 42))
+	for x, n := range rc.Counts {
+		for k := range int(n) {
+			t := r.Int32N(1 << 23)
+			rc.Taps[x*rc.KSize+k] = t
+			for c := range 3 {
+				rc.TapsP[3*(x*rc.KSize+k)+c] = uint64(t)
+			}
+		}
+	}
+	return rc
 }
 
 func sizeRange(lo, hi int) []int {
@@ -159,6 +262,15 @@ func asFloats(b []byte) []float32 {
 
 func asLUT(b []byte) *[3][256]float32 {
 	return (*[3][256]float32)(unsafe.Pointer(&b[0]))
+}
+
+// asInt32s and asBytes view an expansion's entries as bytes and back.
+func asInt32s(b []byte) []int32 {
+	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
+}
+
+func asBytes(v []int32) []byte {
+	return bytes.Clone(unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v)))
 }
 
 // check runs k's entry point over in into out and requires the bytes its
@@ -329,5 +441,85 @@ func BenchmarkVertical2(b *testing.B) {
 	}
 	if ratio > 0.4 {
 		b.Fatalf("vertical2 costs %.2fx the SWAR loop per call, want <= 0.4x", ratio)
+	}
+}
+
+// BenchmarkHorizontal2 times the horizontal pass of 32 served RRC windows
+// (sides up to 225, whose tables carry the expansion) to 224 px wide, through
+// resampleHorizontalInto and through resampleHorizontalPacked with the same
+// tables, interleaved in one process. Where the CPU has AVX2 it fails itself
+// unless the pass costs <= 0.5x the packed one.
+func BenchmarkHorizontal2(b *testing.B) {
+	const windows = 32
+	r := rng.NewFromSeed(11)
+	var srcs, mids []*Image
+	var tables []*ResampleCoeffs
+	for len(srcs) < windows {
+		_, _, cw, ch := servedWindow(r)
+		if cw > 225 {
+			continue
+		}
+		srcs = append(srcs, SynthesizeImage(cw, ch, int64(len(srcs))))
+		mids = append(mids, NewImage(224, ch))
+		tables = append(tables, CachedCoeffs(cw, 224, Bilinear))
+	}
+	pass := func(kernel bool) time.Duration {
+		start := time.Now()
+		for i, im := range srcs {
+			if kernel {
+				resampleHorizontalInto(mids[i], im, tables[i])
+			} else {
+				resampleHorizontalPacked(mids[i], im, tables[i])
+			}
+		}
+		return time.Since(start)
+	}
+	kernel, packed := interleave(b, 10, pass)
+	n := float64(b.N * 10 * windows)
+	ratio := float64(kernel) / float64(packed)
+	b.ReportMetric(float64(kernel.Microseconds())/n, "kernel-µs/window")
+	b.ReportMetric(float64(packed.Microseconds())/n, "packed-µs/window")
+	b.ReportMetric(ratio, "kernel/packed")
+	if !haveAVX2 {
+		b.Logf("no AVX2 on this CPU: the pass is the packed loop (%.2fx), nothing to gate", ratio)
+		return
+	}
+	if ratio > 0.5 {
+		b.Fatalf("the horizontal pass costs %.2fx the packed loop, want <= 0.5x", ratio)
+	}
+}
+
+// BenchmarkFlip times a 224² flip, as RandomHorizontalFlip makes it, through
+// FlipHorizontalInPlace and through the scalar loop out of place, which skips
+// the row copy the in-place flip makes, interleaved in one process. Where
+// the CPU has AVX2 it fails itself unless the flip costs <= 0.5x the loop.
+func BenchmarkFlip(b *testing.B) {
+	const side, w3 = 224, 3 * 224
+	im, out := SynthesizeImage(side, side, 1), NewImage(side, side)
+	pass := func(kernel bool) time.Duration {
+		start := time.Now()
+		if kernel {
+			FlipHorizontalInPlace(im)
+		} else {
+			for y := range side {
+				flipScalar(out.Pix[y*w3:(y+1)*w3], im.Pix[y*w3:(y+1)*w3])
+			}
+		}
+		return time.Since(start)
+	}
+	// A pair of passes is ~0.1 ms: 50 keep one preemption from deciding the
+	// ratio.
+	kernel, scalar := interleave(b, 50, pass)
+	n := float64(b.N * 50)
+	ratio := float64(kernel) / float64(scalar)
+	b.ReportMetric(float64(kernel.Nanoseconds())/n, "kernel-ns/flip")
+	b.ReportMetric(float64(scalar.Nanoseconds())/n, "scalar-ns/flip")
+	b.ReportMetric(ratio, "kernel/scalar")
+	if !haveAVX2 {
+		b.Logf("no AVX2 on this CPU: the flip is the scalar loop (%.2fx), nothing to gate", ratio)
+		return
+	}
+	if ratio > 0.5 {
+		b.Fatalf("the flip costs %.2fx the scalar loop, want <= 0.5x", ratio)
 	}
 }

@@ -53,6 +53,49 @@ type ResampleCoeffs struct {
 	// the horizontal inner loop indexes taps and packed pixels with the
 	// same stride and the bounds checks fold away. Nil unless NonNeg.
 	TapsP []uint64
+	// pairs is the table's per-output-byte expansion for horizontal2. Nil
+	// unless the CPU has AVX2 and twoTapPairs builds one.
+	pairs *tapPairs
+}
+
+// tapPairs expands a table whose windows have at most two taps into one
+// entry per output byte: output byte 3x+c of a row is
+// (coeffHalf + t0*row[off] + t1*row[off+3]) >> coeffPrecision, truncated to
+// 8 bits, as resampleHorizontalPacked computes it.
+type tapPairs struct {
+	off, t0, t1 []int32
+}
+
+// twoTapPairs returns rc's expansion for a source of srcLen samples, or nil
+// when some window has more than two taps, a tap is negative, or srcLen < 2.
+// Output byte 3x+c reads source bytes 3*Bounds[x]+c and 3 past it, so one
+// 4-byte load at off holds both of its samples. A one-tap window keeps its
+// tap in t0 with 0 in t1, except on the last source pixel, where off steps
+// one pixel back and the tap moves to t1: no output reads past the row.
+func (rc *ResampleCoeffs) twoTapPairs(srcLen int) *tapPairs {
+	if !rc.NonNeg || srcLen < 2 {
+		return nil
+	}
+	for _, n := range rc.Counts {
+		if n > 2 {
+			return nil
+		}
+	}
+	n := 3 * len(rc.Counts)
+	all := make([]int32, 3*n)
+	p := &tapPairs{off: all[:n:n], t0: all[n : 2*n : 2*n], t1: all[2*n:]}
+	for x, b := range rc.Bounds {
+		t0, t1 := rc.Taps[x*rc.KSize], int32(0)
+		if rc.Counts[x] == 2 {
+			t1 = rc.Taps[x*rc.KSize+1]
+		} else if int(b) == srcLen-1 {
+			b, t0, t1 = b-1, 0, t0
+		}
+		for c := range 3 {
+			p.off[3*x+c], p.t0[3*x+c], p.t1[3*x+c] = 3*b+int32(c), t0, t1
+		}
+	}
+	return p
 }
 
 // TapsFor returns output sample i's taps (Counts[i] live entries).
@@ -187,6 +230,9 @@ func PrecomputeCoeffsFilter(srcLen, dstLen int, f Filter) *ResampleCoeffs {
 			rc.TapsP[i*3+1] = ut
 			rc.TapsP[i*3+2] = ut
 		}
+	}
+	if haveAVX2 {
+		rc.pairs = rc.twoTapPairs(srcLen)
 	}
 	return rc
 }
@@ -344,6 +390,13 @@ func (rc *ResampleCoeffs) packable() bool {
 }
 
 func resampleHorizontalInto(dst, src *Image, rc *ResampleCoeffs) {
+	if haveAVX2 && rc.pairs != nil {
+		w3, sw3 := dst.W*3, src.W*3
+		for y := 0; y < src.H; y++ {
+			horizontal2(dst.Pix[y*w3:(y+1)*w3], src.Pix[y*sw3:(y+1)*sw3], rc.pairs)
+		}
+		return
+	}
 	if rc.packable() {
 		resampleHorizontalPacked(dst, src, rc)
 		return
@@ -653,6 +706,17 @@ func vertical2SWAR(orow, r0, r1 []uint8, t0, t1 uint64) {
 	}
 }
 
+// horizontal2Scalar is the definition of horizontal2 over an expansion's
+// entries: output byte j is (coeffHalf + t0[j]*row[off[j]] +
+// t1[j]*row[off[j]+3]) >> coeffPrecision, truncated to 8 bits. off indexes
+// the whole row, so a tail of the expansion runs against the row as it is.
+func horizontal2Scalar(orow, row []uint8, off, t0, t1 []int32) {
+	off, t0, t1 = off[:len(orow)], t0[:len(orow)], t1[:len(orow)]
+	for j, o := range off {
+		orow[j] = uint8((coeffHalf + uint32(t0[j])*uint32(row[o]) + uint32(t1[j])*uint32(row[o+3])) >> coeffPrecision)
+	}
+}
+
 // resampleVerticalAccum is the accumulator-array variant of the packed
 // vertical pass, used when the tap window exceeds vertRegTaps.
 func resampleVerticalAccum(dst, src *Image, rc *ResampleCoeffs) {
@@ -726,37 +790,50 @@ func CropInto(dst, im *Image, x0, y0 int) {
 }
 
 // FlipHorizontal mirrors the image left-right into a new pooled image,
-// swapping whole 3-byte pixels row-wise over the raw Pix slices
+// reversing whole 3-byte pixels row-wise over the raw Pix slices
 // (ImagingFlipLeftRight works the same way — no per-pixel At/Set calls).
 func FlipHorizontal(im *Image) *Image {
 	out := GetImage(im.W, im.H)
 	w3 := im.W * 3
 	for y := 0; y < im.H; y++ {
-		row := im.Pix[y*w3 : (y+1)*w3]
-		orow := out.Pix[y*w3 : (y+1)*w3]
-		for x, j := 0, w3-3; x < w3; x, j = x+3, j-3 {
-			orow[j] = row[x]
-			orow[j+1] = row[x+1]
-			orow[j+2] = row[x+2]
-		}
+		flipRow(out.Pix[y*w3:(y+1)*w3], im.Pix[y*w3:(y+1)*w3])
 	}
 	return out
 }
 
+// flipStack is the widest row, in bytes, FlipHorizontalInPlace copies into
+// a stack buffer: 1365 pixels. A wider image's rows share one heap buffer.
+const flipStack = 4096
+
 // FlipHorizontalInPlace mirrors the image left-right in place and returns
 // the receiver — the zero-allocation variant the pipeline uses when it owns
-// the sample's image.
+// the sample's image. Each row is copied aside and reversed back out of
+// place, by the same row routine as FlipHorizontal.
 func FlipHorizontalInPlace(im *Image) *Image {
 	w3 := im.W * 3
+	var stack [flipStack]uint8
+	tmp := stack[:]
+	if w3 > len(tmp) {
+		tmp = make([]uint8, w3)
+	}
+	tmp = tmp[:w3]
 	for y := 0; y < im.H; y++ {
 		row := im.Pix[y*w3 : (y+1)*w3]
-		for i, j := 0, w3-3; i < j; i, j = i+3, j-3 {
-			row[i], row[j] = row[j], row[i]
-			row[i+1], row[j+1] = row[j+1], row[i+1]
-			row[i+2], row[j+2] = row[j+2], row[i+2]
-		}
+		copy(tmp, row)
+		flipRow(row, tmp)
 	}
 	return im
+}
+
+// flipScalar is the definition of flipRow: dst holds src's 3-byte pixels in
+// reverse order. dst and src are the same length and do not overlap.
+func flipScalar(dst, src []uint8) {
+	src = src[:len(dst)]
+	for x, j := 0, len(src)-3; j >= 0; x, j = x+3, j-3 {
+		dst[x] = src[j]
+		dst[x+1] = src[j+1]
+		dst[x+2] = src[j+2]
+	}
 }
 
 // brightnessScale converts a brightness factor to 16.16 fixed point.

@@ -24,8 +24,19 @@ func TestPropertySJPGRoundTripAnySize(t *testing.T) {
 }
 
 // TestPropertyCropFlipCommute: flipping then cropping the mirrored rectangle
-// equals cropping then flipping.
+// equals cropping then flipping. Where the CPU has AVX2 it runs once with the
+// flip kernel and once, as subtest swar, without.
 func TestPropertyCropFlipCommute(t *testing.T) {
+	checkCropFlipCommute(t)
+	t.Run("swar", func(t *testing.T) {
+		if !withoutAVX2(t) {
+			t.Skip("no AVX2 on this CPU: the pass above ran the scalar loop")
+		}
+		checkCropFlipCommute(t)
+	})
+}
+
+func checkCropFlipCommute(t *testing.T) {
 	if err := quick.Check(func(seed int64, x0Raw, y0Raw, cwRaw, chRaw uint8) bool {
 		const W, H = 48, 40
 		im := SynthesizeImage(W, H, seed)

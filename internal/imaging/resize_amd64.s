@@ -93,3 +93,102 @@ loop:
 
 done:
 	RET
+
+// func horizontal2Kernel(orow, row *uint8, off, t0, t1 *int32, blocks int)
+//
+// Per 32 output bytes: four gathers of 8 dwords, each at a row offset from
+// off, whose byte 0 is the sample tap t0 weighs and byte 3 the one t1 does;
+// VPAND and VPSRLD $24 split each dword into them; eight VPMULLDs by the taps
+// (t0 and t1 are below 2^23, as in vertical2Kernel), and each dword becomes
+// (2^21 + t0*a + t1*b) >> 22 masked to its low byte; the pack, permute and
+// store are vertical2Kernel's.
+TEXT ·horizontal2Kernel(SB), NOSPLIT, $0-48
+	MOVQ orow+0(FP), DI
+	MOVQ row+8(FP), SI
+	MOVQ off+16(FP), R8
+	MOVQ t0+24(FP), R9
+	MOVQ t1+32(FP), R10
+	MOVQ blocks+40(FP), CX
+	TESTQ CX, CX
+	JZ   hdone
+	MOVL         $0x200000, AX // coeffHalf
+	VMOVD        AX, X13
+	VPBROADCASTD X13, Y13
+	MOVL         $0xff, AX
+	VMOVD        AX, X12
+	VPBROADCASTD X12, Y12
+	VMOVDQU      order<>(SB), Y11
+
+hloop:
+	// A gather clears its mask as it completes and keeps the old value of
+	// any element whose mask bit is clear: set the mask each time, and zero
+	// the destination so no gather waits on the last one's result.
+	VMOVDQU    (R8), Y4
+	VMOVDQU    32(R8), Y5
+	VMOVDQU    64(R8), Y6
+	VMOVDQU    96(R8), Y7
+	VPCMPEQD   Y8, Y8, Y8
+	VPXOR      Y0, Y0, Y0
+	VPGATHERDD Y8, (SI)(Y4*1), Y0
+	VPCMPEQD   Y9, Y9, Y9
+	VPXOR      Y1, Y1, Y1
+	VPGATHERDD Y9, (SI)(Y5*1), Y1
+	VPCMPEQD   Y10, Y10, Y10
+	VPXOR      Y2, Y2, Y2
+	VPGATHERDD Y10, (SI)(Y6*1), Y2
+	VPCMPEQD   Y14, Y14, Y14
+	VPXOR      Y3, Y3, Y3
+	VPGATHERDD Y14, (SI)(Y7*1), Y3
+
+	VPSRLD $24, Y0, Y4
+	VPSRLD $24, Y1, Y5
+	VPSRLD $24, Y2, Y6
+	VPSRLD $24, Y3, Y7
+	VPAND  Y12, Y0, Y0
+	VPAND  Y12, Y1, Y1
+	VPAND  Y12, Y2, Y2
+	VPAND  Y12, Y3, Y3
+
+	VPMULLD (R9), Y0, Y0
+	VPMULLD 32(R9), Y1, Y1
+	VPMULLD 64(R9), Y2, Y2
+	VPMULLD 96(R9), Y3, Y3
+	VPMULLD (R10), Y4, Y4
+	VPMULLD 32(R10), Y5, Y5
+	VPMULLD 64(R10), Y6, Y6
+	VPMULLD 96(R10), Y7, Y7
+
+	VPADDD Y4, Y0, Y0
+	VPADDD Y5, Y1, Y1
+	VPADDD Y6, Y2, Y2
+	VPADDD Y7, Y3, Y3
+	VPADDD Y13, Y0, Y0
+	VPADDD Y13, Y1, Y1
+	VPADDD Y13, Y2, Y2
+	VPADDD Y13, Y3, Y3
+	VPSRLD $22, Y0, Y0
+	VPSRLD $22, Y1, Y1
+	VPSRLD $22, Y2, Y2
+	VPSRLD $22, Y3, Y3
+	VPAND  Y12, Y0, Y0
+	VPAND  Y12, Y1, Y1
+	VPAND  Y12, Y2, Y2
+	VPAND  Y12, Y3, Y3
+
+	VPACKUSDW Y1, Y0, Y0
+	VPACKUSDW Y3, Y2, Y2
+	VPACKUSWB Y2, Y0, Y0
+	VPERMD    Y0, Y11, Y0
+	VMOVDQU   Y0, (DI)
+
+	ADDQ $128, R8
+	ADDQ $128, R9
+	ADDQ $128, R10
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  hloop
+
+	VZEROUPPER
+
+hdone:
+	RET

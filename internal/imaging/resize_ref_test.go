@@ -301,14 +301,43 @@ func TestCoeffCacheHoldsEveryServedSide(t *testing.T) {
 	}
 }
 
+// TestServedSidesRunHorizontal2 guards against a silent fallback to the
+// packed pass. Where the CPU has AVX2, every window side 2..225 resized to
+// 224 carries the expansion, and sides 226..256, whose windows have three
+// taps, carry none; without AVX2 no table carries one. A served table whose
+// expansion has its taps zeroed must then turn the horizontal pass's output
+// to zeros: the pass runs horizontal2, not the packed loop.
+func TestServedSidesRunHorizontal2(t *testing.T) {
+	for s := 1; s <= 256; s++ {
+		has := CachedCoeffs(s, 224, Bilinear).pairs != nil
+		if want := haveAVX2 && s >= 2 && s <= 225; has != want {
+			t.Errorf("side %d -> 224: expansion %v, want %v", s, has, want)
+		}
+	}
+	if !haveAVX2 {
+		t.Skip("no AVX2 on this CPU: the horizontal pass is the packed loop")
+	}
+	im := SynthesizeImage(137, 151, 1)
+	rc := *CachedCoeffs(137, 224, Bilinear)
+	zero := make([]int32, len(rc.pairs.off))
+	rc.pairs = &tapPairs{off: rc.pairs.off, t0: zero, t1: zero}
+	mid := NewImage(224, 151)
+	resampleHorizontalInto(mid, im, &rc)
+	if i := bytes.IndexFunc(mid.Pix, func(r rune) bool { return r != 0 }); i >= 0 {
+		t.Fatalf("byte %d of a served horizontal pass ignored its expansion's taps: it did not run horizontal2", i)
+	}
+}
+
 var resizeSink *Image
 
 // BenchmarkResizeServed fails itself unless ResizeWith costs at most 0.65x
 // the reference on served shapes: RRC windows of 256-cap sources resized to
-// 224². The reference is the untrimmed tables through the same kernels —
-// the resampler as it was before trimming, except that a few edge outputs
-// whose untrimmed window already had two taps take the two-tap kernels too,
-// which only flatters the reference. Both sides are timed in this process,
+// 224². The reference is the untrimmed tables through the resampler's
+// passes — the resampler as it was before trimming, except that a few edge
+// outputs whose untrimmed window already had two taps take the two-tap
+// vertical kernel too, which only flatters the reference. The untrimmed
+// tables carry no expansion, so the reference's horizontal pass is the
+// packed loop, not horizontal2, which can only lower the ratio. Both sides are timed in this process,
 // interleaved, with every table built beforehand, so the shared runner's
 // speed and the table builds cancel out of the ratio.
 func BenchmarkResizeServed(b *testing.B) {
