@@ -35,6 +35,10 @@ func FuzzDecodeSJPGRegion(f *testing.F) {
 	f.Add(EncodeSJPGSubsampled(SynthesizeImage(33, 21, 3), 85, Sub420)[:200], 0, 0, 1, 1)
 	f.Add([]byte("SJPG"), 0, 0, 1, 1)
 	f.Add([]byte{}, -1, -1, 0, 0)
+	for _, e := range fastPathEdges() {
+		f.Add(e.stream, 0, 0, 1, 1)
+	}
+	f.Add(hostileStream(40, 24), 3, 5, 30, 17)
 	f.Fuzz(func(t *testing.T, data []byte, x0, y0, w, h int) {
 		full, fullErr := DecodeSJPG(data)
 		got, err := DecodeSJPGRegion(data, x0, y0, w, h)

@@ -145,6 +145,135 @@ var kernels = []kernelCase{
 		guard:   append(sizeRange(1, 120), 224, 256),
 		fuzzMax: 512,
 	},
+	{
+		// Size n is a row of n pixels; the one arg is fy.
+		name: "convertRow420",
+		bufs: []string{"y", "cb0", "cb1", "cr0", "cr1", "out"},
+		ref: func(out []byte, in [][]byte, a []uint64) {
+			convertRow420Scalar(out, asInt32s(in[0]), asInt32s(in[1]), asInt32s(in[2]), asInt32s(in[3]), asInt32s(in[4]), int32(a[0]))
+		},
+		entry: func(out []byte, in [][]byte, a []uint64) {
+			convertRow420(out, asInt32s(in[0]), asInt32s(in[1]), asInt32s(in[2]), asInt32s(in[3]), asInt32s(in[4]), int32(a[0]))
+		},
+		gen: func(r *rand.Rand, n int, pat []byte) kernelInput {
+			fy := uint64(r.IntN(4))
+			if r.IntN(4) == 0 {
+				fy = uint64(r.Uint32())
+			}
+			inRange := r.IntN(2) == 0
+			c := kernelInput{args: []uint64{fy}, outLen: 3 * n}
+			for range 5 {
+				c.in = append(c.in, kernelLanes(r, n, pat, inRange))
+			}
+			return c
+		},
+		sizes:   sizeRange(1, 800),
+		guard:   append(sizeRange(1, 100), 224, 256),
+		fuzzMax: 800,
+	},
+	{
+		// Size n is the window stride max(n, 8). Inputs are the block and the
+		// window as it was before the store, which both sides copy into their
+		// output first, so a write between the block's rows shows.
+		name: "idct",
+		bufs: []string{"blk", "under", "dst"},
+		ref: func(out []byte, in [][]byte, a []uint64) {
+			blk := *asBlock(in[0])
+			copy(out, in[1])
+			idct8x8(&blk)
+			storeBlock(&blk, asInt32s(out), int(a[0]))
+		},
+		entry: func(out []byte, in [][]byte, a []uint64) {
+			blk := *asBlock(in[0])
+			copy(out, in[1])
+			idctStore(&blk, asInt32s(out), int(a[0]))
+		},
+		gen: func(r *rand.Rand, n int, pat []byte) kernelInput {
+			stride := max(n, 8)
+			dst := 4 * (7*stride + 8)
+			return kernelInput{
+				in:     [][]byte{asBytes(idctBlock(r, pat)[:]), kernelPixels(r, dst, nil)},
+				args:   []uint64{uint64(stride)},
+				outLen: dst,
+			}
+		},
+		sizes:   repeatSizes(sizeRange(8, 64), 40),
+		guard:   repeatSizes(sizeRange(8, 64), 4),
+		fuzzMax: 64,
+	},
+}
+
+// kernelLanes returns n int32 lanes as bytes: pat repeated when it is not
+// empty, else runs of one value, of random values and of ramps, each run
+// 1..64 long, drawn inside ±4500 (the decoder's upsampled chroma reaches
+// ±4096) when inRange is set and as raw 32-bit patterns when not.
+func kernelLanes(r *rand.Rand, n int, pat []byte, inRange bool) []byte {
+	if len(pat) > 0 {
+		return kernelPixels(r, 4*n, pat)
+	}
+	draw := func() int32 {
+		if inRange {
+			return r.Int32N(9001) - 4500
+		}
+		return int32(r.Uint32())
+	}
+	v := make([]int32, n)
+	for i := 0; i < n; {
+		run := min(n-i, 1+r.IntN(64))
+		kind, base := r.IntN(3), draw()
+		for j := range run {
+			switch kind {
+			case 0:
+				v[i+j] = base
+			case 1:
+				v[i+j] = draw()
+			default:
+				v[i+j] = base + int32(j)
+			}
+		}
+		i += run
+	}
+	return asBytes(v)
+}
+
+// idctBlock draws a dequantized block inside the decoder's ±dequantClamp:
+// dense, sparse, with only column 0 set (every row takes idct8x8's DC-only
+// shortcut), or every coefficient at ±dequantClamp. Coefficients come from
+// pat when it is not empty.
+func idctBlock(r *rand.Rand, pat []byte) *[64]int32 {
+	var blk [64]int32
+	coeff := func() int32 { return r.Int32N(2*dequantClamp+1) - dequantClamp }
+	if len(pat) > 0 {
+		b := kernelPixels(r, 128, pat)
+		coeff = func() int32 {
+			v := int32(int16(uint16(b[0]) | uint16(b[1])<<8))
+			b = b[2:]
+			return v % (dequantClamp + 1)
+		}
+	}
+	switch r.IntN(4) {
+	case 0:
+		for i := range blk {
+			blk[i] = coeff()
+		}
+	case 1:
+		for range 1 + r.IntN(6) {
+			blk[r.IntN(64)] = coeff()
+		}
+	case 2:
+		for y := range 8 {
+			blk[8*y] = coeff()
+		}
+	default:
+		for i := range blk {
+			blk[i] = dequantClamp * (1 - 2*r.Int32N(2))
+		}
+	}
+	return &blk
+}
+
+func asBlock(b []byte) *[64]int32 {
+	return (*[64]int32)(unsafe.Pointer(&b[0]))
 }
 
 // h2Geometry maps horizontal2's size n to a source and output width whose
@@ -201,6 +330,15 @@ func sizeRange(lo, hi int) []int {
 	s := make([]int, 0, hi-lo+1)
 	for n := lo; n <= hi; n++ {
 		s = append(s, n)
+	}
+	return s
+}
+
+// repeatSizes is sizes, k times over.
+func repeatSizes(sizes []int, k int) []int {
+	var s []int
+	for range k {
+		s = append(s, sizes...)
 	}
 	return s
 }
@@ -521,5 +659,113 @@ func BenchmarkFlip(b *testing.B) {
 	}
 	if ratio > 0.5 {
 		b.Fatalf("the flip costs %.2fx the scalar loop, want <= 0.5x", ratio)
+	}
+}
+
+// BenchmarkConvertRow420 times the 4:2:0 colour pass of a 224² window, row
+// by row as decodeRegion calls it: 224 calls, each one 224-px row from the
+// level-shifted planes of a synthesized image (chroma 4x-scaled, as
+// upsampleRow leaves it), through convertRow420 and through
+// convertRow420Scalar, interleaved in one process. Where the CPU has AVX2 it
+// fails itself unless convertRow420 costs <= 0.4x the scalar loop per row.
+func BenchmarkConvertRow420(b *testing.B) {
+	const rows, w = 224, 224
+	planes := colorConvertForward(SynthesizeImage(w, rows+1, 5))
+	for _, p := range planes[1:] {
+		for i := range p {
+			p[i] *= 4
+		}
+	}
+	row := func(p []int32, i int) []int32 { return p[i*w : (i+1)*w] }
+	out := make([]byte, rows*3*w)
+	pass := func(kernel bool) time.Duration {
+		start := time.Now()
+		for i := range rows {
+			orow, fy := out[i*3*w:(i+1)*3*w], int32(1+i%2*2)
+			y, cb0, cb1 := row(planes[0], i), row(planes[1], i), row(planes[1], i+1)
+			cr0, cr1 := row(planes[2], i), row(planes[2], i+1)
+			if kernel {
+				convertRow420(orow, y, cb0, cb1, cr0, cr1, fy)
+			} else {
+				convertRow420Scalar(orow, y, cb0, cb1, cr0, cr1, fy)
+			}
+		}
+		return time.Since(start)
+	}
+	// A pair of passes is ~0.4 ms: 20 keep one preemption from deciding the
+	// ratio.
+	kernel, scalar := interleave(b, 20, pass)
+	calls := float64(b.N * 20 * rows)
+	ratio := float64(kernel) / float64(scalar)
+	b.ReportMetric(float64(kernel.Nanoseconds())/calls, "kernel-ns/row")
+	b.ReportMetric(float64(scalar.Nanoseconds())/calls, "scalar-ns/row")
+	b.ReportMetric(ratio, "kernel/scalar")
+	if !haveAVX2 {
+		b.Logf("no AVX2 on this CPU: convertRow420 is the scalar loop (%.2fx), nothing to gate", ratio)
+		return
+	}
+	if ratio > 0.4 {
+		b.Fatalf("convertRow420 costs %.2fx the scalar loop per row, want <= 0.4x", ratio)
+	}
+}
+
+// BenchmarkIDCT times the reconstruction of 64 blocks with AC coefficients,
+// taken from a synthesized image's stream, into a 232-sample-wide window as
+// decodePlane stores them: each block copied out of its slot, as
+// decodeMCU's buffer is reused, then through idctStore and through idct8x8
+// and storeBlock, interleaved in one process. Where the CPU has AVX2 it
+// fails itself unless idctStore costs <= 0.5x the pair.
+func BenchmarkIDCT(b *testing.B) {
+	const blocks, stride = 64, 232
+	data := EncodeSJPG(SynthesizeImage(256, 256, 3), 85)
+	hd, err := parseSJPGHeader(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	quant := scaledQuant(&lumaQuant, hd.quality)
+	rd := &byteReader{buf: data, pos: hd.body}
+	var src [][64]int32
+	var prevDC int64
+	for len(src) < blocks {
+		var blk [64]int32
+		nz, dc, err := decodeMCU(&blk, rd, prevDC, &quant)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prevDC = dc
+		if nz > 1 {
+			src = append(src, blk)
+		}
+	}
+	const across = stride / 8
+	win := make([]int32, stride*8*(blocks+across-1)/across)
+	pass := func(kernel bool) time.Duration {
+		start := time.Now()
+		for i := range src {
+			blk := src[i]
+			dst := win[i/across*8*stride+i%across*8:]
+			if kernel {
+				idctStore(&blk, dst, stride)
+			} else {
+				idct8x8(&blk)
+				storeBlock(&blk, dst, stride)
+			}
+		}
+		return time.Since(start)
+	}
+	// A pair of passes is ~20 µs: 200 keep one preemption from deciding the
+	// ratio.
+	kernel, scalar := interleave(b, 200, pass)
+	n := float64(b.N * 200 * blocks)
+	ratio := float64(kernel) / float64(scalar)
+	b.ReportMetric(float64(kernel.Nanoseconds())/n, "kernel-ns/block")
+	b.ReportMetric(float64(scalar.Nanoseconds())/n, "scalar-ns/block")
+	b.ReportMetric(ratio, "kernel/scalar")
+	if !haveAVX2 {
+		b.Logf("no AVX2 on this CPU: idctStore is idct8x8 and storeBlock (%.2fx), nothing to gate", ratio)
+		return
+	}
+	if ratio > 0.5 {
+		b.Fatalf("idctStore costs %.2fx idct8x8 and storeBlock, want <= 0.5x", ratio)
 	}
 }

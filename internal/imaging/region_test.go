@@ -3,6 +3,7 @@ package imaging
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -204,6 +205,99 @@ func TestRegionEqualsCrop(t *testing.T) {
 	if random < 500 {
 		t.Fatalf("only %d random rectangles checked, want >= 500", random)
 	}
+
+	// A hand-built 4:2:0 stream whose blocks hold every coefficient at the
+	// dequantClamp bound, so the inverse transform saturates storeClamp both
+	// ways and the colour pass clampU8: the decoder's kernels on their
+	// extreme inputs against the reference's scalar path.
+	const W, H = 40, 24
+	blob := hostileStream(W, H)
+	if lo, hi := storeRange(t, blob); lo >= -1024 || hi <= 1023 {
+		t.Fatalf("hostile stream's inverse transforms span [%d, %d]: storeClamp never saturates", lo, hi)
+	}
+	full, err := refDecodeSJPG(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := DecodeSJPG(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(whole.Pix, full.Pix) {
+		t.Fatal("hostile stream: DecodeSJPG differs from the reference decoder")
+	}
+	for _, rc := range [][4]int{{0, 0, W, H}, {3, 5, 30, 17}, {8, 8, 16, 8}, {W - 1, H - 1, 1, 1}} {
+		checkRegion(t, "hostile", blob, full, rc[0], rc[1], rc[2], rc[3])
+	}
+}
+
+// sjpgStream hand-builds an SJPG stream: the header of a w x h image at
+// quality 85 in layout sub, then body, the planes' entropy data as given.
+func sjpgStream(w, h int, sub Subsampling, body []byte) []byte {
+	wr := &byteWriter{buf: []byte(sjpgMagic)}
+	for _, v := range []int{w, h, 85, int(sub)} {
+		wr.writeUvarint(uint64(v))
+	}
+	return append(wr.buf, body...)
+}
+
+// hostileStream is a w x h 4:2:0 stream whose every block has all 63 AC
+// coefficients set and far past dequantClamp: by turns all positive, all
+// negative, and in a checkerboard of signs, with DC deltas swinging the DC
+// chain past the clamp both ways.
+func hostileStream(w, h int) []byte {
+	wr := &byteWriter{}
+	blocks := ((w+7)/8)*((h+7)/8) + 2*(((w+1)/2+7)/8)*(((h+1)/2+7)/8)
+	for k := range blocks {
+		wr.writeVarint([]int64{5000, -10000, 10000}[k%3])
+		for i := 1; i < 64; i++ {
+			v := int64(5000)
+			if k%3 == 1 || k%3 == 2 && (zigzag[i]/8+zigzag[i]%8)%2 == 1 {
+				v = -v
+			}
+			wr.writeUvarint(0)
+			wr.writeVarint(v)
+		}
+		wr.writeUvarint(eobRun)
+	}
+	return sjpgStream(w, h, Sub420, wr.buf)
+}
+
+// storeRange walks a stream's blocks as the reference decoder does and
+// returns the range of their inverse transforms before storeClamp; it fails
+// t unless some dequantized coefficient reaches ±dequantClamp.
+func storeRange(t *testing.T, blob []byte) (lo, hi int32) {
+	t.Helper()
+	hd, err := parseSJPGHeader(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quant := scaledQuant(&lumaQuant, hd.quality)
+	r := &byteReader{buf: blob, pos: hd.body}
+	var prevDC int64
+	clamped := false
+	for r.pos < len(blob) {
+		var blk [64]int32
+		_, dc, err := decodeMCU(&blk, r, prevDC, &quant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prevDC = dc
+		for _, v := range blk {
+			clamped = clamped || v == dequantClamp || v == -dequantClamp
+		}
+		idct8x8(&blk)
+		if v := slices.Min(blk[:]); v < lo {
+			lo = v
+		}
+		if v := slices.Max(blk[:]); v > hi {
+			hi = v
+		}
+	}
+	if !clamped {
+		t.Fatal("no dequantized coefficient reaches ±dequantClamp")
+	}
+	return lo, hi
 }
 
 // TestRegionRejectsOutsideRectangles: an empty rectangle, or one not inside
@@ -260,6 +354,54 @@ func TestSkipRejectsWhatDecodeRejects(t *testing.T) {
 		if rejected == 0 {
 			t.Fatal("no corruption was rejected: the test exercises nothing")
 		}
+	}
+
+	// The edges of skipMCU's fast path, each in a block a 1x1 region skips
+	// and a wider one decodes.
+	for _, e := range fastPathEdges() {
+		_, refErr := refDecodeSJPG(e.stream)
+		if (refErr == nil) != e.valid {
+			t.Fatalf("%s: full decode err=%v, want valid=%v", e.name, refErr, e.valid)
+		}
+		for _, rc := range [][4]int{{0, 0, 1, 1}, {23, 15, 1, 1}, {8, 0, 8, 8}, {0, 0, 24, 16}} {
+			_, err := DecodeSJPGRegion(e.stream, rc[0], rc[1], rc[2], rc[3])
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("%s: region %v err=%v, full decode err=%v", e.name, rc, err, refErr)
+			}
+		}
+	}
+}
+
+// A fastPathEdge is a hand-built 24x16 4:4:4 stream of DC-only blocks except
+// one whose tokens sit on an edge of skipMCU's fast path: luma block 1, or
+// for the truncated EOB the last block of the stream.
+type fastPathEdge struct {
+	name   string
+	stream []byte
+	valid  bool
+}
+
+func fastPathEdges() []fastPathEdge {
+	edge := func(name string, last bool, tokens []byte, valid bool) fastPathEdge {
+		const blocks = 3 * 3 * 2
+		var body []byte
+		for k := range blocks {
+			body = append(body, 0x00) // DC delta 0
+			if k == 1 && !last || k == blocks-1 && last {
+				body = append(body, tokens...)
+				continue
+			}
+			body = append(body, eobLo, eobHi)
+		}
+		return fastPathEdge{name, sjpgStream(24, 16, Sub444, body), valid}
+	}
+	return []fastPathEdge{
+		edge("overlong EOB", false, []byte{0x03, 0x04, 0xFF, 0x81, 0x00}, true),
+		edge("0xFF as the stream's last byte", true, []byte{0x03, 0x04, 0xFF}, false),
+		edge("one-byte run of 62", false, []byte{0x3E, 0x04, eobLo, eobHi}, true),
+		edge("one-byte run of 63", false, []byte{0x3F, 0x04, eobLo, eobHi}, false),
+		edge("one-byte run of 64", false, []byte{0x40, 0x04, eobLo, eobHi}, false),
+		edge("two-byte value after a one-byte run", false, []byte{0x02, 0x80, 0x01, eobLo, eobHi}, true),
 	}
 }
 

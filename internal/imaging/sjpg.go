@@ -8,19 +8,27 @@ import (
 )
 
 // This file implements SJPG, a simplified JPEG-style codec. It keeps the
-// real pipeline stages of baseline JPEG — RGB↔YCbCr color conversion, 8x8
-// block DCT, quality-scaled quantization, zigzag scan, DC differential
-// coding and AC zero-run-length coding with a varint entropy layer — while
-// dropping Huffman table optimization and chroma subsampling. The stage
-// structure mirrors libjpeg's, so the native-kernel layer can attribute
-// decode work to the same function inventory the paper observes
-// (decode_mcu, jpeg_idct_islow, ycc_rgb_convert, decompress_onepass, ...).
+// real pipeline stages of baseline JPEG — RGB↔YCbCr color conversion,
+// 4:4:4 or 4:2:0 chroma (upsampled on decode as libjpeg's fancy upsampling
+// does), 8x8 block DCT, quality-scaled quantization, zigzag scan, DC
+// differential coding and AC zero-run-length coding — while replacing
+// Huffman coding with a varint entropy layer. The stage structure mirrors
+// libjpeg's, so the native-kernel layer can attribute decode work to the
+// same function inventory the paper observes (decode_mcu, jpeg_idct_islow,
+// ycc_rgb_convert, decompress_onepass, ...).
 //
 // All pixel arithmetic is int32 fixed point, like the libraries the paper
 // profiles: color conversion uses 16-bit scaled coefficients (jccolor.c /
 // jdcolor.c), the inverse DCT is the Loeffler/islow integer butterfly with
 // CONST_BITS=13 and PASS1_BITS=2 (jidctint.c), and plane buffers are flat
 // pooled []int32 — no per-plane heap allocation per decode.
+//
+// Where the CPU has AVX2, two decode loops run on kernels (sjpg_amd64.s),
+// as libjpeg's run vectorized: convertRow420, the 4:2:0 colour pass, for
+// any int32 lanes and any vertical weight, and idctStore, the inverse
+// transform and store of a block with AC coefficients, for coefficients
+// within ±dequantClamp, which every decoded block keeps. The scalar code in
+// this file is their definition.
 
 const sjpgMagic = "SJPG"
 
@@ -382,6 +390,21 @@ func (r *byteReader) readVarint() (int64, error) {
 
 const eobRun = 0xFF // end-of-block marker in the run field
 
+// eobLo and eobHi are the two bytes the encoder writes for eobRun: every
+// block ends with them.
+const eobLo, eobHi = 0xFF, 0x01
+
+// eob takes the next two bytes if they are the encoder's EOB: a block's
+// terminator, which misses oneByte, without binary.Uvarint. Any other
+// encoding of eobRun is readUvarint's.
+func (r *byteReader) eob() bool {
+	if p := r.pos; p+1 < len(r.buf) && r.buf[p] == eobLo && r.buf[p+1] == eobHi {
+		r.pos = p + 2
+		return true
+	}
+	return false
+}
+
 // ---------------------------------------------------------------------------
 // Encoder
 // ---------------------------------------------------------------------------
@@ -719,8 +742,7 @@ func decodePlane(r *byteReader, p *planeWindow, quant *[64]int32) error {
 				storeBlockConst((blk[0]+4)>>3, dst, p.stride)
 				continue
 			}
-			idct8x8(&blk)
-			storeBlock(&blk, dst, p.stride)
+			idctStore(&blk, dst, p.stride)
 		}
 	}
 	return nil
@@ -762,6 +784,8 @@ func decodeMCU(blk *[64]int32, r *byteReader, prevDC int64, quant *[64]int32) (n
 		var run uint64
 		if b, ok := r.oneByte(); ok {
 			run = uint64(b)
+		} else if r.eob() {
+			return nz, dc, nil
 		} else if run, err = r.readUvarint(); err != nil {
 			return 0, 0, err
 		}
@@ -812,6 +836,25 @@ func skipMCU(r *byteReader, prevDC int64) (dc int64, err error) {
 	}
 	i := 1
 	for i < 64 {
+		// Nearly every token of a stream is a one-byte run and a one-byte
+		// value, and every block ends with the EOB pair: take either in one
+		// step, with the slow path's checks and errors. Anything else goes
+		// to the slow path.
+		if p := r.pos; p+1 < len(r.buf) && r.buf[p]|r.buf[p+1] < 0x80 {
+			run := int(r.buf[p])
+			if run > 63 {
+				return 0, errRunOverflow
+			}
+			if i += run; i >= 64 {
+				return 0, errRunOverflow
+			}
+			r.pos = p + 2
+			i++
+			continue
+		}
+		if r.eob() {
+			return prevDC + delta, nil
+		}
 		var run uint64
 		if b, ok := r.oneByte(); ok {
 			run = uint64(b)
@@ -871,11 +914,12 @@ func upsampleRow(dst, src []int32, x0, pw, ox int) {
 	}
 }
 
-// convertRow420 finishes one output row of a 4:2:0 image: the vertical pass
-// of the chroma upsample over two horizontally upsampled rows (weights
-// (4-fy, fy), rounded from sixteenths) fused with ycc_rgb_convert. Planes are
-// level-shifted: luma gets its 128 back, chroma stays zero-centred.
-func convertRow420(out []uint8, y, cb0, cb1, cr0, cr1 []int32, fy int32) {
+// convertRow420Scalar finishes one output row of a 4:2:0 image — the
+// definition convertRow420 matches: the vertical pass of the chroma upsample
+// over two horizontally upsampled rows (weights (4-fy, fy), rounded from
+// sixteenths) fused with ycc_rgb_convert. Planes are level-shifted: luma gets
+// its 128 back, chroma stays zero-centred.
+func convertRow420Scalar(out []uint8, y, cb0, cb1, cr0, cr1 []int32, fy int32) {
 	n := len(out) / 3
 	y, cb0, cb1, cr0, cr1 = y[:n], cb0[:n], cb1[:n], cr0[:n], cr1[:n]
 	gy := 4 - fy
