@@ -158,9 +158,6 @@ func runCluster(endpoints []string, epochs int, hedgeQuantile float64, name, ten
 		HedgeQuantile: hedgeQuantile,
 		AutoTune:      autotune,
 		Logf:          log.Printf,
-		OnReroute: func(epoch int, ids []int) {
-			log.Printf("lotus-fetch: epoch %d: rerouting %d batches to survivors", epoch, len(ids))
-		},
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lotus-fetch: %v\n", err)

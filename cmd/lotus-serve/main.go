@@ -11,7 +11,8 @@
 //
 // Clients handshake with a rank/world pair and receive disjoint shards of
 // every epoch's batch plan; /metrics and /trace expose live throughput and a
-// Chrome-Trace view of the serving pipeline while it runs. SIGINT/SIGTERM
+// Chrome-Trace view of the serving pipeline while it runs, and /debug/pprof/
+// serves Go's profiles of the server itself. SIGINT/SIGTERM
 // starts a graceful drain (in-flight epochs finish, bounded by -drain).
 //
 // Cluster mode needs nothing here: start the same workload on every node and
@@ -66,14 +67,11 @@ func main() {
 		drain    = flag.Duration("drain", 15*time.Second, "graceful drain budget on SIGINT/SIGTERM")
 		autotune = flag.Bool("autotune", false, "closed-loop controller: observe wait and queue signals at every completed epoch and retune the worker pool and the prefetch window at runtime")
 
-		maxSessions = flag.Int("max-sessions", 0, "admission control: concurrent session cap (0 = unlimited); excess connections queue briefly, then get a retryable busy reply")
-		admitWait   = flag.Duration("admit-wait", 2*time.Second, "admission control: how long an excess connection waits for a slot before busy-rejection (negative = reject immediately when full)")
-		qos         = flag.Bool("qos", false, "enable per-tenant QoS (fair scheduling + rate limits) even with no -tenant-limit entries")
-		pprofOn     = flag.Bool("pprof", false, "expose /debug/pprof on the observability sidecar")
+		maxSessions = flag.Int("max-sessions", 0, "admission control: concurrent session cap (0 = unlimited); excess connections queue up to 2s for a slot, then get a retryable busy reply")
 	)
 	tenants := map[string]serve.TenantLimit{}
 	flag.Func("tenant-limit",
-		"per-tenant QoS limit, repeatable: name:weight=W,bytes=N,batches=N (rates per second, 0 = unlimited); implies -qos",
+		"per-tenant QoS limit, repeatable: name:weight=W,bytes=N,batches=N (rates per second, 0 = unlimited); unlisted tenants get weight 1 and no rate cap",
 		func(s string) error {
 			name, spec, _ := strings.Cut(s, ":")
 			if name = strings.TrimSpace(name); name == "" {
@@ -144,10 +142,7 @@ func main() {
 		DiskCacheBytes:   int64(*diskGB * float64(1<<30)),
 		AutoTune:         *autotune,
 		MaxSessions:      *maxSessions,
-		AdmitWait:        *admitWait,
-		QoS:              *qos,
 		Tenants:          tenants,
-		Pprof:            *pprofOn,
 		Logf:             log.Printf,
 	})
 	if err := srv.Start(*addr, *httpAddr); err != nil {
@@ -155,7 +150,7 @@ func main() {
 		os.Exit(1)
 	}
 	if h := srv.HTTPAddr(); h != "" {
-		log.Printf("lotus-serve: observability on http://%s (/healthz /metrics /trace)", h)
+		log.Printf("lotus-serve: observability on http://%s (/healthz /metrics /trace /debug/pprof/)", h)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -38,7 +38,7 @@ func servedRows() []row {
 		// 1 KiB holds no 48×48 prefix: every entry is evicted on insert.
 		{class: "scache-churn", workload: workloads.ICA, sampleCache: 1 << 10, epochs: 2, check: churned},
 		// A rate-capped tenant floods from three sessions beside a polite one.
-		{class: "tenant-greedy", batchCache: chaosCacheBytes, qos: true, epochs: 2,
+		{class: "tenant-greedy", batchCache: chaosCacheBytes, epochs: 2,
 			tenants: map[string]serve.TenantLimit{"greedy": {BatchesPerSec: 100, BurstBatches: 4}},
 			client:  sessions(map[string]int{"greedy": 3, "polite": 1}), check: throttled},
 
@@ -57,7 +57,7 @@ func servedRows() []row {
 		{class: "cluster-hedge-slow-node", nodes: 3,
 			faults: faultinject.Spec{StallNth: 1, WorkerStall: 2 * time.Second},
 			client: routed(func(*env) cluster.Config {
-				// The default 250 ms delay floor keeps a healthy peer's
+				// The router's 250 ms hedge floor keeps a healthy peer's
 				// scheduling hiccup from drawing noise hedges, far below the
 				// stall.
 				return cluster.Config{HedgeQuantile: 0.95}

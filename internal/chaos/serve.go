@@ -32,7 +32,7 @@ type row struct {
 
 	// Server features, the same on every node.
 	batchCache, sampleCache int64
-	disk, qos               bool
+	disk                    bool
 	tenants                 map[string]serve.TenantLimit
 
 	nodes   int              // 0 or 1: one server; 3: a cluster
@@ -170,7 +170,7 @@ func (e *env) nodeConfig(i int) serve.Config {
 	cfg := serve.Config{Spec: e.spec, Mode: e.row.mode(), EmulateTime: e.row.emulate,
 		MaterializeDim: chaosMaterializeDim, Prefetch: 2,
 		BatchCacheBytes: e.row.batchCache, SampleCacheBytes: e.row.sampleCache,
-		QoS: e.row.qos, Tenants: e.row.tenants}
+		Tenants: e.row.tenants}
 	if e.dirs != nil {
 		cfg.DiskCacheDir = e.dirs[i]
 	}

@@ -102,22 +102,22 @@ func BenchmarkStragglerTail(b *testing.B) {
 			cfg := Config{Nodes: nodes, Name: "bench-straggler-" + name}
 			if hedged {
 				cfg.HedgeQuantile = 0.95
-				// hedgeMinSamples (2) arms hedging inside the first epoch,
-				// as soon as both healthy peers deliver their first frame. The
-				// 400ms floor sits above warm-up jitter (every healthy first
-				// frame lands well before it, even time-sharing one core with
-				// two other servers) but far below the victim's stall train,
-				// so only a genuinely degraded node can still be quiet when
-				// a hedge pass is allowed to flag it. On a loaded box a noise
-				// hedge is not merely wasted bytes: its recompute steals CPU
-				// from the true hedge's critical path.
-				cfg.HedgeMinDelay = 400 * time.Millisecond
 			}
 			c, err := New(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer c.Close()
+			// hedgeMinSamples (2) arms hedging inside the first epoch, as
+			// soon as both healthy peers deliver their first frame. The 400ms
+			// floor sits above warm-up jitter (every healthy first frame lands
+			// well before it, even time-sharing one core with two other
+			// servers) but far below the victim's stall train, so only a
+			// genuinely degraded node can still be quiet when a hedge pass is
+			// allowed to flag it. On a loaded box a noise hedge is not merely
+			// wasted bytes: its recompute steals CPU from the true hedge's
+			// critical path.
+			c.hedgeMinDelay = 400 * time.Millisecond
 
 			var epochSecs []float64
 			totalBatches, totalHedged := 0, 0

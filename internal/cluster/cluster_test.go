@@ -561,13 +561,13 @@ func TestClusterHedgedFetchSlowNode(t *testing.T) {
 		Nodes:         testNodes(srvs),
 		Name:          "hedge-test",
 		HedgeQuantile: 0.95,
-		HedgeMinDelay: 5 * time.Millisecond,
 		Logf:          t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.hedgeMinDelay = 5 * time.Millisecond
 
 	sink := newFrameSink()
 	start := time.Now()

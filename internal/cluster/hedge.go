@@ -76,7 +76,7 @@ func (c *Client) hedgeThreshold(node string, seen bool) (time.Duration, bool) {
 	if peers.Total < hedgeMinSamples {
 		return 0, false
 	}
-	return max(peers.Quantile(c.cfg.HedgeQuantile), c.cfg.HedgeMinDelay), true
+	return max(peers.Quantile(c.cfg.HedgeQuantile), c.hedgeMinDelay), true
 }
 
 // laggard is one stalled node and the threshold it was judged against.

@@ -22,11 +22,11 @@ func policyClient(t *testing.T) *Client {
 		Nodes:         []Node{{ID: "a", Addr: "a:1"}, {ID: "b", Addr: "b:1"}, {ID: "c", Addr: "c:1"}},
 		Name:          "policy",
 		HedgeQuantile: 0.95,
-		HedgeMinDelay: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.hedgeMinDelay = time.Millisecond
 	return c
 }
 

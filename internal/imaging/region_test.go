@@ -458,7 +458,8 @@ var regionSink *Image
 // BenchmarkDecodeRegion fails itself unless decoding a quarter-area window
 // costs at most 0.6x the full decode of the same blob. Both sides are timed in
 // this process, interleaved, so the shared runner's speed cancels out of the
-// ratio.
+// ratio. It judges only runs of b.N >= 2 (100 pairs or more), as
+// BenchmarkLoaderOverlap does.
 func BenchmarkDecodeRegion(b *testing.B) {
 	const W, H = 232, 174 // ~40 kpx, the upper end of the 256-px corpus
 	blob := EncodeSJPGSubsampled(SynthesizeImage(W, H, 7), 85, Sub420)
@@ -492,6 +493,9 @@ func BenchmarkDecodeRegion(b *testing.B) {
 	b.ReportMetric(float64(full.Microseconds())/n, "full-µs")
 	b.ReportMetric(float64(quarter.Microseconds())/n, "quarter-µs")
 	b.ReportMetric(ratio, "quarter/full")
+	if b.N < 2 {
+		return // the benchmark's own calibration run: one slow stretch of the host can sway it
+	}
 	if ratio > 0.6 {
 		b.Fatalf("a quarter-area window costs %.2fx the full decode, want <= 0.6x", ratio)
 	}

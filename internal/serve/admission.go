@@ -118,6 +118,10 @@ var ErrServerBusy = errors.New("server busy: session limit reached")
 // slot at once; the rest are turned away busy immediately.
 const admitQueue = 16
 
+// admitWait bounds how long an over-limit handshake waits in that queue for
+// a slot before it is turned away busy.
+const admitWait = 2 * time.Second
+
 // admit reserves one session slot, waiting in the bounded admission queue
 // when the server is full. The returned release function frees the slot.
 func (s *Server) admit() (release func(), err error) {
@@ -129,7 +133,7 @@ func (s *Server) admit() (release func(), err error) {
 		return s.releaseSlot, nil
 	default:
 	}
-	if s.cfg.AdmitWait < 0 {
+	if s.admitWait < 0 {
 		s.metrics.AddBusy()
 		return nil, ErrServerBusy
 	}
@@ -140,7 +144,7 @@ func (s *Server) admit() (release func(), err error) {
 	}
 	defer s.admitWaiters.Add(-1)
 	s.metrics.AddAdmitWaited()
-	t := time.NewTimer(s.cfg.AdmitWait)
+	t := time.NewTimer(s.admitWait)
 	defer t.Stop()
 	select {
 	case s.admitSem <- struct{}{}:

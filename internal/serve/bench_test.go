@@ -377,7 +377,7 @@ func BenchmarkTenantFairness(b *testing.B) {
 	spec.BatchSize = 64
 	spec.NumWorkers = 1
 	srv := New(Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 4,
-		BatchCacheBytes: 256 << 20, QoS: true})
+		BatchCacheBytes: 256 << 20})
 	if err := srv.Start("127.0.0.1:0", ""); err != nil {
 		b.Fatal(err)
 	}

@@ -26,13 +26,13 @@ type ClientConfig struct {
 	// printable ASCII, like Tenant, or the server refuses the Hello.
 	Name string
 	// Tenant identifies the QoS accounting bucket this session bills to.
-	// Empty means the server's default tenant; servers without QoS ignore it.
+	// Empty means the server's default tenant "".
 	Tenant string
 	// DialTimeout bounds each connection attempt, dial and handshake
 	// together (default 5s). A server at its session cap holds the HelloAck
-	// for up to its admission wait (serve.Config.AdmitWait, 2s by default),
-	// so that wait must fit under this bound or a queued client gives up
-	// before it is admitted.
+	// for up to its admission wait (2s, the server's admitWait constant), so
+	// that wait must fit under this bound or a queued client gives up before
+	// it is admitted.
 	DialTimeout time.Duration
 	// Retries is how many reconnect-and-retry attempts each epoch gets after
 	// a transient failure (default 4). Fatal server errors are never retried.

@@ -214,6 +214,15 @@ func TestLoopbackTwoClientsTwoEpochs(t *testing.T) {
 		if len(chrome.TraceEvents) == 0 {
 			t.Fatal("trace mid-run has no events")
 		}
+		// The sidecar serves Go's profiles too, with nothing to switch on.
+		resp, err := http.Get(base + "/debug/pprof/")
+		if err != nil {
+			t.Fatalf("GET /debug/pprof/: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /debug/pprof/: %d, want 200", resp.StatusCode)
+		}
 	}()
 
 	wg.Wait()

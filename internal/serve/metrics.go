@@ -393,8 +393,8 @@ type MetricsSnapshot struct {
 	// Control carries the autotuner's current knob settings and actuation
 	// history; nil when autotuning is disabled.
 	Control *ControlStats `json:"control,omitempty"`
-	// Tenants carries one QoS accounting row per tenant seen so far; empty
-	// when QoS is disabled.
+	// Tenants carries one QoS accounting row per tenant seen so far (the
+	// default tenant "" among them once an unnamed session has connected).
 	Tenants  []TenantSnapshot  `json:"tenants,omitempty"`
 	Sessions []SessionSnapshot `json:"sessions"`
 }

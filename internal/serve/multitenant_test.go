@@ -19,10 +19,18 @@ import (
 // startServer is startTestServer with full Config control.
 func startServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
+	return startAdmitting(t, cfg, admitWait)
+}
+
+// startAdmitting is startServer with the admission wait set to wait (< 0:
+// an over-limit handshake is turned away busy at once).
+func startAdmitting(t *testing.T, cfg Config, wait time.Duration) *Server {
+	t.Helper()
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
 	}
 	srv := New(cfg)
+	srv.admitWait = wait
 	if err := srv.Start("127.0.0.1:0", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +66,8 @@ func holdSession(t *testing.T, srv *Server, name string) net.Conn {
 // the retryable overload signal — not a hang or a raw close.
 func TestAdmissionBusyReply(t *testing.T) {
 	spec := loopbackSpec()
-	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated,
-		MaxSessions: 1, AdmitWait: -1})
+	srv := startAdmitting(t, Config{Spec: spec, Mode: pipeline.Simulated,
+		MaxSessions: 1}, -1)
 
 	holder := holdSession(t, srv, "holder")
 	defer holder.Close()
@@ -97,8 +105,8 @@ func TestAdmissionBusyReply(t *testing.T) {
 // the session succeeds once the slot frees up.
 func TestClientRetriesBusy(t *testing.T) {
 	spec := loopbackSpec()
-	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
-		MaxSessions: 1, AdmitWait: -1})
+	srv := startAdmitting(t, Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
+		MaxSessions: 1}, -1)
 
 	holder := holdSession(t, srv, "holder")
 	released := false
@@ -135,8 +143,8 @@ func TestClientRetriesBusy(t *testing.T) {
 // different delays — and a busy-then-free server is reached without error.
 func TestConnectRetryingBusyIsJittered(t *testing.T) {
 	spec := loopbackSpec()
-	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated,
-		MaxSessions: 1, AdmitWait: -1})
+	srv := startAdmitting(t, Config{Spec: spec, Mode: pipeline.Simulated,
+		MaxSessions: 1}, -1)
 	const base = backoffBase
 
 	// connectBehind dials while holder owns the only slot; the slot frees
@@ -188,8 +196,8 @@ func TestConnectRetryingBusyIsJittered(t *testing.T) {
 // soon as a slot frees within the wait budget.
 func TestAdmissionQueueAdmits(t *testing.T) {
 	spec := loopbackSpec()
-	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
-		MaxSessions: 1, AdmitWait: 30 * time.Second})
+	srv := startAdmitting(t, Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
+		MaxSessions: 1}, 30*time.Second)
 
 	holder := holdSession(t, srv, "holder")
 
@@ -274,7 +282,7 @@ func TestTracePIDRangesDisjoint(t *testing.T) {
 }
 
 // TestSoak256Sessions is the scale soak: 256 concurrent loopback sessions
-// (64 QoS tenants, admission control armed well above the load) each stream
+// (64 tenants, admission control armed well above the load) each stream
 // their one-batch shard of a 256-batch epoch. Every frame must be
 // byte-identical to a local ground-truth run, the shared epoch plan must
 // have been built once — not 256+ times — and no goroutine may outlive the
@@ -286,7 +294,7 @@ func TestSoak256Sessions(t *testing.T) {
 	spec.BatchSize = 10 // 256 batches: one per rank
 	spec.NumWorkers = 1
 	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
-		BatchCacheBytes: 128 << 20, MaxSessions: 512, QoS: true})
+		BatchCacheBytes: 128 << 20, MaxSessions: 512})
 
 	expected := localEpochFrames(t, spec, 0)
 

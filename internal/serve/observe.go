@@ -19,7 +19,7 @@ import (
 //	GET /metrics      MetricsSnapshot JSON (server totals + per-session rows)
 //	GET /trace        Chrome Trace JSON of the live ring (?granularity=fine
 //	                  for per-op spans)
-//	GET /debug/pprof  standard pprof handlers (Config.Pprof only), for
+//	GET /debug/pprof  standard pprof handlers, for CPU profiles and for
 //	                  diagnosing footprint regressions at high session counts
 func (s *Server) startHTTP(addr string) error {
 	ln, err := net.Listen("tcp", addr)
@@ -31,13 +31,11 @@ func (s *Server) startHTTP(addr string) error {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/trace", s.handleTrace)
-	if s.cfg.Pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	s.httpSrv = srv
 	go srv.Serve(ln)
@@ -81,9 +79,7 @@ func (s *Server) Snapshot(now time.Time) MetricsSnapshot {
 	if st, ok := s.ControlStats(); ok {
 		snap.Control = &st
 	}
-	if s.qos != nil {
-		snap.Tenants = s.qos.snapshot()
-	}
+	snap.Tenants = s.qos.snapshot()
 	if s.slog != nil {
 		snap.LogSuppressed = s.slog.suppressed.Load()
 	}
@@ -94,8 +90,8 @@ func (s *Server) Snapshot(now time.Time) MetricsSnapshot {
 }
 
 // runtimeGauges reads the live goroutine count and heap footprint from
-// runtime/metrics — the cheap always-on view of per-session cost; full
-// profiles hide behind Config.Pprof.
+// runtime/metrics — the cheap view of per-session cost; full profiles are
+// on /debug/pprof.
 func runtimeGauges() (goroutines, heapBytes int64) {
 	samples := []metrics.Sample{
 		{Name: "/sched/goroutines:goroutines"},

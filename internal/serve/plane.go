@@ -19,9 +19,9 @@ import (
 // preprocessed at once is the pool size whatever the session count.
 //
 // The pool is a fairGate: its slots bound concurrency and its weighted round
-// robin is the queue discipline, so with QoS on tenants share the workers by
-// weight however many sessions each one opens, and with QoS off everybody
-// queues as one anonymous tenant (plain FIFO). The autotuner's workers
+// robin is the queue discipline, so tenants share the workers by weight
+// however many sessions each one opens, and sessions that name no tenant
+// queue as the one default tenant "" (plain FIFO). The autotuner's workers
 // action resizes the gate.
 type plane struct {
 	srv  *Server
@@ -127,16 +127,12 @@ func (pl *plane) park(w *pipeline.BatchWorker) {
 }
 
 // compute preprocesses and encodes one batch of one epoch on the pool. It
-// queues for a worker under the tenant's name and weight (nil: the anonymous
-// tenant); ctx cancels the queueing, any injected stall and any sample-cache
-// wait inside the batch. The frame's bytes depend only on (spec, epoch, pb) —
-// never on which worker or session asked.
+// queues for a worker under the tenant's name and weight; ctx cancels the
+// queueing, any injected stall and any sample-cache wait inside the batch.
+// The frame's bytes depend only on (spec, epoch, pb) — never on which worker
+// or session asked.
 func (pl *plane) compute(ctx context.Context, tenant *tenantState, epoch int, pb PlanBatch) (*Frame, error) {
-	name, weight := "", 1
-	if tenant != nil {
-		name, weight = tenant.name, tenant.weight()
-	}
-	if err := pl.gate.acquire(name, weight, ctx.Done()); err != nil {
+	if err := pl.gate.acquire(tenant.name, tenant.weight(), ctx.Done()); err != nil {
 		return nil, err
 	}
 	defer pl.gate.release()

@@ -199,7 +199,7 @@ func TestPlaneCancelWhileQueued(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := pl.compute(ctx, nil, 0, pb)
+		_, err := pl.compute(ctx, srv.qos.tenant(""), 0, pb)
 		errc <- err
 	}()
 	waitForQueued(t, pl.gate, 1)

@@ -345,7 +345,7 @@ func (qs *qosState) tenant(name string) *tenantState {
 // limits, sleeping out any bucket debt. It returns errQoSCanceled if cancel
 // fires mid-sleep.
 func (qs *qosState) throttle(t *tenantState, wireBytes int, cancel <-chan struct{}) error {
-	if t == nil || (t.bytes == nil && t.batch == nil) {
+	if t.bytes == nil && t.batch == nil {
 		return nil
 	}
 	now := qs.now()
@@ -374,9 +374,6 @@ func (qs *qosState) throttle(t *tenantState, wireBytes int, cancel <-chan struct
 // lead bound, sleeping in pacer steps until the charge is admitted. It
 // returns errQoSCanceled if cancel fires mid-pause.
 func (qs *qosState) pace(t *tenantState, wireBytes int, cancel <-chan struct{}) error {
-	if t == nil {
-		return nil
-	}
 	for {
 		wait := qs.pacer.admit(t.name, t.weight(), int64(wireBytes), qs.now())
 		if wait <= 0 {

@@ -413,7 +413,7 @@ func TestClientStringTablesBounded(t *testing.T) {
 		"silver": {Weight: 2, BytesPerSec: 1 << 40, BurstBytes: 1 << 40},
 	}
 	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
-		QoS: true, Tenants: limits, Logf: func(string, ...any) {}})
+		Tenants: limits, Logf: func(string, ...any) {}})
 
 	var wg sync.WaitGroup
 	next := make(chan int)

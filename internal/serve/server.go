@@ -77,27 +77,17 @@ type Config struct {
 	// corrupt). Production servers leave it nil.
 	Faults *faultinject.Injector
 	// MaxSessions bounds concurrently admitted sessions (0 = unlimited).
-	// Over-limit handshakes wait (at most admitQueue of them) for a slot and
-	// are otherwise turned away with a retryable ErrServerBusy Error frame
-	// (CodeBusy), so overload degrades to fast rejection plus client backoff
-	// instead of unbounded goroutine and buffer growth.
+	// Over-limit handshakes wait up to admitWait (2s; at most admitQueue of
+	// them) for a slot and are otherwise turned away with a retryable
+	// ErrServerBusy Error frame (CodeBusy), so overload degrades to fast
+	// rejection plus client backoff instead of unbounded goroutine and
+	// buffer growth.
 	MaxSessions int
-	// AdmitWait bounds how long an over-limit handshake waits for a slot
-	// before it is turned away busy (default 2s; < 0 never waits, answering
-	// busy at once).
-	AdmitWait time.Duration
 	// Tenants maps tenant names (Hello.Tenant) to explicit QoS limits;
-	// tenants not listed get unlimited rate and weight 1. A non-empty Tenants
-	// map — or QoS — enables the per-tenant scheduler.
+	// tenants not listed get unlimited rate and weight 1. The per-tenant
+	// scheduler is always on: sessions that name no tenant all bill to the
+	// default tenant "", which has no peer to be paced against.
 	Tenants map[string]TenantLimit
-	// QoS force-enables per-tenant fair scheduling even with no explicit
-	// limits configured: tenants then share the compute plane round robin
-	// and the wire under the bounded-lead pacer, with equal weights.
-	QoS bool
-	// Pprof registers net/http/pprof handlers on the HTTP sidecar under
-	// /debug/pprof/, so goroutine and heap footprint at high session counts
-	// is diagnosable in production.
-	Pprof bool
 	// AutoTune enables the closed-loop controller: at every completed epoch
 	// the server observes its own T2 wait records and prefetch-queue fill,
 	// and actuates the compute plane's worker count and the per-session
@@ -119,6 +109,9 @@ type Server struct {
 	// helloTimeout bounds how long a fresh connection may take to present a
 	// valid Hello (the helloTimeout constant; in-package tests shorten it).
 	helloTimeout time.Duration
+	// admitWait bounds how long an over-limit handshake waits for a slot
+	// (the admitWait constant; in-package tests set it, < 0 never waits).
+	admitWait time.Duration
 
 	ln      net.Listener
 	httpLn  net.Listener
@@ -154,7 +147,7 @@ type Server struct {
 	admitSem     chan struct{}
 	admitWaiters atomic.Int32
 
-	qos   *qosState // nil when per-tenant QoS is disabled
+	qos   *qosState
 	slog  *logLimiter
 	plans planCache // shared epoch plans (spec-fingerprint identical by construction)
 
@@ -175,19 +168,18 @@ func New(cfg Config) *Server {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.AdmitWait == 0 {
-		cfg.AdmitWait = 2 * time.Second
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:          cfg,
 		helloTimeout: helloTimeout,
+		admitWait:    admitWait,
 		metrics:      NewMetrics(time.Now()),
 		cache:        NewBatchCache(0, nil),
 		ring:         trace.NewRing(traceRingRecords),
 		ctx:          ctx,
 		cancel:       cancel,
 		conns:        make(map[net.Conn]bool),
+		qos:          newQoSState(cfg.Tenants),
 	}
 	s.window.Store(int64(cfg.Prefetch))
 	s.ring.SetPerLogCost(cfg.Spec.PerLogCost)
@@ -201,9 +193,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxSessions > 0 {
 		s.admitSem = make(chan struct{}, cfg.MaxSessions)
-	}
-	if cfg.QoS || len(cfg.Tenants) > 0 {
-		s.qos = newQoSState(cfg.Tenants)
 	}
 	s.slog = newLogLimiter(logLinesPerSec, cfg.Logf)
 	return s

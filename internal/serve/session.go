@@ -26,7 +26,7 @@ type session struct {
 	srv    *Server
 	id     int
 	conn   net.Conn
-	tenant *tenantState // nil when QoS is disabled
+	tenant *tenantState
 	sm     *SessionMetrics
 }
 
@@ -36,28 +36,24 @@ func (s *Server) newSession(conn net.Conn, hello Hello) *session {
 	id := s.sessionSeq
 	s.mu.Unlock()
 	ss := &session{
-		srv:  s,
-		id:   id,
-		conn: conn,
-		sm:   s.metrics.OpenSession(id, hello.Name, hello.Tenant, hello.Rank, hello.World, time.Now()),
+		srv:    s,
+		id:     id,
+		conn:   conn,
+		tenant: s.qos.tenant(hello.Tenant),
+		sm:     s.metrics.OpenSession(id, hello.Name, hello.Tenant, hello.Rank, hello.World, time.Now()),
 	}
-	if s.qos != nil {
-		ss.tenant = s.qos.tenant(hello.Tenant)
-		ss.tenant.mu.Lock()
-		ss.tenant.sessions++
-		ss.tenant.mu.Unlock()
-	}
+	ss.tenant.mu.Lock()
+	ss.tenant.sessions++
+	ss.tenant.mu.Unlock()
 	return ss
 }
 
 // close releases the session's registry state (metrics row, tenant count).
 func (ss *session) close() {
 	ss.srv.metrics.CloseSession(ss.id)
-	if ss.tenant != nil {
-		ss.tenant.mu.Lock()
-		ss.tenant.sessions--
-		ss.tenant.mu.Unlock()
-	}
+	ss.tenant.mu.Lock()
+	ss.tenant.sessions--
+	ss.tenant.mu.Unlock()
 }
 
 // handleConn owns one client session: the door, then a request loop until
@@ -397,13 +393,11 @@ func (ss *session) watchConn(cancel context.CancelFunc) (stop func()) {
 func (ss *session) writeBatchFrame(f *Frame, cancel <-chan struct{}) error {
 	payload := f.Bytes()
 	wireBytes := len(payload) + FrameHeaderSize
-	if q := ss.srv.qos; q != nil {
-		if err := q.throttle(ss.tenant, wireBytes, cancel); err != nil {
-			return err
-		}
-		if err := q.pace(ss.tenant, wireBytes, cancel); err != nil {
-			return err
-		}
+	if err := ss.srv.qos.throttle(ss.tenant, wireBytes, cancel); err != nil {
+		return err
+	}
+	if err := ss.srv.qos.pace(ss.tenant, wireBytes, cancel); err != nil {
+		return err
 	}
 	switch ss.srv.cfg.Faults.NextWireAction() {
 	case faultinject.WireDrop:
@@ -426,8 +420,6 @@ func (ss *session) writeBatchFrame(f *Frame, cancel <-chan struct{}) error {
 	}
 	ss.sm.AddBatch(wireBytes)
 	ss.srv.metrics.AddBatch(wireBytes)
-	if ss.tenant != nil {
-		ss.tenant.addBatch(wireBytes)
-	}
+	ss.tenant.addBatch(wireBytes)
 	return nil
 }

@@ -23,9 +23,9 @@ func TestKnobRatchet(t *testing.T) {
 		v    any
 		want int
 	}{
-		{serve.Config{}, 17},
+		{serve.Config{}, 14},      // QoS went (always on), Pprof went (always mounted), AdmitWait is a constant
 		{serve.ClientConfig{}, 9}, // Addrs went: failover across servers is cluster.Client's
-		{cluster.Config{}, 11},    // Replication routed nothing; Balancer's five knobs and HedgeMinSamples are constants
+		{cluster.Config{}, 9},     // Replication routed nothing; Balancer's five knobs, HedgeMinSamples and HedgeMinDelay are constants; OnReroute duplicated Logf
 		{control.Knobs{}, 2},
 	} {
 		typ := reflect.TypeOf(c.v)
@@ -45,7 +45,7 @@ func TestKnobRatchet(t *testing.T) {
 		main string
 		want int
 	}{
-		{"cmd/lotus-serve/main.go", 20}, // -mode and -arch went: it serves RealData only
+		{"cmd/lotus-serve/main.go", 17}, // -mode and -arch went (it serves RealData only); -qos, -pprof and -admit-wait went with their Config fields
 		{"cmd/lotus-fetch/main.go", 11},
 	} {
 		if got := flagCount(t, c.main); got != c.want {
