@@ -1,9 +1,9 @@
 // Package imaging implements the real pixel-processing kernels behind the
 // preprocessing operations: a simplified JPEG-style codec (color conversion,
 // 8x8 DCT, quantization, zigzag run-length entropy coding), separable
-// bilinear resampling with coefficient precomputation, cropping, flipping,
-// brightness adjustment, and Gaussian noise — for both 2-D RGB images and
-// 3-D volumes.
+// bilinear resampling with coefficient precomputation, cropping and flipping
+// for 2-D RGB images; cropping, flipping, brightness scaling and Gaussian
+// noise for 3-D volumes.
 //
 // The algorithms are faithful simplifications of the libjpeg / Pillow code
 // paths the paper profiles, so that the relative costs of the preprocessing

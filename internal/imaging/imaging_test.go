@@ -294,19 +294,6 @@ func checkFlip(t *testing.T) {
 	}
 }
 
-func TestAdjustBrightness(t *testing.T) {
-	im := NewImage(2, 1)
-	im.Set(0, 0, 100, 100, 100)
-	im.Set(1, 0, 200, 200, 200)
-	out := AdjustBrightness(im, 1.5)
-	if r, _, _ := out.At(0, 0); r != 150 {
-		t.Fatalf("brightness 1.5 of 100 = %d", r)
-	}
-	if r, _, _ := out.At(1, 0); r != 255 {
-		t.Fatalf("brightness must clamp, got %d", r)
-	}
-}
-
 func TestRandomResizedCropParamsInBounds(t *testing.T) {
 	r := rng.New(1, "rrc")
 	for i := 0; i < 500; i++ {
@@ -449,48 +436,5 @@ func TestUpsampleDownsampleApproxIdentity(t *testing.T) {
 	}
 	if worst > 2 {
 		t.Fatalf("down/up max error %d on a linear ramp", worst)
-	}
-}
-
-func TestBicubicCoeffsNormalizedAndWider(t *testing.T) {
-	bl := PrecomputeCoeffsFilter(100, 50, Bilinear)
-	bc := PrecomputeCoeffsFilter(100, 50, Bicubic)
-	for i := 0; i < 50; i++ {
-		ws := bc.TapsFor(i)
-		var sum int64
-		for _, w := range ws {
-			sum += int64(w)
-		}
-		if d := sum - coeffOne; d > int64(len(ws)) || d < -int64(len(ws)) {
-			t.Fatalf("bicubic taps at %d sum to %d (want ~%d)", i, sum, int64(coeffOne))
-		}
-		if len(ws) <= len(bl.TapsFor(i)) {
-			t.Fatalf("bicubic taps (%d) should exceed bilinear (%d)", len(ws), len(bl.TapsFor(i)))
-		}
-	}
-}
-
-func TestBicubicSharperThanBilinearOnUpscale(t *testing.T) {
-	// Down 2x, then upscale back with each filter: the cubic reconstruction
-	// should recover the original at least as faithfully.
-	im := SynthesizeImage(96, 96, 31)
-	down := Resize(im, 48, 48)
-	upBL := ResizeWith(down, 96, 96, Bilinear)
-	upBC := ResizeWith(down, 96, 96, Bicubic)
-	if PSNR(im, upBC) < PSNR(im, upBL)-0.5 {
-		t.Fatalf("bicubic PSNR %.2f well below bilinear %.2f", PSNR(im, upBC), PSNR(im, upBL))
-	}
-}
-
-func TestBicubicPreservesConstant(t *testing.T) {
-	im := NewImage(40, 40)
-	for i := range im.Pix {
-		im.Pix[i] = 123
-	}
-	out := ResizeWith(im, 27, 31, Bicubic)
-	for i, v := range out.Pix {
-		if v != 123 {
-			t.Fatalf("pixel %d = %d; cubic weights must sum to 1", i, v)
-		}
 	}
 }

@@ -599,7 +599,7 @@ func BenchmarkHorizontal2(b *testing.B) {
 		}
 		srcs = append(srcs, SynthesizeImage(cw, ch, int64(len(srcs))))
 		mids = append(mids, NewImage(224, ch))
-		tables = append(tables, CachedCoeffs(cw, 224, Bilinear))
+		tables = append(tables, CachedCoeffs(cw, 224))
 	}
 	pass := func(kernel bool) time.Duration {
 		start := time.Now()

@@ -14,9 +14,7 @@ import (
 // (ImagingResampleHorizontal_8bpc): filter taps are precomputed as int32
 // values scaled by 1<<coeffPrecision, each output sample accumulates
 // tap*pixel products into an int32 with a single pre-added rounding half,
-// and the final shift-and-clip produces the byte. Two bits of headroom are
-// reserved because cubic filters have negative lobes (per-window tap sums
-// can exceed 1.0).
+// and the final shift produces the byte. The precision is Pillow's 22 bits.
 const (
 	coeffPrecision = 32 - 8 - 2
 	coeffOne       = 1 << coeffPrecision
@@ -29,8 +27,8 @@ const (
 // buffer (KSize-strided, zero-padded) rather than a jagged [][]float64 so
 // a whole axis's coefficients live in two contiguous allocations.
 type ResampleCoeffs struct {
-	// KSize is the tap stride: the widest floor/ceil window of the filter's
-	// support. Every output's taps start at a multiple of it.
+	// KSize is the tap stride: the widest floor/ceil window of the triangle
+	// filter's support. Every output's taps start at a multiple of it.
 	KSize int
 	// Bounds[i] is the first source index contributing to output i: its
 	// window's leading zero taps are trimmed off.
@@ -41,17 +39,12 @@ type ResampleCoeffs struct {
 	// window is two taps, not three).
 	Counts []int32
 	// Taps holds KSize fixed-point taps per output, scaled by coeffOne.
+	// Triangle taps are never negative, which the packed passes rely on.
 	Taps []int32
-	// NonNeg reports that every tap is >= 0 (true for box/triangle filters,
-	// false for cubics with negative lobes). Non-negative taps allow the
-	// two-lane packed accumulation fast path: two channel accumulators share
-	// one uint64 because no intermediate sum can go negative or carry across
-	// the 32-bit lane boundary.
-	NonNeg bool
 	// TapsP mirrors Taps for the packed fast path: each tap appears three
 	// times (once per interleaved channel slot) pre-widened to uint64, so
 	// the horizontal inner loop indexes taps and packed pixels with the
-	// same stride and the bounds checks fold away. Nil unless NonNeg.
+	// same stride and the bounds checks fold away.
 	TapsP []uint64
 	// pairs is the table's per-output-byte expansion for horizontal2. Nil
 	// unless the CPU has AVX2 and twoTapPairs builds one.
@@ -67,13 +60,13 @@ type tapPairs struct {
 }
 
 // twoTapPairs returns rc's expansion for a source of srcLen samples, or nil
-// when some window has more than two taps, a tap is negative, or srcLen < 2.
+// when some window has more than two taps or srcLen < 2.
 // Output byte 3x+c reads source bytes 3*Bounds[x]+c and 3 past it, so one
 // 4-byte load at off holds both of its samples. A one-tap window keeps its
 // tap in t0 with 0 in t1, except on the last source pixel, where off steps
 // one pixel back and the tap moves to t1: no output reads past the row.
 func (rc *ResampleCoeffs) twoTapPairs(srcLen int) *tapPairs {
-	if !rc.NonNeg || srcLen < 2 {
+	if srcLen < 2 {
 		return nil
 	}
 	for _, n := range rc.Counts {
@@ -103,55 +96,12 @@ func (rc *ResampleCoeffs) TapsFor(i int) []int32 {
 	return rc.Taps[i*rc.KSize : i*rc.KSize+int(rc.Counts[i])]
 }
 
-// Filter selects the resampling kernel (Pillow's BILINEAR / BICUBIC).
-type Filter int
-
-const (
-	// Bilinear is the triangle filter torchvision's RandomResizedCrop uses
-	// by default.
-	Bilinear Filter = iota
-	// Bicubic is the Catmull-Rom-style cubic (a = -0.5), Pillow's BICUBIC.
-	Bicubic
-)
-
-// support returns the filter radius in source samples.
-func (f Filter) support() float64 {
-	if f == Bicubic {
-		return 2
-	}
-	return 1
-}
-
-// weight evaluates the filter kernel at distance d (in filter units).
-func (f Filter) weight(d float64) float64 {
-	d = math.Abs(d)
-	if f == Bicubic {
-		const a = -0.5
-		switch {
-		case d < 1:
-			return (a+2)*d*d*d - (a+3)*d*d + 1
-		case d < 2:
-			return a*d*d*d - 5*a*d*d + 8*a*d - 4*a
-		default:
-			return 0
-		}
-	}
-	if d < 1 {
-		return 1 - d
-	}
-	return 0
-}
-
-// PrecomputeCoeffs builds bilinear (triangle filter) coefficients for
-// resampling srcLen samples to dstLen.
-func PrecomputeCoeffs(srcLen, dstLen int) *ResampleCoeffs {
-	return PrecomputeCoeffsFilter(srcLen, dstLen, Bilinear)
-}
-
-// PrecomputeCoeffsFilter builds coefficients for the given filter. Most
-// callers should prefer CachedCoeffs: training pipelines resize every
-// sample to the same output geometry, so the table is almost always
-// already built.
+// PrecomputeCoeffs builds the bilinear (triangle filter) coefficients for
+// resampling srcLen samples to dstLen — the filter torchvision's
+// RandomResizedCrop and Resize use by default, and the only one the
+// pipelines run. Most callers should prefer CachedCoeffs: training
+// pipelines resize every sample to the same output geometry, so the table
+// is almost always already built.
 //
 // Each window is bounded with floor/ceil of center ± support, which can
 // take in a source sample at exactly the support's edge, whose weight is 0,
@@ -160,17 +110,15 @@ func PrecomputeCoeffs(srcLen, dstLen int) *ResampleCoeffs {
 // rounds its bounds and builds only the taps that carry weight). Every
 // kernel sums integer tap × pixel products, so a dropped zero term changes
 // no byte.
-func PrecomputeCoeffsFilter(srcLen, dstLen int, f Filter) *ResampleCoeffs {
+func PrecomputeCoeffs(srcLen, dstLen int) *ResampleCoeffs {
 	if srcLen <= 0 || dstLen <= 0 {
 		panic(fmt.Sprintf("imaging: invalid resample %d -> %d", srcLen, dstLen))
 	}
 	scale := float64(srcLen) / float64(dstLen)
-	filterScale := scale
-	if filterScale < 1 {
-		filterScale = 1
-	}
-	radius := f.support() * filterScale
-	ksize := int(math.Ceil(radius))*2 + 1
+	// The triangle reaches one source sample each side of the center,
+	// stretched by the scale when downsampling.
+	support := math.Max(scale, 1)
+	ksize := int(math.Ceil(support))*2 + 1
 	rc := &ResampleCoeffs{
 		KSize:  ksize,
 		Bounds: make([]int32, dstLen),
@@ -178,22 +126,23 @@ func PrecomputeCoeffsFilter(srcLen, dstLen int, f Filter) *ResampleCoeffs {
 		Taps:   make([]int32, dstLen*ksize),
 	}
 	ws := make([]float64, ksize)
-	rc.NonNeg = true
 	for i := 0; i < dstLen; i++ {
 		center := (float64(i) + 0.5) * scale
-		lo := int(math.Floor(center - radius))
+		lo := int(math.Floor(center - support))
 		if lo < 0 {
 			lo = 0
 		}
-		hi := int(math.Ceil(center + radius))
+		hi := int(math.Ceil(center + support))
 		if hi > srcLen {
 			hi = srcLen
 		}
 		n := hi - lo
 		var sum float64
 		for j := 0; j < n; j++ {
-			d := (float64(lo+j) + 0.5 - center) / filterScale
-			w := f.weight(d)
+			w := 1 - math.Abs((float64(lo+j)+0.5-center)/support)
+			if w < 0 {
+				w = 0
+			}
 			ws[j] = w
 			sum += w
 		}
@@ -201,9 +150,6 @@ func PrecomputeCoeffsFilter(srcLen, dstLen int, f Filter) *ResampleCoeffs {
 		if sum != 0 {
 			for j := 0; j < n; j++ {
 				taps[j] = int32(math.Round(ws[j] / sum * coeffOne))
-				if taps[j] < 0 {
-					rc.NonNeg = false
-				}
 			}
 		} else {
 			taps[0] = coeffOne
@@ -222,14 +168,10 @@ func PrecomputeCoeffsFilter(srcLen, dstLen int, f Filter) *ResampleCoeffs {
 		rc.Bounds[i] = int32(lo + first)
 		rc.Counts[i] = int32(last + 1 - first)
 	}
-	if rc.NonNeg {
-		rc.TapsP = make([]uint64, len(rc.Taps)*3)
-		for i, t := range rc.Taps {
-			ut := uint64(uint32(t))
-			rc.TapsP[i*3] = ut
-			rc.TapsP[i*3+1] = ut
-			rc.TapsP[i*3+2] = ut
-		}
+	rc.TapsP = make([]uint64, len(rc.Taps)*3)
+	for i, t := range rc.Taps {
+		ut := uint64(uint32(t))
+		rc.TapsP[i*3], rc.TapsP[i*3+1], rc.TapsP[i*3+2] = ut, ut, ut
 	}
 	if haveAVX2 {
 		rc.pairs = rc.twoTapPairs(srcLen)
@@ -242,10 +184,7 @@ func PrecomputeCoeffsFilter(srcLen, dstLen int, f Filter) *ResampleCoeffs {
 // ---------------------------------------------------------------------------
 
 // coeffKey identifies one precomputed coefficient table.
-type coeffKey struct {
-	src, dst int
-	f        Filter
-}
+type coeffKey struct{ src, dst int }
 
 type coeffEntry struct {
 	key coeffKey
@@ -271,7 +210,7 @@ type coeffLRU struct {
 // both axes, so one IC run draws ~220 distinct keys; an LRU smaller than
 // that thrashes (at 128 entries a quarter of the lookups miss, half a table
 // build of ~20 µs and 23 KB per sample). The second 256 leave room for
-// another output geometry or filter in the same process.
+// another output geometry in the same process.
 const coeffCacheEntries = 2 * 256
 
 var coeffCache = &coeffLRU{cap: coeffCacheEntries, m: make(map[coeffKey]*list.Element), ll: list.New()}
@@ -290,7 +229,7 @@ func (c *coeffLRU) get(k coeffKey) *ResampleCoeffs {
 
 	// Build outside the lock: tables are deterministic, so a racing build
 	// of the same key produces an identical (wasted but harmless) table.
-	rc := PrecomputeCoeffsFilter(k.src, k.dst, k.f)
+	rc := PrecomputeCoeffs(k.src, k.dst)
 
 	c.mu.Lock()
 	if el, ok := c.m[k]; ok {
@@ -309,10 +248,10 @@ func (c *coeffLRU) get(k coeffKey) *ResampleCoeffs {
 }
 
 // CachedCoeffs returns the (possibly cached) coefficient table for
-// resampling srcLen samples to dstLen with the given filter. The result is
-// shared and must not be mutated.
-func CachedCoeffs(srcLen, dstLen int, f Filter) *ResampleCoeffs {
-	return coeffCache.get(coeffKey{src: srcLen, dst: dstLen, f: f})
+// resampling srcLen samples to dstLen. The result is shared and must not be
+// mutated.
+func CachedCoeffs(srcLen, dstLen int) *ResampleCoeffs {
+	return coeffCache.get(coeffKey{src: srcLen, dst: dstLen})
 }
 
 // CoeffCacheStats reports cumulative coefficient-cache hits and misses.
@@ -331,12 +270,6 @@ func CoeffCacheStats() (hits, misses uint64) {
 // ImagingResampleHorizontal_8bpc / ImagingResampleVertical_8bpc pair.
 // The result is pooled; the caller may Release it when done.
 func Resize(im *Image, w, h int) *Image {
-	return ResizeWith(im, w, h, Bilinear)
-}
-
-// ResizeWith resamples with an explicit filter (bicubic for OD-style
-// quality-sensitive resizing). The result is pooled.
-func ResizeWith(im *Image, w, h int, f Filter) *Image {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("imaging: invalid resize %dx%d", w, h))
 	}
@@ -347,17 +280,17 @@ func ResizeWith(im *Image, w, h int, f Filter) *Image {
 		return out
 	case h == im.H:
 		out := GetImage(w, h)
-		resampleHorizontalInto(out, im, CachedCoeffs(im.W, w, f))
+		resampleHorizontalInto(out, im, CachedCoeffs(im.W, w))
 		return out
 	case w == im.W:
 		out := GetImage(w, h)
-		resampleVerticalInto(out, im, CachedCoeffs(im.H, h, f))
+		resampleVerticalInto(out, im, CachedCoeffs(im.H, h))
 		return out
 	}
 	mid := GetImage(w, im.H)
-	resampleHorizontalInto(mid, im, CachedCoeffs(im.W, w, f))
+	resampleHorizontalInto(mid, im, CachedCoeffs(im.W, w))
 	out := GetImage(w, h)
-	resampleVerticalInto(out, mid, CachedCoeffs(im.H, h, f))
+	resampleVerticalInto(out, mid, CachedCoeffs(im.H, h))
 	mid.Release()
 	return out
 }
@@ -376,17 +309,17 @@ func clip8(v int32) uint8 {
 
 // packedHalf seeds both lanes of a packed accumulator with the rounding
 // half. Lane layout: low 32 bits hold one channel's sum, high 32 bits the
-// other's. With non-negative taps each lane stays below 2^31 (sum of taps is
-// coeffOne = 2^22, pixel values <= 255, plus the 2^21 half), so lanes never
+// other's. Taps are non-negative, so each lane stays below 2^31 (sum of taps
+// is coeffOne = 2^22, pixel values <= 255, plus the 2^21 half): lanes never
 // carry into each other and each reads back as a non-negative int32.
 const packedHalf = uint64(coeffHalf) | uint64(coeffHalf)<<32
 
-// packable reports whether the packed clamp-free fast path is valid: taps
-// must be non-negative, and the window must be narrow enough that per-tap
-// rounding slop (up to 0.5 each) cannot push a saturated window past 255
-// after the shift — 255*(KSize/2) + coeffHalf must stay under coeffOne.
+// packable reports whether the packed clamp-free fast path is valid: the
+// window must be narrow enough that per-tap rounding slop (up to 0.5 each)
+// cannot push a saturated window past 255 after the shift —
+// 255*(KSize/2) + coeffHalf must stay under coeffOne.
 func (rc *ResampleCoeffs) packable() bool {
-	return rc.NonNeg && rc.KSize <= 4096
+	return rc.KSize <= 4096
 }
 
 func resampleHorizontalInto(dst, src *Image, rc *ResampleCoeffs) {
@@ -425,7 +358,7 @@ func resampleHorizontalInto(dst, src *Image, rc *ResampleCoeffs) {
 	}
 }
 
-// resampleHorizontalPacked is the non-negative-taps fast path. Horizontal
+// resampleHorizontalPacked is the packed fast path. Horizontal
 // taps are identical for every image row, so two consecutive rows ride in
 // the two lanes of one uint64 per channel: each tap costs three multiplies
 // for six channel samples instead of six. Because normalized non-negative
@@ -582,11 +515,23 @@ func resampleHorizontalPacked(dst, src *Image, rc *ResampleCoeffs) {
 	putU64(buf)
 }
 
+// vertRegTaps bounds the tap-window width the packed register pass handles
+// (a stack array of row slices). Wider windows — downscales past ~15x —
+// take the clamped int32 loop, whose bytes are the same: clip8 equals the
+// packed pass's truncating store wherever the table is packable.
+const vertRegTaps = 32
+
 func resampleVerticalInto(dst, src *Image, rc *ResampleCoeffs) {
-	if rc.packable() {
+	if rc.KSize <= vertRegTaps {
 		resampleVerticalPacked(dst, src, rc)
 		return
 	}
+	resampleVerticalClamped(dst, src, rc)
+}
+
+// resampleVerticalClamped is the vertical pass for any table: one int32
+// accumulator per byte of the row, clamped on store.
+func resampleVerticalClamped(dst, src *Image, rc *ResampleCoeffs) {
 	w3 := src.W * 3
 	acc := getI32(w3)
 	for y := 0; y < dst.H; y++ {
@@ -614,23 +559,14 @@ func resampleVerticalInto(dst, src *Image, rc *ResampleCoeffs) {
 	putI32(acc)
 }
 
-// vertRegTaps bounds the tap-window width the register-accumulating
-// vertical fast path handles (a stack array of row slices); wider windows
-// (downscales past ~15x) fall back to the accumulator-array variant.
-const vertRegTaps = 32
-
-// resampleVerticalPacked is the non-negative-taps fast path for the vertical
-// pass: adjacent bytes ride two per uint64 (vertical taps are shared across
-// columns), and four columns are accumulated in registers while walking the
-// tap rows in lockstep, so there is no accumulator array to read-modify-
-// write and the store is clamp-free for the same tap-sum reason as the
-// horizontal path. A row whose window has two taps — every interior row
-// of a bilinear upscale — takes vertical2 instead.
+// resampleVerticalPacked is the packed register pass for tables of at most
+// vertRegTaps taps: adjacent bytes ride two per uint64 (vertical taps are
+// shared across columns), and four columns are accumulated in registers
+// while walking the tap rows in lockstep, so there is no accumulator array
+// to read-modify-write and the store is clamp-free for the same tap-sum
+// reason as the horizontal path. A row whose window has two taps — every
+// interior row of a bilinear upscale — takes vertical2 instead.
 func resampleVerticalPacked(dst, src *Image, rc *ResampleCoeffs) {
-	if rc.KSize > vertRegTaps {
-		resampleVerticalAccum(dst, src, rc)
-		return
-	}
 	w3 := src.W * 3
 	var rows [vertRegTaps][]uint8
 	var uts [vertRegTaps]uint64
@@ -717,52 +653,8 @@ func horizontal2Scalar(orow, row []uint8, off, t0, t1 []int32) {
 	}
 }
 
-// resampleVerticalAccum is the accumulator-array variant of the packed
-// vertical pass, used when the tap window exceeds vertRegTaps.
-func resampleVerticalAccum(dst, src *Image, rc *ResampleCoeffs) {
-	w3 := src.W * 3
-	half := w3 / 2
-	odd := w3&1 == 1
-	acc := getU64(half)
-	for y := 0; y < dst.H; y++ {
-		for i := range acc {
-			acc[i] = packedHalf
-		}
-		accOdd := int32(coeffHalf)
-		base := y * rc.KSize
-		n := int(rc.Counts[y])
-		lo := int(rc.Bounds[y])
-		for k := 0; k < n; k++ {
-			t := rc.Taps[base+k]
-			if t == 0 {
-				continue
-			}
-			ut := uint64(uint32(t))
-			row := src.Pix[(lo+k)*w3 : (lo+k+1)*w3]
-			if odd {
-				accOdd += t * int32(row[w3-1])
-			}
-			j := 0
-			for i := range acc {
-				acc[i] += ut * (uint64(row[j]) | uint64(row[j+1])<<32)
-				j += 2
-			}
-		}
-		orow := dst.Pix[y*w3 : (y+1)*w3]
-		for i, v := range acc {
-			j := i * 2
-			orow[j] = uint8(v >> coeffPrecision)
-			orow[j+1] = uint8(v >> (32 + coeffPrecision))
-		}
-		if odd {
-			orow[w3-1] = uint8(uint32(accOdd) >> coeffPrecision)
-		}
-	}
-	putU64(acc)
-}
-
 // ---------------------------------------------------------------------------
-// Crop / flip / brightness
+// Crop / flip
 // ---------------------------------------------------------------------------
 
 // Crop extracts the rectangle [x0, x0+w) x [y0, y0+h). The rectangle must
@@ -834,48 +726,6 @@ func flipScalar(dst, src []uint8) {
 		dst[x+1] = src[j+1]
 		dst[x+2] = src[j+2]
 	}
-}
-
-// brightnessScale converts a brightness factor to 16.16 fixed point.
-func brightnessScale(factor float64) int32 {
-	s := math.Round(factor * 65536)
-	if s < 0 {
-		s = 0
-	}
-	if s > math.MaxInt32 {
-		s = math.MaxInt32
-	}
-	return int32(s)
-}
-
-// AdjustBrightness scales all channels by factor, clamping to [0, 255]
-// (the RandomBrightnessAugmentation kernel for 2-D inputs). The result is
-// pooled.
-func AdjustBrightness(im *Image, factor float64) *Image {
-	out := GetImage(im.W, im.H)
-	scale := brightnessScale(factor)
-	for i, v := range im.Pix {
-		out.Pix[i] = scaleClamp8(v, scale)
-	}
-	return out
-}
-
-// AdjustBrightnessInPlace scales all channels by factor in place and
-// returns the receiver.
-func AdjustBrightnessInPlace(im *Image, factor float64) *Image {
-	scale := brightnessScale(factor)
-	for i, v := range im.Pix {
-		im.Pix[i] = scaleClamp8(v, scale)
-	}
-	return im
-}
-
-func scaleClamp8(v uint8, scale int32) uint8 {
-	s := (int64(v)*int64(scale) + 32768) >> 16
-	if s > 255 {
-		return 255
-	}
-	return uint8(s)
 }
 
 // RandomResizedCropParams picks the crop geometry exactly as torchvision

@@ -20,36 +20,32 @@ import (
 // untrimmedCoeffs builds the coefficient table with floor/ceil window bounds
 // and no trimming — the layout every output byte of the resampler is pinned
 // to.
-func untrimmedCoeffs(srcLen, dstLen int, f Filter) *ResampleCoeffs {
+func untrimmedCoeffs(srcLen, dstLen int) *ResampleCoeffs {
 	scale := float64(srcLen) / float64(dstLen)
-	filterScale := math.Max(scale, 1)
-	radius := f.support() * filterScale
-	ksize := int(math.Ceil(radius))*2 + 1
+	support := math.Max(scale, 1)
+	ksize := int(math.Ceil(support))*2 + 1
 	rc := &ResampleCoeffs{
 		KSize:  ksize,
 		Bounds: make([]int32, dstLen),
 		Counts: make([]int32, dstLen),
 		Taps:   make([]int32, dstLen*ksize),
-		NonNeg: true,
+		TapsP:  make([]uint64, dstLen*ksize*3),
 	}
 	ws := make([]float64, ksize)
 	for i := 0; i < dstLen; i++ {
 		center := (float64(i) + 0.5) * scale
-		lo := max(int(math.Floor(center-radius)), 0)
-		hi := min(int(math.Ceil(center+radius)), srcLen)
+		lo := max(int(math.Floor(center-support)), 0)
+		hi := min(int(math.Ceil(center+support)), srcLen)
 		n := hi - lo
 		var sum float64
 		for j := 0; j < n; j++ {
-			ws[j] = f.weight((float64(lo+j) + 0.5 - center) / filterScale)
+			ws[j] = refTriangle((float64(lo+j) + 0.5 - center) / support)
 			sum += ws[j]
 		}
 		taps := rc.Taps[i*ksize : (i+1)*ksize]
 		if sum != 0 {
 			for j := 0; j < n; j++ {
 				taps[j] = int32(math.Round(ws[j] / sum * coeffOne))
-				if taps[j] < 0 {
-					rc.NonNeg = false
-				}
 			}
 		} else {
 			taps[0] = coeffOne
@@ -57,11 +53,8 @@ func untrimmedCoeffs(srcLen, dstLen int, f Filter) *ResampleCoeffs {
 		rc.Bounds[i] = int32(lo)
 		rc.Counts[i] = int32(n)
 	}
-	if rc.NonNeg {
-		rc.TapsP = make([]uint64, len(rc.Taps)*3)
-		for i, t := range rc.Taps {
-			rc.TapsP[i*3], rc.TapsP[i*3+1], rc.TapsP[i*3+2] = uint64(uint32(t)), uint64(uint32(t)), uint64(uint32(t))
-		}
+	for i, t := range rc.Taps {
+		rc.TapsP[i*3], rc.TapsP[i*3+1], rc.TapsP[i*3+2] = uint64(uint32(t)), uint64(uint32(t)), uint64(uint32(t))
 	}
 	return rc
 }
@@ -99,7 +92,7 @@ func plainV(dst, src *Image, rc *ResampleCoeffs) {
 
 type resamplePass func(dst, src *Image, rc *ResampleCoeffs)
 
-// resizeVia mirrors ResizeWith's structure (identity copies, a pass only on
+// resizeVia mirrors Resize's structure (identity copies, a pass only on
 // an axis that changes, horizontal first) with the coefficients and passes
 // supplied by the caller.
 func resizeVia(im *Image, w, h int, coeffs func(src, dst int) *ResampleCoeffs, hp, vp resamplePass) *Image {
@@ -124,9 +117,8 @@ func resizeVia(im *Image, w, h int, coeffs func(src, dst int) *ResampleCoeffs, h
 }
 
 // untrimmedResize is the reference: untrimmed windows through the plain loops.
-func untrimmedResize(im *Image, w, h int, f Filter) *Image {
-	coeffs := func(src, dst int) *ResampleCoeffs { return untrimmedCoeffs(src, dst, f) }
-	return resizeVia(im, w, h, coeffs, plainH, plainV)
+func untrimmedResize(im *Image, w, h int) *Image {
+	return resizeVia(im, w, h, untrimmedCoeffs, plainH, plainV)
 }
 
 // noiseImage fills a w x h image with bytes that reach both ends of the
@@ -161,12 +153,13 @@ func servedWindow(r *rng.Stream) (srcW, srcH, cw, ch int) {
 	return srcW, srcH, cw, ch
 }
 
-// TestResizeMatchesUntrimmedReference: ResizeWith's bytes equal the untrimmed
+// TestResizeMatchesUntrimmedReference: Resize's bytes equal the untrimmed
 // reference's over random geometries of every shape the kernels branch on —
 // served windows, identity, one axis only, 1-px sides, odd widths (the
-// two-tap vertical kernel's byte tail) and windows wider than vertRegTaps
-// (the accumulator variant) — for both filters. Where the CPU has AVX2 it
-// runs once with the kernels and once, as subtest swar, without.
+// two-tap vertical kernel's byte tail), vertical windows wider than
+// vertRegTaps and windows past packable's 4096 taps on either axis (the
+// clamped int32 loops). Where the CPU has AVX2 it runs once with the kernels
+// and once, as subtest swar, without.
 func TestResizeMatchesUntrimmedReference(t *testing.T) {
 	checkUntrimmed(t)
 	t.Run("swar", func(t *testing.T) {
@@ -182,7 +175,6 @@ func checkUntrimmed(t *testing.T) {
 	side := func(lo, hi int) int { return lo + r.Intn(hi-lo+1) }
 	const trials = 2400
 	for trial := 0; trial < trials; trial++ {
-		f := Filter(r.Intn(2))
 		srcW, srcH, w, h := side(1, 96), side(1, 96), side(1, 96), side(1, 96)
 		shape := "random"
 		switch trial % 8 {
@@ -211,34 +203,44 @@ func checkUntrimmed(t *testing.T) {
 			shape = "odd widths"
 			srcW, w = srcW|1, w|1
 		case 6:
-			shape = "accum"
+			shape = "wide vertical window"
 			srcH, h = side(400, 700), side(1, 20)
 			srcW, w = side(1, 24), side(1, 24)
+			if trial%32 == 6 {
+				shape = "past 4096 taps"
+				long, short := side(8200, 9000), side(1, 4)
+				if r.Intn(2) == 0 {
+					srcW, w, srcH, h = long, side(1, 2), short, side(1, 4)
+				} else {
+					srcW, w, srcH, h = short, side(1, 4), long, side(1, 2)
+				}
+			}
 		case 7:
 			if trial%64 == 7 {
 				shape = "served"
 				_, _, srcW, srcH = servedWindow(r)
-				w, h, f = 224, 224, Bilinear
+				w, h = 224, 224
 			}
 		}
 		im := noiseImage(srcW, srcH, r)
-		got := ResizeWith(im, w, h, f)
-		want := untrimmedResize(im, w, h, f)
+		got := Resize(im, w, h)
+		want := untrimmedResize(im, w, h)
 		if !bytes.Equal(got.Pix, want.Pix) {
-			t.Fatalf("trial %d (%s): %dx%d -> %dx%d filter %d differs from the untrimmed reference",
-				trial, shape, srcW, srcH, w, h, f)
+			t.Fatalf("trial %d (%s): %dx%d -> %dx%d differs from the untrimmed reference",
+				trial, shape, srcW, srcH, w, h)
 		}
 		got.Release()
 		want.Release()
 	}
 }
 
-// TestResizePinnedCRCs pins ResizeWith's output on fixed inputs to CRC32C
-// values recorded before windows were trimmed: served RRC windows (upscaled
-// on both axes), one-axis resizes, the 512 -> 224 downscale the perf rung
-// times, a window wider than vertRegTaps, and OD's 800² bicubic target.
-// Where the CPU has AVX2 it runs once with the kernels and once, as subtest
-// swar, without, so both paths are pinned to the same bytes.
+// TestResizePinnedCRCs pins Resize's output on fixed inputs to CRC32C
+// values: served RRC windows (upscaled on both axes), one-axis resizes, the
+// 512 -> 224 downscale the perf rung times and a vertical window wider than
+// vertRegTaps, recorded before windows were trimmed, and a window past
+// packable's 4096 taps on each axis, which only the clamped int32 loops
+// take. Where the CPU has AVX2 it runs once with the kernels and once, as
+// subtest swar, without, so both paths are pinned to the same bytes.
 func TestResizePinnedCRCs(t *testing.T) {
 	checkPinnedCRCs(t)
 	t.Run("swar", func(t *testing.T) {
@@ -253,25 +255,24 @@ func checkPinnedCRCs(t *testing.T) {
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	for i, c := range []struct {
 		srcW, srcH, w, h int
-		f                Filter
 		crc              uint32
 	}{
-		{137, 151, 224, 224, Bilinear, 0xb3d4c57a},
-		{97, 183, 224, 224, Bilinear, 0xcff2594e},
-		{256, 192, 224, 224, Bilinear, 0x1f971848},
-		{200, 224, 224, 224, Bilinear, 0xfd35b820},
-		{224, 97, 224, 224, Bilinear, 0x8468dbf1},
-		{512, 512, 224, 224, Bilinear, 0x4a077e1a},
-		{1, 1, 224, 224, Bilinear, 0x6d68eea6},
-		{613, 37, 17, 5, Bilinear, 0x6a541cc7},
-		{31, 700, 9, 13, Bilinear, 0xe3b1c0f6},
-		{640, 480, 800, 800, Bicubic, 0xcf2bb50a},
-		{1024, 900, 800, 800, Bicubic, 0xef53a848},
-		{95, 61, 33, 250, Bicubic, 0xf59e5928},
+		{137, 151, 224, 224, 0xb3d4c57a},
+		{97, 183, 224, 224, 0xcff2594e},
+		{256, 192, 224, 224, 0x1f971848},
+		{200, 224, 224, 224, 0xfd35b820},
+		{224, 97, 224, 224, 0x8468dbf1},
+		{512, 512, 224, 224, 0x4a077e1a},
+		{1, 1, 224, 224, 0x6d68eea6},
+		{613, 37, 17, 5, 0x6a541cc7},
+		{31, 700, 9, 13, 0xe3b1c0f6},
+		{9000, 5, 3, 5, 0x3e8fb873},
+		{5, 9000, 5, 3, 0x5819f659},
 	} {
-		t.Run(fmt.Sprintf("%dx%d_to_%dx%d_f%d", c.srcW, c.srcH, c.w, c.h, c.f), func(t *testing.T) {
+		// The f0 (bilinear) suffix keeps the subtest names stable.
+		t.Run(fmt.Sprintf("%dx%d_to_%dx%d_f0", c.srcW, c.srcH, c.w, c.h), func(t *testing.T) {
 			im := SynthesizeImage(c.srcW, c.srcH, int64(i+1))
-			out := ResizeWith(im, c.w, c.h, c.f)
+			out := Resize(im, c.w, c.h)
 			if got := crc32.Checksum(out.Pix, castagnoli); got != c.crc {
 				t.Errorf("crc32c %#08x, want %#08x", got, c.crc)
 			}
@@ -279,6 +280,75 @@ func checkPinnedCRCs(t *testing.T) {
 			im.Release()
 		})
 	}
+}
+
+// randomPackableTable builds a vertical table of dstLen outputs over srcLen
+// rows with KSize ksize <= vertRegTaps: each window has a random width and
+// place and random non-negative weights, some of them zero, quantized as
+// PrecomputeCoeffs quantizes the triangle's.
+func randomPackableTable(srcLen, dstLen, ksize int, r *rng.Stream) *ResampleCoeffs {
+	rc := &ResampleCoeffs{
+		KSize:  ksize,
+		Bounds: make([]int32, dstLen),
+		Counts: make([]int32, dstLen),
+		Taps:   make([]int32, dstLen*ksize),
+	}
+	ws := make([]float64, ksize)
+	for i := range dstLen {
+		n := 1 + r.Intn(min(ksize, srcLen))
+		var sum float64
+		for j := range n {
+			ws[j] = 0
+			if r.Intn(4) != 0 {
+				ws[j] = r.Uniform(0, 1)
+			}
+			sum += ws[j]
+		}
+		taps := rc.Taps[i*ksize : i*ksize+n]
+		if sum == 0 {
+			taps[0] = coeffOne
+		} else {
+			for j := range taps {
+				taps[j] = int32(math.Round(ws[j] / sum * coeffOne))
+			}
+		}
+		rc.Bounds[i] = int32(r.Intn(srcLen - n + 1))
+		rc.Counts[i] = int32(n)
+	}
+	return rc
+}
+
+// TestVerticalClampedMatchesPacked: on random packable tables the clamped
+// int32 vertical loop, which serves windows wider than vertRegTaps, writes
+// the packed register pass's bytes, two-tap rows through vertical2
+// included: clip8 and the truncating packed store agree wherever the
+// packable bound holds.
+func TestVerticalClampedMatchesPacked(t *testing.T) {
+	r := rng.NewFromSeed(47)
+	for trial := 0; trial < 300; trial++ {
+		ksize := 1 + r.Intn(vertRegTaps)
+		srcH, h, w := ksize+r.Intn(40), 1+r.Intn(40), 1+r.Intn(80)
+		rc := randomPackableTable(srcH, h, ksize, r)
+		src := noiseImage(w, srcH, r)
+		packed, clamped := NewImage(w, h), NewImage(w, h)
+		resampleVerticalPacked(packed, src, rc)
+		resampleVerticalClamped(clamped, src, rc)
+		if i := firstDiff(packed.Pix, clamped.Pix); i >= 0 {
+			row := i / (3 * w)
+			t.Fatalf("trial %d: %d-row source, KSize %d, %d px wide: byte %d (output row %d, taps %v) is %d packed, %d clamped",
+				trial, srcH, ksize, w, i, row, rc.TapsFor(row), packed.Pix[i], clamped.Pix[i])
+		}
+	}
+}
+
+// firstDiff returns the first index where a and b differ, or -1.
+func firstDiff(a, b []uint8) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
 }
 
 // TestCoeffCacheHoldsEveryServedSide: one pass over every window side up to
@@ -289,7 +359,7 @@ func TestCoeffCacheHoldsEveryServedSide(t *testing.T) {
 		_, before := CoeffCacheStats()
 		for s := 1; s <= 256; s++ {
 			im := GetImage(s, s)
-			ResizeWith(im, 224, 224, Bilinear).Release()
+			Resize(im, 224, 224).Release()
 			im.Release()
 		}
 		_, after := CoeffCacheStats()
@@ -309,7 +379,7 @@ func TestCoeffCacheHoldsEveryServedSide(t *testing.T) {
 // to zeros: the pass runs horizontal2, not the packed loop.
 func TestServedSidesRunHorizontal2(t *testing.T) {
 	for s := 1; s <= 256; s++ {
-		has := CachedCoeffs(s, 224, Bilinear).pairs != nil
+		has := CachedCoeffs(s, 224).pairs != nil
 		if want := haveAVX2 && s >= 2 && s <= 225; has != want {
 			t.Errorf("side %d -> 224: expansion %v, want %v", s, has, want)
 		}
@@ -318,7 +388,7 @@ func TestServedSidesRunHorizontal2(t *testing.T) {
 		t.Skip("no AVX2 on this CPU: the horizontal pass is the packed loop")
 	}
 	im := SynthesizeImage(137, 151, 1)
-	rc := *CachedCoeffs(137, 224, Bilinear)
+	rc := *CachedCoeffs(137, 224)
 	zero := make([]int32, len(rc.pairs.off))
 	rc.pairs = &tapPairs{off: rc.pairs.off, t0: zero, t1: zero}
 	mid := NewImage(224, 151)
@@ -330,7 +400,7 @@ func TestServedSidesRunHorizontal2(t *testing.T) {
 
 var resizeSink *Image
 
-// BenchmarkResizeServed fails itself unless ResizeWith costs at most 0.65x
+// BenchmarkResizeServed fails itself unless Resize costs at most 0.65x
 // the reference on served shapes: RRC windows of 256-cap sources resized to
 // 224². The reference is the untrimmed tables through the resampler's
 // passes — the resampler as it was before trimming, except that a few edge
@@ -350,7 +420,7 @@ func BenchmarkResizeServed(b *testing.B) {
 		ims[i] = SynthesizeImage(cw, ch, int64(i))
 		for _, s := range []int{cw, ch} {
 			if ref[s] == nil {
-				ref[s] = untrimmedCoeffs(s, 224, Bilinear)
+				ref[s] = untrimmedCoeffs(s, 224)
 			}
 		}
 	}
@@ -361,7 +431,7 @@ func BenchmarkResizeServed(b *testing.B) {
 		if reference {
 			out = resizeVia(im, 224, 224, refCoeffs, resampleHorizontalInto, resampleVerticalInto)
 		} else {
-			out = ResizeWith(im, 224, 224, Bilinear)
+			out = Resize(im, 224, 224)
 		}
 		d := time.Since(start)
 		resizeSink = out

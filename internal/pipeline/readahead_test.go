@@ -177,7 +177,15 @@ func TestReadAheadKeepsTheDevice(t *testing.T) {
 			overlapPairs(t, io, free, 5, &c)
 			extra, without = median(c.extra), median(c.without)
 		}
-		if limit := overlapLimit(io, without); extra > limit {
+		limit := overlapLimit(io, without)
+		if raceEnabled {
+			// The race detector's slowdown swamps the 25 % allowance; the
+			// plain test run and BenchmarkLoaderOverlap judge it.
+			t.Logf("under -race, not judged: a batch with %v of reads cost %v over the same batch without (%v); the bound is %v",
+				io.reads, extra, without, limit)
+			return
+		}
+		if extra > limit {
 			t.Fatalf("a batch with %v of reads cost %v over the same batch without (%v): want <= %v, the reads' overhang plus 25%% of them",
 				io.reads, extra, without, limit)
 		}

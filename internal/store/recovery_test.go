@@ -19,7 +19,7 @@ import (
 // several segments and returns the ground-truth payload map.
 func buildStore(t *testing.T, dir string) map[Key][]byte {
 	t.Helper()
-	s := mustOpen(t, dir, Options{SegmentBytes: 2 << 10})
+	s := mustOpen(t, dir, Options{segmentBytes: 2 << 10})
 	want := map[Key][]byte{}
 	for i := 0; i < 12; i++ {
 		for _, k := range []Key{batchKey(i), sampleKey(i)} {
@@ -361,7 +361,7 @@ func FuzzOpenWithArbitraryManifest(f *testing.F) {
 	if err := os.WriteFile(filepath.Join(base, segmentName(0)), nil, 0o644); err != nil {
 		f.Fatal(err)
 	}
-	s, err := Open(base, Options{SegmentBytes: 1 << 10})
+	s, err := Open(base, Options{segmentBytes: 1 << 10})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -508,7 +508,7 @@ func TestSegmentIDsPastSixDigits(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segmentName(999_998)), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := mustOpen(t, dir, Options{SegmentBytes: 1})
+	s := mustOpen(t, dir, Options{segmentBytes: 1})
 	k := sampleKey(0)
 	if err := s.Put(k, payloadFor(k, 50)); err != nil { // seg-999999.seg
 		t.Fatal(err)

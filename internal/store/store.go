@@ -63,29 +63,31 @@ type Key struct {
 	B    uint64
 }
 
-// Options configures Open. The zero value means: unlimited budget, default
-// segment size, default queue depth, no fault injection.
+// Options configures Open. The zero value means: unlimited budget, no fault
+// injection.
 type Options struct {
 	// Budget is the soft byte budget across all segment files; <= 0 means
 	// unlimited. Exceeding it evicts whole LRU sealed segments.
 	Budget int64
-	// SegmentBytes is the roll-over threshold for the active segment
-	// (default 4 MiB, or a quarter of a Budget under 16 MiB: eviction frees
-	// whole sealed segments, so a segment as large as the budget could never
-	// be evicted back under it).
-	SegmentBytes int64
-	// QueueBytes bounds the payload bytes PutAsync may have queued for the
-	// writer (default 32 MiB). A producer that would exceed it waits for the
-	// writer — backpressure, not loss — so the backlog of copies is a constant
-	// however much faster than the disk the producers are. A payload larger
-	// than the bound is admitted once the queue is empty. A writer that makes
-	// no room within spillWait is stalled, and the spill is dropped instead.
-	QueueBytes int64
 	// Faults injects corrupt-append and writer-stall failures in chaos runs.
 	// Nil injects nothing.
 	Faults *faultinject.Injector
 	// Logf receives recovery and I/O-error diagnostics. Nil discards.
 	Logf func(format string, args ...any)
+
+	// segmentBytes is the roll-over threshold for the active segment
+	// (default 4 MiB, or a quarter of a Budget under 16 MiB: eviction frees
+	// whole sealed segments, so a segment as large as the budget could never
+	// be evicted back under it). Tests set it to roll segments sooner.
+	segmentBytes int64
+	// queueBytes bounds the payload bytes PutAsync may have queued for the
+	// writer (default 32 MiB). A producer that would exceed it waits for the
+	// writer — backpressure, not loss — so the backlog of copies is a constant
+	// however much faster than the disk the producers are. A payload larger
+	// than the bound is admitted once the queue is empty. A writer that makes
+	// no room within spillWait is stalled, and the spill is dropped instead.
+	// Tests set it to reach the bound with small payloads.
+	queueBytes int64
 }
 
 // Stats is the /metrics disk_cache block.
@@ -162,7 +164,7 @@ type Store struct {
 	bytes   int64
 	// queued is the payload bytes PutAsync has handed the writer and the
 	// writer has not appended yet; room wakes producers waiting for it to
-	// fall under opts.QueueBytes.
+	// fall under opts.queueBytes.
 	queued int64
 	room   *sync.Cond
 
@@ -199,14 +201,14 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: mkdir %s: %w", dir, err)
 	}
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentBytes
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = defaultSegmentBytes
 		if opts.Budget > 0 {
-			opts.SegmentBytes = min(opts.SegmentBytes, max(opts.Budget/4, 1))
+			opts.segmentBytes = min(opts.segmentBytes, max(opts.Budget/4, 1))
 		}
 	}
-	if opts.QueueBytes <= 0 {
-		opts.QueueBytes = defaultQueueBytes
+	if opts.queueBytes <= 0 {
+		opts.queueBytes = defaultQueueBytes
 	}
 	s := &Store{
 		dir:   dir,
@@ -339,7 +341,7 @@ func (s *Store) Drop(key Key) {
 }
 
 // PutAsync queues payload for appending and returns without waiting for the
-// write — unless the queue already holds Options.QueueBytes, in which case it
+// write — unless the queue already holds Options.queueBytes, in which case it
 // first waits for the writer to make room (or for the key to land on disk,
 // which makes the call a no-op). A writer that makes no room within spillWait
 // is stalled: the spill is dropped and counted in SpillsDropped. The payload
@@ -360,7 +362,7 @@ func (s *Store) PutAsync(key Key, payload []byte) {
 			s.mu.Unlock()
 			return
 		}
-		if s.queued == 0 || s.queued+n <= s.opts.QueueBytes {
+		if s.queued == 0 || s.queued+n <= s.opts.queueBytes {
 			break
 		}
 		if !s.waitRoomLocked(deadline) {
@@ -549,7 +551,7 @@ func (s *Store) append(key Key, payload []byte) error {
 	seg.lastUse = s.tick
 	s.idx[key] = loc{seg: seg.id, off: off, len: uint32(len(payload)), sum: sum}
 	s.spills++
-	roll := seg.size >= s.opts.SegmentBytes
+	roll := seg.size >= s.opts.segmentBytes
 	if roll {
 		seg.sealed = true
 		s.active = nil

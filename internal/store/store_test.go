@@ -128,11 +128,11 @@ func TestPutAsyncAndFlush(t *testing.T) {
 }
 
 // Producers faster than the writer wait at the byte bound instead of growing
-// the backlog or losing records: the queued bytes never exceed QueueBytes,
+// the backlog or losing records: the queued bytes never exceed queueBytes,
 // every record lands, and a payload larger than the bound still gets through.
 func TestPutAsyncBacklogBoundedInBytes(t *testing.T) {
 	const bound, size, perProducer, producers = 4 << 10, 1 << 10, 100, 4
-	s := mustOpen(t, t.TempDir(), Options{QueueBytes: bound, SegmentBytes: 8 << 10})
+	s := mustOpen(t, t.TempDir(), Options{queueBytes: bound, segmentBytes: 8 << 10})
 	defer s.Close()
 
 	stop, watched := make(chan struct{}), make(chan int64)
@@ -204,7 +204,7 @@ func TestPutAsyncStalledWriterDropsAfterBound(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inj := faultinject.New(faultinject.Spec{DiskStall: 1})
-			s := mustOpen(t, t.TempDir(), Options{QueueBytes: tc.queueBytes, Faults: inj})
+			s := mustOpen(t, t.TempDir(), Options{queueBytes: tc.queueBytes, Faults: inj})
 			defer s.Close()
 			for i := 0; i <= tc.fill; i++ {
 				k := batchKey(i)
@@ -323,7 +323,7 @@ func TestRecoverAppendsBeyondManifest(t *testing.T) {
 func TestSegmentRollAndEviction(t *testing.T) {
 	dir := t.TempDir()
 	// ~1KiB records, 4KiB segments, 12KiB budget: forces rolls and evictions.
-	s := mustOpen(t, dir, Options{SegmentBytes: 4 << 10, Budget: 12 << 10})
+	s := mustOpen(t, dir, Options{segmentBytes: 4 << 10, Budget: 12 << 10})
 	defer s.Close()
 	n := 40
 	for i := 0; i < n; i++ {
@@ -484,7 +484,7 @@ func TestCloseIdempotentAndRejectsWrites(t *testing.T) {
 }
 
 func TestConcurrentPutGet(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), Options{SegmentBytes: 8 << 10})
+	s := mustOpen(t, t.TempDir(), Options{segmentBytes: 8 << 10})
 	defer s.Close()
 	done := make(chan struct{})
 	go func() {
@@ -514,7 +514,7 @@ func TestStableAcrossManyReopens(t *testing.T) {
 	dir := t.TempDir()
 	want := map[Key][]byte{}
 	for round := 0; round < 5; round++ {
-		s := mustOpen(t, dir, Options{SegmentBytes: 2 << 10})
+		s := mustOpen(t, dir, Options{segmentBytes: 2 << 10})
 		for k, p := range want {
 			got, ok := s.Get(k, nil)
 			if !ok || !bytes.Equal(got, p) {
@@ -606,7 +606,7 @@ func TestConcurrentGetsOverlap(t *testing.T) {
 // segment can be evicted between the lookup and the read. That is a miss —
 // the record left the index with its segment — not a corrupt record.
 func TestGetLosingToEvictionIsAMiss(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), Options{SegmentBytes: 1 << 10, Budget: 3 << 10})
+	s := mustOpen(t, t.TempDir(), Options{segmentBytes: 1 << 10, Budget: 3 << 10})
 	defer s.Close()
 	k := batchKey(0)
 	if err := s.Put(k, payloadFor(k, 2<<10)); err != nil { // fills and seals segment 0
@@ -630,7 +630,7 @@ func TestGetLosingToEvictionIsAMiss(t *testing.T) {
 	}
 }
 
-// TestSegmentBytesFitBudget: with no explicit SegmentBytes, a budget smaller
+// TestSegmentBytesFitBudget: with no explicit segmentBytes, a budget smaller
 // than four default segments gets segments of a quarter of it — eviction
 // works in whole sealed segments — and every other budget keeps 4 MiB.
 func TestSegmentBytesFitBudget(t *testing.T) {
@@ -642,14 +642,14 @@ func TestSegmentBytesFitBudget(t *testing.T) {
 		{4 << 30, defaultSegmentBytes},
 	} {
 		s := mustOpen(t, t.TempDir(), Options{Budget: c.budget})
-		if s.opts.SegmentBytes != c.want {
-			t.Errorf("budget %d: segment %d bytes, want %d", c.budget, s.opts.SegmentBytes, c.want)
+		if s.opts.segmentBytes != c.want {
+			t.Errorf("budget %d: segment %d bytes, want %d", c.budget, s.opts.segmentBytes, c.want)
 		}
 		s.Close()
 	}
-	s := mustOpen(t, t.TempDir(), Options{Budget: 8 << 10, SegmentBytes: 4 << 10})
+	s := mustOpen(t, t.TempDir(), Options{Budget: 8 << 10, segmentBytes: 4 << 10})
 	defer s.Close()
-	if s.opts.SegmentBytes != 4<<10 {
-		t.Fatalf("explicit SegmentBytes overridden to %d", s.opts.SegmentBytes)
+	if s.opts.segmentBytes != 4<<10 {
+		t.Fatalf("explicit segmentBytes overridden to %d", s.opts.segmentBytes)
 	}
 }

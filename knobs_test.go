@@ -10,6 +10,7 @@ import (
 	"lotus/internal/cluster"
 	"lotus/internal/control"
 	"lotus/internal/serve"
+	"lotus/internal/store"
 )
 
 // TestKnobRatchet pins the number of exported fields on the serving stack's
@@ -27,6 +28,7 @@ func TestKnobRatchet(t *testing.T) {
 		{serve.ClientConfig{}, 9}, // Addrs went: failover across servers is cluster.Client's
 		{cluster.Config{}, 9},     // Replication routed nothing; Balancer's five knobs, HedgeMinSamples and HedgeMinDelay are constants; OnReroute duplicated Logf
 		{control.Knobs{}, 2},
+		{store.Options{}, 3}, // SegmentBytes and QueueBytes are unexported: only tests set them
 	} {
 		typ := reflect.TypeOf(c.v)
 		got := 0
