@@ -18,6 +18,17 @@ func fastRealDataset(n int, seed int64) *data.ImageDataset {
 	})
 }
 
+// TestEpochSeedMatchesTrainer pins the epoch seed derivation, seed +
+// epoch·1_000_003: the wire protocol fixes it, since a served epoch's plan is
+// built from it on the server and must equal the local DataLoader's.
+func TestEpochSeedMatchesTrainer(t *testing.T) {
+	for _, epoch := range []int{0, 1, 2, 17} {
+		if got, want := EpochSeed(7, epoch), int64(7)+int64(epoch)*1_000_003; got != want {
+			t.Fatalf("EpochSeed(7, %d) = %d, want %d", epoch, got, want)
+		}
+	}
+}
+
 // augmentedTestCompose is the ICA shape at test scale: a two-op deterministic
 // prefix (decode + resize) and a fully random suffix.
 func augmentedTestCompose(io data.IOModel) *Compose {

@@ -17,66 +17,96 @@ import (
 // its name, its place and its one trace record per sample; only the time
 // inside the records moves. Names, Kernels, GroundTruth, SplitPoint,
 // ApplyPrefix and ApplySuffix see the plan as written.
-//
-// crop→decode: a Loader immediately followed by a RandomResizedCrop decodes
-// only the rectangle the crop will keep, and the crop, handed exactly its
-// rectangle, only resizes. The rectangle is drawn from ctx.OpRNG(index,
-// "rrc") — a pure function of (seed, epoch, index) — and the file's
-// dimensions, so drawing it before the decode yields the rectangle the crop
-// would have drawn after it, and imaging.DecodeSJPGRegion is
-// Crop(DecodeSJPG) byte for byte. It is off when the sample cache holds the
-// Loader's output: the cached prefix is the full decode, shared by every
-// epoch's different rectangle.
-//
-// tensor tail→collate (tf.data's map_and_batch): a plan that ends in
-// ToTensor, Normalize leaves the uint8 image on the sample, and the Collate
-// that batches the samples makes the one pass from those pixels to the
-// batch tensor (finishTails). Both ops map each byte of a channel to one
-// float32, so their composition is a 3×256 table, and the table is made by
-// running the two ops as written over the 256 byte values: whatever they
-// compute, the fused pass stores. A sample with its tail deferred is not a
-// finished sample — it has no Tensor — so the rewrite is in force only for a
-// caller that is certain to collate what it gets, which is a BatchWorker
-// (Ctx.collates) and nobody else, and only when both ops lie outside the
-// sample cache's prefix, whose snapshots hold what the plan as written
-// produces. A caller that carries the batch somewhere else before using it
-// (a serving plane, whose CollateDst takes the offer) may stop one pass short
-// and ship the pixels: the table is the last pass, and TailTable hands it out
-// for whoever runs it on the far side.
 
-// The plans of a Compose, indexed by the rewrites in force.
-const (
-	planCrop = 1 << iota
-	planTail
-	numPlans = 1 << iota
-)
+// A rewrite is one entry of the rewrites table: its name, a find over the
+// plan as written, and why it can be off — the plan has none of its ops, the
+// mode is Simulated, one of its ops lies in the sample cache's prefix, the
+// caller does not collate ("" for a rewrite any caller may run). The ops two
+// entries find never overlap, so any subset of the table can be in force.
+type rewrite struct {
+	name string
+	find func(ts []Transform) match
 
-// cropOff says why the crop→decode rewrite is not in force for a plan whose
-// first split ops are served by a sample cache; "" when it is.
-func (c *Compose) cropOff(mode Mode, split int) string {
-	switch {
-	case c.cropAt < 0:
-		return "no crop follows the decode"
-	case mode != RealData:
-		return "nothing is decoded in simulated mode"
-	case split > c.cropAt:
-		return "sample cache holds the full decode"
-	}
-	return ""
+	noMatch, simulated, cached, uncollated string
 }
 
-// tailOff is cropOff for the tensor tail→collate rewrite; collates tells
-// whether the caller batches the samples it is given.
-func (c *Compose) tailOff(mode Mode, split int, collates bool) string {
+// match is where the ops a rewrite replaces start in the plan and what runs
+// in their place (nil: the plan has none). table, when set, is the 3×256
+// table the rewrite leaves the plan's last pass to (TailTable).
+type match struct {
+	at    int
+	ops   []Transform
+	table *[3][256]float32
+}
+
+var rewrites = [...]rewrite{{
+	// A Loader immediately followed by a RandomResizedCrop decodes only the
+	// rectangle the crop keeps, and the crop only resizes. The rectangle is
+	// drawn from ctx.OpRNG(index, "rrc") — a pure function of (seed, epoch,
+	// index) — and the file's dimensions, so the Loader draws the rectangle
+	// the crop would have, and imaging.DecodeSJPGRegion is Crop(DecodeSJPG)
+	// byte for byte. A cached prefix is the full decode, shared by every
+	// epoch's different rectangle.
+	name: "crop→decode",
+	find: func(ts []Transform) match {
+		for i := 0; i+1 < len(ts); i++ {
+			l, _ := ts[i].(*Loader)
+			rrc, _ := ts[i+1].(*RandomResizedCrop)
+			if l != nil && rrc != nil {
+				return match{at: i, ops: []Transform{windowLoader{l, rrc}, croppedResize{rrc}}}
+			}
+		}
+		return match{}
+	},
+	noMatch:   "no crop follows the decode",
+	simulated: "nothing is decoded in simulated mode",
+	cached:    "sample cache holds the full decode",
+}, {
+	// tf.data's map_and_batch: a plan that ends in ToTensor, Normalize leaves
+	// the uint8 image on the sample, and the Collate makes the one pass from
+	// those pixels to the batch tensor (finishTails) through a 3×256 table
+	// made by running the two ops over the 256 byte values. A sample with its
+	// tail deferred has no Tensor, so only a caller certain to collate it —
+	// a BatchWorker (Ctx.collates) — may get one, and a cached prefix holds
+	// what the plan as written produces. A caller whose CollateDst takes the
+	// batch one pass short ships the pixels, and whoever holds TailTable
+	// runs the last pass on the far side.
+	name: "tensor tail→collate",
+	find: func(ts []Transform) match {
+		n := len(ts)
+		if n < 2 {
+			return match{}
+		}
+		tt, _ := ts[n-2].(*ToTensor)
+		norm, _ := ts[n-1].(*Normalize)
+		// A Normalize that does not fit an RGB image panics per sample; it
+		// keeps doing so.
+		if tt == nil || norm == nil || len(norm.Mean) != 3 || len(norm.Std) != 3 {
+			return match{}
+		}
+		t := newTensorTail(tt, norm)
+		return match{at: n - 2, ops: []Transform{deferredToTensor{tt}, deferredNormalize{norm, t}}, table: &t.lut}
+	},
+	noMatch:    "the plan does not end in ToTensor, Normalize",
+	simulated:  "nothing is converted in simulated mode",
+	cached:     "sample cache holds the tensor",
+	uncollated: "the caller does not collate",
+}}
+
+// off says why rewrite r is not in force when a sample cache serves the
+// plan's first split ops (0: none) and the caller does or does not collate;
+// "" when it is.
+func (c *Compose) off(r int, mode Mode, split int, collates bool) string {
+	rw, m := &rewrites[r], &c.matches[r]
 	switch {
-	case c.tailAt < 0:
-		return "the plan does not end in ToTensor, Normalize"
+	case m.ops == nil:
+		return rw.noMatch
 	case mode != RealData:
-		return "nothing is converted in simulated mode"
-	case split > c.tailAt:
-		return "sample cache holds the tensor"
-	case !collates:
-		return "the caller does not collate"
+		return rw.simulated
+	case split > m.at:
+		return rw.cached
+	case !collates && rw.uncollated != "":
+		return rw.uncollated
 	}
 	return ""
 }
@@ -85,36 +115,30 @@ func (c *Compose) tailOff(mode Mode, split int, collates bool) string {
 // plan's first split ops (0: none) and the caller does or does not collate.
 func (c *Compose) plan(mode Mode, split int, collates bool) []Transform {
 	c.plansOnce.Do(c.buildPlans)
-	which := 0
-	if c.cropOff(mode, split) == "" {
-		which |= planCrop
+	set := 0
+	for r := range rewrites {
+		if c.off(r, mode, split, collates) == "" {
+			set |= 1 << r
+		}
 	}
-	if c.tailOff(mode, split, collates) == "" {
-		which |= planTail
-	}
-	return c.plans[which]
+	return c.plans[set]
 }
 
 // Rewrites names the plan rewrites in force when a BatchWorker — a DataLoader
 // worker, a serving plane slot — runs the plan in mode, with or without a
 // sample cache, and says why the others are not: "crop→decode, tensor
 // tail→collate", "tensor tail→collate (no crop follows the decode)", "none
-// (...; ...)". Any other caller of Apply gets crop→decode alone.
+// (...; ...)". Any other caller of Apply gets only the rewrites that do not
+// need a collating caller.
 func (c *Compose) Rewrites(mode Mode, sampleCache bool) string {
 	c.plansOnce.Do(c.buildPlans)
-	split := 0
-	if sampleCache {
-		split = c.SplitPoint()
-	}
+	split := c.cacheSplit(sampleCache)
 	var on, off []string
-	for _, r := range []struct{ name, off string }{
-		{"crop→decode", c.cropOff(mode, split)},
-		{"tensor tail→collate", c.tailOff(mode, split, true)},
-	} {
-		if r.off == "" {
-			on = append(on, r.name)
+	for r := range rewrites {
+		if why := c.off(r, mode, split, true); why == "" {
+			on = append(on, rewrites[r].name)
 		} else {
-			off = append(off, r.off)
+			off = append(off, why)
 		}
 	}
 	s := "none"
@@ -127,40 +151,24 @@ func (c *Compose) Rewrites(mode Mode, sampleCache bool) string {
 	return s
 }
 
+// buildPlans runs every rewrite's find over the plan as written and builds
+// the op list of every subset of the table: plans[set] is Transforms with
+// the ops of each rewrite in set that found any replaced.
 func (c *Compose) buildPlans() {
-	ts := c.Transforms
-	c.cropAt, c.tailAt = -1, -1
-	var crop, tail [2]Transform
-	for i := 0; i+1 < len(ts); i++ {
-		if l, ok := ts[i].(*Loader); ok {
-			if rrc, ok := ts[i+1].(*RandomResizedCrop); ok {
-				c.cropAt, crop = i, [2]Transform{windowLoader{l, rrc}, croppedResize{rrc}}
-				break
+	for r := range rewrites {
+		c.matches[r] = rewrites[r].find(c.Transforms)
+	}
+	for set := range c.plans {
+		ops := c.Transforms
+		if set != 0 {
+			ops = slices.Clone(ops)
+		}
+		for r, m := range c.matches {
+			if set&(1<<r) != 0 {
+				copy(ops[m.at:], m.ops)
 			}
 		}
-	}
-	if n := len(ts); n >= 2 {
-		tt, _ := ts[n-2].(*ToTensor)
-		norm, _ := ts[n-1].(*Normalize)
-		// A Normalize that does not fit an RGB image panics per sample; it
-		// keeps doing so.
-		if tt != nil && norm != nil && len(norm.Mean) == 3 && len(norm.Std) == 3 {
-			t := newTensorTail(tt, norm)
-			c.tailAt, tail = n-2, [2]Transform{deferredToTensor{tt}, deferredNormalize{norm, t}}
-		}
-	}
-	for which := range c.plans {
-		ops := ts
-		if which != 0 {
-			ops = slices.Clone(ts)
-		}
-		if which&planCrop != 0 && c.cropAt >= 0 {
-			copy(ops[c.cropAt:], crop[:])
-		}
-		if which&planTail != 0 && c.tailAt >= 0 {
-			copy(ops[c.tailAt:], tail[:])
-		}
-		c.plans[which] = ops
+		c.plans[set] = ops
 	}
 }
 
@@ -233,14 +241,13 @@ func (t deferredNormalize) Apply(_ *Ctx, s Sample) Sample {
 // this table; the table is the Compose's and must not be written to.
 func (c *Compose) TailTable(mode Mode, sampleCache bool) *[3][256]float32 {
 	c.plansOnce.Do(c.buildPlans)
-	split := 0
-	if sampleCache {
-		split = c.SplitPoint()
+	split := c.cacheSplit(sampleCache)
+	for r, m := range c.matches {
+		if m.table != nil && c.off(r, mode, split, true) == "" {
+			return m.table
+		}
 	}
-	if c.tailOff(mode, split, true) != "" {
-		return nil
-	}
-	return &c.plans[planTail][c.tailAt+1].(deferredNormalize).tail.lut
+	return nil
 }
 
 // finishTails is the collate's half of tensor tail→collate. When every

@@ -72,7 +72,8 @@ func (noop) Deterministic() bool           { return true }
 func (noop) Apply(_ *Ctx, s Sample) Sample { return s }
 
 // TestPlanRewriteRule: which plans are rewritten, under which modes and
-// caches, and that ApplyPrefix/ApplySuffix never are.
+// caches, and why the other rewrites are not; ApplyPrefix and ApplySuffix
+// never are.
 func TestPlanRewriteRule(t *testing.T) {
 	ic := func() *Compose { return icCompose(nil) }
 	norm := func() *Normalize {
@@ -87,7 +88,7 @@ func TestPlanRewriteRule(t *testing.T) {
 	}{
 		{"IC real", ic(), RealData, false, "crop→decode, tensor tail→collate"},
 		{"IC real, sample cache", ic(), RealData, true, "tensor tail→collate (sample cache holds the full decode)"},
-		{"IC real, sample cache, split disabled", &Compose{Transforms: ic().Transforms, SplitOverride: -1}, RealData, true, "crop→decode, tensor tail→collate"},
+		{"random op first, sample cache", NewCompose(&RandomHorizontalFlip{}, &Loader{}, &RandomResizedCrop{Size: 8}, &ToTensor{}, norm()), RealData, true, "crop→decode, tensor tail→collate"},
 		{"IC simulated", ic(), Simulated, false, "none (nothing is decoded in simulated mode; nothing is converted in simulated mode)"},
 		{"ICA real", augmentedTestCompose(data.IOModel{}), RealData, false, "tensor tail→collate (no crop follows the decode)"},
 		{"ICA real, sample cache", augmentedTestCompose(data.IOModel{}), RealData, true, "tensor tail→collate (no crop follows the decode)"},
@@ -97,34 +98,43 @@ func TestPlanRewriteRule(t *testing.T) {
 		{"Normalize not last", NewCompose(&Loader{}, &ToTensor{}, norm(), noop{}), RealData, false, "none (no crop follows the decode; the plan does not end in ToTensor, Normalize)"},
 		{"Normalize over two channels", NewCompose(&Loader{}, &ToTensor{}, &Normalize{Mean: []float32{0, 0}, Std: []float32{1, 1}}), RealData, false, "none (no crop follows the decode; the plan does not end in ToTensor, Normalize)"},
 		{"all deterministic, sample cache holds the whole plan", NewCompose(&Loader{}, &Resize{W: 8, H: 8}, &ToTensor{}, norm()), RealData, true, "none (no crop follows the decode; sample cache holds the tensor)"},
-		{"all deterministic, split forced between the tail's ops", &Compose{Transforms: []Transform{&Loader{}, &Resize{W: 8, H: 8}, &ToTensor{}, norm()}, SplitOverride: 3}, RealData, true, "none (no crop follows the decode; sample cache holds the tensor)"},
-		{"all deterministic, split forced before the tail", &Compose{Transforms: []Transform{&Loader{}, &Resize{W: 8, H: 8}, &ToTensor{}, norm()}, SplitOverride: 2}, RealData, true, "tensor tail→collate (no crop follows the decode)"},
+		{"OD real, sample cache", NewCompose(&Loader{}, &Resize{W: 8, H: 8}, &RandomHorizontalFlip{}, &ToTensor{}, norm()), RealData, true, "tensor tail→collate (no crop follows the decode)"},
 	} {
 		if got := tc.c.Rewrites(tc.mode, tc.cache); got != tc.want {
 			t.Errorf("%s: Rewrites = %q, want %q", tc.name, got, tc.want)
 		}
 	}
 
+	// ApplyPrefix and ApplySuffix run the plan as written: full decodes.
 	ds := fastRealDataset(4, 9)
-	loader := &Loader{IO: ds.IO}
-	chain := NewCompose(loader, &RandomResizedCrop{Size: 16}, &ToTensor{})
+	chain := NewCompose(&Loader{IO: ds.IO}, &RandomResizedCrop{Size: 16}, &ToTensor{})
 	folder := NewImageFolder(ds, chain)
 	onRealCtx(64, func(ctx *Ctx) {
 		for i := 0; i < ds.Len(); i++ {
-			whole := folder.GetItem(ctx, 0, 0, i).Tensor
-			parts := chain.ApplySuffix(ctx, 0, 0, chain.ApplyPrefix(ctx, 0, 0, recordSample(ds, i))).Tensor
-			if !slices.Equal(whole.F32, parts.F32) {
-				t.Fatalf("sample %d: Apply (rewritten) differs from ApplyPrefix + ApplySuffix (as written)", i)
-			}
+			chain.ApplySuffix(ctx, 0, 0, chain.ApplyPrefix(ctx, 0, 0, recordSample(ds, i)))
 		}
 	})
-	if st := folder.DecodeStats(); st.Windowed != 4 || st.Full != 4 || st.PxSkipped <= 0 {
-		t.Fatalf("4 rewritten and 4 as-written passes: %+v, want 4 windowed and 4 full", st)
-	}
-	if names := chain.Names(); fmt.Sprint(names) != "[Loader RandomResizedCrop ToTensor]" || chain.SplitPoint() != 1 {
-		t.Fatalf("the plan as written changed: %v, split %d", names, chain.SplitPoint())
+	if st := folder.DecodeStats(); st.Windowed != 0 || st.Full != 4 {
+		t.Fatalf("ApplyPrefix + ApplySuffix decoded %+v, want 4 full decodes", st)
 	}
 }
+
+// TestPlanLookupAllocatesNothing: the lookup Compose.Apply makes per sample
+// — where a sample cache splits the plan, then the op list of the rewrites in
+// force — builds no string and allocates nothing once the plans are built,
+// with a sample cache and without.
+func TestPlanLookupAllocatesNothing(t *testing.T) {
+	c := icCompose(nil)
+	for _, cache := range []bool{false, true} {
+		lookup := func() { planSink = c.plan(RealData, c.cacheSplit(cache), true) }
+		lookup()
+		if n := testing.AllocsPerRun(100, lookup); n != 0 {
+			t.Errorf("sample cache %v: the plan lookup allocates %v times per sample, want 0", cache, n)
+		}
+	}
+}
+
+var planSink []Transform
 
 // TestSampleCacheHoldsFullDecodes: with the sample cache on, IC's cached
 // prefix is the Loader's output, so the crop→decode rewrite stays off: every
@@ -241,77 +251,120 @@ func asWritten(p clock.Proc, ds Dataset, cfg Config, indices []int) *tensor.Tens
 	return (&Collate{}).Run(ctx, samples)
 }
 
-// TestTensorTailFusedEqualsAsWritten: for IC, ICA and OD, over one worker and
-// four, epochs 0 to 2, into a fresh tensor, into a region of a caller's
-// buffer, and as pixels into a buffer that takes the offer and is finished
-// with TailTable afterwards, the batch a BatchWorker makes — tensor tail left
-// to its collate — holds the float32 bit patterns of the plan run as written.
-func TestTensorTailFusedEqualsAsWritten(t *testing.T) {
+// pinPlan makes every plan lookup of c return the op list under the
+// rewrites in set, whatever the mode, cache and caller.
+func pinPlan(c *Compose, set int) *Compose {
+	c.plansOnce.Do(c.buildPlans)
+	ops := c.plans[set]
+	for s := range c.plans {
+		c.plans[s] = ops
+	}
+	return c
+}
+
+// TestRewriteSubsetsEqualAsWritten: under every subset of the rewrite table,
+// for IC, ICA and OD, over one worker and four, epochs 0 to 2, into a fresh
+// tensor, into a region of a caller's buffer, and into a buffer that takes
+// the pixels — finished with TailTable afterwards — the batch a BatchWorker
+// makes holds the float32 bit patterns of the plan as written. The subset's
+// rewrites do run: a windowed decode per sample under crop→decode, the
+// pixels offered under tensor tail→collate. The plan as written does not
+// change.
+func TestRewriteSubsetsEqualAsWritten(t *testing.T) {
 	const n, dim, off = 16, 64, 16
 	ds := fastRealDataset(n, 3)
 	batches := BuildBatchPlan(n, 4, true, false, 11)
 	for name, chain := range tailChains(ds) {
-		for _, workers := range []int{1, 4} {
-			for epoch := 0; epoch < 3; epoch++ {
-				for _, into := range []string{"fresh", "frame", "pixels"} {
-					intoFrame := into != "fresh"
-					cfg := Config{Mode: RealData, Seed: 5, Epoch: epoch, MaterializeDim: dim}
-					folder, ref := NewImageFolder(ds, chain()), NewImageFolder(ds, chain())
-					if got := folder.Transform.Rewrites(RealData, false); !strings.Contains(got, "tensor tail→collate") {
-						t.Fatalf("%s: rewrites %q", name, got)
-					}
-					pool := make([]*BatchWorker, workers)
-					for i := range pool {
-						pool[i] = NewBatchWorker(i, folder, cfg)
-					}
-					clock.NewReal().Run("tail-test", func(p clock.Proc) {
-						for b, indices := range batches {
-							var frame []float32
-							var pixels []uint8
-							var dst CollateDst
-							if intoFrame {
-								dst = func(dtype tensor.DType, shape []int) *tensor.Tensor {
-									if dtype == tensor.Uint8 {
-										if into != "pixels" {
-											return nil // decline the pixels: the float32 batch follows
-										}
-										pixels = make([]uint8, off+tensor.NumElems(shape)+1)
-										return tensor.FromU8(pixels[off:len(pixels)-1], shape...)
-									}
-									frame = make([]float32, off+tensor.NumElems(shape)+1)
-									return tensor.FromF32(frame[off:len(frame)-1], shape...)
-								}
-							}
-							batch, err := pool[b%workers].Run(p, b, indices, dst)
-							if err != nil {
-								t.Fatal(err)
-							}
-							got, want := batch.Data, asWritten(p, ref, cfg, indices)
-							label := fmt.Sprintf("%s workers %d epoch %d into %s batch %d", name, workers, epoch, into, b)
-							if into == "pixels" {
-								if got.U8 == nil || frame != nil || &got.U8[0] != &pixels[off] || pixels[off-1] != 0 || pixels[len(pixels)-1] != 0 {
-									t.Fatalf("%s: the pixels are not exactly the region the caller gave", label)
-								}
-								got = finishPixels(got, folder.Transform.TailTable(RealData, false))
-							}
-							if fmt.Sprint(got.Shape) != fmt.Sprint(want.Shape) || got.Dtype != want.Dtype {
-								t.Fatalf("%s: %v, as written %v", label, got, want)
-							}
-							for i := range want.F32 {
-								if math.Float32bits(got.F32[i]) != math.Float32bits(want.F32[i]) {
-									t.Fatalf("%s: element %d is %v, as written %v", label, i, got.F32[i], want.F32[i])
-								}
-							}
-							if into == "frame" {
-								if &got.F32[0] != &frame[off] {
-									t.Fatalf("%s: the batch is not in the caller's buffer", label)
-								}
-								if frame[off-1] != 0 || frame[len(frame)-1] != 0 {
-									t.Fatalf("%s: the collate wrote outside the region it was given", label)
-								}
-							}
+		for epoch := 0; epoch < 3; epoch++ {
+			cfg := Config{Mode: RealData, Seed: 5, Epoch: epoch, MaterializeDim: dim}
+			written := pinPlan(chain(), 0)
+			ref := NewImageFolder(ds, written)
+			want := make([]*tensor.Tensor, len(batches))
+			clock.NewReal().Run("as-written", func(p clock.Proc) {
+				for b, indices := range batches {
+					want[b] = asWritten(p, ref, cfg, indices)
+				}
+			})
+			if st := ref.DecodeStats(); st.Windowed != 0 || st.Full != n {
+				t.Fatalf("%s: the plan as written decoded %+v, want %d full", name, st, n)
+			}
+			for set := 0; set < 1<<len(rewrites); set++ {
+				for _, workers := range []int{1, 4} {
+					for _, into := range []string{"fresh", "frame", "pixels"} {
+						c := chain()
+						folder := NewImageFolder(ds, pinPlan(c, set))
+						inForce := func(name string) bool {
+							r := slices.IndexFunc(rewrites[:], func(rw rewrite) bool { return rw.name == name })
+							return set&(1<<r) != 0 && c.matches[r].ops != nil
 						}
-					})
+						windowed, fused := inForce("crop→decode"), inForce("tensor tail→collate")
+						label := fmt.Sprintf("%s rewrites %02b workers %d epoch %d into %s", name, set, workers, epoch, into)
+						pool := make([]*BatchWorker, workers)
+						for i := range pool {
+							pool[i] = NewBatchWorker(i, folder, cfg)
+						}
+						clock.NewReal().Run("subset-test", func(p clock.Proc) {
+							for b, indices := range batches {
+								var frame []float32
+								var pixels []uint8
+								var dst CollateDst
+								if into != "fresh" {
+									dst = func(dtype tensor.DType, shape []int) *tensor.Tensor {
+										if dtype == tensor.Uint8 {
+											if into != "pixels" {
+												return nil // decline the pixels: the float32 batch follows
+											}
+											pixels = make([]uint8, off+tensor.NumElems(shape)+1)
+											return tensor.FromU8(pixels[off:len(pixels)-1], shape...)
+										}
+										frame = make([]float32, off+tensor.NumElems(shape)+1)
+										return tensor.FromF32(frame[off:len(frame)-1], shape...)
+									}
+								}
+								batch, err := pool[b%workers].Run(p, b, indices, dst)
+								if err != nil {
+									t.Error(err)
+									return
+								}
+								got, label := batch.Data, fmt.Sprintf("%s batch %d", label, b)
+								if into == "pixels" && fused {
+									if got.U8 == nil || frame != nil || &got.U8[0] != &pixels[off] || pixels[off-1] != 0 || pixels[len(pixels)-1] != 0 {
+										t.Errorf("%s: the pixels are not exactly the region the caller gave", label)
+										return
+									}
+									got = finishPixels(got, c.TailTable(RealData, false))
+								} else if into != "fresh" {
+									if pixels != nil || &got.F32[0] != &frame[off] {
+										t.Errorf("%s: the batch is not in the caller's float32 buffer", label)
+										return
+									}
+									if frame[off-1] != 0 || frame[len(frame)-1] != 0 {
+										t.Errorf("%s: the collate wrote outside the region it was given", label)
+										return
+									}
+								}
+								if fmt.Sprint(got.Shape) != fmt.Sprint(want[b].Shape) || got.Dtype != want[b].Dtype {
+									t.Errorf("%s: %v, as written %v", label, got, want[b])
+									return
+								}
+								for i := range want[b].F32 {
+									if math.Float32bits(got.F32[i]) != math.Float32bits(want[b].F32[i]) {
+										t.Errorf("%s: element %d is %v, as written %v", label, i, got.F32[i], want[b].F32[i])
+										return
+									}
+								}
+							}
+						})
+						if t.Failed() {
+							return
+						}
+						if st := folder.DecodeStats(); windowed && (st.Windowed != n || st.Full != 0 || st.PxSkipped <= 0) || !windowed && st.Windowed != 0 {
+							t.Fatalf("%s: decodes %+v, want %d windowed: %v", label, st, n, windowed)
+						}
+						if !slices.Equal(c.Names(), written.Names()) || c.SplitPoint() != written.SplitPoint() {
+							t.Fatalf("%s: the plan as written changed: %v, split %d", label, c.Names(), c.SplitPoint())
+						}
+					}
 				}
 			}
 		}
@@ -410,7 +463,7 @@ func TestTensorTailRecordsAndFailures(t *testing.T) {
 		{"IC fused", NewCompose(&Loader{IO: ds.IO}, &RandomResizedCrop{Size: 16}, &RandomHorizontalFlip{}, &ToTensor{}, norm), RealData, false},
 		{"IC fused behind a sample cache", NewCompose(&Loader{IO: ds.IO}, &RandomResizedCrop{Size: 16}, &RandomHorizontalFlip{}, &ToTensor{}, norm), RealData, true},
 		{"whole plan cached", NewCompose(&Loader{IO: ds.IO}, &Resize{W: 16, H: 16}, &ToTensor{}, norm), RealData, true},
-		{"split forced before the tail", &Compose{Transforms: []Transform{&Loader{IO: ds.IO}, &Resize{W: 16, H: 16}, &ToTensor{}, norm}, SplitOverride: 2}, RealData, true},
+		{"split before the tail", NewCompose(&Loader{IO: ds.IO}, &Resize{W: 16, H: 16}, &RandomHorizontalFlip{}, &ToTensor{}, norm), RealData, true},
 		{"ToTensor only", NewCompose(&Loader{IO: ds.IO}, &Resize{W: 16, H: 16}, &ToTensor{}), RealData, false},
 		{"Normalize not last", NewCompose(&Loader{IO: ds.IO}, &Resize{W: 16, H: 16}, &ToTensor{}, norm, noop{}), RealData, false},
 		{"simulated", icCompose(nil), Simulated, false},

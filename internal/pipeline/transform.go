@@ -41,19 +41,12 @@ type Compose struct {
 	Transforms []Transform
 	// Hooks receives per-op timing records; nil disables instrumentation.
 	Hooks *Hooks
-	// SplitOverride pins the prefix/suffix split point for the sample cache:
-	// 0 computes it automatically as the maximal deterministic prefix, -1
-	// disables splitting, and n > 0 forces the prefix to the first n
-	// transforms (which must all be deterministic — SplitPoint panics
-	// otherwise, since caching past a random op would freeze its draws).
-	SplitOverride int
 
-	// plans holds Transforms under every combination of the plan rewrites
-	// (rewrite.go), built on first use. cropAt and tailAt are where the ops a
-	// rewrite replaces start, -1 when the plan has no such ops.
-	plansOnce      sync.Once
-	plans          [numPlans][]Transform
-	cropAt, tailAt int
+	// plans[set] is Transforms under the rewrites in set (rewrite.go), and
+	// matches what each rewrite found in Transforms; built on first use.
+	plansOnce sync.Once
+	plans     [1 << len(rewrites)][]Transform
+	matches   [len(rewrites)]match
 }
 
 // NewCompose chains the given transforms without instrumentation.
@@ -62,27 +55,27 @@ func NewCompose(ts ...Transform) *Compose {
 }
 
 // SplitPoint returns the number of leading transforms that form the
-// cacheable deterministic prefix (0 means no usable prefix). Everything at
-// or after the split is the random suffix that re-runs per epoch.
+// cacheable deterministic prefix (0 means no usable prefix): the maximal run
+// of deterministic ops at the head of the plan. Everything at or after the
+// split is the random suffix that re-runs per epoch.
 func (c *Compose) SplitPoint() int {
-	if c.SplitOverride < 0 {
-		return 0
-	}
-	auto := 0
+	n := 0
 	for _, t := range c.Transforms {
 		if !t.Deterministic() {
 			break
 		}
-		auto++
+		n++
 	}
-	if c.SplitOverride == 0 {
-		return auto
+	return n
+}
+
+// cacheSplit is where a sample cache splits the plan: SplitPoint when there
+// is one, 0 when there is none.
+func (c *Compose) cacheSplit(sampleCache bool) int {
+	if !sampleCache {
+		return 0
 	}
-	if c.SplitOverride > auto {
-		panic(fmt.Sprintf("pipeline: SplitOverride %d extends past the deterministic prefix (%d ops)",
-			c.SplitOverride, auto))
-	}
-	return c.SplitOverride
+	return c.SplitPoint()
 }
 
 // Apply runs every transform in order. pid and batchID flow into the op log
@@ -93,10 +86,7 @@ func (c *Compose) SplitPoint() int {
 // runs under the plan's rewrites (rewrite.go): same ops, same records, same
 // bytes.
 func (c *Compose) Apply(ctx *Ctx, pid, batchID int, s Sample) Sample {
-	split := 0
-	if ctx.SampleCache != nil {
-		split = c.SplitPoint()
-	}
+	split := c.cacheSplit(ctx.SampleCache != nil)
 	ops := c.plan(ctx.Mode, split, ctx.collates)
 	if split > 0 {
 		s = ctx.SampleCache.materialize(ctx, c, pid, batchID, split, s)

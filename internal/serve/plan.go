@@ -16,19 +16,13 @@ type PlanBatch struct {
 	Indices  []int
 }
 
-// EpochSeed derives the per-epoch shuffle seed exactly as the local
-// multi-epoch trainer does (pipeline.EpochSeed, used by every DataLoader's
-// plan builder), so a served epoch's plan — and therefore every batch
-// streamed from it — is identical to what a local DataLoader run would
-// produce.
-func EpochSeed(seed int64, epoch int) int64 {
-	return pipeline.EpochSeed(seed, epoch)
-}
-
 // BuildEpochPlan returns the full batch plan for one epoch over a dataset of
-// n samples, using the DataLoader's canonical shuffle/chunk derivation.
+// n samples, using the DataLoader's canonical shuffle/chunk derivation and
+// its per-epoch seed (pipeline.EpochSeed), so a served epoch's plan — and
+// therefore every batch streamed from it — is identical to what a local
+// DataLoader run would produce.
 func BuildEpochPlan(n, batchSize int, shuffle, dropLast bool, seed int64, epoch int) []PlanBatch {
-	raw := pipeline.BuildBatchPlan(n, batchSize, shuffle, dropLast, EpochSeed(seed, epoch))
+	raw := pipeline.BuildBatchPlan(n, batchSize, shuffle, dropLast, pipeline.EpochSeed(seed, epoch))
 	plan := make([]PlanBatch, len(raw))
 	for i, idxs := range raw {
 		plan[i] = PlanBatch{GlobalID: i, Indices: idxs}
@@ -77,7 +71,7 @@ func SpecFingerprint(spec workloads.Spec, mode pipeline.Mode, materializeDim int
 // PrefixFingerprint hashes the byte-affecting parameters of the spec's
 // deterministic prefix, keying the split-point sample cache. ok is false
 // when the pipeline has no usable prefix (its first transform is already
-// random, or splitting is disabled).
+// random).
 //
 // The fingerprint covers the dataset identity (Kind, NumSamples, Seed — the
 // record geometry and per-sample content seeds derive from these), the

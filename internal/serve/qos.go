@@ -140,14 +140,12 @@ const pacerScale = 256
 // never paced (its lead is <= 0), so some tenant always progresses and the
 // rest are dragged along within the lead bound: weighted service rates
 // equalize without the pacer ever needing to know the server's capacity.
-// Tenants idle longer than window drop out of the active set and stop
+// Tenants idle longer than pacerWindow drop out of the active set and stop
 // constraining their peers; a joining (or rejoining) tenant starts at the
 // active minimum, so it gets no retroactive catch-up burst and owes no debt.
 type fairPacer struct {
 	mu      sync.Mutex
 	maxLead int64 // in vtime units (bytes*pacerScale per unit weight)
-	window  time.Duration
-	step    time.Duration // recheck interval while paced
 	entries map[string]*pacerEntry
 
 	paced int64 // admits that had to wait at least once (stats)
@@ -158,20 +156,19 @@ type pacerEntry struct {
 	lastActive time.Time
 }
 
-func newFairPacer(leadBytes int64, window, step time.Duration) *fairPacer {
+// pacerWindow is how long a tenant stays in the active set after its last
+// charge; pacerStep is how long a paced tenant waits before it asks again.
+const (
+	pacerWindow = 100 * time.Millisecond
+	pacerStep   = time.Millisecond
+)
+
+func newFairPacer(leadBytes int64) *fairPacer {
 	if leadBytes < 1 {
 		leadBytes = 1 << 20
 	}
-	if window <= 0 {
-		window = 100 * time.Millisecond
-	}
-	if step <= 0 {
-		step = time.Millisecond
-	}
 	return &fairPacer{
 		maxLead: leadBytes * pacerScale,
-		window:  window,
-		step:    step,
 		entries: make(map[string]*pacerEntry),
 	}
 }
@@ -198,7 +195,7 @@ func (p *fairPacer) admit(tenant string, weight int, cost int64, now time.Time) 
 	minActive := int64(-1)
 	hasPeer := false
 	for name, o := range p.entries {
-		if name == tenant || now.Sub(o.lastActive) > p.window {
+		if name == tenant || now.Sub(o.lastActive) > pacerWindow {
 			continue
 		}
 		if !hasPeer || o.vtime < minActive {
@@ -206,7 +203,7 @@ func (p *fairPacer) admit(tenant string, weight int, cost int64, now time.Time) 
 			hasPeer = true
 		}
 	}
-	if hasPeer && (fresh || now.Sub(e.lastActive) > p.window) {
+	if hasPeer && (fresh || now.Sub(e.lastActive) > pacerWindow) {
 		// New or returning tenant: fast-forward to the current floor (never
 		// backward) so idle time is neither banked as catch-up credit nor
 		// held against it.
@@ -216,7 +213,7 @@ func (p *fairPacer) admit(tenant string, weight int, cost int64, now time.Time) 
 	}
 	if hasPeer && e.vtime-minActive > p.maxLead {
 		p.paced++
-		return p.step
+		return pacerStep
 	}
 	e.vtime += cost * pacerScale / int64(weight)
 	e.lastActive = now
@@ -287,7 +284,7 @@ func newQoSState(limits map[string]TenantLimit) *qosState {
 	return &qosState{
 		limits:  limits,
 		tenants: make(map[string]*tenantState),
-		pacer:   newFairPacer(qosLeadBytes, 0, 0),
+		pacer:   newFairPacer(qosLeadBytes),
 		now:     time.Now,
 		sleep:   sleepInterruptible,
 	}

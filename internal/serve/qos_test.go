@@ -207,7 +207,7 @@ func TestThrottleDeterministic(t *testing.T) {
 // active peers is never paced, a leader is paced once it runs maxLead past
 // the slowest active peer, and it resumes as the laggard advances.
 func TestFairPacerLeadBound(t *testing.T) {
-	p := newFairPacer(1000, 100*time.Millisecond, time.Millisecond)
+	p := newFairPacer(1000)
 	now := time.Unix(3000, 0)
 
 	// Alone, "a" charges freely no matter how far it runs.
@@ -230,8 +230,8 @@ func TestFairPacerLeadBound(t *testing.T) {
 	if w := p.admit("a", 1, 600, now); w != 0 { // lead 500 -> a: 51_200
 		t.Fatalf("in-bound admit paced %v", w)
 	}
-	if w := p.admit("a", 1, 600, now); w != p.step { // lead 1100 > 1000: paced
-		t.Fatalf("over-lead admit returned %v, want step %v", w, p.step)
+	if w := p.admit("a", 1, 600, now); w != pacerStep { // lead 1100 > 1000: paced
+		t.Fatalf("over-lead admit returned %v, want step %v", w, pacerStep)
 	}
 	// The laggard is never paced, and its progress releases the leader.
 	if w := p.admit("b", 1, 600, now); w != 0 { // b: 50_700
@@ -254,7 +254,7 @@ func TestFairPacerLeadBound(t *testing.T) {
 // TestFairPacerWeights: a weight-2 tenant's vtime advances at half the rate
 // per byte, so it may serve twice the bytes before hitting the same lead.
 func TestFairPacerWeights(t *testing.T) {
-	p := newFairPacer(1000, 100*time.Millisecond, time.Millisecond)
+	p := newFairPacer(1000)
 	now := time.Unix(4000, 0)
 	p.admit("light", 1, 1, now) // floor at ~0
 	served := 0
@@ -275,7 +275,7 @@ func TestFairPacerWeights(t *testing.T) {
 // pace returns errQoSCanceled.
 func TestPaceCancelAndClock(t *testing.T) {
 	qs := newQoSState(nil)
-	qs.pacer = newFairPacer(1000, 0, 0)
+	qs.pacer = newFairPacer(1000)
 	now := time.Unix(5000, 0)
 	var slept time.Duration
 	qs.now = func() time.Time { return now }

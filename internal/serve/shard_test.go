@@ -55,17 +55,6 @@ func TestShardDisjointExhaustive(t *testing.T) {
 	}
 }
 
-// TestEpochSeedMatchesTrainer pins the epoch seed derivation to the one the
-// local multi-epoch trainer uses; if RunEpochs changes its derivation, served
-// epochs would silently diverge from local ones.
-func TestEpochSeedMatchesTrainer(t *testing.T) {
-	for _, epoch := range []int{0, 1, 2, 17} {
-		if got, want := EpochSeed(7, epoch), int64(7)+int64(epoch)*1_000_003; got != want {
-			t.Fatalf("EpochSeed(7, %d) = %d, want %d", epoch, got, want)
-		}
-	}
-}
-
 // TestShardedLoadersCoverEpoch runs one virtual-clock DataLoader per rank,
 // each over its shard of the same epoch plan, and checks that the union of
 // the batches they deliver is exactly the batch sequence a single local

@@ -176,10 +176,10 @@ func TestManifestTruncationAlwaysRecovers(t *testing.T) {
 	}
 }
 
-// TestManifestBitFlipsAlwaysRecover flips one bit at a spread of offsets in
-// every record header — magic, kind, each key field, length, both sums — with
-// no MANIFEST present (the test removes any, which a version 2 store needed
-// to take its scan path). A flipped record is never returned under any key,
+// TestManifestBitFlipsAlwaysRecover covers record headers; no MANIFEST exists.
+// It flips one bit at a spread of offsets in every record header — magic,
+// kind, each key field, length, both sums — with no MANIFEST present (the
+// test removes any, which a version 2 store needed to take its scan path). A flipped record is never returned under any key,
 // its original or the one its rotten header now names; the records before it
 // in its segment and every other segment recover.
 func TestManifestBitFlipsAlwaysRecover(t *testing.T) {
@@ -319,9 +319,10 @@ func TestTruncatedSegmentAbandonsTailOnly(t *testing.T) {
 	}
 }
 
-// FuzzDecodeManifest throws arbitrary bytes at the record-header decoder: it
-// must never panic, and a header it accepts is bounded and canonical — it is
-// exactly what encodeRecordHeader writes for the fields it decoded.
+// FuzzDecodeManifest covers record headers; no MANIFEST exists.
+// It throws arbitrary bytes at the record-header decoder: it must never
+// panic, and a header it accepts is bounded and canonical — it is exactly
+// what encodeRecordHeader writes for the fields it decoded.
 func FuzzDecodeManifest(f *testing.F) {
 	k := batchKey(3)
 	p := payloadFor(k, 64)
@@ -349,10 +350,11 @@ func FuzzDecodeManifest(f *testing.F) {
 	})
 }
 
-// FuzzOpenWithArbitraryManifest plants fuzzer bytes as a segment older than a
-// real store's, or appended to the tail of its newest segment: Open must
-// always succeed without panicking, and every Get hit must return exactly
-// the bytes Put under that key. (A planted tail is newer than the store, so
+// FuzzOpenWithArbitraryManifest covers record headers; no MANIFEST exists.
+// It plants fuzzer bytes as a segment older than a real store's, or appended
+// to the tail of its newest segment: Open must always succeed without
+// panicking, and every Get hit must return exactly the bytes Put under that
+// key. (A planted tail is newer than the store, so
 // a record in it with a clean header and payload is a Put like any other.)
 func FuzzOpenWithArbitraryManifest(f *testing.F) {
 	base := f.TempDir()

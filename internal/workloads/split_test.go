@@ -22,27 +22,6 @@ func TestSplitPointsPerWorkload(t *testing.T) {
 	}
 }
 
-// TestSplitOverride: an explicit override may shorten the prefix but must
-// panic when it extends past the deterministic run.
-func TestSplitOverride(t *testing.T) {
-	c := ICASpec(16, 7).Compose(nil)
-	c.SplitOverride = 1
-	if got := c.SplitPoint(); got != 1 {
-		t.Fatalf("override 1: split %d", got)
-	}
-	c.SplitOverride = -1
-	if got := c.SplitPoint(); got != 0 {
-		t.Fatalf("override -1: split %d", got)
-	}
-	c.SplitOverride = 3
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SplitOverride past the deterministic prefix did not panic")
-		}
-	}()
-	c.SplitPoint()
-}
-
 func specFor(kind Kind, samples int, seed int64) Spec {
 	switch kind {
 	case IC:
@@ -75,7 +54,6 @@ func applySplit(spec Spec, mode pipeline.Mode, split bool, epoch int) (pipeline.
 			s = c.ApplyPrefix(ctx, 1, 0, s)
 			s = c.ApplySuffix(ctx, 1, 0, s)
 		} else {
-			c.SplitOverride = -1
 			s = c.Apply(ctx, 1, 0, s)
 		}
 		out = s

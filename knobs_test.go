@@ -1,9 +1,11 @@
 package lotus_test
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
 	"reflect"
 	"testing"
 
@@ -54,6 +56,29 @@ func TestKnobRatchet(t *testing.T) {
 			t.Errorf("%s defines %d flags, pinned at %d. Every knob must show a bench "+
 				"delta, be derived automatically, or be removed (ROADMAP aim 2): justify the "+
 				"change, then move the pin", c.main, got, c.want)
+		}
+	}
+}
+
+// TestDocRatchet pins the line counts of DESIGN.md and README.md. The docs
+// are to describe the system as it is, and prose has outgrown the code it
+// describes (ROADMAP item 18): a change that lengthens one must move its pin
+// and say why in CHANGES.md; a change that shortens one lowers the pin.
+func TestDocRatchet(t *testing.T) {
+	for _, c := range []struct {
+		path string
+		want int
+	}{
+		{"DESIGN.md", 2352},
+		{"README.md", 840},
+	} {
+		b, err := os.ReadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bytes.Count(b, []byte("\n")); got != c.want {
+			t.Errorf("%s has %d lines, pinned at %d. A longer doc must say why in CHANGES.md, "+
+				"then move the pin; a shorter one lowers it", c.path, got, c.want)
 		}
 	}
 }
