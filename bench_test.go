@@ -193,7 +193,8 @@ func BenchmarkComposeICSample(b *testing.B) {
 			s := pipeline.Sample{Index: i, Seed: int64(i), Width: 500, Height: 375, FileBytes: 111 << 10, Channels: 3}
 			s = compose.Apply(ctx, 4001, 0, s)
 			if s.Tensor == nil {
-				b.Fatal("compose produced no tensor")
+				b.Error("compose produced no tensor")
+				return
 			}
 		}
 	})

@@ -65,7 +65,6 @@ func main() {
 		diskDir  = flag.String("disk-cache-dir", "", "persistent cache directory (empty = disabled); spilled frames and sample snapshots survive restarts and are shared across jobs pointing at the same directory")
 		diskGB   = flag.Float64("disk-cache-gb", 4, "persistent cache budget in GiB (segment-granularity LRU eviction above it)")
 		drain    = flag.Duration("drain", 15*time.Second, "graceful drain budget on SIGINT/SIGTERM")
-		autotune = flag.Bool("autotune", false, "closed-loop controller: observe wait and queue signals at every completed epoch and retune the worker pool and the prefetch window at runtime")
 
 		maxSessions = flag.Int("max-sessions", 0, "admission control: concurrent session cap (0 = unlimited); excess connections queue up to 2s for a slot, then get a retryable busy reply")
 	)
@@ -140,7 +139,6 @@ func main() {
 		SampleCacheBytes: *scacheMB << 20,
 		DiskCacheDir:     *diskDir,
 		DiskCacheBytes:   int64(*diskGB * float64(1<<30)),
-		AutoTune:         *autotune,
 		MaxSessions:      *maxSessions,
 		Tenants:          tenants,
 		Logf:             log.Printf,

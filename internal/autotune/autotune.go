@@ -18,8 +18,8 @@
 // signals make the stopping decision explicit.
 //
 // The classification and selection rules live in internal/control — this
-// package is the offline driver of the same bottleneck model the live
-// controller closes its loop with.
+// package is the offline driver of the bottleneck model the trace advisor
+// shares.
 package autotune
 
 import (

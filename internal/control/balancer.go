@@ -61,7 +61,6 @@ type Balancer struct {
 	weights  map[string]float64
 	tick     int
 	lastMove int
-	moves    int
 }
 
 // NewBalancer returns a balancer with every node at full weight.
@@ -124,7 +123,6 @@ func (b *Balancer) Observe(samples []NodeSample) map[string]float64 {
 		b.weights[n] = w
 	}
 	b.lastMove = b.tick
-	b.moves++
 	return proposed
 }
 
@@ -137,13 +135,6 @@ func (b *Balancer) Weights() map[string]float64 {
 		out[n] = w
 	}
 	return out
-}
-
-// Moves reports how many re-weights have been issued.
-func (b *Balancer) Moves() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.moves
 }
 
 // String renders the current state for logs.

@@ -1,20 +1,13 @@
-// Package control is the closed-loop autotuner: it turns the structured
-// signals the system already emits (T2 batch waits and queue depths,
-// per-node service latencies from the cluster router's hedge histograms)
-// into runtime actuations of three knobs — DataLoader worker count,
-// PrefetchFactor, and per-node weights on the cluster's rendezvous ring.
+// Package control holds the decision rules the tuners share and apply: the
+// bottleneck model (classification thresholds and the configuration-selection
+// rule, used by the offline tuner in internal/autotune and the trace
+// advisor's diagnosis) and the cluster balancer, which turns the router's
+// per-node service latencies into weights on the rendezvous ring.
 //
-// The package deliberately contains no sampling and no actuation of its own:
-// drivers (internal/serve for the node-local knobs, internal/cluster for ring
-// weights, internal/autotune for the offline search) feed observations in
-// and apply the returned decisions. That keeps every decision a pure
-// function of the observation sequence — deterministic under the sim clock,
-// where drivers observe at counter-keyed points (epoch boundaries) instead
-// of wall-clock ticks.
-//
-// This file is the shared bottleneck model: the classification thresholds
-// and the configuration-selection rule used by both the live controller and
-// the offline tuner (one scoring function, two drivers).
+// The package contains no sampling and no actuation of its own: drivers
+// (internal/cluster for ring weights, internal/autotune for the offline
+// search) feed observations in and apply the returned decisions, so every
+// decision is a pure function of the observation sequence.
 package control
 
 import "time"
@@ -33,7 +26,7 @@ const (
 	// keeps up and extra workers only burn CPU.
 	BottleneckAccelerator
 	// BottleneckBalanced: stalls are eliminated and the accelerator is well
-	// utilized — the operating point the controller steers toward.
+	// utilized — the operating point a tuner steers toward.
 	BottleneckBalanced
 )
 
@@ -49,18 +42,18 @@ func (b Bottleneck) String() string {
 	return "unknown"
 }
 
-// Classification thresholds, shared by the live controller, the offline
-// tuner's stopping rules, and the trace advisor's headline diagnosis. The
-// up/down pair (HighWaitFrac vs StallFreeWaitFrac) is the hysteresis band:
-// a pipeline must cross 25% long waits to be called preprocessing-bound but
-// drop under 5% to be called stall-free, so a signal hovering near either
-// threshold cannot flip the diagnosis back and forth.
+// Classification thresholds, shared by the offline tuner's stopping rules
+// and the trace advisor's headline diagnosis. The up/down pair (HighWaitFrac
+// vs StallFreeWaitFrac) is the hysteresis band: a pipeline must cross 25%
+// long waits to be called preprocessing-bound but drop under 5% to be called
+// stall-free, so a signal hovering near either threshold cannot flip the
+// diagnosis back and forth.
 const (
 	// HighWaitFrac: above this fraction of long batch waits the consumer is
 	// starving (grow workers).
 	HighWaitFrac = 0.25
 	// StallFreeWaitFrac: below this fraction stalls are considered
-	// eliminated (stop growing; shrink if the queue stays full).
+	// eliminated (stop growing).
 	StallFreeWaitFrac = 0.05
 	// SaturatedGPUUtil: accelerator utilization above this means more
 	// preprocessing throughput cannot help.
@@ -71,8 +64,7 @@ const (
 )
 
 // Sample is one measured operating point: a configuration plus the signals
-// it produced. The offline tuner evaluates Samples on the virtual clock; the
-// live controller assembles the same shape from /metrics counters.
+// it produced. The offline tuner evaluates Samples on the virtual clock.
 type Sample struct {
 	Workers int
 	// Prefetch is the prefetch factor (0 = the DataLoader default of 2).

@@ -89,8 +89,8 @@ func (a *Analysis) Advise(cfg AdvisorConfig) []Finding {
 
 	// Rule: preprocessing-bound — large fraction of long main-process waits
 	// means the accelerator starves (§ V-C2). The threshold is the shared
-	// bottleneck model's: the live controller grows workers at exactly the
-	// point this advisor would have told the operator to.
+	// bottleneck model's: the offline tuner keeps adding workers at exactly
+	// the point this advisor tells the operator to.
 	if frac := a.WaitsOver(cfg.LongWait); frac > control.HighWaitFrac {
 		out = append(out, Finding{
 			Severity: Critical,

@@ -116,14 +116,6 @@ func (c Counters) DRAMBoundFrac() float64 {
 	return c.DRAMBoundCycles / c.Cycles
 }
 
-// IPC derives instructions per cycle.
-func (c Counters) IPC() float64 {
-	if c.Cycles == 0 {
-		return 0
-	}
-	return c.Instructions / c.Cycles
-}
-
 // Model converts a recorded invocation into PMU counters. The contention
 // terms implement the Figure 6 microarchitectural story: as the number of
 // concurrently active workers approaches and passes the core count,

@@ -34,11 +34,11 @@ type Ctx struct {
 	Mode Mode
 	// Seed is the run-level randomness root.
 	Seed int64
-	// Epoch is mixed into the per-sample random streams (SampleRNG, OpRNG,
-	// BatchRNG) through epochSalt — the single seam that makes augmented
-	// bytes vary across epochs while staying schedule-independent. It does
-	// NOT feed the epoch batch plan; that derives from EpochSeed so plans
-	// keep their historical shuffles.
+	// Epoch is mixed into the per-sample random streams (SampleRNG, OpRNG)
+	// through epochSalt — the single seam that makes augmented bytes vary
+	// across epochs while staying schedule-independent. It does NOT feed the
+	// epoch batch plan; that derives from EpochSeed so plans keep their
+	// historical shuffles.
 	Epoch int
 	// WorkScale multiplies simulated work durations; profiler-overhead
 	// models (Table III) use it to represent sampling interference.
@@ -109,11 +109,6 @@ func epochSalt(epoch int) int64 {
 // processes it or how many workers exist.
 func (c *Ctx) SampleRNG(index int) *rng.Stream {
 	return rng.New(c.Seed^epochSalt(c.Epoch)^int64(index)*2654435761, "sample")
-}
-
-// BatchRNG returns the deterministic stream for batch-level decisions.
-func (c *Ctx) BatchRNG(batchID int) *rng.Stream {
-	return rng.New(c.Seed^epochSalt(c.Epoch)^int64(batchID)*40503, "batch")
 }
 
 // OpRNG returns the stream SampleRNG(index).Derive(name) would — the same

@@ -92,9 +92,7 @@ func EpochSeed(seed int64, epoch int) int64 {
 }
 
 // DefaultAutoWorkers is the worker count a loader — or the serving layer's
-// shared pool — starts with when NumWorkers is zero. The serving controller
-// (internal/control) resizes the pool from there; without a controller it is
-// simply a sane small default.
+// shared pool — runs with when NumWorkers is zero: a sane small default.
 const DefaultAutoWorkers = 2
 
 func (c Config) validate() Config {

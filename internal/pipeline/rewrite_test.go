@@ -420,27 +420,32 @@ func TestTensorTailReleasesEachImageOnce(t *testing.T) {
 			tap.images, tap.pix = nil, nil
 			batch, err := w.Run(p, b, indices, nil)
 			if err != nil {
-				t.Fatal(err)
+				t.Error(err)
+				return
 			}
 			seen := make(map[*uint8]bool)
 			for i, im := range tap.images {
 				if first := &tap.pix[i][0]; seen[first] {
-					t.Fatalf("batch %d: two live samples share one pixel buffer", b)
+					t.Errorf("batch %d: two live samples share one pixel buffer", b)
+					return
 				} else {
 					seen[first] = true
 				}
 				if im.Pix != nil {
-					t.Fatalf("batch %d sample %d: image still holds its pixels after the collate", b, i)
+					t.Errorf("batch %d sample %d: image still holds its pixels after the collate", b, i)
+					return
 				}
 				for j := range tap.pix[i] {
 					tap.pix[i][j] = 0xA5
 				}
 			}
 			if len(seen) != len(indices) {
-				t.Fatalf("batch %d: %d images passed the tap, want %d", b, len(seen), len(indices))
+				t.Errorf("batch %d: %d images passed the tap, want %d", b, len(seen), len(indices))
+				return
 			}
 			if want := asWritten(p, ref, cfg, indices); !slices.Equal(batch.Data.F32, want.F32) {
-				t.Fatalf("batch %d differs from the plan as written once its released images are poisoned", b)
+				t.Errorf("batch %d differs from the plan as written once its released images are poisoned", b)
+				return
 			}
 		}
 	})
@@ -500,10 +505,12 @@ func TestTensorTailRecordsAndFailures(t *testing.T) {
 			for pass := 0; pass < 2; pass++ {
 				got = nil
 				if _, err := w.Run(p, pass, indices, nil); err != nil {
-					t.Fatalf("%s: %v", tc.name, err)
+					t.Errorf("%s: %v", tc.name, err)
+					return
 				}
 				if !slices.Equal(got, want(pass)) {
-					t.Fatalf("%s pass %d: op records\n%v\nwant\n%v", tc.name, pass, got, want(pass))
+					t.Errorf("%s pass %d: op records\n%v\nwant\n%v", tc.name, pass, got, want(pass))
+					return
 				}
 			}
 		}
@@ -524,11 +531,12 @@ func TestTensorTailRecordsAndFailures(t *testing.T) {
 			asWritten(p, mixed(), cfg, indices)
 		}()
 		if !strings.HasPrefix(want, "tensor: Stack shape mismatch") {
-			t.Fatalf("the plan as written fails with %q", want)
+			t.Errorf("the plan as written fails with %q", want)
+			return
 		}
 		_, err := NewBatchWorker(0, mixed(), cfg).Run(p, 0, indices, nil)
 		if err == nil || err.Error() != "pipeline: worker 0 failed on batch 0: "+want {
-			t.Fatalf("mixed sizes with the tail deferred: %v\nas written: %s", err, want)
+			t.Errorf("mixed sizes with the tail deferred: %v\nas written: %s", err, want)
 		}
 	})
 }
@@ -613,10 +621,10 @@ func BenchmarkTensorTail(b *testing.B) {
 		b.ReportMetric(ratio, "fused/written")
 		b.ReportMetric(perBatch, "fused-B/batch")
 		if ratio > 0.5 {
-			b.Fatalf("the fused tensor tail costs %.2fx the tail as written, want <= 0.5x", ratio)
+			b.Errorf("the fused tensor tail costs %.2fx the tail as written, want <= 0.5x", ratio)
 		}
 		if perBatch >= 1024 {
-			b.Fatalf("the fused tensor tail allocates %.0f B per batch into a caller's buffer, want < 1 KiB", perBatch)
+			b.Errorf("the fused tensor tail allocates %.0f B per batch into a caller's buffer, want < 1 KiB", perBatch)
 		}
 	})
 }

@@ -101,45 +101,6 @@ func (m *Metrics) AddEpoch() {
 	m.mu.Unlock()
 }
 
-// EpochsServed reads the completed-epoch counter — the controller's
-// observation key.
-func (m *Metrics) EpochsServed() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.epochsServed
-}
-
-// QueueFill reports the mean prefetch-queue fill fraction (0..1) across
-// sessions with a stream in flight, each measured against its own stream's
-// slot count: a stream's window is fixed at its start and never exceeds its
-// shard, so a short ShardReq or a stream opened before a prefetch action
-// fills at its own size. Sessions between epochs (no gauge installed) are
-// skipped; 0 means no stream is live.
-func (m *Metrics) QueueFill() float64 {
-	m.mu.Lock()
-	live := make([]*SessionMetrics, 0, len(m.sessions))
-	for _, sm := range m.sessions {
-		live = append(live, sm)
-	}
-	m.mu.Unlock()
-	var sum float64
-	n := 0
-	for _, sm := range live {
-		sm.mu.Lock()
-		gauge, slots := sm.queueDepth, sm.queueSlots
-		sm.mu.Unlock()
-		if gauge == nil || slots <= 0 {
-			continue
-		}
-		sum += float64(gauge()) / float64(slots)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // AddEpochAbort counts one epoch stream that ended in an error (client gone,
 // write failure, or compute failure) instead of its last frame. Paired
 // with the reconnect counter, a rising abort rate is the server-side
@@ -212,7 +173,6 @@ type SessionMetrics struct {
 	batchesSent   int64
 	bytesSent     int64
 	queueDepth    func() int
-	queueSlots    int // the streaming window's slot count: queueDepth's capacity
 
 	// Tracer-derived timings: wait is the main-proc wait for each batch
 	// ([T2]); delay is preprocess-end to consumption, the paper's delay
@@ -224,10 +184,10 @@ type SessionMetrics struct {
 }
 
 // SetQueueGauge installs the live queue-depth reader for the epoch currently
-// streaming and the window's slot count it fills (nil, 0 between epochs).
-func (s *SessionMetrics) SetQueueGauge(fn func() int, slots int) {
+// streaming (nil between epochs).
+func (s *SessionMetrics) SetQueueGauge(fn func() int) {
 	s.mu.Lock()
-	s.queueDepth, s.queueSlots = fn, slots
+	s.queueDepth = fn
 	s.mu.Unlock()
 }
 
@@ -390,9 +350,6 @@ type MetricsSnapshot struct {
 	// Hedge carries the speculative-fetch counters; nil until the first
 	// hedged ShardReq arrives.
 	Hedge *HedgeStats `json:"hedge,omitempty"`
-	// Control carries the autotuner's current knob settings and actuation
-	// history; nil when autotuning is disabled.
-	Control *ControlStats `json:"control,omitempty"`
 	// Tenants carries one QoS accounting row per tenant seen so far (the
 	// default tenant "" among them once an unnamed session has connected).
 	Tenants  []TenantSnapshot  `json:"tenants,omitempty"`

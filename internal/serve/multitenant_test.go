@@ -239,8 +239,7 @@ func TestAdmissionQueueAdmits(t *testing.T) {
 // TestTracePIDRangesDisjoint streams two concurrent sessions and asserts the
 // ring's pid ranges stay disjoint by construction: pipeline records (ops,
 // preprocessed spans) sit on the plane's worker pids WorkerPID(0..n-1),
-// session records (waits, consumes) at sessionPIDBase + session id, and
-// nothing lands on controlPID.
+// and session records (waits, consumes) at sessionPIDBase + session id.
 func TestTracePIDRangesDisjoint(t *testing.T) {
 	spec := loopbackSpec() // 2 workers
 	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2})

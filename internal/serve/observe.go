@@ -58,7 +58,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // Snapshot composes the full /metrics document: the counter registry plus
-// every optional block the server owns (caches, control, QoS tenants, log
+// every optional block the server owns (caches, QoS tenants, log
 // suppression, plan-cache stats, runtime footprint gauges).
 func (s *Server) Snapshot(now time.Time) MetricsSnapshot {
 	snap := s.metrics.Snapshot(now, s.ring.Total())
@@ -76,9 +76,6 @@ func (s *Server) Snapshot(now time.Time) MetricsSnapshot {
 	}
 	snap.Resize.CoeffHits, snap.Resize.CoeffMisses = imaging.CoeffCacheStats()
 	snap.Plan = s.plan
-	if st, ok := s.ControlStats(); ok {
-		snap.Control = &st
-	}
 	snap.Tenants = s.qos.snapshot()
 	if s.slog != nil {
 		snap.LogSuppressed = s.slog.suppressed.Load()

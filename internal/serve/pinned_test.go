@@ -54,7 +54,8 @@ func TestPinnedTensorCRCs(t *testing.T) {
 			defer it.Drain(p)
 			b, ok := it.Next(p)
 			if !ok {
-				t.Fatalf("%s epoch %d: local loader: %v", g.name, g.epoch, it.Err())
+				t.Errorf("%s epoch %d: local loader: %v", g.name, g.epoch, it.Err())
+				return
 			}
 			if got := sum(b.Data.F32); got != g.want {
 				t.Errorf("%s epoch %d: local DataLoader tensor CRC32C %#08x, pinned %#08x", g.name, g.epoch, got, g.want)

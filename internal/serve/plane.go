@@ -21,8 +21,7 @@ import (
 // The pool is a fairGate: its slots bound concurrency and its weighted round
 // robin is the queue discipline, so tenants share the workers by weight
 // however many sessions each one opens, and sessions that name no tenant
-// queue as the one default tenant "" (plain FIFO). The autotuner's workers
-// action resizes the gate.
+// queue as the one default tenant "" (plain FIFO).
 type plane struct {
 	srv  *Server
 	gate *fairGate
@@ -196,8 +195,7 @@ func batchToWire(epoch, globalID int, b *pipeline.Batch) *Batch {
 // lock-plus-decrement fast path (work conserving).
 type fairGate struct {
 	mu      sync.Mutex
-	slots   int // pool size; resize retargets it
-	free    int // slots - held; negative while a shrink waits for releases
+	free    int // pool size minus slots held
 	queues  map[string]*gateQueue
 	ring    []*gateQueue // round-robin order over queues with waiters
 	idx     int
@@ -223,20 +221,7 @@ type gateWaiter struct {
 }
 
 func newFairGate(slots int) *fairGate {
-	slots = max(slots, 1)
-	return &fairGate{slots: slots, free: slots, queues: make(map[string]*gateQueue)}
-}
-
-// resize retargets the pool to n slots (never below 1). Growing grants
-// queued waiters at once; shrinking never interrupts a holder — the pool
-// narrows as slots are released.
-func (g *fairGate) resize(n int) {
-	n = max(n, 1)
-	g.mu.Lock()
-	g.free += n - g.slots
-	g.slots = n
-	g.dispatchLocked()
-	g.mu.Unlock()
+	return &fairGate{free: max(slots, 1), queues: make(map[string]*gateQueue)}
 }
 
 // acquire blocks until the caller holds one slot or cancel fires. Every

@@ -69,11 +69,12 @@ func (pl *plane) peak() int {
 }
 
 // holdPool takes every slot of the server's compute plane, so computes
-// issued afterwards queue; the returned func releases them.
+// issued afterwards queue; the returned func releases them. The spec must
+// name its worker count.
 func holdPool(t *testing.T, srv *Server) (release func()) {
 	t.Helper()
 	g := srv.plane.gate
-	n := g.slots
+	n := srv.cfg.Spec.NumWorkers
 	for i := 0; i < n; i++ {
 		if err := g.acquire("holder", 1, nil); err != nil {
 			t.Fatal(err)
@@ -211,7 +212,7 @@ func TestPlaneCancelWhileQueued(t *testing.T) {
 
 	// Every slot is back: as many computes as the pool has workers run
 	// without anybody releasing anything.
-	for i := 0; i < pl.gate.slots; i++ {
+	for i := 0; i < spec.NumWorkers; i++ {
 		if err := pl.gate.acquire("probe", 1, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -221,60 +222,6 @@ func TestPlaneCancelWhileQueued(t *testing.T) {
 	pl.gate.mu.Unlock()
 	if free != 0 {
 		t.Fatalf("gate reports %d free slots with every slot held", free)
-	}
-}
-
-// TestFairGateResize: growing grants queued waiters at once; shrinking never
-// interrupts a holder, takes effect as slots come back, and never goes below
-// one slot.
-func TestFairGateResize(t *testing.T) {
-	g := newFairGate(1)
-	if err := g.acquire("a", 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	granted := make(chan struct{}, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			if err := g.acquire("a", 1, nil); err == nil {
-				granted <- struct{}{}
-			}
-		}()
-	}
-	waitForQueued(t, g, 2)
-	g.resize(3)
-	for i := 0; i < 2; i++ {
-		select {
-		case <-granted:
-		case <-time.After(5 * time.Second):
-			t.Fatal("resize up did not wake the queued waiters")
-		}
-	}
-
-	// Three holders, shrink to "zero": the floor is one slot, the holders
-	// keep theirs, and a newcomer gets in only once the pool has narrowed.
-	g.resize(0)
-	if g.slots != 1 {
-		t.Fatalf("resize(0) left %d slots, want the floor of 1", g.slots)
-	}
-	go func() {
-		if err := g.acquire("b", 1, nil); err == nil {
-			granted <- struct{}{}
-		}
-	}()
-	waitForQueued(t, g, 1)
-	for i := 0; i < 2; i++ {
-		g.release()
-		select {
-		case <-granted:
-			t.Fatalf("newcomer granted after %d of 3 releases: the shrink did not hold", i+1)
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
-	g.release()
-	select {
-	case <-granted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("newcomer never granted after the pool narrowed to one slot")
 	}
 }
 

@@ -35,8 +35,7 @@ type Config struct {
 	// Prefetch is the per-session window: how many batches of a streaming
 	// shard may be outstanding — queued for the compute plane, computing, or
 	// ready and waiting for the network — ahead of the one being written. It
-	// is the service's backpressure bound (default 4); with AutoTune on it is
-	// the controller's prefetch knob.
+	// is the service's backpressure bound (default 4).
 	Prefetch int
 	// MaterializeDim caps synthesized image resolution in real mode.
 	MaterializeDim int
@@ -88,12 +87,6 @@ type Config struct {
 	// scheduler is always on: sessions that name no tenant all bill to the
 	// default tenant "", which has no peer to be paced against.
 	Tenants map[string]TenantLimit
-	// AutoTune enables the closed-loop controller: at every completed epoch
-	// the server observes its own T2 wait records and prefetch-queue fill,
-	// and actuates the compute plane's worker count and the per-session
-	// prefetch window. Decisions are taken only at epoch completions, keyed
-	// off the epochs-served counter; no goroutine samples a timer.
-	AutoTune bool
 	// Logf receives server lifecycle logs (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -124,7 +117,6 @@ type Server struct {
 	sampleCache *pipeline.SampleCache // nil when Config.SampleCacheBytes == 0
 	prefixFP    uint64
 	disk        *store.Store // nil when Config.DiskCacheDir == ""
-	tuner       *tuner       // nil when Config.AutoTune is false
 	plane       *plane
 	// plan names the pipeline plan rewrites in force (pipeline.Compose.Rewrites)
 	// given the workload, the mode and whether the sample cache is on.
@@ -133,9 +125,6 @@ type Server struct {
 	// in force (pipeline.Compose.TailTable): the plane's collate then stops one
 	// pass short, and every HelloAck hands clients the table that finishes it.
 	table *[3][256]float32
-	// window is the live per-session prefetch window (Config.Prefetch until
-	// the autotuner moves it); a streaming shard reads it once, at its start.
-	window atomic.Int64
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -181,16 +170,12 @@ func New(cfg Config) *Server {
 		conns:        make(map[net.Conn]bool),
 		qos:          newQoSState(cfg.Tenants),
 	}
-	s.window.Store(int64(cfg.Prefetch))
 	s.ring.SetPerLogCost(cfg.Spec.PerLogCost)
 	s.planLen = len(pipeline.BuildBatchPlan(cfg.Spec.NumSamples, cfg.Spec.BatchSize,
 		cfg.Spec.Shuffle, false, cfg.Spec.Seed))
 	s.maxRequest = maxRequestFrame(s.planLen)
 	s.specFP = SpecFingerprint(cfg.Spec, cfg.Mode, cfg.MaterializeDim)
 	s.plane = newPlane(s)
-	if cfg.AutoTune {
-		s.tuner = newTuner(s)
-	}
 	if cfg.MaxSessions > 0 {
 		s.admitSem = make(chan struct{}, cfg.MaxSessions)
 	}

@@ -18,6 +18,12 @@ import (
 // The session loop: past the door (admission.go), one goroutine per
 // connection reads ShardReqs and streams each one's frames in order.
 
+// sessionPIDBase is where a session's wait/consume records sit in the trace
+// ring: sessionPIDBase + session id, far above the plane's worker pids
+// (pipeline.WorkerPID(slot), 4001 and up, one per pool slot), so the two
+// ranges never meet.
+const sessionPIDBase = 1 << 20
+
 // session is one connected client's server-side state: this struct, its
 // connection goroutine, and a metrics row. It owns no pipeline — batches come
 // from the server's compute plane — which is what keeps O(1000) mostly-idle
@@ -239,7 +245,7 @@ func (ss *session) streamShard(epoch int, shard []PlanBatch) error {
 	unwatch := ss.watchConn(cancelEpoch)
 	defer unwatch()
 
-	window := min(int(s.window.Load()), len(shard))
+	window := min(s.cfg.Prefetch, len(shard))
 	w := &shardWindow{slots: make([]chan fetched, window), tokens: make(chan struct{}, window)}
 	for k := range w.slots {
 		w.slots[k] = make(chan fetched, 1)
@@ -266,8 +272,8 @@ func (ss *session) streamShard(epoch int, shard []PlanBatch) error {
 			ready += len(slot)
 		}
 		return ready
-	}, window)
-	defer ss.sm.SetQueueGauge(nil, 0)
+	})
+	defer ss.sm.SetQueueGauge(nil)
 	pid := sessionPIDBase + ss.id
 
 	var werr, ferr error
@@ -303,9 +309,6 @@ stream:
 			unwatch()
 			ss.sm.AddEpoch()
 			s.metrics.AddEpoch()
-			if t := s.tuner; t != nil {
-				t.observe()
-			}
 		}
 		werr = ss.writeBatchFrame(r.f, ctx.Done())
 		r.f.Release()

@@ -242,3 +242,19 @@ func TestPipelinedShardReqs(t *testing.T) {
 		t.Fatalf("epochs served %d, aborted %d; want %d and 0", snap.EpochsServed, snap.EpochsAborted, streams)
 	}
 }
+
+// TestQueueDepthGauge: a session's queue_depth is the count of frames ready
+// in its stream's window, read through the gauge the stream installs, and 0
+// between epochs.
+func TestQueueDepthGauge(t *testing.T) {
+	m := NewMetrics(time.Now())
+	sm := m.OpenSession(1, "trainer", "", 0, 1, time.Now())
+	sm.SetQueueGauge(func() int { return 2 })
+	if snap := sm.snapshot(time.Now()); snap.QueueDepth != 2 {
+		t.Fatalf("queue_depth %d, want the count 2", snap.QueueDepth)
+	}
+	sm.SetQueueGauge(nil)
+	if snap := sm.snapshot(time.Now()); snap.QueueDepth != 0 {
+		t.Fatalf("queue_depth %d between epochs, want 0", snap.QueueDepth)
+	}
+}

@@ -124,9 +124,6 @@ func (t *Tensor) Clone() *Tensor {
 	return out
 }
 
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 func (t *Tensor) String() string {
 	kind := "data"
 	if t.IsMeta() {

@@ -276,25 +276,7 @@ func (s Spec) RunEpochs(hooks *pipeline.Hooks, epochs int) ([]gpusim.EpochStats,
 		offset := 0
 		for e := 0; e < epochs; e++ {
 			ds := s.Dataset(hooks)
-			cfg := pipeline.Config{
-				BatchSize:      s.BatchSize,
-				NumWorkers:     s.NumWorkers,
-				PrefetchFactor: s.Prefetch,
-				Shuffle:        s.Shuffle,
-				PinMemory:      s.PinMemory,
-				Seed:           s.Seed,
-				Epoch:          e,
-				BatchIDOffset:  offset,
-				Hooks:          hooks,
-				Mode:           pipeline.Simulated,
-				Engine:         engine,
-				WorkScale:      s.WorkScale,
-				Dispatch:       s.Dispatch,
-			}
-			if s.SizeAware {
-				cfg.CostHint = costHintFor(ds)
-			}
-			dl := pipeline.NewDataLoader(sim, ds, cfg)
+			dl := pipeline.NewDataLoader(sim, ds, s.loaderConfig(ds, hooks, engine, e, offset))
 			offset += dl.NumBatches()
 			trainer := &gpusim.Trainer{Loader: dl, GPUs: s.GPUs, GPU: s.GPU}
 			stats = append(stats, trainer.RunEpoch(p))
@@ -311,6 +293,18 @@ func (s Spec) RunWithEngine(hooks *pipeline.Hooks, engine *native.Engine) (gpusi
 	}
 	sim := clock.NewSim()
 	ds := s.Dataset(hooks)
+	dl := pipeline.NewDataLoader(sim, ds, s.loaderConfig(ds, hooks, engine, 0, 0))
+	trainer := &gpusim.Trainer{Loader: dl, GPUs: s.GPUs, GPU: s.GPU}
+	var stats gpusim.EpochStats
+	sim.Run("main", func(p clock.Proc) {
+		stats = trainer.RunEpoch(p)
+	})
+	return stats, engine, sim
+}
+
+// loaderConfig is the simulated DataLoader configuration the spec runs for
+// one epoch whose batch IDs start at offset.
+func (s Spec) loaderConfig(ds pipeline.Dataset, hooks *pipeline.Hooks, engine *native.Engine, epoch, offset int) pipeline.Config {
 	cfg := pipeline.Config{
 		BatchSize:      s.BatchSize,
 		NumWorkers:     s.NumWorkers,
@@ -318,6 +312,8 @@ func (s Spec) RunWithEngine(hooks *pipeline.Hooks, engine *native.Engine) (gpusi
 		Shuffle:        s.Shuffle,
 		PinMemory:      s.PinMemory,
 		Seed:           s.Seed,
+		Epoch:          epoch,
+		BatchIDOffset:  offset,
 		Hooks:          hooks,
 		Mode:           pipeline.Simulated,
 		Engine:         engine,
@@ -327,13 +323,7 @@ func (s Spec) RunWithEngine(hooks *pipeline.Hooks, engine *native.Engine) (gpusi
 	if s.SizeAware {
 		cfg.CostHint = costHintFor(ds)
 	}
-	dl := pipeline.NewDataLoader(sim, ds, cfg)
-	trainer := &gpusim.Trainer{Loader: dl, GPUs: s.GPUs, GPU: s.GPU}
-	var stats gpusim.EpochStats
-	sim.Run("main", func(p clock.Proc) {
-		stats = trainer.RunEpoch(p)
-	})
-	return stats, engine, sim
+	return cfg
 }
 
 // costHintFor derives a per-sample cost estimate from the dataset's record

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"lotus/internal/cluster"
-	"lotus/internal/control"
 	"lotus/internal/serve"
 	"lotus/internal/store"
 )
@@ -26,11 +25,10 @@ func TestKnobRatchet(t *testing.T) {
 		v    any
 		want int
 	}{
-		{serve.Config{}, 14},      // QoS went (always on), Pprof went (always mounted), AdmitWait is a constant
+		{serve.Config{}, 13},      // QoS went (always on), Pprof went (always mounted), AdmitWait is a constant, AutoTune went (no bench delta)
 		{serve.ClientConfig{}, 9}, // Addrs went: failover across servers is cluster.Client's
 		{cluster.Config{}, 9},     // Replication routed nothing; Balancer's five knobs, HedgeMinSamples and HedgeMinDelay are constants; OnReroute duplicated Logf
-		{control.Knobs{}, 2},
-		{store.Options{}, 3}, // SegmentBytes and QueueBytes are unexported: only tests set them
+		{store.Options{}, 3},      // SegmentBytes and QueueBytes are unexported: only tests set them
 	} {
 		typ := reflect.TypeOf(c.v)
 		got := 0
@@ -49,7 +47,7 @@ func TestKnobRatchet(t *testing.T) {
 		main string
 		want int
 	}{
-		{"cmd/lotus-serve/main.go", 17}, // -mode and -arch went (it serves RealData only); -qos, -pprof and -admit-wait went with their Config fields
+		{"cmd/lotus-serve/main.go", 16}, // -mode and -arch went (it serves RealData only); -qos, -pprof, -admit-wait and -autotune went with their Config fields
 		{"cmd/lotus-fetch/main.go", 11},
 	} {
 		if got := flagCount(t, c.main); got != c.want {
@@ -69,8 +67,8 @@ func TestDocRatchet(t *testing.T) {
 		path string
 		want int
 	}{
-		{"DESIGN.md", 2352},
-		{"README.md", 840},
+		{"DESIGN.md", 2295},
+		{"README.md", 831},
 	} {
 		b, err := os.ReadFile(c.path)
 		if err != nil {
