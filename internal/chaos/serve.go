@@ -8,7 +8,6 @@ import (
 	"os"
 	"slices"
 	"sync"
-	"time"
 	"unsafe"
 
 	"lotus/internal/clock"
@@ -273,7 +272,6 @@ func routed(cfg func(e *env) cluster.Config) client {
 		c.Nodes, c.Name = e.members, "chaos-"+e.row.class
 		if e.row.kill {
 			var once sync.Once
-			c.Sleep = func(time.Duration) {}
 			c.OnFetchError = func(node string, _, _ int, _ error) {
 				if node == e.members[e.victim].ID {
 					once.Do(func() { e.srvs[e.victim].Close() })

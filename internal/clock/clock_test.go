@@ -1,6 +1,8 @@
 package clock
 
 import (
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -171,6 +173,40 @@ func TestSimDeadlockPanics(t *testing.T) {
 		cond.Wait(p) // nobody will ever broadcast
 		cond.Unlock()
 	})
+}
+
+// TestSimGoexitFinishesProc: a proc that leaves by runtime.Goexit, as
+// t.Fatal inside a callback does, still counts as finished, so Run returns
+// instead of waiting for it forever. With a second proc parked on a Queue
+// nobody will feed, Run reports the deadlock.
+func TestSimGoexitFinishesProc(t *testing.T) {
+	run := func(sim *Sim, fn func(p Proc)) (failure any) {
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			sim.Run("x", fn)
+		}()
+		select {
+		case failure = <-done:
+			return failure
+		case <-time.After(10 * time.Second):
+			t.Fatal("Sim.Run did not return after its proc called runtime.Goexit")
+			return nil
+		}
+	}
+	if f := run(NewSim(), func(p Proc) { runtime.Goexit() }); f != nil {
+		t.Errorf("lone Goexit: Run panicked: %v", f)
+	}
+	sim := NewSim()
+	q := NewQueue[int](sim, 0)
+	f := run(sim, func(p Proc) {
+		p.Go("parked", func(p Proc) { q.Get(p) })
+		p.Sleep(time.Millisecond)
+		runtime.Goexit()
+	})
+	if msg, _ := f.(string); !strings.Contains(msg, "deadlock") {
+		t.Errorf("Goexit beside a parked proc: Run gave %v, want the deadlock report", f)
+	}
 }
 
 func TestQueueFIFOAndClose(t *testing.T) {

@@ -142,15 +142,18 @@ func (s *Sim) spawnLocked(name string, fn func(p Proc)) *simProc {
 		}
 		s.mu.Unlock()
 
+		// Deferred, as the real clock's wg.Done is, so a proc that leaves by
+		// runtime.Goexit (t.Fatal in a callback) still finishes.
+		defer func() {
+			s.mu.Lock()
+			p.state = stateDone
+			s.live--
+			s.current = nil
+			s.scheduleLocked()
+			s.cond.Broadcast()
+			s.mu.Unlock()
+		}()
 		fn(p)
-
-		s.mu.Lock()
-		p.state = stateDone
-		s.live--
-		s.current = nil
-		s.scheduleLocked()
-		s.cond.Broadcast()
-		s.mu.Unlock()
 	}()
 	return p
 }

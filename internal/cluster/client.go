@@ -62,8 +62,9 @@ type Config struct {
 	AutoTune bool
 	// OnFetchError observes every failed shard fetch attempt.
 	OnFetchError func(node string, epoch, attempt int, err error)
-	// Sleep replaces time.Sleep for retry backoff (tests; nil = time.Sleep).
-	Sleep func(time.Duration)
+	// sleep replaces time.Sleep for retry backoff (in-package tests; nil =
+	// time.Sleep).
+	sleep func(time.Duration)
 	// Logf receives routing logs (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -210,8 +211,8 @@ func New(cfg Config) (*Client, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("cluster: no nodes configured")
 	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = time.Sleep
+	if cfg.sleep == nil {
+		cfg.sleep = time.Sleep
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -595,7 +596,7 @@ func (c *Client) fetchNode(epoch int, node string, ids []int, st *epochState, rd
 			c.jitterMu.Lock()
 			d := serve.Backoff(retryBackoffBase, retryBackoffMax, attempt, c.jitter)
 			c.jitterMu.Unlock()
-			c.cfg.Sleep(d)
+			c.cfg.sleep(d)
 		}
 		rd.stamp(node, false)
 		err := sc.FetchShard(epoch, need, func(b *serve.Batch, payload []byte) {

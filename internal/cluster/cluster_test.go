@@ -253,7 +253,7 @@ func TestClusterNodeDeathMidEpoch(t *testing.T) {
 	c, err := New(Config{
 		Nodes: nodes, Name: "cluster-kill", Logf: t.Logf,
 		OnFetchError: kill.onFetchError,
-		Sleep:        func(time.Duration) {}, // no wall-clock waits in tests
+		sleep:        func(time.Duration) {}, // no wall-clock waits in tests
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +335,7 @@ func TestRebalanceProperty(t *testing.T) {
 			c, err := New(Config{
 				Nodes: nodes, Name: fmt.Sprintf("rebalance-%d", trial),
 				OnFetchError: kill.onFetchError,
-				Sleep:        func(time.Duration) {},
+				sleep:        func(time.Duration) {},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -392,7 +392,7 @@ func TestClusterNoAliveNodes(t *testing.T) {
 		Nodes:       []Node{{ID: "a", Addr: addrs[0]}, {ID: "b", Addr: addrs[1]}},
 		Name:        "corpses",
 		DialTimeout: 200 * time.Millisecond,
-		Sleep:       func(time.Duration) {},
+		sleep:       func(time.Duration) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -633,7 +633,7 @@ func TestWeightShiftProperty(t *testing.T) {
 			nodes := testNodes(srvs)
 			cfg := Config{
 				Nodes: nodes, Name: fmt.Sprintf("reweight-%d", trial),
-				Sleep: func(time.Duration) {},
+				sleep: func(time.Duration) {},
 			}
 			if killTrial {
 				kill := &killSwitch{victim: killID, srv: killSrv}

@@ -50,7 +50,7 @@ func TestClusterSilentMember(t *testing.T) {
 				nodes = append(nodes, Node{ID: fmt.Sprintf("node%d", i), Addr: addr})
 			}
 			c, err := New(Config{Nodes: nodes, Name: "silent-member", DialTimeout: 200 * time.Millisecond,
-				Sleep: func(time.Duration) {}, Logf: t.Logf})
+				sleep: func(time.Duration) {}, Logf: t.Logf})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func TestClusterNodeRejoinsAtEpochStart(t *testing.T) {
 		t.Cleanup(func() { srv.Close() })
 	}
 	c, err := New(Config{Nodes: nodes, Name: "rejoin", Logf: t.Logf,
-		Sleep: func(time.Duration) {},
+		sleep: func(time.Duration) {},
 		OnFetchError: func(node string, epoch, attempt int, err error) {
 			kill.onFetchError(node, epoch, attempt, err)
 			if node == victimID && attempt == 1+nodeRetries {
@@ -254,7 +254,7 @@ func TestClusterNoRejoinMidEpoch(t *testing.T) {
 		}
 		t.Logf(format, args...)
 	}
-	c, err := New(Config{Nodes: nodes, Name: "no-rejoin", Logf: logf, Sleep: func(time.Duration) {}})
+	c, err := New(Config{Nodes: nodes, Name: "no-rejoin", Logf: logf, sleep: func(time.Duration) {}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,7 +272,7 @@ func TestRunStatsSumEpochStats(t *testing.T) {
 	// Pick gives every batch one owner, so the router runs at replication 1.
 	t.Run("replication=1", func(t *testing.T) {
 		newClient := func() *Client {
-			c, err := New(Config{Nodes: nodes, Name: "stats-sum", Sleep: func(time.Duration) {}})
+			c, err := New(Config{Nodes: nodes, Name: "stats-sum", sleep: func(time.Duration) {}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,7 +320,7 @@ func TestConcurrentRetriesShareJitter(t *testing.T) {
 	var mu sync.Mutex
 	var sleeps []time.Duration
 	both := make(chan struct{})
-	c, err := New(Config{Nodes: nodes, Name: "jitter", Sleep: func(d time.Duration) {
+	c, err := New(Config{Nodes: nodes, Name: "jitter", sleep: func(d time.Duration) {
 		mu.Lock()
 		if sleeps = append(sleeps, d); len(sleeps) == 2 {
 			close(both)

@@ -22,7 +22,7 @@ type NodeSample struct {
 	PerBatch time.Duration
 }
 
-// The balancer's smoothing, dead band, floor and pacing. They are the values
+// The balancer's smoothing, dead band and floor. They are the values
 // the autotune gates (BenchmarkAutotuneImbalanced, the
 // cluster-autotune-slow-node chaos row) run, so they are constants, not
 // configuration.
@@ -42,9 +42,6 @@ const (
 	// balanceMinSamples is the minimum steady-frame observations in a window
 	// before a node's estimate updates.
 	balanceMinSamples = 2
-	// balanceCooldown is the number of observations the ring rests after a
-	// re-weight.
-	balanceCooldown = 1
 )
 
 // Balancer converts per-node service-time observations into ring weights:
@@ -58,9 +55,7 @@ type Balancer struct {
 	// svc is the EWMA per-batch service time per node, in seconds.
 	svc map[string]float64
 	// weights is the currently applied weight per node (default 1).
-	weights  map[string]float64
-	tick     int
-	lastMove int
+	weights map[string]float64
 }
 
 // NewBalancer returns a balancer with every node at full weight.
@@ -77,7 +72,6 @@ func NewBalancer() *Balancer {
 func (b *Balancer) Observe(samples []NodeSample) map[string]float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.tick++
 	for _, s := range samples {
 		if s.Batches < balanceMinSamples || s.PerBatch <= 0 {
 			continue
@@ -89,7 +83,7 @@ func (b *Balancer) Observe(samples []NodeSample) map[string]float64 {
 			b.svc[s.Node] = obs
 		}
 	}
-	if len(b.svc) < 2 || b.tick-b.lastMove < balanceCooldown {
+	if len(b.svc) < 2 {
 		return nil
 	}
 
@@ -122,7 +116,6 @@ func (b *Balancer) Observe(samples []NodeSample) map[string]float64 {
 	for n, w := range proposed {
 		b.weights[n] = w
 	}
-	b.lastMove = b.tick
 	return proposed
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"lotus/internal/clock"
 	"lotus/internal/native"
+	"lotus/internal/tensor"
 )
 
 // IterableDataset is the stream-style dataset contract
@@ -29,8 +30,9 @@ type SampleIter interface {
 // _IterableDatasetStopIteration).
 type iterResult struct {
 	batchID int
-	batch   *Batch // nil for a stop sentinel
+	batch   *Batch // nil for a stop sentinel or a failure
 	worker  int
+	err     error // a panic in the worker's stream or collate
 }
 
 // IterableLoader is the DataLoader over stream datasets. The main process
@@ -128,32 +130,48 @@ func (il *IterableLoader) workerLoop(p clock.Proc, workerID int) {
 			il.cfg.Engine.BeginWork()
 		}
 		var samples []Sample
-		exhausted := false
-		for len(samples) < il.cfg.BatchSize {
-			s, ok := iter.Next(ctx, pid, batchID)
-			if !ok {
-				exhausted = true
-				break
+		var collated *tensor.Tensor
+		exhausted, stop := false, false
+		// A panic in the stream or the collate fails the batch, as in
+		// BatchWorker.Run, and ends this worker.
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("pipeline: worker %d failed on batch %d: %v", workerID, batchID, r)
+				}
+			}()
+			for len(samples) < il.cfg.BatchSize {
+				s, ok := iter.Next(ctx, pid, batchID)
+				if !ok {
+					exhausted = true
+					break
+				}
+				samples = append(samples, s)
 			}
-			samples = append(samples, s)
+			if len(samples) == 0 || (exhausted && il.cfg.DropLast) {
+				stop = true
+				return nil
+			}
+			collateStart := p.Now()
+			collated = collate.Run(ctx, samples)
+			if il.cfg.Hooks != nil && il.cfg.Hooks.OnOp != nil {
+				il.cfg.Hooks.OnOp(pid, batchID, -1, "Collate", collateStart, p.Now().Sub(collateStart))
+				il.logged(p)
+			}
+			return nil
+		}()
+		if il.cfg.Engine != nil {
+			il.cfg.Engine.EndWork()
 		}
-		if len(samples) == 0 || (exhausted && il.cfg.DropLast) {
-			if il.cfg.Engine != nil {
-				il.cfg.Engine.EndWork()
-			}
+		if err != nil {
+			il.dataQ.Put(p, iterResult{batchID: batchID, worker: workerID, err: err})
+			return
+		}
+		if stop {
 			// Stop sentinel: this token (and this worker) yields nothing
 			// more; the main process aborts the worker's remaining tokens.
 			il.dataQ.Put(p, iterResult{batchID: batchID, worker: workerID})
 			return
-		}
-		collateStart := p.Now()
-		collated := collate.Run(ctx, samples)
-		if il.cfg.Hooks != nil && il.cfg.Hooks.OnOp != nil {
-			il.cfg.Hooks.OnOp(pid, batchID, -1, "Collate", collateStart, p.Now().Sub(collateStart))
-			il.logged(p)
-		}
-		if il.cfg.Engine != nil {
-			il.cfg.Engine.EndWork()
 		}
 		end := p.Now()
 		labels := make([]int, len(samples))
@@ -184,17 +202,23 @@ func (il *IterableLoader) workerLoop(p clock.Proc, workerID int) {
 // IterableIterator consumes stream batches in token order, skipping tokens
 // aborted by exhausted shards.
 type IterableIterator struct {
-	il       *IterableLoader
-	rcvdIdx  int
-	cached   map[int]*Batch
-	aborted  map[int]bool
-	deadLeft int
+	il      *IterableLoader
+	rcvdIdx int
+	cached  map[int]*Batch
+	aborted map[int]bool
+	err     error
 }
 
+// Err reports the worker failure that stopped iteration.
+func (it *IterableIterator) Err() error { return it.err }
+
 // Next returns the next batch. ok is false once every shard is exhausted and
-// every live batch consumed.
+// every live batch consumed, or once a worker has failed (see Err).
 func (it *IterableIterator) Next(p clock.Proc) (*Batch, bool) {
 	il := it.il
+	if it.err != nil {
+		return nil, false
+	}
 	for {
 		want := it.rcvdIdx
 		if it.aborted[want] {
@@ -222,6 +246,23 @@ func (it *IterableIterator) Next(p clock.Proc) (*Batch, bool) {
 		startWait := p.Now()
 		res, ok := il.dataQ.Get(p)
 		if !ok {
+			return nil, false
+		}
+		if res.err != nil {
+			// The first failure ends the epoch: every worker's queued
+			// tokens are dropped and its queue closed, so each worker
+			// exits after the batch in its hands.
+			it.err = res.err
+			for w, q := range il.tokenQs {
+				for {
+					if _, ok := q.TryGet(); !ok {
+						break
+					}
+				}
+				q.Close()
+				il.alive[w] = false
+				il.pending[w] = nil
+			}
 			return nil, false
 		}
 		if res.batch == nil {

@@ -1,12 +1,16 @@
 package pipeline
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"lotus/internal/clock"
 	"lotus/internal/data"
 	"lotus/internal/native"
+	"lotus/internal/tensor"
+	"lotus/internal/testutil"
 )
 
 func runIterableEpoch(t *testing.T, n, batch, workers int, hooks *Hooks) []*Batch {
@@ -243,5 +247,49 @@ func TestIterableCollateSpanMatchesMapStyle(t *testing.T) {
 		if got, want := stream.t1[b]-free.t1[b], (batch*5+1)*logCost; got != want {
 			t.Fatalf("batch %d: PerLogCost added %v to [T1], want %v", b, got, want)
 		}
+	}
+}
+
+// panicStream is an IterableDataset whose worker 0 panics on its first
+// sample; the other workers stream forever.
+type panicStream struct{}
+
+func (panicStream) Iter(workerID, numWorkers int) SampleIter { return &panicIter{worker: workerID} }
+
+type panicIter struct{ worker, next int }
+
+func (it *panicIter) Next(ctx *Ctx, pid, batchID int) (Sample, bool) {
+	if it.worker == 0 {
+		panic("boom")
+	}
+	it.next++
+	return Sample{Index: it.next, Tensor: tensor.Meta(tensor.Float32, 1)}, true
+}
+
+// TestIterablePanicEndsEpoch: a panic in a worker's stream reaches the
+// caller as IterableIterator.Err, as a failed batch does through
+// Iterator.Err, and every worker exits, so Run returns.
+func TestIterablePanicEndsEpoch(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer testutil.CheckGoroutines(t)()
+			sim := clock.NewSim()
+			il := NewIterableLoader(sim, panicStream{}, Config{
+				BatchSize: 2, NumWorkers: workers, Seed: 1, Mode: Simulated,
+			})
+			var err error
+			sim.Run("main", func(p clock.Proc) {
+				it := il.Start(p)
+				for {
+					if _, ok := it.Next(p); !ok {
+						break
+					}
+				}
+				err = it.Err()
+			})
+			if err == nil || !strings.Contains(err.Error(), "worker 0 failed on batch 0: boom") {
+				t.Errorf("Err() = %v, want worker 0's panic", err)
+			}
+		})
 	}
 }

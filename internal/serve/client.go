@@ -43,9 +43,9 @@ type ClientConfig struct {
 	Retries int
 	// OnRetry, when set, observes every retry decision.
 	OnRetry func(epoch, attempt int, err error)
-	// Sleep replaces time.Sleep for the backoff wait (tests inject a virtual
-	// sleeper; nil = time.Sleep).
-	Sleep func(time.Duration)
+	// sleep replaces time.Sleep for the backoff wait (in-package tests
+	// inject a recorder; nil = time.Sleep).
+	sleep func(time.Duration)
 }
 
 // The retry backoff: 50ms doubling per attempt, capped at 2s.
@@ -106,8 +106,8 @@ func NewClient(cfg ClientConfig) *Client {
 	if cfg.World < 1 {
 		cfg.World = 1
 	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = time.Sleep
+	if cfg.sleep == nil {
+		cfg.sleep = time.Sleep
 	}
 	h := fnv.New64a()
 	h.Write([]byte(cfg.Name))
@@ -356,7 +356,7 @@ func (c *Client) retry(epoch int, what string, stats *FetchStats, op func() erro
 		if c.cfg.OnRetry != nil {
 			c.cfg.OnRetry(epoch, attempt, err)
 		}
-		c.cfg.Sleep(c.backoff(attempt))
+		c.cfg.sleep(c.backoff(attempt))
 	}
 }
 

@@ -491,7 +491,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	var sleeps []time.Duration
 	c := NewClient(ClientConfig{
 		Addr: ln.Addr().String(), Retries: 3,
-		Sleep: func(d time.Duration) { sleeps = append(sleeps, d) },
+		sleep: func(d time.Duration) { sleeps = append(sleeps, d) },
 	})
 	defer c.Close()
 	var got []int
@@ -530,7 +530,7 @@ func TestRunDeliversEachBatchOnce(t *testing.T) {
 			spec := loopbackSpec() // 10 batches per epoch
 			srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
 				Faults: faultinject.New(tc.faults)})
-			c := NewClient(ClientConfig{Addr: srv.Addr(), Name: "once-" + tc.name, Sleep: func(time.Duration) {}})
+			c := NewClient(ClientConfig{Addr: srv.Addr(), Name: "once-" + tc.name, sleep: func(time.Duration) {}})
 			defer c.Close()
 			seen := make(map[[2]int]int)
 			st, err := c.Run(epochs, func(b *Batch, _ []byte) { seen[[2]int{b.Epoch, b.GlobalID}]++ })
@@ -582,7 +582,7 @@ func TestServerErrorIsFatal(t *testing.T) {
 	var sleeps []time.Duration
 	c := NewClient(ClientConfig{
 		Addr:  ln.Addr().String(),
-		Sleep: func(d time.Duration) { sleeps = append(sleeps, d) },
+		sleep: func(d time.Duration) { sleeps = append(sleeps, d) },
 	})
 	defer c.Close()
 	stats, err := c.Run(1, nil)

@@ -113,7 +113,7 @@ func TestClientRetriesBusy(t *testing.T) {
 	var sleeps []time.Duration
 	c := NewClient(ClientConfig{
 		Addr: srv.Addr(), Name: "patient", Retries: 8,
-		Sleep: func(d time.Duration) {
+		sleep: func(d time.Duration) {
 			sleeps = append(sleeps, d)
 			if !released {
 				released = true
@@ -153,7 +153,7 @@ func TestConnectRetryingBusyIsJittered(t *testing.T) {
 		var sleeps []time.Duration
 		c := NewClient(ClientConfig{
 			Addr: srv.Addr(), Name: name, Retries: 8,
-			Sleep: func(d time.Duration) {
+			sleep: func(d time.Duration) {
 				if sleeps = append(sleeps, d); len(sleeps) == 1 {
 					holder.Close()
 				}
@@ -183,7 +183,7 @@ func TestConnectRetryingBusyIsJittered(t *testing.T) {
 
 	// A fatal refusal is still not retried.
 	bad := NewClient(ClientConfig{Addr: srv.Addr(), Name: "bad", Rank: 3, World: 2,
-		Sleep: func(time.Duration) { t.Error("fatal server error was retried") }})
+		sleep: func(time.Duration) { t.Error("fatal server error was retried") }})
 	defer bad.Close()
 	var se *ServerError
 	if err := bad.ConnectRetrying(); !errors.As(err, &se) || se.Code == CodeBusy {

@@ -111,7 +111,7 @@ func TestStreamShapeRejectedBeforeCallback(t *testing.T) {
 			remaining := planIDs(planLen)
 			delivered := 0
 			c := NewClient(ClientConfig{Addr: ln.Addr().String(), Name: "shape", Retries: 1,
-				Sleep: func(time.Duration) {},
+				sleep: func(time.Duration) {},
 				OnRetry: func(int, int, error) {
 					n := checkPrefix("Run, first attempt", remaining)
 					delivered += n

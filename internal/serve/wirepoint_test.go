@@ -97,7 +97,7 @@ func TestCorruptFrameNeverReachesCallback(t *testing.T) {
 	defer srv.Close()
 	want := localEpochBatches(t, spec, 0, pipeline.RealData, dim)
 	var retryErrs []error
-	c := NewClient(ClientConfig{Addr: srv.Addr(), Name: "corrupt", Sleep: func(time.Duration) {},
+	c := NewClient(ClientConfig{Addr: srv.Addr(), Name: "corrupt", sleep: func(time.Duration) {},
 		OnRetry: func(_, _ int, err error) { retryErrs = append(retryErrs, err) }})
 	defer c.Close()
 	delivered := make(map[int]int)
