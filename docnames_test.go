@@ -24,10 +24,6 @@ var docNameFiles = []string{
 	".claude/skills/verify/SKILL.md",
 }
 
-// docNameAllow lists names TestDocNames lets stand although the code does
-// not declare them, each with its reason. Empty: every name resolves.
-var docNameAllow = map[string]string{}
-
 // TestDocNames holds the docs' backticked Go names, command flags, test
 // names and DESIGN section references to the code. A name the code no
 // longer has is a stale sentence, and the docs are to describe the system
@@ -49,12 +45,6 @@ func TestDocNames(t *testing.T) {
 	idx := loadDocIndex(t)
 	sections := designSections(t)
 	checked := 0
-	report := func(file, name, why string) {
-		if _, ok := docNameAllow[name]; ok {
-			return
-		}
-		t.Errorf("%s: `%s` %s", file, name, why)
-	}
 	for _, file := range docNameFiles {
 		b, err := os.ReadFile(file)
 		if err != nil {
@@ -66,7 +56,7 @@ func TestDocNames(t *testing.T) {
 			for _, chain := range submatches(chainRE, span) {
 				checked++
 				if why := idx.resolve(chain); why != "" {
-					report(file, chain, why)
+					t.Errorf("%s: `%s` %s", file, chain, why)
 				}
 			}
 		}
@@ -74,13 +64,13 @@ func TestDocNames(t *testing.T) {
 			for _, name := range testNameRE.FindAllString(text, -1) {
 				checked++
 				if !idx.testPrefix(name) {
-					report(file, name, "is not the prefix of any Test, Benchmark or Fuzz function")
+					t.Errorf("%s: `%s` is not the prefix of any Test, Benchmark or Fuzz function", file, name)
 				}
 			}
 			for _, cf := range commandFlags(text) {
 				checked++
 				if why := idx.flag(cf[0], cf[1]); why != "" {
-					report(file, cf[0]+" -"+cf[1], why)
+					t.Errorf("%s: `%s` %s", file, cf[0]+" -"+cf[1], why)
 				}
 			}
 		}
@@ -265,23 +255,14 @@ func loadDocIndex(t *testing.T) *docIndex {
 	return idx
 }
 
-// flagNames returns the names of the flags a command's main.go defines.
+// flagNames returns the names of the flags a command's main.go defines. A
+// name that is not a string literal is left out, so a doc that cites that
+// flag fails the check rather than passing unread.
 func flagNames(f *ast.File) map[string]bool {
 	out := map[string]bool{}
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !flagDefiners[sel.Sel.Name] {
-			return true
-		}
-		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
-			return true
-		}
+	for _, call := range flagCalls(f) {
 		arg := 0
-		if strings.HasSuffix(sel.Sel.Name, "Var") {
+		if strings.HasSuffix(call.Fun.(*ast.SelectorExpr).Sel.Name, "Var") {
 			arg = 1
 		}
 		if arg < len(call.Args) {
@@ -291,8 +272,7 @@ func flagNames(f *ast.File) map[string]bool {
 				}
 			}
 		}
-		return true
-	})
+	}
 	return out
 }
 

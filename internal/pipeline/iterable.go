@@ -253,15 +253,13 @@ func (it *IterableIterator) Next(p clock.Proc) (*Batch, bool) {
 			// tokens are dropped and its queue closed, so each worker
 			// exits after the batch in its hands.
 			it.err = res.err
-			for w, q := range il.tokenQs {
+			for _, q := range il.tokenQs {
 				for {
 					if _, ok := q.TryGet(); !ok {
 						break
 					}
 				}
 				q.Close()
-				il.alive[w] = false
-				il.pending[w] = nil
 			}
 			return nil, false
 		}

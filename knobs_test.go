@@ -2,6 +2,7 @@ package lotus_test
 
 import (
 	"bytes"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -88,12 +89,28 @@ var flagDefiners = map[string]bool{
 	"Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "Var": true,
 }
 
-// flagCount parses one command's source and counts the flags it defines.
+// flagCount parses one command's source and counts its flag.<Kind>(…) calls.
 func flagCount(t *testing.T, path string) int {
 	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(flagNames(f))
+	return len(flagCalls(f))
+}
+
+// flagCalls returns a file's flag.<Kind>(…) calls that define a flag.
+func flagCalls(f *ast.File) []*ast.CallExpr {
+	var out []*ast.CallExpr
+	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "flag" && flagDefiners[sel.Sel.Name] {
+					out = append(out, call)
+				}
+			}
+		}
+		return true
+	})
+	return out
 }
