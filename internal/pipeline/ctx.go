@@ -190,9 +190,9 @@ func (c *Ctx) WorkCalls(calls []native.Call) {
 // cannot finish before its start plus the sum of its reads. On a simulated
 // clock real kernels take no virtual time, so every wait there is the whole
 // latency (less any hook log cost charged since the previous read), as when
-// reads were issued one at a time. Outside a batch (a direct GetItem, the
-// IterableLoader) and in Simulated mode a read is issued when asked and
-// waited in full (IO).
+// reads were issued one at a time. A stream batch (IterableLoader) is a
+// batch too. Outside a batch (a direct GetItem) and in Simulated mode a read
+// is issued when asked and waited in full (IO).
 func (c *Ctx) ReadBlob(index int, d time.Duration) (modeled, waited time.Duration) {
 	stall, err := c.Faults.ReadFault(index)
 	modeled = d + stall

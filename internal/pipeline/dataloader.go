@@ -158,10 +158,19 @@ type DataLoader struct {
 	clk     clock.Clock
 
 	batches [][]int
+	// stream, set by NewIterableLoader, replaces dataset and batches: each
+	// worker draws its batches from its own shard, and the plan is unbounded.
+	stream  IterableDataset
 	indexQs []*clock.Queue[indexTask]
 	dataQ   *clock.Queue[workerResult]
 	started bool
 	sendIdx int
+	// closed is set once dispatch ends: the plan is all sent, every stream
+	// shard has ended, or the epoch failed or was aborted.
+	closed bool
+	// live marks the workers dispatch may send to: all of them, until a
+	// stream worker's retired token tells the main process its shard ended.
+	live []bool
 	// outstanding tracks estimated queued work per worker for
 	// DispatchLeastWork. Only the main proc touches it and creditDrift.
 	outstanding []float64
@@ -264,9 +273,11 @@ func (dl *DataLoader) Start(p clock.Proc) *Iterator {
 	dl.started = true
 	n := dl.cfg.NumWorkers
 	dl.outstanding = make([]float64, n)
+	dl.live = make([]bool, n)
 	dl.indexQs = make([]*clock.Queue[indexTask], n)
 	for w := range dl.indexQs {
 		dl.indexQs[w] = clock.NewQueue[indexTask](dl.clk, 0)
+		dl.live[w] = true
 	}
 	dl.dataQ = clock.NewQueue[workerResult](dl.clk, 0)
 
@@ -277,47 +288,68 @@ func (dl *DataLoader) Start(p clock.Proc) *Iterator {
 	}
 
 	// Initial prefetch: prefetch_factor batches per worker, round-robin by
-	// batch id (PyTorch's _try_put_index startup behaviour).
-	for i := 0; i < dl.cfg.PrefetchFactor*n && dl.sendIdx < len(dl.batches); i++ {
-		dl.enqueueNext(p, dl.sendIdx%n)
+	// batch id (PyTorch's _try_put_index startup behaviour). An empty plan
+	// closes dispatch at once, so the workers exit.
+	for i := 0; i < dl.cfg.PrefetchFactor*n && !dl.closed; i++ {
+		dl.enqueueNext(p, i%n)
 	}
-	// An empty plan (a shard with zero batches) dispatches nothing, so the
-	// close-on-last-dispatch path never runs; close here or the workers would
-	// block forever on their index queues.
-	if len(dl.batches) == 0 {
-		dl.closeIndex()
-	}
-	return &Iterator{dl: dl, cached: make(map[int]*Batch), cachedWorker: make(map[int]int), cachedErr: make(map[int]error)}
+	return &Iterator{dl: dl, cached: make(map[int]workerResult)}
 }
 
-// enqueueNext sends the next undistributed batch to a worker — the hinted
-// one under DispatchProducer, or the least-loaded one under DispatchLeastWork
-// — and closes the index queues once everything is dispatched.
+// enqueueNext sends the next batch to a worker — the hinted one (or, on a
+// stream, the next live one) under DispatchProducer, or the least-loaded one
+// under DispatchLeastWork — and closes dispatch once nothing is left to
+// send: the plan's last batch is out, or every stream shard has ended.
 func (dl *DataLoader) enqueueNext(p clock.Proc, hint int) {
-	if dl.sendIdx >= len(dl.batches) {
+	if dl.closed {
 		return
 	}
-	w := hint
+	w := dl.pick(hint)
+	if w >= 0 && (dl.stream != nil || dl.sendIdx < len(dl.batches)) {
+		task := indexTask{batchID: dl.sendIdx}
+		if dl.stream == nil {
+			task.indices = dl.batches[dl.sendIdx]
+		}
+		dl.outstanding[w] += dl.cost(dl.sendIdx)
+		dl.sendIdx++
+		dl.indexQs[w].Put(p, task)
+	}
+	if w < 0 || dl.stream == nil && dl.sendIdx == len(dl.batches) {
+		dl.closeIndex()
+	}
+}
+
+// pick chooses the worker for the next batch, or -1 when none is live.
+func (dl *DataLoader) pick(hint int) int {
 	if dl.cfg.Dispatch == DispatchLeastWork {
-		w = 0
+		w := 0
 		for i := range dl.outstanding {
 			if dl.outstanding[i] < dl.outstanding[w] {
 				w = i
 			}
 		}
+		return w
 	}
-	dl.outstanding[w] += dl.batchCost[dl.sendIdx]
-	task := indexTask{batchID: dl.sendIdx, indices: dl.batches[dl.sendIdx]}
-	dl.sendIdx++
-	dl.indexQs[w].Put(p, task)
-	if dl.sendIdx == len(dl.batches) {
-		dl.closeIndex()
+	for i := range dl.live {
+		if w := (hint + i) % len(dl.live); dl.live[w] {
+			return w
+		}
 	}
+	return -1
 }
 
-// closeIndex closes the index queues so workers drain what was already
-// dispatched and exit.
+// cost is batch id's estimated work; a stream token counts one unit.
+func (dl *DataLoader) cost(id int) float64 {
+	if dl.stream != nil {
+		return 1
+	}
+	return dl.batchCost[id]
+}
+
+// closeIndex ends dispatch: the index queues close, so workers drain what
+// was already dispatched and exit.
 func (dl *DataLoader) closeIndex() {
+	dl.closed = true
 	for _, q := range dl.indexQs {
 		q.Close()
 	}
@@ -329,7 +361,7 @@ func (dl *DataLoader) closeIndex() {
 // DispatchLeastWork decision afterwards — so it is counted in creditDrift
 // rather than silently clamped away.
 func (dl *DataLoader) completed(batchID, worker int) {
-	dl.outstanding[worker] -= dl.batchCost[batchID]
+	dl.outstanding[worker] -= dl.cost(batchID)
 	if dl.outstanding[worker] < -creditEpsilon {
 		dl.creditDrift++
 	}
@@ -355,10 +387,16 @@ func (dl *DataLoader) CreditDrift() int { return dl.creditDrift }
 
 // workerLoop is the DataLoader worker body (_utils.worker._worker_loop): it
 // creates a fetcher (the BatchWorker) and serves index tasks until its queue
-// closes.
+// closes. A stream worker's fetcher draws from the worker's own shard.
 func (dl *DataLoader) workerLoop(p clock.Proc, workerID int) {
 	bw := NewBatchWorker(workerID, dl.dataset, dl.cfg)
 	bw.Ctx.Abort = dl.stallAbort
+	if dl.stream != nil {
+		bw.shard = &streamShard{
+			iter: dl.stream.Iter(workerID, dl.cfg.NumWorkers),
+			size: dl.cfg.BatchSize, dropLast: dl.cfg.DropLast,
+		}
+	}
 	for {
 		task, ok := dl.indexQs[workerID].Get(p)
 		if !ok {
@@ -378,16 +416,19 @@ func (dl *DataLoader) interruptStalls() {
 
 // Iterator consumes batches strictly in order from the shared data queue,
 // caching and pinning batches that arrive out of order — the behaviour
-// behind the paper's wait/delay analysis and Figure 3.
+// behind the paper's wait/delay analysis and Figure 3. Every dispatched
+// batch ID yields exactly one result: a batch, a failure, or (from a stream
+// worker whose shard has ended) a retired token, which the iterator passes
+// silently. The epoch ends when dispatch is closed and every dispatched ID
+// is accounted for, whether the plan was known or a stream ran dry.
 type Iterator struct {
-	dl           *DataLoader
-	rcvdIdx      int
-	cached       map[int]*Batch
-	cachedWorker map[int]int
-	cachedErr    map[int]error
+	dl      *DataLoader
+	rcvdIdx int
+	// cached holds results that arrived before the main process wanted them.
+	cached map[int]workerResult
 	// seen counts results received from the data queue. Every dispatched
-	// batch produces exactly one result (success or error), so Drain knows
-	// teardown is complete when seen == dl.sendIdx.
+	// batch produces exactly one result, so Drain knows teardown is complete
+	// when seen == dl.sendIdx.
 	seen int
 	// OOOEvents counts batches that arrived before the main process wanted
 	// them (out-of-order arrivals).
@@ -407,91 +448,91 @@ func (it *Iterator) Skipped() []int { return append([]int(nil), it.skipped...) }
 // the main proc.
 func (it *Iterator) Next(p clock.Proc) (*Batch, bool) {
 	dl := it.dl
-restart:
-	if it.err != nil || it.rcvdIdx >= len(dl.batches) {
-		return nil, false
-	}
-	want := it.rcvdIdx
-	startWait := p.Now()
-	var batch *Batch
-	var fromWorker int
-
-	if err, ok := it.cachedErr[want]; ok {
-		delete(it.cachedErr, want)
-		w := it.cachedWorker[want]
-		delete(it.cachedWorker, want)
-		if !it.handleError(p, want, w, err) {
-			return nil, false
+	for it.err == nil && !(dl.closed && it.rcvdIdx == dl.sendIdx) {
+		want := it.rcvdIdx
+		startWait := p.Now()
+		res, cached := it.cached[want]
+		if cached {
+			delete(it.cached, want)
+		} else {
+			res = it.receive(p, want)
 		}
-		goto restart
+		if res.err != nil {
+			if !it.handleError(p, want, res.worker, res.err) {
+				return nil, false
+			}
+			continue
+		}
+		if res.batch == nil { // a retired stream token
+			it.advance(p, res.worker)
+			continue
+		}
+		if cached {
+			// The desired batch already arrived while we were busy: the
+			// paper marks these with a 1µs wait to denote no waiting.
+			it.logWait(p, want, startWait, time.Microsecond)
+		} else {
+			it.logWait(p, want, startWait, p.Now().Sub(startWait))
+		}
+		it.advance(p, res.worker)
+
+		// Consumption: pin the desired batch (if configured) and log the
+		// consumption marker.
+		consumeStart := p.Now()
+		if dl.cfg.PinMemory {
+			p.Sleep(PinCost(res.batch.Bytes()))
+		}
+		if dl.cfg.Hooks != nil && dl.cfg.Hooks.OnBatchConsumed != nil {
+			dl.cfg.Hooks.OnBatchConsumed(MainPID, res.batch.ID, consumeStart, p.Now().Sub(consumeStart))
+			if dl.cfg.Hooks.PerLogCost > 0 {
+				p.Sleep(dl.cfg.Hooks.PerLogCost)
+			}
+		}
+		return res.batch, true
 	}
-	if b, ok := it.cached[want]; ok {
-		// The desired batch already arrived while we were busy: the paper
-		// marks these with a 1µs wait to denote no waiting.
-		batch = b
-		fromWorker = it.cachedWorker[want]
-		delete(it.cached, want)
-		delete(it.cachedWorker, want)
-		it.logWait(p, want, startWait, time.Microsecond)
-	} else {
-		for {
-			res, ok := dl.dataQ.Get(p)
-			if !ok {
-				panic("pipeline: data queue closed before epoch finished")
-			}
-			it.seen++
-			dl.completed(res.batchID, res.worker)
-			if res.err != nil {
-				if res.batchID == want {
-					if !it.handleError(p, want, res.worker, res.err) {
-						return nil, false
-					}
-					goto restart
-				}
-				it.cachedErr[res.batchID] = res.err
-				it.cachedWorker[res.batchID] = res.worker
-				continue
-			}
-			if res.batchID == want {
-				batch = res.batch
-				fromWorker = res.batch.WorkerID
-				it.logWait(p, want, startWait, p.Now().Sub(startWait))
-				break
-			}
-			// Out-of-order arrival: pin to CPU memory and cache it; keep
-			// polling for the desired batch.
+	return nil, false
+}
+
+// receive takes results off the data queue until batch want's arrives,
+// caching (and pinning) the others.
+func (it *Iterator) receive(p clock.Proc, want int) workerResult {
+	dl := it.dl
+	for {
+		res, ok := dl.dataQ.Get(p)
+		if !ok {
+			panic("pipeline: data queue closed before epoch finished")
+		}
+		it.seen++
+		dl.completed(res.batchID, res.worker)
+		if res.batch == nil && res.err == nil {
+			// A retired token: the worker's shard has ended.
+			dl.live[res.worker] = false
+		}
+		if res.batchID == want {
+			return res
+		}
+		if res.batch != nil {
+			// Out-of-order arrival: pin to CPU memory and cache it.
 			it.OOOEvents++
 			if dl.cfg.PinMemory {
 				p.Sleep(PinCost(res.batch.Bytes()))
 			}
-			it.cached[res.batchID] = res.batch
-			it.cachedWorker[res.batchID] = res.batch.WorkerID
 		}
+		it.cached[res.batchID] = res
 	}
+}
 
+// advance accounts for the wanted batch ID and replenishes: the next batch
+// goes to the worker that produced this one (§ II-B).
+func (it *Iterator) advance(p clock.Proc, worker int) {
+	dl := it.dl
 	it.rcvdIdx++
-	// Replenish: hand the next index batch to the worker that produced the
-	// batch we just consumed (§ II-B).
-	dl.enqueueNext(p, fromWorker)
-	if it.rcvdIdx == len(dl.batches) && it.seen == dl.sendIdx {
+	dl.enqueueNext(p, worker)
+	if dl.closed && it.rcvdIdx == dl.sendIdx && it.seen == dl.sendIdx {
 		// Natural epoch end with every dispatched batch credited: the
 		// outstanding ledger must be back to zero.
 		dl.noteResidual()
 	}
-
-	// Consumption: pin the desired batch (if configured) and log the
-	// consumption marker.
-	consumeStart := p.Now()
-	if dl.cfg.PinMemory {
-		p.Sleep(PinCost(batch.Bytes()))
-	}
-	if dl.cfg.Hooks != nil && dl.cfg.Hooks.OnBatchConsumed != nil {
-		dl.cfg.Hooks.OnBatchConsumed(MainPID, batch.ID, consumeStart, p.Now().Sub(consumeStart))
-		if dl.cfg.Hooks.PerLogCost > 0 {
-			p.Sleep(dl.cfg.Hooks.PerLogCost)
-		}
-	}
-	return batch, true
 }
 
 // handleError applies the error policy to a failed batch. It returns true
@@ -500,10 +541,9 @@ restart:
 // pipeline keeps flowing or tears down cleanly.
 func (it *Iterator) handleError(p clock.Proc, batchID, worker int, err error) bool {
 	dl := it.dl
-	it.rcvdIdx++
 	if dl.cfg.OnError == SkipBatch {
 		it.skipped = append(it.skipped, batchID+dl.cfg.BatchIDOffset)
-		dl.enqueueNext(p, worker)
+		it.advance(p, worker)
 		return true
 	}
 	it.err = err
@@ -530,9 +570,9 @@ func (it *Iterator) logWait(p clock.Proc, batchID int, start time.Time, dur time
 // per task on the data queue before exiting. Call Drain afterwards to
 // consume those in-flight results.
 func (it *Iterator) Abort() {
-	it.rcvdIdx = len(it.dl.batches)
 	it.dl.interruptStalls()
 	it.dl.closeIndex()
+	it.rcvdIdx = it.dl.sendIdx
 }
 
 // Drain consumes every in-flight result after Abort (or an early stop) and
@@ -556,9 +596,7 @@ func (it *Iterator) Drain(p clock.Proc) {
 	if it.seen == dl.sendIdx {
 		dl.noteResidual()
 	}
-	// Results already received and parked in the caches were counted when
+	// Results already received and parked in the cache were counted when
 	// they arrived; release them so an aborted epoch does not pin batches.
-	it.cached = make(map[int]*Batch)
-	it.cachedWorker = make(map[int]int)
-	it.cachedErr = make(map[int]error)
+	it.cached = make(map[int]workerResult)
 }

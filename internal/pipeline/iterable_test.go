@@ -1,13 +1,18 @@
 package pipeline
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"lotus/internal/clock"
 	"lotus/internal/data"
+	"lotus/internal/faultinject"
 	"lotus/internal/native"
 	"lotus/internal/tensor"
 	"lotus/internal/testutil"
@@ -133,8 +138,8 @@ func TestIterableHooksFireLikeMapStyle(t *testing.T) {
 	if pre != len(batches) || cons != len(batches) {
 		t.Fatalf("pre=%d cons=%d, batches=%d", pre, cons, len(batches))
 	}
-	if wait < len(batches) {
-		t.Fatalf("wait hooks %d < %d", wait, len(batches))
+	if wait != len(batches) {
+		t.Fatalf("wait hooks %d, want one per batch (%d)", wait, len(batches))
 	}
 	// 40 samples x 5 transforms + collates.
 	if ops != 40*5+len(batches) {
@@ -267,8 +272,8 @@ func (it *panicIter) Next(ctx *Ctx, pid, batchID int) (Sample, bool) {
 }
 
 // TestIterablePanicEndsEpoch: a panic in a worker's stream reaches the
-// caller as IterableIterator.Err, as a failed batch does through
-// Iterator.Err, and every worker exits, so Run returns.
+// caller as Iterator.Err, as a failed map-style batch does, and every worker
+// exits, so Run returns.
 func TestIterablePanicEndsEpoch(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -290,6 +295,176 @@ func TestIterablePanicEndsEpoch(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "worker 0 failed on batch 0: boom") {
 				t.Errorf("Err() = %v, want worker 0's panic", err)
 			}
+		})
+	}
+}
+
+// runFaultyStream runs one simulated stream epoch of n samples under an
+// injector that fails ~1/6 of the blob reads.
+func runFaultyStream(t *testing.T, inj *faultinject.Injector, n, batch, workers int, policy ErrorPolicy) (batches []*Batch, skipped []int, err error) {
+	t.Helper()
+	sim := clock.NewSim()
+	ds := data.NewImageDataset(data.ImageNetConfig(n, 1))
+	il := NewIterableLoader(sim, &ImageStream{Folder: NewImageFolder(ds, icCompose(nil))}, Config{
+		BatchSize: batch, NumWorkers: workers, Seed: 1, OnError: policy, Faults: inj,
+		Mode: Simulated, Engine: native.NewEngine(native.Intel, native.DefaultCPU()),
+	})
+	sim.Run("main", func(p clock.Proc) {
+		it := il.Start(p)
+		for {
+			b, ok := it.Next(p)
+			if !ok {
+				break
+			}
+			batches = append(batches, b)
+		}
+		skipped, err = it.Skipped(), it.Err()
+	})
+	return batches, skipped, err
+}
+
+// TestIterableSkipBatchUnderReadErrors: under SkipBatch a stream batch whose
+// read fails is skipped, and the stream goes on with the sample after the
+// failing one. Each shard's batches are therefore known from the fault
+// decisions alone: every other sample is delivered exactly once, and
+// Skipped lists one batch per failure.
+func TestIterableSkipBatchUnderReadErrors(t *testing.T) {
+	const n, batch, workers = 60, 4, 3
+	inj := faultinject.New(faultinject.Spec{Seed: 9, ReadErrorNth: 6})
+	want, failures := map[int]bool{}, 0
+	for w := 0; w < workers; w++ {
+		var cur []int
+		for i := w; i < n; i += workers {
+			if inj.WouldReadError(i) {
+				// The failed batch loses the samples drawn before this one.
+				failures, cur = failures+1, nil
+				continue
+			}
+			if cur = append(cur, i); len(cur) == batch {
+				for _, j := range cur {
+					want[j] = true
+				}
+				cur = nil
+			}
+		}
+		for _, j := range cur { // the shard's partial last batch
+			want[j] = true
+		}
+	}
+	if failures == 0 {
+		t.Fatal("the spec fails no read; pick another seed")
+	}
+
+	batches, skipped, err := runFaultyStream(t, inj, n, batch, workers, SkipBatch)
+	if err != nil {
+		t.Fatalf("SkipBatch epoch failed: %v", err)
+	}
+	if len(skipped) != failures {
+		t.Errorf("Skipped %v: %d batches, want one per failed read (%d)", skipped, len(skipped), failures)
+	}
+	got := map[int]bool{}
+	for _, b := range batches {
+		if slices.Contains(skipped, b.ID) {
+			t.Errorf("batch %d both delivered and skipped", b.ID)
+		}
+		for _, idx := range b.Indices {
+			if got[idx] {
+				t.Errorf("sample %d delivered twice", idx)
+			}
+			got[idx] = true
+		}
+	}
+	for i := 0; i < n; i++ {
+		if got[i] != want[i] {
+			t.Errorf("sample %d: delivered %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestIterableFailEpochUnderReadErrors: under FailEpoch the first failed
+// read ends a stream epoch with the error, and every worker exits.
+func TestIterableFailEpochUnderReadErrors(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	inj := faultinject.New(faultinject.Spec{Seed: 9, ReadErrorNth: 6})
+	_, _, err := runFaultyStream(t, inj, 60, 4, 3, FailEpoch)
+	if err == nil || !strings.Contains(err.Error(), faultinject.ErrInjectedRead.Error()) {
+		t.Fatalf("Err() = %v, want the injected read error", err)
+	}
+}
+
+// TestIterableEpochSaltsBytes: Config.Epoch reaches a stream worker's Ctx, so
+// a real-pixel stream's RandomResizedCrop differs between epochs 0 and 1, as
+// a DataLoader's does. Epoch 0's collated tensors keep the CRC32Cs the stream
+// loader produced before it ran on BatchWorker, so the read-ahead device
+// and the tensor tail fused into the collate change no byte. Batches are
+// keyed by their first sample: a shard's batches are fixed, their IDs are
+// not.
+func TestIterableEpochSaltsBytes(t *testing.T) {
+	pinned := map[int]uint32{0: 0x70612cd2, 1: 0xdb675cc9, 6: 0x19ee7c61, 7: 0x10b76734, 12: 0x5a686857}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	run := func(epoch int) map[int]uint32 {
+		ds := fastRealDataset(13, 3)
+		clk := clock.NewReal()
+		il := NewIterableLoader(clk, &ImageStream{Folder: NewImageFolder(ds, icCompose(nil))}, Config{
+			BatchSize: 3, NumWorkers: 2, Seed: 5, Epoch: epoch, Mode: RealData, MaterializeDim: 64,
+		})
+		sums := map[int]uint32{}
+		clk.Run("main", func(p clock.Proc) {
+			it := il.Start(p)
+			for {
+				b, ok := it.Next(p)
+				if !ok {
+					if err := it.Err(); err != nil {
+						t.Errorf("epoch %d: %v", epoch, err)
+					}
+					return
+				}
+				buf := make([]byte, 0, 4*len(b.Data.F32))
+				for _, v := range b.Data.F32 {
+					buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+				}
+				sums[b.Indices[0]] = crc32.Checksum(buf, castagnoli)
+			}
+		})
+		return sums
+	}
+	e0, e1 := run(0), run(1)
+	if len(e0) != len(pinned) || len(e1) != len(pinned) {
+		t.Fatalf("epochs delivered %d and %d batches, want %d", len(e0), len(e1), len(pinned))
+	}
+	for first, want := range pinned {
+		if e0[first] != want {
+			t.Errorf("epoch 0 batch from sample %d: CRC32C %#08x, pinned %#08x", first, e0[first], want)
+		}
+		if e1[first] == e0[first] {
+			t.Errorf("batch from sample %d: epoch 1 repeats epoch 0's bytes", first)
+		}
+	}
+}
+
+// TestNewIterableLoaderRefusesPlanFields: a stream has no plan to shuffle,
+// replace or cost, so the Config fields that act on one panic, as PyTorch
+// raises for shuffle with an IterableDataset.
+func TestNewIterableLoaderRefusesPlanFields(t *testing.T) {
+	ds := data.NewImageDataset(data.ImageNetConfig(4, 1))
+	stream := &ImageStream{Folder: NewImageFolder(ds, icCompose(nil))}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"Shuffle", Config{Shuffle: true}},
+		{"BatchPlan", Config{BatchPlan: [][]int{{0, 1}}}},
+		{"DispatchLeastWork", Config{Dispatch: DispatchLeastWork}},
+		{"CostHint", Config{CostHint: func(int) float64 { return 1 }}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.BatchSize = 2
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), tc.name) {
+					t.Errorf("NewIterableLoader with %s: recovered %v, want a panic naming it", tc.name, r)
+				}
+			}()
+			NewIterableLoader(clock.NewSim(), stream, tc.cfg)
 		})
 	}
 }

@@ -13,9 +13,9 @@ import (
 // _worker_loop between taking an index task and putting the result on the
 // data queue: fetch and preprocess every sample, collate, fire the [T1]/[T3]
 // hooks, sit out injected stalls. It owns the per-worker Ctx (random-stream
-// and kernel-call scratch) and the collate op, so it runs one batch at a
-// time. The DataLoader runs one per worker proc; the serving layer runs one
-// per slot of its server-wide pool.
+// and kernel-call scratch, the read-ahead device) and the collate op, so it
+// runs one batch at a time. The DataLoader and the IterableLoader run one per
+// worker proc; the serving layer runs one per slot of its server-wide pool.
 type BatchWorker struct {
 	// Ctx is the worker's execution context, built from the Config. A caller
 	// that multiplexes epochs over one worker (internal/serve) sets Epoch
@@ -24,6 +24,9 @@ type BatchWorker struct {
 
 	id      int
 	dataset Dataset
+	// shard, on an IterableLoader worker, is the stream Run draws from in
+	// place of dataset and indices.
+	shard   *streamShard
 	hooks   *Hooks
 	collate Collate
 }
@@ -57,8 +60,13 @@ func NewBatchWorker(id int, ds Dataset, cfg Config) *BatchWorker {
 // buffer it handed out holds garbage and stays the caller's to reclaim.
 // Panics from dataset or transform code are captured and returned as the
 // error (PyTorch pickles the worker exception and re-raises it in the main
-// process).
+// process). A stream worker ignores indices and draws the batch from its
+// shard; once the shard has ended Run returns neither batch nor error: the
+// token retires.
 func (w *BatchWorker) Run(p clock.Proc, batchID int, indices []int, dst CollateDst) (*Batch, error) {
+	if w.shard != nil && w.shard.ended {
+		return nil, nil
+	}
 	ctx := &w.Ctx
 	ctx.Proc = p
 	pid := WorkerPID(w.id)
@@ -76,12 +84,16 @@ func (w *BatchWorker) Run(p clock.Proc, batchID int, indices []int, dst CollateD
 				err = fmt.Errorf("pipeline: worker %d failed on batch %d: %v", w.id, batchID, r)
 			}
 		}()
-		samples = make([]Sample, len(indices))
-		for i, idx := range indices {
-			if ctx.Faults.SamplePanic(idx) {
-				panic(fmt.Sprintf("faultinject: worker panic on sample %d", idx))
+		if w.shard != nil {
+			if samples, indices = w.shard.next(ctx, pid, batchID); samples == nil {
+				return nil
 			}
-			samples[i] = w.dataset.GetItem(ctx, pid, batchID, idx)
+		} else {
+			samples = make([]Sample, len(indices))
+			for i, idx := range indices {
+				ctx.samplePanic(idx)
+				samples[i] = w.dataset.GetItem(ctx, pid, batchID, idx)
+			}
 		}
 		collateStart := p.Now()
 		collated = w.collate.RunInto(ctx, samples, dst)
@@ -96,6 +108,9 @@ func (w *BatchWorker) Run(p clock.Proc, batchID int, indices []int, dst CollateD
 	ctx.readFree = time.Time{}
 	if ctx.Engine != nil {
 		ctx.Engine.EndWork()
+	}
+	if err == nil && samples == nil {
+		return nil, nil // the shard ended before this token
 	}
 	// Injected engine stall: the worker pauses after the batch's work (GC
 	// pause / CPU contention), delaying its arrival on the data queue
@@ -126,6 +141,13 @@ func (w *BatchWorker) Run(p clock.Proc, batchID int, indices []int, dst CollateD
 		}
 	}
 	return batch, nil
+}
+
+// samplePanic is the worker-panic fault seam, consulted per sample index.
+func (c *Ctx) samplePanic(index int) {
+	if c.Faults.SamplePanic(index) {
+		panic(fmt.Sprintf("faultinject: worker panic on sample %d", index))
+	}
 }
 
 // faultSleep pauses the worker for an injected fault stall. Simulated-clock

@@ -454,11 +454,10 @@ func Tune(spec WorkloadSpec, cfg TuneConfig) TuneResult { return autotune.Tune(s
 
 // Stream datasets (torch.utils.data.IterableDataset analogue).
 type (
-	IterableDataset  = pipeline.IterableDataset
-	SampleIter       = pipeline.SampleIter
-	IterableLoader   = pipeline.IterableLoader
-	IterableIterator = pipeline.IterableIterator
-	ImageStream      = pipeline.ImageStream
+	IterableDataset = pipeline.IterableDataset
+	SampleIter      = pipeline.SampleIter
+	IterableLoader  = pipeline.IterableLoader
+	ImageStream     = pipeline.ImageStream
 )
 
 // NewIterableLoader constructs the stream-dataset loader.
