@@ -63,13 +63,14 @@ func (l *latency) window(snap map[string]histSnap) []control.NodeSample {
 }
 
 // observeBalance is the balancer's epoch tick: it feeds the epoch's window
-// to the balancer and queues any proposed re-weight for the next epoch's
-// first round.
+// and the ring's current weights to the balancer and queues any proposed
+// re-weight for the next epoch's first round. It runs on the router
+// goroutine after the epoch's last round, so reading the ring is safe.
 func (c *Client) observeBalance() {
 	if c.bal.balancer == nil {
 		return
 	}
-	if weights := c.bal.balancer.Observe(c.lat.window(c.bal.snap)); weights != nil {
+	if weights := c.bal.balancer.Observe(c.lat.window(c.bal.snap), c.Weights()); weights != nil {
 		for node, w := range weights {
 			c.SetNodeWeight(node, w)
 		}

@@ -250,6 +250,43 @@ func TestBalanceWindowIsEpochDelta(t *testing.T) {
 	}
 }
 
+// TestBalanceRetunesAfterManualWeight: the balancer measures its dead band
+// against the ring's weight, not its own last proposal. After a
+// SetNodeWeight lifts the slow node back to full weight, the next epoch at
+// the same 4x service time re-weights it again.
+func TestBalanceRetunesAfterManualWeight(t *testing.T) {
+	c, err := New(Config{
+		Nodes:    []Node{{ID: "a", Addr: "a:1"}, {ID: "b", Addr: "b:1"}},
+		Name:     "balance",
+		AutoTune: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := func() {
+		record(c, "a", false, 8, 10*time.Millisecond)
+		record(c, "b", false, 8, 40*time.Millisecond)
+		c.observeBalance()
+		c.applyPendingWeights()
+	}
+	epoch()
+	if w := c.Weights()["b"]; w != 0.25 {
+		t.Fatalf("after epoch 1, b's weight is %.2f, want 0.25", w)
+	}
+	c.SetNodeWeight("b", 1)
+	c.applyPendingWeights()
+	if w := c.Weights()["b"]; w != 1 {
+		t.Fatalf("SetNodeWeight left b at %.2f, want 1", w)
+	}
+	epoch()
+	if w := c.Weights()["b"]; w != 0.25 {
+		t.Fatalf("after a manual weight and another 4x-slow epoch, b's weight is %.2f, want 0.25", w)
+	}
+	if got := c.WeightMoves(); got != 3 {
+		t.Fatalf("weight moves %d, want 3 (two re-weights and the manual one)", got)
+	}
+}
+
 // TestRunStatsSumEpochStats: a Run's Stats are the field-wise sum of its
 // epochs' EpochStats, Rounds included. One of three nodes is dead from the
 // start without the router knowing, so epoch 0 takes a failover round and

@@ -54,22 +54,20 @@ type Balancer struct {
 	mu sync.Mutex
 	// svc is the EWMA per-batch service time per node, in seconds.
 	svc map[string]float64
-	// weights is the currently applied weight per node (default 1).
-	weights map[string]float64
 }
 
-// NewBalancer returns a balancer with every node at full weight.
+// NewBalancer returns a balancer with no observations.
 func NewBalancer() *Balancer {
-	return &Balancer{
-		svc:     make(map[string]float64),
-		weights: make(map[string]float64),
-	}
+	return &Balancer{svc: make(map[string]float64)}
 }
 
-// Observe feeds one window of per-node samples. It returns the new weight
-// map when a re-weight is warranted, nil otherwise. The caller applies the
+// Observe feeds one window of per-node samples. current is the weight each
+// node has on the ring now (a node it omits counts as full weight): the dead
+// band is measured against it, so a weight set by hand since the last
+// proposal is re-weighted like any other. Observe returns the new weight map
+// when a re-weight is warranted, nil otherwise. The caller applies the
 // returned weights to its ring.
-func (b *Balancer) Observe(samples []NodeSample) map[string]float64 {
+func (b *Balancer) Observe(samples []NodeSample, current map[string]float64) map[string]float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, s := range samples {
@@ -102,7 +100,7 @@ func (b *Balancer) Observe(samples []NodeSample) map[string]float64 {
 	for _, n := range nodes {
 		w := min(max(fastest/b.svc[n], balanceMinWeight), 1)
 		proposed[n] = w
-		cur, ok := b.weights[n]
+		cur, ok := current[n]
 		if !ok {
 			cur = 1
 		}
@@ -113,24 +111,10 @@ func (b *Balancer) Observe(samples []NodeSample) map[string]float64 {
 	if !changed {
 		return nil
 	}
-	for n, w := range proposed {
-		b.weights[n] = w
-	}
 	return proposed
 }
 
-// Weights returns a copy of the currently applied weight map.
-func (b *Balancer) Weights() map[string]float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[string]float64, len(b.weights))
-	for n, w := range b.weights {
-		out[n] = w
-	}
-	return out
-}
-
-// String renders the current state for logs.
+// String renders each node's service-time estimate for logs.
 func (b *Balancer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -141,11 +125,7 @@ func (b *Balancer) String() string {
 	sort.Strings(nodes)
 	out := ""
 	for _, n := range nodes {
-		w, ok := b.weights[n]
-		if !ok {
-			w = 1
-		}
-		out += fmt.Sprintf("%s: %.1fms/batch w=%.2f; ", n, 1e3*b.svc[n], w)
+		out += fmt.Sprintf("%s: %.1fms/batch; ", n, 1e3*b.svc[n])
 	}
 	return out
 }

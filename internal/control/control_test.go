@@ -56,9 +56,10 @@ func TestBalancerConvergesOnSlowNode(t *testing.T) {
 		}
 		return out
 	}
+	// weights stands in for the ring: each proposal is applied to it.
 	var weights map[string]float64
 	for i := 0; i < 6; i++ {
-		if w := b.Observe(sample(map[string]int{"a": 10, "b": 10, "c": 30})); w != nil {
+		if w := b.Observe(sample(map[string]int{"a": 10, "b": 10, "c": 30}), weights); w != nil {
 			weights = w
 		}
 	}
@@ -83,7 +84,7 @@ func TestBalancerDeadBandSuppressesNoise(t *testing.T) {
 		if w := b.Observe([]NodeSample{
 			{Node: "a", Batches: 10, PerBatch: time.Duration(m) * time.Millisecond},
 			{Node: "b", Batches: 10, PerBatch: 10 * time.Millisecond},
-		}); w != nil {
+		}, nil); w != nil {
 			moves++
 		}
 	}
@@ -99,7 +100,7 @@ func TestBalancerMinWeightFloor(t *testing.T) {
 		if w := b.Observe([]NodeSample{
 			{Node: "fast", Batches: 10, PerBatch: time.Millisecond},
 			{Node: "dead-slow", Batches: 10, PerBatch: time.Second},
-		}); w != nil {
+		}, weights); w != nil {
 			weights = w
 		}
 	}
@@ -117,7 +118,7 @@ func TestBalancerNeedsMinSamples(t *testing.T) {
 		if w := b.Observe([]NodeSample{
 			{Node: "a", Batches: 1, PerBatch: time.Millisecond}, // below balanceMinSamples
 			{Node: "b", Batches: 1, PerBatch: 30 * time.Millisecond},
-		}); w != nil {
+		}, nil); w != nil {
 			t.Fatalf("cold windows must not re-weight, got %v", w)
 		}
 	}

@@ -132,90 +132,6 @@ func TestFormatFindings(t *testing.T) {
 	}
 }
 
-func TestAggregatorMatchesAnalyze(t *testing.T) {
-	// Build a realistic record stream and verify the streaming aggregator
-	// agrees with the batch Analyze on exact statistics.
-	var recs []Record
-	for i := 0; i < 200; i++ {
-		base := time.Duration(i) * 50 * time.Millisecond
-		d := time.Duration(1+i%17) * time.Millisecond
-		recs = append(recs, Record{Kind: KindOp, PID: 4001, BatchID: i / 10, SampleIndex: i, Op: "Loader", Start: at(base), Dur: d})
-	}
-	for b := 0; b < 20; b++ {
-		base := time.Duration(b) * 500 * time.Millisecond
-		recs = mkBatch(recs, b, 0, base, 400*time.Millisecond, 600*time.Millisecond, base+1100*time.Millisecond)
-	}
-
-	agg := NewAggregator(4096) // reservoir larger than data -> exact
-	for _, r := range recs {
-		agg.Add(r)
-	}
-	a := Analyze(recs)
-
-	exact := a.OpStats()["Loader"]
-	st, ok := agg.OpStat("Loader")
-	if !ok {
-		t.Fatal("aggregator lost the Loader op")
-	}
-	if st.Count != exact.Count || st.Mean != exact.Mean || st.Total != exact.Total {
-		t.Fatalf("count/mean/total mismatch: %+v vs %+v", st, exact)
-	}
-	if st.P90 != exact.P90 {
-		t.Fatalf("P90 mismatch with full reservoir: %v vs %v", st.P90, exact.P90)
-	}
-	if st.Under10ms != exact.Under10ms || st.Under100us != exact.Under100us {
-		t.Fatal("threshold fractions mismatch")
-	}
-
-	if agg.Batches() != 20 {
-		t.Fatalf("batches = %d", agg.Batches())
-	}
-	if got := agg.TotalCPUSeconds(); got != a.TotalCPUSeconds() {
-		t.Fatalf("cpu seconds %v vs %v", got, a.TotalCPUSeconds())
-	}
-	wf, ok := agg.WaitsOver(500 * time.Millisecond)
-	if !ok || wf != a.WaitsOver(500*time.Millisecond) {
-		t.Fatalf("waits-over mismatch: %v vs %v", wf, a.WaitsOver(500*time.Millisecond))
-	}
-	df, ok := agg.DelaysOver(500 * time.Millisecond)
-	if !ok || df != a.DelaysOver(500*time.Millisecond) {
-		t.Fatalf("delays-over mismatch: %v vs %v", df, a.DelaysOver(500*time.Millisecond))
-	}
-}
-
-func TestAggregatorReservoirApproximatesP90(t *testing.T) {
-	agg := NewAggregator(512)
-	for i := 0; i < 50000; i++ {
-		agg.Add(Record{Kind: KindOp, PID: 1, BatchID: 0, SampleIndex: i, Op: "X",
-			Start: at(0), Dur: time.Duration(i%1000+1) * time.Microsecond})
-	}
-	st, _ := agg.OpStat("X")
-	// True P90 is ~900µs; reservoir estimate should land within 10%.
-	want := 900 * time.Microsecond
-	if st.P90 < want-90*time.Microsecond || st.P90 > want+90*time.Microsecond {
-		t.Fatalf("reservoir P90 %v, want ~%v", st.P90, want)
-	}
-}
-
-func TestAggregatorBoundedJoinState(t *testing.T) {
-	agg := NewAggregator(0)
-	for b := 0; b < 10000; b++ {
-		base := time.Duration(b) * time.Millisecond
-		agg.Add(Record{Kind: KindBatchPreprocessed, PID: 1, BatchID: b, SampleIndex: -1, Start: at(base), Dur: time.Millisecond})
-		agg.Add(Record{Kind: KindBatchConsumed, PID: 0, BatchID: b, SampleIndex: -1, Start: at(base + 2*time.Millisecond), Dur: 0})
-	}
-	if n := len(agg.preEnd); n != 0 {
-		t.Fatalf("join state retained %d completed batches; memory is unbounded", n)
-	}
-}
-
-func TestAggregatorUntrackedThreshold(t *testing.T) {
-	agg := NewAggregator(0)
-	if _, ok := agg.WaitsOver(123 * time.Millisecond); ok {
-		t.Fatal("untracked threshold should report !ok")
-	}
-}
-
 func TestDiffAnalyses(t *testing.T) {
 	mkRun := func(loaderMs, waitMs int) *Analysis {
 		var recs []Record

@@ -163,20 +163,4 @@ func (r *Ring) Len() int {
 
 // Hooks returns pipeline instrumentation callbacks that record into the
 // ring — the in-memory analogue of Tracer.Hooks.
-func (r *Ring) Hooks() *pipeline.Hooks {
-	return &pipeline.Hooks{
-		OnOp: func(pid, batchID, sampleIndex int, op string, start time.Time, dur time.Duration) {
-			r.Add(Record{Kind: KindOp, PID: pid, BatchID: batchID, SampleIndex: sampleIndex, Op: op, Start: start, Dur: dur})
-		},
-		OnBatchPreprocessed: func(pid, batchID int, start time.Time, dur time.Duration) {
-			r.Add(Record{Kind: KindBatchPreprocessed, PID: pid, BatchID: batchID, SampleIndex: -1, Start: start, Dur: dur})
-		},
-		OnBatchWait: func(pid, batchID int, start time.Time, dur time.Duration) {
-			r.Add(Record{Kind: KindBatchWait, PID: pid, BatchID: batchID, SampleIndex: -1, Start: start, Dur: dur})
-		},
-		OnBatchConsumed: func(pid, batchID int, start time.Time, dur time.Duration) {
-			r.Add(Record{Kind: KindBatchConsumed, PID: pid, BatchID: batchID, SampleIndex: -1, Start: start, Dur: dur})
-		},
-		PerLogCost: r.PerLogCost(),
-	}
-}
+func (r *Ring) Hooks() *pipeline.Hooks { return hooks(r.Add, r.PerLogCost()) }

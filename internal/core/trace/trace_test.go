@@ -408,39 +408,3 @@ func TestReadMetaMalformed(t *testing.T) {
 		t.Fatal("key without value accepted")
 	}
 }
-
-func TestOpStatsCSVRoundTrip(t *testing.T) {
-	var recs []Record
-	for i := 0; i < 30; i++ {
-		recs = append(recs,
-			Record{Kind: KindOp, PID: 1, BatchID: i / 5, SampleIndex: i, Op: "Loader",
-				Start: at(time.Duration(i) * time.Millisecond), Dur: time.Duration(i+1) * 200 * time.Microsecond},
-			Record{Kind: KindOp, PID: 1, BatchID: i / 5, SampleIndex: i, Op: "ToTensor",
-				Start: at(time.Duration(i) * time.Millisecond), Dur: 50 * time.Microsecond},
-		)
-	}
-	a := Analyze(recs)
-	var buf bytes.Buffer
-	if err := a.WriteOpStatsCSV(&buf, []string{"Loader", "ToTensor"}); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadOpStatsCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := a.OpStats()
-	for _, op := range []string{"Loader", "ToTensor"} {
-		if back[op].Count != orig[op].Count {
-			t.Fatalf("%s count %d vs %d", op, back[op].Count, orig[op].Count)
-		}
-		if d := back[op].Mean - orig[op].Mean; d < -time.Microsecond || d > time.Microsecond {
-			t.Fatalf("%s mean %v vs %v", op, back[op].Mean, orig[op].Mean)
-		}
-		if back[op].Under100us != orig[op].Under100us {
-			t.Fatalf("%s under100us mismatch", op)
-		}
-	}
-	if _, err := ReadOpStatsCSV(strings.NewReader("garbage")); err == nil {
-		t.Fatal("expected error on garbage")
-	}
-}

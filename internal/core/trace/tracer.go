@@ -91,21 +91,24 @@ func (t *Tracer) emit(r Record) {
 // tracer. Pass the result as both the Compose hooks and the DataLoader
 // config hooks (the paper similarly threads one log file through the
 // Compose and ImageFolder/DataLoader APIs).
-func (t *Tracer) Hooks() *pipeline.Hooks {
+func (t *Tracer) Hooks() *pipeline.Hooks { return hooks(t.emit, t.perLogCost) }
+
+// hooks returns the four pipeline callbacks, each turning its event into a
+// Record for add, with the given modeled cost per record.
+func hooks(add func(Record), perLogCost time.Duration) *pipeline.Hooks {
+	batch := func(kind Kind) func(pid, batchID int, start time.Time, dur time.Duration) {
+		return func(pid, batchID int, start time.Time, dur time.Duration) {
+			add(Record{Kind: kind, PID: pid, BatchID: batchID, SampleIndex: -1, Start: start, Dur: dur})
+		}
+	}
 	return &pipeline.Hooks{
 		OnOp: func(pid, batchID, sampleIndex int, op string, start time.Time, dur time.Duration) {
-			t.emit(Record{Kind: KindOp, PID: pid, BatchID: batchID, SampleIndex: sampleIndex, Op: op, Start: start, Dur: dur})
+			add(Record{Kind: KindOp, PID: pid, BatchID: batchID, SampleIndex: sampleIndex, Op: op, Start: start, Dur: dur})
 		},
-		OnBatchPreprocessed: func(pid, batchID int, start time.Time, dur time.Duration) {
-			t.emit(Record{Kind: KindBatchPreprocessed, PID: pid, BatchID: batchID, SampleIndex: -1, Start: start, Dur: dur})
-		},
-		OnBatchWait: func(pid, batchID int, start time.Time, dur time.Duration) {
-			t.emit(Record{Kind: KindBatchWait, PID: pid, BatchID: batchID, SampleIndex: -1, Start: start, Dur: dur})
-		},
-		OnBatchConsumed: func(pid, batchID int, start time.Time, dur time.Duration) {
-			t.emit(Record{Kind: KindBatchConsumed, PID: pid, BatchID: batchID, SampleIndex: -1, Start: start, Dur: dur})
-		},
-		PerLogCost: t.perLogCost,
+		OnBatchPreprocessed: batch(KindBatchPreprocessed),
+		OnBatchWait:         batch(KindBatchWait),
+		OnBatchConsumed:     batch(KindBatchConsumed),
+		PerLogCost:          perLogCost,
 	}
 }
 

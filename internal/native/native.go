@@ -308,44 +308,17 @@ type Thread struct {
 type Recording struct {
 	mu      sync.Mutex
 	threads map[int][]Invocation
-	total   int
-	// cap bounds the total retained invocations (0 = unbounded); overflow
-	// is counted in dropped rather than silently discarded, so analyses can
-	// report truncation.
-	cap     int
-	dropped int
 }
 
-// NewRecording creates an empty, unbounded recording.
+// NewRecording creates an empty recording.
 func NewRecording() *Recording {
 	return &Recording{threads: make(map[int][]Invocation)}
-}
-
-// NewBoundedRecording creates a recording that retains at most maxInv
-// invocations; further invocations are counted as dropped. Long profiling
-// sessions (multi-epoch runs) use this to bound memory.
-func NewBoundedRecording(maxInv int) *Recording {
-	r := NewRecording()
-	r.cap = maxInv
-	return r
 }
 
 func (r *Recording) add(inv Invocation) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.cap > 0 && r.total >= r.cap {
-		r.dropped++
-		return
-	}
 	r.threads[inv.Thread] = append(r.threads[inv.Thread], inv)
-	r.total++
-}
-
-// Dropped reports how many invocations overflowed a bounded recording.
-func (r *Recording) Dropped() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }
 
 // Threads returns the recorded thread IDs in ascending order.

@@ -185,30 +185,3 @@ func TestCostParametersSane(t *testing.T) {
 		}
 	}
 }
-
-func TestBoundedRecordingDropsAndCounts(t *testing.T) {
-	e := NewEngine(Intel, DefaultCPU())
-	rec := NewBoundedRecording(3)
-	e.Attach(rec)
-	th := &Thread{ID: 1, Cursor: clock.Epoch}
-	for i := 0; i < 10; i++ {
-		e.Exec(th, []Call{{Kernel: "memset", Bytes: 100}})
-	}
-	e.Detach()
-	if rec.Len() != 3 {
-		t.Fatalf("retained %d invocations, want 3", rec.Len())
-	}
-	if rec.Dropped() != 7 {
-		t.Fatalf("dropped %d, want 7", rec.Dropped())
-	}
-	// Unbounded recordings never drop.
-	free := NewRecording()
-	e.Attach(free)
-	for i := 0; i < 10; i++ {
-		e.Exec(th, []Call{{Kernel: "memset", Bytes: 100}})
-	}
-	e.Detach()
-	if free.Dropped() != 0 || free.Len() != 10 {
-		t.Fatalf("unbounded recording: len=%d dropped=%d", free.Len(), free.Dropped())
-	}
-}

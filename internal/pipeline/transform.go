@@ -148,8 +148,6 @@ func (c *Compose) GroundTruth() map[string][]string {
 type Loader struct {
 	// IO models the storage the dataset is mounted from.
 	IO data.IOModel
-	// Cache, when non-nil, models the OS page cache in front of the mount.
-	Cache *data.PageCache
 	// Data, when non-nil, is the dataset whose samples the op loads; its
 	// corpus then holds each file after the first touch (NewImageFolder sets
 	// it). A bare Loader renders every file inline — same bytes.
@@ -209,7 +207,7 @@ func (l *Loader) Apply(ctx *Ctx, s Sample) Sample { return l.load(ctx, s, nil) }
 // only) it decodes just the rectangle crop will keep.
 func (l *Loader) load(ctx *Ctx, s Sample, crop *RandomResizedCrop) Sample {
 	r := ctx.OpRNG(s.Index, "loader")
-	modeled, waited := ctx.ReadBlob(s.Index, l.Cache.Delay(s.Index, s.FileBytes, l.IO, r))
+	modeled, waited := ctx.ReadBlob(s.Index, l.IO.ReadDelay(s.FileBytes, r))
 
 	raw := s.Width * s.Height * 3
 	if ctx.Real() {
@@ -296,8 +294,7 @@ func (l *Loader) decode(ctx *Ctx, index int, blob []byte, crop *RandomResizedCro
 // the expensive decode never runs online. Storage reads get bigger (raw
 // pixels instead of compressed), but the CPU-side decode chain disappears.
 type RawLoader struct {
-	IO    data.IOModel
-	Cache *data.PageCache
+	IO data.IOModel
 }
 
 func (l *RawLoader) Name() string { return "Loader" }
@@ -309,7 +306,7 @@ func (l *RawLoader) Kernels() []string { return []string{"memcpy", "memset"} }
 func (l *RawLoader) Apply(ctx *Ctx, s Sample) Sample {
 	raw := s.Width * s.Height * 3
 	r := ctx.OpRNG(s.Index, "rawload")
-	ctx.ReadBlob(s.Index, l.Cache.Delay(s.Index, raw, l.IO, r))
+	ctx.ReadBlob(s.Index, l.IO.ReadDelay(raw, r))
 	if ctx.Real() {
 		w, h := data.CappedDims(s.Width, s.Height, ctx.MaterializeDim)
 		s.Image = imaging.SynthesizeImage(w, h, s.Seed)

@@ -10,8 +10,7 @@ import (
 // VolumeLoader loads a kits19-like .npy volume from storage — the IS
 // pipeline's "Load" step.
 type VolumeLoader struct {
-	IO    data.IOModel
-	Cache *data.PageCache
+	IO data.IOModel
 }
 
 func (l *VolumeLoader) Name() string { return "Loader" }
@@ -24,7 +23,7 @@ func (l *VolumeLoader) Kernels() []string {
 
 func (l *VolumeLoader) Apply(ctx *Ctx, s Sample) Sample {
 	r := ctx.OpRNG(s.Index, "vload")
-	ctx.ReadBlob(s.Index, l.Cache.Delay(s.Index, s.FileBytes, l.IO, r))
+	ctx.ReadBlob(s.Index, l.IO.ReadDelay(s.FileBytes, r))
 	raw := s.Depth * s.Height * s.Width * 4
 	if ctx.Real() {
 		cap := ctx.MaterializeDim

@@ -3,10 +3,8 @@ package serve
 import (
 	"context"
 	"sync"
-	"time"
 
 	"lotus/internal/clock"
-	"lotus/internal/core/trace"
 	"lotus/internal/data"
 	"lotus/internal/native"
 	"lotus/internal/pipeline"
@@ -58,20 +56,9 @@ func (s *Server) wallClock() bool {
 func (pl *plane) init() {
 	s := pl.srv
 	spec := s.cfg.Spec
-	ring := s.ring
-	hooks := &pipeline.Hooks{
-		OnOp: func(pid, batchID, sampleIndex int, op string, start time.Time, dur time.Duration) {
-			ring.Add(trace.Record{Kind: trace.KindOp, PID: pid, BatchID: batchID,
-				SampleIndex: sampleIndex, Op: op, Start: start, Dur: dur})
-		},
-		OnBatchPreprocessed: func(pid, batchID int, start time.Time, dur time.Duration) {
-			ring.Add(trace.Record{Kind: trace.KindBatchPreprocessed, PID: pid, BatchID: batchID,
-				SampleIndex: -1, Start: start, Dur: dur})
-		},
-		// Served runs charge the same modeled per-record cost a streamed
-		// Tracer run would — the Ring/Tracer overhead parity satellite.
-		PerLogCost: spec.PerLogCost,
-	}
+	// The ring's PerLogCost is the spec's, so served runs charge the same
+	// modeled per-record cost a streamed Tracer run would.
+	hooks := s.ring.Hooks()
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.ds = spec.Dataset(hooks)

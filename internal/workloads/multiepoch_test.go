@@ -3,10 +3,8 @@ package workloads
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"lotus/internal/core/trace"
-	"lotus/internal/data"
 )
 
 func TestRunEpochsProducesDistinctBatchIDs(t *testing.T) {
@@ -96,54 +94,4 @@ func TestRunEpochsRejectsZero(t *testing.T) {
 		}
 	}()
 	ICSpec(8, 1).RunEpochs(nil, 0)
-}
-
-func TestPageCacheSpeedsUpSecondEpoch(t *testing.T) {
-	// With a page cache large enough for the working set, the second epoch
-	// stops paying the remote-storage cost — the epoch-2 speedup the caching
-	// literature the paper surveys is built on.
-	spec := ICSpec(128, 11)
-	spec.BatchSize, spec.NumWorkers = 16, 2
-	spec.Cache = data.NewPageCache(1 << 30)
-
-	var buf bytes.Buffer
-	tr := trace.NewTracer(&buf)
-	spec.RunEpochs(tr.Hooks(), 2)
-	tr.Flush()
-	recs, _ := trace.ReadLog(&buf)
-
-	// Split Loader op times by epoch (8 batches per epoch).
-	var e1, e2 time.Duration
-	var n1, n2 int
-	for _, r := range recs {
-		if r.Kind != trace.KindOp || r.Op != "Loader" {
-			continue
-		}
-		if r.BatchID < 8 {
-			e1 += r.Dur
-			n1++
-		} else {
-			e2 += r.Dur
-			n2++
-		}
-	}
-	if n1 != 128 || n2 != 128 {
-		t.Fatalf("loader counts %d / %d", n1, n2)
-	}
-	if e2 >= e1 {
-		t.Fatalf("epoch 2 Loader time %v should beat epoch 1 %v (cache hits)", e2, e1)
-	}
-	if rate := spec.Cache.HitRate(); rate < 0.45 {
-		t.Fatalf("hit rate %.2f — second epoch should hit for every sample", rate)
-	}
-}
-
-func TestPageCacheTooSmallGivesNoSpeedup(t *testing.T) {
-	spec := ICSpec(64, 12)
-	spec.BatchSize, spec.NumWorkers = 16, 1
-	spec.Cache = data.NewPageCache(32 << 10) // smaller than most files
-	spec.RunEpochs(nil, 2)
-	if rate := spec.Cache.HitRate(); rate > 0.2 {
-		t.Fatalf("tiny cache hit rate %.2f — should be near zero", rate)
-	}
 }

@@ -59,10 +59,6 @@ type Spec struct {
 	// sizes.
 	Dispatch  pipeline.DispatchPolicy
 	SizeAware bool
-	// Cache, when non-nil, models the OS page cache in front of the dataset
-	// mount; it persists across epochs in RunEpochs (the mechanism behind
-	// epoch-2 speedups in the caching literature the paper surveys).
-	Cache *data.PageCache
 }
 
 // ICSpec returns the paper's image-classification pipeline: Table II uses
@@ -154,9 +150,9 @@ func (s Spec) OpOrder() []string {
 // Compose builds the transform chain for the spec.
 func (s Spec) Compose(hooks *pipeline.Hooks) *pipeline.Compose {
 	var c *pipeline.Compose
-	loader := pipeline.Transform(&pipeline.Loader{IO: data.DefaultIO(), Cache: s.Cache})
+	loader := pipeline.Transform(&pipeline.Loader{IO: data.DefaultIO()})
 	if s.OfflineDecode {
-		loader = &pipeline.RawLoader{IO: data.DefaultIO(), Cache: s.Cache}
+		loader = &pipeline.RawLoader{IO: data.DefaultIO()}
 	}
 	switch s.Kind {
 	case IC:
@@ -179,7 +175,7 @@ func (s Spec) Compose(hooks *pipeline.Hooks) *pipeline.Compose {
 		)
 	case IS:
 		c = pipeline.NewCompose(
-			&pipeline.VolumeLoader{IO: data.DefaultIO(), Cache: s.Cache},
+			&pipeline.VolumeLoader{IO: data.DefaultIO()},
 			&pipeline.RandBalancedCrop{Patch: [3]int{128, 128, 128}, OversampleP: 0.4},
 			&pipeline.RandomFlip{},
 			&pipeline.Cast{},

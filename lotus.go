@@ -272,14 +272,6 @@ type (
 // FormatFindings renders advisor findings as a report.
 var FormatFindings = trace.FormatFindings
 
-// Aggregator computes per-op statistics in one streaming pass with bounded
-// memory (for epoch-scale logs).
-type Aggregator = trace.Aggregator
-
-// NewAggregator creates a streaming aggregator; reservoirSize bounds per-op
-// quantile memory (0 = default 1024).
-func NewAggregator(reservoirSize int) *Aggregator { return trace.NewAggregator(reservoirSize) }
-
 // ExportChrome renders records as a Chrome Trace Viewer file with data-flow
 // arrows and negative synthetic ids.
 func ExportChrome(records []Record, g Granularity) ([]byte, error) {
@@ -426,12 +418,6 @@ var DiffAnalyses = trace.DiffAnalyses
 
 // TraceDiff is the before/after comparison of two traced runs.
 type TraceDiff = trace.Diff
-
-// PageCache models the OS page cache in front of the dataset mount.
-type PageCache = data.PageCache
-
-// NewPageCache creates a page cache with the given byte capacity.
-func NewPageCache(capacity int64) *PageCache { return data.NewPageCache(capacity) }
 
 // Error policies for LoaderConfig.OnError.
 const (
