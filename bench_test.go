@@ -120,7 +120,7 @@ func BenchmarkSimQueueHandoff(b *testing.B) {
 
 func BenchmarkSJPGDecode(b *testing.B) {
 	im := imaging.SynthesizeImage(224, 224, 1)
-	blob := imaging.EncodeSJPG(im, 85)
+	blob := imaging.EncodeSJPGSubsampled(im, 85, imaging.Sub444)
 	b.SetBytes(int64(len(blob)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -135,17 +135,17 @@ func BenchmarkSJPGDecode(b *testing.B) {
 
 func BenchmarkSJPGEncode(b *testing.B) {
 	im := imaging.SynthesizeImage(224, 224, 1)
-	b.SetBytes(int64(im.Bytes()))
+	b.SetBytes(int64(len(im.Pix)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		imaging.EncodeSJPG(im, 85)
+		imaging.EncodeSJPGSubsampled(im, 85, imaging.Sub444)
 	}
 }
 
 func BenchmarkBilinearResize(b *testing.B) {
 	im := imaging.SynthesizeImage(512, 512, 2)
-	b.SetBytes(int64(im.Bytes()))
+	b.SetBytes(int64(len(im.Pix)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -155,11 +155,11 @@ func BenchmarkBilinearResize(b *testing.B) {
 
 func BenchmarkFlipHorizontal(b *testing.B) {
 	im := imaging.SynthesizeImage(224, 224, 3)
-	b.SetBytes(int64(im.Bytes()))
+	b.SetBytes(int64(len(im.Pix)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		imaging.FlipHorizontal(im).Release()
+		imaging.FlipHorizontalInPlace(im)
 	}
 }
 

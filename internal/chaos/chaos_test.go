@@ -20,8 +20,10 @@ import (
 // one workload but keeps every class.
 func TestSweepAllInvariantsHold(t *testing.T) {
 	for _, c := range cells(Options{Seed: 1, Short: testing.Short()}) {
-		t.Run(c.class+"/"+c.workload, func(t *testing.T) {
+		name := c.class + "/" + c.workload
+		t.Run(name, func(t *testing.T) {
 			r := c.exec()
+			sweepRan[name] = r
 			if !r.OK() {
 				t.Errorf("chaos cell failed: %s", r)
 			}
@@ -33,22 +35,29 @@ func TestSweepAllInvariantsHold(t *testing.T) {
 	}
 }
 
-// TestSweepIsSeedDeterministic: two sweeps with the same seed inject the
-// identical fault counts per cell — the property that makes a failing cell
-// reproducible.
+// sweepRan holds each cell's result from TestSweepAllInvariantsHold, keyed by
+// its subtest name, so that TestSweepIsSeedDeterministic runs the short set
+// once more rather than twice.
+var sweepRan = map[string]Result{}
+
+// TestSweepIsSeedDeterministic: each cell of the short set, run again with
+// the same seed, injects the identical fault count — the property that makes
+// a failing cell reproducible. A cell that TestSweepAllInvariantsHold did not
+// run in this process (-run, -shuffle) runs twice here.
 func TestSweepIsSeedDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("second full sweep is not worth short-mode time")
+		t.Skip("a second sweep is not worth short-mode time")
 	}
-	a := Sweep(Options{Seed: 7, Short: true})
-	b := Sweep(Options{Seed: 7, Short: true})
-	if len(a) != len(b) {
-		t.Fatalf("sweep lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Class != b[i].Class || a[i].Injected != b[i].Injected {
-			t.Errorf("cell %d diverged: %s=%d vs %s=%d",
-				i, a[i].Class, a[i].Injected, b[i].Class, b[i].Injected)
+	opts := Options{Seed: 1, Short: true}
+	first := cells(opts)
+	for i, c := range cells(opts) {
+		a, ok := sweepRan[c.class+"/"+c.workload]
+		if !ok {
+			a = first[i].exec()
+		}
+		if b := c.exec(); a.Class != b.Class || a.Injected != b.Injected {
+			t.Errorf("the same seed diverged: %s/%s injected %d, then %d",
+				c.class, c.workload, a.Injected, b.Injected)
 		}
 	}
 }

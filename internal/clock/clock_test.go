@@ -263,39 +263,6 @@ func TestQueueCapacityBlocksProducer(t *testing.T) {
 	}
 }
 
-func TestQueueTryGet(t *testing.T) {
-	sim := NewSim()
-	q := NewQueue[string](sim, 0)
-	var empty, found bool
-	var v string
-	sim.Run("root", func(p Proc) {
-		_, ok := q.TryGet()
-		empty = !ok
-		q.Put(p, "x")
-		v, found = q.TryGet()
-	})
-	if !empty {
-		t.Fatal("TryGet on empty queue should report !ok")
-	}
-	if !found || v != "x" {
-		t.Fatalf("TryGet = (%q, %v), want (x, true)", v, found)
-	}
-}
-
-func TestQueueStats(t *testing.T) {
-	sim := NewSim()
-	q := NewQueue[int](sim, 0)
-	sim.Run("root", func(p Proc) {
-		q.Put(p, 1)
-		q.Put(p, 2)
-		q.Get(p)
-	})
-	puts, gets := q.Stats()
-	if puts != 2 || gets != 1 {
-		t.Fatalf("Stats = (%d, %d), want (2, 1)", puts, gets)
-	}
-}
-
 func TestRealClockRunsAllProcs(t *testing.T) {
 	clk := NewReal()
 	var n atomic.Int32

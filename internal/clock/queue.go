@@ -11,10 +11,6 @@ type Queue[T any] struct {
 	items  []T
 	cap    int
 	closed bool
-
-	// puts/gets count completed operations, for tests and overhead models.
-	puts int
-	gets int
 }
 
 // NewQueue creates a queue with the given capacity under clk's time domain.
@@ -34,7 +30,6 @@ func (q *Queue[T]) Put(p Proc, v T) {
 		panic("clock: Put on closed queue")
 	}
 	q.items = append(q.items, v)
-	q.puts++
 	q.cond.Broadcast()
 }
 
@@ -51,22 +46,6 @@ func (q *Queue[T]) Get(p Proc) (v T, ok bool) {
 	}
 	v = q.items[0]
 	q.items = q.items[1:]
-	q.gets++
-	q.cond.Broadcast()
-	return v, true
-}
-
-// TryGet removes the head item without blocking. ok is false if the queue is
-// currently empty (whether or not it is closed).
-func (q *Queue[T]) TryGet() (v T, ok bool) {
-	q.cond.Lock()
-	defer q.cond.Unlock()
-	if len(q.items) == 0 {
-		return v, false
-	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	q.gets++
 	q.cond.Broadcast()
 	return v, true
 }
@@ -85,11 +64,4 @@ func (q *Queue[T]) Len() int {
 	q.cond.Lock()
 	defer q.cond.Unlock()
 	return len(q.items)
-}
-
-// Stats reports the number of completed Put and Get operations.
-func (q *Queue[T]) Stats() (puts, gets int) {
-	q.cond.Lock()
-	defer q.cond.Unlock()
-	return q.puts, q.gets
 }

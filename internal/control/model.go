@@ -30,18 +30,6 @@ const (
 	BottleneckBalanced
 )
 
-func (b Bottleneck) String() string {
-	switch b {
-	case BottleneckPreprocessing:
-		return "preprocessing-bound"
-	case BottleneckAccelerator:
-		return "accelerator-bound"
-	case BottleneckBalanced:
-		return "balanced"
-	}
-	return "unknown"
-}
-
 // Classification thresholds, shared by the offline tuner's stopping rules
 // and the trace advisor's headline diagnosis. The up/down pair (HighWaitFrac
 // vs StallFreeWaitFrac) is the hysteresis band: a pipeline must cross 25%

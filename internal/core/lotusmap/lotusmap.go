@@ -57,19 +57,6 @@ func RunsNeeded(confidence float64, f, s time.Duration) int {
 	return int(math.Ceil(n))
 }
 
-// CaptureProbability returns 1-(1-f/s)^n, the chance n runs catch the
-// function at least once.
-func CaptureProbability(n int, f, s time.Duration) float64 {
-	if f <= 0 || s <= 0 || n <= 0 {
-		return 0
-	}
-	p := float64(f) / float64(s)
-	if p > 1 {
-		p = 1
-	}
-	return 1 - math.Pow(1-p, float64(n))
-}
-
 // MappedFunc is one reconstructed native function for an operation — a row
 // of Table I.
 type MappedFunc struct {
@@ -121,15 +108,6 @@ func (m *Mapping) Symbols(op string) []MappedFunc {
 
 // MarshalJSON-friendly persistence helpers.
 func (m *Mapping) Encode() ([]byte, error) { return json.MarshalIndent(m, "", " ") }
-
-// DecodeMapping parses a persisted mapping.
-func DecodeMapping(b []byte) (*Mapping, error) {
-	var m Mapping
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("lotusmap: bad mapping JSON: %w", err)
-	}
-	return &m, nil
-}
 
 // String renders the mapping in Table I's layout.
 func (m *Mapping) String() string {

@@ -1,6 +1,7 @@
 package lotusmap
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -20,10 +21,10 @@ func TestPropertyRunsNeededSatisfiesConfidence(t *testing.T) {
 			f = s / 2
 		}
 		n := RunsNeeded(confidence, f, s)
-		if CaptureProbability(n, f, s) < confidence-1e-9 {
+		if captureProbability(n, f, s) < confidence-1e-9 {
 			return false
 		}
-		if n > 1 && CaptureProbability(n-1, f, s) >= confidence {
+		if n > 1 && captureProbability(n-1, f, s) >= confidence {
 			return false // not minimal
 		}
 		return true
@@ -32,17 +33,28 @@ func TestPropertyRunsNeededSatisfiesConfidence(t *testing.T) {
 	}
 }
 
+// captureProbability returns 1-(1-f/s)^n, the chance n runs catch a
+// function of length f sampled every s at least once: the formula RunsNeeded
+// inverts (§ IV-B).
+func captureProbability(n int, f, s time.Duration) float64 {
+	if f <= 0 || s <= 0 || n <= 0 {
+		return 0
+	}
+	p := min(float64(f)/float64(s), 1)
+	return 1 - math.Pow(1-p, float64(n))
+}
+
 // TestPropertyCaptureProbabilityMonotone in n and in f.
 func TestPropertyCaptureProbabilityMonotone(t *testing.T) {
 	if err := quick.Check(func(fRaw uint16, nRaw uint8) bool {
 		s := 10 * time.Millisecond
 		f := time.Duration(fRaw%9000+1) * time.Microsecond
 		n := int(nRaw%50) + 1
-		if CaptureProbability(n+1, f, s) < CaptureProbability(n, f, s) {
+		if captureProbability(n+1, f, s) < captureProbability(n, f, s) {
 			return false
 		}
 		f2 := f + time.Microsecond
-		return CaptureProbability(n, f2, s) >= CaptureProbability(n, f, s)
+		return captureProbability(n, f2, s) >= captureProbability(n, f, s)
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +121,7 @@ func TestPropertyMappingJSONRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := DecodeMapping(b)
+		back, err := decodeMapping(b)
 		if err != nil || back.Arch != m.Arch || len(back.Ops) != len(m.Ops) {
 			return false
 		}

@@ -87,18 +87,13 @@ type Record struct {
 // End returns the record's end time.
 func (r Record) End() time.Time { return r.Start.Add(r.Dur) }
 
-// format renders the stable on-disk representation:
+// appendFormat appends the record's stable on-disk form to b and returns the
+// extended slice:
 //
 //	tag,pid,batch,sample,op,start_ns,dur_ns
 //
 // start_ns is relative to clock.Epoch so simulated logs are reproducible
-// byte-for-byte.
-func (r Record) format() string {
-	return string(r.appendFormat(nil))
-}
-
-// appendFormat appends the record's on-disk form to b and returns the
-// extended slice. This is the tracer's emission fast path: with a reused
+// byte-for-byte. This is the tracer's emission fast path: with a reused
 // buffer it performs zero allocations per record, where the fmt.Sprintf
 // formulation cost seven (Table III's near-zero tracing overhead depends on
 // emission staying off the allocator).

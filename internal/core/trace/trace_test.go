@@ -15,6 +15,9 @@ import (
 	"lotus/internal/pipeline"
 )
 
+// format renders the record's on-disk line.
+func (r Record) format() string { return string(r.appendFormat(nil)) }
+
 func at(d time.Duration) time.Time { return clock.Epoch.Add(d) }
 
 func TestRecordRoundTrip(t *testing.T) {

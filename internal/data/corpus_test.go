@@ -36,7 +36,7 @@ func TestMaterializeGolden(t *testing.T) {
 		{coco, 0, 256, 19126, 0x32f1f378},
 		{coco, 63, 256, 9548, 0x3a62e79f},
 	} {
-		blob := g.ds.Materialize(g.i, g.dim)
+		blob := g.ds.Record(g.i).Materialize(g.dim)
 		if got := crc32.Checksum(blob, castagnoli); len(blob) != g.n || got != g.crc {
 			t.Errorf("%s[%d] cap %d: %d bytes crc %#08x, want %d bytes crc %#08x",
 				g.ds.Name, g.i, g.dim, len(blob), got, g.n, g.crc)
@@ -57,7 +57,7 @@ func TestCorpusRacingFirstTouches(t *testing.T) {
 	ds := NewImageDataset(ImageNetConfig(n, 11))
 	want := make([][]byte, n)
 	for i := range want {
-		want[i] = ds.Materialize(i, dim)
+		want[i] = ds.Record(i).Materialize(dim)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < racers; g++ {
@@ -172,7 +172,7 @@ func TestCorpusDamageFallsBackToRender(t *testing.T) {
 		t.Fatal(err)
 	}
 	for touch := 0; touch < 2; touch++ {
-		samePixels(t, ds.Blob(ds.Record(3), dim, nil), ds.Materialize(3, dim))
+		samePixels(t, ds.Blob(ds.Record(3), dim, nil), ds.Record(3).Materialize(dim))
 	}
 	if st := ds.CorpusStats(); st.ReadErrors != 1 || st.Rendered != 9 || st.Reads != 1 {
 		t.Fatalf("after one flipped byte and two touches: %+v, want read_errors 1, rendered 9 (the blob replaced), reads 1", st)
@@ -183,12 +183,12 @@ func TestCorpusDamageFallsBackToRender(t *testing.T) {
 	if err := ds.DamageStoredBlob(3, dim, true); err != nil {
 		t.Fatal(err)
 	}
-	samePixels(t, ds.Blob(ds.Record(3), dim, nil), ds.Materialize(3, dim))
+	samePixels(t, ds.Blob(ds.Record(3), dim, nil), ds.Record(3).Materialize(dim))
 	if st := ds.CorpusStats(); st.ReadErrors != 2 || st.Disabled {
 		t.Fatalf("after a truncation: %+v, want read_errors 2, still enabled", st)
 	}
 	// Untouched blobs still read.
-	samePixels(t, ds.Blob(ds.Record(0), dim, nil), ds.Materialize(0, dim))
+	samePixels(t, ds.Blob(ds.Record(0), dim, nil), ds.Record(0).Materialize(dim))
 	if st := ds.CorpusStats(); st.ReadErrors != 2 {
 		t.Fatalf("an undamaged blob failed to read: %+v", st)
 	}
@@ -202,7 +202,7 @@ func TestCorpusUnusableFileDisables(t *testing.T) {
 		t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
 		ds := NewImageDataset(ImageNetConfig(4, 5))
 		for touch := 0; touch < 2; touch++ {
-			samePixels(t, ds.Blob(ds.Record(1), dim, nil), ds.Materialize(1, dim))
+			samePixels(t, ds.Blob(ds.Record(1), dim, nil), ds.Record(1).Materialize(dim))
 		}
 		if st := ds.CorpusStats(); !st.Disabled || st.Rendered != 0 || st.Reads != 0 || st.Bytes != 0 {
 			t.Fatalf("%+v, want disabled and empty", st)
@@ -212,11 +212,11 @@ func TestCorpusUnusableFileDisables(t *testing.T) {
 		ds := NewImageDataset(ImageNetConfig(4, 5))
 		ds.Blob(ds.Record(0), dim, nil)
 		ds.corpus.f.Close() // every later read and write fails
-		samePixels(t, ds.Blob(ds.Record(0), dim, nil), ds.Materialize(0, dim))
+		samePixels(t, ds.Blob(ds.Record(0), dim, nil), ds.Record(0).Materialize(dim))
 		if st := ds.CorpusStats(); !st.Disabled || st.ReadErrors != 1 {
 			t.Fatalf("%+v, want disabled after one failed read and one failed write", st)
 		}
-		samePixels(t, ds.Blob(ds.Record(1), dim, nil), ds.Materialize(1, dim))
+		samePixels(t, ds.Blob(ds.Record(1), dim, nil), ds.Record(1).Materialize(dim))
 		if ds.corpus.f != nil || ds.corpus.index != nil {
 			t.Fatal("disabled corpus still holds its file or index")
 		}

@@ -61,9 +61,6 @@ type ImageRecord struct {
 	Seed      int64 // content seed for materialization
 }
 
-// RawBytes returns the decoded RGB payload size.
-func (r ImageRecord) RawBytes() int { return r.Width * r.Height * 3 }
-
 // ImageDataset is a synthetic collection of encoded images.
 type ImageDataset struct {
 	Name    string
@@ -197,11 +194,6 @@ func (r ImageRecord) Materialize(maxDim int) []byte {
 	return blob
 }
 
-// Materialize renders the i-th image's file.
-func (ds *ImageDataset) Materialize(i int, maxDim int) []byte {
-	return ds.Records[i].Materialize(maxDim)
-}
-
 // Blob returns the file of rec under the maxDim cap: Materialize's bytes,
 // rendered once per dataset. The first touch of a record renders it and
 // stores the blob in the dataset's corpus; every later touch reads it back
@@ -230,24 +222,6 @@ func (ds *ImageDataset) CorpusStats() CorpusStats {
 	ds.corpus.mu.Lock()
 	defer ds.corpus.mu.Unlock()
 	return ds.corpus.stats
-}
-
-// FileSizeStats returns the mean and standard deviation of encoded file
-// sizes in bytes.
-func (ds *ImageDataset) FileSizeStats() (mean, std float64) {
-	n := float64(len(ds.Records))
-	if n == 0 {
-		return 0, 0
-	}
-	var sum, sumsq float64
-	for _, r := range ds.Records {
-		f := float64(r.FileBytes)
-		sum += f
-		sumsq += f * f
-	}
-	mean = sum / n
-	std = math.Sqrt(math.Max(0, sumsq/n-mean*mean))
-	return mean, std
 }
 
 // VolumeRecord describes one stored 3-D volume (kits19-like case).
@@ -327,23 +301,3 @@ func (ds *VolumeDataset) Len() int { return len(ds.Records) }
 
 // Record returns the i-th volume's metadata.
 func (ds *VolumeDataset) Record(i int) VolumeRecord { return ds.Records[i] }
-
-// Materialize synthesizes the i-th volume at a capped resolution for real
-// execution.
-func (ds *VolumeDataset) Materialize(i int, maxDim int) *imaging.Volume {
-	rec := ds.Records[i]
-	d, h, w := rec.D, rec.H, rec.W
-	for (d > maxDim || h > maxDim || w > maxDim) && d > 8 && h > 8 && w > 8 {
-		d /= 2
-		h /= 2
-		w /= 2
-	}
-	return imaging.SynthesizeVolume(maxInt(1, d), maxInt(1, h), maxInt(1, w), rec.Seed)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

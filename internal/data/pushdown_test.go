@@ -33,7 +33,7 @@ func TestDamagedCorpusBlobUnderCropPushdown(t *testing.T) {
 			for i := 0; i < n; i++ {
 				got := folder.GetItem(ctx, 0, 0, i).Image
 				// As written, on the file as rendered.
-				full, err := imaging.DecodeSJPG(ds.Materialize(i, dim))
+				full, err := imaging.DecodeSJPG(ds.Record(i).Materialize(dim))
 				if err != nil {
 					t.Error(err)
 					return false

@@ -13,7 +13,6 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"time"
 
 	"lotus/internal/native"
@@ -149,13 +148,3 @@ func ms(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d)/float64(
 
 // pct formats a fraction as a percentage.
 func pct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
-
-// sortedKeys returns map keys sorted.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

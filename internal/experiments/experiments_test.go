@@ -3,11 +3,33 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"lotus/internal/hwsim"
 	"lotus/internal/workloads"
 )
+
+// opSeries extracts one op's metric across Figure 6's worker counts.
+func opSeries(r *Fig6Result, op string, metric func(hwsim.Counters) float64) []float64 {
+	var out []float64
+	for _, p := range r.Points {
+		if c, ok := p.PerOp[op]; ok {
+			out = append(out, metric(c))
+		}
+	}
+	return out
+}
+
+// under10ms is the fraction of a pipeline's op applications under 10 ms,
+// Takeaway 1's headline.
+func under10ms(p Table2Pipeline) float64 {
+	var n, short int
+	for _, op := range p.Order {
+		st := p.Stats[op]
+		n += st.Count
+		short += int(st.Under10ms * float64(st.Count))
+	}
+	return float64(short) / float64(n)
+}
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig6amd", "table3", "table4", "extensions"}
@@ -101,7 +123,7 @@ func TestTable2ShapesMatchPaper(t *testing.T) {
 		t.Fatal("IC: Loader must dominate RRC")
 	}
 	// Takeaway 1: sub-10ms ops everywhere.
-	if frac := ic.ShortOps(10 * time.Millisecond); frac < 0.5 {
+	if frac := under10ms(ic); frac < 0.5 {
 		t.Fatalf("IC short-op fraction %.2f", frac)
 	}
 	is := byKind[workloads.IS]
@@ -225,21 +247,21 @@ func TestFig6HardwareTrends(t *testing.T) {
 	}
 	// (e) per-op CPU time rises with workers for the major ops.
 	for _, op := range []string{"Loader", "RandomResizedCrop"} {
-		series := res.OpSeries(op, func(c hwsim.Counters) float64 { return float64(c.CPUTime) })
+		series := opSeries(res, op, func(c hwsim.Counters) float64 { return float64(c.CPUTime) })
 		if len(series) < 2 || series[len(series)-1] <= series[0] {
 			t.Fatalf("%s CPU time did not rise: %v", op, series)
 		}
 	}
 	// (f) µops delivered per cycle falls; (g) front-end bound rises;
 	// (h) DRAM bound falls — for the dominant op.
-	upc := res.OpSeries("Loader", func(c hwsim.Counters) float64 {
+	upc := opSeries(res, "Loader", func(c hwsim.Counters) float64 {
 		if c.Cycles == 0 {
 			return 0
 		}
 		return c.UopsDelivered / c.Cycles
 	})
-	fe := res.OpSeries("Loader", func(c hwsim.Counters) float64 { return c.FrontEndBoundFrac() })
-	dram := res.OpSeries("Loader", func(c hwsim.Counters) float64 { return c.DRAMBoundFrac() })
+	fe := opSeries(res, "Loader", func(c hwsim.Counters) float64 { return c.FrontEndBoundFrac() })
+	dram := opSeries(res, "Loader", func(c hwsim.Counters) float64 { return c.DRAMBoundFrac() })
 	if upc[len(upc)-1] >= upc[0] {
 		t.Fatalf("µop delivery should fall with workers: %v", upc)
 	}

@@ -49,7 +49,7 @@ func (r *Fig3Result) Render() string {
 	var b strings.Builder
 	b.WriteString("FIGURE 3 — out-of-order arrivals\n\n")
 	fmt.Fprintf(&b, "batches: %d; arrived out of order: %d (%.1f%%)\n",
-		r.Batches, len(r.OOOBatches), 100*float64(len(r.OOOBatches))/float64(maxInt(1, r.Batches)))
+		r.Batches, len(r.OOOBatches), 100*float64(len(r.OOOBatches))/float64(max(1, r.Batches)))
 	if r.Example.Found {
 		fmt.Fprintf(&b, "example: batch %d was preprocessed %v before the main process consumed it,\n",
 			r.Example.BatchID, r.Example.DelayedBy.Round(time.Millisecond))
@@ -59,11 +59,4 @@ func (r *Fig3Result) Render() string {
 	b.WriteString("\npaper: the shared data queue among multiple data loaders causes the main process\n")
 	b.WriteString("       to wait despite the desired batch being ready (Takeaway 4)\n")
 	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

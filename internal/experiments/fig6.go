@@ -181,15 +181,3 @@ func (r *Fig6Result) Render() string {
 	b.WriteString("       workload becomes front-end bound (g), and DRAM-bound stalls fall (h)\n")
 	return b.String()
 }
-
-// OpSeries extracts one op's metric across worker counts (used by tests and
-// the ablation benches).
-func (r *Fig6Result) OpSeries(op string, metric func(hwsim.Counters) float64) []float64 {
-	var out []float64
-	for _, p := range r.Points {
-		if c, ok := p.PerOp[op]; ok {
-			out = append(out, metric(c))
-		}
-	}
-	return out
-}

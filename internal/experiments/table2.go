@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"lotus/internal/core/trace"
 	"lotus/internal/workloads"
@@ -71,25 +70,4 @@ func (r *Table2Result) Render() string {
 		b.WriteString("\n\n")
 	}
 	return b.String()
-}
-
-// ShortOps reports, for a pipeline, the fraction of all op applications
-// under the threshold — Takeaway 1's headline ("all pipelines have
-// operations under 10 ms / 100 µs").
-func (p Table2Pipeline) ShortOps(threshold time.Duration) float64 {
-	var n, short int
-	for _, op := range p.Order {
-		st := p.Stats[op]
-		n += st.Count
-		switch threshold {
-		case 10 * time.Millisecond:
-			short += int(st.Under10ms * float64(st.Count))
-		case 100 * time.Microsecond:
-			short += int(st.Under100us * float64(st.Count))
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(short) / float64(n)
 }

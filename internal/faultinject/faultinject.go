@@ -98,20 +98,6 @@ const (
 	WireCorrupt
 )
 
-func (a WireAction) String() string {
-	switch a {
-	case WireNone:
-		return "none"
-	case WireDrop:
-		return "drop"
-	case WireTruncate:
-		return "truncate"
-	case WireCorrupt:
-		return "corrupt"
-	}
-	return fmt.Sprintf("WireAction(%d)", int(a))
-}
-
 // Counts reports how many faults an injector has fired, per class.
 type Counts struct {
 	ReadErrors   int64
@@ -147,14 +133,6 @@ type Injector struct {
 // New builds an injector from spec. A zero spec (or a nil *Injector) injects
 // nothing.
 func New(spec Spec) *Injector { return &Injector{spec: spec} }
-
-// Spec returns the injector's configuration (zero for nil).
-func (in *Injector) Spec() Spec {
-	if in == nil {
-		return Spec{}
-	}
-	return in.spec
-}
 
 // Counts snapshots the per-class fired-fault counters.
 func (in *Injector) Counts() Counts {

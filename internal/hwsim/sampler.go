@@ -13,11 +13,6 @@ type TimeRange struct {
 	Start, End time.Time
 }
 
-// Contains reports whether t falls inside the range.
-func (r TimeRange) Contains(t time.Time) bool {
-	return !t.Before(r.Start) && t.Before(r.End)
-}
-
 // Sample is one sampling-driver hit: at time T on a thread, the driver
 // observed symbol/library. Background samples (unrelated runtime functions:
 // the interpreter loop, allocator locks, driver threads) have Kernel == nil.

@@ -1,9 +1,7 @@
 package hwsim
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"lotus/internal/native"
@@ -117,44 +115,4 @@ func BuildReport(samples []Sample, profiler string, arch native.Arch) *Report {
 		return rep.Rows[i].Symbol < rep.Rows[j].Symbol
 	})
 	return rep
-}
-
-// Row finds a report row by symbol. ok is false if the symbol never sampled.
-func (r *Report) Row(symbol string) (FuncRow, bool) {
-	for _, row := range r.Rows {
-		if row.Symbol == symbol {
-			return row, true
-		}
-	}
-	return FuncRow{}, false
-}
-
-// Symbols returns the distinct symbols in the report, ordered as the rows.
-func (r *Report) Symbols() []string {
-	out := make([]string, len(r.Rows))
-	for i, row := range r.Rows {
-		out[i] = row.Symbol
-	}
-	return out
-}
-
-// TotalCPUTime sums attributed CPU time over all rows.
-func (r *Report) TotalCPUTime() time.Duration {
-	var total time.Duration
-	for _, row := range r.Rows {
-		total += row.Counters.CPUTime
-	}
-	return total
-}
-
-// String renders the report as an aligned table (symbol, library, CPU time),
-// the shape a VTune CSV export has.
-func (r *Report) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s profile (%s), %d functions\n", r.Profiler, r.Arch, len(r.Rows))
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-36s %-44s %10v %8d samples\n",
-			row.Symbol, row.Library, row.Counters.CPUTime.Round(time.Microsecond), row.Samples)
-	}
-	return b.String()
 }

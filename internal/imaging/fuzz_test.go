@@ -8,7 +8,7 @@ import (
 // FuzzDecodeSJPG: arbitrary payloads must never panic the decoder (decode
 // errors are fine); valid payloads must round-trip dimensions.
 func FuzzDecodeSJPG(f *testing.F) {
-	f.Add(EncodeSJPG(SynthesizeImage(24, 16, 1), 80))
+	f.Add(EncodeSJPGSubsampled(SynthesizeImage(24, 16, 1), 80, Sub444))
 	f.Add(EncodeSJPGSubsampled(SynthesizeImage(17, 9, 2), 60, Sub420))
 	f.Add([]byte("SJPG"))
 	f.Add([]byte{})
@@ -27,7 +27,7 @@ func FuzzDecodeSJPG(f *testing.F) {
 // never panics, fails iff the full decoder fails or the rectangle is empty or
 // not inside the image, and otherwise returns Crop of the full decode.
 func FuzzDecodeSJPGRegion(f *testing.F) {
-	f.Add(EncodeSJPG(SynthesizeImage(24, 16, 1), 80), 3, 2, 10, 9)
+	f.Add(EncodeSJPGSubsampled(SynthesizeImage(24, 16, 1), 80, Sub444), 3, 2, 10, 9)
 	f.Add(EncodeSJPGSubsampled(SynthesizeImage(17, 9, 2), 60, Sub420), 0, 0, 17, 9)
 	f.Add(EncodeSJPGSubsampled(SynthesizeImage(17, 9, 2), 60, Sub420), 16, 8, 1, 1)
 	f.Add(EncodeSJPGSubsampled(SynthesizeImage(33, 21, 3), 85, Sub420), 7, 5, 19, 11)

@@ -31,47 +31,15 @@ func NewImage(w, h int) *Image {
 	return &Image{W: w, H: h, Pix: make([]uint8, w*h*3)}
 }
 
-// At returns the pixel at (x, y).
-func (im *Image) At(x, y int) (r, g, b uint8) {
-	i := (y*im.W + x) * 3
-	return im.Pix[i], im.Pix[i+1], im.Pix[i+2]
-}
-
 // Set writes the pixel at (x, y).
 func (im *Image) Set(x, y int, r, g, b uint8) {
 	i := (y*im.W + x) * 3
 	im.Pix[i], im.Pix[i+1], im.Pix[i+2] = r, g, b
 }
 
-// Clone returns a deep copy.
-func (im *Image) Clone() *Image {
-	out := &Image{W: im.W, H: im.H, Pix: append([]uint8(nil), im.Pix...)}
-	return out
-}
-
-// Bytes returns the raw buffer size.
-func (im *Image) Bytes() int { return len(im.Pix) }
-
-// ToTensor converts to a [3, H, W] planar uint8 tensor (the layout the
-// ToTensor transform produces before scaling). The Pillow kernel doing this
-// unpack is ImagingUnpackRGB.
-func (im *Image) ToTensor() *tensor.Tensor {
-	t := tensor.Zeros(tensor.Uint8, 3, im.H, im.W)
-	plane := im.H * im.W
-	r, g, b := t.U8[:plane], t.U8[plane:2*plane], t.U8[2*plane:]
-	p := im.Pix
-	for j := 0; j < plane; j++ {
-		r[j] = p[j*3]
-		g[j] = p[j*3+1]
-		b[j] = p[j*3+2]
-	}
-	return t
-}
-
 // toTensorLUT sends byte v of every channel to float32(v)/255, the uint8 ->
 // [0,1] conversion. Mapping through it is what keeps ToFloat32Tensor
-// bit-identical to ToTensor().ToFloat32(): both compute float32(v)/255 — one
-// ahead of time, one per pixel.
+// bit-identical to torchvision's ToTensor scaling, float32(v)/255.
 var toTensorLUT [3][256]float32
 
 func init() {
@@ -81,10 +49,9 @@ func init() {
 	}
 }
 
-// ToFloat32Tensor converts directly to the [3, H, W] float32 tensor that
-// ToTensor().ToFloat32() would produce, without materializing the
-// intermediate planar uint8 tensor — the fused unpack+convert the real
-// ToTensor transform runs per sample.
+// ToFloat32Tensor converts the image to a [3, H, W] float32 tensor in [0, 1]
+// in one pass, with no intermediate planar uint8 tensor: the fused
+// unpack+convert the real ToTensor transform runs per sample.
 func (im *Image) ToFloat32Tensor() *tensor.Tensor {
 	t := tensor.Zeros(tensor.Float32, 3, im.H, im.W)
 	im.MapInto(t.F32, &toTensorLUT)
@@ -117,22 +84,6 @@ func mapScalar(r, g, b []float32, p []uint8, lut *[3][256]float32) {
 		g[j] = lut[1][px[1]]
 		b[j] = lut[2][px[2]]
 	}
-}
-
-// FromTensor converts a [3, H, W] uint8 tensor back to an interleaved image.
-func FromTensor(t *tensor.Tensor) *Image {
-	if len(t.Shape) != 3 || t.Shape[0] != 3 || t.Dtype != tensor.Uint8 {
-		panic(fmt.Sprintf("imaging: FromTensor needs [3,H,W] uint8, got %v", t))
-	}
-	h, w := t.Shape[1], t.Shape[2]
-	im := NewImage(w, h)
-	plane := h * w
-	for j := 0; j < plane; j++ {
-		im.Pix[j*3] = t.U8[j]
-		im.Pix[j*3+1] = t.U8[plane+j]
-		im.Pix[j*3+2] = t.U8[2*plane+j]
-	}
-	return im
 }
 
 // SynthesizeImage deterministically fills an image with structured content

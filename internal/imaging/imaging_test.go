@@ -29,20 +29,64 @@ func TestSynthesizeImageDeterministic(t *testing.T) {
 	}
 }
 
+// TestTensorRoundTrip: ToFloat32Tensor lays the interleaved pixels out as
+// [3, H, W] planes scaled into [0, 1], and every value maps back to its byte.
 func TestTensorRoundTrip(t *testing.T) {
 	im := SynthesizeImage(37, 23, 1)
-	back := FromTensor(im.ToTensor())
-	for i := range im.Pix {
-		if im.Pix[i] != back.Pix[i] {
-			t.Fatal("ToTensor/FromTensor round trip corrupted pixels")
+	ten := im.ToFloat32Tensor()
+	if len(ten.Shape) != 3 || ten.Shape[0] != 3 || ten.Shape[1] != im.H || ten.Shape[2] != im.W {
+		t.Fatalf("shape %v, want [3 %d %d]", ten.Shape, im.H, im.W)
+	}
+	plane := im.W * im.H
+	for j := 0; j < plane; j++ {
+		for c := 0; c < 3; c++ {
+			if back := uint8(math.Round(float64(ten.F32[c*plane+j]) * 255)); back != im.Pix[3*j+c] {
+				t.Fatalf("pixel %d channel %d: %d came back as %d", j, c, im.Pix[3*j+c], back)
+			}
 		}
 	}
+}
+
+// At returns the pixel at (x, y).
+func (im *Image) At(x, y int) (r, g, b uint8) {
+	i := (y*im.W + x) * 3
+	return im.Pix[i], im.Pix[i+1], im.Pix[i+2]
+}
+
+// PSNR computes peak signal-to-noise ratio between two same-sized images, in
+// dB: the codec round-trip tests' measure of loss.
+func PSNR(a, b *Image) float64 {
+	if a.W != b.W || a.H != b.H {
+		panic("imaging: PSNR size mismatch")
+	}
+	var mse float64
+	for i := range a.Pix {
+		d := float64(a.Pix[i]) - float64(b.Pix[i])
+		mse += d * d
+	}
+	mse /= float64(len(a.Pix))
+	if mse == 0 {
+		return math.Inf(1)
+	}
+	return 10 * math.Log10(255*255/mse)
+}
+
+// TapsFor returns output sample i's taps (Counts[i] live entries).
+func (rc *ResampleCoeffs) TapsFor(i int) []int32 {
+	return rc.Taps[i*rc.KSize : i*rc.KSize+int(rc.Counts[i])]
+}
+
+// yCbCrToRGB is rgbToYCbCr's inverse (libjpeg's ycc_rgb_convert), the
+// decoder's row loops' arithmetic one pixel at a time.
+func yCbCrToRGB(y, cb, cr int32) (uint8, uint8, uint8) {
+	r, g, b := yccToRGB(y, cb-128, cr-128)
+	return clampU8(r), clampU8(g), clampU8(b)
 }
 
 func TestSJPGRoundTripQuality(t *testing.T) {
 	im := SynthesizeImage(96, 64, 42)
 	for _, q := range []int{50, 75, 90} {
-		data := EncodeSJPG(im, q)
+		data := EncodeSJPGSubsampled(im, q, Sub444)
 		dec, err := DecodeSJPG(data)
 		if err != nil {
 			t.Fatalf("decode at q=%d: %v", q, err)
@@ -59,8 +103,8 @@ func TestSJPGRoundTripQuality(t *testing.T) {
 
 func TestSJPGHigherQualityHigherFidelityAndSize(t *testing.T) {
 	im := SynthesizeImage(128, 96, 3)
-	low := EncodeSJPG(im, 30)
-	high := EncodeSJPG(im, 95)
+	low := EncodeSJPGSubsampled(im, 30, Sub444)
+	high := EncodeSJPGSubsampled(im, 95, Sub444)
 	if len(high) <= len(low) {
 		t.Fatalf("q=95 output (%d B) not larger than q=30 (%d B)", len(high), len(low))
 	}
@@ -73,15 +117,15 @@ func TestSJPGHigherQualityHigherFidelityAndSize(t *testing.T) {
 
 func TestSJPGCompresses(t *testing.T) {
 	im := SynthesizeImage(256, 256, 11)
-	data := EncodeSJPG(im, 85)
-	if len(data) >= im.Bytes() {
-		t.Fatalf("encoded %d B >= raw %d B; codec does not compress", len(data), im.Bytes())
+	data := EncodeSJPGSubsampled(im, 85, Sub444)
+	if len(data) >= len(im.Pix) {
+		t.Fatalf("encoded %d B >= raw %d B; codec does not compress", len(data), len(im.Pix))
 	}
 }
 
 func TestSJPGNonMultipleOf8(t *testing.T) {
 	im := SynthesizeImage(33, 17, 5)
-	dec, err := DecodeSJPG(EncodeSJPG(im, 90))
+	dec, err := DecodeSJPG(EncodeSJPGSubsampled(im, 90, Sub444))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +147,7 @@ func TestSJPGDims(t *testing.T) {
 		}
 		return b
 	}
-	good := EncodeSJPG(SynthesizeImage(40, 30, 1), 80)
+	good := EncodeSJPGSubsampled(SynthesizeImage(40, 30, 1), 80, Sub444)
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -156,7 +200,7 @@ func TestSJPGRejectsGarbage(t *testing.T) {
 	if _, err := DecodeSJPG([]byte{}); err == nil {
 		t.Fatal("expected error on empty input")
 	}
-	good := EncodeSJPG(SynthesizeImage(16, 16, 1), 80)
+	good := EncodeSJPGSubsampled(SynthesizeImage(16, 16, 1), 80, Sub444)
 	if _, err := DecodeSJPG(good[:len(good)/2]); err == nil {
 		t.Fatal("expected error on truncated payload")
 	}
@@ -258,9 +302,9 @@ func TestCropOutOfRangePanics(t *testing.T) {
 	Crop(SynthesizeImage(10, 10, 1), 5, 5, 10, 10)
 }
 
-// TestFlipHorizontal: FlipHorizontal mirrors every pixel and
-// FlipHorizontalInPlace writes the same bytes, at widths below, around and
-// above the kernel's 16-byte load and the in-place stack buffer. Where the
+// TestFlipHorizontal: FlipHorizontalInPlace mirrors every pixel, at widths
+// below, around and above the kernel's 16-byte load and the in-place stack
+// buffer. Where the
 // CPU has AVX2 it runs once with the kernel and once, as subtest swar,
 // without.
 func TestFlipHorizontal(t *testing.T) {
@@ -276,20 +320,17 @@ func TestFlipHorizontal(t *testing.T) {
 func checkFlip(t *testing.T) {
 	for i, w := range []int{1, 2, 5, 6, 11, 224, flipStack/3 + 1} {
 		im := SynthesizeImage(w, 5, int64(i+3))
-		f := FlipHorizontal(im)
+		orig := &Image{W: im.W, H: im.H, Pix: append([]uint8(nil), im.Pix...)}
+		FlipHorizontalInPlace(im)
 		for y := 0; y < im.H; y++ {
 			for x := 0; x < im.W; x++ {
-				r0, g0, b0 := im.At(x, y)
-				r1, g1, b1 := f.At(im.W-1-x, y)
+				r0, g0, b0 := orig.At(x, y)
+				r1, g1, b1 := im.At(im.W-1-x, y)
 				if r0 != r1 || g0 != g1 || b0 != b1 {
 					t.Fatalf("width %d: flip mismatch at (%d,%d)", w, x, y)
 				}
 			}
 		}
-		if !bytes.Equal(FlipHorizontalInPlace(im).Pix, f.Pix) {
-			t.Fatalf("width %d: FlipHorizontalInPlace differs from FlipHorizontal", w)
-		}
-		f.Release()
 		im.Release()
 	}
 }
@@ -340,14 +381,14 @@ func TestForegroundCenterFindsBlob(t *testing.T) {
 }
 
 func TestForegroundCenterEmpty(t *testing.T) {
-	v := NewVolume(4, 4, 4)
+	v := &Volume{D: 4, H: 4, W: 4, Vox: make([]float32, 64)}
 	if _, _, _, ok := v.ForegroundCenter(1); ok {
 		t.Fatal("empty volume reported foreground")
 	}
 }
 
 func TestGaussianNoiseChangesStats(t *testing.T) {
-	v := NewVolume(8, 8, 8)
+	v := &Volume{D: 8, H: 8, W: 8, Vox: make([]float32, 512)}
 	AddGaussianNoise(v, 5, rng.New(3, "gn"))
 	var sumsq float64
 	for _, x := range v.Vox {
@@ -360,7 +401,7 @@ func TestGaussianNoiseChangesStats(t *testing.T) {
 }
 
 func TestScaleVolume(t *testing.T) {
-	v := NewVolume(2, 2, 2)
+	v := &Volume{D: 2, H: 2, W: 2, Vox: make([]float32, 8)}
 	for i := range v.Vox {
 		v.Vox[i] = 2
 	}

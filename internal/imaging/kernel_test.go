@@ -717,7 +717,7 @@ func BenchmarkConvertRow420(b *testing.B) {
 // fails itself unless idctStore costs <= 0.5x the pair.
 func BenchmarkIDCT(b *testing.B) {
 	const blocks, stride = 64, 232
-	data := EncodeSJPG(SynthesizeImage(256, 256, 3), 85)
+	data := EncodeSJPGSubsampled(SynthesizeImage(256, 256, 3), 85, Sub444)
 	hd, err := parseSJPGHeader(data)
 	if err != nil {
 		b.Fatal(err)

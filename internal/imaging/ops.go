@@ -91,11 +91,6 @@ func (rc *ResampleCoeffs) twoTapPairs(srcLen int) *tapPairs {
 	return p
 }
 
-// TapsFor returns output sample i's taps (Counts[i] live entries).
-func (rc *ResampleCoeffs) TapsFor(i int) []int32 {
-	return rc.Taps[i*rc.KSize : i*rc.KSize+int(rc.Counts[i])]
-}
-
 // PrecomputeCoeffs builds the bilinear (triangle filter) coefficients for
 // resampling srcLen samples to dstLen — the filter torchvision's
 // RandomResizedCrop and Resize use by default, and the only one the
@@ -681,18 +676,6 @@ func CropInto(dst, im *Image, x0, y0 int) {
 	}
 }
 
-// FlipHorizontal mirrors the image left-right into a new pooled image,
-// reversing whole 3-byte pixels row-wise over the raw Pix slices
-// (ImagingFlipLeftRight works the same way — no per-pixel At/Set calls).
-func FlipHorizontal(im *Image) *Image {
-	out := GetImage(im.W, im.H)
-	w3 := im.W * 3
-	for y := 0; y < im.H; y++ {
-		flipRow(out.Pix[y*w3:(y+1)*w3], im.Pix[y*w3:(y+1)*w3])
-	}
-	return out
-}
-
 // flipStack is the widest row, in bytes, FlipHorizontalInPlace copies into
 // a stack buffer: 1365 pixels. A wider image's rows share one heap buffer.
 const flipStack = 4096
@@ -700,7 +683,7 @@ const flipStack = 4096
 // FlipHorizontalInPlace mirrors the image left-right in place and returns
 // the receiver — the zero-allocation variant the pipeline uses when it owns
 // the sample's image. Each row is copied aside and reversed back out of
-// place, by the same row routine as FlipHorizontal.
+// place by flipRow.
 func FlipHorizontalInPlace(im *Image) *Image {
 	w3 := im.W * 3
 	var stack [flipStack]uint8
@@ -765,14 +748,6 @@ type Volume struct {
 	Vox     []float32
 }
 
-// NewVolume allocates a zero volume.
-func NewVolume(d, h, w int) *Volume {
-	if d <= 0 || h <= 0 || w <= 0 {
-		panic(fmt.Sprintf("imaging: invalid volume %dx%dx%d", d, h, w))
-	}
-	return &Volume{D: d, H: h, W: w, Vox: make([]float32, d*h*w)}
-}
-
 // SynthesizeVolume fills a volume with a deterministic blob pattern: a dim
 // background with a bright "foreground" ellipsoid, mimicking a CT scan with
 // a segmentation target, which RandBalancedCrop needs. The result is
@@ -799,9 +774,6 @@ func SynthesizeVolume(d, h, w int, seed int64) *Volume {
 	}
 	return v
 }
-
-// Bytes returns the buffer size in bytes.
-func (v *Volume) Bytes() int { return len(v.Vox) * 4 }
 
 // CropVolume extracts a sub-volume. The result is pooled; Release it when
 // done.
@@ -897,24 +869,6 @@ func AddGaussianNoise(v *Volume, stddev float64, r *rng.Stream) *Volume {
 		v.Vox[i] += float32(r.Normal(0, stddev))
 	}
 	return v
-}
-
-// PSNR computes peak signal-to-noise ratio between two same-sized images, in
-// dB, used by the codec round-trip tests.
-func PSNR(a, b *Image) float64 {
-	if a.W != b.W || a.H != b.H {
-		panic("imaging: PSNR size mismatch")
-	}
-	var mse float64
-	for i := range a.Pix {
-		d := float64(a.Pix[i]) - float64(b.Pix[i])
-		mse += d * d
-	}
-	mse /= float64(len(a.Pix))
-	if mse == 0 {
-		return math.Inf(1)
-	}
-	return 10 * math.Log10(255*255/mse)
 }
 
 func minInt(a, b int) int {

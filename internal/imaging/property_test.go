@@ -13,7 +13,7 @@ func TestPropertySJPGRoundTripAnySize(t *testing.T) {
 		w := int(wRaw%120) + 8
 		h := int(hRaw%120) + 8
 		im := SynthesizeImage(w, h, seed)
-		dec, err := DecodeSJPG(EncodeSJPG(im, 85))
+		dec, err := DecodeSJPG(EncodeSJPGSubsampled(im, 85, Sub444))
 		if err != nil {
 			return false
 		}
@@ -45,8 +45,8 @@ func checkCropFlipCommute(t *testing.T) {
 		x0 := int(x0Raw) % (W - cw)
 		y0 := int(y0Raw) % (H - ch)
 
-		a := FlipHorizontal(Crop(im, x0, y0, cw, ch))
-		b := Crop(FlipHorizontal(im), W-x0-cw, y0, cw, ch)
+		a := FlipHorizontalInPlace(Crop(im, x0, y0, cw, ch))
+		b := Crop(FlipHorizontalInPlace(im), W-x0-cw, y0, cw, ch)
 		for i := range a.Pix {
 			if a.Pix[i] != b.Pix[i] {
 				return false
@@ -112,8 +112,8 @@ func TestPropertyEncodeDeterministic(t *testing.T) {
 	if err := quick.Check(func(seed int64, q uint8) bool {
 		quality := int(q%80) + 20
 		im := SynthesizeImage(40, 32, seed)
-		a := EncodeSJPG(im, quality)
-		b := EncodeSJPG(im, quality)
+		a := EncodeSJPGSubsampled(im, quality, Sub444)
+		b := EncodeSJPGSubsampled(im, quality, Sub444)
 		if len(a) != len(b) {
 			return false
 		}

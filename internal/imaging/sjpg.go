@@ -129,12 +129,6 @@ func rgbToYCbCr(r, g, b uint8) (y, cb, cr int32) {
 	return
 }
 
-// yCbCrToRGB is the inverse conversion (libjpeg's ycc_rgb_convert).
-func yCbCrToRGB(y, cb, cr int32) (uint8, uint8, uint8) {
-	r, g, b := yccToRGB(y, cb-128, cr-128)
-	return clampU8(r), clampU8(g), clampU8(b)
-}
-
 // yccToRGB is the conversion's arithmetic on zero-centred chroma, before
 // the clamp to a byte — small enough to inline into the row loops.
 func yccToRGB(y, cb, cr int32) (r, g, b int32) {
@@ -408,12 +402,6 @@ func (r *byteReader) eob() bool {
 // ---------------------------------------------------------------------------
 // Encoder
 // ---------------------------------------------------------------------------
-
-// EncodeSJPG compresses an image at the given quality (1–100) with 4:4:4
-// chroma.
-func EncodeSJPG(im *Image, quality int) []byte {
-	return EncodeSJPGSubsampled(im, quality, Sub444)
-}
 
 // EncodeSJPGSubsampled compresses with an explicit chroma layout.
 func EncodeSJPGSubsampled(im *Image, quality int, sub Subsampling) []byte {

@@ -14,7 +14,7 @@
 //   - the hardware-profiler simulation (package hwsim) observes ONLY kernel
 //     symbols and timelines — never transform names;
 //   - the ground-truth transform→kernel mapping is available to tests via
-//     GroundTruth, letting the repository *validate* LotusMap's reconstruction
+//     each transform's Kernels, letting the repository *validate* LotusMap's reconstruction
 //     quality, something the paper could only argue qualitatively.
 package native
 
@@ -189,17 +189,6 @@ func (e *Engine) Kernel(name string) (*Kernel, bool) {
 	return k, ok
 }
 
-// Kernels returns every kernel available on this architecture, sorted by
-// symbol for stable iteration.
-func (e *Engine) Kernels() []*Kernel {
-	out := make([]*Kernel, 0, len(e.reg))
-	for _, k := range e.reg {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Symbol < out[j].Symbol })
-	return out
-}
-
 // BeginWork marks a worker thread as actively preprocessing; returns the
 // concurrency level including this worker. EndWork undoes it.
 func (e *Engine) BeginWork() int {
@@ -217,13 +206,6 @@ func (e *Engine) EndWork() {
 		panic("native: EndWork without BeginWork")
 	}
 	e.active--
-}
-
-// ActiveWorkers reports the current concurrency level.
-func (e *Engine) ActiveWorkers() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.active
 }
 
 // Duration computes the modeled duration of a call under the given

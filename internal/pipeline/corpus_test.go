@@ -201,7 +201,7 @@ func TestLoaderBareEqualsInlineRender(t *testing.T) {
 	onRealCtx(0, func(ctx *Ctx) { // no cap named: data.DefaultMaterializeDim
 		for i := 0; i < ds.Len(); i++ {
 			got := loaderFolder(ds, &Loader{IO: ds.IO}).GetItem(ctx, 0, 0, i).Image
-			want, err := imaging.DecodeSJPG(ds.Materialize(i, 0))
+			want, err := imaging.DecodeSJPG(ds.Record(i).Materialize(0))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -55,9 +55,10 @@ type Ctx struct {
 	SampleCache *SampleCache
 	PrefixFP    uint64
 	// Abort, when non-nil, is closed once the epoch this worker serves is
-	// being torn down (the loader's stall interrupt). A worker parked on
-	// another session's in-flight cache entry selects on it, so a severed
-	// session's Drain never waits out somebody else's computation.
+	// being torn down: the serving layer sets it from the session's context.
+	// A worker parked on another session's in-flight cache entry, or
+	// sleeping out a real-clock fault stall, selects on it, so a severed
+	// session never waits out somebody else's computation.
 	Abort <-chan struct{}
 
 	// collates is set by the one kind of caller that runs Collate.RunInto
@@ -111,12 +112,11 @@ func (c *Ctx) SampleRNG(index int) *rng.Stream {
 	return rng.New(c.Seed^epochSalt(c.Epoch)^int64(index)*2654435761, "sample")
 }
 
-// OpRNG returns the stream SampleRNG(index).Derive(name) would — the same
-// seed derivation, so every historical random sequence is preserved —
-// without allocating either generator. Derive consumes only the first value
-// of the freshly seeded sample stream, so that value is kept per sample seed
-// and the sample stream (607 words of state) is reseeded once per sample, not
-// once per op. The returned stream aliases worker scratch state: it is valid
+// OpRNG returns the op's child of the sample stream,
+// rng.New(SampleRNG(index).Int63(), name), without allocating either
+// generator. The child's seed is the first value of the freshly seeded
+// sample stream, so that value is kept per sample seed and the sample stream
+// (607 words of state) is reseeded once per sample, not once per op. The returned stream aliases worker scratch state: it is valid
 // until the next OpRNG call on this Ctx, which matches how transforms use it
 // (draw parameters, then discard). A Ctx is per-worker and workers are
 // single-threaded, so there is no sharing.

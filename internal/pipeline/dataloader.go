@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"lotus/internal/clock"
@@ -182,13 +181,6 @@ type DataLoader struct {
 	creditDrift int
 	// batchCost caches the per-batch work estimates.
 	batchCost []float64
-	// stallAbort is closed by Iterator.Abort: real-clock workers sleeping
-	// out an injected fault stall, or parked on another session's in-flight
-	// sample-cache entry (Ctx.Abort), select against it, so an aborted epoch
-	// (a severed session, a draining server) is not pinned for the remainder
-	// of a wait it no longer has any reason to honor.
-	stallAbort chan struct{}
-	stallOnce  sync.Once
 }
 
 // creditEpsilon separates real accounting drift from float64 rounding noise
@@ -198,7 +190,7 @@ const creditEpsilon = 1e-6
 // NewDataLoader constructs a loader over ds under clk.
 func NewDataLoader(clk clock.Clock, ds Dataset, cfg Config) *DataLoader {
 	cfg = cfg.validate()
-	dl := &DataLoader{cfg: cfg, dataset: ds, clk: clk, stallAbort: make(chan struct{})}
+	dl := &DataLoader{cfg: cfg, dataset: ds, clk: clk}
 	dl.buildBatches()
 	return dl
 }
@@ -380,17 +372,11 @@ func (dl *DataLoader) noteResidual() {
 	}
 }
 
-// CreditDrift reports outstanding-ledger accounting violations observed so
-// far (see the field doc). Zero in a correct loader. Call it from the main
-// proc or after the epoch's clock has returned.
-func (dl *DataLoader) CreditDrift() int { return dl.creditDrift }
-
 // workerLoop is the DataLoader worker body (_utils.worker._worker_loop): it
 // creates a fetcher (the BatchWorker) and serves index tasks until its queue
 // closes. A stream worker's fetcher draws from the worker's own shard.
 func (dl *DataLoader) workerLoop(p clock.Proc, workerID int) {
 	bw := NewBatchWorker(workerID, dl.dataset, dl.cfg)
-	bw.Ctx.Abort = dl.stallAbort
 	if dl.stream != nil {
 		bw.shard = &streamShard{
 			iter: dl.stream.Iter(workerID, dl.cfg.NumWorkers),
@@ -405,13 +391,6 @@ func (dl *DataLoader) workerLoop(p clock.Proc, workerID int) {
 		batch, err := bw.Run(p, task.batchID+dl.cfg.BatchIDOffset, task.indices, nil)
 		dl.dataQ.Put(p, workerResult{batchID: task.batchID, batch: batch, worker: workerID, err: err})
 	}
-}
-
-// interruptStalls releases every worker currently sleeping out an injected
-// real-clock fault stall (or parked on a foreign sample-cache entry), and
-// makes all future such waits on this loader return immediately.
-func (dl *DataLoader) interruptStalls() {
-	dl.stallOnce.Do(func() { close(dl.stallAbort) })
 }
 
 // Iterator consumes batches strictly in order from the shared data queue,
@@ -563,22 +542,11 @@ func (it *Iterator) logWait(p clock.Proc, batchID int, start time.Time, dur time
 	}
 }
 
-// Abort ends the epoch early: every index queue is closed and the iterator
-// reports exhausted from then on. Closing an index queue does not discard
-// queued tasks (Queue.Close drains remaining items first), so each worker
-// still processes everything already dispatched to it and puts one result
-// per task on the data queue before exiting. Call Drain afterwards to
-// consume those in-flight results.
-func (it *Iterator) Abort() {
-	it.dl.interruptStalls()
-	it.dl.closeIndex()
-	it.rcvdIdx = it.dl.sendIdx
-}
-
-// Drain consumes every in-flight result after Abort (or an early stop) and
-// credits completions, blocking until all workers have accounted for every
-// dispatched batch. A plain TryGet poll is not enough: a worker mid-batch at
-// Abort time puts its result *after* a non-blocking sweep has returned,
+// Drain consumes every in-flight result once Next has reported the end —
+// the epoch done, or failed with batches still dispatched — and credits
+// completions, blocking until all workers have accounted for every
+// dispatched batch. A non-blocking poll is not enough: a worker mid-batch
+// when the epoch failed puts its result *after* such a sweep has returned,
 // leaving a stale result on the queue and its work forever uncredited in
 // outstanding. Every dispatched batch produces exactly one result and data
 // queue puts never block, so blocking until seen == sendIdx always
@@ -597,6 +565,6 @@ func (it *Iterator) Drain(p clock.Proc) {
 		dl.noteResidual()
 	}
 	// Results already received and parked in the cache were counted when
-	// they arrived; release them so an aborted epoch does not pin batches.
+	// they arrived; release them so a failed epoch does not pin batches.
 	it.cached = make(map[int]workerResult)
 }

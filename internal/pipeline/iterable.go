@@ -45,7 +45,7 @@ func NewIterableLoader(clk clock.Clock, ds IterableDataset, cfg Config) *Iterabl
 	case cfg.CostHint != nil:
 		panic("pipeline: IterableLoader has no CostHint")
 	}
-	return &IterableLoader{&DataLoader{cfg: cfg.validate(), stream: ds, clk: clk, stallAbort: make(chan struct{})}}
+	return &IterableLoader{&DataLoader{cfg: cfg.validate(), stream: ds, clk: clk}}
 }
 
 // Start forks workers and prefetches tokens; it must run on the main proc.

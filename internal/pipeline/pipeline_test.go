@@ -387,6 +387,16 @@ func TestISVolumePipelineSim(t *testing.T) {
 	}
 }
 
+// GroundTruth maps each transform name to its kernel set: the oracle a
+// reconstructed LotusMap mapping is checked against.
+func (c *Compose) GroundTruth() map[string][]string {
+	out := make(map[string][]string, len(c.Transforms))
+	for _, t := range c.Transforms {
+		out[t.Name()] = append([]string(nil), t.Kernels()...)
+	}
+	return out
+}
+
 func TestGroundTruthCoversAllOps(t *testing.T) {
 	c := icCompose(nil)
 	gt := c.GroundTruth()

@@ -15,8 +15,8 @@ import (
 // the caller collates — decided once per Compose and mode, never per sample
 // and never by a knob (tf.data's static optimizations). A rewritten op keeps
 // its name, its place and its one trace record per sample; only the time
-// inside the records moves. Names, Kernels, GroundTruth, SplitPoint,
-// ApplyPrefix and ApplySuffix see the plan as written.
+// inside the records moves. Names, Kernels, SplitPoint, ApplyPrefix and
+// ApplySuffix see the plan as written.
 
 // A rewrite is one entry of the rewrites table: its name, a find over the
 // plan as written, and why it can be off — the plan has none of its ops, the

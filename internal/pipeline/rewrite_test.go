@@ -14,14 +14,15 @@ import (
 	"lotus/internal/data"
 	"lotus/internal/imaging"
 	"lotus/internal/native"
+	"lotus/internal/rng"
 	"lotus/internal/tensor"
 )
 
-// TestOpRNGEqualsSampleRNGDerive: OpRNG keeps the one value Derive draws from
-// the sample stream instead of reseeding that stream per op. For shuffled
-// (seed, epoch, index, name) sequences — including one Ctx switching seed and
-// epoch between calls, as a serve-plane worker does — its first 16 draws are
-// those of SampleRNG(index).Derive(name).
+// TestOpRNGEqualsSampleRNGDerive: OpRNG keeps the first value of the sample
+// stream instead of reseeding that stream per op. For shuffled (seed, epoch,
+// index, name) sequences — including one Ctx switching seed and epoch between
+// calls, as a serve-plane worker does — its first 16 draws are those of the
+// child stream rng.New(SampleRNG(index).Int63(), name).
 func TestOpRNGEqualsSampleRNGDerive(t *testing.T) {
 	type call struct {
 		seed         int64
@@ -41,10 +42,10 @@ func TestOpRNGEqualsSampleRNGDerive(t *testing.T) {
 	check := func(label string, ctx *Ctx, c call) {
 		ctx.Seed, ctx.Epoch = c.seed, c.epoch
 		got := ctx.OpRNG(c.index, c.name)
-		want := ctx.SampleRNG(c.index).Derive(c.name)
+		want := rng.New(ctx.SampleRNG(c.index).Int63(), c.name)
 		for d := 0; d < 16; d++ {
 			if g, w := got.Int63(), want.Int63(); g != w {
-				t.Fatalf("%s: %+v draw %d: OpRNG %d, SampleRNG.Derive %d", label, c, d, g, w)
+				t.Fatalf("%s: %+v draw %d: OpRNG %d, child of SampleRNG %d", label, c, d, g, w)
 			}
 		}
 	}
@@ -184,7 +185,7 @@ func TestSampleCacheHoldsFullDecodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, h, err := imaging.SJPGDims(ds.Materialize(i, dim))
+		w, h, err := imaging.SJPGDims(ds.Record(i).Materialize(dim))
 		if err != nil {
 			t.Fatal(err)
 		}

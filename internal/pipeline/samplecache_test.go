@@ -249,8 +249,9 @@ func (g *stuckOnce) Apply(ctx *Ctx, s Sample) Sample {
 
 // TestSampleCacheWaiterHonorsEpochAbort: a worker parked on another
 // session's in-flight prefix must leave the wait when its own epoch is
-// aborted, so a severed session's Drain is bounded by its own work and not
-// by the foreign owner's progress (or the 30 s single-flight timeout).
+// aborted (Ctx.Abort closes), so a severed session's batch is bounded by its
+// own work and not by the foreign owner's progress (or the 30 s single-flight
+// timeout).
 func TestSampleCacheWaiterHonorsEpochAbort(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	ds := fastRealDataset(4, 3)
@@ -274,28 +275,43 @@ func TestSampleCacheWaiterHonorsEpochAbort(t *testing.T) {
 	}()
 	<-gate.entered
 
-	// Session B's only worker reaches sample 0 first and parks on A's claim.
-	clk := clock.NewReal()
-	dl := NewDataLoader(clk, NewImageFolder(ds, compose), Config{
+	// Session B's worker reaches sample 0 next and parks on A's claim. Its
+	// Ctx.Abort is the session's done channel, as the serving plane sets it.
+	abort := make(chan struct{})
+	w := NewBatchWorker(0, NewImageFolder(ds, compose), Config{
 		BatchSize: 4, NumWorkers: 1, Seed: 5, Mode: RealData, MaterializeDim: 64,
 		SampleCache: cache, PrefixFP: fp,
 	})
-	clk.Run("main", func(p clock.Proc) {
-		it := dl.Start(p)
-		for deadline := time.Now().Add(10 * time.Second); cache.Stats().SingleflightWait == 0; {
-			if time.Now().After(deadline) {
-				t.Error("session B never waited on session A's claim; the test exercises nothing")
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-		start := time.Now()
-		it.Abort()
-		it.Drain(p)
-		if d := time.Since(start); d > 2*time.Second {
-			t.Errorf("aborted epoch took %v to drain behind a foreign in-flight prefix, want < 2s", d)
-		}
+	w.Ctx.Abort = abort
+	workerDone := make(chan error, 1)
+	go clock.NewReal().Run("worker", func(p clock.Proc) {
+		_, err := w.Run(p, 0, []int{0, 1, 2, 3}, nil)
+		workerDone <- err
 	})
+	for deadline := time.Now().Add(10 * time.Second); cache.Stats().SingleflightWait == 0; {
+		if time.Now().After(deadline) {
+			t.Error("session B never waited on session A's claim; the test exercises nothing")
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	close(abort)
+	select {
+	case err := <-workerDone:
+		if err != nil {
+			t.Errorf("the aborted batch failed: %v", err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("aborted batch took %v to finish behind a foreign in-flight prefix, want < 2s", d)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("the aborted worker is still parked on the foreign claim after 10s")
+		close(gate.release)
+		<-workerDone
+		<-ownerDone
+		return
+	}
 	close(gate.release)
 	<-ownerDone
 }

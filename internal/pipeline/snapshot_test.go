@@ -41,7 +41,7 @@ func volumeSample() Sample {
 	s := snapMeta(4)
 	s.Dtype = tensor.Float32
 	s.Depth, s.Channels = 3, 1
-	s.Volume = imaging.NewVolume(3, 6, 8)
+	s.Volume = &imaging.Volume{D: 3, H: 6, W: 8, Vox: make([]float32, 3*6*8)}
 	for i := range s.Volume.Vox {
 		s.Volume.Vox[i] = float32(i) * 0.25
 	}

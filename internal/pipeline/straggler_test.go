@@ -43,13 +43,13 @@ func TestCompletedDoubleCreditCountsDrift(t *testing.T) {
 			}
 		}
 	})
-	if drift := dl.CreditDrift(); drift != 0 {
+	if drift := dl.creditDrift; drift != 0 {
 		t.Fatalf("clean epoch reports drift %d", drift)
 	}
 	// Credit batch 0 a second time: the ledger goes negative by a full batch
 	// cost, far beyond rounding noise.
 	dl.completed(0, 0)
-	if drift := dl.CreditDrift(); drift == 0 {
+	if drift := dl.creditDrift; drift == 0 {
 		t.Fatal("double credit was clamped silently; drift counter never fired")
 	}
 	// The clamp itself must survive (estimates stay usable for dispatch).

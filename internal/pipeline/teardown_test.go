@@ -11,31 +11,38 @@ import (
 	"lotus/internal/native"
 )
 
-// TestAbortDrainCreditsAllInFlightWork pins the Abort/Drain teardown fix: a
-// worker mid-batch at Abort time puts its result on the data queue *after*
-// any non-blocking sweep would have returned. Drain must block until every
-// dispatched batch is accounted for, so no stale result stays queued and no
-// outstanding work stays uncredited.
+// TestAbortDrainCreditsAllInFlightWork pins the teardown of an epoch that
+// stops early: a worker failure ends it under FailEpoch with batches still
+// in flight, and a worker mid-batch at that moment puts its result on the
+// data queue *after* any non-blocking sweep would have returned. Drain must
+// block until every dispatched batch is accounted for, so no stale result
+// stays queued and no outstanding work stays uncredited.
 func TestAbortDrainCreditsAllInFlightWork(t *testing.T) {
 	sim := clock.NewSim()
-	dl := faultyLoader(sim, 80, 10, 4, nil, FailEpoch)
+	dl := faultyLoader(sim, 80, 10, 4, map[int]bool{25: true}, FailEpoch)
 	sim.Run("main", func(p clock.Proc) {
 		it := dl.Start(p)
-		// Consume a couple of batches so several more are dispatched and
-		// in flight, then abort mid-epoch.
+		// Batches 0 and 1 arrive; batch 2 holds the failing sample, so the
+		// epoch aborts there with several more dispatched.
 		for i := 0; i < 2; i++ {
 			if _, ok := it.Next(p); !ok {
-				t.Error("epoch ended before abort point")
+				t.Error("epoch ended before the failing batch")
 				return
 			}
 		}
-		it.Abort()
+		if _, ok := it.Next(p); ok || it.Err() == nil {
+			t.Error("the failing batch did not abort the epoch")
+			return
+		}
+		if it.seen == dl.sendIdx {
+			t.Error("nothing was in flight at the abort; the test exercises nothing")
+		}
 		it.Drain(p)
 
 		// Every dispatched batch produced exactly one result and Drain saw
 		// them all: nothing left on the data queue...
-		if res, ok := dl.dataQ.TryGet(); ok {
-			t.Errorf("stale result for batch %d left on the data queue after Drain", res.batchID)
+		if n := dl.dataQ.Len(); n != 0 {
+			t.Errorf("%d stale results left on the data queue after Drain", n)
 		}
 		if it.seen != dl.sendIdx {
 			t.Errorf("Drain consumed %d results for %d dispatched batches", it.seen, dl.sendIdx)
@@ -46,8 +53,11 @@ func TestAbortDrainCreditsAllInFlightWork(t *testing.T) {
 				t.Errorf("worker %d still carries %.1f uncredited outstanding work", w, o)
 			}
 		}
+		if dl.creditDrift != 0 {
+			t.Errorf("the outstanding ledger drifted %d times", dl.creditDrift)
+		}
 		if _, ok := it.Next(p); ok {
-			t.Error("iterator yielded a batch after Abort")
+			t.Error("iterator yielded a batch after the epoch failed")
 		}
 	})
 }

@@ -128,16 +128,6 @@ func (c *Compose) Names() []string {
 	return out
 }
 
-// GroundTruth maps each transform name to its kernel set — the oracle the
-// LotusMap validation tests compare reconstructed mappings against.
-func (c *Compose) GroundTruth() map[string][]string {
-	out := make(map[string][]string, len(c.Transforms))
-	for _, t := range c.Transforms {
-		out[t.Name()] = append([]string(nil), t.Kernels()...)
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Image transforms (IC / OD pipelines)
 // ---------------------------------------------------------------------------
@@ -635,7 +625,7 @@ func (t *ToTensor) Apply(ctx *Ctx, s Sample) Sample {
 	f32Bytes := u8Bytes * 4
 	if ctx.Real() {
 		// Fused unpack+convert: produces the float32 planar tensor directly
-		// (bit-identical to ToTensor().ToFloat32()) and retires the sample's
+		// (float32(v)/255, torchvision's scaling) and retires the sample's
 		// pooled image.
 		s.Tensor = s.Image.ToFloat32Tensor()
 		s.Image.Release()
@@ -674,8 +664,6 @@ func (t *Normalize) Apply(ctx *Ctx, s Sample) Sample {
 // Collate stacks k samples into a batch tensor (DataLoader's default
 // collate_fn). It is logged as the C(k) operation of Table II.
 type Collate struct{}
-
-func (t *Collate) Name() string { return "Collate" }
 
 func (t *Collate) Kernels() []string { return []string{"cat_serial_kernel", "memcpy"} }
 

@@ -41,12 +41,6 @@ func NewFromSeed(seed int64) *Stream {
 	return &Stream{r: rand.New(rand.NewSource(seed))}
 }
 
-// Derive creates a child stream named relative to this one. The child's
-// sequence is independent of how much the parent has been consumed.
-func (s *Stream) Derive(name string) *Stream {
-	return New(s.r.Int63(), name)
-}
-
 // Reseed resets the stream in place to exactly the state New(seed, name)
 // would create, without allocating. Hot paths (one stream per sample per
 // op) keep a scratch Stream and reseed it instead of building a fresh
@@ -90,11 +84,6 @@ func (s *Stream) LogNormal(mean, stddev float64) float64 {
 	mu := math.Log(mean * mean / math.Sqrt(v+mean*mean))
 	sigma := math.Sqrt(math.Log(1 + v/(mean*mean)))
 	return math.Exp(mu + sigma*s.r.NormFloat64())
-}
-
-// Exponential returns an exponentially distributed value with the given mean.
-func (s *Stream) Exponential(mean float64) float64 {
-	return s.r.ExpFloat64() * mean
 }
 
 // Perm returns a random permutation of [0, n).

@@ -49,11 +49,11 @@ func TestEncodeBatchFrameByteIdentity(t *testing.T) {
 		Dtype: tensor.Uint8, Shape: []int{3, 8, 8},
 		U8: bytes.Repeat([]byte{0x5a}, 3*8*8),
 	}
-	want := EncodeBatch(m)
+	want := AppendBatch(nil, m)
 	for i := 0; i < 3; i++ { // repeated to exercise pooled-buffer reuse
 		f := encodeBatchFrame(m)
 		if !bytes.Equal(f.Bytes(), want) {
-			t.Fatalf("pooled encode differs from EncodeBatch on round %d", i)
+			t.Fatalf("pooled encode differs from AppendBatch on round %d", i)
 		}
 		if f.Len() != len(want) {
 			t.Fatalf("pooled frame len %d, want %d", f.Len(), len(want))
@@ -64,7 +64,7 @@ func TestEncodeBatchFrameByteIdentity(t *testing.T) {
 
 // TestEncodeBatchFramePooledAllocs is the allocs/op guard for the pooled
 // encode path: steady-state encoding must reuse pooled buffers, not allocate
-// a fresh payload per batch like EncodeBatch does.
+// a fresh payload per batch.
 func TestEncodeBatchFramePooledAllocs(t *testing.T) {
 	m := &Batch{
 		Epoch: 0, GlobalID: 1,

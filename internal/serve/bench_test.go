@@ -39,7 +39,7 @@ func BenchmarkEncodeBatch(b *testing.B) {
 	b.SetBytes(int64(batchWireSize(m)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		EncodeBatch(m)
+		AppendBatch(make([]byte, 0, batchWireSize(m)), m)
 	}
 }
 
@@ -100,7 +100,7 @@ func BenchmarkAppendBatch(b *testing.B) {
 // payload is aligned (what a Client's receive buffer is), the copy-convert
 // loop when it is not.
 func BenchmarkDecodeBatch(b *testing.B) {
-	enc := EncodeBatch(hotFrameBatch())
+	enc := AppendBatch(nil, hotFrameBatch())
 	for name, payload := range map[string][]byte{"aligned": enc, "misaligned": misaligned(enc)} {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(payload)))

@@ -121,7 +121,7 @@ func TestReconnectMetrics(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		snap := srv.Metrics().Snapshot(time.Now(), srv.Ring().Total())
+		snap := srv.Metrics().Snapshot(time.Now(), srv.ring.Total())
 		if snap.Reconnects == 1 {
 			found := false
 			for _, s := range snap.Sessions {

@@ -59,7 +59,7 @@ func serveEpochs(t *testing.T, spec workloads.Spec, sampleCacheBytes int64, epoc
 	// Rewritten or not, the plan leaves the trace its shape: a valid served
 	// trace, and per sample one record per op, under the op's own name, in
 	// plan order.
-	recs := srv.Ring().Snapshot()
+	recs := srv.ring.Snapshot()
 	if issues := trace.Validate(recs); len(issues) > 0 {
 		t.Fatalf("served trace does not validate: %v", issues)
 	}

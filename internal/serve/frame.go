@@ -25,10 +25,9 @@ import (
 // cached frame hashes nothing.
 //
 // Reference rules: every *Frame a caller receives (encodeBatchFrame, cache
-// TryGet, cache Acquire) carries one reference owned by
-// that caller, released with exactly one Release. Retain adds a reference for
-// a new owner. Bytes must not be mutated or retained past the owner's
-// Release.
+// Acquire) carries one reference owned by that caller, released with exactly
+// one Release. Retain adds a reference for a new owner. Bytes must not be
+// mutated or retained past the owner's Release.
 type Frame struct {
 	b      []byte
 	digest uint32  // Digest(b)
@@ -270,10 +269,9 @@ func newFrame(box *[]byte, digest uint32) *Frame {
 	return f
 }
 
-// encodeBatchFrame encodes m into a pooled Frame — the zero-allocation
-// (steady state) form of EncodeBatch, byte-identical by construction because
-// both call AppendBatch — and digests the bytes, the one hash pass they get
-// on this server.
+// encodeBatchFrame encodes m into a pooled Frame with AppendBatch, the
+// reference encoder — zero allocations in steady state — and digests the
+// bytes, the one hash pass they get on this server.
 func encodeBatchFrame(m *Batch) *Frame {
 	box := frameBufFor(batchWireSize(m))
 	*box = AppendBatch(*box, m)

@@ -197,7 +197,7 @@ func TestHotPathBytesPerFrame(t *testing.T) {
 				t.Fatal(err)
 			}
 			if MsgType(p[0]) != MsgBatch {
-				t.Fatalf("unexpected %s frame in the stream", MsgType(p[0]))
+				t.Fatalf("unexpected frame type %#x in the stream", p[0])
 			}
 			if frame == nil {
 				frame = append([]byte(nil), p...)
@@ -213,7 +213,7 @@ func TestHotPathBytesPerFrame(t *testing.T) {
 	}
 	perFrame := float64(totalAlloc()-before) / float64(frames)
 	t.Logf("server: %.0f B allocated per %d-byte cached frame (%d frames)", perFrame, len(frame), frames)
-	if frames != 32 || !bytes.Equal(frame, EncodeBatch(m)) {
+	if frames != 32 || !bytes.Equal(frame, AppendBatch(nil, m)) {
 		t.Fatalf("read %d frames of %d bytes, want 32 copies of the %d-byte frame", frames, len(frame), batchWireSize(m))
 	}
 	if perFrame >= 1024 {

@@ -45,7 +45,7 @@ func layoutBatches() []*Batch {
 // padding byte — the same tensor, a different digest — is malformed.
 func TestBatchPayloadLayoutV3(t *testing.T) {
 	for _, m := range layoutBatches() {
-		enc := EncodeBatch(m)
+		enc := AppendBatch(nil, m)
 		if len(enc) != batchWireSize(m) {
 			t.Fatalf("%v: encoded %d bytes, batchWireSize says %d", m.Shape, len(enc), batchWireSize(m))
 		}
@@ -142,7 +142,7 @@ func TestPortableAndNativePathsAgree(t *testing.T) {
 	// The same through DecodeMessage: a whole frame at an odd address decodes
 	// to the batch the aligned frame decodes to.
 	for _, m := range layoutBatches() {
-		enc := EncodeBatch(m)
+		enc := AppendBatch(nil, m)
 		a, err := DecodeMessage(enc)
 		if err != nil {
 			t.Fatal(err)
@@ -162,7 +162,7 @@ func TestPortableAndNativePathsAgree(t *testing.T) {
 // a consumer gets out from under it.
 func TestDecodedBatchIsAViewCloneIsNot(t *testing.T) {
 	for _, m := range layoutBatches()[:2] {
-		enc := append(make([]byte, 0, 4096), EncodeBatch(m)...) // 4-byte aligned: a large-enough allocation
+		enc := append(make([]byte, 0, 4096), AppendBatch(nil, m)...) // 4-byte aligned: a large-enough allocation
 		msg, err := DecodeMessage(enc)
 		if err != nil {
 			t.Fatal(err)

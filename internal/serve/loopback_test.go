@@ -55,7 +55,7 @@ func localEpochFrames(t *testing.T, spec workloads.Spec, epoch int) [][]byte {
 	t.Helper()
 	var out [][]byte
 	for _, b := range localEpochBatches(t, spec, epoch, pipeline.Simulated, 0) {
-		out = append(out, EncodeBatch(b))
+		out = append(out, AppendBatch(nil, b))
 	}
 	return out
 }
@@ -455,7 +455,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	defer ln.Close()
 
 	mkBatch := func(gid int) []byte {
-		return EncodeBatch(&Batch{Epoch: 0, GlobalID: gid, Indices: []int{gid}, Labels: []int{gid},
+		return AppendBatch(nil, &Batch{Epoch: 0, GlobalID: gid, Indices: []int{gid}, Labels: []int{gid},
 			Dtype: tensor.Uint8, Shape: []int{1, 8}})
 	}
 

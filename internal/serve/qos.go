@@ -147,8 +147,6 @@ type fairPacer struct {
 	mu      sync.Mutex
 	maxLead int64 // in vtime units (bytes*pacerScale per unit weight)
 	entries map[string]*pacerEntry
-
-	paced int64 // admits that had to wait at least once (stats)
 }
 
 type pacerEntry struct {
@@ -212,18 +210,11 @@ func (p *fairPacer) admit(tenant string, weight int, cost int64, now time.Time) 
 		}
 	}
 	if hasPeer && e.vtime-minActive > p.maxLead {
-		p.paced++
 		return pacerStep
 	}
 	e.vtime += cost * pacerScale / int64(weight)
 	e.lastActive = now
 	return 0
-}
-
-func (p *fairPacer) stats() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.paced
 }
 
 // ---------------------------------------------------------------------------
@@ -420,21 +411,4 @@ func (qs *qosState) snapshot() []TenantSnapshot {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
-}
-
-// JainIndex computes Jain's fairness index over per-tenant throughput values:
-// (Σx)² / (n·Σx²), 1.0 when perfectly fair, 1/n when one tenant takes all.
-func JainIndex(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
-	var sum, sq float64
-	for _, x := range xs {
-		sum += x
-		sq += x * x
-	}
-	if sq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(xs)) * sq)
 }

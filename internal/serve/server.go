@@ -364,9 +364,6 @@ func (s *Server) HTTPAddr() string {
 	return s.httpLn.Addr().String()
 }
 
-// Ring exposes the live trace ring (for in-process observability and tests).
-func (s *Server) Ring() *trace.Ring { return s.ring }
-
 // Metrics exposes the live counters.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 

@@ -87,7 +87,7 @@ func TestStreamShapeRejectedBeforeCallback(t *testing.T) {
 								return // Bye
 							}
 							for _, f := range tc.serve(req.Epoch, req.IDs) {
-								WriteFrame(conn, EncodeBatch(&Batch{Epoch: f.epoch, GlobalID: f.id, Indices: []int{f.id},
+								WriteFrame(conn, AppendBatch(nil, &Batch{Epoch: f.epoch, GlobalID: f.id, Indices: []int{f.id},
 									Labels: []int{f.id}, Dtype: tensor.Uint8, Shape: []int{1, 8}}))
 							}
 						}

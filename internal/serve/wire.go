@@ -191,24 +191,6 @@ const (
 	MsgShardReq MsgType = 0x08
 )
 
-func (t MsgType) String() string {
-	switch t {
-	case MsgHello:
-		return "Hello"
-	case MsgHelloAck:
-		return "HelloAck"
-	case MsgBatch:
-		return "Batch"
-	case MsgError:
-		return "Error"
-	case MsgBye:
-		return "Bye"
-	case MsgShardReq:
-		return "ShardReq"
-	}
-	return fmt.Sprintf("MsgType(0x%02x)", byte(t))
-}
-
 // ErrMalformed tags every decode failure; errors.Is(err, ErrMalformed)
 // distinguishes protocol violations from I/O errors.
 var ErrMalformed = errors.New("serve: malformed frame")
@@ -521,19 +503,12 @@ func batchWireSize(m *Batch) int {
 	return batchTensorOffset(len(m.Indices), len(m.Shape)) + len(m.U8) + 4*len(m.F32)
 }
 
-// EncodeBatch renders a Batch frame payload. The encoding is deterministic,
-// so two batches with identical content encode to identical bytes — the
-// property the byte-identical serving test asserts. The serving hot path
-// avoids this allocation via pooled frame buffers (frame.go); EncodeBatch
-// stays as the allocate-per-call form for clients and tests.
-func EncodeBatch(m *Batch) []byte {
-	return AppendBatch(make([]byte, 0, batchWireSize(m)), m)
-}
-
 // AppendBatch appends the canonical Batch frame encoding to dst and returns
-// the extended slice. It is the reference encoder: EncodeBatch and the pooled
-// frame path call it, and the plane's collate-into-frame path is tested
-// byte-equal to it.
+// the extended slice. The encoding is deterministic, so two batches with
+// identical content encode to identical bytes — the property the
+// byte-identical serving test asserts. It is the reference encoder: the
+// pooled frame path calls it, and the plane's collate-into-frame path is
+// tested byte-equal to it.
 func AppendBatch(dst []byte, m *Batch) []byte {
 	b := appendBatchHeader(dst, m)
 	switch {
@@ -583,25 +558,6 @@ func EncodeError(e ErrorMsg) []byte {
 
 // EncodeBye renders a Bye frame payload.
 func EncodeBye() []byte { return []byte{byte(MsgBye)} }
-
-// EncodeMessage renders any wire message (used by the round-trip fuzz test).
-func EncodeMessage(msg any) ([]byte, error) {
-	switch m := msg.(type) {
-	case Hello:
-		return EncodeHello(m), nil
-	case HelloAck:
-		return EncodeHelloAck(m), nil
-	case ShardReq:
-		return EncodeShardReq(m), nil
-	case *Batch:
-		return EncodeBatch(m), nil
-	case ErrorMsg:
-		return EncodeError(m), nil
-	case Bye:
-		return EncodeBye(), nil
-	}
-	return nil, fmt.Errorf("serve: cannot encode %T", msg)
-}
 
 // ---------------------------------------------------------------------------
 // Decoding

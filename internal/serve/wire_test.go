@@ -14,7 +14,7 @@ import (
 
 func roundTrip(t *testing.T, msg any) any {
 	t.Helper()
-	enc, err := EncodeMessage(msg)
+	enc, err := encodeMessage(msg)
 	if err != nil {
 		t.Fatalf("encode %T: %v", msg, err)
 	}
@@ -107,17 +107,17 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			return b
 		}()},
 		{"batch forged count", func() []byte {
-			b := EncodeBatch(&Batch{Indices: []int{1}, Labels: []int{1}, Dtype: tensor.Uint8})
+			b := AppendBatch(nil, &Batch{Indices: []int{1}, Labels: []int{1}, Dtype: tensor.Uint8})
 			b[9+3] = 0xff // inflate the sample count far past the payload
 			return b
 		}()},
 		{"batch bad dtype", func() []byte {
-			b := EncodeBatch(&Batch{Indices: []int{1}, Labels: []int{1}, Dtype: tensor.Uint8})
+			b := AppendBatch(nil, &Batch{Indices: []int{1}, Labels: []int{1}, Dtype: tensor.Uint8})
 			b[len(b)-3] = 0x7f
 			return b
 		}()},
 		{"batch payload size mismatch", func() []byte {
-			b := EncodeBatch(&Batch{Indices: []int{1}, Labels: []int{1},
+			b := AppendBatch(nil, &Batch{Indices: []int{1}, Labels: []int{1},
 				Dtype: tensor.Uint8, Shape: []int{4}, U8: []uint8{1, 2, 3, 4}})
 			return b[:len(b)-1]
 		}()},
@@ -187,13 +187,13 @@ func TestFrameHeaderGolden(t *testing.T) {
 	m := &Batch{Epoch: 1, GlobalID: 2, Indices: []int{3, 1}, Labels: []int{0, 4},
 		Dtype: tensor.Uint8, Shape: []int{2, 1, 2, 3}, U8: []uint8{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, EncodeBatch(m)); err != nil {
+	if err := WriteFrame(&buf, AppendBatch(nil, m)); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := fmt.Sprintf("%x", buf.Bytes()[:FrameHeaderSize]), "0000004cc0e2bae2"; got != want {
 		t.Fatalf("batch frame header %s, pinned %s", got, want)
 	}
-	if got := buf.Bytes()[FrameHeaderSize:]; !bytes.Equal(got, EncodeBatch(m)) {
+	if got := buf.Bytes()[FrameHeaderSize:]; !bytes.Equal(got, AppendBatch(nil, m)) {
 		t.Fatalf("payload after the header is not the batch's encoding")
 	}
 }

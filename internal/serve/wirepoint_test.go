@@ -71,7 +71,7 @@ func TestWirePointFrameBytes(t *testing.T) {
 // ends the epoch with ErrMalformed before any callback.
 func TestTableSessionRefusesUnfinishableBatch(t *testing.T) {
 	m := &Batch{Indices: []int{1}, Labels: []int{2}, Dtype: tensor.Float32, Shape: []int{1, 3, 2, 2}, F32: make([]float32, 12)}
-	c := NewClient(ClientConfig{Addr: feedFrames(t, EncodeBatch(m), 1), Name: "strict"})
+	c := NewClient(ClientConfig{Addr: feedFrames(t, AppendBatch(nil, m), 1), Name: "strict"})
 	defer c.Close()
 	err := c.FetchShard(0, []int{0}, func(*Batch, []byte) { t.Fatal("an unfinishable batch reached the callback") })
 	if !errors.Is(err, ErrMalformed) {

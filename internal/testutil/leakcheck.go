@@ -79,24 +79,12 @@ type failer interface {
 // at the top of any test that starts servers, clients, or pipelines — the
 // teardown paths under test must not strand producer or worker goroutines.
 func CheckGoroutines(t failer) func() {
-	before, _ := countInteresting()
+	before := Baseline()
 	return func() {
 		t.Helper()
-		// Goroutines unwind asynchronously after Close/Shutdown returns;
-		// poll with a deadline instead of failing on the first count.
-		deadline := time.Now().Add(5 * time.Second)
-		var after int
-		var stacks string
-		for {
-			after, stacks = countInteresting()
-			if after <= before || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		if after > before {
-			t.Errorf("goroutine leak: %d interesting goroutines before, %d after\n%s",
-				before, after, stacks)
+		// Goroutines unwind asynchronously after Close/Shutdown returns.
+		if err := WaitNoLeaks(before, 5*time.Second); err != nil {
+			t.Errorf("%v", err)
 		}
 	}
 }

@@ -32,10 +32,14 @@ func TestOfflineDecodeRemovesBottleneck(t *testing.T) {
 func TestOfflineDecodeDropsDecodeOps(t *testing.T) {
 	spec := ICSpec(64, 2)
 	spec.OfflineDecode = true
-	gt := spec.Compose(nil).GroundTruth()
-	for _, k := range gt["Loader"] {
-		if k == "decode_mcu" || k == "jpeg_idct_islow" {
-			t.Fatalf("offline loader still declares decode kernel %s", k)
+	for _, tf := range spec.Compose(nil).Transforms {
+		if tf.Name() != "Loader" {
+			continue
+		}
+		for _, k := range tf.Kernels() {
+			if k == "decode_mcu" || k == "jpeg_idct_islow" {
+				t.Fatalf("offline loader still declares decode kernel %s", k)
+			}
 		}
 	}
 	a := runTraced(t, spec)

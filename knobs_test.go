@@ -64,7 +64,7 @@ func TestKnobRatchet(t *testing.T) {
 
 // TestDocRatchet pins the line counts of DESIGN.md and README.md. The docs
 // are to describe the system as it is, and prose has outgrown the code it
-// describes (ROADMAP item 18): a change that lengthens one must move its pin
+// describes (ROADMAP item 26): a change that lengthens one must move its pin
 // and say why in CHANGES.md; a change that shortens one lowers the pin.
 func TestDocRatchet(t *testing.T) {
 	for _, c := range []struct {
