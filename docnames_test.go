@@ -189,6 +189,7 @@ type docType struct {
 type typeRef struct{ pkg, name string }
 
 type docComment struct {
+	file string
 	pos  string
 	text string
 }
@@ -200,7 +201,7 @@ type docIndex struct {
 	byName   map[string][]typeRef       // type name → every package declaring it
 	flags    map[string]map[string]bool // command → flag names
 	tests    []string                   // Test*, Benchmark*, Fuzz* functions
-	comments []docComment               // every Go comment, for DESIGN §N
+	comments []docComment               // every Go comment, for DESIGN §N and the present tense
 }
 
 func loadDocIndex(t *testing.T) *docIndex {
@@ -229,7 +230,7 @@ func loadDocIndex(t *testing.T) *docIndex {
 			return err
 		}
 		for _, cg := range f.Comments {
-			idx.comments = append(idx.comments, docComment{fset.Position(cg.Pos()).String(), cg.Text()})
+			idx.comments = append(idx.comments, docComment{path, fset.Position(cg.Pos()).String(), cg.Text()})
 		}
 		if strings.HasSuffix(path, "_test.go") {
 			for _, decl := range f.Decls {
@@ -479,3 +480,130 @@ func (idx *docIndex) flag(cmd, name string) string {
 	}
 	return ""
 }
+
+// TestReadmeInventory holds README.md's Architecture tree to the module's
+// layout: every directory under internal/ that holds Go code appears in the
+// tree as its path below internal/ ("store/", "core/trace/"), and every
+// cmd/lotus-* command is named there in full.
+func TestReadmeInventory(t *testing.T) {
+	b, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := string(b)
+	i := strings.Index(s, "\n## Architecture\n")
+	if i < 0 {
+		t.Fatal("README.md has no ## Architecture section")
+	}
+	_, fenced := splitFenced(s[i:])
+	if len(fenced) == 0 {
+		t.Fatal("README.md's Architecture section has no fenced tree")
+	}
+	tree := fenced[0]
+	dirs := map[string]bool{}
+	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+			rel, _ := filepath.Rel("internal", filepath.Dir(path))
+			dirs[filepath.ToSlash(rel)+"/"] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dirs) == 0 {
+		t.Fatal("no Go packages found under internal/")
+	}
+	for name := range dirs {
+		if !regexp.MustCompile(`(?m)^\s*` + regexp.QuoteMeta(name) + `(\s|$)`).MatchString(tree) {
+			t.Errorf("README.md's Architecture tree has no line for internal/%s", name)
+		}
+	}
+	cmds, err := filepath.Glob("cmd/lotus-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cmds) == 0 {
+		t.Fatal("no cmd/lotus-* commands found")
+	}
+	for _, c := range cmds {
+		name := filepath.Base(c)
+		if !regexp.MustCompile(`\b` + regexp.QuoteMeta(name) + `\b`).MatchString(tree) {
+			t.Errorf("README.md's Architecture tree does not name %s", name)
+		}
+	}
+}
+
+// TestExperimentsTable2 holds EXPERIMENTS.md's Table II to
+// results/table2.txt: each "measured" cell of the IC, IS and OD rows is that
+// workload's Avg row rounded to the cell's decimals, and each "paper" cell
+// its "paper Avg" row.
+func TestExperimentsTable2(t *testing.T) {
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := os.ReadFile("results/table2.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// results: workload → row label → values.
+	avg := map[string]map[string][]string{}
+	var wl string
+	for _, line := range strings.Split(string(res), "\n") {
+		if m := table2HeadRE.FindStringSubmatch(line); m != nil {
+			wl = m[1]
+			avg[wl] = map[string][]string{}
+			continue
+		}
+		for _, label := range []string{"paper Avg", "Avg"} {
+			if rest, ok := strings.CutPrefix(line, label+" "); ok && wl != "" {
+				avg[wl][label] = strings.Fields(rest)
+				break
+			}
+		}
+	}
+	rows := 0
+	for _, line := range strings.Split(string(doc), "\n") {
+		m := table2RowRE.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		rows++
+		wl, ops := m[1], strings.Split(m[2], " / ")
+		for _, col := range []struct{ name, cells, label string }{
+			{"paper", m[3], "paper Avg"},
+			{"measured", m[4], "Avg"},
+		} {
+			cells, want := strings.Split(col.cells, " / "), avg[wl][col.label]
+			if len(cells) != len(ops) || len(want) != len(ops) {
+				t.Errorf("Table II row %s: %d ops, %d %s cells, %d values in results/table2.txt's %q row",
+					wl, len(ops), len(cells), col.name, len(want), col.label)
+				continue
+			}
+			for i, cell := range cells {
+				v, err := strconv.ParseFloat(want[i], 64)
+				if err != nil {
+					t.Errorf("Table II row %s op %s: results/table2.txt %q value %q: %v", wl, ops[i], col.label, want[i], err)
+					continue
+				}
+				dec := 0
+				if j := strings.IndexByte(cell, '.'); j >= 0 {
+					dec = len(cell) - j - 1
+				}
+				if got := strconv.FormatFloat(v, 'f', dec, 64); got != cell {
+					t.Errorf("Table II row %s op %s: %s cell %s, but results/table2.txt's %q row reads %s (%s at the cell's precision)",
+						wl, ops[i], col.name, cell, col.label, want[i], got)
+				}
+			}
+		}
+	}
+	if rows != 3 || len(avg) != 3 {
+		t.Errorf("found %d Table II rows in EXPERIMENTS.md and %d workloads in results/table2.txt, want 3 and 3", rows, len(avg))
+	}
+}
+
+var (
+	table2HeadRE = regexp.MustCompile(`^--- (\w+) \(`)
+	table2RowRE  = regexp.MustCompile(`^\| (IC|IS|OD): ([^|]+?) \| ([^|]+?) \| ([^|]+?) \|$`)
+)

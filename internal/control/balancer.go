@@ -9,7 +9,7 @@ import (
 
 // NodeSample is one node's observed service metrics over a window (the
 // cluster router assembles these from its per-node steady-state latency
-// histograms — the PR 8 hedge signal reused as the degradation signal).
+// histograms, the hedge signal reused as the degradation signal).
 type NodeSample struct {
 	Node string
 	// Batches is the number of steady-frame observations in the window.

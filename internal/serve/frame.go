@@ -16,8 +16,8 @@ import (
 // bytes are immutable from then on, shared by the session that produced them,
 // the batch cache, and every session that hits the cache. The last Release
 // returns the buffer and the Frame header to where they came from, which is
-// the PR 1 imaging-pool discipline applied to the wire layer: explicit
-// ownership, a handful of size classes, zero steady-state allocation.
+// the imaging package's buffer-pool discipline applied to the wire layer:
+// explicit ownership, a handful of size classes, zero steady-state allocation.
 //
 // A Frame also carries the Digest of its bytes, computed once by whoever made
 // the bytes: the encoder, or the disk tier's verify pass. Every session that

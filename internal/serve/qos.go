@@ -48,9 +48,8 @@ type TenantLimit struct {
 	// BatchesPerSec caps the tenant's aggregate served batches per second.
 	// <= 0 means unlimited.
 	BatchesPerSec int64
-	// BurstBytes / BurstBatches are the bucket depths; 0 defaults to one
-	// second's worth of the corresponding rate.
-	BurstBytes   int64
+	// BurstBatches is the batch bucket's depth; 0 defaults to one second of
+	// BatchesPerSec. The bytes bucket always holds one second of BytesPerSec.
 	BurstBatches int64
 	// Weight is the tenant's share under contention (default 1): a weight-2
 	// tenant is granted twice the plane's workers per scheduling round, and
@@ -320,7 +319,7 @@ func (qs *qosState) tenant(name string) *tenantState {
 	t = &tenantState{name: name, limit: limit}
 	now := qs.now()
 	if limit.BytesPerSec > 0 {
-		t.bytes = newTokenBucket(float64(limit.BytesPerSec), float64(limit.BurstBytes), now)
+		t.bytes = newTokenBucket(float64(limit.BytesPerSec), float64(limit.BytesPerSec), now)
 	}
 	if limit.BatchesPerSec > 0 {
 		t.batch = newTokenBucket(float64(limit.BatchesPerSec), float64(limit.BurstBatches), now)

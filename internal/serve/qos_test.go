@@ -165,7 +165,7 @@ func TestFairGateCancel(t *testing.T) {
 // sleeper: the pacing delays are pure token-bucket arithmetic.
 func TestThrottleDeterministic(t *testing.T) {
 	qs := newQoSState(map[string]TenantLimit{
-		"capped": {BytesPerSec: 1000, BurstBytes: 1000},
+		"capped": {BytesPerSec: 1000},
 	})
 	now := time.Unix(2000, 0)
 	var slept []time.Duration
@@ -424,7 +424,7 @@ func TestClientStringTablesBounded(t *testing.T) {
 	spec.NumWorkers = 1
 	limits := map[string]TenantLimit{
 		"gold":   {Weight: 4, BatchesPerSec: 1e6, BurstBatches: 1e6},
-		"silver": {Weight: 2, BytesPerSec: 1 << 40, BurstBytes: 1 << 40},
+		"silver": {Weight: 2, BytesPerSec: 1 << 40},
 	}
 	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
 		Tenants: limits, Logf: func(string, ...any) {}})

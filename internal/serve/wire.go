@@ -6,10 +6,9 @@
 // bounded server-side prefetch (backpressure), graceful drain, and live
 // observability over an HTTP sidecar (/healthz, /metrics, /trace).
 //
-// This is the step after a fast local hot path that tf.data service and the
-// disaggregated-preprocessing literature take: many trainers share one pool
-// of preprocessing workers, caches, and the LotusTrace instrumentation the
-// repository already has.
+// It is the tf.data-service shape that the disaggregated-preprocessing
+// literature studies: many trainers share one pool of preprocessing workers,
+// its caches and its LotusTrace instrumentation.
 //
 // # Wire format (protocol version 5)
 //
@@ -38,7 +37,7 @@
 // cluster router names whatever its ring assigns. Rank and World stay in
 // Hello as the session's labels on /metrics.
 //
-// # Digests (since protocol version 2; in the frame header since version 4)
+// # Digests
 //
 // Every frame payload has one digest: its CRC32C (Digest). For a Batch the
 // server computes it once, when the frame is encoded — or adopts the one the
@@ -53,22 +52,19 @@
 // the k-th frame must be batch ids[k] of the requested epoch, and the
 // stream ends at the len(ids)-th. A swapped, dropped, duplicated,
 // foreign-epoch or unrequested frame fails the stream at that position,
-// before any callback sees it. (Versions 2 to 4 closed each stream with an
-// end-of-epoch frame, whose FNV-1a fold over the frames sent was checked only
-// after every callback had run, and which a server that swapped or skipped a
-// batch folded just as faithfully.)
+// before any callback sees it.
 //
 // What CRC32C detects: every 1-, 2- and 3-bit error and every burst up to 32
 // bits (the polynomial keeps Hamming distance 4 out to 2^31 - 1 bits, 256
 // MiB; DefaultMaxFrame is 64 MiB), and any other damage with probability
 // 1 - 2^-32.
 //
-// Version 1 folded FNV-1a over every payload byte instead, which can be
-// neither memoised per frame nor vectorised. A peer older than version 4 is
-// refused at Hello in its own framing, a version 4 peer in the current one:
-// either reads a clean Error.
+// A peer of any version but ProtocolVersion is refused at Hello. A peer older
+// than version 4 frames without the digest word and is refused in its own
+// framing; a version 4 peer frames like this one and is refused in it: either
+// reads a clean Error.
 //
-// # Batch payload layout (protocol version 3 and later)
+// # Batch payload layout
 //
 // Offsets are from the start of the frame payload (the type byte is offset
 // 0); n is the batch's sample count, r the tensor's rank.
@@ -93,14 +89,13 @@
 // padding is part of the canonical encoding — it must be zero, a nonzero
 // padding byte is ErrMalformed, and it is covered by the frame's Digest like
 // every other byte — so a batch still has exactly one encoding. Every field
-// outside the tensor stays big-endian. Version 3 put the tensor there because
-// the version 2 form (big-endian floats at an odd offset) cost a conversion
-// pass on each side of the wire; on a little-endian host the version 3 tensor
-// is the in-memory tensor. Big-endian hosts, and payloads that are not 4-byte
-// aligned in memory, take the portable element loops in f32.go and see the
-// same values.
+// outside the tensor stays big-endian. The tensor is little-endian and
+// aligned so that, on a little-endian host, it is the in-memory tensor and
+// neither side runs a conversion pass. Big-endian hosts, and payloads that
+// are not 4-byte aligned in memory, take the portable element loops in
+// f32.go and see the same values.
 //
-// # The wire point (protocol version 4)
+// # The wire point
 //
 // A RealData plan that ends in ToTensor, Normalize has those two ops run by
 // its collate, as one 3×256 table lookup per byte (pipeline's tensor
@@ -143,21 +138,16 @@ import (
 
 // Protocol constants.
 const (
-	// ProtocolVersion is bumped on incompatible wire changes. Version 2
-	// redefined the stream checksum; version 3 redefined the Batch tensor
-	// payload (little-endian, at an aligned offset); version 4 put the payload
-	// digest in the frame header, the tensor tail's table in HelloAck, and the
-	// tail's last pass on the client; version 5 made ShardReq the only stream
-	// request and dropped the end-of-epoch frame. The server refuses any
-	// other version at Hello, so two definitions never meet mid-stream.
+	// ProtocolVersion is bumped on every incompatible wire change. The
+	// server refuses any other version at Hello, so two definitions never
+	// meet mid-stream.
 	ProtocolVersion = 5
 	// frameLayoutVersion names the byte layout of an encoded Batch frame. It
 	// is hashed into SpecFingerprint because encoded frames outlive the
 	// process in the disk tier: bump it whenever AppendBatch's output changes
-	// for the same batch — or, as in version 4, what a batch's frame holds
-	// (pixels, where version 3 held float32s) — so frames persisted under the
-	// old layout become misses instead of being streamed to peers that parse
-	// the new one.
+	// for the same batch, or what a batch's frame holds (pixels or float32s),
+	// so that frames persisted under the old layout become misses instead of
+	// being streamed to peers that parse the new one.
 	frameLayoutVersion = 4
 	// FrameHeaderSize is the length of a frame's header: payload length and
 	// payload digest.
