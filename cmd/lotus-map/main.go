@@ -21,7 +21,7 @@ import (
 
 func main() {
 	var (
-		workload = flag.String("workload", "IC", "pipeline: IC, IS, or OD")
+		workload = flag.String("workload", "IC", "pipeline: IC, ICA, IS, or OD")
 		arch     = flag.String("arch", "intel", "simulated CPU vendor: intel or amd")
 		outPath  = flag.String("out", "mapping_funcs.json", "mapping JSON output path")
 		seed     = flag.Int64("seed", 1, "sampler randomness root")
@@ -29,16 +29,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var spec workloads.Spec
-	switch workloads.Kind(*workload) {
-	case workloads.IC:
-		spec = workloads.ICSpec(4, *seed)
-	case workloads.IS:
-		spec = workloads.ISSpec(4, *seed)
-	case workloads.OD:
-		spec = workloads.ODSpec(4, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "lotus-map: unknown workload %q\n", *workload)
+	spec, err := workloads.New(workloads.Kind(*workload), 4, *seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lotus-map: %v\n", err)
 		os.Exit(2)
 	}
 

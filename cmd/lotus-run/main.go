@@ -24,7 +24,7 @@ import (
 
 func main() {
 	var (
-		workload = flag.String("workload", "IC", "pipeline: IC, IS, or OD")
+		workload = flag.String("workload", "IC", "pipeline: IC, ICA, IS, or OD")
 		samples  = flag.Int("samples", 5120, "dataset size")
 		batch    = flag.Int("batch", 0, "batch size (0 = workload default)")
 		workers  = flag.Int("workers", 0, "DataLoader workers (0 = workload default)")
@@ -36,16 +36,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var spec workloads.Spec
-	switch workloads.Kind(*workload) {
-	case workloads.IC:
-		spec = workloads.ICSpec(*samples, *seed)
-	case workloads.IS:
-		spec = workloads.ISSpec(*samples, *seed)
-	case workloads.OD:
-		spec = workloads.ODSpec(*samples, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "lotus-run: unknown workload %q (want IC, IS, or OD)\n", *workload)
+	spec, err := workloads.New(workloads.Kind(*workload), *samples, *seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lotus-run: %v\n", err)
 		os.Exit(2)
 	}
 	if *batch > 0 {

@@ -109,18 +109,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lotus-serve: -samples %d: the dataset needs at least one sample\n", *samples)
 		os.Exit(2)
 	}
-	var spec workloads.Spec
-	switch workloads.Kind(*workload) {
-	case workloads.IC:
-		spec = workloads.ICSpec(*samples, *seed)
-	case workloads.ICA:
-		spec = workloads.ICASpec(*samples, *seed)
-	case workloads.IS:
-		spec = workloads.ISSpec(*samples, *seed)
-	case workloads.OD:
-		spec = workloads.ODSpec(*samples, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "lotus-serve: unknown workload %q (want IC, ICA, IS, or OD)\n", *workload)
+	spec, err := workloads.New(workloads.Kind(*workload), *samples, *seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lotus-serve: %v\n", err)
 		os.Exit(2)
 	}
 	if *batch > 0 {

@@ -20,7 +20,7 @@ import (
 
 func main() {
 	var (
-		workload = flag.String("workload", "IC", "pipeline: IC, IS, or OD")
+		workload = flag.String("workload", "IC", "pipeline: IC, ICA, IS, or OD")
 		samples  = flag.Int("samples", 2048, "dataset size per candidate run")
 		batch    = flag.Int("batch", 0, "batch size (0 = workload default)")
 		gpus     = flag.Int("gpus", 0, "GPU count (0 = workload default)")
@@ -31,16 +31,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var spec workloads.Spec
-	switch workloads.Kind(*workload) {
-	case workloads.IC:
-		spec = workloads.ICSpec(*samples, *seed)
-	case workloads.IS:
-		spec = workloads.ISSpec(*samples, *seed)
-	case workloads.OD:
-		spec = workloads.ODSpec(*samples, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "lotus-tune: unknown workload %q\n", *workload)
+	spec, err := workloads.New(workloads.Kind(*workload), *samples, *seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lotus-tune: %v\n", err)
 		os.Exit(2)
 	}
 	if *batch > 0 {

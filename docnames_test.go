@@ -537,7 +537,8 @@ func TestReadmeInventory(t *testing.T) {
 // TestExperimentsTable2 holds EXPERIMENTS.md's Table II to
 // results/table2.txt: each "measured" cell of the IC, IS and OD rows is that
 // workload's Avg row rounded to the cell's decimals, and each "paper" cell
-// its "paper Avg" row.
+// its "paper Avg" row. It holds the ablations' numbers to
+// results/extensions.txt the same way.
 func TestExperimentsTable2(t *testing.T) {
 	doc, err := os.ReadFile("EXPERIMENTS.md")
 	if err != nil {
@@ -587,11 +588,7 @@ func TestExperimentsTable2(t *testing.T) {
 					t.Errorf("Table II row %s op %s: results/table2.txt %q value %q: %v", wl, ops[i], col.label, want[i], err)
 					continue
 				}
-				dec := 0
-				if j := strings.IndexByte(cell, '.'); j >= 0 {
-					dec = len(cell) - j - 1
-				}
-				if got := strconv.FormatFloat(v, 'f', dec, 64); got != cell {
+				if got := atPrecision(v, cell); got != cell {
 					t.Errorf("Table II row %s op %s: %s cell %s, but results/table2.txt's %q row reads %s (%s at the cell's precision)",
 						wl, ops[i], col.name, cell, col.label, want[i], got)
 				}
@@ -601,6 +598,55 @@ func TestExperimentsTable2(t *testing.T) {
 	if rows != 3 || len(avg) != 3 {
 		t.Errorf("found %d Table II rows in EXPERIMENTS.md and %d workloads in results/table2.txt, want 3 and 3", rows, len(avg))
 	}
+
+	ext, err := os.ReadFile("results/extensions.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prose := strings.Join(strings.Fields(string(doc)), " ")
+	for _, c := range ablations {
+		cells, want := c.doc.FindStringSubmatch(prose), c.res.FindStringSubmatch(string(ext))
+		if cells == nil || want == nil {
+			t.Errorf("ablation %s: EXPERIMENTS.md matches %q, results/extensions.txt matches %q", c.name, cells, want)
+			continue
+		}
+		for i, cell := range cells[1:] {
+			v, err := strconv.ParseFloat(want[i+1], 64)
+			if err != nil {
+				t.Fatalf("ablation %s: results/extensions.txt value %q: %v", c.name, want[i+1], err)
+			}
+			if got := atPrecision(v, cell); got != cell {
+				t.Errorf("ablation %s: EXPERIMENTS.md says %s, but results/extensions.txt reads %s (%s at the doc's precision)",
+					c.name, cell, want[i+1], got)
+			}
+		}
+	}
+}
+
+// atPrecision formats v with as many decimals as cell has.
+func atPrecision(v float64, cell string) string {
+	dec := 0
+	if j := strings.IndexByte(cell, '.'); j >= 0 {
+		dec = len(cell) - j - 1
+	}
+	return strconv.FormatFloat(v, 'f', dec, 64)
+}
+
+// ablations pairs each ablation's numbers in EXPERIMENTS.md's prose (its
+// whitespace folded to single spaces) with the same numbers, in the same
+// order, in results/extensions.txt.
+var ablations = []struct {
+	name     string
+	doc, res *regexp.Regexp
+}{
+	{"dispatch arrivals", regexp.MustCompile(`out-of-order arrivals \((\d+)→(\d+)\)`),
+		regexp.MustCompile(`producer \(PyTorch\): +(\d+) OOO arrivals.*\n.*least-work\S*: +(\d+) OOO arrivals`)},
+	{"dispatch delay", regexp.MustCompile(`max batch delay \((\d+)→(\d+) ms\)`),
+		regexp.MustCompile(`producer \(PyTorch\):.*max delay (\d+)ms\n.*least-work\S*:.*max delay (\d+)ms`)},
+	{"offline decode", regexp.MustCompile(`cuts the IC epoch ([\d.]+) s → ([\d.]+) s`),
+		regexp.MustCompile(`online: +epoch ([\d.]+)s.*\n +offline: +epoch ([\d.]+)s`)},
+	{"autotune", regexp.MustCompile(`IC's sweep runs all (\d+) evaluations .*? stops after (\d+)\.`),
+		regexp.MustCompile(`IC: (\d+) evaluations.*\n +IS: (\d+) evaluations`)},
 }
 
 var (

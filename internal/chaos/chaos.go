@@ -31,7 +31,6 @@ import (
 	"lotus/internal/clock"
 	"lotus/internal/core/trace"
 	"lotus/internal/faultinject"
-	"lotus/internal/native"
 	"lotus/internal/pipeline"
 	"lotus/internal/serve"
 	"lotus/internal/testutil"
@@ -197,19 +196,10 @@ func loaderCell(class string, spec workloads.Spec, fspec faultinject.Spec) cell 
 					res.Failures = append(res.Failures, fmt.Sprintf("deadlock or panic: %v", r))
 				}
 			}()
+			cfg := spec.LoaderConfig(pipeline.Simulated, 0, 0)
+			cfg.OnError, cfg.Hooks, cfg.Faults = pipeline.SkipBatch, hooks, inj
 			sim := clock.NewSim()
-			dl := pipeline.NewDataLoader(sim, spec.Dataset(hooks), pipeline.Config{
-				BatchSize:  spec.BatchSize,
-				NumWorkers: spec.NumWorkers,
-				Seed:       spec.Seed,
-				BatchPlan:  plan,
-				PinMemory:  spec.PinMemory,
-				OnError:    pipeline.SkipBatch,
-				Hooks:      hooks,
-				Mode:       pipeline.Simulated,
-				Engine:     native.NewEngine(spec.Arch, native.DefaultCPU()),
-				Faults:     inj,
-			})
+			dl := pipeline.NewDataLoader(sim, spec.Dataset(hooks), cfg)
 			sim.Run("chaos-main", func(p clock.Proc) {
 				it := dl.Start(p)
 				for {

@@ -10,10 +10,8 @@ import (
 	"sync"
 	"unsafe"
 
-	"lotus/internal/clock"
 	"lotus/internal/cluster"
 	"lotus/internal/faultinject"
-	"lotus/internal/native"
 	"lotus/internal/pipeline"
 	"lotus/internal/serve"
 	"lotus/internal/workloads"
@@ -90,7 +88,7 @@ func servedCell(seed int64, rw row) cell {
 	return cell{class: rw.class, workload: string(rw.workload), run: func(res *Result) {
 		e := &env{row: &rw, res: res, spec: chaosSpec(rw.workload, rw.samples, seed)}
 		for epoch := range max(rw.epochs, 1) {
-			batches, err := groundTruth(e.spec, epoch, rw.mode())
+			batches, err := serve.LocalBatches(e.spec, rw.mode(), chaosMaterializeDim, epoch, nil)
 			if err != nil {
 				e.fail("ground truth epoch %d: %v", epoch, err)
 				return
@@ -411,52 +409,6 @@ func (s *sink) verify(e *env, complete bool) {
 	if s.stray > 0 {
 		e.fail("%s: %d batches of epochs it never requested", s.name, s.stray)
 	}
-}
-
-// groundTruth makes every batch of one epoch as a consumer of the served
-// epoch must be handed it, from a local DataLoader over the full plan. In
-// RealData the batches carry the pipeline's float32 tensors, so identity
-// against them proves cached, spilled, rerouted or client-finished bytes are
-// the true output.
-func groundTruth(spec workloads.Spec, epoch int, mode pipeline.Mode) ([]*serve.Batch, error) {
-	plan := serve.BuildEpochPlan(spec.NumSamples, spec.BatchSize, spec.Shuffle, false, spec.Seed, epoch)
-	batchPlan := make([][]int, len(plan))
-	for i, pb := range plan {
-		batchPlan[i] = pb.Indices
-	}
-	out := make([]*serve.Batch, len(plan))
-	var runErr error
-	sim := clock.NewSim()
-	sim.Run("chaos-local", func(p clock.Proc) {
-		dl := pipeline.NewDataLoader(sim, spec.Dataset(nil), pipeline.Config{
-			BatchSize:      spec.BatchSize,
-			NumWorkers:     spec.NumWorkers,
-			PinMemory:      spec.PinMemory,
-			Seed:           spec.Seed,
-			Epoch:          epoch,
-			BatchPlan:      batchPlan,
-			Mode:           mode,
-			MaterializeDim: chaosMaterializeDim,
-			Engine:         native.NewEngine(spec.Arch, native.DefaultCPU()),
-		})
-		it := dl.Start(p)
-		for i := 0; ; i++ {
-			b, ok := it.Next(p)
-			if !ok {
-				runErr = it.Err()
-				return
-			}
-			wb := &serve.Batch{Epoch: epoch, GlobalID: i, Indices: b.Indices, Labels: b.Labels}
-			if b.Data != nil {
-				wb.Dtype = b.Data.Dtype
-				wb.Shape = b.Data.Shape
-				wb.U8 = b.Data.U8
-				wb.F32 = b.Data.F32
-			}
-			out[i] = wb.Clone()
-		}
-	})
-	return out, runErr
 }
 
 // victimOf returns the node with the largest ring shard of a planLen-batch

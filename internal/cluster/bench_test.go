@@ -14,7 +14,7 @@ import (
 	"lotus/internal/workloads"
 )
 
-// BenchmarkStragglerTail quantifies the PR 8 claim: hedged fetches cut the
+// BenchmarkStragglerTail quantifies the hedging claim: hedged fetches cut the
 // p99 epoch latency of a cluster with one degraded node by at least 2x
 // without changing a served byte. Three RealData nodes serve pixel payloads;
 // the ring's busiest node stalls on the wall clock after every batch it
@@ -165,7 +165,7 @@ func BenchmarkStragglerTail(b *testing.B) {
 	ratioGate(b, p99s, "hedge=off", "hedge=on", 2)
 }
 
-// BenchmarkAutotuneImbalanced quantifies the PR 9 claim: on a 3-node cluster
+// BenchmarkAutotuneImbalanced quantifies the balancer's claim: on a 3-node cluster
 // whose busiest node pays ~3x the per-batch cost, the closed-loop balancer
 // lifts aggregate routed throughput at least 1.5x over the static partition,
 // with every served byte unchanged. The nodes run in emulate-time mode (the

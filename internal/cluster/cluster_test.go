@@ -36,28 +36,19 @@ func startNode(t *testing.T, spec workloads.Spec, inj *faultinject.Injector) *se
 	return srv
 }
 
-// groundTruth fetches every epoch whole from a dedicated single node — the
-// byte-identity reference the cluster must reproduce. Returned frames are
-// indexed [epoch][globalID].
+// groundTruth encodes every batch of a local run of each epoch as a node
+// frames it: the byte-identity reference the cluster must reproduce.
+// Returned frames are indexed [epoch][globalID].
 func groundTruth(t *testing.T, spec workloads.Spec, epochs int) [][][]byte {
 	t.Helper()
-	srv := startNode(t, spec, nil)
-	c := serve.NewClient(serve.ClientConfig{Addr: srv.Addr(), Name: "ground-truth"})
-	defer c.Close()
-	byEpoch := make([]map[int][]byte, epochs)
-	for e := range byEpoch {
-		byEpoch[e] = make(map[int][]byte)
-	}
-	if _, err := c.Run(epochs, func(b *serve.Batch, payload []byte) {
-		byEpoch[b.Epoch][b.GlobalID] = append([]byte(nil), payload...)
-	}); err != nil {
-		t.Fatalf("ground truth run: %v", err)
-	}
 	out := make([][][]byte, epochs)
-	for e, m := range byEpoch {
-		out[e] = make([][]byte, len(m))
-		for gid, p := range m {
-			out[e][gid] = p
+	for e := range out {
+		batches, err := serve.LocalBatches(spec, pipeline.Simulated, 0, e, nil)
+		if err != nil {
+			t.Fatalf("ground truth epoch %d: %v", e, err)
+		}
+		for _, b := range batches {
+			out[e] = append(out[e], serve.AppendBatch(nil, b))
 		}
 	}
 	return out
@@ -100,7 +91,7 @@ func (fs *frameSink) onBatch(node string, b *serve.Batch, payload []byte) {
 }
 
 // verifyEpoch asserts one epoch was delivered exactly once and
-// byte-identical to the single-node reference.
+// byte-identical to the local run.
 func (fs *frameSink) verifyEpoch(t *testing.T, epoch int, want [][]byte) {
 	t.Helper()
 	fs.mu.Lock()
@@ -118,13 +109,13 @@ func (fs *frameSink) verifyEpoch(t *testing.T, epoch int, want [][]byte) {
 			t.Fatalf("epoch %d: batch %d never delivered", epoch, gid)
 		}
 		if !bytes.Equal(p, ref) {
-			t.Fatalf("epoch %d batch %d: cluster frame differs from single-node ground truth", epoch, gid)
+			t.Fatalf("epoch %d batch %d: cluster frame differs from the local run", epoch, gid)
 		}
 	}
 }
 
 // TestClusterThreeNodeLoopback is the tentpole's happy path: three nodes,
-// two epochs, every batch exactly once and byte-identical to a single-node
+// two epochs, every batch exactly once and byte-identical to the local
 // run, with the shards landing exactly where the ring says they should.
 func TestClusterThreeNodeLoopback(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
@@ -220,7 +211,7 @@ func victimWithLargestShard(nodes []Node, planLen int) (string, int) {
 // TestClusterNodeDeathMidEpoch is the tentpole's acceptance scenario: one of
 // three nodes dies mid-epoch (its connection drops after its first batch
 // frame and the process stays down), and the epoch still delivers every
-// batch exactly once, byte-identical to the single-node reference. The next
+// batch exactly once, byte-identical to the local run. The next
 // epoch routes around the corpse without any failover work.
 func TestClusterNodeDeathMidEpoch(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))

@@ -148,7 +148,7 @@ func (a *Analysis) Advise(cfg AdvisorConfig) []Finding {
 		out = append(out, Finding{
 			Severity: Warning,
 			Rule:     "worker-imbalance",
-			Detail: fmt.Sprintf("busiest worker did %.1fx the work of the least busy across %d workers; size-aware dispatch (DispatchLeastWork with a cost hint) would even the load",
+			Detail: fmt.Sprintf("busiest worker did %.1fx the work of the least busy across %d workers; size-aware dispatch (DispatchLeastWork, which costs a batch by its records' bytes) would even the load",
 				util.Imbalance, len(util.PerWorker)),
 		})
 	}

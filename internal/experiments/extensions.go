@@ -42,16 +42,15 @@ func RunExtensions(scale Scale) *ExtensionsResult {
 	res := &ExtensionsResult{}
 
 	// --- dispatch policies ---
-	runDispatch := func(policy pipeline.DispatchPolicy, sizeAware bool) (int, time.Duration) {
+	runDispatch := func(policy pipeline.DispatchPolicy) (int, time.Duration) {
 		spec := workloads.ICSpec(scale.samples(64*30, 64*120), 81)
 		spec.BatchSize, spec.GPUs, spec.NumWorkers = 64, 4, 4
 		spec.Dispatch = policy
-		spec.SizeAware = sizeAware
 		a, _ := tracedRun(spec)
 		return len(a.OutOfOrderBatches()), a.MaxDelay()
 	}
-	res.ProducerOOO, res.ProducerMaxDelay = runDispatch(pipeline.DispatchProducer, false)
-	res.LeastWorkOOO, res.LeastWorkMaxDelay = runDispatch(pipeline.DispatchLeastWork, true)
+	res.ProducerOOO, res.ProducerMaxDelay = runDispatch(pipeline.DispatchProducer)
+	res.LeastWorkOOO, res.LeastWorkMaxDelay = runDispatch(pipeline.DispatchLeastWork)
 
 	// --- offline preprocessing ---
 	online := workloads.ICSpec(scale.samples(512, 4096), 82)

@@ -50,10 +50,8 @@ type Ctx struct {
 	// storage-facing transforms (nil injects nothing).
 	Faults *faultinject.Injector
 	// SampleCache, when non-nil, serves materialized post-prefix samples to
-	// Compose.Apply so prefix hits skip decode entirely. PrefixFP is the
-	// prefix fingerprint the cache keys entries under.
+	// Compose.Apply so prefix hits skip decode entirely.
 	SampleCache *SampleCache
-	PrefixFP    uint64
 	// Abort, when non-nil, is closed once the epoch this worker serves is
 	// being torn down: the serving layer sets it from the session's context.
 	// A worker parked on another session's in-flight cache entry, or

@@ -19,8 +19,8 @@ const (
 	// consumed — PyTorch's behaviour and the paper's § II-B description.
 	DispatchProducer DispatchPolicy = iota
 	// DispatchLeastWork assigns the next batch to the worker with the least
-	// outstanding estimated work, using the Config.CostHint per-sample
-	// estimate. This is the "better DataLoader scheduling" direction the
+	// outstanding estimated work, a batch costing its samples' record bytes
+	// (sampleCost). This is the "better DataLoader scheduling" direction the
 	// paper's Takeaway 4 suggests (and SpeedyLoader pursues): balancing
 	// outstanding work reduces completion-order inversions and hence
 	// out-of-order stalls.
@@ -43,20 +43,16 @@ type Config struct {
 	DropLast bool
 	Seed     int64
 	// Epoch selects the epoch this loader runs. It shifts the shuffle plan
-	// through EpochSeed (preserving the historical per-epoch reshuffles) and
+	// through EpochSeed (preserving the historical per-epoch reshuffles),
 	// flows into worker Ctxs, where epochSalt varies the per-sample random
-	// suffix while leaving deterministic prefixes untouched. Epoch 0 is
-	// byte-identical to a Config that never set the field.
+	// suffix while leaving deterministic prefixes untouched, and numbers the
+	// batches: batch i of an n-batch plan has ID Epoch*n + i, so trace
+	// records from different epochs do not collide (a stream, with no plan
+	// length, numbers from 0). Epoch 0 is byte-identical to a Config that
+	// never set the field.
 	Epoch int
-	// BatchIDOffset shifts this epoch's batch IDs; multi-epoch trainers set
-	// it to epoch*NumBatches so trace records from different epochs do not
-	// collide.
-	BatchIDOffset int
 	// Dispatch selects the index-dispatch policy.
 	Dispatch DispatchPolicy
-	// CostHint estimates one sample's preprocessing cost (arbitrary units)
-	// for DispatchLeastWork; nil treats all samples as equal.
-	CostHint func(index int) float64
 	// OnError selects the failed-batch policy (default FailEpoch).
 	OnError ErrorPolicy
 	// Hooks are the LotusTrace instrumentation callbacks (nil = untraced).
@@ -77,10 +73,8 @@ type Config struct {
 	// worker on selected samples, and stall workers after selected batches.
 	Faults *faultinject.Injector
 	// SampleCache, when non-nil, is the shared split-point sample cache the
-	// workers consult for materialized deterministic-prefix samples, keyed
-	// under PrefixFP (the prefix fingerprint for this pipeline).
+	// workers consult for materialized deterministic-prefix samples.
 	SampleCache *SampleCache
-	PrefixFP    uint64
 }
 
 // EpochSeed derives the per-epoch plan seed from the run seed. The additive
@@ -181,6 +175,8 @@ type DataLoader struct {
 	creditDrift int
 	// batchCost caches the per-batch work estimates.
 	batchCost []float64
+	// idBase is the first batch's ID: Epoch times the plan length.
+	idBase int
 }
 
 // creditEpsilon separates real accounting drift from float64 rounding noise
@@ -240,20 +236,30 @@ func (dl *DataLoader) buildBatches() {
 		dl.batches = BuildBatchPlan(dl.dataset.Len(), dl.cfg.BatchSize,
 			dl.cfg.Shuffle, dl.cfg.DropLast, EpochSeed(dl.cfg.Seed, dl.cfg.Epoch))
 	}
+	dl.idBase = dl.cfg.Epoch * len(dl.batches)
 	dl.batchCost = make([]float64, len(dl.batches))
 	for i, idxs := range dl.batches {
-		if dl.cfg.CostHint == nil {
-			dl.batchCost[i] = float64(len(idxs))
-			continue
-		}
 		for _, idx := range idxs {
-			dl.batchCost[i] += dl.cfg.CostHint(idx)
+			dl.batchCost[i] += dl.sampleCost(idx)
 		}
 	}
 }
 
-// NumBatches returns the number of batches in one epoch.
-func (dl *DataLoader) NumBatches() int { return len(dl.batches) }
+// sampleCost is what sample idx adds to its batch's estimated work. Under
+// DispatchLeastWork over an ImageFolder or VolumeFolder it is the sample's
+// record bytes (encoded for an image, raw for a volume), the size a
+// SpeedyLoader-style balancer reads; otherwise every sample costs one.
+func (dl *DataLoader) sampleCost(idx int) float64 {
+	if dl.cfg.Dispatch == DispatchLeastWork {
+		switch f := dl.dataset.(type) {
+		case *ImageFolder:
+			return float64(f.Data.Record(idx).FileBytes)
+		case *VolumeFolder:
+			return float64(f.Data.Record(idx).RawBytes())
+		}
+	}
+	return 1
+}
 
 // Start forks the worker procs and performs initial prefetch dispatch. It
 // must be called from inside the clock (p is the main proc). Start returns
@@ -388,7 +394,7 @@ func (dl *DataLoader) workerLoop(p clock.Proc, workerID int) {
 		if !ok {
 			return
 		}
-		batch, err := bw.Run(p, task.batchID+dl.cfg.BatchIDOffset, task.indices, nil)
+		batch, err := bw.Run(p, task.batchID+dl.idBase, task.indices, nil)
 		dl.dataQ.Put(p, workerResult{batchID: task.batchID, batch: batch, worker: workerID, err: err})
 	}
 }
@@ -521,7 +527,7 @@ func (it *Iterator) advance(p clock.Proc, worker int) {
 func (it *Iterator) handleError(p clock.Proc, batchID, worker int, err error) bool {
 	dl := it.dl
 	if dl.cfg.OnError == SkipBatch {
-		it.skipped = append(it.skipped, batchID+dl.cfg.BatchIDOffset)
+		it.skipped = append(it.skipped, batchID+dl.idBase)
 		it.advance(p, worker)
 		return true
 	}
@@ -535,7 +541,7 @@ func (it *Iterator) handleError(p clock.Proc, batchID, worker int, err error) bo
 func (it *Iterator) logWait(p clock.Proc, batchID int, start time.Time, dur time.Duration) {
 	h := it.dl.cfg.Hooks
 	if h != nil && h.OnBatchWait != nil {
-		h.OnBatchWait(MainPID, batchID+it.dl.cfg.BatchIDOffset, start, dur)
+		h.OnBatchWait(MainPID, batchID+it.dl.idBase, start, dur)
 		if h.PerLogCost > 0 {
 			p.Sleep(h.PerLogCost)
 		}

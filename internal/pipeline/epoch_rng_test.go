@@ -44,13 +44,13 @@ func augmentedTestCompose(io data.IOModel) *Compose {
 }
 
 // runRealEpoch runs one real-mode epoch on the wall clock and returns each
-// batch's collated float32 payload keyed by batch ID.
-func runRealEpoch(t *testing.T, ds *data.ImageDataset, workers, epoch int, cache *SampleCache, fp uint64) map[int][]float32 {
+// batch's collated float32 payload keyed by its position in the epoch.
+func runRealEpoch(t *testing.T, ds *data.ImageDataset, workers, epoch int, cache *SampleCache) map[int][]float32 {
 	t.Helper()
 	clk := clock.NewReal()
 	dl := NewDataLoader(clk, NewImageFolder(ds, augmentedTestCompose(ds.IO)), Config{
 		BatchSize: 4, NumWorkers: workers, Shuffle: true, Seed: 5, Epoch: epoch,
-		Mode: RealData, MaterializeDim: 64, SampleCache: cache, PrefixFP: fp,
+		Mode: RealData, MaterializeDim: 64, SampleCache: cache,
 	})
 	out := make(map[int][]float32)
 	clk.Run("main", func(p clock.Proc) {
@@ -63,7 +63,7 @@ func runRealEpoch(t *testing.T, ds *data.ImageDataset, workers, epoch int, cache
 				}
 				return
 			}
-			out[b.ID] = append([]float32(nil), b.Data.F32...)
+			out[len(out)] = append([]float32(nil), b.Data.F32...)
 		}
 	})
 	return out
@@ -146,8 +146,8 @@ func TestEpochVariesSuffixNotPrefix(t *testing.T) {
 func TestEpochBytesScheduleIndependent(t *testing.T) {
 	ds := fastRealDataset(24, 3)
 	const epoch = 2
-	one := runRealEpoch(t, ds, 1, epoch, nil, 0)
-	four := runRealEpoch(t, ds, 4, epoch, nil, 0)
+	one := runRealEpoch(t, ds, 1, epoch, nil)
+	four := runRealEpoch(t, ds, 4, epoch, nil)
 	if len(one) != len(four) || len(one) == 0 {
 		t.Fatalf("batch counts diverge: %d vs %d", len(one), len(four))
 	}
@@ -172,10 +172,10 @@ func TestEpochBytesScheduleIndependent(t *testing.T) {
 // to prevent: identical augmentation every epoch).
 func TestEpochsProduceDistinctAugmentedBytes(t *testing.T) {
 	ds := fastRealDataset(8, 3)
-	e0 := runRealEpoch(t, ds, 2, 0, nil, 0)
-	e1 := runRealEpoch(t, ds, 2, 1, nil, 0)
+	e0 := runRealEpoch(t, ds, 2, 0, nil)
+	e1 := runRealEpoch(t, ds, 2, 1, nil)
 	// Shuffle plans differ across epochs, so compare the concatenation of all
-	// batches in ID order — if the salt were dead, the same sample set would
+	// batches in plan order — if the salt were dead, the same sample set would
 	// yield the same multiset of bytes per sample; full-payload equality is a
 	// conservative proxy that must not hold.
 	flat := func(m map[int][]float32) []float32 {

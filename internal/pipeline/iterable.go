@@ -33,7 +33,7 @@ type IterableLoader struct {
 
 // NewIterableLoader constructs the stream loader. It panics on the Config
 // fields a stream cannot honour, as PyTorch raises for shuffle with an
-// IterableDataset: a stream has no plan to shuffle, replace or cost.
+// IterableDataset: a stream has no plan to shuffle or replace.
 func NewIterableLoader(clk clock.Clock, ds IterableDataset, cfg Config) *IterableLoader {
 	switch {
 	case cfg.Shuffle:
@@ -42,8 +42,6 @@ func NewIterableLoader(clk clock.Clock, ds IterableDataset, cfg Config) *Iterabl
 		panic("pipeline: IterableLoader has no BatchPlan")
 	case cfg.Dispatch == DispatchLeastWork:
 		panic("pipeline: IterableLoader dispatches tokens, not DispatchLeastWork")
-	case cfg.CostHint != nil:
-		panic("pipeline: IterableLoader has no CostHint")
 	}
 	return &IterableLoader{&DataLoader{cfg: cfg.validate(), stream: ds, clk: clk}}
 }

@@ -442,8 +442,8 @@ func TestIterableEpochSaltsBytes(t *testing.T) {
 	}
 }
 
-// TestNewIterableLoaderRefusesPlanFields: a stream has no plan to shuffle,
-// replace or cost, so the Config fields that act on one panic, as PyTorch
+// TestNewIterableLoaderRefusesPlanFields: a stream has no plan to shuffle
+// or replace, so the Config fields that act on one panic, as PyTorch
 // raises for shuffle with an IterableDataset.
 func TestNewIterableLoaderRefusesPlanFields(t *testing.T) {
 	ds := data.NewImageDataset(data.ImageNetConfig(4, 1))
@@ -455,7 +455,6 @@ func TestNewIterableLoaderRefusesPlanFields(t *testing.T) {
 		{"Shuffle", Config{Shuffle: true}},
 		{"BatchPlan", Config{BatchPlan: [][]int{{0, 1}}}},
 		{"DispatchLeastWork", Config{Dispatch: DispatchLeastWork}},
-		{"CostHint", Config{CostHint: func(int) float64 { return 1 }}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.BatchSize = 2

@@ -90,8 +90,8 @@ func TestDropLast(t *testing.T) {
 		BatchSize: 10, NumWorkers: 2, DropLast: true, Seed: 1,
 		Mode: Simulated, Engine: native.NewEngine(native.Intel, native.DefaultCPU()),
 	})
-	if dl.NumBatches() != 2 {
-		t.Fatalf("NumBatches = %d, want 2 with DropLast", dl.NumBatches())
+	if len(dl.batches) != 2 {
+		t.Fatalf("%d batches, want 2 with DropLast", len(dl.batches))
 	}
 }
 

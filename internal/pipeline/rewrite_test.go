@@ -142,14 +142,14 @@ var planSink []Transform
 // entry is the file's full W x H decode, no decode takes a window, and the
 // epochs still equal the uncached — rewritten — run.
 func TestSampleCacheHoldsFullDecodes(t *testing.T) {
-	const n, dim, fp = 12, 64, 0xfeed
+	const n, dim = 12, 64
 	ds := fastRealDataset(n, 3)
 	run := func(l *Loader, epoch int, cache *SampleCache) map[int][]float32 {
 		chain := NewCompose(l, &RandomResizedCrop{Size: 32}, &RandomHorizontalFlip{}, &ToTensor{})
 		clk := clock.NewReal()
 		dl := NewDataLoader(clk, NewImageFolder(ds, chain), Config{
 			BatchSize: 4, NumWorkers: 2, Shuffle: true, Seed: 5, Epoch: epoch,
-			Mode: RealData, MaterializeDim: dim, SampleCache: cache, PrefixFP: fp,
+			Mode: RealData, MaterializeDim: dim, SampleCache: cache,
 		})
 		out := make(map[int][]float32)
 		clk.Run("main", func(p clock.Proc) {
@@ -167,7 +167,7 @@ func TestSampleCacheHoldsFullDecodes(t *testing.T) {
 		})
 		return out
 	}
-	cache := NewSampleCache(64<<20, true, nil)
+	cache := NewSampleCache(64<<20, 0xfeed, true, nil)
 	cached, plain := &Loader{IO: ds.IO}, &Loader{IO: ds.IO}
 	for epoch := 0; epoch < 3; epoch++ {
 		samplesEqual(t, fmt.Sprintf("epoch %d", epoch), run(plain, epoch, nil), run(cached, epoch, cache))
@@ -179,7 +179,7 @@ func TestSampleCacheHoldsFullDecodes(t *testing.T) {
 		t.Fatalf("uncached run: %+v, want %d windowed decodes", st, 3*n)
 	}
 	for i := 0; i < n; i++ {
-		cs, err := cache.sf.Acquire(SampleKey{PrefixFP: fp, Index: i}, nil, func() (*cachedSample, error) {
+		cs, err := cache.sf.Acquire(i, nil, func() (*cachedSample, error) {
 			return nil, fmt.Errorf("sample %d is not cached", i)
 		})
 		if err != nil {
@@ -481,7 +481,7 @@ func TestTensorTailRecordsAndFailures(t *testing.T) {
 		tc.chain.Hooks = hooks
 		cfg := Config{Mode: tc.mode, Seed: 5, MaterializeDim: dim, Hooks: hooks}
 		if tc.cached {
-			cfg.SampleCache, cfg.PrefixFP = NewSampleCache(1<<20, true, nil), 1
+			cfg.SampleCache = NewSampleCache(1<<20, 1, true, nil)
 		}
 		if tc.mode == Simulated {
 			cfg.Engine = native.NewEngine(native.Intel, native.DefaultCPU())

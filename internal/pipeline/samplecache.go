@@ -11,7 +11,7 @@ import (
 )
 
 // SampleCache is the split-point sample cache: materialized post-prefix
-// samples keyed by (prefix fingerprint, dataset index). The prefix of a
+// samples of one pipeline prefix, keyed by dataset index. The prefix of a
 // Compose — its maximal run of deterministic transforms, typically storage
 // read + decode + deterministic resize — produces the same bytes for a given
 // sample in every epoch and every session, so the first epoch materializes
@@ -27,17 +27,7 @@ import (
 // clocks never wait on an in-flight prefix, and the snapshot codec between
 // the memory entries and the disk tier.
 type SampleCache struct {
-	sf *cache.SingleFlight[SampleKey, *cachedSample]
-}
-
-// SampleKey identifies one materialized post-prefix sample. PrefixFP pins
-// every byte-affecting parameter of the prefix (spec shape, mode,
-// materialize cap, the prefix op list), so reconfigured pipelines can never
-// share stale pixels. Epoch is deliberately absent: prefix bytes are
-// epoch-independent, which is the entire point of the split.
-type SampleKey struct {
-	PrefixFP uint64
-	Index    int
+	sf *cache.SingleFlight[int, *cachedSample]
 }
 
 // cachedSample is an immutable snapshot of a post-prefix sample. The meta
@@ -122,15 +112,20 @@ func (cs *cachedSample) restore(ctx *Ctx) Sample {
 // NewSampleCache returns a cache bounded to budget bytes of materialized
 // sample payload, over the persistent store when disk is non-nil (a restart,
 // or a sibling job on the same spec, then warm-starts instead of
-// recomputing). blocking selects whether requesters may park on another
-// worker's in-flight prefix: true only when the pipeline's procs run on the
-// wall clock (real data or emulate-time serving); a simulated clock's procs
-// must never block on channels the clock cannot see, so they compute the
-// prefix privately instead (counted as bypassed).
-func NewSampleCache(budget int64, blocking bool, disk *store.Store) *SampleCache {
-	var tier cache.Tier[SampleKey, *cachedSample]
+// recomputing). fp is the prefix fingerprint every entry is keyed under on
+// disk: it pins every byte-affecting parameter of the prefix (spec shape,
+// mode, materialize cap, the prefix op list), so reconfigured pipelines
+// never share stale pixels. The epoch is deliberately absent: prefix bytes
+// are epoch-independent, which is the entire point of the split. blocking
+// selects whether requesters may park on another worker's in-flight prefix:
+// true only when the pipeline's procs run on the wall clock (real data or
+// emulate-time serving); a simulated clock's procs must never block on
+// channels the clock cannot see, so they compute the prefix privately
+// instead (counted as bypassed).
+func NewSampleCache(budget int64, fp uint64, blocking bool, disk *store.Store) *SampleCache {
+	var tier cache.Tier[int, *cachedSample]
 	if disk != nil {
-		tier = diskSampleTier{disk}
+		tier = diskSampleTier{disk, fp}
 	}
 	return &SampleCache{sf: cache.New(budget, blocking, tier)}
 }
@@ -139,24 +134,27 @@ func NewSampleCache(budget int64, blocking bool, disk *store.Store) *SampleCache
 func (sc *SampleCache) Stats() cache.Stats { return sc.sf.Stats() }
 
 // diskSampleTier keeps sample snapshots in the persistent store through the
-// snapshot codec.
-type diskSampleTier struct{ st *store.Store }
+// snapshot codec, under the cache's prefix fingerprint.
+type diskSampleTier struct {
+	st *store.Store
+	fp uint64
+}
 
-func diskSampleKey(key SampleKey) store.Key {
-	return store.Key{Kind: store.KindSample, FP: key.PrefixFP, A: uint64(key.Index)}
+func (t diskSampleTier) key(index int) store.Key {
+	return store.Key{Kind: store.KindSample, FP: t.fp, A: uint64(index)}
 }
 
 // Get restores a snapshot from disk. An undecodable record (despite the
 // store's checksum, e.g. a codec version skew) is dropped from the disk
 // index so it is recomputed and re-spilled instead of failing forever.
-func (t diskSampleTier) Get(key SampleKey) (*cachedSample, bool) {
-	raw, ok := t.st.Get(diskSampleKey(key), nil)
+func (t diskSampleTier) Get(index int) (*cachedSample, bool) {
+	raw, ok := t.st.Get(t.key(index), nil)
 	if !ok {
 		return nil, false
 	}
 	cs, err := decodeSnapshot(raw)
 	if err != nil {
-		t.st.Drop(diskSampleKey(key))
+		t.st.Drop(t.key(index))
 		return nil, false
 	}
 	return cs, true
@@ -164,9 +162,9 @@ func (t diskSampleTier) Get(key SampleKey) (*cachedSample, bool) {
 
 // Put encodes only what the disk lacks; the store copies the bytes and
 // queues the append, waiting only while its backlog is at its byte bound.
-func (t diskSampleTier) Put(key SampleKey, cs *cachedSample) {
-	if !t.st.Contains(diskSampleKey(key)) {
-		t.st.PutAsync(diskSampleKey(key), encodeSnapshot(cs))
+func (t diskSampleTier) Put(index int, cs *cachedSample) {
+	if !t.st.Contains(t.key(index)) {
+		t.st.PutAsync(t.key(index), encodeSnapshot(cs))
 	}
 }
 
@@ -178,10 +176,9 @@ func (t diskSampleTier) Put(key SampleKey, cs *cachedSample) {
 // surfacing through ReadBlob, a poisoned dataset) abandons the claim before
 // propagating, so waiters wake and retry instead of parking forever.
 func (sc *SampleCache) materialize(ctx *Ctx, c *Compose, pid, batchID, split int, s Sample) Sample {
-	key := SampleKey{PrefixFP: ctx.PrefixFP, Index: s.Index}
 	var out Sample
 	computed := false
-	cs, err := sc.sf.Acquire(key, ctx.Abort, func() (*cachedSample, error) {
+	cs, err := sc.sf.Acquire(s.Index, ctx.Abort, func() (*cachedSample, error) {
 		out = c.applyOps(ctx, pid, batchID, s, c.Transforms[:split])
 		computed = true
 		return snapshotSample(out), nil

@@ -41,11 +41,10 @@ func samplesEqual(t *testing.T, label string, want, got map[int][]float32) {
 func TestSampleCacheByteIdentityAcrossEpochs(t *testing.T) {
 	const n = 24
 	ds := fastRealDataset(n, 3)
-	cache := NewSampleCache(64<<20, true, nil)
-	const fp = 0x5eedca11
+	cache := NewSampleCache(64<<20, 0x5eedca11, true, nil)
 	for _, epoch := range []int{0, 1} {
-		want := runRealEpoch(t, ds, 2, epoch, nil, 0)
-		got := runRealEpoch(t, ds, 2, epoch, cache, fp)
+		want := runRealEpoch(t, ds, 2, epoch, nil)
+		got := runRealEpoch(t, ds, 2, epoch, cache)
 		samplesEqual(t, fmt.Sprintf("epoch %d", epoch), want, got)
 	}
 	st := cache.Stats()
@@ -72,7 +71,7 @@ func TestSampleCacheByteIdentityAcrossEpochs(t *testing.T) {
 func TestSampleCacheSingleFlight(t *testing.T) {
 	const procs = 8
 	ds := fastRealDataset(2, 3)
-	cache := NewSampleCache(64<<20, true, nil)
+	cache := NewSampleCache(64<<20, 0x1, true, nil)
 	results := make([][]float32, procs)
 	clk := clock.NewReal()
 	clk.Run("main", func(p clock.Proc) {
@@ -83,7 +82,7 @@ func TestSampleCacheSingleFlight(t *testing.T) {
 			p.Go(fmt.Sprintf("worker-%d", g), func(wp clock.Proc) {
 				defer wg.Done()
 				ctx := &Ctx{Proc: wp, Mode: RealData, Seed: 5, Epoch: 1,
-					MaterializeDim: 64, SampleCache: cache, PrefixFP: 0x1}
+					MaterializeDim: 64, SampleCache: cache}
 				c := augmentedTestCompose(ds.IO)
 				rec := ds.Record(0)
 				s := Sample{Index: 0, FileBytes: rec.FileBytes, Seed: rec.Seed,
@@ -124,10 +123,10 @@ func TestSampleCacheSingleFlight(t *testing.T) {
 func TestSampleCacheEvictionChurn(t *testing.T) {
 	const n = 12
 	ds := fastRealDataset(n, 3)
-	cache := NewSampleCache(1, true, nil)
+	cache := NewSampleCache(1, 0x2, true, nil)
 	for _, epoch := range []int{0, 1} {
-		want := runRealEpoch(t, ds, 2, epoch, nil, 0)
-		got := runRealEpoch(t, ds, 2, epoch, cache, 0x2)
+		want := runRealEpoch(t, ds, 2, epoch, nil)
+		got := runRealEpoch(t, ds, 2, epoch, cache)
 		samplesEqual(t, fmt.Sprintf("churn epoch %d", epoch), want, got)
 	}
 	st := cache.Stats()
@@ -166,13 +165,13 @@ func (f *flakyDeterministic) Apply(ctx *Ctx, s Sample) Sample {
 // the claim (so waiters retry instead of parking forever) and leave the cache
 // able to serve the key once the fault clears.
 func TestSampleCacheAbandonOnPanic(t *testing.T) {
-	cache := NewSampleCache(1<<20, true, nil)
+	cache := NewSampleCache(1<<20, 0x3, true, nil)
 	engine := native.NewEngine(native.Intel, native.DefaultCPU())
 	c := NewCompose(&flakyDeterministic{fails: 1}, &RandomHorizontalFlip{})
 	sim := clock.NewSim()
 	sim.Run("main", func(p clock.Proc) {
 		ctx := &Ctx{Proc: p, Engine: engine, Thread: &native.Thread{ID: 1},
-			Mode: Simulated, Seed: 7, SampleCache: cache, PrefixFP: 0x3}
+			Mode: Simulated, Seed: 7, SampleCache: cache}
 		s := Sample{Index: 4, Width: 32, Height: 32, Channels: 3, Dtype: tensor.Uint8}
 		func() {
 			defer func() {
@@ -200,7 +199,7 @@ func TestSampleCacheAbandonOnPanic(t *testing.T) {
 // computes privately, keeping the sim scheduler's no-foreign-blocking
 // invariant.
 func TestSampleCacheNonBlockingBypass(t *testing.T) {
-	cache := NewSampleCache(1<<20, false, nil)
+	cache := NewSampleCache(1<<20, 0x4, false, nil)
 	engine := native.NewEngine(native.Intel, native.DefaultCPU())
 	sim := clock.NewSim()
 	sim.Run("main", func(p clock.Proc) {
@@ -208,7 +207,7 @@ func TestSampleCacheNonBlockingBypass(t *testing.T) {
 			i := i
 			p.Go(fmt.Sprintf("w%d", i), func(wp clock.Proc) {
 				ctx := &Ctx{Proc: wp, Engine: engine, Thread: &native.Thread{ID: 1 + i},
-					Mode: Simulated, Seed: 3, SampleCache: cache, PrefixFP: 0x4}
+					Mode: Simulated, Seed: 3, SampleCache: cache}
 				// The loader's modeled I/O sleep yields the sim scheduler, so
 				// the second proc arrives while the first holds the claim.
 				c := NewCompose(&Loader{IO: data.DefaultIO()}, &RandomHorizontalFlip{})
@@ -255,8 +254,7 @@ func (g *stuckOnce) Apply(ctx *Ctx, s Sample) Sample {
 func TestSampleCacheWaiterHonorsEpochAbort(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	ds := fastRealDataset(4, 3)
-	cache := NewSampleCache(64<<20, true, nil)
-	const fp = 0xab027
+	cache := NewSampleCache(64<<20, 0xab027, true, nil)
 	gate := &stuckOnce{entered: make(chan struct{}), release: make(chan struct{})}
 	compose := NewCompose(gate, &Loader{IO: ds.IO}, &Resize{W: 32, H: 32},
 		&RandomHorizontalFlip{}, &ToTensor{})
@@ -267,7 +265,7 @@ func TestSampleCacheWaiterHonorsEpochAbort(t *testing.T) {
 		defer close(ownerDone)
 		clock.NewReal().Run("owner", func(p clock.Proc) {
 			ctx := &Ctx{Proc: p, Mode: RealData, Seed: 5, MaterializeDim: 64,
-				SampleCache: cache, PrefixFP: fp}
+				SampleCache: cache}
 			rec := ds.Record(0)
 			compose.Apply(ctx, WorkerPID(0), 0, Sample{Index: 0, FileBytes: rec.FileBytes,
 				Seed: rec.Seed, Width: rec.Width, Height: rec.Height, Channels: 3})
@@ -280,7 +278,7 @@ func TestSampleCacheWaiterHonorsEpochAbort(t *testing.T) {
 	abort := make(chan struct{})
 	w := NewBatchWorker(0, NewImageFolder(ds, compose), Config{
 		BatchSize: 4, NumWorkers: 1, Seed: 5, Mode: RealData, MaterializeDim: 64,
-		SampleCache: cache, PrefixFP: fp,
+		SampleCache: cache,
 	})
 	w.Ctx.Abort = abort
 	workerDone := make(chan error, 1)

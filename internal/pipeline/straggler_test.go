@@ -28,6 +28,28 @@ func stragglerLoader(clk clock.Clock, n, batch, workers int, policy DispatchPoli
 	})
 }
 
+// TestLeastWorkChargesRecordBytes: a DispatchLeastWork loader over an
+// ImageFolder charges each batch its samples' encoded file bytes, with no
+// hint from the caller, and a DispatchProducer loader charges sample counts.
+func TestLeastWorkChargesRecordBytes(t *testing.T) {
+	for _, policy := range []DispatchPolicy{DispatchProducer, DispatchLeastWork} {
+		dl := stragglerLoader(clock.NewSim(), 16, 4, 2, policy)
+		folder := dl.dataset.(*ImageFolder)
+		for i, idxs := range dl.batches {
+			want := float64(len(idxs))
+			if policy == DispatchLeastWork {
+				want = 0
+				for _, idx := range idxs {
+					want += float64(folder.Data.Record(idx).FileBytes)
+				}
+			}
+			if dl.batchCost[i] != want {
+				t.Errorf("policy %d batch %d costs %v, want %v", policy, i, dl.batchCost[i], want)
+			}
+		}
+	}
+}
+
 // TestCompletedDoubleCreditCountsDrift is the regression test for the
 // satellite fix: completed() used to clamp a negative outstanding estimate to
 // zero silently, hiding double-credit bugs. A clean epoch must report zero

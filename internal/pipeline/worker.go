@@ -45,7 +45,6 @@ func NewBatchWorker(id int, ds Dataset, cfg Config) *BatchWorker {
 			MaterializeDim: cfg.MaterializeDim,
 			Faults:         cfg.Faults,
 			SampleCache:    cfg.SampleCache,
-			PrefixFP:       cfg.PrefixFP,
 			collates:       true,
 		},
 		id:      id,

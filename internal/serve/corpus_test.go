@@ -36,7 +36,10 @@ func serveEpochs(t *testing.T, spec workloads.Spec, sampleCacheBytes int64, epoc
 	c := NewClient(ClientConfig{Addr: srv.Addr(), Name: "corpus-test"})
 	defer c.Close()
 	for epoch := 0; epoch < epochs; epoch++ {
-		want := localEpochBatches(t, spec, epoch, pipeline.RealData, dim)
+		want, err := LocalBatches(spec, pipeline.RealData, dim, epoch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		frames := 0
 		if err := fetchOnce(c, epoch, func(b *Batch, _ []byte) {
 			frames++

@@ -327,7 +327,10 @@ func TestDiskCacheOldLayoutIsAMiss(t *testing.T) {
 	spec.NumWorkers = 2
 	const dim = 48
 	dir := t.TempDir()
-	expected := localEpochBatches(t, spec, 0, pipeline.RealData, dim)
+	expected, err := LocalBatches(spec, pipeline.RealData, dim, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// What old servers left behind: version 2 frames under SpecFingerprint
 	// as it was (no layout term), and version 3 frames — the float32 tensor

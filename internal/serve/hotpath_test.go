@@ -13,7 +13,6 @@ import (
 	"unsafe"
 
 	"lotus/internal/clock"
-	"lotus/internal/native"
 	"lotus/internal/pipeline"
 	"lotus/internal/tensor"
 	"lotus/internal/workloads"
@@ -24,13 +23,11 @@ import (
 // choice.
 func runBatchWorker(t *testing.T, spec workloads.Spec, mode pipeline.Mode, dim int, indices []int, dst pipeline.CollateDst) *pipeline.Batch {
 	t.Helper()
-	cfg := pipeline.Config{Seed: spec.Seed, Mode: mode, MaterializeDim: dim}
 	var clk clock.Clock = clock.NewReal()
 	if mode != pipeline.RealData {
-		cfg.Engine = native.NewEngine(spec.Arch, native.DefaultCPU())
 		clk = clock.NewSim()
 	}
-	w := pipeline.NewBatchWorker(0, spec.Dataset(nil), cfg)
+	w := pipeline.NewBatchWorker(0, spec.Dataset(nil), spec.LoaderConfig(mode, dim, 0))
 	var b *pipeline.Batch
 	var err error
 	clk.Run("hotpath-test", func(p clock.Proc) { b, err = w.Run(p, 3, indices, dst) })
@@ -310,7 +307,10 @@ func TestClientViewsAliasAndCloneSurvives(t *testing.T) {
 	c := NewClient(ClientConfig{Addr: srv.Addr(), Name: "views"})
 	defer c.Close()
 
-	want := localEpochBatches(t, spec, 0, pipeline.RealData, 48)
+	want, err := LocalBatches(spec, pipeline.RealData, 48, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var views []*Batch // what the contract forbids keeping
 	var clones []*Batch
 	var payloadAt, tensorAt []unsafe.Pointer

@@ -17,9 +17,7 @@ import (
 	"testing"
 	"time"
 
-	"lotus/internal/clock"
 	"lotus/internal/faultinject"
-	"lotus/internal/native"
 	"lotus/internal/pipeline"
 	"lotus/internal/tensor"
 	"lotus/internal/testutil"
@@ -47,61 +45,20 @@ func startTestServer(t *testing.T, spec workloads.Spec, withHTTP bool) *Server {
 	return srv
 }
 
-// localEpochFrames runs the full epoch through a local simulated DataLoader
-// and encodes every batch exactly as the server would — the ground truth for
-// the byte-identical serving assertion. A simulated batch has no tensor tail
-// to finish, so its frame is what the consumer gets.
+// localEpochFrames encodes every batch of a local simulated run of the
+// epoch exactly as the server would: the ground truth for the byte-identical
+// serving assertion. A simulated batch has no tensor tail to finish, so its
+// frame is what the consumer gets.
 func localEpochFrames(t *testing.T, spec workloads.Spec, epoch int) [][]byte {
 	t.Helper()
-	var out [][]byte
-	for _, b := range localEpochBatches(t, spec, epoch, pipeline.Simulated, 0) {
-		out = append(out, AppendBatch(nil, b))
+	batches, err := LocalBatches(spec, pipeline.Simulated, 0, epoch, nil)
+	if err != nil {
+		t.Fatalf("local run: %v", err)
 	}
-	return out
-}
-
-// localEpochBatches runs the full epoch through a local DataLoader in mode
-// and returns every batch in wire form: what a consumer of the served epoch
-// must be handed. In RealData that is the float32 tensor the plan as written
-// makes, which for a plan with a tensor tail is not what crosses the wire
-// (the frame carries pixels the client finishes), so real-mode tests compare
-// delivered batches with sameBatch, not payloads.
-func localEpochBatches(t *testing.T, spec workloads.Spec, epoch int, mode pipeline.Mode, materializeDim int) []*Batch {
-	t.Helper()
-	plan := BuildEpochPlan(spec.NumSamples, spec.BatchSize, spec.Shuffle, false, spec.Seed, epoch)
-	batchPlan := make([][]int, len(plan))
-	for i, pb := range plan {
-		batchPlan[i] = pb.Indices
+	out := make([][]byte, len(batches))
+	for i, b := range batches {
+		out[i] = AppendBatch(nil, b)
 	}
-	cfg := pipeline.Config{
-		BatchSize:      spec.BatchSize,
-		NumWorkers:     spec.NumWorkers,
-		PrefetchFactor: spec.Prefetch,
-		PinMemory:      spec.PinMemory,
-		Seed:           spec.Seed,
-		Epoch:          epoch,
-		BatchPlan:      batchPlan,
-		Mode:           mode,
-		MaterializeDim: materializeDim,
-		Engine:         native.NewEngine(spec.Arch, native.DefaultCPU()),
-	}
-	ds := spec.Dataset(nil)
-	out := make([]*Batch, len(plan))
-	sim := clock.NewSim()
-	sim.Run("local", func(p clock.Proc) {
-		dl := pipeline.NewDataLoader(sim, ds, cfg)
-		it := dl.Start(p)
-		for i := 0; ; i++ {
-			b, ok := it.Next(p)
-			if !ok {
-				if err := it.Err(); err != nil {
-					t.Errorf("local loader: %v", err)
-				}
-				return
-			}
-			out[i] = batchToWire(epoch, i, b).Clone()
-		}
-	})
 	return out
 }
 

@@ -12,8 +12,8 @@ import (
 )
 
 // TestPinnedTensorCRCs pins the bytes of the benchmark's served
-// configurations to values taken at the commit before the decoder took a
-// window and the plan learned to hand it one (PR 21): CRC32C of the collated
+// configurations to values taken before the decoder took a window and the
+// plan learned to hand it one: CRC32C of the collated
 // float32 tensor in wire form (little-endian), global batch 0 of
 // BuildEpochPlan(512, 32, true, false, seed, epoch) at perf's geometry (N 512,
 // batch 32, cap 256). Every other identity test compares two runs of this

@@ -6,8 +6,8 @@ import (
 
 	"lotus/internal/clock"
 	"lotus/internal/data"
-	"lotus/internal/native"
 	"lotus/internal/pipeline"
+	"lotus/internal/workloads"
 )
 
 // plane is the server's one compute plane: a fixed pool of batch workers
@@ -62,19 +62,8 @@ func (pl *plane) init() {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.ds = spec.Dataset(hooks)
-	pl.cfg = pipeline.Config{
-		Seed:           spec.Seed,
-		Hooks:          hooks,
-		Mode:           s.cfg.Mode,
-		WorkScale:      spec.WorkScale,
-		MaterializeDim: s.cfg.MaterializeDim,
-		Faults:         s.cfg.Faults,
-		SampleCache:    s.sampleCache,
-		PrefixFP:       s.prefixFP,
-	}
-	if s.cfg.Mode != pipeline.RealData {
-		pl.cfg.Engine = native.NewEngine(spec.Arch, native.DefaultCPU())
-	}
+	pl.cfg = spec.LoaderConfig(s.cfg.Mode, s.cfg.MaterializeDim, 0)
+	pl.cfg.Hooks, pl.cfg.Faults, pl.cfg.SampleCache = hooks, s.cfg.Faults, s.sampleCache
 }
 
 // loaderStats reports where an image workload's input comes from and what the
@@ -154,6 +143,42 @@ func (pl *plane) compute(ctx context.Context, tenant *tenantState, epoch int, pb
 	f := fc.frame(batchToWire(epoch, pb.GlobalID, b))
 	pl.srv.metrics.AddDigest(f.Len())
 	return f, nil
+}
+
+// LocalBatches runs plan batches ids of spec's epoch (every batch when ids
+// is nil) through a local DataLoader in mode on the virtual clock, and
+// returns them in wire form, in ids order: what a consumer of the served
+// epoch must be handed. In RealData that is the float32 tensor the plan as
+// written makes, which for a plan with a tensor tail is not what crosses the
+// wire (the frame carries pixels the client finishes).
+func LocalBatches(spec workloads.Spec, mode pipeline.Mode, materializeDim, epoch int, ids []int) ([]*Batch, error) {
+	plan := BuildEpochPlan(spec.NumSamples, spec.BatchSize, spec.Shuffle, false, spec.Seed, epoch)
+	if ids == nil {
+		ids = make([]int, len(plan))
+		for i := range ids {
+			ids[i] = i
+		}
+	}
+	cfg := spec.LoaderConfig(mode, materializeDim, epoch)
+	cfg.BatchPlan = make([][]int, len(ids))
+	for i, id := range ids {
+		cfg.BatchPlan[i] = plan[id].Indices
+	}
+	out := make([]*Batch, 0, len(ids))
+	var err error
+	sim := clock.NewSim()
+	sim.Run("local", func(p clock.Proc) {
+		it := pipeline.NewDataLoader(sim, spec.Dataset(nil), cfg).Start(p)
+		for {
+			b, ok := it.Next(p)
+			if !ok {
+				err = it.Err()
+				return
+			}
+			out = append(out, batchToWire(epoch, ids[len(out)], b).Clone())
+		}
+	})
+	return out, err
 }
 
 // batchToWire converts a pipeline batch to its wire form.

@@ -115,8 +115,7 @@ type Server struct {
 	cache       *BatchCache // budget 0, keeping nothing, unless Config.BatchCacheBytes > 0
 	specFP      uint64
 	sampleCache *pipeline.SampleCache // nil when Config.SampleCacheBytes == 0
-	prefixFP    uint64
-	disk        *store.Store // nil when Config.DiskCacheDir == ""
+	disk        *store.Store          // nil when Config.DiskCacheDir == ""
 	plane       *plane
 	// plan names the pipeline plan rewrites in force (pipeline.Compose.Rewrites)
 	// given the workload, the mode and whether the sample cache is on.
@@ -303,8 +302,7 @@ func (s *Server) Start(addr, httpAddr string) error {
 			// Blocking single-flight only when pipeline procs run on the wall
 			// clock; pure-sim procs must never park on channels the virtual
 			// clock cannot see, so they bypass in-flight entries instead.
-			s.sampleCache = pipeline.NewSampleCache(s.cfg.SampleCacheBytes, s.wallClock(), s.disk)
-			s.prefixFP = fp
+			s.sampleCache = pipeline.NewSampleCache(s.cfg.SampleCacheBytes, fp, s.wallClock(), s.disk)
 		}
 	}
 	compose := s.cfg.Spec.Compose(nil)

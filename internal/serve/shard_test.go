@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"lotus/internal/clock"
-	"lotus/internal/native"
 	"lotus/internal/pipeline"
 	"lotus/internal/workloads"
 )
@@ -69,38 +67,18 @@ func TestShardedLoadersCoverEpoch(t *testing.T) {
 	plan := BuildEpochPlan(spec.NumSamples, spec.BatchSize, spec.Shuffle, false, spec.Seed, epoch)
 
 	runShard := func(shard []PlanBatch) [][]int {
-		batchPlan := make([][]int, len(shard))
+		ids := make([]int, len(shard))
 		for i, pb := range shard {
-			batchPlan[i] = pb.Indices
+			ids[i] = pb.GlobalID
 		}
-		engine := native.NewEngine(spec.Arch, native.DefaultCPU())
-		ds := spec.Dataset(nil)
-		cfg := pipeline.Config{
-			BatchSize:  spec.BatchSize,
-			NumWorkers: spec.NumWorkers,
-			PinMemory:  spec.PinMemory,
-			Seed:       spec.Seed,
-			Epoch:      epoch,
-			BatchPlan:  batchPlan,
-			Mode:       pipeline.Simulated,
-			Engine:     engine,
+		batches, err := LocalBatches(spec, pipeline.Simulated, 0, epoch, ids)
+		if err != nil {
+			t.Fatalf("shard loader: %v", err)
 		}
-		var got [][]int
-		sim := clock.NewSim()
-		sim.Run("shard", func(p clock.Proc) {
-			dl := pipeline.NewDataLoader(sim, ds, cfg)
-			it := dl.Start(p)
-			for {
-				b, ok := it.Next(p)
-				if !ok {
-					if err := it.Err(); err != nil {
-						t.Errorf("shard loader: %v", err)
-					}
-					return
-				}
-				got = append(got, append([]int(nil), b.Indices...))
-			}
-		})
+		got := make([][]int, len(batches))
+		for i, b := range batches {
+			got[i] = b.Indices
+		}
 		return got
 	}
 

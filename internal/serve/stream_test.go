@@ -157,7 +157,13 @@ func TestPipelinedShardReqs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	want := [][]*Batch{localEpochBatches(t, spec, 0, pipeline.RealData, dim), localEpochBatches(t, spec, 1, pipeline.RealData, dim)}
+	want := make([][]*Batch, 2)
+	for e := range want {
+		var err error
+		if want[e], err = LocalBatches(spec, pipeline.RealData, dim, e, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {

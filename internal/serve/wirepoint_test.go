@@ -95,7 +95,10 @@ func TestCorruptFrameNeverReachesCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	want := localEpochBatches(t, spec, 0, pipeline.RealData, dim)
+	want, err := LocalBatches(spec, pipeline.RealData, dim, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var retryErrs []error
 	c := NewClient(ClientConfig{Addr: srv.Addr(), Name: "corrupt", sleep: func(time.Duration) {},
 		OnRetry: func(_, _ int, err error) { retryErrs = append(retryErrs, err) }})

@@ -62,16 +62,15 @@ func TestOfflineDecodeDropsDecodeOps(t *testing.T) {
 // out-of-order pressure: fewer or equal OOO arrivals and no worse tail
 // delay.
 func TestLeastWorkDispatchReducesInversions(t *testing.T) {
-	run := func(dispatch pipeline.DispatchPolicy, sizeAware bool) (ooo int, maxDelay time.Duration) {
+	run := func(dispatch pipeline.DispatchPolicy) (ooo int, maxDelay time.Duration) {
 		spec := ICSpec(64*40, 7)
 		spec.BatchSize, spec.GPUs, spec.NumWorkers = 64, 4, 4
 		spec.Dispatch = dispatch
-		spec.SizeAware = sizeAware
 		a := runTraced(t, spec)
 		return len(a.OutOfOrderBatches()), a.MaxDelay()
 	}
-	defOOO, defMax := run(pipeline.DispatchProducer, false)
-	lwOOO, lwMax := run(pipeline.DispatchLeastWork, true)
+	defOOO, defMax := run(pipeline.DispatchProducer)
+	lwOOO, lwMax := run(pipeline.DispatchLeastWork)
 	t.Logf("producer policy: ooo=%d maxDelay=%v; least-work: ooo=%d maxDelay=%v",
 		defOOO, defMax, lwOOO, lwMax)
 	if defOOO == 0 {
@@ -89,7 +88,6 @@ func TestDispatchPoliciesDeliverIdenticalData(t *testing.T) {
 		spec := ICSpec(100, 3)
 		spec.BatchSize, spec.NumWorkers = 10, 3
 		spec.Dispatch = dispatch
-		spec.SizeAware = dispatch == pipeline.DispatchLeastWork
 		var out [][]int
 		hooks := &pipeline.Hooks{}
 		_ = hooks

@@ -23,17 +23,11 @@ func TestSplitPointsPerWorkload(t *testing.T) {
 }
 
 func specFor(kind Kind, samples int, seed int64) Spec {
-	switch kind {
-	case IC:
-		return ICSpec(samples, seed)
-	case ICA:
-		return ICASpec(samples, seed)
-	case IS:
-		return ISSpec(samples, seed)
-	case OD:
-		return ODSpec(samples, seed)
+	spec, err := New(kind, samples, seed)
+	if err != nil {
+		panic(err)
 	}
-	panic(kind)
+	return spec
 }
 
 // applySplit runs one prototype sample through the spec's chain, either
@@ -144,18 +138,12 @@ func TestCachedLoaderByteIdenticalAllWorkloads(t *testing.T) {
 			spec.BatchSize = 1
 		}
 		spec.NumWorkers = 2
-		cache := pipeline.NewSampleCache(256<<20, false, nil) // sim clock: non-blocking
-		fp := uint64(0xF00D) + uint64(len(kind))
+		cache := pipeline.NewSampleCache(256<<20, uint64(0xF00D)+uint64(len(kind)), false, nil) // sim clock: non-blocking
 
 		run := func(epoch int, cached bool) map[int][]byte {
-			cfg := pipeline.Config{
-				BatchSize: spec.BatchSize, NumWorkers: spec.NumWorkers,
-				Shuffle: spec.Shuffle, Seed: spec.Seed, Epoch: epoch,
-				Mode: pipeline.RealData, MaterializeDim: 32,
-			}
+			cfg := spec.LoaderConfig(pipeline.RealData, 32, epoch)
 			if cached {
 				cfg.SampleCache = cache
-				cfg.PrefixFP = fp
 			}
 			out := make(map[int][]byte)
 			sim := clock.NewSim()

@@ -54,11 +54,24 @@ type Spec struct {
 	// OfflineDecode replaces the online decode with a pre-decoded raw read
 	// (Takeaway 2's offline-preprocessing strategy). Image pipelines only.
 	OfflineDecode bool
-	// Dispatch selects the DataLoader's index-dispatch policy; SizeAware
-	// additionally wires a per-sample cost hint from the dataset's record
-	// sizes.
-	Dispatch  pipeline.DispatchPolicy
-	SizeAware bool
+	// Dispatch selects the DataLoader's index-dispatch policy.
+	Dispatch pipeline.DispatchPolicy
+}
+
+// New returns the spec of kind with samples samples and the paper's default
+// configuration for it.
+func New(kind Kind, samples int, seed int64) (Spec, error) {
+	switch kind {
+	case IC:
+		return ICSpec(samples, seed), nil
+	case ICA:
+		return ICASpec(samples, seed), nil
+	case IS:
+		return ISSpec(samples, seed), nil
+	case OD:
+		return ODSpec(samples, seed), nil
+	}
+	return Spec{}, fmt.Errorf("unknown workload %q (want IC, ICA, IS, or OD)", kind)
 }
 
 // ICSpec returns the paper's image-classification pipeline: Table II uses
@@ -256,8 +269,9 @@ func (s Spec) Run(hooks *pipeline.Hooks) (gpusim.EpochStats, *native.Engine, *cl
 
 // RunEpochs executes a multi-epoch training job on one virtual clock. Each
 // epoch gets a fresh DataLoader (as PyTorch re-creates the iterator per
-// epoch), reshuffled with an epoch-derived seed, and batch IDs offset by
-// epoch so the combined trace stays unambiguous.
+// epoch), reshuffled with an epoch-derived seed; the loader numbers its
+// batches from epoch times the plan length, so the combined trace stays
+// unambiguous.
 func (s Spec) RunEpochs(hooks *pipeline.Hooks, epochs int) ([]gpusim.EpochStats, *native.Engine, *clock.Sim) {
 	if epochs <= 0 {
 		panic("workloads: RunEpochs needs epochs >= 1")
@@ -269,11 +283,10 @@ func (s Spec) RunEpochs(hooks *pipeline.Hooks, epochs int) ([]gpusim.EpochStats,
 	sim := clock.NewSim()
 	stats := make([]gpusim.EpochStats, 0, epochs)
 	sim.Run("trainer", func(p clock.Proc) {
-		offset := 0
 		for e := 0; e < epochs; e++ {
-			ds := s.Dataset(hooks)
-			dl := pipeline.NewDataLoader(sim, ds, s.loaderConfig(ds, hooks, engine, e, offset))
-			offset += dl.NumBatches()
+			cfg := s.LoaderConfig(pipeline.Simulated, 0, e)
+			cfg.Hooks, cfg.Engine = hooks, engine
+			dl := pipeline.NewDataLoader(sim, s.Dataset(hooks), cfg)
 			trainer := &gpusim.Trainer{Loader: dl, GPUs: s.GPUs, GPU: s.GPU}
 			stats = append(stats, trainer.RunEpoch(p))
 		}
@@ -288,8 +301,9 @@ func (s Spec) RunWithEngine(hooks *pipeline.Hooks, engine *native.Engine) (gpusi
 		hooks.PerLogCost = s.PerLogCost
 	}
 	sim := clock.NewSim()
-	ds := s.Dataset(hooks)
-	dl := pipeline.NewDataLoader(sim, ds, s.loaderConfig(ds, hooks, engine, 0, 0))
+	cfg := s.LoaderConfig(pipeline.Simulated, 0, 0)
+	cfg.Hooks, cfg.Engine = hooks, engine
+	dl := pipeline.NewDataLoader(sim, s.Dataset(hooks), cfg)
 	trainer := &gpusim.Trainer{Loader: dl, GPUs: s.GPUs, GPU: s.GPU}
 	var stats gpusim.EpochStats
 	sim.Run("main", func(p clock.Proc) {
@@ -298,9 +312,13 @@ func (s Spec) RunWithEngine(hooks *pipeline.Hooks, engine *native.Engine) (gpusi
 	return stats, engine, sim
 }
 
-// loaderConfig is the simulated DataLoader configuration the spec runs for
-// one epoch whose batch IDs start at offset.
-func (s Spec) loaderConfig(ds pipeline.Dataset, hooks *pipeline.Hooks, engine *native.Engine, epoch, offset int) pipeline.Config {
+// LoaderConfig is the DataLoader configuration the spec runs one epoch
+// under in mode: its batch size, workers, prefetch, shuffle, pinning, seed,
+// work scale and dispatch policy, and, off real data, a cost-model engine
+// for its architecture. Every loader built from a spec takes its
+// configuration from here, so a served epoch and its local run cannot
+// drift apart.
+func (s Spec) LoaderConfig(mode pipeline.Mode, materializeDim, epoch int) pipeline.Config {
 	cfg := pipeline.Config{
 		BatchSize:      s.BatchSize,
 		NumWorkers:     s.NumWorkers,
@@ -309,28 +327,13 @@ func (s Spec) loaderConfig(ds pipeline.Dataset, hooks *pipeline.Hooks, engine *n
 		PinMemory:      s.PinMemory,
 		Seed:           s.Seed,
 		Epoch:          epoch,
-		BatchIDOffset:  offset,
-		Hooks:          hooks,
-		Mode:           pipeline.Simulated,
-		Engine:         engine,
+		Mode:           mode,
 		WorkScale:      s.WorkScale,
+		MaterializeDim: materializeDim,
 		Dispatch:       s.Dispatch,
 	}
-	if s.SizeAware {
-		cfg.CostHint = costHintFor(ds)
+	if mode != pipeline.RealData {
+		cfg.Engine = native.NewEngine(s.Arch, native.DefaultCPU())
 	}
 	return cfg
-}
-
-// costHintFor derives a per-sample cost estimate from the dataset's record
-// sizes (encoded bytes for images, raw bytes for volumes) — the information
-// a SpeedyLoader-style balancer would use.
-func costHintFor(ds pipeline.Dataset) func(index int) float64 {
-	switch f := ds.(type) {
-	case *pipeline.ImageFolder:
-		return func(i int) float64 { return float64(f.Data.Record(i).FileBytes) }
-	case *pipeline.VolumeFolder:
-		return func(i int) float64 { return float64(f.Data.Record(i).RawBytes()) }
-	}
-	return nil
 }

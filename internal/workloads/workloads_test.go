@@ -2,12 +2,29 @@ package workloads
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"lotus/internal/core/trace"
 	"lotus/internal/native"
 )
+
+// TestNew: New builds every Kind's spec as its constructor does, and an
+// unknown name's error lists the kinds New knows.
+func TestNew(t *testing.T) {
+	for kind, want := range map[Kind]Spec{
+		IC: ICSpec(8, 3), ICA: ICASpec(8, 3), IS: ISSpec(8, 3), OD: ODSpec(8, 3),
+	} {
+		if got, err := New(kind, 8, 3); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("New(%s) = %+v, %v; want %+v", kind, got, err, want)
+		}
+	}
+	if _, err := New("ICX", 8, 3); err == nil || !strings.Contains(err.Error(), "want IC, ICA, IS, or OD") {
+		t.Errorf("New(ICX): error %v, want one listing IC, ICA, IS and OD", err)
+	}
+}
 
 // runTraced runs a small epoch of the spec with LotusTrace attached and
 // returns the analysis.
