@@ -15,11 +15,9 @@
 //
 // An e2e-only tuner cannot distinguish "no improvement because the GPU is
 // now the bottleneck" from "no improvement because of noise"; the trace
-// signals make the stopping decision explicit.
-//
-// The classification and selection rules live in internal/control — this
-// package is the offline driver of the bottleneck model the trace advisor
-// shares.
+// signals make the stopping decision explicit. The stall-free threshold is
+// the trace advisor's (trace.StallFreeWaitFrac), so the search stops where
+// the advisor stops calling a pipeline stalled.
 package autotune
 
 import (
@@ -28,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"lotus/internal/control"
 	"lotus/internal/core/trace"
 	"lotus/internal/workloads"
 )
@@ -66,9 +63,27 @@ func (c Config) defaults() Config {
 	return c
 }
 
-// Step is one evaluated configuration — the shared model's Sample, produced
-// here by a virtual-clock run instead of live counters.
-type Step = control.Sample
+// Step is one evaluated configuration: the (workers, prefetch) it ran and
+// the signals its virtual-clock run produced.
+type Step struct {
+	Workers int
+	// Prefetch is the prefetch factor (0 = the spec's own setting).
+	Prefetch     int
+	E2E          time.Duration
+	CPUSeconds   float64
+	GPUUtil      float64
+	LongWaitFrac float64
+}
+
+// The accelerator-utilization thresholds of the search's stopping rule.
+const (
+	// saturatedGPUUtil: accelerator utilization above this means more
+	// preprocessing throughput cannot help.
+	saturatedGPUUtil = 0.9
+	// healthyGPUUtil: minimum utilization for a stall-free run to count as
+	// balanced rather than merely idle.
+	healthyGPUUtil = 0.5
+)
 
 // Result is the tuning outcome.
 type Result struct {
@@ -124,36 +139,47 @@ func evaluate(spec workloads.Spec, workers, prefetch int, longWait time.Duration
 	}
 }
 
-// Tune searches worker counts by doubling while the bottleneck model says
-// the pipeline is still preprocessing-bound, then refines between the last
-// two candidates. The returned Best is control.SelectCheapest's pick: the
-// cheapest configuration (fewest CPU seconds) within Tolerance of the best
-// epoch time and within the CPU budget.
+// withinBudget reports whether s fits the CPU budget (0 = unlimited).
+func (c Config) withinBudget(s Step) bool {
+	return c.CPUBudgetSeconds <= 0 || s.CPUSeconds <= c.CPUBudgetSeconds
+}
+
+// signalStop is the doubling search's trace-signal stopping rule. It returns
+// why the search stops at s — the accelerator is saturated, so more workers
+// only burn CPU, or stalls are eliminated on a well-utilized accelerator —
+// or "" while the pipeline may still be preprocessing-bound.
+func signalStop(s Step) string {
+	switch {
+	case s.GPUUtil > saturatedGPUUtil:
+		return fmt.Sprintf("accelerator saturated at %d workers (%.0f%% utilization)", s.Workers, 100*s.GPUUtil)
+	case s.LongWaitFrac < trace.StallFreeWaitFrac && s.GPUUtil > healthyGPUUtil:
+		return fmt.Sprintf("stalls eliminated at %d workers", s.Workers)
+	}
+	return ""
+}
+
+// Tune searches worker counts by doubling while the trace signals say the
+// pipeline may still be preprocessing-bound, then refines between the last
+// two candidates. The returned Best is selectCheapest's pick: the cheapest
+// configuration (fewest CPU seconds) within Tolerance of the best epoch
+// time and within the CPU budget.
 func Tune(spec workloads.Spec, cfg Config) Result {
 	cfg = cfg.defaults()
 	res := Result{}
 
-	withinBudget := func(s Step) bool {
-		return cfg.CPUBudgetSeconds <= 0 || s.CPUSeconds <= cfg.CPUBudgetSeconds
-	}
-
-	// Phase 1: doubling, with the stopping decision delegated to the shared
-	// bottleneck classification.
+	// Phase 1: doubling until the budget, the trace signals or diminishing
+	// returns stop it.
 	w := cfg.MinWorkers
 	var prev *Step
 	for {
 		step := evaluate(spec, w, 0, cfg.LongWait)
 		res.Steps = append(res.Steps, step)
-		if !withinBudget(step) {
+		if !cfg.withinBudget(step) {
 			res.StopReason = fmt.Sprintf("CPU budget exceeded at %d workers (%.1fs > %.1fs)",
 				w, step.CPUSeconds, cfg.CPUBudgetSeconds)
 			break
 		}
-		if verdict := control.Classify(step); verdict == control.BottleneckAccelerator {
-			res.StopReason = fmt.Sprintf("accelerator saturated at %d workers (%.0f%% utilization)", w, 100*step.GPUUtil)
-			break
-		} else if verdict == control.BottleneckBalanced {
-			res.StopReason = fmt.Sprintf("stalls eliminated at %d workers", w)
+		if res.StopReason = signalStop(step); res.StopReason != "" {
 			break
 		}
 		if prev != nil {
@@ -194,19 +220,44 @@ func Tune(spec workloads.Spec, cfg Config) Result {
 		}
 	}
 
-	// Selection: the shared rule — cheapest CPU within tolerance of the
-	// fastest in-budget run.
-	chosen := control.SelectCheapest(res.Steps, cfg.Tolerance, cfg.CPUBudgetSeconds)
-	inBudget := false
-	for _, s := range res.Steps {
-		if withinBudget(s) {
-			inBudget = true
-			break
-		}
-	}
+	chosen, inBudget := selectCheapest(res.Steps, cfg)
 	if !inBudget {
 		res.StopReason += "; no configuration met the CPU budget"
 	}
 	res.Best = res.Steps[chosen]
 	return res
+}
+
+// selectCheapest picks the configuration to run: the fewest CPU seconds
+// among steps within cfg.Tolerance of the fastest in-budget epoch time. When
+// nothing fits the budget it falls back to the cheapest step outright and
+// reports inBudget false. chosen is an index into steps, or -1 for none.
+// This is the selection rule the paper's Takeaway 5 motivates: past the
+// knee, more workers buy little time for a lot of CPU.
+func selectCheapest(steps []Step, cfg Config) (chosen int, inBudget bool) {
+	var bestE2E time.Duration
+	for _, s := range steps {
+		if cfg.withinBudget(s) && (bestE2E == 0 || s.E2E < bestE2E) {
+			bestE2E = s.E2E
+		}
+	}
+	chosen = -1
+	for i, s := range steps {
+		if !cfg.withinBudget(s) {
+			continue
+		}
+		inBudget = true
+		if float64(s.E2E) <= float64(bestE2E)*(1+cfg.Tolerance) &&
+			(chosen < 0 || s.CPUSeconds < steps[chosen].CPUSeconds) {
+			chosen = i
+		}
+	}
+	if !inBudget {
+		for i, s := range steps {
+			if chosen < 0 || s.CPUSeconds < steps[chosen].CPUSeconds {
+				chosen = i
+			}
+		}
+	}
+	return chosen, inBudget
 }

@@ -3,6 +3,7 @@ package autotune
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"lotus/internal/workloads"
 )
@@ -114,5 +115,53 @@ func TestTunePrefetchKnob(t *testing.T) {
 	}
 	if !strings.Contains(res.String(), "prefetch") {
 		t.Fatal("rendering missing prefetch column")
+	}
+}
+
+// TestSignalStop: the search stops on a saturated accelerator, whatever the
+// waits, and on a stall-free run with a well-utilized accelerator; long
+// waits, an idle accelerator and the hysteresis band between the advisor's
+// two wait thresholds keep it growing.
+func TestSignalStop(t *testing.T) {
+	cases := []struct {
+		name string
+		s    Step
+		want string
+	}{
+		{"saturated gpu wins", Step{Workers: 4, GPUUtil: 0.95, LongWaitFrac: 0.9}, "accelerator saturated at 4 workers (95% utilization)"},
+		{"balanced", Step{Workers: 8, GPUUtil: 0.8, LongWaitFrac: 0.01}, "stalls eliminated at 8 workers"},
+		{"long waits", Step{GPUUtil: 0.3, LongWaitFrac: 0.5}, ""},
+		{"stall-free but idle gpu", Step{GPUUtil: 0.2, LongWaitFrac: 0.01}, ""},
+		{"hysteresis band", Step{GPUUtil: 0.8, LongWaitFrac: 0.15}, ""},
+	}
+	for _, c := range cases {
+		if got := signalStop(c.s); got != c.want {
+			t.Errorf("%s: signalStop(%+v) = %q, want %q", c.name, c.s, got, c.want)
+		}
+	}
+}
+
+func TestSelectCheapest(t *testing.T) {
+	steps := []Step{
+		{Workers: 1, E2E: 10 * time.Second, CPUSeconds: 1},
+		{Workers: 4, E2E: 4 * time.Second, CPUSeconds: 5},
+		{Workers: 8, E2E: 3900 * time.Millisecond, CPUSeconds: 11},
+	}
+	for _, c := range []struct {
+		budget   float64
+		want     int
+		inBudget bool
+	}{
+		{0, 1, true},    // 4 workers is within 8% of the fastest and much cheaper
+		{2, 0, true},    // a CPU budget of 2s leaves only the 1-worker run in budget
+		{0.5, 0, false}, // nothing in budget: fall back to the cheapest outright
+	} {
+		got, in := selectCheapest(steps, Config{Tolerance: 0.08, CPUBudgetSeconds: c.budget})
+		if got != c.want || in != c.inBudget {
+			t.Errorf("selectCheapest(budget=%v) = %d, %v; want %d, %v", c.budget, got, in, c.want, c.inBudget)
+		}
+	}
+	if got, _ := selectCheapest(nil, Config{Tolerance: 0.08}); got != -1 {
+		t.Fatalf("selectCheapest(nil) = %d, want -1", got)
 	}
 }

@@ -1,126 +1,123 @@
 package cluster
 
-import (
-	"sort"
-	"sync"
-	"time"
+import "time"
 
-	"lotus/internal/control"
+// Re-weighting is a policy over the routing loop's epoch boundaries: at each
+// epoch end, once every fetch and hedge goroutine of the epoch has joined,
+// the router folds the epoch's per-node steady cadence into an EWMA model of
+// each node's per-batch service time and writes the weights that model calls
+// for straight onto the ring. It is the ring's only writer, so the next
+// epoch's first Assign partitions under the new weights. Each node's weight
+// is the ratio of the fastest node's per-batch time to its own, so shard
+// sizes converge to be proportional to service rate and every node finishes
+// its shard at about the same time — the minimum-makespan partition for
+// heterogeneous nodes. Deterministic: the same observation sequence always
+// produces the same weights.
+
+// The balancer's smoothing, dead band and floor. They are the values the
+// autotune gates (BenchmarkAutotuneImbalanced, the
+// cluster-autotune-slow-node chaos row) run, so they are constants, not
+// configuration.
+const (
+	// balanceAlpha is the EWMA smoothing factor on per-batch service time:
+	// high enough to track a node that degrades mid-run, low enough that one
+	// noisy window cannot swing the ring.
+	balanceAlpha = 0.5
+	// balanceDeadBand suppresses re-weights smaller than this relative
+	// change — the hysteresis that stops the ring thrashing when nodes are
+	// roughly balanced.
+	balanceDeadBand = 0.15
+	// balanceMinWeight floors every alive node's weight: a degraded node
+	// keeps a sliver of the keyspace so its recovery is observable (weight 0
+	// would starve it of work and freeze its service estimate).
+	balanceMinWeight = 1.0 / 16
+	// balanceMinSamples is the minimum steady-frame observations in a window
+	// before a node's estimate updates.
+	balanceMinSamples = 2
 )
 
-// Re-weighting is a policy over the routing loop's boundaries: at each epoch
-// end the epoch's per-node steady cadence goes to the balancer, and its
-// proposals (and SetNodeWeight calls) land on the ring at the next round
-// start, when no fetch or hedge goroutine walks it. The exactly-once ledger
-// makes a mid-epoch re-weight safe: a round only assigns unserved IDs.
-
-// balance is the client's re-weighting state.
+// balance is the client's re-weighting state, touched only on the router
+// goroutine between epochs.
 type balance struct {
-	// balancer, when Config.AutoTune is set, converts per-epoch windows of
-	// the steady latency histograms into ring weights. snap remembers each
-	// histogram's (sum, total) at the last epoch boundary, so the window is
-	// a delta, not the lifetime aggregate.
-	balancer *control.Balancer
-	snap     map[string]histSnap
-
-	// mu guards the weight changes queued for the next round start, plus
-	// the applied-move counter.
-	mu      sync.Mutex
-	pending map[string]float64
-	moves   int
+	// svc is the EWMA per-batch service time per node, in seconds; nil
+	// unless Config.AutoTune is set. snap remembers each steady histogram's
+	// (sum, total) at the last epoch boundary, so a window is a delta, not
+	// the lifetime aggregate.
+	svc   map[string]float64
+	snap  map[string]histSnap
+	moves int
 }
 
-// histSnap is one histogram's cumulative (sum, total) at a window boundary.
+// histSnap is one histogram's cumulative (sum, total) at a window boundary,
+// or, as window returns it, the observations between two boundaries.
 type histSnap struct {
 	sum   time.Duration
 	total int64
 }
 
-// window returns each node's steady cadence since the previous call — the
-// observations recorded in between, averaged — and advances snap to now.
-// Nodes with no new observation are left out.
-func (l *latency) window(snap map[string]histSnap) []control.NodeSample {
+// window returns each node's steady-cadence observations since the previous
+// call and advances snap to now. Nodes with no new observation are left out.
+func (l *latency) window(snap map[string]histSnap) map[string]histSnap {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	nodes := make([]string, 0, len(l.steady))
-	for n := range l.steady {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	samples := make([]control.NodeSample, 0, len(nodes))
-	for _, node := range nodes {
-		h := l.steady[node]
+	out := make(map[string]histSnap)
+	for node, h := range l.steady {
 		prev := snap[node]
-		dTotal := h.Total - prev.total
-		dSum := h.Sum - prev.sum
 		snap[node] = histSnap{sum: h.Sum, total: h.Total}
-		if dTotal > 0 {
-			samples = append(samples, control.NodeSample{
-				Node: node, Batches: dTotal, PerBatch: dSum / time.Duration(dTotal)})
+		if d := h.Total - prev.total; d > 0 {
+			out[node] = histSnap{sum: h.Sum - prev.sum, total: d}
 		}
 	}
-	return samples
+	return out
 }
 
-// observeBalance is the balancer's epoch tick: it feeds the epoch's window
-// and the ring's current weights to the balancer and queues any proposed
-// re-weight for the next epoch's first round. It runs on the router
-// goroutine after the epoch's last round, so reading the ring is safe.
+// observeBalance is the balancer's epoch tick. It runs on the router
+// goroutine after the epoch's last round has joined, so it reads and writes
+// the ring unlocked: it folds the epoch's window into the service-time
+// model and, when some node's weight is off by more than the dead band,
+// sets every modeled node's weight to what the model calls for.
 func (c *Client) observeBalance() {
-	if c.bal.balancer == nil {
+	if c.bal.svc == nil {
 		return
 	}
-	if weights := c.bal.balancer.Observe(c.lat.window(c.bal.snap), c.Weights()); weights != nil {
-		for node, w := range weights {
-			c.SetNodeWeight(node, w)
+	for node, d := range c.lat.window(c.bal.snap) {
+		perBatch := d.sum / time.Duration(d.total)
+		if d.total < balanceMinSamples || perBatch <= 0 {
+			continue
 		}
-		c.cfg.Logf("cluster: autotune re-weight: %s", c.bal.balancer)
+		obs := perBatch.Seconds()
+		if old, ok := c.bal.svc[node]; ok {
+			obs = (1-balanceAlpha)*old + balanceAlpha*obs
+		}
+		c.bal.svc[node] = obs
 	}
-}
-
-// SetNodeWeight queues a ring weight override for node (w in [0, 1] of full
-// weight), applied at the next round start. Safe to call from any
-// goroutine — including mid-epoch from an onBatch callback or an operator
-// control surface — because the ring itself is only ever touched at round
-// starts on the router goroutine; the exactly-once ledger guarantees a
-// re-weighted reroute never re-delivers a batch. Returns false for a node
-// the client does not know.
-func (c *Client) SetNodeWeight(node string, w float64) bool {
-	if _, ok := c.clients[node]; !ok {
-		return false
+	if len(c.bal.svc) < 2 {
+		return
 	}
-	c.bal.mu.Lock()
-	if c.bal.pending == nil {
-		c.bal.pending = make(map[string]float64)
-	}
-	c.bal.pending[node] = w
-	c.bal.mu.Unlock()
-	return true
-}
-
-// applyPendingWeights drains the queued weight changes into the ring. Called
-// only from the router goroutine at round starts, while no fetch or hedge
-// goroutine is live to walk the ring concurrently.
-func (c *Client) applyPendingWeights() {
-	c.bal.mu.Lock()
-	pending := c.bal.pending
-	c.bal.pending = nil
-	c.bal.mu.Unlock()
-	nodes := make([]string, 0, len(pending))
-	for n := range pending {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	moves := 0
-	for _, n := range nodes {
-		if c.ring.SetWeight(n, pending[n]) {
-			moves++
-			c.cfg.Logf("cluster: ring weight %s -> %.2f", n, pending[n])
+	fastest := 0.0
+	for _, s := range c.bal.svc {
+		if fastest == 0 || s < fastest {
+			fastest = s
 		}
 	}
-	c.bal.mu.Lock()
-	c.bal.moves += moves
-	c.bal.mu.Unlock()
+	target := make(map[string]float64, len(c.bal.svc))
+	changed := false
+	for n, s := range c.bal.svc {
+		w := min(max(fastest/s, balanceMinWeight), 1)
+		target[n] = w
+		if cur := c.ring.Weight(n); w-cur > balanceDeadBand*cur || cur-w > balanceDeadBand*cur {
+			changed = true
+		}
+	}
+	if !changed {
+		return
+	}
+	for _, n := range c.ring.Nodes() {
+		if w, ok := target[n]; ok && c.ring.SetWeight(n, w) {
+			c.bal.moves++
+			c.cfg.Logf("cluster: ring weight %s -> %.2f (%.1fms/batch)", n, w, 1e3*c.bal.svc[n])
+		}
+	}
 }
 
 // Weights reports the ring's current per-node weights. Call it from the
@@ -133,10 +130,6 @@ func (c *Client) Weights() map[string]float64 {
 	return out
 }
 
-// WeightMoves reports how many applied weight changes actually changed a
-// ring weight.
-func (c *Client) WeightMoves() int {
-	c.bal.mu.Lock()
-	defer c.bal.mu.Unlock()
-	return c.bal.moves
-}
+// WeightMoves reports how many balancer re-weights changed a ring weight.
+// Call it from the router's goroutine (between runs).
+func (c *Client) WeightMoves() int { return c.bal.moves }

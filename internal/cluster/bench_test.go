@@ -21,14 +21,11 @@ import (
 // preprocesses. The hedge=off series eats the straggler's stall train every
 // epoch; hedge=on re-issues the laggard's unserved batches to their
 // next-best nodes and takes the first byte-identical answer. Every iteration's
-// frames are compared against a healthy node's ground truth, so the speedup
-// is proven on identical output. The benchmark fails itself unless the
+// finished batches are compared against a local run's, so the speedup is
+// proven on identical output. The benchmark fails itself unless the
 // hedge=off p99 is at least 2x the hedge=on p99, whenever both series run.
 func BenchmarkStragglerTail(b *testing.B) {
-	spec := workloads.ICSpec(128, 7)
-	spec.BatchSize = 16 // 8 batches per epoch
-	spec.NumWorkers = 2
-	const matDim = 24
+	spec := hedgeSpec()
 	// The victim models a genuinely degraded node — disk contention, a noisy
 	// neighbor, thermal throttling — not jitter: every batch it preprocesses
 	// eats a 1.5s stall, an order of magnitude over the healthy per-batch
@@ -40,7 +37,7 @@ func BenchmarkStragglerTail(b *testing.B) {
 
 	newNode := func(inj *faultinject.Injector) *serve.Server {
 		srv := serve.New(serve.Config{
-			Spec: spec, Mode: pipeline.RealData, MaterializeDim: matDim, Prefetch: 2, Faults: inj,
+			Spec: spec, Mode: pipeline.RealData, MaterializeDim: realDim, Prefetch: 2, Faults: inj,
 		})
 		if err := srv.Start("127.0.0.1:0", ""); err != nil {
 			b.Fatal(err)
@@ -48,38 +45,11 @@ func BenchmarkStragglerTail(b *testing.B) {
 		return srv
 	}
 
-	// Ground truth from one healthy node: frames indexed by global batch ID.
-	gtSrv := newNode(nil)
-	gt := serve.NewClient(serve.ClientConfig{Addr: gtSrv.Addr(), Name: "bench-ground-truth"})
-	want := make(map[int][]byte)
-	if _, err := gt.Run(1, func(batch *serve.Batch, payload []byte) {
-		want[batch.GlobalID] = append([]byte(nil), payload...)
-	}); err != nil {
-		b.Fatal(err)
-	}
-	gt.Close()
-	gtSrv.Close()
-
+	// Ground truth from a local run: a RealData frame carries pixels the
+	// client finishes, so the reference is the finished batch.
+	want := localFrames(b, spec, pipeline.RealData, realDim, 0)
 	// The ring decides the victim the same way regardless of hedging config.
-	ring := NewRing()
-	alive := map[string]bool{}
-	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("node%d", i)
-		ring.Add(id)
-		alive[id] = true
-	}
-	ids := make([]int, len(want))
-	for i := range ids {
-		ids[i] = i
-	}
-	asn := ring.Assign(ids, alive)
-	victim, best := "", -1
-	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("node%d", i)
-		if l := len(asn.ByNode[id]); l > best {
-			best, victim = l, id
-		}
-	}
+	victim, _ := victimWithLargestShard([]Node{{ID: "node0"}, {ID: "node1"}, {ID: "node2"}}, len(want))
 
 	p99s := make(map[string]float64)
 	for _, hedged := range []bool{false, true} {
@@ -126,9 +96,9 @@ func BenchmarkStragglerTail(b *testing.B) {
 				got := make(map[int][]byte, len(want))
 				var gotMu sync.Mutex // node streams deliver concurrently
 				start := time.Now()
-				stats, err := c.RunEpoch(0, func(node string, batch *serve.Batch, payload []byte) {
+				stats, err := c.RunEpoch(0, func(node string, batch *serve.Batch, _ []byte) {
 					gotMu.Lock()
-					got[batch.GlobalID] = append([]byte(nil), payload...)
+					got[batch.GlobalID] = serve.AppendBatch(nil, batch)
 					gotMu.Unlock()
 				})
 				epochSecs = append(epochSecs, time.Since(start).Seconds())
@@ -190,41 +160,11 @@ func BenchmarkAutotuneImbalanced(b *testing.B) {
 	// at roughly 3x per batch.
 	const stall = 100 * time.Millisecond
 
-	// Ground truth once from a plain Simulated server (same bytes, unpaced).
-	gtSrv := serve.New(serve.Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 4})
-	if err := gtSrv.Start("127.0.0.1:0", ""); err != nil {
-		b.Fatal(err)
-	}
-	gt := serve.NewClient(serve.ClientConfig{Addr: gtSrv.Addr(), Name: "bench-ground-truth"})
-	want := make(map[int][]byte)
-	if _, err := gt.Run(1, func(batch *serve.Batch, payload []byte) {
-		want[batch.GlobalID] = append([]byte(nil), payload...)
-	}); err != nil {
-		b.Fatal(err)
-	}
-	gt.Close()
-	gtSrv.Close()
-
+	// Ground truth from a local run: an emulate-time node serves the
+	// Simulated bytes, only paced.
+	want := localFrames(b, spec, pipeline.Simulated, 0, 0)
 	// The ring decides the victim the same way regardless of tuning config.
-	ring := NewRing()
-	alive := map[string]bool{}
-	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("node%d", i)
-		ring.Add(id)
-		alive[id] = true
-	}
-	ids := make([]int, len(want))
-	for i := range ids {
-		ids[i] = i
-	}
-	asn := ring.Assign(ids, alive)
-	victim, best := "", -1
-	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("node%d", i)
-		if l := len(asn.ByNode[id]); l > best {
-			best, victim = l, id
-		}
-	}
+	victim, _ := victimWithLargestShard([]Node{{ID: "node0"}, {ID: "node1"}, {ID: "node2"}}, len(want))
 
 	rates := make(map[string]float64)
 	for _, tune := range []bool{false, true} {

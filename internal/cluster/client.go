@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"lotus/internal/control"
 	"lotus/internal/rng"
 	"lotus/internal/serve"
 )
@@ -55,10 +54,10 @@ type Config struct {
 	// service-time model, and each node's weight on the ring is retargeted
 	// to fastest/service_time — so shard sizes converge to be proportional
 	// to service rate and a slowed-but-alive node sheds load until every
-	// node finishes its shard at about the same time. Weight changes are
-	// queued and applied only at round starts, when no fetch goroutine is
-	// live; the exactly-once ledger makes a mid-epoch re-weight safe by
-	// construction (only still-unserved IDs are ever re-requested).
+	// node finishes its shard at about the same time. The balancer writes
+	// the ring at the epoch's end, on the router goroutine, once every fetch
+	// and hedge goroutine of the epoch has joined, so the next epoch
+	// partitions under the new weights.
 	AutoTune bool
 	// OnFetchError observes every failed shard fetch attempt.
 	OnFetchError func(node string, epoch, attempt int, err error)
@@ -169,7 +168,7 @@ const (
 // ring, fetch each node's shard concurrently, deduplicate every frame
 // through the epoch's exactly-once ledger, and re-route whatever is still
 // unserved (a dead node's shard) in the next round. Hedging (hedge.go) runs
-// inside a round; re-weighting (balance.go) runs between rounds. Exactly-once
+// inside a round; re-weighting (balance.go) runs between epochs. Exactly-once
 // delivery holds by construction — the router only ever requests IDs it has
 // not received — and the ledger enforces it against misbehaving nodes. Not
 // safe for concurrent use; run one Client per goroutine.
@@ -230,7 +229,7 @@ func New(cfg Config) (*Client, error) {
 		hedgeMinDelay: hedgeMinDelay,
 	}
 	if cfg.AutoTune {
-		c.bal.balancer = control.NewBalancer()
+		c.bal.svc = make(map[string]float64)
 		c.bal.snap = make(map[string]histSnap)
 	}
 	for i := range cfg.Nodes {
@@ -474,10 +473,6 @@ func (c *Client) RunEpoch(epoch int, onBatch func(node string, b *serve.Batch, p
 	st := &epochState{received: make(map[int]bool), hedged: make(map[int]bool), stats: stats}
 
 	for round := 0; len(remaining) > 0; round++ {
-		// Round start is the balance policy's safe point: the previous
-		// round's fetch and hedge goroutines are joined, so queued re-weights
-		// land on the ring before Assign partitions the remaining work.
-		c.applyPendingWeights()
 		// Every round that leaves work unserved marks a node down, and none
 		// comes back before the next epoch, so the cap only brakes a bug.
 		if round >= 4+2*len(c.cfg.Nodes) {

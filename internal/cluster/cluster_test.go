@@ -43,13 +43,24 @@ func groundTruth(t *testing.T, spec workloads.Spec, epochs int) [][][]byte {
 	t.Helper()
 	out := make([][][]byte, epochs)
 	for e := range out {
-		batches, err := serve.LocalBatches(spec, pipeline.Simulated, 0, e, nil)
-		if err != nil {
-			t.Fatalf("ground truth epoch %d: %v", e, err)
-		}
-		for _, b := range batches {
-			out[e] = append(out[e], serve.AppendBatch(nil, b))
-		}
+		out[e] = localFrames(t, spec, pipeline.Simulated, 0, e)
+	}
+	return out
+}
+
+// localFrames encodes every batch of a local run of spec's epoch in mode,
+// indexed by global ID. A Simulated node's frame payload is exactly this
+// encoding. A RealData frame carries pixels the client finishes, so there
+// the reference is for the finished batch, serve.AppendBatch of onBatch's b.
+func localFrames(tb testing.TB, spec workloads.Spec, mode pipeline.Mode, materializeDim, epoch int) [][]byte {
+	tb.Helper()
+	batches, err := serve.LocalBatches(spec, mode, materializeDim, epoch, nil)
+	if err != nil {
+		tb.Fatalf("ground truth epoch %d: %v", epoch, err)
+	}
+	out := make([][]byte, len(batches))
+	for i, b := range batches {
+		out[i] = serve.AppendBatch(nil, b)
 	}
 	return out
 }
@@ -489,11 +500,15 @@ func hedgeSpec() workloads.Spec {
 	return spec
 }
 
-// startRealNode boots one loopback RealData node at a small materialize dim.
+// realDim is the RealData nodes' materialize dim: small, to keep pixel
+// synthesis cheap.
+const realDim = 24
+
+// startRealNode boots one loopback RealData node at realDim.
 func startRealNode(t *testing.T, spec workloads.Spec, inj *faultinject.Injector) *serve.Server {
 	t.Helper()
 	srv := serve.New(serve.Config{
-		Spec: spec, Mode: pipeline.RealData, MaterializeDim: 24, Prefetch: 2, Faults: inj,
+		Spec: spec, Mode: pipeline.RealData, MaterializeDim: realDim, Prefetch: 2, Faults: inj,
 	})
 	if err := srv.Start("127.0.0.1:0", ""); err != nil {
 		t.Fatal(err)
@@ -516,19 +531,7 @@ func TestClusterHedgedFetchSlowNode(t *testing.T) {
 	t.Cleanup(testutil.CheckFrames(t, serve.FramesInUse))
 	spec := hedgeSpec()
 
-	srv := startRealNode(t, spec, nil)
-	gt := serve.NewClient(serve.ClientConfig{Addr: srv.Addr(), Name: "ground-truth"})
-	want := make([][]byte, 0)
-	wantByID := make(map[int][]byte)
-	if _, err := gt.Run(1, func(b *serve.Batch, payload []byte) {
-		wantByID[b.GlobalID] = append([]byte(nil), payload...)
-	}); err != nil {
-		t.Fatalf("ground truth: %v", err)
-	}
-	gt.Close()
-	for i := 0; i < len(wantByID); i++ {
-		want = append(want, wantByID[i])
-	}
+	want := localFrames(t, spec, pipeline.RealData, realDim, 0)
 	planLen := len(want)
 
 	// The victim is the node the ring hands the most batches, so its stall
@@ -562,7 +565,9 @@ func TestClusterHedgedFetchSlowNode(t *testing.T) {
 
 	sink := newFrameSink()
 	start := time.Now()
-	stats, err := c.RunEpoch(0, sink.onBatch)
+	stats, err := c.RunEpoch(0, func(node string, b *serve.Batch, _ []byte) {
+		sink.onBatch(node, b, serve.AppendBatch(nil, b))
+	})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("hedged epoch: %v", err)
@@ -586,10 +591,11 @@ func TestClusterHedgedFetchSlowNode(t *testing.T) {
 }
 
 // TestWeightShiftProperty is the weighted-ring mirror of
-// TestRebalanceProperty: shifting a node's ring weight mid-epoch — alone
-// and combined with a mid-epoch node death — preserves exactly-once
-// delivery and byte-identity with single-node ground truth, and the shifted
-// weight governs the next epoch's partition. Run under -race in CI.
+// TestRebalanceProperty: shifting a node's ring weight between epochs, where
+// the balancer writes it — alone and after a mid-epoch node death that
+// leaves the node down — preserves exactly-once delivery and byte-identity
+// with single-node ground truth, and the shifted weight governs the next
+// epoch's partition. Run under -race in CI.
 func TestWeightShiftProperty(t *testing.T) {
 	spec := clusterSpec()
 	want := groundTruth(t, spec, 2)
@@ -636,20 +642,8 @@ func TestWeightShiftProperty(t *testing.T) {
 			}
 			defer c.Close()
 
-			// The weight shift fires from the delivery callback — i.e. from a
-			// fetch goroutine mid-epoch, the hardest point to re-weight at.
-			// The queue/safe-point discipline applies it at the next round or
-			// epoch boundary.
 			sink := newFrameSink()
-			var once sync.Once
-			stats, err := c.RunEpoch(0, func(node string, b *serve.Batch, payload []byte) {
-				once.Do(func() {
-					if !c.SetNodeWeight(victimID, w) {
-						t.Errorf("SetNodeWeight(%q) rejected a known node", victimID)
-					}
-				})
-				sink.onBatch(node, b, payload)
-			})
+			stats, err := c.RunEpoch(0, sink.onBatch)
 			if err != nil {
 				t.Fatalf("trial %d (victim=%s w=%.2f kill=%v): %v", trial, victimID, w, killTrial, err)
 			}
@@ -658,7 +652,9 @@ func TestWeightShiftProperty(t *testing.T) {
 				t.Fatalf("trial %d: %d frames hit the exactly-once filter", trial, stats.Ignored)
 			}
 
-			// Epoch 1 runs fully under the shifted weight.
+			// The shift lands between epochs, on the router goroutine, as the
+			// balancer's does; epoch 1 runs fully under it.
+			c.ring.SetWeight(victimID, w)
 			sink2 := newFrameSink()
 			stats2, err := c.RunEpoch(1, sink2.onBatch)
 			if err != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"lotus/internal/control"
 	"lotus/internal/serve"
 	"lotus/internal/testutil"
 )
@@ -221,6 +220,29 @@ func TestHedgeThresholdFromPeersOnly(t *testing.T) {
 	}
 }
 
+// autoTuneClient is a client of nodes ids with the balancer on.
+func autoTuneClient(t *testing.T, ids ...string) *Client {
+	t.Helper()
+	nodes := make([]Node, len(ids))
+	for i, id := range ids {
+		nodes[i] = Node{ID: id, Addr: id + ":1"}
+	}
+	c, err := New(Config{Nodes: nodes, Name: "balance", AutoTune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// balanceEpoch records n steady gaps per node, each node's gap as given,
+// and runs the balancer's epoch tick.
+func balanceEpoch(c *Client, n int, gaps map[string]time.Duration) {
+	for node, d := range gaps {
+		record(c, node, false, n, d)
+	}
+	c.observeBalance()
+}
+
 // TestBalanceWindowIsEpochDelta: the balancer sees each node's steady
 // cadence since the previous epoch boundary, not the lifetime aggregate, and
 // never the warm-up population.
@@ -231,16 +253,16 @@ func TestBalanceWindowIsEpochDelta(t *testing.T) {
 	l.record("a", false, 10*time.Millisecond)
 	l.record("a", false, 10*time.Millisecond)
 	l.record("a", true, time.Second)
-	want := []control.NodeSample{{Node: "a", Batches: 3, PerBatch: 10 * time.Millisecond}}
+	want := map[string]histSnap{"a": {sum: 30 * time.Millisecond, total: 3}}
 	if got := l.window(snap); !reflect.DeepEqual(got, want) {
 		t.Fatalf("first window %+v, want %+v", got, want)
 	}
 	l.record("a", false, 40*time.Millisecond)
 	l.record("a", false, 40*time.Millisecond)
 	l.record("b", false, 20*time.Millisecond)
-	want = []control.NodeSample{
-		{Node: "a", Batches: 2, PerBatch: 40 * time.Millisecond},
-		{Node: "b", Batches: 1, PerBatch: 20 * time.Millisecond},
+	want = map[string]histSnap{
+		"a": {sum: 80 * time.Millisecond, total: 2},
+		"b": {sum: 20 * time.Millisecond, total: 1},
 	}
 	if got := l.window(snap); !reflect.DeepEqual(got, want) {
 		t.Fatalf("second window %+v, want the epoch's delta %+v", got, want)
@@ -250,40 +272,92 @@ func TestBalanceWindowIsEpochDelta(t *testing.T) {
 	}
 }
 
+// TestBalanceWritesRingAtEpochEnd: the epoch tick writes its re-weight to
+// the ring itself, so the weight reads back at once — a run's last epoch
+// leaves its re-weight on the ring, and a one-epoch run reports it.
+func TestBalanceWritesRingAtEpochEnd(t *testing.T) {
+	c := autoTuneClient(t, "a", "b")
+	balanceEpoch(c, 8, map[string]time.Duration{"a": 10 * time.Millisecond, "b": 40 * time.Millisecond})
+	if w := c.Weights()["b"]; w != 0.25 {
+		t.Fatalf("after one 4x-slow epoch, b's weight is %.2f, want 0.25", w)
+	}
+	if got := c.WeightMoves(); got != 1 {
+		t.Fatalf("weight moves %d, want 1", got)
+	}
+}
+
 // TestBalanceRetunesAfterManualWeight: the balancer measures its dead band
-// against the ring's weight, not its own last proposal. After a
-// SetNodeWeight lifts the slow node back to full weight, the next epoch at
-// the same 4x service time re-weights it again.
+// against the ring's weight, not its own last proposal. After a weight set
+// on the ring between epochs lifts the slow node back to full weight, the
+// next epoch at the same 4x service time re-weights it again.
 func TestBalanceRetunesAfterManualWeight(t *testing.T) {
-	c, err := New(Config{
-		Nodes:    []Node{{ID: "a", Addr: "a:1"}, {ID: "b", Addr: "b:1"}},
-		Name:     "balance",
-		AutoTune: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	epoch := func() {
-		record(c, "a", false, 8, 10*time.Millisecond)
-		record(c, "b", false, 8, 40*time.Millisecond)
-		c.observeBalance()
-		c.applyPendingWeights()
-	}
-	epoch()
+	c := autoTuneClient(t, "a", "b")
+	gaps := map[string]time.Duration{"a": 10 * time.Millisecond, "b": 40 * time.Millisecond}
+	balanceEpoch(c, 8, gaps)
 	if w := c.Weights()["b"]; w != 0.25 {
 		t.Fatalf("after epoch 1, b's weight is %.2f, want 0.25", w)
 	}
-	c.SetNodeWeight("b", 1)
-	c.applyPendingWeights()
-	if w := c.Weights()["b"]; w != 1 {
-		t.Fatalf("SetNodeWeight left b at %.2f, want 1", w)
-	}
-	epoch()
+	c.ring.SetWeight("b", 1)
+	balanceEpoch(c, 8, gaps)
 	if w := c.Weights()["b"]; w != 0.25 {
 		t.Fatalf("after a manual weight and another 4x-slow epoch, b's weight is %.2f, want 0.25", w)
 	}
-	if got := c.WeightMoves(); got != 3 {
-		t.Fatalf("weight moves %d, want 3 (two re-weights and the manual one)", got)
+	if got := c.WeightMoves(); got != 2 {
+		t.Fatalf("weight moves %d, want 2 (one re-weight per epoch)", got)
+	}
+}
+
+func TestBalancerConvergesOnSlowNode(t *testing.T) {
+	c := autoTuneClient(t, "a", "b", "c")
+	for i := 0; i < 6; i++ {
+		balanceEpoch(c, 10, map[string]time.Duration{"a": 10 * time.Millisecond, "b": 10 * time.Millisecond, "c": 30 * time.Millisecond})
+	}
+	weights := c.Weights()
+	if c.WeightMoves() == 0 {
+		t.Fatal("balancer never re-weighted a 3x-slow node")
+	}
+	if weights["a"] != 1 || weights["b"] != 1 {
+		t.Fatalf("fast nodes must keep full weight, got %v", weights)
+	}
+	// 3x slower -> weight converges to ~1/3.
+	if w := weights["c"]; w < 0.25 || w > 0.45 {
+		t.Fatalf("slow node weight = %.2f, want ~0.33", w)
+	}
+}
+
+func TestBalancerDeadBandSuppressesNoise(t *testing.T) {
+	c := autoTuneClient(t, "a", "b")
+	for i := 0; i < 10; i++ {
+		// +-5% jitter around a balanced cluster: inside the dead band.
+		m := time.Duration(10+i%2) * time.Millisecond
+		balanceEpoch(c, 10, map[string]time.Duration{"a": m, "b": 10 * time.Millisecond})
+	}
+	if moves := c.WeightMoves(); moves != 0 {
+		t.Fatalf("balanced cluster with jitter inside the dead band re-weighted %d times", moves)
+	}
+}
+
+func TestBalancerMinWeightFloor(t *testing.T) {
+	c := autoTuneClient(t, "dead-slow", "fast")
+	for i := 0; i < 4; i++ {
+		balanceEpoch(c, 10, map[string]time.Duration{"fast": time.Millisecond, "dead-slow": time.Second})
+	}
+	if c.WeightMoves() == 0 {
+		t.Fatal("expected a re-weight")
+	}
+	if w := c.Weights()["dead-slow"]; w != 1.0/16 {
+		t.Fatalf("slow node floored at %.4f, want 1/16", w)
+	}
+}
+
+func TestBalancerNeedsMinSamples(t *testing.T) {
+	c := autoTuneClient(t, "a", "b")
+	for i := 0; i < 5; i++ {
+		// One frame per window: below balanceMinSamples.
+		balanceEpoch(c, 1, map[string]time.Duration{"a": time.Millisecond, "b": 30 * time.Millisecond})
+		if moves := c.WeightMoves(); moves != 0 {
+			t.Fatalf("cold windows must not re-weight, got %v", c.Weights())
+		}
 	}
 }
 

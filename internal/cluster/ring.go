@@ -45,7 +45,8 @@ type member struct {
 // goes to the smaller member ID — so every consumer and every test computes
 // the same partition without coordination. Across architectures only a tie
 // within one ulp of math.Log could differ (amd64 has an assembly Log). Not
-// safe for concurrent mutation; the router guards it with its own lock.
+// safe for concurrent mutation; the router's balancer, its one writer, sets
+// weights only between epochs.
 type Ring struct {
 	members []member // sorted by id
 }

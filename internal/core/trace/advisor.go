@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"lotus/internal/control"
 )
 
 // This file implements the automated log analysis the paper's conclusion
@@ -44,6 +42,20 @@ type Finding struct {
 	// the rule.
 	Detail string
 }
+
+// The advisor's wait-fraction thresholds, which the offline tuner in
+// internal/autotune stops on too. The pair is a hysteresis band: a pipeline
+// must cross 25% long waits to be called preprocessing-bound but drop under
+// 5% to be called stall-free, so a signal hovering near either threshold
+// cannot flip the diagnosis back and forth.
+const (
+	// HighWaitFrac: above this fraction of long batch waits the consumer is
+	// starving (grow workers).
+	HighWaitFrac = 0.25
+	// StallFreeWaitFrac: below this fraction stalls are considered
+	// eliminated (stop growing).
+	StallFreeWaitFrac = 0.05
+)
 
 // AdvisorConfig tunes the rule thresholds. Zero values take defaults.
 type AdvisorConfig struct {
@@ -88,10 +100,8 @@ func (a *Analysis) Advise(cfg AdvisorConfig) []Finding {
 	}
 
 	// Rule: preprocessing-bound — large fraction of long main-process waits
-	// means the accelerator starves (§ V-C2). The threshold is the shared
-	// bottleneck model's: the offline tuner keeps adding workers at exactly
-	// the point this advisor tells the operator to.
-	if frac := a.WaitsOver(cfg.LongWait); frac > control.HighWaitFrac {
+	// means the accelerator starves (§ V-C2).
+	if frac := a.WaitsOver(cfg.LongWait); frac > HighWaitFrac {
 		out = append(out, Finding{
 			Severity: Critical,
 			Rule:     "preprocessing-bound",
@@ -102,7 +112,7 @@ func (a *Analysis) Advise(cfg AdvisorConfig) []Finding {
 
 	// Rule: gpu-bound — batches consistently sit preprocessed long before
 	// consumption (§ V-B, Figure 2 b/c).
-	if frac := a.DelaysOver(cfg.LongDelay); frac > 0.5 && a.WaitsOver(cfg.LongWait) < control.StallFreeWaitFrac {
+	if frac := a.DelaysOver(cfg.LongDelay); frac > 0.5 && a.WaitsOver(cfg.LongWait) < StallFreeWaitFrac {
 		out = append(out, Finding{
 			Severity: Info,
 			Rule:     "gpu-bound",

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lotus/internal/pipeline"
 )
@@ -30,13 +29,6 @@ import (
 type Ring struct {
 	seq     atomic.Int64 // next global sequence number == records ever added
 	stripes []ringStripe
-
-	mu sync.Mutex // guards perLogCost only
-	// perLogCost is propagated into the Hooks so the pipeline charges each
-	// record's modeled emission cost to the emitting proc, exactly as
-	// Tracer.Hooks does — a served run must not under-account tracer
-	// overhead relative to a streamed one.
-	perLogCost time.Duration
 }
 
 // maxRingStripes bounds the stripe count; 8 keeps per-stripe buffers large
@@ -76,21 +68,6 @@ func NewRing(capacity int) *Ring {
 		r.stripes[i].seqs = make([]int64, per)
 	}
 	return r
-}
-
-// SetPerLogCost sets the modeled cost per recorded entry, the Ring analogue
-// of the Tracer's WithPerLogCost option. Call before Hooks.
-func (r *Ring) SetPerLogCost(d time.Duration) {
-	r.mu.Lock()
-	r.perLogCost = d
-	r.mu.Unlock()
-}
-
-// PerLogCost reports the modeled cost per recorded entry.
-func (r *Ring) PerLogCost() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.perLogCost
 }
 
 // Add records one entry, evicting the oldest in its stripe if full.
@@ -162,5 +139,6 @@ func (r *Ring) Len() int {
 }
 
 // Hooks returns pipeline instrumentation callbacks that record into the
-// ring — the in-memory analogue of Tracer.Hooks.
-func (r *Ring) Hooks() *pipeline.Hooks { return hooks(r.Add, r.PerLogCost()) }
+// ring — the in-memory analogue of Tracer.Hooks. A live ring models no
+// per-record emission cost.
+func (r *Ring) Hooks() *pipeline.Hooks { return hooks(r.Add, 0) }

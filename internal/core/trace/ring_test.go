@@ -72,32 +72,6 @@ func TestRingHooksRecord(t *testing.T) {
 	}
 }
 
-// TestRingHooksPerLogCostParity pins the fix for Ring.Hooks dropping the
-// modeled per-record cost: a served run (Ring) must charge the same tracer
-// overhead per record as a streamed run (Tracer), or the service
-// under-accounts instrumentation interference.
-func TestRingHooksPerLogCostParity(t *testing.T) {
-	const cost = 200 * time.Microsecond
-	r := NewRing(16)
-	r.SetPerLogCost(cost)
-	tr := NewTracer(discardWriter{}, WithPerLogCost(cost))
-	rh, th := r.Hooks(), tr.Hooks()
-	if rh.PerLogCost != th.PerLogCost {
-		t.Fatalf("Ring.Hooks PerLogCost = %v, Tracer.Hooks PerLogCost = %v; must match", rh.PerLogCost, th.PerLogCost)
-	}
-	if rh.PerLogCost != cost {
-		t.Fatalf("Ring.Hooks PerLogCost = %v, want %v", rh.PerLogCost, cost)
-	}
-	// The default stays free, like the Tracer's.
-	if NewRing(1).Hooks().PerLogCost != 0 {
-		t.Fatal("un-configured Ring.Hooks must have zero PerLogCost")
-	}
-}
-
-type discardWriter struct{}
-
-func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
-
 func TestRingConcurrentAdds(t *testing.T) {
 	r := NewRing(64)
 	var wg sync.WaitGroup

@@ -56,8 +56,6 @@ func (s *Server) wallClock() bool {
 func (pl *plane) init() {
 	s := pl.srv
 	spec := s.cfg.Spec
-	// The ring's PerLogCost is the spec's, so served runs charge the same
-	// modeled per-record cost a streamed Tracer run would.
 	hooks := s.ring.Hooks()
 	pl.mu.Lock()
 	defer pl.mu.Unlock()

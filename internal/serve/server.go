@@ -169,7 +169,6 @@ func New(cfg Config) *Server {
 		conns:        make(map[net.Conn]bool),
 		qos:          newQoSState(cfg.Tenants),
 	}
-	s.ring.SetPerLogCost(cfg.Spec.PerLogCost)
 	s.planLen = len(pipeline.BuildBatchPlan(cfg.Spec.NumSamples, cfg.Spec.BatchSize,
 		cfg.Spec.Shuffle, false, cfg.Spec.Seed))
 	s.maxRequest = maxRequestFrame(s.planLen)

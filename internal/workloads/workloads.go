@@ -8,7 +8,6 @@ package workloads
 
 import (
 	"fmt"
-
 	"time"
 
 	"lotus/internal/clock"
@@ -49,8 +48,6 @@ type Spec struct {
 	PinMemory bool
 	// WorkScale stretches simulated work (profiler-interference modeling).
 	WorkScale float64
-	// PerLogCost is forwarded to the hooks when tracing.
-	PerLogCost time.Duration
 	// OfflineDecode replaces the online decode with a pre-decoded raw read
 	// (Takeaway 2's offline-preprocessing strategy). Image pipelines only.
 	OfflineDecode bool
@@ -276,10 +273,19 @@ func (s Spec) RunEpochs(hooks *pipeline.Hooks, epochs int) ([]gpusim.EpochStats,
 	if epochs <= 0 {
 		panic("workloads: RunEpochs needs epochs >= 1")
 	}
-	engine := native.NewEngine(s.Arch, native.DefaultCPU())
-	if hooks != nil && s.PerLogCost > 0 {
-		hooks.PerLogCost = s.PerLogCost
-	}
+	return s.runEpochs(hooks, native.NewEngine(s.Arch, native.DefaultCPU()), epochs)
+}
+
+// RunWithEngine is Run with a caller-provided engine (so a hardware
+// profiling session can be attached beforehand).
+func (s Spec) RunWithEngine(hooks *pipeline.Hooks, engine *native.Engine) (gpusim.EpochStats, *native.Engine, *clock.Sim) {
+	stats, _, sim := s.runEpochs(hooks, engine, 1)
+	return stats[0], engine, sim
+}
+
+// runEpochs is the body of RunEpochs and RunWithEngine: one trainer proc
+// runs epochs 0..epochs-1, each through a fresh DataLoader on engine.
+func (s Spec) runEpochs(hooks *pipeline.Hooks, engine *native.Engine, epochs int) ([]gpusim.EpochStats, *native.Engine, *clock.Sim) {
 	sim := clock.NewSim()
 	stats := make([]gpusim.EpochStats, 0, epochs)
 	sim.Run("trainer", func(p clock.Proc) {
@@ -290,24 +296,6 @@ func (s Spec) RunEpochs(hooks *pipeline.Hooks, epochs int) ([]gpusim.EpochStats,
 			trainer := &gpusim.Trainer{Loader: dl, GPUs: s.GPUs, GPU: s.GPU}
 			stats = append(stats, trainer.RunEpoch(p))
 		}
-	})
-	return stats, engine, sim
-}
-
-// RunWithEngine is Run with a caller-provided engine (so a hardware
-// profiling session can be attached beforehand).
-func (s Spec) RunWithEngine(hooks *pipeline.Hooks, engine *native.Engine) (gpusim.EpochStats, *native.Engine, *clock.Sim) {
-	if hooks != nil && s.PerLogCost > 0 {
-		hooks.PerLogCost = s.PerLogCost
-	}
-	sim := clock.NewSim()
-	cfg := s.LoaderConfig(pipeline.Simulated, 0, 0)
-	cfg.Hooks, cfg.Engine = hooks, engine
-	dl := pipeline.NewDataLoader(sim, s.Dataset(hooks), cfg)
-	trainer := &gpusim.Trainer{Loader: dl, GPUs: s.GPUs, GPU: s.GPU}
-	var stats gpusim.EpochStats
-	sim.Run("main", func(p clock.Proc) {
-		stats = trainer.RunEpoch(p)
 	})
 	return stats, engine, sim
 }

@@ -33,7 +33,7 @@ func TestKnobRatchet(t *testing.T) {
 		{serve.ClientConfig{}, 8}, // Addrs went: failover across servers is cluster.Client's; sleep is unexported (only in-package tests set it)
 		{cluster.Config{}, 8},     // Replication routed nothing; Balancer's five knobs, HedgeMinSamples and HedgeMinDelay are constants; OnReroute duplicated Logf; sleep is unexported
 		{store.Options{}, 3},      // SegmentBytes and QueueBytes are unexported: only tests set them
-		{workloads.Spec{}, 15},    // the facade's WorkloadSpec; Cache went with the page-cache model; SizeAware is derived from Dispatch
+		{workloads.Spec{}, 14},    // the facade's WorkloadSpec; Cache went with the page-cache model; SizeAware is derived from Dispatch; PerLogCost had no setter
 		{pipeline.Config{}, 18},   // the facade's LoaderConfig; BatchIDOffset is Epoch times the plan length, CostHint is record bytes under DispatchLeastWork, PrefixFP is the SampleCache's own
 		{pipeline.Ctx{}, 11},      // copies Config's worker-facing fields: a knob deleted from Config must not come back here
 		{serve.TenantLimit{}, 4},  // BurstBytes went: every setter passed the default, one second of BytesPerSec; BurstBatches stays (tenant-greedy sets 4 at a rate of 100)
@@ -79,7 +79,7 @@ func TestDocRatchet(t *testing.T) {
 		want int
 	}{
 		{"DESIGN.md", 1166},
-		{"README.md", 445},
+		{"README.md", 443},
 	} {
 		b, err := os.ReadFile(c.path)
 		if err != nil {
