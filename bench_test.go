@@ -201,7 +201,7 @@ func BenchmarkComposeICSample(b *testing.B) {
 }
 
 func BenchmarkNativeExec(b *testing.B) {
-	e := native.NewEngine(native.Intel, native.DefaultCPU())
+	e := native.NewEngine(native.Intel)
 	th := &native.Thread{ID: 1, Cursor: clock.Epoch}
 	calls := []native.Call{
 		{Kernel: "decode_mcu", Bytes: 111 << 10},
@@ -216,7 +216,7 @@ func BenchmarkNativeExec(b *testing.B) {
 }
 
 func BenchmarkSamplerOverTimeline(b *testing.B) {
-	e := native.NewEngine(native.Intel, native.DefaultCPU())
+	e := native.NewEngine(native.Intel)
 	rec := native.NewRecording()
 	e.Attach(rec)
 	th := &native.Thread{ID: 1, Cursor: clock.Epoch}
@@ -225,7 +225,7 @@ func BenchmarkSamplerOverTimeline(b *testing.B) {
 	}
 	e.Detach()
 	windows := []hwsim.TimeRange{{Start: clock.Epoch, End: th.Cursor}}
-	s := hwsim.NewSampler(hwsim.VTuneSampler(1), hwsim.DefaultModel(e.CPU()))
+	s := hwsim.NewSampler(hwsim.VTuneSampler(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Run(rec, windows)
@@ -243,9 +243,9 @@ func BenchmarkAblationMappingMultiRun(b *testing.B)  { benchMappingRuns(b, 0) } 
 func benchMappingRuns(b *testing.B, forceRuns int) {
 	engine := lotus.NewEngine(lotus.Intel)
 	spec := lotus.ICWorkload(4, 1)
-	cfg := lotus.DefaultMapConfig(lotus.VTuneSampler(1), lotus.DefaultHWModel(engine))
+	cfg := lotus.DefaultMapConfig(lotus.VTuneSampler(1))
 	if forceRuns > 0 {
-		cfg.MinRuns, cfg.MaxRuns = forceRuns, forceRuns
+		cfg.MaxRuns = forceRuns
 	}
 	proto := spec.Prototype()
 	b.ResetTimer()
@@ -260,7 +260,7 @@ func benchMappingRuns(b *testing.B, forceRuns int) {
 func BenchmarkAblationMappingNoGap(b *testing.B) {
 	engine := lotus.NewEngine(lotus.Intel)
 	spec := lotus.ICWorkload(4, 1)
-	cfg := lotus.DefaultMapConfig(lotus.VTuneSampler(1), lotus.DefaultHWModel(engine))
+	cfg := lotus.DefaultMapConfig(lotus.VTuneSampler(1))
 	cfg.GapSleep = 0
 	proto := spec.Prototype()
 	b.ResetTimer()

@@ -22,7 +22,7 @@ import (
 func main() {
 	var (
 		logPath  = flag.String("log", "run.lotustrace", "LotusTrace log input")
-		longWait = flag.Duration("long-wait", 500*time.Millisecond, "wait threshold indicating GPU stalls")
+		longWait = flag.Duration("long-wait", trace.DefaultLongWait, "wait threshold indicating GPU stalls")
 		longDly  = flag.Duration("long-delay", 500*time.Millisecond, "delay threshold indicating queueing")
 		variance = flag.Float64("variance", 0.15, "per-batch stddev/mean warning threshold")
 		dominant = flag.Float64("dominant", 0.6, "dominant-operation CPU share threshold")

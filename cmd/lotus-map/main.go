@@ -45,8 +45,8 @@ func main() {
 	}
 	spec.Arch = vendor
 
-	engine := native.NewEngine(vendor, native.DefaultCPU())
-	cfg := lotusmap.DefaultConfig(sampler, hwsim.DefaultModel(engine.CPU()))
+	engine := native.NewEngine(vendor)
+	cfg := lotusmap.DefaultConfig(sampler)
 
 	// § IV-B: profile with a larger input so short-lived kernels span more
 	// of the sampling interval.

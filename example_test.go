@@ -104,7 +104,7 @@ func ExampleRunsNeeded() {
 func ExampleMapPipeline() {
 	engine := lotus.NewEngine(lotus.AMD)
 	spec := lotus.ICWorkload(4, 1)
-	cfg := lotus.DefaultMapConfig(lotus.UProfSampler(1), lotus.DefaultHWModel(engine))
+	cfg := lotus.DefaultMapConfig(lotus.UProfSampler(1))
 	proto := spec.Prototype()
 	proto.Width, proto.Height, proto.FileBytes = proto.Width*2, proto.Height*2, proto.FileBytes*4
 

@@ -22,11 +22,10 @@ import (
 
 func main() {
 	engine := lotus.NewEngine(lotus.Intel)
-	model := lotus.DefaultHWModel(engine)
 
 	// Step 1: the one-time mapping step.
 	spec := lotus.ICWorkload(4, 1)
-	cfg := lotus.DefaultMapConfig(lotus.VTuneSampler(1), model)
+	cfg := lotus.DefaultMapConfig(lotus.VTuneSampler(1))
 	proto := spec.Prototype()
 	proto.Width, proto.Height, proto.FileBytes = proto.Width*2, proto.Height*2, proto.FileBytes*4
 	fmt.Println("reconstructing the op -> C/C++ mapping (LotusMap)...")
@@ -68,7 +67,7 @@ func runAndAttribute(mapping *lotus.Mapping, workers int) {
 	stats, _, sim := spec.RunWithEngine(hooks, engine)
 	sess.Detach(sim.Now())
 
-	report := sess.Collect(lotus.VTuneSampler(3), lotus.DefaultHWModel(engine), "vtune")
+	report := sess.Collect(lotus.VTuneSampler(3), "vtune")
 	fmt.Printf("epoch (virtual): %v; profiler saw %d distinct functions\n",
 		stats.Elapsed.Round(time.Millisecond), len(report.Rows))
 

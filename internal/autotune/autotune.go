@@ -37,15 +37,15 @@ type Config struct {
 	// CPUBudgetSeconds caps the preprocessing CPU seconds a configuration
 	// may consume per epoch (0 = unlimited).
 	CPUBudgetSeconds float64
-	// Tolerance stops the search when doubling the workers improves epoch
-	// time by less than this fraction (default 0.08).
-	Tolerance float64
 	// TunePrefetch additionally evaluates prefetch factors {1, 4} around
 	// the chosen worker count.
 	TunePrefetch bool
-	// LongWait classifies a batch wait as a stall (default 500ms).
-	LongWait time.Duration
 }
+
+// tolerance stops the search when doubling the workers improves epoch time
+// by less than this fraction, and bounds how much slower than the fastest
+// step the chosen one may be.
+const tolerance float64 = 0.08
 
 func (c Config) defaults() Config {
 	if c.MinWorkers <= 0 {
@@ -53,12 +53,6 @@ func (c Config) defaults() Config {
 	}
 	if c.MaxWorkers <= 0 {
 		c.MaxWorkers = 32
-	}
-	if c.Tolerance <= 0 {
-		c.Tolerance = 0.08
-	}
-	if c.LongWait <= 0 {
-		c.LongWait = 500 * time.Millisecond
 	}
 	return c
 }
@@ -114,8 +108,9 @@ func (r Result) String() string {
 
 // evaluate runs one candidate (workers, prefetch) configuration on the
 // virtual clock and extracts the model's signals (prefetch 0 keeps the
-// spec's own setting).
-func evaluate(spec workloads.Spec, workers, prefetch int, longWait time.Duration) Step {
+// spec's own setting). A batch wait longer than the trace advisor's
+// trace.DefaultLongWait counts as a stall.
+func evaluate(spec workloads.Spec, workers, prefetch int) Step {
 	spec.NumWorkers = workers
 	if prefetch > 0 {
 		spec.Prefetch = prefetch
@@ -135,7 +130,7 @@ func evaluate(spec workloads.Spec, workers, prefetch int, longWait time.Duration
 		E2E:          stats.Elapsed,
 		CPUSeconds:   a.TotalCPUSeconds(),
 		GPUUtil:      stats.GPUUtilization(),
-		LongWaitFrac: a.WaitsOver(longWait),
+		LongWaitFrac: a.WaitsOver(trace.DefaultLongWait),
 	}
 }
 
@@ -161,7 +156,7 @@ func signalStop(s Step) string {
 // Tune searches worker counts by doubling while the trace signals say the
 // pipeline may still be preprocessing-bound, then refines between the last
 // two candidates. The returned Best is selectCheapest's pick: the cheapest
-// configuration (fewest CPU seconds) within Tolerance of the best epoch
+// configuration (fewest CPU seconds) within tolerance of the best epoch
 // time and within the CPU budget.
 func Tune(spec workloads.Spec, cfg Config) Result {
 	cfg = cfg.defaults()
@@ -172,7 +167,7 @@ func Tune(spec workloads.Spec, cfg Config) Result {
 	w := cfg.MinWorkers
 	var prev *Step
 	for {
-		step := evaluate(spec, w, 0, cfg.LongWait)
+		step := evaluate(spec, w, 0)
 		res.Steps = append(res.Steps, step)
 		if !cfg.withinBudget(step) {
 			res.StopReason = fmt.Sprintf("CPU budget exceeded at %d workers (%.1fs > %.1fs)",
@@ -184,7 +179,7 @@ func Tune(spec workloads.Spec, cfg Config) Result {
 		}
 		if prev != nil {
 			improve := 1 - float64(step.E2E)/float64(prev.E2E)
-			if improve < cfg.Tolerance {
+			if improve < tolerance {
 				res.StopReason = fmt.Sprintf("diminishing returns at %d workers (%.1f%% improvement)", w, 100*improve)
 				break
 			}
@@ -205,7 +200,7 @@ func Tune(spec workloads.Spec, cfg Config) Result {
 	if n := len(res.Steps); n >= 2 {
 		lo, hi := res.Steps[n-2].Workers, res.Steps[n-1].Workers
 		if mid := (lo + hi) / 2; mid != lo && mid != hi {
-			res.Steps = append(res.Steps, evaluate(spec, mid, 0, cfg.LongWait))
+			res.Steps = append(res.Steps, evaluate(spec, mid, 0))
 		}
 	}
 
@@ -216,7 +211,7 @@ func Tune(spec workloads.Spec, cfg Config) Result {
 	if cfg.TunePrefetch {
 		provisional := res.Steps[len(res.Steps)-1].Workers
 		for _, pf := range []int{1, 4} {
-			res.Steps = append(res.Steps, evaluate(spec, provisional, pf, cfg.LongWait))
+			res.Steps = append(res.Steps, evaluate(spec, provisional, pf))
 		}
 	}
 
@@ -229,7 +224,7 @@ func Tune(spec workloads.Spec, cfg Config) Result {
 }
 
 // selectCheapest picks the configuration to run: the fewest CPU seconds
-// among steps within cfg.Tolerance of the fastest in-budget epoch time. When
+// among steps within tolerance of the fastest in-budget epoch time. When
 // nothing fits the budget it falls back to the cheapest step outright and
 // reports inBudget false. chosen is an index into steps, or -1 for none.
 // This is the selection rule the paper's Takeaway 5 motivates: past the
@@ -247,7 +242,7 @@ func selectCheapest(steps []Step, cfg Config) (chosen int, inBudget bool) {
 			continue
 		}
 		inBudget = true
-		if float64(s.E2E) <= float64(bestE2E)*(1+cfg.Tolerance) &&
+		if float64(s.E2E) <= float64(bestE2E)*(1+tolerance) &&
 			(chosen < 0 || s.CPUSeconds < steps[chosen].CPUSeconds) {
 			chosen = i
 		}

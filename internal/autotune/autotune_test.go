@@ -69,8 +69,8 @@ func TestTuneRespectsCPUBudget(t *testing.T) {
 }
 
 func TestTunePrefersCheapestWithinTolerance(t *testing.T) {
-	res := Tune(icSpec(1280), Config{MinWorkers: 1, MaxWorkers: 16, Tolerance: 0.10})
-	// The best step must be the cheapest among steps within 10% of the
+	res := Tune(icSpec(1280), Config{MinWorkers: 1, MaxWorkers: 16})
+	// The best step must be the cheapest among steps within tolerance of the
 	// fastest e2e.
 	var fastest float64
 	for _, s := range res.Steps {
@@ -79,7 +79,7 @@ func TestTunePrefersCheapestWithinTolerance(t *testing.T) {
 		}
 	}
 	for _, s := range res.Steps {
-		if float64(s.E2E) <= fastest*1.10 && s.CPUSeconds < res.Best.CPUSeconds-1e-9 {
+		if float64(s.E2E) <= fastest*(1+tolerance) && s.CPUSeconds < res.Best.CPUSeconds-1e-9 {
 			t.Fatalf("step %d workers (%.1fs CPU) is within tolerance and cheaper than chosen %d (%.1fs)\n%s",
 				s.Workers, s.CPUSeconds, res.Best.Workers, res.Best.CPUSeconds, res)
 		}
@@ -99,7 +99,7 @@ func TestTuneRenderedTrajectory(t *testing.T) {
 
 func TestTuneDefaults(t *testing.T) {
 	cfg := Config{}.defaults()
-	if cfg.MinWorkers != 1 || cfg.MaxWorkers != 32 || cfg.Tolerance <= 0 || cfg.LongWait <= 0 {
+	if cfg.MinWorkers != 1 || cfg.MaxWorkers != 32 {
 		t.Fatalf("defaults: %+v", cfg)
 	}
 }
@@ -152,16 +152,16 @@ func TestSelectCheapest(t *testing.T) {
 		want     int
 		inBudget bool
 	}{
-		{0, 1, true},    // 4 workers is within 8% of the fastest and much cheaper
+		{0, 1, true},    // 4 workers is within tolerance (8%) of the fastest and much cheaper
 		{2, 0, true},    // a CPU budget of 2s leaves only the 1-worker run in budget
 		{0.5, 0, false}, // nothing in budget: fall back to the cheapest outright
 	} {
-		got, in := selectCheapest(steps, Config{Tolerance: 0.08, CPUBudgetSeconds: c.budget})
+		got, in := selectCheapest(steps, Config{CPUBudgetSeconds: c.budget})
 		if got != c.want || in != c.inBudget {
 			t.Errorf("selectCheapest(budget=%v) = %d, %v; want %d, %v", c.budget, got, in, c.want, c.inBudget)
 		}
 	}
-	if got, _ := selectCheapest(nil, Config{Tolerance: 0.08}); got != -1 {
+	if got, _ := selectCheapest(nil, Config{}); got != -1 {
 		t.Fatalf("selectCheapest(nil) = %d, want -1", got)
 	}
 }

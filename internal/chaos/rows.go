@@ -350,8 +350,11 @@ func nodeRejoin() row {
 
 // converged: the balancer re-weighted, the victim's ring weight fell below
 // every healthy peer's while they kept theirs, and its share of the epoch
-// shrank — with no failover and identity in every epoch.
+// shrank — with no failover and identity in every epoch. The class counts
+// once: every batch the victim serves stalls, and how many it serves follows
+// ring weights the balancer derives from wall-clock cadence, not the seed.
 func converged(e *env) {
+	fired(e)
 	victim := nodeID(e.victim)
 	weights := e.router.Weights()
 	if e.router.WeightMoves() == 0 {

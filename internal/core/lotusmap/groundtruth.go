@@ -25,9 +25,9 @@ type opSpan struct {
 
 // TrueOpCounters joins a native recording with LotusTrace op records: each
 // kernel invocation is assigned to the operation whose span covers it on the
-// same pid/thread, and the model's counters accumulate per operation.
+// same pid/thread, and the counter model's counters accumulate per operation.
 // Invocations covered by no op span (e.g. ambient work) are summed under "".
-func TrueOpCounters(rec *native.Recording, records []trace.Record, model hwsim.Model) map[string]hwsim.Counters {
+func TrueOpCounters(rec *native.Recording, records []trace.Record) map[string]hwsim.Counters {
 	spans := map[int][]opSpan{}
 	for _, r := range records {
 		if r.Kind != trace.KindOp {
@@ -47,7 +47,7 @@ func TrueOpCounters(rec *native.Recording, records []trace.Record, model hwsim.M
 		for _, inv := range tl {
 			op := opAt(ss, inv.Start)
 			c := out[op]
-			c.Add(model.InvocationCounters(inv))
+			c.Add(hwsim.InvocationCounters(inv))
 			out[op] = c
 		}
 	}

@@ -16,7 +16,7 @@ import (
 // in-memory LotusTrace records, returning everything attribution needs.
 func tracedEpoch(t *testing.T, workers int) (*native.Engine, *native.Recording, []trace.Record, []string, hwsim.TimeRange) {
 	t.Helper()
-	engine := native.NewEngine(native.Intel, native.DefaultCPU())
+	engine := native.NewEngine(native.Intel)
 	rec := native.NewRecording()
 	engine.Attach(rec)
 
@@ -56,9 +56,8 @@ func tracedEpoch(t *testing.T, workers int) (*native.Engine, *native.Recording, 
 }
 
 func TestTrueOpCountersCoverAllWork(t *testing.T) {
-	engine, rec, records, _, _ := tracedEpoch(t, 2)
-	model := hwsim.DefaultModel(engine.CPU())
-	truth := TrueOpCounters(rec, records, model)
+	_, rec, records, _, _ := tracedEpoch(t, 2)
+	truth := TrueOpCounters(rec, records)
 
 	if truth["Loader"].CPUTime == 0 || truth["RandomResizedCrop"].CPUTime == 0 {
 		t.Fatalf("oracle missing major ops: %v", truth)
@@ -89,7 +88,6 @@ func TestTrueOpCountersCoverAllWork(t *testing.T) {
 
 func TestRefinedAttributionBeatsBasicOnSharedKernels(t *testing.T) {
 	engine, rec, records, ops, window := tracedEpoch(t, 2)
-	model := hwsim.DefaultModel(engine.CPU())
 
 	// Reconstruct the mapping including collation.
 	spec := pipeline.NewCompose(
@@ -100,18 +98,18 @@ func TestRefinedAttributionBeatsBasicOnSharedKernels(t *testing.T) {
 		&pipeline.Normalize{Mean: []float32{0.5, 0.5, 0.5}, Std: []float32{0.2, 0.2, 0.2}},
 		&pipeline.CollateN{N: 12},
 	)
-	cfg := DefaultConfig(hwsim.UProfSampler(5), model)
+	cfg := DefaultConfig(hwsim.UProfSampler(5))
 	proto := pipeline.Sample{Index: 0, FileBytes: 300 << 10, Seed: 99, Width: 1000, Height: 1000, Channels: 3}
 	mapping := MapPipeline(engine, spec, proto, cfg)
 
 	// Function-granularity profile of the whole epoch.
 	sampler := hwsim.UProfSampler(6)
 	sampler.NoiseProb = 0
-	samples := hwsim.NewSampler(sampler, model).Run(rec, []hwsim.TimeRange{window})
+	samples := hwsim.NewSampler(sampler).Run(rec, []hwsim.TimeRange{window})
 	report := hwsim.BuildReport(samples, "uprof", native.Intel)
 
 	weights := trace.Analyze(records).OpWeights(ops)
-	truth := TrueOpCounters(rec, records, model)
+	truth := TrueOpCounters(rec, records)
 
 	basic := Attribute(report, mapping, weights)
 	refined := AttributeRefined(report, mapping, weights)

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -127,67 +128,47 @@ func (m *Mapping) String() string {
 	return b.String()
 }
 
+// LotusMap's method (§ IV-B), fixed as the paper runs it.
+const (
+	// warmups is the number of unprofiled iterations before collection
+	// (Listing 4 warms up 4 times).
+	warmups = 4
+	// confidence is the target capture probability for the run-count
+	// formula (the paper's example uses 0.75).
+	confidence = 0.75
+	// minRuns is the least run count; Config.MaxRuns bounds it above and
+	// wins where the two cross.
+	minRuns = 12
+	// minSupport and minSupportFrac drop a function sampled in fewer than
+	// max(minSupport, ceil(minSupportFrac·runs)) runs. Genuine kernels recur
+	// across runs of the same operation; ambient noise (allocator locks,
+	// scheduler calls) does not, even when it lives in an allowed library
+	// like libc.
+	minSupport     = 2
+	minSupportFrac = 0.15
+)
+
+// filteredLibraries are the runtime/OS libraries that can never be
+// preprocessing work (interpreter, kernel, CUDA driver): their functions are
+// dropped from every mapping.
+var filteredLibraries = []string{"python3.10", "vmlinux", "libcuda.so.1"}
+
 // Config tunes the mapping methodology.
 type Config struct {
 	// Sampler is the hardware profiler's sampling configuration (VTune-like
 	// 10 ms or uProf-like 1 ms).
 	Sampler hwsim.SamplerConfig
-	// Model derives counters from invocations.
-	Model hwsim.Model
-	// Warmups is the number of unprofiled iterations before collection
-	// (Listing 4 warms up 4 times).
-	Warmups int
-	// Confidence is the target capture probability for the run-count
-	// formula (the paper's example uses 0.75).
-	Confidence float64
-	// MinRuns / MaxRuns bound the computed run count.
-	MinRuns, MaxRuns int
+	// MaxRuns bounds the computed run count above.
+	MaxRuns int
 	// GapSleep is the idle gap inserted before each collection window to
 	// defeat sample skid. Zero disables the trick (the ablation case).
 	GapSleep time.Duration
-	// MinSupport drops functions sampled in fewer runs (noise filter).
-	MinSupport int
-	// MinSupportFrac additionally requires a function to appear in at least
-	// this fraction of runs. Genuine kernels recur across runs of the same
-	// operation; ambient noise (allocator locks, scheduler calls) does not,
-	// even when it lives in an allowed library like libc.
-	MinSupportFrac float64
-	// TargetSpan is the minimum isolated-op duration the mapper aims for:
-	// operations shorter than it are re-run with inflated inputs (the
-	// § IV-B "run with a larger input" remedy for short-lived operations).
-	// Zero means 4x the sampling interval.
-	TargetSpan time.Duration
-	// FilterLibraries drops functions from runtime/OS libraries that can
-	// never be preprocessing work (interpreter, kernel, CUDA driver).
-	FilterLibraries []string
 }
 
 // DefaultConfig returns the paper-calibrated methodology for the given
 // profiler configuration.
-func DefaultConfig(sampler hwsim.SamplerConfig, model hwsim.Model) Config {
-	return Config{
-		Sampler:        sampler,
-		Model:          model,
-		Warmups:        4,
-		Confidence:     0.75,
-		MinRuns:        12,
-		MaxRuns:        60,
-		GapSleep:       time.Second,
-		MinSupport:     2,
-		MinSupportFrac: 0.15,
-		FilterLibraries: []string{
-			"python3.10", "vmlinux", "libcuda.so.1",
-		},
-	}
-}
-
-func (c Config) filtered(lib string) bool {
-	for _, f := range c.FilterLibraries {
-		if f == lib {
-			return true
-		}
-	}
-	return false
+func DefaultConfig(sampler hwsim.SamplerConfig) Config {
+	return Config{Sampler: sampler, MaxRuns: 60, GapSleep: time.Second}
 }
 
 // MapPipeline reconstructs the mapping for every transform of the compose
@@ -213,16 +194,15 @@ func MapPipeline(engine *native.Engine, compose *pipeline.Compose, prototype pip
 // mapOneOp profiles compose.Transforms[opIdx] in isolation.
 func mapOneOp(engine *native.Engine, compose *pipeline.Compose, opIdx int, prototype pipeline.Sample, cfg Config) ([]MappedFunc, int) {
 	op := compose.Transforms[opIdx]
-	target := cfg.TargetSpan
-	if target <= 0 {
-		target = 4 * cfg.Sampler.Interval
-	}
+	// target is the least isolated-op span the mapper aims for: shorter
+	// operations are re-run with inflated inputs.
+	target := 4 * cfg.Sampler.Interval
 
 	sim := clock.NewSim()
 	sess := hwsim.NewSession(engine)
 	defer engine.Detach()
 
-	runs := cfg.MinRuns
+	var runs int
 	sim.Run("lotusmap", func(p clock.Proc) {
 		ctx := &pipeline.Ctx{
 			Proc:   p,
@@ -259,18 +239,12 @@ func mapOneOp(engine *native.Engine, compose *pipeline.Compose, opIdx int, proto
 
 		// Size the run count from the capture formula, targeting functions
 		// down to 1/16 of the op's span.
-		runs = RunsNeeded(cfg.Confidence, span/16, cfg.Sampler.Interval)
-		if runs < cfg.MinRuns {
-			runs = cfg.MinRuns
-		}
-		if runs > cfg.MaxRuns {
-			runs = cfg.MaxRuns
-		}
+		runs = min(max(RunsNeeded(confidence, span/16, cfg.Sampler.Interval), minRuns), cfg.MaxRuns)
 
 		for run := 0; run < runs; run++ {
 			in := inflate(prepareInput(ctx, compose, opIdx, prototype, run), factor)
 			// Warm-up applications outside any collection window.
-			for w := 0; w < cfg.Warmups; w++ {
+			for w := 0; w < warmups; w++ {
 				op.Apply(ctx, in)
 			}
 			// The sleep gap prevents skid from attributing preceding work
@@ -290,7 +264,7 @@ func mapOneOp(engine *native.Engine, compose *pipeline.Compose, opIdx int, proto
 	sess.Detach(sim.Now())
 
 	// Sample each collection window independently to build per-run support.
-	sampler := hwsim.NewSampler(cfg.Sampler, cfg.Model)
+	sampler := hwsim.NewSampler(cfg.Sampler)
 	type agg struct {
 		support int
 		samples int
@@ -301,7 +275,7 @@ func mapOneOp(engine *native.Engine, compose *pipeline.Compose, opIdx int, proto
 		samples := sampler.Run(sess.Recording(), []hwsim.TimeRange{w})
 		seen := map[string]bool{}
 		for _, smp := range samples {
-			if cfg.filtered(smp.Library) {
+			if slices.Contains(filteredLibraries, smp.Library) {
 				continue
 			}
 			key := smp.Symbol + "\x00" + smp.Library
@@ -318,13 +292,10 @@ func mapOneOp(engine *native.Engine, compose *pipeline.Compose, opIdx int, proto
 		}
 	}
 
-	minSupport := cfg.MinSupport
-	if frac := int(math.Ceil(cfg.MinSupportFrac * float64(runs))); frac > minSupport {
-		minSupport = frac
-	}
+	support := max(minSupport, int(math.Ceil(minSupportFrac*float64(runs))))
 	var out []MappedFunc
 	for key, a := range byFunc {
-		if a.support < minSupport {
+		if a.support < support {
 			continue
 		}
 		sym := key[:strings.IndexByte(key, 0)]

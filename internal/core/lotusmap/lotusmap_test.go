@@ -56,8 +56,8 @@ func icPrototype() pipeline.Sample {
 
 func mapIC(t *testing.T, arch native.Arch, sampler hwsim.SamplerConfig) (*Mapping, *native.Engine, *pipeline.Compose) {
 	t.Helper()
-	engine := native.NewEngine(arch, native.DefaultCPU())
-	cfg := DefaultConfig(sampler, hwsim.DefaultModel(engine.CPU()))
+	engine := native.NewEngine(arch)
+	cfg := DefaultConfig(sampler)
 	compose := icCompose()
 	return MapPipeline(engine, compose, icPrototype(), cfg), engine, compose
 }
@@ -141,14 +141,13 @@ func TestSleepGapPreventsCrossOpContamination(t *testing.T) {
 	// Ablation: with the gap disabled and an aggressive skid, the mapping of
 	// a later op picks up functions from the preceding op more often than
 	// with the gap enabled.
-	engine := native.NewEngine(native.Intel, native.DefaultCPU())
+	engine := native.NewEngine(native.Intel)
 	sampler := hwsim.UProfSampler(5)
 	sampler.SkidProb = 0.9
 	sampler.SkidWindow = 400 * time.Microsecond
 	spurious := func(gap time.Duration) int {
-		cfg := DefaultConfig(sampler, hwsim.DefaultModel(engine.CPU()))
+		cfg := DefaultConfig(sampler)
 		cfg.GapSleep = gap
-		cfg.MinSupport = 1 // observe raw contamination
 		compose := icCompose()
 		m := MapPipeline(engine, compose, icPrototype(), cfg)
 		count := 0

@@ -55,12 +55,15 @@ const (
 	// StallFreeWaitFrac: below this fraction stalls are considered
 	// eliminated (stop growing).
 	StallFreeWaitFrac = 0.05
+	// DefaultLongWait is the batch wait that counts as a stall unless
+	// AdvisorConfig.LongWait says otherwise (paper: the GPU batch time;
+	// 500ms in Figure 5).
+	DefaultLongWait = 500 * time.Millisecond
 )
 
 // AdvisorConfig tunes the rule thresholds. Zero values take defaults.
 type AdvisorConfig struct {
-	// LongWait is the wait threshold that indicates GPU stalls (paper: the
-	// GPU batch time; 500ms in Figure 5).
+	// LongWait is the wait threshold that indicates GPU stalls.
 	LongWait time.Duration
 	// LongDelay flags batches that sat preprocessed without being consumed.
 	LongDelay time.Duration
@@ -73,7 +76,7 @@ type AdvisorConfig struct {
 
 func (c AdvisorConfig) defaults() AdvisorConfig {
 	if c.LongWait == 0 {
-		c.LongWait = 500 * time.Millisecond
+		c.LongWait = DefaultLongWait
 	}
 	if c.LongDelay == 0 {
 		c.LongDelay = 500 * time.Millisecond

@@ -30,7 +30,7 @@ func TestIterableLoaderTraceValidates(t *testing.T) {
 			sim := clock.NewSim()
 			il := pipeline.NewIterableLoader(sim, &pipeline.ImageStream{Folder: folder}, pipeline.Config{
 				BatchSize: 4, NumWorkers: workers, Seed: 2, Hooks: hooks,
-				Mode: pipeline.Simulated, Engine: native.NewEngine(native.Intel, native.DefaultCPU()),
+				Mode: pipeline.Simulated, Engine: native.NewEngine(native.Intel),
 			})
 			samples := 0
 			sim.Run("main", func(p clock.Proc) {

@@ -142,3 +142,27 @@ func (r *Ring) Len() int {
 // ring — the in-memory analogue of Tracer.Hooks. A live ring models no
 // per-record emission cost.
 func (r *Ring) Hooks() *pipeline.Hooks { return hooks(r.Add, 0) }
+
+// Collector keeps every record in memory, in the order the hooks deliver
+// them: the unbounded sibling of Ring, for runs that want an analysis but no
+// log. Like Ring it models no per-record emission cost.
+type Collector struct {
+	mu      sync.Mutex
+	records []Record
+}
+
+func (c *Collector) add(r Record) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.records = append(c.records, r)
+}
+
+// Hooks returns pipeline instrumentation callbacks that record into c.
+func (c *Collector) Hooks() *pipeline.Hooks { return hooks(c.add, 0) }
+
+// Records returns the records collected so far, oldest first.
+func (c *Collector) Records() []Record {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.records
+}

@@ -1,11 +1,13 @@
 package trace
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"lotus/internal/clock"
+	"lotus/internal/pipeline"
 )
 
 func ringRec(id int) Record {
@@ -69,6 +71,23 @@ func TestRingHooksRecord(t *testing.T) {
 	// The snapshot must be consumable by the Chrome exporter.
 	if blob, err := ExportChrome(snap, Fine); err != nil || len(blob) == 0 {
 		t.Fatalf("ExportChrome over ring snapshot: %v", err)
+	}
+}
+
+// TestCollectorMatchesRing: the collector keeps what a ring large enough
+// keeps, in the same order.
+func TestCollectorMatchesRing(t *testing.T) {
+	r, c := NewRing(64), &Collector{}
+	for _, h := range []*pipeline.Hooks{r.Hooks(), c.Hooks()} {
+		for b := 0; b < 8; b++ {
+			h.OnOp(4001, b, b, "Loader", clock.Epoch, time.Millisecond)
+			h.OnBatchPreprocessed(4001, b, clock.Epoch, 2*time.Millisecond)
+			h.OnBatchWait(4000, b, clock.Epoch, time.Microsecond)
+			h.OnBatchConsumed(4000, b, clock.Epoch, time.Microsecond)
+		}
+	}
+	if got, want := c.Records(), r.Snapshot(); !reflect.DeepEqual(got, want) || len(got) != 32 {
+		t.Fatalf("collector kept %d records, ring %d:\n%+v\n%+v", len(got), len(want), got, want)
 	}
 }
 

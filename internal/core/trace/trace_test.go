@@ -306,7 +306,7 @@ func TestEndToEndPipelineTrace(t *testing.T) {
 	c.Hooks = hooks
 	dl := pipeline.NewDataLoader(sim, pipeline.NewImageFolder(ds, c), pipeline.Config{
 		BatchSize: 10, NumWorkers: 2, Seed: 1, Hooks: hooks,
-		Mode: pipeline.Simulated, Engine: native.NewEngine(native.Intel, native.DefaultCPU()),
+		Mode: pipeline.Simulated, Engine: native.NewEngine(native.Intel),
 	})
 	sim.Run("main", func(p clock.Proc) {
 		it := dl.Start(p)

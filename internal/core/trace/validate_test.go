@@ -35,7 +35,7 @@ func TestValidateAcceptsRealPipelineLog(t *testing.T) {
 	c.Hooks = hooks
 	dl := pipeline.NewDataLoader(sim, pipeline.NewImageFolder(ds, c), pipeline.Config{
 		BatchSize: 10, NumWorkers: 3, Seed: 2, Hooks: hooks, PinMemory: true,
-		Mode: pipeline.Simulated, Engine: native.NewEngine(native.Intel, native.DefaultCPU()),
+		Mode: pipeline.Simulated, Engine: native.NewEngine(native.Intel),
 	})
 	sim.Run("main", func(p clock.Proc) {
 		it := dl.Start(p)

@@ -18,7 +18,6 @@ import (
 	"lotus/internal/native"
 
 	"lotus/internal/core/trace"
-	"lotus/internal/pipeline"
 	"lotus/internal/workloads"
 )
 
@@ -118,29 +117,6 @@ func (r runStats) gpuUtil() float64 {
 		return 0
 	}
 	return float64(r.GPUBusy) / float64(total)
-}
-
-// hooksFor builds hooks that only accumulate (no log I/O) — used by sweeps
-// that need analyses but not log files.
-type collector struct {
-	records []trace.Record
-}
-
-func (c *collector) hooks() *pipeline.Hooks {
-	return &pipeline.Hooks{
-		OnOp: func(pid, batchID, sampleIndex int, op string, start time.Time, dur time.Duration) {
-			c.records = append(c.records, trace.Record{Kind: trace.KindOp, PID: pid, BatchID: batchID, SampleIndex: sampleIndex, Op: op, Start: start, Dur: dur})
-		},
-		OnBatchPreprocessed: func(pid, batchID int, start time.Time, dur time.Duration) {
-			c.records = append(c.records, trace.Record{Kind: trace.KindBatchPreprocessed, PID: pid, BatchID: batchID, SampleIndex: -1, Start: start, Dur: dur})
-		},
-		OnBatchWait: func(pid, batchID int, start time.Time, dur time.Duration) {
-			c.records = append(c.records, trace.Record{Kind: trace.KindBatchWait, PID: pid, BatchID: batchID, SampleIndex: -1, Start: start, Dur: dur})
-		},
-		OnBatchConsumed: func(pid, batchID int, start time.Time, dur time.Duration) {
-			c.records = append(c.records, trace.Record{Kind: trace.KindBatchConsumed, PID: pid, BatchID: batchID, SampleIndex: -1, Start: start, Dur: dur})
-		},
-	}
 }
 
 // ms formats a duration in milliseconds with 2 decimals.

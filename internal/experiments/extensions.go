@@ -78,29 +78,28 @@ func RunExtensions(scale Scale) *ExtensionsResult {
 // attributionErrors runs one traced+recorded epoch, reconstructs the
 // mapping, and scores both splitting schemes against TrueOpCounters.
 func attributionErrors(scale Scale) (basic, refined float64) {
-	engine := native.NewEngine(native.Intel, native.DefaultCPU())
+	engine := native.NewEngine(native.Intel)
 	rec := native.NewRecording()
 	engine.Attach(rec)
 
-	col := &collector{}
+	col := &trace.Collector{}
 	spec := workloads.ICSpec(scale.samples(120, 640), 85)
 	spec.BatchSize, spec.NumWorkers = 12, 2
-	_, _, sim := spec.RunWithEngine(col.hooks(), engine)
+	_, _, sim := spec.RunWithEngine(col.Hooks(), engine)
 	engine.Detach()
 
-	model := hwsim.DefaultModel(engine.CPU())
-	cfg := lotusmap.DefaultConfig(hwsim.UProfSampler(86), model)
+	cfg := lotusmap.DefaultConfig(hwsim.UProfSampler(86))
 	proto := spec.Prototype()
 	proto.Width, proto.Height, proto.FileBytes = proto.Width*2, proto.Height*2, proto.FileBytes*4
 	mapping := lotusmap.MapPipeline(engine, spec.MappingCompose(), proto, cfg)
 
 	sampler := hwsim.UProfSampler(87)
 	window := hwsim.TimeRange{Start: clock.Epoch, End: clock.Epoch.Add(sim.Elapsed())}
-	report := hwsim.BuildReport(hwsim.NewSampler(sampler, model).Run(rec, []hwsim.TimeRange{window}), "uprof", engine.Arch())
+	report := hwsim.BuildReport(hwsim.NewSampler(sampler).Run(rec, []hwsim.TimeRange{window}), "uprof", engine.Arch())
 
-	a := trace.Analyze(col.records)
+	a := trace.Analyze(col.Records())
 	weights := a.OpWeights(spec.OpOrder())
-	truth := lotusmap.TrueOpCounters(rec, col.records, model)
+	truth := lotusmap.TrueOpCounters(rec, col.Records())
 	basic = lotusmap.AttributionError(lotusmap.Attribute(report, mapping, weights), truth)
 	refined = lotusmap.AttributionError(lotusmap.AttributeRefined(report, mapping, weights), truth)
 	return basic, refined

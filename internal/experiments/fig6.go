@@ -67,8 +67,8 @@ func RunFig6Arch(scale Scale, arch native.Arch) *Fig6Result {
 
 	// One-time preparatory mapping step (§ IV-B): reconstruct the IC
 	// mapping on this "machine".
-	mapEngine := native.NewEngine(arch, native.DefaultCPU())
-	mcfg := lotusmap.DefaultConfig(sampler(61), hwsim.DefaultModel(mapEngine.CPU()))
+	mapEngine := native.NewEngine(arch)
+	mcfg := lotusmap.DefaultConfig(sampler(61))
 	if scale == Small {
 		mcfg.MaxRuns = 20
 	}
@@ -93,16 +93,16 @@ func RunFig6Arch(scale Scale, arch native.Arch) *Fig6Result {
 		spec.BatchSize, spec.GPUs, spec.NumWorkers = batchSize, 4, w
 		spec.Arch = arch
 
-		engine := native.NewEngine(arch, native.DefaultCPU())
+		engine := native.NewEngine(arch)
 		sess := hwsim.NewSession(engine)
 		sess.Resume(clock.Epoch)
 
-		col := &collector{}
-		stats, _, sim := spec.RunWithEngine(col.hooks(), engine)
+		col := &trace.Collector{}
+		stats, _, sim := spec.RunWithEngine(col.Hooks(), engine)
 		sess.Detach(clock.Epoch.Add(sim.Elapsed()))
 
-		a := trace.Analyze(col.records)
-		report := sess.Collect(sampler(63), hwsim.DefaultModel(engine.CPU()), "hwprof")
+		a := trace.Analyze(col.Records())
+		report := sess.Collect(sampler(63), "hwprof")
 		weights := a.OpWeights(spec.OpOrder())
 		att := lotusmap.Attribute(report, res.Mapping, weights)
 

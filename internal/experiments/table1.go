@@ -42,14 +42,14 @@ var paperTable1 = []struct {
 func RunTable1(scale Scale) *Table1Result {
 	res := &Table1Result{}
 	for _, arch := range []native.Arch{native.Intel, native.AMD} {
-		engine := native.NewEngine(arch, native.DefaultCPU())
+		engine := native.NewEngine(arch)
 		var sampler hwsim.SamplerConfig
 		if arch == native.Intel {
 			sampler = hwsim.VTuneSampler(1)
 		} else {
 			sampler = hwsim.UProfSampler(1)
 		}
-		cfg := lotusmap.DefaultConfig(sampler, hwsim.DefaultModel(engine.CPU()))
+		cfg := lotusmap.DefaultConfig(sampler)
 		if scale == Small {
 			cfg.MaxRuns = 20
 		}

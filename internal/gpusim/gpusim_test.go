@@ -26,7 +26,7 @@ func icLoader(sim *clock.Sim, n, batch, workers int, hooks *pipeline.Hooks) *pip
 		Seed:       1,
 		Hooks:      hooks,
 		Mode:       pipeline.Simulated,
-		Engine:     native.NewEngine(native.Intel, native.DefaultCPU()),
+		Engine:     native.NewEngine(native.Intel),
 	})
 }
 

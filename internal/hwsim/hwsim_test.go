@@ -20,7 +20,7 @@ func (r *Report) Row(symbol string) (FuncRow, bool) {
 }
 
 func testEngine() *native.Engine {
-	return native.NewEngine(native.Intel, native.DefaultCPU())
+	return native.NewEngine(native.Intel)
 }
 
 // runKernels executes a fixed alternating workload on one thread while a
@@ -46,7 +46,7 @@ func TestSamplerFindsLongKernels(t *testing.T) {
 	sess, _ := runKernels(e, []string{"decode_mcu"}, 1<<20, 100)
 	cfg := VTuneSampler(1)
 	cfg.NoiseProb = 0
-	rep := sess.Collect(cfg, DefaultModel(e.CPU()), "vtune")
+	rep := sess.Collect(cfg, "vtune")
 	row, ok := rep.Row("decode_mcu")
 	if !ok {
 		t.Fatal("decode_mcu not sampled despite dominating the window")
@@ -80,7 +80,7 @@ func TestSamplerMissesShortKernelsAtCoarseInterval(t *testing.T) {
 		cfg := VTuneSampler(seed)
 		cfg.NoiseProb = 0
 		cfg.SkidProb = 0
-		rep := sess.Collect(cfg, DefaultModel(e.CPU()), "vtune")
+		rep := sess.Collect(cfg, "vtune")
 		if _, ok := rep.Row("__memset_avx2_unaligned_erms"); ok {
 			hits++
 		}
@@ -107,7 +107,7 @@ func TestFinerIntervalCatchesMore(t *testing.T) {
 			cfg.Seed = seed
 			cfg.NoiseProb = 0
 			cfg.SkidProb = 0
-			rep := sess.Collect(cfg, DefaultModel(e.CPU()), "x")
+			rep := sess.Collect(cfg, "x")
 			if _, ok := rep.Row("ycc_rgb_convert"); ok {
 				hits++
 			}
@@ -128,9 +128,8 @@ func TestSkidMisattributesAcrossBoundary(t *testing.T) {
 	sess, _ := runKernels(e, []string{"decode_mcu", "jpeg_idct_islow"}, 1<<20, 60)
 	cfg := SamplerConfig{Interval: 10 * time.Millisecond, SkidProb: 1.0, SkidWindow: 12 * time.Millisecond, Seed: 5}
 	noSkid := SamplerConfig{Interval: 10 * time.Millisecond, Seed: 5}
-	model := DefaultModel(e.CPU())
-	withRep := BuildReport(NewSampler(cfg, model).Run(sess.Recording(), sess.Windows()), "a", native.Intel)
-	withoutRep := BuildReport(NewSampler(noSkid, model).Run(sess.Recording(), sess.Windows()), "b", native.Intel)
+	withRep := BuildReport(NewSampler(cfg).Run(sess.Recording(), sess.Windows()), "a", native.Intel)
+	withoutRep := BuildReport(NewSampler(noSkid).Run(sess.Recording(), sess.Windows()), "b", native.Intel)
 	// decode_mcu (~14 ms/call) dwarfs jpeg_idct_islow (~2.6 ms/call): with a
 	// 12 ms skid window most decode samples get mis-credited to the idct that
 	// preceded them, inflating the short kernel's count.
@@ -157,7 +156,7 @@ func TestNoiseProducesBackgroundSymbols(t *testing.T) {
 	sess, _ := runKernels(e, []string{"decode_mcu"}, 1<<20, 200)
 	cfg := VTuneSampler(2)
 	cfg.NoiseProb = 0.3
-	rep := sess.Collect(cfg, DefaultModel(e.CPU()), "vtune")
+	rep := sess.Collect(cfg, "vtune")
 	background := 0
 	for _, row := range rep.Rows {
 		if row.Library == "python3.10" || row.Library == "vmlinux" || row.Library == "libcuda.so.1" {
@@ -186,7 +185,7 @@ func TestPauseWindowsExcludeSamples(t *testing.T) {
 	cfg := VTuneSampler(3)
 	cfg.NoiseProb = 0
 	cfg.SkidProb = 0
-	rep := sess.Collect(cfg, DefaultModel(e.CPU()), "vtune")
+	rep := sess.Collect(cfg, "vtune")
 	if _, ok := rep.Row("jpeg_idct_islow"); ok {
 		t.Fatal("sampled a kernel that ran outside the collection window")
 	}
@@ -197,10 +196,9 @@ func TestPauseWindowsExcludeSamples(t *testing.T) {
 
 func TestModelFrontEndBoundGrowsWithLoad(t *testing.T) {
 	e := testEngine()
-	m := DefaultModel(e.CPU())
 	k, _ := e.Kernel("decode_mcu")
 	mk := func(active int) Counters {
-		return m.InvocationCounters(native.Invocation{
+		return InvocationCounters(native.Invocation{
 			Kernel: k, Start: clock.Epoch, Dur: 10 * time.Millisecond, Bytes: 1 << 20, Active: active,
 		})
 	}
@@ -222,11 +220,10 @@ func TestModelFrontEndBoundGrowsWithLoad(t *testing.T) {
 
 func TestRateCountersProportional(t *testing.T) {
 	e := testEngine()
-	m := DefaultModel(e.CPU())
 	k, _ := e.Kernel("memcpy")
 	inv := native.Invocation{Kernel: k, Start: clock.Epoch, Dur: 8 * time.Millisecond, Bytes: 1 << 20, Active: 1}
-	half := m.RateCounters(inv, 4*time.Millisecond)
-	whole := m.InvocationCounters(inv)
+	half := RateCounters(inv, 4*time.Millisecond)
+	whole := InvocationCounters(inv)
 	if math.Abs(half.Instructions-whole.Instructions/2) > 1e-6*whole.Instructions {
 		t.Fatalf("half-duration instructions %v, want %v", half.Instructions, whole.Instructions/2)
 	}
@@ -237,7 +234,7 @@ func TestReportOrderingAndLookup(t *testing.T) {
 	sess, _ := runKernels(e, []string{"decode_mcu", "memset"}, 1<<20, 50)
 	cfg := VTuneSampler(7)
 	cfg.NoiseProb = 0
-	rep := sess.Collect(cfg, DefaultModel(e.CPU()), "vtune")
+	rep := sess.Collect(cfg, "vtune")
 	for i := 1; i < len(rep.Rows); i++ {
 		if rep.Rows[i-1].Counters.CPUTime < rep.Rows[i].Counters.CPUTime {
 			t.Fatal("report rows not sorted by CPU time descending")
@@ -258,7 +255,7 @@ func TestCollectBeforeDetachPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	sess.Collect(VTuneSampler(0), DefaultModel(e.CPU()), "vtune")
+	sess.Collect(VTuneSampler(0), "vtune")
 }
 
 func TestInvocationAt(t *testing.T) {

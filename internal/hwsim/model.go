@@ -73,9 +73,9 @@ func (c Counters) Scale(f float64) Counters {
 }
 
 // FrontEndBoundFrac derives the front-end-bound fraction of pipeline slots
-// (total slots = 4 per cycle on the modeled 4-wide machine).
+// (total slots = width per cycle).
 func (c Counters) FrontEndBoundFrac() float64 {
-	slots := c.Cycles * 4
+	slots := c.Cycles * width
 	if slots == 0 {
 		return 0
 	}
@@ -92,7 +92,7 @@ type TopDown struct {
 // TopDown derives the level-1 breakdown from the slot counters. Back-end
 // bound is the remainder.
 func (c Counters) TopDown() TopDown {
-	slots := c.Cycles * 4
+	slots := c.Cycles * width
 	if slots == 0 {
 		return TopDown{}
 	}
@@ -116,32 +116,27 @@ func (c Counters) DRAMBoundFrac() float64 {
 	return c.DRAMBoundCycles / c.Cycles
 }
 
-// Model converts a recorded invocation into PMU counters. The contention
-// terms implement the Figure 6 microarchitectural story: as the number of
-// concurrently active workers approaches and passes the core count,
-// instruction supply becomes the bottleneck (front-end bound rises, µop
-// delivery per cycle falls) while per-cycle DRAM pressure falls because the
-// starved backend issues fewer loads.
-type Model struct {
-	CPU native.CPUConfig
-	// FEPressure scales how quickly front-end-bound grows with load.
-	FEPressure float64
-	// DRAMRelief scales how quickly DRAM-bound shrinks with load.
-	DRAMRelief float64
-	// CacheContention scales cache-miss growth with load.
-	CacheContention float64
-	// Width is the pipeline issue width in µops/cycle.
-	Width float64
-}
-
-// DefaultModel returns the calibrated model for the paper's testbed.
-func DefaultModel(cpu native.CPUConfig) Model {
-	return Model{CPU: cpu, FEPressure: 1.6, DRAMRelief: 0.7, CacheContention: 0.8, Width: 4}
-}
+// The counter model's calibration for the paper's testbed (native.Cores at
+// native.FreqGHz). Its contention terms implement the Figure 6
+// microarchitectural story: as the number of concurrently active workers
+// approaches and passes the core count, instruction supply becomes the
+// bottleneck (front-end bound rises, µop delivery per cycle falls) while
+// per-cycle DRAM pressure falls because the starved backend issues fewer
+// loads.
+const (
+	// fePressure scales how quickly front-end-bound grows with load.
+	fePressure float64 = 1.6
+	// dramRelief scales how quickly DRAM-bound shrinks with load.
+	dramRelief float64 = 0.7
+	// cacheContention scales cache-miss growth with load.
+	cacheContention float64 = 0.8
+	// width is the pipeline issue width in µops/cycle.
+	width float64 = 4
+)
 
 // loadFactor maps active workers to the 0..~1.5 pressure scale.
-func (m Model) loadFactor(active int) float64 {
-	f := float64(active) / float64(m.CPU.Cores)
+func loadFactor(active int) float64 {
+	f := float64(active) / float64(native.Cores)
 	if f > 1.5 {
 		f = 1.5
 	}
@@ -150,28 +145,28 @@ func (m Model) loadFactor(active int) float64 {
 
 // InvocationCounters computes the counters a PMU would have accumulated over
 // the full invocation.
-func (m Model) InvocationCounters(inv native.Invocation) Counters {
+func InvocationCounters(inv native.Invocation) Counters {
 	k := inv.Kernel
 	bytes := float64(inv.Bytes)
-	load := m.loadFactor(inv.Active)
+	load := loadFactor(inv.Active)
 
-	cycles := inv.Dur.Seconds() * m.CPU.FreqGHz * 1e9
+	cycles := inv.Dur.Seconds() * native.FreqGHz * 1e9
 	instr := k.InstrPerByte * bytes
 
-	fe := k.FrontEndBound * (1 + m.FEPressure*load)
+	fe := k.FrontEndBound * (1 + fePressure*load)
 	if fe > 0.95 {
 		fe = 0.95
 	}
-	dram := k.DRAMBound * (1 - m.DRAMRelief*minF(load, 1))
+	dram := k.DRAMBound * (1 - dramRelief*min(load, 1))
 	if dram < 0 {
 		dram = 0
 	}
-	uops := cycles * m.Width * (1 - fe)
+	uops := cycles * width * (1 - fe)
 
 	// Level-1 top-down: bad speculation by kernel class (branchy entropy
 	// decoders mispredict; streaming copies do not); retiring follows the
 	// instruction stream, bounded by what the front end left available.
-	slots := cycles * 4
+	slots := cycles * width
 	badSpec := badSpecFrac(k.Class)
 	if badSpec > 1-fe {
 		badSpec = 1 - fe // a saturated front end leaves no slots to waste
@@ -197,8 +192,8 @@ func (m Model) InvocationCounters(inv native.Invocation) Counters {
 		BadSpeculationSlots: slots * badSpec,
 		RetiringSlots:       slots * retiring,
 		DRAMBoundCycles:     cycles * dram,
-		L1Miss:              kb * k.L1MissPerKB * (1 + 0.5*m.CacheContention*load),
-		LLCMiss:             kb * k.LLCMissPerKB * (1 + 1.2*m.CacheContention*load),
+		L1Miss:              kb * k.L1MissPerKB * (1 + 0.5*cacheContention*load),
+		LLCMiss:             kb * k.LLCMissPerKB * (1 + 1.2*cacheContention*load),
 	}
 }
 
@@ -217,17 +212,10 @@ func badSpecFrac(c native.WorkClass) float64 {
 // RateCounters computes counters accrued over a slice of duration d of the
 // invocation, assuming uniform rates — this is how the sampling driver
 // credits one sampling interval's worth of events to the sampled function.
-func (m Model) RateCounters(inv native.Invocation, d time.Duration) Counters {
+func RateCounters(inv native.Invocation, d time.Duration) Counters {
 	if inv.Dur <= 0 {
 		return Counters{}
 	}
-	whole := m.InvocationCounters(inv)
+	whole := InvocationCounters(inv)
 	return whole.Scale(float64(d) / float64(inv.Dur))
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -27,7 +27,7 @@ func TestPropertySamplesStayInsideWindows(t *testing.T) {
 		frac := time.Duration(int(winFrac%80)+10) * total / 100
 		w := TimeRange{Start: clock.Epoch.Add(total / 10), End: clock.Epoch.Add(total/10 + frac)}
 		cfg := UProfSampler(seed)
-		samples := NewSampler(cfg, DefaultModel(e.CPU())).Run(rec, []TimeRange{w})
+		samples := NewSampler(cfg).Run(rec, []TimeRange{w})
 		for _, s := range samples {
 			if s.T.Before(w.Start) || !s.T.Before(w.End) {
 				return false
@@ -53,7 +53,7 @@ func TestPropertySampleCountBounded(t *testing.T) {
 		e.Detach()
 		w := TimeRange{Start: clock.Epoch, End: th.Cursor}
 		cfg := UProfSampler(seed)
-		samples := NewSampler(cfg, DefaultModel(e.CPU())).Run(rec, []TimeRange{w})
+		samples := NewSampler(cfg).Run(rec, []TimeRange{w})
 		limit := int(w.End.Sub(w.Start)/cfg.Interval) + 1
 		return len(samples) <= limit
 	}, &quick.Config{MaxCount: 30}); err != nil {
@@ -103,7 +103,6 @@ func engineKernels(e *native.Engine) []*native.Kernel {
 // TestPropertyModelCountersNonNegative for arbitrary invocations.
 func TestPropertyModelCountersNonNegative(t *testing.T) {
 	e := testEngine()
-	m := DefaultModel(e.CPU())
 	ks := engineKernels(e)
 	if err := quick.Check(func(kIdx uint8, bytesRaw uint32, durUs uint32, active uint8) bool {
 		k := ks[int(kIdx)%len(ks)]
@@ -114,7 +113,7 @@ func TestPropertyModelCountersNonNegative(t *testing.T) {
 			Bytes:  int(bytesRaw % (1 << 24)),
 			Active: int(active%64) + 1,
 		}
-		c := m.InvocationCounters(inv)
+		c := InvocationCounters(inv)
 		if c.Cycles < 0 || c.Instructions < 0 || c.UopsDelivered < 0 ||
 			c.FrontEndBoundSlots < 0 || c.DRAMBoundCycles < 0 || c.L1Miss < 0 || c.LLCMiss < 0 {
 			return false
@@ -131,7 +130,6 @@ func TestPropertyModelCountersNonNegative(t *testing.T) {
 // TestPropertyTopDownSumsToOne: the level-1 breakdown partitions all slots.
 func TestPropertyTopDownSumsToOne(t *testing.T) {
 	e := testEngine()
-	m := DefaultModel(e.CPU())
 	ks := engineKernels(e)
 	if err := quick.Check(func(kIdx uint8, bytesRaw uint32, active uint8) bool {
 		k := ks[int(kIdx)%len(ks)]
@@ -142,7 +140,7 @@ func TestPropertyTopDownSumsToOne(t *testing.T) {
 			Bytes:  bytes,
 			Active: int(active%48) + 1,
 		}
-		td := m.InvocationCounters(inv).TopDown()
+		td := InvocationCounters(inv).TopDown()
 		sum := td.Retiring + td.BadSpeculation + td.FrontEndBound + td.BackEndBound
 		if sum < 0.99 || sum > 1.01 {
 			return false
@@ -162,13 +160,12 @@ func TestPropertyTopDownSumsToOne(t *testing.T) {
 // than streaming memory kernels.
 func TestTopDownBranchyVsStreaming(t *testing.T) {
 	e := testEngine()
-	m := DefaultModel(e.CPU())
 	mk := func(name string) TopDown {
 		k, ok := e.Kernel(name)
 		if !ok {
 			t.Fatalf("missing kernel %s", name)
 		}
-		return m.InvocationCounters(native.Invocation{
+		return InvocationCounters(native.Invocation{
 			Kernel: k, Start: clock.Epoch, Dur: e.Duration(k, 1<<20, 1), Bytes: 1 << 20, Active: 1,
 		}).TopDown()
 	}

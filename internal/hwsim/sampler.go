@@ -92,13 +92,12 @@ var backgroundSymbols = []struct{ symbol, library string }{
 // Sampler walks recorded native timelines and produces samples at the
 // configured interval, restricted to the given collection windows.
 type Sampler struct {
-	cfg   SamplerConfig
-	model Model
+	cfg SamplerConfig
 }
 
 // NewSampler builds a sampler.
-func NewSampler(cfg SamplerConfig, model Model) *Sampler {
-	return &Sampler{cfg: cfg, model: model}
+func NewSampler(cfg SamplerConfig) *Sampler {
+	return &Sampler{cfg: cfg}
 }
 
 // Run samples every thread timeline of rec within the windows and returns
@@ -156,7 +155,7 @@ func (s *Sampler) sampleWindow(tl []native.Invocation, thread int, w TimeRange, 
 			T: t, Thread: thread,
 			Symbol: inv.Kernel.Symbol, Library: inv.Kernel.Library,
 			Kernel:   inv.Kernel,
-			Counters: s.model.RateCounters(inv, s.cfg.Interval),
+			Counters: RateCounters(inv, s.cfg.Interval),
 		})
 	}
 	return out

@@ -82,11 +82,11 @@ type Report struct {
 
 // Collect runs the sampler over the session's windows and aggregates samples
 // into a function-granularity report. The session must be detached first.
-func (s *Session) Collect(cfg SamplerConfig, model Model, profiler string) *Report {
+func (s *Session) Collect(cfg SamplerConfig, profiler string) *Report {
 	if !s.done {
 		panic("hwsim: Collect before Detach")
 	}
-	samples := NewSampler(cfg, model).Run(s.rec, s.windows)
+	samples := NewSampler(cfg).Run(s.rec, s.windows)
 	return BuildReport(samples, profiler, s.engine.Arch())
 }
 

@@ -20,6 +20,7 @@ package native
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -99,15 +100,7 @@ type Kernel struct {
 
 // availableOn reports whether the kernel exists on the given architecture.
 func (k *Kernel) availableOn(a Arch) bool {
-	if len(k.Archs) == 0 {
-		return true
-	}
-	for _, x := range k.Archs {
-		if x == a {
-			return true
-		}
-	}
-	return false
+	return len(k.Archs) == 0 || slices.Contains(k.Archs, a)
 }
 
 // Call is one kernel invocation request issued by a transform.
@@ -131,32 +124,26 @@ type Invocation struct {
 // End returns the invocation's end time.
 func (inv *Invocation) End() time.Time { return inv.Start.Add(inv.Dur) }
 
-// CPUConfig describes the simulated processor, defaulting to the paper's
-// dual-socket 3.2 GHz Xeon E5-2667 (32 logical cores).
-type CPUConfig struct {
-	FreqGHz float64
-	Cores   int
-	// MemContention scales how much Memory-class kernels stretch per
-	// additional concurrently active worker (fraction per worker).
-	MemContention float64
-	// SMTPenalty scales how much all kernels stretch once active workers
-	// exceed physical cores.
-	SMTPenalty float64
-}
-
-// DefaultCPU returns the paper-testbed configuration. MemContention is
-// calibrated so that scaling the IC pipeline from 8 to 28 data loaders
-// inflates total preprocessing CPU time by roughly the +53% Figure 6(b)
-// reports.
-func DefaultCPU() CPUConfig {
-	return CPUConfig{FreqGHz: 3.2, Cores: 32, MemContention: 0.06, SMTPenalty: 0.8}
-}
+// The simulated processor: the paper's testbed, a dual-socket 3.2 GHz Xeon
+// E5-2667 with 32 logical cores. The hardware model in package hwsim reads
+// the clock and the core count too.
+const (
+	FreqGHz float64 = 3.2
+	Cores           = 32
+	// memContention is how much Memory-class kernels stretch per additional
+	// concurrently active worker (fraction per worker). It is calibrated so
+	// that scaling the IC pipeline from 8 to 28 data loaders inflates total
+	// preprocessing CPU time by roughly the +53% Figure 6(b) reports.
+	memContention float64 = 0.06
+	// smtPenalty is how much all kernels stretch once active workers exceed
+	// the cores.
+	smtPenalty float64 = 0.8
+)
 
 // Engine executes kernel calls under a cost model, tracks concurrency, and
 // records invocation timelines for attached profiling sessions.
 type Engine struct {
 	arch Arch
-	cpu  CPUConfig
 	reg  map[string]*Kernel
 
 	mu     sync.Mutex
@@ -165,8 +152,8 @@ type Engine struct {
 }
 
 // NewEngine builds an engine with the standard kernel inventory for arch.
-func NewEngine(arch Arch, cpu CPUConfig) *Engine {
-	e := &Engine{arch: arch, cpu: cpu, reg: make(map[string]*Kernel)}
+func NewEngine(arch Arch) *Engine {
+	e := &Engine{arch: arch, reg: make(map[string]*Kernel)}
 	for _, k := range Inventory() {
 		if k.availableOn(arch) {
 			kc := k // copy
@@ -178,9 +165,6 @@ func NewEngine(arch Arch, cpu CPUConfig) *Engine {
 
 // Arch returns the engine's simulated vendor.
 func (e *Engine) Arch() Arch { return e.arch }
-
-// CPU returns the processor configuration.
-func (e *Engine) CPU() CPUConfig { return e.cpu }
 
 // Kernel looks up a kernel by logical name. ok is false when the kernel does
 // not exist on this architecture.
@@ -215,13 +199,13 @@ func (e *Engine) Duration(k *Kernel, bytes, active int) time.Duration {
 	cycles := k.CyclesPerByte * float64(bytes)
 	stretch := 1.0
 	if k.Class != Compute && active > 1 {
-		stretch += e.cpu.MemContention * float64(active-1)
+		stretch += memContention * float64(active-1)
 	}
-	if active > e.cpu.Cores {
-		over := float64(active-e.cpu.Cores) / float64(e.cpu.Cores)
-		stretch += e.cpu.SMTPenalty * over
+	if active > Cores {
+		over := float64(active-Cores) / float64(Cores)
+		stretch += smtPenalty * over
 	}
-	ns := cycles * stretch / e.cpu.FreqGHz
+	ns := cycles * stretch / FreqGHz
 	return time.Duration(ns)
 }
 

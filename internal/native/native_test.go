@@ -24,8 +24,8 @@ func TestInventoryUniqueSymbolsPerArch(t *testing.T) {
 }
 
 func TestVendorSpecificSymbols(t *testing.T) {
-	intel := NewEngine(Intel, DefaultCPU())
-	amd := NewEngine(AMD, DefaultCPU())
+	intel := NewEngine(Intel)
+	amd := NewEngine(AMD)
 
 	ki, ok := intel.Kernel("memcpy")
 	if !ok || ki.Symbol != "__memcpy_avx_unaligned_erms" {
@@ -44,7 +44,7 @@ func TestVendorSpecificSymbols(t *testing.T) {
 }
 
 func TestDurationScalesLinearlyWithBytes(t *testing.T) {
-	e := NewEngine(Intel, DefaultCPU())
+	e := NewEngine(Intel)
 	k, _ := e.Kernel("decode_mcu")
 	d1 := e.Duration(k, 1000, 1)
 	d2 := e.Duration(k, 2000, 1)
@@ -60,7 +60,7 @@ func TestDurationScalesLinearlyWithBytes(t *testing.T) {
 }
 
 func TestMemoryKernelsStretchUnderContention(t *testing.T) {
-	e := NewEngine(Intel, DefaultCPU())
+	e := NewEngine(Intel)
 	mem, _ := e.Kernel("memcpy")
 	cmp, _ := e.Kernel("decode_mcu")
 	if e.Duration(mem, 1<<20, 16) <= e.Duration(mem, 1<<20, 1) {
@@ -76,7 +76,7 @@ func TestMemoryKernelsStretchUnderContention(t *testing.T) {
 }
 
 func TestExecAdvancesCursorAndRecords(t *testing.T) {
-	e := NewEngine(Intel, DefaultCPU())
+	e := NewEngine(Intel)
 	rec := NewRecording()
 	e.Attach(rec)
 	th := &Thread{ID: 3, Cursor: clock.Epoch}
@@ -103,7 +103,7 @@ func TestExecAdvancesCursorAndRecords(t *testing.T) {
 }
 
 func TestExecWithoutRecordingIsSilent(t *testing.T) {
-	e := NewEngine(Intel, DefaultCPU())
+	e := NewEngine(Intel)
 	th := &Thread{ID: 0, Cursor: clock.Epoch}
 	e.Exec(th, []Call{{Kernel: "memset", Bytes: 100}})
 	rec := NewRecording()
@@ -122,12 +122,12 @@ func TestExecUnknownKernelPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	e := NewEngine(Intel, DefaultCPU())
+	e := NewEngine(Intel)
 	e.Exec(&Thread{}, []Call{{Kernel: "sep_upsample", Bytes: 1}}) // AMD-only
 }
 
 func TestBeginEndWorkTracksConcurrency(t *testing.T) {
-	e := NewEngine(Intel, DefaultCPU())
+	e := NewEngine(Intel)
 	if n := e.BeginWork(); n != 1 {
 		t.Fatalf("first BeginWork = %d", n)
 	}
@@ -148,7 +148,7 @@ func TestBeginEndWorkTracksConcurrency(t *testing.T) {
 }
 
 func TestRecordingConcurrencyCaptured(t *testing.T) {
-	e := NewEngine(Intel, DefaultCPU())
+	e := NewEngine(Intel)
 	rec := NewRecording()
 	e.Attach(rec)
 	e.BeginWork()

@@ -36,7 +36,7 @@ func faultyLoader(clk clock.Clock, n, batch, workers int, failOn map[int]bool, p
 	)
 	return NewDataLoader(clk, NewImageFolder(ds, c), Config{
 		BatchSize: batch, NumWorkers: workers, Seed: 1, OnError: policy,
-		Mode: Simulated, Engine: native.NewEngine(native.Intel, native.DefaultCPU()),
+		Mode: Simulated, Engine: native.NewEngine(native.Intel),
 	})
 }
 

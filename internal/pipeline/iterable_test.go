@@ -30,7 +30,7 @@ func runIterableEpoch(t *testing.T, n, batch, workers int, hooks *Hooks) []*Batc
 		Seed:       1,
 		Hooks:      hooks,
 		Mode:       Simulated,
-		Engine:     native.NewEngine(native.Intel, native.DefaultCPU()),
+		Engine:     native.NewEngine(native.Intel),
 	})
 	var batches []*Batch
 	sim.Run("main", func(p clock.Proc) {
@@ -153,7 +153,7 @@ func TestIterableDropLast(t *testing.T) {
 	stream := &ImageStream{Folder: NewImageFolder(ds, icCompose(nil))}
 	il := NewIterableLoader(sim, stream, Config{
 		BatchSize: 2, NumWorkers: 2, DropLast: true, Seed: 1,
-		Mode: Simulated, Engine: native.NewEngine(native.Intel, native.DefaultCPU()),
+		Mode: Simulated, Engine: native.NewEngine(native.Intel),
 	})
 	total := 0
 	sim.Run("main", func(p clock.Proc) {
@@ -180,7 +180,7 @@ func TestIterableStartTwicePanics(t *testing.T) {
 	ds := data.NewImageDataset(data.ImageNetConfig(4, 1))
 	il := NewIterableLoader(sim, &ImageStream{Folder: NewImageFolder(ds, icCompose(nil))}, Config{
 		BatchSize: 2, NumWorkers: 1, Mode: Simulated,
-		Engine: native.NewEngine(native.Intel, native.DefaultCPU()),
+		Engine: native.NewEngine(native.Intel),
 	})
 	panicked := false
 	sim.Run("main", func(p clock.Proc) {
@@ -307,7 +307,7 @@ func runFaultyStream(t *testing.T, inj *faultinject.Injector, n, batch, workers 
 	ds := data.NewImageDataset(data.ImageNetConfig(n, 1))
 	il := NewIterableLoader(sim, &ImageStream{Folder: NewImageFolder(ds, icCompose(nil))}, Config{
 		BatchSize: batch, NumWorkers: workers, Seed: 1, OnError: policy, Faults: inj,
-		Mode: Simulated, Engine: native.NewEngine(native.Intel, native.DefaultCPU()),
+		Mode: Simulated, Engine: native.NewEngine(native.Intel),
 	})
 	sim.Run("main", func(p clock.Proc) {
 		it := il.Start(p)

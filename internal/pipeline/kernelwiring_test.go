@@ -18,7 +18,7 @@ import (
 // invoked kernels with their byte counts.
 func observeKernels(t *testing.T, tf Transform, s Sample, arch native.Arch) map[string]int {
 	t.Helper()
-	engine := native.NewEngine(arch, native.DefaultCPU())
+	engine := native.NewEngine(arch)
 	rec := native.NewRecording()
 	engine.Attach(rec)
 	sim := clock.NewSim()

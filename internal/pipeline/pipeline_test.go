@@ -34,7 +34,7 @@ func simLoader(t *testing.T, n, batch, workers int, hooks *Hooks) (*clock.Sim, *
 		Seed:       1,
 		Hooks:      hooks,
 		Mode:       Simulated,
-		Engine:     native.NewEngine(native.Intel, native.DefaultCPU()),
+		Engine:     native.NewEngine(native.Intel),
 	})
 	return sim, dl
 }
@@ -88,7 +88,7 @@ func TestDropLast(t *testing.T) {
 	ds := data.NewImageDataset(data.ImageNetConfig(25, 1))
 	dl := NewDataLoader(sim, NewImageFolder(ds, icCompose(nil)), Config{
 		BatchSize: 10, NumWorkers: 2, DropLast: true, Seed: 1,
-		Mode: Simulated, Engine: native.NewEngine(native.Intel, native.DefaultCPU()),
+		Mode: Simulated, Engine: native.NewEngine(native.Intel),
 	})
 	if len(dl.batches) != 2 {
 		t.Fatalf("%d batches, want 2 with DropLast", len(dl.batches))
@@ -101,7 +101,7 @@ func TestShuffleIsDeterministicPermutation(t *testing.T) {
 		ds := data.NewImageDataset(data.ImageNetConfig(40, 1))
 		dl := NewDataLoader(sim, NewImageFolder(ds, icCompose(nil)), Config{
 			BatchSize: 8, NumWorkers: 2, Shuffle: true, Seed: 99,
-			Mode: Simulated, Engine: native.NewEngine(native.Intel, native.DefaultCPU()),
+			Mode: Simulated, Engine: native.NewEngine(native.Intel),
 		})
 		batches, _ := runEpoch(sim, dl)
 		var order []int
@@ -368,7 +368,7 @@ func TestISVolumePipelineSim(t *testing.T) {
 	c.Hooks = hooks
 	dl := NewDataLoader(sim, NewVolumeFolder(vds, c), Config{
 		BatchSize: 2, NumWorkers: 2, Seed: 4, Hooks: hooks,
-		Mode: Simulated, Engine: native.NewEngine(native.Intel, native.DefaultCPU()),
+		Mode: Simulated, Engine: native.NewEngine(native.Intel),
 	})
 	batches, _ := runEpoch(sim, dl)
 	if len(batches) != 4 {

@@ -29,7 +29,7 @@ func TestPropertyEpochInvariants(t *testing.T) {
 		dl := NewDataLoader(sim, NewImageFolder(ds, c), Config{
 			BatchSize: batch, NumWorkers: workers, PrefetchFactor: prefetch,
 			Shuffle: shuffle, Seed: seed, PinMemory: true,
-			Mode: Simulated, Engine: native.NewEngine(native.Intel, native.DefaultCPU()),
+			Mode: Simulated, Engine: native.NewEngine(native.Intel),
 		})
 		var batches []*Batch
 		sim.Run("main", func(p clock.Proc) {
@@ -86,7 +86,7 @@ func TestPropertyIterableEpochInvariants(t *testing.T) {
 		c := NewCompose(&Loader{IO: data.DefaultIO()}, &ToTensor{})
 		il := NewIterableLoader(sim, &ImageStream{Folder: NewImageFolder(ds, c)}, Config{
 			BatchSize: batch, NumWorkers: workers, Seed: seed,
-			Mode: Simulated, Engine: native.NewEngine(native.Intel, native.DefaultCPU()),
+			Mode: Simulated, Engine: native.NewEngine(native.Intel),
 		})
 		seen := map[int]bool{}
 		prev := -1
@@ -120,7 +120,7 @@ func TestPropertyIterableEpochInvariants(t *testing.T) {
 // sample's logical geometry consistent with the declared output (224x224
 // float32 after the IC chain), for arbitrary input sizes.
 func TestPropertyTransformGeometry(t *testing.T) {
-	engine := native.NewEngine(native.Intel, native.DefaultCPU())
+	engine := native.NewEngine(native.Intel)
 	if err := quick.Check(func(wRaw, hRaw uint16, seed int64) bool {
 		w := int(wRaw%1500) + 64
 		h := int(hRaw%1500) + 64

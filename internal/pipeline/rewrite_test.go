@@ -484,7 +484,7 @@ func TestTensorTailRecordsAndFailures(t *testing.T) {
 			cfg.SampleCache = NewSampleCache(1<<20, 1, true, nil)
 		}
 		if tc.mode == Simulated {
-			cfg.Engine = native.NewEngine(native.Intel, native.DefaultCPU())
+			cfg.Engine = native.NewEngine(native.Intel)
 		}
 		w := NewBatchWorker(0, NewImageFolder(ds, tc.chain), cfg)
 		// The second pass finds the plan's prefix in the sample cache, where

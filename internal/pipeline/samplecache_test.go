@@ -166,7 +166,7 @@ func (f *flakyDeterministic) Apply(ctx *Ctx, s Sample) Sample {
 // able to serve the key once the fault clears.
 func TestSampleCacheAbandonOnPanic(t *testing.T) {
 	cache := NewSampleCache(1<<20, 0x3, true, nil)
-	engine := native.NewEngine(native.Intel, native.DefaultCPU())
+	engine := native.NewEngine(native.Intel)
 	c := NewCompose(&flakyDeterministic{fails: 1}, &RandomHorizontalFlip{})
 	sim := clock.NewSim()
 	sim.Run("main", func(p clock.Proc) {
@@ -200,7 +200,7 @@ func TestSampleCacheAbandonOnPanic(t *testing.T) {
 // invariant.
 func TestSampleCacheNonBlockingBypass(t *testing.T) {
 	cache := NewSampleCache(1<<20, 0x4, false, nil)
-	engine := native.NewEngine(native.Intel, native.DefaultCPU())
+	engine := native.NewEngine(native.Intel)
 	sim := clock.NewSim()
 	sim.Run("main", func(p clock.Proc) {
 		for i := 0; i < 2; i++ {

@@ -98,7 +98,7 @@ func TestInjectedReadErrorsSkipExactlyPredictedBatches(t *testing.T) {
 	c := NewCompose(&Loader{IO: data.DefaultIO()}, &ToTensor{})
 	dl := NewDataLoader(sim, NewImageFolder(ds, c), Config{
 		BatchSize: batch, NumWorkers: 3, Seed: 1, OnError: SkipBatch,
-		Mode: Simulated, Engine: native.NewEngine(native.Intel, native.DefaultCPU()),
+		Mode: Simulated, Engine: native.NewEngine(native.Intel),
 		Faults: inj,
 	})
 	var skipped []int
@@ -140,7 +140,7 @@ func TestInjectedWorkerStallDelaysBatch(t *testing.T) {
 		c := NewCompose(&Loader{IO: data.DefaultIO()}, &ToTensor{})
 		dl := NewDataLoader(sim, NewImageFolder(ds, c), Config{
 			BatchSize: 5, NumWorkers: 2, Seed: 1,
-			Mode: Simulated, Engine: native.NewEngine(native.Intel, native.DefaultCPU()),
+			Mode: Simulated, Engine: native.NewEngine(native.Intel),
 			Faults: inj,
 		})
 		var end time.Time
@@ -176,7 +176,7 @@ func TestInjectedReadErrorSurfacesAsInjected(t *testing.T) {
 	c := NewCompose(&Loader{IO: data.DefaultIO()}, &ToTensor{})
 	dl := NewDataLoader(sim, NewImageFolder(ds, c), Config{
 		BatchSize: 10, NumWorkers: 2, Seed: 1, OnError: FailEpoch,
-		Mode: Simulated, Engine: native.NewEngine(native.Intel, native.DefaultCPU()),
+		Mode: Simulated, Engine: native.NewEngine(native.Intel),
 		Faults: inj,
 	})
 	var err error

@@ -34,7 +34,7 @@ func specFor(kind Kind, samples int, seed int64) Spec {
 // unsplit (caching disabled) or as prefix then suffix, and returns the
 // resulting sample plus the virtual time the run consumed.
 func applySplit(spec Spec, mode pipeline.Mode, split bool, epoch int) (pipeline.Sample, int64) {
-	engine := native.NewEngine(spec.Arch, native.DefaultCPU())
+	engine := native.NewEngine(spec.Arch)
 	proto := spec.Prototype()
 	var out pipeline.Sample
 	var elapsed int64

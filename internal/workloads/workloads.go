@@ -260,7 +260,7 @@ func (s Spec) Prototype() pipeline.Sample {
 // Run executes one simulated training epoch and returns the statistics, the
 // engine used (for hardware profiling), and the virtual clock.
 func (s Spec) Run(hooks *pipeline.Hooks) (gpusim.EpochStats, *native.Engine, *clock.Sim) {
-	engine := native.NewEngine(s.Arch, native.DefaultCPU())
+	engine := native.NewEngine(s.Arch)
 	return s.RunWithEngine(hooks, engine)
 }
 
@@ -273,7 +273,7 @@ func (s Spec) RunEpochs(hooks *pipeline.Hooks, epochs int) ([]gpusim.EpochStats,
 	if epochs <= 0 {
 		panic("workloads: RunEpochs needs epochs >= 1")
 	}
-	return s.runEpochs(hooks, native.NewEngine(s.Arch, native.DefaultCPU()), epochs)
+	return s.runEpochs(hooks, native.NewEngine(s.Arch), epochs)
 }
 
 // RunWithEngine is Run with a caller-provided engine (so a hardware
@@ -321,7 +321,7 @@ func (s Spec) LoaderConfig(mode pipeline.Mode, materializeDim, epoch int) pipeli
 		Dispatch:       s.Dispatch,
 	}
 	if mode != pipeline.RealData {
-		cfg.Engine = native.NewEngine(s.Arch, native.DefaultCPU())
+		cfg.Engine = native.NewEngine(s.Arch)
 	}
 	return cfg
 }

@@ -195,7 +195,7 @@ func TestOpOrderCoversLoggedOps(t *testing.T) {
 }
 
 func TestRunWithEngineUsesProvidedEngine(t *testing.T) {
-	engine := native.NewEngine(native.AMD, native.DefaultCPU())
+	engine := native.NewEngine(native.AMD)
 	_, used, _ := ICSpec(16, 1).RunWithEngine(nil, engine)
 	if used != engine {
 		t.Fatal("RunWithEngine must use the caller's engine")

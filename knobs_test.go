@@ -11,15 +11,20 @@ import (
 	"strings"
 	"testing"
 
+	"lotus/internal/autotune"
 	"lotus/internal/cluster"
+	"lotus/internal/core/lotusmap"
+	"lotus/internal/core/trace"
+	"lotus/internal/hwsim"
 	"lotus/internal/pipeline"
 	"lotus/internal/serve"
 	"lotus/internal/store"
 	"lotus/internal/workloads"
 )
 
-// TestKnobRatchet pins the number of exported fields on the serving stack's
-// and the library's configuration surfaces and the number of flags the
+// TestKnobRatchet pins the number of exported fields on the serving stack's,
+// the library's and the characterization tools' configuration surfaces and
+// the number of flags the
 // serving stack's two commands define. A knob is only worth its place if it
 // shows a bench or gate delta, is derived automatically, or goes (ROADMAP
 // aim 2): a change that adds one must update this pin and say which of the
@@ -29,14 +34,18 @@ func TestKnobRatchet(t *testing.T) {
 		v    any
 		want int
 	}{
-		{serve.Config{}, 13},      // QoS went (always on), Pprof went (always mounted), AdmitWait is a constant, AutoTune went (no bench delta)
-		{serve.ClientConfig{}, 8}, // Addrs went: failover across servers is cluster.Client's; sleep is unexported (only in-package tests set it)
-		{cluster.Config{}, 8},     // Replication routed nothing; Balancer's five knobs, HedgeMinSamples and HedgeMinDelay are constants; OnReroute duplicated Logf; sleep is unexported
-		{store.Options{}, 3},      // SegmentBytes and QueueBytes are unexported: only tests set them
-		{workloads.Spec{}, 14},    // the facade's WorkloadSpec; Cache went with the page-cache model; SizeAware is derived from Dispatch; PerLogCost had no setter
-		{pipeline.Config{}, 18},   // the facade's LoaderConfig; BatchIDOffset is Epoch times the plan length, CostHint is record bytes under DispatchLeastWork, PrefixFP is the SampleCache's own
-		{pipeline.Ctx{}, 11},      // copies Config's worker-facing fields: a knob deleted from Config must not come back here
-		{serve.TenantLimit{}, 4},  // BurstBytes went: every setter passed the default, one second of BytesPerSec; BurstBatches stays (tenant-greedy sets 4 at a rate of 100)
+		{serve.Config{}, 13},       // QoS went (always on), Pprof went (always mounted), AdmitWait is a constant, AutoTune went (no bench delta)
+		{serve.ClientConfig{}, 8},  // Addrs went: failover across servers is cluster.Client's; sleep is unexported (only in-package tests set it)
+		{cluster.Config{}, 8},      // Replication routed nothing; Balancer's five knobs, HedgeMinSamples and HedgeMinDelay are constants; OnReroute duplicated Logf; sleep is unexported
+		{store.Options{}, 3},       // SegmentBytes and QueueBytes are unexported: only tests set them
+		{workloads.Spec{}, 14},     // the facade's WorkloadSpec; Cache went with the page-cache model; SizeAware is derived from Dispatch; PerLogCost had no setter
+		{pipeline.Config{}, 18},    // the facade's LoaderConfig; BatchIDOffset is Epoch times the plan length, CostHint is record bytes under DispatchLeastWork, PrefixFP is the SampleCache's own
+		{pipeline.Ctx{}, 11},       // copies Config's worker-facing fields: a knob deleted from Config must not come back here
+		{serve.TenantLimit{}, 4},   // BurstBytes went: every setter passed the default, one second of BytesPerSec; BurstBatches stays (tenant-greedy sets 4 at a rate of 100)
+		{lotusmap.Config{}, 3},     // the paper fixes the rest of the method (warm-ups, confidence, support, filtered libraries); Table I and Figure 6 cap MaxRuns at Small scale, the ablations set GapSleep
+		{autotune.Config{}, 4},     // Tolerance and LongWait had no setter outside tests; a test turns TunePrefetch on
+		{hwsim.SamplerConfig{}, 6}, // two presets (VTune-like, uProf-like), and tests vary skid and noise
+		{trace.AdvisorConfig{}, 4}, // lotus-advise's four threshold flags
 	} {
 		typ := reflect.TypeOf(c.v)
 		got := 0

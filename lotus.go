@@ -30,6 +30,11 @@
 //	})
 //	tracer.Flush()
 //	analysis := lotus.Analyze(lotus.MustReadLog(&buf))
+//
+// The hardware layer simulates one machine, the paper's testbed (a
+// dual-socket 3.2 GHz Xeon E5-2667, 32 logical cores), and LotusMap runs
+// the paper's method: NewEngine takes only the CPU vendor, and
+// DefaultMapConfig only the profiler's sampler.
 package lotus
 
 import (
@@ -287,8 +292,8 @@ func AugmentChrome(existing []byte, records []Record, g Granularity) ([]byte, er
 // Hardware layer and LotusMap
 // ---------------------------------------------------------------------------
 
-// Engine executes native kernels under a cost model; Arch selects the CPU
-// vendor.
+// Engine executes native kernels under a cost model on the simulated
+// testbed; Arch selects the CPU vendor.
 type (
 	Engine   = native.Engine
 	Arch     = native.Arch
@@ -296,7 +301,6 @@ type (
 	Counters = hwsim.Counters
 	Session  = hwsim.Session
 	Report   = hwsim.Report
-	HWModel  = hwsim.Model
 )
 
 // CPU vendors.
@@ -306,7 +310,7 @@ const (
 )
 
 // NewEngine builds an engine with the standard kernel inventory.
-func NewEngine(arch Arch) *Engine { return native.NewEngine(arch, native.DefaultCPU()) }
+func NewEngine(arch Arch) *Engine { return native.NewEngine(arch) }
 
 // NewSession attaches an ITT/AMDProfileControl-style collection session.
 func NewSession(engine *Engine) *Session { return hwsim.NewSession(engine) }
@@ -317,9 +321,6 @@ var (
 	VTuneSampler = hwsim.VTuneSampler
 	UProfSampler = hwsim.UProfSampler
 )
-
-// DefaultHWModel returns the calibrated counter model for the engine's CPU.
-func DefaultHWModel(e *Engine) HWModel { return hwsim.DefaultModel(e.CPU()) }
 
 // Mapping is LotusMap's reconstructed op→native-function map; MapConfig
 // tunes the methodology.
@@ -332,8 +333,8 @@ type (
 )
 
 // DefaultMapConfig returns the paper-calibrated methodology.
-func DefaultMapConfig(sampler hwsim.SamplerConfig, model HWModel) MapConfig {
-	return lotusmap.DefaultConfig(sampler, model)
+func DefaultMapConfig(sampler hwsim.SamplerConfig) MapConfig {
+	return lotusmap.DefaultConfig(sampler)
 }
 
 // MapPipeline reconstructs the mapping for every transform of the chain.

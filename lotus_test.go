@@ -69,7 +69,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 func TestPublicAPIHardwareFlow(t *testing.T) {
 	engine := lotus.NewEngine(lotus.AMD)
 	spec := lotus.ICWorkload(4, 1)
-	cfg := lotus.DefaultMapConfig(lotus.UProfSampler(1), lotus.DefaultHWModel(engine))
+	cfg := lotus.DefaultMapConfig(lotus.UProfSampler(1))
 	cfg.MaxRuns = 15
 	proto := spec.Prototype()
 	proto.Width *= 2
